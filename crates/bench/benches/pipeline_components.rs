@@ -96,7 +96,7 @@ fn bench_workspace_reuse(c: &mut Criterion) {
         b.iter(|| cgls(black_box(&op), black_box(&sino), &cfg))
     });
     let mut solver_ctx = ExecContext::serial();
-    cgls_in(&op, &sino, &cfg, &mut solver_ctx, &mut |v| v); // warm
+    cgls_in(&op, &sino, &cfg, &mut solver_ctx, &mut |_| {}); // warm
     c.bench_function("cgls_5iter_workspace_warm_64", |b| {
         b.iter(|| {
             cgls_in(
@@ -104,7 +104,7 @@ fn bench_workspace_reuse(c: &mut Criterion) {
                 black_box(&sino),
                 &cfg,
                 &mut solver_ctx,
-                &mut |v| v,
+                &mut |_| {},
             )
         })
     });

@@ -41,20 +41,11 @@ fn run(precision: Precision, hier: bool, overlap: bool) -> xct_core::model::Mode
     .run()
 }
 
-/// Average duration (seconds) of the spans with `phase`, or 0.
-fn avg_span_secs(snap: &xct_telemetry::TelemetrySnapshot, phase: Phase) -> f64 {
-    let (mut total, mut count) = (0u64, 0u64);
-    for span in &snap.spans {
-        if span.phase == phase {
-            total += span.end_ns.saturating_sub(span.start_ns);
-            count += 1;
-        }
-    }
-    if count == 0 {
-        0.0
-    } else {
-        total as f64 / count as f64 / 1e9
-    }
+/// Total duration (seconds) and count of the spans with `phase`.
+fn span_total(snap: &xct_telemetry::TelemetrySnapshot, phase: Phase) -> (f64, usize) {
+    let spans = snap.spans.iter().filter(|s| s.phase == phase);
+    let total: u64 = spans.clone().map(|s| s.duration_ns()).sum();
+    (total as f64 / 1e9, spans.count())
 }
 
 /// Measured overlap-on/off comparison on the executable pipeline
@@ -63,8 +54,8 @@ fn avg_span_secs(snap: &xct_telemetry::TelemetrySnapshot, phase: Phase) -> f64 {
 /// The config is deliberately **comm-bound**: two simulated nodes with a
 /// [`WireModel`] holding inter-node messages on the wire, so the
 /// synchronous schedule sleeps out real wire time at every global
-/// exchange while the overlapped schedule computes the next slice
-/// through it.
+/// exchange while the overlapped schedule has every slice's exchange
+/// on the wire at once.
 fn measured_comparison(quick: bool) {
     let (n, fusing, iterations, reps) = if quick { (24, 4, 3, 1) } else { (32, 8, 8, 3) };
     let scan = ScanGeometry::uniform(ImageGrid::square(n, 1.0), n);
@@ -122,15 +113,23 @@ fn measured_comparison(quick: bool) {
 
     // Feed the discrete-event model the *measured* per-slice activity
     // times from a traced synchronous run and compare its prediction.
+    // A rank runs one fused SpmmForward per apply, so the number of
+    // slice-applies is (fused launches x fusing); each phase's total
+    // time divided by that is its per-minibatch share — for the kernel
+    // the fused span split evenly, for the global level the post and
+    // the drain of one slice together.
     let telemetry = Telemetry::enabled();
     reconstruct_distributed(&scan, &y, &cfg(false, telemetry.clone()));
     let snap = telemetry.snapshot();
+    let (kernel_total, launches) = span_total(&snap, Phase::SpmmForward);
+    let slice_applies = (launches * fusing).max(1) as f64;
+    let per_slice = |phase| span_total(&snap, phase).0 / slice_applies;
     let mb = MinibatchWork {
-        kernel: avg_span_secs(&snap, Phase::SpmmForward),
-        socket_comm: avg_span_secs(&snap, Phase::ReduceSocket),
-        node_comm: avg_span_secs(&snap, Phase::ReduceNode),
+        kernel: kernel_total / slice_applies,
+        socket_comm: per_slice(Phase::ReduceSocket),
+        node_comm: per_slice(Phase::ReduceNode),
         reduction: 0.0,
-        global_comm: avg_span_secs(&snap, Phase::ReduceGlobal),
+        global_comm: per_slice(Phase::ReduceGlobal),
         memcpy: 0.0,
     };
     let mbs = vec![mb; fusing];

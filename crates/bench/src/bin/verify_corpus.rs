@@ -13,10 +13,11 @@ use xct_telemetry::Json;
 use xct_verify::corpus::{
     aliased_reply_exchange, barrier_program, buggy_allreduce_claims, dropped_direct,
     duplicated_direct, gen_case, misrouted_direct, over_budget_plan, single_sweep_gather,
-    small_direct_fixture, unheld_direct, unsorted_transfer,
+    small_direct_fixture, unfolded_collective, unheld_direct, unsorted_transfer,
 };
 use xct_verify::{
-    explore, plan_fits, verify_all_direct, verify_all_hierarchical, verify_direct, ViolationKind,
+    explore, plan_fits, verify_all_direct, verify_all_hierarchical, verify_direct, CommProgram,
+    ViolationKind,
 };
 
 fn check(name: &str, ok: bool, failures: &mut Vec<String>) {
@@ -44,7 +45,7 @@ fn main() {
         let hier = HierarchicalPlan::build(fp, own, &case.topology);
         let hc = CompiledPlans::compile_hierarchical(fp, own, &hier);
         for overlap in [false, true] {
-            if !verify_all_direct(fp, own, &direct, &dc, overlap).ok()
+            if !verify_all_direct(fp, own, &case.topology, &direct, &dc, overlap).ok()
                 || !verify_all_hierarchical(fp, own, &case.topology, &hier, &hc, overlap).ok()
             {
                 failures.push(format!("generated seed {seed} overlap={overlap}"));
@@ -84,6 +85,15 @@ fn main() {
             unsorted_transfer(),
             Err(PlanError::UnsortedIndices { position: 1, .. })
         ),
+        &mut failures,
+    );
+    let (unfolded, starved) = unfolded_collective();
+    let report = CommProgram::collective_of(&unfolded, 0x9000, 1).check();
+    check(
+        "collective: folded-in leader never folded out -> UnmatchedRecv",
+        report.violations.iter().any(|v| {
+            v.rank == starved && matches!(v.kind, ViolationKind::UnmatchedRecv { peer: 0, .. })
+        }),
         &mut failures,
     );
     let (fp, own) = small_direct_fixture();

@@ -19,11 +19,14 @@
 //!
 //! The split [`RankPlan::global_begin`] / [`RankPlan::global_finish`]
 //! (and the scatter twins) is what makes the paper's §III-E overlap
-//! executable: `begin` posts the global sends and irecvs and returns a
-//! handle; local kernels and the *next* slice's socket/node reductions
-//! run while those messages drain; `finish` waits and accumulates. The
-//! in-flight handle owns the open `ReduceGlobal`/`HaloExchange` telemetry
-//! span, so traces show exactly which work ran under the exchange.
+//! executable: `begin` posts the global sends and irecvs and queues the
+//! exchange in the scratch; the *next* slices' socket/node reductions and
+//! posts run while those messages are on the wire; `finish` completes
+//! the oldest queued exchange — any number may be in flight, drained in
+//! posting order. Telemetry spans close inside the call that opened them
+//! (`ReduceGlobal`/`HaloExchange` around the posting and the completion
+//! work, `CommWait` around the drain), so in-flight exchanges never chain
+//! spans under each other; the overlap shows in the timestamps instead.
 
 // Row and position ids in this module are `u32` by the `Ownership`
 // contract (`num_rows` fits `u32`); enumerate-index casts back into that
@@ -34,8 +37,8 @@ use crate::plan::{DirectPlan, HierarchicalPlan, Ownership, ReductionStep};
 use crate::runtime::{CommError, Communicator, RecvRequest};
 use crate::topology::Topology;
 use crate::wire::Wire;
-use std::collections::HashMap;
-use xct_telemetry::{Phase, SpanGuard};
+use std::collections::{HashMap, VecDeque};
+use xct_telemetry::Phase;
 
 /// Compiled-plan tag namespace (disjoint from `exec`'s 0x100..0x800 and
 /// the solver's 0x7000/0x9000 tags). Callers salt with a per-slice value
@@ -528,11 +531,15 @@ impl CompiledPlans {
 pub struct ExchangeScratch {
     cur: Vec<f64>,
     nxt: Vec<f64>,
-    /// Accumulator buffers for in-flight exchanges (two live at once
-    /// under overlap).
+    /// Accumulator buffers for in-flight exchanges (one per fused slice
+    /// live at once under overlap).
     acc_pool: Vec<Vec<f64>>,
     /// Request vectors for in-flight exchanges.
     req_pool: Vec<Vec<RecvRequest>>,
+    /// Posted global reductions, oldest first.
+    globals: VecDeque<GlobalInFlight>,
+    /// Posted global scatters, oldest first.
+    scatters: VecDeque<ScatterInFlight>,
 }
 
 impl ExchangeScratch {
@@ -553,27 +560,22 @@ impl ExchangeScratch {
     }
 }
 
-/// A global reduction in flight: sends posted, receives pending. Holds
-/// the open `ReduceGlobal` span — everything traced until
-/// [`RankPlan::global_finish`] nests under the exchange, which is the
-/// overlap evidence the telemetry report surfaces.
+/// A global reduction in flight: sends posted, receives pending.
 #[derive(Debug)]
-pub struct GlobalInFlight {
+struct GlobalInFlight {
     acc: Vec<f64>,
     reqs: Vec<RecvRequest>,
     undo: f32,
-    _span: SpanGuard,
 }
 
 /// A global scatter in flight (transpose direction), analogous to
-/// [`GlobalInFlight`]; holds the open `HaloExchange` span.
+/// [`GlobalInFlight`].
 #[derive(Debug)]
-pub struct ScatterInFlight {
+struct ScatterInFlight {
     out1: Vec<f64>,
     reqs: Vec<RecvRequest>,
     undo: f32,
     salt: u64,
-    _span: SpanGuard,
 }
 
 /// Sends every transfer of `level`, gathering from `cur` and encoding at
@@ -719,10 +721,11 @@ impl RankPlan {
         Ok(())
     }
 
-    /// Posts the global exchange: sends the post-node partials to owners
-    /// and posts irecvs for incoming contributions. Local work for other
-    /// slices may run freely until [`global_finish`] — that is the §III-E
-    /// overlap window.
+    /// Posts the global exchange: sends the post-node partials to owners,
+    /// posts irecvs for incoming contributions, and queues the exchange
+    /// in `scratch`. Local work for other slices — including their own
+    /// `global_begin`s — may run freely until the matching
+    /// [`global_finish`]; that is the §III-E overlap window.
     ///
     /// [`global_finish`]: RankPlan::global_finish
     pub fn global_begin<S: Wire>(
@@ -731,8 +734,8 @@ impl RankPlan {
         scratch: &mut ExchangeScratch,
         undo: f32,
         salt: u64,
-    ) -> Result<GlobalInFlight, CommError> {
-        let span = comm.telemetry().span(Phase::ReduceGlobal);
+    ) -> Result<(), CommError> {
+        let _span = comm.telemetry().span(Phase::ReduceGlobal);
         let level = &self.global;
         run_sends::<S>(comm, level, &scratch.cur, salt)?;
         let mut acc = scratch.take_acc(level.out_len);
@@ -743,31 +746,28 @@ impl RankPlan {
         for t in &level.recvs {
             reqs.push(comm.irecv(t.peer, level.tag ^ salt)?);
         }
-        Ok(GlobalInFlight {
-            acc,
-            reqs,
-            undo,
-            _span: span,
-        })
+        scratch
+            .globals
+            .push_back(GlobalInFlight { acc, reqs, undo });
+        Ok(())
     }
 
-    /// Completes a posted global exchange: waits on the irecvs in plan
-    /// order, accumulates in f64, rounds to storage precision, and writes
-    /// `total × undo` into `out` (one value per owned row).
+    /// Completes the oldest posted global exchange: waits on the irecvs
+    /// in plan order, accumulates in f64, rounds to storage precision,
+    /// and writes `total × undo` into `out` (one value per owned row).
     // xct-hot
     pub fn global_finish<S: Wire>(
         &self,
         comm: &Communicator,
         scratch: &mut ExchangeScratch,
-        inflight: GlobalInFlight,
         out: &mut [f32],
     ) -> Result<(), CommError> {
+        let _span = comm.telemetry().span(Phase::ReduceGlobal);
         let GlobalInFlight {
             mut acc,
             mut reqs,
             undo,
-            _span,
-        } = inflight;
+        } = scratch.globals.pop_front().ok_or(CommError::NotPosted)?;
         assert_eq!(out.len(), self.global.out_len, "owned length mismatch");
         {
             // The blocking drain gets its own phase: under overlap this
@@ -804,14 +804,16 @@ impl RankPlan {
         out: &mut [f32],
     ) -> Result<(), CommError> {
         self.reduce_local::<S>(comm, scratch, vals, factor, salt)?;
-        let inflight = self.global_begin::<S>(comm, scratch, undo, salt)?;
-        self.global_finish::<S>(comm, scratch, inflight, out)
+        self.global_begin::<S>(comm, scratch, undo, salt)?;
+        self.global_finish::<S>(comm, scratch, out)
     }
 
     /// Posts the global scatter stage (transpose direction): quantizes the
     /// owned totals (× `factor`), sends each peer the rows it contributed
-    /// partials for, seeds the local carries, and posts irecvs for rows
-    /// owned elsewhere. Local work may run until [`scatter_finish`].
+    /// partials for, seeds the local carries, posts irecvs for rows owned
+    /// elsewhere, and queues the scatter in `scratch`. Local work — and
+    /// further `scatter_begin`s — may run until the matching
+    /// [`scatter_finish`].
     ///
     /// [`scatter_finish`]: RankPlan::scatter_finish
     pub fn scatter_begin<S: Wire>(
@@ -822,9 +824,9 @@ impl RankPlan {
         factor: f32,
         undo: f32,
         salt: u64,
-    ) -> Result<ScatterInFlight, CommError> {
+    ) -> Result<(), CommError> {
         assert_eq!(owned.len(), self.owned_len, "owned length mismatch");
-        let span = comm.telemetry().span(Phase::HaloExchange);
+        let _span = comm.telemetry().span(Phase::HaloExchange);
         let level = &self.scatter_global;
         let mut quant = scratch.take_acc(0);
         quant.extend(owned.iter().map(|&v| S::from_f32(v * factor).to_f64()));
@@ -839,34 +841,33 @@ impl RankPlan {
         for t in &level.recvs {
             reqs.push(comm.irecv(t.peer, level.tag ^ salt)?);
         }
-        Ok(ScatterInFlight {
+        scratch.scatters.push_back(ScatterInFlight {
             out1,
             reqs,
             undo,
             salt,
-            _span: span,
-        })
+        });
+        Ok(())
     }
 
-    /// Completes a posted scatter: waits on the global irecvs, fans values
-    /// out through the reversed node and socket levels (blocking — these
-    /// are the fast local links), restricts to the footprint, and writes
-    /// `value × undo` into `out`.
+    /// Completes the oldest posted scatter: waits on the global irecvs,
+    /// fans values out through the reversed node and socket levels
+    /// (blocking — these are the fast local links), restricts to the
+    /// footprint, and writes `value × undo` into `out`.
     // xct-hot
     pub fn scatter_finish<S: Wire>(
         &self,
         comm: &Communicator,
         scratch: &mut ExchangeScratch,
-        inflight: ScatterInFlight,
         out: &mut [f32],
     ) -> Result<(), CommError> {
+        let _span = comm.telemetry().span(Phase::HaloExchange);
         let ScatterInFlight {
             mut out1,
             mut reqs,
             undo,
             salt,
-            _span,
-        } = inflight;
+        } = scratch.scatters.pop_front().ok_or(CommError::NotPosted)?;
         assert_eq!(out.len(), self.in_len, "footprint length mismatch");
         {
             // As in `global_finish`: waiting on posted irecvs is stall
@@ -919,8 +920,8 @@ impl RankPlan {
         salt: u64,
         out: &mut [f32],
     ) -> Result<(), CommError> {
-        let inflight = self.scatter_begin::<S>(comm, scratch, owned, factor, undo, salt)?;
-        self.scatter_finish::<S>(comm, scratch, inflight, out)
+        self.scatter_begin::<S>(comm, scratch, owned, factor, undo, salt)?;
+        self.scatter_finish::<S>(comm, scratch, out)
     }
 }
 
@@ -1105,7 +1106,7 @@ mod tests {
 
     #[test]
     fn overlapped_begin_finish_matches_blocking_across_slices() {
-        // Two "slices" in flight at once (the §III-E software pipeline
+        // Every "slice" in flight at once (the §III-E post-all/drain-all
         // shape) must produce the same owned totals as running each slice
         // synchronously.
         let (fp, own, topo) = fixture();
@@ -1127,23 +1128,16 @@ mod tests {
                     .collect();
                 let mut outs = vec![vec![0.0f32; rp.owned_len()]; 3];
                 if overlap {
-                    let mut pending: Option<(usize, GlobalInFlight)> = None;
                     for (s, slice_vals) in vals.iter().enumerate() {
                         let salt = (s as u64 + 1) << 44;
                         rp.reduce_local::<f32>(comm, &mut scratch, slice_vals, 1.0, salt)
                             .unwrap();
-                        let inflight = rp
-                            .global_begin::<f32>(comm, &mut scratch, 1.0, salt)
+                        rp.global_begin::<f32>(comm, &mut scratch, 1.0, salt)
                             .unwrap();
-                        if let Some((ps, pf)) = pending.take() {
-                            rp.global_finish::<f32>(comm, &mut scratch, pf, &mut outs[ps])
-                                .unwrap();
-                        }
-                        pending = Some((s, inflight));
                     }
-                    let (ps, pf) = pending.take().unwrap();
-                    rp.global_finish::<f32>(comm, &mut scratch, pf, &mut outs[ps])
-                        .unwrap();
+                    for out in &mut outs {
+                        rp.global_finish::<f32>(comm, &mut scratch, out).unwrap();
+                    }
                 } else {
                     for s in 0..3 {
                         let salt = (s as u64 + 1) << 44;

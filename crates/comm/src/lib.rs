@@ -13,6 +13,9 @@
 //! * [`Communicator`] / [`run_ranks`] — the MPI substitute: one thread per
 //!   rank, tagged point-to-point messages, pure-function splits
 //!   (`MPI_Comm_split` analog),
+//! * [`AllreduceSteps`] / [`Communicator::allreduce`] — the small-vector
+//!   allreduce as a per-rank step list built from the topology (socket →
+//!   node → recursive doubling among node leaders → back down),
 //! * [`DirectPlan`] / [`HierarchicalPlan`] — communication schedules with
 //!   exact per-pair and per-level volume accounting (Figs 6, 11;
 //!   Table IV),
@@ -30,12 +33,14 @@
 // with the bound spelled out.
 #![warn(clippy::cast_possible_truncation)]
 
+mod collective;
 mod metrics;
 mod plan;
 mod runtime;
 mod topology;
 mod wire;
 
+pub use collective::{AllreduceSteps, CollectiveStep, Leg, ReduceOp, StepKind};
 pub use metrics::{
     ClassScope, CommMeter, CommReport, RankCommStats, TrafficClass, TRAFFIC_CLASSES,
 };
@@ -54,7 +59,4 @@ pub use exec::{
 };
 
 mod compiled;
-pub use compiled::{
-    CompiledPlans, ExchangeScratch, GlobalInFlight, LevelProgram, RankPlan, ScatterInFlight,
-    Transfer, TAG_STEAL,
-};
+pub use compiled::{CompiledPlans, ExchangeScratch, LevelProgram, RankPlan, Transfer, TAG_STEAL};

@@ -24,13 +24,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use crate::collective::AllreduceSteps;
 use crate::metrics::{CommMeter, RankCommStats, TrafficClass};
+use crate::topology::Topology;
 use crate::wire::Wire;
 use xct_telemetry::{MetricId, Phase, Telemetry};
 
 /// Tag bit reserved for internal reply traffic (allreduce responses).
 /// Application tags must keep this bit clear; the collectives salt their
-/// root-to-leaf replies with it so a collective at tag `t` can never
+/// leader-to-member replies with it so a collective at tag `t` can never
 /// cross-match application traffic at `t + 1`. Public so the static tag
 /// verifier (xct-verify) models the reply namespace with the real bit.
 pub const REPLY_TAG_SALT: u64 = 1 << 63;
@@ -62,6 +64,9 @@ pub enum CommError {
     },
     /// The peer's thread has exited (its channel endpoint is gone).
     Disconnected,
+    /// A split exchange was finished with none posted (`*_finish` without
+    /// a matching `*_begin`).
+    NotPosted,
 }
 
 impl std::fmt::Display for CommError {
@@ -74,6 +79,7 @@ impl std::fmt::Display for CommError {
                 write!(f, "timed out waiting for message from rank {src} tag {tag}")
             }
             CommError::Disconnected => write!(f, "peer disconnected"),
+            CommError::NotPosted => write!(f, "exchange finished with none in flight"),
         }
     }
 }
@@ -351,6 +357,10 @@ pub struct Communicator {
     chaos: Option<ChaosState>,
     meter: CommMeter,
     telemetry: Telemetry,
+    /// The one-node collective program the scalar allreduce wrappers
+    /// run: a communicator is never told its topology, and a flat world
+    /// is the one-node case of the same step list.
+    flat: AllreduceSteps,
 }
 
 impl Communicator {
@@ -380,6 +390,11 @@ impl Communicator {
     /// `ExecContext` and share one nesting stack with the comm layer.
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
+    }
+
+    /// This rank's collective program on a one-node world of all ranks.
+    pub(crate) fn flat_steps(&self) -> &AllreduceSteps {
+        &self.flat
     }
 
     /// Takes a wire buffer from this rank's pool (empty, with at least
@@ -693,63 +708,6 @@ impl Communicator {
             dist *= 2;
         }
         Ok(())
-    }
-
-    /// Sends one `f64` through the pool (collective internals).
-    fn send_scalar(&self, dst: usize, tag: u64, value: f64) -> Result<(), CommError> {
-        let mut buf = self.pooled_buf(8);
-        buf.extend_from_slice(&value.to_le_bytes());
-        self.send(dst, tag, buf)
-    }
-
-    /// Receives one `f64`, recycling the wire buffer.
-    fn recv_scalar(&self, src: usize, tag: u64) -> Result<f64, CommError> {
-        let bytes = self.recv(src, tag)?;
-        // xct-allow(no-panic): infallible — scalar protocol messages are exactly 8 bytes, sliced above
-        let value = f64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"));
-        self.recycle(bytes);
-        Ok(value)
-    }
-
-    /// Max-allreduce of one f64 (for the global max-norm that the
-    /// adaptive normalization factor of §III-C1 is derived from — every
-    /// rank must scale by the *same* factor or partial sums combine
-    /// incoherently). The reply leg runs in the reserved reply-tag
-    /// namespace, so back-to-back collectives on adjacent tags (and
-    /// application traffic at `tag + 1`) cannot cross-match.
-    pub fn allreduce_max(&self, tag: u64, value: f64) -> Result<f64, CommError> {
-        self.gather_bcast(tag, value, f64::max)
-    }
-
-    /// Sum-allreduce of one f64 (for CG inner products across ranks).
-    pub fn allreduce_sum(&self, tag: u64, value: f64) -> Result<f64, CommError> {
-        self.gather_bcast(tag, value, |a, b| a + b)
-    }
-
-    /// Gather-at-root-then-broadcast scalar collective: O(P) messages,
-    /// fine at our scale.
-    fn gather_bcast(
-        &self,
-        tag: u64,
-        value: f64,
-        combine: impl Fn(f64, f64) -> f64,
-    ) -> Result<f64, CommError> {
-        let _class = self.meter.scope_class(TrafficClass::Control);
-        let _span = self.telemetry.span(Phase::Allreduce);
-        let reply = tag ^ REPLY_TAG_SALT;
-        if self.rank == 0 {
-            let mut acc = value;
-            for src in 1..self.size() {
-                acc = combine(acc, self.recv_scalar(src, tag)?);
-            }
-            for dst in 1..self.size() {
-                self.send_scalar(dst, reply, acc)?;
-            }
-            Ok(acc)
-        } else {
-            self.send_scalar(0, tag, value)?;
-            self.recv_scalar(0, reply)
-        }
     }
 }
 
@@ -1070,6 +1028,7 @@ fn run_ranks_inner<T: Send>(
             meter: CommMeter::new(n),
             // xct-allow(no-panic): infallible — rank counts are tiny (bounded by the topology)
             telemetry: telemetry.fork(u32::try_from(rank).expect("rank fits u32")),
+            flat: AllreduceSteps::build(&Topology::new(1, 1, n), rank),
         })
         .collect();
     // Mailboxes outlive every rank thread (the Arc is shared), so a

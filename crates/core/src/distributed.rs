@@ -4,27 +4,33 @@
 //! CGLS on top (paper §III, end to end, at mini scale).
 //!
 //! Forward projection per iteration: each rank runs the buffered SpMM on
-//! its voxel subdomain one fused slice at a time → partial sinogram over
-//! its footprint → hierarchical (or direct) reduce to ray owners through
-//! a *compiled* communication plan. Backprojection: owners scatter
-//! sinogram values back to footprints → local transposed SpMM. CGLS inner
-//! products go through an allreduce, and the adaptive normalization
-//! factor for half-precision wire data is agreed on globally with a
-//! max-allreduce (§III-C1 applied across ranks).
+//! its voxel subdomain **once for the whole fused minibatch** (the
+//! paper's fused kernel, inside the rank) → partial sinograms over its
+//! footprint → per slice, hierarchical (or direct) reduce to ray owners
+//! through a *compiled* communication plan. Backprojection: owners
+//! scatter sinogram values back to footprints slice by slice → one fused
+//! transposed SpMM. What an iteration *waits on* is four small
+//! collectives — the per-slice normalization maxima of the forward
+//! partials as one vector (§III-C1 applied across ranks), the
+//! backprojection's maximum, and CGLS's two inner-product groups — each
+//! a hierarchical allreduce on the run's [`Topology`]
+//! ([`xct_comm::AllreduceSteps`]), plus one exchange latency per
+//! direction.
 //!
-//! With [`DistributedConfig::overlap`] the fused slices form a
-//! double-buffered software pipeline (paper §III-E, Figs 11–12): slice
-//! `s`'s global exchange drains via posted irecvs while slice `s+1` runs
-//! its local SpMM and socket/node reductions. Results are bit-identical
-//! to the synchronous schedule — the same floating-point operations run
-//! in the same order; only the waiting moves.
+//! With [`DistributedConfig::overlap`] a rank posts every fused slice's
+//! global exchange as soon as that slice's socket/node reduction is done
+//! and drains them afterwards in slice order (paper §III-E, Figs 11–12;
+//! [`crate::pipeline::exchange_schedule`]), so all slices share one wire
+//! latency. Results are bit-identical to the synchronous schedule — the
+//! same floating-point operations run in the same order; only the
+//! waiting moves.
 
 use crate::decompose::SliceDecomposition;
-use crate::pipeline::run_pipeline;
+use crate::pipeline::{exchange_schedule, ExchangeOp};
 use std::sync::Mutex;
 use xct_comm::{
-    run_ranks_traced_wired, Communicator, CompiledPlans, DirectPlan, ExchangeScratch,
-    GlobalInFlight, HierarchicalPlan, RankCommStats, ScatterInFlight, Topology, Wire, WireModel,
+    run_ranks_traced_wired, AllreduceSteps, Communicator, CompiledPlans, DirectPlan,
+    ExchangeScratch, HierarchicalPlan, RankCommStats, ReduceOp, Topology, Wire, WireModel,
 };
 use xct_exec::{BufferRole, ExecContext, ExecCounters, Telemetry};
 use xct_fp16::{Precision, F16};
@@ -44,9 +50,11 @@ pub struct DistributedConfig {
     pub fusing: usize,
     /// Hierarchical (true) or direct (false) partial-data exchange.
     pub hierarchical: bool,
-    /// Pipeline the fused slices so each slice's global exchange overlaps
-    /// the next slice's local SpMM and socket/node reductions (§III-E).
-    /// Output is bit-identical to the synchronous schedule.
+    /// Post every fused slice's global exchange before draining any, so
+    /// each one is on the wire under the later slices' socket/node
+    /// reductions and all share one latency (§III-E). Output is
+    /// bit-identical to the synchronous (post, drain, post, drain …)
+    /// schedule.
     pub overlap: bool,
     /// Optional simulated wire time for inter-node messages. The
     /// in-process transport is a memcpy, so without this, overlap has no
@@ -142,19 +150,42 @@ fn slice_salt(f: usize) -> u64 {
     ((f as u64) + 1) << 44
 }
 
-/// One rank's distributed operator: local optimized kernels plus compiled
-/// plan-driven exchanges. The local operator is built with an internal
-/// fusing of 1 — slices run one at a time so the software pipeline can
-/// interleave slice `s+1`'s kernels with slice `s`'s in-flight exchange.
+/// Collective tags, one per call site (per-key FIFO keeps consecutive
+/// collectives on one tag apart): the forward apply's per-slice maxima,
+/// the backprojection's maximum, and CGLS's inner-product groups.
+const TAG_FORWARD_MAX: u64 = 0x7000;
+const TAG_TRANSPOSE_MAX: u64 = 0x7100;
+const TAG_INNER_PRODUCTS: u64 = 0x9000;
+
+/// The `(factor, undo)` pair that scales values of global max-norm
+/// `global_max` into the half-precision sweet spot and back.
+fn normalization(global_max: f64) -> (f32, f32) {
+    if global_max > f64::MIN_POSITIVE {
+        let factor = (256.0 / global_max) as f32;
+        (factor, 1.0 / factor)
+    } else {
+        (1.0, 1.0)
+    }
+}
+
+fn max_abs(vals: &[f32]) -> f64 {
+    f64::from(vals.iter().fold(0.0f32, |a, &v| a.max(v.abs())))
+}
+
+/// One rank's distributed operator: the rank's restricted matrix packed
+/// at the run's fusing factor — one fused kernel launch per apply and
+/// direction — plus compiled plan-driven exchanges per fused slice.
 struct RankOperator<'a> {
     comm: &'a Communicator,
     cfg: &'a DistributedConfig,
     plans: &'a CompiledPlans,
     local: PrecisionOperator,
-    /// Reusable exchange buffers; a (never-contended) `Mutex` because
-    /// `LinearOperator` takes `&self` and requires `Sync`, while the
-    /// exchange needs scratch mutably. Each rank thread owns its
-    /// operator, so the lock is always free.
+    /// This rank's allreduce program on the run's topology.
+    steps: AllreduceSteps,
+    /// Reusable exchange buffers and the queue of in-flight exchanges; a
+    /// (never-contended) `Mutex` because `LinearOperator` takes `&self`
+    /// and requires `Sync`, while the exchange needs scratch mutably.
+    /// Each rank thread owns its operator, so the lock is always free.
     scratch: Mutex<ExchangeScratch>,
     rank: usize,
     footprint_len: usize,
@@ -162,175 +193,151 @@ struct RankOperator<'a> {
     owned_vox_len: usize,
 }
 
-impl RankOperator<'_> {
-    /// Agree on the global normalization factor for one slice's partials
-    /// so quantized contributions from different ranks combine coherently
-    /// (§III-C1 across ranks). Identity for full-width wire formats.
-    fn forward_factor(&self, vals: &[f32]) -> (f32, f32) {
-        match self.cfg.precision {
-            Precision::Half | Precision::Mixed => {
-                let local_max = vals.iter().fold(0.0f32, |a, &v| a.max(v.abs()));
-                let global_max = self
-                    .comm
-                    .allreduce_max(0x7000, f64::from(local_max))
-                    // xct-allow(no-panic): comm ops execute a verified plan; a wire fault mid-iteration is unrecoverable
-                    .expect("allreduce_max");
-                if global_max > f64::MIN_POSITIVE {
-                    let factor = (256.0 / global_max) as f32;
-                    (factor, 1.0 / factor)
-                } else {
-                    (1.0, 1.0)
-                }
-            }
-            _ => (1.0, 1.0),
+impl<'a> RankOperator<'a> {
+    fn new(
+        comm: &'a Communicator,
+        cfg: &'a DistributedConfig,
+        plans: &'a CompiledPlans,
+        decomp: &SliceDecomposition,
+    ) -> Self {
+        let rank = comm.rank();
+        let op_local = &decomp.local_ops[rank];
+        RankOperator {
+            comm,
+            cfg,
+            plans,
+            local: PrecisionOperator::new(
+                &op_local.csr,
+                cfg.precision,
+                cfg.fusing,
+                cfg.block_size,
+                cfg.shared_bytes,
+            ),
+            steps: AllreduceSteps::build(&cfg.topology, rank),
+            scratch: Mutex::new(ExchangeScratch::new()),
+            rank,
+            footprint_len: op_local.rows.len(),
+            owned_rays_len: decomp.owned_rays[rank].len(),
+            owned_vox_len: decomp.owned_voxels[rank].len(),
         }
     }
 
-    /// Forward pipeline at wire precision `S`: per fused slice, local SpMM
-    /// → socket/node reduction → global exchange to ray owners, scheduled
-    /// by [`run_pipeline`]. With `overlap`, slice `s`'s global exchange
-    /// stays in flight while slice `s+1` runs its SpMM and local
-    /// reductions, and it completes *before* slice `s+1`'s exchange posts
-    /// — the per-slice arithmetic is unchanged, so results match the
-    /// synchronous path bit for bit.
+    /// Element-wise allreduce on the run's topology.
+    fn allreduce(&self, tag: u64, op: ReduceOp, vals: &mut [f64]) {
+        self.comm
+            .allreduce(&self.steps, tag, op, vals)
+            // xct-allow(no-panic): comm ops execute a verified plan; a wire fault mid-iteration is unrecoverable
+            .expect("allreduce");
+    }
+
+    /// Forward apply at wire precision `S`: one fused SpMM over the whole
+    /// minibatch, one vector collective agreeing on every slice's
+    /// normalization factor (so quantized contributions from different
+    /// ranks combine coherently — §III-C1 across ranks; skipped for
+    /// full-width wire formats), then per slice the socket/node
+    /// reduction and the global exchange to ray owners, posted and
+    /// drained in [`exchange_schedule`] order.
     fn apply_as<S: Wire>(&self, x: &[f32], y: &mut [f32], ctx: &mut ExecContext) {
         let rp = self.plans.rank(self.rank);
-        let partial = ctx
-            .workspace
-            .take::<f32>(BufferRole::Forward, self.footprint_len * self.cfg.fusing);
-        struct Fwd<'s> {
-            x: &'s [f32],
-            y: &'s mut [f32],
-            partial: Vec<f32>,
-            ctx: &'s mut ExecContext,
-            undo: f32,
+        let telemetry = self.comm.telemetry();
+        let fusing = self.cfg.fusing;
+        let (fp, rays) = (self.footprint_len, self.owned_rays_len);
+        let mut partial = ctx.workspace.take::<f32>(BufferRole::Forward, fp * fusing);
+        // The fused launch and the collective work all slices at once:
+        // their cost is split evenly over the batch.
+        telemetry.profile_slices_set(0, fusing as u32);
+        self.local.apply(x, &mut partial, ctx);
+        let quantized = self.cfg.precision.quantizes_to_half();
+        let mut maxima = ctx.workspace.take::<f64>(BufferRole::Scratch(0), fusing);
+        if quantized {
+            for (f, m) in maxima.iter_mut().enumerate() {
+                *m = max_abs(&partial[f * fp..(f + 1) * fp]);
+            }
+            self.allreduce(TAG_FORWARD_MAX, ReduceOp::Max, &mut maxima);
         }
-        let mut st = Fwd {
-            x,
-            y,
-            partial,
-            ctx,
-            undo: 1.0,
-        };
-        run_pipeline(
-            self.cfg.fusing,
-            self.cfg.overlap,
-            &mut st,
-            |st: &mut Fwd, f| {
-                self.comm.telemetry().profile_slice_set(f as u32);
-                let xs = &st.x[f * self.owned_vox_len..(f + 1) * self.owned_vox_len];
-                let ps = &mut st.partial[f * self.footprint_len..(f + 1) * self.footprint_len];
-                self.local.apply(xs, ps, st.ctx);
-                let (factor, undo) = self.forward_factor(ps);
-                st.undo = undo;
-                // xct-allow(no-panic): lock poisoning means a sibling pipeline stage already panicked; propagate
-                let mut scratch = self.scratch.lock().expect("scratch mutex");
-                rp.reduce_local::<S>(self.comm, &mut scratch, ps, factor, slice_salt(f))
-                    // xct-allow(no-panic): comm ops execute a verified plan; a wire fault mid-iteration is unrecoverable
-                    .expect("local reduction");
-            },
-            |st, f| -> GlobalInFlight {
-                self.comm.telemetry().profile_slice_set(f as u32);
-                // xct-allow(no-panic): lock poisoning means a sibling pipeline stage already panicked; propagate
-                let mut scratch = self.scratch.lock().expect("scratch mutex");
-                rp.global_begin::<S>(self.comm, &mut scratch, st.undo, slice_salt(f))
-                    // xct-allow(no-panic): comm ops execute a verified plan; a wire fault mid-iteration is unrecoverable
-                    .expect("global exchange post")
-            },
-            |st, f, inflight| {
-                self.comm.telemetry().profile_slice_set(f as u32);
-                // xct-allow(no-panic): lock poisoning means a sibling pipeline stage already panicked; propagate
-                let mut scratch = self.scratch.lock().expect("scratch mutex");
-                rp.global_finish::<S>(
-                    self.comm,
-                    &mut scratch,
-                    inflight,
-                    &mut st.y[f * self.owned_rays_len..(f + 1) * self.owned_rays_len],
-                )
-                // xct-allow(no-panic): comm ops execute a verified plan; a wire fault mid-iteration is unrecoverable
-                .expect("global exchange finish");
-            },
-            |_, _| {},
-        );
-        let Fwd { partial, ctx, .. } = st;
+        {
+            // xct-allow(no-panic): lock poisoning means this rank's thread already panicked; propagate
+            let mut scratch = self.scratch.lock().expect("scratch mutex");
+            for op in exchange_schedule(fusing, self.cfg.overlap) {
+                match op {
+                    ExchangeOp::Post(f) => {
+                        telemetry.profile_slice_set(f as u32);
+                        let (factor, undo) = if quantized {
+                            normalization(maxima[f])
+                        } else {
+                            (1.0, 1.0)
+                        };
+                        let salt = slice_salt(f);
+                        let ps = &partial[f * fp..(f + 1) * fp];
+                        rp.reduce_local::<S>(self.comm, &mut scratch, ps, factor, salt)
+                            // xct-allow(no-panic): comm ops execute a verified plan; a wire fault mid-iteration is unrecoverable
+                            .expect("local reduction");
+                        rp.global_begin::<S>(self.comm, &mut scratch, undo, salt)
+                            // xct-allow(no-panic): comm ops execute a verified plan; a wire fault mid-iteration is unrecoverable
+                            .expect("global exchange post");
+                    }
+                    ExchangeOp::Drain(f) => {
+                        telemetry.profile_slice_set(f as u32);
+                        let ys = &mut y[f * rays..(f + 1) * rays];
+                        rp.global_finish::<S>(self.comm, &mut scratch, ys)
+                            // xct-allow(no-panic): comm ops execute a verified plan; a wire fault mid-iteration is unrecoverable
+                            .expect("global exchange finish");
+                    }
+                }
+            }
+        }
+        // Whole-batch work until the next apply (the solver's collectives)
+        // is every slice's cost again.
+        telemetry.profile_slices_set(0, fusing as u32);
+        ctx.workspace.put(BufferRole::Scratch(0), maxima);
         ctx.workspace.put(BufferRole::Forward, partial);
     }
 
-    /// Transpose pipeline at wire precision `S`: per fused slice, global
-    /// scatter from owners → node/socket fan-out → local transposed SpMM,
-    /// scheduled by [`run_pipeline`]. With `overlap`, slice `s`'s
-    /// transposed SpMM runs while slice `s+1`'s global scatter is in
-    /// flight.
+    /// Transpose apply at wire precision `S`: one normalization factor
+    /// for the whole batch (one scalar collective), per slice the global
+    /// scatter from owners and the node/socket fan-out, posted and
+    /// drained in [`exchange_schedule`] order, then one fused transposed
+    /// SpMM over the whole minibatch.
     fn apply_transpose_as<S: Wire>(&self, y: &[f32], x: &mut [f32], ctx: &mut ExecContext) {
         let rp = self.plans.rank(self.rank);
-        // One normalization factor for the whole batch (one allreduce per
-        // backprojection, as in the reference path).
-        let (factor, undo) = match self.cfg.precision {
-            Precision::Half | Precision::Mixed => {
-                let local_max = y.iter().fold(0.0f32, |a, &v| a.max(v.abs()));
-                let global_max = self
-                    .comm
-                    .allreduce_max(0x7100, f64::from(local_max))
-                    // xct-allow(no-panic): comm ops execute a verified plan; a wire fault mid-iteration is unrecoverable
-                    .expect("allreduce_max");
-                if global_max > f64::MIN_POSITIVE {
-                    let factor = (256.0 / global_max) as f32;
-                    (factor, 1.0 / factor)
-                } else {
-                    (1.0, 1.0)
+        let telemetry = self.comm.telemetry();
+        let fusing = self.cfg.fusing;
+        let (fp, rays) = (self.footprint_len, self.owned_rays_len);
+        let (factor, undo) = if self.cfg.precision.quantizes_to_half() {
+            let mut global_max = [max_abs(y)];
+            self.allreduce(TAG_TRANSPOSE_MAX, ReduceOp::Max, &mut global_max);
+            normalization(global_max[0])
+        } else {
+            (1.0, 1.0)
+        };
+        let mut footprint = ctx
+            .workspace
+            .take::<f32>(BufferRole::Footprint, fp * fusing);
+        {
+            // xct-allow(no-panic): lock poisoning means this rank's thread already panicked; propagate
+            let mut scratch = self.scratch.lock().expect("scratch mutex");
+            for op in exchange_schedule(fusing, self.cfg.overlap) {
+                match op {
+                    ExchangeOp::Post(f) => {
+                        telemetry.profile_slice_set(f as u32);
+                        let owned = &y[f * rays..(f + 1) * rays];
+                        let salt = slice_salt(f);
+                        rp.scatter_begin::<S>(self.comm, &mut scratch, owned, factor, undo, salt)
+                            // xct-allow(no-panic): comm ops execute a verified plan; a wire fault mid-iteration is unrecoverable
+                            .expect("scatter post");
+                    }
+                    ExchangeOp::Drain(f) => {
+                        telemetry.profile_slice_set(f as u32);
+                        let fs = &mut footprint[f * fp..(f + 1) * fp];
+                        rp.scatter_finish::<S>(self.comm, &mut scratch, fs)
+                            // xct-allow(no-panic): comm ops execute a verified plan; a wire fault mid-iteration is unrecoverable
+                            .expect("scatter finish");
+                    }
                 }
             }
-            _ => (1.0, 1.0),
-        };
-        let footprint_vals = ctx
-            .workspace
-            .take::<f32>(BufferRole::Footprint, self.footprint_len * self.cfg.fusing);
-        struct Bwd<'s> {
-            y: &'s [f32],
-            x: &'s mut [f32],
-            footprint: Vec<f32>,
-            ctx: &'s mut ExecContext,
         }
-        let mut st = Bwd {
-            y,
-            x,
-            footprint: footprint_vals,
-            ctx,
-        };
-        run_pipeline(
-            self.cfg.fusing,
-            self.cfg.overlap,
-            &mut st,
-            |_: &mut Bwd, _| {}, // scatters need no local pre-compute
-            |st, f| -> ScatterInFlight {
-                self.comm.telemetry().profile_slice_set(f as u32);
-                let owned = &st.y[f * self.owned_rays_len..(f + 1) * self.owned_rays_len];
-                // xct-allow(no-panic): lock poisoning means a sibling pipeline stage already panicked; propagate
-                let mut scratch = self.scratch.lock().expect("scratch mutex");
-                rp.scatter_begin::<S>(self.comm, &mut scratch, owned, factor, undo, slice_salt(f))
-                    // xct-allow(no-panic): comm ops execute a verified plan; a wire fault mid-iteration is unrecoverable
-                    .expect("scatter post")
-            },
-            |st, f, inflight| {
-                self.comm.telemetry().profile_slice_set(f as u32);
-                let fs = &mut st.footprint[f * self.footprint_len..(f + 1) * self.footprint_len];
-                // xct-allow(no-panic): lock poisoning means a sibling pipeline stage already panicked; propagate
-                let mut scratch = self.scratch.lock().expect("scratch mutex");
-                rp.scatter_finish::<S>(self.comm, &mut scratch, inflight, fs)
-                    // xct-allow(no-panic): comm ops execute a verified plan; a wire fault mid-iteration is unrecoverable
-                    .expect("scatter finish");
-            },
-            |st, f| {
-                self.comm.telemetry().profile_slice_set(f as u32);
-                let fs = &st.footprint[f * self.footprint_len..(f + 1) * self.footprint_len];
-                self.local.apply_transpose(
-                    fs,
-                    &mut st.x[f * self.owned_vox_len..(f + 1) * self.owned_vox_len],
-                    st.ctx,
-                );
-            },
-        );
-        let Bwd { footprint, ctx, .. } = st;
+        telemetry.profile_slices_set(0, fusing as u32);
+        self.local.apply_transpose(&footprint, x, ctx);
         ctx.workspace.put(BufferRole::Footprint, footprint);
     }
 }
@@ -461,6 +468,7 @@ pub fn reconstruct_distributed(
             xct_verify::verify_all_direct(
                 &decomp.footprints,
                 &ownership,
+                &cfg.topology,
                 &direct,
                 &compiled,
                 cfg.overlap,
@@ -471,28 +479,8 @@ pub fn reconstruct_distributed(
 
     let outputs = run_ranks_traced_wired(ranks, &cfg.telemetry, cfg.wire, |comm| {
         let rank = comm.rank();
-        let op_local = &decomp.local_ops[rank];
-        // Internal fusing of 1: the rank operator pipelines slices itself.
-        let local = PrecisionOperator::new(
-            &op_local.csr,
-            cfg.precision,
-            1,
-            cfg.block_size,
-            cfg.shared_bytes,
-        );
-        let rank_op = RankOperator {
-            comm,
-            cfg,
-            plans: &compiled,
-            local,
-            scratch: Mutex::new(ExchangeScratch::new()),
-            rank,
-            footprint_len: op_local.rows.len(),
-            owned_rays_len: decomp.owned_rays[rank].len(),
-            owned_vox_len: decomp.owned_voxels[rank].len(),
-        };
+        let rank_op = RankOperator::new(comm, cfg, &compiled, &decomp);
         let y_local = decomp.restrict_sinogram(sinogram, sm.num_rays(), cfg.fusing, rank);
-        let mut tag = 0x9000u64;
         // One context per rank — each simulated GPU owns its workspace.
         // The rank's telemetry handle is the communicator's fork, so
         // solver spans and exchange spans nest on one per-rank track.
@@ -508,11 +496,7 @@ pub fn reconstruct_distributed(
                 damping: 0.0,
             },
             &mut ctx,
-            &mut |v| {
-                tag = tag.wrapping_add(2);
-                // xct-allow(no-panic): comm ops execute a verified plan; a wire fault mid-iteration is unrecoverable
-                comm.allreduce_sum(tag, v).expect("allreduce_sum")
-            },
+            &mut |products| rank_op.allreduce(TAG_INNER_PRODUCTS, ReduceOp::Sum, products),
         );
         (
             report.x,
@@ -581,6 +565,19 @@ mod tests {
             .sum();
         let den: f64 = b.iter().map(|&q| f64::from(q).powi(2)).sum();
         (num / den.max(1e-30)).sqrt()
+    }
+
+    #[test]
+    fn verifier_claims_the_tags_this_operator_uses() {
+        // xct-verify cannot depend on this crate, so it restates the
+        // operator's tag constants; pin the two together here.
+        assert_eq!(
+            xct_verify::COLLECTIVE_TAGS.map(|(tag, _)| tag),
+            [TAG_FORWARD_MAX, TAG_TRANSPOSE_MAX, TAG_INNER_PRODUCTS]
+        );
+        for f in [0, 1, 7, xct_plan::MAX_FUSING_TAGS - 1] {
+            assert_eq!(slice_salt(f), xct_verify::slice_salt(f));
+        }
     }
 
     #[test]
@@ -738,25 +735,7 @@ mod tests {
                 .collect();
             let outputs = run_ranks(ranks, |comm| {
                 let rank = comm.rank();
-                let op_local = &decomp.local_ops[rank];
-                let local = PrecisionOperator::new(
-                    &op_local.csr,
-                    cfg.precision,
-                    1,
-                    cfg.block_size,
-                    cfg.shared_bytes,
-                );
-                let rank_op = RankOperator {
-                    comm,
-                    cfg: &cfg,
-                    plans: &compiled,
-                    local,
-                    scratch: Mutex::new(ExchangeScratch::new()),
-                    rank,
-                    footprint_len: op_local.rows.len(),
-                    owned_rays_len: decomp.owned_rays[rank].len(),
-                    owned_vox_len: decomp.owned_voxels[rank].len(),
-                };
+                let rank_op = RankOperator::new(comm, &cfg, &compiled, &decomp);
                 let mut ctx = ExecContext::serial();
                 let x_local: Vec<f32> = decomp.owned_voxels[rank]
                     .iter()
@@ -792,13 +771,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn overlap_run_shows_global_exchange_over_spmm() {
-        // The §III-E acceptance evidence: with overlap on, at least one
-        // rank's trace must show a SpmmForward span *nested under* an
-        // open ReduceGlobal span — i.e. the next slice's kernel ran while
-        // the previous slice's global exchange was still in flight.
-        use xct_exec::{Phase, Telemetry};
+    /// A traced 3-slice hierarchical 1×2×2 run under the given schedule.
+    fn traced_three_slice_run(overlap: bool) -> xct_telemetry::TelemetrySnapshot {
         let scan = ScanGeometry::uniform(ImageGrid::square(12, 1.0), 16);
         let fusing = 3;
         let (_, _, y) = phantom_sinogram(&scan, fusing);
@@ -808,62 +782,107 @@ mod tests {
             precision: Precision::Single,
             fusing,
             hierarchical: true,
-            overlap: true,
+            overlap,
             iterations: 2,
             telemetry: telemetry.clone(),
             ..Default::default()
         };
         let _ = reconstruct_distributed(&scan, &y, &cfg);
-        let snap = telemetry.snapshot();
-        let has_ancestor = |mut parent: Option<usize>, phase: Phase| {
-            while let Some(i) = parent {
-                if snap.spans[i].phase == phase {
-                    return true;
-                }
-                parent = snap.spans[i].parent;
-            }
-            false
+        telemetry.snapshot()
+    }
+
+    /// Whether, on some rank, an exchange of `phase` was posted before
+    /// the previously posted one had finished draining. A *post* is a
+    /// `phase` span without a `CommWait` child (`*_begin`); a *drain* is
+    /// the `CommWait` child of a `phase` span (`*_finish`). Exchanges
+    /// drain in posting order, so the k-th post pairs with the k-th
+    /// drain of its track.
+    fn some_post_precedes_the_previous_drain_end(
+        snap: &xct_telemetry::TelemetrySnapshot,
+        phase: xct_exec::Phase,
+    ) -> bool {
+        use xct_exec::Phase;
+        let is_drain = |s: &xct_telemetry::SpanRecord| {
+            s.phase == Phase::CommWait && s.parent.is_some_and(|i| snap.spans[i].phase == phase)
         };
-        let spmm_under_exchange = snap
-            .spans
-            .iter()
-            .any(|s| s.phase == Phase::SpmmForward && has_ancestor(s.parent, Phase::ReduceGlobal));
+        (0..4u32).any(|track| {
+            let drains: Vec<_> = snap
+                .spans
+                .iter()
+                .filter(|s| s.track == track && is_drain(s))
+                .collect();
+            let posts: Vec<_> = snap
+                .spans
+                .iter()
+                .enumerate()
+                .filter(|(i, s)| {
+                    s.track == track
+                        && s.phase == phase
+                        && !snap
+                            .spans
+                            .iter()
+                            .any(|c| c.parent == Some(*i) && c.phase == Phase::CommWait)
+                })
+                .map(|(_, s)| s)
+                .collect();
+            assert!(!posts.is_empty(), "rank {track} posted no {phase:?}");
+            assert_eq!(posts.len(), drains.len(), "rank {track} {phase:?}");
+            (1..posts.len()).any(|k| posts[k].start_ns < drains[k - 1].end_ns)
+        })
+    }
+
+    #[test]
+    fn overlap_run_shows_global_exchange_over_spmm() {
+        // The §III-E acceptance evidence, from timestamps: with overlap
+        // on, some rank posts slice s+1's global exchange before slice
+        // s's drain has ended — more than one exchange is in flight.
+        // Spans close inside the call that opened them, so the evidence
+        // cannot be nesting (and in-flight exchanges cannot inflate the
+        // iteration's self time by chaining under each other).
+        use xct_exec::Phase;
+        let snap = traced_three_slice_run(true);
         assert!(
-            spmm_under_exchange,
-            "overlap run must trace SpmmForward under an open ReduceGlobal span"
+            some_post_precedes_the_previous_drain_end(&snap, Phase::ReduceGlobal),
+            "overlap run must post a global exchange while the previous one is in flight"
         );
-        // Transpose direction too: a transposed SpMM under an in-flight
-        // halo exchange (scatter).
-        let tspmm_under_halo = snap.spans.iter().any(|s| {
-            s.phase == Phase::SpmmTranspose && has_ancestor(s.parent, Phase::HaloExchange)
-        });
+        // Transpose direction too: scatters posted ahead of the drains.
         assert!(
-            tspmm_under_halo,
-            "overlap run must trace SpmmTranspose under an open HaloExchange span"
+            some_post_precedes_the_previous_drain_end(&snap, Phase::HaloExchange),
+            "overlap run must post a scatter while the previous one is in flight"
         );
+        // No exchange span stays open across calls: every ReduceGlobal /
+        // HaloExchange span hangs directly under the iteration (or the
+        // solver set-up), never under another exchange.
+        for s in &snap.spans {
+            if matches!(s.phase, Phase::ReduceGlobal | Phase::HaloExchange) {
+                let parent = s.parent.map(|i| snap.spans[i].phase);
+                assert!(
+                    matches!(
+                        parent,
+                        Some(Phase::SolverIteration) | Some(Phase::SolverSetup)
+                    ),
+                    "{:?} span nested under {parent:?}",
+                    s.phase
+                );
+            }
+        }
     }
 
     #[test]
     fn synchronous_run_keeps_spmm_outside_exchange() {
-        // Control for the overlap evidence: without overlap no SpMM span
-        // nests under a global-exchange span.
-        use xct_exec::{Phase, Telemetry};
-        let scan = ScanGeometry::uniform(ImageGrid::square(12, 1.0), 16);
-        let fusing = 3;
-        let (_, _, y) = phantom_sinogram(&scan, fusing);
-        let telemetry = Telemetry::enabled();
-        let cfg = DistributedConfig {
-            topology: Topology::new(1, 2, 2),
-            precision: Precision::Single,
-            fusing,
-            hierarchical: true,
-            overlap: false,
-            iterations: 2,
-            telemetry: telemetry.clone(),
-            ..Default::default()
-        };
-        let _ = reconstruct_distributed(&scan, &y, &cfg);
-        let snap = telemetry.snapshot();
+        // Control for the overlap evidence: without overlap every post
+        // waits for the previous exchange's drain to end, on every rank.
+        use xct_exec::Phase;
+        let snap = traced_three_slice_run(false);
+        assert!(
+            !some_post_precedes_the_previous_drain_end(&snap, Phase::ReduceGlobal),
+            "synchronous run must keep one global exchange in flight at a time"
+        );
+        assert!(
+            !some_post_precedes_the_previous_drain_end(&snap, Phase::HaloExchange),
+            "synchronous run must keep one scatter in flight at a time"
+        );
+        // And the fused kernels run outside any exchange span.
         let nested = snap.spans.iter().any(|s| {
             (s.phase == Phase::SpmmForward || s.phase == Phase::SpmmTranspose)
                 && s.parent.is_some_and(|i| {
@@ -944,7 +963,7 @@ mod tests {
 
     #[test]
     fn profiled_run_attributes_spmm_cost_to_every_rank_and_slice() {
-        use xct_exec::Telemetry;
+        use xct_exec::{Phase, Telemetry};
         use xct_telemetry::{CostComponent, ProfileDims};
         let scan = ScanGeometry::uniform(ImageGrid::square(12, 1.0), 12);
         let fusing = 2;
@@ -966,6 +985,7 @@ mod tests {
         };
         let _ = reconstruct_distributed(&scan, &y, &cfg);
         let profile = telemetry.profile_snapshot().expect("profiling enabled");
+        let snap = telemetry.snapshot();
         for rank in 0..4 {
             assert!(
                 profile.track_component_ns(rank, CostComponent::SpmmCompute) > 0,
@@ -982,6 +1002,25 @@ mod tests {
                     "rank {rank} slice {slice} unattributed"
                 );
             }
+            // Every kernel launch is fused over both slices, and a
+            // launch's cost is split by floor division with the
+            // remainder on slice 0: slice 0 leads slice 1 by at most one
+            // nanosecond per launch, never trails it.
+            let launches = snap
+                .spans
+                .iter()
+                .filter(|s| {
+                    s.track == rank as u32
+                        && matches!(s.phase, Phase::SpmmForward | Phase::SpmmTranspose)
+                })
+                .count() as u64;
+            assert_eq!(launches, 2 * 2 + 1, "one fused launch per apply");
+            let first = profile.get(rank, 0, 0, CostComponent::SpmmCompute);
+            let second = profile.get(rank, 0, 1, CostComponent::SpmmCompute);
+            assert!(
+                first >= second && first - second <= launches,
+                "rank {rank}: fused cost split {first} / {second} over {launches} launches"
+            );
         }
     }
 

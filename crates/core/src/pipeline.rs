@@ -1,184 +1,112 @@
-//! The double-buffered stage pipeline (paper §III-E, Figs 11–12),
-//! factored out of the distributed operator so every overlapped loop —
-//! forward exchange, transpose scatter, and the out-of-core slab stream
-//! — shares one schedule with one proof of correctness.
+//! The exchange schedule of the distributed operator (paper §III-E,
+//! Figs 11–12): in which order a rank posts and drains the per-slice
+//! global exchanges of one fused (back)projection.
 //!
-//! A pipelined loop over `n` items decomposes into four stages:
+//! The rank's kernel runs once per apply over the whole minibatch, so
+//! nothing is left to compute *between* slices; what remains per slice
+//! is `Post(f)` — the local socket/node reduction plus the nonblocking
+//! post of slice `f`'s global exchange — and `Drain(f)` — completing it.
 //!
-//! * `compute(f)` — local work producing item `f`'s outgoing data,
-//! * `begin(f)`   — post item `f`'s exchange (nonblocking), returning an
-//!   in-flight handle,
-//! * `finish(f)`  — complete item `f`'s exchange (blocking),
-//! * `consume(f)` — local work on item `f`'s received data.
+//! * Synchronous (`overlap = false`): `Post(0) Drain(0) Post(1) Drain(1)
+//!   …` — one exchange in flight at a time; every slice pays its own wire
+//!   latency. This is the bit-identity oracle.
+//! * Overlapped (`overlap = true`): `Post(0) … Post(n−1) Drain(0) …
+//!   Drain(n−1)` — every slice's exchange is on the wire while the later
+//!   slices run their local reductions, and the drains find most
+//!   messages already delivered: one latency per apply instead of `n`.
 //!
-//! Synchronous schedule (`overlap = false`): strictly sequential per
-//! item — `compute(f) → begin(f) → finish(f) → consume(f)`.
-//!
-//! Overlapped schedule (`overlap = true`), per item:
-//!
-//! ```text
-//! compute(f) → finish(f-1) → begin(f) → consume(f-1)
-//! ```
-//!
-//! so item `f-1`'s exchange is in flight across `compute(f)` (that is
-//! the overlap window) and item `f-1`'s received data is consumed while
-//! item `f`'s exchange is in flight. Crucially `finish(f-1)` runs
-//! *before* `begin(f)`: at most one exchange is in flight, its telemetry
-//! span closes before the next opens (so spans attach to the enclosing
-//! iteration instead of chaining under each other and inflating the
-//! iteration's self time), and the drain at the end of the loop is the
-//! only tail work.
-//!
-//! Both schedules execute the same per-item stage sequence, so when the
-//! items are data-independent (fused slices are), the overlapped
+//! Both orders run the same `Post(f)` before the same `Drain(f)` for
+//! every `f`, and the slices are data-independent (distinct tag salts,
+//! distinct accumulators, distinct output ranges), so the overlapped
 //! schedule is bit-identical to the synchronous one — only the waiting
-//! moves.
+//! moves. `xct-verify`'s `lifetime::overlap_schedule` mirrors this
+//! driver op for op.
 
-/// Runs the four-stage pipeline over items `0..n`. All stages receive
-/// `state` (the caller's mutable working set: buffers, contexts) so the
-/// closures never contend for captured borrows.
-pub fn run_pipeline<S, P>(
-    n: usize,
-    overlap: bool,
-    state: &mut S,
-    mut compute: impl FnMut(&mut S, usize),
-    mut begin: impl FnMut(&mut S, usize) -> P,
-    mut finish: impl FnMut(&mut S, usize, P),
-    mut consume: impl FnMut(&mut S, usize),
-) {
-    if !overlap {
-        for f in 0..n {
-            compute(state, f);
-            let inflight = begin(state, f);
-            finish(state, f, inflight);
-            consume(state, f);
-        }
-        return;
-    }
-    let mut pending: Option<(usize, P)> = None;
-    for f in 0..n {
-        compute(state, f);
-        let done = pending.take().map(|(pf, p)| {
-            finish(state, pf, p);
-            pf
-        });
-        let inflight = begin(state, f);
-        pending = Some((f, inflight));
-        if let Some(pf) = done {
-            consume(state, pf);
-        }
-    }
-    if let Some((pf, p)) = pending.take() {
-        finish(state, pf, p);
-        consume(state, pf);
-    }
+/// One step of the schedule, for fused slice `f`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ExchangeOp {
+    /// Run slice `f`'s local work and post its global exchange.
+    Post(usize),
+    /// Complete slice `f`'s global exchange.
+    Drain(usize),
+}
+
+/// The order in which a rank posts and drains the global exchanges of
+/// `n` fused slices.
+pub fn exchange_schedule(n: usize, overlap: bool) -> impl Iterator<Item = ExchangeOp> {
+    (0..2 * n).map(move |i| match (overlap, i < n) {
+        (true, true) => ExchangeOp::Post(i),
+        (true, false) => ExchangeOp::Drain(i - n),
+        (false, _) if i % 2 == 0 => ExchangeOp::Post(i / 2),
+        (false, _) => ExchangeOp::Drain(i / 2),
+    })
 }
 
 #[cfg(test)]
 mod tests {
+    use super::ExchangeOp::{Drain, Post};
     use super::*;
 
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    enum Op {
-        Compute(usize),
-        Begin(usize),
-        Finish(usize),
-        Consume(usize),
-    }
-
-    fn schedule(n: usize, overlap: bool) -> Vec<Op> {
-        let mut log = Vec::new();
-        run_pipeline(
-            n,
-            overlap,
-            &mut log,
-            |log: &mut Vec<Op>, f| log.push(Op::Compute(f)),
-            |log, f| {
-                log.push(Op::Begin(f));
-                f
-            },
-            |log, f, handle| {
-                assert_eq!(handle, f, "handle must travel with its item");
-                log.push(Op::Finish(f));
-            },
-            |log, f| log.push(Op::Consume(f)),
-        );
-        log
-    }
-
     #[test]
-    fn synchronous_schedule_is_strictly_sequential() {
+    fn synchronous_schedule_is_strictly_per_slice() {
+        let ops: Vec<_> = exchange_schedule(3, false).collect();
         assert_eq!(
-            schedule(2, false),
-            vec![
-                Op::Compute(0),
-                Op::Begin(0),
-                Op::Finish(0),
-                Op::Consume(0),
-                Op::Compute(1),
-                Op::Begin(1),
-                Op::Finish(1),
-                Op::Consume(1),
-            ]
+            ops,
+            vec![Post(0), Drain(0), Post(1), Drain(1), Post(2), Drain(2)]
         );
     }
 
     #[test]
-    fn overlapped_schedule_finishes_before_beginning() {
+    fn overlapped_schedule_posts_all_then_drains_in_slice_order() {
+        let ops: Vec<_> = exchange_schedule(3, true).collect();
         assert_eq!(
-            schedule(3, true),
-            vec![
-                Op::Compute(0),
-                Op::Begin(0),
-                Op::Compute(1), // overlap window: exchange 0 in flight
-                Op::Finish(0),  // ...and closes before exchange 1 opens
-                Op::Begin(1),
-                Op::Consume(0), // consumed under exchange 1
-                Op::Compute(2),
-                Op::Finish(1),
-                Op::Begin(2),
-                Op::Consume(1),
-                Op::Finish(2), // drain
-                Op::Consume(2),
-            ]
+            ops,
+            vec![Post(0), Post(1), Post(2), Drain(0), Drain(1), Drain(2)]
         );
     }
 
     #[test]
-    fn both_schedules_run_identical_per_item_sequences() {
+    fn verifier_lifetime_model_mirrors_the_overlapped_schedule() {
+        // xct-verify cannot depend on this crate, so its scratch-lifetime
+        // pass restates the schedule; pin the two together here.
+        use xct_verify::ScratchOp;
         for n in 0..5 {
-            for overlap in [false, true] {
-                let log = schedule(n, overlap);
-                assert_eq!(log.len(), 4 * n);
-                for f in 0..n {
-                    let pos = |op: Op| log.iter().position(|&o| o == op).unwrap();
-                    assert!(pos(Op::Compute(f)) < pos(Op::Begin(f)));
-                    assert!(pos(Op::Begin(f)) < pos(Op::Finish(f)));
-                    assert!(pos(Op::Finish(f)) < pos(Op::Consume(f)));
-                }
-            }
+            let modelled: Vec<_> = xct_verify::overlap_schedule(n, 2)
+                .iter()
+                .filter_map(|op| match *op {
+                    ScratchOp::FillCur { slice } => Some(Post(slice)),
+                    ScratchOp::WaitWrites { slice } => Some(Drain(slice)),
+                    _ => None,
+                })
+                .collect();
+            let driven: Vec<_> = exchange_schedule(n, true).collect();
+            assert_eq!(modelled, driven, "{n} slices");
         }
     }
 
     #[test]
-    fn at_most_one_exchange_in_flight() {
-        for overlap in [false, true] {
-            let log = schedule(4, overlap);
-            let mut in_flight = 0usize;
-            for op in log {
-                match op {
-                    Op::Begin(_) => {
-                        in_flight += 1;
-                        assert_eq!(
-                            in_flight, 1,
-                            "a second exchange opened before the first closed"
-                        );
-                    }
-                    Op::Finish(_) => in_flight -= 1,
-                    _ => {}
+    fn both_schedules_post_every_slice_once_before_draining_it() {
+        for n in 0..6 {
+            for overlap in [false, true] {
+                let ops: Vec<_> = exchange_schedule(n, overlap).collect();
+                assert_eq!(ops.len(), 2 * n);
+                let mut in_flight = 0usize;
+                let mut deepest = 0usize;
+                for f in 0..n {
+                    let post = ops.iter().position(|&o| o == Post(f)).unwrap();
+                    let drain = ops.iter().position(|&o| o == Drain(f)).unwrap();
+                    assert!(post < drain, "slice {f} drained before it was posted");
                 }
+                for op in &ops {
+                    match op {
+                        Post(_) => in_flight += 1,
+                        Drain(_) => in_flight -= 1,
+                    }
+                    deepest = deepest.max(in_flight);
+                }
+                assert_eq!(in_flight, 0);
+                assert_eq!(deepest, if overlap { n } else { n.min(1) });
             }
-            assert_eq!(in_flight, 0);
         }
     }
 }

@@ -209,7 +209,7 @@ impl Reconstructor {
                     damping: opts.damping,
                 },
                 ctx,
-                &mut |v| v,
+                &mut |_| {},
             ),
             Algorithm::Sirt { relaxation, nonneg } => sirt_in(
                 &op,

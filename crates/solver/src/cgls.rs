@@ -61,18 +61,22 @@ pub struct CglsReport {
 /// assert!(report.residual_history.last().unwrap() < &0.05);
 /// ```
 pub fn cgls(op: &dyn LinearOperator, y: &[f32], config: &CglsConfig) -> CglsReport {
-    cgls_in(op, y, config, &mut ExecContext::serial(), &mut |v| v)
+    cgls_in(op, y, config, &mut ExecContext::serial(), &mut |_| {})
 }
 
-/// [`cgls`] with a pluggable scalar reducer applied to every inner
-/// product. A distributed caller passes an allreduce-sum here; partial
-/// dot products from each rank then combine into global scalars, which
-/// is all CG needs to stay coherent across processes.
+/// [`cgls`] with a pluggable reducer applied, in place, to every group
+/// of inner products that is needed at the same point of the iteration.
+/// A distributed caller passes an element-wise allreduce-sum here;
+/// partial dot products from each rank then combine into global scalars,
+/// which is all CG needs to stay coherent across processes. Products
+/// with no data dependence between them arrive in one slice — `[γ, ‖r‖²]`
+/// after the backprojection, `[γ₀, ‖y‖²]` at set-up — so an iteration
+/// costs two reduction rounds, not three.
 pub fn cgls_with(
     op: &dyn LinearOperator,
     y: &[f32],
     config: &CglsConfig,
-    reduce: &mut dyn FnMut(f64) -> f64,
+    reduce: &mut dyn FnMut(&mut [f64]),
 ) -> CglsReport {
     cgls_in(op, y, config, &mut ExecContext::serial(), reduce)
 }
@@ -89,7 +93,7 @@ pub fn cgls_in(
     y: &[f32],
     config: &CglsConfig,
     ctx: &mut ExecContext,
-    reduce: &mut dyn FnMut(f64) -> f64,
+    reduce: &mut dyn FnMut(&mut [f64]),
 ) -> CglsReport {
     assert_eq!(y.len(), op.rows(), "measurement length mismatch");
     let n = op.cols();
@@ -108,9 +112,10 @@ pub fn cgls_in(
     op.apply_transpose(&r, &mut s, ctx);
     let mut p = ctx.workspace.take_uninit::<f32>(BufferRole::CgDirection, n);
     p.copy_from_slice(&s);
-    let mut gamma = reduce(dot(&s, &s));
-
-    let y_norm = reduce(dot(y, y)).sqrt();
+    let mut setup = [dot(&s, &s), dot(y, y)];
+    reduce(&mut setup);
+    let mut gamma = setup[0];
+    let y_norm = setup[1].sqrt();
     let mut history = Vec::with_capacity(config.max_iters + 1);
     history.push(1.0f64);
     let mut times = Vec::with_capacity(config.max_iters + 1);
@@ -128,10 +133,15 @@ pub fn cgls_in(
             break;
         }
         op.apply(&p, &mut q, ctx);
-        let mut delta = reduce(dot(&q, &q));
-        if lambda > 0.0 {
-            delta += lambda * lambda * reduce(dot(&p, &p));
-        }
+        let delta = if lambda > 0.0 {
+            let mut qp = [dot(&q, &q), dot(&p, &p)];
+            reduce(&mut qp);
+            qp[0] + lambda * lambda * qp[1]
+        } else {
+            let mut qq = [dot(&q, &q)];
+            reduce(&mut qq);
+            qq[0]
+        };
         if delta <= 0.0 {
             break; // p in the null space; cannot progress
         }
@@ -146,7 +156,10 @@ pub fn cgls_in(
                 *si -= l2 * xi;
             }
         }
-        let gamma_new = reduce(dot(&s, &s));
+        // γ and ‖r‖² are both known here and independent: one round.
+        let mut products = [dot(&s, &s), dot(&r, &r)];
+        reduce(&mut products);
+        let [gamma_new, r_norm2] = products;
         let beta = gamma_new / gamma;
         gamma = gamma_new;
         // p = s + β·p
@@ -156,7 +169,7 @@ pub fn cgls_in(
 
         iterations += 1;
         let rel = if y_norm > 0.0 {
-            reduce(dot(&r, &r)).sqrt() / y_norm
+            r_norm2.sqrt() / y_norm
         } else {
             0.0
         };
@@ -332,7 +345,8 @@ mod tests {
     #[test]
     fn reducer_is_used_for_inner_products() {
         // A reducer that doubles everything must not change the solution
-        // (alpha and beta are ratios of reduced quantities).
+        // (alpha and beta are ratios of reduced quantities). One group at
+        // set-up, then two per iteration.
         let op = diagonal(10);
         let x_true: Vec<f32> = (0..10).map(|i| i as f32).collect();
         let mut y = vec![0.0f32; 10];
@@ -346,12 +360,14 @@ mod tests {
                 tolerance: 1e-10,
                 damping: 0.0,
             },
-            &mut |v| {
+            &mut |vals| {
                 calls += 1;
-                2.0 * v
+                for v in vals {
+                    *v *= 2.0;
+                }
             },
         );
-        assert!(calls > 0);
+        assert_eq!(calls, 1 + 2 * report.iterations);
         for (a, b) in report.x.iter().zip(&x_true) {
             assert!((a - b).abs() < 1e-3);
         }
@@ -390,9 +406,9 @@ mod tests {
             tolerance: 1e-12,
             damping: 0.0,
         };
-        let first = cgls_in(&op, &y, &config, &mut ctx, &mut |v| v);
+        let first = cgls_in(&op, &y, &config, &mut ctx, &mut |_| {});
         let warm = ctx.workspace.alloc_events();
-        let second = cgls_in(&op, &y, &config, &mut ctx, &mut |v| v);
+        let second = cgls_in(&op, &y, &config, &mut ctx, &mut |_| {});
         assert_eq!(
             ctx.workspace.alloc_events(),
             warm,

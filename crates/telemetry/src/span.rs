@@ -13,7 +13,7 @@ use crate::flight::{flight_json, FlightEvent, FlightKind, FlightRing};
 use crate::metrics::{MetricId, MetricsSnapshot, TrackMetrics, TrackMetricsSnapshot};
 use crate::profile::{CostComponent, ProfileDims, ProfileSlabs, ProfileSnapshot};
 use crate::{Clock, MonotonicClock, Phase};
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Sentinel end time for a span that has not been closed yet.
@@ -125,9 +125,10 @@ struct TrackHandle {
     metrics: Arc<TrackMetrics>,
     /// This track's flight-recorder ring (shared with the registry).
     flight: Arc<Mutex<FlightRing>>,
-    /// Current fused-slice index for cost-profile attribution. Per
-    /// track because pipelined ranks work different slices at once.
-    slice_ctx: AtomicU32,
+    /// Current fused-slice range for cost-profile attribution, packed
+    /// `first << 32 | count` so both halves change together. Per track
+    /// because pipelined ranks work different slices at once.
+    slice_ctx: AtomicU64,
 }
 
 impl std::fmt::Debug for TrackHandle {
@@ -163,7 +164,7 @@ impl TrackHandle {
             stack: Mutex::new(Vec::new()),
             metrics,
             flight,
-            slice_ctx: AtomicU32::new(0),
+            slice_ctx: AtomicU64::new(1),
         }
     }
 
@@ -412,8 +413,18 @@ impl Telemetry {
     /// Sets this track's fused-slice context for subsequent cost
     /// attribution. A relaxed atomic store; no-op when disabled.
     pub fn profile_slice_set(&self, slice: u32) {
+        self.profile_slices_set(slice, 1);
+    }
+
+    /// Sets this track's context to the `count` fused slices starting at
+    /// `first`: a span closing under it (one fused kernel launch working
+    /// all of them) has its self time split evenly over those slices —
+    /// floor division, the remainder charged to `first`, so the cells
+    /// still sum to the exact self time.
+    pub fn profile_slices_set(&self, first: u32, count: u32) {
         let Some(handle) = &self.inner else { return };
-        handle.slice_ctx.store(slice, Ordering::Relaxed);
+        let packed = u64::from(first) << 32 | u64::from(count.max(1));
+        handle.slice_ctx.store(packed, Ordering::Relaxed);
     }
 
     /// A point-in-time copy of the cost profile, or `None` when this
@@ -533,8 +544,14 @@ impl Drop for SpanGuard {
         if let Some(profile) = handle.collector.profile.get() {
             if let Some(component) = CostComponent::from_phase(phase) {
                 let self_ns = duration_ns.saturating_sub(child_ns);
-                let slice = handle.slice_ctx.load(Ordering::Relaxed);
-                profile.record(handle.track, slice, component, self_ns);
+                let packed = handle.slice_ctx.load(Ordering::Relaxed);
+                let (first, count) = ((packed >> 32) as u32, packed as u32);
+                let share = self_ns / u64::from(count);
+                let remainder = self_ns % u64::from(count);
+                profile.record(handle.track, first, component, share + remainder);
+                for slice in first + 1..first + count {
+                    profile.record(handle.track, slice, component, share);
+                }
             }
         }
         // comm.wait spans feed the live histogram metric as they close,
@@ -724,6 +741,46 @@ mod tests {
             slabs: 1,
             slices: 1,
         }));
+    }
+
+    #[test]
+    fn fused_slice_range_splits_self_time_with_remainder_on_the_first() {
+        use crate::profile::{CostComponent, ProfileDims};
+        let clock = ManualClock::new();
+        let tele = Telemetry::with_clock(Arc::new(clock.clone()));
+        tele.enable_profile(ProfileDims {
+            tracks: 1,
+            slabs: 1,
+            slices: 5,
+        });
+        // One fused launch over slices 1..=4 with a 100 ns child: self
+        // time 1003 = 4 x 250 + 3, the remainder lands on slice 1.
+        tele.profile_slices_set(1, 4);
+        {
+            let _launch = tele.span(Phase::SpmmForward);
+            clock.advance(500);
+            {
+                let _convert = tele.span(Phase::PrecisionConvert);
+                clock.advance(100);
+            }
+            clock.advance(503);
+        }
+        let snap = tele.profile_snapshot().expect("profile enabled");
+        assert_eq!(snap.get(0, 0, 0, CostComponent::SpmmCompute), 0);
+        assert_eq!(snap.get(0, 0, 1, CostComponent::SpmmCompute), 253);
+        for slice in 2..5 {
+            assert_eq!(snap.get(0, 0, slice, CostComponent::SpmmCompute), 250);
+        }
+        assert_eq!(snap.component_ns(CostComponent::SpmmCompute), 1003);
+        assert_eq!(snap.component_ns(CostComponent::GatherConvert), 100);
+        // Back to a single slice: the whole self time goes to it.
+        tele.profile_slice_set(0);
+        {
+            let _wait = tele.span(Phase::CommWait);
+            clock.advance(7);
+        }
+        let snap = tele.profile_snapshot().expect("profile enabled");
+        assert_eq!(snap.get(0, 0, 0, CostComponent::CommWait), 7);
     }
 
     #[test]

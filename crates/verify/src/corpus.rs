@@ -23,6 +23,14 @@
 //!    `Transfer::try_new` (promoted to release builds in this PR)
 //!    rejects them; [`unsorted_transfer`] exercises it.
 //!
+//! 4. **Folded-in leader never folded out** — the hierarchical
+//!    allreduce on a non-power-of-two node count folds the excess node
+//!    leaders into the butterfly and must send them the result back.
+//!    [`unfolded_collective`] drops that fold-out send from node leader
+//!    0's step list; the deadlock checker reports the excess leader's
+//!    `RecvAssign` as `UnmatchedRecv` (on a real run that node would
+//!    block until the receive timeout).
+//!
 //! Beyond the reconstructions, [`misrouted_direct`] / [`dropped_direct`]
 //! / [`duplicated_direct`] / [`unheld_direct`] are minimal conservation
 //! corruptions of a valid direct plan, [`duplicate_designee_step`] is a
@@ -46,8 +54,8 @@ use crate::deadlock::{CommOp, CommProgram};
 use crate::tags::TagClaimSet;
 use crate::transfer_safety::{rehome_slice, RehomedSlice, SliceSteal};
 use xct_comm::{
-    Communicator, CompiledPlans, DirectPlan, Footprints, LevelProgram, Ownership, RankPlan,
-    ReductionStep, Topology,
+    AllreduceSteps, Communicator, CompiledPlans, DirectPlan, Footprints, Leg, LevelProgram,
+    Ownership, RankPlan, ReductionStep, StepKind, Topology,
 };
 
 /// The dissemination-barrier skeleton on `n` ranks at `tag`. With
@@ -77,6 +85,24 @@ pub fn barrier_program(n: usize, tag: u64, buggy: bool) -> CommProgram {
         dist *= 2;
     }
     CommProgram { ops }
+}
+
+/// The hierarchical allreduce on 3 nodes × 1 × 2 with the fold-out hop
+/// removed: node leader 0 absorbs leader 2's contribution (fold-in) but
+/// never sends the result back, so rank 4's down-leg receive has no
+/// matching send. Returns the per-rank step lists and the starved rank.
+pub fn unfolded_collective() -> (Vec<AllreduceSteps>, usize) {
+    let topo = Topology::new(3, 1, 2);
+    let mut steps = AllreduceSteps::build_all(&topo);
+    let excess_leader = 2 * topo.gpus_per_node();
+    let kept = steps[0]
+        .steps()
+        .iter()
+        .copied()
+        .filter(|s| !(s.kind == StepKind::Send && s.leg == Leg::Down && s.peer == excess_leader))
+        .collect();
+    steps[0] = AllreduceSteps::from_steps(kept);
+    (steps, excess_leader)
 }
 
 /// The claim set of PR 3's buggy allreduce on `n` ranks: the reply leg

@@ -15,7 +15,7 @@
 
 use crate::diag::{VerifyReport, ViolationKind};
 use std::collections::HashMap;
-use xct_comm::{CompiledPlans, LevelProgram};
+use xct_comm::{AllreduceSteps, CompiledPlans, LevelProgram, StepKind, Topology};
 
 /// One communication operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,6 +80,32 @@ impl CommProgram {
                     push_level(&mut ops, level, salt);
                 }
                 ops
+            })
+            .collect();
+        CommProgram { ops }
+    }
+
+    /// The skeleton of `rounds` back-to-back allreduces at `tag`: every
+    /// rank's step list — the one the runtime executes — with payloads
+    /// erased. More than one round proves that reusing the tag is safe
+    /// under per-key FIFO matching.
+    pub fn collective_of(steps: &[AllreduceSteps], tag: u64, rounds: usize) -> Self {
+        let op_of = |step: &xct_comm::CollectiveStep| {
+            let tag = step.leg.tag(tag);
+            match step.kind {
+                StepKind::Send => CommOp::Send { to: step.peer, tag },
+                StepKind::RecvCombine | StepKind::RecvAssign => CommOp::Recv {
+                    from: step.peer,
+                    tag,
+                },
+            }
+        };
+        let ops = steps
+            .iter()
+            .map(|program| {
+                (0..rounds)
+                    .flat_map(|_| program.steps().iter().map(op_of))
+                    .collect()
             })
             .collect();
         CommProgram { ops }
@@ -249,9 +275,30 @@ fn push_level(ops: &mut Vec<CommOp>, level: &LevelProgram, salt: u64) {
 }
 
 /// Verifies deadlock freedom of both pipeline directions of a compiled
-/// plan.
-pub fn verify_deadlock(plans: &CompiledPlans) -> VerifyReport {
+/// plan and of the operator's allreduce on `topo` (two back-to-back
+/// rounds on one tag, as every iteration issues them).
+pub fn verify_deadlock(plans: &CompiledPlans, topo: &Topology) -> VerifyReport {
     let mut report = CommProgram::reduce_of(plans, 0).check();
     report.merge(CommProgram::scatter_of(plans, 0).check());
+    report.merge(CommProgram::collective_of(&AllreduceSteps::build_all(topo), 0x9000, 2).check());
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn collective_programs_are_deadlock_free_and_fully_matched() {
+        for (n, s, g) in [(1, 1, 1), (1, 2, 2), (2, 2, 2), (3, 1, 4), (4, 2, 3)] {
+            let topo = Topology::new(n, s, g);
+            let steps = AllreduceSteps::build_all(&topo);
+            for rounds in [1, 3] {
+                let program = CommProgram::collective_of(&steps, 0x7000, rounds);
+                assert_eq!(program.num_ranks(), topo.size());
+                let report = program.check();
+                assert!(report.ok(), "{n}x{s}x{g} x{rounds}: {report}");
+            }
+        }
+    }
 }

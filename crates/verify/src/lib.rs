@@ -15,8 +15,8 @@
 //!   (every footprint element reaches its owner exactly once — keeps
 //!   plus receives partition the owned set), *tag disjointness* (no two
 //!   concurrently in-flight exchanges emit matchable messages on the
-//!   same `(src, dst, tag)`, including the overlap pipeline's
-//!   double-buffered slices and the collectives' reply namespace),
+//!   same `(src, dst, tag)`, including every fused slice's salted
+//!   exchange and the hierarchical allreduce's up / round / reply legs),
 //!   *deadlock freedom* (the send/recv match graph under the runtime's
 //!   per-key FIFO rules admits a topological order), *scratch
 //!   non-aliasing* (no position written twice within a level), and
@@ -69,7 +69,9 @@ pub use explore::{explore, ExploreReport, SeedOutcome};
 pub use lifetime::{overlap_schedule, verify_lifetimes, verify_scratch_lifetime, ScratchOp};
 pub use plan_check::{verify_direct, verify_hierarchical, verify_reduce_step};
 pub use plan_fits::plan_fits;
-pub use tags::{claims_for_compiled, slice_salt, verify_tags, TagClaim, TagClaimSet};
+pub use tags::{
+    claims_for_compiled, slice_salt, verify_tags, TagClaim, TagClaimSet, COLLECTIVE_TAGS,
+};
 pub use transfer_safety::{
     rehome_slice, verify_transfer_safety, RehomedSlice, RehomedTransfer, SliceSteal,
 };
@@ -95,20 +97,22 @@ pub fn verify_all_hierarchical(
     if overlap {
         report.merge(verify_lifetimes(compiled, OVERLAP_CHECK_SLICES));
     }
-    report.merge(verify_tags(compiled, overlap));
-    report.merge(verify_deadlock(compiled));
+    report.merge(verify_tags(compiled, topo));
+    report.merge(verify_deadlock(compiled, topo));
     report
 }
 
-/// Fused-slice depth the lifetime pass models for the overlap pipeline:
-/// enough iterations for the steady-state two-in-flight pattern to
-/// repeat.
+/// Fused-slice depth the lifetime pass models for the overlap schedule:
+/// deeper than one or two, so every slice is posted while others are
+/// still in flight.
 const OVERLAP_CHECK_SLICES: usize = 3;
 
-/// Every static check against a direct plan and its compilation.
+/// Every static check against a direct plan and its compilation, run on
+/// `topo` (which shapes the operator's collectives).
 pub fn verify_all_direct(
     footprints: &Footprints,
     ownership: &Ownership,
+    topo: &Topology,
     plan: &DirectPlan,
     compiled: &CompiledPlans,
     overlap: bool,
@@ -119,7 +123,7 @@ pub fn verify_all_direct(
     if overlap {
         report.merge(verify_lifetimes(compiled, OVERLAP_CHECK_SLICES));
     }
-    report.merge(verify_tags(compiled, overlap));
-    report.merge(verify_deadlock(compiled));
+    report.merge(verify_tags(compiled, topo));
+    report.merge(verify_deadlock(compiled, topo));
     report
 }

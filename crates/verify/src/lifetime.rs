@@ -21,14 +21,16 @@
 //!
 //! The analysis is a linear scan with fixed-size state (at most
 //! [`MAX_TRACKED_SLICES`] concurrently tracked slices — the real
-//! pipeline keeps two in flight); the clean verdict allocates nothing.
+//! schedule keeps every fused slice of one apply in flight); the clean
+//! verdict allocates nothing.
 
 use crate::diag::{VerifyReport, ViolationKind};
 use xct_comm::RankPlan;
 
-/// Most slices the checker tracks concurrently. The overlap pipeline
-/// keeps two in flight; the bound only caps *simultaneous* liveness,
-/// not schedule length (slice ids wrap through the table by identity).
+/// Most slices the checker tracks concurrently. The overlap schedule
+/// keeps all fused slices of an apply in flight; the bound only caps
+/// *simultaneous* liveness, not schedule length (slice ids wrap through
+/// the table by identity).
 pub const MAX_TRACKED_SLICES: usize = 64;
 
 /// One abstract scratch operation of the overlapped exchange pipeline,
@@ -79,13 +81,13 @@ pub enum ScratchOp {
 }
 
 /// The op sequence one rank performs for `slices` fused slices under
-/// the §III-E overlap pipeline (begin slice `s`, then finish slice
-/// `s−1`), with `writes_per_slice` posted irecvs per global exchange.
-/// This mirrors `DistributedOperator`'s pipeline driver exactly; the
-/// corpus mutates copies of it to seed lifetime bugs.
+/// the §III-E overlap schedule — post every slice (local reduction into
+/// `cur`, gather, acquire, post), then drain them in slice order — with
+/// `writes_per_slice` posted irecvs per global exchange. This mirrors
+/// `xct-core`'s `exchange_schedule(slices, true)` op for op; the corpus
+/// mutates copies of it to seed lifetime bugs.
 pub fn overlap_schedule(slices: usize, writes_per_slice: usize) -> Vec<ScratchOp> {
     let mut ops = Vec::with_capacity(slices * 7);
-    let mut pending: Option<usize> = None;
     for s in 0..slices {
         ops.push(ScratchOp::FillCur { slice: s });
         ops.push(ScratchOp::ReadCur { slice: s });
@@ -94,17 +96,11 @@ pub fn overlap_schedule(slices: usize, writes_per_slice: usize) -> Vec<ScratchOp
             slice: s,
             count: writes_per_slice,
         });
-        if let Some(p) = pending.take() {
-            ops.push(ScratchOp::WaitWrites { slice: p });
-            ops.push(ScratchOp::ReadAcc { slice: p });
-            ops.push(ScratchOp::ReleaseAcc { slice: p });
-        }
-        pending = Some(s);
     }
-    if let Some(p) = pending {
-        ops.push(ScratchOp::WaitWrites { slice: p });
-        ops.push(ScratchOp::ReadAcc { slice: p });
-        ops.push(ScratchOp::ReleaseAcc { slice: p });
+    for s in 0..slices {
+        ops.push(ScratchOp::WaitWrites { slice: s });
+        ops.push(ScratchOp::ReadAcc { slice: s });
+        ops.push(ScratchOp::ReleaseAcc { slice: s });
     }
     ops
 }

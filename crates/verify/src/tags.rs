@@ -10,21 +10,34 @@
 //! disjointness across labels (same-label duplicates are legal: per-key
 //! FIFO orders them).
 //!
-//! What counts as "concurrent" comes from the overlap pipeline's
-//! concurrency contract (DESIGN.md §3c): under overlap, slice `s`'s
-//! global exchange drains while slice `s+1` runs its *entire* pipeline,
-//! and scalar collectives (allreduce, barrier) may interleave with any of
-//! it. [`claims_for_compiled`] builds the corresponding claim set.
+//! What counts as "concurrent" comes from the distributed operator's
+//! schedule (DESIGN.md §3c): under overlap every fused slice's global
+//! exchange is in flight at once, and even the synchronous schedule lets
+//! a fast rank run slices ahead of a slow peer — so the claim covers the
+//! whole **slice-salt family** of every level, not a window of adjacent
+//! slices. A salted claim at base tag `t` stands for `t ^ slice_salt(s)`
+//! for every legal `s`; because the salts occupy bits the base tags must
+//! leave clear, two family members collide exactly when their base tags
+//! do, and the check stays one lookup per claim. The collectives
+//! interleave with all of it; their claims are the runtime's own
+//! [`AllreduceSteps`] — up, butterfly rounds, and the down leg in the
+//! reply namespace. [`claims_for_compiled`] builds the corresponding
+//! claim set.
 
 use crate::diag::{VerifyReport, ViolationKind};
 use std::collections::HashMap;
-use xct_comm::{CompiledPlans, LevelProgram, REPLY_TAG_SALT};
+use xct_comm::{
+    AllreduceSteps, CompiledPlans, Leg, LevelProgram, StepKind, Topology, REPLY_TAG_SALT,
+};
+
+/// First bit of the per-slice salt: base tags stay below it.
+const SALT_SHIFT: u32 = 44;
 
 /// The per-slice tag salt of the overlap pipeline (mirrors the fused
 /// slice salt in `xct-core`'s distributed operator: slice `s` XORs its
 /// level tags with `(s + 1) << 44`).
 pub fn slice_salt(slice: usize) -> u64 {
-    ((slice as u64) + 1) << 44
+    ((slice as u64) + 1) << SALT_SHIFT
 }
 
 /// One potential in-flight message: who sends it, who can match it, and
@@ -42,6 +55,9 @@ pub struct TagClaim {
     /// Whether this is internal reply traffic (allowed to use the
     /// reserved reply bit).
     pub reply: bool,
+    /// Whether the claim stands for the whole slice-salt family
+    /// `tag ^ slice_salt(s)` of the base tag `tag`.
+    pub salted: bool,
 }
 
 /// A set of claims from exchanges that may be in flight concurrently.
@@ -61,44 +77,57 @@ impl TagClaimSet {
         &self.claims
     }
 
-    /// Records one application claim.
-    pub fn claim(&mut self, src: usize, dst: usize, tag: u64, exchange: &str) {
+    fn push(
+        &mut self,
+        src: usize,
+        dst: usize,
+        tag: u64,
+        exchange: &str,
+        reply: bool,
+        salted: bool,
+    ) {
         self.claims.push(TagClaim {
             src,
             dst,
             tag,
             exchange: exchange.to_string(),
-            reply: false,
+            reply,
+            salted,
         });
+    }
+
+    /// Records one application claim.
+    pub fn claim(&mut self, src: usize, dst: usize, tag: u64, exchange: &str) {
+        self.push(src, dst, tag, exchange, false, false);
     }
 
     /// Records one reply-namespace claim.
     pub fn claim_reply(&mut self, src: usize, dst: usize, tag: u64, exchange: &str) {
-        self.claims.push(TagClaim {
-            src,
-            dst,
-            tag,
-            exchange: exchange.to_string(),
-            reply: true,
-        });
+        self.push(src, dst, tag, exchange, true, false);
     }
 
-    /// Records every message of one compiled level under `salt`.
-    pub fn claim_level(&mut self, levels: &[&LevelProgram], salt: u64, exchange: &str) {
+    /// Records every message of one compiled level, for every fused
+    /// slice at once: each send claims the slice-salt family of the
+    /// level's base tag.
+    pub fn claim_level(&mut self, levels: &[&LevelProgram], exchange: &str) {
         for (src, level) in levels.iter().enumerate() {
             for t in level.sends() {
-                self.claim(src, t.peer, level.tag() ^ salt, exchange);
+                self.push(src, t.peer, level.tag(), exchange, false, true);
             }
         }
     }
 
-    /// Records the gather + reply legs of a scalar collective rooted at
-    /// rank 0 (the runtime's `allreduce_max` / `allreduce_sum` shape)
-    /// using the reserved reply namespace.
-    pub fn claim_allreduce(&mut self, n: usize, tag: u64, exchange: &str) {
-        for r in 1..n {
-            self.claim(r, 0, tag, exchange);
-            self.claim_reply(0, r, tag ^ REPLY_TAG_SALT, exchange);
+    /// Records every message of one allreduce at `tag`: each rank's
+    /// sends, read off the step list the runtime executes. The down leg
+    /// travels in the reserved reply namespace.
+    pub fn claim_collective(&mut self, steps: &[AllreduceSteps], tag: u64, exchange: &str) {
+        for (src, program) in steps.iter().enumerate() {
+            for step in program.steps() {
+                if step.kind == StepKind::Send {
+                    let reply = step.leg == Leg::Down;
+                    self.push(src, step.peer, step.leg.tag(tag), exchange, reply, false);
+                }
+            }
         }
     }
 
@@ -115,12 +144,47 @@ impl TagClaimSet {
     }
 
     /// Proves pairwise disjointness: no `(src, dst, tag)` triple may be
-    /// claimed by two different exchanges, and no application claim may
-    /// set the reserved reply bit.
+    /// claimed by two different exchanges, no application claim may set
+    /// the reserved reply bit, and no salted base tag may reach into the
+    /// salt bits. A plain claim whose tag carries a slice salt is also a
+    /// member of the family on its base tag, so it collides with a
+    /// salted claim there.
     pub fn check(&self) -> VerifyReport {
         let mut report = VerifyReport::new();
+        let collision = |first: &TagClaim, claim: &TagClaim| ViolationKind::TagCollision {
+            src: claim.src,
+            dst: claim.dst,
+            tag: claim.tag,
+            first: first.exchange.clone(),
+            second: claim.exchange.clone(),
+        };
+        // Families first, so the verdict does not depend on claim order.
+        let mut families: HashMap<(usize, usize, u64), &TagClaim> = HashMap::new();
+        for claim in self.claims.iter().filter(|c| c.salted) {
+            if claim.tag >> SALT_SHIFT != 0 {
+                report.push(
+                    claim.src,
+                    None,
+                    ViolationKind::Malformed {
+                        detail: format!(
+                            "base tag {:#x} of {} reaches into the slice-salt bits",
+                            claim.tag, claim.exchange
+                        ),
+                    },
+                );
+            }
+            match families.get(&(claim.src, claim.dst, claim.tag)) {
+                Some(first) if first.exchange != claim.exchange => {
+                    report.push(claim.dst, None, collision(first, claim));
+                }
+                Some(_) => {}
+                None => {
+                    families.insert((claim.src, claim.dst, claim.tag), claim);
+                }
+            }
+        }
         let mut seen: HashMap<(usize, usize, u64), &TagClaim> = HashMap::new();
-        for claim in &self.claims {
+        for claim in self.claims.iter().filter(|c| !c.salted) {
             if !claim.reply && claim.tag & REPLY_TAG_SALT != 0 {
                 report.push(
                     claim.src,
@@ -131,19 +195,19 @@ impl TagClaimSet {
                     },
                 );
             }
+            // Bits at and above SALT_SHIFT with the reply bit clear are
+            // some slice's salt (the reply bit exceeds every legal one).
+            if claim.tag & REPLY_TAG_SALT == 0 && claim.tag >> SALT_SHIFT != 0 {
+                let base = claim.tag & ((1 << SALT_SHIFT) - 1);
+                if let Some(first) = families.get(&(claim.src, claim.dst, base)) {
+                    if first.exchange != claim.exchange {
+                        report.push(claim.dst, None, collision(first, claim));
+                    }
+                }
+            }
             match seen.get(&(claim.src, claim.dst, claim.tag)) {
                 Some(first) if first.exchange != claim.exchange => {
-                    report.push(
-                        claim.dst,
-                        None,
-                        ViolationKind::TagCollision {
-                            src: claim.src,
-                            dst: claim.dst,
-                            tag: claim.tag,
-                            first: first.exchange.clone(),
-                            second: claim.exchange.clone(),
-                        },
-                    );
+                    report.push(claim.dst, None, collision(first, claim));
                 }
                 Some(_) => {}
                 None => {
@@ -155,60 +219,53 @@ impl TagClaimSet {
     }
 }
 
-/// All levels of one slice of the compiled pipeline, as named claim
-/// groups.
-fn claim_slice(set: &mut TagClaimSet, plans: &CompiledPlans, slice: usize) {
-    let n = plans.num_ranks();
-    let salt = slice_salt(slice);
-    let num_local = plans.rank(0).local_levels().len();
-    for li in 0..num_local {
-        let levels: Vec<&LevelProgram> =
-            (0..n).map(|p| &plans.rank(p).local_levels()[li]).collect();
-        set.claim_level(&levels, salt, &format!("slice {slice} local level {li}"));
-    }
-    let global: Vec<&LevelProgram> = (0..n).map(|p| plans.rank(p).global_level()).collect();
-    set.claim_level(&global, salt, &format!("slice {slice} global"));
-    let sg: Vec<&LevelProgram> = (0..n)
-        .map(|p| plans.rank(p).scatter_global_level())
-        .collect();
-    set.claim_level(&sg, salt, &format!("slice {slice} scatter-global"));
-    let num_scatter = plans.rank(0).scatter_local_levels().len();
-    for li in 0..num_scatter {
-        let levels: Vec<&LevelProgram> = (0..n)
-            .map(|p| &plans.rank(p).scatter_local_levels()[li])
-            .collect();
-        set.claim_level(
-            &levels,
-            salt,
-            &format!("slice {slice} scatter local level {li}"),
-        );
-    }
-}
+/// Collective tags of the distributed operator, one per call site
+/// (mirrors `xct-core`): forward per-slice maxima, backprojection
+/// maximum, CGLS inner-product groups.
+pub const COLLECTIVE_TAGS: [(u64, &str); 3] = [
+    (0x7000, "forward maxima allreduce 0x7000"),
+    (0x7100, "transpose maximum allreduce 0x7100"),
+    (0x9000, "cg inner products allreduce 0x9000"),
+];
 
-/// Builds the concurrent claim set for `plans`: with `overlap`, the
-/// levels of two adjacent slices (both globals are briefly in flight when
-/// slice `s+1` begins before slice `s` finishes) plus the solver's
-/// control collectives; without, a single slice plus the collectives.
-pub fn claims_for_compiled(plans: &CompiledPlans, overlap: bool) -> TagClaimSet {
+/// Builds the concurrent claim set for `plans` run on `topo`: every
+/// level of the compiled pipeline for the whole slice-salt family, plus
+/// the operator's collectives on the topology's step list.
+pub fn claims_for_compiled(plans: &CompiledPlans, topo: &Topology) -> TagClaimSet {
     let n = plans.num_ranks();
     let mut set = TagClaimSet::new();
-    claim_slice(&mut set, plans, 0);
-    if overlap {
-        claim_slice(&mut set, plans, 1);
+    let mut claim = |name: &str, levels: Vec<&LevelProgram>| set.claim_level(&levels, name);
+    for li in 0..plans.rank(0).local_levels().len() {
+        let levels = (0..n).map(|p| &plans.rank(p).local_levels()[li]).collect();
+        claim(&format!("local level {li}"), levels);
     }
-    // Control traffic that may interleave with the exchanges: the solver's
-    // normalization allreduces and CG inner products.
-    set.claim_allreduce(n, 0x7000, "allreduce 0x7000");
-    set.claim_allreduce(n, 0x7100, "allreduce 0x7100");
-    set.claim_allreduce(n, 0x9000, "cg inner product 0x9000");
-    set.claim_allreduce(n, 0x9002, "cg inner product 0x9002");
+    claim(
+        "global",
+        (0..n).map(|p| plans.rank(p).global_level()).collect(),
+    );
+    claim(
+        "scatter-global",
+        (0..n)
+            .map(|p| plans.rank(p).scatter_global_level())
+            .collect(),
+    );
+    for li in 0..plans.rank(0).scatter_local_levels().len() {
+        let levels = (0..n)
+            .map(|p| &plans.rank(p).scatter_local_levels()[li])
+            .collect();
+        claim(&format!("scatter local level {li}"), levels);
+    }
+    // Control traffic that may interleave with the exchanges.
+    let steps = AllreduceSteps::build_all(topo);
+    for (tag, name) in COLLECTIVE_TAGS {
+        set.claim_collective(&steps, tag, name);
+    }
     set
 }
 
-/// Verifies tag disjointness for a compiled plan under the given overlap
-/// mode.
-pub fn verify_tags(plans: &CompiledPlans, overlap: bool) -> VerifyReport {
-    claims_for_compiled(plans, overlap).check()
+/// Verifies tag disjointness for a compiled plan run on `topo`.
+pub fn verify_tags(plans: &CompiledPlans, topo: &Topology) -> VerifyReport {
+    claims_for_compiled(plans, topo).check()
 }
 
 #[cfg(test)]
@@ -236,6 +293,83 @@ mod tests {
             )),
             "expected the exact reserved-bit witness, got: {report}"
         );
+    }
+
+    #[test]
+    fn salted_families_collide_on_base_tags_and_with_their_own_members() {
+        // Two levels on one base tag collide for every slice at once.
+        let level = |tag| {
+            LevelProgram::from_parts(
+                0,
+                vec![xct_comm::Transfer::new(1, vec![])],
+                vec![],
+                vec![],
+                tag,
+            )
+        };
+        let idle = LevelProgram::from_parts(0, vec![], vec![], vec![], 0x1100);
+        let mut set = TagClaimSet::new();
+        set.claim_level(&[&level(0x1100), &idle], "level a");
+        set.claim_level(&[&level(0x1200), &idle], "level b");
+        set.check().assert_ok("distinct base tags");
+        set.claim_level(&[&level(0x1100), &idle], "level c");
+        assert!(set.check().violations.iter().any(|v| matches!(
+            &v.kind,
+            ViolationKind::TagCollision { tag: 0x1100, first, second, .. }
+                if first == "level a" && second == "level c"
+        )));
+
+        // A plain claim carrying a legal slice salt is a member of the
+        // family on its base tag; an unsalted one is not.
+        let mut member = TagClaimSet::new();
+        member.claim_level(&[&level(0x1100), &idle], "level a");
+        member.claim(0, 1, 0x1100, "unsalted neighbour");
+        member
+            .check()
+            .assert_ok("unsalted tag is outside every family");
+        member.claim(0, 1, 0x1100 ^ slice_salt(5), "stray slice-5 message");
+        assert!(member.check().violations.iter().any(|v| matches!(
+            &v.kind,
+            ViolationKind::TagCollision { second, .. } if second == "stray slice-5 message"
+        )));
+
+        // Two plain members collide only on the very same salt.
+        let mut plain = TagClaimSet::new();
+        plain.claim(0, 1, 0x9000 ^ slice_salt(0), "slab 0");
+        plain.claim(0, 1, 0x9000 ^ slice_salt(1), "slab 1");
+        plain.check().assert_ok("distinct salts of one base tag");
+
+        // A base tag reaching into the salt bits breaks the family model.
+        let mut wide = TagClaimSet::new();
+        wide.claim_level(&[&level(1 << 44), &idle], "wide base");
+        assert!(wide
+            .check()
+            .violations
+            .iter()
+            .any(|v| matches!(v.kind, ViolationKind::Malformed { .. })));
+    }
+
+    #[test]
+    fn collective_claims_are_the_runtime_step_list() {
+        for (n, s, g) in [(1, 1, 1), (1, 2, 2), (2, 2, 2), (3, 1, 4), (4, 2, 3)] {
+            let topo = Topology::new(n, s, g);
+            let steps = AllreduceSteps::build_all(&topo);
+            let mut set = TagClaimSet::new();
+            for (tag, name) in COLLECTIVE_TAGS {
+                set.claim_collective(&steps, tag, name);
+            }
+            set.check().assert_ok("operator collectives");
+            let sends: usize = steps
+                .iter()
+                .flat_map(|p| p.steps())
+                .filter(|st| st.kind == StepKind::Send)
+                .count();
+            assert_eq!(set.claims().len(), COLLECTIVE_TAGS.len() * sends);
+            // Exactly the down leg sits in the reply namespace.
+            for c in set.claims() {
+                assert_eq!(c.reply, c.tag & REPLY_TAG_SALT != 0, "{c:?}");
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,8 @@ use xct_comm::{
 use xct_verify::corpus::{
     aliased_reply_exchange, barrier_program, buggy_allreduce_claims, dropped_direct,
     duplicate_designee_step, duplicated_direct, misrouted_direct, over_budget_plan,
-    single_sweep_gather, small_direct_fixture, unheld_direct, unsorted_transfer,
+    single_sweep_gather, small_direct_fixture, unfolded_collective, unheld_direct,
+    unsorted_transfer,
 };
 use xct_verify::deadlock::{CommOp, CommProgram};
 use xct_verify::{
@@ -48,6 +49,32 @@ fn buggy_barrier_peer_formula_is_flagged() {
 }
 
 // ---- PR-3 bug 2: allreduce reply-tag aliasing (tag layer + explorer) ----
+
+#[test]
+fn unfolded_collective_starves_the_excess_leader() {
+    // The intact 3-node program verifies; without node leader 0's
+    // fold-out send, exactly the excess leader's down-leg receive is
+    // unmatched — and nothing else breaks (the members below it wait on
+    // *it*, which the match graph reports once, at the source).
+    let topo = Topology::new(3, 1, 2);
+    let intact = xct_comm::AllreduceSteps::build_all(&topo);
+    let report = CommProgram::collective_of(&intact, 0x9000, 1).check();
+    assert!(report.ok(), "{report}");
+
+    let (steps, starved) = unfolded_collective();
+    let report = CommProgram::collective_of(&steps, 0x9000, 1).check();
+    let unmatched: Vec<_> = report
+        .violations
+        .iter()
+        .filter(|v| matches!(v.kind, ViolationKind::UnmatchedRecv { .. }))
+        .collect();
+    assert_eq!(unmatched.len(), 1, "{report}");
+    assert_eq!(unmatched[0].rank, starved);
+    assert!(matches!(
+        unmatched[0].kind,
+        ViolationKind::UnmatchedRecv { peer: 0, tag } if tag == 0x9000 ^ xct_comm::REPLY_TAG_SALT
+    ));
+}
 
 #[test]
 fn buggy_allreduce_claims_collide() {
@@ -379,7 +406,7 @@ fn built_plans_verify_cleanly_across_topologies() {
         let direct = DirectPlan::build(fp, own);
         let dc = CompiledPlans::compile_direct(fp, own, &direct);
         for overlap in [false, true] {
-            let report = verify_all_direct(fp, own, &direct, &dc, overlap);
+            let report = verify_all_direct(fp, own, &case.topology, &direct, &dc, overlap);
             assert!(
                 report.ok(),
                 "seed {seed} direct overlap={overlap}: {report}"

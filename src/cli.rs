@@ -406,8 +406,8 @@ USAGE:
                       [--stream]                force out-of-core execution: split
                                                 the stack into at least two slabs
                                                 and page them through I/O
-                      [--overlap]               overlap each slice's global exchange
-                                                with the next slice's local compute
+                      [--overlap]               post every fused slice's global exchange
+                                                before draining any (one wire latency)
                       [--verify-plans]          statically verify the communication
                                                 plan (conservation, tags, deadlock)
                                                 before running it
@@ -1377,6 +1377,7 @@ fn analyze_self_test(root: &Path) -> Result<String, CliError> {
             .any(|v| want(&v.kind))
     };
     let ops = vc::read_before_finish_schedule();
+    let (unfolded, _) = vc::unfolded_collective();
     let results = [
         ("oob-gather", oob(&vc::oob_gather_compiled())),
         ("oob-recv-landing", oob(&vc::oob_recv_compiled())),
@@ -1388,6 +1389,14 @@ fn analyze_self_test(root: &Path) -> Result<String, CliError> {
                 .violations
                 .iter()
                 .any(|v| matches!(v.kind, ViolationKind::PendingWriteRead { .. })),
+        ),
+        (
+            "unfolded-collective",
+            xct_verify::CommProgram::collective_of(&unfolded, 0x9000, 1)
+                .check()
+                .violations
+                .iter()
+                .any(|v| matches!(v.kind, ViolationKind::UnmatchedRecv { .. })),
         ),
         (
             "cross-socket-steal",

@@ -78,13 +78,32 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
+/// Serializes the measuring windows. A failed assertion in one test
+/// poisons the mutex; the guard protects no data, so the others carry on
+/// instead of cascading. The counter is process-global, so before a
+/// window opens this also waits until no other thread (libtest spawning
+/// or reporting tests) has allocated for a few milliseconds — a
+/// mitigation, not the per-scope accounting ROADMAP P0 asks for.
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    let guard = SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    loop {
+        let before = allocations();
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        if allocations() == before {
+            return guard;
+        }
+    }
+}
+
 fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
 #[test]
 fn steady_state_cgls_steps_do_not_allocate() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
 
     let scan = ScanGeometry::uniform(ImageGrid::square(16, 1.0), 16);
     let sm = SystemMatrix::build(&scan);
@@ -128,7 +147,7 @@ fn steady_state_cgls_steps_do_not_allocate() {
 
 #[test]
 fn disabled_telemetry_spans_and_events_do_not_allocate() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
 
     let telemetry = Telemetry::disabled();
     let before = allocations();
@@ -146,7 +165,7 @@ fn disabled_telemetry_spans_and_events_do_not_allocate() {
 
 #[test]
 fn enabled_telemetry_leaves_workspace_steady_state_alone() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
 
     let scan = ScanGeometry::uniform(ImageGrid::square(12, 1.0), 12);
     let sm = SystemMatrix::build(&scan);
@@ -183,7 +202,7 @@ fn enabled_telemetry_leaves_workspace_steady_state_alone() {
 
 #[test]
 fn disabled_metrics_and_flight_recorder_record_nothing_and_do_not_allocate() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
 
     // Every metric primitive — counter add/inc, gauge set, histogram
     // observe, flight point — must be a single None-check when the
@@ -215,7 +234,7 @@ fn disabled_metrics_and_flight_recorder_record_nothing_and_do_not_allocate() {
 
 #[test]
 fn disabled_profile_context_calls_do_not_allocate() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
 
     // Both flavors of "profiling off": a fully disabled handle, and an
     // enabled handle on which enable_profile was never called. The
@@ -246,7 +265,7 @@ fn disabled_profile_context_calls_do_not_allocate() {
 
 #[test]
 fn enabled_metrics_are_allocation_free_after_handle_creation() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
 
     // Enabled is the always-on production mode: the per-track atomic
     // slab and the fixed-capacity flight ring are allocated when the
@@ -274,7 +293,7 @@ fn enabled_metrics_are_allocation_free_after_handle_creation() {
 
 #[test]
 fn steady_state_compiled_exchange_does_not_allocate() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
 
     // Same fixture as the compiled-plan unit tests: 8 ranks on 2×2×2,
     // 32 rows, deterministic overlapping footprints.
@@ -365,7 +384,7 @@ fn steady_state_compiled_exchange_does_not_allocate() {
 
 #[test]
 fn disabled_telemetry_match_edges_do_not_allocate() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
 
     // The comm runtime records a causal [`EdgeRecord`] at every
     // send→recv match — but only when telemetry is on. With a disabled
@@ -407,41 +426,58 @@ fn disabled_telemetry_match_edges_do_not_allocate() {
 
 #[test]
 fn distributed_iterations_allocate_a_bounded_constant_amount() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
 
     let scan = ScanGeometry::uniform(ImageGrid::square(16, 1.0), 16);
     let sm = SystemMatrix::build(&scan);
-    let phantom: Vec<f32> = (0..sm.num_voxels()).map(|i| (i % 5) as f32 * 0.2).collect();
-    let mut y = vec![0.0f32; sm.num_rays()];
-    sm.project(&phantom, &mut y);
-
-    let run = |iterations: usize| -> u64 {
-        let cfg = DistributedConfig {
-            topology: Topology::new(1, 2, 2),
-            precision: Precision::Mixed,
-            hierarchical: true,
-            iterations,
-            ..Default::default()
-        };
-        let before = allocations();
-        let result = reconstruct_distributed(&scan, &y, &cfg);
-        assert_eq!(result.x.len(), sm.num_voxels());
-        allocations() - before
-    };
 
     // Setup costs (decomposition, plans, thread spawns) are identical for
     // every run, so the difference between runs isolates the per-iteration
     // allocation count. Wire buffers moved into channels make it nonzero,
     // but it must be the same for iterations 7..12 as for 13..18 — any
     // growth means an apply path regressed to per-call allocation.
-    let a = run(6);
-    let b = run(12);
-    let c = run(18);
-    let delta_early = b.saturating_sub(a);
-    let delta_late = c.saturating_sub(b);
-    let tolerance = delta_early / 10 + 64;
-    assert!(
-        delta_late <= delta_early + tolerance,
-        "per-iteration allocations grew: iterations 7..12 cost {delta_early}, 13..18 cost {delta_late}"
-    );
+    //
+    // Two shapes: the single-slice node run, and a mixed-precision fused
+    // run across two nodes with every slice's exchange in flight — the
+    // vector collective of per-slice maxima, the butterfly between node
+    // leaders, the fused kernel staging and the in-flight queue are all
+    // on its per-iteration path and must all come from pools.
+    for (topology, fusing, overlap) in [
+        (Topology::new(1, 2, 2), 1, false),
+        (Topology::new(2, 2, 2), 4, true),
+    ] {
+        let mut y = vec![0.0f32; sm.num_rays() * fusing];
+        for f in 0..fusing {
+            let phantom: Vec<f32> = (0..sm.num_voxels())
+                .map(|i| ((i + f) % 5) as f32 * 0.2)
+                .collect();
+            sm.project(&phantom, &mut y[f * sm.num_rays()..(f + 1) * sm.num_rays()]);
+        }
+        let run = |iterations: usize| -> u64 {
+            let cfg = DistributedConfig {
+                topology,
+                precision: Precision::Mixed,
+                fusing,
+                hierarchical: true,
+                overlap,
+                iterations,
+                ..Default::default()
+            };
+            let before = allocations();
+            let result = reconstruct_distributed(&scan, &y, &cfg);
+            assert_eq!(result.x.len(), sm.num_voxels() * fusing);
+            allocations() - before
+        };
+        let a = run(6);
+        let b = run(12);
+        let c = run(18);
+        let delta_early = b.saturating_sub(a);
+        let delta_late = c.saturating_sub(b);
+        let tolerance = delta_early / 10 + 64;
+        assert!(
+            delta_late <= delta_early + tolerance,
+            "{topology:?} fusing {fusing}: per-iteration allocations grew: \
+             iterations 7..12 cost {delta_early}, 13..18 cost {delta_late}"
+        );
+    }
 }

@@ -28,7 +28,7 @@ proptest! {
 
         let direct = DirectPlan::build(fp, own);
         let dc = CompiledPlans::compile_direct(fp, own, &direct);
-        let direct_report = verify_all_direct(fp, own, &direct, &dc, overlap);
+        let direct_report = verify_all_direct(fp, own, &case.topology, &direct, &dc, overlap);
         prop_assert!(
             direct_report.ok(),
             "seed {seed} overlap={overlap} direct: {direct_report}"
