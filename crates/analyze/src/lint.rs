@@ -130,7 +130,8 @@ impl Role {
 /// §3h/§3i; widening it is a reviewed change to this file.
 pub const SANCTIONED_UNSAFE: &[&str] = &[
     // The SIMD boundary (DESIGN.md §3h): TypeId-proven slice casts and
-    // AVX2/FMA intrinsics behind a scalar-identical contract.
+    // AVX2/FMA intrinsics behind a scalar-identical contract. Compiled
+    // on x86-64 only, where its crate root lifts the forbid.
     "crates/spmm/src/simd.rs",
     // Counting global allocators for the allocation-free guards; a
     // GlobalAlloc impl is unsafe by signature.
@@ -594,20 +595,43 @@ fn push_allow_violation(
     });
 }
 
-/// Crate roots must keep `forbid(unsafe_code)` (or, for the gated SIMD
-/// crate, `deny(unsafe_op_in_unsafe_fn)` alongside the conditional
-/// forbid) in their inner attributes.
+/// Crate roots must keep `forbid(unsafe_code)` (or, for the SIMD crate,
+/// `deny(unsafe_op_in_unsafe_fn)` alongside a forbid lifted on the one
+/// arch whose intrinsics need it) in their inner attributes. A forbid
+/// that hangs on a cargo feature is rejected: a build option must not
+/// decide whether unsafe code is allowed.
 fn check_crate_root_header(toks: &[Tok], ctx: &FileCtx<'_>, out: &mut Vec<LintViolation>) {
     let idents: Vec<&str> = toks.iter().filter_map(Tok::ident).collect();
     let has = |a: &str, b: &str| idents.contains(&a) && idents.contains(&b);
     let forbids = has("forbid", "unsafe_code");
     let denies = has("deny", "unsafe_op_in_unsafe_fn");
-    if !forbids && !denies {
+    // The idents between the forbid and the `#` opening its attribute
+    // are its `cfg_attr` predicate, if it has one.
+    let feature_gated = toks
+        .iter()
+        .position(|t| t.ident() == Some("forbid"))
+        .and_then(|at| {
+            toks[..at]
+                .iter()
+                .rev()
+                .take_while(|t| !t.is_punct('#'))
+                .find(|t| t.ident() == Some("feature"))
+        });
+    if let Some(gate) = feature_gated {
+        ctx.emit(
+            out,
+            gate.line,
+            Rule::CrateRootHeader,
+            "`forbid(unsafe_code)` is gated on a cargo feature; gate it on \
+             `target_arch` or keep it unconditional"
+                .into(),
+        );
+    } else if !forbids && !denies {
         ctx.emit(
             out,
             1,
             Rule::CrateRootHeader,
-            "crate root lacks `#![forbid(unsafe_code)]` (or the gated \
+            "crate root lacks `#![forbid(unsafe_code)]` (or the arch-gated \
              `#![deny(unsafe_op_in_unsafe_fn)]` form)"
                 .into(),
         );
@@ -775,8 +799,12 @@ mod tests {
         assert_eq!(rules(&v), vec![Rule::CrateRootHeader]);
         let ok = "#![forbid(unsafe_code)]\npub fn f() {}\n";
         assert!(lint("crates/foo/src/lib.rs", ok, Role::Lib).is_empty());
-        let gated = "#![cfg_attr(not(feature = \"simd\"), forbid(unsafe_code))]\n#![deny(unsafe_op_in_unsafe_fn)]\npub fn f() {}\n";
+        let gated = "#![cfg_attr(not(target_arch = \"x86_64\"), forbid(unsafe_code))]\n#![deny(unsafe_op_in_unsafe_fn)]\npub fn f() {}\n";
         assert!(lint("crates/spmm/src/lib.rs", gated, Role::Lib).is_empty());
+        // A build option must not decide whether unsafe is allowed.
+        let by_feature = gated.replace("target_arch = \"x86_64\"", "feature = \"simd\"");
+        let v = lint("crates/spmm/src/lib.rs", &by_feature, Role::Lib);
+        assert_eq!(rules(&v), vec![Rule::CrateRootHeader]);
         // Non-roots are not checked.
         assert!(lint("crates/foo/src/util.rs", "pub fn f() {}\n", Role::Lib).is_empty());
     }

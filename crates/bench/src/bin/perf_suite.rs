@@ -1,6 +1,6 @@
 //! Continuous-benchmark suite: pinned reconstruct scenarios measured
 //! under a counting allocator, written as a `petaxct-bench-v1` JSON
-//! artifact (`BENCH_PR5.json` by default).
+//! artifact at the path `--out` names.
 //!
 //! Scenarios (fixed problem sizes, so runs are comparable):
 //!
@@ -16,9 +16,12 @@
 //!   them through `xct-io` (the sinogram file is written outside the
 //!   timed region).
 //!
-//! Flags: `--quick` (CI-sized problem), `--out PATH`, `--check BASELINE`
-//! (exit 1 on any metric regressing past `--threshold` percent, default
-//! 20).
+//! Flags: `--out PATH` (required; the ledger copy of a run lives in
+//! `crates/bench/baselines/`), `--quick` (CI-sized problem), `--check
+//! BASELINE` (exit 1 on any metric regressing past `--threshold` percent,
+//! default 20). With AVX2+FMA detected the suite also fails when the
+//! production SpMM kernel is under 1.5× the scalar reference's flops
+//! rate.
 
 // The counting allocator below mirrors tests/alloc_free.rs; it is the
 // only unsafe code in this binary.
@@ -185,9 +188,9 @@ fn serial_scenario(p: &SuiteParams) -> ScenarioResult {
         .with_telemetry(telemetry.clone());
     let before = allocations();
     let start = Instant::now();
-    let mut solver = CglsSolver::new(&op, &y, &mut ctx);
+    let mut solver = CglsSolver::new(&op, &y, 0.0, &mut ctx, &mut |_| {});
     for _ in 0..p.iterations {
-        solver.step(&op, &mut ctx);
+        solver.step(&op, &mut ctx, &mut |_| {});
     }
     let wall = start.elapsed();
     let allocs = allocations() - before;
@@ -195,11 +198,12 @@ fn serial_scenario(p: &SuiteParams) -> ScenarioResult {
 }
 
 /// The SpMM microbenchmarks behind the vectorization gate: one packed
-/// f32 matrix at fusing 8 driven through the production panel/SIMD
-/// kernel (`spmm_serial_f32`) and through the retained scalar reference
-/// (`spmm_reference_f32`, the pre-panelization loop kept as the
-/// baseline). Both issue identical effective flops by construction, so
-/// the flops-rate ratio is exactly the kernel speedup.
+/// f32 matrix at fusing 8 driven through the production kernel
+/// (`spmm_serial_f32` — the f32x8 body where the CPU has AVX2+FMA) and
+/// through the forced scalar reference body (`spmm_reference_f32`). Both
+/// issue identical effective flops by construction, so the flops-rate
+/// ratio is exactly the kernel speedup (1.0 by construction where the
+/// production kernel *is* the reference body).
 fn spmm_kernel_scenario(name: &str, p: &SuiteParams, reference: bool) -> ScenarioResult {
     let scan = ScanGeometry::uniform(ImageGrid::square(p.n, 1.0), p.angles);
     let sm = SystemMatrix::build(&scan);
@@ -438,7 +442,7 @@ fn run_suite(p: &SuiteParams) -> BenchReport {
 }
 
 /// Flops-rate ratio of the production SpMM kernel over the retained
-/// scalar reference (`> 1.0` means the panels/SIMD won).
+/// scalar reference (`> 1.0` means the f32x8 body won).
 fn spmm_speedup(report: &BenchReport) -> Option<f64> {
     let rate = |name: &str| {
         report
@@ -500,16 +504,18 @@ fn print_summary(report: &BenchReport) {
     }
 }
 
+const USAGE: &str = "usage: perf_suite --out PATH [--quick] [--check BASELINE] [--threshold PCT]";
+
 fn main() -> ExitCode {
     let mut quick = false;
-    let mut out = String::from("BENCH_PR5.json");
+    let mut out: Option<String> = None;
     let mut check: Option<String> = None;
     let mut threshold = 20.0f64;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" => quick = true,
-            "--out" => out = args.next().expect("--out needs a path"),
+            "--out" => out = args.next(),
             "--check" => check = args.next(),
             "--threshold" => {
                 threshold = args
@@ -518,11 +524,15 @@ fn main() -> ExitCode {
                     .expect("--threshold needs a number")
             }
             other => {
-                eprintln!("unknown flag {other}; usage: perf_suite [--quick] [--out PATH] [--check BASELINE] [--threshold PCT]");
+                eprintln!("unknown flag {other}; {USAGE}");
                 return ExitCode::FAILURE;
             }
         }
     }
+    let Some(out) = out else {
+        eprintln!("--out PATH is required; {USAGE}");
+        return ExitCode::FAILURE;
+    };
 
     // Analyzer allocation guard: a clean Layer-2 verdict (bounds,
     // scratch lifetime, transfer safety) must allocate nothing after
@@ -540,8 +550,8 @@ fn main() -> ExitCode {
     let report = run_suite(&SuiteParams::new(quick));
     print_summary(&report);
 
-    // The vectorization floor: with the SIMD path live, the production
-    // kernel must beat the retained scalar reference by >= 1.5x in
+    // The vectorization floor: where the f32x8 body is what runs, the
+    // production kernel must beat the scalar reference by >= 1.5x in
     // effective flops rate, or the suite fails outright.
     if simd_available() {
         match spmm_speedup(&report) {

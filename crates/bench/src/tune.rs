@@ -139,9 +139,9 @@ pub fn run_tune(
                     let mut ctx = ExecContext::serial().with_precision(p.precision);
                     // xct-allow(wall-clock): the tuning sweep measures real execution wall time
                     let start = Instant::now();
-                    let mut solver = CglsSolver::new(&op, &y, &mut ctx);
+                    let mut solver = CglsSolver::new(&op, &y, 0.0, &mut ctx, &mut |_| {});
                     for _ in 0..p.iterations {
-                        solver.step(&op, &mut ctx);
+                        solver.step(&op, &mut ctx, &mut |_| {});
                     }
                     let wall = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
                     if wall < best_wall {

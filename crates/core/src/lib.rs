@@ -40,7 +40,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod checkpoint;
 pub mod decompose;
 pub mod distributed;
 pub mod drift;

@@ -15,12 +15,9 @@ pub enum BufferRole {
     QuantOut,
     /// Kernel accumulators (per-block `acc[thread][FFACTOR]`).
     KernelAcc,
-    /// Kernel shared-memory staging (per-block gather buffer,
-    /// storage-precision f-major layout — the reference kernel).
+    /// Kernel shared-memory staging (per-block gather buffer; element
+    /// type and layout are the block body's).
     KernelShared,
-    /// Kernel panel staging (per-block gather buffer, compute-precision
-    /// fusing-contiguous layout — the vectorized kernel).
-    KernelPanel,
     /// Kernel per-block output staging (pre-scatter).
     KernelOut,
     /// CG residual `r`.

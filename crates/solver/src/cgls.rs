@@ -81,7 +81,8 @@ pub fn cgls_with(
     cgls_in(op, y, config, &mut ExecContext::serial(), reduce)
 }
 
-/// [`cgls_with`] running inside a caller-owned [`ExecContext`].
+/// [`cgls_with`] running inside a caller-owned [`ExecContext`]: a loop
+/// over [`CglsSolver::step`] that records the report.
 ///
 /// All iteration vectors (`r`, `s`, `p`, `q`) come from the context's
 /// workspace, so after the first call every subsequent solve — and every
@@ -95,106 +96,169 @@ pub fn cgls_in(
     ctx: &mut ExecContext,
     reduce: &mut dyn FnMut(&mut [f64]),
 ) -> CglsReport {
-    assert_eq!(y.len(), op.rows(), "measurement length mismatch");
-    let n = op.cols();
-    let m = op.rows();
-    let lambda = config.damping;
     // xct-allow(wall-clock): the solver report carries real wall time even with telemetry disabled
     let t0 = Instant::now();
-
-    let setup_span = ctx.telemetry.span(Phase::SolverSetup);
-    let mut x = vec![0.0f32; n];
-    // r = y − A·x = y (x starts at zero).
-    let mut r = ctx.workspace.take_uninit::<f32>(BufferRole::CgResidual, m);
-    r.copy_from_slice(y);
-    // s = Aᵀ·r − λ²·x = Aᵀ·y.
-    let mut s = ctx.workspace.take::<f32>(BufferRole::CgNormal, n);
-    op.apply_transpose(&r, &mut s, ctx);
-    let mut p = ctx.workspace.take_uninit::<f32>(BufferRole::CgDirection, n);
-    p.copy_from_slice(&s);
-    let mut setup = [dot(&s, &s), dot(y, y)];
-    reduce(&mut setup);
-    let mut gamma = setup[0];
-    let y_norm = setup[1].sqrt();
+    let mut solver = CglsSolver::new(op, y, config.damping, ctx, reduce);
     let mut history = Vec::with_capacity(config.max_iters + 1);
     history.push(1.0f64);
     let mut times = Vec::with_capacity(config.max_iters + 1);
     times.push(t0.elapsed().as_secs_f64());
-    let mut q = ctx.workspace.take::<f32>(BufferRole::CgProjected, m);
     let mut converged = false;
-    let mut iterations = 0;
-    drop(setup_span);
 
     for _ in 0..config.max_iters {
-        let _iter_span = ctx.telemetry.span(Phase::SolverIteration);
-        if gamma <= 0.0 {
-            // Exact solution reached (gradient vanished).
-            converged = true;
+        let Some(rel) = solver.step(op, ctx, reduce) else {
+            // A vanished gradient is the exact solution; otherwise `p`
+            // fell in the null space and the solve cannot progress.
+            converged = solver.gamma <= 0.0;
             break;
-        }
-        op.apply(&p, &mut q, ctx);
-        let delta = if lambda > 0.0 {
-            let mut qp = [dot(&q, &q), dot(&p, &p)];
-            reduce(&mut qp);
-            qp[0] + lambda * lambda * qp[1]
-        } else {
-            let mut qq = [dot(&q, &q)];
-            reduce(&mut qq);
-            qq[0]
-        };
-        if delta <= 0.0 {
-            break; // p in the null space; cannot progress
-        }
-        let alpha = gamma / delta;
-        axpy(alpha as f32, &p, &mut x);
-        axpy(-(alpha as f32), &q, &mut r);
-        // s = Aᵀ·r − λ²·x
-        op.apply_transpose(&r, &mut s, ctx);
-        if lambda > 0.0 {
-            let l2 = (lambda * lambda) as f32;
-            for (si, xi) in s.iter_mut().zip(&x) {
-                *si -= l2 * xi;
-            }
-        }
-        // γ and ‖r‖² are both known here and independent: one round.
-        let mut products = [dot(&s, &s), dot(&r, &r)];
-        reduce(&mut products);
-        let [gamma_new, r_norm2] = products;
-        let beta = gamma_new / gamma;
-        gamma = gamma_new;
-        // p = s + β·p
-        for (pi, &si) in p.iter_mut().zip(&s) {
-            *pi = si + (beta as f32) * *pi;
-        }
-
-        iterations += 1;
-        let rel = if y_norm > 0.0 {
-            r_norm2.sqrt() / y_norm
-        } else {
-            0.0
         };
         history.push(rel);
         times.push(t0.elapsed().as_secs_f64());
-        ctx.telemetry.event("cgls.residual", rel);
-        ctx.telemetry.metric_inc(MetricId::SolverIterations);
-        ctx.telemetry.gauge_set(MetricId::SolverResidual, rel);
         if config.tolerance > 0.0 && rel <= config.tolerance {
             converged = true;
             break;
         }
     }
 
-    ctx.workspace.put(BufferRole::CgResidual, r);
-    ctx.workspace.put(BufferRole::CgNormal, s);
-    ctx.workspace.put(BufferRole::CgDirection, p);
-    ctx.workspace.put(BufferRole::CgProjected, q);
-
     CglsReport {
-        x,
+        x: solver.finish(ctx),
+        iterations: history.len() - 1,
         residual_history: history,
-        iterations,
         converged,
         time_history: times,
+    }
+}
+
+/// One damped-CGLS solve advanced an iteration at a time — the single
+/// iteration body. [`cgls_in`] is a loop over [`step`](Self::step);
+/// harnesses that meter individual iterations (the perf suite, the tile
+/// sweep, the allocation guard) drive it directly.
+///
+/// The Krylov state (`r`, `p`) and the work vectors (`q`, `s`) are taken
+/// from the [`ExecContext`]'s workspace and go back in
+/// [`finish`](Self::finish), so neither a step nor a warm solve
+/// allocates.
+pub struct CglsSolver {
+    x: Vec<f32>,
+    r: Vec<f32>,
+    s: Vec<f32>,
+    p: Vec<f32>,
+    q: Vec<f32>,
+    /// Current `‖Aᵀr − λ²x‖²`.
+    gamma: f64,
+    /// `‖y‖` (for relative residuals).
+    y_norm: f64,
+    lambda: f64,
+}
+
+impl CglsSolver {
+    /// Initializes from zero (`x = 0`) with Tikhonov damping `damping`;
+    /// `reduce` is as for [`cgls_with`].
+    ///
+    /// # Panics
+    /// Panics when `y` is not `op.rows()` long.
+    pub fn new(
+        op: &dyn LinearOperator,
+        y: &[f32],
+        damping: f64,
+        ctx: &mut ExecContext,
+        reduce: &mut dyn FnMut(&mut [f64]),
+    ) -> Self {
+        assert_eq!(y.len(), op.rows(), "measurement length mismatch");
+        let n = op.cols();
+        let m = op.rows();
+        let _span = ctx.telemetry.span(Phase::SolverSetup);
+        // r = y − A·x = y (x starts at zero).
+        let mut r = ctx.workspace.take_uninit::<f32>(BufferRole::CgResidual, m);
+        r.copy_from_slice(y);
+        // s = Aᵀ·r − λ²·x = Aᵀ·y.
+        let mut s = ctx.workspace.take::<f32>(BufferRole::CgNormal, n);
+        op.apply_transpose(&r, &mut s, ctx);
+        let mut p = ctx.workspace.take_uninit::<f32>(BufferRole::CgDirection, n);
+        p.copy_from_slice(&s);
+        let mut setup = [dot(&s, &s), dot(y, y)];
+        reduce(&mut setup);
+        CglsSolver {
+            x: vec![0.0f32; n],
+            r,
+            s,
+            p,
+            q: ctx.workspace.take::<f32>(BufferRole::CgProjected, m),
+            gamma: setup[0],
+            y_norm: setup[1].sqrt(),
+            lambda: damping,
+        }
+    }
+
+    /// Performs one CGLS iteration; returns the relative residual
+    /// afterwards, or `None` when the solve cannot progress (the gradient
+    /// has vanished, or the search direction is in the null space).
+    pub fn step(
+        &mut self,
+        op: &dyn LinearOperator,
+        ctx: &mut ExecContext,
+        reduce: &mut dyn FnMut(&mut [f64]),
+    ) -> Option<f64> {
+        let _span = ctx.telemetry.span(Phase::SolverIteration);
+        let CglsSolver { x, r, s, p, q, .. } = self;
+        let lambda = self.lambda;
+        if self.gamma <= 0.0 {
+            return None;
+        }
+        op.apply(p, q, ctx);
+        let delta = if lambda > 0.0 {
+            let mut qp = [dot(q, q), dot(p, p)];
+            reduce(&mut qp);
+            qp[0] + lambda * lambda * qp[1]
+        } else {
+            let mut qq = [dot(q, q)];
+            reduce(&mut qq);
+            qq[0]
+        };
+        if delta <= 0.0 {
+            return None;
+        }
+        let alpha = self.gamma / delta;
+        axpy(alpha as f32, p, x);
+        axpy(-(alpha as f32), q, r);
+        // s = Aᵀ·r − λ²·x
+        op.apply_transpose(r, s, ctx);
+        if lambda > 0.0 {
+            let l2 = (lambda * lambda) as f32;
+            for (si, xi) in s.iter_mut().zip(x.iter()) {
+                *si -= l2 * xi;
+            }
+        }
+        // γ and ‖r‖² are both known here and independent: one round.
+        let mut products = [dot(s, s), dot(r, r)];
+        reduce(&mut products);
+        let [gamma_new, r_norm2] = products;
+        let beta = gamma_new / self.gamma;
+        self.gamma = gamma_new;
+        // p = s + β·p
+        for (pi, &si) in p.iter_mut().zip(s.iter()) {
+            *pi = si + (beta as f32) * *pi;
+        }
+
+        let rel = if self.y_norm > 0.0 {
+            r_norm2.sqrt() / self.y_norm
+        } else {
+            0.0
+        };
+        ctx.telemetry.event("cgls.residual", rel);
+        ctx.telemetry.metric_inc(MetricId::SolverIterations);
+        ctx.telemetry.gauge_set(MetricId::SolverResidual, rel);
+        Some(rel)
+    }
+
+    /// Ends the solve: returns the iteration vectors to `ctx`'s workspace
+    /// and yields the iterate.
+    pub fn finish(self, ctx: &mut ExecContext) -> Vec<f32> {
+        ctx.workspace.put(BufferRole::CgResidual, self.r);
+        ctx.workspace.put(BufferRole::CgNormal, self.s);
+        ctx.workspace.put(BufferRole::CgDirection, self.p);
+        ctx.workspace.put(BufferRole::CgProjected, self.q);
+        self.x
     }
 }
 

@@ -13,7 +13,8 @@
 //!   the optimized packed kernels at any precision),
 //! * [`cgls`] / [`cgls_with`] / [`cgls_in`] — damped CGLS with residual
 //!   history and a pluggable inner-product reducer (the distributed
-//!   reconstructor in `xct-core` injects an allreduce there),
+//!   reconstructor in `xct-core` injects an allreduce there), all loops
+//!   over the one iteration body [`CglsSolver::step`],
 //! * [`PrecisionOperator`] — wraps the fused buffered SpMM kernels with
 //!   adaptive normalization for any [`Precision`](xct_fp16::Precision).
 //!
@@ -40,14 +41,12 @@ mod cgls;
 mod operator;
 mod precision_op;
 mod sirt;
-mod stepper;
 mod tv;
 
-pub use cgls::{cgls, cgls_in, cgls_with, CglsConfig, CglsReport};
+pub use cgls::{cgls, cgls_in, cgls_with, CglsConfig, CglsReport, CglsSolver};
 pub use operator::{CsrOperator, LinearOperator, SystemMatrixOperator};
 pub use precision_op::PrecisionOperator;
 pub use sirt::{sirt, sirt_in, SirtConfig};
-pub use stepper::{CglsSnapshot, CglsSolver};
 pub use tv::{tv_reconstruct, tv_reconstruct_in, tv_value, TvConfig};
 pub use xct_exec::{
     BufferRole, ExecContext, ExecCounters, Executor, Phase, SpanGuard, Telemetry, Workspace,

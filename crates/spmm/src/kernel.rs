@@ -17,15 +17,21 @@
 //! Storage scalar `S` and compute scalar `C` are independent, giving the
 //! double/single/half/mixed modes of §III-C.
 //!
-//! The production path ([`spmm_with`]) executes the same FMAs in a
-//! vector-friendly shape — branch-free lane-major panels over a
-//! fusing-contiguous staging buffer (see [`run_block_into`]) — and, with
-//! the `simd` feature, hands f32-compute blocks to an AVX2+FMA f32x8
-//! path. All three realizations are bit-identical: each accumulator's
-//! FMA chain keeps the (stage ascending, round ascending) order of
-//! Listing 1, and only work for *different* accumulators is reordered
-//! or vectorized. [`spmm_reference_with`] retains the direct scalar
-//! transcription as the comparison oracle.
+//! One launch skeleton ([`launch`]) partitions the blocks over the
+//! executor and runs one of two block bodies, chosen per launch from
+//! what the platform reports — there is no build-time switch:
+//!
+//! * on x86-64 with AVX2+FMA detected at run time and `C == f32` (the
+//!   single and mixed modes), [`spmm_with`] runs the f32x8 body of
+//!   `simd.rs`;
+//! * every other case (f64 or f16 compute, no AVX2, other arches) runs
+//!   [`run_block_into_reference`], the direct scalar transcription of
+//!   Listing 1, which [`spmm_reference_with`] forces on any platform as
+//!   the comparison oracle.
+//!
+//! The two bodies are bit-identical: each accumulator's FMA chain keeps
+//! the (stage ascending, round ascending) order of Listing 1, and the
+//! vector lanes span *different* accumulators.
 //!
 //! All scratch (accumulators, the shared-memory stand-in, per-block
 //! output staging) comes from the [`ExecContext`]'s workspace, so a
@@ -46,8 +52,9 @@ use xct_fp16::StorageScalar;
 /// from `ctx.workspace` (allocation-free once warm), blocks are
 /// distributed according to `ctx.executor`, and the launch's traffic is
 /// added to `ctx.counters`. Returns the per-launch memory-traffic
-/// account. Results are bit-identical across executors: every block's
-/// FMA order is fixed and the scatter into `y` is sequential.
+/// account. Results are bit-identical across executors and across the
+/// two block bodies: every block's FMA order is fixed and the scatter
+/// into `y` is sequential.
 ///
 /// # Panics
 /// Panics when the buffer lengths don't match the matrix shape or the
@@ -62,70 +69,14 @@ where
     S: StorageScalar + WorkspaceScalar,
     C: ComputeScalar + WorkspaceScalar,
 {
-    check_shapes(a, x, y);
-    let fusing = a.fusing();
-    let num_rows = a.num_rows();
-    let num_cols = a.num_cols();
-    let buffsize = a.slots_per_stage();
-    let blocks = a.blocks();
-    // Per-block scratch strides. `block_size` bounds `block.rows`, so one
-    // stride fits any block.
-    let acc_stride = a.block_size() * fusing;
-    let panel_stride = buffsize * fusing;
-    let parts = ctx.executor.partitions(blocks.len());
-    let use_simd = simd_dispatch::<C>();
-
-    // One acc/staging lane per worker (reused across its blocks), one out
-    // slot per block (consumed by the sequential scatter afterwards,
-    // because the slice-major layout interleaves block outputs).
-    let mut acc: Vec<C> = ctx
-        .workspace
-        .take_uninit(BufferRole::KernelAcc, parts * acc_stride);
-    let mut staged: Vec<C> = ctx
-        .workspace
-        .take_uninit(BufferRole::KernelPanel, parts * panel_stride);
-    let mut out: Vec<S> = ctx
-        .workspace
-        .take_uninit(BufferRole::KernelOut, blocks.len() * acc_stride);
-
-    let per_part = blocks.len().div_ceil(parts).max(1);
-    if parts <= 1 {
-        let acc = &mut acc[..acc_stride];
-        let staged = &mut staged[..panel_stride];
-        for (block, out) in blocks.iter().zip(out.chunks_mut(acc_stride)) {
-            run_block::<S, C>(use_simd, block, num_cols, x, fusing, acc, staged, out);
-        }
-    } else {
-        std::thread::scope(|scope| {
-            let work = blocks
-                .chunks(per_part)
-                .zip(out.chunks_mut(per_part * acc_stride))
-                .zip(acc.chunks_mut(acc_stride))
-                .zip(staged.chunks_mut(panel_stride));
-            for (((blocks, outs), acc), staged) in work {
-                scope.spawn(move || {
-                    for (block, out) in blocks.iter().zip(outs.chunks_mut(acc_stride)) {
-                        run_block::<S, C>(use_simd, block, num_cols, x, fusing, acc, staged, out);
-                    }
-                });
-            }
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::eligible::<C>() {
+        let (num_cols, fusing) = (a.num_cols(), a.fusing());
+        return launch::<S, C, C>(a, x, y, ctx, |block, acc, staged, out| {
+            crate::simd::run_block::<S, C>(block, num_cols, x, fusing, acc, staged, out);
         });
     }
-
-    scatter_out(blocks, &out, acc_stride, fusing, num_rows, y);
-
-    ctx.workspace.put(BufferRole::KernelAcc, acc);
-    ctx.workspace.put(BufferRole::KernelPanel, staged);
-    ctx.workspace.put(BufferRole::KernelOut, out);
-
-    let metrics = a.kernel_metrics();
-    ctx.counters.record_kernel_padded(
-        metrics.flops,
-        metrics.padded_flops,
-        metrics.bytes_read,
-        metrics.bytes_written,
-    );
-    metrics
+    spmm_reference_with::<S, C>(a, x, y, ctx)
 }
 
 /// Runs the fused SpMM with blocks in parallel.
@@ -153,13 +104,12 @@ where
     spmm_with::<S, C>(a, x, y, &mut ctx)
 }
 
-/// The retained scalar reference: a direct, unpanelized transcription of
-/// Listing 1 (per-element `t >= rows` branch, f-major shared buffer,
-/// storage-precision staging with conversion at every FMA). Serial
-/// regardless of the context's executor; exists as the oracle the
-/// panelized and `simd` kernels are bit-compared against, and as the
-/// perf baseline for the vectorization win. Scratch comes from the
-/// context's workspace, so steady-state calls stay allocation-free.
+/// [`spmm_with`] with the scalar reference body forced: the direct
+/// transcription of Listing 1 (per-element `t >= rows` branch, f-major
+/// shared buffer, storage-precision staging with conversion at every
+/// FMA). It is what [`spmm_with`] itself runs wherever the f32x8 body
+/// does not apply, the oracle that body is bit-compared against, and the
+/// perf baseline for the vectorization win.
 pub fn spmm_reference_with<S, C>(
     a: &PackedMatrix<S>,
     x: &[S],
@@ -170,50 +120,10 @@ where
     S: StorageScalar + WorkspaceScalar,
     C: ComputeScalar + WorkspaceScalar,
 {
-    check_shapes(a, x, y);
-    let fusing = a.fusing();
-    let num_rows = a.num_rows();
-    let num_cols = a.num_cols();
-    let buffsize = a.slots_per_stage();
-    let blocks = a.blocks();
-    let acc_stride = a.block_size() * fusing;
-    let shared_stride = buffsize * fusing;
-
-    let mut acc: Vec<C> = ctx.workspace.take_uninit(BufferRole::KernelAcc, acc_stride);
-    let mut shared: Vec<S> = ctx
-        .workspace
-        .take_uninit(BufferRole::KernelShared, shared_stride);
-    let mut out: Vec<S> = ctx
-        .workspace
-        .take_uninit(BufferRole::KernelOut, blocks.len() * acc_stride);
-
-    for (block, out) in blocks.iter().zip(out.chunks_mut(acc_stride)) {
-        run_block_into_reference::<S, C>(
-            block,
-            buffsize,
-            num_cols,
-            x,
-            fusing,
-            &mut acc,
-            &mut shared,
-            out,
-        );
-    }
-
-    scatter_out(blocks, &out, acc_stride, fusing, num_rows, y);
-
-    ctx.workspace.put(BufferRole::KernelAcc, acc);
-    ctx.workspace.put(BufferRole::KernelShared, shared);
-    ctx.workspace.put(BufferRole::KernelOut, out);
-
-    let metrics = a.kernel_metrics();
-    ctx.counters.record_kernel_padded(
-        metrics.flops,
-        metrics.padded_flops,
-        metrics.bytes_read,
-        metrics.bytes_written,
-    );
-    metrics
+    let (buffsize, num_cols, fusing) = (a.slots_per_stage(), a.num_cols(), a.fusing());
+    launch::<S, C, S>(a, x, y, ctx, |block, acc, shared, out| {
+        run_block_into_reference::<S, C>(block, buffsize, num_cols, x, fusing, acc, shared, out);
+    })
 }
 
 /// Serial reference convenience over a throwaway context.
@@ -226,33 +136,107 @@ where
     spmm_reference_with::<S, C>(a, x, y, &mut ctx)
 }
 
-/// Whether [`spmm_with`] will take the `core::arch` f32x8 path for
-/// f32-compute launches on this machine: requires the `simd` crate
-/// feature, an x86-64 target, and runtime AVX2+FMA support. Everything
-/// else falls back to the scalar panels (same results bit-for-bit).
+/// Whether [`spmm_with`] takes the `core::arch` f32x8 body for
+/// f32-compute launches on this machine: an x86-64 target with AVX2+FMA
+/// detected at run time. Everything else runs the scalar reference body
+/// (same results bit-for-bit).
 pub fn simd_available() -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        crate::simd::detected()
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::detected() {
+        return true;
     }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    {
-        false
-    }
+    false
 }
 
-/// Per-launch dispatch decision for compute type `C`.
-// `C` is only inspected on the simd+x86_64 configuration.
-#[allow(clippy::extra_unused_type_parameters)]
-fn simd_dispatch<C: ComputeScalar>() -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        crate::simd::eligible::<C>()
+/// The one launch skeleton: checks shapes, partitions `a`'s blocks over
+/// the context's executor, runs `body(block, acc, staged, out)` on each
+/// with per-worker scratch, scatters the block outputs into `y`, and
+/// meters the launch. `T` is the element type of the body's staging
+/// buffer (the shared-memory stand-in): compute precision for the f32x8
+/// body, storage precision for the reference.
+fn launch<S, C, T>(
+    a: &PackedMatrix<S>,
+    x: &[S],
+    y: &mut [S],
+    ctx: &mut ExecContext,
+    body: impl Fn(&PackedBlock<S>, &mut [C], &mut [T], &mut [S]) + Sync,
+) -> KernelMetrics
+where
+    S: StorageScalar + WorkspaceScalar,
+    C: ComputeScalar + WorkspaceScalar,
+    T: WorkspaceScalar,
+{
+    check_shapes(a, x, y);
+    let fusing = a.fusing();
+    let blocks = a.blocks();
+    // Per-block scratch strides. `block_size` bounds `block.rows`, so one
+    // stride fits any block.
+    let acc_stride = a.block_size() * fusing;
+    let staged_stride = a.slots_per_stage() * fusing;
+    let parts = ctx.executor.partitions(blocks.len());
+
+    // One acc/staging lane per worker (reused across its blocks), one out
+    // slot per block (consumed by the sequential scatter afterwards,
+    // because the slice-major layout interleaves block outputs).
+    let mut acc: Vec<C> = ctx
+        .workspace
+        .take_uninit(BufferRole::KernelAcc, parts * acc_stride);
+    let mut staged: Vec<T> = ctx
+        .workspace
+        .take_uninit(BufferRole::KernelShared, parts * staged_stride);
+    let mut out: Vec<S> = ctx
+        .workspace
+        .take_uninit(BufferRole::KernelOut, blocks.len() * acc_stride);
+
+    let per_part = blocks.len().div_ceil(parts).max(1);
+    if parts <= 1 {
+        let acc = &mut acc[..acc_stride];
+        let staged = &mut staged[..staged_stride];
+        for (block, out) in blocks.iter().zip(out.chunks_mut(acc_stride)) {
+            body(block, acc, staged, out);
+        }
+    } else {
+        let body = &body;
+        std::thread::scope(|scope| {
+            let work = blocks
+                .chunks(per_part)
+                .zip(out.chunks_mut(per_part * acc_stride))
+                .zip(acc.chunks_mut(acc_stride))
+                .zip(staged.chunks_mut(staged_stride));
+            for (((blocks, outs), acc), staged) in work {
+                scope.spawn(move || {
+                    for (block, out) in blocks.iter().zip(outs.chunks_mut(acc_stride)) {
+                        body(block, acc, staged, out);
+                    }
+                });
+            }
+        });
     }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    {
-        false
+
+    // Sequential scatter of thread-major block outputs into the
+    // slice-major `y`: the write order — and with it cross-executor
+    // determinism — is fixed here, for both bodies.
+    let num_rows = a.num_rows();
+    for (block, out) in blocks.iter().zip(out.chunks(acc_stride)) {
+        for t in 0..block.rows {
+            for f in 0..fusing {
+                y[f * num_rows + block.row_base + t] = out[t * fusing + f];
+            }
+        }
     }
+
+    ctx.workspace.put(BufferRole::KernelAcc, acc);
+    ctx.workspace.put(BufferRole::KernelShared, staged);
+    ctx.workspace.put(BufferRole::KernelOut, out);
+
+    let metrics = a.kernel_metrics();
+    ctx.counters.record_kernel_padded(
+        metrics.flops,
+        metrics.padded_flops,
+        metrics.bytes_read,
+        metrics.bytes_written,
+    );
+    metrics
 }
 
 fn check_shapes<S: StorageScalar>(a: &PackedMatrix<S>, x: &[S], y: &[S]) {
@@ -274,171 +258,20 @@ fn check_shapes<S: StorageScalar>(a: &PackedMatrix<S>, x: &[S], y: &[S]) {
     );
 }
 
-/// Sequential scatter of thread-major block outputs into the slice-major
-/// `y` (shared by every kernel realization, so the write order — and
-/// with it cross-executor determinism — is fixed in one place).
-fn scatter_out<S: StorageScalar>(
-    blocks: &[PackedBlock<S>],
-    out: &[S],
-    acc_stride: usize,
-    fusing: usize,
-    num_rows: usize,
-    y: &mut [S],
-) {
-    for (block, out) in blocks.iter().zip(out.chunks(acc_stride)) {
-        for t in 0..block.rows {
-            for f in 0..fusing {
-                y[f * num_rows + block.row_base + t] = out[t * fusing + f];
-            }
-        }
-    }
-}
-
-/// Runs one block through the fastest available realization.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn run_block<S: StorageScalar, C: ComputeScalar>(
-    use_simd: bool,
-    block: &PackedBlock<S>,
-    num_cols: usize,
-    x: &[S],
-    fusing: usize,
-    acc: &mut [C],
-    staged: &mut [C],
-    out: &mut [S],
-) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if use_simd && crate::simd::run_block::<S, C>(block, num_cols, x, fusing, acc, staged, out) {
-        return;
-    }
-    let _ = use_simd;
-    run_block_into::<S, C>(block, num_cols, x, fusing, acc, staged, out);
-}
-
-/// Executes one thread block into caller-provided scratch, leaving its
-/// rows thread-major in `out` (`out[t*fusing + f]`).
+/// The scalar transcription of Listing 1 — the production body wherever
+/// the f32x8 one does not apply, and the oracle it is compared against:
+/// per-element row guard, f-major storage-precision shared buffer,
+/// conversion at the FMA. Leaves the block's rows thread-major in `out`
+/// (`out[t*fusing + f]`).
 ///
-/// The panelized realization:
-///
-/// * **Fusing-contiguous staging** — the gather writes
-///   `staged[slot*fusing + f]` (not `shared[f*buffsize + slot]`), so the
-///   per-element `f` loop walks contiguous memory, and conversion to
-///   compute precision happens once per staged slot instead of once per
-///   FMA. `C::load` is deterministic and exact for every mode (f64/f32
-///   identity, F16→f32 widening, F16 round-trip), so staging in compute
-///   precision reads the very same values the reference loads at each
-///   FMA.
-/// * **Branch-free lane panels** — within a warp, lanes owning rows are
-///   exactly the prefix `t < block.rows`, so the per-element bounds
-///   check hoists into one `full`-lane panel per warp (the ELL tail
-///   beyond it is skipped wholesale).
-/// * **Fixed-width accumulator lanes** — [`fma_span`] unrolls the `f`
-///   loop into 8/4-wide chunks the compiler can keep in vector
-///   registers.
-///
-/// Each accumulator `(t, f)` still receives its FMAs in (stage
-/// ascending, round ascending) order — the exact chain of the scalar
-/// reference — so results are bit-identical in every precision mode.
-///
-/// `acc` and `staged` may carry stale data from a previous block: `acc`
+/// `acc` and `shared` may carry stale data from a previous block: `acc`
 /// is re-zeroed here (line 10 of the kernel), and every FMA reads a
-/// staged slot freshly gathered by the current stage — real elements
+/// shared slot freshly gathered by the current stage — real elements
 /// index inside the stage's map, and padding elements carry `ind = 0`
 /// with `len = 0`, which only exist when slot 0 was gathered. So reuse
 /// cannot change results.
-// xct-hot
-fn run_block_into<S: StorageScalar, C: ComputeScalar>(
-    block: &PackedBlock<S>,
-    num_cols: usize,
-    x: &[S],
-    fusing: usize,
-    acc: &mut [C],
-    staged: &mut [C],
-    out: &mut [S],
-) {
-    // acc[FFACTOR] per thread (line 10); thread-major layout.
-    let acc = &mut acc[..block.rows * fusing];
-    acc.fill(C::default());
-
-    for stage in &block.stages {
-        // Cooperative gather through buffmap (lines 15–20), laid out
-        // fusing-contiguous and widened to compute precision.
-        for (slot, &col) in stage.map.iter().enumerate() {
-            let col = col as usize;
-            let dst = &mut staged[slot * fusing..(slot + 1) * fusing];
-            for (f, d) in dst.iter_mut().enumerate() {
-                *d = C::load(x[f * num_cols + col]);
-            }
-        }
-        // Warp rounds (lines 22–29), panelized per warp.
-        for (w, warp) in stage.warps.iter().enumerate() {
-            let warp_base = w * WARP_SIZE;
-            // Rows are assigned to lanes in order, so the lanes owning a
-            // row are the prefix `[0, full)` — the `row < numrow` guard
-            // of Listing 1, hoisted out of the element loop.
-            let full = block.rows.saturating_sub(warp_base).min(WARP_SIZE);
-            if full == 0 {
-                continue;
-            }
-            for n in 0..warp.rounds {
-                let round = &warp.indval[n * WARP_SIZE..n * WARP_SIZE + full];
-                for (lane, e) in round.iter().enumerate() {
-                    let t = warp_base + lane;
-                    let len = C::load(e.len);
-                    let ind = e.ind as usize;
-                    fma_span(
-                        &mut acc[t * fusing..(t + 1) * fusing],
-                        &staged[ind * fusing..(ind + 1) * fusing],
-                        len,
-                    );
-                }
-            }
-        }
-        // __syncthreads() boundaries (lines 21, 30) are implicit: stages
-        // run sequentially per block.
-    }
-
-    // Store accumulators (lines 32–36).
-    for t in 0..block.rows {
-        for f in 0..fusing {
-            out[t * fusing + f] = acc[t * fusing + f].store();
-        }
-    }
-}
-
-/// `acc[f] = fma(xs[f], len, acc[f])` over a whole fusing span, unrolled
-/// into fixed 8- then 4-wide chunks plus a scalar tail. Each accumulator
-/// receives exactly one FMA, so the per-accumulator chain order is
-/// untouched — only independent lanes are grouped, which is what lets
-/// the compiler lift the chunked bodies into vector registers without
-/// changing any result bit.
-#[inline(always)]
-// xct-hot
-fn fma_span<C: ComputeScalar>(acc: &mut [C], xs: &[C], len: C) {
-    debug_assert_eq!(acc.len(), xs.len());
-    let mut a8 = acc.chunks_exact_mut(8);
-    let mut x8 = xs.chunks_exact(8);
-    for (a, x) in a8.by_ref().zip(x8.by_ref()) {
-        for i in 0..8 {
-            a[i] = a[i].fma(x[i], len);
-        }
-    }
-    let mut a4 = a8.into_remainder().chunks_exact_mut(4);
-    let mut x4 = x8.remainder().chunks_exact(4);
-    for (a, x) in a4.by_ref().zip(x4.by_ref()) {
-        for i in 0..4 {
-            a[i] = a[i].fma(x[i], len);
-        }
-    }
-    for (a, &x) in a4.into_remainder().iter_mut().zip(x4.remainder()) {
-        *a = a.fma(x, len);
-    }
-}
-
-/// The original scalar transcription of Listing 1 — kept verbatim as the
-/// oracle: per-element row guard, f-major storage-precision shared
-/// buffer, conversion at the FMA.
 #[allow(clippy::too_many_arguments)]
+// xct-hot
 fn run_block_into_reference<S: StorageScalar, C: ComputeScalar>(
     block: &PackedBlock<S>,
     buffsize: usize,
@@ -543,107 +376,86 @@ mod tests {
         }
     }
 
-    /// Bit-identity of the panelized (and, when the `simd` feature and
-    /// CPU support are present, the f32x8) kernel against the retained
-    /// scalar reference, across every precision mode × fusing ∈ {1,4,8}
-    /// × ragged block tails. f64 is the ISSUE's bit-identity case; f32,
-    /// mixed, and half come out bit-identical too (stronger than the
-    /// ULP bound asked for) because panelization never reorders any
-    /// single accumulator's FMA chain.
+    /// Exact bit patterns of a storage vector (the widening to f64 is
+    /// injective for every storage type).
+    fn bits<S: StorageScalar>(v: &[S]) -> Vec<u64> {
+        v.iter().map(|s| s.to_f64().to_bits()).collect()
+    }
+
+    /// `spmm_with` serially and under three worker threads against the
+    /// serial reference launch.
+    fn assert_matches_serial_reference<S, C>(packed: &PackedMatrix<S>, x: &[S], what: &str)
+    where
+        S: StorageScalar + WorkspaceScalar,
+        C: ComputeScalar + WorkspaceScalar,
+    {
+        let mut y_ref = vec![S::zero(); packed.num_rows() * packed.fusing()];
+        spmm_reference_serial::<S, C>(packed, x, &mut y_ref);
+        for executor in [Executor::Serial, Executor::threads(3)] {
+            let mut ctx = ExecContext::with_executor(executor);
+            let mut y = vec![S::zero(); y_ref.len()];
+            spmm_with::<S, C>(packed, x, &mut y, &mut ctx);
+            assert_eq!(bits(&y), bits(&y_ref), "{what}, {executor:?}");
+        }
+    }
+
+    /// Bit-identity of the production launch — the f32x8 body where the
+    /// CPU has it, the reference body fanned out over the executor
+    /// everywhere else (always for f64 and f16 compute) — against the
+    /// serial reference, across every precision mode × fusing ∈ {1,4,8}
+    /// × ragged block tails. Neither body reorders any single
+    /// accumulator's FMA chain, and the scatter into `y` is sequential,
+    /// so every mode comes out bit-identical.
     #[test]
-    fn panel_and_simd_match_reference_bitwise_in_every_mode() {
-        // 150 rows / block 64 → a 22-row ragged tail block; 90 cols with
-        // 512 B shared → multiple stages at larger fusing.
-        for fusing in [1usize, 4, 8] {
-            let csr32 = random_csr(150, 90, 6, fusing as u64 + 7);
-            let t: Vec<_> = csr32.triplets().collect();
-            let csr64 = Csr::<f64>::from_triplets(150, 90, t.iter().copied());
-            let csr16 = Csr::<F16>::from_triplets(150, 90, t.iter().copied());
-            let xf = random_x(90 * fusing, fusing as u64 + 41);
+    fn production_kernel_matches_serial_reference_bitwise_in_every_mode() {
+        // Block 64: 150 rows leave a 22-row tail block (ragged first
+        // warp, empty second), 168 rows a 40-row one (full first warp,
+        // 8-lane ragged last warp); 90 cols with 512 B shared → multiple
+        // stages at larger fusing.
+        for rows in [150usize, 168] {
+            for fusing in [1usize, 4, 8] {
+                let csr32 = random_csr(rows, 90, 6, fusing as u64 + 7);
+                let t: Vec<_> = csr32.triplets().collect();
+                let csr64 = Csr::<f64>::from_triplets(rows, 90, t.iter().copied());
+                let csr16 = Csr::<F16>::from_triplets(rows, 90, t.iter().copied());
+                let xf = random_x(90 * fusing, fusing as u64 + 41);
+                let x64: Vec<f64> = xf.iter().map(|&v| f64::from(v)).collect();
+                let x16: Vec<F16> = xf.iter().map(|&v| F16::from_f32(v)).collect();
+                let case = |mode: &str| format!("{mode}, rows {rows}, fusing {fusing}");
 
-            // single: (f32, f32)
-            let packed = PackedMatrix::pack(&csr32, 64, 512, fusing);
-            let mut y = vec![0.0f32; 150 * fusing];
-            let mut y_ref = vec![0.0f32; 150 * fusing];
-            spmm_buffered_serial::<f32, f32>(&packed, &xf, &mut y);
-            spmm_reference_serial::<f32, f32>(&packed, &xf, &mut y_ref);
-            assert_eq!(
-                y.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                y_ref.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "single, fusing {fusing}"
-            );
-
-            // double: (f64, f64)
-            let packed = PackedMatrix::pack(&csr64, 64, 1024, fusing);
-            let x64: Vec<f64> = xf.iter().map(|&v| f64::from(v)).collect();
-            let mut y = vec![0.0f64; 150 * fusing];
-            let mut y_ref = vec![0.0f64; 150 * fusing];
-            spmm_buffered_serial::<f64, f64>(&packed, &x64, &mut y);
-            spmm_reference_serial::<f64, f64>(&packed, &x64, &mut y_ref);
-            assert_eq!(
-                y.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                y_ref.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "double, fusing {fusing}"
-            );
-
-            // mixed (F16, f32) and half (F16, F16)
-            let packed = PackedMatrix::pack(&csr16, 64, 512, fusing);
-            let x16: Vec<F16> = xf.iter().map(|&v| F16::from_f32(v)).collect();
-            let mut y = vec![F16::ZERO; 150 * fusing];
-            let mut y_ref = vec![F16::ZERO; 150 * fusing];
-            spmm_buffered_serial::<F16, f32>(&packed, &x16, &mut y);
-            spmm_reference_serial::<F16, f32>(&packed, &x16, &mut y_ref);
-            assert_eq!(
-                y.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                y_ref.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "mixed, fusing {fusing}"
-            );
-            let mut y = vec![F16::ZERO; 150 * fusing];
-            let mut y_ref = vec![F16::ZERO; 150 * fusing];
-            spmm_buffered_serial::<F16, F16>(&packed, &x16, &mut y);
-            spmm_reference_serial::<F16, F16>(&packed, &x16, &mut y_ref);
-            assert_eq!(
-                y.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                y_ref.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "half, fusing {fusing}"
-            );
+                let packed = PackedMatrix::pack(&csr32, 64, 512, fusing);
+                assert_matches_serial_reference::<f32, f32>(&packed, &xf, &case("single"));
+                let packed = PackedMatrix::pack(&csr64, 64, 1024, fusing);
+                assert_matches_serial_reference::<f64, f64>(&packed, &x64, &case("double"));
+                let packed = PackedMatrix::pack(&csr16, 64, 512, fusing);
+                assert_matches_serial_reference::<F16, f32>(&packed, &x16, &case("mixed"));
+                assert_matches_serial_reference::<F16, F16>(&packed, &x16, &case("half"));
+            }
         }
     }
 
     /// A single-warp block whose rows don't fill the warp (ragged inside
-    /// the first warp, not just the last block) — the panel split's
-    /// `full < WARP_SIZE` edge.
+    /// the first warp, not just the last block) — the f32x8 body's
+    /// `full < WARP_SIZE` panel edge.
     #[test]
     fn ragged_warp_interior_matches_reference() {
         for rows in [1usize, 31, 33, 63] {
             let csr = random_csr(rows, 40, 5, rows as u64);
             let packed = PackedMatrix::pack(&csr, 64, 256, 3);
             let x = random_x(40 * 3, 9);
-            let mut y = vec![0.0f32; rows * 3];
-            let mut y_ref = vec![0.0f32; rows * 3];
-            spmm_buffered_serial::<f32, f32>(&packed, &x, &mut y);
-            spmm_reference_serial::<f32, f32>(&packed, &x, &mut y_ref);
-            assert_eq!(
-                y.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                y_ref.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "rows={rows}"
-            );
+            assert_matches_serial_reference::<f32, f32>(&packed, &x, &format!("rows={rows}"));
         }
     }
 
-    #[cfg(feature = "simd")]
+    #[cfg(target_arch = "x86_64")]
     #[test]
     fn simd_feature_reports_runtime_dispatch() {
-        // With the feature compiled in, availability is exactly the
-        // runtime CPU answer; the bitwise tests above then exercise the
-        // unsafe path whenever it is live.
-        let live = simd_available();
-        if live {
-            // Dispatch must agree for f32 compute and refuse for f64.
-            assert!(simd_dispatch::<f32>());
-        }
-        assert!(!simd_dispatch::<f64>(), "f64 never takes the f32x8 path");
-        assert!(!simd_dispatch::<F16>(), "half never takes the f32x8 path");
+        // Availability is exactly the runtime CPU answer; the bitwise
+        // tests above then exercise the unsafe path whenever it is live.
+        use crate::simd::eligible;
+        assert_eq!(eligible::<f32>(), simd_available());
+        assert!(!eligible::<f64>(), "f64 never takes the f32x8 path");
+        assert!(!eligible::<F16>(), "half never takes the f32x8 path");
     }
 
     #[test]
@@ -706,11 +518,11 @@ mod tests {
         assert_eq!(ctx.counters.kernel_launches, 5);
     }
 
-    /// The panel staging buffer (`BufferRole::KernelPanel`) recycles like
-    /// every other workspace lane, including for the reference kernel's
-    /// separate shared buffer when both run in one context.
+    /// The staging buffer recycles like every other workspace lane when
+    /// both block bodies (compute-precision staging for the f32x8 body,
+    /// storage-precision for the reference) run in one context.
     #[test]
-    fn panel_scratch_is_allocation_free_when_warm() {
+    fn both_bodies_scratch_is_allocation_free_when_warm() {
         let csr = random_csr(128, 70, 6, 5);
         let packed = PackedMatrix::pack(&csr, 64, 1024, 4);
         let x = random_x(70 * 4, 13);
@@ -726,7 +538,7 @@ mod tests {
         assert_eq!(
             ctx.workspace.alloc_events(),
             warm,
-            "panel + reference scratch must recycle without new allocations"
+            "production + reference scratch must recycle without new allocations"
         );
     }
 

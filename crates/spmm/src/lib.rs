@@ -24,20 +24,23 @@
 //! [`KernelMetrics`] / accumulated in [`xct_exec::ExecCounters`], which
 //! is what the roofline analysis (Fig 9b) and machine model consume.
 //! [`spmm_with`] is the workspace-backed entry point; the `spmm_buffered`
-//! wrappers build a throwaway context per call.
+//! wrappers build a throwaway context per call. One launch skeleton runs
+//! one of two bit-identical block bodies, picked per launch with no
+//! build-time switch: an AVX2+FMA f32x8 body when the CPU reports both
+//! and the compute type is f32 ([`simd_available`]), else the scalar
+//! transcription of Listing 1, which [`spmm_reference_with`] forces
+//! anywhere as the oracle.
 //!
 //! [`Csr`] provides the unfused, unstaged baseline standing in for
 //! `cusparseSpMM` (§IV-C2).
 
 // The workspace-wide rule is `forbid(unsafe_code)`. This crate is the
-// sanctioned exception, *only* when the opt-in `simd` feature is on: the
-// f32x8 kernel in `simd.rs` needs `core::arch` intrinsics. The forbid
-// stays in force for default builds, and feature builds still deny any
-// unsafe operation not wrapped in an explicitly justified block.
-#![cfg_attr(
-    not(all(feature = "simd", target_arch = "x86_64")),
-    forbid(unsafe_code)
-)]
+// sanctioned exception, *only* on x86-64: the f32x8 block body in
+// `simd.rs` — always compiled there, chosen at run time — needs
+// `core::arch` intrinsics. The forbid stays in force on every other
+// arch, and x86-64 builds still deny any unsafe operation not wrapped in
+// an explicitly justified block.
+#![cfg_attr(not(target_arch = "x86_64"), forbid(unsafe_code))]
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 
@@ -46,7 +49,7 @@ mod csr;
 mod kernel;
 mod metrics;
 mod packed;
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod simd;
 
 pub use compute::ComputeScalar;

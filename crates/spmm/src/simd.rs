@@ -1,10 +1,11 @@
-//! Opt-in AVX2+FMA f32x8 realization of the block kernel (`simd` feature).
+//! AVX2+FMA f32x8 realization of the block kernel — compiled on every
+//! x86-64 build, chosen per launch by a runtime CPU check.
 //!
 //! This is the one corner of the workspace where unsafe code is allowed
 //! (the crate-wide `forbid(unsafe_code)` relaxes to
-//! `deny(unsafe_op_in_unsafe_fn)` when the feature is on — see
-//! `lib.rs`). The unsafe surface is kept to three things, each with a
-//! SAFETY argument at the site:
+//! `deny(unsafe_op_in_unsafe_fn)` on x86-64, the only arch this module
+//! exists on — see `lib.rs`). The unsafe surface is kept to three
+//! things, each with a SAFETY argument at the site:
 //!
 //! 1. identity slice casts `&mut [C]` → `&mut [f32]`, justified by a
 //!    `TypeId` equality check;
@@ -13,13 +14,13 @@
 //! 3. the `loadu`/`storeu` intrinsics themselves, justified by explicit
 //!    in-bounds index arithmetic.
 //!
-//! Numerically the path is bit-identical to the scalar panels:
+//! Numerically the path is bit-identical to the scalar reference body:
 //! `_mm256_fmadd_ps`/`_mm_fmadd_ps` perform the same single-rounding
 //! fused multiply-add as `f32::mul_add`, the vector lanes span
 //! *different* accumulators (distinct `f` slices of one row), and each
 //! accumulator still receives its FMAs in (stage ascending, round
 //! ascending) order. `kernel.rs` bit-compares this path against the
-//! scalar reference in the test suite.
+//! reference in the test suite.
 
 use core::arch::x86_64::{
     _mm256_castps256_ps128, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_storeu_ps,
@@ -42,9 +43,13 @@ pub(crate) fn eligible<C: ComputeScalar>() -> bool {
     TypeId::of::<C>() == TypeId::of::<f32>() && detected()
 }
 
-/// Runs one block through the f32x8 kernel. Returns `false` (having done
-/// nothing) when `C` is not f32 or the CPU lacks AVX2/FMA — the caller
-/// then falls back to the scalar panels.
+/// Runs one block through the f32x8 kernel, leaving its rows
+/// thread-major in `out` (`out[t*fusing + f]`).
+///
+/// # Panics
+/// Panics unless [`eligible::<C>()`](eligible) holds — `kernel::spmm_with`
+/// selects this body only then. The check is repeated here because the
+/// unsafe operations below rest on it.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_block<S: StorageScalar, C: ComputeScalar>(
     block: &PackedBlock<S>,
@@ -54,11 +59,9 @@ pub(crate) fn run_block<S: StorageScalar, C: ComputeScalar>(
     acc: &mut [C],
     staged: &mut [C],
     out: &mut [S],
-) -> bool {
-    if !eligible::<C>() {
-        return false;
-    }
-    // SAFETY: the `eligible` check above proves `TypeId::of::<C>() ==
+) {
+    assert!(eligible::<C>(), "f32x8 body needs f32 compute and AVX2+FMA");
+    // SAFETY: the `eligible` assertion above proves `TypeId::of::<C>() ==
     // TypeId::of::<f32>()`, i.e. `C` *is* `f32`, so `&mut [C]` and
     // `&mut [f32]` are the same type with identical layout; the casts
     // are identity transmutes of the fat pointers (length preserved).
@@ -70,23 +73,37 @@ pub(crate) fn run_block<S: StorageScalar, C: ComputeScalar>(
     // `#[target_feature]` kernel below.
     unsafe { run_block_f32(block, num_cols, x, fusing, acc_f32, staged_f32) };
     // Store accumulators through the generic epilogue (for `C` = f32,
-    // `store` is the same one-rounding conversion the scalar path uses).
+    // `store` is the same one-rounding conversion the reference uses).
     let acc = &acc[..block.rows * fusing];
     for t in 0..block.rows {
         for f in 0..fusing {
             out[t * fusing + f] = acc[t * fusing + f].store();
         }
     }
-    true
 }
 
-/// The panelized block loop of `kernel::run_block_into`, specialized to
-/// f32 compute with explicit 8-wide FMAs over the fusing axis.
+/// The block loop of Listing 1 in a vector-friendly shape, specialized
+/// to f32 compute with explicit 8-wide FMAs over the fusing axis:
+///
+/// * **Fusing-contiguous staging** — the gather writes
+///   `staged[slot*fusing + f]` (not `shared[f*buffsize + slot]`), so the
+///   per-element `f` loop walks contiguous memory, and widening to f32
+///   happens once per staged slot instead of once per FMA. `to_f32` is
+///   what `f32::load` does, and it is deterministic, so staging in
+///   compute precision reads the very same values the reference loads
+///   at each FMA.
+/// * **Branch-free lane panels** — within a warp, lanes owning rows are
+///   exactly the prefix `t < block.rows`, so the per-element bounds
+///   check hoists into one `full`-lane panel per warp (the ELL tail
+///   beyond it is skipped wholesale).
+///
+/// `acc` and `staged` may carry stale data from a previous block, for
+/// the reason given at `kernel::run_block_into_reference`.
 ///
 /// # Safety
 /// Caller must ensure the CPU supports AVX2 and FMA (checked via
-/// `is_x86_feature_detected!` in [`run_block`]). Slice bounds match the
-/// scalar kernel's: `acc.len() >= block.rows * fusing`, `staged` holds
+/// `is_x86_feature_detected!` in [`run_block`]). Slice bounds are
+/// checked: `acc.len() >= block.rows * fusing`, `staged` holds
 /// `slots * fusing` elements for every slot a stage maps.
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn run_block_f32<S: StorageScalar>(
@@ -101,6 +118,7 @@ unsafe fn run_block_f32<S: StorageScalar>(
     acc.fill(0.0);
 
     for stage in &block.stages {
+        // Cooperative gather through buffmap (lines 15–20).
         for (slot, &col) in stage.map.iter().enumerate() {
             let col = col as usize;
             let dst = &mut staged[slot * fusing..(slot + 1) * fusing];
@@ -108,8 +126,12 @@ unsafe fn run_block_f32<S: StorageScalar>(
                 *d = x[f * num_cols + col].to_f32();
             }
         }
+        // Warp rounds (lines 22–29), panelized per warp.
         for (w, warp) in stage.warps.iter().enumerate() {
             let warp_base = w * WARP_SIZE;
+            // Rows are assigned to lanes in order, so the lanes owning a
+            // row are the prefix `[0, full)` — the `row < numrow` guard
+            // of Listing 1, hoisted out of the element loop.
             let full = block.rows.saturating_sub(warp_base).min(WARP_SIZE);
             if full == 0 {
                 continue;
@@ -136,9 +158,9 @@ unsafe fn run_block_f32<S: StorageScalar>(
 }
 
 /// `acc[f] += xs[f] * len` over one fusing span with f32x8 FMAs, then an
-/// f32x4 step, then scalar `mul_add` — the same chunk widths (and thus
-/// the same one-FMA-per-accumulator behaviour) as the scalar
-/// `fma_span`.
+/// f32x4 step, then scalar `mul_add`. Each accumulator receives exactly
+/// one FMA, so the per-accumulator chain order is untouched — only
+/// independent lanes are grouped.
 ///
 /// # Safety
 /// Caller must ensure AVX2+FMA are available and `acc.len() == xs.len()`.

@@ -1120,7 +1120,7 @@ fn tune(flags: &Flags) -> Result<String, CliError> {
         .best()
         .ok_or_else(|| CliError("tune sweep produced no points".to_owned()))?;
     Ok(format!(
-        "tuned {} points on n={} angles={} ({} precision, simd {}):\n\
+        "tuned {} points on n={} angles={} ({} precision, AVX2+FMA {}):\n\
          best shape: block {} | shared {} B | fusing {} -> {:.1} Mflop/s\n\
          wrote {out}; feed it back with `petaxct reconstruct --tune-from {out}`",
         report.points.len(),
@@ -1128,9 +1128,9 @@ fn tune(flags: &Flags) -> Result<String, CliError> {
         report.angles,
         report.precision,
         if xct_spmm::simd_available() {
-            "on"
+            "detected"
         } else {
-            "off"
+            "not detected"
         },
         best.block_size,
         best.shared_bytes,

@@ -119,17 +119,17 @@ fn steady_state_cgls_steps_do_not_allocate() {
     // The default context carries a *disabled* telemetry handle — the
     // instrumented solver loop must stay allocation-free through it.
     assert!(!ctx.telemetry.is_enabled());
-    let mut solver = CglsSolver::new(&op, &y, &mut ctx);
+    let mut solver = CglsSolver::new(&op, &y, 0.0, &mut ctx, &mut |_| {});
     // Warm-up: the first steps grow the workspace to its steady-state
     // footprint (quantization staging, kernel accumulators).
     for _ in 0..2 {
-        solver.step(&op, &mut ctx);
+        solver.step(&op, &mut ctx, &mut |_| {});
     }
 
     let events_before = ctx.workspace.alloc_events();
     let heap_before = allocations();
     for _ in 0..10 {
-        solver.step(&op, &mut ctx);
+        solver.step(&op, &mut ctx, &mut |_| {});
     }
     let heap_after = allocations();
     let events_after = ctx.workspace.alloc_events();
@@ -179,15 +179,15 @@ fn enabled_telemetry_leaves_workspace_steady_state_alone() {
     let mut ctx = ExecContext::serial()
         .with_precision(Precision::Mixed)
         .with_telemetry(telemetry.clone());
-    let mut solver = CglsSolver::new(&op, &y, &mut ctx);
+    let mut solver = CglsSolver::new(&op, &y, 0.0, &mut ctx, &mut |_| {});
     for _ in 0..2 {
-        solver.step(&op, &mut ctx);
+        solver.step(&op, &mut ctx, &mut |_| {});
     }
     // Recording goes to the collector, never through the workspace: the
     // buffer-reuse discipline is unchanged with collection switched on.
     let events_before = ctx.workspace.alloc_events();
     for _ in 0..5 {
-        solver.step(&op, &mut ctx);
+        solver.step(&op, &mut ctx, &mut |_| {});
     }
     assert_eq!(ctx.workspace.alloc_events(), events_before);
     let snap = telemetry.snapshot();
