@@ -133,10 +133,10 @@ pub const SANCTIONED_UNSAFE: &[&str] = &[
     // AVX2/FMA intrinsics behind a scalar-identical contract. Compiled
     // on x86-64 only, where its crate root lifts the forbid.
     "crates/spmm/src/simd.rs",
-    // Counting global allocators for the allocation-free guards; a
-    // GlobalAlloc impl is unsafe by signature.
-    "crates/bench/src/bin/perf_suite.rs",
-    "tests/alloc_free.rs",
+    // The counting global allocator behind the allocation-free guards
+    // (tests/alloc_free.rs, perf_suite); a GlobalAlloc impl is unsafe
+    // by signature.
+    "shims/count-alloc/src/lib.rs",
 ];
 
 /// The only module allowed to read wall clocks: the injectable Clock's
@@ -696,8 +696,8 @@ mod tests {
 
     #[test]
     fn unsafe_fns_inside_justified_unsafe_impl_inherit() {
-        let src = "// SAFETY: counting wrapper delegates to System.\nunsafe impl GlobalAlloc for A {\n    unsafe fn alloc(&self, l: Layout) -> *mut u8 { todo() }\n}\n";
-        let v = lint("tests/alloc_free.rs", src, Role::Test);
+        let src = "#![deny(unsafe_op_in_unsafe_fn)]\n// SAFETY: counting wrapper delegates to System.\nunsafe impl GlobalAlloc for A {\n    unsafe fn alloc(&self, l: Layout) -> *mut u8 { todo() }\n}\n";
+        let v = lint("shims/count-alloc/src/lib.rs", src, Role::Shim);
         assert!(v.is_empty(), "{v:?}");
     }
 

@@ -23,15 +23,12 @@
 //! production SpMM kernel is under 1.5× the scalar reference's flops
 //! rate.
 
-// The counting allocator below mirrors tests/alloc_free.rs; it is the
-// only unsafe code in this binary.
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+use count_alloc::{allocations, CountingAllocator};
 use xct_bench::perf::{compare, BenchReport, ScenarioResult, BENCH_SCHEMA};
 use xct_comm::{Topology, TrafficClass, WireModel};
 use xct_core::distributed::{reconstruct_distributed, DistributedConfig};
@@ -44,48 +41,8 @@ use xct_solver::{CglsSolver, ExecContext, PrecisionOperator};
 use xct_spmm::{simd_available, spmm_reference_with, spmm_with, Csr, PackedMatrix};
 use xct_telemetry::{Breakdown, CausalAnalysis, Telemetry};
 
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every method counts, then forwards to `System` verbatim — the
-// allocator upholds `GlobalAlloc`'s contract iff `System` does, and the
-// caller-provided layout/pointer obligations pass through unchanged.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `layout` is the caller's, forwarded unmodified; the
-        // caller guarantees it is non-zero-sized per `alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` was returned by `System` (all our methods
-        // delegate to it) with this same `layout`, per the caller's
-        // `dealloc` obligations.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `ptr`/`layout` describe a live `System` block (see
-        // `dealloc`), and the caller guarantees `new_size` is non-zero.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: same forwarding argument as `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-}
-
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
 
 /// Problem sizes pinned per mode; changing them invalidates baselines.
 struct SuiteParams {
@@ -359,7 +316,7 @@ fn streamed_scenario(p: &SuiteParams, sino: &std::path::Path) -> ScenarioResult 
 }
 
 /// The Layer-2 analyzer's allocation guard: after setup (plans built,
-/// re-homing artifact constructed, schedule materialized), reaching a
+/// schedule materialized), reaching a
 /// clean verdict from every abstract-interpretation pass must perform
 /// **zero** heap allocations — the passes run inside `--verify-plans`
 /// on the reconstruction path, so an allocating verdict would bill
@@ -373,29 +330,16 @@ fn analysis_verdict_allocs() -> u64 {
     let plans =
         xct_comm::CompiledPlans::compile_hierarchical(&case.footprints, &case.ownership, &plan);
     let ops = xct_verify::overlap_schedule(3, 4);
-    let (steal_plans, steal_topo) = xct_verify::corpus::steal_fixture();
-    let steal = xct_verify::SliceSteal {
-        slice: 0,
-        from: 0,
-        to: 1,
-    };
-    let rehomed = xct_verify::rehome_slice(&steal_plans, steal);
-    let concurrent = [0usize, 1, 2];
 
     // Warm-up outside the count (first-use lazy init, if any).
     assert!(xct_verify::verify_bounds(&plans).ok());
     assert!(xct_verify::verify_scratch_lifetime(0, &ops).ok());
-    assert!(
-        xct_verify::verify_transfer_safety(&steal_plans, &steal_topo, &concurrent, &rehomed).ok()
-    );
 
     let before = allocations();
     let bounds = xct_verify::verify_bounds(&plans);
     let lifetime = xct_verify::verify_scratch_lifetime(0, &ops);
-    let transfer =
-        xct_verify::verify_transfer_safety(&steal_plans, &steal_topo, &concurrent, &rehomed);
     let allocs = allocations() - before;
-    assert!(bounds.ok() && lifetime.ok() && transfer.ok());
+    assert!(bounds.ok() && lifetime.ok());
     allocs
 }
 

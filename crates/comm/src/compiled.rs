@@ -50,17 +50,6 @@ const TAG_SCATTER_GLOBAL: u64 = 0x1500;
 const TAG_SCATTER_NODE: u64 = 0x1600;
 const TAG_SCATTER_SOCKET: u64 = 0x1700;
 
-/// Tag namespace reserved for *re-homed* exchanges: when a fused slice's
-/// share of work migrates from one rank to a socket-local sibling
-/// (work stealing, ROADMAP), every transfer of the stolen share is
-/// re-tagged as `level_tag | TAG_STEAL` so it can never cross-match the
-/// thief's own concurrent traffic on the original level tags. The bit is
-/// disjoint from every base tag here and from `exec`'s 0x100..0x800
-/// range, so OR-ing keeps the level structure visible while moving the
-/// whole namespace to 0x3100..0x3700. `xct-verify`'s `transfer_safety`
-/// pass proves the disjointness for concrete plans.
-pub const TAG_STEAL: u64 = 0x2000;
-
 /// One precomputed point-to-point transfer: the buffer positions whose
 /// values go to (or arrive from) `peer`, in wire order.
 #[derive(Debug, Clone)]
@@ -129,9 +118,8 @@ impl LevelProgram {
     /// Assembles a level program from raw tables. The compile paths above
     /// are the production constructors; this one exists so the static
     /// verifier (xct-verify) can build *mutated* programs for its
-    /// must-reject corpus and re-homed programs for the work-stealing
-    /// proof. Execution metadata not meaningful to analysis defaults:
-    /// global traffic class, no managed span.
+    /// must-reject corpus. Execution metadata not meaningful to analysis
+    /// defaults: global traffic class, no managed span.
     pub fn from_parts(
         out_len: usize,
         sends: Vec<Transfer>,
@@ -508,7 +496,7 @@ impl CompiledPlans {
     }
 
     /// Assembles compiled plans from per-rank programs built with
-    /// [`RankPlan::from_parts`] (corpus / re-homing use).
+    /// [`RankPlan::from_parts`] (corpus use).
     pub fn from_ranks(per_rank: Vec<RankPlan>) -> Self {
         CompiledPlans { per_rank }
     }
@@ -623,8 +611,8 @@ fn round_level<S: Wire>(vals: &mut [f64]) {
 }
 
 impl RankPlan {
-    /// Assembles a rank plan from raw level programs — the corpus /
-    /// re-homing counterpart of [`LevelProgram::from_parts`].
+    /// Assembles a rank plan from raw level programs — the corpus
+    /// counterpart of [`LevelProgram::from_parts`].
     pub fn from_parts(
         in_len: usize,
         owned_len: usize,

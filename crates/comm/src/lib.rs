@@ -48,7 +48,7 @@ pub use plan::{DirectPlan, Footprints, HierarchicalPlan, Ownership, PlanError, R
 pub use runtime::{
     run_ranks, run_ranks_chaos, run_ranks_chaos_traced, run_ranks_traced, run_ranks_traced_wired,
     run_ranks_with_timeout, Backoff, ChaosMode, ChaosSchedule, CommError, Communicator,
-    RecvRequest, SubCommunicator, WireModel, REPLY_TAG_SALT,
+    RecvRequest, WireModel, REPLY_TAG_SALT,
 };
 pub use topology::{CommLevel, Topology};
 pub use wire::Wire;
@@ -59,4 +59,4 @@ pub use exec::{
 };
 
 mod compiled;
-pub use compiled::{CompiledPlans, ExchangeScratch, LevelProgram, RankPlan, Transfer, TAG_STEAL};
+pub use compiled::{CompiledPlans, ExchangeScratch, LevelProgram, RankPlan, Transfer};

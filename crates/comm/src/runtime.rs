@@ -5,10 +5,7 @@
 //! non-blocking, and receives may be posted ahead of time with
 //! [`Communicator::irecv`] and completed later (the paper's
 //! `MPI_Issend` / `MPI_Irecv` usage pattern — post sends and receives, do
-//! local work, then complete — maps onto this directly). `split_by`
-//! mirrors `MPI_Comm_split` for colors that are pure functions of rank,
-//! which is all the hierarchical scheme needs (socket and node membership
-//! are static).
+//! local work, then complete — maps onto this directly).
 //!
 //! Transport is a per-rank mailbox (`Mutex<VecDeque>` + `Condvar`) rather
 //! than an `mpsc` channel so that wire buffers can be *pooled*: a payload
@@ -671,26 +668,6 @@ impl Communicator {
         Ok(vals)
     }
 
-    /// Splits the world by a *pure* color function of rank (the
-    /// `MPI_Comm_split` analog): ranks with equal color form a
-    /// subcommunicator ordered by global rank. Requires no coordination
-    /// because every rank can evaluate every other rank's color.
-    pub fn split_by(&self, color: impl Fn(usize) -> usize) -> SubCommunicator<'_> {
-        let mine = color(self.rank);
-        let members: Vec<usize> = (0..self.size()).filter(|&r| color(r) == mine).collect();
-        let local_rank = members
-            .iter()
-            .position(|&r| r == self.rank)
-            // xct-allow(no-panic): infallible — self.rank satisfies its own color predicate
-            .expect("own rank always in own color group");
-        SubCommunicator {
-            world: self,
-            members,
-            local_rank,
-            color: mine,
-        }
-    }
-
     /// Simple dissemination barrier over the world communicator.
     pub fn barrier(&self, tag: u64) -> Result<(), CommError> {
         let _class = self.meter.scope_class(TrafficClass::Control);
@@ -857,64 +834,6 @@ impl Backoff {
 impl Default for Backoff {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// A subgroup of ranks created by [`Communicator::split_by`]; local ranks
-/// are positions in the sorted member list.
-pub struct SubCommunicator<'a> {
-    world: &'a Communicator,
-    members: Vec<usize>,
-    local_rank: usize,
-    color: usize,
-}
-
-impl SubCommunicator<'_> {
-    /// Rank within the subgroup.
-    pub fn local_rank(&self) -> usize {
-        self.local_rank
-    }
-
-    /// Subgroup size.
-    pub fn size(&self) -> usize {
-        self.members.len()
-    }
-
-    /// The color this subgroup was formed with.
-    pub fn color(&self) -> usize {
-        self.color
-    }
-
-    /// Global ranks of the members, ascending.
-    pub fn members(&self) -> &[usize] {
-        &self.members
-    }
-
-    /// Global rank of a local rank.
-    pub fn global(&self, local: usize) -> usize {
-        self.members[local]
-    }
-
-    /// Sends to a *local* rank. Tags are salted with the color so
-    /// same-tag traffic in different subgroups cannot collide.
-    pub fn send_vals<S: Wire>(
-        &self,
-        local_dst: usize,
-        tag: u64,
-        vals: &[S],
-    ) -> Result<(), CommError> {
-        self.world
-            .send_vals(self.members[local_dst], self.salt(tag), vals)
-    }
-
-    /// Receives from a *local* rank.
-    pub fn recv_vals<S: Wire>(&self, local_src: usize, tag: u64) -> Result<Vec<S>, CommError> {
-        self.world
-            .recv_vals(self.members[local_src], self.salt(tag))
-    }
-
-    fn salt(&self, tag: u64) -> u64 {
-        tag ^ (((self.color as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) << 8) & !REPLY_TAG_SALT)
     }
 }
 
@@ -1252,46 +1171,6 @@ mod tests {
             }
         });
         assert_eq!(results[1], 2);
-    }
-
-    #[test]
-    fn split_by_socket_colors() {
-        let results = run_ranks(6, |comm| {
-            let socket = comm.split_by(|r| r / 3);
-            // Exchange within socket: everyone sends rank to local 0.
-            if socket.local_rank() != 0 {
-                socket
-                    .send_vals::<f32>(0, 5, &[comm.rank() as f32])
-                    .unwrap();
-                -1.0
-            } else {
-                let mut sum = comm.rank() as f32;
-                for src in 1..socket.size() {
-                    sum += socket.recv_vals::<f32>(src, 5).unwrap()[0];
-                }
-                sum
-            }
-        });
-        assert_eq!(results[0], 3.0); // 0+1+2
-        assert_eq!(results[3], 12.0); // 3+4+5
-    }
-
-    #[test]
-    fn same_tag_in_different_subgroups_does_not_collide() {
-        // Global-rank senders use the same tag in two colors; salting
-        // keeps them separate even though the underlying world is shared.
-        let results = run_ranks(4, |comm| {
-            let sub = comm.split_by(|r| r % 2);
-            if sub.local_rank() == 0 {
-                sub.send_vals::<f32>(1, 42, &[comm.rank() as f32 + 100.0])
-                    .unwrap();
-                0.0
-            } else {
-                sub.recv_vals::<f32>(0, 42).unwrap()[0]
-            }
-        });
-        assert_eq!(results[2], 100.0);
-        assert_eq!(results[3], 101.0);
     }
 
     #[test]

@@ -46,28 +46,6 @@ pub struct SliceDecomposition {
 }
 
 impl SliceDecomposition {
-    /// Decomposes `scan`'s slice for `plan`: one Hilbert-ordered
-    /// subdomain per rank of the plan's topology. A plan carrying
-    /// measured [`xct_plan::TileWeights`] re-runs the tomogram
-    /// partition with them (the `--weights-from` rebalance path).
-    pub fn for_plan(
-        sm: &SystemMatrix,
-        scan: &ScanGeometry,
-        plan: &xct_plan::ReconPlan,
-        tile: usize,
-        kind: CurveKind,
-    ) -> Self {
-        let weights = plan.tile_weights.as_ref().map(|tw| {
-            assert_eq!(
-                tw.tile_size, tile,
-                "plan weights were measured at tile size {}, executor uses {}",
-                tw.tile_size, tile
-            );
-            tw.weights.as_slice()
-        });
-        Self::build_weighted(sm, scan, plan.ranks(), tile, kind, weights)
-    }
-
     /// Decomposes `scan`'s slice among `ranks` processes with square
     /// tiles of `tile` cells, ordered by `kind`.
     pub fn build(

@@ -108,20 +108,32 @@ impl Default for DistributedConfig {
 }
 
 impl DistributedConfig {
-    /// Configuration executing `plan`: topology, precision, exchange
-    /// mode, overlap, and fusing come from the plan; runtime knobs
-    /// (wire model, iterations, telemetry, plan verification) keep
-    /// their defaults for the caller to override afterwards.
-    pub fn from_plan(plan: &ReconPlan) -> Self {
-        DistributedConfig {
+    /// The configuration that executes `plan`: topology, precision,
+    /// exchange mode, overlap and fusing come from the plan, as do a
+    /// tuned kernel shape (`petaxct tune` → `--tune-from`) and measured
+    /// tile weights (`petaxct profile` → `--weights-from`, which also
+    /// fix the decomposition's tile size to the one they were measured
+    /// at) when it carries them; the runtime knobs a plan does not own —
+    /// wire model, iterations, telemetry, plan verification — come from
+    /// `base`.
+    pub fn from_plan(plan: &ReconPlan, base: &DistributedConfig) -> Self {
+        let mut cfg = DistributedConfig {
             topology: plan.topology,
             precision: plan.precision,
             fusing: plan.fusing,
             hierarchical: plan.hierarchical,
             overlap: plan.overlap,
-            tile_weights: plan.tile_weights.clone(),
-            ..Default::default()
+            ..base.clone()
+        };
+        if let Some(shape) = plan.kernel {
+            cfg.block_size = shape.block_size;
+            cfg.shared_bytes = shape.shared_bytes;
         }
+        if let Some(tw) = &plan.tile_weights {
+            cfg.tile = tw.tile_size;
+            cfg.tile_weights = Some(tw.clone());
+        }
+        cfg
     }
 }
 
@@ -172,14 +184,17 @@ fn max_abs(vals: &[f32]) -> f64 {
     f64::from(vals.iter().fold(0.0f32, |a, &v| a.max(v.abs())))
 }
 
-/// One rank's distributed operator: the rank's restricted matrix packed
-/// at the run's fusing factor — one fused kernel launch per apply and
-/// direction — plus compiled plan-driven exchanges per fused slice.
+/// One rank's distributed operator for one run: the set-up's packed
+/// restriction of the matrix at this run's fusing factor — one fused
+/// kernel launch per apply and direction — plus compiled plan-driven
+/// exchanges per fused slice.
 struct RankOperator<'a> {
     comm: &'a Communicator,
     cfg: &'a DistributedConfig,
     plans: &'a CompiledPlans,
-    local: PrecisionOperator,
+    local: &'a PrecisionOperator,
+    /// Slices fused in this run (the slab length).
+    fusing: usize,
     /// This rank's allreduce program on the run's topology.
     steps: AllreduceSteps,
     /// Reusable exchange buffers and the queue of in-flight exchanges; a
@@ -194,29 +209,25 @@ struct RankOperator<'a> {
 }
 
 impl<'a> RankOperator<'a> {
+    /// `local` is this rank's operator out of `setup`, packed at the
+    /// run's fusing factor.
     fn new(
         comm: &'a Communicator,
-        cfg: &'a DistributedConfig,
-        plans: &'a CompiledPlans,
-        decomp: &SliceDecomposition,
+        setup: &'a DistributedSetup,
+        local: &'a PrecisionOperator,
     ) -> Self {
         let rank = comm.rank();
-        let op_local = &decomp.local_ops[rank];
+        let decomp = &setup.decomp;
         RankOperator {
             comm,
-            cfg,
-            plans,
-            local: PrecisionOperator::new(
-                &op_local.csr,
-                cfg.precision,
-                cfg.fusing,
-                cfg.block_size,
-                cfg.shared_bytes,
-            ),
-            steps: AllreduceSteps::build(&cfg.topology, rank),
+            cfg: &setup.cfg,
+            plans: &setup.compiled,
+            local,
+            fusing: local.fusing(),
+            steps: AllreduceSteps::build(&setup.cfg.topology, rank),
             scratch: Mutex::new(ExchangeScratch::new()),
             rank,
-            footprint_len: op_local.rows.len(),
+            footprint_len: decomp.local_ops[rank].rows.len(),
             owned_rays_len: decomp.owned_rays[rank].len(),
             owned_vox_len: decomp.owned_voxels[rank].len(),
         }
@@ -240,7 +251,7 @@ impl<'a> RankOperator<'a> {
     fn apply_as<S: Wire>(&self, x: &[f32], y: &mut [f32], ctx: &mut ExecContext) {
         let rp = self.plans.rank(self.rank);
         let telemetry = self.comm.telemetry();
-        let fusing = self.cfg.fusing;
+        let fusing = self.fusing;
         let (fp, rays) = (self.footprint_len, self.owned_rays_len);
         let mut partial = ctx.workspace.take::<f32>(BufferRole::Forward, fp * fusing);
         // The fused launch and the collective work all slices at once:
@@ -301,7 +312,7 @@ impl<'a> RankOperator<'a> {
     fn apply_transpose_as<S: Wire>(&self, y: &[f32], x: &mut [f32], ctx: &mut ExecContext) {
         let rp = self.plans.rank(self.rank);
         let telemetry = self.comm.telemetry();
-        let fusing = self.cfg.fusing;
+        let fusing = self.fusing;
         let (fp, rays) = (self.footprint_len, self.owned_rays_len);
         let (factor, undo) = if self.cfg.precision.quantizes_to_half() {
             let mut global_max = [max_abs(y)];
@@ -344,11 +355,11 @@ impl<'a> RankOperator<'a> {
 
 impl LinearOperator for RankOperator<'_> {
     fn rows(&self) -> usize {
-        self.owned_rays_len * self.cfg.fusing
+        self.owned_rays_len * self.fusing
     }
 
     fn cols(&self) -> usize {
-        self.owned_vox_len * self.cfg.fusing
+        self.owned_vox_len * self.fusing
     }
 
     fn apply(&self, x: &[f32], y: &mut [f32], ctx: &mut ExecContext) {
@@ -405,121 +416,208 @@ fn record_rebalance_decision(
         .flight_point("rebalance.decision", moved, tomo.num_tiles() as u64);
 }
 
-/// Runs a complete distributed reconstruction of `fusing` slices that
-/// share the geometry `scan`. `sinogram` is slice-major
+/// Everything a distributed reconstruction computes from the geometry
+/// and the configuration alone, built once and reused by every batch of
+/// slices that streams through it (paper §III-A2: the Siddon matrix, the
+/// Hilbert decomposition and the communication structures are memoized
+/// per geometry): the slice decomposition with its per-rank restricted
+/// matrices, the compiled (and, under `verify_plans` or in debug builds,
+/// statically verified) exchange plans, and every rank's operator packed
+/// per distinct batch length.
+pub struct DistributedSetup {
+    cfg: DistributedConfig,
+    num_rays: usize,
+    num_voxels: usize,
+    decomp: SliceDecomposition,
+    compiled: CompiledPlans,
+    comm_elements: (u64, u64, u64),
+    /// `(fusing, operators ordered by rank)` for every batch length run
+    /// so far. A planned run has at most two: the plan's fusing and a
+    /// ragged last slab.
+    packed: Vec<(usize, Vec<PrecisionOperator>)>,
+}
+
+impl DistributedSetup {
+    /// Traces the Siddon matrix of `scan`, decomposes it among the ranks
+    /// of `cfg.topology` (weighted by `cfg.tile_weights` when present),
+    /// plans and compiles the partial-data exchange, and verifies the
+    /// compiled plan. `cfg.fusing` is not read: [`DistributedSetup::run`]
+    /// takes each batch's length.
+    ///
+    /// # Panics
+    /// Panics when the weights' tile size contradicts `cfg.tile`, or
+    /// with the full diagnostic listing when plan verification finds a
+    /// violation.
+    pub fn build(scan: &ScanGeometry, cfg: &DistributedConfig) -> Self {
+        let sm = SystemMatrix::build(scan);
+        let ranks = cfg.topology.size();
+        if let Some(tw) = &cfg.tile_weights {
+            assert_eq!(
+                tw.tile_size, cfg.tile,
+                "weights were measured at tile size {}, run uses {}",
+                tw.tile_size, cfg.tile
+            );
+            record_rebalance_decision(scan, ranks, cfg, &tw.weights);
+        }
+        let decomp = SliceDecomposition::build_weighted(
+            &sm,
+            scan,
+            ranks,
+            cfg.tile,
+            CurveKind::Hilbert,
+            cfg.tile_weights.as_ref().map(|tw| tw.weights.as_slice()),
+        );
+        let ownership = decomp.ray_ownership();
+        // Compile the plan once into per-peer index tables; every rank
+        // then executes pure index arithmetic with zero steady-state
+        // allocations. Debug builds always statically verify the plan
+        // before running it; release builds do so under `--verify-plans`.
+        let verify = cfg.verify_plans || cfg!(debug_assertions);
+        let (compiled, comm_elements) = if cfg.hierarchical {
+            let hier = HierarchicalPlan::build(&decomp.footprints, &ownership, &cfg.topology);
+            let compiled =
+                CompiledPlans::compile_hierarchical(&decomp.footprints, &ownership, &hier);
+            if verify {
+                xct_verify::verify_all_hierarchical(
+                    &decomp.footprints,
+                    &ownership,
+                    &cfg.topology,
+                    &hier,
+                    &compiled,
+                    cfg.overlap,
+                )
+                .assert_ok("communication plan");
+            }
+            (compiled, hier.level_elements())
+        } else {
+            let direct = DirectPlan::build(&decomp.footprints, &ownership);
+            let compiled = CompiledPlans::compile_direct(&decomp.footprints, &ownership, &direct);
+            if verify {
+                xct_verify::verify_all_direct(
+                    &decomp.footprints,
+                    &ownership,
+                    &cfg.topology,
+                    &direct,
+                    &compiled,
+                    cfg.overlap,
+                )
+                .assert_ok("communication plan");
+            }
+            (compiled, (0, 0, direct.total_elements()))
+        };
+        DistributedSetup {
+            cfg: cfg.clone(),
+            num_rays: sm.num_rays(),
+            num_voxels: sm.num_voxels(),
+            decomp,
+            compiled,
+            comm_elements,
+            packed: Vec::new(),
+        }
+    }
+
+    /// Index into `packed` of every rank's operator at `fusing`, packing
+    /// them first unless a previous batch of that length already did.
+    /// Runs on the calling thread, one rank after the other: the packed
+    /// matrices live as long as the set-up, and allocating them from
+    /// short-lived rank threads pins them in per-thread malloc arenas
+    /// (measured: +10 MiB peak RSS on the streamed benchmark workload;
+    /// EXPERIMENTS.md).
+    fn pack(&mut self, fusing: usize) -> usize {
+        if let Some(at) = self.packed.iter().position(|(f, _)| *f == fusing) {
+            return at;
+        }
+        let cfg = &self.cfg;
+        let operators = self
+            .decomp
+            .local_ops
+            .iter()
+            .map(|op| {
+                PrecisionOperator::new(
+                    &op.csr,
+                    cfg.precision,
+                    fusing,
+                    cfg.block_size,
+                    cfg.shared_bytes,
+                )
+            })
+            .collect();
+        self.packed.push((fusing, operators));
+        self.packed.len() - 1
+    }
+
+    /// Reconstructs one batch of `fusing` slices that share the
+    /// set-up's geometry. `sinogram` is slice-major
+    /// (`fusing × num_rays`). Returns the assembled volume. Batches are
+    /// independent: nothing but the memoized structures carries over
+    /// from one call to the next.
+    pub fn run(&mut self, sinogram: &[f32], fusing: usize) -> DistributedResult {
+        assert_eq!(
+            sinogram.len(),
+            self.num_rays * fusing,
+            "sinogram length mismatch"
+        );
+        let at = self.pack(fusing);
+        let setup = &*self;
+        let operators = &setup.packed[at].1;
+        let cfg = &setup.cfg;
+        let decomp = &setup.decomp;
+        let ranks = cfg.topology.size();
+        let outputs = run_ranks_traced_wired(ranks, &cfg.telemetry, cfg.wire, |comm| {
+            let rank_op = RankOperator::new(comm, setup, &operators[comm.rank()]);
+            let y_local = decomp.restrict_sinogram(sinogram, setup.num_rays, fusing, comm.rank());
+            // One context per rank — each simulated GPU owns its workspace.
+            // The rank's telemetry handle is the communicator's fork, so
+            // solver spans and exchange spans nest on one per-rank track.
+            let mut ctx = ExecContext::serial()
+                .with_precision(cfg.precision)
+                .with_telemetry(comm.telemetry().clone());
+            let report = cgls_in(
+                &rank_op,
+                &y_local,
+                &CglsConfig {
+                    max_iters: cfg.iterations,
+                    tolerance: 0.0,
+                    damping: 0.0,
+                },
+                &mut ctx,
+                &mut |products| rank_op.allreduce(TAG_INNER_PRODUCTS, ReduceOp::Sum, products),
+            );
+            (
+                report.x,
+                report.residual_history,
+                comm.comm_stats(),
+                ctx.counters,
+            )
+        });
+
+        let pieces: Vec<Vec<f32>> = outputs.iter().map(|(x, _, _, _)| x.clone()).collect();
+        let x = decomp.assemble_volume(&pieces, setup.num_voxels, fusing);
+        let comm_stats: Vec<RankCommStats> = outputs.iter().map(|(_, _, s, _)| s.clone()).collect();
+        let mut counters = ExecCounters::default();
+        for (_, _, _, c) in &outputs {
+            counters.merge(c);
+        }
+        DistributedResult {
+            x,
+            residual_history: outputs[0].1.clone(),
+            comm_elements: setup.comm_elements,
+            comm_stats,
+            counters,
+        }
+    }
+}
+
+/// Runs a complete distributed reconstruction of `cfg.fusing` slices
+/// that share the geometry `scan`: [`DistributedSetup::build`] followed
+/// by one [`DistributedSetup::run`]. `sinogram` is slice-major
 /// (`fusing × num_rays`). Returns the assembled volume.
 pub fn reconstruct_distributed(
     scan: &ScanGeometry,
     sinogram: &[f32],
     cfg: &DistributedConfig,
 ) -> DistributedResult {
-    let sm = SystemMatrix::build(scan);
-    assert_eq!(
-        sinogram.len(),
-        sm.num_rays() * cfg.fusing,
-        "sinogram length mismatch"
-    );
-    let ranks = cfg.topology.size();
-    if let Some(tw) = &cfg.tile_weights {
-        assert_eq!(
-            tw.tile_size, cfg.tile,
-            "weights were measured at tile size {}, run uses {}",
-            tw.tile_size, cfg.tile
-        );
-        record_rebalance_decision(scan, ranks, cfg, &tw.weights);
-    }
-    let decomp = SliceDecomposition::build_weighted(
-        &sm,
-        scan,
-        ranks,
-        cfg.tile,
-        CurveKind::Hilbert,
-        cfg.tile_weights.as_ref().map(|tw| tw.weights.as_slice()),
-    );
-    let ownership = decomp.ray_ownership();
-    let direct = DirectPlan::build(&decomp.footprints, &ownership);
-    let hier = HierarchicalPlan::build(&decomp.footprints, &ownership, &cfg.topology);
-
-    let comm_elements = if cfg.hierarchical {
-        hier.level_elements()
-    } else {
-        (0, 0, direct.total_elements())
-    };
-    // Compile the plan once into per-peer index tables; every rank then
-    // executes pure index arithmetic with zero steady-state allocations.
-    let compiled = if cfg.hierarchical {
-        CompiledPlans::compile_hierarchical(&decomp.footprints, &ownership, &hier)
-    } else {
-        CompiledPlans::compile_direct(&decomp.footprints, &ownership, &direct)
-    };
-    // Debug builds always statically verify the plan before running it;
-    // release builds do so under `--verify-plans`.
-    if cfg.verify_plans || cfg!(debug_assertions) {
-        let report = if cfg.hierarchical {
-            xct_verify::verify_all_hierarchical(
-                &decomp.footprints,
-                &ownership,
-                &cfg.topology,
-                &hier,
-                &compiled,
-                cfg.overlap,
-            )
-        } else {
-            xct_verify::verify_all_direct(
-                &decomp.footprints,
-                &ownership,
-                &cfg.topology,
-                &direct,
-                &compiled,
-                cfg.overlap,
-            )
-        };
-        report.assert_ok("communication plan");
-    }
-
-    let outputs = run_ranks_traced_wired(ranks, &cfg.telemetry, cfg.wire, |comm| {
-        let rank = comm.rank();
-        let rank_op = RankOperator::new(comm, cfg, &compiled, &decomp);
-        let y_local = decomp.restrict_sinogram(sinogram, sm.num_rays(), cfg.fusing, rank);
-        // One context per rank — each simulated GPU owns its workspace.
-        // The rank's telemetry handle is the communicator's fork, so
-        // solver spans and exchange spans nest on one per-rank track.
-        let mut ctx = ExecContext::serial()
-            .with_precision(cfg.precision)
-            .with_telemetry(comm.telemetry().clone());
-        let report = cgls_in(
-            &rank_op,
-            &y_local,
-            &CglsConfig {
-                max_iters: cfg.iterations,
-                tolerance: 0.0,
-                damping: 0.0,
-            },
-            &mut ctx,
-            &mut |products| rank_op.allreduce(TAG_INNER_PRODUCTS, ReduceOp::Sum, products),
-        );
-        (
-            report.x,
-            report.residual_history,
-            comm.comm_stats(),
-            ctx.counters,
-        )
-    });
-
-    let pieces: Vec<Vec<f32>> = outputs.iter().map(|(x, _, _, _)| x.clone()).collect();
-    let x = decomp.assemble_volume(&pieces, sm.num_voxels(), cfg.fusing);
-    let comm_stats: Vec<RankCommStats> = outputs.iter().map(|(_, _, s, _)| s.clone()).collect();
-    let mut counters = ExecCounters::default();
-    for (_, _, _, c) in &outputs {
-        counters.merge(c);
-    }
-    DistributedResult {
-        x,
-        residual_history: outputs[0].1.clone(),
-        comm_elements,
-        comm_stats,
-        counters,
-    }
+    DistributedSetup::build(scan, cfg).run(sinogram, cfg.fusing)
 }
 
 #[cfg(test)]
@@ -718,15 +816,9 @@ mod tests {
                 ..Default::default()
             };
             let ranks = cfg.topology.size();
-            let decomp = SliceDecomposition::build(&sm, &scan, ranks, cfg.tile, CurveKind::Hilbert);
-            let ownership = decomp.ray_ownership();
-            let compiled = if hierarchical {
-                let hier = HierarchicalPlan::build(&decomp.footprints, &ownership, &cfg.topology);
-                CompiledPlans::compile_hierarchical(&decomp.footprints, &ownership, &hier)
-            } else {
-                let direct = DirectPlan::build(&decomp.footprints, &ownership);
-                CompiledPlans::compile_direct(&decomp.footprints, &ownership, &direct)
-            };
+            let mut setup = DistributedSetup::build(&scan, &cfg);
+            let at = setup.pack(1);
+            let (setup, decomp) = (&setup, &setup.decomp);
             let x_global: Vec<f32> = (0..sm.num_voxels())
                 .map(|i| ((i * 23 + 7) % 41) as f32 / 41.0)
                 .collect();
@@ -735,7 +827,7 @@ mod tests {
                 .collect();
             let outputs = run_ranks(ranks, |comm| {
                 let rank = comm.rank();
-                let rank_op = RankOperator::new(comm, &cfg, &compiled, &decomp);
+                let rank_op = RankOperator::new(comm, setup, &setup.packed[at].1[comm.rank()]);
                 let mut ctx = ExecContext::serial();
                 let x_local: Vec<f32> = decomp.owned_voxels[rank]
                     .iter()

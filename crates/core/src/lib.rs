@@ -54,4 +54,6 @@ pub use drift::{build_profile_report, model_shares, ProfileInputs};
 pub use partition::{Partitioning, TableIComplexity};
 pub use recon::{Algorithm, ReconOptions, Reconstructor};
 pub use stream::{reconstruct_planned, PlannedOutcome, PlannedStats};
-pub use volume::{reconstruct_volume, reconstruct_volume_in, PipelineError, VolumeStats};
+pub use volume::{
+    reconstruct_volume_in, stream_slabs, PipelineError, SlabTotals, StreamOutcome, VolumeStats,
+};

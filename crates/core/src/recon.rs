@@ -39,11 +39,14 @@ pub enum Algorithm {
 /// Reconstruction options.
 #[derive(Debug, Clone, Copy)]
 pub struct ReconOptions {
+    /// The iterative algorithm (default: CGLS, the paper's solver).
+    pub algorithm: Algorithm,
     /// Precision mode (default: mixed — the paper's recommendation).
     pub precision: Precision,
     /// Slices reconstructed simultaneously through the fused kernels.
     pub fusing: usize,
-    /// CG iterations (paper: 24 for noisy data, 30 for benchmarks).
+    /// Solver iterations (paper: 24 CG iterations for noisy data, 30 for
+    /// benchmarks).
     pub iterations: usize,
     /// Tikhonov damping λ.
     pub damping: f64,
@@ -58,6 +61,7 @@ pub struct ReconOptions {
 impl Default for ReconOptions {
     fn default() -> Self {
         ReconOptions {
+            algorithm: Algorithm::Cgls,
             precision: Precision::Mixed,
             fusing: 1,
             iterations: 24,
@@ -134,53 +138,26 @@ impl Reconstructor {
         y
     }
 
-    /// Reconstructs `opts.fusing` slices from their sinograms
-    /// (slice-major, `fusing × num_rays`) with CGLS.
+    /// [`Reconstructor::reconstruct_in`] inside a fresh parallel
+    /// [`ExecContext`] (kernel launches fan out across cores).
     pub fn reconstruct(&self, sinogram: &[f32], opts: &ReconOptions) -> ReconResult {
-        self.reconstruct_with(sinogram, opts, Algorithm::Cgls)
+        self.reconstruct_in(sinogram, opts, &mut ExecContext::parallel())
     }
 
-    /// Reconstructs with an explicit [`Algorithm`].
+    /// Reconstructs `opts.fusing` slices from their sinograms
+    /// (slice-major, `fusing × num_rays`) with `opts.algorithm`, inside
+    /// a caller-owned [`ExecContext`] — repeated batches reuse the
+    /// context's warm workspace, and its telemetry handle (if enabled)
+    /// records solver and kernel phases. The context's precision is
+    /// aligned with `opts.precision` for the duration of the call.
     ///
     /// # Panics
     /// Panics on shape mismatches, or when TV is requested with
     /// `fusing > 1` (TV couples voxels within one slice grid).
-    pub fn reconstruct_with(
-        &self,
-        sinogram: &[f32],
-        opts: &ReconOptions,
-        algorithm: Algorithm,
-    ) -> ReconResult {
-        // One parallel context per reconstruction: kernel launches fan
-        // out across cores, and every iteration reuses its warm buffers.
-        let mut ctx = ExecContext::parallel();
-        self.reconstruct_with_in(sinogram, opts, algorithm, &mut ctx)
-    }
-
-    /// [`Reconstructor::reconstruct`] running inside a caller-owned
-    /// [`ExecContext`] — repeated batches reuse the context's warm
-    /// workspace, and its telemetry handle (if enabled) records solver
-    /// and kernel phases.
     pub fn reconstruct_in(
         &self,
         sinogram: &[f32],
         opts: &ReconOptions,
-        ctx: &mut ExecContext,
-    ) -> ReconResult {
-        self.reconstruct_with_in(sinogram, opts, Algorithm::Cgls, ctx)
-    }
-
-    /// [`Reconstructor::reconstruct_with`] running inside a caller-owned
-    /// [`ExecContext`]. The context's precision is aligned with
-    /// `opts.precision` for the duration of the call.
-    ///
-    /// # Panics
-    /// Same conditions as [`Reconstructor::reconstruct_with`].
-    pub fn reconstruct_with_in(
-        &self,
-        sinogram: &[f32],
-        opts: &ReconOptions,
-        algorithm: Algorithm,
         ctx: &mut ExecContext,
     ) -> ReconResult {
         assert_eq!(
@@ -199,7 +176,7 @@ impl Reconstructor {
             opts.shared_bytes,
         );
         ctx.precision = opts.precision;
-        let report = match algorithm {
+        let report = match opts.algorithm {
             Algorithm::Cgls => cgls_in(
                 &op,
                 sinogram,
@@ -332,14 +309,14 @@ mod tests {
             .collect();
         let y = recon.project(&truth);
         let err_of = |alg: Algorithm, iters: usize| {
-            let r = recon.reconstruct_with(
+            let r = recon.reconstruct(
                 &y,
                 &ReconOptions {
+                    algorithm: alg,
                     precision: Precision::Single,
                     iterations: iters,
                     ..Default::default()
                 },
-                alg,
             );
             let num: f64 =
                 r.x.iter()
@@ -376,15 +353,15 @@ mod tests {
         let scan = ScanGeometry::uniform(ImageGrid::square(8, 1.0), 8);
         let recon = Reconstructor::new(scan);
         let y = vec![0.0f32; recon.num_rays() * 2];
-        recon.reconstruct_with(
+        recon.reconstruct(
             &y,
             &ReconOptions {
+                algorithm: Algorithm::Tv {
+                    lambda: 1.0,
+                    epsilon: 0.01,
+                },
                 fusing: 2,
                 ..Default::default()
-            },
-            Algorithm::Tv {
-                lambda: 1.0,
-                epsilon: 0.01,
             },
         );
     }

@@ -1,22 +1,23 @@
 //! Plan-driven, optionally out-of-core distributed reconstruction:
-//! execute a [`ReconPlan`] slab by slab, paging non-resident slabs
-//! through `xct-io` while resident compute runs.
+//! execute a [`ReconPlan`] slab by slab through the one slab loop
+//! ([`crate::volume`]), paging non-resident slabs through `xct-io` while
+//! resident compute runs.
 //!
-//! The paper overlaps I/O with compute the same way it overlaps
-//! communication (§III-A2, §III-E): while slab `k` reconstructs, slab
-//! `k+1`'s sinogram prefetches on a background thread and slab `k-1`'s
-//! volume writes back on another. Slab boundaries — not data movement —
-//! determine the arithmetic: each slab runs the exact same multi-rank
-//! pipeline it would run fully resident with the same fusing, so a
-//! streamed run is bit-identical to an unconstrained run batched at the
-//! plan's fusing factor.
+//! The set-up — Siddon matrix, decomposition, compiled and verified
+//! exchange plans, packed rank operators — is a
+//! [`DistributedSetup`] built once per call; every slab streams through
+//! it. Slab boundaries — not data movement, and not what an earlier slab
+//! left behind — determine the arithmetic: each slab runs the exact same
+//! multi-rank pipeline a fresh [`crate::distributed::reconstruct_distributed`]
+//! call at that slab's length would, so a streamed run is bit-identical
+//! to an unconstrained run batched at the plan's fusing factor.
 
-use crate::distributed::{reconstruct_distributed, DistributedConfig};
-use crate::volume::PipelineError;
+use crate::distributed::{DistributedConfig, DistributedSetup};
+use crate::volume::{check, stream_slabs, PipelineError, StreamOutcome};
 use xct_comm::RankCommStats;
-use xct_exec::{ExecCounters, MetricId, Phase};
+use xct_exec::{ExecCounters, MetricId};
 use xct_geometry::ScanGeometry;
-use xct_io::{DeferredWriter, PrefetchReader, SliceReader, SliceWriter};
+use xct_io::{SliceReader, SliceWriter};
 use xct_plan::ReconPlan;
 
 /// Outcome of a plan-driven reconstruction.
@@ -36,36 +37,18 @@ pub struct PlannedStats {
     pub counters: ExecCounters,
 }
 
-/// [`reconstruct_planned`]'s result: the stats plus the drained reader
-/// and completed writer, returned so the caller can verify the input
-/// checksum and finish (checksum-seal) the output.
-pub struct PlannedOutcome {
-    /// Run statistics.
-    pub stats: PlannedStats,
-    /// The input reader, fully drained.
-    pub reader: SliceReader,
-    /// The output writer, all slices written but not yet finished.
-    pub writer: SliceWriter,
-}
-
-fn check(cond: bool, msg: impl FnOnce() -> String) -> Result<(), PipelineError> {
-    if cond {
-        Ok(())
-    } else {
-        Err(PipelineError::Geometry(msg()))
-    }
-}
+/// [`reconstruct_planned`]'s result.
+pub type PlannedOutcome = StreamOutcome<PlannedStats>;
 
 /// Executes `plan` against `scan`: reads each slab's sinogram from
 /// `reader`, reconstructs it on the plan's simulated topology, and
 /// writes its tomogram slices to `writer` in order.
 ///
-/// When the plan streams (more than one slab), the next slab's read and
-/// the previous slab's write run on background threads while the
-/// current slab computes. Runtime knobs the plan does not own — wire
-/// model, iteration count, telemetry, plan verification, kernel shape —
-/// come from `base`; the plan overrides topology, precision, exchange
-/// mode, overlap, and per-slab fusing.
+/// The next slab's read and the previous slab's write run on background
+/// threads while the current slab computes. Runtime knobs the plan does
+/// not own — wire model, iteration count, telemetry, plan verification —
+/// come from `base`; the rest from the plan
+/// ([`DistributedConfig::from_plan`]).
 pub fn reconstruct_planned(
     scan: &ScanGeometry,
     plan: &ReconPlan,
@@ -73,18 +56,10 @@ pub fn reconstruct_planned(
     writer: SliceWriter,
     base: &DistributedConfig,
 ) -> Result<PlannedOutcome, PipelineError> {
-    let num_rays = scan.angles.len() * scan.detector.channels;
-    let num_voxels = scan.grid.nx * scan.grid.nz;
     check(plan.dims.n == scan.detector.channels, || {
         format!(
             "plan made for n = {}, scan has {} channels",
             plan.dims.n, scan.detector.channels
-        )
-    })?;
-    check(reader.meta().slice_len == num_rays, || {
-        format!(
-            "file has {} scalars per slice, scan produces {num_rays}",
-            reader.meta().slice_len
         )
     })?;
     check(reader.meta().slices == plan.dims.slices, || {
@@ -94,48 +69,10 @@ pub fn reconstruct_planned(
             reader.meta().slices
         )
     })?;
-    check(writer.meta().slice_len == num_voxels, || {
-        format!(
-            "output expects {} scalars per slice, volume slices have {num_voxels}",
-            writer.meta().slice_len
-        )
-    })?;
-    check(writer.meta().slices == plan.dims.slices, || {
-        format!(
-            "plan covers {} slices, output file expects {}",
-            plan.dims.slices,
-            writer.meta().slices
-        )
-    })?;
     debug_assert!(plan.fits(), "executing an over-budget plan");
 
-    let mut cfg_base = DistributedConfig {
-        topology: plan.topology,
-        precision: plan.precision,
-        hierarchical: plan.hierarchical,
-        overlap: plan.overlap,
-        ..base.clone()
-    };
-    if let Some(shape) = plan.kernel {
-        // A tuned tile shape travels with the plan (petaxct tune →
-        // --tune-from) and overrides the executor defaults.
-        cfg_base.block_size = shape.block_size;
-        cfg_base.shared_bytes = shape.shared_bytes;
-    }
-    if let Some(tw) = &plan.tile_weights {
-        // Measured tile weights travel with the plan (petaxct profile →
-        // --weights-from); the decomposition must run at the tile size
-        // they were measured against.
-        cfg_base.tile = tw.tile_size;
-        cfg_base.tile_weights = Some(tw.clone());
-    }
-    let telemetry = cfg_base.telemetry.clone();
-    let streamed = plan.streaming();
-
-    // Publish the plan shape so progress reporting and budget-health
-    // gauges have denominators before the first slab lands.
-    telemetry.gauge_set(MetricId::ProgressSlabsTotal, plan.slabs.len() as f64);
-    telemetry.gauge_set(MetricId::ProgressItersPerSlab, cfg_base.iterations as f64);
+    let cfg = DistributedConfig::from_plan(plan, base);
+    let telemetry = cfg.telemetry.clone();
     #[allow(clippy::cast_precision_loss)] // gauges are approximate by nature
     {
         if let Some(budget) = plan.budget_bytes {
@@ -144,72 +81,41 @@ pub fn reconstruct_planned(
         telemetry.gauge_set(MetricId::PlanUsedBytes, plan.per_rank_bytes() as f64);
     }
 
-    let mut stats = PlannedStats {
-        slices: 0,
-        slabs: 0,
-        streamed,
-        worst_residual: 0.0,
-        comm_stats: Vec::new(),
-        counters: ExecCounters::default(),
-    };
-
-    let mut input = PrefetchReader::with_telemetry(reader, telemetry.clone());
-    let mut output = DeferredWriter::with_telemetry(writer, telemetry.clone());
-    if let Some(first) = plan.slabs.first() {
-        input.prefetch(first.len);
-    }
-    // xct-hot
-    for slab in &plan.slabs {
-        telemetry.gauge_set(MetricId::StreamSlabCurrent, slab.index as f64);
-        telemetry.profile_slab_set(slab.index as u32);
-        let data = {
-            let _io = telemetry.span(Phase::Io);
-            input.next(slab.len)?
-        }
-        .ok_or_else(|| {
-            // xct-allow(hot-alloc): cold error path — only reached when the input file is truncated
-            PipelineError::Geometry(format!("input exhausted before slab {}", slab.index))
-        })?;
-        // Kick off the next slab's read before this slab computes.
-        if let Some(next) = plan.slabs.get(slab.index + 1) {
-            input.prefetch(next.len);
-        }
-        let cfg = DistributedConfig {
-            fusing: slab.len,
-            ..cfg_base.clone()
-        };
-        let result = reconstruct_distributed(scan, &data, &cfg);
-        {
-            // Queue the write-back; blocks only on the previous slab's
-            // write, so the stall (if any) is what the span measures.
-            let _io = telemetry.span(Phase::Io);
-            output.write_slab(result.x)?;
-        }
-        stats.slices += slab.len;
-        stats.slabs += 1;
-        telemetry.metric_inc(MetricId::StreamSlabsDone);
-        telemetry.metric_add(MetricId::StreamSlicesDone, slab.len as u64);
-        stats.counters.merge(&result.counters);
-        for rank_stats in &result.comm_stats {
-            match stats
-                .comm_stats
-                .iter_mut()
-                .find(|m| m.rank == rank_stats.rank)
-            {
-                Some(m) => m.merge(rank_stats),
-                None => stats.comm_stats.push(rank_stats.clone()),
-            }
-        }
-        stats.worst_residual = stats
-            .worst_residual
-            .max(*result.residual_history.last().unwrap_or(&1.0));
-    }
-    let reader = input.into_inner()?;
-    let writer = output.into_inner()?;
-    Ok(PlannedOutcome {
-        stats,
+    let mut setup = DistributedSetup::build(scan, &cfg);
+    let mut comm_stats: Vec<RankCommStats> = Vec::new();
+    let mut counters = ExecCounters::default();
+    let slab_lens: Vec<usize> = plan.slabs.iter().map(|slab| slab.len).collect();
+    let outcome = stream_slabs(
+        scan,
         reader,
         writer,
+        &slab_lens,
+        cfg.iterations,
+        &telemetry,
+        |data, len| {
+            let result = setup.run(data, len);
+            counters.merge(&result.counters);
+            for rank_stats in &result.comm_stats {
+                match comm_stats.iter_mut().find(|m| m.rank == rank_stats.rank) {
+                    Some(m) => m.merge(rank_stats),
+                    None => comm_stats.push(rank_stats.clone()),
+                }
+            }
+            let residual = *result.residual_history.last().unwrap_or(&1.0);
+            (result.x, residual)
+        },
+    )?;
+    Ok(StreamOutcome {
+        stats: PlannedStats {
+            slices: outcome.stats.slices,
+            slabs: outcome.stats.slabs,
+            streamed: plan.streaming(),
+            worst_residual: outcome.stats.worst_residual,
+            comm_stats,
+            counters,
+        },
+        reader: outcome.reader,
+        writer: outcome.writer,
     })
 }
 
@@ -354,5 +260,59 @@ mod tests {
             Err(other) => panic!("expected geometry error, got {other:?}"),
             Ok(_) => panic!("mismatched plan must not run"),
         }
+    }
+
+    #[test]
+    fn set_up_is_built_once_for_all_slabs() {
+        // The rebalance decision is flight-recorded where the weighted
+        // decomposition is built; a three-slab run that rebuilt its
+        // set-up per slab would record it three times.
+        use xct_exec::Telemetry;
+        use xct_telemetry::FlightKind;
+        let n = 16;
+        let slices = 5;
+        let scan = ScanGeometry::uniform(ImageGrid::square(n, 1.0), 16);
+        let sino = tmp("once_in.xctd");
+        write_sinograms(&scan, slices, &sino);
+        let planner = Planner {
+            precision: Precision::Single,
+            max_fusing: slices,
+            ..Default::default()
+        };
+        let dims = VolumeDims { n, slices };
+        let topo = xct_comm::Topology::new(1, 2, 2);
+        let probe = planner.plan(dims, 16, None, topo).unwrap();
+        let budget = probe.matrix_bytes_per_rank() + 2 * probe.slice_bytes_per_rank();
+        let side = n.div_ceil(4);
+        let mut weights = vec![10u64; side * side];
+        weights[0] = 1_000;
+        let plan = planner
+            .plan(dims, 16, Some(budget), topo)
+            .unwrap()
+            .with_tile_weights(xct_plan::TileWeights {
+                tile_size: 4,
+                weights,
+            });
+        assert_eq!(plan.slabs.len(), 3);
+        let telemetry = Telemetry::enabled();
+        let outcome = reconstruct_planned(
+            &scan,
+            &plan,
+            SliceReader::open(&sino).unwrap(),
+            volume_writer(&tmp("once_out.xctd"), slices, n * n),
+            &DistributedConfig {
+                iterations: 2,
+                telemetry: telemetry.clone(),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(outcome.stats.slabs, 3);
+        let decisions = telemetry
+            .flight_snapshot()
+            .into_iter()
+            .filter(|e| e.kind == FlightKind::Point && e.code == "rebalance.decision")
+            .count();
+        assert_eq!(decisions, 1, "set-up must be built once per planned run");
     }
 }

@@ -1,16 +1,22 @@
-//! The 3D volume pipeline: stream sinogram slices from disk in I/O
-//! batches, reconstruct each batch through the fused kernels, stream the
-//! tomogram slices back out (paper §III-A2).
+//! The 3D volume pipeline: stream sinogram slices from disk slab by
+//! slab, reconstruct each slab, stream the tomogram slices back out
+//! (paper §III-A2).
 //!
-//! The paper partitions each batch into minibatches whose processing
-//! overlaps MPI and GPU work; here the I/O batch *is* the fused minibatch
-//! (one trip through the packed matrix reconstructs the whole batch
-//! simultaneously), and batches stream sequentially so memory stays
-//! bounded regardless of volume size.
+//! There is one read → solve → write loop, [`stream_slabs`]: while slab
+//! `k` reconstructs, slab `k+1`'s sinogram prefetches on a background
+//! thread and slab `k-1`'s volume writes back on another (the paper
+//! overlaps I/O with compute the same way it overlaps communication,
+//! §III-E). Memory stays bounded regardless of volume size. Its callers
+//! differ only in what solves a slab: the memoized serial
+//! [`Reconstructor`] here ([`reconstruct_volume_in`], where the I/O
+//! batch *is* the fused minibatch — one trip through the packed matrix
+//! reconstructs the whole batch), the multi-rank pipeline in
+//! [`crate::stream`], or a direct method (the CLI's `fbp`).
 
 use crate::recon::{ReconOptions, Reconstructor};
-use xct_exec::{ExecContext, Phase};
-use xct_io::{IoError, SliceReader, SliceWriter};
+use xct_exec::{ExecContext, MetricId, Phase, Telemetry};
+use xct_geometry::ScanGeometry;
+use xct_io::{DeferredWriter, IoError, PrefetchReader, SliceReader, SliceWriter};
 
 /// Outcome of a volume reconstruction.
 #[derive(Debug, Clone)]
@@ -51,79 +57,190 @@ impl From<IoError> for PipelineError {
     }
 }
 
-/// Streams `reader`'s sinogram slices through `recon` in I/O batches of
-/// `io_batch` slices, writing tomogram slices to `writer` in order.
-///
-/// `writer` must be created for the same slice count and
-/// `recon.num_voxels()` scalars per slice; the caller finishes it (so a
-/// trailer checksum is written) after this returns.
-pub fn reconstruct_volume(
-    recon: &Reconstructor,
-    reader: &mut SliceReader,
-    writer: &mut SliceWriter,
-    opts: &ReconOptions,
-    io_batch: usize,
-) -> Result<VolumeStats, PipelineError> {
-    let mut ctx = ExecContext::parallel();
-    reconstruct_volume_in(recon, reader, writer, opts, io_batch, &mut ctx)
+/// A finished file-to-volume run: the stats plus the drained reader and
+/// completed writer, returned so the caller can verify the input
+/// checksum and finish (checksum-seal) the output.
+pub struct StreamOutcome<S> {
+    /// Run statistics.
+    pub stats: S,
+    /// The input reader, fully drained.
+    pub reader: SliceReader,
+    /// The output writer, all slices written but not yet finished.
+    pub writer: SliceWriter,
 }
 
-/// [`reconstruct_volume`] running inside a caller-owned [`ExecContext`]:
-/// every batch reuses the context's warm workspace, and when its
+/// What [`stream_slabs`] counts itself; its callers add what only their
+/// solver knows.
+#[derive(Debug, Clone, Copy)]
+pub struct SlabTotals {
+    /// Slices reconstructed.
+    pub slices: usize,
+    /// Slabs processed.
+    pub slabs: usize,
+    /// Worst final relative residual `solve` reported across slabs.
+    pub worst_residual: f64,
+}
+
+pub(crate) fn check(cond: bool, msg: impl FnOnce() -> String) -> Result<(), PipelineError> {
+    if cond {
+        Ok(())
+    } else {
+        Err(PipelineError::Geometry(msg()))
+    }
+}
+
+/// The one read → solve → write loop. Reads `slab_lens[k]` sinogram
+/// slices of `scan`'s geometry from `reader`, hands them to `solve`
+/// (data, slice count) → (slice-major volume, final relative residual),
+/// and writes the volume to `writer`, in order. The next slab's read and
+/// the previous slab's write run on background threads while the
+/// current slab solves. `iterations` is each slab's solver iteration
+/// budget, published with the slab count so progress reporting has its
+/// denominators before the first slab lands.
+pub fn stream_slabs(
+    scan: &ScanGeometry,
+    reader: SliceReader,
+    writer: SliceWriter,
+    slab_lens: &[usize],
+    iterations: usize,
+    telemetry: &Telemetry,
+    mut solve: impl FnMut(&[f32], usize) -> (Vec<f32>, f64),
+) -> Result<StreamOutcome<SlabTotals>, PipelineError> {
+    let num_rays = scan.angles.len() * scan.detector.channels;
+    let num_voxels = scan.grid.nx * scan.grid.nz;
+    check(reader.meta().slice_len == num_rays, || {
+        format!(
+            "file has {} scalars per slice, scan produces {num_rays}",
+            reader.meta().slice_len
+        )
+    })?;
+    check(writer.meta().slice_len == num_voxels, || {
+        format!(
+            "output expects {} scalars per slice, volume slices have {num_voxels}",
+            writer.meta().slice_len
+        )
+    })?;
+    let slices: usize = slab_lens.iter().sum();
+    check(reader.meta().slices == slices, || {
+        format!(
+            "slabs cover {slices} slices, file holds {}",
+            reader.meta().slices
+        )
+    })?;
+    check(writer.meta().slices == slices, || {
+        format!(
+            "slabs cover {slices} slices, output file expects {}",
+            writer.meta().slices
+        )
+    })?;
+    telemetry.gauge_set(MetricId::ProgressSlabsTotal, slab_lens.len() as f64);
+    telemetry.gauge_set(MetricId::ProgressItersPerSlab, iterations as f64);
+
+    let mut totals = SlabTotals {
+        slices: 0,
+        slabs: 0,
+        worst_residual: 0.0,
+    };
+    let mut input = PrefetchReader::with_telemetry(reader, telemetry.clone());
+    let mut output = DeferredWriter::with_telemetry(writer, telemetry.clone());
+    if let Some(&first) = slab_lens.first() {
+        input.prefetch(first);
+    }
+    // xct-hot
+    for (index, &len) in slab_lens.iter().enumerate() {
+        telemetry.gauge_set(MetricId::StreamSlabCurrent, index as f64);
+        telemetry.profile_slab_set(index as u32);
+        let data = {
+            let _io = telemetry.span(Phase::Io);
+            input.next(len)?
+        }
+        .ok_or_else(|| {
+            // xct-allow(hot-alloc): cold error path — only reached when the input file is truncated
+            PipelineError::Geometry(format!("input exhausted before slab {index}"))
+        })?;
+        // Kick off the next slab's read before this slab computes.
+        if let Some(&next) = slab_lens.get(index + 1) {
+            input.prefetch(next);
+        }
+        let (x, residual) = solve(&data, len);
+        {
+            // Queue the write-back; blocks only on the previous slab's
+            // write, so the stall (if any) is what the span measures.
+            let _io = telemetry.span(Phase::Io);
+            output.write_slab(x)?;
+        }
+        totals.slices += len;
+        totals.slabs += 1;
+        totals.worst_residual = totals.worst_residual.max(residual);
+        telemetry.metric_inc(MetricId::StreamSlabsDone);
+        telemetry.metric_add(MetricId::StreamSlicesDone, len as u64);
+    }
+    Ok(StreamOutcome {
+        stats: totals,
+        reader: input.into_inner()?,
+        writer: output.into_inner()?,
+    })
+}
+
+/// Streams `reader`'s sinogram slices through `recon` in I/O batches of
+/// `io_batch` slices (the last one possibly shorter), writing tomogram
+/// slices to `writer` in order. Every batch is one
+/// [`Reconstructor::reconstruct_in`] call fused over the whole batch
+/// with `opts.algorithm`, reusing `ctx`'s warm workspace; when its
 /// telemetry handle is enabled the read/solve/write pipeline is recorded
 /// as spans ([`Phase::Io`] around file traffic, solver phases inside the
 /// reconstruction).
+///
+/// `writer` must be created for the same slice count and
+/// `recon.num_voxels()` scalars per slice; the caller finishes the
+/// returned writer (so a trailer checksum is written).
 pub fn reconstruct_volume_in(
     recon: &Reconstructor,
-    reader: &mut SliceReader,
-    writer: &mut SliceWriter,
+    reader: SliceReader,
+    writer: SliceWriter,
     opts: &ReconOptions,
     io_batch: usize,
     ctx: &mut ExecContext,
-) -> Result<VolumeStats, PipelineError> {
-    if reader.meta().slice_len != recon.num_rays() {
-        return Err(PipelineError::Geometry(format!(
-            "file has {} scalars per slice, scan produces {}",
-            reader.meta().slice_len,
-            recon.num_rays()
-        )));
-    }
-    let mut stats = VolumeStats {
-        slices: 0,
-        batches: 0,
-        worst_residual: 0.0,
-        total_iterations: 0,
-    };
-    loop {
-        let batch = {
-            let _io = ctx.telemetry.span(Phase::Io);
-            reader.read_batch(io_batch)?
-        };
-        let Some(batch) = batch else { break };
-        let fusing = batch.len() / recon.num_rays();
-        let result = recon.reconstruct_in(&batch, &ReconOptions { fusing, ..*opts }, ctx);
-        {
-            let _io = ctx.telemetry.span(Phase::Io);
-            for f in 0..fusing {
-                writer
-                    .write_slice(&result.x[f * recon.num_voxels()..(f + 1) * recon.num_voxels()])?;
-            }
-        }
-        stats.slices += fusing;
-        stats.batches += 1;
-        stats.total_iterations += result.report.iterations;
-        stats.worst_residual = stats
-            .worst_residual
-            .max(*result.report.residual_history.last().unwrap_or(&1.0));
-    }
-    Ok(stats)
+) -> Result<StreamOutcome<VolumeStats>, PipelineError> {
+    let slices = reader.meta().slices;
+    let io_batch = io_batch.max(1);
+    let slab_lens: Vec<usize> = (0..slices)
+        .step_by(io_batch)
+        .map(|start| io_batch.min(slices - start))
+        .collect();
+    let telemetry = ctx.telemetry.clone();
+    let mut total_iterations = 0;
+    let outcome = stream_slabs(
+        recon.scan(),
+        reader,
+        writer,
+        &slab_lens,
+        opts.iterations,
+        &telemetry,
+        |data, fusing| {
+            let result = recon.reconstruct_in(data, &ReconOptions { fusing, ..*opts }, ctx);
+            total_iterations += result.report.iterations;
+            let residual = *result.report.residual_history.last().unwrap_or(&1.0);
+            (result.x, residual)
+        },
+    )?;
+    Ok(StreamOutcome {
+        stats: VolumeStats {
+            slices: outcome.stats.slices,
+            batches: outcome.stats.slabs,
+            worst_residual: outcome.stats.worst_residual,
+            total_iterations,
+        },
+        reader: outcome.reader,
+        writer: outcome.writer,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use xct_fp16::Precision;
-    use xct_geometry::{ImageGrid, ScanGeometry};
+    use xct_geometry::ImageGrid;
     use xct_io::{FileKind, SliceFile};
     use xct_phantom::shale_like;
 
@@ -164,8 +281,8 @@ mod tests {
         let vol_path = tmp("vol_out.xctd");
         let truths = build_dataset(&recon, slices, &sino_path);
 
-        let mut reader = SliceReader::open(&sino_path).unwrap();
-        let mut writer = SliceWriter::create(
+        let reader = SliceReader::open(&sino_path).unwrap();
+        let writer = SliceWriter::create(
             &vol_path,
             SliceFile {
                 kind: FileKind::Volume,
@@ -175,20 +292,22 @@ mod tests {
             },
         )
         .unwrap();
-        let stats = reconstruct_volume(
+        let outcome = reconstruct_volume_in(
             &recon,
-            &mut reader,
-            &mut writer,
+            reader,
+            writer,
             &ReconOptions {
                 precision: Precision::Mixed,
                 iterations: 25,
                 ..Default::default()
             },
             4,
+            &mut ExecContext::parallel(),
         )
         .unwrap();
-        reader.verify_checksum().unwrap();
-        writer.finish().unwrap();
+        outcome.reader.verify_checksum().unwrap();
+        outcome.writer.finish().unwrap();
+        let stats = outcome.stats;
 
         assert_eq!(stats.slices, slices);
         assert_eq!(stats.batches, 3); // 4 + 4 + 2
@@ -224,9 +343,9 @@ mod tests {
         let mut w = SliceWriter::create(&path, meta).unwrap();
         w.write_slice(&vec![0.0; 99]).unwrap();
         w.finish().unwrap();
-        let mut reader = SliceReader::open(&path).unwrap();
+        let reader = SliceReader::open(&path).unwrap();
         let vol_path = tmp("mismatch_out.xctd");
-        let mut writer = SliceWriter::create(
+        let writer = SliceWriter::create(
             &vol_path,
             SliceFile {
                 kind: FileKind::Volume,
@@ -236,15 +355,19 @@ mod tests {
             },
         )
         .unwrap();
-        match reconstruct_volume(
+        match reconstruct_volume_in(
             &recon,
-            &mut reader,
-            &mut writer,
+            reader,
+            writer,
             &ReconOptions::default(),
             2,
+            &mut ExecContext::parallel(),
         ) {
             Err(PipelineError::Geometry(m)) => assert!(m.contains("99")),
-            other => panic!("expected geometry error, got {:?}", other.map(|s| s.slices)),
+            other => panic!(
+                "expected geometry error, got {:?}",
+                other.map(|o| o.stats.slices)
+            ),
         }
     }
 }

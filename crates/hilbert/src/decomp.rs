@@ -250,47 +250,6 @@ impl TileDecomposition {
         subdomains
     }
 
-    /// Two-level partition: first among `processes`, then each process's
-    /// run among `blocks` thread blocks (Fig 4c). Returns
-    /// `result[process][block]`.
-    pub fn partition_two_level(&self, processes: usize, blocks: usize) -> Vec<Vec<Subdomain>> {
-        self.partition(processes)
-            .into_iter()
-            .map(|sub| {
-                // Re-partition the process's tile run by cell count.
-                let total: usize = sub.cells;
-                let mut out = Vec::with_capacity(blocks);
-                let mut iter = sub.tiles.iter().copied().peekable();
-                let mut used = 0usize;
-                for id in 0..blocks {
-                    let target = (total * (id + 1)).div_ceil(blocks);
-                    let mut tiles = Vec::new();
-                    let mut cells = 0usize;
-                    while let Some(&t) = iter.peek() {
-                        if used + cells >= target && !tiles.is_empty() {
-                            break;
-                        }
-                        if used + cells >= target {
-                            break;
-                        }
-                        tiles.push(t);
-                        cells += self.tile_cells(t);
-                        iter.next();
-                    }
-                    used += cells;
-                    out.push(Subdomain { id, tiles, cells });
-                }
-                if let Some(last) = out.last_mut() {
-                    for t in iter {
-                        last.cells += self.tile_cells(t);
-                        last.tiles.push(t);
-                    }
-                }
-                out
-            })
-            .collect()
-    }
-
     /// The curve rank of the tile containing cell `(x, y)`.
     pub fn tile_rank_of_cell(&self, x: usize, y: usize) -> usize {
         debug_assert!(x < self.domain.width && y < self.domain.height);
@@ -389,22 +348,6 @@ mod tests {
                 s.id,
                 s.cells
             );
-        }
-    }
-
-    #[test]
-    fn two_level_partition_nests() {
-        let d = decomp(128, 128, 8);
-        let nested = d.partition_two_level(4, 8);
-        assert_eq!(nested.len(), 4);
-        let flat = d.partition(4);
-        for (proc_id, blocks) in nested.iter().enumerate() {
-            assert_eq!(blocks.len(), 8);
-            let tiles: Vec<_> = blocks
-                .iter()
-                .flat_map(|b| b.tiles.iter().copied())
-                .collect();
-            assert_eq!(tiles, flat[proc_id].tiles, "process {proc_id} run differs");
         }
     }
 

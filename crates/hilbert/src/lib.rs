@@ -21,13 +21,11 @@
 #![warn(missing_docs)]
 
 mod curve;
-mod curve3d;
 mod decomp;
 mod metrics;
 
 pub use curve::{
     gilbert_order, hilbert_d2xy, hilbert_xy2d, morton_order, row_major_order, CurveKind,
 };
-pub use curve3d::gilbert_order_3d;
 pub use decomp::{Domain2D, Subdomain, TileCoord, TileDecomposition};
 pub use metrics::{average_adjacency, bounding_box_area, locality_score};

@@ -52,7 +52,6 @@
 #![allow(clippy::cast_possible_truncation)]
 use crate::deadlock::{CommOp, CommProgram};
 use crate::tags::TagClaimSet;
-use crate::transfer_safety::{rehome_slice, RehomedSlice, SliceSteal};
 use xct_comm::{
     AllreduceSteps, Communicator, CompiledPlans, DirectPlan, Footprints, Leg, LevelProgram,
     Ownership, RankPlan, ReductionStep, StepKind, Topology,
@@ -493,75 +492,4 @@ pub fn read_before_finish_schedule() -> Vec<crate::lifetime::ScratchOp> {
         .expect("schedule finishes slice 0");
     ops.swap(wait, wait + 1);
     ops
-}
-
-/// A hierarchical fixture for the work-stealing artifacts: 1 node ×
-/// 2 sockets × 2 GPUs, heavily overlapping footprints so every pair of
-/// ranks exchanges traffic at every level.
-pub fn steal_fixture() -> (CompiledPlans, Topology) {
-    let topo = Topology::new(1, 2, 2);
-    let owner: Vec<u32> = (0..16u32).map(|r| r / 4).collect();
-    let fp: Vec<Vec<u32>> = (0..4usize)
-        .map(|p| {
-            (0..16u32)
-                .filter(|&r| (r as usize * 5 + p * 3) % 4 < 3)
-                .collect()
-        })
-        .collect();
-    let fp = Footprints::new(fp);
-    let own = Ownership::new(owner, 4);
-    let plan = xct_comm::HierarchicalPlan::build(&fp, &own, &topo);
-    (CompiledPlans::compile_hierarchical(&fp, &own, &plan), topo)
-}
-
-/// Steal mutation: the thief lives on the other socket —
-/// `CrossSocketSteal { from: 0, to: 2 }` (sockets 0 → 1).
-pub fn cross_socket_steal() -> (CompiledPlans, Topology, RehomedSlice) {
-    let (plans, topo) = steal_fixture();
-    let steal = SliceSteal {
-        slice: 0,
-        from: 0,
-        to: 2,
-    };
-    let rehomed = rehome_slice(&plans, steal);
-    (plans, topo, rehomed)
-}
-
-/// Steal mutation: the re-homed transfers keep their *original* level
-/// tags (the `TAG_STEAL` bit stripped), so the thief's own concurrent
-/// traffic cross-matches them — `TagCollision`.
-pub fn tag_colliding_steal() -> (CompiledPlans, Topology, RehomedSlice) {
-    let (plans, topo) = steal_fixture();
-    let mut rehomed = rehome_slice(
-        &plans,
-        SliceSteal {
-            slice: 0,
-            from: 0,
-            to: 1,
-        },
-    );
-    for t in &mut rehomed.transfers {
-        t.tag &= !xct_comm::TAG_STEAL;
-    }
-    (plans, topo, rehomed)
-}
-
-/// Steal mutation: the rewrite covered the forward pipeline but forgot
-/// the scatter direction — those payloads are still addressed at the
-/// vacated rank, `RehomingGap`.
-pub fn truncated_rehoming() -> (CompiledPlans, Topology, RehomedSlice) {
-    let (plans, topo) = steal_fixture();
-    let mut rehomed = rehome_slice(
-        &plans,
-        SliceSteal {
-            slice: 0,
-            from: 0,
-            to: 1,
-        },
-    );
-    use crate::diag::ExchangeLevel as L;
-    rehomed
-        .transfers
-        .retain(|t| matches!(t.level, L::Socket | L::Node | L::Global));
-    (plans, topo, rehomed)
 }

@@ -275,29 +275,6 @@ pub enum ViolationKind {
         /// Outstanding writes (posted irecvs not yet waited).
         pending: usize,
     },
-    /// A slice re-homing crosses a socket boundary: the work-stealing
-    /// precondition only holds between NVLink-connected siblings.
-    CrossSocketSteal {
-        /// The overloaded rank giving up the slice.
-        from: usize,
-        /// The would-be thief.
-        to: usize,
-        /// Global socket index of `from`.
-        from_socket: usize,
-        /// Global socket index of `to`.
-        to_socket: usize,
-    },
-    /// A re-homed slice still has a transfer addressed at the vacated
-    /// rank: the rewrite was not total, so that payload is lost (or
-    /// waited on forever) after the move.
-    RehomingGap {
-        /// The rank whose program still references the vacated rank.
-        rank: usize,
-        /// The vacated rank that should no longer appear.
-        vacated: usize,
-        /// The stale transfer's tag.
-        tag: u64,
-    },
 }
 
 impl fmt::Display for ViolationKind {
@@ -401,19 +378,6 @@ impl fmt::Display for ViolationKind {
             } => write!(
                 f,
                 "lifetime: `{buffer}` of slice {slice} read with {pending} in-flight write(s) pending"
-            ),
-            ViolationKind::CrossSocketSteal {
-                from,
-                to,
-                from_socket,
-                to_socket,
-            } => write!(
-                f,
-                "steal {from}→{to} crosses sockets {from_socket}→{to_socket}; re-homing must stay socket-local"
-            ),
-            ViolationKind::RehomingGap { rank, vacated, tag } => write!(
-                f,
-                "re-homing gap: rank {rank} still has a transfer for vacated rank {vacated} (tag {tag:#x})"
             ),
         }
     }

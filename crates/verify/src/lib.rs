@@ -25,14 +25,12 @@
 //!   fusing factor keeps slice tag salts out of the reply namespace).
 //!   Violations are structured [`Violation`]s with witnesses, never
 //!   booleans.
-//! * **Abstract interpretation** ([`absint`], [`lifetime`],
-//!   [`transfer_safety`]) interprets the compiled index programs over
-//!   abstract domains instead of executing them: interval bounds proofs
-//!   for every Transfer table access, scratch-region lifetime tracking
-//!   across the split `begin`/`finish` overlap windows (no read of a
-//!   region with pending in-flight writes), and the work-stealing
-//!   precondition — a socket-local slice re-homing preserves
-//!   conservation and tag disjointness (DESIGN.md §3i).
+//! * **Abstract interpretation** ([`absint`], [`lifetime`]) interprets
+//!   the compiled index programs over abstract domains instead of
+//!   executing them: interval bounds proofs for every Transfer table
+//!   access, and scratch-region lifetime tracking across the split
+//!   `begin`/`finish` overlap windows (no read of a region with pending
+//!   in-flight writes; DESIGN.md §3i).
 //! * **Schedule exploration** ([`explore`]) runs real rank bodies under
 //!   seeded chaos schedules (jitter + delay-one-message), making timing
 //!   bugs that static analysis cannot see — wrong *progress logic*
@@ -59,7 +57,6 @@ pub mod lifetime;
 pub mod plan_check;
 pub mod plan_fits;
 pub mod tags;
-pub mod transfer_safety;
 
 pub use absint::verify_bounds;
 pub use compiled_check::verify_compiled;
@@ -71,9 +68,6 @@ pub use plan_check::{verify_direct, verify_hierarchical, verify_reduce_step};
 pub use plan_fits::plan_fits;
 pub use tags::{
     claims_for_compiled, slice_salt, verify_tags, TagClaim, TagClaimSet, COLLECTIVE_TAGS,
-};
-pub use transfer_safety::{
-    rehome_slice, verify_transfer_safety, RehomedSlice, RehomedTransfer, SliceSteal,
 };
 
 use xct_comm::{CompiledPlans, DirectPlan, Footprints, HierarchicalPlan, Ownership, Topology};

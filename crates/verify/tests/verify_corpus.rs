@@ -542,64 +542,3 @@ fn read_before_finish_is_a_pending_write_read() {
         "expected acc read with 3 pending writes, got: {report}"
     );
 }
-
-#[test]
-fn cross_socket_steal_is_rejected() {
-    let (plans, topo, rehomed) = xct_verify::corpus::cross_socket_steal();
-    let report = xct_verify::verify_transfer_safety(&plans, &topo, &[0, 1], &rehomed);
-    assert!(
-        report.violations.iter().any(|v| matches!(
-            v.kind,
-            xct_verify::ViolationKind::CrossSocketSteal {
-                from: 0,
-                to: 2,
-                from_socket: 0,
-                to_socket: 1
-            }
-        )),
-        "expected cross-socket witness, got: {report}"
-    );
-}
-
-#[test]
-fn tag_colliding_steal_is_rejected() {
-    let (plans, topo, rehomed) = xct_verify::corpus::tag_colliding_steal();
-    let report = xct_verify::verify_transfer_safety(&plans, &topo, &[0, 1], &rehomed);
-    assert!(
-        report.violations.iter().any(|v| matches!(
-            &v.kind,
-            xct_verify::ViolationKind::TagCollision { second, .. }
-                if second.contains("stolen slice 0")
-        )),
-        "expected a collision against the stolen slice, got: {report}"
-    );
-}
-
-#[test]
-fn truncated_rehoming_is_rejected_with_the_stale_tag() {
-    let (plans, topo, rehomed) = xct_verify::corpus::truncated_rehoming();
-    let report = xct_verify::verify_transfer_safety(&plans, &topo, &[0, 1], &rehomed);
-    assert!(
-        report.violations.iter().any(|v| matches!(
-            v.kind,
-            xct_verify::ViolationKind::RehomingGap { vacated: 0, .. }
-        )),
-        "expected a re-homing gap naming the vacated rank, got: {report}"
-    );
-}
-
-#[test]
-fn legal_steal_fixture_rehoming_verifies_cleanly() {
-    // The same fixture the mutations corrupt must pass untouched — the
-    // work-stealing precondition the ROADMAP item needs.
-    let (plans, topo) = xct_verify::corpus::steal_fixture();
-    let steal = xct_verify::SliceSteal {
-        slice: 0,
-        from: 0,
-        to: 1,
-    };
-    let rehomed = xct_verify::rehome_slice(&plans, steal);
-    assert!(!rehomed.transfers.is_empty());
-    let report = xct_verify::verify_transfer_safety(&plans, &topo, &[0, 1, 2], &rehomed);
-    assert!(report.ok(), "{report}");
-}

@@ -1,13 +1,16 @@
 //! End-to-end file pipeline with I/O batching (paper §III-A2): write a
-//! measurement file in half precision, stream it back in I/O batches,
-//! reconstruct each batch through the fused kernels, and write the
-//! volume file — then render one slice as a PGM for inspection.
+//! measurement file in half precision, stream it through
+//! `reconstruct_volume_in` — I/O batches prefetched and written back on
+//! background threads, each batch one pass through the fused kernels —
+//! into the volume file, then check the volume against the phantoms and
+//! render one slice as a PGM for inspection.
 //!
 //! ```sh
 //! cargo run --release --example file_pipeline
 //! ```
 
-use petaxct::core::{ReconOptions, Reconstructor};
+use petaxct::core::{reconstruct_volume_in, ReconOptions, Reconstructor};
+use petaxct::exec::ExecContext;
 use petaxct::fp16::Precision;
 use petaxct::geometry::{ImageGrid, ScanGeometry};
 use petaxct::io::{FileKind, SliceFile, SliceReader, SliceWriter};
@@ -48,58 +51,53 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- reconstruction: stream batches, reconstruct, write volume -----
-    let mut reader = SliceReader::open(&sino_path)?;
-    assert_eq!(reader.meta().slice_len, recon.num_rays());
     let vol_meta = SliceFile {
         kind: FileKind::Volume,
         precision: Precision::Half,
         slices,
         slice_len: recon.num_voxels(),
     };
-    let mut vol_writer = SliceWriter::create(&vol_path, vol_meta)?;
-    let mut batch_idx = 0;
+    let outcome = reconstruct_volume_in(
+        &recon,
+        SliceReader::open(&sino_path)?,
+        SliceWriter::create(&vol_path, vol_meta)?,
+        &ReconOptions {
+            precision: Precision::Mixed,
+            iterations: 30,
+            ..Default::default()
+        },
+        io_batch,
+        &mut ExecContext::parallel(),
+    )?;
+    outcome.reader.verify_checksum()?;
+    outcome.writer.finish()?;
+    println!(
+        "reconstructed {} slices in {} fused batches (worst residual {:.5}); volume written to {}",
+        outcome.stats.slices,
+        outcome.stats.batches,
+        outcome.stats.worst_residual,
+        vol_path.display()
+    );
+
+    // --- accuracy: read the volume back against the phantoms -----------
+    let mut vol_reader = SliceReader::open(&vol_path)?;
+    let volume = vol_reader.read_batch(slices)?.expect("volume has slices");
+    vol_reader.verify_checksum()?;
     let mut worst_err = 0.0f64;
-    let mut done = 0usize;
-    while let Some(batch) = reader.read_batch(io_batch)? {
-        let fusing = batch.len() / recon.num_rays();
-        let result = recon.reconstruct(
-            &batch,
-            &ReconOptions {
-                precision: Precision::Mixed,
-                fusing,
-                iterations: 30,
-                ..Default::default()
-            },
-        );
-        for f in 0..fusing {
-            let piece = &result.x[f * recon.num_voxels()..(f + 1) * recon.num_voxels()];
-            vol_writer.write_slice(piece)?;
-            let truth = &truths[done + f];
-            let num: f64 = piece
-                .iter()
-                .zip(&truth.data)
-                .map(|(&a, &b)| (f64::from(a) - f64::from(b)).powi(2))
-                .sum();
-            let den: f64 = truth.data.iter().map(|&v| f64::from(v).powi(2)).sum();
-            worst_err = worst_err.max((num / den).sqrt());
-        }
-        done += fusing;
-        println!(
-            "batch {batch_idx}: reconstructed {fusing} slices fused (residual {:.5})",
-            result.report.residual_history.last().unwrap()
-        );
-        batch_idx += 1;
+    for (piece, truth) in volume.chunks_exact(recon.num_voxels()).zip(&truths) {
+        let num: f64 = piece
+            .iter()
+            .zip(&truth.data)
+            .map(|(&a, &b)| (f64::from(a) - f64::from(b)).powi(2))
+            .sum();
+        let den: f64 = truth.data.iter().map(|&v| f64::from(v).powi(2)).sum();
+        worst_err = worst_err.max((num / den).sqrt());
     }
-    reader.verify_checksum()?;
-    vol_writer.finish()?;
-    println!("volume written to {}", vol_path.display());
     println!("worst per-slice relative error: {worst_err:.4}");
     assert!(worst_err < 0.25, "pipeline accuracy check");
 
     // --- inspection: render the first slice ----------------------------
-    let mut vol_reader = SliceReader::open(&vol_path)?;
-    let first = vol_reader.read_batch(1)?.expect("volume has slices");
-    let img = Image2D::from_data(n, n, first);
+    let img = Image2D::from_data(n, n, volume[..recon.num_voxels()].to_vec());
     let pgm = dir.join("slice0.pgm");
     img.write_pgm(&pgm)?;
     println!("rendered first slice to {}", pgm.display());

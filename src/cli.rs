@@ -16,8 +16,8 @@ use xct_comm::{CommReport, CompiledPlans, HierarchicalPlan, Topology, WireModel}
 use xct_core::distributed::{reconstruct_distributed, DistributedConfig};
 use xct_core::model::{ModelExperiment, OptLevel};
 use xct_core::{
-    build_profile_report, reconstruct_planned, reconstruct_volume_in, Algorithm, ProfileInputs,
-    ReconOptions, Reconstructor,
+    build_profile_report, reconstruct_planned, reconstruct_volume_in, stream_slabs, Algorithm,
+    ProfileInputs, ReconOptions, Reconstructor,
 };
 use xct_exec::{ExecContext, ExecCounters};
 use xct_fp16::Precision;
@@ -481,9 +481,9 @@ USAGE:
                       regions) plus abstract interpretation over
                       compiled communication programs (interval bounds
                       proofs, scratch lifetimes across the overlap
-                      pipeline, work-stealing transfer safety); exits
-                      nonzero on any violation. --self-test runs the
-                      must-reject corpus sweep for both layers instead
+                      pipeline); exits nonzero on any violation.
+                      --self-test runs the must-reject corpus sweep for
+                      both layers instead
 ";
 
 /// Dispatches a full command line (without argv[0]).
@@ -639,46 +639,39 @@ fn reconstruct_inner(
     }
 
     let solver = flags.get("solver").unwrap_or("cgls").to_owned();
-    let (mut reader, angles, n) = open_sinogram(&input)?;
+    let algorithm = match solver.as_str() {
+        "cgls" => Algorithm::Cgls,
+        "sirt" => Algorithm::Sirt {
+            relaxation: 1.0,
+            nonneg: true,
+        },
+        "tv" => Algorithm::Tv {
+            lambda: 0.1,
+            epsilon: 0.005,
+        },
+        other => {
+            return Err(CliError(format!(
+                "unknown solver {other:?}; expected cgls|sirt|tv"
+            )))
+        }
+    };
+    let (reader, angles, n) = open_sinogram(&input)?;
     let slices = reader.meta().slices;
-    let recon = Reconstructor::new(scan_for(n, angles));
-    let mut writer = SliceWriter::create(
+    let scan = scan_for(n, angles);
+    let writer = SliceWriter::create(
         &out,
         SliceFile {
             kind: FileKind::Volume,
             precision: reader.meta().precision,
             slices,
-            slice_len: recon.num_voxels(),
+            slice_len: scan.grid.nx * scan.grid.nz,
         },
     )?;
-    let mut opts = ReconOptions {
-        precision,
-        iterations,
-        damping,
-        ..Default::default()
-    };
-    if let Some(t) = &tuned {
-        opts.block_size = t.block_size;
-        opts.shared_bytes = t.shared_bytes;
-    }
     // The whole command runs under one root span so the breakdown's
     // coverage is measured against a well-defined wall time.
     let total_span = telemetry.span(Phase::Total);
-    let mut ctx = ExecContext::parallel().with_telemetry(telemetry.clone());
-    let outcome: Result<String, CliError> = match (solver.as_str(), &topology) {
-        ("cgls", None) => {
-            let stats =
-                reconstruct_volume_in(&recon, &mut reader, &mut writer, &opts, batch, &mut ctx)?;
-            reader.verify_checksum()?;
-            writer.finish()?;
-            let text = format!(
-                "reconstructed {} slices in {} batches ({} precision, {} iters/batch); worst residual {:.5}; volume in {out}",
-                stats.slices, stats.batches, precision, iterations, stats.worst_residual
-            );
-            drop(total_span);
-            Ok(text + &tel_args.emit(telemetry, "reconstruct", &ctx.counters, None)?)
-        }
-        ("cgls", Some(topology)) => {
+    match (algorithm, &topology) {
+        (Algorithm::Cgls, Some(topology)) => {
             // Distributed mode: plan first (the paper's §III-A3 rule
             // against the optional memory budget), statically verify the
             // plan, then execute it slab by slab — every slab runs the
@@ -735,7 +728,7 @@ fn reconstruct_inner(
                 verify_plans,
                 ..Default::default()
             };
-            let outcome = reconstruct_planned(recon.scan(), &plan, reader, writer, &base)?;
+            let outcome = reconstruct_planned(&scan, &plan, reader, writer, &base)?;
             let stats = outcome.stats;
             outcome.reader.verify_checksum()?;
             outcome.writer.finish()?;
@@ -762,21 +755,11 @@ fn reconstruct_inner(
             drop(total_span);
             let profile_note = match &profile_out {
                 Some(path) => {
-                    // The executor decomposes at the weights' tile size
-                    // when rebalancing, at the default otherwise
-                    // (mirrors reconstruct_planned's override).
-                    let tile = plan
-                        .tile_weights
-                        .as_ref()
-                        .map_or(base.tile, |tw| tw.tile_size);
+                    // Attribute per-tile costs at the tile size the
+                    // executor decomposed at.
+                    let tile = DistributedConfig::from_plan(&plan, &base).tile;
                     let report = build_profile_artifact(
-                        recon.scan(),
-                        &plan,
-                        *topology,
-                        precision,
-                        iterations,
-                        tile,
-                        telemetry,
+                        &scan, &plan, *topology, precision, iterations, tile, telemetry,
                     )?;
                     write_file(path, &report.to_json().to_string())?;
                     format!(
@@ -796,55 +779,43 @@ fn reconstruct_inner(
                     Some(&comm_report),
                 )?)
         }
-        ("sirt", _) | ("tv", _) => {
-            let algorithm = if solver == "sirt" {
-                Algorithm::Sirt {
-                    relaxation: 1.0,
-                    nonneg: true,
-                }
-            } else {
-                Algorithm::Tv {
-                    lambda: 0.1,
-                    epsilon: 0.005,
-                }
+        // Serial mode (and every SIRT/TV run): memoize the operator
+        // once, then stream I/O batches through it.
+        _ => {
+            let recon = Reconstructor::new(scan);
+            let mut opts = ReconOptions {
+                algorithm,
+                precision,
+                iterations,
+                damping,
+                ..Default::default()
             };
+            if let Some(t) = &tuned {
+                opts.block_size = t.block_size;
+                opts.shared_bytes = t.shared_bytes;
+            }
             // TV couples voxels within a slice grid: process per slice.
             let per_call = if solver == "tv" { 1 } else { batch };
-            let mut done = 0;
-            loop {
-                let data = {
-                    let _io = telemetry.span(Phase::Io);
-                    reader.read_batch(per_call)?
-                };
-                let Some(data) = data else { break };
-                let fusing = data.len() / recon.num_rays();
-                let result = recon.reconstruct_with_in(
-                    &data,
-                    &ReconOptions { fusing, ..opts },
-                    algorithm,
-                    &mut ctx,
-                );
-                let _io = telemetry.span(Phase::Io);
-                for f in 0..fusing {
-                    writer.write_slice(
-                        &result.x[f * recon.num_voxels()..(f + 1) * recon.num_voxels()],
-                    )?;
-                }
-                done += fusing;
-            }
-            reader.verify_checksum()?;
-            writer.finish()?;
-            let text = format!(
-                "reconstructed {done} slices with {solver} ({precision} precision); volume in {out}"
-            );
+            let mut ctx = ExecContext::parallel().with_telemetry(telemetry.clone());
+            let outcome = reconstruct_volume_in(&recon, reader, writer, &opts, per_call, &mut ctx)?;
+            outcome.reader.verify_checksum()?;
+            outcome.writer.finish()?;
+            let stats = outcome.stats;
+            let text = if solver == "cgls" {
+                format!(
+                    "reconstructed {} slices in {} batches ({} precision, {} iters/batch); worst residual {:.5}; volume in {out}",
+                    stats.slices, stats.batches, precision, iterations, stats.worst_residual
+                )
+            } else {
+                format!(
+                    "reconstructed {} slices with {solver} ({precision} precision); volume in {out}",
+                    stats.slices
+                )
+            };
             drop(total_span);
             Ok(text + &tel_args.emit(telemetry, "reconstruct", &ctx.counters, None)?)
         }
-        (other, _) => Err(CliError(format!(
-            "unknown solver {other:?}; expected cgls|sirt|tv"
-        ))),
-    };
-    outcome
+    }
 }
 
 /// Loads a `petaxct-tune-v1` artifact and returns its winning point.
@@ -1197,10 +1168,10 @@ fn fbp(flags: &Flags) -> Result<String, CliError> {
         "hann" => FilterKind::Hann,
         other => return Err(CliError(format!("unknown filter {other:?}"))),
     };
-    let (mut reader, angles, n) = open_sinogram(&input)?;
+    let (reader, angles, n) = open_sinogram(&input)?;
     let slices = reader.meta().slices;
     let scan = scan_for(n, angles);
-    let mut writer = SliceWriter::create(
+    let writer = SliceWriter::create(
         &out,
         SliceFile {
             kind: FileKind::Volume,
@@ -1209,14 +1180,20 @@ fn fbp(flags: &Flags) -> Result<String, CliError> {
             slice_len: n * n,
         },
     )?;
-    let mut done = 0;
-    while let Some(batch) = reader.read_batch(1)? {
-        let image = filtered_backprojection(&scan, &batch, filter);
-        writer.write_slice(&image)?;
-        done += 1;
-    }
-    reader.verify_checksum()?;
-    writer.finish()?;
+    // One slice per slab; FBP is direct, so there is no iteration
+    // budget and no residual to report.
+    let outcome = stream_slabs(
+        &scan,
+        reader,
+        writer,
+        &vec![1; slices],
+        0,
+        &Telemetry::disabled(),
+        |sinogram, _| (filtered_backprojection(&scan, sinogram, filter), 0.0),
+    )?;
+    outcome.reader.verify_checksum()?;
+    outcome.writer.finish()?;
+    let done = outcome.stats.slices;
     Ok(format!("FBP-reconstructed {done} slices to {out}"))
 }
 
@@ -1292,9 +1269,7 @@ fn analyze(flags: &Flags) -> Result<String, CliError> {
     ));
 
     // Layer 2: abstract interpretation over compiled communication
-    // programs from representative planner topologies, plus the
-    // work-stealing transfer-safety precondition on the socket-local
-    // steal fixture.
+    // programs from representative planner topologies.
     let mut report = xct_verify::VerifyReport::new();
     for seed in 0..ANALYZE_SEEDS {
         let case = xct_verify::corpus::gen_case(seed);
@@ -1310,24 +1285,11 @@ fn analyze(flags: &Flags) -> Result<String, CliError> {
             true,
         ));
     }
-    let (plans, topo) = xct_verify::corpus::steal_fixture();
-    let steal = xct_verify::SliceSteal {
-        slice: 0,
-        from: 0,
-        to: 1,
-    };
-    let rehomed = xct_verify::rehome_slice(&plans, steal);
-    report.merge(xct_verify::verify_transfer_safety(
-        &plans,
-        &topo,
-        &[0, 1, 2],
-        &rehomed,
-    ));
     for v in &report.violations {
         out.push_str(&format!("{v}\n"));
     }
     out.push_str(&format!(
-        "layer 2 (abstract interpretation): {ANALYZE_SEEDS} planner topologies + 1 re-homing, {} violation(s)\n",
+        "layer 2 (abstract interpretation): {ANALYZE_SEEDS} planner topologies, {} violation(s)\n",
         report.violations.len()
     ));
 
@@ -1368,14 +1330,6 @@ fn analyze_self_test(root: &Path) -> Result<String, CliError> {
             .iter()
             .any(|v| matches!(v.kind, ViolationKind::IndexOutOfBounds { .. }))
     };
-    let steal_has = |triple: &(CompiledPlans, Topology, xct_verify::RehomedSlice),
-                     want: fn(&ViolationKind) -> bool| {
-        let (plans, topo, rehomed) = triple;
-        xct_verify::verify_transfer_safety(plans, topo, &[0, 1], rehomed)
-            .violations
-            .iter()
-            .any(|v| want(&v.kind))
-    };
     let ops = vc::read_before_finish_schedule();
     let (unfolded, _) = vc::unfolded_collective();
     let results = [
@@ -1397,24 +1351,6 @@ fn analyze_self_test(root: &Path) -> Result<String, CliError> {
                 .violations
                 .iter()
                 .any(|v| matches!(v.kind, ViolationKind::UnmatchedRecv { .. })),
-        ),
-        (
-            "cross-socket-steal",
-            steal_has(&vc::cross_socket_steal(), |k| {
-                matches!(k, ViolationKind::CrossSocketSteal { .. })
-            }),
-        ),
-        (
-            "tag-colliding-steal",
-            steal_has(&vc::tag_colliding_steal(), |k| {
-                matches!(k, ViolationKind::TagCollision { .. })
-            }),
-        ),
-        (
-            "truncated-rehoming",
-            steal_has(&vc::truncated_rehoming(), |k| {
-                matches!(k, ViolationKind::RehomingGap { .. })
-            }),
         ),
     ];
     let mut failed = Vec::new();
@@ -1472,7 +1408,7 @@ mod tests {
         // Both layers' sweeps are present in the transcript.
         assert!(out.contains("testdata/unsafe_outside.rs"), "{out}");
         assert!(
-            out.contains("corpus/tag-colliding-steal: rejected"),
+            out.contains("corpus/unfolded-collective: rejected"),
             "{out}"
         );
     }
@@ -1606,7 +1542,7 @@ mod tests {
     }
 
     #[test]
-    fn distributed_reconstruct_with_overlap_and_summary() {
+    fn distributed_reconstruction_with_overlap_and_summary() {
         let sino = tmp("cli_overlap_sino.xctd");
         let vol = tmp("cli_overlap_vol.xctd");
         run_cmd(&[
@@ -1706,7 +1642,7 @@ mod tests {
     }
 
     #[test]
-    fn distributed_reconstruct_with_verified_plans() {
+    fn distributed_reconstruction_with_verified_plans() {
         let sino = tmp("cli_verify_sino.xctd");
         let vol = tmp("cli_verify_vol.xctd");
         run_cmd(&[

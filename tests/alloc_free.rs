@@ -20,15 +20,9 @@
 //! The allocator counts every `alloc`/`realloc`/`alloc_zeroed` globally, so
 //! the two tests serialize on a mutex to keep their windows disjoint.
 
-// The counting allocator below is the only unsafe code in the
-// workspace; every unsafe operation inside it must be explicit and
-// carry its own SAFETY justification.
-#![deny(unsafe_op_in_unsafe_fn)]
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use count_alloc::{allocations, CountingAllocator};
 use xct_comm::{run_ranks, CompiledPlans, ExchangeScratch, Footprints, Ownership, Topology};
 use xct_core::distributed::{reconstruct_distributed, DistributedConfig};
 use xct_fp16::{Precision, F16};
@@ -36,42 +30,6 @@ use xct_geometry::{ImageGrid, ScanGeometry, SystemMatrix};
 use xct_solver::{CglsSolver, ExecContext, Phase, PrecisionOperator, Telemetry};
 use xct_spmm::Csr;
 use xct_telemetry::MetricId;
-
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every method counts, then forwards to `System` verbatim — the
-// allocator upholds `GlobalAlloc`'s contract iff `System` does, and the
-// caller-provided layout/pointer obligations pass through unchanged.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `layout` is the caller's, forwarded unmodified; the
-        // caller guarantees it is non-zero-sized per `alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` was returned by `System` (all our methods
-        // delegate to it) with this same `layout`, per the caller's
-        // `dealloc` obligations.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `ptr`/`layout` describe a live `System` block (see
-        // `dealloc`), and the caller guarantees `new_size` is non-zero.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: same forwarding argument as `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
@@ -95,10 +53,6 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
             return guard;
         }
     }
-}
-
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
 }
 
 #[test]

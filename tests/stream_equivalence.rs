@@ -6,9 +6,13 @@
 //! `xct-io` moves bytes, never changes them. The reconstructed volume
 //! must therefore match **bit for bit** across precisions and exchange
 //! modes, not merely within a tolerance.
+//!
+//! Slabs also share one set-up (`DistributedSetup`, built once per
+//! `reconstruct_planned` call) and nothing else: the last test pins each
+//! slab to a fresh `reconstruct_distributed` call that builds its own.
 
 use xct_comm::Topology;
-use xct_core::distributed::DistributedConfig;
+use xct_core::distributed::{reconstruct_distributed, DistributedConfig};
 use xct_core::reconstruct_planned;
 use xct_fp16::Precision;
 use xct_geometry::{ImageGrid, ScanGeometry, SystemMatrix};
@@ -160,4 +164,92 @@ fn streamed_matches_resident_half_direct() {
 #[test]
 fn streamed_matches_resident_half_hierarchical() {
     assert_stream_equivalent(Precision::Half, true);
+}
+
+/// A planned run over slabs of (2, 2, 1) slices must equal, bit for bit,
+/// the concatenation of fresh `reconstruct_distributed` calls — each
+/// building its own set-up — one per slab. Both sides of
+/// `assert_stream_equivalent` go through `reconstruct_planned`, so state
+/// leaking from one slab into the next through the shared set-up would
+/// cancel out there; it cannot here.
+#[test]
+fn planned_slabs_match_fresh_distributed_runs_per_slab() {
+    let scan = ScanGeometry::uniform(ImageGrid::square(N, 1.0), ANGLES);
+    let num_voxels = scan.grid.nx * scan.grid.nz;
+    let num_rays = ANGLES * N;
+    let sino = tmp("sino_oracle.xctd");
+    write_sinograms(&scan, &sino);
+    let sinogram = SliceReader::open(&sino)
+        .unwrap()
+        .read_batch(SLICES)
+        .unwrap()
+        .unwrap();
+    let dims = VolumeDims {
+        n: N,
+        slices: SLICES,
+    };
+    let topology = Topology::new(1, 2, 2);
+    let iterations = 6;
+
+    for precision in [Precision::Single, Precision::Mixed, Precision::Half] {
+        for hierarchical in [false, true] {
+            for overlap in [false, true] {
+                let tag = format!("{precision:?}_{hierarchical}_{overlap}");
+                let planner = Planner {
+                    precision,
+                    hierarchical,
+                    overlap,
+                    max_fusing: SLICES,
+                    kernel: None,
+                };
+                let probe = planner.plan(dims, ANGLES, None, topology).unwrap();
+                let budget = probe.matrix_bytes_per_rank() + 2 * probe.slice_bytes_per_rank();
+                let plan = planner.plan(dims, ANGLES, Some(budget), topology).unwrap();
+                let lens: Vec<usize> = plan.slabs.iter().map(|slab| slab.len).collect();
+                assert_eq!(lens, [2, 2, 1], "{tag}");
+
+                let out = tmp(&format!("oracle_{tag}.xctd"));
+                let outcome = reconstruct_planned(
+                    &scan,
+                    &plan,
+                    SliceReader::open(&sino).unwrap(),
+                    volume_writer(&out, num_voxels),
+                    &DistributedConfig {
+                        iterations,
+                        ..Default::default()
+                    },
+                )
+                .unwrap();
+                outcome.writer.finish().unwrap();
+                let planned = SliceReader::open(&out)
+                    .unwrap()
+                    .read_batch(SLICES)
+                    .unwrap()
+                    .unwrap();
+
+                let mut fresh = Vec::with_capacity(planned.len());
+                for slab in &plan.slabs {
+                    let cfg = DistributedConfig {
+                        topology,
+                        precision,
+                        fusing: slab.len,
+                        hierarchical,
+                        overlap,
+                        iterations,
+                        ..Default::default()
+                    };
+                    let rays = &sinogram[slab.start * num_rays..(slab.start + slab.len) * num_rays];
+                    fresh.extend(reconstruct_distributed(&scan, rays, &cfg).x);
+                }
+                assert_eq!(planned.len(), fresh.len(), "{tag}");
+                assert!(
+                    planned
+                        .iter()
+                        .zip(&fresh)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "{tag}: a slab of the planned run differs from a fresh run of that slab"
+                );
+            }
+        }
+    }
 }
