@@ -5,6 +5,13 @@
 //! Scenarios (fixed problem sizes, so runs are comparable):
 //!
 //! * `serial`             — single-process CGLS on the mini operator;
+//! * `spmm_serial_f32` / `spmm_reference_f32` — the kernel layer: one
+//!   packed f32 matrix at fusing 8 through the production launch and
+//!   through the forced reference body;
+//! * `pack`               — the packing layer: Siddon matrix → CSR →
+//!   `PrecisionOperator` (mixed, fusing 8, default block and staging
+//!   size — the `xctbench` `serial_fused` shape at n = 128; n = 64 in
+//!   quick mode), whose allocation count is exact;
 //! * `dist_sync`          — 4 ranks (1×2×2), hierarchical, no overlap;
 //! * `dist_overlap`       — same topology with compute/comm overlap;
 //! * `wired_2x2x2_sync`   — 8 ranks across 2 simulated nodes with a
@@ -20,8 +27,8 @@
 //! `crates/bench/baselines/`), `--quick` (CI-sized problem), `--check
 //! BASELINE` (exit 1 on any metric regressing past `--threshold` percent,
 //! default 20). With AVX2+FMA detected the suite also fails when the
-//! production SpMM kernel is under 1.5× the scalar reference's flops
-//! rate.
+//! production SpMM kernel is under [`VECTORIZATION_FLOOR`]× the scalar
+//! reference's flops rate.
 
 #![forbid(unsafe_code)]
 
@@ -188,6 +195,32 @@ fn spmm_kernel_scenario(name: &str, p: &SuiteParams, reference: bool) -> Scenari
     let wall = start.elapsed();
     let allocs = allocations() - before;
     finish(name, wall, allocs, ctx.counters, &[], &telemetry)
+}
+
+/// The packing layer alone: from the memoized Siddon matrix to the
+/// operator `Reconstructor` keeps — `Csr::from_system_matrix`, then
+/// `PrecisionOperator::new` (transpose, re-type and scale, pack both
+/// directions). No kernel runs, so flops and launches are zero; wall and
+/// the allocation count are the record.
+fn pack_scenario(p: &SuiteParams) -> ScenarioResult {
+    let n = if p.quick { 64 } else { 128 };
+    let scan = ScanGeometry::uniform(ImageGrid::square(n, 1.0), n);
+    let sm = SystemMatrix::build(&scan);
+    let before = allocations();
+    let start = Instant::now();
+    let csr = Csr::from_system_matrix(&sm);
+    let op = PrecisionOperator::new(&csr, Precision::Mixed, 8, 64, 96 * 1024);
+    let wall = start.elapsed();
+    let allocs = allocations() - before;
+    std::hint::black_box(&op);
+    finish(
+        "pack",
+        wall,
+        allocs,
+        xct_exec::ExecCounters::default(),
+        &[],
+        &Telemetry::disabled(),
+    )
 }
 
 fn distributed_scenario(
@@ -364,6 +397,8 @@ fn run_suite(p: &SuiteParams) -> BenchReport {
         eprintln!("running {name} ...");
         scenarios.push(best_of(p.reps, || spmm_kernel_scenario(name, p, reference)));
     }
+    eprintln!("running pack ...");
+    scenarios.push(best_of(p.reps, || pack_scenario(p)));
     for (name, topology, overlap, wired) in [
         ("dist_sync", Topology::new(1, 2, 2), false, false),
         ("dist_overlap", Topology::new(1, 2, 2), true, false),
@@ -448,6 +483,17 @@ fn print_summary(report: &BenchReport) {
     }
 }
 
+/// Least flops-rate ratio of the production kernel over the reference
+/// body the suite accepts where the f32x8 body runs. On these
+/// cache-resident matrices the development host reads 15–20× (one run
+/// in a dozen, beside a busy neighbour, read 11×) and read 5.2× with the
+/// body this one replaced (per-stage widening gather, accumulators
+/// through memory; EXPERIMENTS.md). The floor is the geometric midpoint
+/// of 5.2 and 11: the old body cannot reach it, so losing the
+/// launch-level staging or the register-resident walk trips it, and the
+/// slowest reading of the new body clears it by half.
+const VECTORIZATION_FLOOR: f64 = 7.5;
+
 const USAGE: &str = "usage: perf_suite --out PATH [--quick] [--check BASELINE] [--threshold PCT]";
 
 fn main() -> ExitCode {
@@ -495,14 +541,14 @@ fn main() -> ExitCode {
     print_summary(&report);
 
     // The vectorization floor: where the f32x8 body is what runs, the
-    // production kernel must beat the scalar reference by >= 1.5x in
+    // production kernel must beat the scalar reference by the floor in
     // effective flops rate, or the suite fails outright.
     if simd_available() {
         match spmm_speedup(&report) {
-            Some(speedup) if speedup < 1.5 => {
+            Some(speedup) if speedup < VECTORIZATION_FLOOR => {
                 eprintln!(
-                    "spmm vectorization floor: {speedup:.2}x < 1.50x required \
-                     (spmm_serial_f32 vs spmm_reference_f32)"
+                    "spmm vectorization floor: {speedup:.2}x < {VECTORIZATION_FLOOR:.2}x \
+                     required (spmm_serial_f32 vs spmm_reference_f32)"
                 );
                 return ExitCode::FAILURE;
             }

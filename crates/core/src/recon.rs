@@ -1,6 +1,8 @@
 //! The single-call public API: memoize the operator once, reconstruct
 //! many (batches of) slices.
 
+use std::sync::{Arc, Mutex};
+
 use xct_exec::ExecContext;
 use xct_fp16::Precision;
 use xct_geometry::{ScanGeometry, SystemMatrix};
@@ -91,13 +93,22 @@ pub struct Reconstructor {
     scan: ScanGeometry,
     matrix: SystemMatrix,
     csr: Csr<f32>,
+    /// The operator packed by the most recent call, with the options it
+    /// was packed for: one entry, replaced when a call asks for another
+    /// key. Batches of one volume share a key, so they share one packing.
+    packed: Mutex<Option<(PackKey, Arc<PrecisionOperator>)>>,
 }
+
+/// What a packed operator depends on besides the geometry:
+/// `(precision, fusing, block_size, shared_bytes)`.
+type PackKey = (Precision, usize, usize, usize);
 
 /// Reconstruction outcome.
 pub struct ReconResult {
     /// The volume, slice-major (`fusing × num_voxels`).
     pub x: Vec<f32>,
-    /// Solver diagnostics (residual/time histories).
+    /// Solver diagnostics (residual/time histories). Its own `x` is
+    /// empty: the volume is moved into [`ReconResult::x`], not copied.
     pub report: CglsReport,
 }
 
@@ -107,7 +118,43 @@ impl Reconstructor {
     pub fn new(scan: ScanGeometry) -> Self {
         let matrix = SystemMatrix::build(&scan);
         let csr = Csr::from_system_matrix(&matrix);
-        Reconstructor { scan, matrix, csr }
+        Reconstructor {
+            scan,
+            matrix,
+            csr,
+            packed: Mutex::new(None),
+        }
+    }
+
+    /// The operator packed for `opts`, packing it first unless the
+    /// previous call used the same key. The old entry is dropped before
+    /// its replacement is built, so at most one packing is resident.
+    fn packed_operator(&self, opts: &ReconOptions) -> Arc<PrecisionOperator> {
+        let key = (
+            opts.precision,
+            opts.fusing,
+            opts.block_size,
+            opts.shared_bytes,
+        );
+        // A panic while packing leaves `None` behind — a valid entry — so
+        // a poisoned lock is recovered, not propagated.
+        let mut entry = self
+            .packed
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        if let Some((_, op)) = entry.as_ref().filter(|(k, _)| *k == key) {
+            return Arc::clone(op);
+        }
+        *entry = None;
+        let op = Arc::new(PrecisionOperator::new(
+            &self.csr,
+            opts.precision,
+            opts.fusing,
+            opts.block_size,
+            opts.shared_bytes,
+        ));
+        *entry = Some((key, Arc::clone(&op)));
+        op
     }
 
     /// The scan geometry.
@@ -149,7 +196,10 @@ impl Reconstructor {
     /// a caller-owned [`ExecContext`] — repeated batches reuse the
     /// context's warm workspace, and its telemetry handle (if enabled)
     /// records solver and kernel phases. The context's precision is
-    /// aligned with `opts.precision` for the duration of the call.
+    /// aligned with `opts.precision` for the duration of the call. The
+    /// operator is packed by the first call with a given `(precision,
+    /// fusing, block_size, shared_bytes)` and reused by the calls that
+    /// follow with the same four.
     ///
     /// # Panics
     /// Panics on shape mismatches, or when TV is requested with
@@ -168,17 +218,12 @@ impl Reconstructor {
             self.num_rays(),
             opts.fusing
         );
-        let op = PrecisionOperator::new(
-            &self.csr,
-            opts.precision,
-            opts.fusing,
-            opts.block_size,
-            opts.shared_bytes,
-        );
+        let op = self.packed_operator(opts);
+        let op = &*op;
         ctx.precision = opts.precision;
-        let report = match opts.algorithm {
+        let mut report = match opts.algorithm {
             Algorithm::Cgls => cgls_in(
-                &op,
+                op,
                 sinogram,
                 &CglsConfig {
                     max_iters: opts.iterations,
@@ -189,7 +234,7 @@ impl Reconstructor {
                 &mut |_| {},
             ),
             Algorithm::Sirt { relaxation, nonneg } => sirt_in(
-                &op,
+                op,
                 sinogram,
                 &SirtConfig {
                     max_iters: opts.iterations,
@@ -202,7 +247,7 @@ impl Reconstructor {
             Algorithm::Tv { lambda, epsilon } => {
                 assert_eq!(opts.fusing, 1, "TV reconstruction requires fusing = 1");
                 tv_reconstruct_in(
-                    &op,
+                    op,
                     sinogram,
                     self.scan.grid.nx,
                     self.scan.grid.nz,
@@ -217,7 +262,7 @@ impl Reconstructor {
             }
         };
         ReconResult {
-            x: report.x.clone(),
+            x: std::mem::take(&mut report.x),
             report,
         }
     }
@@ -282,6 +327,65 @@ mod tests {
         );
         assert_eq!(result.x.len(), n * n * fusing);
         assert!(result.report.residual_history.last().unwrap() < &0.05);
+    }
+
+    /// The operator is packed by the first call with a key and reused
+    /// (same allocation) by the next; a call with another fusing or
+    /// precision replaces the one entry; and memoized or not, first call
+    /// or second, the volume has the bits a fresh `Reconstructor` gives.
+    #[test]
+    fn operator_is_packed_once_per_key_and_results_equal_a_fresh_reconstructor() {
+        let n = 16;
+        let scan = ScanGeometry::uniform(ImageGrid::square(n, 1.0), 20);
+        let recon = Reconstructor::new(scan.clone());
+        let image: Vec<f32> = (0..n * n).map(|i| (i % 5) as f32 * 0.2).collect();
+        let sino1 = recon.project(&image);
+        let sino2 = [sino1.clone(), sino1.iter().map(|v| v * 0.5).collect()].concat();
+        let bits = |x: &[f32]| -> Vec<u32> { x.iter().map(|v| v.to_bits()).collect() };
+        let fresh = |sino: &[f32], opts: &ReconOptions| {
+            bits(&Reconstructor::new(scan.clone()).reconstruct(sino, opts).x)
+        };
+        let key_of = |recon: &Reconstructor| recon.packed.lock().unwrap().as_ref().unwrap().0;
+
+        let mixed1 = ReconOptions {
+            iterations: 8,
+            ..Default::default()
+        };
+        let first = recon.reconstruct(&sino1, &mixed1);
+        let packed_by_first = recon.packed_operator(&mixed1);
+        let second = recon.reconstruct(&sino1, &mixed1);
+        assert!(Arc::ptr_eq(
+            &packed_by_first,
+            &recon.packed_operator(&mixed1)
+        ));
+        assert_eq!(bits(&first.x), bits(&second.x));
+        assert_eq!(bits(&first.x), fresh(&sino1, &mixed1));
+        assert!(first.report.x.is_empty(), "the volume is moved, not copied");
+
+        let mixed2 = ReconOptions {
+            fusing: 2,
+            ..mixed1
+        };
+        let fused = recon.reconstruct(&sino2, &mixed2);
+        assert_eq!(key_of(&recon), (Precision::Mixed, 2, 64, 96 * 1024));
+        assert_eq!(bits(&fused.x), fresh(&sino2, &mixed2));
+
+        let single2 = ReconOptions {
+            precision: Precision::Single,
+            ..mixed2
+        };
+        let single = recon.reconstruct(&sino2, &single2);
+        assert_eq!(key_of(&recon).0, Precision::Single);
+        assert_eq!(bits(&single.x), fresh(&sino2, &single2));
+        assert_ne!(bits(&single.x), bits(&fused.x));
+
+        // Back to the first key: packed again, same bits as before.
+        let again = recon.reconstruct(&sino1, &mixed1);
+        assert!(!Arc::ptr_eq(
+            &packed_by_first,
+            &recon.packed_operator(&mixed1)
+        ));
+        assert_eq!(bits(&again.x), bits(&first.x));
     }
 
     #[test]

@@ -13,6 +13,9 @@ pub enum BufferRole {
     QuantIn,
     /// Quantized kernel output (precision staging).
     QuantOut,
+    /// Kernel input staged once per launch (widened to compute
+    /// precision, fusing-contiguous `xt[c*fusing + f]`).
+    KernelInput,
     /// Kernel accumulators (per-block `acc[thread][FFACTOR]`).
     KernelAcc,
     /// Kernel shared-memory staging (per-block gather buffer; element

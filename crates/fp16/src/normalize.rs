@@ -15,15 +15,28 @@ use crate::f16::F16;
 ///
 /// NaNs are skipped rather than propagated because a single corrupted
 /// detector pixel must not disable normalization for the whole iterate.
+///
+/// The maximum does not depend on the order it is taken in, so the scan
+/// keeps eight independent running maxima — a loop the compiler turns
+/// into vector compares instead of one serial dependency chain.
 pub fn max_abs(data: &[f32]) -> f32 {
-    data.iter().fold(0.0f32, |acc, &x| {
+    let larger = |acc: f32, x: f32| {
         let a = x.abs();
         if a > acc {
             a
         } else {
             acc
         }
-    })
+    };
+    let mut lanes = [0.0f32; 8];
+    let chunks = data.chunks_exact(8);
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        for (m, &x) in lanes.iter_mut().zip(chunk) {
+            *m = larger(*m, x);
+        }
+    }
+    lanes.iter().chain(tail).fold(0.0, |acc, &x| larger(acc, x))
 }
 
 /// A vector that has been scaled into half-precision-safe range together
@@ -101,12 +114,23 @@ impl AdaptiveNormalizer {
     /// # Panics
     /// Panics on length mismatch.
     pub fn normalize_into(&self, data: &[f32], out: &mut [F16]) -> f32 {
-        assert_eq!(data.len(), out.len(), "normalize length mismatch");
         let factor = self.factor_for(max_abs(data));
+        self.quantize_into(data, factor, out);
+        factor
+    }
+
+    /// The elementwise half of [`normalize_into`](Self::normalize_into):
+    /// scales by a `factor` the caller derived from the whole vector's
+    /// max-norm and quantizes. Chunks of one vector can be quantized
+    /// independently (on different threads) under the same factor.
+    ///
+    /// # Panics
+    /// Panics on length mismatch.
+    pub fn quantize_into(&self, data: &[f32], factor: f32, out: &mut [F16]) {
+        assert_eq!(data.len(), out.len(), "normalize length mismatch");
         for (q, &x) in out.iter_mut().zip(data) {
             *q = F16::from_f32(x * factor);
         }
-        factor
     }
 
     /// Undoes a previous [`normalize`](Self::normalize), widening to `f32`.
@@ -147,6 +171,17 @@ mod tests {
     #[test]
     fn max_abs_ignores_nan() {
         assert_eq!(max_abs(&[1.0, f32::NAN, -2.0]), 2.0);
+    }
+
+    #[test]
+    fn max_abs_finds_the_peak_in_any_lane_and_in_the_tail() {
+        // 19 elements: two full groups of eight and a three-element tail.
+        for peak_at in 0..19 {
+            let mut data = [0.25f32; 19];
+            data[(peak_at + 7) % 19] = f32::NAN;
+            data[peak_at] = -3.5;
+            assert_eq!(max_abs(&data), 3.5, "peak at {peak_at}");
+        }
     }
 
     #[test]

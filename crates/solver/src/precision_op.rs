@@ -3,7 +3,7 @@
 
 use crate::operator::LinearOperator;
 use xct_exec::{BufferRole, ExecContext, Phase};
-use xct_fp16::{AdaptiveNormalizer, Precision, StorageScalar, F16};
+use xct_fp16::{max_abs, AdaptiveNormalizer, Precision, StorageScalar, F16};
 use xct_spmm::{spmm_with, Csr, KernelMetrics, PackedMatrix};
 
 /// `A` and `Aᵀ` packed for the buffered SpMM at a chosen precision, with
@@ -61,10 +61,7 @@ impl PrecisionOperator {
         block_size: usize,
         shared_bytes: usize,
     ) -> Self {
-        let max_len = csr
-            .triplets()
-            .map(|(_, _, v)| v.abs())
-            .fold(0.0f32, f32::max);
+        let max_len = csr.values().iter().fold(0.0f32, |m, v| m.max(v.abs()));
         // Static matrix normalization: largest length → 1.0.
         let matrix_scale = if precision.quantizes_to_half() && max_len > 0.0 {
             1.0 / max_len
@@ -73,6 +70,8 @@ impl PrecisionOperator {
         };
         let at = csr.transpose();
 
+        // `csr` is sorted and duplicate-free already, so re-typing it is
+        // a map over its values — no triplets, no per-row sort.
         fn repack<S: StorageScalar>(
             c: &Csr<f32>,
             scale: f32,
@@ -80,8 +79,7 @@ impl PrecisionOperator {
             shared: usize,
             fusing: usize,
         ) -> PackedMatrix<S> {
-            let t = c.triplets().map(|(r, col, v)| (r, col, v * scale));
-            let scaled = Csr::<S>::from_triplets(c.num_rows(), c.num_cols(), t);
+            let scaled = c.map_values(|v| S::from_f32(v * scale));
             PackedMatrix::pack(&scaled, block, shared, fusing)
         }
 
@@ -163,9 +161,11 @@ impl PrecisionOperator {
             .take_uninit::<f64>(BufferRole::QuantIn, input.len());
         {
             let _convert = ctx.telemetry.span(Phase::PrecisionConvert);
-            for (q, &v) in xd.iter_mut().zip(input) {
-                *q = f64::from(v);
-            }
+            ctx.executor.zip_chunks(input, &mut xd, |input, xd| {
+                for (q, &v) in xd.iter_mut().zip(input) {
+                    *q = f64::from(v);
+                }
+            });
         }
         let mut yd = ctx
             .workspace
@@ -173,9 +173,11 @@ impl PrecisionOperator {
         spmm_with::<f64, f64>(m, &xd, &mut yd, ctx);
         {
             let _convert = ctx.telemetry.span(Phase::PrecisionConvert);
-            for (o, v) in output.iter_mut().zip(&yd) {
-                *o = *v as f32;
-            }
+            ctx.executor.zip_chunks(&yd, output, |yd, output| {
+                for (o, v) in output.iter_mut().zip(yd) {
+                    *o = *v as f32;
+                }
+            });
         }
         ctx.workspace.put(BufferRole::QuantIn, xd);
         ctx.workspace.put(BufferRole::QuantOut, yd);
@@ -193,16 +195,20 @@ impl PrecisionOperator {
         let mut xq = ctx
             .workspace
             .take_uninit::<F16>(BufferRole::QuantIn, input.len());
+        // The max-norm is taken over the whole vector; the quantization
+        // under the resulting factor is elementwise, so it runs over the
+        // executor's partitions (factor 1.0 is the exact identity).
         let factor = {
             let _convert = ctx.telemetry.span(Phase::PrecisionConvert);
-            if self.adaptive {
-                self.normalizer.normalize_into(input, &mut xq)
+            let factor = if self.adaptive {
+                self.normalizer.factor_for(max_abs(input))
             } else {
-                for (q, &v) in xq.iter_mut().zip(input) {
-                    *q = F16::from_f32(v);
-                }
                 1.0
-            }
+            };
+            ctx.executor.zip_chunks(input, &mut xq, |input, xq| {
+                self.normalizer.quantize_into(input, factor, xq);
+            });
+            factor
         };
         let mut yq = ctx
             .workspace
@@ -215,8 +221,10 @@ impl PrecisionOperator {
         // Undo both the dynamic factor and the static matrix scale.
         {
             let _convert = ctx.telemetry.span(Phase::PrecisionConvert);
-            self.normalizer
-                .denormalize_into(&yq, factor * self.matrix_scale, output);
+            let undo = factor * self.matrix_scale;
+            ctx.executor.zip_chunks(&yq, output, |yq, output| {
+                self.normalizer.denormalize_into(yq, undo, output);
+            });
         }
         ctx.workspace.put(BufferRole::QuantIn, xq);
         ctx.workspace.put(BufferRole::QuantOut, yq);
@@ -356,6 +364,38 @@ mod tests {
         assert!(y[sm.num_rays()..2 * sm.num_rays()]
             .iter()
             .any(|&v| v != 0.0));
+    }
+
+    /// The conversions around the kernel are elementwise under one
+    /// whole-vector factor, so cutting them over executor partitions
+    /// changes no output bit. Sized so both cut directions happen: the
+    /// forward input and the transpose output are 4096 × 16 elements,
+    /// two `Executor::MIN_CHUNK`s.
+    #[test]
+    fn conversions_over_executor_partitions_keep_every_bit() {
+        let (_, csr) = setup(64, 16);
+        let fusing = 16;
+        assert!(csr.num_cols() * fusing >= 2 * xct_exec::Executor::MIN_CHUNK);
+        for precision in [Precision::Mixed, Precision::Double] {
+            let op = PrecisionOperator::new(&csr, precision, fusing, 64, 96 * 1024);
+            let x: Vec<f32> = (0..op.cols())
+                .map(|i| ((i * 37 + 11) % 101) as f32 * 1e-3 - 0.04)
+                .collect();
+            let run = |executor| {
+                let mut ctx = ExecContext::with_executor(executor);
+                let mut y = vec![0.0f32; op.rows()];
+                op.apply(&x, &mut y, &mut ctx);
+                let mut back = vec![0.0f32; op.cols()];
+                op.apply_transpose(&y, &mut back, &mut ctx);
+                let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                (bits(&y), bits(&back))
+            };
+            assert_eq!(
+                run(xct_exec::Executor::Serial),
+                run(xct_exec::Executor::threads(2)),
+                "{precision}"
+            );
+        }
     }
 
     #[test]

@@ -30,38 +30,81 @@ impl<S: StorageScalar> Csr<S> {
             assert!((c as usize) < num_cols, "col {c} out of range");
             per_row[r as usize].push((c, v));
         }
-        let mut rowptr = Vec::with_capacity(num_rows + 1);
-        let mut colidx = Vec::new();
-        let mut values = Vec::new();
-        rowptr.push(0);
+        let mut csr = Csr::with_capacity(num_rows, num_cols, 0);
         for row in &mut per_row {
-            row.sort_unstable_by_key(|&(c, _)| c);
-            let mut i = 0;
-            while i < row.len() {
-                let c = row[i].0;
-                let mut v = 0.0f32;
-                while i < row.len() && row[i].0 == c {
-                    v += row[i].1;
-                    i += 1;
-                }
-                colidx.push(c);
-                values.push(S::from_f32(v));
-            }
-            rowptr.push(colidx.len());
+            csr.push_unsorted_row(row);
         }
+        csr
+    }
+
+    /// Builds the per-slice projection operator from a memoized
+    /// [`SystemMatrix`]: one pass over its rays straight into
+    /// `rowptr/colidx/values`, sized up front from its nonzero count,
+    /// each ray through the sort-and-sum of
+    /// [`from_triplets`](Self::from_triplets) (whose result this equals)
+    /// in one reused scratch row.
+    pub fn from_system_matrix(a: &SystemMatrix) -> Self {
+        let mut csr = Csr::with_capacity(a.num_rays(), a.num_voxels(), a.nnz());
+        let mut row: Vec<(u32, f32)> = Vec::new();
+        for r in 0..a.num_rays() {
+            row.clear();
+            row.extend(a.row(r).iter().map(|h| (h.voxel, h.length)));
+            assert!(
+                row.iter().all(|&(c, _)| (c as usize) < csr.num_cols),
+                "ray {r} crosses a voxel out of range"
+            );
+            csr.push_unsorted_row(&mut row);
+        }
+        csr
+    }
+
+    /// An empty matrix with no rows pushed yet and room for `nnz` entries.
+    fn with_capacity(num_rows: usize, num_cols: usize, nnz: usize) -> Self {
+        let mut rowptr = Vec::with_capacity(num_rows + 1);
+        rowptr.push(0);
         Csr {
             num_rows,
             num_cols,
             rowptr,
-            colidx,
-            values,
+            colidx: Vec::with_capacity(nnz),
+            values: Vec::with_capacity(nnz),
         }
     }
 
-    /// Builds the per-slice projection operator from a memoized
-    /// [`SystemMatrix`].
-    pub fn from_system_matrix(a: &SystemMatrix) -> Self {
-        Self::from_triplets(a.num_rays(), a.num_voxels(), a.triplets())
+    /// Appends the next row from entries in any order: sorted by column,
+    /// duplicates summed in `f32`, then rounded to `S`.
+    fn push_unsorted_row(&mut self, row: &mut [(u32, f32)]) {
+        row.sort_unstable_by_key(|&(c, _)| c);
+        let mut i = 0;
+        while i < row.len() {
+            let c = row[i].0;
+            let mut v = 0.0f32;
+            while i < row.len() && row[i].0 == c {
+                v += row[i].1;
+                i += 1;
+            }
+            self.colidx.push(c);
+            self.values.push(S::from_f32(v));
+        }
+        self.rowptr.push(self.colidx.len());
+    }
+
+    /// The same sparsity pattern with every value mapped through `f` —
+    /// how a precision mode re-types (and rescales) the memoized `f32`
+    /// operator without re-sorting it.
+    pub fn map_values<T: StorageScalar>(&self, f: impl Fn(S) -> T) -> Csr<T> {
+        Csr {
+            num_rows: self.num_rows,
+            num_cols: self.num_cols,
+            rowptr: self.rowptr.clone(),
+            colidx: self.colidx.clone(),
+            values: self.values.iter().map(|&v| f(v)).collect(),
+        }
+    }
+
+    /// All stored values, row by row.
+    pub fn values(&self) -> &[S] {
+        &self.values
     }
 
     /// Rows.
@@ -326,6 +369,40 @@ mod tests {
         for (p, q) in y.iter().zip(&y_ref) {
             assert!((p - q).abs() <= 1e-4 * q.abs().max(1.0));
         }
+    }
+
+    /// The direct build against the route it replaced (`triplets` through
+    /// `from_triplets`), field for field, on a scan with both kinds of
+    /// ray: views up to 90° cross voxels in ascending index order, views
+    /// past it do not.
+    #[test]
+    fn from_system_matrix_equals_the_triplet_route() {
+        fn check<S: StorageScalar>(sm: &SystemMatrix) {
+            let direct = Csr::<S>::from_system_matrix(sm);
+            let via = Csr::<S>::from_triplets(sm.num_rays(), sm.num_voxels(), sm.triplets());
+            assert_eq!(direct.rowptr, via.rowptr);
+            assert_eq!(direct.colidx, via.colidx);
+            let bits = |c: &Csr<S>| -> Vec<u64> {
+                c.values.iter().map(|v| v.to_f64().to_bits()).collect()
+            };
+            assert_eq!(bits(&direct), bits(&via));
+        }
+        let scan = ScanGeometry::uniform(ImageGrid::square(24, 1.0), 18);
+        let sm = SystemMatrix::build(&scan);
+        let ascending = |r: usize| sm.row(r).windows(2).all(|w| w[0].voxel < w[1].voxel);
+        let sorted_rows = (0..sm.num_rays()).filter(|&r| ascending(r)).count();
+        assert!(0 < sorted_rows && sorted_rows < sm.num_rays());
+        check::<f32>(&sm);
+        check::<F16>(&sm);
+    }
+
+    #[test]
+    fn map_values_keeps_the_pattern() {
+        let a = toy();
+        let b = a.map_values(|v| F16::from_f32(v * 0.5));
+        assert_eq!((b.num_rows(), b.num_cols(), b.nnz()), (2, 3, 3));
+        let got: Vec<_> = b.triplets().collect();
+        assert_eq!(got, vec![(0, 0, 0.5), (0, 2, 1.0), (1, 1, 1.5)]);
     }
 
     #[test]

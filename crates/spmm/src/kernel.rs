@@ -34,7 +34,8 @@
 //! vector lanes span *different* accumulators.
 //!
 //! All scratch (accumulators, the shared-memory stand-in, per-block
-//! output staging) comes from the [`ExecContext`]'s workspace, so a
+//! output staging, and the f32x8 body's once-per-launch widened and
+//! transposed copy of `x`) comes from the [`ExecContext`]'s workspace, so a
 //! steady-state iteration re-running [`spmm_with`] performs no heap
 //! allocation — the CPU analogue of the paper's preallocated device
 //! buffers.
@@ -71,10 +72,23 @@ where
 {
     #[cfg(target_arch = "x86_64")]
     if crate::simd::eligible::<C>() {
+        check_shapes(a, x, y);
         let (num_cols, fusing) = (a.num_cols(), a.fusing());
-        return launch::<S, C, C>(a, x, y, ctx, |block, acc, staged, out| {
-            crate::simd::run_block::<S, C>(block, num_cols, x, fusing, acc, staged, out);
+        // Stage the input once per launch: widened to compute precision
+        // and fusing-contiguous, so each block's gather through buffmap
+        // is one contiguous copy per slot and a column is widened once,
+        // not once per stage that maps it.
+        let mut xt: Vec<C> = ctx.workspace.take_uninit(BufferRole::KernelInput, x.len());
+        for (c, slot) in xt.chunks_exact_mut(fusing).enumerate() {
+            for (f, v) in slot.iter_mut().enumerate() {
+                *v = C::load(x[f * num_cols + c]);
+            }
+        }
+        let metrics = launch::<S, C, C>(a, y, ctx, |block, acc, staged, out| {
+            crate::simd::run_block::<S, C>(block, &xt, fusing, acc, staged, out);
         });
+        ctx.workspace.put(BufferRole::KernelInput, xt);
+        return metrics;
     }
     spmm_reference_with::<S, C>(a, x, y, ctx)
 }
@@ -120,8 +134,9 @@ where
     S: StorageScalar + WorkspaceScalar,
     C: ComputeScalar + WorkspaceScalar,
 {
+    check_shapes(a, x, y);
     let (buffsize, num_cols, fusing) = (a.slots_per_stage(), a.num_cols(), a.fusing());
-    launch::<S, C, S>(a, x, y, ctx, |block, acc, shared, out| {
+    launch::<S, C, S>(a, y, ctx, |block, acc, shared, out| {
         run_block_into_reference::<S, C>(block, buffsize, num_cols, x, fusing, acc, shared, out);
     })
 }
@@ -148,15 +163,14 @@ pub fn simd_available() -> bool {
     false
 }
 
-/// The one launch skeleton: checks shapes, partitions `a`'s blocks over
-/// the context's executor, runs `body(block, acc, staged, out)` on each
-/// with per-worker scratch, scatters the block outputs into `y`, and
-/// meters the launch. `T` is the element type of the body's staging
+/// The one launch skeleton (shapes already checked): partitions `a`'s
+/// blocks over the context's executor, runs
+/// `body(block, acc, staged, out)` on each with per-worker scratch,
+/// scatters the block outputs into `y`, and meters the launch. `T` is the element type of the body's staging
 /// buffer (the shared-memory stand-in): compute precision for the f32x8
 /// body, storage precision for the reference.
 fn launch<S, C, T>(
     a: &PackedMatrix<S>,
-    x: &[S],
     y: &mut [S],
     ctx: &mut ExecContext,
     body: impl Fn(&PackedBlock<S>, &mut [C], &mut [T], &mut [S]) + Sync,
@@ -166,7 +180,6 @@ where
     C: ComputeScalar + WorkspaceScalar,
     T: WorkspaceScalar,
 {
-    check_shapes(a, x, y);
     let fusing = a.fusing();
     let blocks = a.blocks();
     // Per-block scratch strides. `block_size` bounds `block.rows`, so one
@@ -402,34 +415,42 @@ mod tests {
     /// Bit-identity of the production launch — the f32x8 body where the
     /// CPU has it, the reference body fanned out over the executor
     /// everywhere else (always for f64 and f16 compute) — against the
-    /// serial reference, across every precision mode × fusing ∈ {1,4,8}
-    /// × ragged block tails. Neither body reorders any single
-    /// accumulator's FMA chain, and the scatter into `y` is sequential,
-    /// so every mode comes out bit-identical.
+    /// serial reference, in every precision mode, serially and on three
+    /// threads, over
+    ///
+    /// * fusing ∈ {1, 3, 4, 8, 12, 13, 16, 19}: the f32x8 body's scalar
+    ///   tail, 4-wide chunk and 8-wide chunk(s), each alone and in every
+    ///   combination (13 = 8 + 4 + 1, 19 = 8 + 8 + 3);
+    /// * a last warp owning 1, 2, 3, 5 or 31 rows (block 64, rows =
+    ///   96 + k): single lanes only, a four-lane group plus one, seven
+    ///   groups plus three — and 150 rows, whose 22-row tail block
+    ///   leaves its second warp with no row at all;
+    /// * every block's columns in one stage, and cut into 16-slot stages.
+    ///
+    /// Neither body reorders any single accumulator's FMA chain, and the
+    /// scatter into `y` is sequential, so every cell is bit-identical.
     #[test]
     fn production_kernel_matches_serial_reference_bitwise_in_every_mode() {
-        // Block 64: 150 rows leave a 22-row tail block (ragged first
-        // warp, empty second), 168 rows a 40-row one (full first warp,
-        // 8-lane ragged last warp); 90 cols with 512 B shared → multiple
-        // stages at larger fusing.
-        for rows in [150usize, 168] {
-            for fusing in [1usize, 4, 8] {
-                let csr32 = random_csr(rows, 90, 6, fusing as u64 + 7);
-                let t: Vec<_> = csr32.triplets().collect();
-                let csr64 = Csr::<f64>::from_triplets(rows, 90, t.iter().copied());
-                let csr16 = Csr::<F16>::from_triplets(rows, 90, t.iter().copied());
+        for rows in [97usize, 98, 99, 101, 127, 150] {
+            for fusing in [1usize, 3, 4, 8, 12, 13, 16, 19] {
+                let csr32 = random_csr(rows, 90, 6, (rows * 31 + fusing) as u64);
+                let csr64 = csr32.map_values(f64::from);
+                let csr16 = csr32.map_values(F16::from_f32);
                 let xf = random_x(90 * fusing, fusing as u64 + 41);
                 let x64: Vec<f64> = xf.iter().map(|&v| f64::from(v)).collect();
                 let x16: Vec<F16> = xf.iter().map(|&v| F16::from_f32(v)).collect();
-                let case = |mode: &str| format!("{mode}, rows {rows}, fusing {fusing}");
-
-                let packed = PackedMatrix::pack(&csr32, 64, 512, fusing);
-                assert_matches_serial_reference::<f32, f32>(&packed, &xf, &case("single"));
-                let packed = PackedMatrix::pack(&csr64, 64, 1024, fusing);
-                assert_matches_serial_reference::<f64, f64>(&packed, &x64, &case("double"));
-                let packed = PackedMatrix::pack(&csr16, 64, 512, fusing);
-                assert_matches_serial_reference::<F16, f32>(&packed, &x16, &case("mixed"));
-                assert_matches_serial_reference::<F16, F16>(&packed, &x16, &case("half"));
+                for slots in [16usize, 128] {
+                    let case =
+                        |mode: &str| format!("{mode}, rows {rows}, fusing {fusing}, slots {slots}");
+                    let packed = PackedMatrix::pack(&csr32, 64, slots * fusing * 4, fusing);
+                    assert_eq!(packed.stages_per_block() > 1.0, slots == 16);
+                    assert_matches_serial_reference::<f32, f32>(&packed, &xf, &case("single"));
+                    let packed = PackedMatrix::pack(&csr64, 64, slots * fusing * 8, fusing);
+                    assert_matches_serial_reference::<f64, f64>(&packed, &x64, &case("double"));
+                    let packed = PackedMatrix::pack(&csr16, 64, slots * fusing * 2, fusing);
+                    assert_matches_serial_reference::<F16, f32>(&packed, &x16, &case("mixed"));
+                    assert_matches_serial_reference::<F16, F16>(&packed, &x16, &case("half"));
+                }
             }
         }
     }

@@ -11,7 +11,6 @@
 
 use crate::csr::Csr;
 use crate::metrics::KernelMetrics;
-use std::collections::HashMap;
 use xct_fp16::StorageScalar;
 
 /// Threads per warp, as on NVIDIA hardware.
@@ -111,80 +110,90 @@ impl<S: StorageScalar> PackedMatrix<S> {
         );
         let slots_per_stage = slots.min(u16::MAX as usize + 1);
 
-        let mut blocks = Vec::new();
+        let padding = PackedElem {
+            ind: 0,
+            len: S::zero(),
+        };
+        // Scratch shared by every block. `position[c]` is column `c`'s
+        // rank among the current block's distinct columns — written for
+        // exactly those columns before it is read, so it is never
+        // cleared. `cols` and `counts` are refilled per block.
+        let mut position = vec![0u32; csr.num_cols()];
+        let mut cols: Vec<u32> = Vec::new();
+        let mut counts: Vec<usize> = Vec::new();
+
+        let mut blocks = Vec::with_capacity(csr.num_rows().div_ceil(block_size));
         let mut padded_nnz = 0usize;
         let mut row_base = 0usize;
         while row_base < csr.num_rows() {
             let rows = block_size.min(csr.num_rows() - row_base);
-            // Distinct columns touched by this block, ascending.
-            let mut cols: Vec<u32> = (row_base..row_base + rows)
-                .flat_map(|r| csr.row(r).0.iter().copied())
-                .collect();
+            // Distinct columns touched by this block, ascending; stage and
+            // slot of a column follow from its rank: rank / capacity,
+            // rank % capacity.
+            cols.clear();
+            for r in row_base..row_base + rows {
+                cols.extend_from_slice(csr.row(r).0);
+            }
             cols.sort_unstable();
             cols.dedup();
-
-            // Slot assignment: stage = position / capacity.
-            let col_slot: HashMap<u32, (usize, u16)> = cols
-                .iter()
-                .enumerate()
-                .map(|(i, &c)| (c, (i / slots_per_stage, (i % slots_per_stage) as u16)))
-                .collect();
+            for (i, &c) in cols.iter().enumerate() {
+                position[c as usize] = i as u32;
+            }
+            // A block of empty rows still gets one (empty) stage so the
+            // executor writes its zeros.
             let num_stages = cols.len().div_ceil(slots_per_stage).max(1);
-            let warps_per_block = block_size / WARP_SIZE;
 
-            // Bucket nonzeros: lane lists per (stage, warp).
-            let mut lanes: Vec<Vec<Vec<PackedElem<S>>>> =
-                vec![vec![Vec::new(); WARP_SIZE]; num_stages * warps_per_block];
+            // Counting pass: nonzeros per (stage, thread). A warp's rounds
+            // are its longest lane; that sizes every `indval` exactly.
+            counts.clear();
+            counts.resize(num_stages * block_size, 0);
+            for t in 0..rows {
+                for &c in csr.row(row_base + t).0 {
+                    let stage = position[c as usize] as usize / slots_per_stage;
+                    counts[stage * block_size + t] += 1;
+                }
+            }
+            let mut stages: Vec<PackedStage<S>> = (0..num_stages)
+                .map(|stage| PackedStage {
+                    map: cols
+                        .chunks(slots_per_stage)
+                        .nth(stage)
+                        .unwrap_or_default()
+                        .to_vec(),
+                    warps: counts[stage * block_size..][..block_size]
+                        .chunks(WARP_SIZE)
+                        .map(|lanes| {
+                            let rounds = lanes.iter().copied().max().unwrap_or(0);
+                            PackedWarp {
+                                rounds,
+                                indval: vec![padding; rounds * WARP_SIZE],
+                            }
+                        })
+                        .collect(),
+                })
+                .collect();
+            padded_nnz += stages
+                .iter()
+                .flat_map(|s| &s.warps)
+                .map(|w| w.indval.len())
+                .sum::<usize>();
+
+            // Fill pass: the counts become per-(stage, thread) cursors, so
+            // a lane's elements keep their row order round by round.
+            counts.fill(0);
             for t in 0..rows {
                 let (rcols, rvals) = csr.row(row_base + t);
-                let warp = t / WARP_SIZE;
-                let lane = t % WARP_SIZE;
+                let (warp, lane) = (t / WARP_SIZE, t % WARP_SIZE);
                 for (&c, &v) in rcols.iter().zip(rvals) {
-                    let (stage, slot) = col_slot[&c];
-                    lanes[stage * warps_per_block + warp][lane]
-                        .push(PackedElem { ind: slot, len: v });
+                    let rank = position[c as usize] as usize;
+                    let (stage, slot) = (rank / slots_per_stage, rank % slots_per_stage);
+                    let n = &mut counts[stage * block_size + t];
+                    stages[stage].warps[warp].indval[*n * WARP_SIZE + lane] = PackedElem {
+                        ind: slot as u16,
+                        len: v,
+                    };
+                    *n += 1;
                 }
-            }
-
-            let mut stages = Vec::with_capacity(num_stages);
-            for (stage_idx, chunk) in cols.chunks(slots_per_stage).enumerate() {
-                let mut warps = Vec::with_capacity(warps_per_block);
-                for warp in 0..warps_per_block {
-                    let lane_lists = &lanes[stage_idx * warps_per_block + warp];
-                    let rounds = lane_lists.iter().map(Vec::len).max().unwrap_or(0);
-                    let mut indval = vec![
-                        PackedElem {
-                            ind: 0,
-                            len: S::zero()
-                        };
-                        rounds * WARP_SIZE
-                    ];
-                    for (lane, list) in lane_lists.iter().enumerate() {
-                        for (n, &e) in list.iter().enumerate() {
-                            indval[n * WARP_SIZE + lane] = e;
-                        }
-                    }
-                    padded_nnz += rounds * WARP_SIZE;
-                    warps.push(PackedWarp { rounds, indval });
-                }
-                stages.push(PackedStage {
-                    map: chunk.to_vec(),
-                    warps,
-                });
-            }
-            if cols.is_empty() {
-                // A block of empty rows still needs one (empty) stage so
-                // the executor writes its zeros.
-                stages.push(PackedStage {
-                    map: Vec::new(),
-                    warps: vec![
-                        PackedWarp {
-                            rounds: 0,
-                            indval: Vec::new()
-                        };
-                        warps_per_block
-                    ],
-                });
             }
             blocks.push(PackedBlock {
                 row_base,
@@ -383,6 +392,137 @@ mod tests {
         got.sort_unstable();
         expected.sort_unstable();
         assert_eq!(got, expected);
+    }
+
+    /// One stage as `(map, per-warp (rounds, [(ind, len bits)]))`.
+    type StageLayout = (Vec<u32>, Vec<(usize, Vec<(u16, u64)>)>);
+
+    /// The layout `pack` must produce, built the slow obvious way: per
+    /// block the sorted distinct columns cut into stages, per (stage,
+    /// warp) one list per lane in row order, padded to the longest.
+    /// Returns one [`StageLayout`] per stage, per block.
+    fn lane_list_layout<S: StorageScalar>(
+        csr: &Csr<S>,
+        block_size: usize,
+        slots: usize,
+    ) -> Vec<Vec<StageLayout>> {
+        let mut blocks = Vec::new();
+        for row_base in (0..csr.num_rows()).step_by(block_size) {
+            let rows = block_size.min(csr.num_rows() - row_base);
+            let mut cols: Vec<u32> = (row_base..row_base + rows)
+                .flat_map(|r| csr.row(r).0.iter().copied())
+                .collect();
+            cols.sort_unstable();
+            cols.dedup();
+            let num_stages = cols.len().div_ceil(slots).max(1);
+            let mut stages = Vec::new();
+            for stage in 0..num_stages {
+                let map: Vec<u32> = cols
+                    .iter()
+                    .copied()
+                    .skip(stage * slots)
+                    .take(slots)
+                    .collect();
+                let mut warps = Vec::new();
+                for warp in 0..block_size / WARP_SIZE {
+                    let lists: Vec<Vec<(u16, u64)>> = (0..WARP_SIZE)
+                        .map(|lane| {
+                            let t = warp * WARP_SIZE + lane;
+                            if t >= rows {
+                                return Vec::new();
+                            }
+                            let (rc, rv) = csr.row(row_base + t);
+                            rc.iter()
+                                .zip(rv)
+                                .filter_map(|(c, v)| {
+                                    let slot = map.iter().position(|m| m == c)?;
+                                    Some((slot as u16, v.to_f64().to_bits()))
+                                })
+                                .collect()
+                        })
+                        .collect();
+                    let rounds = lists.iter().map(Vec::len).max().unwrap_or(0);
+                    let mut indval = vec![(0u16, 0.0f64.to_bits()); rounds * WARP_SIZE];
+                    for (lane, list) in lists.iter().enumerate() {
+                        for (n, &e) in list.iter().enumerate() {
+                            indval[n * WARP_SIZE + lane] = e;
+                        }
+                    }
+                    warps.push((rounds, indval));
+                }
+                stages.push((map, warps));
+            }
+            blocks.push(stages);
+        }
+        blocks
+    }
+
+    /// The precision modes' pack — the sorted `f32` operator re-typed and
+    /// rescaled by `map_values`, then the counting packer — against the
+    /// route it replaced, scaled triplets through `from_triplets`, laid
+    /// out by lane lists: block for block the same maps, rounds, `indval`
+    /// bits and padded size, for every storage type, on a ragged
+    /// multi-stage matrix whose middle block has only empty rows.
+    #[test]
+    fn direct_scaled_pack_equals_the_triplet_route_structurally() {
+        fn check<S: StorageScalar>(csr: &Csr<f32>, scale: f32) {
+            let (block_size, slots, fusing) = (64, 24, 3);
+            let direct = PackedMatrix::<S>::pack(
+                &csr.map_values(|v| S::from_f32(v * scale)),
+                block_size,
+                slots * fusing * S::BYTES,
+                fusing,
+            );
+            let scaled = csr.triplets().map(|(r, c, v)| (r, c, v * scale));
+            let typed = Csr::<S>::from_triplets(csr.num_rows(), csr.num_cols(), scaled);
+            let expected = lane_list_layout(&typed, block_size, slots);
+
+            assert_eq!(direct.slots_per_stage(), slots);
+            assert_eq!(direct.blocks().len(), expected.len(), "{}", S::NAME);
+            let mut padded = 0;
+            for (b, (block, want)) in direct.blocks().iter().zip(&expected).enumerate() {
+                assert_eq!(block.row_base, b * block_size);
+                assert_eq!(block.stages.len(), want.len(), "{} block {b}", S::NAME);
+                for (stage, (map, warps)) in block.stages.iter().zip(want) {
+                    assert_eq!(&stage.map, map, "{} block {b}", S::NAME);
+                    assert_eq!(stage.warps.len(), warps.len());
+                    for (warp, (rounds, indval)) in stage.warps.iter().zip(warps) {
+                        assert_eq!(warp.rounds, *rounds, "{} block {b}", S::NAME);
+                        let got: Vec<(u16, u64)> = warp
+                            .indval
+                            .iter()
+                            .map(|e| (e.ind, e.len.to_f64().to_bits()))
+                            .collect();
+                        assert_eq!(&got, indval, "{} block {b}", S::NAME);
+                        padded += indval.len();
+                    }
+                }
+            }
+            assert_eq!(direct.padded_nnz(), padded);
+            assert_eq!(direct.nnz(), csr.nnz());
+            assert!(direct.total_stages() > direct.blocks().len(), "multi-stage");
+        }
+
+        // 168 rows = blocks of 64, 64 (all rows empty) and 40 (ragged:
+        // full first warp, 8-lane second); 0–6 nonzeros per row.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize
+        };
+        let mut triplets = Vec::new();
+        for r in (0..64).chain(128..168) {
+            for _ in 0..r % 7 {
+                let v = (next() % 1000) as f32 / 1000.0 + 0.001;
+                triplets.push((r as u32, (next() % 300) as u32, v));
+            }
+        }
+        let csr = Csr::<f32>::from_triplets(168, 300, triplets.into_iter());
+        check::<f64>(&csr, 1.0);
+        check::<f32>(&csr, 1.0);
+        check::<F16>(&csr, 1.0 / 1.0005);
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //! - a disabled [`Telemetry`] handle performs zero allocations per
 //!   span/event (the zero-overhead rule of DESIGN.md §3b), while an enabled
 //!   one records spans without disturbing the workspace's steady state;
+//! - a `Reconstructor::reconstruct_in` call after the first allocates its
+//!   result and nothing else — the packed operator is kept, not rebuilt;
 //! - the distributed path's per-iteration allocation count is **bounded and
 //!   constant**: wire buffers are owned `Vec`s moved into channels (that is
 //!   inherent to message passing), but the count per iteration must not
@@ -25,6 +27,7 @@ use std::sync::Mutex;
 use count_alloc::{allocations, CountingAllocator};
 use xct_comm::{run_ranks, CompiledPlans, ExchangeScratch, Footprints, Ownership, Topology};
 use xct_core::distributed::{reconstruct_distributed, DistributedConfig};
+use xct_core::{ReconOptions, Reconstructor};
 use xct_fp16::{Precision, F16};
 use xct_geometry::{ImageGrid, ScanGeometry, SystemMatrix};
 use xct_solver::{CglsSolver, ExecContext, Phase, PrecisionOperator, Telemetry};
@@ -96,6 +99,47 @@ fn steady_state_cgls_steps_do_not_allocate() {
     assert_eq!(
         events_before, events_after,
         "workspace must not grow after warm-up"
+    );
+}
+
+#[test]
+fn repeated_reconstruct_in_allocates_only_its_result() {
+    let _guard = serial();
+
+    // `Reconstructor` packs its operator on the first call with a given
+    // (precision, fusing, block, shared) and keeps it. Every later call
+    // with the same options then allocates its result and the solver's
+    // report — a handful of vectors, independent of the matrix — where
+    // re-packing would cost allocations in proportion to the nonzeros.
+    let scan = ScanGeometry::uniform(ImageGrid::square(24, 1.0), 24);
+    let recon = Reconstructor::new(scan);
+    let fusing = 2;
+    let image: Vec<f32> = (0..recon.num_voxels())
+        .map(|i| (i % 7) as f32 * 0.1)
+        .collect();
+    let sinogram = recon.project(&image).repeat(fusing);
+    let opts = ReconOptions {
+        fusing,
+        iterations: 6,
+        ..Default::default()
+    };
+    let mut ctx = ExecContext::serial();
+    let mut call = || {
+        let before = allocations();
+        let result = recon.reconstruct_in(&sinogram, &opts, &mut ctx);
+        assert_eq!(result.x.len(), recon.num_voxels() * fusing);
+        allocations() - before
+    };
+    let (first, second, third) = (call(), call(), call());
+    // Measured: 140, 3, 3 (the volume, the residual and time histories).
+    assert!(
+        second <= 8,
+        "a call on a packed operator allocated {second} times"
+    );
+    assert_eq!(second, third, "the count per call is a constant");
+    assert!(
+        first >= 10 * second,
+        "only the first call packs: {first} allocations against {second}"
     );
 }
 
