@@ -129,7 +129,7 @@ mod tests {
             Role::Bench
         );
         assert_eq!(classify("examples/quickstart.rs"), Role::Example);
-        assert_eq!(classify("shims/criterion/src/lib.rs"), Role::Shim);
+        assert_eq!(classify("shims/proptest/src/lib.rs"), Role::Shim);
         assert_eq!(classify("build.rs"), Role::BuildScript);
         // A file merely *named* tests.rs in src stays Lib.
         assert_eq!(classify("crates/foo/src/tests.rs"), Role::Lib);

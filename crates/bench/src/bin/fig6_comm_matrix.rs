@@ -7,8 +7,8 @@
 //! 492 MB (36% more), 64% total.
 
 use xct_comm::{
-    execute_hierarchical, run_ranks, CommReport, DirectPlan, HierarchicalPlan, PartialData,
-    Topology, TrafficClass,
+    run_ranks, CommReport, CompiledPlans, DirectPlan, ExchangeScratch, HierarchicalPlan, Topology,
+    TrafficClass,
 };
 use xct_core::decompose::SliceDecomposition;
 use xct_geometry::{ImageGrid, ScanGeometry, SystemMatrix};
@@ -102,15 +102,18 @@ fn main() {
     // the per-rank communication meters reproduce the planned volumes.
     println!();
     println!("Measured byte matrix (one hierarchical reduction, f32 wire):");
+    let compiled = CompiledPlans::compile_hierarchical(&d.footprints, &ownership, &hier);
     let stats = run_ranks(topo.size(), |comm| {
         let rank = comm.rank();
-        let rows = d.footprints.per_rank[rank].clone();
-        let vals: Vec<f32> = rows
+        let rp = compiled.rank(rank);
+        let vals: Vec<f32> = d.footprints.per_rank[rank]
             .iter()
             .map(|&r| (r % 97) as f32 / 97.0 + rank as f32)
             .collect();
-        let mine = PartialData::new(rows, vals);
-        execute_hierarchical(comm, &hier, &ownership, &mine).expect("exchange");
+        let mut owned = vec![0.0f32; rp.owned_len()];
+        let mut scratch = ExchangeScratch::new();
+        rp.reduce::<f32>(comm, &mut scratch, &vals, 1.0, 1.0, 0, &mut owned)
+            .expect("exchange");
         comm.comm_stats()
     });
     let report = CommReport::new(stats);

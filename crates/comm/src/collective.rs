@@ -251,8 +251,7 @@ impl Communicator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::{run_ranks, run_ranks_chaos, ChaosSchedule};
-    use std::time::Duration;
+    use crate::runtime::{run_ranks, run_ranks_with, ChaosSchedule, RankOptions};
 
     /// The fixed reduction tree replayed serially: what every rank of
     /// `topo` must hold after an allreduce of `inputs[rank]` under `op`.
@@ -342,10 +341,11 @@ mod tests {
             assert_eq!(first, again, "back-to-back collectives diverged");
             vals
         };
-        match chaos {
-            Some(schedule) => run_ranks_chaos(topo.size(), Duration::from_secs(20), schedule, body),
-            None => run_ranks(topo.size(), body),
-        }
+        let opts = RankOptions {
+            chaos,
+            ..RankOptions::default()
+        };
+        run_ranks_with(topo.size(), &opts, body)
     }
 
     #[test]

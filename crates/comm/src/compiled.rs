@@ -1,15 +1,15 @@
 //! Compiled communication plans: allocation-free, overlappable execution.
 //!
-//! [`crate::exec`] is the *reference* executor — it re-derives row routing
-//! from the plan on every call through `HashMap<u32, f64>` scratch, which
-//! is clear but violates the steady-state allocation-free rule (PR 1) and
-//! forces every exchange to complete before local work continues.
-//! This module compiles a [`DirectPlan`] or [`HierarchicalPlan`] plus an
-//! [`Ownership`] once, into per-rank tables of *positions*: for every
-//! level, which indices of the current value buffer go to which peer,
-//! which indices carry over locally (`keeps`), and where each received
-//! element lands. Execution is then pure index arithmetic over reusable
-//! `f64` buffers ([`ExchangeScratch`]).
+//! The one exchange executor. The test-only *reference* (`exec.rs`)
+//! re-derives row routing from the plan on every call through
+//! `HashMap<u32, f64>` scratch, which is clear but allocates in steady
+//! state and forces every exchange to complete before local work
+//! continues. This module compiles a [`DirectPlan`] or
+//! [`HierarchicalPlan`] plus an [`Ownership`] once, into per-rank tables
+//! of *positions*: for every level, which indices of the current value
+//! buffer go to which peer, which indices carry over locally (`keeps`),
+//! and where each received element lands. Execution is then pure index
+//! arithmetic over reusable `f64` buffers ([`ExchangeScratch`]).
 //!
 //! Numerical contract: results are **bit-identical** to the reference
 //! executor. Both seed each level's accumulator the same way, add
@@ -40,9 +40,10 @@ use crate::wire::Wire;
 use std::collections::{HashMap, VecDeque};
 use xct_telemetry::Phase;
 
-/// Compiled-plan tag namespace (disjoint from `exec`'s 0x100..0x800 and
-/// the solver's 0x7000/0x9000 tags). Callers salt with a per-slice value
-/// shifted above these bits to keep concurrent slices separate.
+/// Compiled-plan tag namespace (disjoint from the reference executor's
+/// 0x100..0x800 and the solver's 0x7000/0x9000 tags). Callers salt with a
+/// per-slice value shifted above these bits to keep concurrent slices
+/// separate.
 const TAG_SOCKET: u64 = 0x1100;
 const TAG_NODE: u64 = 0x1200;
 const TAG_GLOBAL: u64 = 0x1400;
@@ -65,8 +66,7 @@ impl Transfer {
     /// Validated constructor: position tables must be strictly ascending
     /// (every compile path gathers sorted row lists through monotone
     /// position maps, so a violation means a corrupted plan). Checked in
-    /// release builds too — the same build-time-rejection pattern as
-    /// `PartialData::new` — because an unsorted table silently scrambles
+    /// release builds too, because an unsorted table silently scrambles
     /// payload/position pairing far from the cause.
     pub fn new(peer: usize, idx: Vec<u32>) -> Self {
         match Self::try_new(peer, idx) {
@@ -603,11 +603,42 @@ fn assign_payload<S: Wire>(bytes: &[u8], idx: &[u32], out: &mut [f64]) {
 }
 
 /// Rounds every element to storage precision (the once-per-level rounding
-/// the reference executor applies when materializing `PartialData<S>`).
+/// the reference executor applies when materializing its per-level data).
 fn round_level<S: Wire>(vals: &mut [f64]) {
     for v in vals {
         *v = S::from_f64(*v).to_f64();
     }
+}
+
+/// Runs blocking local `levels` over `scratch.cur`, one after another:
+/// send, seed the output with the local carries, receive in plan order
+/// and `land` each payload (accumulate when reducing, assign when
+/// scattering), round to storage precision, and make the output the
+/// next level's input.
+fn run_levels<S: Wire>(
+    comm: &Communicator,
+    scratch: &mut ExchangeScratch,
+    levels: &[LevelProgram],
+    salt: u64,
+    land: fn(&[u8], &[u32], &mut [f64]),
+) -> Result<(), CommError> {
+    for level in levels {
+        let _span = level.phase.map(|p| comm.telemetry().span(p));
+        run_sends::<S>(comm, level, &scratch.cur, salt)?;
+        scratch.nxt.clear();
+        scratch.nxt.resize(level.out_len, 0.0);
+        for &(s, d) in &level.keeps {
+            scratch.nxt[d as usize] = scratch.cur[s as usize];
+        }
+        for t in &level.recvs {
+            let bytes = comm.recv(t.peer, level.tag ^ salt)?;
+            land(&bytes, &t.idx, &mut scratch.nxt);
+            comm.recycle(bytes);
+        }
+        round_level::<S>(&mut scratch.nxt);
+        std::mem::swap(&mut scratch.cur, &mut scratch.nxt);
+    }
+    Ok(())
 }
 
 impl RankPlan {
@@ -690,23 +721,7 @@ impl RankPlan {
         scratch
             .cur
             .extend(vals.iter().map(|&v| S::from_f32(v * factor).to_f64()));
-        for level in &self.levels {
-            let _span = level.phase.map(|p| comm.telemetry().span(p));
-            run_sends::<S>(comm, level, &scratch.cur, salt)?;
-            scratch.nxt.clear();
-            scratch.nxt.resize(level.out_len, 0.0);
-            for &(s, d) in &level.keeps {
-                scratch.nxt[d as usize] = scratch.cur[s as usize];
-            }
-            for t in &level.recvs {
-                let bytes = comm.recv(t.peer, level.tag ^ salt)?;
-                accumulate_payload::<S>(&bytes, &t.idx, &mut scratch.nxt);
-                comm.recycle(bytes);
-            }
-            round_level::<S>(&mut scratch.nxt);
-            std::mem::swap(&mut scratch.cur, &mut scratch.nxt);
-        }
-        Ok(())
+        run_levels::<S>(comm, scratch, &self.levels, salt, accumulate_payload::<S>)
     }
 
     /// Posts the global exchange: sends the post-node partials to owners,
@@ -874,21 +889,13 @@ impl RankPlan {
         out1.clear();
         scratch.acc_pool.push(out1);
         scratch.req_pool.push(reqs);
-        for level in &self.scatter_levels {
-            run_sends::<S>(comm, level, &scratch.cur, salt)?;
-            scratch.nxt.clear();
-            scratch.nxt.resize(level.out_len, 0.0);
-            for &(s, d) in &level.keeps {
-                scratch.nxt[d as usize] = scratch.cur[s as usize];
-            }
-            for t in &level.recvs {
-                let bytes = comm.recv(t.peer, level.tag ^ salt)?;
-                assign_payload::<S>(&bytes, &t.idx, &mut scratch.nxt);
-                comm.recycle(bytes);
-            }
-            round_level::<S>(&mut scratch.nxt);
-            std::mem::swap(&mut scratch.cur, &mut scratch.nxt);
-        }
+        run_levels::<S>(
+            comm,
+            scratch,
+            &self.scatter_levels,
+            salt,
+            assign_payload::<S>,
+        )?;
         for (o, &i) in out.iter_mut().zip(&self.restrict) {
             *o = S::from_f64(scratch.cur[i as usize]).to_f32() * undo;
         }

@@ -1,4 +1,7 @@
-//! Executing communication plans on real data across ranks.
+//! The reference executor: communication plans run on real data across
+//! ranks straight from the row tables. Compiled only under `cfg(test)`,
+//! as the oracle [`crate::compiled`]'s bit-identity tests compare
+//! against; production exchanges run [`crate::CompiledPlans`].
 //!
 //! Forward (projection) direction: partial sums flow *up* the hierarchy —
 //! socket reduction, node reduction, global exchange to owners. Backward
@@ -48,14 +51,6 @@ impl<S: Wire> PartialData<S> {
             );
         }
         PartialData { rows, vals }
-    }
-
-    /// Empty data.
-    pub fn empty() -> Self {
-        PartialData {
-            rows: Vec::new(),
-            vals: Vec::new(),
-        }
     }
 
     fn value_map(&self) -> HashMap<u32, f64> {

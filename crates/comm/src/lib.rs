@@ -10,20 +10,21 @@
 //!
 //! * [`Topology`] — rank ↔ (node, socket, gpu) mapping of a fat-node
 //!   machine (Summit: 2 sockets × 3 GPUs),
-//! * [`Communicator`] / [`run_ranks`] — the MPI substitute: one thread per
-//!   rank, tagged point-to-point messages, pure-function splits
-//!   (`MPI_Comm_split` analog),
+//! * [`Communicator`] / [`run_ranks`] / [`run_ranks_with`] — the MPI
+//!   substitute: one thread per rank, tagged point-to-point messages
+//!   filed by `(source, tag)` at send, one blocking wait
+//!   ([`Communicator::recv`], which [`RecvRequest::wait`] completes
+//!   through),
 //! * [`AllreduceSteps`] / [`Communicator::allreduce`] — the small-vector
 //!   allreduce as a per-rank step list built from the topology (socket →
 //!   node → recursive doubling among node leaders → back down),
 //! * [`DirectPlan`] / [`HierarchicalPlan`] — communication schedules with
 //!   exact per-pair and per-level volume accounting (Figs 6, 11;
 //!   Table IV),
-//! * [`execute_direct`] / [`execute_hierarchical`] — reference executor:
-//!   run a plan on real data across ranks, in any storage precision,
-//! * [`CompiledPlans`] — plans compiled to per-peer index tables for
-//!   allocation-free execution, with split `begin`/`finish` global
-//!   exchanges so communication overlaps computation (§III-E).
+//! * [`CompiledPlans`] — the exchange executor: plans compiled to
+//!   per-peer index tables and run on real data across ranks, in any
+//!   storage precision, allocation-free, with split `begin`/`finish`
+//!   global exchanges so communication overlaps computation (§III-E).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -46,17 +47,14 @@ pub use metrics::{
 };
 pub use plan::{DirectPlan, Footprints, HierarchicalPlan, Ownership, PlanError, ReductionStep};
 pub use runtime::{
-    run_ranks, run_ranks_chaos, run_ranks_chaos_traced, run_ranks_traced, run_ranks_traced_wired,
-    run_ranks_with_timeout, Backoff, ChaosMode, ChaosSchedule, CommError, Communicator,
+    run_ranks, run_ranks_with, ChaosMode, ChaosSchedule, CommError, Communicator, RankOptions,
     RecvRequest, WireModel, REPLY_TAG_SALT,
 };
 pub use topology::{CommLevel, Topology};
 pub use wire::Wire;
 
-mod exec;
-pub use exec::{
-    execute_direct, execute_hierarchical, scatter_direct, scatter_hierarchical, PartialData,
-};
-
 mod compiled;
+/// The row-table executor `compiled`'s bit-identity tests compare against.
+#[cfg(test)]
+mod exec;
 pub use compiled::{CompiledPlans, ExchangeScratch, LevelProgram, RankPlan, Transfer};

@@ -19,10 +19,10 @@ use std::ops::Range;
 /// Structured error for malformed plan-construction inputs.
 ///
 /// PR 3 taught us that silently accepting a malformed table (unsorted
-/// `PartialData` rows) produces corruption far from the cause, so plan
-/// inputs are validated *at build time, in release builds too* — the same
-/// pattern `PartialData::new` uses — and the rejection carries a witness
-/// (the offending row/range/position) instead of a boolean.
+/// rows) produces corruption far from the cause, so plan inputs are
+/// validated *at build time, in release builds too*, and the rejection
+/// carries a witness (the offending row/range/position) instead of a
+/// boolean.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlanError {
     /// An owner entry names a rank outside the world.

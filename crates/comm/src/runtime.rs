@@ -7,14 +7,19 @@
 //! `MPI_Issend` / `MPI_Irecv` usage pattern — post sends and receives, do
 //! local work, then complete — maps onto this directly).
 //!
-//! Transport is a per-rank mailbox (`Mutex<VecDeque>` + `Condvar`) rather
-//! than an `mpsc` channel so that wire buffers can be *pooled*: a payload
-//! `Vec<u8>` travels from the sender's pool through the mailbox to the
-//! receiver, which hands it back via [`Communicator::recycle`]. Because
-//! the scatter schedule is the exact transpose of the reduce schedule,
-//! every rank receives the same multiset of message sizes it sends over a
-//! full solver iteration, so the pools reach a steady state after warm-up
-//! and the exchange hot path stops allocating (see `tests/alloc_free.rs`).
+//! Transport is a per-rank mailbox — one FIFO queue per `(source, tag)`
+//! envelope behind a `Mutex`, plus a `Condvar` — rather than an `mpsc`
+//! channel. The sender knows the envelope, so it files the message under
+//! its key at send and a receive looks at the front of exactly one
+//! queue; the condvar wait inside [`Communicator::recv`] is the only
+//! place a rank blocks. A mailbox also lets wire buffers be *pooled*: a
+//! payload `Vec<u8>` travels from the sender's pool through the mailbox
+//! to the receiver, which hands it back via [`Communicator::recycle`].
+//! Because the scatter schedule is the exact transpose of the reduce
+//! schedule, every rank receives the same multiset of message sizes it
+//! sends over a full solver iteration, so the pools reach a steady state
+//! after warm-up and the exchange hot path stops allocating (see
+//! `tests/alloc_free.rs`).
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -59,8 +64,6 @@ pub enum CommError {
         /// Expected tag.
         tag: u64,
     },
-    /// The peer's thread has exited (its channel endpoint is gone).
-    Disconnected,
     /// A split exchange was finished with none posted (`*_finish` without
     /// a matching `*_begin`).
     NotPosted,
@@ -75,7 +78,6 @@ impl std::fmt::Display for CommError {
             CommError::Timeout { src, tag } => {
                 write!(f, "timed out waiting for message from rank {src} tag {tag}")
             }
-            CommError::Disconnected => write!(f, "peer disconnected"),
             CommError::NotPosted => write!(f, "exchange finished with none in flight"),
         }
     }
@@ -258,9 +260,8 @@ struct ChaosState {
     seq: Vec<AtomicU64>,
 }
 
-struct Envelope {
-    src: usize,
-    tag: u64,
+/// One sent-but-unmatched message, filed under its `(src, tag)` key.
+struct Message {
     /// When a [`WireModel`] or chaos schedule is in force: the earliest
     /// instant the receiver may match this message.
     ready_at: Option<Instant>,
@@ -274,62 +275,21 @@ struct Envelope {
     payload: Vec<u8>,
 }
 
-/// One stashed message for a `(src, tag)` key.
-struct Stashed {
-    /// Wire/chaos deadline carried over from the envelope.
-    ready_at: Option<Instant>,
-    sent_ns: u64,
-    wire_ns: u64,
-    payload: Vec<u8>,
-}
-
-impl Stashed {
-    fn from_envelope(env: Envelope) -> Stashed {
-        Stashed {
-            ready_at: env.ready_at,
-            sent_ns: env.sent_ns,
-            wire_ns: env.wire_ns,
-            payload: env.payload,
-        }
-    }
-}
-
-/// Stashed messages for one `(src, tag)` key, FIFO so send order is
-/// preserved.
-type StashQueue = VecDeque<Stashed>;
-
-/// A matched message plus the send-side metadata the receiver needs to
-/// record the causal match edge.
-struct Delivery {
-    payload: Vec<u8>,
-    sent_ns: u64,
-    wire_ns: u64,
-}
-
 #[derive(Default)]
 struct MailboxInner {
-    /// Messages delivered but not yet matched, in arrival order.
-    arrivals: VecDeque<Envelope>,
-    /// Messages already inspected while waiting for a different envelope,
-    /// filed by `(src, tag)` with their wire deadline; FIFO per key
-    /// preserves send order.
-    stash: HashMap<(usize, u64), StashQueue>,
-    /// Running count of stashed messages across all keys, so the
+    /// Unmatched messages by `(src, tag)`; FIFO per key preserves send
+    /// order. Drained queues stay in the map: a solver reuses its keys
+    /// every iteration, so the map stops allocating after warm-up.
+    queues: HashMap<(usize, u64), VecDeque<Message>>,
+    /// Running count of unmatched messages across all keys, so the
     /// mailbox-depth metric is O(1) to read.
-    stashed: usize,
-}
-
-impl MailboxInner {
-    /// Messages delivered to this mailbox but not yet matched.
-    fn depth(&self) -> usize {
-        self.arrivals.len() + self.stashed
-    }
+    depth: usize,
 }
 
 /// Outcome of one matching attempt against the mailbox.
 enum MatchOutcome {
     /// A matching message, ready now.
-    Ready(Delivery),
+    Ready(Message),
     /// The next matching message exists but its simulated wire time has
     /// not elapsed; retry at the contained instant.
     NotUntil(Instant),
@@ -382,8 +342,8 @@ impl Communicator {
     }
 
     /// The tracing handle attached to this rank (disabled unless the world
-    /// was started with [`run_ranks_traced`]). Forked per rank, so solver
-    /// code running on this rank thread can clone it into an
+    /// was started with a [`RankOptions::telemetry`]). Forked per rank, so
+    /// solver code running on this rank thread can clone it into an
     /// `ExecContext` and share one nesting stack with the comm layer.
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
@@ -466,14 +426,17 @@ impl Communicator {
         };
         // xct-allow(no-panic): lock poisoning means a sibling rank thread already panicked; propagate
         let mut inner = mailbox.inner.lock().expect("mailbox mutex poisoned");
-        inner.arrivals.push_back(Envelope {
-            src: self.rank,
-            tag,
-            ready_at,
-            sent_ns,
-            wire_ns,
-            payload,
-        });
+        inner
+            .queues
+            .entry((self.rank, tag))
+            .or_default()
+            .push_back(Message {
+                ready_at,
+                sent_ns,
+                wire_ns,
+                payload,
+            });
+        inner.depth += 1;
         drop(inner);
         mailbox.ready.notify_all();
         Ok(())
@@ -490,66 +453,23 @@ impl Communicator {
         self.send(dst, tag, buf)
     }
 
-    /// Pops the next message matching `(src, tag)` from the stash or the
-    /// arrival queue, filing non-matching arrivals. The stash is checked
-    /// first: stashed messages are older than anything still queued. A
-    /// matching message still "on the wire" (see [`WireModel`]) is not
-    /// delivered; the caller learns when to retry.
+    /// Pops the oldest message filed under `(src, tag)`. One still "on
+    /// the wire" (see [`WireModel`]) is not delivered, nor is anything
+    /// queued behind it; the caller learns when to retry.
     fn take_match(inner: &mut MailboxInner, src: usize, tag: u64) -> MatchOutcome {
-        if let Some(queue) = inner.stash.get_mut(&(src, tag)) {
-            match queue.front() {
-                Some(&Stashed {
-                    ready_at: Some(at), ..
-                // xct-allow(wall-clock): the in-process wire model delays real threads — genuine wall time, not telemetry
-                }) if at > Instant::now() => {
-                    return MatchOutcome::NotUntil(at);
-                }
-                Some(_) => {
-                    // xct-allow(no-panic): infallible — the match above proved the front exists
-                    let stashed = queue.pop_front().expect("front checked above");
-                    inner.stashed -= 1;
-                    return MatchOutcome::Ready(Delivery {
-                        payload: stashed.payload,
-                        sent_ns: stashed.sent_ns,
-                        wire_ns: stashed.wire_ns,
-                    });
-                }
-                None => {}
+        let Some(queue) = inner.queues.get_mut(&(src, tag)) else {
+            return MatchOutcome::Absent;
+        };
+        match queue.front().map(|m| m.ready_at) {
+            None => MatchOutcome::Absent,
+            // xct-allow(wall-clock): the in-process wire model delays real threads — genuine wall time, not telemetry
+            Some(Some(at)) if at > Instant::now() => MatchOutcome::NotUntil(at),
+            Some(_) => {
+                inner.depth -= 1;
+                // xct-allow(no-panic): infallible — the match above proved the front exists
+                MatchOutcome::Ready(queue.pop_front().expect("front checked above"))
             }
         }
-        // Reaching here, the stash holds nothing for `(src, tag)`, so
-        // filing a matching-but-in-flight arrival keeps per-key FIFO.
-        while let Some(env) = inner.arrivals.pop_front() {
-            let matches = env.src == src && env.tag == tag;
-            if matches {
-                match env.ready_at {
-                    // xct-allow(wall-clock): the in-process wire model delays real threads — genuine wall time, not telemetry
-                    Some(at) if at > Instant::now() => {
-                        inner
-                            .stash
-                            .entry((src, tag))
-                            .or_default()
-                            .push_back(Stashed::from_envelope(env));
-                        inner.stashed += 1;
-                        return MatchOutcome::NotUntil(at);
-                    }
-                    _ => {
-                        return MatchOutcome::Ready(Delivery {
-                            payload: env.payload,
-                            sent_ns: env.sent_ns,
-                            wire_ns: env.wire_ns,
-                        })
-                    }
-                }
-            }
-            inner
-                .stash
-                .entry((env.src, env.tag))
-                .or_default()
-                .push_back(Stashed::from_envelope(env));
-            inner.stashed += 1;
-        }
-        MatchOutcome::Absent
     }
 
     /// Records the causal match edge for a completed delivery (when
@@ -557,7 +477,7 @@ impl Communicator {
     /// the mailbox lock already released: the edge goes to the
     /// telemetry collector, whose lock never nests inside a mailbox
     /// lock.
-    fn finish_match(&self, src: usize, delivery: Delivery, tag: u64) -> Vec<u8> {
+    fn finish_match(&self, src: usize, delivery: Message, tag: u64) -> Vec<u8> {
         self.telemetry.metric_inc(MetricId::CommRecvMsgs);
         self.telemetry
             .metric_add(MetricId::CommRecvBytes, delivery.payload.len() as u64);
@@ -573,9 +493,9 @@ impl Communicator {
         delivery.payload
     }
 
-    /// Receives the next message matching `(src, tag)`, buffering
-    /// non-matching arrivals. Messages from one sender with one tag are
-    /// delivered in send order.
+    /// Receives the next message matching `(src, tag)`, blocking until
+    /// it is matchable or the timeout passes. Messages from one sender
+    /// with one tag are delivered in send order.
     pub fn recv(&self, src: usize, tag: u64) -> Result<Vec<u8>, CommError> {
         if src >= self.size() {
             return Err(CommError::RankOutOfRange {
@@ -591,7 +511,7 @@ impl Communicator {
         loop {
             let wake_at = match Self::take_match(&mut inner, src, tag) {
                 MatchOutcome::Ready(delivery) => {
-                    self.note_mailbox_depth(inner.depth());
+                    self.note_mailbox_depth(inner.depth);
                     drop(inner);
                     return Ok(self.finish_match(src, delivery, tag));
                 }
@@ -600,7 +520,7 @@ impl Communicator {
                 MatchOutcome::NotUntil(at) => at.min(deadline),
                 MatchOutcome::Absent => deadline,
             };
-            self.note_mailbox_depth(inner.depth());
+            self.note_mailbox_depth(inner.depth);
             // xct-allow(wall-clock): the in-process wire model delays real threads — genuine wall time, not telemetry
             let now = Instant::now();
             if now >= deadline {
@@ -616,7 +536,7 @@ impl Communicator {
         }
     }
 
-    /// Publishes this rank's mailbox depth (arrivals + stash) as a
+    /// Publishes this rank's mailbox depth (unmatched messages) as a
     /// gauge. Called at receive attempts with the mailbox lock held; the
     /// gauge store is a relaxed atomic, and the flight ring it also
     /// touches is a leaf lock, so no lock-order cycle is possible.
@@ -641,7 +561,7 @@ impl Communicator {
                 // xct-allow(no-panic): lock poisoning means a sibling rank thread already panicked; propagate
                 .expect("mailbox mutex poisoned");
             let outcome = Self::take_match(&mut inner, src, tag);
-            self.note_mailbox_depth(inner.depth());
+            self.note_mailbox_depth(inner.depth);
             outcome
         };
         Ok(match outcome {
@@ -653,8 +573,8 @@ impl Communicator {
     /// Posts a nonblocking receive for `(src, tag)` — the `MPI_Irecv`
     /// analog. A message that has already arrived is captured immediately;
     /// otherwise the returned [`RecvRequest`] completes it later via
-    /// [`RecvRequest::test`] / [`RecvRequest::wait`], letting local work
-    /// run while the peer's send is still in flight.
+    /// [`RecvRequest::wait`], letting local work run while the peer's
+    /// send is still in flight.
     pub fn irecv(&self, src: usize, tag: u64) -> Result<RecvRequest, CommError> {
         let done = self.try_recv(src, tag)?;
         Ok(RecvRequest { src, tag, done })
@@ -709,43 +629,6 @@ impl RecvRequest {
         self.tag
     }
 
-    /// Progresses the request without blocking; returns whether the
-    /// message has arrived (`MPI_Test`).
-    // xct-hot
-    pub fn test(&mut self, comm: &Communicator) -> Result<bool, CommError> {
-        if self.done.is_none() {
-            self.done = comm.try_recv(self.src, self.tag)?;
-        }
-        Ok(self.done.is_some())
-    }
-
-    /// Polls [`test`](Self::test) under a bounded backoff instead of a
-    /// busy spin, performing **exactly** `max_polls` tests. Returns
-    /// whether the message arrived within those attempts. Prefer
-    /// [`wait`](Self::wait) when blocking is fine — the runtime's
-    /// condvar wakeups are cheap; this exists for call sites that must
-    /// interleave polling with other progress and would otherwise spin
-    /// on `test` at full speed. Call sites that poll *repeatedly* (a
-    /// drain loop re-testing until completion) should own a [`Backoff`]
-    /// and drive `test` themselves — re-entering this method restarts
-    /// the ladder from yields every time, which is exactly the
-    /// escalation reset the ladder exists to avoid.
-    ///
-    /// Each unsuccessful poll is counted on the rank's telemetry —
-    /// `comm.wait.spins` for the poll itself, plus `comm.wait.yields` or
-    /// `comm.wait.parks` for how it backed off — so the backoff constants
-    /// are tunable against measurement instead of blind.
-    pub fn test_backoff(&mut self, comm: &Communicator, max_polls: u32) -> Result<bool, CommError> {
-        let mut backoff = Backoff::new();
-        for _ in 0..max_polls {
-            if self.test(comm)? {
-                return Ok(true);
-            }
-            backoff.wait(comm);
-        }
-        Ok(false)
-    }
-
     /// Blocks until the message arrives and returns its payload
     /// (`MPI_Wait`). Consumes the request.
     // xct-hot
@@ -754,86 +637,6 @@ impl RecvRequest {
             Some(payload) => Ok(payload),
             None => comm.recv(self.src, self.tag),
         }
-    }
-}
-
-/// An escalating wait ladder for polling loops, with the poll count and
-/// pause carried *across* calls: the first [`Self::YIELD_POLLS`] failed
-/// polls only yield the CPU, later ones sleep with exponentially growing
-/// pauses capped at [`Self::PAUSE_CAP`].
-///
-/// The whole point is persistence. A drain loop that calls a
-/// self-contained helper like [`RecvRequest::test_backoff`] inside its
-/// `while` restarts the ladder at "yield" on every iteration, so a long
-/// wait spins hot forever and never frees the core the compute pipeline
-/// needs. Owning one `Backoff` for the loop's lifetime makes the wait
-/// actually escalate to capped parks:
-///
-/// ```ignore
-/// let mut backoff = Backoff::new();
-/// while !req.test(comm)? {
-///     backoff.wait(comm);
-/// }
-/// ```
-///
-/// Every failed poll is metered (`comm.wait.spins` plus
-/// `comm.wait.yields`/`comm.wait.parks` for how it backed off), so the
-/// spin/park split is visible in telemetry and the constants stay
-/// tunable against measurement.
-#[derive(Debug, Clone)]
-pub struct Backoff {
-    polls: u32,
-    pause: Duration,
-}
-
-impl Backoff {
-    /// Failed polls that merely yield before the ladder starts parking.
-    pub const YIELD_POLLS: u32 = 16;
-    /// Longest single park.
-    pub const PAUSE_CAP: Duration = Duration::from_millis(1);
-    /// First park length; doubles per park up to [`Self::PAUSE_CAP`].
-    pub const PAUSE_START: Duration = Duration::from_micros(10);
-
-    /// A ladder at the start (yield) rung.
-    pub fn new() -> Self {
-        Backoff {
-            polls: 0,
-            pause: Self::PAUSE_START,
-        }
-    }
-
-    /// Failed polls recorded since construction or the last reset.
-    pub fn polls(&self) -> u32 {
-        self.polls
-    }
-
-    /// Restarts the ladder — for loops that wait on a *sequence* of
-    /// events and want escalation per event, reset after each success.
-    pub fn reset(&mut self) {
-        *self = Self::new();
-    }
-
-    /// Records one failed poll and backs off one rung: yield while young,
-    /// then park with doubling (capped) pauses. Meters the poll on the
-    /// rank's telemetry.
-    // xct-hot
-    pub fn wait(&mut self, comm: &Communicator) {
-        comm.telemetry.metric_inc(MetricId::CommWaitSpins);
-        if self.polls < Self::YIELD_POLLS {
-            comm.telemetry.metric_inc(MetricId::CommWaitYields);
-            std::thread::yield_now();
-        } else {
-            comm.telemetry.metric_inc(MetricId::CommWaitParks);
-            std::thread::sleep(self.pause);
-            self.pause = (self.pause * 2).min(Self::PAUSE_CAP);
-        }
-        self.polls = self.polls.saturating_add(1);
-    }
-}
-
-impl Default for Backoff {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -857,90 +660,61 @@ impl Default for Backoff {
 /// assert_eq!(results[0], 6.0);
 /// ```
 pub fn run_ranks<T: Send>(n: usize, body: impl Fn(&Communicator) -> T + Sync) -> Vec<T> {
-    run_ranks_with_timeout(n, Duration::from_secs(30), body)
+    run_ranks_with(n, &RankOptions::default(), body)
 }
 
-/// [`run_ranks`] with an explicit receive timeout (shorter for failure
-/// tests).
-pub fn run_ranks_with_timeout<T: Send>(
-    n: usize,
-    timeout: Duration,
-    body: impl Fn(&Communicator) -> T + Sync,
-) -> Vec<T> {
-    run_ranks_inner(n, timeout, &Telemetry::disabled(), None, None, body)
+/// What a world of ranks can be started with beyond its size; the
+/// default is [`run_ranks`]'s world.
+#[derive(Debug, Clone)]
+pub struct RankOptions {
+    /// Receive timeout (30 s by default; shorter for failure tests).
+    pub timeout: Duration,
+    /// Each rank's communicator carries a fork of this handle on track =
+    /// rank, so spans, metrics and flight events of all rank threads
+    /// land in one shared collector with correct per-rank nesting.
+    /// Disabled by default.
+    pub telemetry: Telemetry,
+    /// Inter-node messages are held back for their simulated wire time
+    /// before the receiver can match them, making communication-bound
+    /// configurations measurable in-process.
+    pub wire: Option<WireModel>,
+    /// Rank starts are staggered and message matchability is delayed,
+    /// both as pure functions of the schedule's seed. Correct programs
+    /// must produce results identical to an unperturbed run; a
+    /// divergence or error is a race, and the seed is its repro. This is
+    /// the execution hook the xct-verify schedule explorer drives.
+    pub chaos: Option<ChaosSchedule>,
 }
 
-/// [`run_ranks`] under a deterministic [`ChaosSchedule`]: rank starts are
-/// staggered and message matchability is delayed, both as pure functions
-/// of the schedule's seed. Correct programs must produce results
-/// identical to an unperturbed run; a divergence or error is a race, and
-/// the seed is its repro. This is the execution hook the xct-verify
-/// schedule explorer drives.
-pub fn run_ranks_chaos<T: Send>(
-    n: usize,
-    timeout: Duration,
-    chaos: ChaosSchedule,
-    body: impl Fn(&Communicator) -> T + Sync,
-) -> Vec<T> {
-    run_ranks_inner(n, timeout, &Telemetry::disabled(), None, Some(chaos), body)
+impl Default for RankOptions {
+    fn default() -> Self {
+        RankOptions {
+            timeout: Duration::from_secs(30),
+            telemetry: Telemetry::disabled(),
+            wire: None,
+            chaos: None,
+        }
+    }
 }
 
-/// [`run_ranks_chaos`] with tracing: the chaos schedule perturbs
-/// delivery exactly as in an untraced run while every rank records
-/// spans, metrics, and flight events into `telemetry`'s collector. The
-/// schedule explorer uses this to re-run a failing seed and capture a
-/// post-mortem flight dump of it.
-pub fn run_ranks_chaos_traced<T: Send>(
+/// [`run_ranks`] on a world configured by `opts` — the one place rank
+/// threads start.
+pub fn run_ranks_with<T: Send>(
     n: usize,
-    timeout: Duration,
-    chaos: ChaosSchedule,
-    telemetry: &Telemetry,
-    body: impl Fn(&Communicator) -> T + Sync,
-) -> Vec<T> {
-    run_ranks_inner(n, timeout, telemetry, None, Some(chaos), body)
-}
-
-/// [`run_ranks`] with tracing: each rank's communicator carries a fork of
-/// `telemetry` on track = rank, so spans recorded by all rank threads land
-/// in one shared collector with correct per-rank nesting.
-pub fn run_ranks_traced<T: Send>(
-    n: usize,
-    telemetry: &Telemetry,
-    body: impl Fn(&Communicator) -> T + Sync,
-) -> Vec<T> {
-    run_ranks_inner(n, Duration::from_secs(30), telemetry, None, None, body)
-}
-
-/// [`run_ranks_traced`] plus a [`WireModel`]: inter-node messages are held
-/// back for their simulated wire time before the receiver can match them,
-/// making communication-bound configurations measurable in-process.
-pub fn run_ranks_traced_wired<T: Send>(
-    n: usize,
-    telemetry: &Telemetry,
-    wire: Option<WireModel>,
-    body: impl Fn(&Communicator) -> T + Sync,
-) -> Vec<T> {
-    run_ranks_inner(n, Duration::from_secs(30), telemetry, wire, None, body)
-}
-
-fn run_ranks_inner<T: Send>(
-    n: usize,
-    timeout: Duration,
-    telemetry: &Telemetry,
-    wire: Option<WireModel>,
-    chaos: Option<ChaosSchedule>,
+    opts: &RankOptions,
     body: impl Fn(&Communicator) -> T + Sync,
 ) -> Vec<T> {
     assert!(n > 0, "need at least one rank");
+    let telemetry = &opts.telemetry;
     let mailboxes: Arc<Vec<Mailbox>> = Arc::new((0..n).map(|_| Mailbox::default()).collect());
     let comms: Vec<Communicator> = (0..n)
         .map(|rank| Communicator {
             rank,
             mailboxes: Arc::clone(&mailboxes),
             pool: Mutex::new(Vec::new()),
-            timeout,
-            wire,
-            chaos: chaos.map(|schedule| ChaosState {
+            timeout: opts.timeout,
+            wire: opts.wire,
+            chaos: opts.chaos.map(|schedule| ChaosState {
                 schedule,
                 seq: (0..n).map(|_| AtomicU64::new(0)).collect(),
             }),
@@ -958,7 +732,7 @@ fn run_ranks_inner<T: Send>(
             .iter()
             .map(|comm| {
                 scope.spawn(|| {
-                    if let Some(c) = &chaos {
+                    if let Some(c) = &opts.chaos {
                         std::thread::sleep(c.stagger_for(comm.rank));
                     }
                     body(comm)
@@ -978,6 +752,22 @@ mod tests {
     use super::*;
     use xct_fp16::F16;
 
+    fn wired(wire: WireModel, telemetry: &Telemetry) -> RankOptions {
+        RankOptions {
+            telemetry: telemetry.clone(),
+            wire: Some(wire),
+            ..RankOptions::default()
+        }
+    }
+
+    fn timed(timeout: Duration, chaos: Option<ChaosSchedule>) -> RankOptions {
+        RankOptions {
+            timeout,
+            chaos,
+            ..RankOptions::default()
+        }
+    }
+
     #[test]
     fn wire_model_holds_inter_node_messages_back() {
         let wire = WireModel {
@@ -985,7 +775,7 @@ mod tests {
             bytes_per_sec: f64::INFINITY,
             ranks_per_node: 1, // every pair is inter-node
         };
-        let stamps = run_ranks_traced_wired(2, &Telemetry::disabled(), Some(wire), |comm| {
+        let stamps = run_ranks_with(2, &wired(wire, &Telemetry::disabled()), |comm| {
             if comm.rank() == 0 {
                 let sent_at = Instant::now();
                 comm.send_vals::<f32>(1, 5, &[42.0]).unwrap();
@@ -1012,7 +802,7 @@ mod tests {
             bytes_per_sec: f64::INFINITY,
             ranks_per_node: 2,
         };
-        let results = run_ranks_traced_wired(2, &Telemetry::disabled(), Some(wire), |comm| {
+        let results = run_ranks_with(2, &wired(wire, &Telemetry::disabled()), |comm| {
             let peer = 1 - comm.rank();
             comm.send_vals::<f32>(peer, 9, &[comm.rank() as f32])
                 .unwrap();
@@ -1029,7 +819,7 @@ mod tests {
             ranks_per_node: 1, // every pair is inter-node
         };
         let telemetry = Telemetry::enabled();
-        run_ranks_traced_wired(2, &telemetry, Some(wire), |comm| {
+        run_ranks_with(2, &wired(wire, &telemetry), |comm| {
             if comm.rank() == 0 {
                 comm.send_vals::<f32>(1, 5, &[1.0, 2.0]).unwrap();
             } else {
@@ -1064,7 +854,7 @@ mod tests {
             ranks_per_node: 2, // both ranks share a node
         };
         let telemetry = Telemetry::enabled();
-        run_ranks_traced_wired(2, &telemetry, Some(wire), |comm| {
+        run_ranks_with(2, &wired(wire, &telemetry), |comm| {
             if comm.rank() == 0 {
                 comm.send_vals::<f32>(1, 11, &[3.0]).unwrap();
             } else {
@@ -1075,38 +865,6 @@ mod tests {
         let snap = telemetry.snapshot();
         let edge = snap.edges.iter().find(|e| e.tag == 11).expect("edge");
         assert_eq!(edge.wire_ns, 0);
-    }
-
-    #[test]
-    fn irecv_test_respects_wire_time() {
-        let wire = WireModel {
-            latency: Duration::from_millis(30),
-            bytes_per_sec: f64::INFINITY,
-            ranks_per_node: 1,
-        };
-        run_ranks_traced_wired(2, &Telemetry::disabled(), Some(wire), |comm| {
-            if comm.rank() == 0 {
-                comm.send_vals::<f32>(1, 3, &[7.0]).unwrap();
-            } else {
-                let mut req = comm.irecv(0, 3).unwrap();
-                // test() reports not-done while the message is on the
-                // wire (almost always observable with a 30 ms wire, but
-                // not asserted — the scheduler may stall this thread);
-                // poll under a loop-owned backoff so the wait escalates
-                // to parks instead of restarting at yields each round,
-                // then wait() must block the remaining wire time out.
-                let mut backoff = Backoff::new();
-                while !req.test(comm).unwrap() {
-                    backoff.wait(comm);
-                }
-                assert!(
-                    backoff.polls() > Backoff::YIELD_POLLS,
-                    "a 30 ms wire must escalate the ladder past yields"
-                );
-                let bytes = req.wait(comm).unwrap();
-                assert_eq!(bytes.len(), 4);
-            }
-        });
     }
 
     #[test]
@@ -1188,7 +946,7 @@ mod tests {
         // rank arrival order so any mispairing deadlocks (and trips the
         // receive timeout) instead of passing by accident.
         for &n in &[3usize, 5, 7] {
-            let results = run_ranks_with_timeout(n, Duration::from_secs(5), |comm| {
+            let results = run_ranks_with(n, &timed(Duration::from_secs(5), None), |comm| {
                 // Stagger arrival so matching must happen across rounds.
                 std::thread::sleep(Duration::from_millis(3 * comm.rank() as u64));
                 comm.barrier(0xB000 + n as u64)
@@ -1267,32 +1025,6 @@ mod tests {
     }
 
     #[test]
-    fn irecv_test_then_wait() {
-        let results = run_ranks(2, |comm| {
-            if comm.rank() == 1 {
-                let mut req = comm.irecv(0, 13).unwrap();
-                // Tell rank 0 we have posted the receive, then poll
-                // test() under a loop-owned backoff until the message
-                // lands (no hot spin, and the ladder keeps escalating
-                // across iterations).
-                comm.send_vals::<f32>(0, 12, &[1.0]).unwrap();
-                let mut backoff = Backoff::new();
-                while !req.test(comm).unwrap() {
-                    backoff.wait(comm);
-                    assert!(backoff.polls() < 100_000, "irecv never completed");
-                }
-                let payload = req.wait(comm).unwrap();
-                f32::decode_slice(&payload)[0]
-            } else {
-                comm.recv_vals::<f32>(1, 12).unwrap();
-                comm.send_vals::<f32>(1, 13, &[42.0]).unwrap();
-                42.0
-            }
-        });
-        assert_eq!(results[1], 42.0);
-    }
-
-    #[test]
     fn irecv_captures_already_arrived_message() {
         let results = run_ranks(2, |comm| {
             if comm.rank() == 0 {
@@ -1301,8 +1033,8 @@ mod tests {
                 0.0
             } else {
                 comm.recv_vals::<f32>(0, 22).unwrap(); // tag 21 already queued
-                let mut req = comm.irecv(0, 21).unwrap();
-                assert!(req.test(comm).unwrap(), "message already arrived");
+                let req = comm.irecv(0, 21).unwrap();
+                assert!(req.done.is_some(), "message already arrived");
                 f32::decode_slice(&req.wait(comm).unwrap())[0]
             }
         });
@@ -1341,10 +1073,9 @@ mod tests {
         // A correct program must be schedule-independent: the ring pass
         // yields identical results under every jitter seed.
         for seed in 0..4u64 {
-            let results = run_ranks_chaos(
+            let results = run_ranks_with(
                 4,
-                Duration::from_secs(20),
-                ChaosSchedule::jitter(seed),
+                &timed(Duration::from_secs(20), Some(ChaosSchedule::jitter(seed))),
                 |comm| {
                     let next = (comm.rank() + 1) % comm.size();
                     let prev = (comm.rank() + comm.size() - 1) % comm.size();
@@ -1360,13 +1091,12 @@ mod tests {
     #[test]
     fn chaos_preserves_per_key_fifo() {
         // Delays permute matchability *across* keys, never within one
-        // (src, tag) stream: the stash queue completes in send order even
+        // (src, tag) stream: the key's queue completes in send order even
         // when a later message drew a shorter delay.
         for seed in [1u64, 7, 23] {
-            let results = run_ranks_chaos(
+            let results = run_ranks_with(
                 2,
-                Duration::from_secs(20),
-                ChaosSchedule::jitter(seed),
+                &timed(Duration::from_secs(20), Some(ChaosSchedule::jitter(seed))),
                 |comm| {
                     if comm.rank() == 0 {
                         for i in 0..5 {
@@ -1399,7 +1129,7 @@ mod tests {
 
     #[test]
     fn recv_timeout_fires() {
-        let results = run_ranks_with_timeout(2, Duration::from_millis(50), |comm| {
+        let results = run_ranks_with(2, &timed(Duration::from_millis(50), None), |comm| {
             if comm.rank() == 1 {
                 comm.recv(0, 99).err()
             } else {

@@ -3,8 +3,8 @@
 
 use std::time::Duration;
 use xct_comm::{
-    execute_hierarchical, run_ranks, run_ranks_traced, run_ranks_traced_wired, Backoff, CommReport,
-    Footprints, HierarchicalPlan, Ownership, PartialData, Topology, TrafficClass, WireModel,
+    run_ranks, run_ranks_with, CommReport, Communicator, CompiledPlans, ExchangeScratch,
+    Footprints, HierarchicalPlan, Ownership, RankOptions, Topology, TrafficClass, Wire, WireModel,
 };
 use xct_fp16::F16;
 use xct_telemetry::{MetricId, Phase, Telemetry};
@@ -23,6 +23,32 @@ fn fixture() -> (Footprints, Ownership, Topology) {
         })
         .collect();
     (Footprints::new(fp), Ownership::new(owner, 8), topo)
+}
+
+/// One blocking hierarchical reduction of `row id` partials at storage
+/// scalar `S` on this rank.
+fn reduce_row_ids<S: Wire>(comm: &Communicator, compiled: &CompiledPlans, fp: &Footprints) {
+    let rp = compiled.rank(comm.rank());
+    let vals: Vec<f32> = fp.per_rank[comm.rank()].iter().map(|&r| r as f32).collect();
+    let mut out = vec![0.0f32; rp.owned_len()];
+    rp.reduce::<S>(
+        comm,
+        &mut ExchangeScratch::new(),
+        &vals,
+        1.0,
+        1.0,
+        0,
+        &mut out,
+    )
+    .unwrap();
+}
+
+fn traced(telemetry: &Telemetry, wire: Option<WireModel>) -> RankOptions {
+    RankOptions {
+        telemetry: telemetry.clone(),
+        wire,
+        ..RankOptions::default()
+    }
 }
 
 #[test]
@@ -60,6 +86,7 @@ fn ring_exchange_records_exact_byte_matrix() {
 fn hierarchical_reduction_volumes_match_plan_prediction() {
     let (fp, own, topo) = fixture();
     let plan = HierarchicalPlan::build(&fp, &own, &topo);
+    let compiled = CompiledPlans::compile_hierarchical(&fp, &own, &plan);
     let (socket_el, node_el, global_el) = plan.level_elements();
 
     let run = |elem_bytes: u64, stats: Vec<xct_comm::RankCommStats>| {
@@ -90,22 +117,14 @@ fn hierarchical_reduction_volumes_match_plan_prediction() {
 
     // Single precision: 4 bytes per element on every level.
     let stats = run_ranks(8, |comm| {
-        let p = comm.rank();
-        let rows = fp.per_rank[p].clone();
-        let vals: Vec<f32> = rows.iter().map(|&r| r as f32).collect();
-        let mine = PartialData::new(rows, vals);
-        execute_hierarchical(comm, &plan, &own, &mine).unwrap();
+        reduce_row_ids::<f32>(comm, &compiled, &fp);
         comm.comm_stats()
     });
     run(4, stats);
 
     // Half precision literally moves half the bytes (Table IV's point).
     let stats = run_ranks(8, |comm| {
-        let p = comm.rank();
-        let rows = fp.per_rank[p].clone();
-        let vals: Vec<F16> = rows.iter().map(|&r| F16::from_f32(r as f32)).collect();
-        let mine = PartialData::new(rows, vals);
-        execute_hierarchical(comm, &plan, &own, &mine).unwrap();
+        reduce_row_ids::<F16>(comm, &compiled, &fp);
         comm.comm_stats()
     });
     run(2, stats);
@@ -114,62 +133,53 @@ fn hierarchical_reduction_volumes_match_plan_prediction() {
 #[test]
 fn traced_ranks_record_per_level_spans_on_their_own_tracks() {
     let (fp, own, topo) = fixture();
-    let plan = HierarchicalPlan::build(&fp, &own, &topo);
+    let compiled = CompiledPlans::build_hierarchical(&fp, &own, &topo);
     let tele = Telemetry::enabled();
-    run_ranks_traced(8, &tele, |comm| {
-        let p = comm.rank();
-        assert_eq!(comm.telemetry().track(), p as u32);
-        let rows = fp.per_rank[p].clone();
-        let vals: Vec<f32> = rows.iter().map(|&r| r as f32).collect();
-        let mine = PartialData::new(rows, vals);
-        execute_hierarchical(comm, &plan, &own, &mine).unwrap();
+    run_ranks_with(8, &traced(&tele, None), |comm| {
+        assert_eq!(comm.telemetry().track(), comm.rank() as u32);
+        reduce_row_ids::<f32>(comm, &compiled, &fp);
     });
     let snap = tele.snapshot();
     for rank in 0..8u32 {
-        for phase in [Phase::ReduceSocket, Phase::ReduceNode, Phase::ReduceGlobal] {
+        // The global exchange is split: posting and completion each
+        // carry their own span.
+        for (phase, spans) in [
+            (Phase::ReduceSocket, 1),
+            (Phase::ReduceNode, 1),
+            (Phase::ReduceGlobal, 2),
+        ] {
             assert_eq!(
                 snap.spans
                     .iter()
                     .filter(|s| s.track == rank && s.phase == phase)
                     .count(),
-                1,
+                spans,
                 "rank {rank} {phase}"
             );
         }
     }
 }
 
-/// The `comm.wait` backoff used to be tune-blind: nothing measured how
-/// often a bounded-backoff wait spun, yielded, or slept, so its
-/// constants could never be tuned against evidence. Worse, the drain
-/// loops re-entered `test_backoff` in a `while`, restarting the ladder
-/// at the yield rung every call — the wait never escalated to parks and
-/// burned the core the compute pipeline needed. Under a wire model that
-/// holds the message back long enough to exhaust the yield phase, a
-/// loop-owned [`Backoff`] must (a) reach its parking tier and (b) keep
-/// the total failed-poll count small: the doubling pauses cover 3 ms of
-/// wire in ~10 parks on top of the 16 yields, nowhere near the hundreds
-/// of polls a ladder-resetting loop needs.
+/// A wired `irecv` posted before the send exists captures nothing, so
+/// `wait` is what blocks — on the condvar, counted as parks — and the
+/// match records one causal edge carrying the wire cost.
 #[test]
-fn backoff_counters_move_under_a_wired_run() {
+fn wired_irecv_then_wait_parks_and_records_the_wire_edge() {
     let wire = WireModel {
         latency: Duration::from_millis(3),
         bytes_per_sec: f64::INFINITY,
         ranks_per_node: 1, // every pair inter-node: all messages wired
     };
     let tele = Telemetry::enabled();
-    run_ranks_traced_wired(2, &tele, Some(wire), |comm| {
+    run_ranks_with(2, &traced(&tele, Some(wire)), |comm| {
         if comm.rank() == 0 {
+            // Released only once rank 1 has posted its receive.
+            let release = comm.recv(1, 4).unwrap();
+            comm.recycle(release);
             comm.send_vals::<f32>(1, 5, &[1.0, 2.0]).unwrap();
         } else {
-            let mut req = comm.irecv(0, 5).unwrap();
-            // 3 ms of wire time far exceeds the 16-poll yield phase, so
-            // the persistent ladder must reach its sleeping tier before
-            // this completes.
-            let mut backoff = Backoff::new();
-            while !req.test(comm).unwrap() {
-                backoff.wait(comm);
-            }
+            let req = comm.irecv(0, 5).unwrap();
+            comm.send(0, 4, Vec::new()).unwrap();
             let got = req.wait(comm).unwrap();
             assert_eq!(got.len(), 8);
             comm.recycle(got);
@@ -177,34 +187,19 @@ fn backoff_counters_move_under_a_wired_run() {
     });
     let metrics = tele.metrics_snapshot();
     let receiver = metrics.track(1).expect("rank 1 recorded metrics");
-    let spins = receiver.counter(MetricId::CommWaitSpins);
-    assert!(spins >= 17, "spins: {spins} (must pass the yield phase)");
-    assert!(
-        spins <= 64,
-        "spins: {spins} — a persistent ladder covers 3 ms of wire in \
-         well under 64 polls; hundreds means the escalation reset is back"
-    );
-    let yields = receiver.counter(MetricId::CommWaitYields);
-    assert_eq!(
-        yields,
-        u64::from(Backoff::YIELD_POLLS),
-        "one wait event yields exactly through the yield phase"
-    );
     assert!(
         receiver.counter(MetricId::CommWaitParks) >= 1,
         "parks: {}",
         receiver.counter(MetricId::CommWaitParks)
     );
-    assert_eq!(
-        spins,
-        yields + receiver.counter(MetricId::CommWaitParks),
-        "every failed poll either yields or parks"
-    );
-    // The sender track never waited.
+    let snap = tele.snapshot();
+    let edges: Vec<_> = snap.edges.iter().filter(|e| e.tag == 5).collect();
+    assert_eq!(edges.len(), 1, "one causal edge per match");
+    assert_eq!((edges[0].src_track, edges[0].dst_track), (0, 1));
+    assert_eq!(edges[0].wire_ns, 3_000_000);
+    // Send/recv accounting is exact: the 8-byte payload one way, the
+    // empty release the other (plus nothing else in this run).
     let sender = metrics.track(0).expect("rank 0 recorded metrics");
-    assert_eq!(sender.counter(MetricId::CommWaitSpins), 0);
-    // Send/recv accounting is exact: one 8-byte payload each way of the
-    // metered channel (plus nothing else in this run).
     assert_eq!(sender.counter(MetricId::CommSendBytes), 8);
     assert_eq!(receiver.counter(MetricId::CommRecvBytes), 8);
     assert_eq!(metrics.inflight_bytes(), 0, "all messages matched");
@@ -220,7 +215,7 @@ fn blocking_recv_counts_parks_and_depth() {
         ranks_per_node: 1,
     };
     let tele = Telemetry::enabled();
-    run_ranks_traced_wired(2, &tele, Some(wire), |comm| {
+    run_ranks_with(2, &traced(&tele, Some(wire)), |comm| {
         if comm.rank() == 0 {
             comm.send_vals::<f32>(1, 9, &[3.0]).unwrap();
         } else {

@@ -4,8 +4,8 @@
 //! the runtime.
 
 use xct_comm::{
-    execute_direct, execute_hierarchical, run_ranks, DirectPlan, Footprints, HierarchicalPlan,
-    Ownership, PartialData, Topology,
+    run_ranks, CompiledPlans, DirectPlan, ExchangeScratch, Footprints, HierarchicalPlan, Ownership,
+    Topology,
 };
 
 fn fixture(ranks: usize, rows: usize) -> (Footprints, Ownership) {
@@ -32,28 +32,35 @@ fn check_topology(topo: Topology) {
         "topology {topo:?}"
     );
 
-    // And numerics agree between schemes.
-    let direct = run_ranks(ranks, |comm| {
-        let p = comm.rank();
-        let rows = fp.per_rank[p].clone();
-        let vals: Vec<f32> = rows
-            .iter()
-            .map(|&r| (p as f32 + 1.0) + r as f32 * 0.01)
-            .collect();
-        execute_direct(comm, &dplan, &own, &PartialData::new(rows, vals)).unwrap()
-    });
-    let hier = run_ranks(ranks, |comm| {
-        let p = comm.rank();
-        let rows = fp.per_rank[p].clone();
-        let vals: Vec<f32> = rows
-            .iter()
-            .map(|&r| (p as f32 + 1.0) + r as f32 * 0.01)
-            .collect();
-        execute_hierarchical(comm, &hplan, &own, &PartialData::new(rows, vals)).unwrap()
-    });
-    for (d, h) in direct.iter().zip(&hier) {
-        assert_eq!(d.rows, h.rows);
-        for (a, b) in d.vals.iter().zip(&h.vals) {
+    // And numerics agree between schemes: owned totals, one per owned row.
+    let reduce = |compiled: &CompiledPlans| {
+        run_ranks(ranks, |comm| {
+            let p = comm.rank();
+            let rp = compiled.rank(p);
+            let vals: Vec<f32> = fp.per_rank[p]
+                .iter()
+                .map(|&r| (p as f32 + 1.0) + r as f32 * 0.01)
+                .collect();
+            let mut out = vec![0.0f32; rp.owned_len()];
+            rp.reduce::<f32>(
+                comm,
+                &mut ExchangeScratch::new(),
+                &vals,
+                1.0,
+                1.0,
+                0,
+                &mut out,
+            )
+            .unwrap();
+            out
+        })
+    };
+    let direct = reduce(&CompiledPlans::compile_direct(&fp, &own, &dplan));
+    let hier = reduce(&CompiledPlans::compile_hierarchical(&fp, &own, &hplan));
+    for (p, (d, h)) in direct.iter().zip(&hier).enumerate() {
+        assert_eq!(d.len(), own.rows_of(p).len());
+        assert_eq!(d.len(), h.len());
+        for (a, b) in d.iter().zip(h) {
             assert!((a - b).abs() < 1e-4, "topology {topo:?}: {a} vs {b}");
         }
     }

@@ -29,8 +29,8 @@ use crate::decompose::SliceDecomposition;
 use crate::pipeline::{exchange_schedule, ExchangeOp};
 use std::sync::Mutex;
 use xct_comm::{
-    run_ranks_traced_wired, AllreduceSteps, Communicator, CompiledPlans, DirectPlan,
-    ExchangeScratch, HierarchicalPlan, RankCommStats, ReduceOp, Topology, Wire, WireModel,
+    run_ranks_with, AllreduceSteps, Communicator, CompiledPlans, DirectPlan, ExchangeScratch,
+    HierarchicalPlan, RankCommStats, RankOptions, ReduceOp, Topology, Wire, WireModel,
 };
 use xct_exec::{BufferRole, ExecContext, ExecCounters, Telemetry};
 use xct_fp16::{Precision, F16};
@@ -563,7 +563,12 @@ impl DistributedSetup {
         let cfg = &setup.cfg;
         let decomp = &setup.decomp;
         let ranks = cfg.topology.size();
-        let outputs = run_ranks_traced_wired(ranks, &cfg.telemetry, cfg.wire, |comm| {
+        let world = RankOptions {
+            telemetry: cfg.telemetry.clone(),
+            wire: cfg.wire,
+            ..RankOptions::default()
+        };
+        let outputs = run_ranks_with(ranks, &world, |comm| {
             let rank_op = RankOperator::new(comm, setup, &operators[comm.rank()]);
             let y_local = decomp.restrict_sinogram(sinogram, setup.num_rays, fusing, comm.rank());
             // One context per rank — each simulated GPU owns its workspace.

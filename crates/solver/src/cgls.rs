@@ -45,7 +45,8 @@ pub struct CglsReport {
 }
 
 /// Solves `min ‖y − Ax‖² + λ²‖x‖²` with local (single-process) inner
-/// products and a private serial context.
+/// products and a private serial context: [`cgls_in`] with the identity
+/// reducer, kept as the crate's doc-tested quick-start.
 ///
 /// ```
 /// use xct_geometry::{ImageGrid, ScanGeometry, SystemMatrix};
@@ -64,25 +65,17 @@ pub fn cgls(op: &dyn LinearOperator, y: &[f32], config: &CglsConfig) -> CglsRepo
     cgls_in(op, y, config, &mut ExecContext::serial(), &mut |_| {})
 }
 
-/// [`cgls`] with a pluggable reducer applied, in place, to every group
-/// of inner products that is needed at the same point of the iteration.
-/// A distributed caller passes an element-wise allreduce-sum here;
-/// partial dot products from each rank then combine into global scalars,
-/// which is all CG needs to stay coherent across processes. Products
-/// with no data dependence between them arrive in one slice — `[γ, ‖r‖²]`
-/// after the backprojection, `[γ₀, ‖y‖²]` at set-up — so an iteration
-/// costs two reduction rounds, not three.
-pub fn cgls_with(
-    op: &dyn LinearOperator,
-    y: &[f32],
-    config: &CglsConfig,
-    reduce: &mut dyn FnMut(&mut [f64]),
-) -> CglsReport {
-    cgls_in(op, y, config, &mut ExecContext::serial(), reduce)
-}
-
-/// [`cgls_with`] running inside a caller-owned [`ExecContext`]: a loop
-/// over [`CglsSolver::step`] that records the report.
+/// CGLS running inside a caller-owned [`ExecContext`]: a loop over
+/// [`CglsSolver::step`] that records the report.
+///
+/// `reduce` is applied, in place, to every group of inner products that
+/// is needed at the same point of the iteration. A distributed caller
+/// passes an element-wise allreduce-sum here; partial dot products from
+/// each rank then combine into global scalars, which is all CG needs to
+/// stay coherent across processes. Products with no data dependence
+/// between them arrive in one slice — `[γ, ‖r‖²]` after the
+/// backprojection, `[γ₀, ‖y‖²]` at set-up — so an iteration costs two
+/// reduction rounds, not three. A single process passes `&mut |_| {}`.
 ///
 /// All iteration vectors (`r`, `s`, `p`, `q`) come from the context's
 /// workspace, so after the first call every subsequent solve — and every
@@ -153,7 +146,7 @@ pub struct CglsSolver {
 
 impl CglsSolver {
     /// Initializes from zero (`x = 0`) with Tikhonov damping `damping`;
-    /// `reduce` is as for [`cgls_with`].
+    /// `reduce` is as for [`cgls_in`].
     ///
     /// # Panics
     /// Panics when `y` is not `op.rows()` long.
@@ -416,7 +409,7 @@ mod tests {
         let mut y = vec![0.0f32; 10];
         op.apply(&x_true, &mut y, &mut ExecContext::serial());
         let mut calls = 0usize;
-        let report = cgls_with(
+        let report = cgls_in(
             &op,
             &y,
             &CglsConfig {
@@ -424,6 +417,7 @@ mod tests {
                 tolerance: 1e-10,
                 damping: 0.0,
             },
+            &mut ExecContext::serial(),
             &mut |vals| {
                 calls += 1;
                 for v in vals {

@@ -11,10 +11,11 @@
 //!
 //! * [`LinearOperator`] — the `A` abstraction (reference, CSR-backed, or
 //!   the optimized packed kernels at any precision),
-//! * [`cgls`] / [`cgls_with`] / [`cgls_in`] — damped CGLS with residual
-//!   history and a pluggable inner-product reducer (the distributed
-//!   reconstructor in `xct-core` injects an allreduce there), all loops
-//!   over the one iteration body [`CglsSolver::step`],
+//! * [`cgls_in`] — damped CGLS with residual history and a pluggable
+//!   inner-product reducer (the distributed reconstructor in `xct-core`
+//!   injects an allreduce there), a loop over the one iteration body
+//!   [`CglsSolver::step`]; [`sirt_in`] and [`tv_reconstruct_in`] are the
+//!   constrained and regularized companions,
 //! * [`PrecisionOperator`] — wraps the fused buffered SpMM kernels with
 //!   adaptive normalization for any [`Precision`](xct_fp16::Precision).
 //!
@@ -25,12 +26,14 @@
 //! [`Workspace`](xct_exec::Workspace) (keyed by
 //! [`BufferRole`](xct_exec::BufferRole)), parallel kernel launches go
 //! through its [`Executor`](xct_exec::Executor), and data movement is
-//! metered in its [`ExecCounters`](xct_exec::ExecCounters). The plain
-//! entry points ([`cgls`], [`sirt`], [`tv_reconstruct`]) build a private
-//! serial context per call; the `*_in` variants ([`cgls_in`],
-//! [`sirt_in`], [`tv_reconstruct_in`]) borrow a caller-owned context so
-//! that repeated solves — and every iteration after the first — reuse
-//! warm buffers and allocate nothing. The migration rule for new code:
+//! metered in its [`ExecCounters`](xct_exec::ExecCounters). Each
+//! algorithm has one entry point — [`cgls_in`], [`sirt_in`],
+//! [`tv_reconstruct_in`] — borrowing a caller-owned context so that
+//! repeated solves — and every iteration after the first — reuse warm
+//! buffers and allocate nothing; a one-off caller passes
+//! `&mut ExecContext::serial()`. [`cgls`] does exactly that with the
+//! identity reducer and is kept only as the doc-tested quick-start. The
+//! migration rule for new code:
 //! take per-apply staging from `ctx.workspace`, never `vec![...]` inside
 //! an apply or an iteration loop.
 
@@ -43,11 +46,11 @@ mod precision_op;
 mod sirt;
 mod tv;
 
-pub use cgls::{cgls, cgls_in, cgls_with, CglsConfig, CglsReport, CglsSolver};
+pub use cgls::{cgls, cgls_in, CglsConfig, CglsReport, CglsSolver};
 pub use operator::{CsrOperator, LinearOperator, SystemMatrixOperator};
 pub use precision_op::PrecisionOperator;
-pub use sirt::{sirt, sirt_in, SirtConfig};
-pub use tv::{tv_reconstruct, tv_reconstruct_in, tv_value, TvConfig};
+pub use sirt::{sirt_in, SirtConfig};
+pub use tv::{tv_reconstruct_in, tv_value, TvConfig};
 pub use xct_exec::{
     BufferRole, ExecContext, ExecCounters, Executor, Phase, SpanGuard, Telemetry, Workspace,
 };

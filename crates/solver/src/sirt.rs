@@ -38,14 +38,9 @@ impl Default for SirtConfig {
     }
 }
 
-/// Runs SIRT with a private serial context; returns the same report
-/// shape as CGLS for comparability.
-pub fn sirt(op: &dyn LinearOperator, y: &[f32], config: &SirtConfig) -> CglsReport {
-    sirt_in(op, y, config, &mut ExecContext::serial())
-}
-
-/// [`sirt`] running inside a caller-owned [`ExecContext`]; all probe and
-/// iteration vectors come from the context's workspace.
+/// Runs SIRT inside a caller-owned [`ExecContext`]; all probe and
+/// iteration vectors come from the context's workspace. Returns the same
+/// report shape as CGLS for comparability.
 pub fn sirt_in(
     op: &dyn LinearOperator,
     y: &[f32],
@@ -150,6 +145,10 @@ mod tests {
     use crate::cgls::{cgls, CglsConfig};
     use crate::operator::SystemMatrixOperator;
     use xct_geometry::{ImageGrid, ScanGeometry, SystemMatrix};
+
+    fn sirt(op: &dyn LinearOperator, y: &[f32], config: &SirtConfig) -> CglsReport {
+        sirt_in(op, y, config, &mut ExecContext::serial())
+    }
 
     fn disk_setup(n: usize, angles: usize) -> (SystemMatrix, Vec<f32>, Vec<f32>) {
         let scan = ScanGeometry::uniform(ImageGrid::square(n, 1.0), angles);

@@ -36,24 +36,13 @@ impl Default for TvConfig {
     }
 }
 
-/// Reconstructs one `nx × nz` slice with TV regularization, using a
-/// private serial context.
+/// Reconstructs one `nx × nz` slice with TV regularization inside a
+/// caller-owned [`ExecContext`]; all iteration vectors (forward
+/// projection, residual, both gradients) come from the context's
+/// workspace.
 ///
 /// # Panics
 /// Panics when the operator shape does not match the grid or measurement.
-pub fn tv_reconstruct(
-    op: &dyn LinearOperator,
-    y: &[f32],
-    nx: usize,
-    nz: usize,
-    config: &TvConfig,
-) -> CglsReport {
-    tv_reconstruct_in(op, y, nx, nz, config, &mut ExecContext::serial())
-}
-
-/// [`tv_reconstruct`] running inside a caller-owned [`ExecContext`]; all
-/// iteration vectors (forward projection, residual, both gradients) come
-/// from the context's workspace.
 pub fn tv_reconstruct_in(
     op: &dyn LinearOperator,
     y: &[f32],
@@ -216,6 +205,16 @@ mod tests {
     use crate::cgls::{cgls, CglsConfig};
     use crate::operator::SystemMatrixOperator;
     use xct_geometry::{ImageGrid, ScanGeometry, SystemMatrix};
+
+    fn tv_reconstruct(
+        op: &dyn LinearOperator,
+        y: &[f32],
+        nx: usize,
+        nz: usize,
+        config: &TvConfig,
+    ) -> CglsReport {
+        tv_reconstruct_in(op, y, nx, nz, config, &mut ExecContext::serial())
+    }
 
     fn blocky_phantom(n: usize) -> Vec<f32> {
         // Piecewise-constant: two rectangles on background — TV's best case.

@@ -61,11 +61,13 @@ impl Json {
         }
     }
 
-    /// Parses a JSON document.
+    /// Parses a JSON document. Arrays and objects may nest at most 128
+    /// deep; a deeper document is an `Err`, not a stack overflow.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut parser = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_ws();
         let value = parser.value()?;
@@ -182,9 +184,16 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level and its input is external bytes; every
+/// `petaxct-*-v1` schema nests under ten deep.
+const MAX_NESTING: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -226,8 +235,22 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_NESTING {
+                    return Err(format!(
+                        "nesting deeper than {MAX_NESTING} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected byte at {}", self.pos)),
         }
@@ -400,6 +423,28 @@ mod tests {
             Some(-25.0)
         );
         assert_eq!(back.get("b").unwrap().as_str(), Some("xA"));
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        let hostile = "[".repeat(100_000);
+        let err = Json::parse(&hostile).unwrap_err();
+        assert!(err.starts_with("nesting deeper than 128"), "{err}");
+        let hostile = "{\"a\":".repeat(100_000);
+        assert!(Json::parse(&hostile).is_err());
+
+        let nested = |levels: usize| "[".repeat(levels) + &"]".repeat(levels);
+        let mut at_cap = &Json::parse(&nested(MAX_NESTING)).expect("a document at the cap parses");
+        let mut levels = 0;
+        while let Some(inner) = at_cap.as_array() {
+            levels += 1;
+            match inner.first() {
+                Some(next) => at_cap = next,
+                None => break,
+            }
+        }
+        assert_eq!(levels, MAX_NESTING);
+        assert!(Json::parse(&nested(MAX_NESTING + 1)).is_err());
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::DurationHistogram;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of counter metrics (the first `COUNTER_COUNT` discriminants).
-const COUNTER_COUNT: usize = 13;
+const COUNTER_COUNT: usize = 11;
 /// Number of gauge metrics (discriminants after the counters).
 const GAUGE_COUNT: usize = 9;
 /// Counters and gauges share one scalar slab.
@@ -59,51 +59,47 @@ pub enum MetricId {
     /// Payload bytes matched by this track. Summed over all tracks,
     /// `comm.send.bytes - comm.recv.bytes` is the bytes still in flight.
     CommRecvBytes = 3,
-    /// Fast polls (no sleep, no yield) spent in bounded-backoff waits.
-    CommWaitSpins = 4,
-    /// `yield_now` calls spent in bounded-backoff waits.
-    CommWaitYields = 5,
-    /// Sleeps/condvar parks spent waiting for a message.
-    CommWaitParks = 6,
+    /// Condvar parks spent waiting for a message.
+    CommWaitParks = 4,
     /// Messages whose delivery a chaos schedule delayed.
-    CommChaosDelays = 7,
+    CommChaosDelays = 5,
     /// Slab reads served by an already-running prefetch.
-    IoPrefetchHits = 8,
+    IoPrefetchHits = 6,
     /// Slab reads that had to run synchronously.
-    IoPrefetchMisses = 9,
+    IoPrefetchMisses = 7,
     /// Solver iterations completed on this track.
-    SolverIterations = 10,
+    SolverIterations = 8,
     /// Slabs fully reconstructed and queued for write-back.
-    StreamSlabsDone = 11,
+    StreamSlabsDone = 9,
     /// Slices fully reconstructed.
-    StreamSlicesDone = 12,
+    StreamSlicesDone = 10,
     // -- gauges ------------------------------------------------------
-    /// Depth of this rank's mailbox (arrivals + stashed messages) at
+    /// Depth of this rank's mailbox (sent but unmatched messages) at
     /// its last receive attempt.
-    CommMailboxDepth = 13,
+    CommMailboxDepth = 11,
     /// Most recent relative residual reported by the solver.
-    SolverResidual = 14,
+    SolverResidual = 12,
     /// Index of the slab currently reconstructing.
-    StreamSlabCurrent = 15,
+    StreamSlabCurrent = 13,
     /// Total slabs the plan will execute (progress denominator).
-    ProgressSlabsTotal = 16,
+    ProgressSlabsTotal = 14,
     /// Solver iterations per slab (progress denominator).
-    ProgressItersPerSlab = 17,
+    ProgressItersPerSlab = 15,
     /// Per-rank memory budget the plan was made under, in bytes.
-    PlanBudgetBytes = 18,
+    PlanBudgetBytes = 16,
     /// Bytes per rank the plan actually uses at its chosen fusing.
-    PlanUsedBytes = 19,
+    PlanUsedBytes = 17,
     /// Whether a prefetch read is in flight (0 or 1).
-    IoReadQueue = 20,
+    IoReadQueue = 18,
     /// Whether a deferred write is in flight (0 or 1).
-    IoWriteQueue = 21,
+    IoWriteQueue = 19,
     // -- histograms --------------------------------------------------
     /// Durations of blocking comm waits, in nanoseconds.
-    CommWaitNs = 22,
+    CommWaitNs = 20,
     /// Time the compute thread stalled collecting a slab read.
-    IoReadStallNs = 23,
+    IoReadStallNs = 21,
     /// Time the compute thread stalled on the previous slab's write.
-    IoWriteStallNs = 24,
+    IoWriteStallNs = 22,
 }
 
 /// Every metric, in storage order.
@@ -112,8 +108,6 @@ pub const ALL_METRICS: [MetricId; SCALAR_COUNT + HIST_COUNT] = [
     MetricId::CommSendBytes,
     MetricId::CommRecvMsgs,
     MetricId::CommRecvBytes,
-    MetricId::CommWaitSpins,
-    MetricId::CommWaitYields,
     MetricId::CommWaitParks,
     MetricId::CommChaosDelays,
     MetricId::IoPrefetchHits,
@@ -143,8 +137,6 @@ impl MetricId {
             MetricId::CommSendBytes => "comm.send.bytes",
             MetricId::CommRecvMsgs => "comm.recv.msgs",
             MetricId::CommRecvBytes => "comm.recv.bytes",
-            MetricId::CommWaitSpins => "comm.wait.spins",
-            MetricId::CommWaitYields => "comm.wait.yields",
             MetricId::CommWaitParks => "comm.wait.parks",
             MetricId::CommChaosDelays => "comm.chaos.delays",
             MetricId::IoPrefetchHits => "io.prefetch.hits",
@@ -180,12 +172,9 @@ impl MetricId {
     }
 
     /// Whether the flight recorder logs individual updates of this
-    /// metric. Backoff poll counters tick far too often to ring-log.
+    /// metric. The park counter ticks far too often to ring-log.
     pub(crate) fn flight_worthy(self) -> bool {
-        !matches!(
-            self,
-            MetricId::CommWaitSpins | MetricId::CommWaitYields | MetricId::CommWaitParks
-        )
+        self != MetricId::CommWaitParks
     }
 
     fn scalar_index(self) -> Option<usize> {

@@ -15,9 +15,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
-use xct_comm::{
-    run_ranks_chaos, run_ranks_chaos_traced, run_ranks_with_timeout, ChaosSchedule, Communicator,
-};
+use xct_comm::{run_ranks_with, ChaosSchedule, Communicator, RankOptions};
 use xct_telemetry::Telemetry;
 
 /// The outcome of one schedule.
@@ -70,10 +68,12 @@ where
     T: Send + 'static,
     F: Fn(&Communicator) -> T + Sync,
 {
-    let ran = catch_unwind(AssertUnwindSafe(|| match chaos {
-        Some(c) => run_ranks_chaos(n, timeout, c, body),
-        None => run_ranks_with_timeout(n, timeout, body),
-    }));
+    let mut opts = RankOptions {
+        timeout,
+        chaos,
+        ..RankOptions::default()
+    };
+    let ran = catch_unwind(AssertUnwindSafe(|| run_ranks_with(n, &opts, body)));
     let failure = match ran {
         Ok(results) => oracle(&results),
         Err(payload) => {
@@ -89,12 +89,11 @@ where
     // can be re-run traced to capture a post-mortem flight dump of the
     // exact same interleaving.
     let flight_dump = match (&failure, chaos) {
-        (Some(reason), Some(c)) => {
-            let telemetry = Telemetry::enabled();
-            let _ = catch_unwind(AssertUnwindSafe(|| {
-                run_ranks_chaos_traced(n, timeout, c, &telemetry, body)
-            }));
-            telemetry.flight_dump_json(&format!("{label}: {reason}"))
+        (Some(reason), Some(_)) => {
+            opts.telemetry = Telemetry::enabled();
+            let _ = catch_unwind(AssertUnwindSafe(|| run_ranks_with(n, &opts, body)));
+            opts.telemetry
+                .flight_dump_json(&format!("{label}: {reason}"))
         }
         _ => None,
     };

@@ -10,7 +10,7 @@
 //! in two layers:
 //!
 //! * **Static verification** ([`plan_check`], [`compiled_check`],
-//!   [`tags`], [`deadlock`], [`plan_fits`]) proves, per rank and level:
+//!   [`tags`], [`deadlock`], [`mod@plan_fits`]) proves, per rank and level:
 //!   *conservation*
 //!   (every footprint element reaches its owner exactly once — keeps
 //!   plus receives partition the owned set), *tag disjointness* (no two
@@ -31,7 +31,7 @@
 //!   access, and scratch-region lifetime tracking across the split
 //!   `begin`/`finish` overlap windows (no read of a region with pending
 //!   in-flight writes; DESIGN.md §3i).
-//! * **Schedule exploration** ([`explore`]) runs real rank bodies under
+//! * **Schedule exploration** ([`mod@explore`]) runs real rank bodies under
 //!   seeded chaos schedules (jitter + delay-one-message), making timing
 //!   bugs that static analysis cannot see — wrong *progress logic*
 //!   rather than wrong plans — reproducible from a seed.
@@ -85,15 +85,8 @@ pub fn verify_all_hierarchical(
     compiled: &CompiledPlans,
     overlap: bool,
 ) -> VerifyReport {
-    let mut report = verify_hierarchical(footprints, ownership, topo, plan);
-    report.merge(verify_compiled(footprints, ownership, compiled));
-    report.merge(verify_bounds(compiled));
-    if overlap {
-        report.merge(verify_lifetimes(compiled, OVERLAP_CHECK_SLICES));
-    }
-    report.merge(verify_tags(compiled, topo));
-    report.merge(verify_deadlock(compiled, topo));
-    report
+    let report = verify_hierarchical(footprints, ownership, topo, plan);
+    verify_compilation(report, footprints, ownership, topo, compiled, overlap)
 }
 
 /// Fused-slice depth the lifetime pass models for the overlap schedule:
@@ -111,7 +104,21 @@ pub fn verify_all_direct(
     compiled: &CompiledPlans,
     overlap: bool,
 ) -> VerifyReport {
-    let mut report = verify_direct(footprints, ownership, plan);
+    let report = verify_direct(footprints, ownership, plan);
+    verify_compilation(report, footprints, ownership, topo, compiled, overlap)
+}
+
+/// The passes both plan flavours share once their row tables are
+/// checked, merged into `report` in this order: compiled conservation,
+/// index bounds, scratch lifetimes under `overlap`, tags, deadlock.
+fn verify_compilation(
+    mut report: VerifyReport,
+    footprints: &Footprints,
+    ownership: &Ownership,
+    topo: &Topology,
+    compiled: &CompiledPlans,
+    overlap: bool,
+) -> VerifyReport {
     report.merge(verify_compiled(footprints, ownership, compiled));
     report.merge(verify_bounds(compiled));
     if overlap {

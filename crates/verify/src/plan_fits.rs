@@ -8,7 +8,7 @@
 //! into an out-of-memory, a silently skipped slice run, or a
 //! cross-matched message at runtime. [`plan_fits`] proves the promise
 //! statically, the same way `verify_hierarchical` proves routing:
-//! structured [`Violation`]s with witnesses, checked against a
+//! structured [`crate::Violation`]s with witnesses, checked against a
 //! known-bad corpus.
 
 use crate::diag::{VerifyReport, ViolationKind};

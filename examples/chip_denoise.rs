@@ -13,7 +13,9 @@ use petaxct::core::{ReconOptions, Reconstructor};
 use petaxct::fp16::Precision;
 use petaxct::geometry::{ImageGrid, ScanGeometry};
 use petaxct::phantom::{add_poisson_noise, chip_like, snr_db, Image2D};
-use petaxct::solver::{sirt, tv_reconstruct, SirtConfig, SystemMatrixOperator, TvConfig};
+use petaxct::solver::{
+    sirt_in, tv_reconstruct_in, ExecContext, SirtConfig, SystemMatrixOperator, TvConfig,
+};
 
 fn relative_error(x: &[f32], truth: &Image2D) -> f64 {
     let num: f64 = x
@@ -125,7 +127,7 @@ fn main() {
         "CGLS (24 it, mixed)",
         relative_error(&cg.x, &chip)
     );
-    let s = sirt(
+    let s = sirt_in(
         &op,
         &noisy,
         &SirtConfig {
@@ -133,13 +135,14 @@ fn main() {
             nonneg: true,
             ..Default::default()
         },
+        &mut ExecContext::serial(),
     );
     println!(
         "  {:<22} image error {:.5}",
         "SIRT+nonneg (100 it)",
         relative_error(&s.x, &chip)
     );
-    let tv = tv_reconstruct(
+    let tv = tv_reconstruct_in(
         &op,
         &noisy,
         n,
@@ -150,6 +153,7 @@ fn main() {
             epsilon: 0.005,
             nonneg: true,
         },
+        &mut ExecContext::serial(),
     );
     println!(
         "  {:<22} image error {:.5}",

@@ -486,7 +486,7 @@ USAGE:
                       both layers instead
 ";
 
-/// Dispatches a full command line (without argv[0]).
+/// Dispatches a full command line (without `argv[0]`).
 pub fn run(args: &[String]) -> Result<String, CliError> {
     let (cmd, rest) = args
         .split_first()
