@@ -33,35 +33,23 @@ fn check_json(text: &str) -> usize {
     if reparsed.as_ref().map(Json::to_string) != Some(doc.to_string()) {
         fail("JSON does not round-trip through serialize/parse");
     }
-    if doc.get("schema").and_then(Json::as_str) != Some("petaxct-metrics-v1") {
-        fail("schema is not petaxct-metrics-v1");
-    }
-    let samples = doc
-        .get("samples")
-        .and_then(Json::as_array)
-        .unwrap_or_else(|| fail("missing samples array"));
+    doc.expect_schema("petaxct-metrics-v1")
+        .unwrap_or_else(|e| fail(&e));
+    let samples = doc.array_at("samples").unwrap_or_else(|e| fail(&e));
     if samples.is_empty() {
         fail("samples array is empty");
     }
-    let mut last_at = 0.0f64;
+    let mut last_at = 0;
     let mut values = 0usize;
     for (i, sample) in samples.iter().enumerate() {
-        let at = sample
-            .get("at_ns")
-            .and_then(Json::as_f64)
-            .unwrap_or_else(|| fail(&format!("sample {i} missing at_ns")));
+        let in_sample = |e: String| -> ! { fail(&format!("sample {i}: {e}")) };
+        let at = sample.u64_at("at_ns").unwrap_or_else(|e| in_sample(e));
         if at < last_at {
             fail(&format!("sample {i} at_ns {at} < previous {last_at}"));
         }
         last_at = at;
-        let tracks = sample
-            .get("tracks")
-            .and_then(Json::as_array)
-            .unwrap_or_else(|| fail(&format!("sample {i} missing tracks")));
-        for track in tracks {
-            if track.get("track").and_then(Json::as_f64).is_none() {
-                fail(&format!("sample {i}: track entry missing track id"));
-            }
+        for track in sample.array_at("tracks").unwrap_or_else(|e| in_sample(e)) {
+            track.u64_at("track").unwrap_or_else(|e| in_sample(e));
             for section in ["counters", "gauges"] {
                 match track.get(section) {
                     Some(Json::Obj(pairs)) => values += pairs.len(),
@@ -69,9 +57,8 @@ fn check_json(text: &str) -> usize {
                 }
             }
             let hists = track
-                .get("histograms")
-                .and_then(Json::as_array)
-                .unwrap_or_else(|| fail(&format!("sample {i}: missing histograms")));
+                .array_at("histograms")
+                .unwrap_or_else(|e| in_sample(e));
             for h in hists {
                 for field in ["metric", "count", "sum_ns", "buckets"] {
                     if h.get(field).is_none() {

@@ -111,9 +111,55 @@ impl Topology {
     }
 }
 
+/// The one text form of a topology: `NxSxG` (nodes × sockets/node ×
+/// GPUs/socket), as `--topology` takes it and `petaxct-profile-v1`
+/// stores it.
+impl std::fmt::Display for Topology {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (n, s, g) = (self.nodes, self.sockets_per_node, self.gpus_per_socket);
+        write!(f, "{n}x{s}x{g}")
+    }
+}
+
+/// Parses `NxSxG`; an `Err` on anything but three nonzero factors whose
+/// product (the rank count) fits a `usize`.
+impl std::str::FromStr for Topology {
+    type Err = String;
+
+    fn from_str(text: &str) -> Result<Topology, String> {
+        let bad = || format!("bad topology {text:?}: want NxSxG with nonzero factors");
+        let factors: Vec<usize> = text
+            .split('x')
+            .map(|factor| factor.parse().map_err(|_| bad()))
+            .collect::<Result<_, _>>()?;
+        let [nodes, sockets, gpus] = factors[..] else {
+            return Err(bad());
+        };
+        match nodes.checked_mul(sockets).and_then(|r| r.checked_mul(gpus)) {
+            Some(1..) => Ok(Topology::new(nodes, sockets, gpus)),
+            _ => Err(bad()),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn text_form_round_trips_and_rejects_everything_else() {
+        let t = Topology::new(4, 2, 3);
+        assert_eq!(t.to_string(), "4x2x3");
+        assert_eq!("4x2x3".parse(), Ok(t));
+        let huge = format!("{0}x{0}x2", usize::MAX / 2 + 1);
+        for bad in [
+            "", "4", "4x2", "4x2x3x1", "0x2x3", "4x0x3", "4x2x0", "-1x2x3", "4x2x3.0", "4 x2x3",
+            "axbxc", "4x2x", "x2x3", &huge,
+        ] {
+            let err = bad.parse::<Topology>().unwrap_err();
+            assert!(err.contains(bad), "{err}");
+        }
+    }
 
     #[test]
     fn summit_node_structure() {

@@ -217,8 +217,13 @@ fn blocking_recv_counts_parks_and_depth() {
     let tele = Telemetry::enabled();
     run_ranks_with(2, &traced(&tele, Some(wire)), |comm| {
         if comm.rank() == 0 {
+            // Sent only once rank 1 is about to block, so the 2 ms wire
+            // time falls inside its receive whenever the threads start.
+            let release = comm.recv(1, 8).unwrap();
+            comm.recycle(release);
             comm.send_vals::<f32>(1, 9, &[3.0]).unwrap();
         } else {
+            comm.send(0, 8, Vec::new()).unwrap();
             let got = comm.recv_vals::<f32>(0, 9).unwrap();
             assert_eq!(got, vec![3.0]);
         }

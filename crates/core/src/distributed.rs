@@ -1061,16 +1061,11 @@ mod tests {
     #[test]
     fn profiled_run_attributes_spmm_cost_to_every_rank_and_slice() {
         use xct_exec::{Phase, Telemetry};
-        use xct_telemetry::{CostComponent, ProfileDims};
+        use xct_telemetry::{CostComponent, ProfileSnapshot};
         let scan = ScanGeometry::uniform(ImageGrid::square(12, 1.0), 12);
         let fusing = 2;
         let (_, _, y) = phantom_sinogram(&scan, fusing);
         let telemetry = Telemetry::enabled();
-        assert!(telemetry.enable_profile(ProfileDims {
-            tracks: 4,
-            slabs: 1,
-            slices: fusing,
-        }));
         let cfg = DistributedConfig {
             topology: Topology::new(1, 2, 2),
             precision: Precision::Single,
@@ -1081,8 +1076,8 @@ mod tests {
             ..Default::default()
         };
         let _ = reconstruct_distributed(&scan, &y, &cfg);
-        let profile = telemetry.profile_snapshot().expect("profiling enabled");
         let snap = telemetry.snapshot();
+        let profile = ProfileSnapshot::from_snapshot(&snap);
         for rank in 0..4 {
             assert!(
                 profile.track_component_ns(rank, CostComponent::SpmmCompute) > 0,

@@ -1,5 +1,5 @@
 //! Builds the `petaxct-profile-v1` artifact: joins the telemetry cost
-//! profiler's measured per-component self times with the causal layer's
+//! profile's measured per-component self times with the causal layer's
 //! critical-path attribution, derives per-tile costs from the operator's
 //! nonzero distribution, and scores the measured run against the
 //! Tables III–IV analytic model (model-drift attribution).
@@ -39,10 +39,9 @@ pub struct ProfileInputs<'a> {
     /// derived per-tile costs must attribute to the ownership that
     /// actually executed.
     pub tile_weights: Option<&'a [u64]>,
-    /// The full span/event/edge snapshot (causal layer input).
+    /// The full span/event/edge snapshot: the cost profile and the
+    /// causal analysis are both derived from it.
     pub snapshot: &'a TelemetrySnapshot,
-    /// The cost profiler's slab copy.
-    pub profile: &'a ProfileSnapshot,
     /// Analytic-model estimate for the same problem, when available;
     /// without it the drift table's predicted shares are zero.
     pub model: Option<&'a ModelEstimate>,
@@ -128,6 +127,7 @@ pub fn build_profile_report(inputs: &ProfileInputs) -> ProfileReport {
     let scan = inputs.scan;
     let ranks = inputs.topology.size();
     let causal = CausalAnalysis::from_snapshot(inputs.snapshot);
+    let profile = ProfileSnapshot::from_snapshot(inputs.snapshot);
 
     // Per-rank wire time: simulated wire nanoseconds of messages this
     // rank received (matched), summed from the causal edges.
@@ -140,10 +140,7 @@ pub fn build_profile_report(inputs: &ProfileInputs) -> ProfileReport {
 
     let mut rank_costs = Vec::with_capacity(ranks);
     for (rank, &wire_ns) in wire_by_rank.iter().enumerate() {
-        let mut components = [0u64; COMPONENT_COUNT];
-        for c in ALL_COMPONENTS {
-            components[c.index()] = inputs.profile.track_component_ns(rank, c);
-        }
+        let components = ALL_COMPONENTS.map(|c| profile.track_component_ns(rank, c));
         let path = causal.per_rank.iter().find(|r| r.track as usize == rank);
         rank_costs.push(RankCost {
             rank: rank as u32,
@@ -170,14 +167,11 @@ pub fn build_profile_report(inputs: &ProfileInputs) -> ProfileReport {
 
     // Model-vs-measured drift, in shares of the respective totals.
     let predicted = inputs.model.map(model_shares).unwrap_or_default();
-    let measured_total: u64 = ALL_COMPONENTS
-        .iter()
-        .map(|&c| inputs.profile.component_ns(c))
-        .sum();
+    let measured_total = profile.total_ns();
     let drift = ALL_COMPONENTS
         .iter()
         .map(|&component| {
-            let measured_ns = inputs.profile.component_ns(component);
+            let measured_ns = profile.component_ns(component);
             let measured_share = if measured_total == 0 {
                 0.0
             } else {

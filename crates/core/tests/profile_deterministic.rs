@@ -13,7 +13,9 @@ use xct_core::{build_profile_report, ProfileInputs};
 use xct_fp16::Precision;
 use xct_geometry::{ImageGrid, ScanGeometry, SystemMatrix};
 use xct_hilbert::{CurveKind, Domain2D, TileDecomposition};
-use xct_telemetry::{CostComponent, ManualClock, Phase, ProfileDims, Telemetry, ALL_COMPONENTS};
+use xct_telemetry::{
+    CostComponent, ManualClock, Phase, ProfileSnapshot, Telemetry, ALL_COMPONENTS,
+};
 
 /// Records one root span of exactly `dur` nanoseconds on `tele`'s
 /// track, advancing the shared clock from `*t`.
@@ -42,11 +44,6 @@ fn rank_spmm_total(rank: u64) -> u64 {
 fn nested_spans_attribute_exact_self_time_per_slice() {
     let clock = ManualClock::new();
     let tele = Telemetry::with_clock(Arc::new(clock.clone()));
-    assert!(tele.enable_profile(ProfileDims {
-        tracks: 1,
-        slabs: 1,
-        slices: 2,
-    }));
     // SpMM span [0, 1000] with a comm-wait child [200, 500]: the parent
     // is charged its SELF time 700, the child its full 300.
     clock.set(0);
@@ -61,7 +58,7 @@ fn nested_spans_attribute_exact_self_time_per_slice() {
     tele.profile_slice_set(1);
     let mut t = 1000;
     span_for(&tele, &clock, &mut t, Phase::PrecisionConvert, 100);
-    let snap = tele.profile_snapshot().unwrap();
+    let snap = ProfileSnapshot::from_snapshot(&tele.snapshot());
     assert_eq!(snap.get(0, 0, 0, CostComponent::SpmmCompute), 700);
     assert_eq!(snap.get(0, 0, 0, CostComponent::CommWait), 300);
     assert_eq!(snap.get(0, 0, 1, CostComponent::GatherConvert), 100);
@@ -74,11 +71,6 @@ fn scripted_1x2x2_run_yields_exact_cells_drift_and_tile_costs() {
     let tele = Telemetry::with_clock(Arc::new(clock.clone()));
     let topology = Topology::new(1, 2, 2);
     let ranks = topology.size();
-    assert!(tele.enable_profile(ProfileDims {
-        tracks: ranks,
-        slabs: 2,
-        slices: 2,
-    }));
     let forks: Vec<Telemetry> = (0..ranks).map(|r| tele.fork(r as u32)).collect();
     // Each rank's spans are laid back-to-back on its own timeline so
     // its causal busy time is the plain sum of scripted durations.
@@ -126,7 +118,8 @@ fn scripted_1x2x2_run_yields_exact_cells_drift_and_tile_costs() {
     forks[0].edge(3, 1, 64, sent, 100);
 
     // --- exact profile cells -------------------------------------
-    let profile = tele.profile_snapshot().unwrap();
+    let snapshot = tele.snapshot();
+    let profile = ProfileSnapshot::from_snapshot(&snapshot);
     for r in 0..ranks as u64 {
         for slab in 0..2 {
             for slice in 0..2 {
@@ -141,7 +134,6 @@ fn scripted_1x2x2_run_yields_exact_cells_drift_and_tile_costs() {
 
     // --- exact artifact ------------------------------------------
     let scan = ScanGeometry::uniform(ImageGrid::square(16, 1.0), 12);
-    let snapshot = tele.snapshot();
     let report = build_profile_report(&ProfileInputs {
         scan: &scan,
         slices: 2,
@@ -150,7 +142,6 @@ fn scripted_1x2x2_run_yields_exact_cells_drift_and_tile_costs() {
         tile: 4,
         tile_weights: None,
         snapshot: &snapshot,
-        profile: &profile,
         model: None,
     });
 

@@ -75,9 +75,10 @@ pub struct FlightEvent {
     pub b: u64,
 }
 
-/// A preallocated overwrite-oldest ring of [`FlightEvent`]s.
+/// One track's preallocated overwrite-oldest ring of [`FlightEvent`]s.
 #[derive(Debug)]
 pub(crate) struct FlightRing {
+    track: u32,
     buf: Vec<FlightEvent>,
     /// Next slot to overwrite once the ring is full.
     next: usize,
@@ -86,8 +87,9 @@ pub(crate) struct FlightRing {
 }
 
 impl FlightRing {
-    pub(crate) fn new() -> Self {
+    pub(crate) fn new(track: u32) -> Self {
         FlightRing {
+            track,
             buf: Vec::with_capacity(FLIGHT_CAPACITY),
             next: 0,
             total: 0,
@@ -96,7 +98,22 @@ impl FlightRing {
 
     /// Pushes a record, overwriting the oldest once full. Never
     /// allocates: capacity is reserved up front.
-    pub(crate) fn push(&mut self, event: FlightEvent) {
+    pub(crate) fn push(
+        &mut self,
+        at_ns: u64,
+        kind: FlightKind,
+        code: &'static str,
+        a: u64,
+        b: u64,
+    ) {
+        let event = FlightEvent {
+            at_ns,
+            track: self.track,
+            kind,
+            code,
+            a,
+            b,
+        };
         if self.buf.len() < FLIGHT_CAPACITY {
             self.buf.push(event);
         } else {
@@ -194,10 +211,10 @@ mod tests {
 
     #[test]
     fn ring_overwrites_oldest_and_counts_total() {
-        let mut ring = FlightRing::new();
+        let mut ring = FlightRing::new(0);
         let n = FLIGHT_CAPACITY as u64 + 10;
         for i in 0..n {
-            ring.push(ev(i));
+            ring.push(i, FlightKind::Point, "test", i, 0);
         }
         assert_eq!(ring.total(), n);
         let events = ring.events();

@@ -36,9 +36,8 @@ impl Default for DurationHistogram {
 }
 
 /// Bucket index for a duration: 0 holds exactly 0 ns, bucket `i >= 1`
-/// holds `[2^(i-1), 2^i)`. Shared with the atomic histograms in
-/// [`crate::metrics`] so both layers bucket identically.
-pub(crate) fn bucket_of(ns: u64) -> usize {
+/// holds `[2^(i-1), 2^i)`.
+fn bucket_of(ns: u64) -> usize {
     if ns == 0 {
         0
     } else {
@@ -50,25 +49,6 @@ impl DurationHistogram {
     /// An empty histogram.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Rebuilds a histogram from raw fields captured elsewhere (the
-    /// atomic metric slabs snapshot through this so rendering and JSON
-    /// export are shared with span-derived histograms).
-    pub(crate) fn from_raw(
-        counts: [u64; BUCKETS],
-        count: u64,
-        min_ns: u64,
-        max_ns: u64,
-        sum_ns: u64,
-    ) -> Self {
-        DurationHistogram {
-            counts,
-            count,
-            min_ns,
-            max_ns,
-            sum_ns,
-        }
     }
 
     /// Records one duration.
@@ -102,6 +82,31 @@ impl DurationHistogram {
     /// Sum of all recorded durations.
     pub fn sum_ns(&self) -> u64 {
         self.sum_ns
+    }
+
+    /// The one JSON form of a histogram — count, extremes, sum and the
+    /// non-empty buckets — led by a `label: name` field saying what was
+    /// measured (`"phase"` in the telemetry report, `"metric"` in the
+    /// metrics series).
+    pub(crate) fn to_json(&self, label: &str, name: &str) -> Json {
+        let bucket = |(lo, hi, count): (u64, u64, u64)| {
+            Json::object(vec![
+                ("lo_ns", Json::from(lo)),
+                ("hi_ns", Json::from(hi)),
+                ("count", Json::from(count)),
+            ])
+        };
+        Json::object(vec![
+            (label, Json::from(name)),
+            ("count", Json::from(self.count())),
+            ("min_ns", Json::from(self.min_ns())),
+            ("max_ns", Json::from(self.max_ns())),
+            ("sum_ns", Json::from(self.sum_ns())),
+            (
+                "buckets",
+                Json::Arr(self.buckets().into_iter().map(bucket).collect()),
+            ),
+        ])
     }
 
     /// Non-empty buckets as `(lo_ns, hi_ns, count)` ranges, low first.
@@ -178,33 +183,10 @@ impl PhaseHistograms {
 
     /// JSON fragment for the telemetry report and benchmark artifacts.
     pub fn to_json(&self) -> Json {
+        let phases = self.phases.iter();
         Json::Arr(
-            self.phases
-                .iter()
-                .map(|(phase, hist)| {
-                    Json::object(vec![
-                        ("phase", Json::from(phase.as_str())),
-                        ("count", Json::from(hist.count())),
-                        ("min_ns", Json::from(hist.min_ns())),
-                        ("max_ns", Json::from(hist.max_ns())),
-                        ("sum_ns", Json::from(hist.sum_ns())),
-                        (
-                            "buckets",
-                            Json::Arr(
-                                hist.buckets()
-                                    .into_iter()
-                                    .map(|(lo, hi, count)| {
-                                        Json::object(vec![
-                                            ("lo_ns", Json::from(lo)),
-                                            ("hi_ns", Json::from(hi)),
-                                            ("count", Json::from(count)),
-                                        ])
-                                    })
-                                    .collect(),
-                            ),
-                        ),
-                    ])
-                })
+            phases
+                .map(|(p, h)| h.to_json("phase", p.as_str()))
                 .collect(),
         )
     }

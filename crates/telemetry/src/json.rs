@@ -61,6 +61,70 @@ impl Json {
         }
     }
 
+    /// The value as a count: a number that is finite, non-negative,
+    /// integral and at most 2^53 (the largest range `f64` holds exactly).
+    /// `-1`, `2.7` and `1e300` are not counts.
+    pub fn as_u64(&self) -> Option<u64> {
+        const MAX_EXACT: f64 = 9_007_199_254_740_992.0;
+        match self {
+            Json::Num(n) if (0.0..=MAX_EXACT).contains(n) && n.fract() == 0.0 => Some(*n as u64),
+            _ => None,
+        }
+    }
+
+    /// The value under `key` as `T`: what the typed `*_at` accessors
+    /// share. A missing key and a value of the wrong shape are both an
+    /// `Err` naming the key, never a default.
+    fn field<'a, T>(
+        &'a self,
+        key: &str,
+        want: &str,
+        read: impl FnOnce(&'a Json) -> Option<T>,
+    ) -> Result<T, String> {
+        let value = self
+            .get(key)
+            .ok_or_else(|| format!("missing field {key:?}"))?;
+        read(value).ok_or_else(|| format!("field {key:?} is not {want}"))
+    }
+
+    /// The count under `key` (see [`Json::as_u64`]).
+    pub fn u64_at(&self, key: &str) -> Result<u64, String> {
+        self.field(key, "an integer in 0..=2^53", Json::as_u64)
+    }
+
+    /// The count under `key`, as a `usize`.
+    pub fn usize_at(&self, key: &str) -> Result<usize, String> {
+        self.field(key, "an integer in 0..=2^53", |v| {
+            v.as_u64().and_then(|n| usize::try_from(n).ok())
+        })
+    }
+
+    /// The finite number under `key`.
+    pub fn f64_at(&self, key: &str) -> Result<f64, String> {
+        self.field(key, "a finite number", |v| {
+            v.as_f64().filter(|n| n.is_finite())
+        })
+    }
+
+    /// The string under `key`.
+    pub fn str_at(&self, key: &str) -> Result<&str, String> {
+        self.field(key, "a string", Json::as_str)
+    }
+
+    /// The array under `key`.
+    pub fn array_at(&self, key: &str) -> Result<&[Json], String> {
+        self.field(key, "an array", Json::as_array)
+    }
+
+    /// Checks the document's `"schema"` tag against the one a decoder
+    /// understands.
+    pub fn expect_schema(&self, want: &str) -> Result<(), String> {
+        match self.str_at("schema")? {
+            tag if tag == want => Ok(()),
+            tag => Err(format!("unsupported schema {tag:?} (want {want:?})")),
+        }
+    }
+
     /// Parses a JSON document. Arrays and objects may nest at most 128
     /// deep; a deeper document is an `Err`, not a stack overflow.
     pub fn parse(text: &str) -> Result<Json, String> {
@@ -319,9 +383,13 @@ impl Parser<'_> {
         }
         // xct-allow(no-panic): infallible — the scanned range is all ASCII number bytes
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        // `1e999` parses to infinity, which JSON cannot express (the
+        // writer would turn it into `null`): out of range is an error.
         text.parse::<f64>()
+            .ok()
+            .filter(|n| n.is_finite())
             .map(Json::Num)
-            .map_err(|_| format!("bad number at byte {}", start))
+            .ok_or_else(|| format!("bad number at byte {}", start))
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -448,9 +516,35 @@ mod tests {
     }
 
     #[test]
+    fn typed_accessors_reject_what_is_not_a_count_and_name_the_key() {
+        let text = r#"{"schema":"s-v1","n":12,"big":9007199254740992,"neg":-1,"frac":2.5,
+            "huge":1e300,"over":9007199254740994,"name":"x","list":[1]}"#;
+        let doc = Json::parse(text).unwrap();
+        assert_eq!((doc.u64_at("n"), doc.usize_at("n")), (Ok(12), Ok(12)));
+        assert_eq!(doc.u64_at("big"), Ok(1 << 53));
+        assert_eq!(doc.f64_at("frac"), Ok(2.5));
+        assert_eq!(doc.str_at("name"), Ok("x"));
+        assert_eq!(doc.array_at("list").map(<[Json]>::len), Ok(1));
+        for key in ["neg", "frac", "huge", "over", "name", "list", "absent"] {
+            let err = doc.u64_at(key).unwrap_err();
+            assert!(err.contains(&format!("{key:?}")), "{err}");
+            assert!(doc.usize_at(key).is_err());
+        }
+        let nan = Json::object(vec![("x", Json::Num(f64::NAN))]);
+        assert!(nan.f64_at("x").unwrap_err().contains("\"x\""));
+        assert!(doc.f64_at("name").is_err() && doc.str_at("n").is_err());
+        assert!(doc.array_at("n").is_err());
+        assert_eq!(doc.expect_schema("s-v1"), Ok(()));
+        let err = doc.expect_schema("s-v2").unwrap_err();
+        assert!(err.contains("s-v1") && err.contains("s-v2"), "{err}");
+        assert!(Json::Null.expect_schema("s-v1").is_err());
+    }
+
+    #[test]
     fn rejects_malformed_documents() {
         assert!(Json::parse("{\"a\":}").is_err());
         assert!(Json::parse("[1,2").is_err());
         assert!(Json::parse("true false").is_err());
+        assert!(Json::parse("1e999").unwrap_err().contains("bad number"));
     }
 }

@@ -6,44 +6,50 @@
 //! hierarchical reduction. This crate provides the measurement layer those
 //! figures are rebuilt from:
 //!
-//! * [`Telemetry`] — a cloneable handle that records RAII-timed spans and
-//!   scalar events into a thread-safe collector. A disabled handle (the
-//!   default) is a no-op: no locking, no allocation, nothing on the hot
-//!   path.
+//! * [`Telemetry`] — a cloneable handle with **one recording path**. A
+//!   disabled handle (the default) is a no-op: one `None` check, no
+//!   locking, no allocation. An enabled handle records into its *track*
+//!   (one per rank), which owns everything that rank records behind one
+//!   lock no other rank takes; a recording call reads the clock once and
+//!   takes that lock once. A track keeps three stores, with three
+//!   retention policies:
+//!   - the **log** — every span (RAII-timed, stamped at close with the
+//!     slab and fused-slice range it closed under), scalar event and
+//!     send→recv match edge ([`EdgeRecord`]); unbounded; copied out,
+//!     interleaved across tracks in recording order, as a
+//!     [`TelemetrySnapshot`];
+//!   - the **metric slab** — aggregates only: the [`MetricId`]
+//!     counters and gauges as relaxed atomics, the wait histograms as
+//!     plain [`DurationHistogram`]s under the track lock (a sampled
+//!     histogram's count, sum and buckets always agree); copied by
+//!     [`Sampler`] into [`MetricsSnapshot`] time series and exported as
+//!     `petaxct-metrics-v1` JSON ([`metrics_series_json`]), Prometheus
+//!     text ([`prometheus_text`]), CSV ([`metrics_csv`]), or the human
+//!     [`render_progress`] line;
+//!   - the **flight ring** — the last [`FLIGHT_CAPACITY`] records
+//!     ([`FlightEvent`]), preallocated; [`Telemetry::flight_dump_json`]
+//!     and [`install_flight_panic_hook`] turn them into a
+//!     `petaxct-flightrec-v1` post-mortem when a run dies.
+//! * Views — every analysis is a fold over the [`TelemetrySnapshot`],
+//!   never a second record: [`TelemetrySnapshot::self_times`] (computed
+//!   in one place), [`Breakdown`] (the Fig. 10-style per-phase table and
+//!   JSON report), [`PhaseHistograms`] (log2 duration buckets per
+//!   phase), [`CausalAnalysis`] (the happens-before DAG of spans and
+//!   match edges, its critical path and per-rank slack),
+//!   [`ProfileSnapshot`] (self time per [`CostComponent`] keyed by
+//!   track, streamed slab and fused slice — the `petaxct-profile-v1`
+//!   drift/skew artifact's input), and [`chrome_trace`] (a Chrome
+//!   `trace_event` file loadable in `about://tracing` / Perfetto).
 //! * [`Phase`] — the stable phase taxonomy (SpMM forward/transpose,
 //!   precision conversion, socket/node/global reduction, halo exchange,
 //!   solver iterations/bookkeeping, I/O).
 //! * [`Clock`] — injectable time source with a monotonic default
 //!   ([`MonotonicClock`]) and a deterministic [`ManualClock`] so
 //!   span-duration tests are exact rather than sleep-based.
-//! * Sinks — [`Breakdown`] renders a Fig. 10-style per-phase table and a
-//!   machine-readable JSON report; [`chrome_trace`] emits a Chrome
-//!   `trace_event` file loadable in `about://tracing` / Perfetto.
-//! * Causal layer — the comm runtime records send→recv match edges
-//!   ([`EdgeRecord`]); [`CausalAnalysis`] fuses them with the span
-//!   tracks into a happens-before DAG and extracts the critical path
-//!   and per-rank slack, and [`PhaseHistograms`] buckets span durations
-//!   per phase in log2 buckets.
-//! * [`Json`] — a tiny dependency-free JSON value (builder + parser) used
-//!   by the report sinks and by tests that validate report schemas.
-//! * Metrics — [`MetricId`] is the stable counter/gauge/histogram
-//!   taxonomy; every enabled track owns a lock-free atomic slab that
-//!   instrumented subsystems update and [`Sampler`] copies into
-//!   [`MetricsSnapshot`] time series, exported as `petaxct-metrics-v1`
-//!   JSON ([`metrics_series_json`]), Prometheus text
-//!   ([`prometheus_text`]), CSV ([`metrics_csv`]), or the human
-//!   [`render_progress`] line.
-//! * Cost profiler — [`Telemetry::enable_profile`] installs a
-//!   preallocated slab of relaxed atomics that attributes every span's
-//!   *self* time to a [`CostComponent`] keyed by (track, streamed slab,
-//!   fused slice); [`Telemetry::profile_snapshot`] copies it out as a
-//!   [`ProfileSnapshot`] for the `petaxct-profile-v1` drift/skew
-//!   artifact. Unprofiled and disabled handles pay one atomic load.
-//! * Flight recorder — each track keeps its last [`FLIGHT_CAPACITY`]
-//!   spans/events/metric updates in a preallocated ring
-//!   ([`FlightEvent`]); [`Telemetry::flight_dump_json`] and
-//!   [`install_flight_panic_hook`] turn them into a
-//!   `petaxct-flightrec-v1` post-mortem when a run dies.
+//! * [`Json`] — a tiny dependency-free JSON value (builder, parser, and
+//!   the typed `*_at` field accessors the artifact decoders read
+//!   through) used by the report sinks and by tests that validate report
+//!   schemas.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -69,7 +75,7 @@ pub use histogram::{DurationHistogram, PhaseHistograms};
 pub use json::Json;
 pub use metrics::{MetricId, MetricKind, MetricsSnapshot, TrackMetricsSnapshot, ALL_METRICS};
 pub use phase::Phase;
-pub use profile::{CostComponent, ProfileDims, ProfileSnapshot, ALL_COMPONENTS, COMPONENT_COUNT};
+pub use profile::{CostComponent, ProfileSnapshot, ALL_COMPONENTS, COMPONENT_COUNT};
 pub use report::{chrome_trace, fmt_ns, Breakdown, PhaseStat};
 pub use sampler::{metrics_csv, metrics_series_json, prometheus_text, render_progress, Sampler};
 pub use span::{EdgeRecord, EventRecord, SpanGuard, SpanRecord, Telemetry, TelemetrySnapshot};

@@ -3,11 +3,12 @@
 //!
 //! Spans answer *where did the time go* after a run; metrics answer *is
 //! the run healthy right now*. Each telemetry track (rank) owns one
-//! fixed-size slab of atomics — no locks on the hot path, no allocation
+//! fixed-size slab — counters and gauges as relaxed atomics, the wait
+//! histograms as plain values under the track's lock; no allocation
 //! after the track is forked — and a sampler thread (or test) copies
-//! consistent-enough snapshots out at any time through the shared
-//! collector. A disabled [`crate::Telemetry`] handle records nothing:
-//! every metric call is one `None` check.
+//! snapshots out at any time through the shared collector. A disabled
+//! [`crate::Telemetry`] handle records nothing: every metric call is one
+//! `None` check.
 //!
 //! The taxonomy is a closed enum rather than free-form strings so that
 //! exporters, dashboards, and tests agree on names forever, and so the
@@ -183,78 +184,38 @@ impl MetricId {
     }
 
     fn hist_index(self) -> Option<usize> {
-        (self as usize)
-            .checked_sub(SCALAR_COUNT)
-            .filter(|&i| i < HIST_COUNT)
+        (self as usize).checked_sub(SCALAR_COUNT)
     }
 }
 
-/// A lock-free log2 histogram mirroring [`DurationHistogram`] in
-/// atomics. Individual recordings are exact; a concurrent snapshot may
-/// tear across fields (count vs. sum), which sampling tolerates.
-struct AtomicHistogram {
-    buckets: [AtomicU64; 65],
-    count: AtomicU64,
-    sum_ns: AtomicU64,
-    min_ns: AtomicU64,
-    max_ns: AtomicU64,
-}
+/// One track's histogram metrics: plain [`DurationHistogram`]s the owner
+/// keeps under the track lock, so a sample never sees a count without
+/// its bucket.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct TrackHistograms([DurationHistogram; HIST_COUNT]);
 
-impl AtomicHistogram {
-    fn new() -> Self {
-        AtomicHistogram {
-            buckets: [const { AtomicU64::new(0) }; 65],
-            count: AtomicU64::new(0),
-            sum_ns: AtomicU64::new(0),
-            min_ns: AtomicU64::new(u64::MAX),
-            max_ns: AtomicU64::new(0),
+impl TrackHistograms {
+    pub(crate) fn observe_ns(&mut self, id: MetricId, ns: u64) {
+        debug_assert_eq!(id.kind(), MetricKind::Histogram, "observe on {id:?}");
+        if let Some(hist) = id.hist_index().and_then(|i| self.0.get_mut(i)) {
+            hist.record(ns);
         }
-    }
-
-    fn record(&self, ns: u64) {
-        self.buckets[crate::histogram::bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
-        self.min_ns.fetch_min(ns, Ordering::Relaxed);
-        self.max_ns.fetch_max(ns, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> Option<DurationHistogram> {
-        let count = self.count.load(Ordering::Relaxed);
-        if count == 0 {
-            return None;
-        }
-        let mut counts = [0u64; 65];
-        for (slot, bucket) in counts.iter_mut().zip(&self.buckets) {
-            *slot = bucket.load(Ordering::Relaxed);
-        }
-        Some(DurationHistogram::from_raw(
-            counts,
-            count,
-            self.min_ns.load(Ordering::Relaxed),
-            self.max_ns.load(Ordering::Relaxed),
-            self.sum_ns.load(Ordering::Relaxed),
-        ))
     }
 }
 
-/// One track's metric storage: a flat scalar slab plus the histograms.
-/// Allocated once when the track is forked; every update afterwards is
-/// a handful of relaxed atomic operations.
+/// One track's counters and gauges: a flat slab of relaxed atomics,
+/// allocated once when the track is forked and updated without a lock.
 pub(crate) struct TrackMetrics {
     scalars: [AtomicU64; SCALAR_COUNT],
-    hists: [AtomicHistogram; HIST_COUNT],
 }
 
 impl TrackMetrics {
     pub(crate) fn new() -> Self {
-        let scalars = std::array::from_fn(|i| {
-            // Gauges start at the unset sentinel, counters at zero.
-            AtomicU64::new(if i < COUNTER_COUNT { 0 } else { GAUGE_UNSET })
-        });
         TrackMetrics {
-            scalars,
-            hists: std::array::from_fn(|_| AtomicHistogram::new()),
+            // Gauges start at the unset sentinel, counters at zero.
+            scalars: std::array::from_fn(|i| {
+                AtomicU64::new(if i < COUNTER_COUNT { 0 } else { GAUGE_UNSET })
+            }),
         }
     }
 
@@ -272,48 +233,28 @@ impl TrackMetrics {
         }
     }
 
-    pub(crate) fn observe_ns(&self, id: MetricId, ns: u64) {
-        debug_assert_eq!(id.kind(), MetricKind::Histogram, "observe on {id:?}");
-        if let Some(index) = id.hist_index() {
-            self.hists[index].record(ns);
-        }
-    }
-
     /// Copies out the touched metrics (untouched ones are omitted so
     /// exports stay compact and tests can assert exact contents).
-    pub(crate) fn snapshot(&self, track: u32) -> TrackMetricsSnapshot {
+    /// [`ALL_METRICS`] is in storage order, so zipping it with the slots
+    /// pairs every id with its storage.
+    pub(crate) fn snapshot(&self, track: u32, hists: &TrackHistograms) -> TrackMetricsSnapshot {
         let mut snap = TrackMetricsSnapshot {
             track,
-            counters: Vec::new(),
-            gauges: Vec::new(),
-            histograms: Vec::new(),
+            ..Default::default()
         };
-        for id in ALL_METRICS {
+        for (id, slot) in ALL_METRICS.into_iter().zip(&self.scalars) {
+            let bits = slot.load(Ordering::Relaxed);
             match id.kind() {
-                MetricKind::Counter => {
-                    // xct-allow(no-panic): infallible — MetricId::counter ids are scalar by construction
-                    let v = self.scalars[id.scalar_index().expect("counter is scalar")]
-                        .load(Ordering::Relaxed);
-                    if v != 0 {
-                        snap.counters.push((id, v));
-                    }
+                MetricKind::Counter if bits != 0 => snap.counters.push((id, bits)),
+                MetricKind::Gauge if bits != GAUGE_UNSET => {
+                    snap.gauges.push((id, f64::from_bits(bits)));
                 }
-                MetricKind::Gauge => {
-                    // xct-allow(no-panic): infallible — MetricId::gauge ids are scalar by construction
-                    let bits = self.scalars[id.scalar_index().expect("gauge is scalar")]
-                        .load(Ordering::Relaxed);
-                    if bits != GAUGE_UNSET {
-                        snap.gauges.push((id, f64::from_bits(bits)));
-                    }
-                }
-                MetricKind::Histogram => {
-                    if let Some(hist) =
-                        // xct-allow(no-panic): infallible — histogram ids carry a slot by construction
-                        self.hists[id.hist_index().expect("histogram slot")].snapshot()
-                    {
-                        snap.histograms.push((id, hist));
-                    }
-                }
+                _ => {}
+            }
+        }
+        for (id, hist) in ALL_METRICS.into_iter().skip(SCALAR_COUNT).zip(&hists.0) {
+            if hist.count() > 0 {
+                snap.histograms.push((id, hist.clone()));
             }
         }
         snap
@@ -463,9 +404,10 @@ mod tests {
         slab.add(MetricId::CommSendBytes, 64);
         slab.gauge_set(MetricId::SolverResidual, 0.25);
         slab.gauge_set(MetricId::SolverResidual, 0.125);
-        slab.observe_ns(MetricId::CommWaitNs, 0);
-        slab.observe_ns(MetricId::CommWaitNs, 1000);
-        let snap = slab.snapshot(3);
+        let mut hists = TrackHistograms::default();
+        hists.observe_ns(MetricId::CommWaitNs, 0);
+        hists.observe_ns(MetricId::CommWaitNs, 1000);
+        let snap = slab.snapshot(3, &hists);
         assert_eq!(snap.track, 3);
         assert_eq!(snap.counters, vec![(MetricId::CommSendBytes, 192)]);
         assert_eq!(snap.gauge(MetricId::SolverResidual), Some(0.125));
@@ -485,13 +427,14 @@ mod tests {
         b.add(MetricId::CommSendMsgs, 3);
         let c = TrackMetrics::new();
         c.add(MetricId::SolverIterations, 1);
+        let none = TrackHistograms::default();
         let snap = MetricsSnapshot::assemble(
             77,
             vec![
-                c.snapshot(5),
-                a.snapshot(1),
-                b.snapshot(1),
-                TrackMetrics::new().snapshot(9),
+                c.snapshot(5, &none),
+                a.snapshot(1, &none),
+                b.snapshot(1, &none),
+                TrackMetrics::new().snapshot(9, &none),
             ],
         );
         assert_eq!(snap.at_ns, 77);
@@ -507,7 +450,11 @@ mod tests {
         sender.add(MetricId::CommSendBytes, 100);
         let receiver = TrackMetrics::new();
         receiver.add(MetricId::CommRecvBytes, 60);
-        let snap = MetricsSnapshot::assemble(0, vec![sender.snapshot(0), receiver.snapshot(1)]);
+        let none = TrackHistograms::default();
+        let snap = MetricsSnapshot::assemble(
+            0,
+            vec![sender.snapshot(0, &none), receiver.snapshot(1, &none)],
+        );
         assert_eq!(snap.inflight_bytes(), 40);
     }
 }

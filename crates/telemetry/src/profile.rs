@@ -1,13 +1,12 @@
-//! Hierarchical cost profiling: preallocated per-track cost slabs.
+//! Hierarchical cost profiling: a view of the span snapshot.
 //!
-//! The profiler attributes span *self time* (duration minus enclosed
+//! The profile attributes span *self time* (duration minus enclosed
 //! child spans) to a fixed [`CostComponent`] taxonomy, keyed by
-//! `(track, slab, fused-slice)`. Storage is a single flat slab of
-//! relaxed atomics sized once at [`crate::Telemetry::enable_profile`]
-//! time, so recording from `// xct-hot` regions is a bounds check plus
-//! one `fetch_add` — no locks, no allocation. When profiling is not
-//! enabled the cost on every span close is a single `OnceLock::get`
-//! returning `None`.
+//! `(track, slab, fused-slice)`. Nothing is recorded for it beyond the
+//! spans themselves: every span is stamped at close with the slab and
+//! fused-slice range it closed under, and
+//! [`ProfileSnapshot::from_snapshot`] folds
+//! [`TelemetrySnapshot::self_times`] into the cells afterwards.
 //!
 //! Per-*tile* costs are deliberately **not** timed here: timing
 //! individual Hilbert tiles inside the SpMM would change the summation
@@ -15,8 +14,7 @@
 //! (`xct-core`) spreads a rank's measured SpMM nanoseconds over its
 //! tiles proportionally to per-tile nonzeros — see DESIGN.md §3j.
 
-use crate::Phase;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use crate::{Phase, SpanRecord, TelemetrySnapshot};
 
 /// The cost components the profiler attributes self time to.
 ///
@@ -72,15 +70,7 @@ impl CostComponent {
 
     /// This component's index in [`ALL_COMPONENTS`] (the storage slot).
     pub fn index(self) -> usize {
-        match self {
-            CostComponent::SpmmCompute => 0,
-            CostComponent::GatherConvert => 1,
-            CostComponent::ReduceSocket => 2,
-            CostComponent::ReduceNode => 3,
-            CostComponent::ReduceGlobal => 4,
-            CostComponent::CommWait => 5,
-            CostComponent::IoStall => 6,
-        }
+        self as usize
     }
 
     /// Parses a dotted component name back into a component.
@@ -115,92 +105,10 @@ impl std::fmt::Display for CostComponent {
     }
 }
 
-/// The key-space extents a profile slab is sized for.
-///
-/// Costs recorded with a track, slab, or slice index outside these
-/// extents are dropped (never reallocated): the slab is sized once,
-/// before any rank thread runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ProfileDims {
-    /// Number of tracks (ranks, plus the caller's track 0).
-    pub tracks: usize,
-    /// Number of streamed slabs (1 for resident runs).
-    pub slabs: usize,
-    /// Fused slices per slab (the fusing factor).
-    pub slices: usize,
-}
-
-impl ProfileDims {
-    /// Total number of `(track, slab, slice, component)` cells.
-    pub fn cell_count(&self) -> usize {
-        self.tracks * self.slabs * self.slices * COMPONENT_COUNT
-    }
-}
-
-/// Preallocated cost storage shared by every track of one collector.
-///
-/// The *slab* context is collector-global (the streaming loop runs one
-/// slab at a time and re-forks rank handles per slab); the *slice*
-/// context is per-track (pipelined ranks work different fused slices
-/// concurrently) and lives on the track handle.
-pub(crate) struct ProfileSlabs {
-    tracks: usize,
-    slabs: usize,
-    slices: usize,
-    /// Current streamed-slab index, set by the streaming loop.
-    slab_ctx: AtomicU32,
-    /// Flat `[track][slab][slice][component]` nanosecond accumulators.
-    cells: Vec<AtomicU64>,
-}
-
-impl ProfileSlabs {
-    pub(crate) fn new(dims: ProfileDims) -> ProfileSlabs {
-        let mut cells = Vec::with_capacity(dims.cell_count());
-        cells.resize_with(dims.cell_count(), || AtomicU64::new(0));
-        ProfileSlabs {
-            tracks: dims.tracks,
-            slabs: dims.slabs,
-            slices: dims.slices,
-            slab_ctx: AtomicU32::new(0),
-            cells,
-        }
-    }
-
-    pub(crate) fn set_slab(&self, slab: u32) {
-        self.slab_ctx.store(slab, Ordering::Relaxed);
-    }
-
-    /// Charges `ns` to `(track, current slab, slice, component)`.
-    /// Out-of-range keys are dropped, never resized.
-    pub(crate) fn record(&self, track: u32, slice: u32, component: CostComponent, ns: u64) {
-        let (track, slice) = (track as usize, slice as usize);
-        let slab = self.slab_ctx.load(Ordering::Relaxed) as usize;
-        if track >= self.tracks || slab >= self.slabs || slice >= self.slices {
-            return;
-        }
-        let index = ((track * self.slabs + slab) * self.slices + slice) * COMPONENT_COUNT
-            + component.index();
-        self.cells[index].fetch_add(ns, Ordering::Relaxed);
-    }
-
-    pub(crate) fn snapshot(&self) -> ProfileSnapshot {
-        ProfileSnapshot {
-            tracks: self.tracks,
-            slabs: self.slabs,
-            slices: self.slices,
-            cells: self
-                .cells
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
-        }
-    }
-}
-
-/// A point-in-time copy of the profile slab.
+/// Per-`(track, slab, slice, component)` self time of one snapshot.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ProfileSnapshot {
-    /// Track extent the slab was sized for.
+    /// Track extent: one past the highest track that charged anything.
     pub tracks: usize,
     /// Slab extent.
     pub slabs: usize,
@@ -212,14 +120,54 @@ pub struct ProfileSnapshot {
 }
 
 impl ProfileSnapshot {
+    /// Folds the self time of every span whose phase maps to a
+    /// [`CostComponent`] into the cell of the context the span closed
+    /// under. A span that closed under a range of fused slices (one
+    /// kernel launch working all of them) is split evenly over them —
+    /// floor division, the remainder charged to the first — so the cells
+    /// still sum to the exact self time. Extents are the smallest that
+    /// hold every charged key.
+    pub fn from_snapshot(snap: &TelemetrySnapshot) -> ProfileSnapshot {
+        let charged: Vec<(&SpanRecord, CostComponent, u64)> = snap
+            .spans
+            .iter()
+            .zip(snap.self_times())
+            .filter_map(|(span, ns)| Some((span, CostComponent::from_phase(span.phase)?, ns)))
+            .collect();
+        let slices_of = |span: &SpanRecord| {
+            let first = span.first_slice as usize;
+            first..first + span.slices.max(1) as usize
+        };
+        let mut profile = ProfileSnapshot::default();
+        for (span, _, _) in &charged {
+            profile.tracks = profile.tracks.max(span.track as usize + 1);
+            profile.slabs = profile.slabs.max(span.slab as usize + 1);
+            profile.slices = profile.slices.max(slices_of(span).end);
+        }
+        profile.cells = vec![0; profile.tracks * profile.slabs * profile.slices * COMPONENT_COUNT];
+        for (span, component, self_ns) in charged {
+            let count = slices_of(span).len() as u64;
+            let mut remainder = self_ns % count;
+            for slice in slices_of(span) {
+                let index =
+                    profile.index(span.track as usize, span.slab as usize, slice, component);
+                profile.cells[index] += self_ns / count + std::mem::take(&mut remainder);
+            }
+        }
+        profile
+    }
+
+    fn index(&self, track: usize, slab: usize, slice: usize, component: CostComponent) -> usize {
+        ((track * self.slabs + slab) * self.slices + slice) * COMPONENT_COUNT + component.index()
+    }
+
     /// The nanoseconds charged to one `(track, slab, slice, component)`
     /// cell, or 0 when the key is out of range.
     pub fn get(&self, track: usize, slab: usize, slice: usize, component: CostComponent) -> u64 {
         if track >= self.tracks || slab >= self.slabs || slice >= self.slices {
             return 0;
         }
-        let index = ((track * self.slabs + slab) * self.slices + slice) * COMPONENT_COUNT
-            + component.index();
+        let index = self.index(track, slab, slice, component);
         self.cells.get(index).copied().unwrap_or(0)
     }
 
@@ -242,7 +190,7 @@ impl ProfileSnapshot {
             .sum()
     }
 
-    /// Sum over every cell: the profiler's total attributed time.
+    /// Sum over every cell: the total attributed time.
     pub fn total_ns(&self) -> u64 {
         self.cells.iter().sum()
     }
@@ -272,73 +220,24 @@ mod tests {
 
     #[test]
     fn phase_mapping_covers_the_cost_taxonomy_and_skips_orchestration() {
-        assert_eq!(
-            CostComponent::from_phase(Phase::SpmmForward),
-            Some(CostComponent::SpmmCompute)
-        );
-        assert_eq!(
-            CostComponent::from_phase(Phase::SpmmTranspose),
-            Some(CostComponent::SpmmCompute)
-        );
-        assert_eq!(
-            CostComponent::from_phase(Phase::PrecisionConvert),
-            Some(CostComponent::GatherConvert)
-        );
-        assert_eq!(
-            CostComponent::from_phase(Phase::ReduceSocket),
-            Some(CostComponent::ReduceSocket)
-        );
-        assert_eq!(
-            CostComponent::from_phase(Phase::ReduceNode),
-            Some(CostComponent::ReduceNode)
-        );
-        for p in [Phase::ReduceGlobal, Phase::HaloExchange, Phase::Allreduce] {
-            assert_eq!(
-                CostComponent::from_phase(p),
-                Some(CostComponent::ReduceGlobal)
-            );
-        }
-        assert_eq!(
-            CostComponent::from_phase(Phase::CommWait),
-            Some(CostComponent::CommWait)
-        );
-        assert_eq!(
-            CostComponent::from_phase(Phase::Io),
-            Some(CostComponent::IoStall)
-        );
-        for p in [
-            Phase::SolverIteration,
-            Phase::SolverSetup,
-            Phase::Total,
-            Phase::Custom("bench.warmup"),
+        use CostComponent::*;
+        for (phase, component) in [
+            (Phase::SpmmForward, Some(SpmmCompute)),
+            (Phase::SpmmTranspose, Some(SpmmCompute)),
+            (Phase::PrecisionConvert, Some(GatherConvert)),
+            (Phase::ReduceSocket, Some(ReduceSocket)),
+            (Phase::ReduceNode, Some(ReduceNode)),
+            (Phase::ReduceGlobal, Some(ReduceGlobal)),
+            (Phase::HaloExchange, Some(ReduceGlobal)),
+            (Phase::Allreduce, Some(ReduceGlobal)),
+            (Phase::CommWait, Some(CommWait)),
+            (Phase::Io, Some(IoStall)),
+            (Phase::SolverIteration, None),
+            (Phase::SolverSetup, None),
+            (Phase::Total, None),
+            (Phase::Custom("bench.warmup"), None),
         ] {
-            assert_eq!(CostComponent::from_phase(p), None);
+            assert_eq!(CostComponent::from_phase(phase), component, "{phase:?}");
         }
-    }
-
-    #[test]
-    fn slabs_accumulate_and_drop_out_of_range_keys() {
-        let slabs = ProfileSlabs::new(ProfileDims {
-            tracks: 2,
-            slabs: 2,
-            slices: 2,
-        });
-        slabs.record(0, 0, CostComponent::SpmmCompute, 10);
-        slabs.record(0, 0, CostComponent::SpmmCompute, 5);
-        slabs.set_slab(1);
-        slabs.record(1, 1, CostComponent::CommWait, 7);
-        // Out of range on every axis: dropped, not resized.
-        slabs.record(2, 0, CostComponent::SpmmCompute, 99);
-        slabs.record(0, 2, CostComponent::SpmmCompute, 99);
-        slabs.set_slab(2);
-        slabs.record(0, 0, CostComponent::SpmmCompute, 99);
-        let snap = slabs.snapshot();
-        assert_eq!(snap.get(0, 0, 0, CostComponent::SpmmCompute), 15);
-        assert_eq!(snap.get(1, 1, 1, CostComponent::CommWait), 7);
-        assert_eq!(snap.total_ns(), 22);
-        assert_eq!(snap.component_ns(CostComponent::SpmmCompute), 15);
-        assert_eq!(snap.track_component_ns(1, CostComponent::CommWait), 7);
-        assert!(!snap.is_empty());
-        assert_eq!(snap.get(9, 0, 0, CostComponent::SpmmCompute), 0);
     }
 }

@@ -36,19 +36,12 @@ impl Breakdown {
     /// Computes the breakdown of a snapshot.
     pub fn from_snapshot(snap: &TelemetrySnapshot) -> Breakdown {
         let spans = &snap.spans;
-        let mut child_ns = vec![0u64; spans.len()];
-        for span in spans {
-            if let Some(parent) = span.parent {
-                child_ns[parent] += span.duration_ns();
-            }
-        }
         let mut stats: Vec<PhaseStat> = Vec::new();
         let mut covered_ns = 0u64;
         let mut min_start = u64::MAX;
         let mut max_end = 0u64;
-        for (i, span) in spans.iter().enumerate() {
+        for (span, self_ns) in spans.iter().zip(snap.self_times()) {
             let dur = span.duration_ns();
-            let self_ns = dur.saturating_sub(child_ns[i]);
             min_start = min_start.min(span.start_ns);
             max_end = max_end.max(span.end_ns);
             if span.parent.is_none() {
@@ -69,20 +62,6 @@ impl Breakdown {
             }
         }
         stats.sort_by_key(|s| std::cmp::Reverse(s.self_ns));
-        // Self times are exhaustive and disjoint: summed over every
-        // phase they must reproduce the root-span total exactly. The
-        // identity can only break through saturation — a child measuring
-        // longer than its parent — which a monotonic clock cannot
-        // produce (a rewound ManualClock can; such snapshots are
-        // exempt).
-        let saturated = spans
-            .iter()
-            .enumerate()
-            .any(|(i, span)| child_ns[i] > span.duration_ns());
-        debug_assert!(
-            saturated || stats.iter().map(|s| s.self_ns).sum::<u64>() == covered_ns,
-            "self-time partition broken: sum(self) != sum(roots)"
-        );
         Breakdown {
             stats,
             wall_ns: if spans.is_empty() {

@@ -66,11 +66,6 @@ impl Sampler {
     pub fn samples(&self) -> &[MetricsSnapshot] {
         &self.samples
     }
-
-    /// Consumes the sampler, returning its series.
-    pub fn into_samples(self) -> Vec<MetricsSnapshot> {
-        self.samples
-    }
 }
 
 /// Serializes a sample series as the `petaxct-metrics-v1` document.
@@ -118,30 +113,7 @@ fn sample_json(snap: &MetricsSnapshot) -> Json {
                                 Json::Arr(
                                     t.histograms
                                         .iter()
-                                        .map(|(id, h)| {
-                                            Json::object(vec![
-                                                ("metric", Json::from(id.as_str())),
-                                                ("count", Json::from(h.count())),
-                                                ("min_ns", Json::from(h.min_ns())),
-                                                ("max_ns", Json::from(h.max_ns())),
-                                                ("sum_ns", Json::from(h.sum_ns())),
-                                                (
-                                                    "buckets",
-                                                    Json::Arr(
-                                                        h.buckets()
-                                                            .into_iter()
-                                                            .map(|(lo, hi, count)| {
-                                                                Json::object(vec![
-                                                                    ("lo_ns", Json::from(lo)),
-                                                                    ("hi_ns", Json::from(hi)),
-                                                                    ("count", Json::from(count)),
-                                                                ])
-                                                            })
-                                                            .collect(),
-                                                    ),
-                                                ),
-                                            ])
-                                        })
+                                        .map(|(id, h)| h.to_json("metric", id.as_str()))
                                         .collect(),
                                 ),
                             ),
@@ -174,16 +146,11 @@ pub fn prometheus_text(snap: &MetricsSnapshot) -> String {
         }
     };
     for track in &snap.tracks {
-        for &(id, v) in &track.counters {
-            help(&mut out, id, "counter");
-            out.push_str(&format!(
-                "{}{{track=\"{}\"}} {v}\n",
-                prom_name(id),
-                track.track
-            ));
-        }
-        for &(id, v) in &track.gauges {
-            help(&mut out, id, "gauge");
+        let counter = |&(id, v): &(MetricId, u64)| (id, "counter", v.to_string());
+        let gauge = |&(id, v): &(MetricId, f64)| (id, "gauge", v.to_string());
+        let scalars = track.counters.iter().map(counter);
+        for (id, kind, v) in scalars.chain(track.gauges.iter().map(gauge)) {
+            help(&mut out, id, kind);
             out.push_str(&format!(
                 "{}{{track=\"{}\"}} {v}\n",
                 prom_name(id),

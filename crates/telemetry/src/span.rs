@@ -1,20 +1,20 @@
-//! The span/event recording layer.
+//! The one recording path (see the crate docs for the three stores).
 //!
 //! A [`Telemetry`] handle is either *disabled* (the default — every call
 //! is a branch on `None`, no locking, no allocation) or *enabled*, in
-//! which case it records into a shared, thread-safe [`Collector`]. Each
-//! handle carries a *track* id (rank, in distributed runs) and its own
-//! nesting stack, so spans opened by different rank threads interleave in
-//! the collector without corrupting each other's parent links.
-//!
-//! [`Collector`]: struct@self::Telemetry
+//! which case it records into its *track*: one log per handle (per rank,
+//! in distributed runs) behind one lock that only that rank's thread
+//! takes while the run is going. Every recording call reads the clock
+//! once and takes that lock once; everything derived is a fold over the
+//! [`TelemetrySnapshot`], not a second record.
 
 use crate::flight::{flight_json, FlightEvent, FlightKind, FlightRing};
-use crate::metrics::{MetricId, MetricsSnapshot, TrackMetrics, TrackMetricsSnapshot};
-use crate::profile::{CostComponent, ProfileDims, ProfileSlabs, ProfileSnapshot};
+use crate::metrics::{
+    MetricId, MetricsSnapshot, TrackHistograms, TrackMetrics, TrackMetricsSnapshot,
+};
 use crate::{Clock, MonotonicClock, Phase};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// Sentinel end time for a span that has not been closed yet.
 const OPEN: u64 = u64::MAX;
@@ -33,12 +33,29 @@ pub struct SpanRecord {
     /// Index into the snapshot's span list of the enclosing span on the
     /// same track, if any.
     pub parent: Option<usize>,
+    /// Streamed slab the span closed under
+    /// ([`Telemetry::profile_slab_set`]).
+    pub slab: u32,
+    /// First fused slice the span closed under
+    /// ([`Telemetry::profile_slices_set`]).
+    pub first_slice: u32,
+    /// Number of fused slices the span closed under (at least 1).
+    pub slices: u32,
 }
 
 impl SpanRecord {
     /// Span duration in nanoseconds.
     pub fn duration_ns(&self) -> u64 {
         self.end_ns.saturating_sub(self.start_ns)
+    }
+
+    /// Closes the span at `end_ns` under the given slab and packed
+    /// (`first << 32 | count`) slice context.
+    fn close(&mut self, end_ns: u64, slab: u32, slice_ctx: u64) {
+        self.end_ns = end_ns.max(self.start_ns);
+        self.slab = slab;
+        self.first_slice = (slice_ctx >> 32) as u32;
+        self.slices = slice_ctx as u32;
     }
 }
 
@@ -80,66 +97,86 @@ pub struct EdgeRecord {
     pub wire_ns: u64,
 }
 
-#[derive(Debug, Default)]
-struct State {
-    spans: Vec<SpanRecord>,
-    events: Vec<EventRecord>,
-    edges: Vec<EdgeRecord>,
+/// What one track records, all of it behind the track's one lock. Log
+/// entries carry the collector-wide sequence number they were stamped
+/// with, so a snapshot can interleave the tracks back into recording
+/// order; `parent` links inside `spans` are indices into this log.
+struct TrackLog {
+    spans: Vec<(u64, SpanRecord)>,
+    events: Vec<(u64, EventRecord)>,
+    edges: Vec<(u64, EdgeRecord)>,
+    /// Log indices of the currently-open spans, innermost last.
+    stack: Vec<usize>,
+    hists: TrackHistograms,
+    flight: FlightRing,
 }
 
-/// One handle's always-on storage registered with the collector so
-/// snapshots can reach every track's metrics and flight ring.
-struct TrackSlab {
-    track: u32,
-    metrics: Arc<TrackMetrics>,
-    flight: Arc<Mutex<FlightRing>>,
+/// One handle's storage, shared between the handle (which records) and
+/// the collector's registry (which snapshots).
+struct Track {
+    id: u32,
+    /// Counters and gauges: relaxed atomics, updated without the lock.
+    metrics: TrackMetrics,
+    /// Current fused-slice range, packed `first << 32 | count` so both
+    /// halves change together. Per track because pipelined ranks work
+    /// different slices at once.
+    slice_ctx: AtomicU64,
+    log: Mutex<TrackLog>,
 }
 
 struct Collector {
     clock: Arc<dyn Clock>,
-    state: Mutex<State>,
+    /// Stamped on every span open, event and edge: the order
+    /// [`Telemetry::snapshot`] lists the tracks' records in.
+    seq: AtomicU64,
+    /// Current streamed-slab index. Collector-global: the streaming loop
+    /// runs one slab at a time and re-forks rank handles per slab.
+    slab_ctx: AtomicU32,
     /// One entry per handle created via `with_clock`/`fork`, in creation
-    /// order. Only touched at fork and snapshot time, never on the
-    /// metric hot path.
-    slabs: Mutex<Vec<TrackSlab>>,
-    /// Cost-profile storage, installed at most once by
-    /// [`Telemetry::enable_profile`]. `OnceLock::get` is one atomic
-    /// load, so an unprofiled span close costs a single `None` check.
-    profile: OnceLock<Arc<ProfileSlabs>>,
+    /// order. Only touched at fork and snapshot time.
+    tracks: Mutex<Vec<Arc<Track>>>,
 }
 
-impl std::fmt::Debug for Collector {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Collector").finish_non_exhaustive()
+impl Collector {
+    fn next_seq(&self) -> u64 {
+        self.seq.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// Visits every track's log in registration order, one lock at a
+    /// time.
+    fn for_each_log(&self, mut visit: impl FnMut(&Track, &TrackLog)) {
+        for track in locked(&self.tracks).iter() {
+            visit(track, &locked(&track.log));
+        }
+    }
+
+    /// Every track's retained flight records merged in time order, and
+    /// how many were ever pushed.
+    fn flight(&self) -> (Vec<FlightEvent>, u64) {
+        let (mut events, mut total) = (Vec::new(), 0);
+        self.for_each_log(|_, log| {
+            events.extend(log.flight.events());
+            total += log.flight.total();
+        });
+        events.sort_by_key(|e| e.at_ns);
+        (events, total)
     }
 }
 
 struct TrackHandle {
     collector: Arc<Collector>,
-    track: u32,
-    /// Currently-open spans on this track, innermost last: the span's
-    /// index in the collector plus the nanoseconds its *children* have
-    /// accumulated so far, so a closing span can report self time.
-    stack: Mutex<Vec<(usize, u64)>>,
-    /// This track's metric slab (shared with the collector registry).
-    metrics: Arc<TrackMetrics>,
-    /// This track's flight-recorder ring (shared with the registry).
-    flight: Arc<Mutex<FlightRing>>,
-    /// Current fused-slice range for cost-profile attribution, packed
-    /// `first << 32 | count` so both halves change together. Per track
-    /// because pipelined ranks work different slices at once.
-    slice_ctx: AtomicU64,
+    track: Arc<Track>,
 }
 
 impl std::fmt::Debug for TrackHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TrackHandle")
-            .field("track", &self.track)
+            .field("track", &self.track.id)
             .finish_non_exhaustive()
     }
 }
 
-/// Locks a collector mutex. Poisoning means another telemetry thread
+/// Locks a telemetry mutex. Poisoning means another telemetry thread
 /// already panicked mid-write; the recording is unrecoverable, so the
 /// panic is propagated rather than papered over.
 fn locked<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -147,45 +184,54 @@ fn locked<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap()
 }
 
+/// Strips the sequence stamps off merged log entries, in stamp order.
+fn in_order<T>(mut entries: Vec<(u64, T)>) -> Vec<T> {
+    entries.sort_by_key(|&(seq, _)| seq);
+    entries.into_iter().map(|(_, record)| record).collect()
+}
+
 impl TrackHandle {
-    /// Creates a handle for `track` and registers its slab with the
-    /// collector. Runs at enable/fork time only.
-    fn register(collector: Arc<Collector>, track: u32) -> TrackHandle {
-        let metrics = Arc::new(TrackMetrics::new());
-        let flight = Arc::new(Mutex::new(FlightRing::new()));
-        locked(&collector.slabs).push(TrackSlab {
-            track,
-            metrics: Arc::clone(&metrics),
-            flight: Arc::clone(&flight),
-        });
-        TrackHandle {
-            collector,
-            track,
-            stack: Mutex::new(Vec::new()),
-            metrics,
-            flight,
+    /// Creates a handle for track `id` and registers its storage with
+    /// the collector. Runs at enable/fork time only; the flight ring is
+    /// preallocated here.
+    fn register(collector: Arc<Collector>, id: u32) -> TrackHandle {
+        let track = Arc::new(Track {
+            id,
+            metrics: TrackMetrics::new(),
             slice_ctx: AtomicU64::new(1),
-        }
+            log: Mutex::new(TrackLog {
+                spans: Vec::new(),
+                events: Vec::new(),
+                edges: Vec::new(),
+                stack: Vec::new(),
+                hists: TrackHistograms::default(),
+                flight: FlightRing::new(id),
+            }),
+        });
+        locked(&collector.tracks).push(Arc::clone(&track));
+        TrackHandle { collector, track }
     }
 
-    /// Pushes one flight record. Uncontended in practice (one thread per
-    /// track) and never allocates: the ring is preallocated.
+    /// The one way anything is recorded: reads the clock once, takes the
+    /// track lock once, and hands both to `write`.
+    fn record<R>(&self, write: impl FnOnce(&mut TrackLog, u64) -> R) -> R {
+        let now_ns = self.collector.clock.now_ns();
+        write(&mut locked(&self.track.log), now_ns)
+    }
+
+    /// Records one flight-only entry (no log storage).
     fn flight_push(&self, kind: FlightKind, code: &'static str, a: u64, b: u64) {
-        let at_ns = self.collector.clock.now_ns();
-        locked(&self.flight).push(FlightEvent {
-            at_ns,
-            track: self.track,
-            kind,
-            code,
-            a,
-            b,
-        });
+        self.record(|log, at_ns| log.flight.push(at_ns, kind, code, a, b));
     }
 }
 
-/// A consistent copy of everything recorded so far.
+/// A copy of everything recorded so far.
 ///
-/// Open spans are closed at snapshot time, so `end_ns` is always valid.
+/// Each track's log is copied under its own lock and the copies are
+/// interleaved by the collector-wide sequence stamp, so the lists read
+/// in recording order across tracks. Open spans are closed at snapshot
+/// time (at the current clock and profile context), so `end_ns` is
+/// always valid.
 #[derive(Clone, Debug, Default)]
 pub struct TelemetrySnapshot {
     /// All spans, in the order they were opened.
@@ -196,6 +242,26 @@ pub struct TelemetrySnapshot {
     pub edges: Vec<EdgeRecord>,
 }
 
+impl TelemetrySnapshot {
+    /// Per-span *self* time — duration minus the durations of the span's
+    /// direct children, saturating at zero — aligned with `spans`.
+    ///
+    /// Self times are exhaustive and disjoint: summed over every span
+    /// they reproduce the root-span total exactly (saturation needs a
+    /// child longer than its parent, which only a rewound
+    /// [`crate::ManualClock`] produces). The phase breakdown and the cost
+    /// profile are both sums of these.
+    pub fn self_times(&self) -> Vec<u64> {
+        let mut self_ns: Vec<u64> = self.spans.iter().map(SpanRecord::duration_ns).collect();
+        for span in &self.spans {
+            if let Some(parent) = span.parent.and_then(|p| self_ns.get_mut(p)) {
+                *parent = parent.saturating_sub(span.duration_ns());
+            }
+        }
+        self_ns
+    }
+}
+
 /// A cloneable tracing handle.
 ///
 /// `Telemetry::default()` / [`Telemetry::disabled`] is a no-op handle:
@@ -203,9 +269,10 @@ pub struct TelemetrySnapshot {
 /// touch no locks and no heap. [`Telemetry::enabled`] records into a
 /// collector shared by all clones and forks of the handle.
 ///
-/// *Clones* share the collector **and** the nesting stack (use within one
-/// thread of control); [`Telemetry::fork`] shares the collector but starts
-/// a fresh stack under a new track id (use one fork per rank thread).
+/// *Clones* share the collector **and** the track — log, nesting stack
+/// and all (use within one thread of control); [`Telemetry::fork`] shares
+/// the collector but starts a fresh track under a new id (use one fork
+/// per rank thread).
 #[derive(Clone, Debug, Default)]
 pub struct Telemetry {
     inner: Option<Arc<TrackHandle>>,
@@ -227,9 +294,9 @@ impl Telemetry {
     pub fn with_clock(clock: Arc<dyn Clock>) -> Self {
         let collector = Arc::new(Collector {
             clock,
-            state: Mutex::new(State::default()),
-            slabs: Mutex::new(Vec::new()),
-            profile: OnceLock::new(),
+            seq: AtomicU64::new(0),
+            slab_ctx: AtomicU32::new(0),
+            tracks: Mutex::new(Vec::new()),
         });
         Telemetry {
             inner: Some(Arc::new(TrackHandle::register(collector, 0))),
@@ -243,7 +310,7 @@ impl Telemetry {
 
     /// This handle's track id (0 when disabled).
     pub fn track(&self) -> u32 {
-        self.inner.as_ref().map_or(0, |h| h.track)
+        self.inner.as_ref().map_or(0, |h| h.track.id)
     }
 
     /// A handle on a new track sharing this handle's collector.
@@ -266,27 +333,26 @@ impl Telemetry {
         let Some(handle) = &self.inner else {
             return SpanGuard { inner: None };
         };
-        let start_ns = handle.collector.clock.now_ns();
-        // Lock order is stack → state everywhere (see SpanGuard::drop).
-        let mut stack = locked(&handle.stack);
-        let parent = stack.last().map(|&(index, _)| index);
-        let index = {
-            let mut state = locked(&handle.collector.state);
-            let index = state.spans.len();
-            state.spans.push(SpanRecord {
+        let index = handle.record(|log, start_ns| {
+            let index = log.spans.len();
+            let record = SpanRecord {
                 phase,
-                track: handle.track,
+                track: handle.track.id,
                 start_ns,
                 end_ns: OPEN,
-                parent,
-            });
+                parent: log.stack.last().copied(),
+                slab: 0,
+                first_slice: 0,
+                slices: 1,
+            };
+            log.spans.push((handle.collector.next_seq(), record));
+            log.stack.push(index);
+            log.flight
+                .push(start_ns, FlightKind::SpanBegin, phase.as_str(), 0, 0);
             index
-        };
-        stack.push((index, 0));
-        drop(stack);
-        handle.flight_push(FlightKind::SpanBegin, phase.as_str(), 0, 0);
+        });
         SpanGuard {
-            inner: Some((Arc::clone(handle), index, phase)),
+            inner: Some((Arc::clone(handle), index)),
         }
     }
 
@@ -308,36 +374,37 @@ impl Telemetry {
     /// simulated wire cost of the message. No-op when disabled.
     pub fn edge(&self, src_track: u32, tag: u64, bytes: u64, sent_ns: u64, wire_ns: u64) {
         let Some(handle) = &self.inner else { return };
-        let matched_ns = handle.collector.clock.now_ns();
-        {
-            let mut state = locked(&handle.collector.state);
-            state.edges.push(EdgeRecord {
+        handle.record(|log, matched_ns| {
+            let record = EdgeRecord {
                 src_track,
-                dst_track: handle.track,
+                dst_track: handle.track.id,
                 tag,
                 bytes,
                 sent_ns,
                 matched_ns,
                 wire_ns,
-            });
-        }
-        handle.flight_push(FlightKind::Match, "comm.match", u64::from(src_track), bytes);
+            };
+            log.edges.push((handle.collector.next_seq(), record));
+            let src = u64::from(src_track);
+            log.flight
+                .push(matched_ns, FlightKind::Match, "comm.match", src, bytes);
+        });
     }
 
     /// Records a scalar event at the current time.
     pub fn event(&self, name: &'static str, value: f64) {
         let Some(handle) = &self.inner else { return };
-        let at_ns = handle.collector.clock.now_ns();
-        {
-            let mut state = locked(&handle.collector.state);
-            state.events.push(EventRecord {
+        handle.record(|log, at_ns| {
+            let record = EventRecord {
                 name,
                 value,
-                track: handle.track,
+                track: handle.track.id,
                 at_ns,
-            });
-        }
-        handle.flight_push(FlightKind::Event, name, value.to_bits(), 0);
+            };
+            log.events.push((handle.collector.next_seq(), record));
+            log.flight
+                .push(at_ns, FlightKind::Event, name, value.to_bits(), 0);
+        });
     }
 
     /// Adds `delta` to a counter on this track. One `None` check when
@@ -345,7 +412,7 @@ impl Telemetry {
     /// counters, a flight record) when enabled.
     pub fn metric_add(&self, id: MetricId, delta: u64) {
         let Some(handle) = &self.inner else { return };
-        handle.metrics.add(id, delta);
+        handle.track.metrics.add(id, delta);
         if id.flight_worthy() {
             handle.flight_push(FlightKind::Counter, id.as_str(), delta, 0);
         }
@@ -359,14 +426,14 @@ impl Telemetry {
     /// Sets a gauge on this track.
     pub fn gauge_set(&self, id: MetricId, value: f64) {
         let Some(handle) = &self.inner else { return };
-        handle.metrics.gauge_set(id, value);
+        handle.track.metrics.gauge_set(id, value);
         handle.flight_push(FlightKind::Gauge, id.as_str(), value.to_bits(), 0);
     }
 
     /// Records a duration into a histogram metric on this track.
     pub fn observe_ns(&self, id: MetricId, ns: u64) {
         let Some(handle) = &self.inner else { return };
-        handle.metrics.observe_ns(id, ns);
+        locked(&handle.track.log).hists.observe_ns(id, ns);
     }
 
     /// Records a free-form flight-recorder marker (no metric storage).
@@ -375,63 +442,29 @@ impl Telemetry {
         handle.flight_push(FlightKind::Point, code, a, b);
     }
 
-    /// Installs preallocated cost-profile storage sized for `dims`.
-    ///
-    /// Call once, before forking rank handles and before the profiled
-    /// region runs. Returns `true` if profiling is now enabled (idempo-
-    /// tent: a second call keeps the first slab and returns `true`);
-    /// `false` on a disabled handle. After this, every closing span
-    /// whose phase maps to a [`CostComponent`] charges its *self* time
-    /// to the `(track, slab, slice)` context.
-    pub fn enable_profile(&self, dims: ProfileDims) -> bool {
-        let Some(handle) = &self.inner else {
-            return false;
-        };
-        let _ = handle
-            .collector
-            .profile
-            .set(Arc::new(ProfileSlabs::new(dims)));
-        true
-    }
-
-    /// Whether cost-profile storage is installed on this collector.
-    pub fn profile_enabled(&self) -> bool {
-        self.inner
-            .as_ref()
-            .is_some_and(|h| h.collector.profile.get().is_some())
-    }
-
-    /// Sets the collector-global streamed-slab context for subsequent
-    /// cost attribution. No-op when disabled or unprofiled.
+    /// Sets the collector-global streamed-slab context: spans closing
+    /// from now on are stamped with it ([`SpanRecord::slab`]). A relaxed
+    /// atomic store; no-op when disabled.
     pub fn profile_slab_set(&self, slab: u32) {
         let Some(handle) = &self.inner else { return };
-        if let Some(profile) = handle.collector.profile.get() {
-            profile.set_slab(slab);
-        }
+        handle.collector.slab_ctx.store(slab, Ordering::Relaxed);
     }
 
-    /// Sets this track's fused-slice context for subsequent cost
-    /// attribution. A relaxed atomic store; no-op when disabled.
+    /// Sets this track's fused-slice context to the single slice
+    /// `slice`. A relaxed atomic store; no-op when disabled.
     pub fn profile_slice_set(&self, slice: u32) {
         self.profile_slices_set(slice, 1);
     }
 
     /// Sets this track's context to the `count` fused slices starting at
     /// `first`: a span closing under it (one fused kernel launch working
-    /// all of them) has its self time split evenly over those slices —
-    /// floor division, the remainder charged to `first`, so the cells
-    /// still sum to the exact self time.
+    /// all of them) is stamped with the range, and
+    /// [`crate::ProfileSnapshot`] splits its self time evenly over those
+    /// slices.
     pub fn profile_slices_set(&self, first: u32, count: u32) {
         let Some(handle) = &self.inner else { return };
         let packed = u64::from(first) << 32 | u64::from(count.max(1));
-        handle.slice_ctx.store(packed, Ordering::Relaxed);
-    }
-
-    /// A point-in-time copy of the cost profile, or `None` when this
-    /// handle is disabled or profiling was never enabled.
-    pub fn profile_snapshot(&self) -> Option<ProfileSnapshot> {
-        let handle = self.inner.as_ref()?;
-        Some(handle.collector.profile.get()?.snapshot())
+        handle.track.slice_ctx.store(packed, Ordering::Relaxed);
     }
 
     /// A point-in-time copy of every track's touched metrics (empty
@@ -441,27 +474,19 @@ impl Telemetry {
             return MetricsSnapshot::default();
         };
         let at_ns = handle.collector.clock.now_ns();
-        let slabs: Vec<TrackMetricsSnapshot> = locked(&handle.collector.slabs)
-            .iter()
-            .map(|slab| slab.metrics.snapshot(slab.track))
-            .collect();
+        let mut slabs: Vec<TrackMetricsSnapshot> = Vec::new();
+        handle
+            .collector
+            .for_each_log(|track, log| slabs.push(track.metrics.snapshot(track.id, &log.hists)));
         MetricsSnapshot::assemble(at_ns, slabs)
     }
 
     /// The retained flight records of every track, merged and ordered
     /// by time (empty when disabled).
     pub fn flight_snapshot(&self) -> Vec<FlightEvent> {
-        let Some(handle) = &self.inner else {
-            return Vec::new();
-        };
-        let slabs = locked(&handle.collector.slabs);
-        let mut events: Vec<FlightEvent> = Vec::new();
-        for slab in slabs.iter() {
-            events.extend(locked(&slab.flight).events());
-        }
-        drop(slabs);
-        events.sort_by_key(|e| e.at_ns);
-        events
+        self.inner
+            .as_ref()
+            .map_or_else(Vec::new, |h| h.collector.flight().0)
     }
 
     /// Serializes the flight recorder into a `petaxct-flightrec-v1`
@@ -469,12 +494,8 @@ impl Telemetry {
     pub fn flight_dump_json(&self, reason: &str) -> Option<String> {
         let handle = self.inner.as_ref()?;
         let at_ns = handle.collector.clock.now_ns();
-        let events = self.flight_snapshot();
-        let dropped = {
-            let slabs = locked(&handle.collector.slabs);
-            let total: u64 = slabs.iter().map(|slab| locked(&slab.flight).total()).sum();
-            total - events.len() as u64
-        };
+        let (events, total) = handle.collector.flight();
+        let dropped = total - events.len() as u64;
         Some(flight_json(reason, at_ns, dropped, &events).to_string())
     }
 
@@ -484,23 +505,43 @@ impl Telemetry {
         let Some(handle) = &self.inner else {
             return TelemetrySnapshot::default();
         };
-        let now = handle.collector.clock.now_ns();
-        let state = locked(&handle.collector.state);
-        let spans = state
-            .spans
-            .iter()
-            .map(|s| {
-                let mut s = s.clone();
-                if s.end_ns == OPEN {
-                    s.end_ns = now.max(s.start_ns);
+        let collector = &handle.collector;
+        let now = collector.clock.now_ns();
+        let slab = collector.slab_ctx.load(Ordering::Relaxed);
+        // (stamp, position in the concatenated logs, record); `parent`
+        // is rebased from log index to concatenated position here and
+        // to snapshot index once the interleaving is known.
+        let mut spans: Vec<(u64, usize, SpanRecord)> = Vec::new();
+        let (mut events, mut edges) = (Vec::new(), Vec::new());
+        collector.for_each_log(|track, log| {
+            let base = spans.len();
+            for (at, (seq, span)) in log.spans.iter().enumerate() {
+                let mut span = span.clone();
+                if span.end_ns == OPEN {
+                    span.close(now, slab, track.slice_ctx.load(Ordering::Relaxed));
                 }
-                s
+                span.parent = span.parent.map(|p| base + p);
+                spans.push((*seq, base + at, span));
+            }
+            events.extend(log.events.iter().cloned());
+            edges.extend(log.edges.iter().cloned());
+        });
+        spans.sort_by_key(|&(seq, _, _)| seq);
+        let mut index_of = vec![0usize; spans.len()];
+        for (index, &(_, position, _)) in spans.iter().enumerate() {
+            index_of[position] = index;
+        }
+        let spans = spans
+            .into_iter()
+            .map(|(_, _, mut span)| {
+                span.parent = span.parent.map(|p| index_of[p]);
+                span
             })
             .collect();
         TelemetrySnapshot {
             spans,
-            events: state.events.clone(),
-            edges: state.edges.clone(),
+            events: in_order(events),
+            edges: in_order(edges),
         }
     }
 }
@@ -510,64 +551,44 @@ impl Telemetry {
 #[derive(Debug)]
 #[must_use = "a span guard times the scope it lives in; dropping it immediately records a zero-length span"]
 pub struct SpanGuard {
-    inner: Option<(Arc<TrackHandle>, usize, Phase)>,
+    /// The recording handle and the span's index in its track log.
+    inner: Option<(Arc<TrackHandle>, usize)>,
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some((handle, index, phase)) = self.inner.take() else {
+        let Some((handle, index)) = self.inner.take() else {
             return;
         };
-        let end_ns = handle.collector.clock.now_ns();
-        // Same lock order as Telemetry::span: stack → state.
-        let mut stack = locked(&handle.stack);
-        let mut child_ns = 0;
-        if let Some(pos) = stack.iter().rposition(|&(i, _)| i == index) {
-            child_ns = stack.remove(pos).1;
-        }
-        let mut duration_ns = 0;
-        {
-            let mut state = locked(&handle.collector.state);
-            if let Some(span) = state.spans.get_mut(index) {
-                span.end_ns = end_ns.max(span.start_ns);
-                duration_ns = span.duration_ns();
+        handle.record(|log, end_ns| {
+            if let Some(pos) = log.stack.iter().rposition(|&i| i == index) {
+                log.stack.remove(pos);
             }
-        }
-        // The enclosing span's self time excludes this whole span.
-        if let Some(top) = stack.last_mut() {
-            top.1 = top.1.saturating_add(duration_ns);
-        }
-        drop(stack);
-        // Charge this span's *self* time (duration minus children) to
-        // the cost profile, if one is installed. One atomic load + one
-        // fetch_add; nothing allocates.
-        if let Some(profile) = handle.collector.profile.get() {
-            if let Some(component) = CostComponent::from_phase(phase) {
-                let self_ns = duration_ns.saturating_sub(child_ns);
-                let packed = handle.slice_ctx.load(Ordering::Relaxed);
-                let (first, count) = ((packed >> 32) as u32, packed as u32);
-                let share = self_ns / u64::from(count);
-                let remainder = self_ns % u64::from(count);
-                profile.record(handle.track, first, component, share + remainder);
-                for slice in first + 1..first + count {
-                    profile.record(handle.track, slice, component, share);
-                }
+            let Some((_, span)) = log.spans.get_mut(index) else {
+                return;
+            };
+            span.close(
+                end_ns,
+                handle.collector.slab_ctx.load(Ordering::Relaxed),
+                handle.track.slice_ctx.load(Ordering::Relaxed),
+            );
+            let (phase, duration_ns) = (span.phase, span.duration_ns());
+            // comm.wait spans feed the live histogram metric as they
+            // close, so the sampler sees the wait distribution mid-run
+            // instead of only in the post-hoc span analysis.
+            if phase == Phase::CommWait {
+                log.hists.observe_ns(MetricId::CommWaitNs, duration_ns);
             }
-        }
-        // comm.wait spans feed the live histogram metric as they close,
-        // so the sampler sees the wait distribution mid-run instead of
-        // only in the post-hoc span analysis.
-        if phase == Phase::CommWait {
-            handle.metrics.observe_ns(MetricId::CommWaitNs, duration_ns);
-        }
-        handle.flight_push(FlightKind::SpanEnd, phase.as_str(), duration_ns, 0);
+            log.flight
+                .push(end_ns, FlightKind::SpanEnd, phase.as_str(), duration_ns, 0);
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ManualClock;
+    use crate::{CostComponent, ManualClock, ProfileSnapshot};
 
     #[test]
     fn disabled_handle_records_nothing() {
@@ -701,16 +722,8 @@ mod tests {
 
     #[test]
     fn profile_charges_exact_self_time_per_component() {
-        use crate::profile::{CostComponent, ProfileDims};
         let clock = ManualClock::new();
         let tele = Telemetry::with_clock(Arc::new(clock.clone()));
-        assert!(!tele.profile_enabled());
-        assert!(tele.enable_profile(ProfileDims {
-            tracks: 2,
-            slabs: 2,
-            slices: 2,
-        }));
-        assert!(tele.profile_enabled());
         let rank = tele.fork(1);
         rank.profile_slice_set(1);
         {
@@ -730,29 +743,22 @@ mod tests {
             let _w = rank.span(Phase::CommWait);
             clock.advance(7);
         }
-        let snap = tele.profile_snapshot().expect("profile enabled");
+        let snap = ProfileSnapshot::from_snapshot(&tele.snapshot());
         assert_eq!(snap.get(1, 0, 1, CostComponent::SpmmCompute), 40);
         assert_eq!(snap.get(1, 1, 1, CostComponent::CommWait), 7);
         assert_eq!(snap.total_ns(), 47);
-        // Disabled handles report no profile.
-        assert_eq!(Telemetry::disabled().profile_snapshot(), None);
-        assert!(!Telemetry::disabled().enable_profile(ProfileDims {
-            tracks: 1,
-            slabs: 1,
-            slices: 1,
-        }));
+        // Extents are inferred; keys outside them read as zero.
+        assert_eq!((snap.tracks, snap.slabs, snap.slices), (2, 2, 2));
+        assert_eq!(snap.get(9, 0, 0, CostComponent::SpmmCompute), 0);
+        assert_eq!(snap.track_component_ns(1, CostComponent::CommWait), 7);
+        // Disabled handles have nothing to profile.
+        assert!(ProfileSnapshot::from_snapshot(&Telemetry::disabled().snapshot()).is_empty());
     }
 
     #[test]
     fn fused_slice_range_splits_self_time_with_remainder_on_the_first() {
-        use crate::profile::{CostComponent, ProfileDims};
         let clock = ManualClock::new();
         let tele = Telemetry::with_clock(Arc::new(clock.clone()));
-        tele.enable_profile(ProfileDims {
-            tracks: 1,
-            slabs: 1,
-            slices: 5,
-        });
         // One fused launch over slices 1..=4 with a 100 ns child: self
         // time 1003 = 4 x 250 + 3, the remainder lands on slice 1.
         tele.profile_slices_set(1, 4);
@@ -765,7 +771,7 @@ mod tests {
             }
             clock.advance(503);
         }
-        let snap = tele.profile_snapshot().expect("profile enabled");
+        let snap = ProfileSnapshot::from_snapshot(&tele.snapshot());
         assert_eq!(snap.get(0, 0, 0, CostComponent::SpmmCompute), 0);
         assert_eq!(snap.get(0, 0, 1, CostComponent::SpmmCompute), 253);
         for slice in 2..5 {
@@ -779,20 +785,14 @@ mod tests {
             let _wait = tele.span(Phase::CommWait);
             clock.advance(7);
         }
-        let snap = tele.profile_snapshot().expect("profile enabled");
+        let snap = ProfileSnapshot::from_snapshot(&tele.snapshot());
         assert_eq!(snap.get(0, 0, 0, CostComponent::CommWait), 7);
     }
 
     #[test]
     fn nested_same_phase_spans_do_not_double_charge() {
-        use crate::profile::{CostComponent, ProfileDims};
         let clock = ManualClock::new();
         let tele = Telemetry::with_clock(Arc::new(clock.clone()));
-        tele.enable_profile(ProfileDims {
-            tracks: 1,
-            slabs: 1,
-            slices: 1,
-        });
         {
             let _outer = tele.span(Phase::ReduceGlobal);
             clock.advance(5);
@@ -802,9 +802,83 @@ mod tests {
             }
             clock.advance(2);
         }
-        let snap = tele.profile_snapshot().expect("profile enabled");
+        let snap = ProfileSnapshot::from_snapshot(&tele.snapshot());
         // 3 (inner) + 7 (outer self) = total 10, not 13.
         assert_eq!(snap.get(0, 0, 0, CostComponent::ReduceGlobal), 10);
+    }
+
+    #[test]
+    fn snapshot_interleaves_tracks_in_recording_order_under_clock_ties() {
+        // A ManualClock that never advances: only the sequence stamp can
+        // order the tracks' records.
+        let tele = Telemetry::with_clock(Arc::new(ManualClock::new()));
+        let (a, b) = (tele.fork(1), tele.fork(2));
+        let _root = tele.span(Phase::Total);
+        let _a0 = a.span(Phase::SolverIteration);
+        let _b0 = b.span(Phase::SolverIteration);
+        b.event("tick", 2.0);
+        let _a1 = a.span(Phase::SpmmForward);
+        a.event("tick", 1.0);
+        b.edge(1, 7, 8, 0, 0);
+        a.edge(2, 7, 8, 0, 0);
+        let _b1 = b.span(Phase::ReduceSocket);
+        let snap = tele.snapshot();
+        let opened: Vec<(u32, Phase, Option<usize>)> = snap
+            .spans
+            .iter()
+            .map(|s| (s.track, s.phase, s.parent))
+            .collect();
+        assert_eq!(
+            opened,
+            vec![
+                (0, Phase::Total, None),
+                (1, Phase::SolverIteration, None),
+                (2, Phase::SolverIteration, None),
+                (1, Phase::SpmmForward, Some(1)),
+                (2, Phase::ReduceSocket, Some(2)),
+            ]
+        );
+        let ticks: Vec<u32> = snap.events.iter().map(|e| e.track).collect();
+        assert_eq!(ticks, vec![2, 1]);
+        let matched: Vec<u32> = snap.edges.iter().map(|e| e.dst_track).collect();
+        assert_eq!(matched, vec![2, 1]);
+    }
+
+    #[test]
+    fn sampled_wait_histograms_are_never_torn() {
+        // One track records comm waits (span closes and direct
+        // observations) while a second thread samples: count, sum and
+        // buckets of every sample must describe the same recordings.
+        let clock = ManualClock::new();
+        let tele = Telemetry::with_clock(Arc::new(clock.clone()));
+        let rank = tele.fork(1);
+        const WAITS: u64 = 20_000;
+        std::thread::scope(|scope| {
+            let recorder = scope.spawn(move || {
+                for i in 0..WAITS {
+                    if i % 2 == 0 {
+                        let _wait = rank.span(Phase::CommWait);
+                        clock.advance(3);
+                    } else {
+                        rank.observe_ns(MetricId::CommWaitNs, 3);
+                    }
+                }
+            });
+            let mut seen = 0;
+            while !recorder.is_finished() || seen < WAITS {
+                let snap = tele.metrics_snapshot();
+                let track = snap.track(1);
+                let Some(hist) = track.and_then(|t| t.histogram(MetricId::CommWaitNs)) else {
+                    continue;
+                };
+                let in_buckets: u64 = hist.buckets().iter().map(|&(_, _, n)| n).sum();
+                assert_eq!(hist.count(), in_buckets);
+                assert_eq!(hist.sum_ns(), 3 * hist.count());
+                assert!(hist.count() >= seen, "histograms only grow");
+                seen = hist.count();
+            }
+            assert_eq!(seen, WAITS);
+        });
     }
 
     #[test]
@@ -825,13 +899,29 @@ mod tests {
         let snap = tele.snapshot();
         assert_eq!(snap.spans.len(), 4 * 50 * 2);
         assert_eq!(snap.events.len(), 4 * 50);
-        for span in &snap.spans {
-            if let Some(parent) = span.parent {
+        // Per track the snapshot keeps open order — outer, inner, outer,
+        // … — and every inner span's remapped parent is the outer span
+        // its own track opened just before it.
+        let mut outer = [None; 4];
+        let mut opened = [0; 4];
+        for (index, span) in snap.spans.iter().enumerate() {
+            let track = span.track as usize;
+            if opened[track] % 2 == 0 {
+                assert_eq!((span.phase, span.parent), (Phase::SolverIteration, None));
+                outer[track] = Some(index);
+            } else {
                 assert_eq!(
-                    snap.spans[parent].track, span.track,
-                    "parent links must stay within a track"
+                    (span.phase, span.parent),
+                    (Phase::SpmmForward, outer[track])
                 );
+                let parent = &snap.spans[outer[track].expect("outer opened first")];
+                assert!(parent.start_ns <= span.start_ns && span.end_ns <= parent.end_ns);
             }
+            opened[track] += 1;
         }
+        assert_eq!(opened, [100; 4]);
+        let roots = snap.spans.iter().filter(|s| s.parent.is_none());
+        let roots: u64 = roots.map(SpanRecord::duration_ns).sum();
+        assert_eq!(snap.self_times().iter().sum::<u64>(), roots);
     }
 }

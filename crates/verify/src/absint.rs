@@ -129,15 +129,10 @@ fn scatter_names(num_local: usize) -> impl Iterator<Item = ExchangeLevel> {
 fn check_rank(rank: usize, rp: &RankPlan, report: &mut VerifyReport) {
     // Forward: footprint → local levels → global → owned.
     let mut len = rp.in_len();
-    let mut names = reduce_names(rp.local_levels().len());
-    for level in rp.local_levels() {
-        // xct-allow(no-panic): infallible — reduce_names yields one name per local level plus Global
-        let name = names.next().expect("level name");
+    let levels = rp.local_levels().iter().chain([rp.global_level()]);
+    for (name, level) in reduce_names(rp.local_levels().len()).zip(levels) {
         len = check_level(rank, name, level, len, report);
     }
-    // xct-allow(no-panic): infallible — the Global name is always the iterator's last element
-    let gname = names.next().expect("global name");
-    len = check_level(rank, gname, rp.global_level(), len, report);
     if len != rp.owned_len() {
         report.push(
             rank,
@@ -152,15 +147,11 @@ fn check_rank(rank: usize, rp: &RankPlan, report: &mut VerifyReport) {
     }
     // Scatter: owned → global stage → fan-out levels → restriction.
     let mut len = rp.owned_len();
-    let num_local = rp.scatter_local_levels().len();
-    let mut names = scatter_names(num_local);
-    // xct-allow(no-panic): infallible — scatter_names always starts with ScatterGlobal
-    let sgname = names.next().expect("scatter-global name");
-    len = check_level(rank, sgname, rp.scatter_global_level(), len, report);
-    let mut last = sgname;
-    for level in rp.scatter_local_levels() {
-        // xct-allow(no-panic): infallible — scatter_names yields one name per fan-out level
-        let name = names.next().expect("scatter level name");
+    let levels = [rp.scatter_global_level()]
+        .into_iter()
+        .chain(rp.scatter_local_levels());
+    let mut last = ExchangeLevel::ScatterGlobal;
+    for (name, level) in scatter_names(rp.scatter_local_levels().len()).zip(levels) {
         len = check_level(rank, name, level, len, report);
         last = name;
     }

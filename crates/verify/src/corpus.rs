@@ -237,7 +237,8 @@ pub fn over_budget_plan() -> xct_plan::ReconPlan {
 
 /// A gather whose root sweeps its sources with `try_recv` exactly once
 /// instead of blocking: under the baseline schedule every message has
-/// landed by the time the root polls, so the sum is correct; under a
+/// landed by the time the root polls (it waits for each source's "ready"
+/// note first), so the sum is correct; under a
 /// chaos schedule a delayed message is silently dropped from the sum.
 /// Static checks cannot see this (the plan is fine — the *progress
 /// logic* is wrong), which is what the explorer layer is for.
@@ -246,9 +247,15 @@ pub fn single_sweep_gather(comm: &Communicator, tag: u64) -> f64 {
     let n = comm.size();
     let value = (me + 1) as f64;
     if me == 0 {
-        // Give the messages a moment — enough for the baseline schedule,
-        // not enough for a chaos-delayed one.
-        std::thread::sleep(std::time::Duration::from_millis(10));
+        // Sources post their contribution, then a "ready" note: once the
+        // notes are in, every contribution has been sent, however late a
+        // thread started. The grace covers a baseline or jitter hold-back
+        // (under 2 ms), not a chaos-delayed message (25 ms).
+        for src in 1..n {
+            // xct-allow(no-panic): corpus fixture harness; an infra failure must abort the reproduction
+            comm.recv(src, tag ^ 0x20).expect("ready note");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(3));
         let mut acc = value;
         for src in 1..n {
             if let Ok(Some(bytes)) = comm.try_recv(src, tag) {
@@ -264,6 +271,8 @@ pub fn single_sweep_gather(comm: &Communicator, tag: u64) -> f64 {
     } else {
         // xct-allow(no-panic): corpus fixture harness; an infra failure must abort the reproduction
         comm.send_vals(0, tag, &[value]).expect("contribute");
+        // xct-allow(no-panic): corpus fixture harness; an infra failure must abort the reproduction
+        comm.send(0, tag ^ 0x20, Vec::new()).expect("ready note");
         // xct-allow(no-panic): corpus fixture harness; an infra failure must abort the reproduction
         let v: Vec<f64> = comm.recv_vals(0, tag ^ 0x10).expect("result");
         v[0]

@@ -28,8 +28,7 @@ use xct_phantom::{add_poisson_noise, DatasetSpec, Image2D};
 use xct_plan::{Planner, ProfileReport, TileWeights, TunePoint, TuneReport, VolumeDims};
 use xct_telemetry::{
     chrome_trace, install_flight_panic_hook, metrics_csv, metrics_series_json, prometheus_text,
-    render_progress, Breakdown, CausalAnalysis, Json, Phase, PhaseHistograms, ProfileDims, Sampler,
-    Telemetry,
+    render_progress, Breakdown, CausalAnalysis, Json, Phase, PhaseHistograms, Sampler, Telemetry,
 };
 use xct_verify::plan_fits;
 
@@ -332,19 +331,8 @@ impl MetricsSession {
 
 /// Parses `--topology NxSxG` (nodes × sockets/node × GPUs/socket).
 fn parse_topology(spec: &str) -> Result<Topology, CliError> {
-    let parts: Vec<usize> = spec
-        .split('x')
-        .map(|p| {
-            p.parse()
-                .map_err(|_| CliError(format!("invalid --topology {spec:?}; expected NxSxG")))
-        })
-        .collect::<Result<_, _>>()?;
-    match parts.as_slice() {
-        [n, s, g] if *n > 0 && *s > 0 && *g > 0 => Ok(Topology::new(*n, *s, *g)),
-        _ => Err(CliError(format!(
-            "invalid --topology {spec:?}; expected NxSxG with nonzero factors"
-        ))),
-    }
+    spec.parse()
+        .map_err(|e| CliError(format!("invalid --topology: {e}")))
 }
 
 /// Parses `--wire` for distributed runs: bare `--wire` gives the
@@ -436,9 +424,9 @@ USAGE:
                                                 every rank (spans, events, metric
                                                 deltas) as petaxct-flightrec-v1
                                                 JSON to FILE
-                      [--profile-out FILE]      enable the hierarchical cost
-                                                profiler (distributed runs only)
-                                                and write the measured per-rank/
+                      [--profile-out FILE]      record telemetry (distributed
+                                                runs only) and write the
+                                                measured per-rank/
                                                 per-tile costs, model-drift table,
                                                 and skew report as a
                                                 petaxct-profile-v1 artifact
@@ -582,7 +570,7 @@ fn open_sinogram(path: &str) -> Result<(SliceReader, usize, usize), CliError> {
 fn reconstruct(flags: &Flags) -> Result<String, CliError> {
     let tel_args = TelemetryArgs::from_flags(flags);
     let metrics_args = MetricsArgs::from_flags(flags)?;
-    // Any sink — telemetry report, live metrics, or the cost profiler —
+    // Any sink — telemetry report, live metrics, or the cost profile —
     // turns collection on.
     let telemetry =
         if tel_args.wanted() || metrics_args.wanted() || flags.get("profile-out").is_some() {
@@ -714,13 +702,6 @@ fn reconstruct_inner(
                 return Err(CliError(format!("reconstruction plan rejected:\n{fits}")));
             }
             let profile_out = flags.get("profile-out").map(str::to_owned);
-            if profile_out.is_some() {
-                telemetry.enable_profile(ProfileDims {
-                    tracks: topology.size(),
-                    slabs: plan.slabs.len(),
-                    slices: plan.fusing,
-                });
-            }
             let base = DistributedConfig {
                 iterations,
                 wire,
@@ -760,7 +741,7 @@ fn reconstruct_inner(
                     let tile = DistributedConfig::from_plan(&plan, &base).tile;
                     let report = build_profile_artifact(
                         &scan, &plan, *topology, precision, iterations, tile, telemetry,
-                    )?;
+                    );
                     write_file(path, &report.to_json().to_string())?;
                     format!(
                         "\nprofile: max rank slack {} ns, max/mean tile cost {:.2}; wrote {path}",
@@ -840,9 +821,10 @@ fn load_profile_weights(path: &str) -> Result<TileWeights, CliError> {
     Ok(report.tile_weights())
 }
 
-/// Joins a profiled run's telemetry (span snapshot + cost-profiler slab)
-/// with the analytic model's prediction for the same plan into the
-/// `petaxct-profile-v1` report, and flight-records the snapshot moment.
+/// Joins a run's telemetry snapshot (the cost profile and the critical
+/// path are both views of it) with the analytic model's prediction for
+/// the same plan into the `petaxct-profile-v1` report, and
+/// flight-records the snapshot moment.
 fn build_profile_artifact(
     scan: &ScanGeometry,
     plan: &xct_plan::ReconPlan,
@@ -851,11 +833,8 @@ fn build_profile_artifact(
     iterations: usize,
     tile: usize,
     telemetry: &Telemetry,
-) -> Result<ProfileReport, CliError> {
+) -> ProfileReport {
     let snapshot = telemetry.snapshot();
-    let profile = telemetry
-        .profile_snapshot()
-        .ok_or_else(|| CliError("cost profiler was never enabled".to_owned()))?;
     // Score the measured run against the analytic model at the smallest
     // machine carrying the run's node count; shares (not magnitudes)
     // make the comparison meaningful across scales.
@@ -869,7 +848,6 @@ fn build_profile_artifact(
         tile,
         tile_weights: plan.tile_weights.as_ref().map(|tw| tw.weights.as_slice()),
         snapshot: &snapshot,
-        profile: &profile,
         model: Some(&est),
     });
     telemetry.flight_point(
@@ -877,7 +855,7 @@ fn build_profile_artifact(
         report.skew.max_rank_slack_ns,
         report.skew.critical_path_ns,
     );
-    Ok(report)
+    report
 }
 
 /// Plan-level rebalance preview: the per-rank sums of the artifact's
@@ -930,7 +908,7 @@ fn rebalance_preview(scan: &ScanGeometry, tile: usize, ranks: usize, costs: &[u6
 }
 
 /// `petaxct profile` — run a synthetic distributed reconstruction with
-/// the cost profiler enabled and emit the `petaxct-profile-v1` artifact
+/// telemetry on and emit the `petaxct-profile-v1` artifact
 /// plus the human drift/skew tables. With `--weights-from` the run
 /// itself repartitions by a previous profile's measured tile costs, so
 /// two invocations close the rebalance loop end to end.
@@ -985,11 +963,6 @@ fn profile(flags: &Flags) -> Result<String, CliError> {
     }
 
     let telemetry = Telemetry::enabled();
-    telemetry.enable_profile(ProfileDims {
-        tracks: topology.size(),
-        slabs: 1,
-        slices,
-    });
     let cfg = DistributedConfig {
         topology,
         precision,
@@ -1021,7 +994,7 @@ fn profile(flags: &Flags) -> Result<String, CliError> {
     }
     let report = build_profile_artifact(
         &scan, &plan, topology, precision, iterations, tile, &telemetry,
-    )?;
+    );
     let json_text = report.to_json().to_string();
     write_file(&out, &json_text)?;
     if flags.switch("json") {
@@ -1494,6 +1467,48 @@ mod tests {
         assert!(run_cmd(&["info"]).unwrap_err().0.contains("--in"));
         let usage = run_cmd(&["help"]).unwrap();
         assert!(usage.contains("USAGE"));
+    }
+
+    #[test]
+    fn profile_artifact_closes_the_loop_and_hostile_ones_are_parse_errors() {
+        let (sino, vol) = (tmp("cli_profile_sino.xctd"), tmp("cli_profile_vol.xctd"));
+        let (artifact, hostile) = (tmp("cli_profile.json"), tmp("cli_profile_bad.json"));
+        let run = |line: String| run_cmd(&line.split(' ').collect::<Vec<_>>());
+        let problem = "--n 16 --angles 16 --slices 2";
+        run(format!("simulate --phantom shale --out {sino} {problem}")).unwrap();
+        let run_opts = "--topology 1x2x2 --iterations 3";
+        let out = run(format!("profile {problem} {run_opts} --out {artifact}")).unwrap();
+        assert!(out.contains("spmm.compute") && out.contains("max rank slack"));
+        // The artifact is a view of the run's spans: every rank charged
+        // SpMM time, and the drift table sums the per-rank tables.
+        let text = std::fs::read_to_string(&artifact).unwrap();
+        let report = ProfileReport::parse(&text).unwrap();
+        assert_eq!(report.ranks.len(), 4);
+        assert!(report.ranks.iter().all(|r| r.components[0] > 0), "{text}");
+        for row in &report.drift {
+            let ranks = report.ranks.iter();
+            let by_rank: u64 = ranks.map(|r| r.component_ns(row.component)).sum();
+            assert_eq!(row.measured_ns, by_rank, "{}", row.component);
+        }
+        let reconstruct = |weights: &str| {
+            run(format!(
+                "reconstruct --in {sino} --out {vol} {run_opts} --weights-from {weights}"
+            ))
+        };
+        assert!(reconstruct(&artifact).unwrap().contains("rebalanced"));
+        for (from, to, names) in [
+            (r#""topology":"1x2x2""#, r#""topology":"0x2x2""#, "0x2x2"),
+            (r#""tiles_x":4"#, r#""tiles_x":-1"#, "tiles_x"),
+            (r#""n":16"#, r#""n":2.5"#, r#""n""#),
+        ] {
+            assert!(text.contains(from), "{text}");
+            std::fs::write(&hostile, text.replacen(from, to, 1)).unwrap();
+            let err = reconstruct(&hostile).unwrap_err().0;
+            assert!(
+                err.contains("cannot parse profile file") && err.contains(names),
+                "{err}"
+            );
+        }
     }
 
     #[test]
