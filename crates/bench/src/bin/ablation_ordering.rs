@@ -10,18 +10,7 @@ use xct_core::decompose::SliceDecomposition;
 use xct_fp16::F16;
 use xct_geometry::{ImageGrid, ScanGeometry, SystemMatrix};
 use xct_hilbert::{CurveKind, Domain2D, TileDecomposition};
-use xct_spmm::{Csr, PackedMatrix};
-
-fn row_perm(kind: CurveKind, angles: usize, channels: usize, tile: usize) -> Vec<u32> {
-    let d = TileDecomposition::new(Domain2D::new(channels, angles), tile, kind);
-    let mut perm = Vec::with_capacity(angles * channels);
-    for &t in d.ordered_tiles() {
-        for (c, a) in d.tile_cell_coords(t) {
-            perm.push((a * channels + c) as u32);
-        }
-    }
-    perm
-}
+use xct_spmm::{Csr, Order, PackedMatrix};
 
 fn main() {
     let n = 64;
@@ -30,8 +19,8 @@ fn main() {
     let topo = Topology::summit(4);
     let scan = ScanGeometry::uniform(ImageGrid::square(n, 1.0), angles);
     let sm = SystemMatrix::build(&scan);
-    let csr = Csr::<f32>::from_system_matrix(&sm);
-    let identity_cols: Vec<u32> = (0..sm.num_voxels() as u32).collect();
+    let csr = Csr::<f32>::from_system_matrix(&sm).map_values(F16::from_f32);
+    let voxels = Order::identity(sm.num_voxels());
 
     println!("ABLATION: tile-ordering curves (communication volume + kernel reuse)");
     println!();
@@ -54,11 +43,11 @@ fn main() {
         let hier = HierarchicalPlan::build(&d.footprints, &ownership, &topo);
         let _ = &hier;
 
-        let perm = row_perm(kind, angles, n, 8);
-        let ordered = csr.permute(&perm, &identity_cols);
-        let t: Vec<_> = ordered.triplets().collect();
-        let h = Csr::<F16>::from_triplets(ordered.num_rows(), ordered.num_cols(), t.into_iter());
-        let packed = PackedMatrix::pack(&h, 128, 96 * 1024, 16);
+        // Rays in `kind`'s order over the sinogram plane (`n` channels
+        // wide, `angles` high), voxels left as they are.
+        let sinogram = TileDecomposition::new(Domain2D::new(n, angles), 8, kind);
+        let rays = Order::new(sinogram.cell_order());
+        let packed = PackedMatrix::pack_ordered(&csr, &rays, &voxels, 128, 96 * 1024, 16);
 
         println!(
             "{:<10} {:>16} {:>16} {:>16} {:>12.2}",

@@ -5,12 +5,11 @@
 use xct_bench::hilbert_ordered_operator;
 use xct_cluster::{kernel_time, GpuSpec};
 use xct_fp16::{Precision, F16};
-use xct_spmm::{packed_element_bytes, Csr, PackedMatrix};
+use xct_spmm::packed_element_bytes;
 
 fn main() {
     let gpu = GpuSpec::v100();
-    let csr = hilbert_ordered_operator(96, 96, 8);
-    let t: Vec<_> = csr.triplets().collect();
+    let op = hilbert_ordered_operator(96, 96, 128);
 
     println!("ABLATION: matrix-element packing (III-C2)");
     println!();
@@ -31,18 +30,9 @@ fn main() {
     println!("{}", "-".repeat(header.len()));
 
     let fusing = 16;
-    let half = {
-        let c = Csr::<F16>::from_triplets(csr.num_rows(), csr.num_cols(), t.clone().into_iter());
-        PackedMatrix::pack(&c, 128, 96 * 1024, fusing)
-    };
-    let single = {
-        let c = Csr::<f32>::from_triplets(csr.num_rows(), csr.num_cols(), t.clone().into_iter());
-        PackedMatrix::pack(&c, 128, 96 * 1024, fusing)
-    };
-    let double = {
-        let c = Csr::<f64>::from_triplets(csr.num_rows(), csr.num_cols(), t.into_iter());
-        PackedMatrix::pack(&c, 128, 96 * 1024, fusing)
-    };
+    let half = op.pack::<F16>(128, 96 * 1024, fusing);
+    let single = op.pack::<f32>(128, 96 * 1024, fusing);
+    let double = op.pack::<f64>(128, 96 * 1024, fusing);
 
     let mut times = Vec::new();
     for (name, metrics, stages, precision) in [

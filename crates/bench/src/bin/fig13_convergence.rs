@@ -4,27 +4,21 @@
 //! times of the V100 model (paper: 24 iterations in 372 ms double,
 //! 224 ms single, 165/166 ms half/mixed).
 
-use xct_bench::{hilbert_ordered_operator, mini_operator};
+use xct_bench::hilbert_ordered_operator;
 use xct_cluster::{kernel_time, GpuSpec};
-use xct_fp16::{Precision, F16};
+use xct_fp16::Precision;
 use xct_phantom::{add_poisson_noise, chip_like};
 use xct_solver::{cgls, CglsConfig, PrecisionOperator};
-use xct_spmm::{Csr, PackedMatrix};
 
 fn main() {
     let n = 64;
     let angles = 64;
-    let (_, sm, _) = mini_operator(n, angles);
-    let ordered = hilbert_ordered_operator(n, angles, 8);
+    let op = hilbert_ordered_operator(n, angles, 128);
+    let sm = &op.sm;
 
     // Chip-like phantom with Poisson measurement noise — the
     // "numerically challenging case with contaminating noise" of §IV-F.
     let phantom = chip_like(n, 42);
-    // Project through the *unpermuted* operator, then permute rows to the
-    // Hilbert order the kernels use... simpler: reconstruct in the
-    // natural order and use the ordered operator only for timing. For
-    // correctness, use the natural-order operator end to end.
-    let natural = Csr::from_system_matrix(&sm);
     let mut y = vec![0.0f32; sm.num_rays()];
     sm.project(&phantom.data, &mut y);
     add_poisson_noise(&mut y, 5e3, 7);
@@ -35,44 +29,16 @@ fn main() {
     // Per-iteration time model (one projection + one backprojection).
     let gpu = GpuSpec::v100();
     let iter_time = |p: Precision| -> f64 {
-        let t: Vec<_> = ordered.triplets().collect();
-        let (metrics, stages) = match p {
-            Precision::Double => {
-                let c = Csr::<f64>::from_triplets(
-                    ordered.num_rows(),
-                    ordered.num_cols(),
-                    t.into_iter(),
-                );
-                let pk = PackedMatrix::pack(&c, 128, 96 * 1024, 16);
-                (pk.kernel_metrics(), pk.total_stages())
-            }
-            Precision::Single => {
-                let c = Csr::<f32>::from_triplets(
-                    ordered.num_rows(),
-                    ordered.num_cols(),
-                    t.into_iter(),
-                );
-                let pk = PackedMatrix::pack(&c, 128, 96 * 1024, 16);
-                (pk.kernel_metrics(), pk.total_stages())
-            }
-            _ => {
-                let c = Csr::<F16>::from_triplets(
-                    ordered.num_rows(),
-                    ordered.num_cols(),
-                    t.into_iter(),
-                );
-                let pk = PackedMatrix::pack(&c, 128, 96 * 1024, 16);
-                (pk.kernel_metrics(), pk.total_stages())
-            }
-        };
+        let (metrics, stages) = op.kernel_metrics(p, 128, 96 * 1024, 16);
         2.0 * kernel_time(&gpu, &metrics, stages, 16, p)
     };
 
     let mut final_residuals = Vec::new();
     for precision in Precision::ALL {
-        let op = PrecisionOperator::new(&natural, precision, 1, 64, 96 * 1024);
+        let orders = (&op.rays, &op.voxels);
+        let packed = PrecisionOperator::ordered(&op.csr, orders, precision, 1, 64, 96 * 1024);
         let report = cgls(
-            &op,
+            &packed,
             &y,
             &CglsConfig {
                 max_iters: 24,

@@ -9,9 +9,9 @@
 //! and checks √B growth toward the paper's 46–65×; stage counts emerge
 //! from the 96 KB shared-memory budget shared by the fused slices.
 
-use xct_bench::{hilbert_ordered_operator, sinogram_hilbert_perm, tomogram_hilbert_rank};
+use xct_bench::hilbert_ordered_operator;
 use xct_fp16::F16;
-use xct_spmm::{Csr, PackedMatrix};
+use xct_spmm::PackedMatrix;
 
 struct Measured {
     proj_reuse: f64,
@@ -21,29 +21,13 @@ struct Measured {
 }
 
 fn measure(n: usize, angles: usize, block: usize, fusing: usize) -> Measured {
-    let ordered = hilbert_ordered_operator(n, angles, 8);
-    let t: Vec<_> = ordered.triplets().collect();
-    let a = Csr::<F16>::from_triplets(ordered.num_rows(), ordered.num_cols(), t.into_iter());
-    // Transpose (backprojection): input domain is the sinogram.
-    let at = {
-        let t = ordered.transpose();
-        let tt: Vec<_> = t.triplets().collect();
-        let perm_r = tomogram_hilbert_rank(n, n, 8);
-        let perm_s = sinogram_hilbert_perm(angles, n, 8);
-        let mut inv_r = vec![0u32; perm_r.len()];
-        for (v, &rank) in perm_r.iter().enumerate() {
-            inv_r[rank as usize] = v as u32;
-        }
-        let mut rank_s = vec![0u32; perm_s.len()];
-        for (pos, &ray) in perm_s.iter().enumerate() {
-            rank_s[ray as usize] = pos as u32;
-        }
-        let c = Csr::<F16>::from_triplets(t.num_rows(), t.num_cols(), tt.into_iter());
-        c.permute(&inv_r, &rank_s)
-    };
+    let op = hilbert_ordered_operator(n, angles, block);
     let shared = 96 * 1024;
-    let pa = PackedMatrix::pack(&a, block, shared, fusing);
-    let pat = PackedMatrix::pack(&at, block, shared, fusing);
+    let pa = op.pack::<F16>(block, shared, fusing);
+    // Transpose (backprojection): input domain is the sinogram, so the
+    // orders swap roles.
+    let at = op.csr.map_values(F16::from_f32).transpose();
+    let pat = PackedMatrix::pack_ordered(&at, &op.voxels, &op.rays, block, shared, fusing);
     Measured {
         proj_reuse: pa.average_reuse(),
         bproj_reuse: pat.average_reuse(),

@@ -11,41 +11,22 @@
 use xct_bench::hilbert_ordered_operator;
 use xct_cluster::{kernel_time, roofline_point, GpuSpec};
 use xct_exec::{ExecContext, ExecCounters};
-use xct_fp16::{Precision, F16};
+use xct_fp16::Precision;
 use xct_solver::{LinearOperator, PrecisionOperator};
-use xct_spmm::{Csr, KernelMetrics, PackedMatrix};
-
-fn metrics_for(csr: &Csr<f32>, precision: Precision, fusing: usize) -> (KernelMetrics, usize) {
-    let shared = 96 * 1024;
-    let t: Vec<_> = csr.triplets().collect();
-    match precision {
-        Precision::Double => {
-            let c = Csr::<f64>::from_triplets(csr.num_rows(), csr.num_cols(), t.into_iter());
-            let p = PackedMatrix::pack(&c, 128, shared, fusing);
-            (p.kernel_metrics(), p.total_stages())
-        }
-        Precision::Single => {
-            let c = Csr::<f32>::from_triplets(csr.num_rows(), csr.num_cols(), t.into_iter());
-            let p = PackedMatrix::pack(&c, 128, shared, fusing);
-            (p.kernel_metrics(), p.total_stages())
-        }
-        Precision::Half | Precision::Mixed => {
-            let c = Csr::<F16>::from_triplets(csr.num_rows(), csr.num_cols(), t.into_iter());
-            let p = PackedMatrix::pack(&c, 128, shared, fusing);
-            (p.kernel_metrics(), p.total_stages())
-        }
-    }
-}
+use xct_spmm::Csr;
 
 fn main() {
     let gpu = GpuSpec::v100();
-    let csr = hilbert_ordered_operator(96, 96, 8);
+    let op = hilbert_ordered_operator(96, 96, 128);
+    let csr = &op.csr;
+    let metrics_for =
+        |precision: Precision, fusing: usize| op.kernel_metrics(precision, 128, 96 * 1024, fusing);
     println!("FIG 9a: Optimized SpMM speedup vs minibatch size");
     println!("(work/traffic measured from the real packed operator, time via V100 roofline)");
     println!();
 
     // Baseline: double precision, fusing factor 1.
-    let (m0, s0) = metrics_for(&csr, Precision::Double, 1);
+    let (m0, s0) = metrics_for(Precision::Double, 1);
     let t0 = kernel_time(&gpu, &m0, s0, 1, Precision::Double);
 
     let fusings = [1usize, 4, 8, 12, 16, 20, 24, 28, 32, 40, 48];
@@ -61,7 +42,7 @@ fn main() {
     for &f in &fusings {
         print!("{f:>8}");
         for (pi, p) in Precision::ALL.iter().enumerate() {
-            let (m, stages) = metrics_for(&csr, *p, f);
+            let (m, stages) = metrics_for(*p, f);
             // Speedup normalized per slice: (time per slice of the
             // double-precision no-fusing baseline) / (time per slice at
             // fusing f) — the normalization of Fig 9a.
@@ -82,9 +63,9 @@ fn main() {
     println!("Best minibatch per precision (paper: 18, 28, 16, 20 giving");
     println!("6.47x, 7.77x, 6.30x, 6.58x kernel speedup over same-precision no-fusing):");
     for (p, f, s) in &best {
-        let (m1, s1) = metrics_for(&csr, *p, 1);
+        let (m1, s1) = metrics_for(*p, 1);
         let own_base = kernel_time(&gpu, &m1, s1, 1, *p);
-        let (mb, sb) = metrics_for(&csr, *p, *f);
+        let (mb, sb) = metrics_for(*p, *f);
         let own_speed = own_base / (kernel_time(&gpu, &mb, sb, *f, *p) / *f as f64);
         println!(
             "  {:<8} best fusing {:>2}: {:.2}x vs double-1 ({:.2}x vs own fusing-1)",
@@ -114,7 +95,7 @@ fn main() {
     println!("{}", "-".repeat(header.len()));
     for p in Precision::ALL {
         for &f in &[1usize, 8, 16, 28] {
-            let (m, stages) = metrics_for(&csr, p, f);
+            let (m, stages) = metrics_for(p, f);
             let pt = roofline_point(&gpu, &m, stages, f, p);
             println!(
                 "{:<8} {:>8} {:>16.2} {:>14.1} {:>14.1}",
@@ -143,7 +124,7 @@ fn main() {
             }
         };
         let base_t = kernel_time(&gpu, &base_metrics, 0, 1, p);
-        let (m, stages) = metrics_for(&csr, p, 16);
+        let (m, stages) = metrics_for(p, 16);
         let opt_t = kernel_time(&gpu, &m, stages, 16, p);
         println!(
             "  {:<8} optimized vs baseline: {:.2}x",
@@ -164,7 +145,8 @@ fn main() {
     let fusing = 16;
     let mut total = ExecCounters::default();
     for p in Precision::ALL {
-        let op = PrecisionOperator::new(&csr, p, fusing, 128, 96 * 1024);
+        let orders = (&op.rays, &op.voxels);
+        let op = PrecisionOperator::ordered(csr, orders, p, fusing, 128, 96 * 1024);
         let mut ctx = ExecContext::serial().with_precision(p);
         let x = vec![0.5f32; op.cols()];
         let mut y = vec![0.0f32; op.rows()];

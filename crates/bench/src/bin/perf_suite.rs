@@ -38,6 +38,7 @@ use std::time::{Duration, Instant};
 use count_alloc::{allocations, CountingAllocator};
 use xct_bench::perf::{compare, BenchReport, ScenarioResult, BENCH_SCHEMA};
 use xct_comm::{Topology, TrafficClass, WireModel};
+use xct_core::decompose::packing_orders;
 use xct_core::distributed::{reconstruct_distributed, DistributedConfig};
 use xct_core::reconstruct_planned;
 use xct_fp16::Precision;
@@ -143,7 +144,9 @@ fn serial_scenario(p: &SuiteParams) -> ScenarioResult {
     let scan = ScanGeometry::uniform(ImageGrid::square(p.n, 1.0), p.angles);
     let sm = SystemMatrix::build(&scan);
     let csr = Csr::from_system_matrix(&sm);
-    let op = PrecisionOperator::new(&csr, Precision::Single, p.fusing, 64, 96 * 1024);
+    let (rays, voxels) = packing_orders(&scan, 64);
+    let orders = (&rays, &voxels);
+    let op = PrecisionOperator::ordered(&csr, orders, Precision::Single, p.fusing, 64, 96 * 1024);
     let y = p.sinogram(&sm);
 
     let telemetry = Telemetry::enabled();
@@ -173,7 +176,8 @@ fn spmm_kernel_scenario(name: &str, p: &SuiteParams, reference: bool) -> Scenari
     let sm = SystemMatrix::build(&scan);
     let csr = Csr::from_system_matrix(&sm);
     let fusing = 8;
-    let packed = PackedMatrix::pack(&csr, 64, 96 * 1024, fusing);
+    let (rays, voxels) = packing_orders(&scan, 64);
+    let packed = PackedMatrix::pack_ordered(&csr, &rays, &voxels, 64, 96 * 1024, fusing);
     let mut x = vec![0.0f32; csr.num_cols() * fusing];
     for (i, v) in x.iter_mut().enumerate() {
         *v = ((i % 13) as f32) * 0.125 - 0.5;
@@ -198,9 +202,10 @@ fn spmm_kernel_scenario(name: &str, p: &SuiteParams, reference: bool) -> Scenari
 }
 
 /// The packing layer alone: from the memoized Siddon matrix to the
-/// operator `Reconstructor` keeps — `Csr::from_system_matrix`, then
-/// `PrecisionOperator::new` (transpose, re-type and scale, pack both
-/// directions). No kernel runs, so flops and launches are zero; wall and
+/// operator `Reconstructor` keeps — `Csr::from_system_matrix`, the
+/// Hilbert orders of both planes, then `PrecisionOperator::ordered`
+/// (transpose, re-type and scale, pack both directions under the
+/// orders). No kernel runs, so flops and launches are zero; wall and
 /// the allocation count are the record.
 fn pack_scenario(p: &SuiteParams) -> ScenarioResult {
     let n = if p.quick { 64 } else { 128 };
@@ -209,7 +214,8 @@ fn pack_scenario(p: &SuiteParams) -> ScenarioResult {
     let before = allocations();
     let start = Instant::now();
     let csr = Csr::from_system_matrix(&sm);
-    let op = PrecisionOperator::new(&csr, Precision::Mixed, 8, 64, 96 * 1024);
+    let (rays, voxels) = packing_orders(&scan, 64);
+    let op = PrecisionOperator::ordered(&csr, (&rays, &voxels), Precision::Mixed, 8, 64, 96 * 1024);
     let wall = start.elapsed();
     let allocs = allocations() - before;
     std::hint::black_box(&op);

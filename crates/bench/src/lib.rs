@@ -12,10 +12,10 @@
 pub mod perf;
 pub mod tune;
 
-use xct_fp16::Precision;
+use xct_core::decompose::packing_orders;
+use xct_fp16::{Precision, StorageScalar, F16};
 use xct_geometry::{ImageGrid, ScanGeometry, SystemMatrix};
-use xct_hilbert::{CurveKind, Domain2D, TileDecomposition};
-use xct_spmm::Csr;
+use xct_spmm::{Csr, KernelMetrics, Order, PackedMatrix};
 
 /// A mini scan with matched detector (N channels = N voxels across).
 pub fn mini_scan(n: usize, angles: usize) -> ScanGeometry {
@@ -30,41 +30,65 @@ pub fn mini_operator(n: usize, angles: usize) -> (ScanGeometry, SystemMatrix, Cs
     (scan, sm, csr)
 }
 
-/// Hilbert permutation of sinogram rows (rays reordered so contiguous
-/// rows form compact angle × channel patches).
-pub fn sinogram_hilbert_perm(angles: usize, channels: usize, tile: usize) -> Vec<u32> {
-    let d = TileDecomposition::new(Domain2D::new(channels, angles), tile, CurveKind::Hilbert);
-    let mut perm = Vec::with_capacity(angles * channels);
-    for &t in d.ordered_tiles() {
-        for (c, a) in d.tile_cell_coords(t) {
-            perm.push((a * channels + c) as u32);
-        }
-    }
-    perm
+/// The mini operator, in its natural numbering, with the `(ray, voxel)`
+/// orders production packs it under ([`packing_orders`]) — the layout
+/// every optimized-kernel experiment measures.
+pub struct OrderedOperator {
+    /// The memoized Siddon matrix.
+    pub sm: SystemMatrix,
+    /// Its CSR form.
+    pub csr: Csr<f32>,
+    /// Hilbert order of the sinogram plane.
+    pub rays: Order,
+    /// Hilbert order of the tomogram plane.
+    pub voxels: Order,
 }
 
-/// Hilbert ranking of tomogram voxels: `rank[voxel] = curve position`.
-pub fn tomogram_hilbert_rank(nx: usize, nz: usize, tile: usize) -> Vec<u32> {
-    let d = TileDecomposition::new(Domain2D::new(nx, nz), tile, CurveKind::Hilbert);
-    let mut rank = vec![0u32; nx * nz];
-    let mut next = 0u32;
-    for &t in d.ordered_tiles() {
-        for (x, z) in d.tile_cell_coords(t) {
-            rank[z * nx + x] = next;
-            next += 1;
-        }
+/// Builds the mini operator and the orders for `block_size`-row blocks.
+pub fn hilbert_ordered_operator(n: usize, angles: usize, block_size: usize) -> OrderedOperator {
+    let (scan, sm, csr) = mini_operator(n, angles);
+    let (rays, voxels) = packing_orders(&scan, block_size);
+    OrderedOperator {
+        sm,
+        csr,
+        rays,
+        voxels,
     }
-    rank
 }
 
-/// CSR of the mini operator with both domains Hilbert-ordered — the form
-/// every optimized-kernel experiment uses.
-pub fn hilbert_ordered_operator(n: usize, angles: usize, tile: usize) -> Csr<f32> {
-    let (_, sm, csr) = mini_operator(n, angles);
-    let row_perm = sinogram_hilbert_perm(angles, n, tile);
-    let col_rank = tomogram_hilbert_rank(n, n, tile);
-    let _ = &sm;
-    csr.permute(&row_perm, &col_rank)
+impl OrderedOperator {
+    /// The forward operator re-typed to `S` and packed under the orders.
+    pub fn pack<S: StorageScalar>(
+        &self,
+        block_size: usize,
+        shared_bytes: usize,
+        fusing: usize,
+    ) -> PackedMatrix<S> {
+        let typed = self.csr.map_values(S::from_f32);
+        let (rays, voxels) = (&self.rays, &self.voxels);
+        PackedMatrix::pack_ordered(&typed, rays, voxels, block_size, shared_bytes, fusing)
+    }
+
+    /// Traffic account and total stage count of [`pack`](Self::pack) at
+    /// `precision`'s storage type — what the V100 kernel-time model takes.
+    pub fn kernel_metrics(
+        &self,
+        precision: Precision,
+        block_size: usize,
+        shared_bytes: usize,
+        fusing: usize,
+    ) -> (KernelMetrics, usize) {
+        fn of<S: StorageScalar>(p: &PackedMatrix<S>) -> (KernelMetrics, usize) {
+            (p.kernel_metrics(), p.total_stages())
+        }
+        match precision {
+            Precision::Double => of(&self.pack::<f64>(block_size, shared_bytes, fusing)),
+            Precision::Single => of(&self.pack::<f32>(block_size, shared_bytes, fusing)),
+            Precision::Half | Precision::Mixed => {
+                of(&self.pack::<F16>(block_size, shared_bytes, fusing))
+            }
+        }
+    }
 }
 
 /// Formats a byte count the way the paper does (GB/TB, decimal).
@@ -105,22 +129,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn hilbert_perm_is_a_permutation() {
-        let p = sinogram_hilbert_perm(12, 16, 4);
-        let mut sorted = p.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..12 * 16).map(|i| i as u32).collect::<Vec<_>>());
-        let r = tomogram_hilbert_rank(16, 16, 4);
-        let mut sorted = r.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..256).map(|i| i as u32).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn ordered_operator_preserves_nnz() {
-        let (_, _, csr) = mini_operator(16, 12);
-        let ordered = hilbert_ordered_operator(16, 12, 4);
-        assert_eq!(csr.nnz(), ordered.nnz());
+    fn ordered_operator_orders_both_planes_of_the_natural_matrix() {
+        let (_, _, natural) = mini_operator(16, 12);
+        let op = hilbert_ordered_operator(16, 12, 64);
+        assert_eq!(op.csr.nnz(), natural.nnz());
+        assert_eq!((op.rays.len(), op.voxels.len()), (12 * 16, 16 * 16));
+        // Block 64 = one 8×8 tile: the first block's rays are channels
+        // 0..8 of angles 0..8.
+        assert!(op.rays.indices()[..64]
+            .iter()
+            .all(|&ray| ray % 16 < 8 && ray / 16 < 8));
+        let packed = op.pack::<F16>(64, 96 * 1024, 2);
+        assert_eq!(packed.blocks()[0].rows, op.rays.indices()[..64]);
+        let (metrics, stages) = op.kernel_metrics(Precision::Mixed, 64, 96 * 1024, 2);
+        assert_eq!(metrics, packed.kernel_metrics());
+        assert_eq!(stages, packed.total_stages());
     }
 
     #[test]

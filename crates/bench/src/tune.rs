@@ -10,6 +10,7 @@
 use std::time::Instant;
 
 use crate::mini_operator;
+use xct_core::decompose::packing_orders;
 use xct_fp16::Precision;
 use xct_plan::{TunePoint, TuneReport};
 use xct_solver::{CglsSolver, ExecContext, PrecisionOperator};
@@ -112,10 +113,12 @@ pub fn run_tune(
     mut progress: impl FnMut(usize, usize, &TunePoint),
 ) -> Result<TuneReport, String> {
     p.validate()?;
-    let (_, sm, csr) = mini_operator(p.n, p.angles);
+    let (scan, sm, csr) = mini_operator(p.n, p.angles);
     let total = p.point_count();
     let mut points = Vec::with_capacity(total);
     for &block_size in &p.blocks {
+        // The layout `Reconstructor` would run at this block size.
+        let (rays, voxels) = packing_orders(&scan, block_size);
         for &shared_bytes in &p.shared {
             for &fusing in &p.fusings {
                 // One synthetic sinogram per fusing width (projection of
@@ -131,8 +134,14 @@ pub fn run_tune(
                         &mut y[f * sm.num_rays()..(f + 1) * sm.num_rays()],
                     );
                 }
-                let op =
-                    PrecisionOperator::new(&csr, p.precision, fusing, block_size, shared_bytes);
+                let op = PrecisionOperator::ordered(
+                    &csr,
+                    (&rays, &voxels),
+                    p.precision,
+                    fusing,
+                    block_size,
+                    shared_bytes,
+                );
                 let mut best_wall = u64::MAX;
                 let mut flops = 0u64;
                 for _ in 0..p.reps {

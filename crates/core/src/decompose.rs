@@ -12,7 +12,32 @@
 use xct_comm::{Footprints, Ownership};
 use xct_geometry::{ScanGeometry, SystemMatrix};
 use xct_hilbert::{CurveKind, Domain2D, TileDecomposition};
-use xct_spmm::Csr;
+use xct_spmm::{Csr, Order};
+
+/// The `(ray, voxel)` orders every production operator is packed under
+/// (`PrecisionOperator::ordered`): both planes tiled and the tiles
+/// Hilbert-ordered, as §III-A1 prescribes, so the rays of one thread
+/// block come from one compact (channel, angle) patch and cross the same
+/// voxels. The sinogram plane is `channels` wide and `angles` high (ray
+/// id = angle·channels + channel), the tomogram plane `nx × nz`.
+///
+/// The tile edge follows from `block_size` — the largest power of two
+/// whose square fits a block (8 at the default 64), so a block is one
+/// tile or a run of whole tiles. Smaller edges stage the same number of
+/// slots (a run of small tiles along the curve is as compact), larger
+/// ones more: a block is then a strip of a tile (EXPERIMENTS.md,
+/// "Hilbert-ordered packing").
+pub fn packing_orders(scan: &ScanGeometry, block_size: usize) -> (Order, Order) {
+    let tile = 1usize << (block_size.max(1).ilog2() / 2);
+    let order_of = |width, height| {
+        let plane = TileDecomposition::new(Domain2D::new(width, height), tile, CurveKind::Hilbert);
+        Order::new(plane.cell_order())
+    };
+    (
+        order_of(scan.detector.channels, scan.angles.len()),
+        order_of(scan.grid.nx, scan.grid.nz),
+    )
+}
 
 /// One rank's restriction of the system matrix: rows = its footprint
 /// rays, columns = its owned voxels, both reindexed densely.
@@ -24,6 +49,20 @@ pub struct LocalOperator {
     pub cols: Vec<u32>,
     /// The local sparse operator `A[rows, cols]`.
     pub csr: Csr<f32>,
+}
+
+impl LocalOperator {
+    /// The global [`packing_orders`] restricted to this rank: its local
+    /// rows in the sequence `rays` lists their global ids, its local
+    /// columns in the sequence `voxels` lists theirs.
+    pub fn packing_orders(&self, rays: &Order, voxels: &Order) -> (Order, Order) {
+        let restrict = |global_ids: &[u32], order: &Order| {
+            let mut local: Vec<u32> = (0..global_ids.len() as u32).collect();
+            local.sort_unstable_by_key(|&i| order.rank()[global_ids[i as usize] as usize]);
+            Order::new(local)
+        };
+        (restrict(&self.rows, rays), restrict(&self.cols, voxels))
+    }
 }
 
 /// The complete decomposition of one slice among `ranks` data processes.
@@ -219,6 +258,44 @@ mod tests {
         let sm = SystemMatrix::build(&scan);
         let d = SliceDecomposition::build(&sm, &scan, ranks, 4, CurveKind::Hilbert);
         (sm, scan, d)
+    }
+
+    #[test]
+    fn packing_orders_tile_both_planes_by_the_block_size() {
+        // 24 channels × 20 angles, 16 × 16 voxels.
+        let mut scan = ScanGeometry::uniform(ImageGrid::square(16, 1.0), 20);
+        scan.detector.channels = 24;
+        for (block, tile) in [(32usize, 4usize), (64, 8), (128, 8), (256, 16)] {
+            let (rays, voxels) = packing_orders(&scan, block);
+            assert_eq!((rays.len(), voxels.len()), (24 * 20, 256));
+            // The first tile of each plane sits at the origin: the first
+            // tile² entries are its cells, ray id = angle·channels + channel.
+            let first = tile * tile;
+            assert!(rays.indices()[..first]
+                .iter()
+                .all(|&r| (r as usize % 24) < tile && (r as usize / 24) < tile));
+            assert!(voxels.indices()[..first]
+                .iter()
+                .all(|&v| (v as usize % 16) < tile && (v as usize / 16) < tile));
+        }
+    }
+
+    #[test]
+    fn local_packing_orders_follow_the_global_ones() {
+        let (_, scan, d) = setup(16, 12, 4);
+        let (rays, voxels) = packing_orders(&scan, 64);
+        for op in &d.local_ops {
+            let (rows, cols) = op.packing_orders(&rays, &voxels);
+            assert_eq!((rows.len(), cols.len()), (op.rows.len(), op.cols.len()));
+            let ascending = |local: &Order, ids: &[u32], global: &Order| {
+                local.indices().windows(2).all(|w| {
+                    global.rank()[ids[w[0] as usize] as usize]
+                        < global.rank()[ids[w[1] as usize] as usize]
+                })
+            };
+            assert!(ascending(&rows, &op.rows, &rays));
+            assert!(ascending(&cols, &op.cols, &voxels));
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! same floating-point operations run in the same order; only the
 //! waiting moves.
 
-use crate::decompose::SliceDecomposition;
+use crate::decompose::{packing_orders, SliceDecomposition};
 use crate::pipeline::{exchange_schedule, ExchangeOp};
 use std::sync::Mutex;
 use xct_comm::{
@@ -38,6 +38,7 @@ use xct_geometry::{ScanGeometry, SystemMatrix};
 use xct_hilbert::{CurveKind, Domain2D, TileDecomposition};
 use xct_plan::ReconPlan;
 use xct_solver::{cgls_in, CglsConfig, LinearOperator, PrecisionOperator};
+use xct_spmm::Order;
 
 /// Distributed run configuration.
 #[derive(Debug, Clone)]
@@ -429,6 +430,9 @@ pub struct DistributedSetup {
     num_rays: usize,
     num_voxels: usize,
     decomp: SliceDecomposition,
+    /// Every rank's `(row, column)` packing orders: the scan's Hilbert
+    /// orders restricted to the rank's footprint rays and owned voxels.
+    orders: Vec<(Order, Order)>,
     compiled: CompiledPlans,
     comm_elements: (u64, u64, u64),
     /// `(fusing, operators ordered by rank)` for every batch length run
@@ -467,6 +471,12 @@ impl DistributedSetup {
             CurveKind::Hilbert,
             cfg.tile_weights.as_ref().map(|tw| tw.weights.as_slice()),
         );
+        let (rays, voxels) = packing_orders(scan, cfg.block_size);
+        let orders = decomp
+            .local_ops
+            .iter()
+            .map(|op| op.packing_orders(&rays, &voxels))
+            .collect();
         let ownership = decomp.ray_ownership();
         // Compile the plan once into per-peer index tables; every rank
         // then executes pure index arithmetic with zero steady-state
@@ -510,6 +520,7 @@ impl DistributedSetup {
             num_rays: sm.num_rays(),
             num_voxels: sm.num_voxels(),
             decomp,
+            orders,
             compiled,
             comm_elements,
             packed: Vec::new(),
@@ -532,9 +543,11 @@ impl DistributedSetup {
             .decomp
             .local_ops
             .iter()
-            .map(|op| {
-                PrecisionOperator::new(
+            .zip(&self.orders)
+            .map(|(op, (rows, cols))| {
+                PrecisionOperator::ordered(
                     &op.csr,
+                    (rows, cols),
                     cfg.precision,
                     fusing,
                     cfg.block_size,

@@ -160,6 +160,23 @@ impl TileDecomposition {
         (y0..y1).flat_map(move |y| (x0..x1).map(move |x| (x, y)))
     }
 
+    /// Every cell of the domain exactly once, as its row-major id
+    /// `y * width + x`: tiles in curve order, cells row-major within a
+    /// tile. A run of `tile_size²` consecutive entries is one compact
+    /// patch — the order the packed SpMM operators are laid out under, so
+    /// the rows of a thread block share the columns they stage.
+    pub fn cell_order(&self) -> Vec<u32> {
+        let width = self.domain.width;
+        let cell_id = |(x, y)| {
+            // xct-allow(no-panic): operator indices are u32 throughout the workspace
+            u32::try_from(y * width + x).expect("cell id fits u32")
+        };
+        self.order
+            .iter()
+            .flat_map(|&t| self.tile_cell_coords(t).map(cell_id))
+            .collect()
+    }
+
     /// Splits the curve-ordered tiles into `parts` balanced contiguous
     /// subdomains (process-level decomposition, Fig 4b).
     ///
@@ -303,6 +320,27 @@ mod tests {
             }
             assert!(seen.iter().all(|&s| s), "{w}x{h}/{tile}: cells uncovered");
         }
+    }
+
+    #[test]
+    fn cell_order_lists_every_cell_once_tile_by_tile() {
+        for &(w, h, tile) in &[(64, 64, 8), (100, 60, 16), (33, 17, 8), (5, 5, 8)] {
+            let d = decomp(w, h, tile);
+            let order = d.cell_order();
+            let mut sorted = order.clone();
+            sorted.sort_unstable();
+            assert_eq!(sorted, (0..(w * h) as u32).collect::<Vec<_>>());
+            // The curve's first tile comes first, row-major inside it.
+            let first = d.ordered_tiles()[0];
+            let cells: Vec<u32> = d
+                .tile_cell_coords(first)
+                .map(|(x, y)| (y * w + x) as u32)
+                .collect();
+            assert_eq!(order[..cells.len()], cells);
+        }
+        // 4×4 cells in 2×2 tiles: tile (0,0) first, then the curve's next.
+        let order = decomp(4, 4, 2).cell_order();
+        assert_eq!(order[..4], [0, 1, 4, 5]);
     }
 
     #[test]

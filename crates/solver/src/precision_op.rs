@@ -4,7 +4,7 @@
 use crate::operator::LinearOperator;
 use xct_exec::{BufferRole, ExecContext, Phase};
 use xct_fp16::{max_abs, AdaptiveNormalizer, Precision, StorageScalar, F16};
-use xct_spmm::{spmm_with, Csr, KernelMetrics, PackedMatrix};
+use xct_spmm::{spmm_with, Csr, KernelMetrics, Order, PackedMatrix};
 
 /// `A` and `Aᵀ` packed for the buffered SpMM at a chosen precision, with
 /// the adaptive (de)normalization of §III-C1 around every half-precision
@@ -51,11 +51,39 @@ enum Inner {
 }
 
 impl PrecisionOperator {
-    /// Packs `csr` (one slice's `A`) and its transpose for `fusing`
-    /// simultaneous slices at `precision`, with `block_size` threads per
-    /// block and `shared_bytes` of staging buffer.
+    /// [`ordered`](Self::ordered) under the identity orders: blocks are
+    /// runs of consecutive rows, stages cut columns in ascending index.
     pub fn new(
         csr: &Csr<f32>,
+        precision: Precision,
+        fusing: usize,
+        block_size: usize,
+        shared_bytes: usize,
+    ) -> Self {
+        let rows = Order::identity(csr.num_rows());
+        let cols = Order::identity(csr.num_cols());
+        Self::ordered(
+            csr,
+            (&rows, &cols),
+            precision,
+            fusing,
+            block_size,
+            shared_bytes,
+        )
+    }
+
+    /// Packs `csr` (one slice's `A`) and its transpose for `fusing`
+    /// simultaneous slices at `precision`, with `block_size` threads per
+    /// block and `shared_bytes` of staging buffer, laid out under
+    /// `(row order, column order)`: `A` is packed with its rows (rays)
+    /// grouped into blocks by the first and its columns (voxels) staged
+    /// in the sequence of the second; `Aᵀ` with the pair swapped. The
+    /// orders shape the layout only — `apply` and `apply_transpose` take
+    /// and return vectors in `csr`'s own numbering
+    /// (see [`PackedMatrix::pack_ordered`]).
+    pub fn ordered(
+        csr: &Csr<f32>,
+        (rows, cols): (&Order, &Order),
         precision: Precision,
         fusing: usize,
         block_size: usize,
@@ -74,27 +102,30 @@ impl PrecisionOperator {
         // a map over its values — no triplets, no per-row sort.
         fn repack<S: StorageScalar>(
             c: &Csr<f32>,
+            (rows, cols): (&Order, &Order),
             scale: f32,
             block: usize,
             shared: usize,
             fusing: usize,
         ) -> PackedMatrix<S> {
             let scaled = c.map_values(|v| S::from_f32(v * scale));
-            PackedMatrix::pack(&scaled, block, shared, fusing)
+            PackedMatrix::pack_ordered(&scaled, rows, cols, block, shared, fusing)
         }
+        // The transpose's rows are `csr`'s columns and vice versa.
+        let (fwd, bwd) = ((rows, cols), (cols, rows));
 
         let inner = match precision {
             Precision::Double => Inner::Double {
-                a: repack::<f64>(csr, matrix_scale, block_size, shared_bytes, fusing),
-                at: repack::<f64>(&at, matrix_scale, block_size, shared_bytes, fusing),
+                a: repack::<f64>(csr, fwd, matrix_scale, block_size, shared_bytes, fusing),
+                at: repack::<f64>(&at, bwd, matrix_scale, block_size, shared_bytes, fusing),
             },
             Precision::Single => Inner::Single {
-                a: repack::<f32>(csr, matrix_scale, block_size, shared_bytes, fusing),
-                at: repack::<f32>(&at, matrix_scale, block_size, shared_bytes, fusing),
+                a: repack::<f32>(csr, fwd, matrix_scale, block_size, shared_bytes, fusing),
+                at: repack::<f32>(&at, bwd, matrix_scale, block_size, shared_bytes, fusing),
             },
             Precision::Half | Precision::Mixed => Inner::HalfFamily {
-                a: repack::<F16>(csr, matrix_scale, block_size, shared_bytes, fusing),
-                at: repack::<F16>(&at, matrix_scale, block_size, shared_bytes, fusing),
+                a: repack::<F16>(csr, fwd, matrix_scale, block_size, shared_bytes, fusing),
+                at: repack::<F16>(&at, bwd, matrix_scale, block_size, shared_bytes, fusing),
                 half_compute: precision == Precision::Half,
             },
         };

@@ -3,6 +3,7 @@
 
 use crate::compute::ComputeScalar;
 use crate::metrics::KernelMetrics;
+use crate::order::Order;
 use xct_fp16::StorageScalar;
 use xct_geometry::SystemMatrix;
 
@@ -171,19 +172,27 @@ impl<S: StorageScalar> Csr<S> {
         }
     }
 
-    /// Applies a symmetric permutation: row `r` of the result is old row
-    /// `row_perm[r]`, and old column `c` becomes `col_rank[c]`.
+    /// Renumbers the matrix by an order pair: row `r` of the result is
+    /// old row `rows.indices()[r]`, and old column `c` becomes
+    /// `cols.rank()[c]`.
     ///
-    /// This is how Hilbert ordering is imposed on the operator: rays and
-    /// voxels are renumbered so that contiguous indices are spatially local.
-    pub fn permute(&self, row_perm: &[u32], col_rank: &[u32]) -> Csr<S> {
-        assert_eq!(row_perm.len(), self.num_rows, "row permutation length");
-        assert_eq!(col_rank.len(), self.num_cols, "column ranking length");
+    /// This imposes an ordering on the *vectors* — the result multiplies
+    /// a permuted `x` into a permuted `y`.
+    /// [`PackedMatrix::pack_ordered`](crate::PackedMatrix::pack_ordered)
+    /// gets the same locality without renumbering anything; `permute` is
+    /// the independent route its tests compare against.
+    ///
+    /// # Panics
+    /// Panics when an order's length is not the matrix's.
+    pub fn permute(&self, rows: &Order, cols: &Order) -> Csr<S> {
+        assert_eq!(rows.len(), self.num_rows, "row order length");
+        assert_eq!(cols.len(), self.num_cols, "column order length");
+        let col_rank = cols.rank();
         let mut rowptr = Vec::with_capacity(self.num_rows + 1);
         let mut colidx = Vec::with_capacity(self.nnz());
         let mut values = Vec::with_capacity(self.nnz());
         rowptr.push(0);
-        for &old_r in row_perm {
+        for &old_r in rows.indices() {
             let (cols, vals) = self.row(old_r as usize);
             let mut entries: Vec<(u32, S)> = cols
                 .iter()
@@ -416,13 +425,21 @@ mod tests {
     #[test]
     fn permute_reorders_rows_and_relabels_cols() {
         let a = toy();
-        // Swap rows; relabel columns reversed.
-        let p = a.permute(&[1, 0], &[2, 1, 0]);
+        // Swap rows; columns in the order 2, 0, 1: old column 2 becomes
+        // 0, old 0 becomes 1, old 1 becomes 2.
+        let p = a.permute(&Order::new(vec![1, 0]), &Order::new(vec![2, 0, 1]));
         let mut y = [0.0f32; 2];
-        // New row 0 = old row 1 (3 at old col 1 -> new col 1).
         p.spmv::<f32>(&[10.0, 20.0, 30.0], &mut y);
-        assert_eq!(y[0], 60.0); // 3 * x[new col 1]
-        assert_eq!(y[1], 10.0 * 2.0 + 30.0 * 1.0); // old row 0 relabeled
+        assert_eq!(y[0], 3.0 * 30.0); // old row 1: 3 at old col 1 -> new col 2
+        assert_eq!(y[1], 1.0 * 20.0 + 2.0 * 10.0); // old row 0 relabeled
+    }
+
+    /// An order is a permutation by construction, so the one way left to
+    /// hand `permute` a wrong one is a wrong length.
+    #[test]
+    #[should_panic(expected = "column order length")]
+    fn permute_rejects_an_order_of_another_length() {
+        toy().permute(&Order::identity(2), &Order::identity(2));
     }
 
     #[test]

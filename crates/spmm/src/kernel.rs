@@ -14,6 +14,10 @@
 //!   write y[f*numrow + row] = acc[f]            // lines 32–36
 //! ```
 //!
+//! `row` is read from the block's row list and the gather goes through
+//! the stage's `map`, so whatever [`Order`](crate::Order) pair the matrix
+//! was packed under, `x` and `y` are in the matrix's own numbering.
+//!
 //! Storage scalar `S` and compute scalar `C` are independent, giving the
 //! double/single/half/mixed modes of §III-C.
 //!
@@ -166,9 +170,10 @@ pub fn simd_available() -> bool {
 /// The one launch skeleton (shapes already checked): partitions `a`'s
 /// blocks over the context's executor, runs
 /// `body(block, acc, staged, out)` on each with per-worker scratch,
-/// scatters the block outputs into `y`, and meters the launch. `T` is the element type of the body's staging
-/// buffer (the shared-memory stand-in): compute precision for the f32x8
-/// body, storage precision for the reference.
+/// scatters the block outputs into `y`, and meters the launch. `T` is the
+/// element type of the body's staging buffer (the shared-memory
+/// stand-in): compute precision for the f32x8 body, storage precision
+/// for the reference.
 fn launch<S, C, T>(
     a: &PackedMatrix<S>,
     y: &mut [S],
@@ -182,8 +187,8 @@ where
 {
     let fusing = a.fusing();
     let blocks = a.blocks();
-    // Per-block scratch strides. `block_size` bounds `block.rows`, so one
-    // stride fits any block.
+    // Per-block scratch strides. `block_size` bounds `block.rows.len()`,
+    // so one stride fits any block.
     let acc_stride = a.block_size() * fusing;
     let staged_stride = a.slots_per_stage() * fusing;
     let parts = ctx.executor.partitions(blocks.len());
@@ -227,13 +232,14 @@ where
     }
 
     // Sequential scatter of thread-major block outputs into the
-    // slice-major `y`: the write order — and with it cross-executor
-    // determinism — is fixed here, for both bodies.
+    // slice-major `y`, each to the row its block lists for that thread:
+    // the write order — and with it cross-executor determinism — is
+    // fixed here, for both bodies.
     let num_rows = a.num_rows();
     for (block, out) in blocks.iter().zip(out.chunks(acc_stride)) {
-        for t in 0..block.rows {
-            for f in 0..fusing {
-                y[f * num_rows + block.row_base + t] = out[t * fusing + f];
+        for (&row, out) in block.rows.iter().zip(out.chunks_exact(fusing)) {
+            for (f, &v) in out.iter().enumerate() {
+                y[f * num_rows + row as usize] = v;
             }
         }
     }
@@ -295,7 +301,8 @@ fn run_block_into_reference<S: StorageScalar, C: ComputeScalar>(
     shared: &mut [S],
     out: &mut [S],
 ) {
-    let acc = &mut acc[..block.rows * fusing];
+    let rows = block.rows.len();
+    let acc = &mut acc[..rows * fusing];
     acc.fill(C::default());
 
     for stage in &block.stages {
@@ -309,7 +316,7 @@ fn run_block_into_reference<S: StorageScalar, C: ComputeScalar>(
                 let round = &warp.indval[n * WARP_SIZE..(n + 1) * WARP_SIZE];
                 for (lane, e) in round.iter().enumerate() {
                     let t = w * WARP_SIZE + lane;
-                    if t >= block.rows {
+                    if t >= rows {
                         continue; // thread owns no row (`if(row < numrow)`)
                     }
                     let len = C::load(e.len);
@@ -323,7 +330,7 @@ fn run_block_into_reference<S: StorageScalar, C: ComputeScalar>(
         }
     }
 
-    for t in 0..block.rows {
+    for t in 0..rows {
         for f in 0..fusing {
             out[t * fusing + f] = acc[t * fusing + f].store();
         }

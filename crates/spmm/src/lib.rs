@@ -48,6 +48,7 @@ mod compute;
 mod csr;
 mod kernel;
 mod metrics;
+mod order;
 mod packed;
 #[cfg(target_arch = "x86_64")]
 mod simd;
@@ -59,6 +60,7 @@ pub use kernel::{
     spmm_reference_with, spmm_with,
 };
 pub use metrics::KernelMetrics;
+pub use order::Order;
 pub use packed::{
     packed_element_bytes, PackedBlock, PackedElem, PackedMatrix, PackedStage, PackedWarp, WARP_SIZE,
 };

@@ -8,9 +8,18 @@
 //! elements fill one 128-byte cache line. The element stores a `u16`
 //! shared-memory index — not a global column — which is what makes the
 //! 4-byte packing possible.
+//!
+//! Which rows share a block, and which columns share a stage, is the
+//! [`Order`] pair the matrix is packed under (§III-A1: both domains are
+//! Hilbert-ordered so a block's rays cross the same voxels). The order
+//! lives in the layout only — a block lists the rows it writes, a stage
+//! maps its slots to the columns it reads — so `x` and `y` keep the
+//! matrix's own numbering and the two indirections the kernel already
+//! performs (gather through `map`, scatter of block outputs) absorb it.
 
 use crate::csr::Csr;
 use crate::metrics::KernelMetrics;
+use crate::order::Order;
 use xct_fp16::StorageScalar;
 
 /// Threads per warp, as on NVIDIA hardware.
@@ -50,7 +59,8 @@ pub struct PackedWarp<S> {
 /// One shared-memory stage of a block (§III-B4).
 #[derive(Debug, Clone)]
 pub struct PackedStage<S> {
-    /// Gather map: shared slot → global column (`buffmap`).
+    /// Gather map: shared slot → global column (`buffmap`), in the
+    /// column order's sequence.
     pub map: Vec<u32>,
     /// Per-warp packed nonzeros whose columns live in this stage.
     pub warps: Vec<PackedWarp<S>>,
@@ -59,10 +69,9 @@ pub struct PackedStage<S> {
 /// One thread block's rows and stages.
 #[derive(Debug, Clone)]
 pub struct PackedBlock<S> {
-    /// First global row owned by this block.
-    pub row_base: usize,
-    /// Rows owned (≤ block size).
-    pub rows: usize,
+    /// The rows this block computes (≤ block size): thread `t` writes
+    /// `y[rows[t]]`. A run of the row order.
+    pub rows: Vec<u32>,
     /// The multi-stage buffering schedule.
     pub stages: Vec<PackedStage<S>>,
 }
@@ -83,24 +92,54 @@ pub struct PackedMatrix<S> {
 }
 
 impl<S: StorageScalar> PackedMatrix<S> {
+    /// [`pack_ordered`](Self::pack_ordered) under the identity orders:
+    /// block `b` owns rows `b·block_size..`, stages cut a block's columns
+    /// in ascending index.
+    pub fn pack(csr: &Csr<S>, block_size: usize, shared_bytes: usize, fusing: usize) -> Self {
+        let rows = Order::identity(csr.num_rows());
+        let cols = Order::identity(csr.num_cols());
+        Self::pack_ordered(csr, &rows, &cols, block_size, shared_bytes, fusing)
+    }
+
     /// Packs a CSR matrix for execution with `fusing` slices per
     /// minibatch, `block_size` threads (= rows) per block, and
     /// `shared_bytes` of staging buffer per block.
     ///
-    /// Column indices should already be in Hilbert rank order (see
-    /// [`Csr::permute`]) so that ascending-index stages are spatially
-    /// local, mirroring the buffer shapes of paper Fig 5(c–d).
+    /// `rows` decides which rows share a block — block `b` owns
+    /// `rows.indices()[b·block_size..]` — and `cols` the sequence in
+    /// which a block's distinct columns fill its stages. Orders that keep
+    /// spatial neighbours together (Hilbert tiles of the sinogram and
+    /// tomogram planes) make the rows of a block share the columns they
+    /// stage, mirroring the buffer shapes of paper Fig 5(c–d). The packed
+    /// matrix still computes `y = A·x` in `csr`'s own row and column
+    /// numbering.
+    ///
+    /// Within one stage a row's nonzeros keep `csr`'s (ascending-column)
+    /// sequence, so a row whose block has a single stage accumulates in
+    /// exactly the order [`Csr::spmv`] does, whatever the orders; only a
+    /// block cut into several stages visits a row's columns stage by
+    /// stage.
     ///
     /// # Panics
     /// Panics when `block_size` is not a multiple of [`WARP_SIZE`], when
-    /// the shared buffer cannot hold even one slot per slice, or when the
-    /// stage capacity would overflow the `u16` shared index.
-    pub fn pack(csr: &Csr<S>, block_size: usize, shared_bytes: usize, fusing: usize) -> Self {
+    /// the shared buffer cannot hold even one slot per slice, when the
+    /// stage capacity would overflow the `u16` shared index, or when an
+    /// order's length is not the matrix's.
+    pub fn pack_ordered(
+        csr: &Csr<S>,
+        rows: &Order,
+        cols: &Order,
+        block_size: usize,
+        shared_bytes: usize,
+        fusing: usize,
+    ) -> Self {
         assert!(
             block_size > 0 && block_size.is_multiple_of(WARP_SIZE),
             "block size {block_size} must be a positive multiple of {WARP_SIZE}"
         );
         assert!(fusing > 0, "fusing factor must be nonzero");
+        assert_eq!(rows.len(), csr.num_rows(), "row order length");
+        assert_eq!(cols.len(), csr.num_cols(), "column order length");
         // Shared memory holds `fusing` copies of every staged slot.
         let slots = shared_bytes / (fusing * S::BYTES);
         assert!(
@@ -114,52 +153,60 @@ impl<S: StorageScalar> PackedMatrix<S> {
             ind: 0,
             len: S::zero(),
         };
-        // Scratch shared by every block. `position[c]` is column `c`'s
-        // rank among the current block's distinct columns — written for
-        // exactly those columns before it is read, so it is never
-        // cleared. `cols` and `counts` are refilled per block.
+        // Scratch shared by every block. `seen_in[c]` is the last block
+        // that touched column `c`, and `position[c]` that column's place
+        // among the block's distinct columns — valid for exactly the
+        // columns the current block stamped, so neither is ever cleared.
+        // `ranks` and `counts` are refilled per block.
+        let mut seen_in = vec![u32::MAX; csr.num_cols()];
         let mut position = vec![0u32; csr.num_cols()];
-        let mut cols: Vec<u32> = Vec::new();
+        let mut ranks: Vec<u32> = Vec::new();
         let mut counts: Vec<usize> = Vec::new();
+        let (col_rank, col_at) = (cols.rank(), cols.indices());
 
         let mut blocks = Vec::with_capacity(csr.num_rows().div_ceil(block_size));
         let mut padded_nnz = 0usize;
-        let mut row_base = 0usize;
-        while row_base < csr.num_rows() {
-            let rows = block_size.min(csr.num_rows() - row_base);
-            // Distinct columns touched by this block, ascending; stage and
-            // slot of a column follow from its rank: rank / capacity,
-            // rank % capacity.
-            cols.clear();
-            for r in row_base..row_base + rows {
-                cols.extend_from_slice(csr.row(r).0);
+        for (b, block_rows) in rows.indices().chunks(block_size).enumerate() {
+            // Distinct columns touched by this block, in column order;
+            // stage and slot of a column follow from its place in that
+            // list: place / capacity, place % capacity.
+            ranks.clear();
+            for &r in block_rows {
+                for &c in csr.row(r as usize).0 {
+                    let seen = &mut seen_in[c as usize];
+                    if *seen != b as u32 {
+                        *seen = b as u32;
+                        ranks.push(col_rank[c as usize]);
+                    }
+                }
             }
-            cols.sort_unstable();
-            cols.dedup();
-            for (i, &c) in cols.iter().enumerate() {
-                position[c as usize] = i as u32;
+            ranks.sort_unstable();
+            for (i, &k) in ranks.iter().enumerate() {
+                position[col_at[k as usize] as usize] = i as u32;
             }
             // A block of empty rows still gets one (empty) stage so the
             // executor writes its zeros.
-            let num_stages = cols.len().div_ceil(slots_per_stage).max(1);
+            let num_stages = ranks.len().div_ceil(slots_per_stage).max(1);
 
             // Counting pass: nonzeros per (stage, thread). A warp's rounds
             // are its longest lane; that sizes every `indval` exactly.
             counts.clear();
             counts.resize(num_stages * block_size, 0);
-            for t in 0..rows {
-                for &c in csr.row(row_base + t).0 {
+            for (t, &r) in block_rows.iter().enumerate() {
+                for &c in csr.row(r as usize).0 {
                     let stage = position[c as usize] as usize / slots_per_stage;
                     counts[stage * block_size + t] += 1;
                 }
             }
             let mut stages: Vec<PackedStage<S>> = (0..num_stages)
                 .map(|stage| PackedStage {
-                    map: cols
+                    map: ranks
                         .chunks(slots_per_stage)
                         .nth(stage)
                         .unwrap_or_default()
-                        .to_vec(),
+                        .iter()
+                        .map(|&k| col_at[k as usize])
+                        .collect(),
                     warps: counts[stage * block_size..][..block_size]
                         .chunks(WARP_SIZE)
                         .map(|lanes| {
@@ -181,12 +228,12 @@ impl<S: StorageScalar> PackedMatrix<S> {
             // Fill pass: the counts become per-(stage, thread) cursors, so
             // a lane's elements keep their row order round by round.
             counts.fill(0);
-            for t in 0..rows {
-                let (rcols, rvals) = csr.row(row_base + t);
+            for (t, &r) in block_rows.iter().enumerate() {
+                let (rcols, rvals) = csr.row(r as usize);
                 let (warp, lane) = (t / WARP_SIZE, t % WARP_SIZE);
                 for (&c, &v) in rcols.iter().zip(rvals) {
-                    let rank = position[c as usize] as usize;
-                    let (stage, slot) = (rank / slots_per_stage, rank % slots_per_stage);
+                    let place = position[c as usize] as usize;
+                    let (stage, slot) = (place / slots_per_stage, place % slots_per_stage);
                     let n = &mut counts[stage * block_size + t];
                     stages[stage].warps[warp].indval[*n * WARP_SIZE + lane] = PackedElem {
                         ind: slot as u16,
@@ -196,11 +243,9 @@ impl<S: StorageScalar> PackedMatrix<S> {
                 }
             }
             blocks.push(PackedBlock {
-                row_base,
-                rows,
+                rows: block_rows.to_vec(),
                 stages,
             });
-            row_base += rows;
         }
 
         PackedMatrix {
@@ -304,11 +349,14 @@ impl<S: StorageScalar> PackedMatrix<S> {
     /// The memory-traffic/flop account of one fused SpMM with this
     /// matrix, assuming perfect shared-memory reuse (gathers hit DRAM
     /// once per staged slot, matrix elements stream once, output written
-    /// once). This is the model behind the Fig 9b roofline points.
+    /// once through the block's row list). This is the model behind the
+    /// Fig 9b roofline points.
     pub fn kernel_metrics(&self) -> KernelMetrics {
         let elem = packed_element_bytes::<S>() as u64;
         let mut bytes_read = 0u64;
         for block in &self.blocks {
+            // The row list (u32 each) the output scatter reads.
+            bytes_read += block.rows.len() as u64 * 4;
             for stage in &block.stages {
                 // buffmap (u32 each) + gathered x for all fused slices.
                 bytes_read += stage.map.len() as u64 * (4 + (self.fusing * S::BYTES) as u64);
@@ -359,12 +407,46 @@ mod tests {
         assert_eq!(packed_element_bytes::<f64>(), 16);
     }
 
+    /// A fixed scramble of `0..len` (`stride` coprime to `len`).
+    fn strided_order(len: usize, stride: usize) -> Order {
+        Order::new((0..len).map(|i| ((i * stride + 5) % len) as u32).collect())
+    }
+
     #[test]
     fn pack_preserves_every_nonzero() {
         let csr = random_csr(100, 300, 7, 42);
-        let packed = PackedMatrix::pack(&csr, 64, 4096, 2);
-        assert_eq!(packed.nnz(), csr.nnz());
-        // Recover triplets from the packed layout and compare.
+        let natural = PackedMatrix::pack(&csr, 64, 512, 2);
+        let scrambled = PackedMatrix::pack_ordered(
+            &csr,
+            &strided_order(100, 37),
+            &strided_order(300, 71),
+            64,
+            512,
+            2,
+        );
+        assert!(scrambled.total_stages() > scrambled.blocks().len());
+        for packed in [natural, scrambled] {
+            assert_eq!(packed.nnz(), csr.nnz());
+            let mut expected: Vec<(u32, u32, u32)> = csr
+                .triplets()
+                .map(|(r, c, v)| (r, c, v.to_bits()))
+                .collect();
+            let mut got = unpack(&packed);
+            got.sort_unstable();
+            expected.sort_unstable();
+            assert_eq!(got, expected);
+            let mut written: Vec<u32> = packed
+                .blocks()
+                .iter()
+                .flat_map(|b| b.rows.iter().copied())
+                .collect();
+            written.sort_unstable();
+            assert_eq!(written, (0..100).collect::<Vec<u32>>(), "each row once");
+        }
+    }
+
+    /// The `(row, column, value bits)` triplets a packed layout encodes.
+    fn unpack(packed: &PackedMatrix<f32>) -> Vec<(u32, u32, u32)> {
         let mut got: Vec<(u32, u32, u32)> = Vec::new();
         for block in packed.blocks() {
             for stage in &block.stages {
@@ -373,46 +455,44 @@ mod tests {
                         for lane in 0..WARP_SIZE {
                             let e = warp.indval[n * WARP_SIZE + lane];
                             let t = w * WARP_SIZE + lane;
-                            if t >= block.rows {
+                            if t >= block.rows.len() {
                                 continue;
                             }
                             if e.len != 0.0 {
                                 let col = stage.map[e.ind as usize];
-                                got.push(((block.row_base + t) as u32, col, e.len.to_bits()));
+                                got.push((block.rows[t], col, e.len.to_bits()));
                             }
                         }
                     }
                 }
             }
         }
-        let mut expected: Vec<(u32, u32, u32)> = csr
-            .triplets()
-            .map(|(r, c, v)| (r, c, v.to_bits()))
-            .collect();
-        got.sort_unstable();
-        expected.sort_unstable();
-        assert_eq!(got, expected);
+        got
     }
 
     /// One stage as `(map, per-warp (rounds, [(ind, len bits)]))`.
     type StageLayout = (Vec<u32>, Vec<(usize, Vec<(u16, u64)>)>);
 
-    /// The layout `pack` must produce, built the slow obvious way: per
-    /// block the sorted distinct columns cut into stages, per (stage,
-    /// warp) one list per lane in row order, padded to the longest.
-    /// Returns one [`StageLayout`] per stage, per block.
+    /// The layout `pack_ordered` must produce, built the slow obvious
+    /// way: per block (a run of the row order) the distinct columns in
+    /// column order cut into stages, per (stage, warp) one list per lane
+    /// in the row's own sequence, padded to the longest. Returns one
+    /// [`StageLayout`] per stage, per block.
     fn lane_list_layout<S: StorageScalar>(
         csr: &Csr<S>,
+        row_order: &Order,
+        col_order: &Order,
         block_size: usize,
         slots: usize,
     ) -> Vec<Vec<StageLayout>> {
         let mut blocks = Vec::new();
-        for row_base in (0..csr.num_rows()).step_by(block_size) {
-            let rows = block_size.min(csr.num_rows() - row_base);
-            let mut cols: Vec<u32> = (row_base..row_base + rows)
-                .flat_map(|r| csr.row(r).0.iter().copied())
+        for block_rows in row_order.indices().chunks(block_size) {
+            let rows = block_rows.len();
+            let mut cols: Vec<u32> = block_rows
+                .iter()
+                .flat_map(|&r| csr.row(r as usize).0.iter().copied())
                 .collect();
-            cols.sort_unstable();
+            cols.sort_unstable_by_key(|&c| col_order.rank()[c as usize]);
             cols.dedup();
             let num_stages = cols.len().div_ceil(slots).max(1);
             let mut stages = Vec::new();
@@ -431,7 +511,7 @@ mod tests {
                             if t >= rows {
                                 return Vec::new();
                             }
-                            let (rc, rv) = csr.row(row_base + t);
+                            let (rc, rv) = csr.row(block_rows[t] as usize);
                             rc.iter()
                                 .zip(rv)
                                 .filter_map(|(c, v)| {
@@ -460,28 +540,37 @@ mod tests {
     /// The precision modes' pack — the sorted `f32` operator re-typed and
     /// rescaled by `map_values`, then the counting packer — against the
     /// route it replaced, scaled triplets through `from_triplets`, laid
-    /// out by lane lists: block for block the same maps, rounds, `indval`
-    /// bits and padded size, for every storage type, on a ragged
-    /// multi-stage matrix whose middle block has only empty rows.
+    /// out by lane lists: block for block the same row lists, maps,
+    /// rounds, `indval` bits and padded size, for every storage type,
+    /// under the identity orders and under scrambled ones, on a ragged
+    /// multi-stage matrix with 64 empty rows (one whole block of the
+    /// identity order).
     #[test]
     fn direct_scaled_pack_equals_the_triplet_route_structurally() {
-        fn check<S: StorageScalar>(csr: &Csr<f32>, scale: f32) {
+        fn check<S: StorageScalar>(csr: &Csr<f32>, scale: f32, rows: &Order, cols: &Order) {
             let (block_size, slots, fusing) = (64, 24, 3);
-            let direct = PackedMatrix::<S>::pack(
+            let direct = PackedMatrix::<S>::pack_ordered(
                 &csr.map_values(|v| S::from_f32(v * scale)),
+                rows,
+                cols,
                 block_size,
                 slots * fusing * S::BYTES,
                 fusing,
             );
             let scaled = csr.triplets().map(|(r, c, v)| (r, c, v * scale));
             let typed = Csr::<S>::from_triplets(csr.num_rows(), csr.num_cols(), scaled);
-            let expected = lane_list_layout(&typed, block_size, slots);
+            let expected = lane_list_layout(&typed, rows, cols, block_size, slots);
 
             assert_eq!(direct.slots_per_stage(), slots);
             assert_eq!(direct.blocks().len(), expected.len(), "{}", S::NAME);
             let mut padded = 0;
             for (b, (block, want)) in direct.blocks().iter().zip(&expected).enumerate() {
-                assert_eq!(block.row_base, b * block_size);
+                assert_eq!(
+                    block.rows,
+                    rows.indices().chunks(block_size).nth(b).unwrap(),
+                    "{} block {b}",
+                    S::NAME
+                );
                 assert_eq!(block.stages.len(), want.len(), "{} block {b}", S::NAME);
                 for (stage, (map, warps)) in block.stages.iter().zip(want) {
                     assert_eq!(&stage.map, map, "{} block {b}", S::NAME);
@@ -520,9 +609,106 @@ mod tests {
             }
         }
         let csr = Csr::<f32>::from_triplets(168, 300, triplets.into_iter());
-        check::<f64>(&csr, 1.0);
-        check::<f32>(&csr, 1.0);
-        check::<F16>(&csr, 1.0 / 1.0005);
+        for (rows, cols) in [
+            (Order::identity(168), Order::identity(300)),
+            (strided_order(168, 47), strided_order(300, 71)),
+        ] {
+            check::<f64>(&csr, 1.0, &rows, &cols);
+            check::<f32>(&csr, 1.0, &rows, &cols);
+            check::<F16>(&csr, 1.0 / 1.0005, &rows, &cols);
+        }
+    }
+
+    /// `pack` is `pack_ordered` under the identity orders, and says so in
+    /// the layout: block `b` lists rows `b·block_size..` and every map
+    /// ascends.
+    #[test]
+    fn pack_is_the_identity_order() {
+        let csr = random_csr(100, 300, 7, 42);
+        let packed = PackedMatrix::pack(&csr, 64, 512, 2);
+        assert!(packed.total_stages() > packed.blocks().len());
+        assert_eq!(packed.blocks()[0].rows, (0..64).collect::<Vec<u32>>());
+        assert_eq!(packed.blocks()[1].rows, (64..100).collect::<Vec<u32>>());
+        for block in packed.blocks() {
+            let staged: Vec<u32> = block.stages.iter().flat_map(|s| s.map.clone()).collect();
+            assert!(staged.windows(2).all(|w| w[0] < w[1]));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "row order length")]
+    fn short_row_order_rejected() {
+        let csr = random_csr(10, 10, 2, 1);
+        PackedMatrix::pack_ordered(&csr, &Order::identity(9), &Order::identity(10), 32, 1024, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "column order length")]
+    fn long_column_order_rejected() {
+        let csr = random_csr(10, 10, 2, 1);
+        PackedMatrix::pack_ordered(
+            &csr,
+            &Order::identity(10),
+            &Order::identity(11),
+            32,
+            1024,
+            1,
+        );
+    }
+
+    /// The counts the traffic account is built from — staged slots,
+    /// padded elements, row-list entries — against a two-block layout
+    /// worked out by hand, under orders that move both.
+    ///
+    /// 34 rows × 6 columns: row `r < 32` holds column `r % 2`; row 32
+    /// holds {2, 3, 4}, row 33 holds {4, 5}: 37 nonzeros.
+    #[test]
+    fn metrics_count_the_ordered_layout_by_hand() {
+        let triplets = (0..32u32)
+            .map(|r| (r, r % 2, 1.0f32))
+            .chain([(32, 2, 1.0), (32, 3, 1.0), (32, 4, 1.0)])
+            .chain([(33, 4, 1.0), (33, 5, 1.0)]);
+        let csr = Csr::<f32>::from_triplets(34, 6, triplets);
+        let fusing = 2;
+        let maps = |p: &PackedMatrix<f32>| -> Vec<Vec<Vec<u32>>> {
+            p.blocks()
+                .iter()
+                .map(|b| b.stages.iter().map(|s| s.map.clone()).collect())
+                .collect()
+        };
+        // bytes_read = 4 B per row id + (4 + fusing·4) B per staged slot
+        // + 8 B per padded f32 element.
+        let bytes = |slots: u64, padded: u64| 34 * 4 + slots * (4 + 2 * 4) + padded * 8;
+
+        // Identity, everything in one stage: block 0 = rows 0..32 stages
+        // {0, 1} in one round (32 elements); block 1 = rows 32, 33 stages
+        // {2, 3, 4, 5} in three rounds (96).
+        let natural = PackedMatrix::pack(&csr, 32, 1 << 10, fusing);
+        assert_eq!(maps(&natural), [[vec![0, 1]], [vec![2, 3, 4, 5]]]);
+        assert_eq!(natural.padded_nnz(), 32 + 96);
+        assert!((natural.average_reuse() - 37.0 / 6.0).abs() < 1e-12);
+        assert_eq!(natural.kernel_metrics().bytes_read, bytes(6, 128));
+
+        // Rows 32 and 33 first, columns descending, four slots a stage:
+        // block 0 = rows 32, 33, 0..30 stages [5, 4, 3, 2] (row 32 has
+        // three of them: 3 rounds, 96) then [1, 0] (1 round, 32); block 1
+        // = rows 30, 31 stages [1, 0] (32).
+        let rows = Order::new([32, 33].into_iter().chain(0..32).collect());
+        let cols = Order::new((0..6).rev().collect());
+        let ordered = PackedMatrix::pack_ordered(&csr, &rows, &cols, 32, 4 * fusing * 4, fusing);
+        assert_eq!(
+            maps(&ordered),
+            [vec![vec![5, 4, 3, 2], vec![1, 0]], vec![vec![1, 0]]]
+        );
+        assert_eq!(ordered.blocks()[1].rows, [30, 31]);
+        assert_eq!(ordered.padded_nnz(), 96 + 32 + 32);
+        assert!((ordered.average_reuse() - 37.0 / 8.0).abs() < 1e-12);
+        let (m, n) = (ordered.kernel_metrics(), natural.kernel_metrics());
+        assert_eq!(m.bytes_read, bytes(8, 160));
+        assert_eq!(m.padded_flops, 2 * 160 * fusing as u64);
+        // What the order cannot move: the useful work and the output.
+        assert_eq!(m.flops, 2 * 37 * fusing as u64);
+        assert_eq!((m.flops, m.bytes_written), (n.flops, n.bytes_written));
     }
 
     #[test]
@@ -591,7 +777,7 @@ mod tests {
         let packed = PackedMatrix::pack(&csr, 64, 2048, fusing);
         let m = packed.kernel_metrics();
         let elem = packed_element_bytes::<f32>() as u64;
-        let mut bytes_read = 0u64;
+        let mut bytes_read = 90 * 4; // one u32 row id per output row
         for block in packed.blocks() {
             for stage in &block.stages {
                 bytes_read += stage.map.len() as u64 * (4 + (fusing * 4) as u64);

@@ -77,7 +77,7 @@ pub(crate) fn run_block<S: StorageScalar, C: ComputeScalar>(
     unsafe { run_block_f32(block, xt_f32, fusing, acc_f32, staged_f32) };
     // Store accumulators through the generic epilogue (for `C` = f32,
     // `store` is the same one-rounding conversion the reference uses).
-    for (o, a) in out.iter_mut().zip(&acc[..block.rows * fusing]) {
+    for (o, a) in out.iter_mut().zip(&acc[..block.rows.len() * fusing]) {
         *o = a.store();
     }
 }
@@ -96,7 +96,7 @@ const LANE_GROUP: usize = 4;
 ///   deterministic, so the staged values are the very ones the reference
 ///   loads at each FMA.
 /// * **Branch-free lane panels** — within a warp, lanes owning rows are
-///   exactly the prefix `t < block.rows`, so the per-element bounds
+///   exactly the prefix `t < block.rows.len()`, so the per-element bounds
 ///   check hoists into one `full`-lane panel per warp (the ELL tail
 ///   beyond it is skipped wholesale).
 /// * **Register-resident accumulators** — a warp's stage is walked in
@@ -110,7 +110,7 @@ const LANE_GROUP: usize = 4;
 /// # Safety
 /// Caller must ensure the CPU supports AVX2 and FMA (checked via
 /// `is_x86_feature_detected!` in [`run_block`]). Slice bounds are
-/// checked: `acc.len() >= block.rows * fusing`, `staged` holds
+/// checked: `acc.len() >= block.rows.len() * fusing`, `staged` holds
 /// `slots * fusing` elements for every slot a stage maps, `xt` holds
 /// `fusing` elements for every column a stage maps.
 #[target_feature(enable = "avx2", enable = "fma")]
@@ -121,7 +121,8 @@ unsafe fn run_block_f32<S: StorageScalar>(
     acc: &mut [f32],
     staged: &mut [f32],
 ) {
-    let acc = &mut acc[..block.rows * fusing];
+    let rows = block.rows.len();
+    let acc = &mut acc[..rows * fusing];
     acc.fill(0.0);
 
     for stage in &block.stages {
@@ -133,10 +134,11 @@ unsafe fn run_block_f32<S: StorageScalar>(
         // Warp rounds (lines 22–29), panelized per warp.
         for (w, warp) in stage.warps.iter().enumerate() {
             let warp_base = w * WARP_SIZE;
-            // Rows are assigned to lanes in order, so the lanes owning a
-            // row are the prefix `[0, full)` — the `row < numrow` guard
-            // of Listing 1, hoisted out of the element loop.
-            let full = block.rows.saturating_sub(warp_base).min(WARP_SIZE);
+            // The block's row list is assigned to lanes in sequence, so
+            // the lanes owning a row are the prefix `[0, full)` — the
+            // `row < numrow` guard of Listing 1, hoisted out of the
+            // element loop.
+            let full = rows.saturating_sub(warp_base).min(WARP_SIZE);
             let indval = &warp.indval[..warp.rounds * WARP_SIZE];
             let mut lane = 0;
             while lane < full {

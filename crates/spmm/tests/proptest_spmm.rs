@@ -3,9 +3,13 @@
 //! precision.
 
 use proptest::prelude::*;
-use xct_fp16::F16;
+use xct_exec::{ExecContext, Executor, WorkspaceScalar};
+use xct_fp16::{StorageScalar, F16};
 use xct_geometry::{ImageGrid, ScanGeometry, SystemMatrix};
-use xct_spmm::{spmm_buffered, Csr, PackedMatrix};
+use xct_hilbert::{CurveKind, Domain2D, TileDecomposition};
+use xct_spmm::{
+    spmm_buffered, spmm_reference_with, spmm_with, ComputeScalar, Csr, Order, PackedMatrix,
+};
 
 fn csr_strategy() -> impl Strategy<Value = (usize, usize, Vec<(u32, u32, f32)>)> {
     (2usize..120, 2usize..150).prop_flat_map(|(rows, cols)| {
@@ -18,8 +22,150 @@ fn csr_strategy() -> impl Strategy<Value = (usize, usize, Vec<(u32, u32, f32)>)>
     })
 }
 
+/// A uniformly shuffled order of `0..len` (Fisher–Yates over an LCG).
+fn shuffled_order(len: usize, seed: u64) -> Order {
+    let mut state = seed | 1;
+    let mut indices: Vec<u32> = (0..len as u32).collect();
+    for i in (1..len).rev() {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        indices.swap(i, (state >> 33) as usize % (i + 1));
+    }
+    Order::new(indices)
+}
+
+/// Exact bit patterns of a storage vector (widening to f64 is injective
+/// for every storage type).
+fn bits<S: StorageScalar>(v: &[S]) -> Vec<u64> {
+    v.iter().map(|s| s.to_f64().to_bits()).collect()
+}
+
+/// One precision mode of the ordered-pack property (see the test below).
+/// `eps` is the unit roundoff the mode accumulates and stores at.
+fn check_ordered_pack<S, C>(
+    csr32: &Csr<f32>,
+    (rows, cols): (&Order, &Order),
+    fusing: usize,
+    slots: Option<usize>,
+    eps: f64,
+) -> Result<(), String>
+where
+    S: StorageScalar + WorkspaceScalar,
+    C: ComputeScalar + WorkspaceScalar,
+{
+    let (num_rows, num_cols) = (csr32.num_rows(), csr32.num_cols());
+    let csr = csr32.map_values(S::from_f32);
+    let x: Vec<S> = (0..num_cols * fusing)
+        .map(|i| S::from_f32(((i * 83 + 19) % 997) as f32 / 997.0 - 0.5))
+        .collect();
+    // `None` = a stage holds every column, so every block is single-stage.
+    let shared = slots.unwrap_or(num_cols) * fusing * S::BYTES;
+    let run = |packed: &PackedMatrix<S>, x: &[S], executor: Option<Executor>| {
+        let mut y = vec![S::zero(); num_rows * fusing];
+        match executor {
+            Some(e) => {
+                spmm_with::<S, C>(packed, x, &mut y, &mut ExecContext::with_executor(e));
+            }
+            None => {
+                spmm_reference_with::<S, C>(packed, x, &mut y, &mut ExecContext::serial());
+            }
+        }
+        y
+    };
+
+    // Both block bodies read the same row list and map: bit-identical.
+    let ordered = PackedMatrix::pack_ordered(&csr, rows, cols, 64, shared, fusing);
+    if slots.is_none() {
+        prop_assert_eq!(ordered.total_stages(), ordered.blocks().len());
+    }
+    let y = run(&ordered, &x, Some(Executor::Serial));
+    prop_assert_eq!(
+        bits(&y),
+        bits(&run(&ordered, &x, None)),
+        "{} reference",
+        S::NAME
+    );
+    prop_assert_eq!(
+        bits(&y),
+        bits(&run(&ordered, &x, Some(Executor::threads(3)))),
+        "{} on 3 threads",
+        S::NAME
+    );
+
+    // Single-stage blocks: a row's chain is its CSR sequence under any
+    // order, so the identity order's bits come back.
+    if slots.is_none() {
+        let natural = PackedMatrix::pack(&csr, 64, shared, fusing);
+        prop_assert_eq!(bits(&y), bits(&run(&natural, &x, Some(Executor::Serial))));
+    }
+
+    // The independent route: renumber the matrix, pack it in its new
+    // natural order, permute the input, un-permute the output. Its chains
+    // run in rank order, so it agrees to rounding, not to the bit.
+    let renumbered = csr.permute(rows, cols);
+    let mut x_perm = vec![S::zero(); x.len()];
+    for f in 0..fusing {
+        for (c, &k) in cols.rank().iter().enumerate() {
+            x_perm[f * num_cols + k as usize] = x[f * num_cols + c];
+        }
+    }
+    let y_perm = run(
+        &PackedMatrix::pack(&renumbered, 64, shared, fusing),
+        &x_perm,
+        Some(Executor::Serial),
+    );
+    for f in 0..fusing {
+        for (k, &r) in rows.indices().iter().enumerate() {
+            let (rcols, rvals) = csr.row(r as usize);
+            let magnitude: f64 = rcols
+                .iter()
+                .zip(rvals)
+                .map(|(&c, v)| (v.to_f64() * x[f * num_cols + c as usize].to_f64()).abs())
+                .sum();
+            let tol = 2.0 * (rcols.len() + 1) as f64 * eps * magnitude;
+            let got = y[f * num_rows + r as usize].to_f64();
+            let want = y_perm[f * num_rows + k].to_f64();
+            prop_assert!(
+                (got - want).abs() <= tol,
+                "{} row {r} slice {f}: {got} vs oracle {want} (tol {tol})",
+                S::NAME
+            );
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Packing under an order changes the layout, never the operator:
+    /// for any matrix, any row order and column order, fusing 1 / 3 / 8,
+    /// stages of a few slots or of every column, in all four precision
+    /// modes — the two block bodies agree bit for bit (serially and on
+    /// three threads), single-stage blocks reproduce the identity
+    /// order's bits, and the result is the `Csr::permute` route's to
+    /// rounding.
+    #[test]
+    fn ordered_pack_is_the_same_operator(
+        (rows, cols, triplets) in csr_strategy(),
+        order_seed in any::<u64>(),
+        fusing_pick in 0usize..3,
+        single_stage in any::<bool>(),
+        few_slots in 2usize..24,
+    ) {
+        let fusing = [1usize, 3, 8][fusing_pick];
+        let slots = (!single_stage).then_some(few_slots);
+        let csr = Csr::<f32>::from_triplets(rows, cols, triplets.into_iter());
+        let row_order = shuffled_order(rows, order_seed);
+        let col_order = shuffled_order(cols, order_seed.rotate_left(17) ^ 0x9e37);
+        let orders = (&row_order, &col_order);
+        let half = f64::from(f32::EPSILON) * 8192.0; // 2^-10
+        check_ordered_pack::<f64, f64>(&csr, orders, fusing, slots, f64::from(f32::EPSILON))?;
+        check_ordered_pack::<f32, f32>(&csr, orders, fusing, slots, f64::from(f32::EPSILON))?;
+        check_ordered_pack::<F16, f32>(&csr, orders, fusing, slots, half)?;
+        check_ordered_pack::<F16, F16>(&csr, orders, fusing, slots, half)?;
+    }
 
     /// Buffered SpMM is bit-identical to the CSR baseline in f32 for any
     /// matrix, fusing factor, block size, and stage capacity.
@@ -106,20 +252,6 @@ fn mixed_precision_projection_of_real_operator() {
     assert!(max_rel < 0.01, "max relative error {max_rel}");
 }
 
-/// Hilbert permutation of the sinogram domain: ray rows reordered so a
-/// thread block gets a spatially compact (angle × channel) patch.
-fn sinogram_hilbert_row_perm(angles: usize, channels: usize, tile: usize) -> Vec<u32> {
-    use xct_hilbert::{CurveKind, Domain2D, TileDecomposition};
-    let d = TileDecomposition::new(Domain2D::new(channels, angles), tile, CurveKind::Hilbert);
-    let mut perm = Vec::with_capacity(angles * channels);
-    for &t in d.ordered_tiles() {
-        for (c, a) in d.tile_cell_coords(t) {
-            perm.push((a * channels + c) as u32);
-        }
-    }
-    perm
-}
-
 #[test]
 fn fig5_style_reuse_is_substantial_for_real_operator() {
     // The irregular access footprint of a real XCT block is reused many
@@ -132,12 +264,14 @@ fn fig5_style_reuse_is_substantial_for_real_operator() {
     let sm = SystemMatrix::build(&scan);
     let t: Vec<_> = sm.triplets().collect();
     let csr = Csr::<F16>::from_triplets(sm.num_rays(), sm.num_voxels(), t.into_iter());
-    let identity_cols: Vec<u32> = (0..sm.num_voxels() as u32).collect();
-    let row_perm = sinogram_hilbert_row_perm(64, 64, 8);
-    let hilbert = csr.permute(&row_perm, &identity_cols);
+    // Ray id = angle·channels + channel: the sinogram plane is
+    // `channels` wide and `angles` high.
+    let sinogram = TileDecomposition::new(Domain2D::new(64, 64), 8, CurveKind::Hilbert);
+    let rays = Order::new(sinogram.cell_order());
+    let voxels = Order::identity(sm.num_voxels());
 
     let packed_raw = PackedMatrix::pack(&csr, 128, 96 * 1024, 16);
-    let packed_hil = PackedMatrix::pack(&hilbert, 128, 96 * 1024, 16);
+    let packed_hil = PackedMatrix::pack_ordered(&csr, &rays, &voxels, 128, 96 * 1024, 16);
     assert!(
         packed_hil.average_reuse() > 4.0,
         "reuse {} too small",

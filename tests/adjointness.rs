@@ -10,12 +10,13 @@
 //! precision of each path (half roundtrips cost ~2^-11 per element).
 
 use proptest::prelude::*;
+use xct_core::decompose::packing_orders;
 use xct_fp16::Precision;
 use xct_geometry::{ImageGrid, ScanGeometry, SystemMatrix};
 use xct_solver::{
     CsrOperator, ExecContext, LinearOperator, PrecisionOperator, SystemMatrixOperator,
 };
-use xct_spmm::Csr;
+use xct_spmm::{Csr, Order};
 
 const N: usize = 12;
 const ANGLES: usize = 10;
@@ -60,6 +61,33 @@ fn assert_adjoint(op: &dyn LinearOperator, x: &[f32], y: &[f32], tol: f64, label
     );
 }
 
+/// Checks `PrecisionOperator` at `fusing` under the identity orders and
+/// under the production Hilbert orders — the latter also with a staging
+/// buffer small enough that blocks run several stages, where a row's
+/// accumulation sequence differs between the two layouts.
+fn assert_precision_operators_adjoint(p: Precision, fusing: usize, x: &[f32], y: &[f32]) {
+    let (scan, sm) = scan();
+    let csr = Csr::from_system_matrix(&sm);
+    let identity = (
+        Order::identity(csr.num_rows()),
+        Order::identity(csr.num_cols()),
+    );
+    let hilbert = packing_orders(&scan, 64);
+    for (name, (rays, voxels), shared) in [
+        ("identity", &identity, 96 * 1024),
+        ("hilbert", &hilbert, 96 * 1024),
+        ("hilbert, multi-stage", &hilbert, 64 * fusing),
+    ] {
+        let op = PrecisionOperator::ordered(&csr, (rays, voxels), p, fusing, 64, shared);
+        if shared < 1024 {
+            let (fwd, bwd) = op.stage_counts();
+            assert!(fwd > csr.num_rows().div_ceil(64) && bwd > csr.num_cols().div_ceil(64));
+        }
+        let label = format!("PrecisionOperator({p:?}, fusing {fusing}, {name})");
+        assert_adjoint(&op, x, y, tolerance(p), &label);
+    }
+}
+
 fn tolerance(p: Precision) -> f64 {
     match p {
         Precision::Double | Precision::Single => 1e-3,
@@ -96,11 +124,8 @@ proptest! {
         x in prop::collection::vec(0.0f32..1.0, N * N),
         y in prop::collection::vec(0.0f32..1.0, N * ANGLES),
     ) {
-        let (_, sm) = scan();
-        let csr = Csr::from_system_matrix(&sm);
         for p in Precision::ALL {
-            let op = PrecisionOperator::new(&csr, p, 1, 64, 96 * 1024);
-            assert_adjoint(&op, &x, &y, tolerance(p), &format!("PrecisionOperator({p:?})"));
+            assert_precision_operators_adjoint(p, 1, &x, &y);
         }
     }
 
@@ -110,11 +135,8 @@ proptest! {
         y in prop::collection::vec(0.0f32..1.0, 3 * N * ANGLES),
     ) {
         // Fused multi-slice batches go through the strided kernel paths.
-        let (_, sm) = scan();
-        let csr = Csr::from_system_matrix(&sm);
         for p in [Precision::Single, Precision::Mixed] {
-            let op = PrecisionOperator::new(&csr, p, 3, 64, 96 * 1024);
-            assert_adjoint(&op, &x, &y, tolerance(p), &format!("fused PrecisionOperator({p:?})"));
+            assert_precision_operators_adjoint(p, 3, &x, &y);
         }
     }
 }
