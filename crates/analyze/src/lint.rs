@@ -129,10 +129,18 @@ impl Role {
 /// This list is the single source of truth referenced from DESIGN.md
 /// §3h/§3i; widening it is a reviewed change to this file.
 pub const SANCTIONED_UNSAFE: &[&str] = &[
-    // The SIMD boundary (DESIGN.md §3h): TypeId-proven slice casts and
-    // AVX2/FMA intrinsics behind a scalar-identical contract. Compiled
-    // on x86-64 only, where its crate root lifts the forbid.
+    // The SIMD boundary (DESIGN.md §3h): the call into the
+    // runtime-detected AVX2/FMA/F16C kernel and its vector loads and
+    // stores through array references, behind a scalar-identical
+    // contract. Compiled on x86-64 only, where its crate root lifts the
+    // forbid.
     "crates/spmm/src/simd.rs",
+    // The bulk half↔single conversions (DESIGN.md §3h): `vcvtph2ps` /
+    // `vcvtps2ph` behind runtime F16C detection, eight values per
+    // unaligned load/store through `&[_; 8]` references; the software
+    // `F16` conversions are its fallback and its exhaustive oracle.
+    // x86-64 only, like the kernel.
+    "crates/fp16/src/convert.rs",
     // The counting global allocator behind the allocation-free guards
     // (tests/alloc_free.rs, perf_suite); a GlobalAlloc impl is unsafe
     // by signature.

@@ -140,7 +140,15 @@ mod tests {
             .iter()
             .all(|&ray| ray % 16 < 8 && ray / 16 < 8));
         let packed = op.pack::<F16>(64, 96 * 1024, 2);
-        assert_eq!(packed.blocks()[0].rows, op.rays.indices()[..64]);
+        // The block owns exactly that run of the order (it lists the
+        // rows longest first).
+        let (mut block, mut run) = (
+            packed.blocks()[0].rows.clone(),
+            op.rays.indices()[..64].to_vec(),
+        );
+        block.sort_unstable();
+        run.sort_unstable();
+        assert_eq!(block, run);
         let (metrics, stages) = op.kernel_metrics(Precision::Mixed, 64, 96 * 1024, 2);
         assert_eq!(metrics, packed.kernel_metrics());
         assert_eq!(stages, packed.total_stages());

@@ -105,6 +105,13 @@ impl F16 {
         self.0 & EXP_MASK == EXP_MASK && self.0 & MANT_MASK != 0
     }
 
+    /// `true` for a signalling NaN (quiet bit clear) — the one class of
+    /// halves the hardware widening changes; see `convert`.
+    #[cfg(test)]
+    pub(crate) const fn is_signalling_nan(self) -> bool {
+        self.is_nan() && self.0 & 0x0200 == 0
+    }
+
     /// `true` if this value is +∞ or −∞.
     #[inline]
     pub const fn is_infinite(self) -> bool {

@@ -9,6 +9,7 @@
 //! > with respect to the max-norm of the evolving input vector to prevent
 //! > overflows while minimizing underflows."
 
+use crate::convert;
 use crate::f16::F16;
 
 /// Returns the max-norm (largest absolute value) of a slice, ignoring NaNs.
@@ -88,19 +89,22 @@ impl AdaptiveNormalizer {
     /// Returns the scale factor for a vector with the given max-norm.
     ///
     /// A zero (or denormal-small) max-norm yields factor 1.0: the vector is
-    /// all zeros (or effectively so) and needs no scaling.
+    /// all zeros (or effectively so) and needs no scaling. The factor is
+    /// always finite: a max-norm so small that `target / max_norm` would
+    /// overflow `f32` gets `f32::MAX`, which still maps it below the
+    /// target — an infinite factor would quantize every nonzero to ±∞.
     pub fn factor_for(&self, max_norm: f32) -> f32 {
         if !max_norm.is_finite() || max_norm < f32::MIN_POSITIVE {
             1.0
         } else {
-            self.headroom_target / max_norm
+            (self.headroom_target / max_norm).min(f32::MAX)
         }
     }
 
     /// Scales `data` into half-precision range and quantizes.
     pub fn normalize(&self, data: &[f32]) -> Normalized {
-        let factor = self.factor_for(max_abs(data));
-        let quantized = data.iter().map(|&x| F16::from_f32(x * factor)).collect();
+        let mut quantized = vec![F16::ZERO; data.len()];
+        let factor = self.normalize_into(data, &mut quantized);
         Normalized {
             factor,
             data: quantized,
@@ -121,22 +125,23 @@ impl AdaptiveNormalizer {
 
     /// The elementwise half of [`normalize_into`](Self::normalize_into):
     /// scales by a `factor` the caller derived from the whole vector's
-    /// max-norm and quantizes. Chunks of one vector can be quantized
-    /// independently (on different threads) under the same factor.
+    /// max-norm and quantizes — `F16::from_f32(x * factor)` for every
+    /// element, through [`convert`]. Chunks of one vector can be
+    /// quantized independently (on different threads) under the same
+    /// factor.
     ///
     /// # Panics
     /// Panics on length mismatch.
     pub fn quantize_into(&self, data: &[f32], factor: f32, out: &mut [F16]) {
         assert_eq!(data.len(), out.len(), "normalize length mismatch");
-        for (q, &x) in out.iter_mut().zip(data) {
-            *q = F16::from_f32(x * factor);
-        }
+        convert::narrow_scaled_into(data, factor, out);
     }
 
     /// Undoes a previous [`normalize`](Self::normalize), widening to `f32`.
     pub fn denormalize(&self, normalized: &Normalized) -> Vec<f32> {
-        let inv = 1.0 / normalized.factor;
-        normalized.data.iter().map(|h| h.to_f32() * inv).collect()
+        let mut out = vec![0.0; normalized.data.len()];
+        self.denormalize_into(&normalized.data, normalized.factor, &mut out);
+        out
     }
 
     /// [`denormalize`](Self::denormalize) into a caller-owned buffer — the
@@ -146,10 +151,7 @@ impl AdaptiveNormalizer {
     /// Panics on length mismatch.
     pub fn denormalize_into(&self, data: &[F16], factor: f32, out: &mut [f32]) {
         assert_eq!(data.len(), out.len(), "denormalize length mismatch");
-        let inv = 1.0 / factor;
-        for (o, h) in out.iter_mut().zip(data) {
-            *o = h.to_f32() * inv;
-        }
+        convert::widen_scaled_into(data, 1.0 / factor, out);
     }
 }
 
@@ -257,6 +259,121 @@ mod tests {
         let mut out = vec![0.0f32; data.len()];
         norm.denormalize_into(&q, factor, &mut out);
         assert_eq!(out, back);
+    }
+
+    /// Every probe value at an index the 8-wide hardware conversion takes
+    /// (where the CPU has it) and again in the `len % 8` tail the
+    /// software conversion takes: 8 + 3 copies of each, interleaved.
+    fn in_body_and_tail(probes: &[f32]) -> Vec<f32> {
+        let mut data = Vec::new();
+        for &p in probes {
+            data.extend([p; 11]);
+        }
+        data
+    }
+
+    /// Must hold at the top of the f16 range, through both conversion
+    /// paths: the element carrying the max-norm lands on the headroom
+    /// target, never on ±inf — for any target `new` accepts (65 504
+    /// itself included) and any finite max-norm, the smallest normals
+    /// (whose exact factor overflows `f32` and is clamped) included.
+    #[test]
+    fn the_max_norm_never_quantizes_to_infinity() {
+        for target in [256.0f32, 65504.0, F16::MIN_POSITIVE.to_f32()] {
+            let norm = AdaptiveNormalizer::new(target);
+            let maxima = [
+                f32::MAX,
+                1e30,
+                65520.0,
+                65504.0,
+                1.0,
+                1e-30,
+                1.2e-38,
+                f32::MIN_POSITIVE,
+            ];
+            for max in maxima {
+                let data = in_body_and_tail(&[-max, max * 0.37, max]);
+                let mut q = vec![F16::ZERO; data.len()];
+                let factor = norm.normalize_into(&data, &mut q);
+                assert!(
+                    factor.is_finite() && factor > 0.0,
+                    "{target} {max}: {factor}"
+                );
+                for (h, &x) in q.iter().zip(&data) {
+                    assert!(h.is_finite(), "{target} {max}: {x} -> {h:?}");
+                    assert_eq!(h.to_bits(), F16::from_f32(x * factor).to_bits());
+                }
+                if (f32::MIN_POSITIVE..f32::MAX).contains(&factor) {
+                    let peak = q[data.len() - 1].to_f32();
+                    assert!(peak <= target, "{target} {max}: {peak}");
+                    assert!(peak >= target * (1.0 - 2.0 * HALF_RELATIVE_EPS));
+                    assert_eq!(q[0].to_f32(), -peak);
+                }
+            }
+        }
+    }
+
+    /// Must hold at both ends of the f16 range under factor 1.0, in the
+    /// hardware body and the software tail alike: 65 504 round-trips and
+    /// everything below the rounding boundary 65 520 lands on it; the
+    /// boundary itself ties to even, which is infinity; 2⁻²⁴ is the
+    /// smallest subnormal, half of it ties to zero, anything above half
+    /// of it rounds up to it, 1.5 × 2⁻²⁴ ties to the even 2 × 2⁻²⁴, and
+    /// zeros keep their sign.
+    #[test]
+    fn f16_edges_quantize_as_the_software_conversion_does() {
+        let floor = 2.0f32.powi(-24);
+        let cases: [(f32, u16); 12] = [
+            (65504.0, 0x7bff),
+            (65519.996, 0x7bff),
+            (65520.0, 0x7c00),
+            (-65504.0, 0xfbff),
+            (floor, 0x0001),
+            (-floor, 0x8001),
+            (floor / 2.0, 0x0000),
+            (-floor / 2.0, 0x8000),
+            (f32::from_bits((floor / 2.0).to_bits() + 1), 0x0001),
+            (floor * 1.5, 0x0002),
+            (floor / 4.0, 0x0000),
+            (-0.0, 0x8000),
+        ];
+        let norm = AdaptiveNormalizer::default();
+        let data = in_body_and_tail(&cases.map(|(x, _)| x));
+        let mut q = vec![F16::ZERO; data.len()];
+        norm.quantize_into(&data, 1.0, &mut q);
+        for (i, (h, &x)) in q.iter().zip(&data).enumerate() {
+            assert_eq!(h.to_bits(), cases[i / 11].1, "{x:e} at {i}");
+            assert_eq!(h.to_bits(), F16::from_f32(x).to_bits(), "{x:e} at {i}");
+        }
+        let mut back = vec![0.0f32; q.len()];
+        norm.denormalize_into(&q, 1.0, &mut back);
+        for (i, (b, h)) in back.iter().zip(&q).enumerate() {
+            assert_eq!(b.to_bits(), h.to_f32().to_bits(), "at {i}");
+        }
+        assert_eq!(back[0], 65504.0);
+        assert_eq!(back[4 * 11], floor);
+    }
+
+    /// Factor 1.0 is the identity on both directions for every half that
+    /// is not a signalling NaN (see `convert` for those): widening gives
+    /// `to_f32` exactly and narrowing that gives the half back.
+    #[test]
+    fn unit_factor_is_the_identity_on_every_half() {
+        let halves: Vec<F16> = (0..=u16::MAX)
+            .map(F16::from_bits)
+            .filter(|h| !h.is_signalling_nan())
+            .collect();
+        let norm = AdaptiveNormalizer::default();
+        let mut wide = vec![0.0f32; halves.len()];
+        norm.denormalize_into(&halves, 1.0, &mut wide);
+        for (w, h) in wide.iter().zip(&halves) {
+            assert_eq!(w.to_bits(), h.to_f32().to_bits(), "{:#06x}", h.to_bits());
+        }
+        let mut back = vec![F16::ZERO; halves.len()];
+        norm.quantize_into(&wide, 1.0, &mut back);
+        for (b, h) in back.iter().zip(&halves) {
+            assert_eq!(b.to_bits(), h.to_bits());
+        }
     }
 
     #[test]

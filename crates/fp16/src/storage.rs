@@ -25,6 +25,31 @@ pub trait StorageScalar: Copy + Send + Sync + 'static {
     fn to_f64(self) -> f64;
     /// The additive identity.
     fn zero() -> Self;
+
+    /// Bulk [`to_f32`](Self::to_f32): `dst[i] = src[i].to_f32()`. `F16`
+    /// goes through [`convert`](crate::convert), eight per instruction
+    /// where the CPU can.
+    ///
+    /// # Panics
+    /// Panics on length mismatch.
+    fn widen_into(src: &[Self], dst: &mut [f32]) {
+        assert_eq!(src.len(), dst.len(), "widen length mismatch");
+        for (d, s) in dst.iter_mut().zip(src) {
+            *d = s.to_f32();
+        }
+    }
+
+    /// Bulk [`from_f32`](Self::from_f32): `dst[i] = Self::from_f32(src[i])`.
+    /// `F16` goes through [`convert`](crate::convert).
+    ///
+    /// # Panics
+    /// Panics on length mismatch.
+    fn narrow_into(src: &[f32], dst: &mut [Self]) {
+        assert_eq!(src.len(), dst.len(), "narrow length mismatch");
+        for (d, &s) in dst.iter_mut().zip(src) {
+            *d = Self::from_f32(s);
+        }
+    }
 }
 
 impl StorageScalar for f64 {
@@ -103,6 +128,14 @@ impl StorageScalar for F16 {
     fn zero() -> Self {
         F16::ZERO
     }
+    #[inline]
+    fn widen_into(src: &[Self], dst: &mut [f32]) {
+        crate::convert::widen_into(src, dst);
+    }
+    #[inline]
+    fn narrow_into(src: &[f32], dst: &mut [Self]) {
+        crate::convert::narrow_into(src, dst);
+    }
 }
 
 #[cfg(test)]
@@ -126,6 +159,24 @@ mod tests {
             assert!(roundtrip_error::<f64>(x) <= roundtrip_error::<f32>(x));
             assert!(roundtrip_error::<f32>(x) <= roundtrip_error::<F16>(x));
         }
+    }
+
+    #[test]
+    fn bulk_conversions_are_the_elementwise_ones() {
+        fn check<S: StorageScalar + PartialEq + core::fmt::Debug>() {
+            let x: Vec<f32> = (0..37).map(|i| (i as f32 - 18.0) * 0.0371).collect();
+            let mut narrow = vec![S::zero(); x.len()];
+            S::narrow_into(&x, &mut narrow);
+            let want: Vec<S> = x.iter().map(|&v| S::from_f32(v)).collect();
+            assert_eq!(narrow, want, "{}", S::NAME);
+            let mut wide = vec![0.0f32; x.len()];
+            S::widen_into(&narrow, &mut wide);
+            let want: Vec<f32> = narrow.iter().map(|v| v.to_f32()).collect();
+            assert_eq!(wide, want, "{}", S::NAME);
+        }
+        check::<f64>();
+        check::<f32>();
+        check::<F16>();
     }
 
     #[test]

@@ -1,16 +1,18 @@
 //! The fused, staged SpMM executor — the CPU realization of Listing 1.
 //!
-//! Control flow mirrors the CUDA kernel exactly:
+//! Control flow mirrors the CUDA kernel, with the lane group (not the
+//! warp) as the unit elements are stored and walked in — see `packed.rs`:
 //!
 //! ```text
 //! for each thread block (executor partition):   // blockIdx.x
 //!   acc[thread][FFACTOR] = 0                    // line 10
 //!   for each stage:                             // lines 12–13
-//!     gather x through buffmap into shared      // lines 15–20
-//!     for each warp, lane, round:               // lines 22–24
-//!       e = indval[n*WARPSIZE + lane]
+//!     shared[0] = 0                             // the zero slot
+//!     gather x through buffmap into shared[1..] // lines 15–20
+//!     for each lane group, round, lane:         // lines 22–24
+//!       (ind, len) = round.ind[lane], round.len[lane]
 //!       for f in 0..FFACTOR:                    // lines 26–28
-//!         acc[f] += shared[f*buffsize + e.ind] * e.len
+//!         acc[f] += shared[f][ind] * len
 //!   write y[f*numrow + row] = acc[f]            // lines 32–36
 //! ```
 //!
@@ -25,28 +27,29 @@
 //! executor and runs one of two block bodies, chosen per launch from
 //! what the platform reports — there is no build-time switch:
 //!
-//! * on x86-64 with AVX2+FMA detected at run time and `C == f32` (the
-//!   single and mixed modes), [`spmm_with`] runs the f32x8 body of
+//! * on x86-64 with AVX2+FMA+F16C detected at run time and `C == f32`
+//!   (the single and mixed modes), [`spmm_with`] runs the f32x8 body of
 //!   `simd.rs`;
 //! * every other case (f64 or f16 compute, no AVX2, other arches) runs
 //!   [`run_block_into_reference`], the direct scalar transcription of
 //!   Listing 1, which [`spmm_reference_with`] forces on any platform as
 //!   the comparison oracle.
 //!
-//! The two bodies are bit-identical: each accumulator's FMA chain keeps
-//! the (stage ascending, round ascending) order of Listing 1, and the
-//! vector lanes span *different* accumulators.
+//! The two bodies read the same layout and are bit-identical: each
+//! accumulator's FMA chain keeps the (stage ascending, round ascending)
+//! order of Listing 1, padding FMAs included, and the vector lanes span
+//! *different* accumulators.
 //!
 //! All scratch (accumulators, the shared-memory stand-in, per-block
 //! output staging, and the f32x8 body's once-per-launch widened and
-//! transposed copy of `x`) comes from the [`ExecContext`]'s workspace, so a
+//! rearranged copy of `x`) comes from the [`ExecContext`]'s workspace, so a
 //! steady-state iteration re-running [`spmm_with`] performs no heap
 //! allocation — the CPU analogue of the paper's preallocated device
 //! buffers.
 
 use crate::compute::ComputeScalar;
 use crate::metrics::KernelMetrics;
-use crate::packed::{PackedBlock, PackedMatrix, WARP_SIZE};
+use crate::packed::{PackedBlock, PackedMatrix, LANE_GROUP};
 use xct_exec::{BufferRole, ExecContext, WorkspaceScalar};
 use xct_fp16::StorageScalar;
 
@@ -76,20 +79,14 @@ where
 {
     #[cfg(target_arch = "x86_64")]
     if crate::simd::eligible::<C>() {
+        // `C` is `f32`: launch with the concrete type, so the vector body
+        // takes plain `f32` buffers.
         check_shapes(a, x, y);
-        let (num_cols, fusing) = (a.num_cols(), a.fusing());
-        // Stage the input once per launch: widened to compute precision
-        // and fusing-contiguous, so each block's gather through buffmap
-        // is one contiguous copy per slot and a column is widened once,
-        // not once per stage that maps it.
-        let mut xt: Vec<C> = ctx.workspace.take_uninit(BufferRole::KernelInput, x.len());
-        for (c, slot) in xt.chunks_exact_mut(fusing).enumerate() {
-            for (f, v) in slot.iter_mut().enumerate() {
-                *v = C::load(x[f * num_cols + c]);
-            }
-        }
-        let metrics = launch::<S, C, C>(a, y, ctx, |block, acc, staged, out| {
-            crate::simd::run_block::<S, C>(block, &xt, fusing, acc, staged, out);
+        let fusing = a.fusing();
+        let mut xt: Vec<f32> = ctx.workspace.take_uninit(BufferRole::KernelInput, x.len());
+        crate::simd::stage_input(x, a.num_cols(), fusing, &mut xt);
+        let metrics = launch::<S, f32, f32>(a, y, ctx, |block, acc, staged, out| {
+            crate::simd::run_block(block, &xt, fusing, acc, staged, out);
         });
         ctx.workspace.put(BufferRole::KernelInput, xt);
         return metrics;
@@ -139,7 +136,7 @@ where
     C: ComputeScalar + WorkspaceScalar,
 {
     check_shapes(a, x, y);
-    let (buffsize, num_cols, fusing) = (a.slots_per_stage(), a.num_cols(), a.fusing());
+    let (buffsize, num_cols, fusing) = (a.slots_per_stage() + 1, a.num_cols(), a.fusing());
     launch::<S, C, S>(a, y, ctx, |block, acc, shared, out| {
         run_block_into_reference::<S, C>(block, buffsize, num_cols, x, fusing, acc, shared, out);
     })
@@ -156,8 +153,8 @@ where
 }
 
 /// Whether [`spmm_with`] takes the `core::arch` f32x8 body for
-/// f32-compute launches on this machine: an x86-64 target with AVX2+FMA
-/// detected at run time. Everything else runs the scalar reference body
+/// f32-compute launches on this machine: an x86-64 target with AVX2, FMA
+/// and F16C detected at run time. Everything else runs the scalar reference body
 /// (same results bit-for-bit).
 pub fn simd_available() -> bool {
     #[cfg(target_arch = "x86_64")]
@@ -187,10 +184,11 @@ where
 {
     let fusing = a.fusing();
     let blocks = a.blocks();
-    // Per-block scratch strides. `block_size` bounds `block.rows.len()`,
-    // so one stride fits any block.
+    // Per-block scratch strides. `block_size` bounds `block.rows.len()`
+    // and a stage stages its mapped columns plus the zero slot, so one
+    // stride fits any block.
     let acc_stride = a.block_size() * fusing;
-    let staged_stride = a.slots_per_stage() * fusing;
+    let staged_stride = (a.slots_per_stage() + 1) * fusing;
     let parts = ctx.executor.partitions(blocks.len());
 
     // One acc/staging lane per worker (reused across its blocks), one out
@@ -279,16 +277,16 @@ fn check_shapes<S: StorageScalar>(a: &PackedMatrix<S>, x: &[S], y: &[S]) {
 
 /// The scalar transcription of Listing 1 — the production body wherever
 /// the f32x8 one does not apply, and the oracle it is compared against:
-/// per-element row guard, f-major storage-precision shared buffer,
-/// conversion at the FMA. Leaves the block's rows thread-major in `out`
+/// per-element row guard, f-major storage-precision shared buffer
+/// (`buffsize` slots per slice, slot 0 the zero slot), conversion at the
+/// FMA. Leaves the block's rows thread-major in `out`
 /// (`out[t*fusing + f]`).
 ///
 /// `acc` and `shared` may carry stale data from a previous block: `acc`
 /// is re-zeroed here (line 10 of the kernel), and every FMA reads a
-/// shared slot freshly gathered by the current stage — real elements
-/// index inside the stage's map, and padding elements carry `ind = 0`
-/// with `len = 0`, which only exist when slot 0 was gathered. So reuse
-/// cannot change results.
+/// shared slot the current stage wrote — real elements index `1..=` the
+/// stage's map length, padding elements the zero slot. So reuse cannot
+/// change results.
 #[allow(clippy::too_many_arguments)]
 // xct-hot
 fn run_block_into_reference<S: StorageScalar, C: ComputeScalar>(
@@ -306,23 +304,23 @@ fn run_block_into_reference<S: StorageScalar, C: ComputeScalar>(
     acc.fill(C::default());
 
     for stage in &block.stages {
-        for (slot, &col) in stage.map.iter().enumerate() {
-            for f in 0..fusing {
-                shared[f * buffsize + slot] = x[f * num_cols + col as usize];
+        for f in 0..fusing {
+            shared[f * buffsize] = S::zero();
+            for (slot, &col) in stage.map.iter().enumerate() {
+                shared[f * buffsize + slot + 1] = x[f * num_cols + col as usize];
             }
         }
-        for (w, warp) in stage.warps.iter().enumerate() {
-            for n in 0..warp.rounds {
-                let round = &warp.indval[n * WARP_SIZE..(n + 1) * WARP_SIZE];
-                for (lane, e) in round.iter().enumerate() {
-                    let t = w * WARP_SIZE + lane;
+        for (g, rounds) in stage.groups().enumerate() {
+            for round in rounds {
+                for (lane, (&ind, &len)) in round.ind.iter().zip(&round.len).enumerate() {
+                    let t = g * LANE_GROUP + lane;
                     if t >= rows {
                         continue; // thread owns no row (`if(row < numrow)`)
                     }
-                    let len = C::load(e.len);
+                    let len = C::load(len);
                     let base = t * fusing;
                     for f in 0..fusing {
-                        let xv = C::load(shared[f * buffsize + e.ind as usize]);
+                        let xv = C::load(shared[f * buffsize + ind as usize]);
                         acc[base + f] = acc[base + f].fma(xv, len);
                     }
                 }
@@ -345,6 +343,16 @@ mod tests {
     use xct_fp16::F16;
 
     fn random_csr(rows: usize, cols: usize, per_row: usize, seed: u64) -> Csr<f32> {
+        ragged_csr(rows, cols, |_| per_row, seed)
+    }
+
+    /// `per_row(r)` random entries in row `r` (fewer where columns repeat).
+    fn ragged_csr(
+        rows: usize,
+        cols: usize,
+        per_row: impl Fn(usize) -> usize,
+        seed: u64,
+    ) -> Csr<f32> {
         let mut state = seed | 1;
         let mut next = move || {
             state = state
@@ -354,7 +362,7 @@ mod tests {
         };
         let mut triplets = Vec::new();
         for r in 0..rows {
-            for _ in 0..per_row {
+            for _ in 0..per_row(r) {
                 let c = next() % cols;
                 let v = (next() % 2000) as f32 / 1000.0 - 1.0;
                 triplets.push((r as u32, c as u32, v));
@@ -425,13 +433,16 @@ mod tests {
     /// serial reference, in every precision mode, serially and on three
     /// threads, over
     ///
-    /// * fusing ∈ {1, 3, 4, 8, 12, 13, 16, 19}: the f32x8 body's scalar
-    ///   tail, 4-wide chunk and 8-wide chunk(s), each alone and in every
-    ///   combination (13 = 8 + 4 + 1, 19 = 8 + 8 + 3);
-    /// * a last warp owning 1, 2, 3, 5 or 31 rows (block 64, rows =
-    ///   96 + k): single lanes only, a four-lane group plus one, seven
-    ///   groups plus three — and 150 rows, whose 22-row tail block
-    ///   leaves its second warp with no row at all;
+    /// * fusing ∈ {1, 3, 4, 8, 12, 13, 16, 19}: the f32x8 body's single
+    ///   planes, 4-wide plane and 8-wide plane(s), each alone and in
+    ///   every combination (13 = 8 + 4 + 1, 19 = 8 + 8 + 3);
+    /// * a last block owning 33, 34, 35, 37 or 63 rows (block 64, rows =
+    ///   64 + k), which leaves its last live lane group with 1, 2 and 3
+    ///   live lanes — dead lanes are walked with the group, on padding —
+    ///   and 150 rows, whose 22-row tail block has ten groups with no
+    ///   row at all;
+    /// * rows of 0–8 nonzeros, so sorted neighbours still differ and the
+    ///   groups of one stage have unequal round counts (asserted);
     /// * every block's columns in one stage, and cut into 16-slot stages.
     ///
     /// Neither body reorders any single accumulator's FMA chain, and the
@@ -440,7 +451,8 @@ mod tests {
     fn production_kernel_matches_serial_reference_bitwise_in_every_mode() {
         for rows in [97usize, 98, 99, 101, 127, 150] {
             for fusing in [1usize, 3, 4, 8, 12, 13, 16, 19] {
-                let csr32 = random_csr(rows, 90, 6, (rows * 31 + fusing) as u64);
+                let seed = (rows * 31 + fusing) as u64;
+                let csr32 = ragged_csr(rows, 90, |r| (r * 7 + fusing) % 9, seed);
                 let csr64 = csr32.map_values(f64::from);
                 let csr16 = csr32.map_values(F16::from_f32);
                 let xf = random_x(90 * fusing, fusing as u64 + 41);
@@ -451,6 +463,14 @@ mod tests {
                         |mode: &str| format!("{mode}, rows {rows}, fusing {fusing}, slots {slots}");
                     let packed = PackedMatrix::pack(&csr32, 64, slots * fusing * 4, fusing);
                     assert_eq!(packed.stages_per_block() > 1.0, slots == 16);
+                    let last = packed.blocks().last().expect("blocks");
+                    assert_eq!(last.rows.len(), (rows - 1) % 64 + 1);
+                    let rounds: Vec<usize> = last.stages[0].groups().map(<[_]>::len).collect();
+                    let live = &rounds[..last.rows.len().div_ceil(LANE_GROUP)];
+                    assert!(
+                        live.iter().any(|&n| n != live[0]),
+                        "unequal rounds: {live:?}"
+                    );
                     assert_matches_serial_reference::<f32, f32>(&packed, &xf, &case("single"));
                     let packed = PackedMatrix::pack(&csr64, 64, slots * fusing * 8, fusing);
                     assert_matches_serial_reference::<f64, f64>(&packed, &x64, &case("double"));
@@ -462,9 +482,9 @@ mod tests {
         }
     }
 
-    /// A single-warp block whose rows don't fill the warp (ragged inside
-    /// the first warp, not just the last block) — the f32x8 body's
-    /// `full < WARP_SIZE` panel edge.
+    /// A first block whose rows don't fill it (1 row: one live lane in
+    /// one live group; 31, 33, 63: a three-lane last group) — the dead
+    /// lanes of the last live group run on padding alone.
     #[test]
     fn ragged_warp_interior_matches_reference() {
         for rows in [1usize, 31, 33, 63] {
@@ -664,6 +684,35 @@ mod tests {
         for (a, b) in y1.iter().zip(&y2) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
+    }
+
+    /// However large the shared buffer, a stage maps at most `u16::MAX`
+    /// columns: with the zero slot in front, the last one's index is
+    /// `u16::MAX` itself. One row over 70 000 columns spills into a
+    /// second stage and still sums every column once, in both bodies.
+    #[test]
+    fn stage_cap_leaves_the_zero_slot_an_index() {
+        let cols = 70_000usize;
+        let triplets = (0..cols as u32).map(|c| (0u32, c, 1.0f32));
+        let csr = Csr::<f32>::from_triplets(3, cols, triplets);
+        let packed = PackedMatrix::pack(&csr, 32, 1 << 20, 1);
+        assert_eq!(packed.slots_per_stage(), u16::MAX as usize);
+        let maps: Vec<usize> = packed.blocks()[0]
+            .stages
+            .iter()
+            .map(|s| s.map.len())
+            .collect();
+        assert_eq!(maps, [u16::MAX as usize, cols - u16::MAX as usize]);
+        let last = packed.blocks()[0].stages[0].groups().next().expect("group");
+        assert_eq!(last.last().expect("round").ind[0], u16::MAX);
+        let x: Vec<f32> = (0..cols).map(|c| (c % 7) as f32).collect();
+        let mut y_ref = vec![0.0f32; 3];
+        csr.spmv::<f32>(&x, &mut y_ref);
+        let mut y = vec![9.0f32; 3];
+        spmm_buffered_serial::<f32, f32>(&packed, &x, &mut y);
+        assert_eq!(y, y_ref);
+        spmm_reference_serial::<f32, f32>(&packed, &x, &mut y);
+        assert_eq!(y, y_ref);
     }
 
     #[test]

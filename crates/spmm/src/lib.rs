@@ -11,14 +11,22 @@
 //!    loaded once and reused for all `FFACTOR` slices of the minibatch
 //!    (§III-B2, §III-B3),
 //! 3. **Data packing** — `(u16 shared-memory index, f16 length)` in four
-//!    bytes so a 32-thread warp reads a full 128-byte cache line (§III-C2),
+//!    bytes, streamed once in full cache lines (§III-C2; on the GPU a
+//!    32-thread warp reads one 128-byte line),
 //! 4. **Mixed precision** — storage in half, FMAs in single (§III-C).
 //!
 //! This crate reproduces the kernel *structurally* on CPU threads: thread
 //! blocks → executor partitions ([`xct_exec::Executor`]), shared memory →
 //! a per-block staging buffer with the exact `buffmap` gather
-//! indirection, warps → 32-lane ELL-packed rounds, `FFACTOR` → the
-//! runtime `fusing` factor. All kernel scratch comes from the
+//! indirection, `FFACTOR` → the runtime `fusing` factor. The packed
+//! elements are laid out for the executor that walks them: a block's rows
+//! sorted by length, stored **lane-group-major** — [`LANE_GROUP`] rows'
+//! indices and lengths side by side per round, each group with its own
+//! round count, padding aimed at a reserved always-zero slot — so the
+//! element stream is read front to back and (almost) only real nonzeros
+//! are multiplied; [`WARP_SIZE`] survives as the block-size granularity
+//! the paper's figures are reported in (`packed.rs` has the layout and
+//! why no row's FMA chain changes). All kernel scratch comes from the
 //! [`xct_exec::Workspace`] so steady-state launches are allocation-free,
 //! and every data movement the GPU would perform is metered in
 //! [`KernelMetrics`] / accumulated in [`xct_exec::ExecCounters`], which
@@ -26,8 +34,8 @@
 //! [`spmm_with`] is the workspace-backed entry point; the `spmm_buffered`
 //! wrappers build a throwaway context per call. One launch skeleton runs
 //! one of two bit-identical block bodies, picked per launch with no
-//! build-time switch: an AVX2+FMA f32x8 body when the CPU reports both
-//! and the compute type is f32 ([`simd_available`]), else the scalar
+//! build-time switch: an AVX2+FMA+F16C f32x8 body when the CPU reports
+//! all three and the compute type is f32 ([`simd_available`]), else the scalar
 //! transcription of Listing 1, which [`spmm_reference_with`] forces
 //! anywhere as the oracle.
 //!
@@ -62,5 +70,6 @@ pub use kernel::{
 pub use metrics::KernelMetrics;
 pub use order::Order;
 pub use packed::{
-    packed_element_bytes, PackedBlock, PackedElem, PackedMatrix, PackedStage, PackedWarp, WARP_SIZE,
+    packed_element_bytes, PackedBlock, PackedMatrix, PackedRound, PackedStage, LANE_GROUP,
+    WARP_SIZE,
 };

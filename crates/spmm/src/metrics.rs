@@ -7,8 +7,9 @@
 /// input buffering is that shared-memory reuse does not touch DRAM.
 ///
 /// `flops` counts *effective* work only (real nonzeros); `padded_flops`
-/// counts every FMA the kernel actually issues, including the `ind = 0,
-/// len = 0` ELL filler lanes. Their ratio is the packing efficiency —
+/// counts every FMA the kernel actually issues, including the `(0, 0)`
+/// padding elements of lanes shorter than their group. Their ratio is
+/// the packing efficiency —
 /// keeping them separate stops padding from inflating flops rates while
 /// still making the wasted work visible.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -16,7 +17,7 @@ pub struct KernelMetrics {
     /// Effective floating-point operations (each real-nonzero FMA counts
     /// as two); the number roofline/bench flops rates are built from.
     pub flops: u64,
-    /// Issued floating-point operations including ELL padding FMAs
+    /// Issued floating-point operations including padding FMAs
     /// (`padded_flops >= flops`; the gap is wasted lanes).
     pub padded_flops: u64,
     /// Bytes fetched from memory.

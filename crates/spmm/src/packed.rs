@@ -1,13 +1,12 @@
-//! The packed, staged matrix format of Listing 1 (paper §III-B, §III-C2).
+//! The packed, staged matrix format of Listing 1 (paper §III-B, §III-C2),
+//! laid out for the executor that walks it.
 //!
 //! Rows are assigned to *thread blocks*; each block's irregular input
 //! footprint is split into *stages* that fit the 96 KB shared memory of an
 //! SM, and each stage carries a gather map (`buffmap`) from shared-memory
-//! slots to global columns. Within a stage, nonzeros are ELL-packed per
-//! 32-lane *warp* (`indval[n*WARPSIZE + wind]`) so a warp's 32 four-byte
-//! elements fill one 128-byte cache line. The element stores a `u16`
-//! shared-memory index — not a global column — which is what makes the
-//! 4-byte packing possible.
+//! slots to global columns. The element stores a `u16` shared-memory
+//! index — not a global column — which is what makes the 4-byte
+//! `(u16 index, f16 length)` packing possible.
 //!
 //! Which rows share a block, and which columns share a stage, is the
 //! [`Order`] pair the matrix is packed under (§III-A1: both domains are
@@ -16,61 +15,117 @@
 //! maps its slots to the columns it reads — so `x` and `y` keep the
 //! matrix's own numbering and the two indirections the kernel already
 //! performs (gather through `map`, scatter of block outputs) absorb it.
+//!
+//! # Element layout: lane-group-major, per-group rounds
+//!
+//! On the GPU a warp's elements are round-major and 32-lane interleaved
+//! (`indval[n*WARPSIZE + wind]`) so that 32 threads read one 128-byte
+//! line, and every lane runs the warp's longest row. The CPU bodies
+//! vectorize across the *fused slices* of one row, [`LANE_GROUP`] rows at
+//! a time, so here the unit is the **lane group**:
+//!
+//! * a block's rows are sorted by nonzero count, longest first (ties keep
+//!   the row order's sequence, so the layout is a function of its
+//!   inputs), and thread `t` takes the `t`-th of them — neighbours in a
+//!   group have near-equal lengths;
+//! * group `g` = threads `g·LANE_GROUP ..`, and a stage stores each
+//!   group's elements contiguously as [`PackedRound`]s — `LANE_GROUP`
+//!   indices then `LANE_GROUP` lengths, one element per lane — with the
+//!   group's **own** round count (its longest lane in that stage), one
+//!   group after the other in a single array. The kernel streams that
+//!   array front to back exactly once per chunk of the fusing axis;
+//! * lanes shorter than their group's rounds (and threads past the
+//!   block's last row) are padded with `(0, 0)` elements. Slot 0 of every
+//!   stage buffer is reserved and always holds zeros — mapped column `k`
+//!   of a stage lives in slot `k + 1` — so a padding element multiplies
+//!   zero by zero and never reads live data: an `inf`/NaN input reaches
+//!   exactly the rows that have a nonzero in its column, as in
+//!   [`Csr::spmm`].
+//!
+//! Sorting rows inside a block and regrouping lanes move whole rows
+//! between accumulators; a row's own sequence of FMAs — stage ascending,
+//! CSR order within a stage — is untouched, which is why results are
+//! bit-identical to the round-major layout this replaced. The one
+//! visible trace of padding is the sign of zero: a partial sum of `−0.0`
+//! that meets a padding element becomes `+0.0` (`−0 + (+0·+0) = +0` under
+//! round-to-nearest) where CSR keeps `−0.0`; nonzero values are never
+//! affected, and a row with no nonzeros is `+0.0` on both.
+//!
+//! [`WARP_SIZE`] remains the granularity of `block_size` — the GPU shape
+//! Figs 5 and 9 are reported in — but nothing is stored per warp.
 
 use crate::csr::Csr;
 use crate::metrics::KernelMetrics;
 use crate::order::Order;
 use xct_fp16::StorageScalar;
 
-/// Threads per warp, as on NVIDIA hardware.
+/// Threads per warp, as on NVIDIA hardware: the unit `block_size` is a
+/// multiple of.
 pub const WARP_SIZE: usize = 32;
 
-/// One packed matrix element: `struct matrix { unsigned short ind; half
-/// len; }` of Listing 1 line 2, generic over the value's storage scalar.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PackedElem<S> {
-    /// Index into the stage's shared-memory buffer.
-    pub ind: u16,
-    /// Intersection length.
-    pub len: S,
-}
+/// Lanes (rows) whose elements are stored side by side and whose
+/// accumulators the vector body holds in registers at a time.
+pub const LANE_GROUP: usize = 4;
 
-/// Physical bytes of one packed element after alignment padding: 4 for
-/// half (`u16`+`f16`), 8 for single, 16 for double — the element sizes
-/// behind Table III's per-precision memory footprints.
+/// Physical bytes of one packed element: the `u16` index plus the length
+/// — 4 for half (`struct matrix { unsigned short ind; half len; }` of
+/// Listing 1 line 2), 6 for single, 10 for double. Indices and lengths
+/// sit in separate runs of a [`PackedRound`], so no alignment padding is
+/// stored.
 pub const fn packed_element_bytes<S: StorageScalar>() -> usize {
-    let raw = 2 + S::BYTES;
-    // Round up to the alignment of S (power of two).
-    raw.div_ceil(S::BYTES) * S::BYTES
+    2 + S::BYTES
 }
 
-/// One warp's ELL-packed nonzeros for one stage: `rounds × WARP_SIZE`
-/// elements, round-major and lane-interleaved exactly like
-/// `indval[n*WARPSIZE + wind]`. Lanes shorter than `rounds` are padded
-/// with `(0, 0)` elements (harmless FMAs, counted as padding overhead).
-#[derive(Debug, Clone)]
-pub struct PackedWarp<S> {
-    /// Padded per-lane nonzero count.
-    pub rounds: usize,
-    /// `rounds * WARP_SIZE` elements.
-    pub indval: Vec<PackedElem<S>>,
+/// One round of one lane group: the `n`-th element of each of its
+/// [`LANE_GROUP`] lanes, indices side by side, then lengths side by side
+/// (four half lengths are one 8-byte load and one `vcvtph2ps`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+#[repr(C)]
+pub struct PackedRound<S> {
+    /// Stage-buffer slot per lane: mapped column `k` is slot `k + 1`;
+    /// slot 0 is the reserved zero slot padding points at.
+    pub ind: [u16; LANE_GROUP],
+    /// Intersection length per lane (zero for padding).
+    pub len: [S; LANE_GROUP],
 }
 
 /// One shared-memory stage of a block (§III-B4).
 #[derive(Debug, Clone)]
 pub struct PackedStage<S> {
-    /// Gather map: shared slot → global column (`buffmap`), in the
-    /// column order's sequence.
+    /// Gather map: stage column → global column (`buffmap`), in the
+    /// column order's sequence. Column `k` is staged in slot `k + 1`.
     pub map: Vec<u32>,
-    /// Per-warp packed nonzeros whose columns live in this stage.
-    pub warps: Vec<PackedWarp<S>>,
+    /// Per lane group of the block, where its rounds end in `rounds`
+    /// (running totals: group `g` owns `ends[g - 1]..ends[g]`).
+    ends: Vec<u32>,
+    /// Every group's rounds, group after group.
+    rounds: Vec<PackedRound<S>>,
+}
+
+impl<S> PackedStage<S> {
+    /// The stage's elements, one slice of rounds per lane group of the
+    /// block (`block_size / LANE_GROUP` of them, in thread order; a group
+    /// with nothing in this stage is empty).
+    pub fn groups(&self) -> impl Iterator<Item = &[PackedRound<S>]> {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let group = &self.rounds[start..end as usize];
+            start = end as usize;
+            group
+        })
+    }
+
+    /// Stored elements, padding included: `LANE_GROUP` per round.
+    fn stored_elements(&self) -> usize {
+        self.rounds.len() * LANE_GROUP
+    }
 }
 
 /// One thread block's rows and stages.
 #[derive(Debug, Clone)]
 pub struct PackedBlock<S> {
     /// The rows this block computes (≤ block size): thread `t` writes
-    /// `y[rows[t]]`. A run of the row order.
+    /// `y[rows[t]]`. A run of the row order, longest row first.
     pub rows: Vec<u32>,
     /// The multi-stage buffering schedule.
     pub stages: Vec<PackedStage<S>>,
@@ -106,13 +161,13 @@ impl<S: StorageScalar> PackedMatrix<S> {
     /// `shared_bytes` of staging buffer per block.
     ///
     /// `rows` decides which rows share a block — block `b` owns
-    /// `rows.indices()[b·block_size..]` — and `cols` the sequence in
-    /// which a block's distinct columns fill its stages. Orders that keep
-    /// spatial neighbours together (Hilbert tiles of the sinogram and
-    /// tomogram planes) make the rows of a block share the columns they
-    /// stage, mirroring the buffer shapes of paper Fig 5(c–d). The packed
-    /// matrix still computes `y = A·x` in `csr`'s own row and column
-    /// numbering.
+    /// `rows.indices()[b·block_size..]`, which it then sorts longest
+    /// first — and `cols` the sequence in which a block's distinct
+    /// columns fill its stages. Orders that keep spatial neighbours
+    /// together (Hilbert tiles of the sinogram and tomogram planes) make
+    /// the rows of a block share the columns they stage, mirroring the
+    /// buffer shapes of paper Fig 5(c–d). The packed matrix still
+    /// computes `y = A·x` in `csr`'s own row and column numbering.
     ///
     /// Within one stage a row's nonzeros keep `csr`'s (ascending-column)
     /// sequence, so a row whose block has a single stage accumulates in
@@ -122,9 +177,10 @@ impl<S: StorageScalar> PackedMatrix<S> {
     ///
     /// # Panics
     /// Panics when `block_size` is not a multiple of [`WARP_SIZE`], when
-    /// the shared buffer cannot hold even one slot per slice, when the
-    /// stage capacity would overflow the `u16` shared index, or when an
-    /// order's length is not the matrix's.
+    /// the shared buffer cannot hold even one slot per slice, or when an
+    /// order's length is not the matrix's. A stage never maps more than
+    /// `u16::MAX` columns, whatever `shared_bytes` would allow: with the
+    /// zero slot, that is what a `u16` index reaches.
     pub fn pack_ordered(
         csr: &Csr<S>,
         rows: &Order,
@@ -147,11 +203,11 @@ impl<S: StorageScalar> PackedMatrix<S> {
             "shared buffer of {shared_bytes} B cannot stage fusing={fusing} slices of {}",
             S::NAME
         );
-        let slots_per_stage = slots.min(u16::MAX as usize + 1);
+        let slots_per_stage = slots.min(u16::MAX as usize);
 
-        let padding = PackedElem {
-            ind: 0,
-            len: S::zero(),
+        let padding = PackedRound {
+            ind: [0; LANE_GROUP],
+            len: [S::zero(); LANE_GROUP],
         };
         // Scratch shared by every block. `seen_in[c]` is the last block
         // that touched column `c`, and `position[c]` that column's place
@@ -161,17 +217,25 @@ impl<S: StorageScalar> PackedMatrix<S> {
         let mut seen_in = vec![u32::MAX; csr.num_cols()];
         let mut position = vec![0u32; csr.num_cols()];
         let mut ranks: Vec<u32> = Vec::new();
-        let mut counts: Vec<usize> = Vec::new();
+        let mut counts: Vec<u32> = Vec::new();
         let (col_rank, col_at) = (cols.rank(), cols.indices());
+        let row_rank = rows.rank();
+        let row_len = |r: u32| csr.row(r as usize).0.len();
 
         let mut blocks = Vec::with_capacity(csr.num_rows().div_ceil(block_size));
         let mut padded_nnz = 0usize;
-        for (b, block_rows) in rows.indices().chunks(block_size).enumerate() {
+        for (b, run) in rows.indices().chunks(block_size).enumerate() {
+            // Longest row first; the place in the row order breaks ties,
+            // which makes the unstable sort's result the stable one.
+            let mut block_rows = run.to_vec();
+            block_rows
+                .sort_unstable_by_key(|&r| (std::cmp::Reverse(row_len(r)), row_rank[r as usize]));
+
             // Distinct columns touched by this block, in column order;
             // stage and slot of a column follow from its place in that
-            // list: place / capacity, place % capacity.
+            // list: place / capacity, place % capacity + 1.
             ranks.clear();
-            for &r in block_rows {
+            for &r in &block_rows {
                 for &c in csr.row(r as usize).0 {
                     let seen = &mut seen_in[c as usize];
                     if *seen != b as u32 {
@@ -188,62 +252,77 @@ impl<S: StorageScalar> PackedMatrix<S> {
             // executor writes its zeros.
             let num_stages = ranks.len().div_ceil(slots_per_stage).max(1);
 
-            // Counting pass: nonzeros per (stage, thread). A warp's rounds
-            // are its longest lane; that sizes every `indval` exactly.
+            // Counting pass: nonzeros per (stage, thread); with a single
+            // stage that is the row length the sort already read. A
+            // group's rounds are its longest lane, and the running total
+            // of rounds is where each group's elements go.
             counts.clear();
             counts.resize(num_stages * block_size, 0);
-            for (t, &r) in block_rows.iter().enumerate() {
-                for &c in csr.row(r as usize).0 {
-                    let stage = position[c as usize] as usize / slots_per_stage;
-                    counts[stage * block_size + t] += 1;
+            if num_stages == 1 {
+                for (n, &r) in counts.iter_mut().zip(&block_rows) {
+                    *n = row_len(r) as u32;
+                }
+            } else {
+                for (t, &r) in block_rows.iter().enumerate() {
+                    for &c in csr.row(r as usize).0 {
+                        let stage = position[c as usize] as usize / slots_per_stage;
+                        counts[stage * block_size + t] += 1;
+                    }
                 }
             }
             let mut stages: Vec<PackedStage<S>> = (0..num_stages)
-                .map(|stage| PackedStage {
-                    map: ranks
-                        .chunks(slots_per_stage)
-                        .nth(stage)
-                        .unwrap_or_default()
-                        .iter()
-                        .map(|&k| col_at[k as usize])
-                        .collect(),
-                    warps: counts[stage * block_size..][..block_size]
-                        .chunks(WARP_SIZE)
+                .map(|stage| {
+                    let mut total = 0u32;
+                    let ends: Vec<u32> = counts[stage * block_size..][..block_size]
+                        .chunks_exact(LANE_GROUP)
                         .map(|lanes| {
-                            let rounds = lanes.iter().copied().max().unwrap_or(0);
-                            PackedWarp {
-                                rounds,
-                                indval: vec![padding; rounds * WARP_SIZE],
-                            }
+                            total += lanes.iter().copied().max().unwrap_or(0);
+                            total
                         })
-                        .collect(),
+                        .collect();
+                    PackedStage {
+                        map: ranks
+                            .chunks(slots_per_stage)
+                            .nth(stage)
+                            .unwrap_or_default()
+                            .iter()
+                            .map(|&k| col_at[k as usize])
+                            .collect(),
+                        ends,
+                        rounds: vec![padding; total as usize],
+                    }
                 })
                 .collect();
             padded_nnz += stages
                 .iter()
-                .flat_map(|s| &s.warps)
-                .map(|w| w.indval.len())
+                .map(PackedStage::stored_elements)
                 .sum::<usize>();
 
-            // Fill pass: the counts become per-(stage, thread) cursors, so
-            // a lane's elements keep their row order round by round.
-            counts.fill(0);
+            // Fill pass: a thread's count becomes the place of its next
+            // element — its group's first round, then round by round — so
+            // a lane's elements keep their row order.
+            for (stage, counts) in stages.iter().zip(counts.chunks_exact_mut(block_size)) {
+                let mut start = 0;
+                for (lanes, &end) in counts.chunks_exact_mut(LANE_GROUP).zip(&stage.ends) {
+                    lanes.fill(start);
+                    start = end;
+                }
+            }
             for (t, &r) in block_rows.iter().enumerate() {
                 let (rcols, rvals) = csr.row(r as usize);
-                let (warp, lane) = (t / WARP_SIZE, t % WARP_SIZE);
+                let lane = t % LANE_GROUP;
                 for (&c, &v) in rcols.iter().zip(rvals) {
                     let place = position[c as usize] as usize;
                     let (stage, slot) = (place / slots_per_stage, place % slots_per_stage);
                     let n = &mut counts[stage * block_size + t];
-                    stages[stage].warps[warp].indval[*n * WARP_SIZE + lane] = PackedElem {
-                        ind: slot as u16,
-                        len: v,
-                    };
+                    let round = &mut stages[stage].rounds[*n as usize];
+                    round.ind[lane] = (slot + 1) as u16;
+                    round.len[lane] = v;
                     *n += 1;
                 }
             }
             blocks.push(PackedBlock {
-                rows: block_rows.to_vec(),
+                rows: block_rows,
                 stages,
             });
         }
@@ -280,7 +359,8 @@ impl<S: StorageScalar> PackedMatrix<S> {
         self.block_size
     }
 
-    /// Shared-memory slots per stage (per slice).
+    /// Columns a stage can map (per slice). The stage buffer holds one
+    /// slot more: the zero slot.
     pub fn slots_per_stage(&self) -> usize {
         self.slots_per_stage
     }
@@ -295,8 +375,9 @@ impl<S: StorageScalar> PackedMatrix<S> {
         self.nnz
     }
 
-    /// Stored elements including ELL padding; `padded_nnz - nnz` FMAs are
-    /// wasted work, visible as lost efficiency at tiny stage sizes.
+    /// Stored elements including padding — `LANE_GROUP` per stored
+    /// round; `padded_nnz - nnz` FMAs are wasted work, what is left of it
+    /// once every lane group runs only its own longest lane.
     pub fn padded_nnz(&self) -> usize {
         self.padded_nnz
     }
@@ -348,8 +429,9 @@ impl<S: StorageScalar> PackedMatrix<S> {
 
     /// The memory-traffic/flop account of one fused SpMM with this
     /// matrix, assuming perfect shared-memory reuse (gathers hit DRAM
-    /// once per staged slot, matrix elements stream once, output written
-    /// once through the block's row list). This is the model behind the
+    /// once per staged slot, the arrays the layout stores — elements,
+    /// group ends, maps, row lists — stream once, output written once
+    /// through the block's row list). This is the model behind the
     /// Fig 9b roofline points.
     pub fn kernel_metrics(&self) -> KernelMetrics {
         let elem = packed_element_bytes::<S>() as u64;
@@ -360,15 +442,15 @@ impl<S: StorageScalar> PackedMatrix<S> {
             for stage in &block.stages {
                 // buffmap (u32 each) + gathered x for all fused slices.
                 bytes_read += stage.map.len() as u64 * (4 + (self.fusing * S::BYTES) as u64);
-                for warp in &stage.warps {
-                    bytes_read += (warp.rounds * WARP_SIZE) as u64 * elem;
-                }
+                // One running total (u32) per lane group, then the rounds.
+                bytes_read += stage.ends.len() as u64 * 4;
+                bytes_read += stage.stored_elements() as u64 * elem;
             }
         }
         KernelMetrics {
             flops: 2 * self.nnz as u64 * self.fusing as u64,
             // Every stored element is one FMA per fused slice, filler
-            // included — what the warps actually issue.
+            // included — what the bodies actually issue.
             padded_flops: 2 * self.padded_nnz as u64 * self.fusing as u64,
             bytes_read,
             bytes_written: (self.num_rows * self.fusing * S::BYTES) as u64,
@@ -402,9 +484,14 @@ mod tests {
 
     #[test]
     fn element_bytes_match_paper_packing() {
+        // Half is the paper's 4-byte element; wider lengths add only
+        // their own bytes, and a round is exactly its elements.
         assert_eq!(packed_element_bytes::<F16>(), 4);
-        assert_eq!(packed_element_bytes::<f32>(), 8);
-        assert_eq!(packed_element_bytes::<f64>(), 16);
+        assert_eq!(packed_element_bytes::<f32>(), 6);
+        assert_eq!(packed_element_bytes::<f64>(), 10);
+        assert_eq!(size_of::<PackedRound<F16>>(), LANE_GROUP * 4);
+        assert_eq!(size_of::<PackedRound<f32>>(), LANE_GROUP * 6);
+        assert_eq!(size_of::<PackedRound<f64>>(), LANE_GROUP * 10);
     }
 
     /// A fixed scramble of `0..len` (`stride` coprime to `len`).
@@ -445,23 +532,25 @@ mod tests {
         }
     }
 
-    /// The `(row, column, value bits)` triplets a packed layout encodes.
+    /// The `(row, column, value bits)` triplets a packed layout encodes:
+    /// every element that is not padding (slot 0), through the stage's
+    /// map and the block's row list.
     fn unpack(packed: &PackedMatrix<f32>) -> Vec<(u32, u32, u32)> {
         let mut got: Vec<(u32, u32, u32)> = Vec::new();
         for block in packed.blocks() {
             for stage in &block.stages {
-                for (w, warp) in stage.warps.iter().enumerate() {
-                    for n in 0..warp.rounds {
-                        for lane in 0..WARP_SIZE {
-                            let e = warp.indval[n * WARP_SIZE + lane];
-                            let t = w * WARP_SIZE + lane;
-                            if t >= block.rows.len() {
+                assert_eq!(stage.groups().count(), packed.block_size() / LANE_GROUP);
+                for (g, rounds) in stage.groups().enumerate() {
+                    for round in rounds {
+                        for lane in 0..LANE_GROUP {
+                            let (ind, len) = (round.ind[lane], round.len[lane]);
+                            if ind == 0 {
+                                assert_eq!(len.to_bits(), 0, "padding is (0, +0)");
                                 continue;
                             }
-                            if e.len != 0.0 {
-                                let col = stage.map[e.ind as usize];
-                                got.push((block.rows[t], col, e.len.to_bits()));
-                            }
+                            let row = block.rows[g * LANE_GROUP + lane];
+                            let col = stage.map[ind as usize - 1];
+                            got.push((row, col, len.to_bits()));
                         }
                     }
                 }
@@ -470,24 +559,30 @@ mod tests {
         got
     }
 
-    /// One stage as `(map, per-warp (rounds, [(ind, len bits)]))`.
-    type StageLayout = (Vec<u32>, Vec<(usize, Vec<(u16, u64)>)>);
+    /// One round as `(ind, len bits)` per lane.
+    type RoundLayout = [(u16, u64); LANE_GROUP];
+    /// One stage as `(map, per-group rounds)`.
+    type StageLayout = (Vec<u32>, Vec<Vec<RoundLayout>>);
+    /// One block as `(rows in thread order, stages)`.
+    type BlockLayout = (Vec<u32>, Vec<StageLayout>);
 
     /// The layout `pack_ordered` must produce, built the slow obvious
-    /// way: per block (a run of the row order) the distinct columns in
-    /// column order cut into stages, per (stage, warp) one list per lane
-    /// in the row's own sequence, padded to the longest. Returns one
-    /// [`StageLayout`] per stage, per block.
+    /// way: per block (a run of the row order) the rows stably sorted
+    /// longest first; the distinct columns in column order cut into
+    /// stages; per (stage, lane group) one list per lane in the row's own
+    /// sequence — slot = place in the stage's map + 1 — padded with
+    /// `(0, +0)` to the *group's* longest and stored round by round.
     fn lane_list_layout<S: StorageScalar>(
         csr: &Csr<S>,
         row_order: &Order,
         col_order: &Order,
         block_size: usize,
         slots: usize,
-    ) -> Vec<Vec<StageLayout>> {
+    ) -> Vec<BlockLayout> {
         let mut blocks = Vec::new();
-        for block_rows in row_order.indices().chunks(block_size) {
-            let rows = block_rows.len();
+        for run in row_order.indices().chunks(block_size) {
+            let mut block_rows = run.to_vec();
+            block_rows.sort_by_key(|&r| std::cmp::Reverse(csr.row(r as usize).0.len()));
             let mut cols: Vec<u32> = block_rows
                 .iter()
                 .flat_map(|&r| csr.row(r as usize).0.iter().copied())
@@ -503,36 +598,38 @@ mod tests {
                     .skip(stage * slots)
                     .take(slots)
                     .collect();
-                let mut warps = Vec::new();
-                for warp in 0..block_size / WARP_SIZE {
-                    let lists: Vec<Vec<(u16, u64)>> = (0..WARP_SIZE)
+                let mut groups = Vec::new();
+                for group in 0..block_size / LANE_GROUP {
+                    let lists: Vec<Vec<(u16, u64)>> = (0..LANE_GROUP)
                         .map(|lane| {
-                            let t = warp * WARP_SIZE + lane;
-                            if t >= rows {
+                            let Some(&row) = block_rows.get(group * LANE_GROUP + lane) else {
                                 return Vec::new();
-                            }
-                            let (rc, rv) = csr.row(block_rows[t] as usize);
+                            };
+                            let (rc, rv) = csr.row(row as usize);
                             rc.iter()
                                 .zip(rv)
                                 .filter_map(|(c, v)| {
-                                    let slot = map.iter().position(|m| m == c)?;
-                                    Some((slot as u16, v.to_f64().to_bits()))
+                                    let at = map.iter().position(|m| m == c)?;
+                                    Some((at as u16 + 1, v.to_f64().to_bits()))
                                 })
                                 .collect()
                         })
                         .collect();
                     let rounds = lists.iter().map(Vec::len).max().unwrap_or(0);
-                    let mut indval = vec![(0u16, 0.0f64.to_bits()); rounds * WARP_SIZE];
-                    for (lane, list) in lists.iter().enumerate() {
-                        for (n, &e) in list.iter().enumerate() {
-                            indval[n * WARP_SIZE + lane] = e;
-                        }
-                    }
-                    warps.push((rounds, indval));
+                    let padding = (0u16, 0.0f64.to_bits());
+                    groups.push(
+                        (0..rounds)
+                            .map(|n| {
+                                std::array::from_fn(|lane| {
+                                    lists[lane].get(n).copied().unwrap_or(padding)
+                                })
+                            })
+                            .collect(),
+                    );
                 }
-                stages.push((map, warps));
+                stages.push((map, groups));
             }
-            blocks.push(stages);
+            blocks.push((block_rows, stages));
         }
         blocks
     }
@@ -541,10 +638,10 @@ mod tests {
     /// rescaled by `map_values`, then the counting packer — against the
     /// route it replaced, scaled triplets through `from_triplets`, laid
     /// out by lane lists: block for block the same row lists, maps,
-    /// rounds, `indval` bits and padded size, for every storage type,
-    /// under the identity orders and under scrambled ones, on a ragged
-    /// multi-stage matrix with 64 empty rows (one whole block of the
-    /// identity order).
+    /// per-group rounds, element bits and padded size, for every storage
+    /// type, under the identity orders and under scrambled ones, on a
+    /// ragged multi-stage matrix with 64 empty rows (one whole block of
+    /// the identity order) whose groups have unequal round counts.
     #[test]
     fn direct_scaled_pack_equals_the_triplet_route_structurally() {
         fn check<S: StorageScalar>(csr: &Csr<f32>, scale: f32, rows: &Order, cols: &Order) {
@@ -563,37 +660,36 @@ mod tests {
 
             assert_eq!(direct.slots_per_stage(), slots);
             assert_eq!(direct.blocks().len(), expected.len(), "{}", S::NAME);
-            let mut padded = 0;
-            for (b, (block, want)) in direct.blocks().iter().zip(&expected).enumerate() {
-                assert_eq!(
-                    block.rows,
-                    rows.indices().chunks(block_size).nth(b).unwrap(),
-                    "{} block {b}",
-                    S::NAME
-                );
+            let (mut padded, mut unequal) = (0, false);
+            for (b, (block, (want_rows, want))) in direct.blocks().iter().zip(&expected).enumerate()
+            {
+                assert_eq!(&block.rows, want_rows, "{} block {b}", S::NAME);
                 assert_eq!(block.stages.len(), want.len(), "{} block {b}", S::NAME);
-                for (stage, (map, warps)) in block.stages.iter().zip(want) {
+                for (stage, (map, groups)) in block.stages.iter().zip(want) {
                     assert_eq!(&stage.map, map, "{} block {b}", S::NAME);
-                    assert_eq!(stage.warps.len(), warps.len());
-                    for (warp, (rounds, indval)) in stage.warps.iter().zip(warps) {
-                        assert_eq!(warp.rounds, *rounds, "{} block {b}", S::NAME);
-                        let got: Vec<(u16, u64)> = warp
-                            .indval
+                    assert_eq!(stage.groups().count(), groups.len());
+                    for (group, rounds) in stage.groups().zip(groups) {
+                        let got: Vec<RoundLayout> = group
                             .iter()
-                            .map(|e| (e.ind, e.len.to_f64().to_bits()))
+                            .map(|r| {
+                                std::array::from_fn(|l| (r.ind[l], r.len[l].to_f64().to_bits()))
+                            })
                             .collect();
-                        assert_eq!(&got, indval, "{} block {b}", S::NAME);
-                        padded += indval.len();
+                        assert_eq!(&got, rounds, "{} block {b}", S::NAME);
+                        padded += rounds.len() * LANE_GROUP;
                     }
+                    let lens: Vec<usize> = stage.groups().map(<[_]>::len).collect();
+                    unequal |= lens.iter().any(|&n| n != lens[0]);
                 }
             }
             assert_eq!(direct.padded_nnz(), padded);
             assert_eq!(direct.nnz(), csr.nnz());
             assert!(direct.total_stages() > direct.blocks().len(), "multi-stage");
+            assert!(unequal, "groups of unequal round counts");
         }
 
         // 168 rows = blocks of 64, 64 (all rows empty) and 40 (ragged:
-        // full first warp, 8-lane second); 0–6 nonzeros per row.
+        // ten full groups, six empty ones); 0–6 nonzeros per row.
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
         let mut next = move || {
             state = state
@@ -620,19 +716,29 @@ mod tests {
     }
 
     /// `pack` is `pack_ordered` under the identity orders, and says so in
-    /// the layout: block `b` lists rows `b·block_size..` and every map
-    /// ascends.
+    /// the layout: block `b` lists rows `b·block_size..` — longest first,
+    /// equal lengths ascending — and every map ascends.
     #[test]
     fn pack_is_the_identity_order() {
         let csr = random_csr(100, 300, 7, 42);
         let packed = PackedMatrix::pack(&csr, 64, 512, 2);
         assert!(packed.total_stages() > packed.blocks().len());
-        assert_eq!(packed.blocks()[0].rows, (0..64).collect::<Vec<u32>>());
-        assert_eq!(packed.blocks()[1].rows, (64..100).collect::<Vec<u32>>());
-        for block in packed.blocks() {
+        for (block, run) in packed.blocks().iter().zip([0..64u32, 64..100]) {
+            let key = |r: u32| (std::cmp::Reverse(csr.row(r as usize).0.len()), r);
+            let mut want: Vec<u32> = run.collect();
+            want.sort_unstable_by_key(|&r| key(r));
+            assert_eq!(block.rows, want);
             let staged: Vec<u32> = block.stages.iter().flat_map(|s| s.map.clone()).collect();
             assert!(staged.windows(2).all(|w| w[0] < w[1]));
         }
+        let lengths = |b: usize| -> Vec<usize> {
+            let rows = &packed.blocks()[b].rows;
+            rows.iter().map(|&r| csr.row(r as usize).0.len()).collect()
+        };
+        assert!(
+            lengths(0).first() > lengths(0).last(),
+            "rows differ in length"
+        );
     }
 
     #[test]
@@ -657,11 +763,12 @@ mod tests {
     }
 
     /// The counts the traffic account is built from — staged slots,
-    /// padded elements, row-list entries — against a two-block layout
-    /// worked out by hand, under orders that move both.
+    /// stored elements, group ends, row-list entries — against a
+    /// two-block layout worked out by hand, under orders that move them.
     ///
     /// 34 rows × 6 columns: row `r < 32` holds column `r % 2`; row 32
-    /// holds {2, 3, 4}, row 33 holds {4, 5}: 37 nonzeros.
+    /// holds {2, 3, 4}, row 33 holds {4, 5}: 37 nonzeros. Blocks of 32
+    /// threads are 8 lane groups.
     #[test]
     fn metrics_count_the_ordered_layout_by_hand() {
         let triplets = (0..32u32)
@@ -676,23 +783,42 @@ mod tests {
                 .map(|b| b.stages.iter().map(|s| s.map.clone()).collect())
                 .collect()
         };
+        let group_rounds = |p: &PackedMatrix<f32>| -> Vec<Vec<Vec<usize>>> {
+            p.blocks()
+                .iter()
+                .map(|b| {
+                    let rounds = |s: &PackedStage<f32>| s.groups().map(<[_]>::len).collect();
+                    b.stages.iter().map(rounds).collect()
+                })
+                .collect()
+        };
         // bytes_read = 4 B per row id + (4 + fusing·4) B per staged slot
-        // + 8 B per padded f32 element.
-        let bytes = |slots: u64, padded: u64| 34 * 4 + slots * (4 + 2 * 4) + padded * 8;
+        // + 4 B per group end (8 per stage) + 6 B per stored f32 element.
+        let bytes = |slots: u64, stages: u64, stored: u64| {
+            34 * 4 + slots * (4 + 2 * 4) + stages * 8 * 4 + stored * 6
+        };
 
         // Identity, everything in one stage: block 0 = rows 0..32 stages
-        // {0, 1} in one round (32 elements); block 1 = rows 32, 33 stages
-        // {2, 3, 4, 5} in three rounds (96).
+        // {0, 1}, every group one round (32 elements); block 1 = rows 32,
+        // 33 stages {2, 3, 4, 5}: its first group runs row 32's three
+        // rounds (12 elements, 7 of them padding), the others nothing.
         let natural = PackedMatrix::pack(&csr, 32, 1 << 10, fusing);
         assert_eq!(maps(&natural), [[vec![0, 1]], [vec![2, 3, 4, 5]]]);
-        assert_eq!(natural.padded_nnz(), 32 + 96);
+        assert_eq!(
+            group_rounds(&natural),
+            [[vec![1; 8]], [vec![3, 0, 0, 0, 0, 0, 0, 0]]]
+        );
+        assert_eq!(natural.padded_nnz(), 32 + 12);
+        assert!((natural.padding_efficiency() - 37.0 / 44.0).abs() < 1e-12);
         assert!((natural.average_reuse() - 37.0 / 6.0).abs() < 1e-12);
-        assert_eq!(natural.kernel_metrics().bytes_read, bytes(6, 128));
+        assert_eq!(natural.kernel_metrics().bytes_read, bytes(6, 2, 44));
 
         // Rows 32 and 33 first, columns descending, four slots a stage:
-        // block 0 = rows 32, 33, 0..30 stages [5, 4, 3, 2] (row 32 has
-        // three of them: 3 rounds, 96) then [1, 0] (1 round, 32); block 1
-        // = rows 30, 31 stages [1, 0] (32).
+        // block 0 = rows 32, 33, 0..30 (already longest first) stages
+        // [5, 4, 3, 2] — only its first group has elements there, three
+        // rounds (12) — then [1, 0], one round in every group (32, the
+        // first group's two long rows padded); block 1 = rows 30, 31
+        // stages [1, 0], one round in its first group (4).
         let rows = Order::new([32, 33].into_iter().chain(0..32).collect());
         let cols = Order::new((0..6).rev().collect());
         let ordered = PackedMatrix::pack_ordered(&csr, &rows, &cols, 32, 4 * fusing * 4, fusing);
@@ -700,12 +826,21 @@ mod tests {
             maps(&ordered),
             [vec![vec![5, 4, 3, 2], vec![1, 0]], vec![vec![1, 0]]]
         );
+        assert_eq!(
+            group_rounds(&ordered),
+            [
+                vec![vec![3, 0, 0, 0, 0, 0, 0, 0], vec![1; 8]],
+                vec![vec![1, 0, 0, 0, 0, 0, 0, 0]]
+            ]
+        );
+        assert_eq!(ordered.blocks()[0].rows[..3], [32, 33, 0]);
         assert_eq!(ordered.blocks()[1].rows, [30, 31]);
-        assert_eq!(ordered.padded_nnz(), 96 + 32 + 32);
+        assert_eq!(ordered.padded_nnz(), 12 + 32 + 4);
+        assert!((ordered.padding_efficiency() - 37.0 / 48.0).abs() < 1e-12);
         assert!((ordered.average_reuse() - 37.0 / 8.0).abs() < 1e-12);
         let (m, n) = (ordered.kernel_metrics(), natural.kernel_metrics());
-        assert_eq!(m.bytes_read, bytes(8, 160));
-        assert_eq!(m.padded_flops, 2 * 160 * fusing as u64);
+        assert_eq!(m.bytes_read, bytes(8, 3, 48));
+        assert_eq!(m.padded_flops, 2 * 48 * fusing as u64);
         // What the order cannot move: the useful work and the output.
         assert_eq!(m.flops, 2 * 37 * fusing as u64);
         assert_eq!((m.flops, m.bytes_written), (n.flops, n.bytes_written));
@@ -778,14 +913,18 @@ mod tests {
         let m = packed.kernel_metrics();
         let elem = packed_element_bytes::<f32>() as u64;
         let mut bytes_read = 90 * 4; // one u32 row id per output row
+        let mut stored = 0;
         for block in packed.blocks() {
             for stage in &block.stages {
                 bytes_read += stage.map.len() as u64 * (4 + (fusing * 4) as u64);
-                for warp in &stage.warps {
-                    bytes_read += warp.indval.len() as u64 * elem;
+                for group in stage.groups() {
+                    // One u32 end per group, LANE_GROUP elements per round.
+                    bytes_read += 4 + (group.len() * LANE_GROUP) as u64 * elem;
+                    stored += group.len() * LANE_GROUP;
                 }
             }
         }
+        assert_eq!(packed.padded_nnz(), stored);
         assert_eq!(m.bytes_read, bytes_read);
         assert_eq!(m.flops, 2 * csr.nnz() as u64 * fusing as u64);
         assert_eq!(
@@ -803,7 +942,8 @@ mod tests {
     #[test]
     fn padding_efficiency_reflects_row_balance() {
         // Uniform rows pack perfectly; one long row among empties wastes
-        // 31/32 of its warp.
+        // 3/4 of its lane group — and nothing in the seven groups beside
+        // it, which store no rounds at all.
         let uniform: Csr<f32> = {
             let t = (0..64u32).flat_map(|r| (0..4u32).map(move |c| (r, c, 1.0f32)));
             Csr::from_triplets(64, 4, t)
@@ -816,7 +956,8 @@ mod tests {
             Csr::from_triplets(32, 16, t)
         };
         let p = PackedMatrix::pack(&skewed, 32, 4096, 1);
-        assert!((p.padding_efficiency() - 1.0 / 32.0).abs() < 1e-12);
+        assert!((p.padding_efficiency() - 1.0 / 4.0).abs() < 1e-12);
+        assert_eq!(p.padded_nnz(), 16 * LANE_GROUP);
     }
 
     #[test]

@@ -191,9 +191,38 @@ proptest! {
         }
     }
 
-    /// Padding never leaks: ELL-padded elements `(ind 0, len 0)` point at
-    /// whatever sits in shared slot 0, so feed extreme values and demand
-    /// bit-exact agreement with the unpadded CSR reference.
+    /// With single-stage blocks a row's chain is its CSR sequence, so the
+    /// packed kernel *is* `Csr::spmm`, bit for bit, under any order pair:
+    /// sorting a block's rows by length and regrouping lanes move whole
+    /// chains between accumulators and reorder none.
+    #[test]
+    fn single_stage_pack_equals_csr_under_any_orders(
+        (rows, cols, triplets) in csr_strategy(),
+        order_seed in any::<u64>(),
+        fusing_pick in 0usize..4,
+        block_pow in 0u32..3,
+    ) {
+        let fusing = [1usize, 4, 8, 13][fusing_pick];
+        let csr = Csr::<f32>::from_triplets(rows, cols, triplets.into_iter());
+        let row_order = shuffled_order(rows, order_seed);
+        let col_order = shuffled_order(cols, order_seed.rotate_left(29) ^ 0x51ed);
+        let packed = PackedMatrix::pack_ordered(
+            &csr, &row_order, &col_order, 32 << block_pow, cols * fusing * 4, fusing,
+        );
+        prop_assert_eq!(packed.total_stages(), packed.blocks().len());
+        let x: Vec<f32> = (0..cols * fusing)
+            .map(|i| ((i * 83 + 19) % 997) as f32 / 997.0 - 0.5)
+            .collect();
+        let mut y_ref = vec![0.0f32; rows * fusing];
+        csr.spmm::<f32>(&x, &mut y_ref, fusing);
+        let mut y = vec![0.0f32; rows * fusing];
+        spmm_buffered::<f32, f32>(&packed, &x, &mut y);
+        prop_assert_eq!(bits(&y), bits(&y_ref));
+    }
+
+    /// Padding never leaks: padded elements `(ind 0, len 0)` multiply the
+    /// zero slot, so feed extreme values and demand bit-exact agreement
+    /// with the unpadded CSR reference.
     #[test]
     fn padding_contributes_nothing_even_with_extreme_inputs(
         (rows, cols, triplets) in csr_strategy(),
@@ -211,6 +240,84 @@ proptest! {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
     }
+
+    /// Padding reads nothing live: padding elements point at the stage
+    /// buffer's reserved zero slot, so whatever subset of `x` is ±inf or
+    /// NaN, a row is non-finite exactly when CSR's is — it has a nonzero
+    /// in such a column — and every other row is CSR's bit for bit, in
+    /// the f32x8 body and in the reference body, single- and multi-stage.
+    /// (Non-finite rows agree in kind; which NaN payload survives an FMA
+    /// of two NaNs is the instruction's business.)
+    #[test]
+    fn non_finite_inputs_reach_only_the_rows_csr_says(
+        (rows, cols, triplets) in csr_strategy(),
+        poison in prop::collection::vec((0usize..150 * 4, 0usize..4), 1..12),
+        fusing_pick in 0usize..3,
+        single_stage in any::<bool>(),
+        few_slots in 2usize..24,
+    ) {
+        let shared_slots = (!single_stage).then_some(few_slots);
+        let fusing = [1usize, 4, 8][fusing_pick];
+        let csr = Csr::<f32>::from_triplets(rows, cols, triplets.into_iter());
+        let shared = shared_slots.unwrap_or(cols) * fusing * 4;
+        let packed = PackedMatrix::pack(&csr, 32, shared, fusing);
+        let mut x: Vec<f32> = (0..cols * fusing)
+            .map(|i| ((i * 83 + 19) % 997) as f32 / 997.0 - 0.5)
+            .collect();
+        for (at, kind) in poison {
+            let n = x.len();
+            x[at % n] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -f32::NAN][kind];
+        }
+        let mut y_ref = vec![0.0f32; rows * fusing];
+        csr.spmm::<f32>(&x, &mut y_ref, fusing);
+        let mut y = vec![0.0f32; rows * fusing];
+        let mut y_scalar = vec![0.0f32; rows * fusing];
+        spmm_buffered::<f32, f32>(&packed, &x, &mut y);
+        spmm_reference_with::<f32, f32>(&packed, &x, &mut y_scalar, &mut ExecContext::serial());
+        for (i, want) in y_ref.iter().enumerate() {
+            for (body, got) in [("f32x8", y[i]), ("reference", y_scalar[i])] {
+                if want.is_finite() && shared_slots.is_none() {
+                    prop_assert_eq!(got.to_bits(), want.to_bits(), "{} cell {}", body, i);
+                } else if want.is_finite() {
+                    // Multi-stage chains run stage by stage: finite, and
+                    // CSR's value to rounding.
+                    prop_assert!(got.is_finite(), "{} cell {}: {}", body, i, got);
+                    prop_assert!((got - want).abs() <= 1e-4, "{} cell {}", body, i);
+                } else {
+                    prop_assert!(!got.is_finite(), "{} cell {}: {} vs {}", body, i, got, want);
+                    prop_assert_eq!(got.is_nan(), want.is_nan(), "{} cell {}", body, i);
+                }
+            }
+        }
+    }
+}
+
+/// The one trace padding leaves: the sign of zero. A padding element adds
+/// `+0·+0` to its lane's accumulator, and `−0 + +0 = +0` under
+/// round-to-nearest, so a partial sum of `−0.0` (here a product that
+/// underflows from below) that meets padding comes out `+0.0` where
+/// [`Csr::spmm`] keeps `−0.0`. A row with no nonzeros — all padding — is
+/// `+0.0` on both. Pinned for both bodies.
+#[test]
+fn padding_turns_a_negative_zero_positive_and_nothing_else() {
+    // Row 0: columns 0, 1. Row 1: column 0 only, so one padding element
+    // follows it in the group's second round. Row 2: empty.
+    let triplets = vec![(0u32, 0u32, 1e-30f32), (0, 1, 1.0), (1, 0, 1e-30)];
+    let csr = Csr::<f32>::from_triplets(3, 2, triplets.into_iter());
+    let x = [-1e-30f32, 3.0];
+    let mut y_ref = [9.0f32; 3];
+    csr.spmm::<f32>(&x, &mut y_ref, 1);
+    assert_eq!(
+        y_ref.map(f32::to_bits),
+        [3.0f32, -0.0, 0.0].map(f32::to_bits)
+    );
+    let packed = PackedMatrix::pack(&csr, 32, 1024, 1);
+    let mut y = [9.0f32; 3];
+    spmm_buffered::<f32, f32>(&packed, &x, &mut y);
+    assert_eq!(y.map(f32::to_bits), [3.0f32, 0.0, 0.0].map(f32::to_bits));
+    let mut y = [9.0f32; 3];
+    spmm_reference_with::<f32, f32>(&packed, &x, &mut y, &mut ExecContext::serial());
+    assert_eq!(y.map(f32::to_bits), [3.0f32, 0.0, 0.0].map(f32::to_bits));
 }
 
 #[test]
