@@ -368,7 +368,7 @@ fn analysis_verdict_allocs() -> u64 {
     let plan = xct_comm::HierarchicalPlan::build(&case.footprints, &case.ownership, &case.topology);
     let plans =
         xct_comm::CompiledPlans::compile_hierarchical(&case.footprints, &case.ownership, &plan);
-    let ops = xct_verify::overlap_schedule(3, 4);
+    let ops = xct_verify::scratch_ops(xct_comm::protocol::exchange_schedule(3, true), 4);
 
     // Warm-up outside the count (first-use lazy init, if any).
     assert!(xct_verify::verify_bounds(&plans).ok());

@@ -1,24 +1,18 @@
 //! CI gate for the xct-verify layers: sweeps the generator corpus (every
-//! producible plan must verify cleanly), the known-bad corpus (every
-//! reconstructed PR-3 bug must be rejected with the right diagnostic),
-//! and the schedule explorer on fixed seeds (the timing bug must be
-//! caught and be seed-reproducible). Exits nonzero on any miss; designed
-//! to finish well under a minute.
+//! producible plan must verify cleanly), the must-reject table
+//! (`xct_verify::corpus::MUST_REJECT`: every static artifact rejected
+//! with the witness the table lists), and the schedule explorer on fixed
+//! seeds (the timing bug must be caught and be seed-reproducible; its
+//! flight dump goes to `FLIGHTREC_OUT`). Exits nonzero on any miss;
+//! designed to finish well under a minute.
 
 #![forbid(unsafe_code)]
 
 use std::time::{Duration, Instant};
-use xct_comm::{CompiledPlans, DirectPlan, HierarchicalPlan, PlanError};
+use xct_comm::{CompiledPlans, DirectPlan, HierarchicalPlan};
 use xct_telemetry::Json;
-use xct_verify::corpus::{
-    aliased_reply_exchange, barrier_program, buggy_allreduce_claims, dropped_direct,
-    duplicated_direct, gen_case, misrouted_direct, over_budget_plan, single_sweep_gather,
-    small_direct_fixture, unfolded_collective, unheld_direct, unsorted_transfer,
-};
-use xct_verify::{
-    explore, plan_fits, verify_all_direct, verify_all_hierarchical, verify_direct, CommProgram,
-    ViolationKind,
-};
+use xct_verify::corpus::{aliased_reply_exchange, gen_case, single_sweep_gather, MUST_REJECT};
+use xct_verify::{explore, verify_all_direct, verify_all_hierarchical};
 
 fn check(name: &str, ok: bool, failures: &mut Vec<String>) {
     if ok {
@@ -61,82 +55,10 @@ fn main() {
         &mut Vec::new(),
     );
 
-    println!("known-bad corpus (each PR-3 bug rejected with its witness):");
-    let barrier = barrier_program(4, 0x4000, true).check();
-    check(
-        "bug 1: mis-paired barrier -> UnmatchedRecv",
-        barrier
-            .violations
-            .iter()
-            .any(|v| matches!(v.kind, ViolationKind::UnmatchedRecv { peer, .. } if peer >= 4)),
-        &mut failures,
-    );
-    let tags = buggy_allreduce_claims(4, 0x7000).check();
-    check(
-        "bug 2: aliased allreduce reply -> TagCollision",
-        tags.violations
-            .iter()
-            .any(|v| matches!(v.kind, ViolationKind::TagCollision { tag: 0x7001, .. })),
-        &mut failures,
-    );
-    check(
-        "bug 3: unsorted transfer -> UnsortedIndices",
-        matches!(
-            unsorted_transfer(),
-            Err(PlanError::UnsortedIndices { position: 1, .. })
-        ),
-        &mut failures,
-    );
-    let (unfolded, starved) = unfolded_collective();
-    let report = CommProgram::collective_of(&unfolded, 0x9000, 1).check();
-    check(
-        "collective: folded-in leader never folded out -> UnmatchedRecv",
-        report.violations.iter().any(|v| {
-            v.rank == starved && matches!(v.kind, ViolationKind::UnmatchedRecv { peer: 0, .. })
-        }),
-        &mut failures,
-    );
-    let (fp, own) = small_direct_fixture();
-    check(
-        "misrouted direct -> Misrouted",
-        verify_direct(&fp, &own, &misrouted_direct())
-            .violations
-            .iter()
-            .any(|v| matches!(v.kind, ViolationKind::Misrouted { row: 2, .. })),
-        &mut failures,
-    );
-    check(
-        "dropped direct -> Conservation(0)",
-        verify_direct(&fp, &own, &dropped_direct())
-            .violations
-            .iter()
-            .any(|v| matches!(v.kind, ViolationKind::Conservation { delivered: 0, .. })),
-        &mut failures,
-    );
-    check(
-        "duplicated direct -> Conservation(2)",
-        verify_direct(&fp, &own, &duplicated_direct())
-            .violations
-            .iter()
-            .any(|v| matches!(v.kind, ViolationKind::Conservation { delivered: 2, .. })),
-        &mut failures,
-    );
-    check(
-        "unheld direct -> UnheldRow",
-        verify_direct(&fp, &own, &unheld_direct())
-            .violations
-            .iter()
-            .any(|v| matches!(v.kind, ViolationKind::UnheldRow { row: 3, .. })),
-        &mut failures,
-    );
-    check(
-        "over-budget plan -> PlanOverBudget",
-        plan_fits(&over_budget_plan())
-            .violations
-            .iter()
-            .any(|v| matches!(v.kind, ViolationKind::PlanOverBudget { .. })),
-        &mut failures,
-    );
+    println!("must-reject table (each static artifact rejected with its witness):");
+    for row in MUST_REJECT {
+        check(row.name, row.check().is_ok(), &mut failures);
+    }
 
     println!("schedule explorer (fixed seeds, failures reproducible):");
     let n = 4;

@@ -34,22 +34,14 @@
 #![allow(clippy::cast_possible_truncation)]
 use crate::metrics::TrafficClass;
 use crate::plan::{DirectPlan, HierarchicalPlan, Ownership, ReductionStep};
+use crate::protocol::{
+    TAG_GLOBAL, TAG_NODE, TAG_SCATTER_GLOBAL, TAG_SCATTER_NODE, TAG_SCATTER_SOCKET, TAG_SOCKET,
+};
 use crate::runtime::{CommError, Communicator, RecvRequest};
 use crate::topology::Topology;
 use crate::wire::Wire;
 use std::collections::{HashMap, VecDeque};
 use xct_telemetry::Phase;
-
-/// Compiled-plan tag namespace (disjoint from the reference executor's
-/// 0x100..0x800 and the solver's 0x7000/0x9000 tags). Callers salt with a
-/// per-slice value shifted above these bits to keep concurrent slices
-/// separate.
-const TAG_SOCKET: u64 = 0x1100;
-const TAG_NODE: u64 = 0x1200;
-const TAG_GLOBAL: u64 = 0x1400;
-const TAG_SCATTER_GLOBAL: u64 = 0x1500;
-const TAG_SCATTER_NODE: u64 = 0x1600;
-const TAG_SCATTER_SOCKET: u64 = 0x1700;
 
 /// One precomputed point-to-point transfer: the buffer positions whose
 /// values go to (or arrive from) `peer`, in wire order.
@@ -1124,7 +1116,7 @@ mod tests {
                 let mut outs = vec![vec![0.0f32; rp.owned_len()]; 3];
                 if overlap {
                     for (s, slice_vals) in vals.iter().enumerate() {
-                        let salt = (s as u64 + 1) << 44;
+                        let salt = crate::protocol::slice_salt(s);
                         rp.reduce_local::<f32>(comm, &mut scratch, slice_vals, 1.0, salt)
                             .unwrap();
                         rp.global_begin::<f32>(comm, &mut scratch, 1.0, salt)
@@ -1135,7 +1127,7 @@ mod tests {
                     }
                 } else {
                     for s in 0..3 {
-                        let salt = (s as u64 + 1) << 44;
+                        let salt = crate::protocol::slice_salt(s);
                         rp.reduce::<f32>(
                             comm,
                             &mut scratch,

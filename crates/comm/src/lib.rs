@@ -37,6 +37,7 @@
 mod collective;
 mod metrics;
 mod plan;
+pub mod protocol;
 mod runtime;
 mod topology;
 mod wire;

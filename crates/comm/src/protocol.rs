@@ -1,0 +1,188 @@
+//! The wire protocol of the distributed operator (paper §III-D, §III-E):
+//! the one contract between the crate that executes the exchanges
+//! (this one), the crate that drives them (`xct-core`'s `RankOperator`)
+//! and the crate that proves them safe (`xct-verify`). Each of them reads
+//! the tag layout and the exchange schedule from here; none restates them.
+//!
+//! **Tag namespace.** A tag is 64 bits, matched per `(source, tag)` in
+//! FIFO order: a base tag below bit [`SLICE_SALT_SHIFT`] (an exchange
+//! level's, or a [`Collective`]'s, whose butterfly rounds add
+//! `(k + 1) << 32`: [`crate::Leg::Round`]), the fused slice's
+//! [`slice_salt`] from there up to bit 62, and [`REPLY_TAG_SALT`] in
+//! bit 63, which only the collectives' down leg sets. DESIGN.md §3c
+//! draws the table.
+//!
+//! **Schedule**: the rank's kernel runs once per apply over the whole
+//! minibatch, so nothing is left to compute *between* slices; what
+//! remains per slice is [`ExchangeOp::Post`] — the local socket/node
+//! reduction plus the nonblocking post of the slice's global exchange —
+//! and [`ExchangeOp::Drain`] — completing it. [`exchange_schedule`] is
+//! the order of the two, for both settings of `overlap`.
+
+use crate::runtime::REPLY_TAG_SALT;
+
+/// Base tags of the compiled exchange levels, forward then scatter. All
+/// stay below [`SLICE_SALT_SHIFT`] (`xct-verify`'s tag pass rejects a
+/// level whose base tag does not).
+pub(crate) const TAG_SOCKET: u64 = 0x1100;
+pub(crate) const TAG_NODE: u64 = 0x1200;
+pub(crate) const TAG_GLOBAL: u64 = 0x1400;
+pub(crate) const TAG_SCATTER_GLOBAL: u64 = 0x1500;
+pub(crate) const TAG_SCATTER_NODE: u64 = 0x1600;
+pub(crate) const TAG_SCATTER_SOCKET: u64 = 0x1700;
+
+/// First bit of the per-slice salt: base tags stay below it.
+pub const SLICE_SALT_SHIFT: u32 = 44;
+
+/// The tag salt of fused slice `slice`, XORed onto every exchange-level
+/// tag of that slice so concurrently in-flight slices never match each
+/// other's messages. Slice 0's salt is nonzero: unsalted traffic on a
+/// level's base tag belongs to no slice.
+pub const fn slice_salt(slice: usize) -> u64 {
+    ((slice as u64) + 1) << SLICE_SALT_SHIFT
+}
+
+/// Most slices one apply may fuse: the salts of slices
+/// `0..MAX_FUSED_SLICES` fill the bits between [`SLICE_SALT_SHIFT`] and
+/// [`REPLY_TAG_SALT`]; one slice more would salt its tags into the reply
+/// namespace.
+#[allow(clippy::cast_possible_truncation)] // 2^19 − 1 at the shipped shift: fits any usize
+pub const MAX_FUSED_SLICES: usize = ((REPLY_TAG_SALT >> SLICE_SALT_SHIFT) - 1) as usize;
+
+/// One collective call site of the operator: its base tag and its name
+/// in diagnostics. One tag per site suffices: per-key FIFO keeps
+/// consecutive collectives on one tag apart.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Collective {
+    /// The call site's base tag.
+    pub tag: u64,
+    /// The call site's name in diagnostics.
+    pub name: &'static str,
+}
+
+impl Collective {
+    /// The forward apply's per-slice normalization maxima, one vector.
+    pub const FORWARD_MAXIMA: Collective = Collective::at(0x7000, "forward maxima allreduce");
+    /// The backprojection's normalization maximum.
+    pub const TRANSPOSE_MAXIMUM: Collective = Collective::at(0x7100, "transpose maximum allreduce");
+    /// CGLS's inner-product groups.
+    pub const INNER_PRODUCTS: Collective = Collective::at(0x9000, "cg inner products allreduce");
+
+    /// Every call site, in the order an iteration reaches them.
+    pub const ALL: [Collective; 3] = [
+        Collective::FORWARD_MAXIMA,
+        Collective::TRANSPOSE_MAXIMUM,
+        Collective::INNER_PRODUCTS,
+    ];
+
+    const fn at(tag: u64, name: &'static str) -> Collective {
+        Collective { tag, name }
+    }
+}
+
+/// One step of the exchange schedule, for fused slice `f`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ExchangeOp {
+    /// Run slice `f`'s local work and post its global exchange.
+    Post(usize),
+    /// Complete slice `f`'s global exchange.
+    Drain(usize),
+}
+
+/// The order in which a rank posts and drains the global exchanges of
+/// `n` fused slices.
+///
+/// * Synchronous (`overlap = false`): `Post(0) Drain(0) Post(1) Drain(1)
+///   …` — one exchange in flight at a time; every slice pays its own wire
+///   latency. This is the bit-identity oracle.
+/// * Overlapped (`overlap = true`): `Post(0) … Post(n−1) Drain(0) …
+///   Drain(n−1)` — every slice's exchange is on the wire while the later
+///   slices run their local reductions, and the drains find most
+///   messages already delivered: one latency per apply instead of `n`.
+///
+/// Both orders run the same `Post(f)` before the same `Drain(f)` for
+/// every `f`, and the slices are data-independent (distinct tag salts,
+/// distinct accumulators, distinct output ranges), so the overlapped
+/// schedule is bit-identical to the synchronous one — only the waiting
+/// moves.
+pub fn exchange_schedule(n: usize, overlap: bool) -> impl Iterator<Item = ExchangeOp> {
+    (0..2 * n).map(move |i| match (overlap, i < n) {
+        (true, true) => ExchangeOp::Post(i),
+        (true, false) => ExchangeOp::Drain(i - n),
+        (false, _) if i % 2 == 0 => ExchangeOp::Post(i / 2),
+        (false, _) => ExchangeOp::Drain(i / 2),
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::ExchangeOp::{Drain, Post};
+    use super::*;
+
+    #[test]
+    fn fused_slice_cap_is_where_the_salt_reaches_the_reply_bit() {
+        assert_eq!(slice_salt(MAX_FUSED_SLICES - 1) & REPLY_TAG_SALT, 0);
+        assert_eq!(slice_salt(MAX_FUSED_SLICES), REPLY_TAG_SALT);
+    }
+
+    #[test]
+    fn base_tags_are_distinct_and_below_the_salt_bits() {
+        let mut tags = vec![
+            TAG_SOCKET,
+            TAG_NODE,
+            TAG_GLOBAL,
+            TAG_SCATTER_GLOBAL,
+            TAG_SCATTER_NODE,
+            TAG_SCATTER_SOCKET,
+        ];
+        tags.extend(Collective::ALL.map(|site| site.tag));
+        for (i, &tag) in tags.iter().enumerate() {
+            assert_eq!(tag >> SLICE_SALT_SHIFT, 0, "{tag:#x}");
+            assert!(!tags[..i].contains(&tag), "{tag:#x} defined twice");
+        }
+    }
+
+    #[test]
+    fn synchronous_schedule_is_strictly_per_slice() {
+        let ops: Vec<_> = exchange_schedule(3, false).collect();
+        assert_eq!(
+            ops,
+            vec![Post(0), Drain(0), Post(1), Drain(1), Post(2), Drain(2)]
+        );
+    }
+
+    #[test]
+    fn overlapped_schedule_posts_all_then_drains_in_slice_order() {
+        let ops: Vec<_> = exchange_schedule(3, true).collect();
+        assert_eq!(
+            ops,
+            vec![Post(0), Post(1), Post(2), Drain(0), Drain(1), Drain(2)]
+        );
+    }
+
+    #[test]
+    fn both_schedules_post_every_slice_once_before_draining_it() {
+        for n in 0..6 {
+            for overlap in [false, true] {
+                let ops: Vec<_> = exchange_schedule(n, overlap).collect();
+                assert_eq!(ops.len(), 2 * n);
+                let mut in_flight = 0usize;
+                let mut deepest = 0usize;
+                for f in 0..n {
+                    let post = ops.iter().position(|&o| o == Post(f)).unwrap();
+                    let drain = ops.iter().position(|&o| o == Drain(f)).unwrap();
+                    assert!(post < drain, "slice {f} drained before it was posted");
+                }
+                for op in &ops {
+                    match op {
+                        Post(_) => in_flight += 1,
+                        Drain(_) => in_flight -= 1,
+                    }
+                    deepest = deepest.max(in_flight);
+                }
+                assert_eq!(in_flight, 0);
+                assert_eq!(deepest, if overlap { n } else { n.min(1) });
+            }
+        }
+    }
+}

@@ -20,20 +20,20 @@
 //! With [`DistributedConfig::overlap`] a rank posts every fused slice's
 //! global exchange as soon as that slice's socket/node reduction is done
 //! and drains them afterwards in slice order (paper §III-E, Figs 11–12;
-//! [`crate::pipeline::exchange_schedule`]), so all slices share one wire
+//! [`exchange_schedule`]), so all slices share one wire
 //! latency. Results are bit-identical to the synchronous schedule — the
 //! same floating-point operations run in the same order; only the
 //! waiting moves.
 
 use crate::decompose::{packing_orders, SliceDecomposition};
-use crate::pipeline::{exchange_schedule, ExchangeOp};
 use std::sync::Mutex;
+use xct_comm::protocol::{exchange_schedule, slice_salt, Collective, ExchangeOp};
 use xct_comm::{
     run_ranks_with, AllreduceSteps, Communicator, CompiledPlans, DirectPlan, ExchangeScratch,
     HierarchicalPlan, RankCommStats, RankOptions, ReduceOp, Topology, Wire, WireModel,
 };
 use xct_exec::{BufferRole, ExecContext, ExecCounters, Telemetry};
-use xct_fp16::{Precision, F16};
+use xct_fp16::{max_abs, AdaptiveNormalizer, Precision, F16};
 use xct_geometry::{ScanGeometry, SystemMatrix};
 use xct_hilbert::{CurveKind, Domain2D, TileDecomposition};
 use xct_plan::ReconPlan;
@@ -157,32 +157,13 @@ pub struct DistributedResult {
     pub counters: ExecCounters,
 }
 
-/// Per-slice tag salt keeping concurrent slices' exchange traffic apart
-/// (shifted above the compiled plans' tag bits).
-fn slice_salt(f: usize) -> u64 {
-    ((f as u64) + 1) << 44
-}
-
-/// Collective tags, one per call site (per-key FIFO keeps consecutive
-/// collectives on one tag apart): the forward apply's per-slice maxima,
-/// the backprojection's maximum, and CGLS's inner-product groups.
-const TAG_FORWARD_MAX: u64 = 0x7000;
-const TAG_TRANSPOSE_MAX: u64 = 0x7100;
-const TAG_INNER_PRODUCTS: u64 = 0x9000;
-
 /// The `(factor, undo)` pair that scales values of global max-norm
-/// `global_max` into the half-precision sweet spot and back.
+/// `global_max` into the half-precision sweet spot and back: the serial
+/// path's §III-C1 rule, applied to a maximum agreed across ranks (every
+/// rank's maximum is an `f32`, so the narrowing is exact).
 fn normalization(global_max: f64) -> (f32, f32) {
-    if global_max > f64::MIN_POSITIVE {
-        let factor = (256.0 / global_max) as f32;
-        (factor, 1.0 / factor)
-    } else {
-        (1.0, 1.0)
-    }
-}
-
-fn max_abs(vals: &[f32]) -> f64 {
-    f64::from(vals.iter().fold(0.0f32, |a, &v| a.max(v.abs())))
+    let factor = AdaptiveNormalizer::default().factor_for(global_max as f32);
+    (factor, 1.0 / factor)
 }
 
 /// One rank's distributed operator for one run: the set-up's packed
@@ -235,9 +216,9 @@ impl<'a> RankOperator<'a> {
     }
 
     /// Element-wise allreduce on the run's topology.
-    fn allreduce(&self, tag: u64, op: ReduceOp, vals: &mut [f64]) {
+    fn allreduce(&self, site: Collective, op: ReduceOp, vals: &mut [f64]) {
         self.comm
-            .allreduce(&self.steps, tag, op, vals)
+            .allreduce(&self.steps, site.tag, op, vals)
             // xct-allow(no-panic): comm ops execute a verified plan; a wire fault mid-iteration is unrecoverable
             .expect("allreduce");
     }
@@ -263,9 +244,9 @@ impl<'a> RankOperator<'a> {
         let mut maxima = ctx.workspace.take::<f64>(BufferRole::Scratch(0), fusing);
         if quantized {
             for (f, m) in maxima.iter_mut().enumerate() {
-                *m = max_abs(&partial[f * fp..(f + 1) * fp]);
+                *m = f64::from(max_abs(&partial[f * fp..(f + 1) * fp]));
             }
-            self.allreduce(TAG_FORWARD_MAX, ReduceOp::Max, &mut maxima);
+            self.allreduce(Collective::FORWARD_MAXIMA, ReduceOp::Max, &mut maxima);
         }
         {
             // xct-allow(no-panic): lock poisoning means this rank's thread already panicked; propagate
@@ -316,8 +297,12 @@ impl<'a> RankOperator<'a> {
         let fusing = self.fusing;
         let (fp, rays) = (self.footprint_len, self.owned_rays_len);
         let (factor, undo) = if self.cfg.precision.quantizes_to_half() {
-            let mut global_max = [max_abs(y)];
-            self.allreduce(TAG_TRANSPOSE_MAX, ReduceOp::Max, &mut global_max);
+            let mut global_max = [f64::from(max_abs(y))];
+            self.allreduce(
+                Collective::TRANSPOSE_MAXIMUM,
+                ReduceOp::Max,
+                &mut global_max,
+            );
             normalization(global_max[0])
         } else {
             (1.0, 1.0)
@@ -599,7 +584,9 @@ impl DistributedSetup {
                     damping: 0.0,
                 },
                 &mut ctx,
-                &mut |products| rank_op.allreduce(TAG_INNER_PRODUCTS, ReduceOp::Sum, products),
+                &mut |products| {
+                    rank_op.allreduce(Collective::INNER_PRODUCTS, ReduceOp::Sum, products)
+                },
             );
             (
                 report.x,
@@ -681,19 +668,6 @@ mod tests {
             .sum();
         let den: f64 = b.iter().map(|&q| f64::from(q).powi(2)).sum();
         (num / den.max(1e-30)).sqrt()
-    }
-
-    #[test]
-    fn verifier_claims_the_tags_this_operator_uses() {
-        // xct-verify cannot depend on this crate, so it restates the
-        // operator's tag constants; pin the two together here.
-        assert_eq!(
-            xct_verify::COLLECTIVE_TAGS.map(|(tag, _)| tag),
-            [TAG_FORWARD_MAX, TAG_TRANSPOSE_MAX, TAG_INNER_PRODUCTS]
-        );
-        for f in [0, 1, 7, xct_plan::MAX_FUSING_TAGS - 1] {
-            assert_eq!(slice_salt(f), xct_verify::slice_salt(f));
-        }
     }
 
     #[test]
@@ -878,6 +852,64 @@ mod tests {
                 (lhs - rhs).abs() <= tol * lhs.abs().max(1.0),
                 "{precision:?} hier={hierarchical}: ⟨Ax,y⟩ = {lhs} vs ⟨x,Aᵀy⟩ = {rhs}"
             );
+        }
+    }
+
+    #[test]
+    fn extreme_maxima_get_finite_factors_and_nan_free_rows() {
+        // §III-C1 across ranks at the edges of `f32`: a maximum below,
+        // at or just above the smallest normal once made the factor
+        // infinite and its undo zero, an infinite one the reverse —
+        // either way `0 × ∞` put NaN into every reduced row.
+        let just_above = f32::from_bits(f32::MIN_POSITIVE.to_bits() + 1);
+        for max in [
+            1e-40,
+            1e-38,
+            f32::MIN_POSITIVE,
+            just_above,
+            f32::MAX,
+            f32::INFINITY,
+        ] {
+            let (factor, undo) = normalization(f64::from(max));
+            assert!(
+                factor.is_finite() && factor > 0.0,
+                "{max:e}: factor {factor}"
+            );
+            assert!(undo.is_finite() && undo > 0.0, "{max:e}: undo {undo}");
+            assert!(!(max * factor * undo).is_nan(), "{max:e}");
+        }
+
+        // Through the operator, half on the wire. Forward: voxels at the
+        // smallest normal give partial maxima a few path lengths above it;
+        // voxels near `f32::MAX` overflow the partials, so the agreed
+        // maximum is infinite. Transpose: the maximum is that of the
+        // rays themselves, subnormal or the smallest normal.
+        let scan = ScanGeometry::uniform(ImageGrid::square(12, 1.0), 12);
+        let cfg = DistributedConfig {
+            topology: Topology::new(1, 2, 2),
+            precision: Precision::Mixed,
+            ..Default::default()
+        };
+        let mut setup = DistributedSetup::build(&scan, &cfg);
+        let at = setup.pack(1);
+        let setup = &setup;
+        for (voxel, ray) in [(f32::MIN_POSITIVE, 1e-40), (3e38, f32::MIN_POSITIVE)] {
+            let outputs = run_ranks(cfg.topology.size(), |comm| {
+                let rank_op = RankOperator::new(comm, setup, &setup.packed[at].1[comm.rank()]);
+                let mut ctx = ExecContext::serial();
+                let mut ax = vec![0.0f32; rank_op.rows()];
+                rank_op.apply(&vec![voxel; rank_op.cols()], &mut ax, &mut ctx);
+                let mut aty = vec![0.0f32; rank_op.cols()];
+                rank_op.apply_transpose(&vec![ray; rank_op.rows()], &mut aty, &mut ctx);
+                (ax, aty)
+            });
+            for (rank, (ax, aty)) in outputs.iter().enumerate() {
+                assert!(
+                    !ax.iter().chain(aty).any(|v| v.is_nan()),
+                    "rank {rank}: voxels {voxel:e}, rays {ray:e}"
+                );
+                assert!(ax.iter().any(|&v| v > 0.0), "rank {rank}: A·{voxel:e}");
+            }
         }
     }
 

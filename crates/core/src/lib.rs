@@ -7,10 +7,8 @@
 //!   ownership, per-rank operator restrictions, partial-data footprints,
 //! * [`distributed`] — the executable multi-rank pipeline: partial
 //!   (back)projections through the optimized kernels, hierarchical (or
-//!   direct) communication, distributed CGLS — real arithmetic at mini
-//!   scale,
-//! * [`pipeline`] — the double-buffered stage schedule (§III-E) shared
-//!   by the overlapped exchanges and the out-of-core slab stream,
+//!   direct) communication in `xct_comm::protocol`'s tags and exchange
+//!   order (§III-E), distributed CGLS — real arithmetic at mini scale,
 //! * [`stream`] — plan-driven execution of an `xct_plan::ReconPlan`:
 //!   slabs page through `xct-io` on background threads while resident
 //!   slabs compute, bit-identical to the fully resident path,
@@ -45,7 +43,6 @@ pub mod distributed;
 pub mod drift;
 pub mod model;
 pub mod partition;
-pub mod pipeline;
 mod recon;
 pub mod stream;
 pub mod volume;

@@ -6,12 +6,13 @@ use std::num::NonZeroUsize;
 ///
 /// This is the policy object that used to be rayon hard-wired inside the
 /// spmm crate. Kernels ask it how many partitions to cut their work into
-/// and run one scoped thread per partition ([`Executor::Threads`]) or a
-/// plain loop ([`Executor::Serial`]). `Serial` is the allocation-free
-/// path; `Threads` spawns scoped worker threads per launch, which is
-/// worthwhile for production-scale volumes and irrelevant for the tiny
-/// matrices in tests. Later backends (persistent pools, GPUs) add
-/// variants here without touching any call site.
+/// and hand the parts to [`Executor::for_each_part`]: scoped threads
+/// ([`Executor::Threads`]) or a plain loop ([`Executor::Serial`]).
+/// `Serial` is the allocation-free path; `Threads` spawns scoped worker
+/// threads per launch, which is worthwhile for production-scale volumes
+/// and irrelevant for the tiny matrices in tests. Later backends
+/// (persistent pools, GPUs) add variants here without touching any call
+/// site.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Executor {
@@ -57,8 +58,8 @@ impl Executor {
 
     /// Elementwise work over two equal-length slices: cuts both into the
     /// same contiguous chunks, one per partition, and runs
-    /// `f(input_chunk, output_chunk)` on each — on scoped threads when
-    /// there is more than one. Every partition gets at least
+    /// `f(input_chunk, output_chunk)` on each through
+    /// [`Self::for_each_part`]. Every partition gets at least
     /// [`Self::MIN_CHUNK`] elements, so short vectors stay on the calling
     /// thread. `f` must not depend on where the cuts fall.
     ///
@@ -76,18 +77,29 @@ impl Executor {
             return f(input, output);
         }
         let per_part = input.len().div_ceil(parts);
+        let chunks = input.chunks(per_part).zip(output.chunks_mut(per_part));
+        self.for_each_part(chunks, |(i, o)| f(i, o));
+    }
+
+    /// The one place a launch fans out: runs `f` once per part, the
+    /// first part on the calling thread — one spawn fewer, and it would
+    /// otherwise only wait — and every other part on a scoped thread of
+    /// its own, joined before this returns. Callers cut at most
+    /// [`Self::partitions`] parts; a single part (and every part of a
+    /// [`Executor::Serial`] launch) runs in place, without a scope.
+    pub fn for_each_part<T: Send>(&self, parts: impl IntoIterator<Item = T>, f: impl Fn(T) + Sync) {
+        let mut parts = parts.into_iter().peekable();
+        let Some(own) = parts.next() else { return };
+        if !self.is_parallel() || parts.peek().is_none() {
+            f(own);
+            return parts.for_each(f);
+        }
         let f = &f;
         std::thread::scope(|scope| {
-            let mut chunks = input.chunks(per_part).zip(output.chunks_mut(per_part));
-            // The calling thread takes the first chunk itself: one spawn
-            // fewer, and it would otherwise only wait.
-            let own = chunks.next();
-            for (i, o) in chunks {
-                scope.spawn(move || f(i, o));
+            for part in parts {
+                scope.spawn(move || f(part));
             }
-            if let Some((i, o)) = own {
-                f(i, o);
-            }
+            f(own);
         });
     }
 
@@ -141,6 +153,27 @@ mod tests {
             calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         });
         assert_eq!(calls.into_inner(), 1);
+    }
+
+    #[test]
+    fn for_each_part_runs_every_part_once_and_the_first_on_the_caller() {
+        use std::sync::Mutex;
+        let caller = std::thread::current().id();
+        for executor in [Executor::Serial, Executor::threads(3)] {
+            let seen = Mutex::new(Vec::new());
+            executor.for_each_part(0..3usize, |part| {
+                seen.lock()
+                    .unwrap()
+                    .push((part, std::thread::current().id()));
+            });
+            let mut seen = seen.into_inner().unwrap();
+            seen.sort_by_key(|&(part, _)| part);
+            assert_eq!(seen.iter().map(|&(p, _)| p).collect::<Vec<_>>(), [0, 1, 2]);
+            assert_eq!(seen[0].1, caller, "{executor:?}");
+            let off_caller = seen[1..].iter().filter(|&&(_, id)| id != caller).count();
+            assert_eq!(off_caller, if executor.is_parallel() { 2 } else { 0 });
+        }
+        Executor::threads(3).for_each_part(std::iter::empty::<()>(), |()| unreachable!());
     }
 
     #[test]

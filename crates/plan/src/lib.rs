@@ -30,6 +30,7 @@ pub use profile::{ComponentDrift, ProfileReport, RankCost, SkewReport, PROFILE_S
 pub use tune::{KernelShape, TunePoint, TuneReport, TUNE_SCHEMA};
 
 use xct_cluster::MachineSpec;
+use xct_comm::protocol::MAX_FUSED_SLICES;
 use xct_comm::Topology;
 use xct_fp16::Precision;
 
@@ -220,11 +221,6 @@ impl std::fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
-/// Fusing factors must leave the per-slice tag salts
-/// (`(f + 1) << 44`) clear of the collectives' reply namespace
-/// (bit 63), so at most `2^19 - 1` slices may be in flight per slab.
-pub const MAX_FUSING_TAGS: usize = (1 << 19) - 1;
-
 /// The memory-budgeted planner: applies the paper's §III-A3 rule to a
 /// concrete volume, topology, and byte budget.
 #[derive(Debug, Clone, Copy)]
@@ -302,7 +298,9 @@ impl Planner {
             kernel: self.kernel,
             tile_weights: None,
         };
-        let cap = self.max_fusing.min(dims.slices).min(MAX_FUSING_TAGS);
+        // A slab fuses no more slices than have tag salts clear of the
+        // collectives' reply namespace.
+        let cap = self.max_fusing.min(dims.slices).min(MAX_FUSED_SLICES);
         let fusing = match budget_bytes {
             None => cap,
             Some(budget) => {

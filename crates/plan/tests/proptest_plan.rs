@@ -4,9 +4,10 @@
 //! residency map consistent with the slab count.
 
 use proptest::prelude::*;
+use xct_comm::protocol::MAX_FUSED_SLICES;
 use xct_comm::Topology;
 use xct_fp16::Precision;
-use xct_plan::{PlanError, Planner, Residency, VolumeDims, MAX_FUSING_TAGS};
+use xct_plan::{PlanError, Planner, Residency, VolumeDims};
 
 fn precision(sel: u8) -> Precision {
     match sel % 3 {
@@ -52,7 +53,7 @@ proptest! {
             plan.per_rank_bytes()
         );
         prop_assert!(plan.fusing >= 1);
-        prop_assert!(plan.fusing <= max_fusing.min(MAX_FUSING_TAGS));
+        prop_assert!(plan.fusing <= max_fusing.min(MAX_FUSED_SLICES));
     }
 
     /// Budgets below the single-slice floor are rejected with the exact

@@ -205,29 +205,17 @@ where
         .take_uninit(BufferRole::KernelOut, blocks.len() * acc_stride);
 
     let per_part = blocks.len().div_ceil(parts).max(1);
-    if parts <= 1 {
-        let acc = &mut acc[..acc_stride];
-        let staged = &mut staged[..staged_stride];
-        for (block, out) in blocks.iter().zip(out.chunks_mut(acc_stride)) {
-            body(block, acc, staged, out);
-        }
-    } else {
-        let body = &body;
-        std::thread::scope(|scope| {
-            let work = blocks
-                .chunks(per_part)
-                .zip(out.chunks_mut(per_part * acc_stride))
-                .zip(acc.chunks_mut(acc_stride))
-                .zip(staged.chunks_mut(staged_stride));
-            for (((blocks, outs), acc), staged) in work {
-                scope.spawn(move || {
-                    for (block, out) in blocks.iter().zip(outs.chunks_mut(acc_stride)) {
-                        body(block, acc, staged, out);
-                    }
-                });
+    let work = blocks
+        .chunks(per_part)
+        .zip(out.chunks_mut(per_part * acc_stride))
+        .zip(acc.chunks_mut(acc_stride))
+        .zip(staged.chunks_mut(staged_stride));
+    ctx.executor
+        .for_each_part(work, |(((blocks, outs), acc), staged)| {
+            for (block, out) in blocks.iter().zip(outs.chunks_mut(acc_stride)) {
+                body(block, acc, staged, out);
             }
         });
-    }
 
     // Sequential scatter of thread-major block outputs into the
     // slice-major `y`, each to the row its block lists for that thread:

@@ -43,6 +43,13 @@
 //! and the baseline schedule, and is caught only by chaos schedules
 //! (demonstrating why the explorer layer exists).
 //!
+//! [`MUST_REJECT`] is the one list of every static artifact above with
+//! the pass that must reject it and the witness it must give; the
+//! drivers (`tests/plan_verify.rs`, `petaxct analyze --self-test`, the
+//! `verify_corpus` CI binary) loop over it and keep no expectations of
+//! their own. The two runnable artifacts need the explorer and an
+//! oracle, which a table row cannot hold; `verify_corpus` drives them.
+//!
 //! [`gen_case`] derives random-but-deterministic topology/footprint/
 //! ownership cases from a seed for property tests and the CI corpus
 //! sweep.
@@ -51,10 +58,13 @@
 // the enumerate index back to `u32` is lossless by construction.
 #![allow(clippy::cast_possible_truncation)]
 use crate::deadlock::{CommOp, CommProgram};
+use crate::diag::{AccessKind, ExchangeLevel, VerifyReport, Violation, ViolationKind};
+use crate::lifetime::{scratch_ops, verify_scratch_lifetime, ScratchOp};
 use crate::tags::TagClaimSet;
+use xct_comm::protocol::{exchange_schedule, Collective};
 use xct_comm::{
     AllreduceSteps, Communicator, CompiledPlans, DirectPlan, Footprints, Leg, LevelProgram,
-    Ownership, RankPlan, ReductionStep, StepKind, Topology,
+    Ownership, RankPlan, ReductionStep, StepKind, Topology, REPLY_TAG_SALT,
 };
 
 /// The dissemination-barrier skeleton on `n` ranks at `tag`. With
@@ -313,15 +323,29 @@ pub struct GenCase {
 /// owned rows plus a random selection of foreign ones (mirroring how a
 /// projector footprint always covers the rank's own slab).
 pub fn gen_case(seed: u64) -> GenCase {
-    let mut state = seed;
-    let mut next = move || {
-        state = mix64(state.wrapping_add(0xA5A5_A5A5));
-        state
-    };
+    let mut next = draws(seed);
     let nodes = 1 + (next() % 3) as usize;
     let sockets = 1 + (next() % 2) as usize;
     let gpus = 1 + (next() % 2) as usize;
-    let topology = Topology::new(nodes, sockets, gpus);
+    case_on(Topology::new(nodes, sockets, gpus), next)
+}
+
+/// [`gen_case`]'s footprints and ownership on a machine shape the
+/// caller picks.
+pub fn gen_case_on(topology: Topology, seed: u64) -> GenCase {
+    case_on(topology, draws(seed))
+}
+
+/// The generator's draw sequence for `seed`.
+fn draws(seed: u64) -> impl FnMut() -> u64 {
+    let mut state = seed;
+    move || {
+        state = mix64(state.wrapping_add(0xA5A5_A5A5));
+        state
+    }
+}
+
+fn case_on(topology: Topology, mut next: impl FnMut() -> u64) -> GenCase {
     let n = topology.size();
     let rows_per_rank = 2 + (next() % 5) as usize;
     let num_rows = n * rows_per_rank;
@@ -337,7 +361,7 @@ pub fn gen_case(seed: u64) -> GenCase {
                 let owned = owner[r as usize] as usize == p;
                 // Owned rows are always in the footprint; foreign rows
                 // join with seed-dependent probability ~1/2.
-                if owned || next() % 2 == 0 {
+                if owned || next().is_multiple_of(2) {
                     fp.push(r);
                 }
             }
@@ -492,13 +516,157 @@ pub fn oob_restrict_compiled() -> CompiledPlans {
 /// Lifetime mutation: the two-slice overlap pipeline with slice 0's
 /// accumulator read *before* its posted irecvs are drained —
 /// `PendingWriteRead` (acc, slice 0).
-pub fn read_before_finish_schedule() -> Vec<crate::lifetime::ScratchOp> {
-    let mut ops = crate::lifetime::overlap_schedule(2, 3);
+pub fn read_before_finish_schedule() -> Vec<ScratchOp> {
+    let mut ops = scratch_ops(exchange_schedule(2, true), 3);
     let wait = ops
         .iter()
-        .position(|op| matches!(op, crate::lifetime::ScratchOp::WaitWrites { slice: 0 }))
-        // xct-allow(no-panic): corpus fixture — overlap_schedule always emits WaitWrites(0)
+        .position(|op| matches!(op, ScratchOp::WaitWrites { slice: 0 }))
+        // xct-allow(no-panic): corpus fixture — draining slice 0 always emits WaitWrites(0)
         .expect("schedule finishes slice 0");
     ops.swap(wait, wait + 1);
     ops
 }
+
+// ---- The must-reject table ------------------------------------------
+
+/// One static must-reject artifact: its name in the drivers'
+/// transcripts, the report of the pass that owns it, and the violation
+/// that report must contain.
+pub struct MustReject {
+    /// Name printed by the drivers (`corpus/<name>: rejected`).
+    pub name: &'static str,
+    /// Builds the artifact and runs it through the pass that must
+    /// reject it.
+    pub report: fn() -> VerifyReport,
+    /// Recognizes the seeded violation, witness included.
+    pub expected: fn(&Violation) -> bool,
+}
+
+impl MustReject {
+    /// Runs the row: `Err` carries the report that lacks the expected
+    /// violation.
+    pub fn check(&self) -> Result<(), VerifyReport> {
+        let report = (self.report)();
+        if report.violations.iter().any(self.expected) {
+            Ok(())
+        } else {
+            Err(report)
+        }
+    }
+}
+
+fn direct_report(plan: &DirectPlan) -> VerifyReport {
+    let (fp, own) = small_direct_fixture();
+    crate::verify_direct(&fp, &own, plan)
+}
+
+/// Every static artifact of this module with the pass that must reject
+/// it and the witness it must give.
+#[rustfmt::skip] // a table: one artifact per row group, patterns on one line
+pub const MUST_REJECT: &[MustReject] = {
+    use AccessKind::{KeepDst, RecvLanding, Restrict, SendGather};
+    use ViolationKind::*;
+    &[
+        MustReject {
+            name: "barrier-mispaired",
+            report: || barrier_program(4, 0x4000, true).check(),
+            expected: |v| matches!(v.kind, UnmatchedRecv { peer, .. } if peer >= 4),
+        },
+        MustReject {
+            name: "allreduce-reply-aliased",
+            report: || buggy_allreduce_claims(4, 0x7000).check(),
+            expected: |v| matches!(&v.kind,
+                TagCollision { src: 0, tag: 0x7001, first, second, .. } if first != second),
+        },
+        MustReject {
+            name: "unsorted-transfer",
+            // Rejected at construction, before any pass can see it: the
+            // constructor's error is the report.
+            report: || {
+                let mut report = VerifyReport::new();
+                if let Err(e) = unsorted_transfer() {
+                    report.push(0, None, Malformed { detail: e.to_string() });
+                }
+                report
+            },
+            expected: |v| matches!(&v.kind,
+                Malformed { detail } if detail.contains("position 1 holds 3 after 3")),
+        },
+        MustReject {
+            name: "unfolded-collective",
+            report: || {
+                let (steps, _) = unfolded_collective();
+                CommProgram::collective_of(&steps, Collective::INNER_PRODUCTS.tag, 1).check()
+            },
+            expected: |v| {
+                let reply = Collective::INNER_PRODUCTS.tag ^ REPLY_TAG_SALT;
+                v.rank == unfolded_collective().1
+                    && matches!(v.kind, UnmatchedRecv { peer: 0, tag } if tag == reply)
+            },
+        },
+        MustReject {
+            name: "misrouted-direct",
+            report: || direct_report(&misrouted_direct()),
+            expected: |v| matches!(v.kind, Misrouted { row: 2, dst: 0, expected: 1 }),
+        },
+        MustReject {
+            name: "dropped-direct",
+            report: || direct_report(&dropped_direct()),
+            expected: |v| matches!(v.kind, Conservation { holder: 0, row: 2, delivered: 0 }),
+        },
+        MustReject {
+            name: "duplicated-direct",
+            report: || direct_report(&duplicated_direct()),
+            expected: |v| matches!(v.kind, Conservation { holder: 0, row: 2, delivered: 2 }),
+        },
+        MustReject {
+            name: "unheld-direct",
+            report: || direct_report(&unheld_direct()),
+            expected: |v| matches!(v.kind, UnheldRow { sender: 0, row: 3 }),
+        },
+        MustReject {
+            name: "duplicate-designee",
+            report: || {
+                let (pre, step) = duplicate_designee_step();
+                crate::verify_reduce_step(&pre, &step, ExchangeLevel::Socket)
+            },
+            expected: |v| matches!(v.kind, Conservation { row: 5, delivered: 2, .. }),
+        },
+        MustReject {
+            name: "over-budget-plan",
+            report: || crate::plan_fits(&over_budget_plan()),
+            expected: |v| matches!(v.kind,
+                PlanOverBudget { budget, required } if required == budget + 1),
+        },
+        MustReject {
+            name: "oob-gather",
+            report: || crate::verify_bounds(&oob_gather_compiled()),
+            expected: |v| v.rank == 0
+                && matches!(v.kind, IndexOutOfBounds { access: SendGather, index: 40, len: 3 }),
+        },
+        MustReject {
+            name: "oob-recv-landing",
+            report: || crate::verify_bounds(&oob_recv_compiled()),
+            expected: |v| matches!(v.kind,
+                IndexOutOfBounds { access: RecvLanding, index: 9, len: 2 }),
+        },
+        MustReject {
+            name: "oob-keep-destination",
+            report: || crate::verify_bounds(&oob_keep_compiled()),
+            expected: |v| matches!(v.kind,
+                IndexOutOfBounds { access: KeepDst, index: 30, len: 2 }),
+        },
+        MustReject {
+            name: "oob-restriction",
+            report: || crate::verify_bounds(&oob_restrict_compiled()),
+            expected: |v| matches!(v.kind,
+                IndexOutOfBounds { access: Restrict, index: 77, len: 3 }),
+        },
+        MustReject {
+            name: "read-before-finish",
+            report: || verify_scratch_lifetime(0, &read_before_finish_schedule()),
+            expected: |v| matches!(v.kind,
+                PendingWriteRead { buffer: "acc", slice: 0, pending: 3 }),
+        },
+    ]
+};

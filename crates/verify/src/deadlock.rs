@@ -15,7 +15,8 @@
 
 use crate::diag::{VerifyReport, ViolationKind};
 use std::collections::HashMap;
-use xct_comm::{AllreduceSteps, CompiledPlans, LevelProgram, StepKind, Topology};
+use xct_comm::protocol::{slice_salt, Collective, ExchangeOp};
+use xct_comm::{AllreduceSteps, CollectiveStep, CompiledPlans, LevelProgram, StepKind, Topology};
 
 /// One communication operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,36 +50,65 @@ impl CommProgram {
         self.ops.len()
     }
 
-    /// The forward (reduce) skeleton of a compiled plan under `salt`:
-    /// per level, sends are posted first, then receives complete in plan
-    /// order — matching `reduce_local` + `global_begin`/`global_finish`.
-    pub fn reduce_of(plans: &CompiledPlans, salt: u64) -> Self {
-        let n = plans.num_ranks();
-        let ops = (0..n)
+    /// The skeleton of one solver iteration of the distributed operator
+    /// running `schedule` in both directions, payloads erased — what
+    /// `RankOperator` executes, call for call:
+    ///
+    /// * forward apply: the maxima collective, then per `Post(f)` the
+    ///   blocking local levels (sends, then receives in plan order) and
+    ///   the global sends of slice `f` under its salt, per `Drain(f)`
+    ///   the global receives;
+    /// * the inner-product collective;
+    /// * transpose apply: the maximum collective, then per `Post(f)` the
+    ///   global scatter sends, per `Drain(f)` its receives and the
+    ///   blocking local fan-out levels;
+    /// * the inner-product collective again, on the same tag (safe under
+    ///   per-key FIFO matching only if the first round is fully
+    ///   consumed).
+    pub fn operator_of(
+        plans: &CompiledPlans,
+        steps: &[AllreduceSteps],
+        schedule: &[ExchangeOp],
+    ) -> Self {
+        let ops = (0..plans.num_ranks())
             .map(|p| {
                 let rp = plans.rank(p);
                 let mut ops = Vec::new();
-                for level in rp.local_levels() {
-                    push_level(&mut ops, level, salt);
+                let collective = |ops: &mut Vec<CommOp>, site: Collective| {
+                    ops.extend(steps[p].steps().iter().map(|s| step_op(s, site.tag)));
+                };
+                collective(&mut ops, Collective::FORWARD_MAXIMA);
+                for op in schedule {
+                    match *op {
+                        ExchangeOp::Post(f) => {
+                            for level in rp.local_levels() {
+                                push_sends(&mut ops, level, slice_salt(f));
+                                push_recvs(&mut ops, level, slice_salt(f));
+                            }
+                            push_sends(&mut ops, rp.global_level(), slice_salt(f));
+                        }
+                        ExchangeOp::Drain(f) => {
+                            push_recvs(&mut ops, rp.global_level(), slice_salt(f));
+                        }
+                    }
                 }
-                push_level(&mut ops, rp.global_level(), salt);
-                ops
-            })
-            .collect();
-        CommProgram { ops }
-    }
-
-    /// The transpose (scatter) skeleton of a compiled plan under `salt`.
-    pub fn scatter_of(plans: &CompiledPlans, salt: u64) -> Self {
-        let n = plans.num_ranks();
-        let ops = (0..n)
-            .map(|p| {
-                let rp = plans.rank(p);
-                let mut ops = Vec::new();
-                push_level(&mut ops, rp.scatter_global_level(), salt);
-                for level in rp.scatter_local_levels() {
-                    push_level(&mut ops, level, salt);
+                collective(&mut ops, Collective::INNER_PRODUCTS);
+                collective(&mut ops, Collective::TRANSPOSE_MAXIMUM);
+                for op in schedule {
+                    match *op {
+                        ExchangeOp::Post(f) => {
+                            push_sends(&mut ops, rp.scatter_global_level(), slice_salt(f));
+                        }
+                        ExchangeOp::Drain(f) => {
+                            push_recvs(&mut ops, rp.scatter_global_level(), slice_salt(f));
+                            for level in rp.scatter_local_levels() {
+                                push_sends(&mut ops, level, slice_salt(f));
+                                push_recvs(&mut ops, level, slice_salt(f));
+                            }
+                        }
+                    }
                 }
+                collective(&mut ops, Collective::INNER_PRODUCTS);
                 ops
             })
             .collect();
@@ -90,21 +120,11 @@ impl CommProgram {
     /// erased. More than one round proves that reusing the tag is safe
     /// under per-key FIFO matching.
     pub fn collective_of(steps: &[AllreduceSteps], tag: u64, rounds: usize) -> Self {
-        let op_of = |step: &xct_comm::CollectiveStep| {
-            let tag = step.leg.tag(tag);
-            match step.kind {
-                StepKind::Send => CommOp::Send { to: step.peer, tag },
-                StepKind::RecvCombine | StepKind::RecvAssign => CommOp::Recv {
-                    from: step.peer,
-                    tag,
-                },
-            }
-        };
         let ops = steps
             .iter()
             .map(|program| {
                 (0..rounds)
-                    .flat_map(|_| program.steps().iter().map(op_of))
+                    .flat_map(|_| program.steps().iter().map(|s| step_op(s, tag)))
                     .collect()
             })
             .collect();
@@ -257,31 +277,44 @@ impl CommProgram {
     }
 }
 
-/// Appends one level's skeleton: all sends, then all receives in plan
-/// (completion) order.
-fn push_level(ops: &mut Vec<CommOp>, level: &LevelProgram, salt: u64) {
-    for t in level.sends() {
-        ops.push(CommOp::Send {
-            to: t.peer,
-            tag: level.tag() ^ salt,
-        });
-    }
-    for t in level.recvs() {
-        ops.push(CommOp::Recv {
-            from: t.peer,
-            tag: level.tag() ^ salt,
-        });
+/// One allreduce step at base tag `tag`, payload erased.
+fn step_op(step: &CollectiveStep, tag: u64) -> CommOp {
+    let tag = step.leg.tag(tag);
+    match step.kind {
+        StepKind::Send => CommOp::Send { to: step.peer, tag },
+        StepKind::RecvCombine | StepKind::RecvAssign => CommOp::Recv {
+            from: step.peer,
+            tag,
+        },
     }
 }
 
-/// Verifies deadlock freedom of both pipeline directions of a compiled
-/// plan and of the operator's allreduce on `topo` (two back-to-back
-/// rounds on one tag, as every iteration issues them).
-pub fn verify_deadlock(plans: &CompiledPlans, topo: &Topology) -> VerifyReport {
-    let mut report = CommProgram::reduce_of(plans, 0).check();
-    report.merge(CommProgram::scatter_of(plans, 0).check());
-    report.merge(CommProgram::collective_of(&AllreduceSteps::build_all(topo), 0x9000, 2).check());
-    report
+/// Appends one level's sends under `salt`.
+fn push_sends(ops: &mut Vec<CommOp>, level: &LevelProgram, salt: u64) {
+    ops.extend(level.sends().iter().map(|t| CommOp::Send {
+        to: t.peer,
+        tag: level.tag() ^ salt,
+    }));
+}
+
+/// Appends one level's receives under `salt`, in plan (completion)
+/// order.
+fn push_recvs(ops: &mut Vec<CommOp>, level: &LevelProgram, salt: u64) {
+    ops.extend(level.recvs().iter().map(|t| CommOp::Recv {
+        from: t.peer,
+        tag: level.tag() ^ salt,
+    }));
+}
+
+/// Verifies deadlock freedom of one iteration of the distributed
+/// operator on `topo` running `schedule`
+/// ([`CommProgram::operator_of`]).
+pub fn verify_deadlock(
+    plans: &CompiledPlans,
+    topo: &Topology,
+    schedule: &[ExchangeOp],
+) -> VerifyReport {
+    CommProgram::operator_of(plans, &AllreduceSteps::build_all(topo), schedule).check()
 }
 
 #[cfg(test)]
@@ -294,7 +327,8 @@ mod tests {
             let topo = Topology::new(n, s, g);
             let steps = AllreduceSteps::build_all(&topo);
             for rounds in [1, 3] {
-                let program = CommProgram::collective_of(&steps, 0x7000, rounds);
+                let tag = Collective::FORWARD_MAXIMA.tag;
+                let program = CommProgram::collective_of(&steps, tag, rounds);
                 assert_eq!(program.num_ranks(), topo.size());
                 let report = program.check();
                 assert!(report.ok(), "{n}x{s}x{g} x{rounds}: {report}");

@@ -63,19 +63,19 @@ pub use compiled_check::verify_compiled;
 pub use deadlock::{verify_deadlock, CommOp, CommProgram};
 pub use diag::{AccessKind, ExchangeLevel, VerifyReport, Violation, ViolationKind, WriteOrigin};
 pub use explore::{explore, ExploreReport, SeedOutcome};
-pub use lifetime::{overlap_schedule, verify_lifetimes, verify_scratch_lifetime, ScratchOp};
+pub use lifetime::{scratch_ops, verify_lifetimes, verify_scratch_lifetime, ScratchOp};
 pub use plan_check::{verify_direct, verify_hierarchical, verify_reduce_step};
 pub use plan_fits::plan_fits;
-pub use tags::{
-    claims_for_compiled, slice_salt, verify_tags, TagClaim, TagClaimSet, COLLECTIVE_TAGS,
-};
+pub use tags::{claims_for_compiled, verify_tags, TagClaim, TagClaimSet};
 
+use xct_comm::protocol::{exchange_schedule, ExchangeOp};
 use xct_comm::{CompiledPlans, DirectPlan, Footprints, HierarchicalPlan, Ownership, Topology};
 
 /// Every static check against a hierarchical plan and its compilation:
-/// row-table routing, compiled end-to-end conservation, tag
-/// disjointness under `overlap`, and deadlock freedom. This is the
-/// entry point the distributed pipeline calls in debug builds and under
+/// row-table routing, compiled end-to-end conservation, index bounds,
+/// tag disjointness, and scratch lifetimes and deadlock freedom of the
+/// exchange schedule `overlap` selects. This is the entry point the
+/// distributed pipeline calls in debug builds and under
 /// `--verify-plans`.
 pub fn verify_all_hierarchical(
     footprints: &Footprints,
@@ -89,9 +89,9 @@ pub fn verify_all_hierarchical(
     verify_compilation(report, footprints, ownership, topo, compiled, overlap)
 }
 
-/// Fused-slice depth the lifetime pass models for the overlap schedule:
-/// deeper than one or two, so every slice is posted while others are
-/// still in flight.
+/// Fused-slice depth the lifetime and deadlock passes run the schedule
+/// at: deeper than one or two, so under overlap every slice is posted
+/// while others are still in flight.
 const OVERLAP_CHECK_SLICES: usize = 3;
 
 /// Every static check against a direct plan and its compilation, run on
@@ -110,7 +110,9 @@ pub fn verify_all_direct(
 
 /// The passes both plan flavours share once their row tables are
 /// checked, merged into `report` in this order: compiled conservation,
-/// index bounds, scratch lifetimes under `overlap`, tags, deadlock.
+/// index bounds, scratch lifetimes, tags, deadlock — the lifetime and
+/// deadlock passes on the schedule the operator runs under `overlap`
+/// ([`exchange_schedule`]).
 fn verify_compilation(
     mut report: VerifyReport,
     footprints: &Footprints,
@@ -121,10 +123,9 @@ fn verify_compilation(
 ) -> VerifyReport {
     report.merge(verify_compiled(footprints, ownership, compiled));
     report.merge(verify_bounds(compiled));
-    if overlap {
-        report.merge(verify_lifetimes(compiled, OVERLAP_CHECK_SLICES));
-    }
+    let schedule: Vec<ExchangeOp> = exchange_schedule(OVERLAP_CHECK_SLICES, overlap).collect();
+    report.merge(verify_lifetimes(compiled, &schedule));
     report.merge(verify_tags(compiled, topo));
-    report.merge(verify_deadlock(compiled, topo));
+    report.merge(verify_deadlock(compiled, topo, &schedule));
     report
 }

@@ -8,9 +8,10 @@
 //! with *posted but undelivered* irecv writes, and any read of that
 //! region before the matching `finish` observes partially-delivered
 //! data. This module abstracts the executor's scratch usage into a small
-//! op language ([`ScratchOp`]), derives the op sequence the real
-//! pipeline performs ([`overlap_schedule`]), and checks any sequence —
-//! real or mutated — for the two lifetime properties:
+//! op language ([`ScratchOp`]), expands the exchange schedule the
+//! operator runs ([`xct_comm::protocol::exchange_schedule`], either
+//! setting of `overlap`) into it ([`scratch_ops`]), and checks any
+//! sequence — real or mutated — for the two lifetime properties:
 //!
 //! * **no pending-write read** — a region acquired by `begin` is not
 //!   read until its posted writes are waited
@@ -25,7 +26,7 @@
 //! verdict allocates nothing.
 
 use crate::diag::{VerifyReport, ViolationKind};
-use xct_comm::RankPlan;
+use xct_comm::protocol::ExchangeOp;
 
 /// Most slices the checker tracks concurrently. The overlap schedule
 /// keeps all fused slices of an apply in flight; the bound only caps
@@ -80,35 +81,35 @@ pub enum ScratchOp {
     },
 }
 
-/// The op sequence one rank performs for `slices` fused slices under
-/// the §III-E overlap schedule — post every slice (local reduction into
-/// `cur`, gather, acquire, post), then drain them in slice order — with
-/// `writes_per_slice` posted irecvs per global exchange. This mirrors
-/// `xct-core`'s `exchange_schedule(slices, true)` op for op; the corpus
-/// mutates copies of it to seed lifetime bugs.
-pub fn overlap_schedule(slices: usize, writes_per_slice: usize) -> Vec<ScratchOp> {
-    let mut ops = Vec::with_capacity(slices * 7);
-    for s in 0..slices {
-        ops.push(ScratchOp::FillCur { slice: s });
-        ops.push(ScratchOp::ReadCur { slice: s });
-        ops.push(ScratchOp::AcquireAcc { slice: s });
-        ops.push(ScratchOp::PostWrites {
-            slice: s,
-            count: writes_per_slice,
-        });
-    }
-    for s in 0..slices {
-        ops.push(ScratchOp::WaitWrites { slice: s });
-        ops.push(ScratchOp::ReadAcc { slice: s });
-        ops.push(ScratchOp::ReleaseAcc { slice: s });
+/// The scratch operations one rank performs when it runs `schedule`
+/// with `writes_per_slice` posted irecvs per global exchange: `Post(f)`
+/// is the local reduction into `cur`, the gather, the acquire and the
+/// post; `Drain(f)` the wait, the read and the release. The corpus
+/// mutates the result to seed lifetime bugs.
+pub fn scratch_ops(
+    schedule: impl IntoIterator<Item = ExchangeOp>,
+    writes_per_slice: usize,
+) -> Vec<ScratchOp> {
+    let mut ops = Vec::new();
+    for op in schedule {
+        match op {
+            ExchangeOp::Post(slice) => ops.extend([
+                ScratchOp::FillCur { slice },
+                ScratchOp::ReadCur { slice },
+                ScratchOp::AcquireAcc { slice },
+                ScratchOp::PostWrites {
+                    slice,
+                    count: writes_per_slice,
+                },
+            ]),
+            ExchangeOp::Drain(slice) => ops.extend([
+                ScratchOp::WaitWrites { slice },
+                ScratchOp::ReadAcc { slice },
+                ScratchOp::ReleaseAcc { slice },
+            ]),
+        }
     }
     ops
-}
-
-/// [`overlap_schedule`] for a concrete compiled rank program: the
-/// posted-write count is the rank's global-level recv transfer count.
-pub fn schedule_for(rp: &RankPlan, slices: usize) -> Vec<ScratchOp> {
-    overlap_schedule(slices, rp.global_level().recvs().len())
 }
 
 /// Checks an op sequence for pending-write reads and live-region
@@ -121,144 +122,101 @@ pub fn verify_scratch_lifetime(rank: usize, ops: &[ScratchOp]) -> VerifyReport {
     let mut pending = [0usize; MAX_TRACKED_SLICES];
     // `cur` holds (slice, consumed-by-begin?) or nothing yet.
     let mut cur: Option<(usize, bool)> = None;
-    let slot = |s: usize, report: &mut VerifyReport| -> Option<usize> {
-        if s < MAX_TRACKED_SLICES {
-            Some(s)
-        } else {
-            report.push(
-                rank,
-                None,
-                ViolationKind::Malformed {
-                    detail: format!("slice id {s} exceeds tracked bound {MAX_TRACKED_SLICES}"),
-                },
-            );
-            None
-        }
+    let malformed = |report: &mut VerifyReport, detail: String| {
+        report.push(rank, None, ViolationKind::Malformed { detail });
+    };
+    let pending_read = |report: &mut VerifyReport, buffer, slice, pending| {
+        let kind = ViolationKind::PendingWriteRead {
+            buffer,
+            slice,
+            pending,
+        };
+        report.push(rank, None, kind);
     };
     for op in ops {
+        let (ScratchOp::FillCur { slice }
+        | ScratchOp::ReadCur { slice }
+        | ScratchOp::AcquireAcc { slice }
+        | ScratchOp::PostWrites { slice, .. }
+        | ScratchOp::WaitWrites { slice }
+        | ScratchOp::ReadAcc { slice }
+        | ScratchOp::ReleaseAcc { slice }) = *op;
+        if slice >= MAX_TRACKED_SLICES {
+            let bound = MAX_TRACKED_SLICES;
+            malformed(
+                &mut report,
+                format!("slice id {slice} exceeds tracked bound {bound}"),
+            );
+            continue;
+        }
         match *op {
-            ScratchOp::FillCur { slice } => {
-                if let Some((prev, consumed)) = cur {
-                    if !consumed {
-                        // Overwriting values slice `prev`'s begin never
-                        // gathered: its exchange would send garbage.
-                        report.push(
-                            rank,
-                            None,
-                            ViolationKind::PendingWriteRead {
-                                buffer: "cur",
-                                slice: prev,
-                                pending: 1,
-                            },
-                        );
-                    }
+            ScratchOp::FillCur { .. } => {
+                if let Some((prev, false)) = cur {
+                    // Overwriting values slice `prev`'s begin never
+                    // gathered: its exchange would send garbage.
+                    pending_read(&mut report, "cur", prev, 1);
                 }
                 cur = Some((slice, false));
             }
-            ScratchOp::ReadCur { slice } => match cur {
+            ScratchOp::ReadCur { .. } => match cur {
                 Some((held, _)) if held == slice => cur = Some((held, true)),
-                other => report.push(
-                    rank,
-                    None,
-                    ViolationKind::Malformed {
-                        detail: format!("begin of slice {slice} reads cur holding {other:?}"),
-                    },
+                other => malformed(
+                    &mut report,
+                    format!("begin of slice {slice} reads cur holding {other:?}"),
                 ),
             },
-            ScratchOp::AcquireAcc { slice } => {
-                if let Some(k) = slot(slice, &mut report) {
-                    if live[k] {
-                        report.push(
-                            rank,
-                            None,
-                            ViolationKind::PendingWriteRead {
-                                buffer: "acc",
-                                slice,
-                                pending: pending[k],
-                            },
-                        );
-                    }
-                    live[k] = true;
-                    pending[k] = 0;
+            ScratchOp::AcquireAcc { .. } => {
+                if live[slice] {
+                    pending_read(&mut report, "acc", slice, pending[slice]);
                 }
+                live[slice] = true;
+                pending[slice] = 0;
             }
-            ScratchOp::PostWrites { slice, count } => {
-                if let Some(k) = slot(slice, &mut report) {
-                    if !live[k] {
-                        report.push(
-                            rank,
-                            None,
-                            ViolationKind::Malformed {
-                                detail: format!(
-                                    "writes posted into unacquired acc of slice {slice}"
-                                ),
-                            },
-                        );
-                    }
-                    pending[k] += count;
+            ScratchOp::PostWrites { count, .. } => {
+                if !live[slice] {
+                    malformed(
+                        &mut report,
+                        format!("writes posted into unacquired acc of slice {slice}"),
+                    );
                 }
+                pending[slice] += count;
             }
-            ScratchOp::WaitWrites { slice } => {
-                if let Some(k) = slot(slice, &mut report) {
-                    pending[k] = 0;
+            ScratchOp::WaitWrites { .. } => {
+                if !live[slice] {
+                    malformed(
+                        &mut report,
+                        format!("finish of slice {slice}, whose exchange is not posted"),
+                    );
                 }
+                pending[slice] = 0;
             }
-            ScratchOp::ReadAcc { slice } => {
-                if let Some(k) = slot(slice, &mut report) {
-                    if pending[k] > 0 {
-                        report.push(
-                            rank,
-                            None,
-                            ViolationKind::PendingWriteRead {
-                                buffer: "acc",
-                                slice,
-                                pending: pending[k],
-                            },
-                        );
-                    }
+            ScratchOp::ReadAcc { .. } | ScratchOp::ReleaseAcc { .. } => {
+                if pending[slice] > 0 {
+                    pending_read(&mut report, "acc", slice, pending[slice]);
                 }
-            }
-            ScratchOp::ReleaseAcc { slice } => {
-                if let Some(k) = slot(slice, &mut report) {
-                    if pending[k] > 0 {
-                        report.push(
-                            rank,
-                            None,
-                            ViolationKind::PendingWriteRead {
-                                buffer: "acc",
-                                slice,
-                                pending: pending[k],
-                            },
-                        );
-                    }
-                    live[k] = false;
+                if matches!(op, ScratchOp::ReleaseAcc { .. }) {
+                    live[slice] = false;
                 }
             }
         }
     }
     // Anything still in flight at pipeline end was never finished.
-    for (k, &l) in live.iter().enumerate() {
-        if l && pending[k] > 0 {
-            report.push(
-                rank,
-                None,
-                ViolationKind::PendingWriteRead {
-                    buffer: "acc",
-                    slice: k,
-                    pending: pending[k],
-                },
-            );
+    for (slice, &l) in live.iter().enumerate() {
+        if l && pending[slice] > 0 {
+            pending_read(&mut report, "acc", slice, pending[slice]);
         }
     }
     report
 }
 
-/// Verifies the real overlap pipeline's scratch usage for every rank of
-/// `plans` across `slices` fused slices.
-pub fn verify_lifetimes(plans: &xct_comm::CompiledPlans, slices: usize) -> VerifyReport {
+/// Verifies the scratch usage of every rank of `plans` running
+/// `schedule`; a rank posts one irecv per recv transfer of its global
+/// level.
+pub fn verify_lifetimes(plans: &xct_comm::CompiledPlans, schedule: &[ExchangeOp]) -> VerifyReport {
     let mut report = VerifyReport::new();
     for rank in 0..plans.num_ranks() {
-        let ops = schedule_for(plans.rank(rank), slices);
+        let writes = plans.rank(rank).global_level().recvs().len();
+        let ops = scratch_ops(schedule.iter().copied(), writes);
         report.merge(verify_scratch_lifetime(rank, &ops));
     }
     report
@@ -267,13 +225,16 @@ pub fn verify_lifetimes(plans: &xct_comm::CompiledPlans, slices: usize) -> Verif
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xct_comm::protocol::exchange_schedule;
 
     #[test]
-    fn real_overlap_schedule_is_clean() {
+    fn both_real_schedules_are_clean() {
         for slices in [1, 2, 3, 8] {
-            let ops = overlap_schedule(slices, 3);
-            let report = verify_scratch_lifetime(0, &ops);
-            assert!(report.ok(), "slices={slices}: {report}");
+            for overlap in [false, true] {
+                let ops = scratch_ops(exchange_schedule(slices, overlap), 3);
+                let report = verify_scratch_lifetime(0, &ops);
+                assert!(report.ok(), "slices={slices} overlap={overlap}: {report}");
+            }
         }
     }
 
@@ -281,7 +242,7 @@ mod tests {
     fn read_before_wait_is_a_pending_write_read() {
         // Mutate the 2-slice schedule: finish reads the accumulator
         // before draining the posted irecvs.
-        let mut ops = overlap_schedule(2, 3);
+        let mut ops = scratch_ops(exchange_schedule(2, true), 3);
         let wait = ops
             .iter()
             .position(|op| matches!(op, ScratchOp::WaitWrites { slice: 0 }))

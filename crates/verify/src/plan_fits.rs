@@ -12,8 +12,8 @@
 //! known-bad corpus.
 
 use crate::diag::{VerifyReport, ViolationKind};
-use crate::tags::slice_salt;
-use xct_plan::{ReconPlan, Residency, MAX_FUSING_TAGS};
+use xct_comm::protocol::{slice_salt, MAX_FUSED_SLICES};
+use xct_plan::{ReconPlan, Residency};
 
 /// Every static check against a reconstruction plan:
 ///
@@ -25,7 +25,7 @@ use xct_plan::{ReconPlan, Residency, MAX_FUSING_TAGS};
 /// * **Residency** — one slab runs resident; several slabs all stream
 ///   (the streaming executor pages *every* slab through I/O).
 /// * **Tag discipline** — the fusing factor keeps the per-slice salts
-///   (`(f + 1) << 44`) clear of the reserved reply bit.
+///   ([`slice_salt`]) clear of the reserved reply bit.
 /// * **Weights** — measured tile weights (`--weights-from`), when
 ///   present, cover the `ceil(n / tile_size)²` tile grid exactly, so
 ///   the weighted Hilbert partition neither panics on a short table
@@ -52,7 +52,7 @@ pub fn plan_fits(plan: &ReconPlan) -> VerifyReport {
             },
         );
     }
-    if plan.fusing > MAX_FUSING_TAGS {
+    if plan.fusing > MAX_FUSED_SLICES {
         // The widest slab's last slice would salt its tags into the
         // reserved reply namespace (bit 63).
         report.push(
@@ -342,7 +342,7 @@ mod tests {
                 Topology::new(1, 1, 1),
             )
             .unwrap();
-        plan.fusing = MAX_FUSING_TAGS + 1;
+        plan.fusing = MAX_FUSED_SLICES + 1;
         let report = plan_fits(&plan);
         assert!(report.violations.iter().any(|v| matches!(
             v.kind,

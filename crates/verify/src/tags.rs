@@ -15,7 +15,8 @@
 //! exchange is in flight at once, and even the synchronous schedule lets
 //! a fast rank run slices ahead of a slow peer — so the claim covers the
 //! whole **slice-salt family** of every level, not a window of adjacent
-//! slices. A salted claim at base tag `t` stands for `t ^ slice_salt(s)`
+//! slices. A salted claim at base tag `t` stands for
+//! `t ^ `[`xct_comm::protocol::slice_salt`]`(s)`
 //! for every legal `s`; because the salts occupy bits the base tags must
 //! leave clear, two family members collide exactly when their base tags
 //! do, and the check stays one lookup per claim. The collectives
@@ -26,19 +27,10 @@
 
 use crate::diag::{VerifyReport, ViolationKind};
 use std::collections::HashMap;
+use xct_comm::protocol::{Collective, SLICE_SALT_SHIFT};
 use xct_comm::{
     AllreduceSteps, CompiledPlans, Leg, LevelProgram, StepKind, Topology, REPLY_TAG_SALT,
 };
-
-/// First bit of the per-slice salt: base tags stay below it.
-const SALT_SHIFT: u32 = 44;
-
-/// The per-slice tag salt of the overlap pipeline (mirrors the fused
-/// slice salt in `xct-core`'s distributed operator: slice `s` XORs its
-/// level tags with `(s + 1) << 44`).
-pub fn slice_salt(slice: usize) -> u64 {
-    ((slice as u64) + 1) << SALT_SHIFT
-}
 
 /// One potential in-flight message: who sends it, who can match it, and
 /// under which tag, attributed to a named exchange.
@@ -131,18 +123,6 @@ impl TagClaimSet {
         }
     }
 
-    /// Records every round of the dissemination barrier at `tag`.
-    pub fn claim_barrier(&mut self, n: usize, tag: u64, exchange: &str) {
-        let mut dist = 1usize;
-        while dist < n {
-            for rank in 0..n {
-                let to = (rank + dist) % n;
-                self.claim(rank, to, tag ^ ((dist as u64) << 32), exchange);
-            }
-            dist *= 2;
-        }
-    }
-
     /// Proves pairwise disjointness: no `(src, dst, tag)` triple may be
     /// claimed by two different exchanges, no application claim may set
     /// the reserved reply bit, and no salted base tag may reach into the
@@ -161,7 +141,7 @@ impl TagClaimSet {
         // Families first, so the verdict does not depend on claim order.
         let mut families: HashMap<(usize, usize, u64), &TagClaim> = HashMap::new();
         for claim in self.claims.iter().filter(|c| c.salted) {
-            if claim.tag >> SALT_SHIFT != 0 {
+            if claim.tag >> SLICE_SALT_SHIFT != 0 {
                 report.push(
                     claim.src,
                     None,
@@ -195,10 +175,10 @@ impl TagClaimSet {
                     },
                 );
             }
-            // Bits at and above SALT_SHIFT with the reply bit clear are
+            // Bits at and above SLICE_SALT_SHIFT with the reply bit clear are
             // some slice's salt (the reply bit exceeds every legal one).
-            if claim.tag & REPLY_TAG_SALT == 0 && claim.tag >> SALT_SHIFT != 0 {
-                let base = claim.tag & ((1 << SALT_SHIFT) - 1);
+            if claim.tag & REPLY_TAG_SALT == 0 && claim.tag >> SLICE_SALT_SHIFT != 0 {
+                let base = claim.tag & ((1 << SLICE_SALT_SHIFT) - 1);
                 if let Some(first) = families.get(&(claim.src, claim.dst, base)) {
                     if first.exchange != claim.exchange {
                         report.push(claim.dst, None, collision(first, claim));
@@ -219,18 +199,10 @@ impl TagClaimSet {
     }
 }
 
-/// Collective tags of the distributed operator, one per call site
-/// (mirrors `xct-core`): forward per-slice maxima, backprojection
-/// maximum, CGLS inner-product groups.
-pub const COLLECTIVE_TAGS: [(u64, &str); 3] = [
-    (0x7000, "forward maxima allreduce 0x7000"),
-    (0x7100, "transpose maximum allreduce 0x7100"),
-    (0x9000, "cg inner products allreduce 0x9000"),
-];
-
 /// Builds the concurrent claim set for `plans` run on `topo`: every
 /// level of the compiled pipeline for the whole slice-salt family, plus
-/// the operator's collectives on the topology's step list.
+/// the operator's collectives ([`Collective::ALL`]) on the topology's
+/// step list.
 pub fn claims_for_compiled(plans: &CompiledPlans, topo: &Topology) -> TagClaimSet {
     let n = plans.num_ranks();
     let mut set = TagClaimSet::new();
@@ -257,8 +229,8 @@ pub fn claims_for_compiled(plans: &CompiledPlans, topo: &Topology) -> TagClaimSe
     }
     // Control traffic that may interleave with the exchanges.
     let steps = AllreduceSteps::build_all(topo);
-    for (tag, name) in COLLECTIVE_TAGS {
-        set.claim_collective(&steps, tag, name);
+    for site in Collective::ALL {
+        set.claim_collective(&steps, site.tag, site.name);
     }
     set
 }
@@ -271,6 +243,7 @@ pub fn verify_tags(plans: &CompiledPlans, topo: &Topology) -> VerifyReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xct_comm::protocol::slice_salt;
 
     #[test]
     fn reserved_bit_boundary_is_exact() {
@@ -341,7 +314,7 @@ mod tests {
 
         // A base tag reaching into the salt bits breaks the family model.
         let mut wide = TagClaimSet::new();
-        wide.claim_level(&[&level(1 << 44), &idle], "wide base");
+        wide.claim_level(&[&level(1 << SLICE_SALT_SHIFT), &idle], "wide base");
         assert!(wide
             .check()
             .violations
@@ -355,8 +328,8 @@ mod tests {
             let topo = Topology::new(n, s, g);
             let steps = AllreduceSteps::build_all(&topo);
             let mut set = TagClaimSet::new();
-            for (tag, name) in COLLECTIVE_TAGS {
-                set.claim_collective(&steps, tag, name);
+            for site in Collective::ALL {
+                set.claim_collective(&steps, site.tag, site.name);
             }
             set.check().assert_ok("operator collectives");
             let sends: usize = steps
@@ -364,21 +337,11 @@ mod tests {
                 .flat_map(|p| p.steps())
                 .filter(|st| st.kind == StepKind::Send)
                 .count();
-            assert_eq!(set.claims().len(), COLLECTIVE_TAGS.len() * sends);
+            assert_eq!(set.claims().len(), Collective::ALL.len() * sends);
             // Exactly the down leg sits in the reply namespace.
             for c in set.claims() {
                 assert_eq!(c.reply, c.tag & REPLY_TAG_SALT != 0, "{c:?}");
             }
         }
-    }
-
-    #[test]
-    fn largest_legal_fusing_salt_stays_clear_of_the_bit() {
-        // slice_salt(MAX_FUSING_TAGS - 1) is the widest salt a legal
-        // plan can emit; it must not reach bit 63, while one slice more
-        // would (the plan_fits boundary test asserts the rejection).
-        let top = slice_salt(xct_plan::MAX_FUSING_TAGS - 1);
-        assert_eq!(top & REPLY_TAG_SALT, 0);
-        assert_ne!(slice_salt(xct_plan::MAX_FUSING_TAGS) & REPLY_TAG_SALT, 0);
     }
 }

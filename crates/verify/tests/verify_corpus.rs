@@ -1,20 +1,23 @@
 //! The known-bad corpus: every communication bug PR 3 fixed must be
 //! rejected by the static layer or caught by the schedule explorer, with
 //! the *right* diagnostic and witness — and the corresponding correct
-//! artifacts must pass cleanly.
+//! artifacts must pass cleanly. The exact-witness assertions live here;
+//! the drivers that only need "rejected, as expected" loop over
+//! `corpus::MUST_REJECT`.
 
 #![forbid(unsafe_code)]
 
 use std::time::Duration;
+use xct_comm::protocol::{exchange_schedule, slice_salt, ExchangeOp};
 use xct_comm::{
     Communicator, CompiledPlans, DirectPlan, Footprints, HierarchicalPlan, Ownership, PlanError,
     Topology,
 };
 use xct_verify::corpus::{
     aliased_reply_exchange, barrier_program, buggy_allreduce_claims, dropped_direct,
-    duplicate_designee_step, duplicated_direct, misrouted_direct, over_budget_plan,
-    single_sweep_gather, small_direct_fixture, unfolded_collective, unheld_direct,
-    unsorted_transfer,
+    duplicate_designee_step, duplicated_direct, gen_case, gen_case_on, misrouted_direct,
+    over_budget_plan, single_sweep_gather, small_compiled_fixture, small_direct_fixture,
+    unfolded_collective, unheld_direct, unsorted_transfer, MUST_REJECT,
 };
 use xct_verify::deadlock::{CommOp, CommProgram};
 use xct_verify::{
@@ -365,7 +368,7 @@ fn streamed_slab_exchanges_survive_chaos_schedules() {
         let me = comm.rank();
         let mut sums = Vec::with_capacity(slabs.len());
         for &s in &slabs {
-            let tag = 0x9000u64 ^ xct_verify::slice_salt(s);
+            let tag = 0x9000u64 ^ slice_salt(s);
             let value = ((me + 1) * (s + 1)) as f64;
             if me == 0 {
                 let mut acc = value;
@@ -395,32 +398,98 @@ fn streamed_slab_exchanges_survive_chaos_schedules() {
     assert!(report.ok(), "{:?}", report.first_failure());
 }
 
+// ---- The must-reject table and the schedule the passes take ----
+
+#[test]
+fn every_must_reject_row_is_rejected_with_its_witness() {
+    for (i, row) in MUST_REJECT.iter().enumerate() {
+        assert!(
+            MUST_REJECT[..i].iter().all(|r| r.name != row.name),
+            "{} listed twice",
+            row.name
+        );
+        if let Err(report) = row.check() {
+            panic!("{} not rejected as expected: {report}", row.name);
+        }
+    }
+}
+
+#[test]
+fn draining_a_slice_before_posting_it_is_rejected_by_both_schedule_passes() {
+    // A mutated schedule goes through the same expansion as the two the
+    // operator runs, and both passes that take the schedule reject it.
+    use ExchangeOp::{Drain, Post};
+    let (_, _, compiled) = small_compiled_fixture();
+    let topo = Topology::new(1, 1, 2);
+    let mutated = [Post(0), Drain(1), Drain(0), Post(1)];
+
+    let lifetimes = xct_verify::verify_lifetimes(&compiled, &mutated);
+    assert!(
+        lifetimes.violations.iter().any(|v| matches!(
+            &v.kind,
+            ViolationKind::Malformed { detail } if detail.contains("finish of slice 1")
+        )),
+        "{lifetimes}"
+    );
+    // Slice 1's exchange, posted after its drain, is never finished:
+    // each rank's one global irecv stays pending.
+    assert!(
+        lifetimes.violations.iter().any(|v| matches!(
+            v.kind,
+            ViolationKind::PendingWriteRead {
+                buffer: "acc",
+                slice: 1,
+                pending: 1
+            }
+        )),
+        "{lifetimes}"
+    );
+
+    // Both ranks wait for slice 1's global message before either has
+    // sent it.
+    let deadlock = xct_verify::verify_deadlock(&compiled, &topo, &mutated);
+    let cycle = deadlock
+        .violations
+        .iter()
+        .find_map(|v| match &v.kind {
+            ViolationKind::DeadlockCycle { cycle } => Some(cycle),
+            _ => None,
+        })
+        .unwrap_or_else(|| panic!("no deadlock cycle in: {deadlock}"));
+    assert!(cycle.iter().any(|&(r, _)| r == 0) && cycle.iter().any(|&(r, _)| r == 1));
+
+    for overlap in [false, true] {
+        let real: Vec<_> = exchange_schedule(2, overlap).collect();
+        xct_verify::verify_lifetimes(&compiled, &real).assert_ok("real schedule lifetimes");
+        xct_verify::verify_deadlock(&compiled, &topo, &real).assert_ok("real schedule deadlock");
+    }
+}
+
 // ---- Generated plans: the real pipeline must verify cleanly ----
 
 #[test]
 fn built_plans_verify_cleanly_across_topologies() {
-    for seed in 0..24u64 {
-        let case = xct_verify::corpus::gen_case(seed);
-        let fp = &case.footprints;
-        let own = &case.ownership;
+    // The 64-seed generator corpus plus four machine shapes the generator
+    // cannot draw, both plan flavours, both exchange schedules; the tag
+    // claims once more on their own, since they do not depend on the
+    // schedule.
+    let named = [(1, 2, 2), (2, 2, 2), (3, 1, 4), (4, 2, 3)]
+        .map(|(n, s, g)| gen_case_on(Topology::new(n, s, g), 7));
+    for case in (0..64).map(gen_case).chain(named) {
+        let (fp, own, topo) = (&case.footprints, &case.ownership, &case.topology);
         let direct = DirectPlan::build(fp, own);
         let dc = CompiledPlans::compile_direct(fp, own, &direct);
-        for overlap in [false, true] {
-            let report = verify_all_direct(fp, own, &case.topology, &direct, &dc, overlap);
-            assert!(
-                report.ok(),
-                "seed {seed} direct overlap={overlap}: {report}"
-            );
-        }
-        let hier = HierarchicalPlan::build(fp, own, &case.topology);
+        let hier = HierarchicalPlan::build(fp, own, topo);
         let hc = CompiledPlans::compile_hierarchical(fp, own, &hier);
+        for compiled in [&dc, &hc] {
+            let claims = xct_verify::claims_for_compiled(compiled, topo).check();
+            assert!(claims.ok(), "{topo:?} tag claims: {claims}");
+        }
         for overlap in [false, true] {
-            let report = verify_all_hierarchical(fp, own, &case.topology, &hier, &hc, overlap);
-            assert!(
-                report.ok(),
-                "seed {seed} hier {:?} overlap={overlap}: {report}",
-                case.topology
-            );
+            let report = verify_all_direct(fp, own, topo, &direct, &dc, overlap);
+            assert!(report.ok(), "{topo:?} direct overlap={overlap}: {report}");
+            let report = verify_all_hierarchical(fp, own, topo, &hier, &hc, overlap);
+            assert!(report.ok(), "{topo:?} hier overlap={overlap}: {report}");
         }
     }
 }

@@ -56,22 +56,54 @@ impl From<xct_core::PipelineError> for CliError {
     }
 }
 
-/// Parsed `key=value`-style flags (`--key value`).
-pub struct Flags {
+/// One subcommand. `flags` is its part of the usage text and the table
+/// its parser checks against, in one: a line that starts with `--name`
+/// or `[--name` declares the flags written on it, up to the first run of
+/// two spaces; what follows, and every indented line, is help.
+struct Command {
+    name: &'static str,
+    flags: &'static str,
+    /// Paragraph printed under the flags.
+    about: &'static str,
+    run: fn(&Flags) -> Result<String, CliError>,
+}
+
+impl Command {
+    /// Whether `flags` declares `--key`.
+    fn declares(&self, key: &str) -> bool {
+        self.flags
+            .lines()
+            .filter(|line| line.starts_with(['-', '[']))
+            .flat_map(|line| line.split("  ").next().unwrap_or(line).split(' '))
+            .filter_map(|item| item.trim_start_matches('[').strip_prefix("--"))
+            .any(|name| name.trim_end_matches(']') == key)
+    }
+}
+
+/// A command line parsed against its command's flag table.
+struct Flags {
+    command: &'static Command,
     pairs: Vec<(String, String)>,
 }
 
 impl Flags {
-    /// Parses `--key value` pairs; rejects stray positionals. A flag
-    /// followed by another flag (or by nothing) is a boolean switch and
-    /// reads as `"true"` — e.g. `--telemetry-summary`.
-    pub fn parse(args: &[String]) -> Result<Flags, CliError> {
+    /// Parses `--key value` pairs; rejects stray positionals and flags
+    /// `command` does not declare. A flag followed by another flag (or
+    /// by nothing) is a boolean switch and reads as `"true"` — e.g.
+    /// `--telemetry-summary`.
+    fn parse(command: &'static Command, args: &[String]) -> Result<Flags, CliError> {
         let mut pairs = Vec::new();
         let mut it = args.iter().peekable();
         while let Some(arg) = it.next() {
             let key = arg
                 .strip_prefix("--")
                 .ok_or_else(|| CliError(format!("expected --flag, got {arg:?}")))?;
+            if !command.declares(key) {
+                return Err(CliError(format!(
+                    "unknown flag --{key} for `petaxct {}`; see `petaxct help`",
+                    command.name
+                )));
+            }
             let value = match it.peek() {
                 // xct-allow(no-panic): infallible — the peek above proved the next argument exists
                 Some(next) if !next.starts_with("--") => it.next().unwrap().clone(),
@@ -79,10 +111,15 @@ impl Flags {
             };
             pairs.push((key.to_owned(), value));
         }
-        Ok(Flags { pairs })
+        Ok(Flags { command, pairs })
     }
 
     fn get(&self, key: &str) -> Option<&str> {
+        debug_assert!(
+            self.command.declares(key),
+            "`petaxct {}` reads --{key} without declaring it",
+            self.command.name
+        );
         self.pairs
             .iter()
             .find(|(k, _)| k == key)
@@ -370,129 +407,189 @@ fn parse_wire(spec: &str, topology: &Topology) -> Result<WireModel, CliError> {
     })
 }
 
-/// Usage text.
-pub const USAGE: &str = "\
-petaxct — iterative X-ray CT reconstruction (PetaXCT reproduction)
+/// Every subcommand with the flags it reads.
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "simulate",
+        flags: "\
+--phantom shepp|shale|chip|charcoal|brain --out FILE
+[--n 64] [--angles 64] [--slices 8] [--flux 0]
+[--precision half|single|double] [--seed 1]",
+        about: "",
+        run: simulate,
+    },
+    Command {
+        name: "reconstruct",
+        flags: "\
+--in FILE --out FILE
+[--precision double|single|half|mixed] [--iterations 24]
+[--batch 8] [--damping 0] [--solver cgls|sirt|tv]
+[--tune-from FILE]        use the best kernel shape from a
+                          petaxct-tune-v1 artifact (block
+                          size, staging bytes; its fusing
+                          is the default --batch)
+[--topology NxSxG]        simulate N nodes x S sockets x G GPUs
+                          (distributed CGLS, undamped)
+[--memory-budget BYTES]   per-rank device-memory budget: the
+                          planner picks the largest slice batch
+                          that fits (paper Sec. III-A3) and
+                          streams slabs through I/O when the
+                          stack no longer fits at once
+                          (implies --topology 1x1x1)
+[--stream]                force out-of-core execution: split
+                          the stack into at least two slabs
+                          and page them through I/O
+                          (implies --topology 1x1x1)
+[--overlap]               post every fused slice's global exchange
+                          before draining any (one wire latency)
+[--verify-plans]          statically verify the communication
+                          plan (conservation, tags, deadlock)
+                          before running it
+[--wire [LAT_USxMBPS]]    simulate inter-node wire time
+                          (latency µs x bandwidth MB/s;
+                          bare --wire means 600x50)
+[--telemetry-summary]     print a per-phase breakdown table
+[--critical-path]         print the cross-rank critical-path,
+                          per-rank slack, and per-phase
+                          duration histograms
+[--telemetry-json FILE]   write a machine-readable report
+[--trace FILE]            write a Chrome/Perfetto trace
+[--metrics-out FILE]      sample the metrics registry on an
+                          interval and write the series as
+                          petaxct-metrics-v1 JSON to FILE,
+                          the final snapshot in Prometheus
+                          text format to FILE.prom, and the
+                          series as CSV to FILE.csv
+[--metrics-interval MS]   sampling interval in milliseconds
+                          (default 200)
+[--progress]              repaint a one-line progress report
+                          on stderr (slab, iteration,
+                          residual, %, ETA)
+[--flightrec-out FILE]    arm the flight recorder: on panic
+                          or error, dump the last moments of
+                          every rank (spans, events, metric
+                          deltas) as petaxct-flightrec-v1
+                          JSON to FILE
+[--profile-out FILE]      record telemetry and write the
+                          measured per-rank/
+                          per-tile costs, model-drift table,
+                          and skew report as a
+                          petaxct-profile-v1 artifact
+[--weights-from FILE]     re-run the x-z Hilbert partition
+                          with the measured per-tile costs
+                          of a petaxct-profile-v1 artifact
+                          instead of uniform cell counts
+                          (offline rebalance; plan_fits
+                          still gates the weighted plan)",
+        about: "\
+--overlap, --verify-plans, --wire, --profile-out and --weights-from
+are read by distributed runs only (--topology, --memory-budget or
+--stream), and those solve with CGLS",
+        run: reconstruct,
+    },
+    Command {
+        name: "fbp",
+        flags: "--in FILE --out FILE [--filter ramlak|shepplogan|hann]",
+        about: "",
+        run: fbp,
+    },
+    Command {
+        name: "info",
+        flags: "--in FILE",
+        about: "",
+        run: info,
+    },
+    Command {
+        name: "render",
+        flags: "--in FILE [--slice 0] --out FILE.pgm",
+        about: "",
+        run: render,
+    },
+    Command {
+        name: "model",
+        flags: "\
+--dataset shale|chip|charcoal|brain [--nodes 128]
+[--precision mixed] [--iterations 30]",
+        about: "",
+        run: model,
+    },
+    Command {
+        name: "tune",
+        flags: "\
+[--quick] [--out TUNE.json] [--precision single]
+[--n 24] [--angles 24] [--iterations 4] [--reps 3]
+[--blocks 32,64,128] [--shared 4096,32768,98304]
+[--fusings 1,4,8]",
+        about: "\
+sweep the SpMM tile shape (block size x staging bytes x
+fusing) and write the measurements as a petaxct-tune-v1
+artifact for --tune-from",
+        run: tune,
+    },
+    Command {
+        name: "profile",
+        flags: "\
+[--n 24] [--angles 24] [--slices 2] [--iterations 4]
+[--precision single] [--topology 1x2x2] [--tile 4]
+[--phantom shale] [--seed 1] [--overlap]
+[--wire [LAT_USxMBPS]] [--out PROFILE.json] [--json]
+[--weights-from FILE]",
+        about: "\
+profile a synthetic distributed reconstruction with the
+hierarchical cost profiler: per-rank component costs
+(SpMM, gather/convert, socket/node/global reduction,
+comm-wait, I/O stall) joined with critical-path slack,
+per-tile derived costs, and the model-vs-measured drift
+table, written as a petaxct-profile-v1 artifact for
+--weights-from; --json prints the artifact instead of
+the drift/skew tables",
+        run: profile,
+    },
+    Command {
+        name: "analyze",
+        flags: "[--root DIR] [--self-test]",
+        about: "\
+two-layer workspace invariant checker (DESIGN.md
+Sec. 3i): source lints over every .rs file (unsafe
+boundary, SAFETY comments, panic-free library
+code, injectable clocks, allocation-free hot
+regions) plus abstract interpretation over
+compiled communication programs (interval bounds
+proofs, scratch lifetimes across the overlap
+pipeline); exits nonzero on any violation.
+--self-test runs the must-reject corpus sweep for
+both layers instead",
+        run: analyze,
+    },
+];
 
-USAGE:
-  petaxct simulate    --phantom shepp|shale|chip|charcoal|brain --out FILE
-                      [--n 64] [--angles 64] [--slices 8] [--flux 0]
-                      [--precision half|single|double] [--seed 1]
-  petaxct reconstruct --in FILE --out FILE
-                      [--precision double|single|half|mixed] [--iterations 24]
-                      [--batch 8] [--damping 0] [--solver cgls|sirt|tv]
-                      [--tune-from FILE]        use the best kernel shape from a
-                                                petaxct-tune-v1 artifact (block
-                                                size, staging bytes; its fusing
-                                                is the default --batch)
-                      [--topology NxSxG]        simulate N nodes x S sockets x G GPUs
-                      [--memory-budget BYTES]   per-rank device-memory budget: the
-                                                planner picks the largest slice batch
-                                                that fits (paper Sec. III-A3) and
-                                                streams slabs through I/O when the
-                                                stack no longer fits at once
-                      [--stream]                force out-of-core execution: split
-                                                the stack into at least two slabs
-                                                and page them through I/O
-                      [--overlap]               post every fused slice's global exchange
-                                                before draining any (one wire latency)
-                      [--verify-plans]          statically verify the communication
-                                                plan (conservation, tags, deadlock)
-                                                before running it
-                      [--wire [LAT_USxMBPS]]    simulate inter-node wire time
-                                                (latency µs x bandwidth MB/s;
-                                                bare --wire means 600x50)
-                      [--telemetry-summary]     print a per-phase breakdown table
-                      [--critical-path]         print the cross-rank critical-path,
-                                                per-rank slack, and per-phase
-                                                duration histograms
-                      [--telemetry-json FILE]   write a machine-readable report
-                      [--trace FILE]            write a Chrome/Perfetto trace
-                      [--metrics-out FILE]      sample the metrics registry on an
-                                                interval and write the series as
-                                                petaxct-metrics-v1 JSON to FILE,
-                                                the final snapshot in Prometheus
-                                                text format to FILE.prom, and the
-                                                series as CSV to FILE.csv
-                      [--metrics-interval MS]   sampling interval in milliseconds
-                                                (default 200)
-                      [--progress]              repaint a one-line progress report
-                                                on stderr (slab, iteration,
-                                                residual, %, ETA)
-                      [--flightrec-out FILE]    arm the flight recorder: on panic
-                                                or error, dump the last moments of
-                                                every rank (spans, events, metric
-                                                deltas) as petaxct-flightrec-v1
-                                                JSON to FILE
-                      [--profile-out FILE]      record telemetry (distributed
-                                                runs only) and write the
-                                                measured per-rank/
-                                                per-tile costs, model-drift table,
-                                                and skew report as a
-                                                petaxct-profile-v1 artifact
-                      [--weights-from FILE]     re-run the x-z Hilbert partition
-                                                with the measured per-tile costs
-                                                of a petaxct-profile-v1 artifact
-                                                instead of uniform cell counts
-                                                (offline rebalance; plan_fits
-                                                still gates the weighted plan)
-  petaxct fbp         --in FILE --out FILE [--filter ramlak|shepplogan|hann]
-  petaxct info        --in FILE
-  petaxct render      --in FILE --slice 0 --out FILE.pgm
-  petaxct model       --dataset shale|chip|charcoal|brain [--nodes 128]
-                      [--precision mixed] [--iterations 30]
-  petaxct tune        [--quick] [--out TUNE.json] [--precision single]
-                      [--n 24] [--angles 24] [--iterations 4] [--reps 3]
-                      [--blocks 32,64,128] [--shared 4096,32768,98304]
-                      [--fusings 1,4,8]
-                      sweep the SpMM tile shape (block size x staging bytes x
-                      fusing) and write the measurements as a petaxct-tune-v1
-                      artifact for --tune-from
-  petaxct profile     [--n 24] [--angles 24] [--slices 2] [--iterations 4]
-                      [--precision single] [--topology 1x2x2] [--tile 4]
-                      [--phantom shale] [--seed 1] [--overlap]
-                      [--wire [LAT_USxMBPS]] [--out PROFILE.json] [--json]
-                      [--weights-from FILE]
-                      profile a synthetic distributed reconstruction with the
-                      hierarchical cost profiler: per-rank component costs
-                      (SpMM, gather/convert, socket/node/global reduction,
-                      comm-wait, I/O stall) joined with critical-path slack,
-                      per-tile derived costs, and the model-vs-measured drift
-                      table, written as a petaxct-profile-v1 artifact for
-                      --weights-from; --json prints the artifact instead of
-                      the drift/skew tables
-  petaxct analyze     [--root DIR] [--self-test]
-                      two-layer workspace invariant checker (DESIGN.md
-                      Sec. 3i): source lints over every .rs file (unsafe
-                      boundary, SAFETY comments, panic-free library
-                      code, injectable clocks, allocation-free hot
-                      regions) plus abstract interpretation over
-                      compiled communication programs (interval bounds
-                      proofs, scratch lifetimes across the overlap
-                      pipeline); exits nonzero on any violation.
-                      --self-test runs the must-reject corpus sweep for
-                      both layers instead
-";
+/// The usage text: every command's flag lines and paragraph, as
+/// written in [`COMMANDS`], under its name.
+pub fn usage() -> String {
+    let mut out = String::from(
+        "petaxct — iterative X-ray CT reconstruction (PetaXCT reproduction)\n\nUSAGE:\n",
+    );
+    for command in COMMANDS {
+        let mut lead = format!("  petaxct {:<12}", command.name);
+        for line in command.flags.lines().chain(command.about.lines()) {
+            out.push_str(&format!("{lead}{line}\n"));
+            lead = " ".repeat(22);
+        }
+    }
+    out
+}
 
 /// Dispatches a full command line (without `argv[0]`).
 pub fn run(args: &[String]) -> Result<String, CliError> {
-    let (cmd, rest) = args
-        .split_first()
-        .ok_or_else(|| CliError(USAGE.to_owned()))?;
-    let flags = Flags::parse(rest)?;
-    match cmd.as_str() {
-        "simulate" => simulate(&flags),
-        "reconstruct" => reconstruct(&flags),
-        "fbp" => fbp(&flags),
-        "info" => info(&flags),
-        "render" => render(&flags),
-        "model" => model(&flags),
-        "tune" => tune(&flags),
-        "profile" => profile(&flags),
-        "analyze" => analyze(&flags),
-        "help" | "--help" | "-h" => Ok(USAGE.to_owned()),
-        other => Err(CliError(format!("unknown command {other:?}\n\n{USAGE}"))),
+    let (cmd, rest) = args.split_first().ok_or_else(|| CliError(usage()))?;
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        return Ok(usage());
     }
+    let command = COMMANDS
+        .iter()
+        .find(|c| c.name == cmd)
+        .ok_or_else(|| CliError(format!("unknown command {cmd:?}\n\n{}", usage())))?;
+    (command.run)(&Flags::parse(command, rest)?)
 }
 
 fn scan_for(n: usize, angles: usize) -> ScanGeometry {
@@ -591,6 +688,17 @@ fn reconstruct(flags: &Flags) -> Result<String, CliError> {
     }
 }
 
+/// `reconstruct` flags that select its distributed arm.
+const SELECTS_DISTRIBUTED: [&str; 3] = ["topology", "memory-budget", "stream"];
+/// `reconstruct` flags only its distributed arm reads.
+const NEEDS_DISTRIBUTED: [&str; 5] = [
+    "overlap",
+    "wire",
+    "verify-plans",
+    "weights-from",
+    "profile-out",
+];
+
 fn reconstruct_inner(
     flags: &Flags,
     telemetry: &Telemetry,
@@ -643,6 +751,22 @@ fn reconstruct_inner(
             )))
         }
     };
+    // Each arm reads its own flags; one the chosen arm would drop is an
+    // error, not a run that quietly ignored it.
+    let (dropped, needs) = match (algorithm, &topology) {
+        (Algorithm::Cgls, Some(_)) => (vec!["damping"], "is read by serial runs only"),
+        (Algorithm::Cgls, None) => (
+            NEEDS_DISTRIBUTED.to_vec(),
+            "needs a distributed run: add --topology NxSxG (or --memory-budget / --stream)",
+        ),
+        _ => (
+            [&SELECTS_DISTRIBUTED[..], &NEEDS_DISTRIBUTED].concat(),
+            "needs --solver cgls: distributed runs solve with CGLS",
+        ),
+    };
+    if let Some(flag) = dropped.iter().find(|flag| flags.get(flag).is_some()) {
+        return Err(CliError(format!("--{flag} {needs}")));
+    }
     let (reader, angles, n) = open_sinogram(&input)?;
     let slices = reader.meta().slices;
     let scan = scan_for(n, angles);
@@ -1293,45 +1417,14 @@ fn analyze_self_test(root: &Path) -> Result<String, CliError> {
         Err(failures) => return Err(CliError(failures.join("\n"))),
     }
 
-    // Layer 2: every mutated compiled program must be rejected with the
-    // seeded violation kind.
-    use xct_verify::corpus as vc;
-    use xct_verify::ViolationKind;
-    let oob = |plans: &CompiledPlans| {
-        xct_verify::verify_bounds(plans)
-            .violations
-            .iter()
-            .any(|v| matches!(v.kind, ViolationKind::IndexOutOfBounds { .. }))
-    };
-    let ops = vc::read_before_finish_schedule();
-    let (unfolded, _) = vc::unfolded_collective();
-    let results = [
-        ("oob-gather", oob(&vc::oob_gather_compiled())),
-        ("oob-recv-landing", oob(&vc::oob_recv_compiled())),
-        ("oob-keep-destination", oob(&vc::oob_keep_compiled())),
-        ("oob-restriction", oob(&vc::oob_restrict_compiled())),
-        (
-            "read-before-finish",
-            xct_verify::verify_scratch_lifetime(0, &ops)
-                .violations
-                .iter()
-                .any(|v| matches!(v.kind, ViolationKind::PendingWriteRead { .. })),
-        ),
-        (
-            "unfolded-collective",
-            xct_verify::CommProgram::collective_of(&unfolded, 0x9000, 1)
-                .check()
-                .violations
-                .iter()
-                .any(|v| matches!(v.kind, ViolationKind::UnmatchedRecv { .. })),
-        ),
-    ];
+    // Layer 2: every artifact of the verifier's must-reject table must
+    // be rejected by the pass that owns it, with the witness the table
+    // lists.
     let mut failed = Vec::new();
-    for (name, rejected) in results {
-        if rejected {
-            out.push_str(&format!("corpus/{name}: rejected\n"));
-        } else {
-            failed.push(format!("corpus/{name}: NOT rejected"));
+    for row in xct_verify::corpus::MUST_REJECT {
+        match row.check() {
+            Ok(()) => out.push_str(&format!("corpus/{}: rejected\n", row.name)),
+            Err(report) => failed.push(format!("corpus/{}: NOT rejected\n{report}", row.name)),
         }
     }
     if failed.is_empty() {
@@ -1380,10 +1473,14 @@ mod tests {
         assert!(out.contains("every corpus artifact rejected"), "{out}");
         // Both layers' sweeps are present in the transcript.
         assert!(out.contains("testdata/unsafe_outside.rs"), "{out}");
-        assert!(
-            out.contains("corpus/unfolded-collective: rejected"),
-            "{out}"
-        );
+        let rows = xct_verify::corpus::MUST_REJECT;
+        assert_eq!(rows.len(), 15, "static artifacts in the must-reject table");
+        for row in rows {
+            assert!(
+                out.contains(&format!("corpus/{}: rejected", row.name)),
+                "{out}"
+            );
+        }
     }
 
     #[test]
@@ -1467,6 +1564,141 @@ mod tests {
         assert!(run_cmd(&["info"]).unwrap_err().0.contains("--in"));
         let usage = run_cmd(&["help"]).unwrap();
         assert!(usage.contains("USAGE"));
+    }
+
+    #[test]
+    fn a_flag_the_command_does_not_read_is_an_error_naming_both() {
+        for (args, flag, command) in [
+            (
+                &[
+                    "simulate",
+                    "--phantom",
+                    "shepp",
+                    "--out",
+                    "/tmp/x",
+                    "--sedd",
+                    "9",
+                ][..],
+                "--sedd",
+                "petaxct simulate",
+            ),
+            (
+                &["reconstruct", "--in", "a", "--out", "b", "--iteratons", "3"][..],
+                "--iteratons",
+                "petaxct reconstruct",
+            ),
+            (
+                &["info", "--in", "a", "--slice", "0"][..],
+                "--slice",
+                "petaxct info",
+            ),
+            (
+                &["analyze", "--selftest"][..],
+                "--selftest",
+                "petaxct analyze",
+            ),
+        ] {
+            let err = run_cmd(args).unwrap_err().0;
+            assert!(err.contains("unknown flag"), "{err}");
+            assert!(err.contains(flag) && err.contains(command), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_flag_the_chosen_reconstruct_arm_would_drop_is_refused() {
+        let base = ["reconstruct", "--in", "/nonexistent", "--out", "/tmp/y"];
+        let refused = |extra: &[&str]| run_cmd(&[&base[..], extra].concat()).unwrap_err().0;
+        // Serial CGLS: everything only the distributed arm reads.
+        for flag in NEEDS_DISTRIBUTED {
+            let err = refused(&[&format!("--{flag}")]);
+            assert!(
+                err.contains(&format!("--{flag}")) && err.contains("--topology"),
+                "{err}"
+            );
+        }
+        // SIRT / TV have no distributed arm.
+        for solver in ["sirt", "tv"] {
+            for extra in [
+                &["--topology", "1x2x2"][..],
+                &["--memory-budget", "1000000"][..],
+                &["--stream"][..],
+                &["--topology", "1x2x2", "--overlap", "--wire"][..],
+                &["--verify-plans"][..],
+            ] {
+                let err = refused(&[&["--solver", solver][..], extra].concat());
+                assert!(
+                    err.contains(extra[0]) && err.contains("--solver cgls"),
+                    "{solver} {extra:?}: {err}"
+                );
+            }
+        }
+        // Distributed CGLS does not damp.
+        let err = refused(&["--topology", "1x2x2", "--damping", "0.1"]);
+        assert!(err.contains("--damping") && err.contains("serial"), "{err}");
+        // The same flags on the arm that reads them get as far as the file.
+        let err = refused(&[
+            "--topology",
+            "1x2x2",
+            "--overlap",
+            "--wire",
+            "--verify-plans",
+        ]);
+        assert!(!err.contains("--overlap"), "{err}");
+        let err = refused(&["--damping", "0.1", "--solver", "sirt"]);
+        assert!(!err.contains("--damping"), "{err}");
+    }
+
+    #[test]
+    fn usage_lists_every_declared_flag_and_the_readme_uses_no_other() {
+        // What the parser accepts is what the usage text shows: the
+        // declarations are read off the printed lines.
+        let usage = usage();
+        for command in COMMANDS {
+            assert!(usage.contains(&format!("  petaxct {}", command.name)));
+            assert!(command.flags.lines().all(|line| usage.contains(line)));
+        }
+        let reconstruct = &COMMANDS[1];
+        for key in ["in", "solver", "wire", "weights-from", "metrics-interval"] {
+            assert!(reconstruct.declares(key), "--{key}");
+        }
+        // Help text and values declare nothing.
+        for key in [
+            "topology 1x1x1",
+            "batch)",
+            "LAT_USxMBPS",
+            "tile",
+            "self-test",
+        ] {
+            assert!(!reconstruct.declares(key), "--{key}");
+        }
+        // Every `petaxct <command> --flag …` line of the README (its
+        // shell continuations joined) parses against the same table.
+        let readme = include_str!("../README.md").replace("\\\n", " ");
+        let mut checked = 0;
+        for line in readme.lines() {
+            let Some(at) = line.find("petaxct ") else {
+                continue;
+            };
+            let mut words = line[at + "petaxct ".len()..].split_whitespace();
+            let Some(command) = words
+                .next()
+                .and_then(|w| COMMANDS.iter().find(|c| c.name == w))
+            else {
+                continue;
+            };
+            for word in words.take_while(|w| !matches!(*w, "#" | "|" | ">")) {
+                if let Some(flag) = word.strip_prefix("--") {
+                    let flag = flag.trim_end_matches(|c: char| !c.is_ascii_alphanumeric());
+                    assert!(
+                        command.declares(flag),
+                        "README runs `petaxct {} --{flag}`, which the command does not declare",
+                        command.name
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked >= 40, "README flag uses checked: {checked}");
     }
 
     #[test]

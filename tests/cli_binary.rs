@@ -8,6 +8,11 @@ fn petaxct(args: &[&str]) -> (bool, String, String) {
         .args(args)
         .output()
         .expect("binary runs");
+    assert!(
+        matches!(out.status.code(), Some(0 | 1)),
+        "exit status is 0 or 1, got {:?}",
+        out.status
+    );
     (
         out.status.success(),
         String::from_utf8_lossy(&out.stdout).into_owned(),
@@ -67,6 +72,56 @@ fn binary_reports_errors_on_stderr_with_nonzero_exit() {
     let (ok, _, stderr) = petaxct(&["frobnicate"]);
     assert!(!ok);
     assert!(stderr.contains("unknown command"));
+}
+
+#[test]
+fn binary_refuses_flags_it_would_not_read() {
+    // A misspelt flag used to be kept and never read: the run succeeded
+    // on the default.
+    let (ok, stdout, stderr) = petaxct(&[
+        "simulate",
+        "--phantom",
+        "shepp",
+        "--out",
+        "/tmp/z",
+        "--sedd",
+        "9",
+    ]);
+    assert!(!ok, "must exit nonzero");
+    assert!(stdout.is_empty());
+    assert!(
+        stderr.contains("--sedd") && stderr.contains("petaxct simulate"),
+        "stderr: {stderr}"
+    );
+
+    // Flags of the distributed CGLS arm used to fall through to the
+    // serial arm under another solver.
+    let (ok, _, stderr) = petaxct(&[
+        "reconstruct",
+        "--in",
+        "/nonexistent.xctd",
+        "--out",
+        "/tmp/z",
+        "--solver",
+        "sirt",
+        "--topology",
+        "1x2x2",
+        "--overlap",
+        "--wire",
+    ]);
+    assert!(!ok, "must exit nonzero");
+    assert!(stderr.contains("--topology"), "stderr: {stderr}");
+
+    let (ok, _, stderr) = petaxct(&[
+        "reconstruct",
+        "--in",
+        "/nonexistent.xctd",
+        "--out",
+        "/tmp/z",
+        "--overlap",
+    ]);
+    assert!(!ok, "must exit nonzero");
+    assert!(stderr.contains("--overlap"), "stderr: {stderr}");
 }
 
 #[test]

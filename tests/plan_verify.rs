@@ -2,18 +2,16 @@
 //! facade: every plan the generators can produce verifies cleanly across
 //! topology × precision × overlap, the full distributed pipeline accepts
 //! verification on real plans, and every known-bad corpus artifact is
-//! rejected with the exact structured witness — not just "a failure".
+//! rejected with the structured witness `verify::corpus::MUST_REJECT`
+//! lists for it — not just "a failure".
 
-use petaxct::comm::{CompiledPlans, DirectPlan, HierarchicalPlan, PlanError, Topology};
+use petaxct::comm::{CompiledPlans, DirectPlan, HierarchicalPlan, Topology};
 use petaxct::core::distributed::{reconstruct_distributed, DistributedConfig};
 use petaxct::fp16::Precision;
 use petaxct::geometry::{ImageGrid, ScanGeometry, SystemMatrix};
 use petaxct::phantom::charcoal_like;
-use petaxct::verify::corpus::{
-    barrier_program, buggy_allreduce_claims, dropped_direct, duplicated_direct, gen_case,
-    misrouted_direct, small_direct_fixture, unheld_direct, unsorted_transfer,
-};
-use petaxct::verify::{verify_all_direct, verify_all_hierarchical, verify_direct, ViolationKind};
+use petaxct::verify::corpus::{barrier_program, gen_case, MUST_REJECT};
+use petaxct::verify::{verify_all_direct, verify_all_hierarchical};
 use proptest::prelude::*;
 
 proptest! {
@@ -89,54 +87,43 @@ proptest! {
     }
 }
 
+/// Asserts that the named rows of the must-reject table are rejected
+/// with the witness the table lists.
+fn assert_rejected(names: &[&str]) {
+    for name in names {
+        let row = MUST_REJECT
+            .iter()
+            .find(|row| row.name == *name)
+            .unwrap_or_else(|| panic!("no must-reject row named {name}"));
+        if let Err(report) = row.check() {
+            panic!("{name} not rejected as expected: {report}");
+        }
+    }
+}
+
 /// Bug 1 of PR 3: the barrier peer formula `rank + n - dist % n` without
 /// the outer `% n` names a peer outside the world. The deadlock checker
-/// must pin it as an [`ViolationKind::UnmatchedRecv`] from an
-/// out-of-range peer, while the corrected formula stays clean.
+/// must pin it as an `UnmatchedRecv` from an out-of-range peer, while
+/// the corrected formula stays clean.
 #[test]
 fn known_bad_barrier_yields_unmatched_recv_witness() {
     assert!(barrier_program(4, 0x4000, false).check().ok());
-    let report = barrier_program(4, 0x4000, true).check();
-    assert!(
-        report
-            .violations
-            .iter()
-            .any(|v| matches!(v.kind, ViolationKind::UnmatchedRecv { peer, .. } if peer >= 4)),
-        "expected out-of-range UnmatchedRecv, got: {report}"
-    );
+    assert_rejected(&["barrier-mispaired"]);
 }
 
 /// Bug 2 of PR 3: an allreduce replying at `tag + 1` collides with the
-/// next exchange's claim on the same tag. The witness must name the
-/// shared tag and both claiming exchanges.
+/// next exchange's claim on the same tag. The witness names the shared
+/// tag and two distinct claiming exchanges.
 #[test]
 fn known_bad_allreduce_yields_tag_collision_witness() {
-    let report = buggy_allreduce_claims(4, 0x7000).check();
-    let hit = report.violations.iter().find_map(|v| match &v.kind {
-        ViolationKind::TagCollision {
-            tag, first, second, ..
-        } => Some((*tag, first.clone(), second.clone())),
-        _ => None,
-    });
-    let (tag, first, second) = hit.unwrap_or_else(|| panic!("no TagCollision in: {report}"));
-    assert_eq!(tag, 0x7001);
-    assert_ne!(first, second, "collision must span distinct exchanges");
+    assert_rejected(&["allreduce-reply-aliased"]);
 }
 
-/// Bug 3 of PR 3: unsorted `PartialData` rows are now rejected at
-/// `Transfer` construction, with the offending position in the witness.
+/// Bug 3 of PR 3: unsorted `PartialData` rows are rejected at `Transfer`
+/// construction, with the offending position in the witness.
 #[test]
 fn known_bad_unsorted_transfer_yields_position_witness() {
-    match unsorted_transfer() {
-        Err(PlanError::UnsortedIndices {
-            position,
-            prev,
-            next,
-        }) => {
-            assert_eq!((position, prev, next), (1, 3, 3));
-        }
-        other => panic!("expected UnsortedIndices, got {other:?}"),
-    }
+    assert_rejected(&["unsorted-transfer"]);
 }
 
 /// Each direct-plan corruption maps to its own diagnostic kind with a
@@ -145,39 +132,10 @@ fn known_bad_unsorted_transfer_yields_position_witness() {
 /// sending a row the rank never held names the phantom sender.
 #[test]
 fn direct_corruptions_map_to_distinct_witnesses() {
-    let (fp, own) = small_direct_fixture();
-
-    let mis = verify_direct(&fp, &own, &misrouted_direct());
-    assert!(
-        mis.violations
-            .iter()
-            .any(|v| matches!(v.kind, ViolationKind::Misrouted { row: 2, .. })),
-        "misrouted: {mis}"
-    );
-
-    let dropped = verify_direct(&fp, &own, &dropped_direct());
-    assert!(
-        dropped
-            .violations
-            .iter()
-            .any(|v| matches!(v.kind, ViolationKind::Conservation { delivered: 0, .. })),
-        "dropped: {dropped}"
-    );
-
-    let dup = verify_direct(&fp, &own, &duplicated_direct());
-    assert!(
-        dup.violations
-            .iter()
-            .any(|v| matches!(v.kind, ViolationKind::Conservation { delivered: 2, .. })),
-        "duplicated: {dup}"
-    );
-
-    let unheld = verify_direct(&fp, &own, &unheld_direct());
-    assert!(
-        unheld
-            .violations
-            .iter()
-            .any(|v| matches!(v.kind, ViolationKind::UnheldRow { row: 3, .. })),
-        "unheld: {unheld}"
-    );
+    assert_rejected(&[
+        "misrouted-direct",
+        "dropped-direct",
+        "duplicated-direct",
+        "unheld-direct",
+    ]);
 }
