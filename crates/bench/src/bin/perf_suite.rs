@@ -44,13 +44,17 @@ use xct_core::reconstruct_planned;
 use xct_fp16::Precision;
 use xct_geometry::{ImageGrid, ScanGeometry, SystemMatrix};
 use xct_io::{FileKind, SliceFile, SliceReader, SliceWriter};
-use xct_plan::{Planner, VolumeDims};
+use xct_plan::{KernelShape, Planner, VolumeDims};
 use xct_solver::{CglsSolver, ExecContext, PrecisionOperator};
 use xct_spmm::{simd_available, spmm_reference_with, spmm_with, Csr, PackedMatrix};
 use xct_telemetry::{Breakdown, CausalAnalysis, Telemetry};
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
+
+/// The layout every run packs at: `KernelShape::DEFAULT`.
+const BLOCK: usize = KernelShape::DEFAULT.block_size;
+const SHARED: usize = KernelShape::DEFAULT.shared_bytes;
 
 /// Problem sizes pinned per mode; changing them invalidates baselines.
 struct SuiteParams {
@@ -144,9 +148,9 @@ fn serial_scenario(p: &SuiteParams) -> ScenarioResult {
     let scan = ScanGeometry::uniform(ImageGrid::square(p.n, 1.0), p.angles);
     let sm = SystemMatrix::build(&scan);
     let csr = Csr::from_system_matrix(&sm);
-    let (rays, voxels) = packing_orders(&scan, 64);
+    let (rays, voxels) = packing_orders(&scan, BLOCK);
     let orders = (&rays, &voxels);
-    let op = PrecisionOperator::ordered(&csr, orders, Precision::Single, p.fusing, 64, 96 * 1024);
+    let op = PrecisionOperator::ordered(&csr, orders, Precision::Single, p.fusing, BLOCK, SHARED);
     let y = p.sinogram(&sm);
 
     let telemetry = Telemetry::enabled();
@@ -176,8 +180,8 @@ fn spmm_kernel_scenario(name: &str, p: &SuiteParams, reference: bool) -> Scenari
     let sm = SystemMatrix::build(&scan);
     let csr = Csr::from_system_matrix(&sm);
     let fusing = 8;
-    let (rays, voxels) = packing_orders(&scan, 64);
-    let packed = PackedMatrix::pack_ordered(&csr, &rays, &voxels, 64, 96 * 1024, fusing);
+    let (rays, voxels) = packing_orders(&scan, BLOCK);
+    let packed = PackedMatrix::pack_ordered(&csr, &rays, &voxels, BLOCK, SHARED, fusing);
     let mut x = vec![0.0f32; csr.num_cols() * fusing];
     for (i, v) in x.iter_mut().enumerate() {
         *v = ((i % 13) as f32) * 0.125 - 0.5;
@@ -214,8 +218,8 @@ fn pack_scenario(p: &SuiteParams) -> ScenarioResult {
     let before = allocations();
     let start = Instant::now();
     let csr = Csr::from_system_matrix(&sm);
-    let (rays, voxels) = packing_orders(&scan, 64);
-    let op = PrecisionOperator::ordered(&csr, (&rays, &voxels), Precision::Mixed, 8, 64, 96 * 1024);
+    let (rays, voxels) = packing_orders(&scan, BLOCK);
+    let op = PrecisionOperator::ordered(&csr, (&rays, &voxels), Precision::Mixed, 8, BLOCK, SHARED);
     let wall = start.elapsed();
     let allocs = allocations() - before;
     std::hint::black_box(&op);

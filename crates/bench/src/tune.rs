@@ -12,7 +12,7 @@ use std::time::Instant;
 use crate::mini_operator;
 use xct_core::decompose::packing_orders;
 use xct_fp16::Precision;
-use xct_plan::{TunePoint, TuneReport};
+use xct_plan::{KernelShape, TunePoint, TuneReport};
 use xct_solver::{CglsSolver, ExecContext, PrecisionOperator};
 
 /// The sweep grid and the measurement protocol.
@@ -48,7 +48,7 @@ impl TuneParams {
                 iterations: 2,
                 reps: 2,
                 blocks: vec![32, 64],
-                shared: vec![4 * 1024, 96 * 1024],
+                shared: vec![4 * 1024, KernelShape::DEFAULT.shared_bytes],
                 fusings: vec![1, 4],
             }
         } else {
@@ -59,7 +59,7 @@ impl TuneParams {
                 iterations: 4,
                 reps: 3,
                 blocks: vec![32, 64, 128],
-                shared: vec![4 * 1024, 32 * 1024, 96 * 1024],
+                shared: vec![4 * 1024, 32 * 1024, KernelShape::DEFAULT.shared_bytes],
                 fusings: vec![1, 4, 8],
             }
         }
@@ -210,7 +210,7 @@ mod tests {
             iterations: 1,
             reps: 1,
             blocks: vec![32],
-            shared: vec![4 * 1024, 96 * 1024],
+            shared: vec![4 * 1024, KernelShape::DEFAULT.shared_bytes],
             fusings: vec![1, 2],
         };
         let mut seen = 0usize;

@@ -10,7 +10,7 @@
 //! these for subdomains 12–14).
 
 use xct_comm::{Footprints, Ownership};
-use xct_geometry::{ScanGeometry, SystemMatrix};
+use xct_geometry::{RayHit, ScanGeometry, SystemMatrix};
 use xct_hilbert::{CurveKind, Domain2D, TileDecomposition};
 use xct_spmm::{Csr, Order};
 
@@ -65,6 +65,45 @@ impl LocalOperator {
     }
 }
 
+/// Every rank's footprint (the rays its voxels touch, ascending) and
+/// local operator (those rays × its owned voxels), read straight off the
+/// matrix's rows through one dense global → local column table. A lone
+/// rank's footprint is every ray, empty ones included, so its operator
+/// is the whole matrix row for row: the serial operator.
+fn restrict(
+    sm: &SystemMatrix,
+    voxel_owner: &[u32],
+    owned_voxels: &[Vec<u32>],
+) -> Vec<LocalOperator> {
+    let mut local_col = vec![0u32; voxel_owner.len()];
+    for cols in owned_voxels {
+        for (i, &v) in cols.iter().enumerate() {
+            local_col[v as usize] = i as u32;
+        }
+    }
+    let (mut row, lone) = (Vec::new(), owned_voxels.len() == 1);
+    (0..owned_voxels.len() as u32)
+        .map(|p| {
+            let hits = |ray: u32| {
+                let owned = move |h: &&RayHit| voxel_owner[h.voxel as usize] == p;
+                sm.row(ray as usize).iter().filter(owned)
+            };
+            let rows: Vec<u32> = (0..sm.num_rays() as u32)
+                .filter(|&ray| lone || hits(ray).next().is_some())
+                .collect();
+            let cols = owned_voxels[p as usize].clone();
+            let nnz = rows.iter().map(|&ray| hits(ray).count()).sum();
+            let mut csr = Csr::with_capacity(rows.len(), cols.len(), nnz);
+            for &ray in &rows {
+                row.clear();
+                row.extend(hits(ray).map(|h| (local_col[h.voxel as usize], h.length)));
+                csr.push_row(&mut row);
+            }
+            LocalOperator { rows, cols, csr }
+        })
+        .collect()
+}
+
 /// The complete decomposition of one slice among `ranks` data processes.
 #[derive(Debug, Clone)]
 pub struct SliceDecomposition {
@@ -78,7 +117,8 @@ pub struct SliceDecomposition {
     pub owned_voxels: Vec<Vec<u32>>,
     /// Rays owned per rank, ascending.
     pub owned_rays: Vec<Vec<u32>>,
-    /// Partial-data footprints: rays each rank's voxels touch.
+    /// Partial-data footprints: rays each rank's voxels touch (every ray
+    /// for a lone rank).
     pub footprints: Footprints,
     /// Per-rank restricted operators.
     pub local_ops: Vec<LocalOperator>,
@@ -142,40 +182,14 @@ impl SliceDecomposition {
             owned_rays[o as usize].push(r as u32);
         }
 
-        // Bucket triplets by column owner; collect footprints.
-        let mut local_triplets: Vec<Vec<(u32, u32, f32)>> = vec![Vec::new(); ranks];
-        for (row, col, val) in sm.triplets() {
-            let p = voxel_owner[col as usize] as usize;
-            local_triplets[p].push((row, col, val));
-        }
-        let mut footprint_rows: Vec<Vec<u32>> = Vec::with_capacity(ranks);
-        let mut local_ops = Vec::with_capacity(ranks);
-        for (p, triplets) in local_triplets.into_iter().enumerate() {
-            let mut rows: Vec<u32> = triplets.iter().map(|&(r, _, _)| r).collect();
-            rows.sort_unstable();
-            rows.dedup();
-            footprint_rows.push(rows.clone());
-            let cols = owned_voxels[p].clone();
-            // Dense local reindexing.
-            // xct-allow(no-panic): infallible — rows was built from these exact triplets above
-            let row_of = |g: u32| rows.binary_search(&g).expect("row in footprint") as u32;
-            // xct-allow(no-panic): infallible — cols holds every voxel this partition owns
-            let col_of = |g: u32| cols.binary_search(&g).expect("col owned") as u32;
-            let csr = Csr::from_triplets(
-                rows.len(),
-                cols.len(),
-                triplets.iter().map(|&(r, c, v)| (row_of(r), col_of(c), v)),
-            );
-            local_ops.push(LocalOperator { rows, cols, csr });
-        }
-
+        let local_ops = restrict(sm, &voxel_owner, &owned_voxels);
         SliceDecomposition {
             ranks,
             voxel_owner,
             ray_owner,
             owned_voxels,
             owned_rays,
-            footprints: Footprints::new(footprint_rows),
+            footprints: Footprints::new(local_ops.iter().map(|op| op.rows.clone()).collect()),
             local_ops,
         }
     }
@@ -202,24 +216,6 @@ impl SliceDecomposition {
                 for (i, &v) in cols.iter().enumerate() {
                     out[f * num_voxels + v as usize] = piece[f * cols.len() + i];
                 }
-            }
-        }
-        out
-    }
-
-    /// Restricts a full slice-major vector to rank `p`'s owned voxels.
-    pub fn restrict_volume(
-        &self,
-        full: &[f32],
-        num_voxels: usize,
-        fusing: usize,
-        p: usize,
-    ) -> Vec<f32> {
-        let cols = &self.owned_voxels[p];
-        let mut out = Vec::with_capacity(cols.len() * fusing);
-        for f in 0..fusing {
-            for &v in cols {
-                out.push(full[f * num_voxels + v as usize]);
             }
         }
         out
@@ -376,8 +372,14 @@ mod tests {
         let (sm, _, d) = setup(12, 8, 3);
         let fusing = 2;
         let full: Vec<f32> = (0..sm.num_voxels() * fusing).map(|i| i as f32).collect();
-        let pieces: Vec<Vec<f32>> = (0..3)
-            .map(|p| d.restrict_volume(&full, sm.num_voxels(), fusing, p))
+        let (nv, at) = (sm.num_voxels(), |i: usize| full[i]);
+        let pieces: Vec<Vec<f32>> = d
+            .owned_voxels
+            .iter()
+            .map(|cols| {
+                let slice = |f: usize| cols.iter().map(move |&v| at(f * nv + v as usize));
+                (0..fusing).flat_map(slice).collect()
+            })
             .collect();
         let back = d.assemble_volume(&pieces, sm.num_voxels(), fusing);
         assert_eq!(back, full);
@@ -394,5 +396,119 @@ mod tests {
                 .filter(|&r| !sm.row(r).is_empty())
                 .count()
         });
+    }
+
+    /// The construction the decomposition had before it read the
+    /// matrix's rows directly: bucket every nonzero by its column's
+    /// owner, then per rank sort the footprint and rebuild the local CSR
+    /// from triplets renumbered by binary search.
+    fn triplet_local_ops(sm: &SystemMatrix, d: &SliceDecomposition) -> Vec<LocalOperator> {
+        let mut buckets: Vec<Vec<(u32, u32, f32)>> = vec![Vec::new(); d.ranks];
+        for (row, col, val) in sm.triplets() {
+            buckets[d.voxel_owner[col as usize] as usize].push((row, col, val));
+        }
+        buckets
+            .into_iter()
+            .zip(&d.owned_voxels)
+            .map(|(triplets, cols)| {
+                let mut rows: Vec<u32> = triplets.iter().map(|&(r, _, _)| r).collect();
+                rows.sort_unstable();
+                rows.dedup();
+                let local = |ids: &[u32], g: u32| ids.binary_search(&g).unwrap() as u32;
+                let csr = Csr::from_triplets(
+                    rows.len(),
+                    cols.len(),
+                    triplets
+                        .iter()
+                        .map(|&(r, c, v)| (local(&rows, r), local(cols, c), v)),
+                );
+                LocalOperator {
+                    rows,
+                    cols: cols.clone(),
+                    csr,
+                }
+            })
+            .collect()
+    }
+
+    fn assert_same_operator(a: &LocalOperator, b: &LocalOperator, what: &str) {
+        assert_eq!((&a.rows, &a.cols), (&b.rows, &b.cols), "{what}: indices");
+        assert_eq!(
+            (a.csr.num_rows(), a.csr.num_cols(), a.csr.nnz()),
+            (b.csr.num_rows(), b.csr.num_cols(), b.csr.nnz()),
+            "{what}: shape"
+        );
+        let bits = |c: &Csr<f32>, r| {
+            let (cols, vals) = c.row(r);
+            (
+                cols.to_vec(),
+                vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            )
+        };
+        for r in 0..a.csr.num_rows() {
+            assert_eq!(bits(&a.csr, r), bits(&b.csr, r), "{what}: row {r}");
+        }
+    }
+
+    /// Row-by-row restriction equals the triplet construction on 1, 4
+    /// and 8 ranks, uniform and weighted, footprints included.
+    #[test]
+    fn local_operators_equal_the_triplet_construction() {
+        let scan = ScanGeometry::uniform(ImageGrid::square(20, 1.0), 14);
+        let sm = SystemMatrix::build(&scan);
+        let weights: Vec<u64> = (0..25).map(|t| 1 + (t * 7 % 5) as u64 * 40).collect();
+        for ranks in [1, 4, 8] {
+            for tile_weights in [None, Some(weights.as_slice())] {
+                let d = SliceDecomposition::build_weighted(
+                    &sm,
+                    &scan,
+                    ranks,
+                    4,
+                    CurveKind::Hilbert,
+                    tile_weights,
+                );
+                let oracle = triplet_local_ops(&sm, &d);
+                for (p, (op, want)) in d.local_ops.iter().zip(&oracle).enumerate() {
+                    let what = format!(
+                        "{ranks} ranks, weighted {}, rank {p}",
+                        tile_weights.is_some()
+                    );
+                    assert_same_operator(op, want, &what);
+                    assert_eq!(d.footprints.per_rank[p], want.rows, "{what}: footprint");
+                }
+            }
+        }
+    }
+
+    /// On a detector wider than the grid some rays hit nothing: they are
+    /// in no footprint among several ranks, while a lone rank's
+    /// footprint is every ray and its operator the serial one.
+    #[test]
+    fn rays_that_hit_nothing_join_only_a_lone_ranks_footprint() {
+        let mut scan = ScanGeometry::uniform(ImageGrid::square(16, 1.0), 12);
+        scan.detector.channels = 24;
+        let sm = SystemMatrix::build(&scan);
+        let empty = (0..sm.num_rays()).filter(|&r| sm.row(r).is_empty()).count();
+        assert!(empty > 0, "the wide detector must have rays that miss");
+
+        let lone = SliceDecomposition::build(&sm, &scan, 1, 4, CurveKind::Hilbert);
+        let serial = LocalOperator {
+            rows: (0..sm.num_rays() as u32).collect(),
+            cols: (0..sm.num_voxels() as u32).collect(),
+            csr: Csr::from_system_matrix(&sm),
+        };
+        assert_same_operator(&lone.local_ops[0], &serial, "lone rank");
+        assert_eq!(lone.footprints.per_rank[0], serial.rows);
+
+        let four = SliceDecomposition::build(&sm, &scan, 4, 4, CurveKind::Hilbert);
+        let oracle = triplet_local_ops(&sm, &four);
+        for (p, (op, want)) in four.local_ops.iter().zip(&oracle).enumerate() {
+            assert_same_operator(op, want, &format!("rank {p} of 4"));
+        }
+        assert!(four
+            .local_ops
+            .iter()
+            .flat_map(|op| &op.rows)
+            .all(|&r| !sm.row(r as usize).is_empty()));
     }
 }

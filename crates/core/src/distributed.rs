@@ -26,7 +26,7 @@
 //! waiting moves.
 
 use crate::decompose::{packing_orders, SliceDecomposition};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, PoisonError};
 use xct_comm::protocol::{exchange_schedule, slice_salt, Collective, ExchangeOp};
 use xct_comm::{
     run_ranks_with, AllreduceSteps, Communicator, CompiledPlans, DirectPlan, ExchangeScratch,
@@ -35,10 +35,9 @@ use xct_comm::{
 use xct_exec::{BufferRole, ExecContext, ExecCounters, Telemetry};
 use xct_fp16::{max_abs, AdaptiveNormalizer, Precision, F16};
 use xct_geometry::{ScanGeometry, SystemMatrix};
-use xct_hilbert::{CurveKind, Domain2D, TileDecomposition};
-use xct_plan::ReconPlan;
+use xct_hilbert::{CurveKind, Domain2D, Subdomain, TileDecomposition};
+use xct_plan::{KernelShape, ReconPlan};
 use xct_solver::{cgls_in, CglsConfig, LinearOperator, PrecisionOperator};
-use xct_spmm::Order;
 
 /// Distributed run configuration.
 #[derive(Debug, Clone)]
@@ -71,9 +70,9 @@ pub struct DistributedConfig {
     pub block_size: usize,
     /// Staging-buffer bytes per block.
     pub shared_bytes: usize,
-    /// Telemetry sink shared by all rank threads. Disabled by default —
-    /// pass [`Telemetry::enabled`] to collect per-rank spans (each rank
-    /// records on its own track) and keep the phase breakdown.
+    /// Telemetry sink of the entry points (`run` records on its context's).
+    /// Disabled by default — pass [`Telemetry::enabled`] to collect
+    /// per-rank spans (each rank on its own track) and the breakdown.
     pub telemetry: Telemetry,
     /// Run the xct-verify static checks (conservation, tag disjointness,
     /// deadlock freedom, scratch non-aliasing) on the communication plan
@@ -99,8 +98,8 @@ impl Default for DistributedConfig {
             wire: None,
             iterations: 30,
             tile: 4,
-            block_size: 32,
-            shared_bytes: 48 * 1024,
+            block_size: KernelShape::DEFAULT.block_size,
+            shared_bytes: KernelShape::DEFAULT.shared_bytes,
             telemetry: Telemetry::disabled(),
             verify_plans: false,
             tile_weights: None,
@@ -384,46 +383,39 @@ fn record_rebalance_decision(
         cfg.tile,
         CurveKind::Hilbert,
     );
-    let mut uniform_owner = std::collections::HashMap::new();
-    for sd in tomo.partition(ranks) {
-        for t in sd.tiles {
-            uniform_owner.insert((t.tx, t.ty), sd.id);
-        }
-    }
-    let mut moved = 0u64;
-    for sd in tomo.partition_weighted(ranks, weights) {
-        for t in sd.tiles {
-            if uniform_owner.get(&(t.tx, t.ty)) != Some(&sd.id) {
-                moved += 1;
-            }
-        }
-    }
+    // Both partitions cut the one curve-ordered tile sequence into
+    // contiguous runs, so their k-th tiles are the same tile.
+    let owners =
+        |parts: Vec<Subdomain>| parts.into_iter().flat_map(|sd| vec![sd.id; sd.tiles.len()]);
+    let moved = owners(tomo.partition(ranks))
+        .zip(owners(tomo.partition_weighted(ranks, weights)))
+        .filter(|(uniform, weighted)| uniform != weighted)
+        .count();
     cfg.telemetry
-        .flight_point("rebalance.decision", moved, tomo.num_tiles() as u64);
+        .flight_point("rebalance.decision", moved as u64, tomo.num_tiles() as u64);
 }
 
-/// Everything a distributed reconstruction computes from the geometry
-/// and the configuration alone, built once and reused by every batch of
-/// slices that streams through it (paper §III-A2: the Siddon matrix, the
+/// What a packed operator depends on besides the geometry:
+/// `(precision, fusing, block_size, shared_bytes)`.
+pub(crate) type PackKey = (Precision, usize, usize, usize);
+
+/// Everything a reconstruction computes from the geometry and the
+/// configuration alone, built once and reused by every batch of slices
+/// that streams through it (paper §III-A2: the Siddon matrix, the
 /// Hilbert decomposition and the communication structures are memoized
 /// per geometry): the slice decomposition with its per-rank restricted
 /// matrices, the compiled (and, under `verify_plans` or in debug builds,
-/// statically verified) exchange plans, and every rank's operator packed
-/// per distinct batch length.
+/// statically verified) exchange plans, and the rank operators. One rank
+/// is the serial solve; [`crate::Reconstructor`] is a 1×1×1 set-up.
 pub struct DistributedSetup {
+    pub(crate) scan: ScanGeometry,
     cfg: DistributedConfig,
-    num_rays: usize,
-    num_voxels: usize,
     decomp: SliceDecomposition,
-    /// Every rank's `(row, column)` packing orders: the scan's Hilbert
-    /// orders restricted to the rank's footprint rays and owned voxels.
-    orders: Vec<(Order, Order)>,
     compiled: CompiledPlans,
     comm_elements: (u64, u64, u64),
-    /// `(fusing, operators ordered by rank)` for every batch length run
-    /// so far. A planned run has at most two: the plan's fusing and a
-    /// ragged last slab.
-    packed: Vec<(usize, Vec<PrecisionOperator>)>,
+    /// Every rank's operator, packed for one key and replaced when a call
+    /// asks for another: the tree's one packed-operator cache.
+    packed: Mutex<Option<(PackKey, Arc<[PrecisionOperator]>)>>,
 }
 
 impl DistributedSetup {
@@ -438,7 +430,15 @@ impl DistributedSetup {
     /// with the full diagnostic listing when plan verification finds a
     /// violation.
     pub fn build(scan: &ScanGeometry, cfg: &DistributedConfig) -> Self {
-        let sm = SystemMatrix::build(scan);
+        Self::from_matrix(&SystemMatrix::build(scan), scan.clone(), cfg)
+    }
+
+    /// [`build`](Self::build) on `sm`, `scan`'s Siddon matrix traced already.
+    pub(crate) fn from_matrix(
+        sm: &SystemMatrix,
+        scan: ScanGeometry,
+        cfg: &DistributedConfig,
+    ) -> Self {
         let ranks = cfg.topology.size();
         if let Some(tw) = &cfg.tile_weights {
             assert_eq!(
@@ -446,22 +446,16 @@ impl DistributedSetup {
                 "weights were measured at tile size {}, run uses {}",
                 tw.tile_size, cfg.tile
             );
-            record_rebalance_decision(scan, ranks, cfg, &tw.weights);
+            record_rebalance_decision(&scan, ranks, cfg, &tw.weights);
         }
         let decomp = SliceDecomposition::build_weighted(
-            &sm,
-            scan,
+            sm,
+            &scan,
             ranks,
             cfg.tile,
             CurveKind::Hilbert,
             cfg.tile_weights.as_ref().map(|tw| tw.weights.as_slice()),
         );
-        let (rays, voxels) = packing_orders(scan, cfg.block_size);
-        let orders = decomp
-            .local_ops
-            .iter()
-            .map(|op| op.packing_orders(&rays, &voxels))
-            .collect();
         let ownership = decomp.ray_ownership();
         // Compile the plan once into per-peer index tables; every rank
         // then executes pure index arithmetic with zero steady-state
@@ -501,93 +495,109 @@ impl DistributedSetup {
             (compiled, (0, 0, direct.total_elements()))
         };
         DistributedSetup {
+            scan,
             cfg: cfg.clone(),
-            num_rays: sm.num_rays(),
-            num_voxels: sm.num_voxels(),
             decomp,
-            orders,
             compiled,
             comm_elements,
-            packed: Vec::new(),
+            packed: Mutex::new(None),
         }
     }
 
-    /// Index into `packed` of every rank's operator at `fusing`, packing
-    /// them first unless a previous batch of that length already did.
-    /// Runs on the calling thread, one rank after the other: the packed
-    /// matrices live as long as the set-up, and allocating them from
-    /// short-lived rank threads pins them in per-thread malloc arenas
-    /// (measured: +10 MiB peak RSS on the streamed benchmark workload;
-    /// EXPERIMENTS.md).
-    fn pack(&mut self, fusing: usize) -> usize {
-        if let Some(at) = self.packed.iter().position(|(f, _)| *f == fusing) {
-            return at;
+    /// Every rank's operator packed for `key` under the scan's Hilbert
+    /// orders at the key's block size ([`packing_orders`]), ordered by
+    /// rank. Packed on the calling thread — allocated on short-lived rank
+    /// threads they would pin per-thread malloc arenas (EXPERIMENTS.md)
+    /// — unless the previous call used the same key; the old entry is
+    /// dropped first, so at most one packing is resident.
+    pub(crate) fn operators(&self, key: PackKey) -> Arc<[PrecisionOperator]> {
+        // A panic while packing leaves `None` behind — a valid entry — so
+        // a poisoned lock is recovered, not propagated.
+        let mut entry = self.packed.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((_, operators)) = entry.as_ref().filter(|(k, _)| *k == key) {
+            return Arc::clone(operators);
         }
-        let cfg = &self.cfg;
-        let operators = self
+        *entry = None;
+        let (precision, fusing, block_size, shared_bytes) = key;
+        let (rays, voxels) = packing_orders(&self.scan, block_size);
+        let operators: Arc<[PrecisionOperator]> = self
             .decomp
             .local_ops
             .iter()
-            .zip(&self.orders)
-            .map(|(op, (rows, cols))| {
+            .map(|op| {
+                let (rows, cols) = op.packing_orders(&rays, &voxels);
                 PrecisionOperator::ordered(
                     &op.csr,
-                    (rows, cols),
-                    cfg.precision,
+                    (&rows, &cols),
+                    precision,
                     fusing,
-                    cfg.block_size,
-                    cfg.shared_bytes,
+                    block_size,
+                    shared_bytes,
                 )
             })
             .collect();
-        self.packed.push((fusing, operators));
-        self.packed.len() - 1
+        *entry = Some((key, Arc::clone(&operators)));
+        operators
     }
 
     /// Reconstructs one batch of `fusing` slices that share the
     /// set-up's geometry. `sinogram` is slice-major
-    /// (`fusing × num_rays`). Returns the assembled volume. Batches are
-    /// independent: nothing but the memoized structures carries over
-    /// from one call to the next.
-    pub fn run(&mut self, sinogram: &[f32], fusing: usize) -> DistributedResult {
+    /// (`fusing × num_rays`). Returns the assembled volume and the run's
+    /// counters (`ctx`'s are left as they were). Batches are
+    /// independent: nothing but the memoized structures carries over.
+    ///
+    /// One rank solves in `ctx` on the calling thread — no rank thread,
+    /// exchange, wire quantization or collective, so the result is the
+    /// serial solve's bit for bit — with launches fanned out over `ctx`'s
+    /// executor. More ranks run a thread each in a serial context of its
+    /// own, recording on a fork of `ctx.telemetry`.
+    pub fn run(&self, sinogram: &[f32], fusing: usize, ctx: &mut ExecContext) -> DistributedResult {
+        let num_rays = self.scan.num_rays();
         assert_eq!(
             sinogram.len(),
-            self.num_rays * fusing,
+            num_rays * fusing,
             "sinogram length mismatch"
         );
-        let at = self.pack(fusing);
-        let setup = &*self;
-        let operators = &setup.packed[at].1;
-        let cfg = &setup.cfg;
-        let decomp = &setup.decomp;
-        let ranks = cfg.topology.size();
+        let cfg = &self.cfg;
+        let operators = self.operators((cfg.precision, fusing, cfg.block_size, cfg.shared_bytes));
+        let solve = CglsConfig {
+            max_iters: cfg.iterations,
+            tolerance: 0.0,
+            damping: 0.0,
+        };
+        if let [serial] = &*operators {
+            // The lone rank owns every ray and voxel in ascending order,
+            // so its local vectors are the global ones.
+            let outer = std::mem::take(&mut ctx.counters);
+            ctx.precision = cfg.precision;
+            let report = cgls_in(serial, sinogram, &solve, ctx, &mut |_| {});
+            let counters = std::mem::replace(&mut ctx.counters, outer);
+            return DistributedResult {
+                x: report.x,
+                residual_history: report.residual_history,
+                comm_elements: self.comm_elements,
+                comm_stats: vec![RankCommStats::default()],
+                counters,
+            };
+        }
+        let decomp = &self.decomp;
         let world = RankOptions {
-            telemetry: cfg.telemetry.clone(),
+            telemetry: ctx.telemetry.clone(),
             wire: cfg.wire,
             ..RankOptions::default()
         };
-        let outputs = run_ranks_with(ranks, &world, |comm| {
-            let rank_op = RankOperator::new(comm, setup, &operators[comm.rank()]);
-            let y_local = decomp.restrict_sinogram(sinogram, setup.num_rays, fusing, comm.rank());
+        let outputs = run_ranks_with(decomp.ranks, &world, |comm| {
+            let rank_op = RankOperator::new(comm, self, &operators[comm.rank()]);
+            let y_local = decomp.restrict_sinogram(sinogram, num_rays, fusing, comm.rank());
             // One context per rank — each simulated GPU owns its workspace.
             // The rank's telemetry handle is the communicator's fork, so
             // solver spans and exchange spans nest on one per-rank track.
             let mut ctx = ExecContext::serial()
                 .with_precision(cfg.precision)
                 .with_telemetry(comm.telemetry().clone());
-            let report = cgls_in(
-                &rank_op,
-                &y_local,
-                &CglsConfig {
-                    max_iters: cfg.iterations,
-                    tolerance: 0.0,
-                    damping: 0.0,
-                },
-                &mut ctx,
-                &mut |products| {
-                    rank_op.allreduce(Collective::INNER_PRODUCTS, ReduceOp::Sum, products)
-                },
-            );
+            let report = cgls_in(&rank_op, &y_local, &solve, &mut ctx, &mut |products| {
+                rank_op.allreduce(Collective::INNER_PRODUCTS, ReduceOp::Sum, products)
+            });
             (
                 report.x,
                 report.residual_history,
@@ -597,7 +607,7 @@ impl DistributedSetup {
         });
 
         let pieces: Vec<Vec<f32>> = outputs.iter().map(|(x, _, _, _)| x.clone()).collect();
-        let x = decomp.assemble_volume(&pieces, setup.num_voxels, fusing);
+        let x = decomp.assemble_volume(&pieces, self.scan.grid.voxels(), fusing);
         let comm_stats: Vec<RankCommStats> = outputs.iter().map(|(_, _, s, _)| s.clone()).collect();
         let mut counters = ExecCounters::default();
         for (_, _, _, c) in &outputs {
@@ -606,7 +616,7 @@ impl DistributedSetup {
         DistributedResult {
             x,
             residual_history: outputs[0].1.clone(),
-            comm_elements: setup.comm_elements,
+            comm_elements: self.comm_elements,
             comm_stats,
             counters,
         }
@@ -615,14 +625,16 @@ impl DistributedSetup {
 
 /// Runs a complete distributed reconstruction of `cfg.fusing` slices
 /// that share the geometry `scan`: [`DistributedSetup::build`] followed
-/// by one [`DistributedSetup::run`]. `sinogram` is slice-major
-/// (`fusing × num_rays`). Returns the assembled volume.
+/// by one [`DistributedSetup::run`] in a serial context recording on
+/// `cfg.telemetry`. `sinogram` is slice-major (`fusing × num_rays`).
+/// Returns the assembled volume.
 pub fn reconstruct_distributed(
     scan: &ScanGeometry,
     sinogram: &[f32],
     cfg: &DistributedConfig,
 ) -> DistributedResult {
-    DistributedSetup::build(scan, cfg).run(sinogram, cfg.fusing)
+    let mut ctx = ExecContext::serial().with_telemetry(cfg.telemetry.clone());
+    DistributedSetup::build(scan, cfg).run(sinogram, cfg.fusing, &mut ctx)
 }
 
 #[cfg(test)]
@@ -808,8 +820,8 @@ mod tests {
                 ..Default::default()
             };
             let ranks = cfg.topology.size();
-            let mut setup = DistributedSetup::build(&scan, &cfg);
-            let at = setup.pack(1);
+            let setup = DistributedSetup::build(&scan, &cfg);
+            let operators = setup.operators((precision, 1, cfg.block_size, cfg.shared_bytes));
             let (setup, decomp) = (&setup, &setup.decomp);
             let x_global: Vec<f32> = (0..sm.num_voxels())
                 .map(|i| ((i * 23 + 7) % 41) as f32 / 41.0)
@@ -819,7 +831,7 @@ mod tests {
                 .collect();
             let outputs = run_ranks(ranks, |comm| {
                 let rank = comm.rank();
-                let rank_op = RankOperator::new(comm, setup, &setup.packed[at].1[comm.rank()]);
+                let rank_op = RankOperator::new(comm, setup, &operators[rank]);
                 let mut ctx = ExecContext::serial();
                 let x_local: Vec<f32> = decomp.owned_voxels[rank]
                     .iter()
@@ -890,12 +902,12 @@ mod tests {
             precision: Precision::Mixed,
             ..Default::default()
         };
-        let mut setup = DistributedSetup::build(&scan, &cfg);
-        let at = setup.pack(1);
+        let setup = DistributedSetup::build(&scan, &cfg);
+        let operators = setup.operators((cfg.precision, 1, cfg.block_size, cfg.shared_bytes));
         let setup = &setup;
         for (voxel, ray) in [(f32::MIN_POSITIVE, 1e-40), (3e38, f32::MIN_POSITIVE)] {
             let outputs = run_ranks(cfg.topology.size(), |comm| {
-                let rank_op = RankOperator::new(comm, setup, &setup.packed[at].1[comm.rank()]);
+                let rank_op = RankOperator::new(comm, setup, &operators[comm.rank()]);
                 let mut ctx = ExecContext::serial();
                 let mut ax = vec![0.0f32; rank_op.rows()];
                 rank_op.apply(&vec![voxel; rank_op.cols()], &mut ax, &mut ctx);

@@ -1,18 +1,19 @@
 //! The single-call public API: memoize the operator once, reconstruct
-//! many (batches of) slices.
+//! many (batches of) slices, through a 1×1×1 [`DistributedSetup`].
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
+use xct_comm::Topology;
 use xct_exec::ExecContext;
 use xct_fp16::Precision;
 use xct_geometry::{ScanGeometry, SystemMatrix};
+use xct_plan::KernelShape;
 use xct_solver::{
     cgls_in, sirt_in, tv_reconstruct_in, CglsConfig, CglsReport, PrecisionOperator, SirtConfig,
     TvConfig,
 };
-use xct_spmm::Csr;
 
-use crate::decompose::packing_orders;
+use crate::distributed::{DistributedConfig, DistributedSetup};
 
 /// Which iterative algorithm drives the reconstruction.
 ///
@@ -71,8 +72,8 @@ impl Default for ReconOptions {
             iterations: 24,
             damping: 0.0,
             tolerance: 0.0,
-            block_size: 64,
-            shared_bytes: 96 * 1024,
+            block_size: KernelShape::DEFAULT.block_size,
+            shared_bytes: KernelShape::DEFAULT.shared_bytes,
         }
     }
 }
@@ -92,18 +93,11 @@ impl Default for ReconOptions {
 /// assert!(result.report.residual_history.last().unwrap() < &0.1);
 /// ```
 pub struct Reconstructor {
-    scan: ScanGeometry,
     matrix: SystemMatrix,
-    csr: Csr<f32>,
-    /// The operator packed by the most recent call, with the options it
-    /// was packed for: one entry, replaced when a call asks for another
-    /// key. Batches of one volume share a key, so they share one packing.
-    packed: Mutex<Option<(PackKey, Arc<PrecisionOperator>)>>,
+    /// The one-rank set-up over `matrix`, and with it the operator packed
+    /// for the most recent call's options.
+    setup: DistributedSetup,
 }
-
-/// What a packed operator depends on besides the geometry:
-/// `(precision, fusing, block_size, shared_bytes)`.
-type PackKey = (Precision, usize, usize, usize);
 
 /// Reconstruction outcome.
 pub struct ReconResult {
@@ -119,51 +113,28 @@ impl Reconstructor {
     /// once, reused every iteration and every slice).
     pub fn new(scan: ScanGeometry) -> Self {
         let matrix = SystemMatrix::build(&scan);
-        let csr = Csr::from_system_matrix(&matrix);
-        Reconstructor {
-            scan,
-            matrix,
-            csr,
-            packed: Mutex::new(None),
-        }
+        let one_rank = DistributedConfig {
+            topology: Topology::new(1, 1, 1),
+            ..DistributedConfig::default()
+        };
+        let setup = DistributedSetup::from_matrix(&matrix, scan, &one_rank);
+        Reconstructor { matrix, setup }
     }
 
-    /// The operator packed for `opts`, packing it first unless the
-    /// previous call used the same key. The old entry is dropped before
-    /// its replacement is built, so at most one packing is resident.
-    fn packed_operator(&self, opts: &ReconOptions) -> Arc<PrecisionOperator> {
-        let key = (
+    /// The one rank's operator packed for `opts`, out of the set-up's
+    /// cache.
+    fn operators(&self, opts: &ReconOptions) -> Arc<[PrecisionOperator]> {
+        self.setup.operators((
             opts.precision,
             opts.fusing,
             opts.block_size,
             opts.shared_bytes,
-        );
-        // A panic while packing leaves `None` behind — a valid entry — so
-        // a poisoned lock is recovered, not propagated.
-        let mut entry = self
-            .packed
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        if let Some((_, op)) = entry.as_ref().filter(|(k, _)| *k == key) {
-            return Arc::clone(op);
-        }
-        *entry = None;
-        let (rays, voxels) = packing_orders(&self.scan, opts.block_size);
-        let op = Arc::new(PrecisionOperator::ordered(
-            &self.csr,
-            (&rays, &voxels),
-            opts.precision,
-            opts.fusing,
-            opts.block_size,
-            opts.shared_bytes,
-        ));
-        *entry = Some((key, Arc::clone(&op)));
-        op
+        ))
     }
 
     /// The scan geometry.
     pub fn scan(&self) -> &ScanGeometry {
-        &self.scan
+        &self.setup.scan
     }
 
     /// Voxels per slice.
@@ -222,8 +193,8 @@ impl Reconstructor {
             self.num_rays(),
             opts.fusing
         );
-        let op = self.packed_operator(opts);
-        let op = &*op;
+        let operators = self.operators(opts);
+        let op = &operators[0];
         ctx.precision = opts.precision;
         let mut report = match opts.algorithm {
             Algorithm::Cgls => cgls_in(
@@ -253,8 +224,8 @@ impl Reconstructor {
                 tv_reconstruct_in(
                     op,
                     sinogram,
-                    self.scan.grid.nx,
-                    self.scan.grid.nz,
+                    self.scan().grid.nx,
+                    self.scan().grid.nz,
                     &TvConfig {
                         iterations: opts.iterations,
                         lambda,
@@ -275,8 +246,10 @@ impl Reconstructor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decompose::packing_orders;
     use xct_geometry::ImageGrid;
     use xct_phantom::shepp_logan;
+    use xct_spmm::Csr;
 
     #[test]
     fn reconstructs_shepp_logan() {
@@ -349,19 +322,15 @@ mod tests {
         let fresh = |sino: &[f32], opts: &ReconOptions| {
             bits(&Reconstructor::new(scan.clone()).reconstruct(sino, opts).x)
         };
-        let key_of = |recon: &Reconstructor| recon.packed.lock().unwrap().as_ref().unwrap().0;
 
         let mixed1 = ReconOptions {
             iterations: 8,
             ..Default::default()
         };
         let first = recon.reconstruct(&sino1, &mixed1);
-        let packed_by_first = recon.packed_operator(&mixed1);
+        let packed_by_first = recon.operators(&mixed1);
         let second = recon.reconstruct(&sino1, &mixed1);
-        assert!(Arc::ptr_eq(
-            &packed_by_first,
-            &recon.packed_operator(&mixed1)
-        ));
+        assert!(Arc::ptr_eq(&packed_by_first, &recon.operators(&mixed1)));
         assert_eq!(bits(&first.x), bits(&second.x));
         assert_eq!(bits(&first.x), fresh(&sino1, &mixed1));
         assert!(first.report.x.is_empty(), "the volume is moved, not copied");
@@ -371,7 +340,8 @@ mod tests {
             ..mixed1
         };
         let fused = recon.reconstruct(&sino2, &mixed2);
-        assert_eq!(key_of(&recon), (Precision::Mixed, 2, 64, 96 * 1024));
+        let packed_fused = recon.operators(&mixed2);
+        assert_eq!(packed_fused[0].fusing(), 2);
         assert_eq!(bits(&fused.x), fresh(&sino2, &mixed2));
 
         let single2 = ReconOptions {
@@ -379,16 +349,14 @@ mod tests {
             ..mixed2
         };
         let single = recon.reconstruct(&sino2, &single2);
-        assert_eq!(key_of(&recon).0, Precision::Single);
+        assert_eq!(recon.operators(&single2)[0].precision(), Precision::Single);
+        assert!(!Arc::ptr_eq(&packed_fused, &recon.operators(&mixed2)));
         assert_eq!(bits(&single.x), fresh(&sino2, &single2));
         assert_ne!(bits(&single.x), bits(&fused.x));
 
         // Back to the first key: packed again, same bits as before.
         let again = recon.reconstruct(&sino1, &mixed1);
-        assert!(!Arc::ptr_eq(
-            &packed_by_first,
-            &recon.packed_operator(&mixed1)
-        ));
+        assert!(!Arc::ptr_eq(&packed_by_first, &recon.operators(&mixed1)));
         assert_eq!(bits(&again.x), bits(&first.x));
     }
 
@@ -414,12 +382,12 @@ mod tests {
                 ..Default::default()
             };
             let ordered = recon.reconstruct(&sino, &opts);
-            let (fwd, bwd) = recon.packed_operator(&opts).stage_counts();
+            let (fwd, bwd) = recon.operators(&opts)[0].stage_counts();
             let blocks = recon.num_rays().div_ceil(64) + recon.num_voxels().div_ceil(64);
             assert_eq!(fwd + bwd == blocks, single_stage);
 
-            let identity =
-                PrecisionOperator::new(&recon.csr, Precision::Single, 1, 64, shared_bytes);
+            let csr = Csr::from_system_matrix(recon.system_matrix());
+            let identity = PrecisionOperator::new(&csr, Precision::Single, 1, 64, shared_bytes);
             let config = CglsConfig {
                 max_iters: opts.iterations,
                 tolerance: opts.tolerance,
@@ -460,6 +428,153 @@ mod tests {
                 "relative {}",
                 (diff / norm).sqrt()
             );
+        }
+    }
+
+    /// One answer for a one-process reconstruction: a 1×1×1
+    /// `DistributedSetup::run`, `Reconstructor::reconstruct_in` and the
+    /// serial layout as packed before the set-up held it (the full CSR
+    /// under the scan's Hilbert orders through
+    /// `PrecisionOperator::ordered`, solved by `cgls_in`) agree bit for
+    /// bit — volume and residual history — in every precision, fused or
+    /// not, whatever executor runs the launches, on a matched detector
+    /// and on one wider than the grid, whose rays that hit nothing carry
+    /// data here. SIRT and TV through the façade match the oracle too.
+    #[test]
+    fn one_rank_set_up_reconstructor_and_serial_oracle_agree_bit_for_bit() {
+        use crate::distributed::{DistributedConfig, DistributedSetup};
+        use xct_exec::Executor;
+
+        let n = 16;
+        let iterations = 6;
+        let matched = ScanGeometry::uniform(ImageGrid::square(n, 1.0), 12);
+        let mut wide = matched.clone();
+        wide.detector.channels = n + 6;
+        let bits32 = |x: &[f32]| -> Vec<u32> { x.iter().map(|v| v.to_bits()).collect() };
+        let bits64 = |x: &[f64]| -> Vec<u64> { x.iter().map(|v| v.to_bits()).collect() };
+        for (scan, misses) in [(matched, false), (wide, true)] {
+            let recon = Reconstructor::new(scan.clone());
+            let sm = recon.system_matrix();
+            let empty = (0..sm.num_rays()).filter(|&r| sm.row(r).is_empty()).count();
+            assert_eq!(empty > 0, misses);
+            let csr = Csr::from_system_matrix(sm);
+            let shape = KernelShape::DEFAULT;
+            let (rays, voxels) = packing_orders(&scan, shape.block_size);
+            let phantom = shepp_logan(n);
+            for fusing in [1, 3] {
+                let mut sino = vec![0.0f32; sm.num_rays() * fusing];
+                for (f, slice) in sino.chunks_mut(sm.num_rays()).enumerate() {
+                    let image: Vec<f32> =
+                        phantom.data.iter().map(|v| v * (1.0 + f as f32)).collect();
+                    sm.project(&image, slice);
+                    for (r, y) in slice.iter_mut().enumerate() {
+                        *y += 0.01 * ((r * 7 + f) % 13) as f32;
+                    }
+                }
+                for precision in Precision::ALL {
+                    let what = format!("{precision}, fusing {fusing}, misses {misses}");
+                    let oracle = PrecisionOperator::ordered(
+                        &csr,
+                        (&rays, &voxels),
+                        precision,
+                        fusing,
+                        shape.block_size,
+                        shape.shared_bytes,
+                    );
+                    let config = CglsConfig {
+                        max_iters: iterations,
+                        tolerance: 0.0,
+                        damping: 0.0,
+                    };
+                    let want = cgls_in(
+                        &oracle,
+                        &sino,
+                        &config,
+                        &mut ExecContext::serial(),
+                        &mut |_| {},
+                    );
+                    let opts = ReconOptions {
+                        precision,
+                        fusing,
+                        iterations,
+                        ..Default::default()
+                    };
+                    let facade = recon.reconstruct_in(&sino, &opts, &mut ExecContext::serial());
+                    let setup = DistributedSetup::build(
+                        &scan,
+                        &DistributedConfig {
+                            topology: Topology::new(1, 1, 1),
+                            precision,
+                            iterations,
+                            ..Default::default()
+                        },
+                    );
+                    let run = setup.run(
+                        &sino,
+                        fusing,
+                        &mut ExecContext::with_executor(Executor::threads(2)),
+                    );
+                    assert_eq!(bits32(&facade.x), bits32(&want.x), "façade x, {what}");
+                    assert_eq!(bits32(&run.x), bits32(&want.x), "run x, {what}");
+                    let history = bits64(&want.residual_history);
+                    assert_eq!(bits64(&facade.report.residual_history), history, "{what}");
+                    assert_eq!(bits64(&run.residual_history), history, "{what}");
+
+                    let sirt = SirtConfig {
+                        max_iters: iterations,
+                        relaxation: 1.0,
+                        nonneg: true,
+                        tolerance: 0.0,
+                    };
+                    let want = sirt_in(&oracle, &sino, &sirt, &mut ExecContext::serial());
+                    let facade = recon.reconstruct_in(
+                        &sino,
+                        &ReconOptions {
+                            algorithm: Algorithm::Sirt {
+                                relaxation: sirt.relaxation,
+                                nonneg: sirt.nonneg,
+                            },
+                            ..opts
+                        },
+                        &mut ExecContext::serial(),
+                    );
+                    assert_eq!(bits32(&facade.x), bits32(&want.x), "SIRT x, {what}");
+                    assert_eq!(
+                        bits64(&facade.report.residual_history),
+                        bits64(&want.residual_history),
+                        "SIRT history, {what}"
+                    );
+
+                    if fusing == 1 {
+                        let tv = TvConfig {
+                            iterations,
+                            lambda: 0.1,
+                            epsilon: 0.005,
+                            nonneg: true,
+                        };
+                        let want = tv_reconstruct_in(
+                            &oracle,
+                            &sino,
+                            n,
+                            n,
+                            &tv,
+                            &mut ExecContext::serial(),
+                        );
+                        let facade = recon.reconstruct_in(
+                            &sino,
+                            &ReconOptions {
+                                algorithm: Algorithm::Tv {
+                                    lambda: tv.lambda,
+                                    epsilon: tv.epsilon,
+                                },
+                                ..opts
+                            },
+                            &mut ExecContext::serial(),
+                        );
+                        assert_eq!(bits32(&facade.x), bits32(&want.x), "TV x, {what}");
+                    }
+                }
+            }
         }
     }
 

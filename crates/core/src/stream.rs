@@ -8,14 +8,15 @@
 //! [`DistributedSetup`] built once per call; every slab streams through
 //! it. Slab boundaries — not data movement, and not what an earlier slab
 //! left behind — determine the arithmetic: each slab runs the exact same
-//! multi-rank pipeline a fresh [`crate::distributed::reconstruct_distributed`]
+//! pipeline a fresh [`crate::distributed::reconstruct_distributed`]
 //! call at that slab's length would, so a streamed run is bit-identical
-//! to an unconstrained run batched at the plan's fusing factor.
+//! to an unconstrained run batched at the plan's fusing factor — and on
+//! 1×1×1 to the serial [`crate::Reconstructor`] path.
 
 use crate::distributed::{DistributedConfig, DistributedSetup};
 use crate::volume::{check, stream_slabs, PipelineError, StreamOutcome};
 use xct_comm::RankCommStats;
-use xct_exec::{ExecCounters, MetricId};
+use xct_exec::{ExecContext, ExecCounters, MetricId};
 use xct_geometry::ScanGeometry;
 use xct_io::{SliceReader, SliceWriter};
 use xct_plan::ReconPlan;
@@ -81,7 +82,9 @@ pub fn reconstruct_planned(
         telemetry.gauge_set(MetricId::PlanUsedBytes, plan.per_rank_bytes() as f64);
     }
 
-    let mut setup = DistributedSetup::build(scan, &cfg);
+    let setup = DistributedSetup::build(scan, &cfg);
+    // A lone rank's launches fan out across cores, as the serial path's do.
+    let mut ctx = ExecContext::parallel().with_telemetry(telemetry.clone());
     let mut comm_stats: Vec<RankCommStats> = Vec::new();
     let mut counters = ExecCounters::default();
     let slab_lens: Vec<usize> = plan.slabs.iter().map(|slab| slab.len).collect();
@@ -93,7 +96,7 @@ pub fn reconstruct_planned(
         cfg.iterations,
         &telemetry,
         |data, len| {
-            let result = setup.run(data, len);
+            let result = setup.run(data, len, &mut ctx);
             counters.merge(&result.counters);
             for rank_stats in &result.comm_stats {
                 match comm_stats.iter_mut().find(|m| m.rank == rank_stats.rank) {

@@ -3,6 +3,7 @@
 
 use xct_comm::Topology;
 use xct_core::distributed::{reconstruct_distributed, DistributedConfig};
+use xct_exec::{Phase, Telemetry};
 use xct_fp16::Precision;
 use xct_geometry::{ImageGrid, ScanGeometry, SystemMatrix};
 use xct_phantom::{add_poisson_noise, charcoal_like};
@@ -56,10 +57,13 @@ fn twelve_ranks_three_nodes_with_noise() {
 
 #[test]
 fn single_rank_topology_works() {
-    // Degenerate distribution: one GPU owns everything; hierarchy and
-    // direct both reduce to local no-ops.
+    // Degenerate distribution: one GPU owns everything, and the run is
+    // the serial solve on the caller's thread — no rank thread, no
+    // exchange, no message.
     let scan = ScanGeometry::uniform(ImageGrid::square(16, 1.0), 16);
     let (y, truth) = sinogram_for(&scan, 9, 0.0);
+    let telemetry = Telemetry::enabled();
+    let caller = telemetry.span(Phase::Custom("caller"));
     let result = reconstruct_distributed(
         &scan,
         &y,
@@ -69,12 +73,42 @@ fn single_rank_topology_works() {
             fusing: 1,
             hierarchical: true,
             iterations: 25,
+            telemetry: telemetry.clone(),
             ..Default::default()
         },
     );
+    drop(caller);
     assert!(rel_err(&result.x, &truth) < 0.2);
     let (s, n, _) = result.comm_elements;
     assert_eq!(s + n, 0, "one rank has no local peers");
+    assert_eq!(result.comm_stats.len(), 1);
+    assert_eq!(
+        result.comm_stats[0].total_msgs(),
+        0,
+        "one rank sends nothing"
+    );
+
+    // A rank thread records on a forked track whose spans never nest
+    // under the caller's; here every iteration nests under the span the
+    // caller held open, so the solve ran on the caller's own handle.
+    let snap = telemetry.snapshot();
+    let root = snap
+        .spans
+        .iter()
+        .position(|s| s.phase == Phase::Custom("caller"))
+        .unwrap();
+    let iterations: Vec<_> = snap
+        .spans
+        .iter()
+        .filter(|s| s.phase == Phase::SolverIteration)
+        .collect();
+    assert_eq!(iterations.len(), 25);
+    assert!(iterations.iter().all(|s| s.parent == Some(root)));
+    assert!(snap.spans.iter().all(|s| s.track == snap.spans[root].track));
+    assert!(!snap.spans.iter().any(|s| matches!(
+        s.phase,
+        Phase::ReduceSocket | Phase::ReduceNode | Phase::ReduceGlobal | Phase::Allreduce
+    )));
 }
 
 #[test]

@@ -70,8 +70,14 @@ proptest! {
         let sm = SystemMatrix::build(&scan);
         let d = SliceDecomposition::build(&sm, &scan, ranks, 3, CurveKind::Hilbert);
         let full: Vec<f32> = (0..sm.num_voxels() * fusing).map(|i| i as f32 * 0.5).collect();
-        let pieces: Vec<Vec<f32>> = (0..ranks)
-            .map(|p| d.restrict_volume(&full, sm.num_voxels(), fusing, p))
+        let (nv, at) = (sm.num_voxels(), |i: usize| full[i]);
+        let pieces: Vec<Vec<f32>> = d
+            .owned_voxels
+            .iter()
+            .map(|cols| {
+                let slice = |f: usize| cols.iter().map(move |&v| at(f * nv + v as usize));
+                (0..fusing).flat_map(slice).collect()
+            })
             .collect();
         let back = d.assemble_volume(&pieces, sm.num_voxels(), fusing);
         prop_assert_eq!(back, full);

@@ -28,6 +28,15 @@ pub struct KernelShape {
     pub shared_bytes: usize,
 }
 
+impl KernelShape {
+    /// The shape every run packs at unless a tune artifact says otherwise:
+    /// 64 rows per block, a V100's 96 KiB of staging (DESIGN.md §3f).
+    pub const DEFAULT: KernelShape = KernelShape {
+        block_size: 64,
+        shared_bytes: 96 * 1024,
+    };
+}
+
 /// One swept configuration and its measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TunePoint {

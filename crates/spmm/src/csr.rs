@@ -33,7 +33,7 @@ impl<S: StorageScalar> Csr<S> {
         }
         let mut csr = Csr::with_capacity(num_rows, num_cols, 0);
         for row in &mut per_row {
-            csr.push_unsorted_row(row);
+            csr.push_row(row);
         }
         csr
     }
@@ -54,13 +54,14 @@ impl<S: StorageScalar> Csr<S> {
                 row.iter().all(|&(c, _)| (c as usize) < csr.num_cols),
                 "ray {r} crosses a voxel out of range"
             );
-            csr.push_unsorted_row(&mut row);
+            csr.push_row(&mut row);
         }
         csr
     }
 
-    /// An empty matrix with no rows pushed yet and room for `nnz` entries.
-    fn with_capacity(num_rows: usize, num_cols: usize, nnz: usize) -> Self {
+    /// An empty matrix with room for `nnz` entries, filled by
+    /// [`push_row`](Self::push_row) one row after the other.
+    pub fn with_capacity(num_rows: usize, num_cols: usize, nnz: usize) -> Self {
         let mut rowptr = Vec::with_capacity(num_rows + 1);
         rowptr.push(0);
         Csr {
@@ -72,9 +73,11 @@ impl<S: StorageScalar> Csr<S> {
         }
     }
 
-    /// Appends the next row from entries in any order: sorted by column,
-    /// duplicates summed in `f32`, then rounded to `S`.
-    fn push_unsorted_row(&mut self, row: &mut [(u32, f32)]) {
+    /// Appends the next row from `(column < num_cols, value)` entries in
+    /// any order: sorted by column, duplicates summed in `f32`, then
+    /// rounded to `S` — the row [`from_triplets`](Self::from_triplets) builds.
+    pub fn push_row(&mut self, row: &mut [(u32, f32)]) {
+        assert!(self.rowptr.len() <= self.num_rows, "every row is in");
         row.sort_unstable_by_key(|&(c, _)| c);
         let mut i = 0;
         while i < row.len() {

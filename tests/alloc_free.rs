@@ -13,7 +13,8 @@
 //!   span/event (the zero-overhead rule of DESIGN.md §3b), while an enabled
 //!   one records spans without disturbing the workspace's steady state;
 //! - a `Reconstructor::reconstruct_in` call after the first allocates its
-//!   result and nothing else — the packed operator is kept, not rebuilt;
+//!   result and nothing else — the packed operator is kept, not rebuilt —
+//!   and so does a one-rank `DistributedSetup::run`, the same solve;
 //! - the distributed path's per-iteration allocation count is **bounded and
 //!   constant**: wire buffers are owned `Vec`s moved into channels (that is
 //!   inherent to message passing), but the count per iteration must not
@@ -26,7 +27,7 @@ use std::sync::Mutex;
 
 use count_alloc::{allocations, CountingAllocator};
 use xct_comm::{run_ranks, CompiledPlans, ExchangeScratch, Footprints, Ownership, Topology};
-use xct_core::distributed::{reconstruct_distributed, DistributedConfig};
+use xct_core::distributed::{reconstruct_distributed, DistributedConfig, DistributedSetup};
 use xct_core::{ReconOptions, Reconstructor};
 use xct_fp16::{Precision, F16};
 use xct_geometry::{ImageGrid, ScanGeometry, SystemMatrix};
@@ -140,6 +141,51 @@ fn repeated_reconstruct_in_allocates_only_its_result() {
     assert!(
         first >= 10 * second,
         "only the first call packs: {first} allocations against {second}"
+    );
+}
+
+#[test]
+fn repeated_one_rank_run_allocates_only_its_result() {
+    let _guard = serial();
+
+    // A 1×1×1 set-up is the serial solve: after the first run packs the
+    // operator, a run allocates its result — the volume, the solver's
+    // histories, one rank's traffic record — and nothing that grows
+    // with the matrix, under the bound `Reconstructor::reconstruct_in`
+    // is held to.
+    let scan = ScanGeometry::uniform(ImageGrid::square(24, 1.0), 24);
+    let sm = SystemMatrix::build(&scan);
+    let fusing = 2;
+    let image: Vec<f32> = (0..sm.num_voxels()).map(|i| (i % 7) as f32 * 0.1).collect();
+    let mut slice = vec![0.0f32; sm.num_rays()];
+    sm.project(&image, &mut slice);
+    let sinogram = slice.repeat(fusing);
+    let setup = DistributedSetup::build(
+        &scan,
+        &DistributedConfig {
+            topology: Topology::new(1, 1, 1),
+            iterations: 6,
+            ..Default::default()
+        },
+    );
+    let mut ctx = ExecContext::serial();
+    let mut call = || {
+        let before = allocations();
+        let result = setup.run(&sinogram, fusing, &mut ctx);
+        assert_eq!(result.x.len(), sm.num_voxels() * fusing);
+        allocations() - before
+    };
+    let (first, second, third) = (call(), call(), call());
+    // Measured: 168, 4, 4 (reconstruct_in's three plus the one rank's
+    // traffic record).
+    assert!(
+        second <= 8,
+        "a run on a packed operator allocated {second} times"
+    );
+    assert_eq!(second, third, "the count per run is a constant");
+    assert!(
+        first >= 10 * second,
+        "only the first run packs: {first} allocations against {second}"
     );
 }
 

@@ -56,6 +56,60 @@ fn binary_happy_path() {
     assert!(stdout.contains("reconstructed 2 slices"));
 }
 
+/// A memory budget without `--topology` plans the run on 1×1×1, and one
+/// rank is the serial solve: both arms write the same volume, byte for
+/// byte, mixed precision included.
+#[test]
+fn plain_and_budgeted_one_process_runs_write_the_same_volume() {
+    let dir = std::env::temp_dir().join("xct_cli_binary_tests");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_owned();
+    let sino = path("one_sino.xctd");
+    let (ok, _, stderr) = petaxct(&[
+        "simulate",
+        "--phantom",
+        "shale",
+        "--out",
+        &sino,
+        "--n",
+        "24",
+        "--angles",
+        "24",
+        "--slices",
+        "3",
+    ]);
+    assert!(ok, "simulate failed: {stderr}");
+
+    let reconstruct = |out: &str, extra: &[&str]| {
+        let args = [
+            &[
+                "reconstruct",
+                "--in",
+                &sino,
+                "--out",
+                out,
+                "--precision",
+                "mixed",
+            ][..],
+            &["--iterations", "12"],
+            extra,
+        ]
+        .concat();
+        let (ok, stdout, stderr) = petaxct(&args);
+        assert!(ok, "reconstruct {extra:?} failed: {stderr}");
+        stdout
+    };
+    let (plain, budgeted) = (path("one_plain.xctd"), path("one_budgeted.xctd"));
+    reconstruct(&plain, &[]);
+    let stdout = reconstruct(&budgeted, &["--memory-budget", "1000000000"]);
+    assert!(stdout.contains("on 1 simulated ranks"), "{stdout}");
+    assert_eq!(
+        std::fs::read(&plain).unwrap(),
+        std::fs::read(&budgeted).unwrap(),
+        "a one-process reconstruction has one answer"
+    );
+}
+
 #[test]
 fn binary_reports_errors_on_stderr_with_nonzero_exit() {
     let (ok, stdout, stderr) = petaxct(&[
