@@ -9,10 +9,10 @@
 #![forbid(unsafe_code)]
 
 use std::time::{Duration, Instant};
-use xct_comm::{CompiledPlans, DirectPlan, HierarchicalPlan};
+use xct_comm::{CompiledPlans, HierarchicalPlan, Topology};
 use xct_telemetry::Json;
 use xct_verify::corpus::{aliased_reply_exchange, gen_case, single_sweep_gather, MUST_REJECT};
-use xct_verify::{explore, verify_all_direct, verify_all_hierarchical};
+use xct_verify::{explore, verify_all_hierarchical};
 
 fn check(name: &str, ok: bool, failures: &mut Vec<String>) {
     if ok {
@@ -32,20 +32,18 @@ fn main() {
     let mut bad_cases = 0usize;
     for seed in 0..64u64 {
         let case = gen_case(seed);
-        let fp = &case.footprints;
-        let own = &case.ownership;
-        let direct = DirectPlan::build(fp, own);
-        let dc = CompiledPlans::compile_direct(fp, own, &direct);
-        let hier = HierarchicalPlan::build(fp, own, &case.topology);
-        let hc = CompiledPlans::compile_hierarchical(fp, own, &hier);
-        for overlap in [false, true] {
-            if !verify_all_direct(fp, own, &case.topology, &direct, &dc, overlap).ok()
-                || !verify_all_hierarchical(fp, own, &case.topology, &hier, &hc, overlap).ok()
-            {
-                failures.push(format!("generated seed {seed} overlap={overlap}"));
-                bad_cases += 1;
+        let (fp, own, topo) = (&case.footprints, &case.ownership, &case.topology);
+        // Direct exchange is the flat plan, run on the case's machine.
+        for plan_topo in [Topology::new(topo.size(), 1, 1), *topo] {
+            let plan = HierarchicalPlan::build(fp, own, &plan_topo);
+            let compiled = CompiledPlans::compile_hierarchical(fp, own, &plan);
+            for overlap in [false, true] {
+                if !verify_all_hierarchical(fp, own, topo, &plan, &compiled, overlap).ok() {
+                    failures.push(format!("seed {seed} plan {plan_topo} overlap={overlap}"));
+                    bad_cases += 1;
+                }
+                cases += 1;
             }
-            cases += 2;
         }
     }
     let generated_ok = bad_cases == 0;

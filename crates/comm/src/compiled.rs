@@ -4,12 +4,21 @@
 //! re-derives row routing from the plan on every call through
 //! `HashMap<u32, f64>` scratch, which is clear but allocates in steady
 //! state and forces every exchange to complete before local work
-//! continues. This module compiles a [`DirectPlan`] or
-//! [`HierarchicalPlan`] plus an [`Ownership`] once, into per-rank tables
-//! of *positions*: for every level, which indices of the current value
-//! buffer go to which peer, which indices carry over locally (`keeps`),
-//! and where each received element lands. Execution is then pure index
-//! arithmetic over reusable `f64` buffers ([`ExchangeScratch`]).
+//! continues. This module compiles a [`HierarchicalPlan`] plus an
+//! [`Ownership`] once, into per-rank tables of *positions*: for every
+//! level, which indices of the current value buffer go to which peer,
+//! which indices carry over locally (`keeps`), and where each received
+//! element lands. Execution is then pure index arithmetic over reusable
+//! `f64` buffers ([`ExchangeScratch`]). Each program carries its
+//! [`ExchangeLevel`], which gives its tag, traffic class and span.
+//!
+//! Direct exchange is the hierarchy of one-GPU nodes: a plan built on
+//! `Topology::new(ranks, 1, 1)` has singleton socket and node groups.
+//! A local level on which no rank sends is not compiled at all: its
+//! keeps would be the identity map, it would receive nothing, and its
+//! rounding to storage precision is idempotent on values already at
+//! storage precision — so omitting it changes no finite output bit. The
+//! flat plan therefore compiles to the global exchange alone.
 //!
 //! Numerical contract: results are **bit-identical** to the reference
 //! executor. Both seed each level's accumulator the same way, add
@@ -32,11 +41,8 @@
 // contract (`num_rows` fits `u32`); enumerate-index casts back into that
 // space are lossless by construction.
 #![allow(clippy::cast_possible_truncation)]
-use crate::metrics::TrafficClass;
 use crate::plan::{DirectPlan, HierarchicalPlan, Ownership, ReductionStep};
-use crate::protocol::{
-    TAG_GLOBAL, TAG_NODE, TAG_SCATTER_GLOBAL, TAG_SCATTER_NODE, TAG_SCATTER_SOCKET, TAG_SOCKET,
-};
+use crate::protocol::ExchangeLevel;
 use crate::runtime::{CommError, Communicator, RecvRequest};
 use crate::topology::Topology;
 use crate::wire::Wire;
@@ -87,6 +93,8 @@ impl Transfer {
 /// replays these programs.
 #[derive(Debug, Clone)]
 pub struct LevelProgram {
+    /// Which exchange this is: tag, traffic class and span follow.
+    level: ExchangeLevel,
     /// Output buffer length.
     out_len: usize,
     /// Outgoing transfers, gathered from the input buffer.
@@ -97,37 +105,31 @@ pub struct LevelProgram {
     /// (source-ascending for reductions, destination-ascending for
     /// scatters); indices are output positions.
     recvs: Vec<Transfer>,
-    /// Base tag (XORed with the caller's slice salt).
-    tag: u64,
-    /// Traffic class accounted for this level's sends.
-    class: TrafficClass,
-    /// Span recorded around blocking local levels (`None` for levels
-    /// whose spans are managed by begin/finish).
-    phase: Option<Phase>,
 }
 
 impl LevelProgram {
-    /// Assembles a level program from raw tables. The compile paths above
-    /// are the production constructors; this one exists so the static
-    /// verifier (xct-verify) can build *mutated* programs for its
-    /// must-reject corpus. Execution metadata not meaningful to analysis
-    /// defaults: global traffic class, no managed span.
+    /// Assembles a level program from raw tables: the one constructor,
+    /// which the compile paths use and the static verifier (xct-verify)
+    /// builds its *mutated* must-reject programs with.
     pub fn from_parts(
+        level: ExchangeLevel,
         out_len: usize,
         sends: Vec<Transfer>,
         keeps: Vec<(u32, u32)>,
         recvs: Vec<Transfer>,
-        tag: u64,
     ) -> Self {
         LevelProgram {
+            level,
             out_len,
             sends,
             keeps,
             recvs,
-            tag,
-            class: TrafficClass::Global,
-            phase: None,
         }
+    }
+
+    /// Which exchange of the pipeline this program runs.
+    pub fn level(&self) -> ExchangeLevel {
+        self.level
     }
 
     /// Output buffer length.
@@ -150,11 +152,6 @@ impl LevelProgram {
     pub fn recvs(&self) -> &[Transfer] {
         &self.recvs
     }
-
-    /// Base tag for this level (XORed with the caller's slice salt).
-    pub fn tag(&self) -> u64 {
-        self.tag
-    }
 }
 
 /// Everything one rank needs to run the exchange without consulting the
@@ -165,14 +162,13 @@ pub struct RankPlan {
     in_len: usize,
     /// Owned-row count (reduce output / scatter input).
     owned_len: usize,
-    /// Forward local levels (socket, node); empty for direct plans.
+    /// Forward local levels that move data (socket, node, in order).
     levels: Vec<LevelProgram>,
     /// Forward global exchange to owners.
     global: LevelProgram,
-    /// Scatter global stage (owners → node designees, or → footprints
-    /// for direct plans).
+    /// Scatter global stage (owners → node designees).
     scatter_global: LevelProgram,
-    /// Scatter fan-out levels (node, socket); empty for direct plans.
+    /// Scatter fan-out levels that move data (node, socket, in order).
     scatter_levels: Vec<LevelProgram>,
     /// Footprint positions in the final scatter buffer.
     restrict: Vec<u32>,
@@ -202,12 +198,10 @@ fn gather_idx(rows: &[u32], pos: &HashMap<u32, u32>) -> Vec<u32> {
 /// Compiles one forward reduction level for `me`: input rows `cur_rows`,
 /// output rows `step.post.per_rank[me]`.
 fn compile_reduce_level(
+    level: ExchangeLevel,
     me: usize,
     step: &ReductionStep,
     cur_rows: &[u32],
-    tag: u64,
-    class: TrafficClass,
-    phase: Option<Phase>,
 ) -> LevelProgram {
     let cur_pos = positions(cur_rows);
     let out_rows = &step.post.per_rank[me];
@@ -232,15 +226,7 @@ fn compile_reduce_level(
             }
         }
     }
-    LevelProgram {
-        out_len: out_rows.len(),
-        sends,
-        keeps,
-        recvs,
-        tag,
-        class,
-        phase,
-    }
+    LevelProgram::from_parts(level, out_rows.len(), sends, keeps, recvs)
 }
 
 /// Compiles the forward global exchange: input rows `cur_rows`, output =
@@ -251,7 +237,6 @@ fn compile_global(
     ownership: &Ownership,
     cur_rows: &[u32],
     owned_rows: &[u32],
-    tag: u64,
 ) -> LevelProgram {
     let cur_pos = positions(cur_rows);
     let owned_pos = positions(owned_rows);
@@ -273,27 +258,17 @@ fn compile_global(
             }
         }
     }
-    LevelProgram {
-        out_len: owned_rows.len(),
-        sends,
-        keeps,
-        recvs,
-        tag,
-        class: TrafficClass::Global,
-        phase: None,
-    }
+    LevelProgram::from_parts(ExchangeLevel::Global, owned_rows.len(), sends, keeps, recvs)
 }
 
 /// Compiles the global scatter stage (forward global reversed): input =
-/// owned rows, output rows `out_rows` (= post-node footprint, or the
-/// whole footprint for direct plans).
+/// owned rows, output rows `out_rows` (the post-node footprint).
 fn compile_scatter_global(
     me: usize,
     plan: &DirectPlan,
     ownership: &Ownership,
     owned_rows: &[u32],
     out_rows: &[u32],
-    tag: u64,
 ) -> LevelProgram {
     let owned_pos = positions(owned_rows);
     let out_pos = positions(out_rows);
@@ -319,26 +294,18 @@ fn compile_scatter_global(
         .iter()
         .map(|(dst, rows)| Transfer::new(*dst, gather_idx(rows, &out_pos)))
         .collect();
-    LevelProgram {
-        out_len: out_rows.len(),
-        sends,
-        keeps,
-        recvs,
-        tag,
-        class: TrafficClass::Global,
-        phase: None,
-    }
+    let level = ExchangeLevel::ScatterGlobal;
+    LevelProgram::from_parts(level, out_rows.len(), sends, keeps, recvs)
 }
 
 /// Compiles one reversed reduction level (scatter fan-out): input rows
 /// `cur_rows`, output = `post[me] ∪ sends[me].rows` (disjoint union —
 /// rows kept as designee plus rows whose contributors await them back).
 fn compile_scatter_level(
+    level: ExchangeLevel,
     me: usize,
     step: &ReductionStep,
     cur_rows: &[u32],
-    tag: u64,
-    class: TrafficClass,
 ) -> (LevelProgram, Vec<u32>) {
     let cur_pos = positions(cur_rows);
     let mut out_rows: Vec<u32> = step.post.per_rank[me].clone();
@@ -364,113 +331,59 @@ fn compile_scatter_level(
         .iter()
         .map(|(dst, rows)| Transfer::new(*dst, gather_idx(rows, &out_pos)))
         .collect();
-    let program = LevelProgram {
-        out_len: out_rows.len(),
-        sends,
-        keeps,
-        recvs,
-        tag,
-        class,
-        phase: None,
-    };
+    let program = LevelProgram::from_parts(level, out_rows.len(), sends, keeps, recvs);
     (program, out_rows)
 }
 
 impl CompiledPlans {
-    /// Compiles a three-level hierarchical plan for every rank.
+    /// Compiles a three-level hierarchical plan for every rank, leaving
+    /// out each local level (and its scatter twin) on which no rank
+    /// sends: every row of such a level has one holder, its designee, so
+    /// the level's output rows are its input rows and the next level
+    /// reads them unchanged. The global level is always compiled; it
+    /// assembles the owned output.
     pub fn compile_hierarchical(
         footprints: &crate::plan::Footprints,
         ownership: &Ownership,
         plan: &HierarchicalPlan,
     ) -> Self {
+        use ExchangeLevel::{Node, ScatterNode, ScatterSocket, Socket};
+        // (forward level, scatter twin, step) of the local levels, in
+        // forward order; `None` where no rank sends.
+        let local = [
+            (Socket, ScatterSocket, &plan.socket),
+            (Node, ScatterNode, &plan.node),
+        ]
+        .map(|l| l.2.sends.iter().any(|s| !s.is_empty()).then_some(l));
         let per_rank = (0..footprints.num_ranks())
             .map(|me| {
                 let fp = &footprints.per_rank[me];
                 let owned = ownership.rows_of(me);
-                let socket = compile_reduce_level(
-                    me,
-                    &plan.socket,
-                    fp,
-                    TAG_SOCKET,
-                    TrafficClass::Socket,
-                    Some(Phase::ReduceSocket),
-                );
-                let node = compile_reduce_level(
-                    me,
-                    &plan.node,
-                    &plan.socket.post.per_rank[me],
-                    TAG_NODE,
-                    TrafficClass::Node,
-                    Some(Phase::ReduceNode),
-                );
-                let global = compile_global(
-                    me,
-                    &plan.global,
-                    ownership,
-                    &plan.node.post.per_rank[me],
-                    &owned,
-                    TAG_GLOBAL,
-                );
-                let scatter_global = compile_scatter_global(
-                    me,
-                    &plan.global,
-                    ownership,
-                    &owned,
-                    &plan.node.post.per_rank[me],
-                    TAG_SCATTER_GLOBAL,
-                );
-                let (scatter_node, after_node) = compile_scatter_level(
-                    me,
-                    &plan.node,
-                    &plan.node.post.per_rank[me],
-                    TAG_SCATTER_NODE,
-                    TrafficClass::Node,
-                );
-                let (scatter_socket, full) = compile_scatter_level(
-                    me,
-                    &plan.socket,
-                    &after_node,
-                    TAG_SCATTER_SOCKET,
-                    TrafficClass::Socket,
-                );
-                let full_pos = positions(&full);
-                let restrict = gather_idx(fp, &full_pos);
-                RankPlan {
-                    in_len: fp.len(),
-                    owned_len: owned.len(),
-                    levels: vec![socket, node],
-                    global,
-                    scatter_global,
-                    scatter_levels: vec![scatter_node, scatter_socket],
-                    restrict,
+                let mut levels = Vec::new();
+                let mut rows: &[u32] = fp;
+                for &(level, _, step) in local.iter().flatten() {
+                    levels.push(compile_reduce_level(level, me, step, rows));
+                    rows = &step.post.per_rank[me];
                 }
-            })
-            .collect();
-        CompiledPlans { per_rank }
-    }
-
-    /// Compiles a direct (single-level) plan for every rank.
-    pub fn compile_direct(
-        footprints: &crate::plan::Footprints,
-        ownership: &Ownership,
-        plan: &DirectPlan,
-    ) -> Self {
-        let per_rank = (0..footprints.num_ranks())
-            .map(|me| {
-                let fp = &footprints.per_rank[me];
-                let owned = ownership.rows_of(me);
-                let global = compile_global(me, plan, ownership, fp, &owned, TAG_GLOBAL);
+                let global = compile_global(me, &plan.global, ownership, rows, &owned);
                 let scatter_global =
-                    compile_scatter_global(me, plan, ownership, &owned, fp, TAG_SCATTER_GLOBAL);
-                let restrict = (0..fp.len() as u32).collect();
+                    compile_scatter_global(me, &plan.global, ownership, &owned, rows);
+                let mut scatter_levels = Vec::new();
+                let mut fanned_out;
+                for &(_, level, step) in local.iter().rev().flatten() {
+                    let (program, out_rows) = compile_scatter_level(level, me, step, rows);
+                    scatter_levels.push(program);
+                    fanned_out = out_rows;
+                    rows = &fanned_out;
+                }
                 RankPlan {
                     in_len: fp.len(),
                     owned_len: owned.len(),
-                    levels: Vec::new(),
+                    levels,
                     global,
                     scatter_global,
-                    scatter_levels: Vec::new(),
-                    restrict,
+                    scatter_levels,
+                    restrict: gather_idx(fp, &positions(rows)),
                 }
             })
             .collect();
@@ -566,13 +479,13 @@ fn run_sends<S: Wire>(
     cur: &[f64],
     salt: u64,
 ) -> Result<(), CommError> {
-    let _class = comm.meter().scope_class(level.class);
+    let _class = comm.meter().scope_class(level.level.class());
     for t in &level.sends {
         let mut buf = comm.pooled_buf(t.idx.len() * S::BYTES);
         for &i in &t.idx {
             S::from_f64(cur[i as usize]).write_to(&mut buf);
         }
-        comm.send(t.peer, level.tag ^ salt, buf)?;
+        comm.send(t.peer, level.level.tag() ^ salt, buf)?;
     }
     Ok(())
 }
@@ -615,7 +528,7 @@ fn run_levels<S: Wire>(
     land: fn(&[u8], &[u32], &mut [f64]),
 ) -> Result<(), CommError> {
     for level in levels {
-        let _span = level.phase.map(|p| comm.telemetry().span(p));
+        let _span = level.level.span().map(|p| comm.telemetry().span(p));
         run_sends::<S>(comm, level, &scratch.cur, salt)?;
         scratch.nxt.clear();
         scratch.nxt.resize(level.out_len, 0.0);
@@ -623,7 +536,7 @@ fn run_levels<S: Wire>(
             scratch.nxt[d as usize] = scratch.cur[s as usize];
         }
         for t in &level.recvs {
-            let bytes = comm.recv(t.peer, level.tag ^ salt)?;
+            let bytes = comm.recv(t.peer, level.level.tag() ^ salt)?;
             land(&bytes, &t.idx, &mut scratch.nxt);
             comm.recycle(bytes);
         }
@@ -666,8 +579,9 @@ impl RankPlan {
         self.owned_len
     }
 
-    /// Forward local levels (socket, node), in execution order; empty for
-    /// direct plans. Read-only view for the static verifier.
+    /// Forward local levels that move data (socket, node), in execution
+    /// order; empty for a flat plan. Read-only view for the static
+    /// verifier.
     pub fn local_levels(&self) -> &[LevelProgram] {
         &self.levels
     }
@@ -682,8 +596,8 @@ impl RankPlan {
         &self.scatter_global
     }
 
-    /// Scatter fan-out levels (node, socket), in execution order; empty
-    /// for direct plans.
+    /// Scatter fan-out levels that move data (node, socket), in
+    /// execution order; empty for a flat plan.
     pub fn scatter_local_levels(&self) -> &[LevelProgram] {
         &self.scatter_levels
     }
@@ -739,7 +653,7 @@ impl RankPlan {
         }
         let mut reqs = scratch.take_reqs();
         for t in &level.recvs {
-            reqs.push(comm.irecv(t.peer, level.tag ^ salt)?);
+            reqs.push(comm.irecv(t.peer, level.level.tag() ^ salt)?);
         }
         scratch
             .globals
@@ -834,7 +748,7 @@ impl RankPlan {
         scratch.acc_pool.push(quant);
         let mut reqs = scratch.take_reqs();
         for t in &level.recvs {
-            reqs.push(comm.irecv(t.peer, level.tag ^ salt)?);
+            reqs.push(comm.irecv(t.peer, level.level.tag() ^ salt)?);
         }
         scratch.scatters.push_back(ScatterInFlight {
             out1,
@@ -922,30 +836,37 @@ mod tests {
     use crate::runtime::run_ranks;
     use xct_fp16::F16;
 
-    /// Same fixture as the reference executor's tests: 8 ranks on 2×2×2,
-    /// 32 rows, deterministic overlapping footprints.
-    fn fixture() -> (Footprints, Ownership, Topology) {
-        let topo = Topology::new(2, 2, 2);
-        let owner: Vec<u32> = (0..32u32).map(|r| r / 4).collect();
-        let fp: Vec<Vec<u32>> = (0..8usize)
+    /// The reference executor's fixture on `topo`: four rows per rank,
+    /// deterministic overlapping footprints (32 rows on 2×2×2).
+    fn fixture_on(topo: Topology) -> (Footprints, Ownership) {
+        let ranks = topo.size();
+        let rows = 4 * ranks as u32;
+        let owner: Vec<u32> = (0..rows).map(|r| r / 4).collect();
+        let fp: Vec<Vec<u32>> = (0..ranks)
             .map(|p| {
-                (0..32u32)
+                (0..rows)
                     .filter(|&r| (r as usize * 7 + p * 3) % 5 < 3)
                     .collect()
             })
             .collect();
-        (Footprints::new(fp), Ownership::new(owner, 8), topo)
+        (Footprints::new(fp), Ownership::new(owner, ranks))
+    }
+
+    fn fixture() -> (Footprints, Ownership, Topology) {
+        let topo = Topology::new(2, 2, 2);
+        let (fp, own) = fixture_on(topo);
+        (fp, own, topo)
     }
 
     fn partial(p: usize, r: u32) -> f32 {
         ((p as f32 + 1.0) * 0.125) + (r as f32) * 0.01
     }
 
-    fn reduce_matches_reference<S: Wire>() {
-        let (fp, own, topo) = fixture();
+    fn reduce_matches_reference<S: Wire>(topo: Topology) {
+        let (fp, own) = fixture_on(topo);
         let plan = HierarchicalPlan::build(&fp, &own, &topo);
         let compiled = CompiledPlans::compile_hierarchical(&fp, &own, &plan);
-        let reference = run_ranks(8, |comm| {
+        let reference = run_ranks(topo.size(), |comm| {
             let rows = fp.per_rank[comm.rank()].clone();
             let vals: Vec<S> = rows
                 .iter()
@@ -954,7 +875,7 @@ mod tests {
             let mine = PartialData::new(rows, vals);
             execute_hierarchical(comm, &plan, &own, &mine).unwrap()
         });
-        let fast = run_ranks(8, |comm| {
+        let fast = run_ranks(topo.size(), |comm| {
             let me = comm.rank();
             let rp = compiled.rank(me);
             let vals: Vec<f32> = fp.per_rank[me].iter().map(|&r| partial(me, r)).collect();
@@ -973,33 +894,33 @@ mod tests {
 
     #[test]
     fn hierarchical_reduce_bit_identical_to_reference_f32() {
-        reduce_matches_reference::<f32>();
+        reduce_matches_reference::<f32>(fixture().2);
     }
 
     #[test]
     fn hierarchical_reduce_bit_identical_to_reference_f64() {
-        reduce_matches_reference::<f64>();
+        reduce_matches_reference::<f64>(fixture().2);
     }
 
     #[test]
     fn hierarchical_reduce_bit_identical_to_reference_f16() {
-        reduce_matches_reference::<F16>();
+        reduce_matches_reference::<F16>(fixture().2);
     }
 
-    fn scatter_matches_reference<S: Wire>() {
-        let (fp, own, topo) = fixture();
+    fn scatter_matches_reference<S: Wire>(topo: Topology) {
+        let (fp, own) = fixture_on(topo);
         let plan = HierarchicalPlan::build(&fp, &own, &topo);
         let compiled = CompiledPlans::compile_hierarchical(&fp, &own, &plan);
         // Owned totals: deterministic per-row values.
         let total = |r: u32| 0.5 + (r as f32) * 0.03125;
-        let reference = run_ranks(8, |comm| {
+        let reference = run_ranks(topo.size(), |comm| {
             let me = comm.rank();
             let rows = own.rows_of(me);
             let vals: Vec<S> = rows.iter().map(|&r| S::from_f32(total(r))).collect();
             let owned = PartialData::new(rows, vals);
             scatter_hierarchical(comm, &plan, &own, &owned, &fp.per_rank[me]).unwrap()
         });
-        let fast = run_ranks(8, |comm| {
+        let fast = run_ranks(topo.size(), |comm| {
             let me = comm.rank();
             let rp = compiled.rank(me);
             let owned: Vec<f32> = own.rows_of(me).iter().map(|&r| total(r)).collect();
@@ -1018,46 +939,89 @@ mod tests {
 
     #[test]
     fn hierarchical_scatter_bit_identical_to_reference_f32() {
-        scatter_matches_reference::<f32>();
+        scatter_matches_reference::<f32>(fixture().2);
     }
 
     #[test]
     fn hierarchical_scatter_bit_identical_to_reference_f16() {
-        scatter_matches_reference::<F16>();
+        scatter_matches_reference::<F16>(fixture().2);
+    }
+
+    /// The levels `rp` runs, forward then scatter.
+    fn levels_of(rp: &RankPlan) -> Vec<ExchangeLevel> {
+        let forward = rp.local_levels().iter().chain([rp.global_level()]);
+        let scatter = [rp.scatter_global_level()]
+            .into_iter()
+            .chain(rp.scatter_local_levels());
+        forward.chain(scatter).map(LevelProgram::level).collect()
     }
 
     #[test]
-    fn direct_reduce_and_scatter_match_reference() {
+    fn emptied_levels_are_not_compiled_and_outputs_still_match_the_reference() {
+        // On one-socket nodes the node level moves nothing; on one-GPU
+        // nodes neither local level does. The reference executor still
+        // runs every level, so equal outputs show that leaving them out
+        // changes no bit.
+        use ExchangeLevel::*;
+        let one_socket = vec![Socket, Global, ScatterGlobal, ScatterSocket];
+        for (topo, expected) in [
+            (Topology::new(1, 1, 2), one_socket.clone()),
+            (Topology::new(2, 1, 8), one_socket),
+            (Topology::new(6, 1, 1), vec![Global, ScatterGlobal]),
+        ] {
+            let (fp, own) = fixture_on(topo);
+            let compiled = CompiledPlans::build_hierarchical(&fp, &own, &topo);
+            for p in 0..topo.size() {
+                assert_eq!(levels_of(compiled.rank(p)), expected, "{topo} rank {p}");
+            }
+            reduce_matches_reference::<f32>(topo);
+            reduce_matches_reference::<F16>(topo);
+            scatter_matches_reference::<f32>(topo);
+            scatter_matches_reference::<F16>(topo);
+        }
+    }
+
+    /// The flat plan (one GPU per node) against the direct reference:
+    /// no local level on any rank, and owned totals and scattered
+    /// footprint values equal bit for bit.
+    fn flat_matches_direct_reference<S: Wire>() {
         let (fp, own, _) = fixture();
+        let flat = HierarchicalPlan::build(&fp, &own, &Topology::new(8, 1, 1));
+        let compiled = CompiledPlans::compile_hierarchical(&fp, &own, &flat);
         let plan = DirectPlan::build(&fp, &own);
-        let compiled = CompiledPlans::compile_direct(&fp, &own, &plan);
         let reference = run_ranks(8, |comm| {
             let me = comm.rank();
             let rows = fp.per_rank[me].clone();
-            let vals: Vec<f32> = rows.iter().map(|&r| partial(me, r)).collect();
+            let vals: Vec<S> = rows.iter().map(|&r| S::from_f32(partial(me, r))).collect();
             let mine = PartialData::new(rows, vals);
             let owned = execute_direct(comm, &plan, &own, &mine).unwrap();
             let back = scatter_direct(comm, &plan, &own, &owned, &fp.per_rank[me]).unwrap();
-            (owned, back)
+            let to_f32 =
+                |d: PartialData<S>| -> Vec<f32> { d.vals.iter().map(|v| v.to_f32()).collect() };
+            (to_f32(owned), to_f32(back))
         });
         let fast = run_ranks(8, |comm| {
             let me = comm.rank();
             let rp = compiled.rank(me);
+            assert!(rp.local_levels().is_empty() && rp.scatter_local_levels().is_empty());
             let vals: Vec<f32> = fp.per_rank[me].iter().map(|&r| partial(me, r)).collect();
             let mut scratch = ExchangeScratch::new();
             let mut owned = vec![0.0f32; rp.owned_len()];
-            rp.reduce::<f32>(comm, &mut scratch, &vals, 1.0, 1.0, 0, &mut owned)
+            rp.reduce::<S>(comm, &mut scratch, &vals, 1.0, 1.0, 0, &mut owned)
                 .unwrap();
             let mut back = vec![0.0f32; rp.in_len()];
-            rp.scatter::<f32>(comm, &mut scratch, &owned, 1.0, 1.0, 0, &mut back)
+            rp.scatter::<S>(comm, &mut scratch, &owned, 1.0, 1.0, 0, &mut back)
                 .unwrap();
             (owned, back)
         });
-        for (p, ((rowned, rback), (fowned, fback))) in reference.iter().zip(&fast).enumerate() {
-            assert_eq!(&rowned.vals, fowned, "rank {p} direct reduce");
-            assert_eq!(rback.rows, fp.per_rank[p]);
-            assert_eq!(&rback.vals, fback, "rank {p} direct scatter");
-        }
+        assert_eq!(reference, fast);
+    }
+
+    #[test]
+    fn direct_reduce_and_scatter_match_reference() {
+        flat_matches_direct_reference::<f32>();
+        flat_matches_direct_reference::<f64>();
+        flat_matches_direct_reference::<F16>();
     }
 
     #[test]

@@ -4,6 +4,12 @@
 //! and the crate that proves them safe (`xct-verify`). Each of them reads
 //! the tag layout and the exchange schedule from here; none restates them.
 //!
+//! **Levels.** [`ExchangeLevel`] names the six exchanges of the compiled
+//! pipeline and owns everything that follows from the name: base tag,
+//! traffic class, telemetry span and display name. A compiled level
+//! program carries its level, so the executor and the verifier read it
+//! off the program instead of its position.
+//!
 //! **Tag namespace.** A tag is 64 bits, matched per `(source, tag)` in
 //! FIFO order: a base tag below bit [`SLICE_SALT_SHIFT`] (an exchange
 //! level's, or a [`Collective`]'s, whose butterfly rounds add
@@ -19,17 +25,97 @@
 //! and [`ExchangeOp::Drain`] — completing it. [`exchange_schedule`] is
 //! the order of the two, for both settings of `overlap`.
 
+use crate::metrics::TrafficClass;
 use crate::runtime::REPLY_TAG_SALT;
+use std::fmt;
+use xct_telemetry::Phase;
 
-/// Base tags of the compiled exchange levels, forward then scatter. All
-/// stay below [`SLICE_SALT_SHIFT`] (`xct-verify`'s tag pass rejects a
-/// level whose base tag does not).
-pub(crate) const TAG_SOCKET: u64 = 0x1100;
-pub(crate) const TAG_NODE: u64 = 0x1200;
-pub(crate) const TAG_GLOBAL: u64 = 0x1400;
-pub(crate) const TAG_SCATTER_GLOBAL: u64 = 0x1500;
-pub(crate) const TAG_SCATTER_NODE: u64 = 0x1600;
-pub(crate) const TAG_SCATTER_SOCKET: u64 = 0x1700;
+/// One exchange of the compiled pipeline: the forward reduction runs
+/// socket → node → global, the transpose scatter global → node →
+/// socket.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ExchangeLevel {
+    /// Forward socket-level reduction.
+    Socket,
+    /// Forward node-level reduction.
+    Node,
+    /// Forward global exchange to owners.
+    Global,
+    /// Scatter global stage (owners fan values back out).
+    ScatterGlobal,
+    /// Scatter node-level fan-out.
+    ScatterNode,
+    /// Scatter socket-level fan-out.
+    ScatterSocket,
+}
+
+impl ExchangeLevel {
+    /// The forward reduction's levels, in execution order.
+    pub const REDUCE: [ExchangeLevel; 3] = [
+        ExchangeLevel::Socket,
+        ExchangeLevel::Node,
+        ExchangeLevel::Global,
+    ];
+
+    /// The transpose scatter's levels, in execution order.
+    pub const SCATTER: [ExchangeLevel; 3] = [
+        ExchangeLevel::ScatterGlobal,
+        ExchangeLevel::ScatterNode,
+        ExchangeLevel::ScatterSocket,
+    ];
+
+    /// The level's base tag, XORed with the fused slice's
+    /// [`slice_salt`] on the wire.
+    pub const fn tag(self) -> u64 {
+        match self {
+            ExchangeLevel::Socket => 0x1100,
+            ExchangeLevel::Node => 0x1200,
+            ExchangeLevel::Global => 0x1400,
+            ExchangeLevel::ScatterGlobal => 0x1500,
+            ExchangeLevel::ScatterNode => 0x1600,
+            ExchangeLevel::ScatterSocket => 0x1700,
+        }
+    }
+
+    /// The traffic class the level's sends are charged to.
+    pub const fn class(self) -> TrafficClass {
+        match self {
+            ExchangeLevel::Socket | ExchangeLevel::ScatterSocket => TrafficClass::Socket,
+            ExchangeLevel::Node | ExchangeLevel::ScatterNode => TrafficClass::Node,
+            ExchangeLevel::Global | ExchangeLevel::ScatterGlobal => TrafficClass::Global,
+        }
+    }
+
+    /// The span the executor opens around one run of the level: the
+    /// two forward local levels have their own; the global levels and
+    /// the scatter fan-out run inside the spans their `*_begin` /
+    /// `*_finish` call opens.
+    pub const fn span(self) -> Option<Phase> {
+        match self {
+            ExchangeLevel::Socket => Some(Phase::ReduceSocket),
+            ExchangeLevel::Node => Some(Phase::ReduceNode),
+            _ => None,
+        }
+    }
+
+    /// The level's name in diagnostics.
+    pub const fn name(self) -> &'static str {
+        match self {
+            ExchangeLevel::Socket => "socket",
+            ExchangeLevel::Node => "node",
+            ExchangeLevel::Global => "global",
+            ExchangeLevel::ScatterGlobal => "scatter-global",
+            ExchangeLevel::ScatterNode => "scatter-node",
+            ExchangeLevel::ScatterSocket => "scatter-socket",
+        }
+    }
+}
+
+impl fmt::Display for ExchangeLevel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
+    }
+}
 
 /// First bit of the per-slice salt: base tags stay below it.
 pub const SLICE_SALT_SHIFT: u32 = 44;
@@ -127,14 +213,10 @@ mod tests {
 
     #[test]
     fn base_tags_are_distinct_and_below_the_salt_bits() {
-        let mut tags = vec![
-            TAG_SOCKET,
-            TAG_NODE,
-            TAG_GLOBAL,
-            TAG_SCATTER_GLOBAL,
-            TAG_SCATTER_NODE,
-            TAG_SCATTER_SOCKET,
-        ];
+        let levels = ExchangeLevel::REDUCE
+            .into_iter()
+            .chain(ExchangeLevel::SCATTER);
+        let mut tags: Vec<u64> = levels.map(ExchangeLevel::tag).collect();
         tags.extend(Collective::ALL.map(|site| site.tag));
         for (i, &tag) in tags.iter().enumerate() {
             assert_eq!(tag >> SLICE_SALT_SHIFT, 0, "{tag:#x}");

@@ -3,6 +3,7 @@
 //! on several non-Summit topologies, plus failure-propagation checks for
 //! the runtime.
 
+use xct_comm::protocol::ExchangeLevel;
 use xct_comm::{
     run_ranks, CompiledPlans, DirectPlan, ExchangeScratch, Footprints, HierarchicalPlan, Ownership,
     Topology,
@@ -55,7 +56,9 @@ fn check_topology(topo: Topology) {
             out
         })
     };
-    let direct = reduce(&CompiledPlans::compile_direct(&fp, &own, &dplan));
+    // Direct exchange is the hierarchy of one-GPU nodes.
+    let flat = Topology::new(ranks, 1, 1);
+    let direct = reduce(&CompiledPlans::build_hierarchical(&fp, &own, &flat));
     let hier = reduce(&CompiledPlans::compile_hierarchical(&fp, &own, &hplan));
     for (p, (d, h)) in direct.iter().zip(&hier).enumerate() {
         assert_eq!(d.len(), own.rows_of(p).len());
@@ -89,6 +92,14 @@ fn dgx_like_single_socket_of_eight() {
         0,
         "single-socket nodes have no inter-socket traffic"
     );
+    // A level that moves nothing is not compiled, on any rank.
+    let compiled = CompiledPlans::compile_hierarchical(&fp, &own, &hplan);
+    for p in 0..topo.size() {
+        assert_eq!(
+            local_levels(&compiled, p),
+            [ExchangeLevel::Socket, ExchangeLevel::ScatterSocket]
+        );
+    }
     check_topology(topo);
 }
 
@@ -103,6 +114,19 @@ fn one_gpu_per_node_degenerates_to_direct() {
     assert_eq!(hplan.socket.total_elements(), 0);
     assert_eq!(hplan.node.total_elements(), 0);
     assert_eq!(hplan.global.total_elements(), dplan.total_elements());
+    assert_eq!(hplan.global.sends, dplan.sends);
+    let compiled = CompiledPlans::compile_hierarchical(&fp, &own, &hplan);
+    for p in 0..topo.size() {
+        assert_eq!(local_levels(&compiled, p), []);
+    }
+    check_topology(topo);
+}
+
+/// The local levels rank `p` of `compiled` runs, forward then scatter.
+fn local_levels(compiled: &CompiledPlans, p: usize) -> Vec<ExchangeLevel> {
+    let rp = compiled.rank(p);
+    let levels = rp.local_levels().iter().chain(rp.scatter_local_levels());
+    levels.map(|l| l.level()).collect()
 }
 
 #[test]

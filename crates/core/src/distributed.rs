@@ -29,13 +29,13 @@ use crate::decompose::{packing_orders, SliceDecomposition};
 use std::sync::{Arc, Mutex, PoisonError};
 use xct_comm::protocol::{exchange_schedule, slice_salt, Collective, ExchangeOp};
 use xct_comm::{
-    run_ranks_with, AllreduceSteps, Communicator, CompiledPlans, DirectPlan, ExchangeScratch,
-    HierarchicalPlan, RankCommStats, RankOptions, ReduceOp, Topology, Wire, WireModel,
+    run_ranks_with, AllreduceSteps, Communicator, CompiledPlans, ExchangeScratch, HierarchicalPlan,
+    RankCommStats, RankOptions, ReduceOp, Topology, Wire, WireModel,
 };
 use xct_exec::{BufferRole, ExecContext, ExecCounters, Telemetry};
 use xct_fp16::{max_abs, AdaptiveNormalizer, Precision, F16};
 use xct_geometry::{ScanGeometry, SystemMatrix};
-use xct_hilbert::{CurveKind, Domain2D, Subdomain, TileDecomposition};
+use xct_hilbert::{CurveKind, Domain2D, TileDecomposition};
 use xct_plan::{KernelShape, ReconPlan};
 use xct_solver::{cgls_in, CglsConfig, LinearOperator, PrecisionOperator};
 
@@ -48,7 +48,10 @@ pub struct DistributedConfig {
     pub precision: Precision,
     /// Slices reconstructed simultaneously (the minibatch/fusing factor).
     pub fusing: usize,
-    /// Hierarchical (true) or direct (false) partial-data exchange.
+    /// Hierarchical (true) or direct (false) partial-data exchange:
+    /// which topology the plan reduces over — `topology`, or one GPU per
+    /// node (`Topology::new(ranks, 1, 1)`), whose local levels are empty.
+    /// The ranks run on `topology` either way.
     pub hierarchical: bool,
     /// Post every fused slice's global exchange before draining any, so
     /// each one is on the wire under the later slices' socket/node
@@ -383,14 +386,7 @@ fn record_rebalance_decision(
         cfg.tile,
         CurveKind::Hilbert,
     );
-    // Both partitions cut the one curve-ordered tile sequence into
-    // contiguous runs, so their k-th tiles are the same tile.
-    let owners =
-        |parts: Vec<Subdomain>| parts.into_iter().flat_map(|sd| vec![sd.id; sd.tiles.len()]);
-    let moved = owners(tomo.partition(ranks))
-        .zip(owners(tomo.partition_weighted(ranks, weights)))
-        .filter(|(uniform, weighted)| uniform != weighted)
-        .count();
+    let moved = tomo.rehomed_tiles(ranks, weights);
     cfg.telemetry
         .flight_point("rebalance.decision", moved as u64, tomo.num_tiles() as u64);
 }
@@ -457,49 +453,37 @@ impl DistributedSetup {
             cfg.tile_weights.as_ref().map(|tw| tw.weights.as_slice()),
         );
         let ownership = decomp.ray_ownership();
+        // Direct exchange is the hierarchy of one-GPU nodes: both local
+        // levels are empty and compile to nothing.
+        let plan_topology = if cfg.hierarchical {
+            cfg.topology
+        } else {
+            Topology::new(ranks, 1, 1)
+        };
+        let plan = HierarchicalPlan::build(&decomp.footprints, &ownership, &plan_topology);
         // Compile the plan once into per-peer index tables; every rank
         // then executes pure index arithmetic with zero steady-state
-        // allocations. Debug builds always statically verify the plan
-        // before running it; release builds do so under `--verify-plans`.
-        let verify = cfg.verify_plans || cfg!(debug_assertions);
-        let (compiled, comm_elements) = if cfg.hierarchical {
-            let hier = HierarchicalPlan::build(&decomp.footprints, &ownership, &cfg.topology);
-            let compiled =
-                CompiledPlans::compile_hierarchical(&decomp.footprints, &ownership, &hier);
-            if verify {
-                xct_verify::verify_all_hierarchical(
-                    &decomp.footprints,
-                    &ownership,
-                    &cfg.topology,
-                    &hier,
-                    &compiled,
-                    cfg.overlap,
-                )
-                .assert_ok("communication plan");
-            }
-            (compiled, hier.level_elements())
-        } else {
-            let direct = DirectPlan::build(&decomp.footprints, &ownership);
-            let compiled = CompiledPlans::compile_direct(&decomp.footprints, &ownership, &direct);
-            if verify {
-                xct_verify::verify_all_direct(
-                    &decomp.footprints,
-                    &ownership,
-                    &cfg.topology,
-                    &direct,
-                    &compiled,
-                    cfg.overlap,
-                )
-                .assert_ok("communication plan");
-            }
-            (compiled, (0, 0, direct.total_elements()))
-        };
+        // allocations. Debug builds always statically verify the plan —
+        // against the topology the ranks run on — before running it;
+        // release builds do so under `--verify-plans`.
+        let compiled = CompiledPlans::compile_hierarchical(&decomp.footprints, &ownership, &plan);
+        if cfg.verify_plans || cfg!(debug_assertions) {
+            xct_verify::verify_all_hierarchical(
+                &decomp.footprints,
+                &ownership,
+                &cfg.topology,
+                &plan,
+                &compiled,
+                cfg.overlap,
+            )
+            .assert_ok("communication plan");
+        }
         DistributedSetup {
             scan,
             cfg: cfg.clone(),
             decomp,
             compiled,
-            comm_elements,
+            comm_elements: plan.level_elements(),
             packed: Mutex::new(None),
         }
     }

@@ -220,6 +220,21 @@ impl TileDecomposition {
         self.partition_with(parts, |t| weights[t.ty * self.tiles_x + t.tx])
     }
 
+    /// How many tiles [`TileDecomposition::partition_weighted`] gives a
+    /// different part than [`TileDecomposition::partition`]: the tiles a
+    /// measured-weight rebalance moves. Both cut the one curve-ordered
+    /// tile sequence into contiguous runs, so their k-th tiles are the
+    /// same tile.
+    pub fn rehomed_tiles(&self, parts: usize, weights: &[u64]) -> usize {
+        let owners = |subdomains: Vec<Subdomain>| {
+            (subdomains.into_iter()).flat_map(|sd| std::iter::repeat_n(sd.id, sd.tiles.len()))
+        };
+        owners(self.partition(parts))
+            .zip(owners(self.partition_weighted(parts, weights)))
+            .filter(|(uniform, weighted)| uniform != weighted)
+            .count()
+    }
+
     /// The prefix-target walk shared by the uniform and weighted
     /// partitions: greedy contiguous runs along the curve order, cut at
     /// ideal cumulative-weight boundaries with an overshoot/undershoot

@@ -26,7 +26,8 @@
 //! registers and a passing [`VerifyReport`] never pushes. `perf_suite`
 //! asserts this with the counting allocator.
 
-use crate::diag::{AccessKind, ExchangeLevel, VerifyReport, ViolationKind};
+use crate::diag::{AccessKind, VerifyReport, ViolationKind};
+use xct_comm::protocol::ExchangeLevel;
 use xct_comm::{CompiledPlans, LevelProgram, RankPlan};
 
 /// The interval abstraction of one index table: `None` for the empty
@@ -66,12 +67,11 @@ fn check_table(
 /// the output length for chaining.
 fn check_level(
     rank: usize,
-    name: ExchangeLevel,
     level: &LevelProgram,
     in_len: usize,
     report: &mut VerifyReport,
 ) -> usize {
-    let out_len = level.out_len();
+    let (name, out_len) = (level.level(), level.out_len());
     for t in level.sends() {
         check_table(rank, name, AccessKind::SendGather, &t.idx, in_len, report);
     }
@@ -105,38 +105,18 @@ fn check_level(
     out_len
 }
 
-/// Names the forward levels of one rank, mirroring execution order.
-fn reduce_names(num_local: usize) -> impl Iterator<Item = ExchangeLevel> {
-    (0..num_local)
-        .map(move |i| match (num_local, i) {
-            (2, 0) => ExchangeLevel::Socket,
-            _ => ExchangeLevel::Node,
-        })
-        .chain(std::iter::once(ExchangeLevel::Global))
-}
-
-fn scatter_names(num_local: usize) -> impl Iterator<Item = ExchangeLevel> {
-    std::iter::once(ExchangeLevel::ScatterGlobal).chain((0..num_local).map(move |i| {
-        match (num_local, i) {
-            (2, 0) => ExchangeLevel::ScatterNode,
-            _ => ExchangeLevel::ScatterSocket,
-        }
-    }))
-}
-
 /// Proves every index of one rank's programs in bounds, chaining buffer
-/// lengths through both pipelines.
+/// lengths through both pipelines in execution order.
 fn check_rank(rank: usize, rp: &RankPlan, report: &mut VerifyReport) {
     // Forward: footprint → local levels → global → owned.
     let mut len = rp.in_len();
-    let levels = rp.local_levels().iter().chain([rp.global_level()]);
-    for (name, level) in reduce_names(rp.local_levels().len()).zip(levels) {
-        len = check_level(rank, name, level, len, report);
+    for level in rp.local_levels().iter().chain([rp.global_level()]) {
+        len = check_level(rank, level, len, report);
     }
     if len != rp.owned_len() {
         report.push(
             rank,
-            Some(ExchangeLevel::Global),
+            Some(rp.global_level().level()),
             ViolationKind::Malformed {
                 detail: format!(
                     "forward pipeline ends with buffer length {len}, owned length is {}",
@@ -145,15 +125,16 @@ fn check_rank(rank: usize, rp: &RankPlan, report: &mut VerifyReport) {
             },
         );
     }
-    // Scatter: owned → global stage → fan-out levels → restriction.
+    // Scatter: owned → global stage → fan-out levels → restriction, which
+    // reads the last level's output.
     let mut len = rp.owned_len();
-    let levels = [rp.scatter_global_level()]
+    let mut last = rp.scatter_global_level().level();
+    for level in [rp.scatter_global_level()]
         .into_iter()
-        .chain(rp.scatter_local_levels());
-    let mut last = ExchangeLevel::ScatterGlobal;
-    for (name, level) in scatter_names(rp.scatter_local_levels().len()).zip(levels) {
-        len = check_level(rank, name, level, len, report);
-        last = name;
+        .chain(rp.scatter_local_levels())
+    {
+        len = check_level(rank, level, len, report);
+        last = level.level();
     }
     check_table(
         rank,

@@ -17,49 +17,80 @@
 //!   no two local carries collide where the semantics are accumulation
 //!   seeded by the carry (reduces);
 //! * **structure** — all indices in bounds, every send matched by exactly
-//!   one equal-length recv on the peer, nothing unmatched in flight.
+//!   one equal-length recv on the peer, nothing unmatched in flight, and
+//!   every rank running the same levels in pipeline order.
+//!
+//! Levels are matched across ranks by the [`ExchangeLevel`] each program
+//! carries, never by position.
 
 // Witness positions/offsets are indices into u32-sized buffers; casting
 // the enumerate index back to `u32` is lossless by construction.
 #![allow(clippy::cast_possible_truncation)]
-use crate::diag::{ExchangeLevel, VerifyReport, ViolationKind, WriteOrigin};
+use crate::diag::{VerifyReport, ViolationKind, WriteOrigin};
 use std::collections::HashMap;
-use xct_comm::{CompiledPlans, Footprints, LevelProgram, Ownership};
+use xct_comm::protocol::ExchangeLevel;
+use xct_comm::{CompiledPlans, Footprints, LevelProgram, Ownership, RankPlan};
 
-/// Names the forward levels: hierarchical plans have `[Socket, Node]`
-/// local levels, direct plans none.
-fn reduce_level_name(idx: usize, num_local: usize) -> ExchangeLevel {
-    match (num_local, idx) {
-        (_, i) if i == num_local => ExchangeLevel::Global,
-        (2, 0) => ExchangeLevel::Socket,
-        _ => ExchangeLevel::Node,
+/// A rank's forward programs, in execution order.
+fn reduce_levels(rp: &RankPlan) -> Vec<&LevelProgram> {
+    rp.local_levels()
+        .iter()
+        .chain([rp.global_level()])
+        .collect()
+}
+
+/// A rank's transpose (scatter) programs, in execution order.
+fn scatter_levels(rp: &RankPlan) -> Vec<&LevelProgram> {
+    [rp.scatter_global_level()]
+        .into_iter()
+        .chain(rp.scatter_local_levels())
+        .collect()
+}
+
+/// One pipeline's programs grouped by level: for every level of
+/// `pipeline` that some rank runs, in pipeline order, every rank's
+/// program for it, indexed by rank. A rank whose level list differs —
+/// one missing, or out of pipeline order — is reported `Malformed` and
+/// the table is `None`: the ranks would not be running one pipeline.
+fn by_level<'a>(
+    plans: &'a CompiledPlans,
+    pipeline: &[ExchangeLevel],
+    programs: fn(&RankPlan) -> Vec<&LevelProgram>,
+    report: &mut VerifyReport,
+) -> Option<Vec<(ExchangeLevel, Vec<&'a LevelProgram>)>> {
+    let per_rank: Vec<Vec<&LevelProgram>> = (0..plans.num_ranks())
+        .map(|p| programs(plans.rank(p)))
+        .collect();
+    let runs = |ls: &[&LevelProgram], level| ls.iter().any(|l| l.level() == level);
+    let levels: Vec<ExchangeLevel> = (pipeline.iter().copied())
+        .filter(|&level| per_rank.iter().any(|ls| runs(ls, level)))
+        .collect();
+    let before = report.violations.len();
+    for (p, ls) in per_rank.iter().enumerate() {
+        let mine: Vec<ExchangeLevel> = ls.iter().map(|l| l.level()).collect();
+        if mine == levels {
+            continue;
+        }
+        let (level, detail) = match levels.iter().find(|&&l| !runs(ls, l)) {
+            Some(&missing) => (Some(missing), format!("rank {p} has no {missing} level")),
+            None => (
+                None,
+                format!("rank {p} runs the levels {mine:?}, not {levels:?}"),
+            ),
+        };
+        report.push(p, level, ViolationKind::Malformed { detail });
     }
+    (report.violations.len() == before).then(|| {
+        let stage = |i: usize| per_rank.iter().map(|ls| ls[i]).collect();
+        levels
+            .iter()
+            .enumerate()
+            .map(|(i, &l)| (l, stage(i)))
+            .collect()
+    })
 }
 
-fn scatter_level_name(idx: usize, num_local: usize) -> ExchangeLevel {
-    match (num_local, idx) {
-        (_, 0) => ExchangeLevel::ScatterGlobal,
-        (2, 1) => ExchangeLevel::ScatterNode,
-        _ => ExchangeLevel::ScatterSocket,
-    }
-}
-
-/// The per-rank level programs of one pipeline stage, in execution order.
-fn reduce_levels(plans: &CompiledPlans, rank: usize) -> Vec<&LevelProgram> {
-    let rp = plans.rank(rank);
-    let mut levels: Vec<&LevelProgram> = rp.local_levels().iter().collect();
-    levels.push(rp.global_level());
-    levels
-}
-
-fn scatter_levels(plans: &CompiledPlans, rank: usize) -> Vec<&LevelProgram> {
-    let rp = plans.rank(rank);
-    let mut levels: Vec<&LevelProgram> = vec![rp.scatter_global_level()];
-    levels.extend(rp.scatter_local_levels().iter());
-    levels
-}
-
-/// Pairs every send with its matching recv on the peer for `level` of
+/// Pairs every send with its matching recv on the peer for one level of
 /// every rank, reporting unmatched traffic. Returns, per rank, the list
 /// of `(sender, send transfer index, recv transfer index)` pairs driving
 /// delivery.
@@ -69,6 +100,7 @@ fn match_level(
     report: &mut VerifyReport,
 ) -> Vec<Vec<(usize, usize, usize)>> {
     let n = levels.len();
+    let tag = level_name.tag();
     let mut matches: Vec<Vec<(usize, usize, usize)>> = vec![Vec::new(); n];
     for (p, level) in levels.iter().enumerate() {
         for (si, t) in level.sends().iter().enumerate() {
@@ -76,10 +108,7 @@ fn match_level(
                 report.push(
                     p,
                     Some(level_name),
-                    ViolationKind::UnconsumedSend {
-                        peer: t.peer,
-                        tag: level.tag(),
-                    },
+                    ViolationKind::UnconsumedSend { peer: t.peer, tag },
                 );
                 continue;
             }
@@ -94,10 +123,7 @@ fn match_level(
                 [] => report.push(
                     p,
                     Some(level_name),
-                    ViolationKind::UnconsumedSend {
-                        peer: t.peer,
-                        tag: level.tag(),
-                    },
+                    ViolationKind::UnconsumedSend { peer: t.peer, tag },
                 ),
                 [ri] => {
                     let recv = &peer_recvs[*ri];
@@ -140,7 +166,7 @@ fn match_level(
                     Some(level_name),
                     ViolationKind::UnmatchedRecv {
                         peer: recv.peer,
-                        tag: level.tag(),
+                        tag,
                     },
                 );
             }
@@ -179,10 +205,10 @@ fn verify_reduce_pipeline(
                 .collect()
         })
         .collect();
-    let num_local = plans.rank(0).local_levels().len();
-    for li in 0..=num_local {
-        let name = reduce_level_name(li, num_local);
-        let levels: Vec<&LevelProgram> = (0..n).map(|p| reduce_levels(plans, p)[li]).collect();
+    let Some(table) = by_level(plans, &ExchangeLevel::REDUCE, reduce_levels, report) else {
+        return;
+    };
+    for (name, levels) in table {
         let matches = match_level(&levels, name, report);
         let mut next: Vec<Vec<Vec<(usize, u32)>>> = Vec::with_capacity(n);
         for p in 0..n {
@@ -276,10 +302,11 @@ fn verify_reduce_pipeline(
     // per original holder.
     for (p, held) in cur.iter().enumerate() {
         let owned = ownership.rows_of(p);
+        let global = Some(plans.rank(p).global_level().level());
         if held.len() != owned.len() {
             report.push(
                 p,
-                Some(ExchangeLevel::Global),
+                global,
                 ViolationKind::Malformed {
                     detail: format!(
                         "owned buffer holds {} positions for {} owned rows",
@@ -296,7 +323,7 @@ fn verify_reduce_pipeline(
                 if r != row {
                     report.push(
                         p,
-                        Some(ExchangeLevel::Global),
+                        global,
                         ViolationKind::MixedRows {
                             position: pos as u32,
                             rows: (row, r),
@@ -311,7 +338,7 @@ fn verify_reduce_pipeline(
                 if got != expected {
                     report.push(
                         p,
-                        Some(ExchangeLevel::Global),
+                        global,
                         ViolationKind::Conservation {
                             holder: q,
                             row,
@@ -336,10 +363,12 @@ fn verify_scatter_pipeline(
     let mut cur: Vec<Vec<Option<u32>>> = (0..n)
         .map(|p| ownership.rows_of(p).into_iter().map(Some).collect())
         .collect();
-    let num_local = plans.rank(0).scatter_local_levels().len();
-    for li in 0..=num_local {
-        let name = scatter_level_name(li, num_local);
-        let levels: Vec<&LevelProgram> = (0..n).map(|p| scatter_levels(plans, p)[li]).collect();
+    let Some(table) = by_level(plans, &ExchangeLevel::SCATTER, scatter_levels, report) else {
+        return;
+    };
+    // The level whose output the restriction reads.
+    let last = table.last().map(|&(level, _)| level);
+    for (name, levels) in table {
         let matches = match_level(&levels, name, report);
         let mut next: Vec<Vec<Option<u32>>> = Vec::with_capacity(n);
         for p in 0..n {
@@ -441,7 +470,7 @@ fn verify_scatter_pipeline(
         if restrict.len() != footprints.per_rank[p].len() {
             report.push(
                 p,
-                Some(scatter_level_name(num_local, num_local)),
+                last,
                 ViolationKind::Malformed {
                     detail: format!(
                         "restriction covers {} positions for {} footprint rows",
@@ -453,18 +482,17 @@ fn verify_scatter_pipeline(
             continue;
         }
         for (&pos, &row) in restrict.iter().zip(&footprints.per_rank[p]) {
-            let level_name = Some(scatter_level_name(num_local, num_local));
             match held.get(pos as usize) {
                 None => report.push(
                     p,
-                    level_name,
+                    last,
                     ViolationKind::Malformed {
                         detail: format!("restriction index {pos} out of bounds"),
                     },
                 ),
                 Some(None) => report.push(
                     p,
-                    level_name,
+                    last,
                     ViolationKind::Conservation {
                         holder: ownership.owner[row as usize] as usize,
                         row,
@@ -473,7 +501,7 @@ fn verify_scatter_pipeline(
                 ),
                 Some(Some(got)) if *got != row => report.push(
                     p,
-                    level_name,
+                    last,
                     ViolationKind::MixedRows {
                         position: pos,
                         rows: (row, *got),

@@ -37,7 +37,9 @@
 //! reduction level designating one row twice,
 //! [`over_budget_plan`] is a reconstruction plan claiming a byte budget
 //! its own footprint exceeds (`plan_fits` must report the exact gap),
-//! and
+//! [`ragged_levels_compiled`] is a compiled plan whose ranks disagree on
+//! their level lists (a witness naming the rank and the missing level,
+//! not a panic), and
 //! [`single_sweep_gather`] is a *timing* bug — a gather whose root polls
 //! each source once without retrying — that passes every static check
 //! and the baseline schedule, and is caught only by chaos schedules
@@ -58,10 +60,10 @@
 // the enumerate index back to `u32` is lossless by construction.
 #![allow(clippy::cast_possible_truncation)]
 use crate::deadlock::{CommOp, CommProgram};
-use crate::diag::{AccessKind, ExchangeLevel, VerifyReport, Violation, ViolationKind};
+use crate::diag::{AccessKind, VerifyReport, Violation, ViolationKind};
 use crate::lifetime::{scratch_ops, verify_scratch_lifetime, ScratchOp};
 use crate::tags::TagClaimSet;
-use xct_comm::protocol::{exchange_schedule, Collective};
+use xct_comm::protocol::{exchange_schedule, Collective, ExchangeLevel};
 use xct_comm::{
     AllreduceSteps, Communicator, CompiledPlans, DirectPlan, Footprints, Leg, LevelProgram,
     Ownership, RankPlan, ReductionStep, StepKind, Topology, REPLY_TAG_SALT,
@@ -378,25 +380,12 @@ fn case_on(topology: Topology, mut next: impl FnMut() -> u64) -> GenCase {
 // ---- Mutated compiled index programs (PR 9: abstract interpretation) --
 
 /// A small compiled direct fixture whose index programs the mutations
-/// below corrupt: 2 ranks, 4 rows, one foreign row each way.
+/// below corrupt: 2 ranks, 4 rows, one foreign row each way, compiled as
+/// the flat plan (one GPU per node) — the global level alone.
 pub fn small_compiled_fixture() -> (Footprints, Ownership, CompiledPlans) {
     let (fp, own) = small_direct_fixture();
-    let plan = DirectPlan::build(&fp, &own);
-    let compiled = CompiledPlans::compile_direct(&fp, &own, &plan);
+    let compiled = CompiledPlans::build_hierarchical(&fp, &own, &Topology::new(2, 1, 1));
     (fp, own, compiled)
-}
-
-/// Rebuilds one level verbatim through `from_parts` (the corpus's
-/// mutation seam — execution metadata defaults are irrelevant to the
-/// static passes).
-fn clone_level(l: &LevelProgram) -> LevelProgram {
-    LevelProgram::from_parts(
-        l.out_len(),
-        l.sends().to_vec(),
-        l.keeps().to_vec(),
-        l.recvs().to_vec(),
-        l.tag(),
-    )
 }
 
 /// The mutable parts of one rank's compiled program.
@@ -423,10 +412,10 @@ fn mutate_rank(
             let mut parts = RankParts {
                 in_len: rp.in_len(),
                 owned_len: rp.owned_len(),
-                levels: rp.local_levels().iter().map(clone_level).collect(),
-                global: clone_level(rp.global_level()),
-                scatter_global: clone_level(rp.scatter_global_level()),
-                scatter_levels: rp.scatter_local_levels().iter().map(clone_level).collect(),
+                levels: rp.local_levels().to_vec(),
+                global: rp.global_level().clone(),
+                scatter_global: rp.scatter_global_level().clone(),
+                scatter_levels: rp.scatter_local_levels().to_vec(),
                 restrict: rp.restrict_idx().to_vec(),
             };
             if p == rank {
@@ -456,11 +445,11 @@ pub fn oob_gather_compiled() -> CompiledPlans {
         // xct-allow(no-panic): corpus fixture — the fixture's rank 0 always has one global send
         *sends[0].idx.last_mut().expect("send is non-empty") = 40;
         r.global = LevelProgram::from_parts(
+            r.global.level(),
             r.global.out_len(),
             sends,
             r.global.keeps().to_vec(),
             r.global.recvs().to_vec(),
-            r.global.tag(),
         );
     })
 }
@@ -475,11 +464,11 @@ pub fn oob_recv_compiled() -> CompiledPlans {
         // xct-allow(no-panic): corpus fixture — the fixture's rank 0 always receives from rank 1
         *recvs[0].idx.last_mut().expect("recv is non-empty") = 9;
         r.global = LevelProgram::from_parts(
+            r.global.level(),
             r.global.out_len(),
             r.global.sends().to_vec(),
             r.global.keeps().to_vec(),
             recvs,
-            r.global.tag(),
         );
     })
 }
@@ -493,11 +482,11 @@ pub fn oob_keep_compiled() -> CompiledPlans {
         // xct-allow(no-panic): corpus fixture — rank 0 owns rows it also holds, so keeps exist
         keeps.last_mut().expect("keep present").1 = 30;
         r.global = LevelProgram::from_parts(
+            r.global.level(),
             r.global.out_len(),
             r.global.sends().to_vec(),
             keeps,
             r.global.recvs().to_vec(),
-            r.global.tag(),
         );
     })
 }
@@ -511,6 +500,21 @@ pub fn oob_restrict_compiled() -> CompiledPlans {
         // xct-allow(no-panic): corpus fixture — the restriction is never empty
         *r.restrict.last_mut().expect("restrict present") = 77;
     })
+}
+
+/// Structure mutation: a 1×2×2 plan whose rank 1 runs no node level
+/// while its peers do — the ranks disagree on their level lists.
+/// `verify_compiled` must report `Malformed` at rank 1 on the node
+/// level; no pass may panic.
+pub fn ragged_levels_compiled() -> (Footprints, Ownership, Topology, CompiledPlans) {
+    let topo = Topology::new(1, 2, 2);
+    let fp = Footprints::new(vec![(0..8).collect(); 4]);
+    let own = Ownership::new((0..8).map(|r| r / 2).collect(), 4);
+    let compiled = CompiledPlans::build_hierarchical(&fp, &own, &topo);
+    let ragged = mutate_rank(&compiled, 1, |r| {
+        r.levels.retain(|l| l.level() != ExchangeLevel::Node);
+    });
+    (fp, own, topo, ragged)
 }
 
 /// Lifetime mutation: the two-slice overlap pipeline with slice 0's
@@ -661,6 +665,17 @@ pub const MUST_REJECT: &[MustReject] = {
             report: || crate::verify_bounds(&oob_restrict_compiled()),
             expected: |v| matches!(v.kind,
                 IndexOutOfBounds { access: Restrict, index: 77, len: 3 }),
+        },
+        MustReject {
+            name: "ragged-levels",
+            report: || {
+                let (fp, own, topo, compiled) = ragged_levels_compiled();
+                let mut report = crate::verify_compiled(&fp, &own, &compiled);
+                report.merge(crate::verify_tags(&compiled, &topo));
+                report
+            },
+            expected: |v| v.rank == 1 && v.level == Some(ExchangeLevel::Node)
+                && matches!(&v.kind, Malformed { detail } if detail.contains("no node level")),
         },
         MustReject {
             name: "read-before-finish",

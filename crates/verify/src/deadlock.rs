@@ -293,7 +293,7 @@ fn step_op(step: &CollectiveStep, tag: u64) -> CommOp {
 fn push_sends(ops: &mut Vec<CommOp>, level: &LevelProgram, salt: u64) {
     ops.extend(level.sends().iter().map(|t| CommOp::Send {
         to: t.peer,
-        tag: level.tag() ^ salt,
+        tag: level.level().tag() ^ salt,
     }));
 }
 
@@ -302,7 +302,7 @@ fn push_sends(ops: &mut Vec<CommOp>, level: &LevelProgram, salt: u64) {
 fn push_recvs(ops: &mut Vec<CommOp>, level: &LevelProgram, salt: u64) {
     ops.extend(level.recvs().iter().map(|t| CommOp::Recv {
         from: t.peer,
-        tag: level.tag() ^ salt,
+        tag: level.level().tag() ^ salt,
     }));
 }
 

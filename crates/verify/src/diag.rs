@@ -8,37 +8,7 @@
 //! but *which* diagnostic fires and with what witness.
 
 use std::fmt;
-
-/// Which exchange of the compiled pipeline a violation belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExchangeLevel {
-    /// Forward socket-level reduction.
-    Socket,
-    /// Forward node-level reduction.
-    Node,
-    /// Forward global exchange to owners.
-    Global,
-    /// Scatter global stage (owners fan values back out).
-    ScatterGlobal,
-    /// Scatter node-level fan-out.
-    ScatterNode,
-    /// Scatter socket-level fan-out.
-    ScatterSocket,
-}
-
-impl fmt::Display for ExchangeLevel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            ExchangeLevel::Socket => "socket",
-            ExchangeLevel::Node => "node",
-            ExchangeLevel::Global => "global",
-            ExchangeLevel::ScatterGlobal => "scatter-global",
-            ExchangeLevel::ScatterNode => "scatter-node",
-            ExchangeLevel::ScatterSocket => "scatter-socket",
-        };
-        f.write_str(name)
-    }
-}
+use xct_comm::protocol::ExchangeLevel;
 
 /// Where a scratch-buffer write came from (aliasing witnesses).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -61,7 +61,7 @@ pub mod tags;
 pub use absint::verify_bounds;
 pub use compiled_check::verify_compiled;
 pub use deadlock::{verify_deadlock, CommOp, CommProgram};
-pub use diag::{AccessKind, ExchangeLevel, VerifyReport, Violation, ViolationKind, WriteOrigin};
+pub use diag::{AccessKind, VerifyReport, Violation, ViolationKind, WriteOrigin};
 pub use explore::{explore, ExploreReport, SeedOutcome};
 pub use lifetime::{scratch_ops, verify_lifetimes, verify_scratch_lifetime, ScratchOp};
 pub use plan_check::{verify_direct, verify_hierarchical, verify_reduce_step};
@@ -69,14 +69,22 @@ pub use plan_fits::plan_fits;
 pub use tags::{claims_for_compiled, verify_tags, TagClaim, TagClaimSet};
 
 use xct_comm::protocol::{exchange_schedule, ExchangeOp};
-use xct_comm::{CompiledPlans, DirectPlan, Footprints, HierarchicalPlan, Ownership, Topology};
+use xct_comm::{CompiledPlans, Footprints, HierarchicalPlan, Ownership, Topology};
 
-/// Every static check against a hierarchical plan and its compilation:
-/// row-table routing, compiled end-to-end conservation, index bounds,
-/// tag disjointness, and scratch lifetimes and deadlock freedom of the
-/// exchange schedule `overlap` selects. This is the entry point the
-/// distributed pipeline calls in debug builds and under
-/// `--verify-plans`.
+/// Fused-slice depth the lifetime and deadlock passes run the schedule
+/// at: deeper than one or two, so under overlap every slice is posted
+/// while others are still in flight.
+const OVERLAP_CHECK_SLICES: usize = 3;
+
+/// Every static check against a hierarchical plan and its compilation,
+/// for a run on `topo`, merged in this order: row-table routing (the
+/// plan's groups may be finer than `topo`'s, as the flat plan of direct
+/// exchange is), compiled end-to-end conservation, index bounds,
+/// scratch lifetimes, tag disjointness, and deadlock freedom — the
+/// lifetime and deadlock passes on the exchange schedule `overlap`
+/// selects ([`exchange_schedule`]), the tag and deadlock passes with
+/// `topo`'s collectives. This is the entry point the distributed
+/// pipeline calls in debug builds and under `--verify-plans`.
 pub fn verify_all_hierarchical(
     footprints: &Footprints,
     ownership: &Ownership,
@@ -85,42 +93,7 @@ pub fn verify_all_hierarchical(
     compiled: &CompiledPlans,
     overlap: bool,
 ) -> VerifyReport {
-    let report = verify_hierarchical(footprints, ownership, topo, plan);
-    verify_compilation(report, footprints, ownership, topo, compiled, overlap)
-}
-
-/// Fused-slice depth the lifetime and deadlock passes run the schedule
-/// at: deeper than one or two, so under overlap every slice is posted
-/// while others are still in flight.
-const OVERLAP_CHECK_SLICES: usize = 3;
-
-/// Every static check against a direct plan and its compilation, run on
-/// `topo` (which shapes the operator's collectives).
-pub fn verify_all_direct(
-    footprints: &Footprints,
-    ownership: &Ownership,
-    topo: &Topology,
-    plan: &DirectPlan,
-    compiled: &CompiledPlans,
-    overlap: bool,
-) -> VerifyReport {
-    let report = verify_direct(footprints, ownership, plan);
-    verify_compilation(report, footprints, ownership, topo, compiled, overlap)
-}
-
-/// The passes both plan flavours share once their row tables are
-/// checked, merged into `report` in this order: compiled conservation,
-/// index bounds, scratch lifetimes, tags, deadlock — the lifetime and
-/// deadlock passes on the schedule the operator runs under `overlap`
-/// ([`exchange_schedule`]).
-fn verify_compilation(
-    mut report: VerifyReport,
-    footprints: &Footprints,
-    ownership: &Ownership,
-    topo: &Topology,
-    compiled: &CompiledPlans,
-    overlap: bool,
-) -> VerifyReport {
+    let mut report = verify_hierarchical(footprints, ownership, topo, plan);
     report.merge(verify_compiled(footprints, ownership, compiled));
     report.merge(verify_bounds(compiled));
     let schedule: Vec<ExchangeOp> = exchange_schedule(OVERLAP_CHECK_SLICES, overlap).collect();

@@ -10,8 +10,9 @@
 //! ([`crate::compiled_check`]) then re-proves conservation end-to-end on
 //! the lowered index programs.
 
-use crate::diag::{ExchangeLevel, VerifyReport, ViolationKind};
+use crate::diag::{VerifyReport, ViolationKind};
 use std::collections::HashMap;
+use xct_comm::protocol::ExchangeLevel;
 use xct_comm::{DirectPlan, Footprints, HierarchicalPlan, Ownership, ReductionStep, Topology};
 
 /// Verifies a direct plan: every rank's foreign footprint rows are sent
@@ -252,26 +253,36 @@ pub fn verify_hierarchical(
         &plan.global,
         ExchangeLevel::Global,
     ));
-    // Group shape must match the topology.
-    let expect_sockets = topo.socket_groups();
-    let expect_nodes = topo.node_groups();
-    if plan.socket.groups != expect_sockets {
-        report.push(
-            0,
-            Some(ExchangeLevel::Socket),
-            ViolationKind::Malformed {
-                detail: "socket groups do not match topology".into(),
-            },
-        );
-    }
-    if plan.node.groups != expect_nodes {
-        report.push(
-            0,
-            Some(ExchangeLevel::Node),
-            ViolationKind::Malformed {
-                detail: "node groups do not match topology".into(),
-            },
-        );
+    // Every rank sits in one group per level, and a group never spans
+    // two sockets (socket level) or two nodes (node level) of `topo`. The
+    // plan may group finer than the machine: the flat plan of direct
+    // exchange has singleton groups on any topology.
+    for (level, step) in [
+        (ExchangeLevel::Socket, &plan.socket),
+        (ExchangeLevel::Node, &plan.node),
+    ] {
+        let unit_of = |p| match level {
+            ExchangeLevel::Socket => topo.socket_of(p),
+            _ => topo.node_of(p),
+        };
+        let mut memberships = vec![0usize; topo.size()];
+        for group in &step.groups {
+            let ranks = || group.iter().copied();
+            if let Some(p) = ranks().find(|&p| p >= topo.size()) {
+                let detail = format!("{level} group {group:?} names rank {p} outside {topo}");
+                report.push(p, Some(level), ViolationKind::Malformed { detail });
+            } else if let Some(p) = ranks().find(|&p| unit_of(p) != unit_of(group[0])) {
+                let detail = format!("{level} group {group:?} spans two {level}s of {topo}");
+                report.push(p, Some(level), ViolationKind::Malformed { detail });
+            }
+            ranks()
+                .filter(|&p| p < topo.size())
+                .for_each(|p| memberships[p] += 1);
+        }
+        if let Some(p) = memberships.iter().position(|&m| m != 1) {
+            let detail = format!("rank {p} is in {} {level} groups", memberships[p]);
+            report.push(p, Some(level), ViolationKind::Malformed { detail });
+        }
     }
     report
 }

@@ -98,14 +98,13 @@ impl TagClaimSet {
         self.push(src, dst, tag, exchange, true, false);
     }
 
-    /// Records every message of one compiled level, for every fused
-    /// slice at once: each send claims the slice-salt family of the
-    /// level's base tag.
-    pub fn claim_level(&mut self, levels: &[&LevelProgram], exchange: &str) {
-        for (src, level) in levels.iter().enumerate() {
-            for t in level.sends() {
-                self.push(src, t.peer, level.tag(), exchange, false, true);
-            }
+    /// Records every message rank `src` sends on one compiled level, for
+    /// every fused slice at once: each send claims the slice-salt family
+    /// of the level's base tag, under the level's name.
+    pub fn claim_level(&mut self, src: usize, program: &LevelProgram) {
+        let level = program.level();
+        for t in program.sends() {
+            self.push(src, t.peer, level.tag(), level.name(), false, true);
         }
     }
 
@@ -124,11 +123,11 @@ impl TagClaimSet {
     }
 
     /// Proves pairwise disjointness: no `(src, dst, tag)` triple may be
-    /// claimed by two different exchanges, no application claim may set
-    /// the reserved reply bit, and no salted base tag may reach into the
-    /// salt bits. A plain claim whose tag carries a slice salt is also a
-    /// member of the family on its base tag, so it collides with a
-    /// salted claim there.
+    /// claimed by two different exchanges, and no application claim may
+    /// set the reserved reply bit. A plain claim whose tag carries a
+    /// slice salt is also a member of the family on its base tag, so it
+    /// collides with a salted claim there. (Salted claims sit on level
+    /// base tags, which `xct_comm::protocol` keeps below the salt bits.)
     pub fn check(&self) -> VerifyReport {
         let mut report = VerifyReport::new();
         let collision = |first: &TagClaim, claim: &TagClaim| ViolationKind::TagCollision {
@@ -141,18 +140,6 @@ impl TagClaimSet {
         // Families first, so the verdict does not depend on claim order.
         let mut families: HashMap<(usize, usize, u64), &TagClaim> = HashMap::new();
         for claim in self.claims.iter().filter(|c| c.salted) {
-            if claim.tag >> SLICE_SALT_SHIFT != 0 {
-                report.push(
-                    claim.src,
-                    None,
-                    ViolationKind::Malformed {
-                        detail: format!(
-                            "base tag {:#x} of {} reaches into the slice-salt bits",
-                            claim.tag, claim.exchange
-                        ),
-                    },
-                );
-            }
             match families.get(&(claim.src, claim.dst, claim.tag)) {
                 Some(first) if first.exchange != claim.exchange => {
                     report.push(claim.dst, None, collision(first, claim));
@@ -200,32 +187,22 @@ impl TagClaimSet {
 }
 
 /// Builds the concurrent claim set for `plans` run on `topo`: every
-/// level of the compiled pipeline for the whole slice-salt family, plus
-/// the operator's collectives ([`Collective::ALL`]) on the topology's
-/// step list.
+/// level program of every rank for the whole slice-salt family, plus the
+/// operator's collectives ([`Collective::ALL`]) on the topology's step
+/// list.
 pub fn claims_for_compiled(plans: &CompiledPlans, topo: &Topology) -> TagClaimSet {
-    let n = plans.num_ranks();
     let mut set = TagClaimSet::new();
-    let mut claim = |name: &str, levels: Vec<&LevelProgram>| set.claim_level(&levels, name);
-    for li in 0..plans.rank(0).local_levels().len() {
-        let levels = (0..n).map(|p| &plans.rank(p).local_levels()[li]).collect();
-        claim(&format!("local level {li}"), levels);
-    }
-    claim(
-        "global",
-        (0..n).map(|p| plans.rank(p).global_level()).collect(),
-    );
-    claim(
-        "scatter-global",
-        (0..n)
-            .map(|p| plans.rank(p).scatter_global_level())
-            .collect(),
-    );
-    for li in 0..plans.rank(0).scatter_local_levels().len() {
-        let levels = (0..n)
-            .map(|p| &plans.rank(p).scatter_local_levels()[li])
-            .collect();
-        claim(&format!("scatter local level {li}"), levels);
+    for p in 0..plans.num_ranks() {
+        let rp = plans.rank(p);
+        let globals = [rp.global_level(), rp.scatter_global_level()];
+        for program in rp
+            .local_levels()
+            .iter()
+            .chain(globals)
+            .chain(rp.scatter_local_levels())
+        {
+            set.claim_level(p, program);
+        }
     }
     // Control traffic that may interleave with the exchanges.
     let steps = AllreduceSteps::build_all(topo);
@@ -270,40 +247,32 @@ mod tests {
 
     #[test]
     fn salted_families_collide_on_base_tags_and_with_their_own_members() {
-        // Two levels on one base tag collide for every slice at once.
-        let level = |tag| {
+        use xct_comm::protocol::ExchangeLevel::{Node, Socket};
+        let sending = |level| {
             LevelProgram::from_parts(
+                level,
                 0,
                 vec![xct_comm::Transfer::new(1, vec![])],
                 vec![],
                 vec![],
-                tag,
             )
         };
-        let idle = LevelProgram::from_parts(0, vec![], vec![], vec![], 0x1100);
+        // Distinct levels claim distinct families.
         let mut set = TagClaimSet::new();
-        set.claim_level(&[&level(0x1100), &idle], "level a");
-        set.claim_level(&[&level(0x1200), &idle], "level b");
-        set.check().assert_ok("distinct base tags");
-        set.claim_level(&[&level(0x1100), &idle], "level c");
-        assert!(set.check().violations.iter().any(|v| matches!(
-            &v.kind,
-            ViolationKind::TagCollision { tag: 0x1100, first, second, .. }
-                if first == "level a" && second == "level c"
-        )));
+        set.claim_level(0, &sending(Socket));
+        set.claim_level(0, &sending(Node));
+        set.check().assert_ok("distinct levels");
 
         // A plain claim carrying a legal slice salt is a member of the
         // family on its base tag; an unsalted one is not.
-        let mut member = TagClaimSet::new();
-        member.claim_level(&[&level(0x1100), &idle], "level a");
-        member.claim(0, 1, 0x1100, "unsalted neighbour");
-        member
-            .check()
+        set.claim(0, 1, Socket.tag(), "unsalted neighbour");
+        set.check()
             .assert_ok("unsalted tag is outside every family");
-        member.claim(0, 1, 0x1100 ^ slice_salt(5), "stray slice-5 message");
-        assert!(member.check().violations.iter().any(|v| matches!(
+        set.claim(0, 1, Node.tag() ^ slice_salt(5), "stray slice-5 message");
+        assert!(set.check().violations.iter().any(|v| matches!(
             &v.kind,
-            ViolationKind::TagCollision { second, .. } if second == "stray slice-5 message"
+            ViolationKind::TagCollision { first, second, .. }
+                if first == "node" && second == "stray slice-5 message"
         )));
 
         // Two plain members collide only on the very same salt.
@@ -311,15 +280,6 @@ mod tests {
         plain.claim(0, 1, 0x9000 ^ slice_salt(0), "slab 0");
         plain.claim(0, 1, 0x9000 ^ slice_salt(1), "slab 1");
         plain.check().assert_ok("distinct salts of one base tag");
-
-        // A base tag reaching into the salt bits breaks the family model.
-        let mut wide = TagClaimSet::new();
-        wide.claim_level(&[&level(1 << SLICE_SALT_SHIFT), &idle], "wide base");
-        assert!(wide
-            .check()
-            .violations
-            .iter()
-            .any(|v| matches!(v.kind, ViolationKind::Malformed { .. })));
     }
 
     #[test]

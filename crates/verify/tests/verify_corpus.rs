@@ -8,10 +8,9 @@
 #![forbid(unsafe_code)]
 
 use std::time::Duration;
-use xct_comm::protocol::{exchange_schedule, slice_salt, ExchangeOp};
+use xct_comm::protocol::{exchange_schedule, slice_salt, ExchangeLevel, ExchangeOp};
 use xct_comm::{
-    Communicator, CompiledPlans, DirectPlan, Footprints, HierarchicalPlan, Ownership, PlanError,
-    Topology,
+    Communicator, CompiledPlans, Footprints, HierarchicalPlan, Ownership, PlanError, Topology,
 };
 use xct_verify::corpus::{
     aliased_reply_exchange, barrier_program, buggy_allreduce_claims, dropped_direct,
@@ -21,8 +20,7 @@ use xct_verify::corpus::{
 };
 use xct_verify::deadlock::{CommOp, CommProgram};
 use xct_verify::{
-    explore, verify_all_direct, verify_all_hierarchical, verify_direct, verify_reduce_step,
-    ExchangeLevel, ViolationKind,
+    explore, verify_all_hierarchical, verify_direct, verify_reduce_step, ViolationKind,
 };
 
 // ---- PR-3 bug 1: barrier peer mispairing (deadlock layer) ----
@@ -470,26 +468,24 @@ fn draining_a_slice_before_posting_it_is_rejected_by_both_schedule_passes() {
 #[test]
 fn built_plans_verify_cleanly_across_topologies() {
     // The 64-seed generator corpus plus four machine shapes the generator
-    // cannot draw, both plan flavours, both exchange schedules; the tag
-    // claims once more on their own, since they do not depend on the
-    // schedule.
+    // cannot draw, both exchange modes — direct is the flat plan of
+    // one-GPU nodes, run on the case's machine — and both exchange
+    // schedules; the tag claims once more on their own, since they do
+    // not depend on the schedule.
     let named = [(1, 2, 2), (2, 2, 2), (3, 1, 4), (4, 2, 3)]
         .map(|(n, s, g)| gen_case_on(Topology::new(n, s, g), 7));
     for case in (0..64).map(gen_case).chain(named) {
         let (fp, own, topo) = (&case.footprints, &case.ownership, &case.topology);
-        let direct = DirectPlan::build(fp, own);
-        let dc = CompiledPlans::compile_direct(fp, own, &direct);
-        let hier = HierarchicalPlan::build(fp, own, topo);
-        let hc = CompiledPlans::compile_hierarchical(fp, own, &hier);
-        for compiled in [&dc, &hc] {
-            let claims = xct_verify::claims_for_compiled(compiled, topo).check();
-            assert!(claims.ok(), "{topo:?} tag claims: {claims}");
-        }
-        for overlap in [false, true] {
-            let report = verify_all_direct(fp, own, topo, &direct, &dc, overlap);
-            assert!(report.ok(), "{topo:?} direct overlap={overlap}: {report}");
-            let report = verify_all_hierarchical(fp, own, topo, &hier, &hc, overlap);
-            assert!(report.ok(), "{topo:?} hier overlap={overlap}: {report}");
+        let flat = Topology::new(topo.size(), 1, 1);
+        for (mode, plan_topo) in [("direct", flat), ("hier", *topo)] {
+            let plan = HierarchicalPlan::build(fp, own, &plan_topo);
+            let compiled = CompiledPlans::compile_hierarchical(fp, own, &plan);
+            let claims = xct_verify::claims_for_compiled(&compiled, topo).check();
+            assert!(claims.ok(), "{topo:?} {mode} tag claims: {claims}");
+            for overlap in [false, true] {
+                let report = verify_all_hierarchical(fp, own, topo, &plan, &compiled, overlap);
+                assert!(report.ok(), "{topo:?} {mode} overlap={overlap}: {report}");
+            }
         }
     }
 }
@@ -501,15 +497,18 @@ fn corrupted_compiled_plan_is_caught_end_to_end() {
     let fp = Footprints::new(vec![vec![0, 1, 2, 3], vec![0, 1, 2, 3]]);
     let own = Ownership::new(vec![0, 0, 1, 1], 2);
     let other = Ownership::new(vec![0, 1, 0, 1], 2);
-    let direct = DirectPlan::build(&fp, &own);
-    let compiled = CompiledPlans::compile_direct(&fp, &own, &direct);
+    let compiled = CompiledPlans::build_hierarchical(&fp, &own, &Topology::new(2, 1, 1));
     let report = xct_verify::verify_compiled(&fp, &other, &compiled);
     assert!(!report.ok(), "mismatched ownership must not verify");
 }
 
 #[test]
 fn hierarchical_against_wrong_topology_is_malformed() {
-    let topo = Topology::new(2, 2, 1);
+    // Socket groups of two GPUs, checked against a machine whose sockets
+    // hold one: every socket group straddles two sockets. The reverse —
+    // a plan grouping finer than the machine, as the flat plan does —
+    // is legal.
+    let topo = Topology::new(1, 2, 2);
     let n = topo.size();
     let fp = Footprints::new(
         (0..n)
@@ -518,15 +517,19 @@ fn hierarchical_against_wrong_topology_is_malformed() {
     );
     let own = Ownership::new((0..n as u32).collect(), n);
     let hier = HierarchicalPlan::build(&fp, &own, &topo);
-    let wrong = Topology::new(1, 2, 2);
+    let wrong = Topology::new(2, 2, 1);
     let report = xct_verify::verify_hierarchical(&fp, &own, &wrong, &hier);
     assert!(
         report
             .violations
             .iter()
-            .any(|v| matches!(v.kind, ViolationKind::Malformed { .. })),
-        "group/topology mismatch must be malformed: {report}"
+            .any(|v| v.level == Some(ExchangeLevel::Socket)
+                && matches!(&v.kind, ViolationKind::Malformed { detail }
+                if detail.contains("spans two sockets"))),
+        "a socket group straddling two sockets must be malformed: {report}"
     );
+    let finer = HierarchicalPlan::build(&fp, &own, &wrong);
+    xct_verify::verify_hierarchical(&fp, &own, &topo, &finer).assert_ok("finer groups");
 }
 
 // ---- Mutated index programs: the abstract-interpretation layer ----

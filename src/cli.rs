@@ -1005,21 +1005,9 @@ fn rebalance_preview(scan: &ScanGeometry, tile: usize, ranks: usize, costs: &[u6
             .max()
             .unwrap_or(0)
     };
-    let uniform_parts = tomo.partition(ranks);
-    let weighted_parts = tomo.partition_weighted(ranks, costs);
-    let mut owner = std::collections::HashMap::new();
-    for sd in &uniform_parts {
-        for t in &sd.tiles {
-            owner.insert((t.tx, t.ty), sd.id);
-        }
-    }
-    let moved = weighted_parts
-        .iter()
-        .flat_map(|sd| sd.tiles.iter().map(move |t| (t, sd.id)))
-        .filter(|(t, id)| owner.get(&(t.tx, t.ty)) != Some(id))
-        .count();
-    let uniform = rank_max(&uniform_parts);
-    let weighted = rank_max(&weighted_parts);
+    let moved = tomo.rehomed_tiles(ranks, costs);
+    let uniform = rank_max(&tomo.partition(ranks));
+    let weighted = rank_max(&tomo.partition_weighted(ranks, costs));
     let total: u64 = costs.iter().sum();
     let ideal = total.div_ceil(ranks.max(1) as u64);
     format!(
@@ -1474,7 +1462,7 @@ mod tests {
         // Both layers' sweeps are present in the transcript.
         assert!(out.contains("testdata/unsafe_outside.rs"), "{out}");
         let rows = xct_verify::corpus::MUST_REJECT;
-        assert_eq!(rows.len(), 15, "static artifacts in the must-reject table");
+        assert_eq!(rows.len(), 16, "static artifacts in the must-reject table");
         for row in rows {
             assert!(
                 out.contains(&format!("corpus/{}: rejected", row.name)),
@@ -2230,5 +2218,40 @@ mod tests {
             r.read_batch(1).unwrap().unwrap()
         };
         assert_ne!(read(&clean), read(&noisy));
+    }
+
+    #[test]
+    fn rebalance_preview_counts_the_tiles_the_run_moves() {
+        // The profile loop's preview and the set-up's flight record count
+        // one quantity: on a skewed table they must agree, and be nonzero.
+        use xct_core::distributed::DistributedSetup;
+        use xct_telemetry::FlightKind;
+        let scan = ScanGeometry::uniform(ImageGrid::square(16, 1.0), 16);
+        let mut weights = vec![10u64; 16];
+        weights[..2].fill(1_000);
+        let telemetry = Telemetry::enabled();
+        let cfg = DistributedConfig {
+            topology: Topology::new(1, 2, 2),
+            tile: 4,
+            tile_weights: Some(TileWeights {
+                tile_size: 4,
+                weights: weights.clone(),
+            }),
+            telemetry: telemetry.clone(),
+            ..Default::default()
+        };
+        DistributedSetup::build(&scan, &cfg);
+        let moved = telemetry
+            .flight_snapshot()
+            .into_iter()
+            .find(|e| e.kind == FlightKind::Point && e.code == "rebalance.decision")
+            .expect("rebalance decision recorded")
+            .a;
+        assert!(moved > 0);
+        let preview = rebalance_preview(&scan, 4, 4, &weights);
+        assert!(
+            preview.contains(&format!("({moved} tiles re-homed)")),
+            "{preview}"
+        );
     }
 }

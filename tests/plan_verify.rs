@@ -5,40 +5,32 @@
 //! rejected with the structured witness `verify::corpus::MUST_REJECT`
 //! lists for it — not just "a failure".
 
-use petaxct::comm::{CompiledPlans, DirectPlan, HierarchicalPlan, Topology};
+use petaxct::comm::{CompiledPlans, HierarchicalPlan, Topology};
 use petaxct::core::distributed::{reconstruct_distributed, DistributedConfig};
 use petaxct::fp16::Precision;
 use petaxct::geometry::{ImageGrid, ScanGeometry, SystemMatrix};
 use petaxct::phantom::charcoal_like;
 use petaxct::verify::corpus::{barrier_program, gen_case, MUST_REJECT};
-use petaxct::verify::{verify_all_direct, verify_all_hierarchical};
+use petaxct::verify::verify_all_hierarchical;
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Soundness floor: no topology, footprint shape, plan flavor, or
-    /// overlap mode the generator can produce yields a violation.
+    /// Soundness floor: no topology, footprint shape, exchange mode, or
+    /// overlap mode the generator can produce yields a violation. Direct
+    /// exchange is the flat plan (one GPU per node), verified on the
+    /// case's machine.
     #[test]
     fn every_generated_plan_verifies_cleanly(seed in 0u64..1 << 32, overlap in any::<bool>()) {
         let case = gen_case(seed);
-        let (fp, own) = (&case.footprints, &case.ownership);
-
-        let direct = DirectPlan::build(fp, own);
-        let dc = CompiledPlans::compile_direct(fp, own, &direct);
-        let direct_report = verify_all_direct(fp, own, &case.topology, &direct, &dc, overlap);
-        prop_assert!(
-            direct_report.ok(),
-            "seed {seed} overlap={overlap} direct: {direct_report}"
-        );
-
-        let hier = HierarchicalPlan::build(fp, own, &case.topology);
-        let hc = CompiledPlans::compile_hierarchical(fp, own, &hier);
-        let hier_report = verify_all_hierarchical(fp, own, &case.topology, &hier, &hc, overlap);
-        prop_assert!(
-            hier_report.ok(),
-            "seed {seed} overlap={overlap} hierarchical: {hier_report}"
-        );
+        let (fp, own, topo) = (&case.footprints, &case.ownership, &case.topology);
+        for (mode, plan_topo) in [("direct", Topology::new(topo.size(), 1, 1)), ("hierarchical", *topo)] {
+            let plan = HierarchicalPlan::build(fp, own, &plan_topo);
+            let compiled = CompiledPlans::compile_hierarchical(fp, own, &plan);
+            let report = verify_all_hierarchical(fp, own, topo, &plan, &compiled, overlap);
+            prop_assert!(report.ok(), "seed {seed} overlap={overlap} {mode}: {report}");
+        }
     }
 }
 
