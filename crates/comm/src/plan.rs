@@ -239,16 +239,6 @@ pub struct DirectPlan {
 }
 
 impl DirectPlan {
-    /// Builds a plan straight from send tables, *without* the routing
-    /// derivation of [`DirectPlan::build`]. Exists so the xct-verify
-    /// known-bad corpus can construct deliberately invalid plans
-    /// (misrouted, duplicated, or dropped rows) and assert the verifier
-    /// rejects them; production code should always use `build`.
-    pub fn from_sends(sends: Vec<Vec<(usize, Vec<u32>)>>) -> Self {
-        let num_ranks = sends.len();
-        DirectPlan { sends, num_ranks }
-    }
-
     /// Builds the plan. Rows a rank owns itself cost nothing.
     pub fn build(footprints: &Footprints, ownership: &Ownership) -> Self {
         let num_ranks = footprints.num_ranks();

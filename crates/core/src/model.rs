@@ -161,15 +161,6 @@ impl ModelExperiment {
         0.55 * self.projections as f64 * (self.channels as f64).powi(2)
     }
 
-    /// Packed matrix element bytes at this precision.
-    fn elem_bytes(&self) -> f64 {
-        match self.precision.storage_bytes() {
-            2 => 4.0,
-            4 => 8.0,
-            _ => 16.0,
-        }
-    }
-
     /// Runs the model.
     pub fn run(&self) -> ModelEstimate {
         let gpus = self.partitioning.total().min(self.machine.total_gpus());
@@ -189,7 +180,8 @@ impl ModelExperiment {
         // kernel opt the matrix is unpacked (u32 index + full-width
         // value) and re-read per slice, and gathers go to DRAM.
         let bytes_pass = if self.opt.kernel_opt {
-            let matrix = nnz_per_gpu_slice * self.elem_bytes() * minibatches as f64;
+            let elem = self.precision.matrix_element_bytes() as f64;
+            let matrix = nnz_per_gpu_slice * elem * minibatches as f64;
             let vectors = (self.channels as f64).powi(2) / pd * slices_per_gpu * s_bytes * 2.0;
             matrix + vectors
         } else {

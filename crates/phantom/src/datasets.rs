@@ -104,14 +104,8 @@ impl DatasetSpec {
         let data = self.io_bytes(precision);
         let nnz_per_slice =
             (0.55 * self.projections as f64 * self.channels as f64 * self.channels as f64) as u64;
-        // A and Aᵀ, packed elements (§III-C2 packing: 4 B at half, 8 B at
-        // single, 16 B at double).
-        let elem = match precision.storage_bytes() {
-            2 => 4u64,
-            4 => 8,
-            _ => 16,
-        };
-        data + 2 * nnz_per_slice * elem
+        // A and Aᵀ, packed elements (§III-C2 packing).
+        data + 2 * nnz_per_slice * precision.matrix_element_bytes() as u64
     }
 
     /// Renders a mini-scale analog slice of this dataset (`n × n`).

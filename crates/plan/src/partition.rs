@@ -78,13 +78,8 @@ impl Partitioning {
     /// dataset with `channels` detector channels and `projections`
     /// angles, at `precision`.
     pub fn matrix_bytes(projections: usize, channels: usize, precision: Precision) -> u64 {
-        let elem = match precision.storage_bytes() {
-            2 => 4u64,
-            4 => 8,
-            _ => 16,
-        };
         let nnz = 0.55 * projections as f64 * (channels as f64).powi(2);
-        2 * (nnz as u64) * elem
+        2 * (nnz as u64) * precision.matrix_element_bytes() as u64
     }
 
     /// Sinogram + tomogram footprint at `precision`.

@@ -1,9 +1,8 @@
 //! Interval-domain bounds proofs over compiled index programs.
 //!
-//! [`crate::compiled_check`] *executes* the index programs with tokens,
-//! which proves routing but only touches the indices a matched
-//! send/recv pair actually drives. This pass is the complementary
-//! abstract interpretation: every index table of every level program is
+//! The one bounds prover: [`crate::compiled_check`]'s token simulation
+//! runs only on programs this pass accepted and checks no index itself.
+//! Every index table of every level program is
 //! abstracted to the interval `[min, max]` of its entries, and the
 //! interval is checked against the declared length of the buffer the
 //! table addresses — sends gather from the level's *input* buffer,

@@ -16,16 +16,19 @@
 //!   scratch position where the semantics are assignment (scatters), and
 //!   no two local carries collide where the semantics are accumulation
 //!   seeded by the carry (reduces);
-//! * **structure** — all indices in bounds, every send matched by exactly
-//!   one equal-length recv on the peer, nothing unmatched in flight, and
-//!   every rank running the same levels in pipeline order.
+//! * **structure** — every send matched by exactly one equal-length recv
+//!   on the peer, nothing unmatched in flight, and every rank running the
+//!   same levels in pipeline order.
 //!
-//! Levels are matched across ranks by the [`ExchangeLevel`] each program
-//! carries, never by position.
+//! This is the one prover of routing and conservation; index bounds are
+//! [`crate::absint`]'s, which runs first, so the simulation never checks
+//! an index. Levels are matched across ranks by the [`ExchangeLevel`]
+//! each program carries, never by position.
 
 // Witness positions/offsets are indices into u32-sized buffers; casting
 // the enumerate index back to `u32` is lossless by construction.
 #![allow(clippy::cast_possible_truncation)]
+use crate::absint::verify_bounds;
 use crate::diag::{VerifyReport, ViolationKind, WriteOrigin};
 use std::collections::HashMap;
 use xct_comm::protocol::ExchangeLevel;
@@ -175,27 +178,78 @@ fn match_level(
     matches
 }
 
-/// Verifies the forward (reduce) pipeline of `plans` by token
-/// simulation, then the transpose (scatter) pipeline, against the
-/// geometry they were compiled from.
+/// Verifies `plans` against the geometry they were compiled from, in
+/// three steps, each on programs the steps before it accepted: the level
+/// structure of both pipelines, index bounds ([`verify_bounds`], the one
+/// bounds prover), then the token simulation of the forward (reduce)
+/// pipeline and of the transpose (scatter) pipeline. The simulation
+/// indexes its token tables unchecked: bounds proved against the
+/// programs' buffer lengths hold for the tables once those lengths match
+/// the footprints and ownership.
 pub fn verify_compiled(
     footprints: &Footprints,
     ownership: &Ownership,
     plans: &CompiledPlans,
 ) -> VerifyReport {
     let mut report = VerifyReport::new();
-    verify_reduce_pipeline(footprints, ownership, plans, &mut report);
-    verify_scatter_pipeline(footprints, ownership, plans, &mut report);
+    let reduce = by_level(plans, &ExchangeLevel::REDUCE, reduce_levels, &mut report);
+    let scatter = by_level(plans, &ExchangeLevel::SCATTER, scatter_levels, &mut report);
+    let (Some(reduce), Some(scatter)) = (reduce, scatter) else {
+        return report;
+    };
+    // The structure holds, so nothing is reported yet.
+    let mut report = verify_bounds(plans);
+    if !report.ok() {
+        return report;
+    }
+    let owned: Vec<Vec<u32>> = (0..plans.num_ranks())
+        .map(|p| ownership.rows_of(p))
+        .collect();
+    check_seeds(footprints, &owned, plans, &mut report);
+    if report.ok() {
+        reduce_tokens(footprints, &owned, reduce, &mut report);
+        scatter_tokens(footprints, ownership, &owned, plans, scatter, &mut report);
+    }
     report
 }
 
-fn verify_reduce_pipeline(
+/// Checks that every rank's buffers have the lengths of the geometry the
+/// tokens are seeded from: the footprint fills the forward input and the
+/// restriction, the owned rows the forward output and the scatter input.
+fn check_seeds(
     footprints: &Footprints,
-    ownership: &Ownership,
+    owned: &[Vec<u32>],
     plans: &CompiledPlans,
     report: &mut VerifyReport,
 ) {
-    let n = plans.num_ranks();
+    for (p, rows) in owned.iter().enumerate() {
+        let rp = plans.rank(p);
+        let (fp, global) = (footprints.per_rank[p].len(), rp.global_level().level());
+        if rp.in_len() != fp {
+            let detail = format!(
+                "footprint buffer holds {} positions for {fp} rows",
+                rp.in_len()
+            );
+            report.push(p, None, ViolationKind::Malformed { detail });
+        }
+        if rp.owned_len() != rows.len() {
+            let detail = format!(
+                "owned buffer holds {} positions for {} owned rows",
+                rp.owned_len(),
+                rows.len()
+            );
+            report.push(p, Some(global), ViolationKind::Malformed { detail });
+        }
+    }
+}
+
+fn reduce_tokens(
+    footprints: &Footprints,
+    owned: &[Vec<u32>],
+    table: Vec<(ExchangeLevel, Vec<&LevelProgram>)>,
+    report: &mut VerifyReport,
+) {
+    let n = owned.len();
     // Multiset of (holder, row) tokens per buffer position, per rank.
     let mut cur: Vec<Vec<Vec<(usize, u32)>>> = (0..n)
         .map(|p| {
@@ -205,9 +259,8 @@ fn verify_reduce_pipeline(
                 .collect()
         })
         .collect();
-    let Some(table) = by_level(plans, &ExchangeLevel::REDUCE, reduce_levels, report) else {
-        return;
-    };
+    // The level whose output is the owned buffer.
+    let global = table.last().map(|&(level, _)| level);
     for (name, levels) in table {
         let matches = match_level(&levels, name, report);
         let mut next: Vec<Vec<Vec<(usize, u32)>>> = Vec::with_capacity(n);
@@ -218,16 +271,6 @@ fn verify_reduce_pipeline(
             // position overwrite each other in the real executor.
             let mut carried: HashMap<u32, u32> = HashMap::new();
             for &(s, d) in level.keeps() {
-                if (s as usize) >= cur[p].len() || (d as usize) >= out.len() {
-                    report.push(
-                        p,
-                        Some(name),
-                        ViolationKind::Malformed {
-                            detail: format!("keep ({s}, {d}) out of bounds"),
-                        },
-                    );
-                    continue;
-                }
                 if let Some(&prev) = carried.get(&d) {
                     report.push(
                         p,
@@ -241,38 +284,14 @@ fn verify_reduce_pipeline(
                     continue;
                 }
                 carried.insert(d, s);
-                let tokens = cur[p][s as usize].clone();
-                out[d as usize].extend(tokens);
+                out[d as usize].extend_from_slice(&cur[p][s as usize]);
             }
             // Deliveries from matched sends.
             for &(src, si, ri) in &matches[p] {
                 let send = &levels[src].sends()[si];
                 let recv = &levels[p].recvs()[ri];
-                for (k, (&gi, &di)) in send.idx.iter().zip(&recv.idx).enumerate() {
-                    if (gi as usize) >= cur[src].len() {
-                        report.push(
-                            src,
-                            Some(name),
-                            ViolationKind::Malformed {
-                                detail: format!("send gather index {gi} out of bounds"),
-                            },
-                        );
-                        continue;
-                    }
-                    if (di as usize) >= out.len() {
-                        report.push(
-                            p,
-                            Some(name),
-                            ViolationKind::Malformed {
-                                detail: format!(
-                                    "recv landing index {di} (payload offset {k}) out of bounds"
-                                ),
-                            },
-                        );
-                        continue;
-                    }
-                    let tokens = cur[src][gi as usize].clone();
-                    out[di as usize].extend(tokens);
+                for (&gi, &di) in send.idx.iter().zip(&recv.idx) {
+                    out[di as usize].extend_from_slice(&cur[src][gi as usize]);
                 }
             }
             // No position may mix rows.
@@ -301,23 +320,7 @@ fn verify_reduce_pipeline(
     // Final conservation: the owner of each row holds exactly one token
     // per original holder.
     for (p, held) in cur.iter().enumerate() {
-        let owned = ownership.rows_of(p);
-        let global = Some(plans.rank(p).global_level().level());
-        if held.len() != owned.len() {
-            report.push(
-                p,
-                global,
-                ViolationKind::Malformed {
-                    detail: format!(
-                        "owned buffer holds {} positions for {} owned rows",
-                        held.len(),
-                        owned.len()
-                    ),
-                },
-            );
-            continue;
-        }
-        for (pos, &row) in owned.iter().enumerate() {
+        for (pos, &row) in owned[p].iter().enumerate() {
             let mut counts: HashMap<usize, usize> = HashMap::new();
             for &(holder, r) in &held[pos] {
                 if r != row {
@@ -351,21 +354,21 @@ fn verify_reduce_pipeline(
     }
 }
 
-fn verify_scatter_pipeline(
+fn scatter_tokens(
     footprints: &Footprints,
     ownership: &Ownership,
+    owned: &[Vec<u32>],
     plans: &CompiledPlans,
+    table: Vec<(ExchangeLevel, Vec<&LevelProgram>)>,
     report: &mut VerifyReport,
 ) {
-    let n = plans.num_ranks();
+    let n = owned.len();
     // Scatter semantics are assignment: each position holds at most one
     // row token, plus the origin of the write for aliasing witnesses.
-    let mut cur: Vec<Vec<Option<u32>>> = (0..n)
-        .map(|p| ownership.rows_of(p).into_iter().map(Some).collect())
+    let mut cur: Vec<Vec<Option<u32>>> = owned
+        .iter()
+        .map(|rows| rows.iter().copied().map(Some).collect())
         .collect();
-    let Some(table) = by_level(plans, &ExchangeLevel::SCATTER, scatter_levels, report) else {
-        return;
-    };
     // The level whose output the restriction reads.
     let last = table.last().map(|&(level, _)| level);
     for (name, levels) in table {
@@ -380,16 +383,6 @@ fn verify_scatter_pipeline(
                              from: WriteOrigin,
                              out: &mut Vec<Option<u32>>,
                              report: &mut VerifyReport| {
-                if (pos as usize) >= out.len() {
-                    report.push(
-                        p,
-                        Some(name),
-                        ViolationKind::Malformed {
-                            detail: format!("write index {pos} out of bounds"),
-                        },
-                    );
-                    return;
-                }
                 if let Some(&first) = origin.get(&pos) {
                     report.push(
                         p,
@@ -406,16 +399,6 @@ fn verify_scatter_pipeline(
                 out[pos as usize] = val;
             };
             for &(s, d) in level.keeps() {
-                if (s as usize) >= cur[p].len() {
-                    report.push(
-                        p,
-                        Some(name),
-                        ViolationKind::Malformed {
-                            detail: format!("keep source {s} out of bounds"),
-                        },
-                    );
-                    continue;
-                }
                 let val = cur[p][s as usize];
                 write(d, val, WriteOrigin::Keep { src: s }, &mut out, report);
             }
@@ -423,16 +406,6 @@ fn verify_scatter_pipeline(
                 let send = &levels[src].sends()[si];
                 let recv = &levels[p].recvs()[ri];
                 for (k, (&gi, &di)) in send.idx.iter().zip(&recv.idx).enumerate() {
-                    if (gi as usize) >= cur[src].len() {
-                        report.push(
-                            src,
-                            Some(name),
-                            ViolationKind::Malformed {
-                                detail: format!("send gather index {gi} out of bounds"),
-                            },
-                        );
-                        continue;
-                    }
                     let val = cur[src][gi as usize];
                     if val.is_none() {
                         report.push(
@@ -467,30 +440,9 @@ fn verify_scatter_pipeline(
     // Restriction: each footprint row must come back as itself.
     for (p, held) in cur.iter().enumerate() {
         let restrict = plans.rank(p).restrict_idx();
-        if restrict.len() != footprints.per_rank[p].len() {
-            report.push(
-                p,
-                last,
-                ViolationKind::Malformed {
-                    detail: format!(
-                        "restriction covers {} positions for {} footprint rows",
-                        restrict.len(),
-                        footprints.per_rank[p].len()
-                    ),
-                },
-            );
-            continue;
-        }
         for (&pos, &row) in restrict.iter().zip(&footprints.per_rank[p]) {
-            match held.get(pos as usize) {
+            match held[pos as usize] {
                 None => report.push(
-                    p,
-                    last,
-                    ViolationKind::Malformed {
-                        detail: format!("restriction index {pos} out of bounds"),
-                    },
-                ),
-                Some(None) => report.push(
                     p,
                     last,
                     ViolationKind::Conservation {
@@ -499,15 +451,15 @@ fn verify_scatter_pipeline(
                         delivered: 0,
                     },
                 ),
-                Some(Some(got)) if *got != row => report.push(
+                Some(got) if got != row => report.push(
                     p,
                     last,
                     ViolationKind::MixedRows {
                         position: pos,
-                        rows: (row, *got),
+                        rows: (row, got),
                     },
                 ),
-                Some(Some(_)) => {}
+                Some(_) => {}
             }
         }
     }

@@ -31,10 +31,12 @@
 //!    `RecvAssign` as `UnmatchedRecv` (on a real run that node would
 //!    block until the receive timeout).
 //!
-//! Beyond the reconstructions, [`misrouted_direct`] / [`dropped_direct`]
-//! / [`duplicated_direct`] / [`unheld_direct`] are minimal conservation
-//! corruptions of a valid direct plan, [`duplicate_designee_step`] is a
-//! reduction level designating one row twice,
+//! Beyond the reconstructions, [`misrouted_compiled`] /
+//! [`dropped_compiled`] / [`duplicated_compiled`] / [`unheld_compiled`]
+//! are minimal routing corruptions of a valid compiled direct exchange,
+//! [`duplicate_designee_compiled`] a socket level whose member both sends
+//! and keeps one partial, the four `oob_*` artifacts index tables
+//! reaching outside their buffers,
 //! [`over_budget_plan`] is a reconstruction plan claiming a byte budget
 //! its own footprint exceeds (`plan_fits` must report the exact gap),
 //! [`ragged_levels_compiled`] is a compiled plan whose ranks disagree on
@@ -65,8 +67,8 @@ use crate::lifetime::{scratch_ops, verify_scratch_lifetime, ScratchOp};
 use crate::tags::TagClaimSet;
 use xct_comm::protocol::{exchange_schedule, Collective, ExchangeLevel};
 use xct_comm::{
-    AllreduceSteps, Communicator, CompiledPlans, DirectPlan, Footprints, Leg, LevelProgram,
-    Ownership, RankPlan, ReductionStep, StepKind, Topology, REPLY_TAG_SALT,
+    AllreduceSteps, Communicator, CompiledPlans, Footprints, Leg, LevelProgram, Ownership,
+    RankPlan, StepKind, Topology, Transfer, REPLY_TAG_SALT,
 };
 
 /// The dissemination-barrier skeleton on `n` ranks at `tag`. With
@@ -178,51 +180,6 @@ pub fn aliased_reply_exchange(comm: &Communicator, tag: u64, reply_tag: u64) -> 
         let v: Vec<f64> = comm.recv_vals(0, reply_tag).expect("reply");
         (v[0], s[0])
     }
-}
-
-/// A correct 2-rank direct-plan fixture: each rank owns half the rows
-/// and touches one foreign row.
-pub fn small_direct_fixture() -> (Footprints, Ownership) {
-    let footprints = Footprints::new(vec![vec![0, 1, 2], vec![1, 2, 3]]);
-    let ownership = Ownership::new(vec![0, 0, 1, 1], 2);
-    (footprints, ownership)
-}
-
-/// Rank 0's foreign row 2 is sent to rank 0 itself instead of its owner
-/// — `Misrouted` (and the owner never gets it: `Conservation`).
-pub fn misrouted_direct() -> DirectPlan {
-    DirectPlan::from_sends(vec![vec![(0, vec![2])], vec![(0, vec![1])]])
-}
-
-/// Rank 0 never sends its foreign row 2 — `Conservation` with
-/// `delivered = 0`.
-pub fn dropped_direct() -> DirectPlan {
-    DirectPlan::from_sends(vec![vec![], vec![(0, vec![1])]])
-}
-
-/// Rank 0 sends its foreign row 2 twice — `Conservation` with
-/// `delivered = 2`.
-pub fn duplicated_direct() -> DirectPlan {
-    DirectPlan::from_sends(vec![vec![(1, vec![2, 2])], vec![(0, vec![1])]])
-}
-
-/// Rank 0 sends row 3, which is not in its footprint — `UnheldRow`.
-pub fn unheld_direct() -> DirectPlan {
-    DirectPlan::from_sends(vec![vec![(1, vec![2, 3])], vec![(0, vec![1])]])
-}
-
-/// A reduction level whose post-footprints designate row 5 to *both*
-/// members of the group — the partial would be double-counted
-/// downstream. `verify_reduce_step` reports `Conservation` with
-/// `delivered = 2`.
-pub fn duplicate_designee_step() -> (Footprints, ReductionStep) {
-    let pre = Footprints::new(vec![vec![5], vec![5]]);
-    let step = ReductionStep {
-        groups: vec![vec![0, 1]],
-        sends: vec![Vec::new(), Vec::new()],
-        post: Footprints::new(vec![vec![5], vec![5]]),
-    };
-    (pre, step)
 }
 
 /// PR 3's unsorted-merge-table bug as a `Transfer` construction:
@@ -379,13 +336,27 @@ fn case_on(topology: Topology, mut next: impl FnMut() -> u64) -> GenCase {
 
 // ---- Mutated compiled index programs (PR 9: abstract interpretation) --
 
+/// A compiled must-reject artifact: the footprints, ownership and
+/// machine its programs were compiled for, and the (mutated) programs.
+pub type CompiledArtifact = (Footprints, Ownership, Topology, CompiledPlans);
+
+/// The corpus's small geometry compiled on `topo` (two ranks): rank 0
+/// holds rows 0–2 and owns 0–1, rank 1 holds rows 1–3 and owns 2–3, so
+/// one foreign row crosses each way.
+fn small_compiled_on(topo: Topology) -> CompiledArtifact {
+    let fp = Footprints::new(vec![vec![0, 1, 2], vec![1, 2, 3]]);
+    let own = Ownership::new(vec![0, 0, 1, 1], 2);
+    let compiled = CompiledPlans::build_hierarchical(&fp, &own, &topo);
+    (fp, own, topo, compiled)
+}
+
 /// A small compiled direct fixture whose index programs the mutations
-/// below corrupt: 2 ranks, 4 rows, one foreign row each way, compiled as
-/// the flat plan (one GPU per node) — the global level alone.
-pub fn small_compiled_fixture() -> (Footprints, Ownership, CompiledPlans) {
-    let (fp, own) = small_direct_fixture();
-    let compiled = CompiledPlans::build_hierarchical(&fp, &own, &Topology::new(2, 1, 1));
-    (fp, own, compiled)
+/// below corrupt, compiled as the flat plan (one GPU per node) — the
+/// global level alone. Rank 0 sends row 2 (footprint position 2) to
+/// rank 1, which lands it at owned position 0; rank 1 sends row 1
+/// (position 0) to rank 0, which lands it at owned position 1.
+pub fn small_compiled_fixture() -> CompiledArtifact {
+    small_compiled_on(Topology::new(2, 1, 1))
 }
 
 /// The mutable parts of one rank's compiled program.
@@ -399,12 +370,12 @@ struct RankParts {
     restrict: Vec<u32>,
 }
 
-/// Rebuilds `plans` with rank `rank`'s program passed through `mutate`.
+/// `artifact` with rank `rank`'s program passed through `mutate`.
 fn mutate_rank(
-    plans: &CompiledPlans,
+    (fp, own, topo, plans): CompiledArtifact,
     rank: usize,
     mutate: impl FnOnce(&mut RankParts),
-) -> CompiledPlans {
+) -> CompiledArtifact {
     let mut mutate = Some(mutate);
     let rebuilt = (0..plans.num_ranks())
         .map(|p| {
@@ -433,72 +404,133 @@ fn mutate_rank(
             )
         })
         .collect();
-    CompiledPlans::from_ranks(rebuilt)
+    (fp, own, topo, CompiledPlans::from_ranks(rebuilt))
+}
+
+/// The tables of one level program: output length, sends, keeps, recvs.
+type LevelTables = (usize, Vec<Transfer>, Vec<(u32, u32)>, Vec<Transfer>);
+
+/// Rewrites `level`'s tables through `edit`, keeping its identity.
+fn edit_level(level: &mut LevelProgram, edit: impl FnOnce(&mut LevelTables)) {
+    let mut t = (
+        level.out_len(),
+        level.sends().to_vec(),
+        level.keeps().to_vec(),
+        level.recvs().to_vec(),
+    );
+    edit(&mut t);
+    *level = LevelProgram::from_parts(level.level(), t.0, t.1, t.2, t.3);
 }
 
 /// Bounds mutation: rank 0's global send gathers position 40 from its
 /// 3-element footprint buffer — `IndexOutOfBounds` (send gather, 40, 3).
-pub fn oob_gather_compiled() -> CompiledPlans {
-    let (_, _, compiled) = small_compiled_fixture();
-    mutate_rank(&compiled, 0, |r| {
-        let mut sends = r.global.sends().to_vec();
-        // xct-allow(no-panic): corpus fixture — the fixture's rank 0 always has one global send
-        *sends[0].idx.last_mut().expect("send is non-empty") = 40;
-        r.global = LevelProgram::from_parts(
-            r.global.level(),
-            r.global.out_len(),
-            sends,
-            r.global.keeps().to_vec(),
-            r.global.recvs().to_vec(),
-        );
+pub fn oob_gather_compiled() -> CompiledArtifact {
+    mutate_rank(small_compiled_fixture(), 0, |r| {
+        edit_level(&mut r.global, |t| t.1[0].idx = vec![40]);
     })
 }
 
 /// Bounds mutation: rank 0's global recv lands a payload element at
 /// position 9 of its 2-element owned buffer — `IndexOutOfBounds`
 /// (recv landing, 9, 2).
-pub fn oob_recv_compiled() -> CompiledPlans {
-    let (_, _, compiled) = small_compiled_fixture();
-    mutate_rank(&compiled, 0, |r| {
-        let mut recvs = r.global.recvs().to_vec();
-        // xct-allow(no-panic): corpus fixture — the fixture's rank 0 always receives from rank 1
-        *recvs[0].idx.last_mut().expect("recv is non-empty") = 9;
-        r.global = LevelProgram::from_parts(
-            r.global.level(),
-            r.global.out_len(),
-            r.global.sends().to_vec(),
-            r.global.keeps().to_vec(),
-            recvs,
-        );
+pub fn oob_recv_compiled() -> CompiledArtifact {
+    mutate_rank(small_compiled_fixture(), 0, |r| {
+        edit_level(&mut r.global, |t| t.3[0].idx = vec![9]);
     })
 }
 
 /// Bounds mutation: rank 0's local carry writes output position 30 of a
 /// 2-element buffer — `IndexOutOfBounds` (keep destination, 30, 2).
-pub fn oob_keep_compiled() -> CompiledPlans {
-    let (_, _, compiled) = small_compiled_fixture();
-    mutate_rank(&compiled, 0, |r| {
-        let mut keeps = r.global.keeps().to_vec();
-        // xct-allow(no-panic): corpus fixture — rank 0 owns rows it also holds, so keeps exist
-        keeps.last_mut().expect("keep present").1 = 30;
-        r.global = LevelProgram::from_parts(
-            r.global.level(),
-            r.global.out_len(),
-            r.global.sends().to_vec(),
-            keeps,
-            r.global.recvs().to_vec(),
-        );
+pub fn oob_keep_compiled() -> CompiledArtifact {
+    mutate_rank(small_compiled_fixture(), 0, |r| {
+        edit_level(&mut r.global, |t| t.2[1].1 = 30);
     })
 }
 
 /// Bounds mutation: rank 0's footprint restriction reads position 77 of
 /// the 3-element final scatter buffer — `IndexOutOfBounds`
 /// (restriction, 77, 3).
-pub fn oob_restrict_compiled() -> CompiledPlans {
-    let (_, _, compiled) = small_compiled_fixture();
-    mutate_rank(&compiled, 0, |r| {
-        // xct-allow(no-panic): corpus fixture — the restriction is never empty
-        *r.restrict.last_mut().expect("restrict present") = 77;
+pub fn oob_restrict_compiled() -> CompiledArtifact {
+    mutate_rank(small_compiled_fixture(), 0, |r| r.restrict[2] = 77)
+}
+
+/// Routing mutation: rank 0 addresses its partial of row 2 to itself
+/// instead of the row's owner, rank 1. Nothing on rank 0 receives it —
+/// `UnconsumedSend` to rank 0 at rank 0.
+pub fn misrouted_compiled() -> CompiledArtifact {
+    mutate_rank(small_compiled_fixture(), 0, |r| {
+        edit_level(&mut r.global, |t| t.1[0].peer = 0);
+    })
+}
+
+/// Routing mutation: rank 0 never sends its partial of row 2, and rank 1
+/// never waits for it — the programs still match, and the owner's sum
+/// lacks a term: `Conservation { holder: 0, row: 2, delivered: 0 }` at
+/// rank 1.
+pub fn dropped_compiled() -> CompiledArtifact {
+    let dropped = mutate_rank(small_compiled_fixture(), 0, |r| {
+        edit_level(&mut r.global, |t| t.1.clear());
+    });
+    mutate_rank(dropped, 1, |r| edit_level(&mut r.global, |t| t.3.clear()))
+}
+
+/// Routing mutation: rank 0 sends its partial of row 2 twice and rank 1
+/// lands both copies on row 2 — `Conservation { holder: 0, row: 2,
+/// delivered: 2 }` at rank 1. The repeated indices are what
+/// `Transfer::new` refuses, so the tables are written as literals.
+pub fn duplicated_compiled() -> CompiledArtifact {
+    let sent = mutate_rank(small_compiled_fixture(), 0, |r| {
+        edit_level(&mut r.global, |t| {
+            t.1 = vec![Transfer {
+                peer: 1,
+                idx: vec![2, 2],
+            }]
+        });
+    });
+    mutate_rank(sent, 1, |r| {
+        edit_level(&mut r.global, |t| {
+            t.3 = vec![Transfer {
+                peer: 0,
+                idx: vec![0, 0],
+            }]
+        });
+    })
+}
+
+/// Routing mutation: rank 0's payload to rank 1 carries a second
+/// element, which rank 1 lands as row 3 — a row rank 0 does not hold.
+/// What arrives is rank 0's partial of row 0: `MixedRows { position: 1,
+/// rows: (3, 0) }` at rank 1.
+pub fn unheld_compiled() -> CompiledArtifact {
+    let sent = mutate_rank(small_compiled_fixture(), 0, |r| {
+        edit_level(&mut r.global, |t| {
+            t.1 = vec![Transfer {
+                peer: 1,
+                idx: vec![2, 0],
+            }]
+        });
+    });
+    mutate_rank(sent, 1, |r| {
+        edit_level(&mut r.global, |t| t.3[0].idx = vec![0, 1]);
+    })
+}
+
+/// Routing mutation on one socket of two GPUs, where row 2's owner,
+/// rank 1, is its socket designee: rank 0 sends its partial of row 2 to
+/// rank 1 at the socket level *and* keeps it as if it were a designee
+/// too, then forwards the kept copy to rank 1 at the global level — the
+/// partial is counted twice: `Conservation { holder: 0, row: 2,
+/// delivered: 2 }` at rank 1.
+pub fn duplicate_designee_compiled() -> CompiledArtifact {
+    let kept = mutate_rank(small_compiled_on(Topology::new(1, 1, 2)), 0, |r| {
+        edit_level(&mut r.levels[0], |t| {
+            t.0 += 1;
+            t.2.push((2, 2));
+        });
+        edit_level(&mut r.global, |t| t.1 = vec![Transfer::new(1, vec![2])]);
+    });
+    mutate_rank(kept, 1, |r| {
+        edit_level(&mut r.global, |t| t.3 = vec![Transfer::new(0, vec![0])]);
     })
 }
 
@@ -506,15 +538,14 @@ pub fn oob_restrict_compiled() -> CompiledPlans {
 /// while its peers do — the ranks disagree on their level lists.
 /// `verify_compiled` must report `Malformed` at rank 1 on the node
 /// level; no pass may panic.
-pub fn ragged_levels_compiled() -> (Footprints, Ownership, Topology, CompiledPlans) {
+pub fn ragged_levels_compiled() -> CompiledArtifact {
     let topo = Topology::new(1, 2, 2);
     let fp = Footprints::new(vec![(0..8).collect(); 4]);
     let own = Ownership::new((0..8).map(|r| r / 2).collect(), 4);
     let compiled = CompiledPlans::build_hierarchical(&fp, &own, &topo);
-    let ragged = mutate_rank(&compiled, 1, |r| {
+    mutate_rank((fp, own, topo, compiled), 1, |r| {
         r.levels.retain(|l| l.level() != ExchangeLevel::Node);
-    });
-    (fp, own, topo, ragged)
+    })
 }
 
 /// Lifetime mutation: the two-slice overlap pipeline with slice 0's
@@ -559,9 +590,8 @@ impl MustReject {
     }
 }
 
-fn direct_report(plan: &DirectPlan) -> VerifyReport {
-    let (fp, own) = small_direct_fixture();
-    crate::verify_direct(&fp, &own, plan)
+fn compiled_report((fp, own, _, compiled): CompiledArtifact) -> VerifyReport {
+    crate::verify_compiled(&fp, &own, &compiled)
 }
 
 /// Every static artifact of this module with the pass that must reject
@@ -610,31 +640,32 @@ pub const MUST_REJECT: &[MustReject] = {
         },
         MustReject {
             name: "misrouted-direct",
-            report: || direct_report(&misrouted_direct()),
-            expected: |v| matches!(v.kind, Misrouted { row: 2, dst: 0, expected: 1 }),
+            report: || compiled_report(misrouted_compiled()),
+            expected: |v| v.rank == 0 && v.level == Some(ExchangeLevel::Global)
+                && matches!(v.kind, UnconsumedSend { peer: 0, .. }),
         },
         MustReject {
             name: "dropped-direct",
-            report: || direct_report(&dropped_direct()),
-            expected: |v| matches!(v.kind, Conservation { holder: 0, row: 2, delivered: 0 }),
+            report: || compiled_report(dropped_compiled()),
+            expected: |v| v.rank == 1
+                && matches!(v.kind, Conservation { holder: 0, row: 2, delivered: 0 }),
         },
         MustReject {
             name: "duplicated-direct",
-            report: || direct_report(&duplicated_direct()),
-            expected: |v| matches!(v.kind, Conservation { holder: 0, row: 2, delivered: 2 }),
+            report: || compiled_report(duplicated_compiled()),
+            expected: |v| v.rank == 1
+                && matches!(v.kind, Conservation { holder: 0, row: 2, delivered: 2 }),
         },
         MustReject {
             name: "unheld-direct",
-            report: || direct_report(&unheld_direct()),
-            expected: |v| matches!(v.kind, UnheldRow { sender: 0, row: 3 }),
+            report: || compiled_report(unheld_compiled()),
+            expected: |v| v.rank == 1 && matches!(v.kind, MixedRows { position: 1, rows: (3, 0) }),
         },
         MustReject {
             name: "duplicate-designee",
-            report: || {
-                let (pre, step) = duplicate_designee_step();
-                crate::verify_reduce_step(&pre, &step, ExchangeLevel::Socket)
-            },
-            expected: |v| matches!(v.kind, Conservation { row: 5, delivered: 2, .. }),
+            report: || compiled_report(duplicate_designee_compiled()),
+            expected: |v| v.rank == 1
+                && matches!(v.kind, Conservation { holder: 0, row: 2, delivered: 2 }),
         },
         MustReject {
             name: "over-budget-plan",
@@ -644,36 +675,31 @@ pub const MUST_REJECT: &[MustReject] = {
         },
         MustReject {
             name: "oob-gather",
-            report: || crate::verify_bounds(&oob_gather_compiled()),
+            report: || crate::verify_bounds(&oob_gather_compiled().3),
             expected: |v| v.rank == 0
                 && matches!(v.kind, IndexOutOfBounds { access: SendGather, index: 40, len: 3 }),
         },
         MustReject {
             name: "oob-recv-landing",
-            report: || crate::verify_bounds(&oob_recv_compiled()),
+            report: || crate::verify_bounds(&oob_recv_compiled().3),
             expected: |v| matches!(v.kind,
                 IndexOutOfBounds { access: RecvLanding, index: 9, len: 2 }),
         },
         MustReject {
             name: "oob-keep-destination",
-            report: || crate::verify_bounds(&oob_keep_compiled()),
+            report: || crate::verify_bounds(&oob_keep_compiled().3),
             expected: |v| matches!(v.kind,
                 IndexOutOfBounds { access: KeepDst, index: 30, len: 2 }),
         },
         MustReject {
             name: "oob-restriction",
-            report: || crate::verify_bounds(&oob_restrict_compiled()),
+            report: || crate::verify_bounds(&oob_restrict_compiled().3),
             expected: |v| matches!(v.kind,
                 IndexOutOfBounds { access: Restrict, index: 77, len: 3 }),
         },
         MustReject {
             name: "ragged-levels",
-            report: || {
-                let (fp, own, topo, compiled) = ragged_levels_compiled();
-                let mut report = crate::verify_compiled(&fp, &own, &compiled);
-                report.merge(crate::verify_tags(&compiled, &topo));
-                report
-            },
+            report: || compiled_report(ragged_levels_compiled()),
             expected: |v| v.rank == 1 && v.level == Some(ExchangeLevel::Node)
                 && matches!(&v.kind, Malformed { detail } if detail.contains("no node level")),
         },

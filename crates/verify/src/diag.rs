@@ -89,23 +89,6 @@ pub enum ViolationKind {
         /// The two distinct rows found there.
         rows: (u32, u32),
     },
-    /// A rank's send table transmits a row the rank does not hold.
-    UnheldRow {
-        /// The sending rank.
-        sender: usize,
-        /// The row it does not hold.
-        row: u32,
-    },
-    /// A row is routed to a rank that is neither its owner nor a
-    /// designated group member for it.
-    Misrouted {
-        /// The witness row.
-        row: u32,
-        /// Where the plan sends it.
-        dst: usize,
-        /// Who should receive it.
-        expected: usize,
-    },
     /// Two concurrently in-flight exchanges can emit matchable messages
     /// with the same `(src, dst, tag)` — the runtime would cross-match
     /// them.
@@ -262,13 +245,6 @@ impl fmt::Display for ViolationKind {
                 f,
                 "mixed rows: position {position} accumulates rows {} and {}",
                 rows.0, rows.1
-            ),
-            ViolationKind::UnheldRow { sender, row } => {
-                write!(f, "rank {sender} sends row {row} it does not hold")
-            }
-            ViolationKind::Misrouted { row, dst, expected } => write!(
-                f,
-                "row {row} routed to rank {dst}, expected rank {expected}"
             ),
             ViolationKind::TagCollision {
                 src,

@@ -64,7 +64,7 @@ pub use deadlock::{verify_deadlock, CommOp, CommProgram};
 pub use diag::{AccessKind, VerifyReport, Violation, ViolationKind, WriteOrigin};
 pub use explore::{explore, ExploreReport, SeedOutcome};
 pub use lifetime::{scratch_ops, verify_lifetimes, verify_scratch_lifetime, ScratchOp};
-pub use plan_check::{verify_direct, verify_hierarchical, verify_reduce_step};
+pub use plan_check::verify_hierarchical;
 pub use plan_fits::plan_fits;
 pub use tags::{claims_for_compiled, verify_tags, TagClaim, TagClaimSet};
 
@@ -77,14 +77,15 @@ use xct_comm::{CompiledPlans, Footprints, HierarchicalPlan, Ownership, Topology}
 const OVERLAP_CHECK_SLICES: usize = 3;
 
 /// Every static check against a hierarchical plan and its compilation,
-/// for a run on `topo`, merged in this order: row-table routing (the
-/// plan's groups may be finer than `topo`'s, as the flat plan of direct
-/// exchange is), compiled end-to-end conservation, index bounds,
-/// scratch lifetimes, tag disjointness, and deadlock freedom — the
-/// lifetime and deadlock passes on the exchange schedule `overlap`
-/// selects ([`exchange_schedule`]), the tag and deadlock passes with
-/// `topo`'s collectives. This is the entry point the distributed
-/// pipeline calls in debug builds and under `--verify-plans`.
+/// for a run on `topo`, merged in this order: the plan's groups fit
+/// `topo` (they may be finer, as the flat plan of direct exchange is),
+/// the compiled programs' level structure, index bounds and end-to-end
+/// conservation ([`verify_compiled`]), scratch lifetimes, tag
+/// disjointness, and deadlock freedom — the lifetime and deadlock passes
+/// on the exchange schedule `overlap` selects ([`exchange_schedule`]),
+/// the tag and deadlock passes with `topo`'s collectives. This is the
+/// entry point the distributed pipeline calls in debug builds and under
+/// `--verify-plans`.
 pub fn verify_all_hierarchical(
     footprints: &Footprints,
     ownership: &Ownership,
@@ -93,9 +94,8 @@ pub fn verify_all_hierarchical(
     compiled: &CompiledPlans,
     overlap: bool,
 ) -> VerifyReport {
-    let mut report = verify_hierarchical(footprints, ownership, topo, plan);
+    let mut report = verify_hierarchical(footprints, topo, plan);
     report.merge(verify_compiled(footprints, ownership, compiled));
-    report.merge(verify_bounds(compiled));
     let schedule: Vec<ExchangeOp> = exchange_schedule(OVERLAP_CHECK_SLICES, overlap).collect();
     report.merge(verify_lifetimes(compiled, &schedule));
     report.merge(verify_tags(compiled, topo));

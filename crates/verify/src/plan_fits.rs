@@ -7,7 +7,7 @@
 //! slab widths and salts tags by slice index — so a broken plan turns
 //! into an out-of-memory, a silently skipped slice run, or a
 //! cross-matched message at runtime. [`plan_fits`] proves the promise
-//! statically, the same way `verify_hierarchical` proves routing:
+//! statically, the same way `verify_compiled` proves routing:
 //! structured [`crate::Violation`]s with witnesses, checked against a
 //! known-bad corpus.
 

@@ -13,15 +13,14 @@ use xct_comm::{
     Communicator, CompiledPlans, Footprints, HierarchicalPlan, Ownership, PlanError, Topology,
 };
 use xct_verify::corpus::{
-    aliased_reply_exchange, barrier_program, buggy_allreduce_claims, dropped_direct,
-    duplicate_designee_step, duplicated_direct, gen_case, gen_case_on, misrouted_direct,
-    over_budget_plan, single_sweep_gather, small_compiled_fixture, small_direct_fixture,
-    unfolded_collective, unheld_direct, unsorted_transfer, MUST_REJECT,
+    aliased_reply_exchange, barrier_program, buggy_allreduce_claims, dropped_compiled,
+    duplicate_designee_compiled, duplicated_compiled, gen_case, gen_case_on, misrouted_compiled,
+    oob_gather_compiled, oob_keep_compiled, oob_recv_compiled, oob_restrict_compiled,
+    over_budget_plan, ragged_levels_compiled, single_sweep_gather, small_compiled_fixture,
+    unfolded_collective, unheld_compiled, unsorted_transfer, CompiledArtifact, MUST_REJECT,
 };
 use xct_verify::deadlock::{CommOp, CommProgram};
-use xct_verify::{
-    explore, verify_all_hierarchical, verify_direct, verify_reduce_step, ViolationKind,
-};
+use xct_verify::{explore, verify_all_hierarchical, verify_compiled, VerifyReport, ViolationKind};
 
 // ---- PR-3 bug 1: barrier peer mispairing (deadlock layer) ----
 
@@ -138,72 +137,141 @@ fn unsorted_transfer_is_rejected_with_position() {
     }
 }
 
-// ---- Direct-plan conservation corruptions ----
+// ---- Routing corruptions of compiled programs ----
+
+/// `verify_compiled` on a compiled artifact.
+fn compiled_report((fp, own, _, compiled): CompiledArtifact) -> VerifyReport {
+    verify_compiled(&fp, &own, &compiled)
+}
 
 #[test]
 fn misrouted_direct_reports_wrong_destination() {
-    let (fp, own) = small_direct_fixture();
-    let report = verify_direct(&fp, &own, &misrouted_direct());
-    assert!(report.violations.iter().any(|v| matches!(
-        v.kind,
-        ViolationKind::Misrouted {
-            row: 2,
-            dst: 0,
-            expected: 1
-        }
-    )));
+    // Rank 0's partial of row 2 goes to rank 0 instead of rank 1: the
+    // send is never received, and rank 1 waits for a message nobody
+    // sends it.
+    let report = compiled_report(misrouted_compiled());
+    let global = Some(ExchangeLevel::Global);
+    assert!(
+        report.violations.iter().any(|v| v.rank == 0
+            && v.level == global
+            && matches!(v.kind, ViolationKind::UnconsumedSend { peer: 0, .. })),
+        "{report}"
+    );
+    assert!(
+        report
+            .violations
+            .iter()
+            .any(|v| v.rank == 1 && matches!(v.kind, ViolationKind::UnmatchedRecv { peer: 0, .. })),
+        "{report}"
+    );
 }
 
 #[test]
 fn dropped_direct_reports_zero_delivery() {
-    let (fp, own) = small_direct_fixture();
-    let report = verify_direct(&fp, &own, &dropped_direct());
-    assert!(report.violations.iter().any(|v| matches!(
-        v.kind,
-        ViolationKind::Conservation {
-            holder: 0,
-            row: 2,
-            delivered: 0
-        }
-    )));
+    let report = compiled_report(dropped_compiled());
+    assert!(
+        report.violations.iter().any(|v| v.rank == 1
+            && v.level == Some(ExchangeLevel::Global)
+            && matches!(
+                v.kind,
+                ViolationKind::Conservation {
+                    holder: 0,
+                    row: 2,
+                    delivered: 0
+                }
+            )),
+        "{report}"
+    );
 }
 
 #[test]
 fn duplicated_direct_reports_double_delivery() {
-    let (fp, own) = small_direct_fixture();
-    let report = verify_direct(&fp, &own, &duplicated_direct());
-    assert!(report.violations.iter().any(|v| matches!(
+    let report = compiled_report(duplicated_compiled());
+    assert_eq!(report.violations.len(), 1, "{report}");
+    let v = &report.violations[0];
+    assert_eq!(v.rank, 1);
+    assert!(matches!(
         v.kind,
         ViolationKind::Conservation {
             holder: 0,
             row: 2,
             delivered: 2
         }
-    )));
+    ));
 }
 
 #[test]
 fn unheld_direct_reports_phantom_row() {
-    let (fp, own) = small_direct_fixture();
-    let report = verify_direct(&fp, &own, &unheld_direct());
-    assert!(report
-        .violations
-        .iter()
-        .any(|v| matches!(v.kind, ViolationKind::UnheldRow { sender: 0, row: 3 })));
+    // Rank 1 lands rank 0's second payload element as row 3, which rank
+    // 0 never held: the position sums rows 3 and 0.
+    let report = compiled_report(unheld_compiled());
+    assert!(
+        report.violations.iter().any(|v| v.rank == 1
+            && matches!(
+                v.kind,
+                ViolationKind::MixedRows {
+                    position: 1,
+                    rows: (3, 0)
+                }
+            )),
+        "{report}"
+    );
 }
 
 #[test]
 fn duplicate_designee_reports_double_count() {
-    let (pre, step) = duplicate_designee_step();
-    let report = verify_reduce_step(&pre, &step, ExchangeLevel::Socket);
-    assert!(report.violations.iter().any(|v| matches!(
+    // A partial both sent to the socket designee and kept arrives at the
+    // owner twice; no other partial is disturbed.
+    let report = compiled_report(duplicate_designee_compiled());
+    assert_eq!(report.violations.len(), 1, "{report}");
+    let v = &report.violations[0];
+    assert_eq!((v.rank, v.level), (1, Some(ExchangeLevel::Global)));
+    assert!(matches!(
         v.kind,
         ViolationKind::Conservation {
-            row: 5,
-            delivered: 2,
-            ..
+            holder: 0,
+            row: 2,
+            delivered: 2
         }
-    )));
+    ));
+}
+
+#[test]
+fn compiled_must_reject_rows_are_rejected_by_the_entry_point() {
+    // Every must-reject row whose artifact is a compiled program, run
+    // through the one entry point: the plan the programs were compiled
+    // from, unmutated, with the mutated programs, on both schedules.
+    type Builder = fn() -> CompiledArtifact;
+    let rows: [(&str, Builder); 10] = [
+        ("oob-gather", oob_gather_compiled),
+        ("oob-recv-landing", oob_recv_compiled),
+        ("oob-keep-destination", oob_keep_compiled),
+        ("oob-restriction", oob_restrict_compiled),
+        ("misrouted-direct", misrouted_compiled),
+        ("dropped-direct", dropped_compiled),
+        ("duplicated-direct", duplicated_compiled),
+        ("unheld-direct", unheld_compiled),
+        ("duplicate-designee", duplicate_designee_compiled),
+        ("ragged-levels", ragged_levels_compiled),
+    ];
+    for (name, artifact) in rows {
+        let row = MUST_REJECT
+            .iter()
+            .find(|row| row.name == name)
+            .unwrap_or_else(|| panic!("no must-reject row named {name}"));
+        let (fp, own, topo, compiled) = artifact();
+        let plan = HierarchicalPlan::build(&fp, &own, &topo);
+        let intact = CompiledPlans::compile_hierarchical(&fp, &own, &plan);
+        for overlap in [false, true] {
+            verify_all_hierarchical(&fp, &own, &topo, &plan, &intact, overlap)
+                .assert_ok(&format!("{name}'s unmutated programs"));
+            let report = verify_all_hierarchical(&fp, &own, &topo, &plan, &compiled, overlap);
+            assert!(
+                report.violations.iter().any(row.expected),
+                "{name} overlap={overlap}: {report}"
+            );
+        }
+    }
 }
 
 // ---- Deadlock: genuine cyclic wait ----
@@ -417,7 +485,7 @@ fn draining_a_slice_before_posting_it_is_rejected_by_both_schedule_passes() {
     // A mutated schedule goes through the same expansion as the two the
     // operator runs, and both passes that take the schedule reject it.
     use ExchangeOp::{Drain, Post};
-    let (_, _, compiled) = small_compiled_fixture();
+    let (_, _, _, compiled) = small_compiled_fixture();
     let topo = Topology::new(1, 1, 2);
     let mutated = [Post(0), Drain(1), Drain(0), Post(1)];
 
@@ -518,7 +586,7 @@ fn hierarchical_against_wrong_topology_is_malformed() {
     let own = Ownership::new((0..n as u32).collect(), n);
     let hier = HierarchicalPlan::build(&fp, &own, &topo);
     let wrong = Topology::new(2, 2, 1);
-    let report = xct_verify::verify_hierarchical(&fp, &own, &wrong, &hier);
+    let report = xct_verify::verify_hierarchical(&fp, &wrong, &hier);
     assert!(
         report
             .violations
@@ -529,14 +597,14 @@ fn hierarchical_against_wrong_topology_is_malformed() {
         "a socket group straddling two sockets must be malformed: {report}"
     );
     let finer = HierarchicalPlan::build(&fp, &own, &wrong);
-    xct_verify::verify_hierarchical(&fp, &own, &topo, &finer).assert_ok("finer groups");
+    xct_verify::verify_hierarchical(&fp, &topo, &finer).assert_ok("finer groups");
 }
 
 // ---- Mutated index programs: the abstract-interpretation layer ----
 
 #[test]
 fn oob_gather_is_rejected_with_exact_interval_witness() {
-    let report = xct_verify::verify_bounds(&xct_verify::corpus::oob_gather_compiled());
+    let report = xct_verify::verify_bounds(&oob_gather_compiled().3);
     assert!(
         report.violations.iter().any(|v| matches!(
             v.kind,
@@ -552,7 +620,7 @@ fn oob_gather_is_rejected_with_exact_interval_witness() {
 
 #[test]
 fn oob_recv_landing_is_rejected_with_exact_interval_witness() {
-    let report = xct_verify::verify_bounds(&xct_verify::corpus::oob_recv_compiled());
+    let report = xct_verify::verify_bounds(&oob_recv_compiled().3);
     assert!(
         report.violations.iter().any(|v| matches!(
             v.kind,
@@ -568,7 +636,7 @@ fn oob_recv_landing_is_rejected_with_exact_interval_witness() {
 
 #[test]
 fn oob_keep_destination_is_rejected() {
-    let report = xct_verify::verify_bounds(&xct_verify::corpus::oob_keep_compiled());
+    let report = xct_verify::verify_bounds(&oob_keep_compiled().3);
     assert!(
         report.violations.iter().any(|v| matches!(
             v.kind,
@@ -584,7 +652,7 @@ fn oob_keep_destination_is_rejected() {
 
 #[test]
 fn oob_restriction_is_rejected() {
-    let report = xct_verify::verify_bounds(&xct_verify::corpus::oob_restrict_compiled());
+    let report = xct_verify::verify_bounds(&oob_restrict_compiled().3);
     assert!(
         report.violations.iter().any(|v| matches!(
             v.kind,

@@ -821,10 +821,7 @@ fn reconstruct_inner(
             if let Some(w) = weights {
                 plan = plan.with_tile_weights(w);
             }
-            let fits = plan_fits(&plan);
-            if !fits.ok() {
-                return Err(CliError(format!("reconstruction plan rejected:\n{fits}")));
-            }
+            check_fits(&plan)?;
             let profile_out = flags.get("profile-out").map(str::to_owned);
             let base = DistributedConfig {
                 iterations,
@@ -1019,6 +1016,14 @@ fn rebalance_preview(scan: &ScanGeometry, tile: usize, ranks: usize, costs: &[u6
     )
 }
 
+/// Refuses a plan `plan_fits` rejects, naming its witnesses.
+fn check_fits(plan: &xct_plan::ReconPlan) -> Result<(), CliError> {
+    let fits = plan_fits(plan);
+    fits.ok()
+        .then_some(())
+        .ok_or_else(|| CliError(format!("reconstruction plan rejected:\n{fits}")))
+}
+
 /// `petaxct profile` — run a synthetic distributed reconstruction with
 /// telemetry on and emit the `petaxct-profile-v1` artifact
 /// plus the human drift/skew tables. With `--weights-from` the run
@@ -1063,35 +1068,10 @@ fn profile(flags: &Flags) -> Result<String, CliError> {
         }
     }
 
-    let scan = scan_for(n, angles);
-    let sm = SystemMatrix::build(&scan);
-    let mut sino = vec![0.0f32; sm.num_rays() * slices];
-    for s in 0..slices {
-        let img = phantom_slice(&phantom, n, seed + s as u64)?;
-        sm.project(
-            &img.data,
-            &mut sino[s * sm.num_rays()..(s + 1) * sm.num_rays()],
-        );
-    }
-
-    let telemetry = Telemetry::enabled();
-    let cfg = DistributedConfig {
-        topology,
-        precision,
-        fusing: slices,
-        hierarchical: true,
-        overlap,
-        wire,
-        iterations,
-        tile,
-        telemetry: telemetry.clone(),
-        tile_weights: weights.clone(),
-        ..Default::default()
-    };
-    let result = reconstruct_distributed(&scan, &sino, &cfg);
-
-    // The model joins on a plan of the same problem; the weights ride
-    // along so the per-tile attribution matches the executed ownership.
+    // The run is derived from a plan of the same problem, gated by
+    // `plan_fits` like `reconstruct`'s: weights measured on another grid
+    // are refused before they reach the decomposition, and they ride on
+    // the plan so the per-tile attribution matches the executed ownership.
     let mut plan = Planner {
         precision,
         hierarchical: true,
@@ -1104,6 +1084,28 @@ fn profile(flags: &Flags) -> Result<String, CliError> {
     if let Some(w) = weights {
         plan = plan.with_tile_weights(w);
     }
+    check_fits(&plan)?;
+
+    let scan = scan_for(n, angles);
+    let sm = SystemMatrix::build(&scan);
+    let mut sino = vec![0.0f32; sm.num_rays() * slices];
+    for s in 0..slices {
+        let img = phantom_slice(&phantom, n, seed + s as u64)?;
+        sm.project(
+            &img.data,
+            &mut sino[s * sm.num_rays()..(s + 1) * sm.num_rays()],
+        );
+    }
+
+    let telemetry = Telemetry::enabled();
+    let base = DistributedConfig {
+        wire,
+        iterations,
+        tile,
+        telemetry: telemetry.clone(),
+        ..Default::default()
+    };
+    let result = reconstruct_distributed(&scan, &sino, &DistributedConfig::from_plan(&plan, &base));
     let report = build_profile_artifact(
         &scan, &plan, topology, precision, iterations, tile, &telemetry,
     );
@@ -1728,6 +1730,45 @@ mod tests {
                 err.contains("cannot parse profile file") && err.contains(names),
                 "{err}"
             );
+        }
+    }
+
+    #[test]
+    fn weights_that_do_not_fit_the_plan_are_refused_by_profile_and_reconstruct() {
+        // An artifact measured on a 16² grid fed to a 24² problem, and one
+        // claiming tile size 0: both commands refuse them with the
+        // plan_fits witness before the decomposition could panic on them.
+        let (sino, vol) = (tmp("cli_misfit_sino.xctd"), tmp("cli_misfit_vol.xctd"));
+        let (measured, zero) = (tmp("cli_misfit_n16.json"), tmp("cli_misfit_tile0.json"));
+        let out = tmp("cli_misfit_out.json");
+        let run = |line: String| run_cmd(&line.split(' ').collect::<Vec<_>>());
+        let run_opts = "--topology 1x2x2 --iterations 2";
+        run(format!(
+            "profile --n 16 --angles 16 --slices 1 {run_opts} --out {measured}"
+        ))
+        .unwrap();
+        let text = std::fs::read_to_string(&measured).unwrap();
+        assert!(text.contains(r#""tile_size":4"#), "{text}");
+        std::fs::write(
+            &zero,
+            text.replacen(r#""tile_size":4"#, r#""tile_size":0"#, 1),
+        )
+        .unwrap();
+        let problem = "--n 24 --angles 24 --slices 1";
+        run(format!("simulate --phantom shale --out {sino} {problem}")).unwrap();
+        let commands = [
+            format!("profile {problem} --out {out}"),
+            format!("reconstruct --in {sino} --out {vol}"),
+        ];
+        for (weights, witness) in [(&measured, "6x6 tile grid"), (&zero, "zero tile size")] {
+            for command in &commands {
+                let line = format!("{command} {run_opts} --weights-from {weights}");
+                let err = run(line).unwrap_err().0;
+                assert!(
+                    err.contains("plan rejected") && err.contains(witness),
+                    "{command}: {err}"
+                );
+            }
         }
     }
 
