@@ -9,8 +9,16 @@
 //! level, which indices of the current value buffer go to which peer,
 //! which indices carry over locally (`keeps`), and where each received
 //! element lands. Execution is then pure index arithmetic over reusable
-//! `f64` buffers ([`ExchangeScratch`]). Each program carries its
+//! buffers ([`ExchangeScratch`]). Each program carries its
 //! [`ExchangeLevel`], which gives its tag, traffic class and span.
+//!
+//! **One rendezvous per local level per apply.** The socket and node
+//! levels of both directions run once for the whole fused minibatch
+//! ([`RankPlan::reduce_local`], [`RankPlan::scatter_local`]): one message
+//! per peer carrying every slice, slice-major, on the level's base tag;
+//! then, with every message in, the level is formed one slice at a time
+//! in a one-slice `f64` accumulator and held at storage width for the
+//! next. Only the global levels run per slice, under the slice's salt.
 //!
 //! Direct exchange is the hierarchy of one-GPU nodes: a plan built on
 //! `Topology::new(ranks, 1, 1)` has singleton socket and node groups.
@@ -21,32 +29,36 @@
 //! flat plan therefore compiles to the global exchange alone.
 //!
 //! Numerical contract: results are **bit-identical** to the reference
-//! executor. Both seed each level's accumulator the same way, add
-//! received contributions in the same (source-ascending) plan order in
-//! f64, and round to the storage scalar once per level — identical
-//! floating-point operations in identical order.
+//! executor run slice by slice. Both seed each level's accumulator the
+//! same way, add received contributions in the same (source-ascending)
+//! plan order in f64, and round to the storage scalar once per level —
+//! identical floating-point operations in identical order, per element;
+//! batching changes what travels in one message, not what is added.
 //!
 //! The split [`RankPlan::global_begin`] / [`RankPlan::global_finish`]
 //! (and the scatter twins) is what makes the paper's §III-E overlap
-//! executable: `begin` posts the global sends and irecvs and queues the
-//! exchange in the scratch; the *next* slices' socket/node reductions and
-//! posts run while those messages are on the wire; `finish` completes
-//! the oldest queued exchange — any number may be in flight, drained in
-//! posting order. Telemetry spans close inside the call that opened them
+//! executable: `begin` posts one slice's global sends and irecvs and
+//! queues the exchange in the scratch; the *next* slices' posts run while
+//! those messages are on the wire; `finish` completes the oldest queued
+//! exchange — any number may be in flight, drained in posting order.
+//! Telemetry spans close inside the call that opened them
 //! (`ReduceGlobal`/`HaloExchange` around the posting and the completion
-//! work, `CommWait` around the drain), so in-flight exchanges never chain
-//! spans under each other; the overlap shows in the timestamps instead.
+//! work, `CommWait` around every blocking wait — a local level's
+//! receives as much as a global drain), so in-flight exchanges never
+//! chain spans under each other; the overlap shows in the timestamps
+//! instead.
 
 // Row and position ids in this module are `u32` by the `Ownership`
 // contract (`num_rows` fits `u32`); enumerate-index casts back into that
 // space are lossless by construction.
 #![allow(clippy::cast_possible_truncation)]
 use crate::plan::{DirectPlan, HierarchicalPlan, Ownership, ReductionStep};
-use crate::protocol::ExchangeLevel;
+use crate::protocol::{slice_salt, ExchangeLevel};
 use crate::runtime::{CommError, Communicator, RecvRequest};
 use crate::topology::Topology;
-use crate::wire::Wire;
+use crate::wire::{HeldScalar, Wire};
 use std::collections::{HashMap, VecDeque};
+use xct_fp16::StorageScalar;
 use xct_telemetry::Phase;
 
 /// One precomputed point-to-point transfer: the buffer positions whose
@@ -417,13 +429,29 @@ impl CompiledPlans {
     }
 }
 
-/// Reusable f64 buffers for compiled exchanges. One per rank thread;
-/// after a warm-up iteration every buffer has reached steady capacity and
-/// execution allocates nothing (asserted in `tests/alloc_free.rs`).
+/// Reusable buffers for compiled exchanges. One per rank thread; after a
+/// warm-up apply every buffer has reached steady capacity and execution
+/// allocates nothing (asserted in `tests/alloc_free.rs`).
+///
+/// A local level runs once per apply over the whole fused batch, so
+/// between two levels the scratch holds every slice's values — at storage
+/// width ([`Wire::Held`]), where they are exact after the level's
+/// rounding — while the level itself is formed one slice at a time in a
+/// one-slice `f64` accumulator.
 #[derive(Debug, Default)]
 pub struct ExchangeScratch {
-    cur: Vec<f64>,
-    nxt: Vec<f64>,
+    /// The held batch of `f32`-held storage, slice-major: the current
+    /// level's input (`[0]`) and the output being formed (`[1]`).
+    narrow: [Vec<f32>; 2],
+    /// The held batch of `f64` storage.
+    wide: [Vec<f64>; 2],
+    /// `(slices, per-slice length)` of the batch `reduce_local` left for
+    /// the global posts.
+    held: (usize, usize),
+    /// One slice of the level being formed.
+    acc: Vec<f64>,
+    /// The level's received payloads, in plan order.
+    payloads: Vec<Vec<u8>>,
     /// Accumulator buffers for in-flight exchanges (one per fused slice
     /// live at once under overlap).
     acc_pool: Vec<Vec<f64>>,
@@ -440,17 +468,14 @@ impl ExchangeScratch {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
-    fn take_acc(&mut self, len: usize) -> Vec<f64> {
-        let mut acc = self.acc_pool.pop().unwrap_or_default();
-        acc.clear();
-        acc.resize(len, 0.0);
-        acc
-    }
-
-    fn take_reqs(&mut self) -> Vec<RecvRequest> {
-        self.req_pool.pop().unwrap_or_default()
-    }
+/// A zeroed accumulator of `len` out of `pool`.
+fn take_acc(pool: &mut Vec<Vec<f64>>, len: usize) -> Vec<f64> {
+    let mut acc = pool.pop().unwrap_or_default();
+    acc.clear();
+    acc.resize(len, 0.0);
+    acc
 }
 
 /// A global reduction in flight: sends posted, receives pending.
@@ -462,30 +487,34 @@ struct GlobalInFlight {
 }
 
 /// A global scatter in flight (transpose direction), analogous to
-/// [`GlobalInFlight`].
+/// [`GlobalInFlight`]; its values land in slot `slice` of the held batch.
 #[derive(Debug)]
 struct ScatterInFlight {
     out1: Vec<f64>,
     reqs: Vec<RecvRequest>,
-    undo: f32,
-    salt: u64,
+    slice: usize,
 }
 
-/// Sends every transfer of `level`, gathering from `cur` and encoding at
-/// storage width through the communicator's buffer pool.
+/// Sends every transfer of `level` under `tag`: one message per peer
+/// carrying `slices` slices of the transfer's positions, slice-major,
+/// each value read as `value(slice, position)` and encoded at storage
+/// width through the communicator's buffer pool.
 fn run_sends<S: Wire>(
     comm: &Communicator,
     level: &LevelProgram,
-    cur: &[f64],
-    salt: u64,
+    slices: usize,
+    tag: u64,
+    value: impl Fn(usize, u32) -> f64,
 ) -> Result<(), CommError> {
     let _class = comm.meter().scope_class(level.level.class());
     for t in &level.sends {
-        let mut buf = comm.pooled_buf(t.idx.len() * S::BYTES);
-        for &i in &t.idx {
-            S::from_f64(cur[i as usize]).write_to(&mut buf);
+        let mut buf = comm.pooled_buf(slices * t.idx.len() * S::BYTES);
+        for f in 0..slices {
+            for &i in &t.idx {
+                S::from_f64(value(f, i)).write_to(&mut buf);
+            }
         }
-        comm.send(t.peer, level.level.tag() ^ salt, buf)?;
+        comm.send(t.peer, tag, buf)?;
     }
     Ok(())
 }
@@ -507,41 +536,68 @@ fn assign_payload<S: Wire>(bytes: &[u8], idx: &[u32], out: &mut [f64]) {
     }
 }
 
-/// Rounds every element to storage precision (the once-per-level rounding
-/// the reference executor applies when materializing its per-level data).
-fn round_level<S: Wire>(vals: &mut [f64]) {
-    for v in vals {
-        *v = S::from_f64(*v).to_f64();
+/// Rounds a level's output to storage precision — once per level, as
+/// the reference executor materializes its per-level data — and holds it
+/// at storage width.
+fn round_into<S: Wire>(vals: &[f64], out: &mut [S::Held]) {
+    for (o, &v) in out.iter_mut().zip(vals) {
+        *o = S::Held::from_f64(S::from_f64(v).to_f64());
     }
 }
 
-/// Runs blocking local `levels` over `scratch.cur`, one after another:
-/// send, seed the output with the local carries, receive in plan order
-/// and `land` each payload (accumulate when reducing, assign when
-/// scattering), round to storage precision, and make the output the
-/// next level's input.
-fn run_levels<S: Wire>(
+/// One slice's input to a level out of the held batch `cur` of
+/// `len`-long slices.
+fn held_input<H: HeldScalar>(cur: &[H], len: usize) -> impl Fn(usize, u32) -> f64 + '_ {
+    move |f, i| cur[f * len + i as usize].to_f64()
+}
+
+/// Runs one blocking local level over all `slices` fused slices of the
+/// batch: one message per peer, slice-major, under the level's base tag;
+/// then every peer's message is received (the blocking part, under its
+/// own `CommWait` span) and the level is formed one slice at a time in
+/// `acc` — seeded with the local carries of `input(slice, position)`,
+/// each payload landed in plan order (`land`: accumulate when reducing,
+/// assign when scattering) — and handed to `emit(slice, acc)` unrounded.
+#[allow(clippy::too_many_arguments)]
+fn run_level<S: Wire>(
     comm: &Communicator,
-    scratch: &mut ExchangeScratch,
-    levels: &[LevelProgram],
-    salt: u64,
+    level: &LevelProgram,
+    slices: usize,
+    input: impl Fn(usize, u32) -> f64,
+    acc: &mut Vec<f64>,
+    payloads: &mut Vec<Vec<u8>>,
     land: fn(&[u8], &[u32], &mut [f64]),
+    mut emit: impl FnMut(usize, &[f64]),
 ) -> Result<(), CommError> {
-    for level in levels {
-        let _span = level.level.span().map(|p| comm.telemetry().span(p));
-        run_sends::<S>(comm, level, &scratch.cur, salt)?;
-        scratch.nxt.clear();
-        scratch.nxt.resize(level.out_len, 0.0);
-        for &(s, d) in &level.keeps {
-            scratch.nxt[d as usize] = scratch.cur[s as usize];
-        }
+    let _span = level.level.span().map(|p| comm.telemetry().span(p));
+    let tag = level.level.tag();
+    run_sends::<S>(comm, level, slices, tag, &input)?;
+    payloads.clear();
+    {
+        // Blocked time, not exchange work: the rendezvous gets the wait
+        // phase, as the global drains' does.
+        let _wait = comm.telemetry().span(Phase::CommWait);
         for t in &level.recvs {
-            let bytes = comm.recv(t.peer, level.level.tag() ^ salt)?;
-            land(&bytes, &t.idx, &mut scratch.nxt);
-            comm.recycle(bytes);
+            let bytes = comm.recv(t.peer, tag)?;
+            let whole = slices * t.idx.len() * S::BYTES;
+            assert_eq!(bytes.len(), whole, "payload/plan mismatch");
+            payloads.push(bytes);
         }
-        round_level::<S>(&mut scratch.nxt);
-        std::mem::swap(&mut scratch.cur, &mut scratch.nxt);
+    }
+    for f in 0..slices {
+        acc.clear();
+        acc.resize(level.out_len, 0.0);
+        for &(s, d) in &level.keeps {
+            acc[d as usize] = input(f, s);
+        }
+        for (t, bytes) in level.recvs.iter().zip(payloads.iter()) {
+            let width = t.idx.len() * S::BYTES;
+            land(&bytes[f * width..(f + 1) * width], &t.idx, acc);
+        }
+        emit(f, acc);
+    }
+    for bytes in payloads.drain(..) {
+        comm.recycle(bytes);
     }
     Ok(())
 }
@@ -607,10 +663,12 @@ impl RankPlan {
         &self.restrict
     }
 
-    /// Runs the *local* forward levels (socket, node) blocking: quantizes
-    /// `vals` (× `factor`) to storage precision and reduces within socket
-    /// then node groups, leaving the post-node values in scratch. Must be
-    /// followed by [`global_begin`] / [`global_finish`].
+    /// Runs the *local* forward levels (socket, node) blocking, once for
+    /// the whole fused batch: `partial` holds `factors.len()` slices of
+    /// footprint partials, slice-major (the fused kernel's output); slice
+    /// `f` is quantized to storage precision × `factors[f]` and reduced
+    /// within socket then node groups. Every slice's post-node values stay
+    /// in `scratch` for [`global_begin`] / [`global_finish`].
     ///
     /// [`global_begin`]: RankPlan::global_begin
     /// [`global_finish`]: RankPlan::global_finish
@@ -618,42 +676,85 @@ impl RankPlan {
         &self,
         comm: &Communicator,
         scratch: &mut ExchangeScratch,
-        vals: &[f32],
-        factor: f32,
-        salt: u64,
+        partial: &[f32],
+        factors: &[f32],
     ) -> Result<(), CommError> {
-        assert_eq!(vals.len(), self.in_len, "footprint length mismatch");
-        scratch.cur.clear();
-        scratch
-            .cur
-            .extend(vals.iter().map(|&v| S::from_f32(v * factor).to_f64()));
-        run_levels::<S>(comm, scratch, &self.levels, salt, accumulate_payload::<S>)
+        let (slices, in_len) = (factors.len(), self.in_len);
+        assert_eq!(partial.len(), slices * in_len, "footprint length mismatch");
+        // The first level reads the kernel's partial directly.
+        let quantized =
+            |f: usize, i: u32| S::from_f32(partial[f * in_len + i as usize] * factors[f]).to_f64();
+        let ExchangeScratch {
+            narrow,
+            wide,
+            held,
+            acc,
+            payloads,
+            ..
+        } = scratch;
+        let [cur, nxt] = S::Held::batch(narrow, wide);
+        let mut len = in_len;
+        for (k, level) in self.levels.iter().enumerate() {
+            let out_len = level.out_len;
+            nxt.clear();
+            nxt.resize(slices * out_len, S::Held::zero());
+            let emit = |f: usize, vals: &[f64]| {
+                round_into::<S>(vals, &mut nxt[f * out_len..(f + 1) * out_len]);
+            };
+            let land = accumulate_payload::<S>;
+            if k == 0 {
+                run_level::<S>(comm, level, slices, quantized, acc, payloads, land, emit)?;
+            } else {
+                let input = held_input(&cur[..], len);
+                run_level::<S>(comm, level, slices, input, acc, payloads, land, emit)?;
+            }
+            std::mem::swap(cur, nxt);
+            len = out_len;
+        }
+        if self.levels.is_empty() {
+            cur.clear();
+            for f in 0..slices {
+                cur.extend((0..in_len as u32).map(|i| S::Held::from_f64(quantized(f, i))));
+            }
+        }
+        *held = (slices, len);
+        Ok(())
     }
 
-    /// Posts the global exchange: sends the post-node partials to owners,
-    /// posts irecvs for incoming contributions, and queues the exchange
-    /// in `scratch`. Local work for other slices — including their own
-    /// `global_begin`s — may run freely until the matching
-    /// [`global_finish`]; that is the §III-E overlap window.
+    /// Posts fused slice `slice`'s global exchange out of the batch
+    /// [`reduce_local`] left in `scratch`: sends the slice's post-node
+    /// partials to their owners under its [`slice_salt`], posts irecvs for
+    /// incoming contributions, and queues the exchange. Local work —
+    /// including other slices' `global_begin`s — may run freely until the
+    /// matching [`global_finish`]; that is the §III-E overlap window.
     ///
+    /// [`reduce_local`]: RankPlan::reduce_local
     /// [`global_finish`]: RankPlan::global_finish
     pub fn global_begin<S: Wire>(
         &self,
         comm: &Communicator,
         scratch: &mut ExchangeScratch,
+        slice: usize,
         undo: f32,
-        salt: u64,
     ) -> Result<(), CommError> {
         let _span = comm.telemetry().span(Phase::ReduceGlobal);
+        let (slices, len) = scratch.held;
+        assert!(
+            slice < slices,
+            "slice {slice} is not in the batch of {slices}"
+        );
         let level = &self.global;
-        run_sends::<S>(comm, level, &scratch.cur, salt)?;
-        let mut acc = scratch.take_acc(level.out_len);
+        let tag = level.level.tag() ^ slice_salt(slice);
+        let [cur, _] = S::Held::batch(&mut scratch.narrow, &mut scratch.wide);
+        let cur = &cur[slice * len..(slice + 1) * len];
+        run_sends::<S>(comm, level, 1, tag, |_, i| cur[i as usize].to_f64())?;
+        let mut acc = take_acc(&mut scratch.acc_pool, level.out_len);
         for &(s, d) in &level.keeps {
-            acc[d as usize] = scratch.cur[s as usize];
+            acc[d as usize] = cur[s as usize].to_f64();
         }
-        let mut reqs = scratch.take_reqs();
+        let mut reqs = scratch.req_pool.pop().unwrap_or_default();
         for t in &level.recvs {
-            reqs.push(comm.irecv(t.peer, level.level.tag() ^ salt)?);
+            reqs.push(comm.irecv(t.peer, tag)?);
         }
         scratch
             .globals
@@ -699,85 +800,85 @@ impl RankPlan {
         Ok(())
     }
 
-    /// Blocking convenience: full forward reduction (local levels +
-    /// global), footprint partials in, owned totals out.
-    #[allow(clippy::too_many_arguments)]
+    /// Blocking convenience: the full forward reduction of a batch —
+    /// `partial` is `factors.len()` slices of footprint partials, `out`
+    /// as many slices of owned totals, slice `f` unscaled by `undos[f]`.
     pub fn reduce<S: Wire>(
         &self,
         comm: &Communicator,
         scratch: &mut ExchangeScratch,
-        vals: &[f32],
-        factor: f32,
-        undo: f32,
-        salt: u64,
+        partial: &[f32],
+        factors: &[f32],
+        undos: &[f32],
         out: &mut [f32],
     ) -> Result<(), CommError> {
-        self.reduce_local::<S>(comm, scratch, vals, factor, salt)?;
-        self.global_begin::<S>(comm, scratch, undo, salt)?;
-        self.global_finish::<S>(comm, scratch, out)
+        assert_eq!(
+            out.len(),
+            undos.len() * self.owned_len,
+            "owned length mismatch"
+        );
+        self.reduce_local::<S>(comm, scratch, partial, factors)?;
+        let owned = self.owned_len;
+        for (f, &undo) in undos.iter().enumerate() {
+            self.global_begin::<S>(comm, scratch, f, undo)?;
+            self.global_finish::<S>(comm, scratch, &mut out[f * owned..(f + 1) * owned])?;
+        }
+        Ok(())
     }
 
-    /// Posts the global scatter stage (transpose direction): quantizes the
-    /// owned totals (× `factor`), sends each peer the rows it contributed
-    /// partials for, seeds the local carries, posts irecvs for rows owned
-    /// elsewhere, and queues the scatter in `scratch`. Local work — and
-    /// further `scatter_begin`s — may run until the matching
-    /// [`scatter_finish`].
+    /// Posts fused slice `slice`'s global scatter (transpose direction):
+    /// quantizes its owned totals (× `factor`), sends each peer the rows
+    /// it contributed partials for under the slice's [`slice_salt`],
+    /// seeds the local carries, posts irecvs for rows owned elsewhere, and
+    /// queues the scatter in `scratch`. Local work — and further
+    /// `scatter_begin`s — may run until the matching [`scatter_finish`].
     ///
     /// [`scatter_finish`]: RankPlan::scatter_finish
     pub fn scatter_begin<S: Wire>(
         &self,
         comm: &Communicator,
         scratch: &mut ExchangeScratch,
+        slice: usize,
         owned: &[f32],
         factor: f32,
-        undo: f32,
-        salt: u64,
     ) -> Result<(), CommError> {
         assert_eq!(owned.len(), self.owned_len, "owned length mismatch");
         let _span = comm.telemetry().span(Phase::HaloExchange);
         let level = &self.scatter_global;
-        let mut quant = scratch.take_acc(0);
-        quant.extend(owned.iter().map(|&v| S::from_f32(v * factor).to_f64()));
-        run_sends::<S>(comm, level, &quant, salt)?;
-        let mut out1 = scratch.take_acc(level.out_len);
+        let tag = level.level.tag() ^ slice_salt(slice);
+        let quantized = |i: u32| S::from_f32(owned[i as usize] * factor).to_f64();
+        run_sends::<S>(comm, level, 1, tag, |_, i| quantized(i))?;
+        let mut out1 = take_acc(&mut scratch.acc_pool, level.out_len);
         for &(s, d) in &level.keeps {
-            out1[d as usize] = quant[s as usize];
+            out1[d as usize] = quantized(s);
         }
-        quant.clear();
-        scratch.acc_pool.push(quant);
-        let mut reqs = scratch.take_reqs();
+        let mut reqs = scratch.req_pool.pop().unwrap_or_default();
         for t in &level.recvs {
-            reqs.push(comm.irecv(t.peer, level.level.tag() ^ salt)?);
+            reqs.push(comm.irecv(t.peer, tag)?);
         }
-        scratch.scatters.push_back(ScatterInFlight {
-            out1,
-            reqs,
-            undo,
-            salt,
-        });
+        scratch
+            .scatters
+            .push_back(ScatterInFlight { out1, reqs, slice });
         Ok(())
     }
 
-    /// Completes the oldest posted scatter: waits on the global irecvs,
-    /// fans values out through the reversed node and socket levels
-    /// (blocking — these are the fast local links), restricts to the
-    /// footprint, and writes `value × undo` into `out`.
+    /// Completes the oldest posted scatter: waits on its global irecvs,
+    /// rounds to storage precision and holds the slice in `scratch` for
+    /// [`scatter_local`].
+    ///
+    /// [`scatter_local`]: RankPlan::scatter_local
     // xct-hot
     pub fn scatter_finish<S: Wire>(
         &self,
         comm: &Communicator,
         scratch: &mut ExchangeScratch,
-        out: &mut [f32],
     ) -> Result<(), CommError> {
         let _span = comm.telemetry().span(Phase::HaloExchange);
         let ScatterInFlight {
             mut out1,
             mut reqs,
-            undo,
-            salt,
+            slice,
         } = scratch.scatters.pop_front().ok_or(CommError::NotPosted)?;
-        assert_eq!(out.len(), self.in_len, "footprint length mismatch");
         {
             // As in `global_finish`: waiting on posted irecvs is stall
             // time and reports under its own `comm.wait` phase.
@@ -789,40 +890,108 @@ impl RankPlan {
                 comm.recycle(bytes);
             }
         }
-        round_level::<S>(&mut out1);
-        scratch.cur.clear();
-        scratch.cur.extend_from_slice(&out1);
+        let len = self.scatter_global.out_len;
+        let [cur, _] = S::Held::batch(&mut scratch.narrow, &mut scratch.wide);
+        if cur.len() < (slice + 1) * len {
+            cur.resize((slice + 1) * len, S::Held::zero());
+        }
+        round_into::<S>(&out1, &mut cur[slice * len..(slice + 1) * len]);
         out1.clear();
         scratch.acc_pool.push(out1);
         scratch.req_pool.push(reqs);
-        run_levels::<S>(
-            comm,
-            scratch,
-            &self.scatter_levels,
-            salt,
-            assign_payload::<S>,
-        )?;
-        for (o, &i) in out.iter_mut().zip(&self.restrict) {
-            *o = S::from_f64(scratch.cur[i as usize]).to_f32() * undo;
-        }
         Ok(())
     }
 
-    /// Blocking convenience: full transpose scatter, owned totals in,
-    /// footprint values out.
+    /// Runs the scatter fan-out (the reversed node and socket levels,
+    /// blocking — these are the fast local links) once for the `slices`
+    /// slices [`scatter_finish`] held, restricts each to the footprint and
+    /// writes `value × undo` into `out`, slice-major.
+    ///
+    /// [`scatter_finish`]: RankPlan::scatter_finish
+    pub fn scatter_local<S: Wire>(
+        &self,
+        comm: &Communicator,
+        scratch: &mut ExchangeScratch,
+        slices: usize,
+        undo: f32,
+        out: &mut [f32],
+    ) -> Result<(), CommError> {
+        let in_len = self.in_len;
+        assert_eq!(out.len(), slices * in_len, "footprint length mismatch");
+        assert!(
+            scratch.scatters.is_empty(),
+            "scatter posted but not finished"
+        );
+        let _span = comm.telemetry().span(Phase::HaloExchange);
+        let ExchangeScratch {
+            narrow,
+            wide,
+            acc,
+            payloads,
+            ..
+        } = scratch;
+        let [cur, nxt] = S::Held::batch(narrow, wide);
+        let mut len = self.scatter_global.out_len;
+        assert!(cur.len() >= slices * len, "scatter batch not held");
+        let restrict = &self.restrict;
+        let Some((last, fan_out)) = self.scatter_levels.split_last() else {
+            for f in 0..slices {
+                let vals = &cur[f * len..(f + 1) * len];
+                for (o, &i) in out[f * in_len..(f + 1) * in_len].iter_mut().zip(restrict) {
+                    *o = S::from_f64(vals[i as usize].to_f64()).to_f32() * undo;
+                }
+            }
+            return Ok(());
+        };
+        let land = assign_payload::<S>;
+        for level in fan_out {
+            let out_len = level.out_len;
+            nxt.clear();
+            nxt.resize(slices * out_len, S::Held::zero());
+            let emit = |f: usize, vals: &[f64]| {
+                round_into::<S>(vals, &mut nxt[f * out_len..(f + 1) * out_len]);
+            };
+            let input = held_input(&cur[..], len);
+            run_level::<S>(comm, level, slices, input, acc, payloads, land, emit)?;
+            std::mem::swap(cur, nxt);
+            len = out_len;
+        }
+        // The last level restricts each slice straight into the footprint.
+        let emit = |f: usize, vals: &[f64]| {
+            for (o, &i) in out[f * in_len..(f + 1) * in_len].iter_mut().zip(restrict) {
+                *o = S::from_f64(vals[i as usize]).to_f32() * undo;
+            }
+        };
+        let input = held_input(&cur[..], len);
+        run_level::<S>(comm, last, slices, input, acc, payloads, land, emit)
+    }
+
+    /// Blocking convenience: the full transpose scatter of a batch —
+    /// `owned` is `slices` slices of owned totals, `out` as many slices of
+    /// footprint values.
     #[allow(clippy::too_many_arguments)]
     pub fn scatter<S: Wire>(
         &self,
         comm: &Communicator,
         scratch: &mut ExchangeScratch,
         owned: &[f32],
+        slices: usize,
         factor: f32,
         undo: f32,
-        salt: u64,
         out: &mut [f32],
     ) -> Result<(), CommError> {
-        self.scatter_begin::<S>(comm, scratch, owned, factor, undo, salt)?;
-        self.scatter_finish::<S>(comm, scratch, out)
+        assert_eq!(
+            owned.len(),
+            slices * self.owned_len,
+            "owned length mismatch"
+        );
+        let len = self.owned_len;
+        for f in 0..slices {
+            let owned = &owned[f * len..(f + 1) * len];
+            self.scatter_begin::<S>(comm, scratch, f, owned, factor)?;
+            self.scatter_finish::<S>(comm, scratch)?;
+        }
+        self.scatter_local::<S>(comm, scratch, slices, undo, out)
     }
 }
 
@@ -832,6 +1001,7 @@ mod tests {
     use crate::exec::{
         execute_direct, execute_hierarchical, scatter_direct, scatter_hierarchical, PartialData,
     };
+    use crate::metrics::TrafficClass;
     use crate::plan::Footprints;
     use crate::runtime::run_ranks;
     use xct_fp16::F16;
@@ -862,89 +1032,88 @@ mod tests {
         ((p as f32 + 1.0) * 0.125) + (r as f32) * 0.01
     }
 
-    fn reduce_matches_reference<S: Wire>(topo: Topology) {
+    fn bits(vals: &[f32]) -> Vec<u32> {
+        vals.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A batch of `fusing` slices reduced and scattered by the compiled
+    /// executor against the reference executor run slice by slice: every
+    /// owned total and every scattered footprint value bit for bit, with a
+    /// distinct §III-C1 factor per forward slice. Returns each rank's
+    /// socket- and node-class message count for the one batch.
+    fn batch_matches_reference<S: Wire>(topo: Topology, fusing: usize) -> Vec<u64> {
         let (fp, own) = fixture_on(topo);
         let plan = HierarchicalPlan::build(&fp, &own, &topo);
         let compiled = CompiledPlans::compile_hierarchical(&fp, &own, &plan);
+        let slice_val = |f: usize, p: usize, r: u32| partial(p, r) + f as f32 * 0.375;
+        let total = |f: usize, r: u32| 0.5 + (r as f32) * 0.03125 + f as f32 * 0.25;
+        let (factors, undos): (Vec<f32>, Vec<f32>) = (0..fusing)
+            .map(|f| (1.0 + f as f32 * 0.5, 1.0 / (1.0 + f as f32 * 0.5)))
+            .unzip();
+        let (factor, undo) = (4.0f32, 0.25f32);
         let reference = run_ranks(topo.size(), |comm| {
-            let rows = fp.per_rank[comm.rank()].clone();
-            let vals: Vec<S> = rows
-                .iter()
-                .map(|&r| S::from_f32(partial(comm.rank(), r)))
+            let me = comm.rank();
+            let (rows, mine) = (&fp.per_rank[me], own.rows_of(me));
+            let (mut owned, mut back) = (Vec::new(), Vec::new());
+            for f in 0..fusing {
+                let quant = |v: f32, k: f32| S::from_f32(v * k);
+                let vals = rows.iter().map(|&r| quant(slice_val(f, me, r), factors[f]));
+                let part = PartialData::new(rows.clone(), vals.collect());
+                let out = execute_hierarchical(comm, &plan, &own, &part).unwrap();
+                owned.extend(out.vals.iter().map(|v| v.to_f32() * undos[f]));
+                let vals = mine.iter().map(|&r| quant(total(f, r), factor));
+                let totals = PartialData::new(mine.clone(), vals.collect());
+                let out = scatter_hierarchical(comm, &plan, &own, &totals, rows).unwrap();
+                back.extend(out.vals.iter().map(|v| v.to_f32() * undo));
+            }
+            (bits(&owned), bits(&back))
+        });
+        let batched = run_ranks(topo.size(), |comm| {
+            let me = comm.rank();
+            let rp = compiled.rank(me);
+            let (rows, mine) = (&fp.per_rank[me], own.rows_of(me));
+            let part: Vec<f32> = (0..fusing)
+                .flat_map(|f| rows.iter().map(move |&r| slice_val(f, me, r)))
                 .collect();
-            let mine = PartialData::new(rows, vals);
-            execute_hierarchical(comm, &plan, &own, &mine).unwrap()
-        });
-        let fast = run_ranks(topo.size(), |comm| {
-            let me = comm.rank();
-            let rp = compiled.rank(me);
-            let vals: Vec<f32> = fp.per_rank[me].iter().map(|&r| partial(me, r)).collect();
+            let totals: Vec<f32> = (0..fusing)
+                .flat_map(|f| mine.iter().map(move |&r| total(f, r)))
+                .collect();
             let mut scratch = ExchangeScratch::new();
-            let mut out = vec![0.0f32; rp.owned_len()];
-            rp.reduce::<S>(comm, &mut scratch, &vals, 1.0, 1.0, 0, &mut out)
+            let mut owned = vec![0.0f32; fusing * rp.owned_len()];
+            rp.reduce::<S>(comm, &mut scratch, &part, &factors, &undos, &mut owned)
                 .unwrap();
-            out
-        });
-        for (p, (r, f)) in reference.iter().zip(&fast).enumerate() {
-            assert_eq!(r.rows, own.rows_of(p));
-            let rvals: Vec<f32> = r.vals.iter().map(|v| v.to_f32()).collect();
-            assert_eq!(&rvals, f, "rank {p}: compiled must be bit-identical");
-        }
-    }
-
-    #[test]
-    fn hierarchical_reduce_bit_identical_to_reference_f32() {
-        reduce_matches_reference::<f32>(fixture().2);
-    }
-
-    #[test]
-    fn hierarchical_reduce_bit_identical_to_reference_f64() {
-        reduce_matches_reference::<f64>(fixture().2);
-    }
-
-    #[test]
-    fn hierarchical_reduce_bit_identical_to_reference_f16() {
-        reduce_matches_reference::<F16>(fixture().2);
-    }
-
-    fn scatter_matches_reference<S: Wire>(topo: Topology) {
-        let (fp, own) = fixture_on(topo);
-        let plan = HierarchicalPlan::build(&fp, &own, &topo);
-        let compiled = CompiledPlans::compile_hierarchical(&fp, &own, &plan);
-        // Owned totals: deterministic per-row values.
-        let total = |r: u32| 0.5 + (r as f32) * 0.03125;
-        let reference = run_ranks(topo.size(), |comm| {
-            let me = comm.rank();
-            let rows = own.rows_of(me);
-            let vals: Vec<S> = rows.iter().map(|&r| S::from_f32(total(r))).collect();
-            let owned = PartialData::new(rows, vals);
-            scatter_hierarchical(comm, &plan, &own, &owned, &fp.per_rank[me]).unwrap()
-        });
-        let fast = run_ranks(topo.size(), |comm| {
-            let me = comm.rank();
-            let rp = compiled.rank(me);
-            let owned: Vec<f32> = own.rows_of(me).iter().map(|&r| total(r)).collect();
-            let mut scratch = ExchangeScratch::new();
-            let mut out = vec![0.0f32; rp.in_len()];
-            rp.scatter::<S>(comm, &mut scratch, &owned, 1.0, 1.0, 0, &mut out)
+            let mut back = vec![0.0f32; fusing * rp.in_len()];
+            rp.scatter::<S>(comm, &mut scratch, &totals, fusing, factor, undo, &mut back)
                 .unwrap();
-            out
+            let msgs = comm.comm_stats().class_msgs;
+            let local = msgs[TrafficClass::Socket as usize] + msgs[TrafficClass::Node as usize];
+            ((bits(&owned), bits(&back)), local)
         });
-        for (p, (r, f)) in reference.iter().zip(&fast).enumerate() {
-            assert_eq!(r.rows, fp.per_rank[p]);
-            let rvals: Vec<f32> = r.vals.iter().map(|v| v.to_f32()).collect();
-            assert_eq!(&rvals, f, "rank {p}: compiled scatter must match");
+        for (p, (r, (b, _))) in reference.iter().zip(&batched).enumerate() {
+            assert_eq!(
+                r, b,
+                "{topo} fusing {fusing} rank {p}: batch must be bit-identical"
+            );
         }
+        batched.into_iter().map(|(_, local)| local).collect()
     }
 
     #[test]
-    fn hierarchical_scatter_bit_identical_to_reference_f32() {
-        scatter_matches_reference::<f32>(fixture().2);
-    }
-
-    #[test]
-    fn hierarchical_scatter_bit_identical_to_reference_f16() {
-        scatter_matches_reference::<F16>(fixture().2);
+    fn batched_reduce_and_scatter_are_the_reference_slice_by_slice() {
+        // Every precision, fusing 1 (a batch of one), 3 and 8, on machines
+        // with both local levels, one, or three GPUs per socket — and a
+        // local level's sends are one message per peer and apply, whatever
+        // the batch holds.
+        for topo in [(1, 1, 2), (1, 2, 2), (2, 2, 2), (3, 1, 4)] {
+            let topo = Topology::new(topo.0, topo.1, topo.2);
+            let one = batch_matches_reference::<f32>(topo, 1);
+            assert!(one.iter().any(|&m| m > 0), "{topo}: no local traffic");
+            for fusing in [1, 3, 8] {
+                assert_eq!(batch_matches_reference::<f64>(topo, fusing), one);
+                assert_eq!(batch_matches_reference::<f32>(topo, fusing), one);
+                assert_eq!(batch_matches_reference::<F16>(topo, fusing), one);
+            }
+        }
     }
 
     /// The levels `rp` runs, forward then scatter.
@@ -974,10 +1143,10 @@ mod tests {
             for p in 0..topo.size() {
                 assert_eq!(levels_of(compiled.rank(p)), expected, "{topo} rank {p}");
             }
-            reduce_matches_reference::<f32>(topo);
-            reduce_matches_reference::<F16>(topo);
-            scatter_matches_reference::<f32>(topo);
-            scatter_matches_reference::<F16>(topo);
+            for fusing in [1, 3] {
+                batch_matches_reference::<f32>(topo, fusing);
+                batch_matches_reference::<F16>(topo, fusing);
+            }
         }
     }
 
@@ -1007,10 +1176,10 @@ mod tests {
             let vals: Vec<f32> = fp.per_rank[me].iter().map(|&r| partial(me, r)).collect();
             let mut scratch = ExchangeScratch::new();
             let mut owned = vec![0.0f32; rp.owned_len()];
-            rp.reduce::<S>(comm, &mut scratch, &vals, 1.0, 1.0, 0, &mut owned)
+            rp.reduce::<S>(comm, &mut scratch, &vals, &[1.0], &[1.0], &mut owned)
                 .unwrap();
             let mut back = vec![0.0f32; rp.in_len()];
-            rp.scatter::<S>(comm, &mut scratch, &owned, 1.0, 1.0, 0, &mut back)
+            rp.scatter::<S>(comm, &mut scratch, &owned, 1, 1.0, 1.0, &mut back)
                 .unwrap();
             (owned, back)
         });
@@ -1037,8 +1206,15 @@ mod tests {
             let vals: Vec<f32> = fp.per_rank[me].iter().map(|&r| partial(me, r)).collect();
             let mut scratch = ExchangeScratch::new();
             let mut out = vec![0.0f32; rp.owned_len()];
-            rp.reduce::<F16>(comm, &mut scratch, &vals, factor, 1.0 / factor, 0, &mut out)
-                .unwrap();
+            rp.reduce::<F16>(
+                comm,
+                &mut scratch,
+                &vals,
+                &[factor],
+                &[1.0 / factor],
+                &mut out,
+            )
+            .unwrap();
             out
         });
         for (p, out) in results.iter().enumerate() {
@@ -1057,54 +1233,40 @@ mod tests {
 
     #[test]
     fn overlapped_begin_finish_matches_blocking_across_slices() {
-        // Every "slice" in flight at once (the §III-E post-all/drain-all
-        // shape) must produce the same owned totals as running each slice
-        // synchronously.
+        // Every slice's global exchange in flight at once (the §III-E
+        // post-all/drain-all shape) must produce the same owned totals as
+        // the blocking post, drain, post, drain … of `reduce`.
         let (fp, own, topo) = fixture();
         let compiled = CompiledPlans::build_hierarchical(&fp, &own, &topo);
-        let slice_val = |s: usize, p: usize, r: u32| partial(p, r) + s as f32 * 0.25;
         let (compiled, fp) = (&compiled, &fp);
         let run = |overlap: bool| {
             run_ranks(8, move |comm| {
                 let me = comm.rank();
                 let rp = compiled.rank(me);
                 let mut scratch = ExchangeScratch::new();
-                let vals: Vec<Vec<f32>> = (0..3)
-                    .map(|s| {
+                let part: Vec<f32> = (0..3)
+                    .flat_map(|s| {
                         fp.per_rank[me]
                             .iter()
-                            .map(|&r| slice_val(s, me, r))
-                            .collect()
+                            .map(move |&r| partial(me, r) + s as f32 * 0.25)
                     })
                     .collect();
-                let mut outs = vec![vec![0.0f32; rp.owned_len()]; 3];
+                let ones = [1.0f32; 3];
+                let mut out = vec![0.0f32; 3 * rp.owned_len()];
                 if overlap {
-                    for (s, slice_vals) in vals.iter().enumerate() {
-                        let salt = crate::protocol::slice_salt(s);
-                        rp.reduce_local::<f32>(comm, &mut scratch, slice_vals, 1.0, salt)
-                            .unwrap();
-                        rp.global_begin::<f32>(comm, &mut scratch, 1.0, salt)
-                            .unwrap();
+                    rp.reduce_local::<f32>(comm, &mut scratch, &part, &ones)
+                        .unwrap();
+                    for s in 0..3 {
+                        rp.global_begin::<f32>(comm, &mut scratch, s, 1.0).unwrap();
                     }
-                    for out in &mut outs {
+                    for out in out.chunks_mut(rp.owned_len()) {
                         rp.global_finish::<f32>(comm, &mut scratch, out).unwrap();
                     }
                 } else {
-                    for s in 0..3 {
-                        let salt = crate::protocol::slice_salt(s);
-                        rp.reduce::<f32>(
-                            comm,
-                            &mut scratch,
-                            &vals[s],
-                            1.0,
-                            1.0,
-                            salt,
-                            &mut outs[s],
-                        )
+                    rp.reduce::<f32>(comm, &mut scratch, &part, &ones, &ones, &mut out)
                         .unwrap();
-                    }
                 }
-                outs
+                out
             })
         };
         assert_eq!(run(true), run(false), "overlap must not change results");

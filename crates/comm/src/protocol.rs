@@ -14,16 +14,20 @@
 //! FIFO order: a base tag below bit [`SLICE_SALT_SHIFT`] (an exchange
 //! level's, or a [`Collective`]'s, whose butterfly rounds add
 //! `(k + 1) << 32`: [`crate::Leg::Round`]), the fused slice's
-//! [`slice_salt`] from there up to bit 62, and [`REPLY_TAG_SALT`] in
-//! bit 63, which only the collectives' down leg sets. DESIGN.md §3c
-//! draws the table.
+//! [`slice_salt`] from there up to bit 62 — on the two global levels
+//! only ([`ExchangeLevel::per_slice`]) — and [`REPLY_TAG_SALT`] in bit
+//! 63, which only the collectives' down leg sets. DESIGN.md §3c draws
+//! the table.
 //!
 //! **Schedule**: the rank's kernel runs once per apply over the whole
-//! minibatch, so nothing is left to compute *between* slices; what
-//! remains per slice is [`ExchangeOp::Post`] — the local socket/node
-//! reduction plus the nonblocking post of the slice's global exchange —
-//! and [`ExchangeOp::Drain`] — completing it. [`exchange_schedule`] is
-//! the order of the two, for both settings of `overlap`.
+//! minibatch, and so do the local socket/node levels of both directions —
+//! one message per peer carrying every slice, on the level's base tag.
+//! What remains per slice is the global exchange: [`ExchangeOp::Post`]
+//! — the nonblocking post of the slice's global exchange — and
+//! [`ExchangeOp::Drain`] — completing it. [`exchange_schedule`] is the
+//! order of the two, for both settings of `overlap`; the forward local
+//! levels run before the first post, the transpose ones after the last
+//! drain.
 
 use crate::metrics::TrafficClass;
 use crate::runtime::REPLY_TAG_SALT;
@@ -64,8 +68,9 @@ impl ExchangeLevel {
         ExchangeLevel::ScatterSocket,
     ];
 
-    /// The level's base tag, XORed with the fused slice's
-    /// [`slice_salt`] on the wire.
+    /// The level's base tag: a local level's messages travel under it
+    /// as is, a global level's XORed with the fused slice's
+    /// [`slice_salt`].
     pub const fn tag(self) -> u64 {
         match self {
             ExchangeLevel::Socket => 0x1100,
@@ -75,6 +80,14 @@ impl ExchangeLevel {
             ExchangeLevel::ScatterNode => 0x1600,
             ExchangeLevel::ScatterSocket => 0x1700,
         }
+    }
+
+    /// Whether the level runs once per fused slice, each slice under its
+    /// own [`slice_salt`] (the two global levels, whose exchanges
+    /// [`exchange_schedule`] posts and drains), or once per apply over
+    /// the whole batch on its base tag (the socket and node levels).
+    pub const fn per_slice(self) -> bool {
+        matches!(self, ExchangeLevel::Global | ExchangeLevel::ScatterGlobal)
     }
 
     /// The traffic class the level's sends are charged to.
@@ -87,9 +100,9 @@ impl ExchangeLevel {
     }
 
     /// The span the executor opens around one run of the level: the
-    /// two forward local levels have their own; the global levels and
-    /// the scatter fan-out run inside the spans their `*_begin` /
-    /// `*_finish` call opens.
+    /// two forward local levels have their own; the global levels run
+    /// inside the spans their `*_begin` / `*_finish` call opens, the
+    /// scatter fan-out inside `scatter_local`'s.
     pub const fn span(self) -> Option<Phase> {
         match self {
             ExchangeLevel::Socket => Some(Phase::ReduceSocket),
@@ -120,10 +133,12 @@ impl fmt::Display for ExchangeLevel {
 /// First bit of the per-slice salt: base tags stay below it.
 pub const SLICE_SALT_SHIFT: u32 = 44;
 
-/// The tag salt of fused slice `slice`, XORed onto every exchange-level
-/// tag of that slice so concurrently in-flight slices never match each
+/// The tag salt of fused slice `slice`, XORed onto the global-level tags
+/// of that slice so concurrently in-flight slices never match each
 /// other's messages. Slice 0's salt is nonzero: unsalted traffic on a
-/// level's base tag belongs to no slice.
+/// level's base tag belongs to no one slice — it is a local level's,
+/// carrying the whole minibatch; per-key FIFO keeps consecutive applies
+/// apart, as it does the collectives.
 pub const fn slice_salt(slice: usize) -> u64 {
     ((slice as u64) + 1) << SLICE_SALT_SHIFT
 }
@@ -169,7 +184,7 @@ impl Collective {
 /// One step of the exchange schedule, for fused slice `f`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExchangeOp {
-    /// Run slice `f`'s local work and post its global exchange.
+    /// Post slice `f`'s global exchange.
     Post(usize),
     /// Complete slice `f`'s global exchange.
     Drain(usize),
@@ -183,8 +198,8 @@ pub enum ExchangeOp {
 ///   latency. This is the bit-identity oracle.
 /// * Overlapped (`overlap = true`): `Post(0) … Post(n−1) Drain(0) …
 ///   Drain(n−1)` — every slice's exchange is on the wire while the later
-///   slices run their local reductions, and the drains find most
-///   messages already delivered: one latency per apply instead of `n`.
+///   slices are posted, and the drains find most messages already
+///   delivered: one latency per apply instead of `n`.
 ///
 /// Both orders run the same `Post(f)` before the same `Drain(f)` for
 /// every `f`, and the slices are data-independent (distinct tag salts,
@@ -222,6 +237,19 @@ mod tests {
             assert_eq!(tag >> SLICE_SALT_SHIFT, 0, "{tag:#x}");
             assert!(!tags[..i].contains(&tag), "{tag:#x} defined twice");
         }
+    }
+
+    #[test]
+    fn only_the_global_levels_are_salted_per_slice() {
+        let per_slice: Vec<_> = ExchangeLevel::REDUCE
+            .into_iter()
+            .chain(ExchangeLevel::SCATTER)
+            .filter(|l| l.per_slice())
+            .collect();
+        assert_eq!(
+            per_slice,
+            [ExchangeLevel::Global, ExchangeLevel::ScatterGlobal]
+        );
     }
 
     #[test]

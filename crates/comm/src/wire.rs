@@ -8,6 +8,10 @@ use xct_fp16::{StorageScalar, F16};
 /// this is precisely how half-precision communication halves the volumes
 /// of Table IV relative to single.
 pub trait Wire: StorageScalar {
+    /// The native float a batch of these values is held in between two
+    /// exchange levels ([`HeldScalar`]).
+    type Held: HeldScalar;
+
     /// Appends the little-endian encoding of `self`.
     fn write_to(self, out: &mut Vec<u8>);
     /// Decodes from the start of `bytes`; caller guarantees enough bytes.
@@ -41,7 +45,34 @@ pub trait Wire: StorageScalar {
     }
 }
 
+/// A native float that holds every value of a storage type exactly. Each
+/// exchange level rounds its output to storage precision once, so the
+/// values it hands the next level are exact in the storage type and can
+/// be held at that width without loss: `f32` for `f32` and `F16`, `f64`
+/// only for `f64`.
+pub trait HeldScalar: StorageScalar {
+    /// This width's pair of buffers, out of one pair per width.
+    fn batch<'a>(
+        narrow: &'a mut [Vec<f32>; 2],
+        wide: &'a mut [Vec<f64>; 2],
+    ) -> &'a mut [Vec<Self>; 2];
+}
+
+impl HeldScalar for f32 {
+    fn batch<'a>(narrow: &'a mut [Vec<f32>; 2], _: &'a mut [Vec<f64>; 2]) -> &'a mut [Vec<f32>; 2] {
+        narrow
+    }
+}
+
+impl HeldScalar for f64 {
+    fn batch<'a>(_: &'a mut [Vec<f32>; 2], wide: &'a mut [Vec<f64>; 2]) -> &'a mut [Vec<f64>; 2] {
+        wide
+    }
+}
+
 impl Wire for f64 {
+    type Held = f64;
+
     fn write_to(self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.to_le_bytes());
     }
@@ -52,6 +83,8 @@ impl Wire for f64 {
 }
 
 impl Wire for f32 {
+    type Held = f32;
+
     fn write_to(self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.to_le_bytes());
     }
@@ -62,6 +95,8 @@ impl Wire for f32 {
 }
 
 impl Wire for F16 {
+    type Held = f32;
+
     fn write_to(self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.to_bits().to_le_bytes());
     }

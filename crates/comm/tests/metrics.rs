@@ -35,9 +35,8 @@ fn reduce_row_ids<S: Wire>(comm: &Communicator, compiled: &CompiledPlans, fp: &F
         comm,
         &mut ExchangeScratch::new(),
         &vals,
-        1.0,
-        1.0,
-        0,
+        &[1.0],
+        &[1.0],
         &mut out,
     )
     .unwrap();

@@ -47,9 +47,8 @@ fn check_topology(topo: Topology) {
                 comm,
                 &mut ExchangeScratch::new(),
                 &vals,
-                1.0,
-                1.0,
-                0,
+                &[1.0],
+                &[1.0],
                 &mut out,
             )
             .unwrap();

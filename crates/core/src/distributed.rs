@@ -6,9 +6,11 @@
 //! Forward projection per iteration: each rank runs the buffered SpMM on
 //! its voxel subdomain **once for the whole fused minibatch** (the
 //! paper's fused kernel, inside the rank) → partial sinograms over its
-//! footprint → per slice, hierarchical (or direct) reduce to ray owners
-//! through a *compiled* communication plan. Backprojection: owners
-//! scatter sinogram values back to footprints slice by slice → one fused
+//! footprint → the socket and node reductions of the whole minibatch at
+//! once, one message per peer and level → per slice, the global exchange
+//! to ray owners, all through a *compiled* communication plan.
+//! Backprojection: owners scatter sinogram values back slice by slice →
+//! the node and socket fan-out of the whole minibatch at once → one fused
 //! transposed SpMM. What an iteration *waits on* is four small
 //! collectives — the per-slice normalization maxima of the forward
 //! partials as one vector (§III-C1 applied across ranks), the
@@ -18,16 +20,15 @@
 //! direction.
 //!
 //! With [`DistributedConfig::overlap`] a rank posts every fused slice's
-//! global exchange as soon as that slice's socket/node reduction is done
-//! and drains them afterwards in slice order (paper §III-E, Figs 11–12;
-//! [`exchange_schedule`]), so all slices share one wire
+//! global exchange before draining any, in slice order (paper §III-E,
+//! Figs 11–12; [`exchange_schedule`]), so all slices share one wire
 //! latency. Results are bit-identical to the synchronous schedule — the
 //! same floating-point operations run in the same order; only the
 //! waiting moves.
 
 use crate::decompose::{packing_orders, SliceDecomposition};
 use std::sync::{Arc, Mutex, PoisonError};
-use xct_comm::protocol::{exchange_schedule, slice_salt, Collective, ExchangeOp};
+use xct_comm::protocol::{exchange_schedule, Collective, ExchangeOp};
 use xct_comm::{
     run_ranks_with, AllreduceSteps, Communicator, CompiledPlans, ExchangeScratch, HierarchicalPlan,
     RankCommStats, RankOptions, ReduceOp, Topology, Wire, WireModel,
@@ -171,7 +172,7 @@ fn normalization(global_max: f64) -> (f32, f32) {
 /// One rank's distributed operator for one run: the set-up's packed
 /// restriction of the matrix at this run's fusing factor — one fused
 /// kernel launch per apply and direction — plus compiled plan-driven
-/// exchanges per fused slice.
+/// exchanges: one per local level and apply, one global per fused slice.
 struct RankOperator<'a> {
     comm: &'a Communicator,
     cfg: &'a DistributedConfig,
@@ -229,45 +230,45 @@ impl<'a> RankOperator<'a> {
     /// minibatch, one vector collective agreeing on every slice's
     /// normalization factor (so quantized contributions from different
     /// ranks combine coherently — §III-C1 across ranks; skipped for
-    /// full-width wire formats), then per slice the socket/node
-    /// reduction and the global exchange to ray owners, posted and
-    /// drained in [`exchange_schedule`] order.
+    /// full-width wire formats), the socket/node reduction of the whole
+    /// batch at once, then per slice the global exchange to ray owners,
+    /// posted and drained in [`exchange_schedule`] order.
     fn apply_as<S: Wire>(&self, x: &[f32], y: &mut [f32], ctx: &mut ExecContext) {
         let rp = self.plans.rank(self.rank);
         let telemetry = self.comm.telemetry();
         let fusing = self.fusing;
         let (fp, rays) = (self.footprint_len, self.owned_rays_len);
         let mut partial = ctx.workspace.take::<f32>(BufferRole::Forward, fp * fusing);
-        // The fused launch and the collective work all slices at once:
-        // their cost is split evenly over the batch.
+        // The fused launch, the collective and the local levels work all
+        // slices at once: their cost is split evenly over the batch.
         telemetry.profile_slices_set(0, fusing as u32);
         self.local.apply(x, &mut partial, ctx);
-        let quantized = self.cfg.precision.quantizes_to_half();
         let mut maxima = ctx.workspace.take::<f64>(BufferRole::Scratch(0), fusing);
-        if quantized {
+        let mut factors = ctx.workspace.take::<f32>(BufferRole::Scratch(1), fusing);
+        let mut undos = ctx.workspace.take::<f32>(BufferRole::Scratch(2), fusing);
+        if self.cfg.precision.quantizes_to_half() {
             for (f, m) in maxima.iter_mut().enumerate() {
                 *m = f64::from(max_abs(&partial[f * fp..(f + 1) * fp]));
             }
             self.allreduce(Collective::FORWARD_MAXIMA, ReduceOp::Max, &mut maxima);
+            for ((k, u), &m) in factors.iter_mut().zip(undos.iter_mut()).zip(&maxima) {
+                (*k, *u) = normalization(m);
+            }
+        } else {
+            factors.fill(1.0);
+            undos.fill(1.0);
         }
         {
             // xct-allow(no-panic): lock poisoning means this rank's thread already panicked; propagate
             let mut scratch = self.scratch.lock().expect("scratch mutex");
+            rp.reduce_local::<S>(self.comm, &mut scratch, &partial, &factors)
+                // xct-allow(no-panic): comm ops execute a verified plan; a wire fault mid-iteration is unrecoverable
+                .expect("local reduction");
             for op in exchange_schedule(fusing, self.cfg.overlap) {
                 match op {
                     ExchangeOp::Post(f) => {
                         telemetry.profile_slice_set(f as u32);
-                        let (factor, undo) = if quantized {
-                            normalization(maxima[f])
-                        } else {
-                            (1.0, 1.0)
-                        };
-                        let salt = slice_salt(f);
-                        let ps = &partial[f * fp..(f + 1) * fp];
-                        rp.reduce_local::<S>(self.comm, &mut scratch, ps, factor, salt)
-                            // xct-allow(no-panic): comm ops execute a verified plan; a wire fault mid-iteration is unrecoverable
-                            .expect("local reduction");
-                        rp.global_begin::<S>(self.comm, &mut scratch, undo, salt)
+                        rp.global_begin::<S>(self.comm, &mut scratch, f, undos[f])
                             // xct-allow(no-panic): comm ops execute a verified plan; a wire fault mid-iteration is unrecoverable
                             .expect("global exchange post");
                     }
@@ -284,15 +285,17 @@ impl<'a> RankOperator<'a> {
         // Whole-batch work until the next apply (the solver's collectives)
         // is every slice's cost again.
         telemetry.profile_slices_set(0, fusing as u32);
+        ctx.workspace.put(BufferRole::Scratch(2), undos);
+        ctx.workspace.put(BufferRole::Scratch(1), factors);
         ctx.workspace.put(BufferRole::Scratch(0), maxima);
         ctx.workspace.put(BufferRole::Forward, partial);
     }
 
     /// Transpose apply at wire precision `S`: one normalization factor
     /// for the whole batch (one scalar collective), per slice the global
-    /// scatter from owners and the node/socket fan-out, posted and
-    /// drained in [`exchange_schedule`] order, then one fused transposed
-    /// SpMM over the whole minibatch.
+    /// scatter from owners, posted and drained in [`exchange_schedule`]
+    /// order, then the node/socket fan-out of the whole batch at once and
+    /// one fused transposed SpMM over the whole minibatch.
     fn apply_transpose_as<S: Wire>(&self, y: &[f32], x: &mut [f32], ctx: &mut ExecContext) {
         let rp = self.plans.rank(self.rank);
         let telemetry = self.comm.telemetry();
@@ -320,22 +323,23 @@ impl<'a> RankOperator<'a> {
                     ExchangeOp::Post(f) => {
                         telemetry.profile_slice_set(f as u32);
                         let owned = &y[f * rays..(f + 1) * rays];
-                        let salt = slice_salt(f);
-                        rp.scatter_begin::<S>(self.comm, &mut scratch, owned, factor, undo, salt)
+                        rp.scatter_begin::<S>(self.comm, &mut scratch, f, owned, factor)
                             // xct-allow(no-panic): comm ops execute a verified plan; a wire fault mid-iteration is unrecoverable
                             .expect("scatter post");
                     }
                     ExchangeOp::Drain(f) => {
                         telemetry.profile_slice_set(f as u32);
-                        let fs = &mut footprint[f * fp..(f + 1) * fp];
-                        rp.scatter_finish::<S>(self.comm, &mut scratch, fs)
+                        rp.scatter_finish::<S>(self.comm, &mut scratch)
                             // xct-allow(no-panic): comm ops execute a verified plan; a wire fault mid-iteration is unrecoverable
                             .expect("scatter finish");
                     }
                 }
             }
+            telemetry.profile_slices_set(0, fusing as u32);
+            rp.scatter_local::<S>(self.comm, &mut scratch, fusing, undo, &mut footprint)
+                // xct-allow(no-panic): comm ops execute a verified plan; a wire fault mid-iteration is unrecoverable
+                .expect("scatter fan-out");
         }
-        telemetry.profile_slices_set(0, fusing as u32);
         self.local.apply_transpose(&footprint, x, ctx);
         ctx.workspace.put(BufferRole::Footprint, footprint);
     }
@@ -626,7 +630,7 @@ mod tests {
     use super::*;
     use xct_comm::run_ranks;
     use xct_geometry::ImageGrid;
-    use xct_solver::{cgls, CglsConfig, SystemMatrixOperator};
+    use xct_solver::{cgls, SystemMatrixOperator};
 
     fn phantom_sinogram(scan: &ScanGeometry, fusing: usize) -> (SystemMatrix, Vec<f32>, Vec<f32>) {
         let sm = SystemMatrix::build(scan);
@@ -851,6 +855,79 @@ mod tests {
         }
     }
 
+    /// A rank's operator whose forward output gets a NaN on iteration
+    /// `at`'s apply when `poisoned`.
+    struct NanAt<'a> {
+        inner: RankOperator<'a>,
+        poisoned: bool,
+        at: usize,
+        applies: std::sync::atomic::AtomicUsize,
+    }
+
+    impl LinearOperator for NanAt<'_> {
+        fn rows(&self) -> usize {
+            self.inner.rows()
+        }
+        fn cols(&self) -> usize {
+            self.inner.cols()
+        }
+        fn apply(&self, x: &[f32], y: &mut [f32], ctx: &mut ExecContext) {
+            self.inner.apply(x, y, ctx);
+            let call = 1 + self
+                .applies
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            if self.poisoned && call == self.at {
+                y[0] = f32::NAN;
+            }
+        }
+        fn apply_transpose(&self, y: &[f32], x: &mut [f32], ctx: &mut ExecContext) {
+            self.inner.apply_transpose(y, x, ctx);
+        }
+    }
+
+    #[test]
+    fn a_non_finite_scalar_on_one_rank_stops_every_rank_on_a_finite_iterate() {
+        // Rank 0's projection turns NaN on iteration 3. δ is allreduced,
+        // so every rank sees the NaN and stops there: two recorded
+        // iterations, unconverged, a finite iterate and history on all.
+        let scan = ScanGeometry::uniform(ImageGrid::square(12, 1.0), 12);
+        let (_, _, y) = phantom_sinogram(&scan, 1);
+        let cfg = DistributedConfig {
+            topology: Topology::new(1, 2, 2),
+            precision: Precision::Single,
+            ..Default::default()
+        };
+        let setup = DistributedSetup::build(&scan, &cfg);
+        let operators = setup.operators((cfg.precision, 1, cfg.block_size, cfg.shared_bytes));
+        let (setup, y) = (&setup, &y);
+        let solve = CglsConfig {
+            max_iters: 8,
+            tolerance: 0.0,
+            damping: 0.0,
+        };
+        let reports = run_ranks(cfg.topology.size(), |comm| {
+            let op = NanAt {
+                inner: RankOperator::new(comm, setup, &operators[comm.rank()]),
+                poisoned: comm.rank() == 0,
+                at: 3,
+                applies: Default::default(),
+            };
+            let rays = setup.scan.num_rays();
+            let y_local = setup.decomp.restrict_sinogram(y, rays, 1, comm.rank());
+            let mut ctx = ExecContext::serial();
+            cgls_in(&op, &y_local, &solve, &mut ctx, &mut |products| {
+                op.inner
+                    .allreduce(Collective::INNER_PRODUCTS, ReduceOp::Sum, products)
+            })
+        });
+        for (rank, report) in reports.iter().enumerate() {
+            assert_eq!(report.iterations, 2, "rank {rank}");
+            assert!(!report.converged, "rank {rank}");
+            assert!(report.x.iter().all(|v| v.is_finite()), "rank {rank}");
+            assert!(report.residual_history.iter().all(|r| r.is_finite()));
+        }
+    }
+
     #[test]
     fn extreme_maxima_get_finite_factors_and_nan_free_rows() {
         // §III-C1 across ranks at the edges of `f32`: a maximum below,
@@ -930,18 +1007,21 @@ mod tests {
     }
 
     /// Whether, on some rank, an exchange of `phase` was posted before
-    /// the previously posted one had finished draining. A *post* is a
-    /// `phase` span without a `CommWait` child (`*_begin`); a *drain* is
-    /// the `CommWait` child of a `phase` span (`*_finish`). Exchanges
-    /// drain in posting order, so the k-th post pairs with the k-th
-    /// drain of its track.
+    /// the previously posted one had finished draining. Only one slice's
+    /// spans count (the batch's local levels close stamped with all of
+    /// them): a *post* is a `phase` span without a `CommWait` child
+    /// (`*_begin`); a *drain* is the `CommWait` child of a `phase` span
+    /// (`*_finish`). Exchanges drain in posting order, so the k-th post
+    /// pairs with the k-th drain of its track.
     fn some_post_precedes_the_previous_drain_end(
         snap: &xct_telemetry::TelemetrySnapshot,
         phase: xct_exec::Phase,
     ) -> bool {
         use xct_exec::Phase;
         let is_drain = |s: &xct_telemetry::SpanRecord| {
-            s.phase == Phase::CommWait && s.parent.is_some_and(|i| snap.spans[i].phase == phase)
+            s.phase == Phase::CommWait
+                && s.slices == 1
+                && s.parent.is_some_and(|i| snap.spans[i].phase == phase)
         };
         (0..4u32).any(|track| {
             let drains: Vec<_> = snap
@@ -956,6 +1036,7 @@ mod tests {
                 .filter(|(i, s)| {
                     s.track == track
                         && s.phase == phase
+                        && s.slices == 1
                         && !snap
                             .spans
                             .iter()

@@ -185,7 +185,14 @@ impl CglsSolver {
 
     /// Performs one CGLS iteration; returns the relative residual
     /// afterwards, or `None` when the solve cannot progress (the gradient
-    /// has vanished, or the search direction is in the null space).
+    /// has vanished, or the search direction is in the null space) or a
+    /// scalar it needs is not finite — an overflow or NaN anywhere in an
+    /// apply reaches δ or γ, so the solve stops on the last finite
+    /// iterate instead of running to the cap on NaN. Distributed callers
+    /// stay in step: the scalars are reduced across ranks, so every rank
+    /// sees the same NaN and stops on the same iteration.
+    // `!(v > 0.0)` is true for NaN, which `v <= 0.0` is not.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
     pub fn step(
         &mut self,
         op: &dyn LinearOperator,
@@ -195,7 +202,7 @@ impl CglsSolver {
         let _span = ctx.telemetry.span(Phase::SolverIteration);
         let CglsSolver { x, r, s, p, q, .. } = self;
         let lambda = self.lambda;
-        if self.gamma <= 0.0 {
+        if !(self.gamma > 0.0) {
             return None;
         }
         op.apply(p, q, ctx);
@@ -208,7 +215,7 @@ impl CglsSolver {
             reduce(&mut qq);
             qq[0]
         };
-        if delta <= 0.0 {
+        if !(delta > 0.0) {
             return None;
         }
         let alpha = self.gamma / delta;
@@ -226,6 +233,9 @@ impl CglsSolver {
         let mut products = [dot(s, s), dot(r, r)];
         reduce(&mut products);
         let [gamma_new, r_norm2] = products;
+        if !gamma_new.is_finite() {
+            return None;
+        }
         let beta = gamma_new / self.gamma;
         self.gamma = gamma_new;
         // p = s + β·p
@@ -474,6 +484,72 @@ mod tests {
         );
         for (a, b) in first.x.iter().zip(&second.x) {
             assert_eq!(a.to_bits(), b.to_bits(), "warm solve must be bit-identical");
+        }
+    }
+
+    /// `inner` with a NaN written into its output on iteration `at`'s
+    /// forward apply, or on its backprojection — the transpose also runs
+    /// once at set-up.
+    struct NanAt<'a> {
+        inner: &'a dyn LinearOperator,
+        forward: bool,
+        at: usize,
+        calls: std::sync::atomic::AtomicUsize,
+    }
+
+    impl NanAt<'_> {
+        fn poisons_this_call(&self, forward: bool) -> bool {
+            use std::sync::atomic::Ordering;
+            if forward != self.forward {
+                return false;
+            }
+            let call = self.calls.fetch_add(1, Ordering::Relaxed) + 1;
+            call == self.at + usize::from(!forward)
+        }
+    }
+
+    impl LinearOperator for NanAt<'_> {
+        fn rows(&self) -> usize {
+            self.inner.rows()
+        }
+        fn cols(&self) -> usize {
+            self.inner.cols()
+        }
+        fn apply(&self, x: &[f32], y: &mut [f32], ctx: &mut ExecContext) {
+            self.inner.apply(x, y, ctx);
+            if self.poisons_this_call(true) {
+                y[0] = f32::NAN;
+            }
+        }
+        fn apply_transpose(&self, y: &[f32], x: &mut [f32], ctx: &mut ExecContext) {
+            self.inner.apply_transpose(y, x, ctx);
+            if self.poisons_this_call(false) {
+                x[0] = f32::NAN;
+            }
+        }
+    }
+
+    #[test]
+    fn a_non_finite_scalar_stops_the_solve_on_the_last_finite_iterate() {
+        // A NaN in iteration 3's forward apply makes δ NaN, one in its
+        // backprojection γ: either way the solve stops after two recorded
+        // iterations, unconverged, with a finite iterate and history.
+        let op = diagonal(10);
+        let x_true: Vec<f32> = (0..10).map(|i| i as f32 - 4.5).collect();
+        let mut y = vec![0.0f32; 10];
+        op.apply(&x_true, &mut y, &mut ExecContext::serial());
+        for forward in [true, false] {
+            let poisoned = NanAt {
+                inner: &op,
+                forward,
+                at: 3,
+                calls: Default::default(),
+            };
+            let report = cgls(&poisoned, &y, &CglsConfig::default());
+            assert_eq!(report.iterations, 2, "forward={forward}");
+            assert!(!report.converged, "forward={forward}");
+            assert!(report.x.iter().all(|v| v.is_finite()), "forward={forward}");
+            assert!(report.residual_history.iter().all(|r| r.is_finite()));
         }
     }
 

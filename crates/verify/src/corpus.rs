@@ -41,7 +41,9 @@
 //! its own footprint exceeds (`plan_fits` must report the exact gap),
 //! [`ragged_levels_compiled`] is a compiled plan whose ranks disagree on
 //! their level lists (a witness naming the rank and the missing level,
-//! not a panic), and
+//! not a panic), [`per_slice_local_level`] an iteration in which one rank
+//! runs a local level per slice while its peers move the whole batch at
+//! once, and
 //! [`single_sweep_gather`] is a *timing* bug — a gather whose root polls
 //! each source once without retrying — that passes every static check
 //! and the baseline schedule, and is caught only by chaos schedules
@@ -548,6 +550,32 @@ pub fn ragged_levels_compiled() -> CompiledArtifact {
     })
 }
 
+/// Schedule mutation: one iteration at three fused slices on one socket
+/// of two GPUs, where rank 0 runs the forward socket level once per
+/// slice — the lowering from before the local levels moved the whole
+/// batch in one rendezvous — while its peer runs it once per apply. Rank
+/// 0 sends two socket-level messages its peer never receives and waits
+/// for two that never come: `UnconsumedSend` and `UnmatchedRecv` at rank
+/// 0 on the socket level's base tag.
+pub fn per_slice_local_level() -> CommProgram {
+    const SLICES: usize = 3;
+    let (_, _, topo, plans) = small_compiled_on(Topology::new(1, 1, 2));
+    let schedule: Vec<_> = exchange_schedule(SLICES, false).collect();
+    let steps = AllreduceSteps::build_all(&topo);
+    let mut program = CommProgram::operator_of(&plans, &steps, &schedule);
+    let tag = ExchangeLevel::Socket.tag();
+    let ops = &mut program.ops[0];
+    let at = ops
+        .iter()
+        .position(|op| op.tag() == tag)
+        // xct-allow(no-panic): corpus fixture — the 1×1×2 compile has a socket level
+        .expect("socket level lowered");
+    let level: Vec<CommOp> = ops.iter().copied().filter(|op| op.tag() == tag).collect();
+    ops.retain(|op| op.tag() != tag);
+    ops.splice(at..at, (0..SLICES).flat_map(|_| level.iter().copied()));
+    program
+}
+
 /// Lifetime mutation: the two-slice overlap pipeline with slice 0's
 /// accumulator read *before* its posted irecvs are drained —
 /// `PendingWriteRead` (acc, slice 0).
@@ -636,6 +664,15 @@ pub const MUST_REJECT: &[MustReject] = {
                 let reply = Collective::INNER_PRODUCTS.tag ^ REPLY_TAG_SALT;
                 v.rank == unfolded_collective().1
                     && matches!(v.kind, UnmatchedRecv { peer: 0, tag } if tag == reply)
+            },
+        },
+        MustReject {
+            name: "per-slice-local-level",
+            report: || per_slice_local_level().check(),
+            expected: |v| {
+                let socket = ExchangeLevel::Socket.tag();
+                v.rank == 0 && matches!(v.kind,
+                    UnconsumedSend { tag, .. } | UnmatchedRecv { tag, .. } if tag == socket)
             },
         },
         MustReject {

@@ -37,6 +37,15 @@ pub enum CommOp {
     },
 }
 
+impl CommOp {
+    /// The operation's tag.
+    pub fn tag(self) -> u64 {
+        match self {
+            CommOp::Send { tag, .. } | CommOp::Recv { tag, .. } => tag,
+        }
+    }
+}
+
 /// Per-rank ordered operation lists.
 #[derive(Debug, Clone, Default)]
 pub struct CommProgram {
@@ -54,14 +63,14 @@ impl CommProgram {
     /// running `schedule` in both directions, payloads erased — what
     /// `RankOperator` executes, call for call:
     ///
-    /// * forward apply: the maxima collective, then per `Post(f)` the
-    ///   blocking local levels (sends, then receives in plan order) and
-    ///   the global sends of slice `f` under its salt, per `Drain(f)`
-    ///   the global receives;
+    /// * forward apply: the maxima collective; each local level once for
+    ///   the whole batch, on its base tag (sends, then receives in plan
+    ///   order); then per `Post(f)` the global sends of slice `f` under
+    ///   its salt, per `Drain(f)` the global receives;
     /// * the inner-product collective;
     /// * transpose apply: the maximum collective, then per `Post(f)` the
-    ///   global scatter sends, per `Drain(f)` its receives and the
-    ///   blocking local fan-out levels;
+    ///   global scatter sends, per `Drain(f)` its receives; then each
+    ///   local fan-out level once for the whole batch;
     /// * the inner-product collective again, on the same tag (safe under
     ///   per-key FIFO matching only if the first round is fully
     ///   consumed).
@@ -77,14 +86,17 @@ impl CommProgram {
                 let collective = |ops: &mut Vec<CommOp>, site: Collective| {
                     ops.extend(steps[p].steps().iter().map(|s| step_op(s, site.tag)));
                 };
+                let batch = |ops: &mut Vec<CommOp>, levels: &[LevelProgram]| {
+                    for level in levels {
+                        push_sends(ops, level, 0);
+                        push_recvs(ops, level, 0);
+                    }
+                };
                 collective(&mut ops, Collective::FORWARD_MAXIMA);
+                batch(&mut ops, rp.local_levels());
                 for op in schedule {
                     match *op {
                         ExchangeOp::Post(f) => {
-                            for level in rp.local_levels() {
-                                push_sends(&mut ops, level, slice_salt(f));
-                                push_recvs(&mut ops, level, slice_salt(f));
-                            }
                             push_sends(&mut ops, rp.global_level(), slice_salt(f));
                         }
                         ExchangeOp::Drain(f) => {
@@ -101,13 +113,10 @@ impl CommProgram {
                         }
                         ExchangeOp::Drain(f) => {
                             push_recvs(&mut ops, rp.scatter_global_level(), slice_salt(f));
-                            for level in rp.scatter_local_levels() {
-                                push_sends(&mut ops, level, slice_salt(f));
-                                push_recvs(&mut ops, level, slice_salt(f));
-                            }
                         }
                     }
                 }
+                batch(&mut ops, rp.scatter_local_levels());
                 collective(&mut ops, Collective::INNER_PRODUCTS);
                 ops
             })
@@ -289,7 +298,8 @@ fn step_op(step: &CollectiveStep, tag: u64) -> CommOp {
     }
 }
 
-/// Appends one level's sends under `salt`.
+/// Appends one level's sends under `salt` (0 for a local level, which
+/// travels on its base tag).
 fn push_sends(ops: &mut Vec<CommOp>, level: &LevelProgram, salt: u64) {
     ops.extend(level.sends().iter().map(|t| CommOp::Send {
         to: t.peer,

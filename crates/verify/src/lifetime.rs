@@ -16,9 +16,10 @@
 //! * **no pending-write read** — a region acquired by `begin` is not
 //!   read until its posted writes are waited
 //!   ([`ViolationKind::PendingWriteRead`]);
-//! * **no overwrite of a live region** — `cur` is not refilled for the
-//!   next slice while the previous slice's `begin` has yet to gather it,
-//!   and an accumulator is not re-acquired while still in flight.
+//! * **no overwrite of a live region** — `cur`, the batch the local
+//!   levels leave behind once per apply, is not refilled while one of its
+//!   slices has yet to be gathered by its `begin`, and an accumulator is
+//!   not re-acquired while still in flight.
 //!
 //! The analysis is a linear scan with fixed-size state (at most
 //! [`MAX_TRACKED_SLICES`] concurrently tracked slices — the real
@@ -38,14 +39,14 @@ pub const MAX_TRACKED_SLICES: usize = 64;
 /// in program order for a single rank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScratchOp {
-    /// `reduce_local` rewrites `cur` with slice `slice`'s post-node
-    /// partials.
+    /// `reduce_local` rewrites `cur` with the post-node partials of the
+    /// whole batch, fused slices `0..slices` — once per apply.
     FillCur {
-        /// The slice whose values now occupy `cur`.
-        slice: usize,
+        /// How many slices now occupy `cur`.
+        slices: usize,
     },
-    /// `global_begin` gathers `cur` into send payloads and carries —
-    /// the last read of `cur` for this slice.
+    /// `global_begin` gathers slice `slice` of `cur` into send payloads
+    /// and carries — the last read of that slice.
     ReadCur {
         /// The slice being posted.
         slice: usize,
@@ -82,19 +83,28 @@ pub enum ScratchOp {
 }
 
 /// The scratch operations one rank performs when it runs `schedule`
-/// with `writes_per_slice` posted irecvs per global exchange: `Post(f)`
-/// is the local reduction into `cur`, the gather, the acquire and the
-/// post; `Drain(f)` the wait, the read and the release. The corpus
-/// mutates the result to seed lifetime bugs.
+/// with `writes_per_slice` posted irecvs per global exchange: first the
+/// local reduction of the whole batch into `cur`, then per `Post(f)` the
+/// gather of slice `f`, the acquire and the post, per `Drain(f)` the
+/// wait, the read and the release. The corpus mutates the result to seed
+/// lifetime bugs.
 pub fn scratch_ops(
     schedule: impl IntoIterator<Item = ExchangeOp>,
     writes_per_slice: usize,
 ) -> Vec<ScratchOp> {
-    let mut ops = Vec::new();
+    let schedule: Vec<ExchangeOp> = schedule.into_iter().collect();
+    let slices = schedule
+        .iter()
+        .filter_map(|op| match op {
+            ExchangeOp::Post(f) => Some(f + 1),
+            ExchangeOp::Drain(_) => None,
+        })
+        .max()
+        .unwrap_or(0);
+    let mut ops = vec![ScratchOp::FillCur { slices }];
     for op in schedule {
         match op {
             ExchangeOp::Post(slice) => ops.extend([
-                ScratchOp::FillCur { slice },
                 ScratchOp::ReadCur { slice },
                 ScratchOp::AcquireAcc { slice },
                 ScratchOp::PostWrites {
@@ -120,8 +130,9 @@ pub fn verify_scratch_lifetime(rank: usize, ops: &[ScratchOp]) -> VerifyReport {
     // its posted writes are still pending.
     let mut live = [false; MAX_TRACKED_SLICES];
     let mut pending = [0usize; MAX_TRACKED_SLICES];
-    // `cur` holds (slice, consumed-by-begin?) or nothing yet.
-    let mut cur: Option<(usize, bool)> = None;
+    // `cur` holds a batch — its slice count and the mask of slices no
+    // begin has gathered yet — or nothing yet.
+    let mut cur: Option<(usize, u64)> = None;
     let malformed = |report: &mut VerifyReport, detail: String| {
         report.push(rank, None, ViolationKind::Malformed { detail });
     };
@@ -134,14 +145,16 @@ pub fn verify_scratch_lifetime(rank: usize, ops: &[ScratchOp]) -> VerifyReport {
         report.push(rank, None, kind);
     };
     for op in ops {
-        let (ScratchOp::FillCur { slice }
+        let (ScratchOp::FillCur { slices: slice }
         | ScratchOp::ReadCur { slice }
         | ScratchOp::AcquireAcc { slice }
         | ScratchOp::PostWrites { slice, .. }
         | ScratchOp::WaitWrites { slice }
         | ScratchOp::ReadAcc { slice }
         | ScratchOp::ReleaseAcc { slice }) = *op;
-        if slice >= MAX_TRACKED_SLICES {
+        // How many slices the op spans: a fill's count, or one id's.
+        let spans = slice + usize::from(!matches!(op, ScratchOp::FillCur { .. }));
+        if spans > MAX_TRACKED_SLICES {
             let bound = MAX_TRACKED_SLICES;
             malformed(
                 &mut report,
@@ -150,16 +163,17 @@ pub fn verify_scratch_lifetime(rank: usize, ops: &[ScratchOp]) -> VerifyReport {
             continue;
         }
         match *op {
-            ScratchOp::FillCur { .. } => {
-                if let Some((prev, false)) = cur {
-                    // Overwriting values slice `prev`'s begin never
-                    // gathered: its exchange would send garbage.
-                    pending_read(&mut report, "cur", prev, 1);
+            ScratchOp::FillCur { slices } => {
+                if let Some((_, unread)) = cur.filter(|&(_, unread)| unread != 0) {
+                    // Overwriting values some slice's begin never
+                    // gathered: its exchange would send the next batch.
+                    let first = unread.trailing_zeros() as usize;
+                    pending_read(&mut report, "cur", first, unread.count_ones() as usize);
                 }
-                cur = Some((slice, false));
+                cur = Some((slices, (0..slices).fold(0, |all, f| all | 1 << f)));
             }
             ScratchOp::ReadCur { .. } => match cur {
-                Some((held, _)) if held == slice => cur = Some((held, true)),
+                Some((held, unread)) if slice < held => cur = Some((held, unread & !(1 << slice))),
                 other => malformed(
                     &mut report,
                     format!("begin of slice {slice} reads cur holding {other:?}"),
@@ -260,20 +274,35 @@ mod tests {
     }
 
     #[test]
-    fn overwriting_unposted_cur_is_flagged() {
-        // FillCur(1) lands before slice 0's begin gathered cur.
-        let ops = [
-            ScratchOp::FillCur { slice: 0 },
-            ScratchOp::FillCur { slice: 1 },
-            ScratchOp::ReadCur { slice: 1 },
-        ];
+    fn the_batch_is_filled_once_per_apply() {
+        let ops = scratch_ops(exchange_schedule(3, true), 3);
+        let fills = ops
+            .iter()
+            .filter(|op| matches!(op, ScratchOp::FillCur { .. }));
+        assert_eq!(
+            fills.collect::<Vec<_>>(),
+            [&ScratchOp::FillCur { slices: 3 }]
+        );
+    }
+
+    #[test]
+    fn refilling_the_batch_before_every_slice_is_flagged() {
+        // The per-slice lowering: the local levels refill `cur` before
+        // each slice's begin, overwriting slices 1 and 2 ungathered.
+        let mut ops = Vec::new();
+        for op in scratch_ops(exchange_schedule(3, false), 3) {
+            if matches!(op, ScratchOp::ReadCur { .. }) {
+                ops.push(ScratchOp::FillCur { slices: 3 });
+            }
+            ops.push(op);
+        }
         let report = verify_scratch_lifetime(0, &ops);
         assert!(report.violations.iter().any(|v| matches!(
             v.kind,
             ViolationKind::PendingWriteRead {
                 buffer: "cur",
-                slice: 0,
-                ..
+                slice: 1,
+                pending: 2
             }
         )));
     }
@@ -281,7 +310,7 @@ mod tests {
     #[test]
     fn unfinished_pipeline_is_flagged() {
         let ops = [
-            ScratchOp::FillCur { slice: 0 },
+            ScratchOp::FillCur { slices: 1 },
             ScratchOp::ReadCur { slice: 0 },
             ScratchOp::AcquireAcc { slice: 0 },
             ScratchOp::PostWrites { slice: 0, count: 2 },

@@ -14,8 +14,9 @@
 //! schedule (DESIGN.md §3c): under overlap every fused slice's global
 //! exchange is in flight at once, and even the synchronous schedule lets
 //! a fast rank run slices ahead of a slow peer — so the claim covers the
-//! whole **slice-salt family** of every level, not a window of adjacent
-//! slices. A salted claim at base tag `t` stands for
+//! whole **slice-salt family** of each global level, not a window of
+//! adjacent slices. The local levels run once per apply over the whole
+//! batch and claim their base tag. A salted claim at base tag `t` stands for
 //! `t ^ `[`xct_comm::protocol::slice_salt`]`(s)`
 //! for every legal `s`; because the salts occupy bits the base tags must
 //! leave clear, two family members collide exactly when their base tags
@@ -98,13 +99,15 @@ impl TagClaimSet {
         self.push(src, dst, tag, exchange, true, false);
     }
 
-    /// Records every message rank `src` sends on one compiled level, for
-    /// every fused slice at once: each send claims the slice-salt family
-    /// of the level's base tag, under the level's name.
+    /// Records every message rank `src` sends on one compiled level,
+    /// under the level's name: a global level's sends claim the
+    /// slice-salt family of its base tag, for every fused slice at once;
+    /// a local level's, which carry the whole batch, the base tag itself.
     pub fn claim_level(&mut self, src: usize, program: &LevelProgram) {
         let level = program.level();
         for t in program.sends() {
-            self.push(src, t.peer, level.tag(), level.name(), false, true);
+            let salted = level.per_slice();
+            self.push(src, t.peer, level.tag(), level.name(), false, salted);
         }
     }
 
@@ -220,7 +223,7 @@ pub fn verify_tags(plans: &CompiledPlans, topo: &Topology) -> VerifyReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xct_comm::protocol::slice_salt;
+    use xct_comm::protocol::{slice_salt, ExchangeLevel};
 
     #[test]
     fn reserved_bit_boundary_is_exact() {
@@ -246,8 +249,8 @@ mod tests {
     }
 
     #[test]
-    fn salted_families_collide_on_base_tags_and_with_their_own_members() {
-        use xct_comm::protocol::ExchangeLevel::{Node, Socket};
+    fn global_levels_claim_salt_families_and_local_levels_their_base_tag() {
+        use xct_comm::protocol::ExchangeLevel::{Global, ScatterGlobal, Socket};
         let sending = |level| {
             LevelProgram::from_parts(
                 level,
@@ -257,23 +260,37 @@ mod tests {
                 vec![],
             )
         };
-        // Distinct levels claim distinct families.
+        let collides_with = |set: &TagClaimSet, level: ExchangeLevel, stray: &str| {
+            set.check().violations.iter().any(|v| {
+                matches!(&v.kind, ViolationKind::TagCollision { first, second, .. }
+                    if first == level.name() && second == stray)
+            })
+        };
+        // Distinct levels claim distinct tags.
         let mut set = TagClaimSet::new();
-        set.claim_level(0, &sending(Socket));
-        set.claim_level(0, &sending(Node));
+        for level in [Global, ScatterGlobal, Socket] {
+            set.claim_level(0, &sending(level));
+        }
         set.check().assert_ok("distinct levels");
 
-        // A plain claim carrying a legal slice salt is a member of the
-        // family on its base tag; an unsalted one is not.
-        set.claim(0, 1, Socket.tag(), "unsalted neighbour");
+        // A plain claim carrying a legal slice salt is a member of a
+        // global level's family; an unsalted one is not.
+        set.claim(0, 1, Global.tag(), "unsalted neighbour");
         set.check()
             .assert_ok("unsalted tag is outside every family");
-        set.claim(0, 1, Node.tag() ^ slice_salt(5), "stray slice-5 message");
-        assert!(set.check().violations.iter().any(|v| matches!(
-            &v.kind,
-            ViolationKind::TagCollision { first, second, .. }
-                if first == "node" && second == "stray slice-5 message"
-        )));
+        set.claim(0, 1, ScatterGlobal.tag() ^ slice_salt(5), "stray slice-5");
+        assert!(collides_with(&set, ScatterGlobal, "stray slice-5"));
+
+        // A local level carries the whole batch on its base tag: that is
+        // what it claims, and no salted tag.
+        let mut local = TagClaimSet::new();
+        local.claim_level(0, &sending(Socket));
+        local.claim(0, 1, Socket.tag() ^ slice_salt(5), "slice-5 message");
+        local
+            .check()
+            .assert_ok("a salted tag is outside a local level");
+        local.claim(0, 1, Socket.tag(), "stray batch message");
+        assert!(collides_with(&local, Socket, "stray batch message"));
 
         // Two plain members collide only on the very same salt.
         let mut plain = TagClaimSet::new();

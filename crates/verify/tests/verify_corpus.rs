@@ -16,8 +16,9 @@ use xct_verify::corpus::{
     aliased_reply_exchange, barrier_program, buggy_allreduce_claims, dropped_compiled,
     duplicate_designee_compiled, duplicated_compiled, gen_case, gen_case_on, misrouted_compiled,
     oob_gather_compiled, oob_keep_compiled, oob_recv_compiled, oob_restrict_compiled,
-    over_budget_plan, ragged_levels_compiled, single_sweep_gather, small_compiled_fixture,
-    unfolded_collective, unheld_compiled, unsorted_transfer, CompiledArtifact, MUST_REJECT,
+    over_budget_plan, per_slice_local_level, ragged_levels_compiled, single_sweep_gather,
+    small_compiled_fixture, unfolded_collective, unheld_compiled, unsorted_transfer,
+    CompiledArtifact, MUST_REJECT,
 };
 use xct_verify::deadlock::{CommOp, CommProgram};
 use xct_verify::{explore, verify_all_hierarchical, verify_compiled, VerifyReport, ViolationKind};
@@ -272,6 +273,29 @@ fn compiled_must_reject_rows_are_rejected_by_the_entry_point() {
             );
         }
     }
+}
+
+// ---- Deadlock: a local level lowered per slice on one rank ----
+
+#[test]
+fn per_slice_local_level_on_one_rank_is_unmatched_on_the_level_tag() {
+    // Rank 0 sends its socket-level message once per slice (three) and
+    // waits for three; its peer sends and waits for one. Two sends linger
+    // and two receives starve, all on the socket level's base tag, and
+    // nothing else is disturbed.
+    let socket = ExchangeLevel::Socket.tag();
+    let report = per_slice_local_level().check();
+    let mut unconsumed = 0;
+    let mut unmatched = 0;
+    for v in &report.violations {
+        assert_eq!(v.rank, 0, "{report}");
+        match v.kind {
+            ViolationKind::UnconsumedSend { peer: 1, tag } if tag == socket => unconsumed += 1,
+            ViolationKind::UnmatchedRecv { peer: 1, tag } if tag == socket => unmatched += 1,
+            _ => panic!("unexpected witness: {report}"),
+        }
+    }
+    assert_eq!((unconsumed, unmatched), (2, 2), "{report}");
 }
 
 // ---- Deadlock: genuine cyclic wait ----

@@ -351,14 +351,18 @@ fn steady_state_compiled_exchange_does_not_allocate() {
     let compiled = CompiledPlans::build_hierarchical(&footprints, &ownership, &topo);
     let compiled = &compiled;
 
+    // Four fused slices per apply: every local level moves the whole
+    // batch in one message per peer, the globals one slice at a time.
+    const FUSING: usize = 4;
     let deltas = run_ranks(8, move |comm| {
         let rp = compiled.rank(comm.rank());
         let mut scratch = ExchangeScratch::new();
-        let vals: Vec<f32> = (0..rp.in_len())
+        let vals: Vec<f32> = (0..FUSING * rp.in_len())
             .map(|i| (comm.rank() + 1) as f32 * 0.125 + i as f32 * 0.01)
             .collect();
-        let mut owned = vec![0.0f32; rp.owned_len()];
-        let mut back = vec![0.0f32; rp.in_len()];
+        let (factors, undos) = ([4.0f32; FUSING], [0.25f32; FUSING]);
+        let mut owned = vec![0.0f32; FUSING * rp.owned_len()];
+        let mut back = vec![0.0f32; FUSING * rp.in_len()];
 
         // One block = five back-to-back reduce+scatter rounds with no
         // barrier in between, bracketed by barriers so only exchange work
@@ -371,9 +375,9 @@ fn steady_state_compiled_exchange_does_not_allocate() {
                 comm.barrier(0xA110).unwrap();
                 let before = allocations();
                 for _ in 0..5 {
-                    rp.reduce::<F16>(comm, scratch, &vals, 4.0, 0.25, 0, owned)
+                    rp.reduce::<F16>(comm, scratch, &vals, &factors, &undos, owned)
                         .unwrap();
-                    rp.scatter::<F16>(comm, scratch, owned, 4.0, 0.25, 0, back)
+                    rp.scatter::<F16>(comm, scratch, owned, FUSING, 4.0, 0.25, back)
                         .unwrap();
                 }
                 comm.barrier(0xA110).unwrap();

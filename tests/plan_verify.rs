@@ -131,3 +131,12 @@ fn direct_corruptions_map_to_distinct_witnesses() {
         "unheld-direct",
     ]);
 }
+
+/// A rank that runs a local level once per fused slice while its peers
+/// move the whole batch in one rendezvous sends messages nobody receives
+/// and waits for messages nobody sends; the deadlock pass names the rank
+/// and the level's tag.
+#[test]
+fn per_slice_local_level_yields_unmatched_witness() {
+    assert_rejected(&["per-slice-local-level"]);
+}
