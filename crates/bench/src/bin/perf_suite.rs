@@ -45,7 +45,7 @@ use xct_fp16::Precision;
 use xct_geometry::{ImageGrid, ScanGeometry, SystemMatrix};
 use xct_io::{FileKind, SliceFile, SliceReader, SliceWriter};
 use xct_plan::{KernelShape, Planner, VolumeDims};
-use xct_solver::{CglsSolver, ExecContext, PrecisionOperator};
+use xct_solver::{CglsConfig, CglsSolver, ExecContext, PrecisionOperator};
 use xct_spmm::{simd_available, spmm_reference_with, spmm_with, Csr, PackedMatrix};
 use xct_telemetry::{Breakdown, CausalAnalysis, Telemetry};
 
@@ -159,7 +159,7 @@ fn serial_scenario(p: &SuiteParams) -> ScenarioResult {
         .with_telemetry(telemetry.clone());
     let before = allocations();
     let start = Instant::now();
-    let mut solver = CglsSolver::new(&op, &y, 0.0, &mut ctx, &mut |_| {});
+    let mut solver = CglsSolver::new(&op, &y, &CglsConfig::default(), &mut ctx);
     for _ in 0..p.iterations {
         solver.step(&op, &mut ctx, &mut |_| {});
     }

@@ -13,7 +13,7 @@ use crate::mini_operator;
 use xct_core::decompose::packing_orders;
 use xct_fp16::Precision;
 use xct_plan::{KernelShape, TunePoint, TuneReport};
-use xct_solver::{CglsSolver, ExecContext, PrecisionOperator};
+use xct_solver::{CglsConfig, CglsSolver, ExecContext, PrecisionOperator};
 
 /// The sweep grid and the measurement protocol.
 #[derive(Debug, Clone)]
@@ -148,7 +148,7 @@ pub fn run_tune(
                     let mut ctx = ExecContext::serial().with_precision(p.precision);
                     // xct-allow(wall-clock): the tuning sweep measures real execution wall time
                     let start = Instant::now();
-                    let mut solver = CglsSolver::new(&op, &y, 0.0, &mut ctx, &mut |_| {});
+                    let mut solver = CglsSolver::new(&op, &y, &CglsConfig::default(), &mut ctx);
                     for _ in 0..p.iterations {
                         solver.step(&op, &mut ctx, &mut |_| {});
                     }

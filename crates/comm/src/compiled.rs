@@ -25,15 +25,30 @@
 //! A local level on which no rank sends is not compiled at all: its
 //! keeps would be the identity map, it would receive nothing, and its
 //! rounding to storage precision is idempotent on values already at
-//! storage precision — so omitting it changes no finite output bit. The
-//! flat plan therefore compiles to the global exchange alone.
+//! storage precision (its power-of-two rescale is at most an exact
+//! doubling) — so omitting it changes no finite output bit. The flat plan
+//! therefore compiles to the global exchange alone.
+//!
+//! **Per-sender scales (§III-C1).** On a half-width wire
+//! ([`Wire::SCALED`]) every sender quantizes each slice with the
+//! power-of-two scale of its own data, and the slice's undo travels in
+//! the message header — one `f32` per slice, ahead of the payload. A
+//! level seeds its `f64` accumulator with its own carries times its own
+//! undo, adds each payload times its sender's undo in plan order, and
+//! holds its output rounded under the scale of that output's own
+//! max-norm, its undo beside it; the global finish and the last scatter
+//! level round their output the same way. No rank waits on another's
+//! maximum, and a slice far smaller than its neighbours, or than another
+//! rank's partial, keeps its precision. Full-width wires carry no header
+//! and every scale on them is 1.
 //!
 //! Numerical contract: results are **bit-identical** to the reference
-//! executor run slice by slice. Both seed each level's accumulator the
-//! same way, add received contributions in the same (source-ascending)
-//! plan order in f64, and round to the storage scalar once per level —
-//! identical floating-point operations in identical order, per element;
-//! batching changes what travels in one message, not what is added.
+//! executor run slice by slice. Both quantize with the same scales, seed
+//! each level's accumulator the same way, add received contributions in
+//! the same (source-ascending) plan order in f64, and round to the
+//! storage scalar once per level — identical floating-point operations in
+//! identical order, per element; batching changes what travels in one
+//! message, not what is added.
 //!
 //! The split [`RankPlan::global_begin`] / [`RankPlan::global_finish`]
 //! (and the scatter twins) is what makes the paper's §III-E overlap
@@ -56,9 +71,9 @@ use crate::plan::{DirectPlan, HierarchicalPlan, Ownership, ReductionStep};
 use crate::protocol::{slice_salt, ExchangeLevel};
 use crate::runtime::{CommError, Communicator, RecvRequest};
 use crate::topology::Topology;
-use crate::wire::{HeldScalar, Wire};
+use crate::wire::{header_bytes, message_slice, slice_scale, write_header, HeldScalar, Wire};
 use std::collections::{HashMap, VecDeque};
-use xct_fp16::StorageScalar;
+use xct_fp16::{max_abs, max_abs_f64, StorageScalar};
 use xct_telemetry::Phase;
 
 /// One precomputed point-to-point transfer: the buffer positions whose
@@ -436,8 +451,8 @@ impl CompiledPlans {
 /// A local level runs once per apply over the whole fused batch, so
 /// between two levels the scratch holds every slice's values — at storage
 /// width ([`Wire::Held`]), where they are exact after the level's
-/// rounding — while the level itself is formed one slice at a time in a
-/// one-slice `f64` accumulator.
+/// rounding — beside each slice's undo, while the level itself is formed
+/// one slice at a time in a one-slice `f64` accumulator.
 #[derive(Debug, Default)]
 pub struct ExchangeScratch {
     /// The held batch of `f32`-held storage, slice-major: the current
@@ -445,6 +460,13 @@ pub struct ExchangeScratch {
     narrow: [Vec<f32>; 2],
     /// The held batch of `f64` storage.
     wide: [Vec<f64>; 2],
+    /// One undo per slice of the held batch (`[0]`) and of the output
+    /// being formed (`[1]`): a held value times its slice's undo is the
+    /// value it stands for.
+    undos: [Vec<f32>; 2],
+    /// The per-slice factors the first forward level quantizes the
+    /// kernel's partials with.
+    factors: Vec<f32>,
     /// `(slices, per-slice length)` of the batch `reduce_local` left for
     /// the global posts.
     held: (usize, usize),
@@ -483,7 +505,6 @@ fn take_acc(pool: &mut Vec<Vec<f64>>, len: usize) -> Vec<f64> {
 struct GlobalInFlight {
     acc: Vec<f64>,
     reqs: Vec<RecvRequest>,
-    undo: f32,
 }
 
 /// A global scatter in flight (transpose direction), analogous to
@@ -496,19 +517,24 @@ struct ScatterInFlight {
 }
 
 /// Sends every transfer of `level` under `tag`: one message per peer
-/// carrying `slices` slices of the transfer's positions, slice-major,
-/// each value read as `value(slice, position)` and encoded at storage
-/// width through the communicator's buffer pool.
+/// carrying one slice per entry of `undos` — the header of the slices'
+/// undos ([`Wire::SCALED`] wires only), then the transfer's positions
+/// slice-major, each value read as `value(slice, position)` (already a
+/// storage value of its slice's scale) and encoded at storage width
+/// through the communicator's buffer pool.
 fn run_sends<S: Wire>(
     comm: &Communicator,
     level: &LevelProgram,
-    slices: usize,
+    undos: &[f32],
     tag: u64,
     value: impl Fn(usize, u32) -> f64,
 ) -> Result<(), CommError> {
     let _class = comm.meter().scope_class(level.level.class());
+    let slices = undos.len();
     for t in &level.sends {
-        let mut buf = comm.pooled_buf(slices * t.idx.len() * S::BYTES);
+        let bytes = header_bytes::<S>(slices) + slices * t.idx.len() * S::BYTES;
+        let mut buf = comm.pooled_buf(bytes);
+        write_header::<S>(undos, &mut buf);
         for f in 0..slices {
             for &i in &t.idx {
                 S::from_f64(value(f, i)).write_to(&mut buf);
@@ -519,30 +545,36 @@ fn run_sends<S: Wire>(
     Ok(())
 }
 
-/// Decodes `bytes` at storage width and **accumulates** into `out` at the
-/// transfer's positions (reduce semantics), without allocating.
-fn accumulate_payload<S: Wire>(bytes: &[u8], idx: &[u32], out: &mut [f64]) {
-    assert_eq!(bytes.len(), idx.len() * S::BYTES, "payload/plan mismatch");
+/// Decodes one slice's `payload` at storage width, widens each value by
+/// its sender's `undo` and **accumulates** into `out` at the transfer's
+/// positions (reduce semantics), without allocating.
+fn accumulate_payload<S: Wire>(payload: &[u8], idx: &[u32], undo: f32, out: &mut [f64]) {
+    let undo = f64::from(undo);
     for (k, &i) in idx.iter().enumerate() {
-        out[i as usize] += S::read_from(&bytes[k * S::BYTES..]).to_f64();
+        out[i as usize] += S::read_from(&payload[k * S::BYTES..]).to_f64() * undo;
     }
 }
 
-/// Decodes `bytes` and **assigns** into `out` (scatter semantics).
-fn assign_payload<S: Wire>(bytes: &[u8], idx: &[u32], out: &mut [f64]) {
-    assert_eq!(bytes.len(), idx.len() * S::BYTES, "payload/plan mismatch");
+/// Decodes, widens and **assigns** into `out` (scatter semantics).
+fn assign_payload<S: Wire>(payload: &[u8], idx: &[u32], undo: f32, out: &mut [f64]) {
+    let undo = f64::from(undo);
     for (k, &i) in idx.iter().enumerate() {
-        out[i as usize] = S::read_from(&bytes[k * S::BYTES..]).to_f64();
+        out[i as usize] = S::read_from(&payload[k * S::BYTES..]).to_f64() * undo;
     }
 }
 
-/// Rounds a level's output to storage precision — once per level, as
-/// the reference executor materializes its per-level data — and holds it
-/// at storage width.
-fn round_into<S: Wire>(vals: &[f64], out: &mut [S::Held]) {
+/// Rounds one slice of a level's output to storage precision — once per
+/// level, as the reference executor materializes its per-level data —
+/// under the scale of the slice's own max-norm, holds it at storage width
+/// and returns its undo. One pass over `vals` for the max-norm, one to
+/// round; on a full-width wire the scale is 1 and the first is skipped.
+fn round_scaled<S: Wire>(vals: &[f64], out: &mut [S::Held]) -> f32 {
+    let (factor, undo) = slice_scale::<S>(|| max_abs_f64(vals));
+    let factor = f64::from(factor);
     for (o, &v) in out.iter_mut().zip(vals) {
-        *o = S::Held::from_f64(S::from_f64(v).to_f64());
+        *o = S::Held::from_f64(S::from_f64(v * factor).to_f64());
     }
+    undo
 }
 
 /// One slice's input to a level out of the held batch `cur` of
@@ -551,48 +583,50 @@ fn held_input<H: HeldScalar>(cur: &[H], len: usize) -> impl Fn(usize, u32) -> f6
     move |f, i| cur[f * len + i as usize].to_f64()
 }
 
-/// Runs one blocking local level over all `slices` fused slices of the
-/// batch: one message per peer, slice-major, under the level's base tag;
+/// Runs one blocking local level over the batch of `undos.len()` fused
+/// slices: one message per peer, slice-major, under the level's base tag;
 /// then every peer's message is received (the blocking part, under its
 /// own `CommWait` span) and the level is formed one slice at a time in
-/// `acc` — seeded with the local carries of `input(slice, position)`,
-/// each payload landed in plan order (`land`: accumulate when reducing,
+/// `acc` — seeded with the local carries of `input(slice, position)`
+/// widened by the slice's own undo, each payload widened by its sender's
+/// undo and landed in plan order (`land`: accumulate when reducing,
 /// assign when scattering) — and handed to `emit(slice, acc)` unrounded.
 #[allow(clippy::too_many_arguments)]
 fn run_level<S: Wire>(
     comm: &Communicator,
     level: &LevelProgram,
-    slices: usize,
     input: impl Fn(usize, u32) -> f64,
+    undos: &[f32],
     acc: &mut Vec<f64>,
     payloads: &mut Vec<Vec<u8>>,
-    land: fn(&[u8], &[u32], &mut [f64]),
+    land: fn(&[u8], &[u32], f32, &mut [f64]),
     mut emit: impl FnMut(usize, &[f64]),
 ) -> Result<(), CommError> {
     let _span = level.level.span().map(|p| comm.telemetry().span(p));
     let tag = level.level.tag();
-    run_sends::<S>(comm, level, slices, tag, &input)?;
+    let slices = undos.len();
+    run_sends::<S>(comm, level, undos, tag, &input)?;
     payloads.clear();
     {
         // Blocked time, not exchange work: the rendezvous gets the wait
         // phase, as the global drains' does.
         let _wait = comm.telemetry().span(Phase::CommWait);
+        // Each message's length is checked where its slices are read
+        // (`message_slice`).
         for t in &level.recvs {
-            let bytes = comm.recv(t.peer, tag)?;
-            let whole = slices * t.idx.len() * S::BYTES;
-            assert_eq!(bytes.len(), whole, "payload/plan mismatch");
-            payloads.push(bytes);
+            payloads.push(comm.recv(t.peer, tag)?);
         }
     }
-    for f in 0..slices {
+    for (f, &undo) in undos.iter().enumerate() {
         acc.clear();
         acc.resize(level.out_len, 0.0);
+        let own = f64::from(undo);
         for &(s, d) in &level.keeps {
-            acc[d as usize] = input(f, s);
+            acc[d as usize] = input(f, s) * own;
         }
         for (t, bytes) in level.recvs.iter().zip(payloads.iter()) {
-            let width = t.idx.len() * S::BYTES;
-            land(&bytes[f * width..(f + 1) * width], &t.idx, acc);
+            let (undo, payload) = message_slice::<S>(bytes, slices, t.idx.len(), f);
+            land(payload, &t.idx, undo, acc);
         }
         emit(f, acc);
     }
@@ -664,11 +698,12 @@ impl RankPlan {
     }
 
     /// Runs the *local* forward levels (socket, node) blocking, once for
-    /// the whole fused batch: `partial` holds `factors.len()` slices of
-    /// footprint partials, slice-major (the fused kernel's output); slice
-    /// `f` is quantized to storage precision × `factors[f]` and reduced
-    /// within socket then node groups. Every slice's post-node values stay
-    /// in `scratch` for [`global_begin`] / [`global_finish`].
+    /// the whole fused batch: `partial` holds `slices` slices of footprint
+    /// partials, slice-major (the fused kernel's output); slice `f` is
+    /// quantized to storage precision under the §III-C1 scale of this
+    /// rank's own partial for it and reduced within socket then node
+    /// groups. Every slice's post-node values stay in `scratch`, beside
+    /// their undos, for [`global_begin`] / [`global_finish`].
     ///
     /// [`global_begin`]: RankPlan::global_begin
     /// [`global_finish`]: RankPlan::global_finish
@@ -677,38 +712,53 @@ impl RankPlan {
         comm: &Communicator,
         scratch: &mut ExchangeScratch,
         partial: &[f32],
-        factors: &[f32],
+        slices: usize,
     ) -> Result<(), CommError> {
-        let (slices, in_len) = (factors.len(), self.in_len);
+        let in_len = self.in_len;
         assert_eq!(partial.len(), slices * in_len, "footprint length mismatch");
-        // The first level reads the kernel's partial directly.
-        let quantized =
-            |f: usize, i: u32| S::from_f32(partial[f * in_len + i as usize] * factors[f]).to_f64();
         let ExchangeScratch {
             narrow,
             wide,
+            undos,
+            factors,
             held,
             acc,
             payloads,
             ..
         } = scratch;
         let [cur, nxt] = S::Held::batch(narrow, wide);
+        let [undo_cur, undo_nxt] = undos;
+        factors.clear();
+        undo_cur.clear();
+        for f in 0..slices {
+            let slice = &partial[f * in_len..(f + 1) * in_len];
+            let (factor, undo) = slice_scale::<S>(|| f64::from(max_abs(slice)));
+            factors.push(factor);
+            undo_cur.push(undo);
+        }
+        // The first level reads the kernel's partial directly.
+        let factors = &factors[..];
+        let quantized =
+            |f: usize, i: u32| S::from_f32(partial[f * in_len + i as usize] * factors[f]).to_f64();
         let mut len = in_len;
         for (k, level) in self.levels.iter().enumerate() {
             let out_len = level.out_len;
             nxt.clear();
             nxt.resize(slices * out_len, S::Held::zero());
+            undo_nxt.clear();
+            undo_nxt.resize(slices, 1.0);
             let emit = |f: usize, vals: &[f64]| {
-                round_into::<S>(vals, &mut nxt[f * out_len..(f + 1) * out_len]);
+                undo_nxt[f] = round_scaled::<S>(vals, &mut nxt[f * out_len..(f + 1) * out_len]);
             };
             let land = accumulate_payload::<S>;
             if k == 0 {
-                run_level::<S>(comm, level, slices, quantized, acc, payloads, land, emit)?;
+                run_level::<S>(comm, level, quantized, undo_cur, acc, payloads, land, emit)?;
             } else {
                 let input = held_input(&cur[..], len);
-                run_level::<S>(comm, level, slices, input, acc, payloads, land, emit)?;
+                run_level::<S>(comm, level, input, undo_cur, acc, payloads, land, emit)?;
             }
             std::mem::swap(cur, nxt);
+            std::mem::swap(undo_cur, undo_nxt);
             len = out_len;
         }
         if self.levels.is_empty() {
@@ -723,10 +773,11 @@ impl RankPlan {
 
     /// Posts fused slice `slice`'s global exchange out of the batch
     /// [`reduce_local`] left in `scratch`: sends the slice's post-node
-    /// partials to their owners under its [`slice_salt`], posts irecvs for
-    /// incoming contributions, and queues the exchange. Local work —
-    /// including other slices' `global_begin`s — may run freely until the
-    /// matching [`global_finish`]; that is the §III-E overlap window.
+    /// partials, headed by their undo, to their owners under its
+    /// [`slice_salt`], posts irecvs for incoming contributions, and queues
+    /// the exchange. Local work — including other slices' `global_begin`s
+    /// — may run freely until the matching [`global_finish`]; that is the
+    /// §III-E overlap window.
     ///
     /// [`reduce_local`]: RankPlan::reduce_local
     /// [`global_finish`]: RankPlan::global_finish
@@ -735,7 +786,6 @@ impl RankPlan {
         comm: &Communicator,
         scratch: &mut ExchangeScratch,
         slice: usize,
-        undo: f32,
     ) -> Result<(), CommError> {
         let _span = comm.telemetry().span(Phase::ReduceGlobal);
         let (slices, len) = scratch.held;
@@ -745,26 +795,28 @@ impl RankPlan {
         );
         let level = &self.global;
         let tag = level.level.tag() ^ slice_salt(slice);
+        let undo = scratch.undos[0][slice];
         let [cur, _] = S::Held::batch(&mut scratch.narrow, &mut scratch.wide);
         let cur = &cur[slice * len..(slice + 1) * len];
-        run_sends::<S>(comm, level, 1, tag, |_, i| cur[i as usize].to_f64())?;
+        run_sends::<S>(comm, level, &[undo], tag, |_, i| cur[i as usize].to_f64())?;
         let mut acc = take_acc(&mut scratch.acc_pool, level.out_len);
+        let own = f64::from(undo);
         for &(s, d) in &level.keeps {
-            acc[d as usize] = cur[s as usize].to_f64();
+            acc[d as usize] = cur[s as usize].to_f64() * own;
         }
         let mut reqs = scratch.req_pool.pop().unwrap_or_default();
         for t in &level.recvs {
             reqs.push(comm.irecv(t.peer, tag)?);
         }
-        scratch
-            .globals
-            .push_back(GlobalInFlight { acc, reqs, undo });
+        scratch.globals.push_back(GlobalInFlight { acc, reqs });
         Ok(())
     }
 
     /// Completes the oldest posted global exchange: waits on the irecvs
-    /// in plan order, accumulates in f64, rounds to storage precision,
-    /// and writes `total × undo` into `out` (one value per owned row).
+    /// in plan order, widens each contribution by its sender's undo and
+    /// accumulates in f64, rounds to storage precision under the scale of
+    /// the total's own max-norm, and writes the widened totals into `out`
+    /// (one value per owned row).
     // xct-hot
     pub fn global_finish<S: Wire>(
         &self,
@@ -773,11 +825,8 @@ impl RankPlan {
         out: &mut [f32],
     ) -> Result<(), CommError> {
         let _span = comm.telemetry().span(Phase::ReduceGlobal);
-        let GlobalInFlight {
-            mut acc,
-            mut reqs,
-            undo,
-        } = scratch.globals.pop_front().ok_or(CommError::NotPosted)?;
+        let GlobalInFlight { mut acc, mut reqs } =
+            scratch.globals.pop_front().ok_or(CommError::NotPosted)?;
         assert_eq!(out.len(), self.global.out_len, "owned length mismatch");
         {
             // The blocking drain gets its own phase: under overlap this
@@ -787,12 +836,15 @@ impl RankPlan {
             for (req, t) in reqs.drain(..).zip(&self.global.recvs) {
                 debug_assert_eq!(req.src(), t.peer);
                 let bytes = req.wait(comm)?;
-                accumulate_payload::<S>(&bytes, &t.idx, &mut acc);
+                let (undo, payload) = message_slice::<S>(&bytes, 1, t.idx.len(), 0);
+                accumulate_payload::<S>(payload, &t.idx, undo, &mut acc);
                 comm.recycle(bytes);
             }
         }
+        let (factor, undo) = slice_scale::<S>(|| max_abs_f64(&acc));
+        let factor = f64::from(factor);
         for (o, &v) in out.iter_mut().zip(acc.iter()) {
-            *o = S::from_f64(v).to_f32() * undo;
+            *o = S::from_f64(v * factor).to_f32() * undo;
         }
         acc.clear();
         scratch.acc_pool.push(acc);
@@ -801,36 +853,32 @@ impl RankPlan {
     }
 
     /// Blocking convenience: the full forward reduction of a batch —
-    /// `partial` is `factors.len()` slices of footprint partials, `out`
-    /// as many slices of owned totals, slice `f` unscaled by `undos[f]`.
+    /// `partial` is `slices` slices of footprint partials, `out` as many
+    /// slices of owned totals.
     pub fn reduce<S: Wire>(
         &self,
         comm: &Communicator,
         scratch: &mut ExchangeScratch,
         partial: &[f32],
-        factors: &[f32],
-        undos: &[f32],
+        slices: usize,
         out: &mut [f32],
     ) -> Result<(), CommError> {
-        assert_eq!(
-            out.len(),
-            undos.len() * self.owned_len,
-            "owned length mismatch"
-        );
-        self.reduce_local::<S>(comm, scratch, partial, factors)?;
         let owned = self.owned_len;
-        for (f, &undo) in undos.iter().enumerate() {
-            self.global_begin::<S>(comm, scratch, f, undo)?;
+        assert_eq!(out.len(), slices * owned, "owned length mismatch");
+        self.reduce_local::<S>(comm, scratch, partial, slices)?;
+        for f in 0..slices {
+            self.global_begin::<S>(comm, scratch, f)?;
             self.global_finish::<S>(comm, scratch, &mut out[f * owned..(f + 1) * owned])?;
         }
         Ok(())
     }
 
     /// Posts fused slice `slice`'s global scatter (transpose direction):
-    /// quantizes its owned totals (× `factor`), sends each peer the rows
-    /// it contributed partials for under the slice's [`slice_salt`],
-    /// seeds the local carries, posts irecvs for rows owned elsewhere, and
-    /// queues the scatter in `scratch`. Local work — and further
+    /// quantizes its owned totals under the §III-C1 scale of their own
+    /// max-norm, sends each peer the rows it contributed partials for,
+    /// headed by the undo, under the slice's [`slice_salt`], seeds the
+    /// local carries, posts irecvs for rows owned elsewhere, and queues
+    /// the scatter in `scratch`. Local work — and further
     /// `scatter_begin`s — may run until the matching [`scatter_finish`].
     ///
     /// [`scatter_finish`]: RankPlan::scatter_finish
@@ -840,17 +888,18 @@ impl RankPlan {
         scratch: &mut ExchangeScratch,
         slice: usize,
         owned: &[f32],
-        factor: f32,
     ) -> Result<(), CommError> {
         assert_eq!(owned.len(), self.owned_len, "owned length mismatch");
         let _span = comm.telemetry().span(Phase::HaloExchange);
         let level = &self.scatter_global;
         let tag = level.level.tag() ^ slice_salt(slice);
+        let (factor, undo) = slice_scale::<S>(|| f64::from(max_abs(owned)));
         let quantized = |i: u32| S::from_f32(owned[i as usize] * factor).to_f64();
-        run_sends::<S>(comm, level, 1, tag, |_, i| quantized(i))?;
+        run_sends::<S>(comm, level, &[undo], tag, |_, i| quantized(i))?;
         let mut out1 = take_acc(&mut scratch.acc_pool, level.out_len);
+        let own = f64::from(undo);
         for &(s, d) in &level.keeps {
-            out1[d as usize] = quantized(s);
+            out1[d as usize] = quantized(s) * own;
         }
         let mut reqs = scratch.req_pool.pop().unwrap_or_default();
         for t in &level.recvs {
@@ -863,8 +912,9 @@ impl RankPlan {
     }
 
     /// Completes the oldest posted scatter: waits on its global irecvs,
-    /// rounds to storage precision and holds the slice in `scratch` for
-    /// [`scatter_local`].
+    /// widens each by its sender's undo, rounds the slice to storage
+    /// precision under the scale of its own max-norm and holds it, with
+    /// its undo, in `scratch` for [`scatter_local`].
     ///
     /// [`scatter_local`]: RankPlan::scatter_local
     // xct-hot
@@ -886,7 +936,8 @@ impl RankPlan {
             for (req, t) in reqs.drain(..).zip(&self.scatter_global.recvs) {
                 debug_assert_eq!(req.src(), t.peer);
                 let bytes = req.wait(comm)?;
-                assign_payload::<S>(&bytes, &t.idx, &mut out1);
+                let (undo, payload) = message_slice::<S>(&bytes, 1, t.idx.len(), 0);
+                assign_payload::<S>(payload, &t.idx, undo, &mut out1);
                 comm.recycle(bytes);
             }
         }
@@ -895,7 +946,11 @@ impl RankPlan {
         if cur.len() < (slice + 1) * len {
             cur.resize((slice + 1) * len, S::Held::zero());
         }
-        round_into::<S>(&out1, &mut cur[slice * len..(slice + 1) * len]);
+        let undos = &mut scratch.undos[0];
+        if undos.len() <= slice {
+            undos.resize(slice + 1, 1.0);
+        }
+        undos[slice] = round_scaled::<S>(&out1, &mut cur[slice * len..(slice + 1) * len]);
         out1.clear();
         scratch.acc_pool.push(out1);
         scratch.req_pool.push(reqs);
@@ -905,7 +960,8 @@ impl RankPlan {
     /// Runs the scatter fan-out (the reversed node and socket levels,
     /// blocking — these are the fast local links) once for the `slices`
     /// slices [`scatter_finish`] held, restricts each to the footprint and
-    /// writes `value × undo` into `out`, slice-major.
+    /// writes the widened values into `out`, slice-major. The last level
+    /// rounds each slice under the scale of its own output.
     ///
     /// [`scatter_finish`]: RankPlan::scatter_finish
     pub fn scatter_local<S: Wire>(
@@ -913,7 +969,6 @@ impl RankPlan {
         comm: &Communicator,
         scratch: &mut ExchangeScratch,
         slices: usize,
-        undo: f32,
         out: &mut [f32],
     ) -> Result<(), CommError> {
         let in_len = self.in_len;
@@ -926,17 +981,22 @@ impl RankPlan {
         let ExchangeScratch {
             narrow,
             wide,
+            undos,
             acc,
             payloads,
             ..
         } = scratch;
         let [cur, nxt] = S::Held::batch(narrow, wide);
+        let [undo_cur, undo_nxt] = undos;
         let mut len = self.scatter_global.out_len;
-        assert!(cur.len() >= slices * len, "scatter batch not held");
+        assert!(
+            cur.len() >= slices * len && undo_cur.len() >= slices,
+            "scatter batch not held"
+        );
         let restrict = &self.restrict;
         let Some((last, fan_out)) = self.scatter_levels.split_last() else {
             for f in 0..slices {
-                let vals = &cur[f * len..(f + 1) * len];
+                let (vals, undo) = (&cur[f * len..(f + 1) * len], undo_cur[f]);
                 for (o, &i) in out[f * in_len..(f + 1) * in_len].iter_mut().zip(restrict) {
                     *o = S::from_f64(vals[i as usize].to_f64()).to_f32() * undo;
                 }
@@ -948,36 +1008,40 @@ impl RankPlan {
             let out_len = level.out_len;
             nxt.clear();
             nxt.resize(slices * out_len, S::Held::zero());
+            undo_nxt.clear();
+            undo_nxt.resize(slices, 1.0);
             let emit = |f: usize, vals: &[f64]| {
-                round_into::<S>(vals, &mut nxt[f * out_len..(f + 1) * out_len]);
+                undo_nxt[f] = round_scaled::<S>(vals, &mut nxt[f * out_len..(f + 1) * out_len]);
             };
             let input = held_input(&cur[..], len);
-            run_level::<S>(comm, level, slices, input, acc, payloads, land, emit)?;
+            let undos = &undo_cur[..slices];
+            run_level::<S>(comm, level, input, undos, acc, payloads, land, emit)?;
             std::mem::swap(cur, nxt);
+            std::mem::swap(undo_cur, undo_nxt);
             len = out_len;
         }
         // The last level restricts each slice straight into the footprint.
         let emit = |f: usize, vals: &[f64]| {
+            let (factor, undo) = slice_scale::<S>(|| max_abs_f64(vals));
+            let factor = f64::from(factor);
             for (o, &i) in out[f * in_len..(f + 1) * in_len].iter_mut().zip(restrict) {
-                *o = S::from_f64(vals[i as usize]).to_f32() * undo;
+                *o = S::from_f64(vals[i as usize] * factor).to_f32() * undo;
             }
         };
         let input = held_input(&cur[..], len);
-        run_level::<S>(comm, last, slices, input, acc, payloads, land, emit)
+        let undos = &undo_cur[..slices];
+        run_level::<S>(comm, last, input, undos, acc, payloads, land, emit)
     }
 
     /// Blocking convenience: the full transpose scatter of a batch —
     /// `owned` is `slices` slices of owned totals, `out` as many slices of
     /// footprint values.
-    #[allow(clippy::too_many_arguments)]
     pub fn scatter<S: Wire>(
         &self,
         comm: &Communicator,
         scratch: &mut ExchangeScratch,
         owned: &[f32],
         slices: usize,
-        factor: f32,
-        undo: f32,
         out: &mut [f32],
     ) -> Result<(), CommError> {
         assert_eq!(
@@ -988,10 +1052,10 @@ impl RankPlan {
         let len = self.owned_len;
         for f in 0..slices {
             let owned = &owned[f * len..(f + 1) * len];
-            self.scatter_begin::<S>(comm, scratch, f, owned, factor)?;
+            self.scatter_begin::<S>(comm, scratch, f, owned)?;
             self.scatter_finish::<S>(comm, scratch)?;
         }
-        self.scatter_local::<S>(comm, scratch, slices, undo, out)
+        self.scatter_local::<S>(comm, scratch, slices, out)
     }
 }
 
@@ -1004,7 +1068,7 @@ mod tests {
     use crate::metrics::TrafficClass;
     use crate::plan::Footprints;
     use crate::runtime::run_ranks;
-    use xct_fp16::F16;
+    use xct_fp16::{F16, HALF_RELATIVE_EPS};
 
     /// The reference executor's fixture on `topo`: four rows per rank,
     /// deterministic overlapping footprints (32 rows on 2×2×2).
@@ -1038,33 +1102,31 @@ mod tests {
 
     /// A batch of `fusing` slices reduced and scattered by the compiled
     /// executor against the reference executor run slice by slice: every
-    /// owned total and every scattered footprint value bit for bit, with a
-    /// distinct §III-C1 factor per forward slice. Returns each rank's
-    /// socket- and node-class message count for the one batch.
+    /// owned total and every scattered footprint value bit for bit, each
+    /// slice of a different magnitude, so on a half-width wire every
+    /// sender's scale differs per slice. Returns each rank's socket- and
+    /// node-class message count for the one batch.
     fn batch_matches_reference<S: Wire>(topo: Topology, fusing: usize) -> Vec<u64> {
         let (fp, own) = fixture_on(topo);
         let plan = HierarchicalPlan::build(&fp, &own, &topo);
         let compiled = CompiledPlans::compile_hierarchical(&fp, &own, &plan);
-        let slice_val = |f: usize, p: usize, r: u32| partial(p, r) + f as f32 * 0.375;
-        let total = |f: usize, r: u32| 0.5 + (r as f32) * 0.03125 + f as f32 * 0.25;
-        let (factors, undos): (Vec<f32>, Vec<f32>) = (0..fusing)
-            .map(|f| (1.0 + f as f32 * 0.5, 1.0 / (1.0 + f as f32 * 0.5)))
-            .unzip();
-        let (factor, undo) = (4.0f32, 0.25f32);
+        let magnitude = |f: usize| 8.0f32.powi(f as i32 - 2);
+        let slice_val =
+            |f: usize, p: usize, r: u32| (partial(p, r) + f as f32 * 0.375) * magnitude(f);
+        let total = |f: usize, r: u32| (0.5 + (r as f32) * 0.03125) / magnitude(f);
         let reference = run_ranks(topo.size(), |comm| {
             let me = comm.rank();
             let (rows, mine) = (&fp.per_rank[me], own.rows_of(me));
             let (mut owned, mut back) = (Vec::new(), Vec::new());
             for f in 0..fusing {
-                let quant = |v: f32, k: f32| S::from_f32(v * k);
-                let vals = rows.iter().map(|&r| quant(slice_val(f, me, r), factors[f]));
-                let part = PartialData::new(rows.clone(), vals.collect());
+                let vals: Vec<f32> = rows.iter().map(|&r| slice_val(f, me, r)).collect();
+                let part = PartialData::<S>::quantize(rows.clone(), &vals);
                 let out = execute_hierarchical(comm, &plan, &own, &part).unwrap();
-                owned.extend(out.vals.iter().map(|v| v.to_f32() * undos[f]));
-                let vals = mine.iter().map(|&r| quant(total(f, r), factor));
-                let totals = PartialData::new(mine.clone(), vals.collect());
+                owned.extend(out.widened());
+                let vals: Vec<f32> = mine.iter().map(|&r| total(f, r)).collect();
+                let totals = PartialData::<S>::quantize(mine.clone(), &vals);
                 let out = scatter_hierarchical(comm, &plan, &own, &totals, rows).unwrap();
-                back.extend(out.vals.iter().map(|v| v.to_f32() * undo));
+                back.extend(out.widened());
             }
             (bits(&owned), bits(&back))
         });
@@ -1080,10 +1142,10 @@ mod tests {
                 .collect();
             let mut scratch = ExchangeScratch::new();
             let mut owned = vec![0.0f32; fusing * rp.owned_len()];
-            rp.reduce::<S>(comm, &mut scratch, &part, &factors, &undos, &mut owned)
+            rp.reduce::<S>(comm, &mut scratch, &part, fusing, &mut owned)
                 .unwrap();
             let mut back = vec![0.0f32; fusing * rp.in_len()];
-            rp.scatter::<S>(comm, &mut scratch, &totals, fusing, factor, undo, &mut back)
+            rp.scatter::<S>(comm, &mut scratch, &totals, fusing, &mut back)
                 .unwrap();
             let msgs = comm.comm_stats().class_msgs;
             let local = msgs[TrafficClass::Socket as usize] + msgs[TrafficClass::Node as usize];
@@ -1161,13 +1223,12 @@ mod tests {
         let reference = run_ranks(8, |comm| {
             let me = comm.rank();
             let rows = fp.per_rank[me].clone();
-            let vals: Vec<S> = rows.iter().map(|&r| S::from_f32(partial(me, r))).collect();
-            let mine = PartialData::new(rows, vals);
-            let owned = execute_direct(comm, &plan, &own, &mine).unwrap();
-            let back = scatter_direct(comm, &plan, &own, &owned, &fp.per_rank[me]).unwrap();
-            let to_f32 =
-                |d: PartialData<S>| -> Vec<f32> { d.vals.iter().map(|v| v.to_f32()).collect() };
-            (to_f32(owned), to_f32(back))
+            let vals: Vec<f32> = rows.iter().map(|&r| partial(me, r)).collect();
+            let mine = PartialData::<S>::quantize(rows, &vals);
+            let owned = execute_direct(comm, &plan, &own, &mine).unwrap().widened();
+            let totals = PartialData::<S>::quantize(own.rows_of(me), &owned);
+            let back = scatter_direct(comm, &plan, &own, &totals, &fp.per_rank[me]).unwrap();
+            (owned, back.widened())
         });
         let fast = run_ranks(8, |comm| {
             let me = comm.rank();
@@ -1176,10 +1237,10 @@ mod tests {
             let vals: Vec<f32> = fp.per_rank[me].iter().map(|&r| partial(me, r)).collect();
             let mut scratch = ExchangeScratch::new();
             let mut owned = vec![0.0f32; rp.owned_len()];
-            rp.reduce::<S>(comm, &mut scratch, &vals, &[1.0], &[1.0], &mut owned)
+            rp.reduce::<S>(comm, &mut scratch, &vals, 1, &mut owned)
                 .unwrap();
             let mut back = vec![0.0f32; rp.in_len()];
-            rp.scatter::<S>(comm, &mut scratch, &owned, 1, 1.0, 1.0, &mut back)
+            rp.scatter::<S>(comm, &mut scratch, &owned, 1, &mut back)
                 .unwrap();
             (owned, back)
         });
@@ -1194,27 +1255,19 @@ mod tests {
     }
 
     #[test]
-    fn quantization_factor_round_trips() {
-        // factor on the way in, undo on the way out: with S = F16 the
-        // scaled exchange must land near the unscaled f32 values.
+    fn half_width_exchange_round_trips_near_the_f32_values() {
+        // Every sender's scale on the way in, its undo on the way out:
+        // with S = F16 the exchange must land near the unscaled f32 sums.
         let (fp, own, topo) = fixture();
         let compiled = CompiledPlans::build_hierarchical(&fp, &own, &topo);
-        let factor = 16.0f32;
         let results = run_ranks(8, |comm| {
             let me = comm.rank();
             let rp = compiled.rank(me);
             let vals: Vec<f32> = fp.per_rank[me].iter().map(|&r| partial(me, r)).collect();
             let mut scratch = ExchangeScratch::new();
             let mut out = vec![0.0f32; rp.owned_len()];
-            rp.reduce::<F16>(
-                comm,
-                &mut scratch,
-                &vals,
-                &[factor],
-                &[1.0 / factor],
-                &mut out,
-            )
-            .unwrap();
+            rp.reduce::<F16>(comm, &mut scratch, &vals, 1, &mut out)
+                .unwrap();
             out
         });
         for (p, out) in results.iter().enumerate() {
@@ -1229,6 +1282,162 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The relative gap between `got` and `want`.
+    fn rel(got: f32, want: f64) -> f64 {
+        (f64::from(got) - want).abs() / want.abs()
+    }
+
+    #[test]
+    fn a_level_sum_far_past_the_headroom_target_rounds_finite() {
+        // Must hold: a level's f64 sum 300× the headroom target (76 800,
+        // past f16's 65 504) is held under the scale of its own max-norm.
+        // One factor shared by every contribution overflows to ∞ past
+        // 256-way growth.
+        let sum = 300.0 * 256.0;
+        let acc = [sum, -sum * 0.5, 1.0, 0.0];
+        let mut held = [0.0f32; 4];
+        let undo = round_scaled::<F16>(&acc, &mut held);
+        for (&h, &want) in held.iter().zip(&acc) {
+            let widened = h * undo;
+            assert!(widened.is_finite(), "{want} -> {widened}");
+            if want != 0.0 {
+                assert!(
+                    rel(widened, want) <= f64::from(HALF_RELATIVE_EPS),
+                    "{want}: {widened}"
+                );
+            }
+        }
+        assert!(
+            F16::from_f64(sum).is_infinite(),
+            "the unscaled sum overflows"
+        );
+    }
+
+    #[test]
+    fn a_rank_a_millionth_of_its_peer_keeps_its_rows_at_f16_precision() {
+        // Must hold: on 1×1×2, rank 1's partial peaks at 10⁻⁶ of rank 0's
+        // and spans two decades below that. Rank 1 also sends its share of
+        // rank 0's rows up the socket level. Its own rows come back within
+        // f16's relative precision; one factor taken from the pair's
+        // maximum put their low end into f16's subnormals.
+        let topo = Topology::new(1, 1, 2);
+        let own = Ownership::new((0..8).map(|r| r / 4).collect(), 2);
+        let fp = Footprints::new(vec![(0..4).collect(), (0..8).collect()]);
+        let compiled = CompiledPlans::build_hierarchical(&fp, &own, &topo);
+        let value = |p: usize, r: u32| {
+            let spread = 10f32.powf(-2.0 * (r % 4) as f32 / 3.0);
+            if p == 0 {
+                0.5 + r as f32 * 0.1
+            } else {
+                1e-6 * spread * (1.0 + r as f32 * 0.01)
+            }
+        };
+        let results = run_ranks(2, |comm| {
+            let me = comm.rank();
+            let rp = compiled.rank(me);
+            let vals: Vec<f32> = fp.per_rank[me].iter().map(|&r| value(me, r)).collect();
+            let mut scratch = ExchangeScratch::new();
+            let mut out = vec![0.0f32; rp.owned_len()];
+            rp.reduce::<F16>(comm, &mut scratch, &vals, 1, &mut out)
+                .unwrap();
+            out
+        });
+        for (&r, &got) in own.rows_of(1).iter().zip(&results[1]) {
+            let want = f64::from(value(1, r));
+            assert!(
+                rel(got, want) <= f64::from(HALF_RELATIVE_EPS),
+                "row {r}: {got:e} vs {want:e}"
+            );
+        }
+        for (&r, &got) in own.rows_of(0).iter().zip(&results[0]) {
+            let want = f64::from(value(0, r)) + f64::from(value(1, r));
+            assert!(
+                rel(got, want) <= f64::from(HALF_RELATIVE_EPS),
+                "row {r}: {got} vs {want}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_small_slice_in_a_fused_transpose_batch_keeps_f16_precision() {
+        // Must hold: two fused slices 10⁵ apart, each spanning two
+        // decades. Every owner scales each slice by its own max-norm, so
+        // the small slice comes back within f16's relative precision;
+        // one factor for the whole batch quantized it into subnormals.
+        let (fp, own, topo) = fixture();
+        let compiled = CompiledPlans::build_hierarchical(&fp, &own, &topo);
+        let total = |f: usize, r: u32| {
+            let spread = 10f32.powf(-2.0 * (r % 7) as f32 / 6.0);
+            spread * (1.0 + r as f32 * 0.01) * if f == 1 { 1e-5 } else { 1.0 }
+        };
+        let results = run_ranks(8, |comm| {
+            let me = comm.rank();
+            let rp = compiled.rank(me);
+            let totals: Vec<f32> = (0..2)
+                .flat_map(|f| own.rows_of(me).into_iter().map(move |r| total(f, r)))
+                .collect();
+            let mut scratch = ExchangeScratch::new();
+            let mut back = vec![0.0f32; 2 * rp.in_len()];
+            rp.scatter::<F16>(comm, &mut scratch, &totals, 2, &mut back)
+                .unwrap();
+            back
+        });
+        for (p, back) in results.iter().enumerate() {
+            let rows = &fp.per_rank[p];
+            for (f, slice) in back.chunks(rows.len()).enumerate() {
+                for (&r, &got) in rows.iter().zip(slice) {
+                    let want = f64::from(total(f, r));
+                    assert!(
+                        rel(got, want) <= f64::from(HALF_RELATIVE_EPS),
+                        "rank {p} slice {f} row {r}: {got:e} vs {want:e}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn full_width_wires_carry_no_header() {
+        // Single and double exchanges move exactly their payload: the
+        // bytes on every class are the element count times the width,
+        // and a half-width one adds one undo per slice per message.
+        let (fp, own, topo) = fixture();
+        let compiled = CompiledPlans::build_hierarchical(&fp, &own, &topo);
+        fn traffic<S: Wire>(compiled: &CompiledPlans, fp: &Footprints) -> (u64, u64) {
+            let stats = run_ranks(8, |comm| {
+                let rp = compiled.rank(comm.rank());
+                let vals: Vec<f32> = (0..3 * rp.in_len()).map(|i| 1.0 + i as f32).collect();
+                let mut scratch = ExchangeScratch::new();
+                let mut out = vec![0.0f32; 3 * rp.owned_len()];
+                rp.reduce::<S>(comm, &mut scratch, &vals, 3, &mut out)
+                    .unwrap();
+                comm.comm_stats()
+            });
+            let _ = fp;
+            let bytes = stats.iter().map(|s| s.total_bytes()).sum();
+            let msgs = stats.iter().map(|s| s.class_msgs.iter().sum::<u64>()).sum();
+            (bytes, msgs)
+        }
+        let (single, msgs) = traffic::<f32>(&compiled, &fp);
+        let (double, _) = traffic::<f64>(&compiled, &fp);
+        let (half, half_msgs) = traffic::<F16>(&compiled, &fp);
+        assert_eq!(double, 2 * single);
+        assert_eq!(half_msgs, msgs);
+        // Local levels carry all three slices per message, global ones one.
+        let local_msgs: u64 = (0..8)
+            .map(|p| {
+                compiled
+                    .rank(p)
+                    .local_levels()
+                    .iter()
+                    .map(|l| l.sends().len() as u64)
+                    .sum::<u64>()
+            })
+            .sum();
+        let header = (local_msgs * 3 + (msgs - local_msgs)) * crate::wire::UNDO_BYTES as u64;
+        assert_eq!(half, single / 2 + header);
     }
 
     #[test]
@@ -1251,19 +1460,18 @@ mod tests {
                             .map(move |&r| partial(me, r) + s as f32 * 0.25)
                     })
                     .collect();
-                let ones = [1.0f32; 3];
                 let mut out = vec![0.0f32; 3 * rp.owned_len()];
                 if overlap {
-                    rp.reduce_local::<f32>(comm, &mut scratch, &part, &ones)
+                    rp.reduce_local::<F16>(comm, &mut scratch, &part, 3)
                         .unwrap();
                     for s in 0..3 {
-                        rp.global_begin::<f32>(comm, &mut scratch, s, 1.0).unwrap();
+                        rp.global_begin::<F16>(comm, &mut scratch, s).unwrap();
                     }
                     for out in out.chunks_mut(rp.owned_len()) {
-                        rp.global_finish::<f32>(comm, &mut scratch, out).unwrap();
+                        rp.global_finish::<F16>(comm, &mut scratch, out).unwrap();
                     }
                 } else {
-                    rp.reduce::<f32>(comm, &mut scratch, &part, &ones, &ones, &mut out)
+                    rp.reduce::<F16>(comm, &mut scratch, &part, 3, &mut out)
                         .unwrap();
                 }
                 out

@@ -21,22 +21,28 @@
 use crate::metrics::TrafficClass;
 use crate::plan::{DirectPlan, HierarchicalPlan, Ownership, ReductionStep};
 use crate::runtime::{CommError, Communicator};
-use crate::wire::Wire;
+use crate::wire::{message_slice, slice_scale, write_header, Wire};
 use std::collections::HashMap;
+use xct_fp16::{max_abs, max_abs_f64};
 use xct_telemetry::Phase;
 
-/// Sorted rows with one value each — a rank's partial (or reduced) data.
+/// Sorted rows with one value each — a rank's partial (or reduced) data,
+/// held at storage width under one scale: value `i` stands for
+/// `vals[i] × undo`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartialData<S> {
     /// Global row ids, ascending.
     pub rows: Vec<u32>,
     /// Value per row.
     pub vals: Vec<S>,
+    /// What every value is multiplied by to widen it (1 unless the
+    /// values were quantized with a §III-C1 scale).
+    pub undo: f32,
 }
 
 impl<S: Wire> PartialData<S> {
-    /// Creates partial data; rows must be strictly ascending (sorted,
-    /// no duplicates) and match `vals` in length.
+    /// Creates unscaled partial data; rows must be strictly ascending
+    /// (sorted, no duplicates) and match `vals` in length.
     ///
     /// Validated in release builds too: unsorted or duplicate rows would
     /// silently corrupt the `binary_search` used by `gather`, surfacing
@@ -50,14 +56,36 @@ impl<S: Wire> PartialData<S> {
                 w[0], w[1]
             );
         }
-        PartialData { rows, vals }
+        PartialData {
+            rows,
+            vals,
+            undo: 1.0,
+        }
     }
 
+    /// The sender rule: `vals` quantized to storage precision under the
+    /// §III-C1 scale of their own max-norm (1 on a full-width wire).
+    pub fn quantize(rows: Vec<u32>, vals: &[f32]) -> Self {
+        let (factor, undo) = slice_scale::<S>(|| f64::from(max_abs(vals)));
+        let vals = vals.iter().map(|&v| S::from_f32(v * factor)).collect();
+        PartialData {
+            undo,
+            ..PartialData::new(rows, vals)
+        }
+    }
+
+    /// The values widened to `f32` by their undo.
+    pub fn widened(&self) -> Vec<f32> {
+        self.vals.iter().map(|v| v.to_f32() * self.undo).collect()
+    }
+
+    /// Row → widened value.
     fn value_map(&self) -> HashMap<u32, f64> {
+        let undo = f64::from(self.undo);
         self.rows
             .iter()
             .zip(&self.vals)
-            .map(|(&r, &v)| (r, v.to_f64()))
+            .map(|(&r, &v)| (r, v.to_f64() * undo))
             .collect()
     }
 
@@ -74,16 +102,53 @@ impl<S: Wire> PartialData<S> {
             .collect()
     }
 
+    /// Sends the values of `rows` to `dst` as one message: the undo
+    /// header (scaled wires only), then the values.
+    fn send_rows(
+        &self,
+        comm: &Communicator,
+        dst: usize,
+        tag: u64,
+        rows: &[u32],
+    ) -> Result<(), CommError> {
+        let mut bytes = Vec::new();
+        write_header::<S>(&[self.undo], &mut bytes);
+        bytes.extend(S::encode_slice(&self.gather(rows)));
+        comm.send(dst, tag, bytes)
+    }
+
+    /// A level's output: the widened sums in `acc`, rounded to storage
+    /// precision under the scale of their own max-norm.
     fn from_map(mut acc: HashMap<u32, f64>) -> Self {
         let mut rows: Vec<u32> = acc.keys().copied().collect();
         rows.sort_unstable();
-        let vals = rows
+        let sums: Vec<f64> = rows
             .iter()
             // xct-allow(no-panic): infallible — rows was built from acc's own keys
-            .map(|r| S::from_f64(acc.remove(r).expect("row present")))
+            .map(|r| acc.remove(r).expect("row present"))
             .collect();
-        PartialData { rows, vals }
+        let (factor, undo) = slice_scale::<S>(|| max_abs_f64(&sums));
+        let factor = f64::from(factor);
+        let vals = sums.iter().map(|&v| S::from_f64(v * factor)).collect();
+        PartialData { rows, vals, undo }
     }
+}
+
+/// Receives one message of [`PartialData::send_rows`]: its values, each
+/// widened by the sender's undo. `len` is the row count the plan expects.
+fn recv_widened<S: Wire>(
+    comm: &Communicator,
+    src: usize,
+    tag: u64,
+    len: usize,
+) -> Result<Vec<f64>, CommError> {
+    let bytes = comm.recv(src, tag)?;
+    let (undo, payload) = message_slice::<S>(&bytes, 1, len, 0);
+    let undo = f64::from(undo);
+    Ok(S::decode_slice(payload)
+        .into_iter()
+        .map(|v| v.to_f64() * undo)
+        .collect())
 }
 
 const TAG_DIRECT: u64 = 0x100;
@@ -104,7 +169,7 @@ fn reduce_step<S: Wire>(
     // Post sends first (non-blocking), then drain receives — the
     // Issend/Irecv overlap pattern of §III-D4.
     for (dst, rows) in &step.sends[me] {
-        comm.send_vals(*dst, tag, &mine.gather(rows))?;
+        mine.send_rows(comm, *dst, tag, rows)?;
     }
     let mut acc: HashMap<u32, f64> = HashMap::new();
     // Seed with my own partials for rows designated to me.
@@ -122,10 +187,9 @@ fn reduce_step<S: Wire>(
             if *dst != me {
                 continue;
             }
-            let vals: Vec<S> = comm.recv_vals(src, tag)?;
-            assert_eq!(vals.len(), rows.len(), "payload/plan length mismatch");
+            let vals = recv_widened::<S>(comm, src, tag, rows.len())?;
             for (&r, v) in rows.iter().zip(vals) {
-                *acc.entry(r).or_insert(0.0) += v.to_f64();
+                *acc.entry(r).or_insert(0.0) += v;
             }
         }
     }
@@ -146,13 +210,13 @@ pub fn execute_direct<S: Wire>(
     let _span = comm.telemetry().span(Phase::ReduceGlobal);
     let me = comm.rank();
     for (dst, rows) in &plan.sends[me] {
-        comm.send_vals(*dst, TAG_DIRECT, &mine.gather(rows))?;
+        mine.send_rows(comm, *dst, TAG_DIRECT, rows)?;
     }
     let mut acc: HashMap<u32, f64> = HashMap::new();
     // My own partials for rows I own.
-    for (&r, &v) in mine.rows.iter().zip(&mine.vals) {
+    for (r, v) in mine.value_map() {
         if ownership.owner[r as usize] as usize == me {
-            *acc.entry(r).or_insert(0.0) += v.to_f64();
+            *acc.entry(r).or_insert(0.0) += v;
         }
     }
     // Ensure owned rows nobody touched still appear (as zero).
@@ -166,10 +230,9 @@ pub fn execute_direct<S: Wire>(
             if *dst != me {
                 continue;
             }
-            let vals: Vec<S> = comm.recv_vals(src, TAG_DIRECT)?;
-            assert_eq!(vals.len(), rows.len(), "payload/plan length mismatch");
+            let vals = recv_widened::<S>(comm, src, TAG_DIRECT, rows.len())?;
             for (&r, v) in rows.iter().zip(vals) {
-                *acc.entry(r).or_insert(0.0) += v.to_f64();
+                *acc.entry(r).or_insert(0.0) += v;
             }
         }
     }
@@ -200,12 +263,12 @@ pub fn execute_hierarchical<S: Wire>(
     let _span = comm.telemetry().span(Phase::ReduceGlobal);
     let me = comm.rank();
     for (dst, rows) in &plan.global.sends[me] {
-        comm.send_vals(*dst, TAG_GLOBAL, &after_node.gather(rows))?;
+        after_node.send_rows(comm, *dst, TAG_GLOBAL, rows)?;
     }
     let mut acc: HashMap<u32, f64> = HashMap::new();
-    for (&r, &v) in after_node.rows.iter().zip(&after_node.vals) {
+    for (r, v) in after_node.value_map() {
         if ownership.owner[r as usize] as usize == me {
-            *acc.entry(r).or_insert(0.0) += v.to_f64();
+            *acc.entry(r).or_insert(0.0) += v;
         }
     }
     for (r, &o) in ownership.owner.iter().enumerate() {
@@ -218,10 +281,9 @@ pub fn execute_hierarchical<S: Wire>(
             if *dst != me {
                 continue;
             }
-            let vals: Vec<S> = comm.recv_vals(src, TAG_GLOBAL)?;
-            assert_eq!(vals.len(), rows.len(), "payload/plan length mismatch");
+            let vals = recv_widened::<S>(comm, src, TAG_GLOBAL, rows.len())?;
             for (&r, v) in rows.iter().zip(vals) {
-                *acc.entry(r).or_insert(0.0) += v.to_f64();
+                *acc.entry(r).or_insert(0.0) += v;
             }
         }
     }
@@ -247,7 +309,7 @@ pub fn scatter_direct<S: Wire>(
     for (src, sends) in plan.sends.iter().enumerate() {
         for (dst, rows) in sends {
             if *dst == me {
-                comm.send_vals(src, TAG_SCATTER, &owned.gather(rows))?;
+                owned.send_rows(comm, src, TAG_SCATTER, rows)?;
             }
         }
     }
@@ -260,10 +322,9 @@ pub fn scatter_direct<S: Wire>(
         }
     }
     for (dst, rows) in &plan.sends[me] {
-        let vals: Vec<S> = comm.recv_vals(*dst, TAG_SCATTER)?;
-        assert_eq!(vals.len(), rows.len(), "payload/plan length mismatch");
+        let vals = recv_widened::<S>(comm, *dst, TAG_SCATTER, rows.len())?;
         for (&r, v) in rows.iter().zip(vals) {
-            acc.insert(r, v.to_f64());
+            acc.insert(r, v);
         }
     }
     Ok(PartialData::from_map(acc))
@@ -283,7 +344,7 @@ fn scatter_step<S: Wire>(
     for (src, sends) in step.sends.iter().enumerate() {
         for (dst, rows) in sends {
             if *dst == me {
-                comm.send_vals(src, tag, &mine.gather(rows))?;
+                mine.send_rows(comm, src, tag, rows)?;
             }
         }
     }
@@ -296,10 +357,9 @@ fn scatter_step<S: Wire>(
         }
     }
     for (dst, rows) in &step.sends[me] {
-        let vals: Vec<S> = comm.recv_vals(*dst, tag)?;
-        assert_eq!(vals.len(), rows.len(), "payload/plan length mismatch");
+        let vals = recv_widened::<S>(comm, *dst, tag, rows.len())?;
         for (&r, v) in rows.iter().zip(vals) {
-            acc.insert(r, v.to_f64());
+            acc.insert(r, v);
         }
     }
     Ok(PartialData::from_map(acc))
@@ -326,7 +386,7 @@ pub fn scatter_hierarchical<S: Wire>(
         for (src, sends) in plan.global.sends.iter().enumerate() {
             for (dst, rows) in sends {
                 if *dst == me {
-                    comm.send_vals(src, TAG_SCATTER | 0x10, &owned.gather(rows))?;
+                    owned.send_rows(comm, src, TAG_SCATTER | 0x10, rows)?;
                 }
             }
         }
@@ -339,10 +399,9 @@ pub fn scatter_hierarchical<S: Wire>(
             }
         }
         for (dst, rows) in &plan.global.sends[me] {
-            let vals: Vec<S> = comm.recv_vals(*dst, TAG_SCATTER | 0x10)?;
-            assert_eq!(vals.len(), rows.len(), "payload/plan length mismatch");
+            let vals = recv_widened::<S>(comm, *dst, TAG_SCATTER | 0x10, rows.len())?;
             for (&r, v) in rows.iter().zip(vals) {
-                acc.insert(r, v.to_f64());
+                acc.insert(r, v);
             }
         }
         PartialData::from_map(acc)
@@ -359,19 +418,11 @@ pub fn scatter_hierarchical<S: Wire>(
         let _class = comm.meter().scope_class(TrafficClass::Socket);
         scatter_step(comm, &plan.socket, &post_socket, TAG_SCATTER | 0x30)?
     };
-    let full_map = full.value_map();
-    let vals = footprint
-        .iter()
-        .map(|r| {
-            S::from_f64(
-                *full_map
-                    .get(r)
-                    // xct-allow(no-panic): plan invariant — scatter conservation is statically verified
-                    .unwrap_or_else(|| panic!("row {r} missing after hierarchical scatter")),
-            )
-        })
-        .collect();
-    Ok(PartialData::new(footprint.to_vec(), vals))
+    // The last level's rounding, restricted to the footprint.
+    Ok(PartialData {
+        undo: full.undo,
+        ..PartialData::new(footprint.to_vec(), full.gather(footprint))
+    })
 }
 
 #[cfg(test)]
@@ -482,18 +533,17 @@ mod tests {
         let results = run_ranks(8, |comm| {
             let p = comm.rank();
             let rows = fp.per_rank[p].clone();
-            let vals: Vec<F16> = rows.iter().map(|&r| F16::from_f32(partial(p, r))).collect();
-            let mine = PartialData::new(rows, vals);
+            let vals: Vec<f32> = rows.iter().map(|&r| partial(p, r)).collect();
+            let mine = PartialData::<F16>::quantize(rows, &vals);
             execute_hierarchical(comm, &hplan, &own, &mine).unwrap()
         });
         for res in &results {
-            for (&r, v) in res.rows.iter().zip(&res.vals) {
+            for (&r, v) in res.rows.iter().zip(res.widened()) {
                 let expect = expected_total(&fp, r);
                 // Half quantization at each of ≤3 hops.
                 assert!(
-                    (v.to_f64() - expect).abs() <= expect.abs() * 3e-3 + 1e-3,
-                    "row {r}: {} vs {expect}",
-                    v.to_f64()
+                    (f64::from(v) - expect).abs() <= expect.abs() * 3e-3 + 1e-3,
+                    "row {r}: {v} vs {expect}"
                 );
             }
         }
@@ -552,19 +602,17 @@ mod tests {
         let results = run_ranks(8, |comm| {
             let p = comm.rank();
             let rows = own.rows_of(p);
-            let vals: Vec<F16> = rows
-                .iter()
-                .map(|&r| F16::from_f32(r as f32 * 0.25))
-                .collect();
-            let owned = PartialData::new(rows, vals);
+            let vals: Vec<f32> = rows.iter().map(|&r| r as f32 * 0.25).collect();
+            let owned = PartialData::<F16>::quantize(rows, &vals);
             scatter_hierarchical(comm, &hplan, &own, &owned, &fp.per_rank[p]).unwrap()
         });
         for (p, res) in results.iter().enumerate() {
             assert_eq!(res.rows, fp.per_rank[p]);
-            for (&r, v) in res.rows.iter().zip(&res.vals) {
-                // Values pass through ≤3 half-precision hops unchanged
-                // (0.25·r is exactly representable).
-                assert_eq!(v.to_f32(), r as f32 * 0.25, "rank {p} row {r}");
+            for (&r, v) in res.rows.iter().zip(res.widened()) {
+                // Values pass through ≤3 half-precision hops unchanged:
+                // 0.25·r is exact in half precision under every
+                // power-of-two scale the hops choose.
+                assert_eq!(v, r as f32 * 0.25, "rank {p} row {r}");
             }
         }
     }

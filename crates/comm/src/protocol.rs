@@ -150,9 +150,11 @@ pub const fn slice_salt(slice: usize) -> u64 {
 #[allow(clippy::cast_possible_truncation)] // 2^19 − 1 at the shipped shift: fits any usize
 pub const MAX_FUSED_SLICES: usize = ((REPLY_TAG_SALT >> SLICE_SALT_SHIFT) - 1) as usize;
 
-/// One collective call site of the operator: its base tag and its name
-/// in diagnostics. One tag per site suffices: per-key FIFO keeps
-/// consecutive collectives on one tag apart.
+/// One collective call site of the solver: its base tag and its name in
+/// diagnostics. One tag per site suffices: per-key FIFO keeps
+/// consecutive collectives on one tag apart. The operator's applies make
+/// none — each sender scales its own data (§III-C1), so no rank waits on
+/// another's maximum — and a CGLS iteration makes one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Collective {
     /// The call site's base tag.
@@ -162,19 +164,11 @@ pub struct Collective {
 }
 
 impl Collective {
-    /// The forward apply's per-slice normalization maxima, one vector.
-    pub const FORWARD_MAXIMA: Collective = Collective::at(0x7000, "forward maxima allreduce");
-    /// The backprojection's normalization maximum.
-    pub const TRANSPOSE_MAXIMUM: Collective = Collective::at(0x7100, "transpose maximum allreduce");
-    /// CGLS's inner-product groups.
+    /// CGLS's inner products: `[(s,s), (t,t), (r,r)]` once per iteration.
     pub const INNER_PRODUCTS: Collective = Collective::at(0x9000, "cg inner products allreduce");
 
     /// Every call site, in the order an iteration reaches them.
-    pub const ALL: [Collective; 3] = [
-        Collective::FORWARD_MAXIMA,
-        Collective::TRANSPOSE_MAXIMUM,
-        Collective::INNER_PRODUCTS,
-    ];
+    pub const ALL: [Collective; 1] = [Collective::INNER_PRODUCTS];
 
     const fn at(tag: u64, name: &'static str) -> Collective {
         Collective { tag, name }
@@ -237,6 +231,11 @@ mod tests {
             assert_eq!(tag >> SLICE_SALT_SHIFT, 0, "{tag:#x}");
             assert!(!tags[..i].contains(&tag), "{tag:#x} defined twice");
         }
+    }
+
+    #[test]
+    fn the_solvers_inner_products_are_the_only_collective() {
+        assert_eq!(Collective::ALL, [Collective::INNER_PRODUCTS]);
     }
 
     #[test]

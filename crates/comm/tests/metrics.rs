@@ -5,6 +5,7 @@ use std::time::Duration;
 use xct_comm::{
     run_ranks, run_ranks_with, CommReport, Communicator, CompiledPlans, ExchangeScratch,
     Footprints, HierarchicalPlan, Ownership, RankOptions, Topology, TrafficClass, Wire, WireModel,
+    UNDO_BYTES,
 };
 use xct_fp16::F16;
 use xct_telemetry::{MetricId, Phase, Telemetry};
@@ -31,15 +32,8 @@ fn reduce_row_ids<S: Wire>(comm: &Communicator, compiled: &CompiledPlans, fp: &F
     let rp = compiled.rank(comm.rank());
     let vals: Vec<f32> = fp.per_rank[comm.rank()].iter().map(|&r| r as f32).collect();
     let mut out = vec![0.0f32; rp.owned_len()];
-    rp.reduce::<S>(
-        comm,
-        &mut ExchangeScratch::new(),
-        &vals,
-        &[1.0],
-        &[1.0],
-        &mut out,
-    )
-    .unwrap();
+    rp.reduce::<S>(comm, &mut ExchangeScratch::new(), &vals, 1, &mut out)
+        .unwrap();
 }
 
 fn traced(telemetry: &Telemetry, wire: Option<WireModel>) -> RankOptions {
@@ -88,45 +82,51 @@ fn hierarchical_reduction_volumes_match_plan_prediction() {
     let compiled = CompiledPlans::compile_hierarchical(&fp, &own, &plan);
     let (socket_el, node_el, global_el) = plan.level_elements();
 
-    let run = |elem_bytes: u64, stats: Vec<xct_comm::RankCommStats>| {
-        let report = CommReport::new(stats);
+    // Every message of a half-width wire also carries its slice's undo:
+    // `header` bytes per message on top of the elements.
+    let run = |elem_bytes: u64, header: u64, stats: Vec<xct_comm::RankCommStats>| {
+        let msgs = |class: TrafficClass| -> u64 {
+            stats.iter().map(|s| s.class_msgs[class as usize]).sum()
+        };
+        let expect =
+            |class: TrafficClass, elements: u64| elements * elem_bytes + msgs(class) * header;
+        let report = CommReport::new(stats.clone());
         let levels = report.level_bytes();
+        let (socket, node, global) = (
+            expect(TrafficClass::Socket, socket_el),
+            expect(TrafficClass::Node, node_el),
+            expect(TrafficClass::Global, global_el),
+        );
         assert_eq!(
             levels[TrafficClass::Socket as usize],
-            socket_el * elem_bytes,
+            socket,
             "socket level"
         );
-        assert_eq!(
-            levels[TrafficClass::Node as usize],
-            node_el * elem_bytes,
-            "node level"
-        );
+        assert_eq!(levels[TrafficClass::Node as usize], node, "node level");
         assert_eq!(
             levels[TrafficClass::Global as usize],
-            global_el * elem_bytes,
+            global,
             "global level"
         );
         assert_eq!(levels[TrafficClass::Control as usize], 0);
         assert_eq!(levels[TrafficClass::Other as usize], 0);
-        assert_eq!(
-            report.total_bytes(),
-            (socket_el + node_el + global_el) * elem_bytes
-        );
+        assert_eq!(report.total_bytes(), socket + node + global);
     };
 
-    // Single precision: 4 bytes per element on every level.
+    // Single precision: 4 bytes per element on every level, no header.
     let stats = run_ranks(8, |comm| {
         reduce_row_ids::<f32>(comm, &compiled, &fp);
         comm.comm_stats()
     });
-    run(4, stats);
+    run(4, 0, stats);
 
-    // Half precision literally moves half the bytes (Table IV's point).
+    // Half precision literally moves half the payload bytes (Table IV's
+    // point), plus one undo per message.
     let stats = run_ranks(8, |comm| {
         reduce_row_ids::<F16>(comm, &compiled, &fp);
         comm.comm_stats()
     });
-    run(2, stats);
+    run(2, UNDO_BYTES as u64, stats);
 }
 
 #[test]

@@ -11,12 +11,12 @@
 //! to ray owners, all through a *compiled* communication plan.
 //! Backprojection: owners scatter sinogram values back slice by slice →
 //! the node and socket fan-out of the whole minibatch at once → one fused
-//! transposed SpMM. What an iteration *waits on* is four small
-//! collectives — the per-slice normalization maxima of the forward
-//! partials as one vector (§III-C1 applied across ranks), the
-//! backprojection's maximum, and CGLS's two inner-product groups — each
-//! a hierarchical allreduce on the run's [`Topology`]
-//! ([`xct_comm::AllreduceSteps`]), plus one exchange latency per
+//! transposed SpMM. On a half-width wire every sender quantizes each
+//! slice with the scale of its own data and the undo rides in the
+//! message header (§III-C1), so neither apply makes a collective. What
+//! an iteration *waits on* is one small collective — CGLS's inner
+//! products, a hierarchical allreduce on the run's [`Topology`]
+//! ([`xct_comm::AllreduceSteps`]) — plus one exchange latency per
 //! direction.
 //!
 //! With [`DistributedConfig::overlap`] a rank posts every fused slice's
@@ -34,7 +34,7 @@ use xct_comm::{
     RankCommStats, RankOptions, ReduceOp, Topology, Wire, WireModel,
 };
 use xct_exec::{BufferRole, ExecContext, ExecCounters, Telemetry};
-use xct_fp16::{max_abs, AdaptiveNormalizer, Precision, F16};
+use xct_fp16::{Precision, F16};
 use xct_geometry::{ScanGeometry, SystemMatrix};
 use xct_hilbert::{CurveKind, Domain2D, TileDecomposition};
 use xct_plan::{KernelShape, ReconPlan};
@@ -160,15 +160,6 @@ pub struct DistributedResult {
     pub counters: ExecCounters,
 }
 
-/// The `(factor, undo)` pair that scales values of global max-norm
-/// `global_max` into the half-precision sweet spot and back: the serial
-/// path's §III-C1 rule, applied to a maximum agreed across ranks (every
-/// rank's maximum is an `f32`, so the narrowing is exact).
-fn normalization(global_max: f64) -> (f32, f32) {
-    let factor = AdaptiveNormalizer::default().factor_for(global_max as f32);
-    (factor, 1.0 / factor)
-}
-
 /// One rank's distributed operator for one run: the set-up's packed
 /// restriction of the matrix at this run's fusing factor — one fused
 /// kernel launch per apply and direction — plus compiled plan-driven
@@ -180,8 +171,6 @@ struct RankOperator<'a> {
     local: &'a PrecisionOperator,
     /// Slices fused in this run (the slab length).
     fusing: usize,
-    /// This rank's allreduce program on the run's topology.
-    steps: AllreduceSteps,
     /// Reusable exchange buffers and the queue of in-flight exchanges; a
     /// (never-contended) `Mutex` because `LinearOperator` takes `&self`
     /// and requires `Sync`, while the exchange needs scratch mutably.
@@ -209,7 +198,6 @@ impl<'a> RankOperator<'a> {
             plans: &setup.compiled,
             local,
             fusing: local.fusing(),
-            steps: AllreduceSteps::build(&setup.cfg.topology, rank),
             scratch: Mutex::new(ExchangeScratch::new()),
             rank,
             footprint_len: decomp.local_ops[rank].rows.len(),
@@ -218,57 +206,32 @@ impl<'a> RankOperator<'a> {
         }
     }
 
-    /// Element-wise allreduce on the run's topology.
-    fn allreduce(&self, site: Collective, op: ReduceOp, vals: &mut [f64]) {
-        self.comm
-            .allreduce(&self.steps, site.tag, op, vals)
-            // xct-allow(no-panic): comm ops execute a verified plan; a wire fault mid-iteration is unrecoverable
-            .expect("allreduce");
-    }
-
     /// Forward apply at wire precision `S`: one fused SpMM over the whole
-    /// minibatch, one vector collective agreeing on every slice's
-    /// normalization factor (so quantized contributions from different
-    /// ranks combine coherently — §III-C1 across ranks; skipped for
-    /// full-width wire formats), the socket/node reduction of the whole
-    /// batch at once, then per slice the global exchange to ray owners,
-    /// posted and drained in [`exchange_schedule`] order.
+    /// minibatch, the socket/node reduction of the whole batch at once —
+    /// each slice quantized with the scale of this rank's own partial —
+    /// then per slice the global exchange to ray owners, posted and
+    /// drained in [`exchange_schedule`] order. No collective.
     fn apply_as<S: Wire>(&self, x: &[f32], y: &mut [f32], ctx: &mut ExecContext) {
         let rp = self.plans.rank(self.rank);
         let telemetry = self.comm.telemetry();
         let fusing = self.fusing;
         let (fp, rays) = (self.footprint_len, self.owned_rays_len);
         let mut partial = ctx.workspace.take::<f32>(BufferRole::Forward, fp * fusing);
-        // The fused launch, the collective and the local levels work all
-        // slices at once: their cost is split evenly over the batch.
+        // The fused launch and the local levels work all slices at once:
+        // their cost is split evenly over the batch.
         telemetry.profile_slices_set(0, fusing as u32);
         self.local.apply(x, &mut partial, ctx);
-        let mut maxima = ctx.workspace.take::<f64>(BufferRole::Scratch(0), fusing);
-        let mut factors = ctx.workspace.take::<f32>(BufferRole::Scratch(1), fusing);
-        let mut undos = ctx.workspace.take::<f32>(BufferRole::Scratch(2), fusing);
-        if self.cfg.precision.quantizes_to_half() {
-            for (f, m) in maxima.iter_mut().enumerate() {
-                *m = f64::from(max_abs(&partial[f * fp..(f + 1) * fp]));
-            }
-            self.allreduce(Collective::FORWARD_MAXIMA, ReduceOp::Max, &mut maxima);
-            for ((k, u), &m) in factors.iter_mut().zip(undos.iter_mut()).zip(&maxima) {
-                (*k, *u) = normalization(m);
-            }
-        } else {
-            factors.fill(1.0);
-            undos.fill(1.0);
-        }
         {
             // xct-allow(no-panic): lock poisoning means this rank's thread already panicked; propagate
             let mut scratch = self.scratch.lock().expect("scratch mutex");
-            rp.reduce_local::<S>(self.comm, &mut scratch, &partial, &factors)
+            rp.reduce_local::<S>(self.comm, &mut scratch, &partial, fusing)
                 // xct-allow(no-panic): comm ops execute a verified plan; a wire fault mid-iteration is unrecoverable
                 .expect("local reduction");
             for op in exchange_schedule(fusing, self.cfg.overlap) {
                 match op {
                     ExchangeOp::Post(f) => {
                         telemetry.profile_slice_set(f as u32);
-                        rp.global_begin::<S>(self.comm, &mut scratch, f, undos[f])
+                        rp.global_begin::<S>(self.comm, &mut scratch, f)
                             // xct-allow(no-panic): comm ops execute a verified plan; a wire fault mid-iteration is unrecoverable
                             .expect("global exchange post");
                     }
@@ -282,36 +245,22 @@ impl<'a> RankOperator<'a> {
                 }
             }
         }
-        // Whole-batch work until the next apply (the solver's collectives)
+        // Whole-batch work until the next apply (the solver's collective)
         // is every slice's cost again.
         telemetry.profile_slices_set(0, fusing as u32);
-        ctx.workspace.put(BufferRole::Scratch(2), undos);
-        ctx.workspace.put(BufferRole::Scratch(1), factors);
-        ctx.workspace.put(BufferRole::Scratch(0), maxima);
         ctx.workspace.put(BufferRole::Forward, partial);
     }
 
-    /// Transpose apply at wire precision `S`: one normalization factor
-    /// for the whole batch (one scalar collective), per slice the global
-    /// scatter from owners, posted and drained in [`exchange_schedule`]
-    /// order, then the node/socket fan-out of the whole batch at once and
-    /// one fused transposed SpMM over the whole minibatch.
+    /// Transpose apply at wire precision `S`: per slice the global
+    /// scatter from owners — each owner scaling the slice by its own
+    /// max-norm — posted and drained in [`exchange_schedule`] order, then
+    /// the node/socket fan-out of the whole batch at once and one fused
+    /// transposed SpMM over the whole minibatch. No collective.
     fn apply_transpose_as<S: Wire>(&self, y: &[f32], x: &mut [f32], ctx: &mut ExecContext) {
         let rp = self.plans.rank(self.rank);
         let telemetry = self.comm.telemetry();
         let fusing = self.fusing;
         let (fp, rays) = (self.footprint_len, self.owned_rays_len);
-        let (factor, undo) = if self.cfg.precision.quantizes_to_half() {
-            let mut global_max = [f64::from(max_abs(y))];
-            self.allreduce(
-                Collective::TRANSPOSE_MAXIMUM,
-                ReduceOp::Max,
-                &mut global_max,
-            );
-            normalization(global_max[0])
-        } else {
-            (1.0, 1.0)
-        };
         let mut footprint = ctx
             .workspace
             .take::<f32>(BufferRole::Footprint, fp * fusing);
@@ -323,7 +272,7 @@ impl<'a> RankOperator<'a> {
                     ExchangeOp::Post(f) => {
                         telemetry.profile_slice_set(f as u32);
                         let owned = &y[f * rays..(f + 1) * rays];
-                        rp.scatter_begin::<S>(self.comm, &mut scratch, f, owned, factor)
+                        rp.scatter_begin::<S>(self.comm, &mut scratch, f, owned)
                             // xct-allow(no-panic): comm ops execute a verified plan; a wire fault mid-iteration is unrecoverable
                             .expect("scatter post");
                     }
@@ -336,7 +285,7 @@ impl<'a> RankOperator<'a> {
                 }
             }
             telemetry.profile_slices_set(0, fusing as u32);
-            rp.scatter_local::<S>(self.comm, &mut scratch, fusing, undo, &mut footprint)
+            rp.scatter_local::<S>(self.comm, &mut scratch, fusing, &mut footprint)
                 // xct-allow(no-panic): comm ops execute a verified plan; a wire fault mid-iteration is unrecoverable
                 .expect("scatter fan-out");
         }
@@ -369,6 +318,15 @@ impl LinearOperator for RankOperator<'_> {
             Precision::Half | Precision::Mixed => self.apply_transpose_as::<F16>(y, x, ctx),
         }
     }
+}
+
+/// CGLS's one collective per iteration: the element-wise sum of
+/// `products` over every rank, on the run's topology.
+fn inner_products(comm: &Communicator, steps: &AllreduceSteps, products: &mut [f64]) {
+    let tag = Collective::INNER_PRODUCTS.tag;
+    comm.allreduce(steps, tag, ReduceOp::Sum, products)
+        // xct-allow(no-panic): comm ops execute a verified plan; a wire fault mid-iteration is unrecoverable
+        .expect("allreduce");
 }
 
 /// Flight-records what a measured-weight rebalance actually changed:
@@ -576,6 +534,7 @@ impl DistributedSetup {
         };
         let outputs = run_ranks_with(decomp.ranks, &world, |comm| {
             let rank_op = RankOperator::new(comm, self, &operators[comm.rank()]);
+            let steps = AllreduceSteps::build(&cfg.topology, comm.rank());
             let y_local = decomp.restrict_sinogram(sinogram, num_rays, fusing, comm.rank());
             // One context per rank — each simulated GPU owns its workspace.
             // The rank's telemetry handle is the communicator's fork, so
@@ -584,7 +543,7 @@ impl DistributedSetup {
                 .with_precision(cfg.precision)
                 .with_telemetry(comm.telemetry().clone());
             let report = cgls_in(&rank_op, &y_local, &solve, &mut ctx, &mut |products| {
-                rank_op.allreduce(Collective::INNER_PRODUCTS, ReduceOp::Sum, products)
+                inner_products(comm, &steps, products);
             });
             (
                 report.x,
@@ -887,8 +846,8 @@ mod tests {
 
     #[test]
     fn a_non_finite_scalar_on_one_rank_stops_every_rank_on_a_finite_iterate() {
-        // Rank 0's projection turns NaN on iteration 3. δ is allreduced,
-        // so every rank sees the NaN and stops there: two recorded
+        // Rank 0's projection turns NaN on iteration 3. ‖t‖², and with it
+        // δ, is allreduced, so every rank sees the NaN and stops there: two recorded
         // iterations, unconverged, a finite iterate and history on all.
         let scan = ScanGeometry::uniform(ImageGrid::square(12, 1.0), 12);
         let (_, _, y) = phantom_sinogram(&scan, 1);
@@ -906,6 +865,7 @@ mod tests {
             damping: 0.0,
         };
         let reports = run_ranks(cfg.topology.size(), |comm| {
+            let steps = AllreduceSteps::build(&cfg.topology, comm.rank());
             let op = NanAt {
                 inner: RankOperator::new(comm, setup, &operators[comm.rank()]),
                 poisoned: comm.rank() == 0,
@@ -916,8 +876,7 @@ mod tests {
             let y_local = setup.decomp.restrict_sinogram(y, rays, 1, comm.rank());
             let mut ctx = ExecContext::serial();
             cgls_in(&op, &y_local, &solve, &mut ctx, &mut |products| {
-                op.inner
-                    .allreduce(Collective::INNER_PRODUCTS, ReduceOp::Sum, products)
+                inner_products(comm, &steps, products);
             })
         });
         for (rank, report) in reports.iter().enumerate() {
@@ -929,32 +888,12 @@ mod tests {
     }
 
     #[test]
-    fn extreme_maxima_get_finite_factors_and_nan_free_rows() {
-        // §III-C1 across ranks at the edges of `f32`: a maximum below,
-        // at or just above the smallest normal once made the factor
-        // infinite and its undo zero, an infinite one the reverse —
-        // either way `0 × ∞` put NaN into every reduced row.
-        let just_above = f32::from_bits(f32::MIN_POSITIVE.to_bits() + 1);
-        for max in [
-            1e-40,
-            1e-38,
-            f32::MIN_POSITIVE,
-            just_above,
-            f32::MAX,
-            f32::INFINITY,
-        ] {
-            let (factor, undo) = normalization(f64::from(max));
-            assert!(
-                factor.is_finite() && factor > 0.0,
-                "{max:e}: factor {factor}"
-            );
-            assert!(undo.is_finite() && undo > 0.0, "{max:e}: undo {undo}");
-            assert!(!(max * factor * undo).is_nan(), "{max:e}");
-        }
-
+    fn extreme_values_through_the_operator_give_nan_free_rows() {
+        // §III-C1 per sender at the edges of `f32` (the scale rule's own
+        // edges are `xct-fp16`'s `extreme_maxima_get_finite_factors_and_nan_free_rows`).
         // Through the operator, half on the wire. Forward: voxels at the
         // smallest normal give partial maxima a few path lengths above it;
-        // voxels near `f32::MAX` overflow the partials, so the agreed
+        // voxels near `f32::MAX` overflow the partials, so a sender's
         // maximum is infinite. Transpose: the maximum is that of the
         // rays themselves, subnormal or the smallest normal.
         let scan = ScanGeometry::uniform(ImageGrid::square(12, 1.0), 12);

@@ -31,6 +31,8 @@ pub enum BufferRole {
     CgDirection,
     /// CG projected direction `q = Ap`.
     CgProjected,
+    /// CG projected gradient `t = As`.
+    CgProjectedNormal,
     /// Row-scaling vector (SIRT `R⁻¹`).
     RowScale,
     /// Column-scaling vector (SIRT `C⁻¹`).

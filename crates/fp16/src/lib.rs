@@ -34,6 +34,6 @@ mod precision;
 mod storage;
 
 pub use f16::F16;
-pub use normalize::{max_abs, AdaptiveNormalizer, Normalized, HALF_RELATIVE_EPS};
+pub use normalize::{max_abs, max_abs_f64, AdaptiveNormalizer, Normalized, HALF_RELATIVE_EPS};
 pub use precision::Precision;
 pub use storage::StorageScalar;

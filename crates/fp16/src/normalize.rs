@@ -21,15 +21,27 @@ use crate::f16::F16;
 /// keeps eight independent running maxima — a loop the compiler turns
 /// into vector compares instead of one serial dependency chain.
 pub fn max_abs(data: &[f32]) -> f32 {
-    let larger = |acc: f32, x: f32| {
-        let a = x.abs();
+    lane_max(data, 0.0, f32::abs)
+}
+
+/// [`max_abs`] of an `f64` slice: the max-norm of a reduction's `f64`
+/// accumulator, which each exchange level scales its rounded output by.
+pub fn max_abs_f64(data: &[f64]) -> f64 {
+    lane_max(data, 0.0, f64::abs)
+}
+
+/// The largest `abs(x)` over `data` from `zero`, NaNs skipped, in eight
+/// independent lanes.
+fn lane_max<T: Copy + PartialOrd>(data: &[T], zero: T, abs: impl Fn(T) -> T + Copy) -> T {
+    let larger = |acc: T, x: T| {
+        let a = abs(x);
         if a > acc {
             a
         } else {
             acc
         }
     };
-    let mut lanes = [0.0f32; 8];
+    let mut lanes = [zero; 8];
     let chunks = data.chunks_exact(8);
     let tail = chunks.remainder();
     for chunk in chunks {
@@ -37,7 +49,23 @@ pub fn max_abs(data: &[f32]) -> f32 {
             *m = larger(*m, x);
         }
     }
-    lanes.iter().chain(tail).fold(0.0, |acc, &x| larger(acc, x))
+    lanes
+        .iter()
+        .chain(tail)
+        .fold(zero, |acc, &x| larger(acc, x))
+}
+
+/// The largest power of two not above `x`, a finite positive `f32`
+/// (subnormals included).
+fn pow2_floor(x: f32) -> f32 {
+    let bits = x.to_bits();
+    if bits >= f32::MIN_POSITIVE.to_bits() {
+        // A normal: keep the exponent, clear the mantissa.
+        f32::from_bits(bits & 0xff80_0000)
+    } else {
+        // A subnormal: keep the highest mantissa bit.
+        f32::from_bits(1 << (31 - bits.leading_zeros()))
+    }
 }
 
 /// A vector that has been scaled into half-precision-safe range together
@@ -53,10 +81,17 @@ pub struct Normalized {
 /// Computes per-iteration normalization factors from the max-norm of the
 /// evolving iterate (paper §III-C1).
 ///
-/// The target is chosen so the largest magnitude maps to `headroom_target`,
-/// leaving multiplicative headroom below 65504 for the partial-sum
-/// reductions performed after communication. The default headroom target of
-/// `256.0` tolerates ≈256-way growth during reduction before overflow.
+/// The factor is the largest power of two that maps the max-norm to at
+/// most `headroom_target`, so the peak lands in `(target/2, target]`.
+/// Power-of-two factors make every rescaling exact outside f16's
+/// subnormal range: widening `h · 2^-e` rounds nothing, and a value
+/// already held under one factor moves to another without rounding twice.
+/// This is the one §III-C1 rule — the serial kernel's input scale and
+/// every distributed sender's per-slice scale alike. The default target
+/// of `256.0` leaves multiplicative headroom below 65504 for sums formed
+/// at half precision; the distributed exchange widens each contribution
+/// to `f64` before it adds and scales every level's sum anew, so its
+/// reductions need none.
 #[derive(Debug, Clone, Copy)]
 pub struct AdaptiveNormalizer {
     headroom_target: f32,
@@ -86,18 +121,21 @@ impl AdaptiveNormalizer {
         AdaptiveNormalizer { headroom_target }
     }
 
-    /// Returns the scale factor for a vector with the given max-norm.
+    /// Returns the scale factor for a vector with the given max-norm: the
+    /// largest power of two `k` with `max_norm · k ≤ target`.
     ///
     /// A zero (or denormal-small) max-norm yields factor 1.0: the vector is
-    /// all zeros (or effectively so) and needs no scaling. The factor is
-    /// always finite: a max-norm so small that `target / max_norm` would
-    /// overflow `f32` gets `f32::MAX`, which still maps it below the
-    /// target — an infinite factor would quantize every nonzero to ±∞.
+    /// all zeros (or effectively so) and needs no scaling; so does a
+    /// non-finite one. The factor is always finite and nonzero: a max-norm
+    /// so small that `target / max_norm` would overflow `f32` gets 2¹²⁷,
+    /// which still maps it below the target — an infinite factor would
+    /// quantize every nonzero to ±∞ — and its reciprocal (the undo) is a
+    /// finite power of two too.
     pub fn factor_for(&self, max_norm: f32) -> f32 {
         if !max_norm.is_finite() || max_norm < f32::MIN_POSITIVE {
             1.0
         } else {
-            (self.headroom_target / max_norm).min(f32::MAX)
+            pow2_floor((self.headroom_target / max_norm).min(f32::MAX))
         }
     }
 
@@ -273,8 +311,8 @@ mod tests {
     }
 
     /// Must hold at the top of the f16 range, through both conversion
-    /// paths: the element carrying the max-norm lands on the headroom
-    /// target, never on ±inf — for any target `new` accepts (65 504
+    /// paths: the element carrying the max-norm lands in the top binade
+    /// below the headroom target, never on ±inf — for any target `new` accepts (65 504
     /// itself included) and any finite max-norm, the smallest normals
     /// (whose exact factor overflows `f32` and is clamped) included.
     #[test]
@@ -303,10 +341,12 @@ mod tests {
                     assert!(h.is_finite(), "{target} {max}: {x} -> {h:?}");
                     assert_eq!(h.to_bits(), F16::from_f32(x * factor).to_bits());
                 }
-                if (f32::MIN_POSITIVE..f32::MAX).contains(&factor) {
+                // Unless the factor was clamped to 2¹²⁷ (or is subnormal),
+                // the peak lands in the binade below the target.
+                if (f32::MIN_POSITIVE..2f32.powi(127)).contains(&factor) {
                     let peak = q[data.len() - 1].to_f32();
                     assert!(peak <= target, "{target} {max}: {peak}");
-                    assert!(peak >= target * (1.0 - 2.0 * HALF_RELATIVE_EPS));
+                    assert!(peak >= target / 2.0 * (1.0 - 2.0 * HALF_RELATIVE_EPS));
                     assert_eq!(q[0].to_f32(), -peak);
                 }
             }
@@ -380,6 +420,72 @@ mod tests {
     #[should_panic(expected = "outside half-precision normal range")]
     fn rejects_unrepresentable_target() {
         AdaptiveNormalizer::new(1e6);
+    }
+
+    #[test]
+    fn factors_are_powers_of_two_placing_the_peak_in_the_top_binade() {
+        let norm = AdaptiveNormalizer::default();
+        for max in [
+            1e-30f32, 3e-7, 0.3, 1.0, 3.0, 255.0, 256.0, 257.0, 7e4, 3e38,
+        ] {
+            let k = norm.factor_for(max);
+            assert_eq!(k.to_bits() & 0x007f_ffff, 0, "{max:e}: {k:e} is not 2^e");
+            assert!(
+                max * k <= 256.0 && max * k > 128.0,
+                "{max:e} -> {}",
+                max * k
+            );
+            let undo = 1.0 / k;
+            assert_eq!(undo * k, 1.0, "{max:e}: the undo is exact");
+        }
+        // Subnormal ratios floor to a subnormal power of two.
+        let tiny = AdaptiveNormalizer::new(F16::MIN_POSITIVE.to_f32());
+        let k = tiny.factor_for(f32::MAX);
+        assert!(k > 0.0 && k < f32::MIN_POSITIVE && k.to_bits().is_power_of_two());
+    }
+
+    /// §III-C1 at the edges of `f32`: a maximum below, at or just above
+    /// the smallest normal once made the factor infinite and its undo
+    /// zero, an infinite one the reverse — either way `0 × ∞` put NaN into
+    /// every row scaled by them. Every maximum gets a finite factor with a
+    /// finite undo, and rows quantized and widened through them hold no
+    /// NaN.
+    #[test]
+    fn extreme_maxima_get_finite_factors_and_nan_free_rows() {
+        let norm = AdaptiveNormalizer::default();
+        let just_above = f32::from_bits(f32::MIN_POSITIVE.to_bits() + 1);
+        for max in [
+            1e-40,
+            1e-38,
+            f32::MIN_POSITIVE,
+            just_above,
+            f32::MAX,
+            f32::INFINITY,
+        ] {
+            let factor = norm.factor_for(max);
+            let undo = 1.0 / factor;
+            assert!(
+                factor.is_finite() && factor > 0.0,
+                "{max:e}: factor {factor}"
+            );
+            assert!(undo.is_finite() && undo > 0.0, "{max:e}: undo {undo}");
+            assert!(!(max * factor * undo).is_nan(), "{max:e}");
+            let row = in_body_and_tail(&[max, -max * 0.5, 0.0]);
+            let mut q = vec![F16::ZERO; row.len()];
+            norm.quantize_into(&row, factor, &mut q);
+            let mut back = vec![0.0f32; row.len()];
+            norm.denormalize_into(&q, factor, &mut back);
+            assert!(!back.iter().any(|v| v.is_nan()), "{max:e}: {back:?}");
+        }
+    }
+
+    #[test]
+    fn max_abs_f64_matches_the_f32_scan() {
+        let data: Vec<f32> = (0..37).map(|i| (i as f32 - 20.0) * 0.37).collect();
+        let wide: Vec<f64> = data.iter().map(|&v| f64::from(v)).collect();
+        assert_eq!(max_abs_f64(&wide), f64::from(max_abs(&data)));
+        assert_eq!(max_abs_f64(&[f64::NAN, -2.5, 1.0]), 2.5);
+        assert_eq!(max_abs_f64(&[]), 0.0);
     }
 
     #[test]

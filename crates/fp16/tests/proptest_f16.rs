@@ -78,6 +78,35 @@ proptest! {
         }
     }
 
+    /// Per-sender scales are never coarser than a shared one: whatever
+    /// way a vector is split among senders, each part's §III-C1 factor
+    /// is at least the factor of the whole (a part's max-norm is at most
+    /// the whole's, and the rule is monotone), so quantizing with local
+    /// scales never pushes a value nearer f16's subnormals than a
+    /// cluster-wide agreement would.
+    #[test]
+    fn every_senders_scale_is_at_least_the_shared_factor(
+        exps in prop::collection::vec(-40i32..40, 2..48),
+        cuts in prop::collection::vec(0usize..48, 0..6),
+    ) {
+        let data: Vec<f32> = exps
+            .iter()
+            .enumerate()
+            .map(|(i, &e)| 2.0f32.powi(e) * (1.0 + i as f32 * 0.013) * if i % 3 == 0 { -1.0 } else { 1.0 })
+            .collect();
+        let norm = AdaptiveNormalizer::default();
+        let shared = norm.factor_for(max_abs(&data));
+        let mut bounds: Vec<usize> = cuts.iter().map(|&c| c % data.len()).collect();
+        bounds.extend([0, data.len()]);
+        bounds.sort_unstable();
+        for part in bounds.windows(2).map(|w| &data[w[0]..w[1]]) {
+            if max_abs(part) >= f32::MIN_POSITIVE {
+                let own = norm.factor_for(max_abs(part));
+                prop_assert!(own >= shared, "own {own:e} < shared {shared:e}");
+            }
+        }
+    }
+
     /// total_cmp is consistent with partial_cmp on non-NaN values.
     #[test]
     fn total_cmp_refines_partial_cmp(a in any::<f32>(), b in any::<f32>()) {

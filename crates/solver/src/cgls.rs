@@ -1,4 +1,5 @@
-//! Damped CGLS: conjugate gradient on the least-squares normal equations.
+//! Damped CGLS: conjugate gradient on the least-squares normal equations,
+//! in the one-reduction form of Chronopoulos & Gear (1989).
 
 use crate::operator::LinearOperator;
 use std::time::Instant;
@@ -33,7 +34,8 @@ pub struct CglsReport {
     /// The reconstruction.
     pub x: Vec<f32>,
     /// Relative residual `‖y − Ax‖/‖y‖` *after* each iteration
-    /// (`history[0]` is the initial 1.0).
+    /// (`history[0]` is the initial 1.0) — the norm of the solver's
+    /// actual residual vector, never a recurrence.
     pub residual_history: Vec<f64>,
     /// Iterations performed.
     pub iterations: usize,
@@ -68,20 +70,20 @@ pub fn cgls(op: &dyn LinearOperator, y: &[f32], config: &CglsConfig) -> CglsRepo
 /// CGLS running inside a caller-owned [`ExecContext`]: a loop over
 /// [`CglsSolver::step`] that records the report.
 ///
-/// `reduce` is applied, in place, to every group of inner products that
-/// is needed at the same point of the iteration. A distributed caller
-/// passes an element-wise allreduce-sum here; partial dot products from
-/// each rank then combine into global scalars, which is all CG needs to
-/// stay coherent across processes. Products with no data dependence
-/// between them arrive in one slice — `[γ, ‖r‖²]` after the
-/// backprojection, `[γ₀, ‖y‖²]` at set-up — so an iteration costs two
-/// reduction rounds, not three. A single process passes `&mut |_| {}`.
+/// `reduce` is applied, in place, to every group of inner products. A
+/// distributed caller passes an element-wise allreduce-sum here; partial
+/// dot products from each rank then combine into global scalars, which is
+/// all CG needs to stay coherent across processes. Every iteration needs
+/// exactly one group, `[(s,s), (t,t), (r,r)]` (see [`CglsSolver`]): one
+/// reduction round per iteration and none at set-up, plus one scalar
+/// round after the last iteration for its residual — `N + 1` for `N`
+/// iterations. A single process passes `&mut |_| {}`.
 ///
-/// All iteration vectors (`r`, `s`, `p`, `q`) come from the context's
-/// workspace, so after the first call every subsequent solve — and every
-/// iteration within a solve — is allocation-free apart from the returned
-/// report. The caller keeps the context (and its warm buffers, counters,
-/// and executor policy) across solves.
+/// All iteration vectors (`r`, `s`, `t`, `p`, `q`) come from the
+/// context's workspace, so after the first call every subsequent solve —
+/// and every iteration within a solve — is allocation-free apart from the
+/// returned report. The caller keeps the context (and its warm buffers,
+/// counters, and executor policy) across solves.
 pub fn cgls_in(
     op: &dyn LinearOperator,
     y: &[f32],
@@ -91,26 +93,32 @@ pub fn cgls_in(
 ) -> CglsReport {
     // xct-allow(wall-clock): the solver report carries real wall time even with telemetry disabled
     let t0 = Instant::now();
-    let mut solver = CglsSolver::new(op, y, config.damping, ctx, reduce);
+    let mut solver = CglsSolver::new(op, y, config, ctx);
     let mut history = Vec::with_capacity(config.max_iters + 1);
     history.push(1.0f64);
     let mut times = Vec::with_capacity(config.max_iters + 1);
     times.push(t0.elapsed().as_secs_f64());
     let mut converged = false;
 
-    for _ in 0..config.max_iters {
-        let Some(rel) = solver.step(op, ctx, reduce) else {
-            // A vanished gradient is the exact solution; otherwise `p`
-            // fell in the null space and the solve cannot progress.
-            converged = solver.gamma <= 0.0;
-            break;
-        };
-        history.push(rel);
-        times.push(t0.elapsed().as_secs_f64());
-        if config.tolerance > 0.0 && rel <= config.tolerance {
-            converged = true;
-            break;
+    for iteration in 0..config.max_iters {
+        // Each step reports the residual of the iterate it started from;
+        // the first reports `‖y‖` itself, whose history entry is the
+        // initial 1.0.
+        let step = solver.step(op, ctx, reduce);
+        if iteration > 0 {
+            history.push(step.residual());
         }
+        match step {
+            CglsStep::Advanced { .. } => times.push(t0.elapsed().as_secs_f64()),
+            CglsStep::Stopped { converged: c, .. } => {
+                converged = c;
+                break;
+            }
+        }
+    }
+    // An iterate that no step started from has no residual yet.
+    if history.len() < times.len() {
+        history.push(solver.residual(ctx, reduce));
     }
 
     CglsReport {
@@ -122,40 +130,91 @@ pub fn cgls_in(
     }
 }
 
+/// What one [`CglsSolver::step`] did.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum CglsStep {
+    /// The iterate advanced. `residual` is the relative residual of the
+    /// iterate the step started from.
+    Advanced {
+        /// `‖r‖/‖y‖` before the update.
+        residual: f64,
+    },
+    /// The solve ends on the iterate the step started from, whose
+    /// relative residual is `residual`: it met the tolerance or its
+    /// gradient vanished (`converged`), or the direction fell in the null
+    /// space or a scalar was not finite (not `converged`).
+    Stopped {
+        /// `‖r‖/‖y‖` of the final iterate.
+        residual: f64,
+        /// Whether the final iterate solves the problem to tolerance.
+        converged: bool,
+    },
+}
+
+impl CglsStep {
+    /// The relative residual of the iterate the step started from.
+    pub fn residual(self) -> f64 {
+        match self {
+            CglsStep::Advanced { residual } | CglsStep::Stopped { residual, .. } => residual,
+        }
+    }
+}
+
 /// One damped-CGLS solve advanced an iteration at a time — the single
 /// iteration body. [`cgls_in`] is a loop over [`step`](Self::step);
 /// harnesses that meter individual iterations (the perf suite, the tile
 /// sweep, the allocation guard) drive it directly.
 ///
-/// The Krylov state (`r`, `p`) and the work vectors (`q`, `s`) are taken
-/// from the [`ExecContext`]'s workspace and go back in
+/// The iteration is the Chronopoulos–Gear form of CGLS: with
+/// `M = AᵀA + λ²I`, `s = Aᵀr − λ²x` and `t = A·s`, every scalar an
+/// iteration needs follows from the three inner products
+/// `[(s,s), (t,t), (r,r)]`, which arrive in **one** reduction:
+///
+/// 1. `t = A·s`; reduce `[(s,s), (t,t), (r,r)]` — `γ = (s,s)`;
+/// 2. `β = γ/γ₋₁` (0 on the first step), `μ = ‖t‖² + λ²γ`,
+///    `δ = μ − β²δ₋₁` (`= (p, M p)`, by the orthogonality of successive
+///    gradients);
+/// 3. `p = s + βp`, `q = t + βq` (`= A·p`), `α = γ/δ`, `x += αp`,
+///    `r −= αq`;
+/// 4. `s = Aᵀr − λ²x`.
+///
+/// One forward and one transpose application per iteration, as the
+/// classic form; the set-up (`r = y`, `s = Aᵀy`) reduces nothing. The
+/// reduction also yields `‖r‖` of the iterate the step starts from, so
+/// the residual history costs no extra round except after the last
+/// iteration ([`residual`](Self::residual)).
+///
+/// The Krylov state (`r`, `s`, `p`, `q`) and the work vector `t` are
+/// taken from the [`ExecContext`]'s workspace and go back in
 /// [`finish`](Self::finish), so neither a step nor a warm solve
 /// allocates.
 pub struct CglsSolver {
     x: Vec<f32>,
     r: Vec<f32>,
     s: Vec<f32>,
+    t: Vec<f32>,
     p: Vec<f32>,
     q: Vec<f32>,
-    /// Current `‖Aᵀr − λ²x‖²`.
-    gamma: f64,
-    /// `‖y‖` (for relative residuals).
+    /// The previous step's `γ` and `δ`; `None` before the first step.
+    previous: Option<(f64, f64)>,
+    /// `‖y‖` (for relative residuals), known from the first step on.
     y_norm: f64,
     lambda: f64,
+    tolerance: f64,
 }
 
 impl CglsSolver {
-    /// Initializes from zero (`x = 0`) with Tikhonov damping `damping`;
-    /// `reduce` is as for [`cgls_in`].
+    /// Initializes from zero (`x = 0`, `r = y`, `s = Aᵀy`) with
+    /// `config`'s damping and tolerance (`max_iters` is the caller's
+    /// loop). Makes no reduction.
     ///
     /// # Panics
     /// Panics when `y` is not `op.rows()` long.
     pub fn new(
         op: &dyn LinearOperator,
         y: &[f32],
-        damping: f64,
+        config: &CglsConfig,
         ctx: &mut ExecContext,
-        reduce: &mut dyn FnMut(&mut [f64]),
     ) -> Self {
         assert_eq!(y.len(), op.rows(), "measurement length mismatch");
         let n = op.cols();
@@ -167,30 +226,30 @@ impl CglsSolver {
         // s = Aᵀ·r − λ²·x = Aᵀ·y.
         let mut s = ctx.workspace.take::<f32>(BufferRole::CgNormal, n);
         op.apply_transpose(&r, &mut s, ctx);
-        let mut p = ctx.workspace.take_uninit::<f32>(BufferRole::CgDirection, n);
-        p.copy_from_slice(&s);
-        let mut setup = [dot(&s, &s), dot(y, y)];
-        reduce(&mut setup);
         CglsSolver {
             x: vec![0.0f32; n],
             r,
             s,
-            p,
+            t: ctx.workspace.take::<f32>(BufferRole::CgProjectedNormal, m),
+            p: ctx.workspace.take::<f32>(BufferRole::CgDirection, n),
             q: ctx.workspace.take::<f32>(BufferRole::CgProjected, m),
-            gamma: setup[0],
-            y_norm: setup[1].sqrt(),
-            lambda: damping,
+            previous: None,
+            y_norm: 0.0,
+            lambda: config.damping,
+            tolerance: config.tolerance,
         }
     }
 
-    /// Performs one CGLS iteration; returns the relative residual
-    /// afterwards, or `None` when the solve cannot progress (the gradient
-    /// has vanished, or the search direction is in the null space) or a
-    /// scalar it needs is not finite — an overflow or NaN anywhere in an
-    /// apply reaches δ or γ, so the solve stops on the last finite
-    /// iterate instead of running to the cap on NaN. Distributed callers
-    /// stay in step: the scalars are reduced across ranks, so every rank
-    /// sees the same NaN and stops on the same iteration.
+    /// Performs one CGLS iteration unless the iterate it starts from is
+    /// final: the gradient has vanished or the residual meets the
+    /// tolerance (converged), or the search direction is in the null
+    /// space (`δ ≤ 0`, which the recurrence can also reach by
+    /// cancellation) or a scalar it needs is not finite — an overflow or
+    /// NaN anywhere in an apply reaches γ or δ, so the solve stops on the
+    /// last finite iterate instead of running to the cap on NaN.
+    /// Distributed callers stay in step: the scalars are reduced across
+    /// ranks, so every rank sees the same NaN and stops on the same
+    /// iteration.
     // `!(v > 0.0)` is true for NaN, which `v <= 0.0` is not.
     #[allow(clippy::neg_cmp_op_on_partial_ord)]
     pub fn step(
@@ -198,60 +257,86 @@ impl CglsSolver {
         op: &dyn LinearOperator,
         ctx: &mut ExecContext,
         reduce: &mut dyn FnMut(&mut [f64]),
-    ) -> Option<f64> {
+    ) -> CglsStep {
         let _span = ctx.telemetry.span(Phase::SolverIteration);
-        let CglsSolver { x, r, s, p, q, .. } = self;
-        let lambda = self.lambda;
-        if !(self.gamma > 0.0) {
-            return None;
+        let CglsSolver {
+            x, r, s, t, p, q, ..
+        } = self;
+        // t = A·s
+        op.apply(s, t, ctx);
+        // The iteration's one round: γ, ‖t‖² and ‖r‖² are independent.
+        let mut products = [dot(s, s), dot(t, t), dot(r, r)];
+        reduce(&mut products);
+        let [gamma, t_norm2, r_norm2] = products;
+        if self.previous.is_none() {
+            self.y_norm = r_norm2.sqrt();
         }
-        op.apply(p, q, ctx);
-        let delta = if lambda > 0.0 {
-            let mut qp = [dot(q, q), dot(p, p)];
-            reduce(&mut qp);
-            qp[0] + lambda * lambda * qp[1]
-        } else {
-            let mut qq = [dot(q, q)];
-            reduce(&mut qq);
-            qq[0]
+        let residual = relative(r_norm2, self.y_norm);
+        if self.previous.is_some() {
+            ctx.telemetry.event("cgls.residual", residual);
+            ctx.telemetry.gauge_set(MetricId::SolverResidual, residual);
+        }
+        let stop = |converged| CglsStep::Stopped {
+            residual,
+            converged,
+        };
+        if !(gamma > 0.0) {
+            // A vanished gradient is the exact solution.
+            return stop(gamma <= 0.0);
+        }
+        if !gamma.is_finite() {
+            return stop(false);
+        }
+        if self.previous.is_some() && self.tolerance > 0.0 && residual <= self.tolerance {
+            return stop(true);
+        }
+        let lambda2 = self.lambda * self.lambda;
+        let mu = t_norm2 + lambda2 * gamma;
+        let (beta, delta) = match self.previous {
+            Some((gamma_prev, delta_prev)) => {
+                let beta = gamma / gamma_prev;
+                (beta, mu - beta * beta * delta_prev)
+            }
+            None => (0.0, mu),
         };
         if !(delta > 0.0) {
-            return None;
+            return stop(false);
         }
-        let alpha = self.gamma / delta;
+        // p = s + β·p, q = t + β·q (= A·p); on the first step β = 0 over
+        // the zeroed `p` and `q` of `new`.
+        let beta = beta as f32;
+        for (pi, &si) in p.iter_mut().zip(s.iter()) {
+            *pi = si + beta * *pi;
+        }
+        for (qi, &ti) in q.iter_mut().zip(t.iter()) {
+            *qi = ti + beta * *qi;
+        }
+        let alpha = gamma / delta;
         axpy(alpha as f32, p, x);
         axpy(-(alpha as f32), q, r);
         // s = Aᵀ·r − λ²·x
         op.apply_transpose(r, s, ctx);
-        if lambda > 0.0 {
-            let l2 = (lambda * lambda) as f32;
+        if lambda2 > 0.0 {
+            let l2 = lambda2 as f32;
             for (si, xi) in s.iter_mut().zip(x.iter()) {
                 *si -= l2 * xi;
             }
         }
-        // γ and ‖r‖² are both known here and independent: one round.
-        let mut products = [dot(s, s), dot(r, r)];
-        reduce(&mut products);
-        let [gamma_new, r_norm2] = products;
-        if !gamma_new.is_finite() {
-            return None;
-        }
-        let beta = gamma_new / self.gamma;
-        self.gamma = gamma_new;
-        // p = s + β·p
-        for (pi, &si) in p.iter_mut().zip(s.iter()) {
-            *pi = si + (beta as f32) * *pi;
-        }
-
-        let rel = if self.y_norm > 0.0 {
-            r_norm2.sqrt() / self.y_norm
-        } else {
-            0.0
-        };
-        ctx.telemetry.event("cgls.residual", rel);
+        self.previous = Some((gamma, delta));
         ctx.telemetry.metric_inc(MetricId::SolverIterations);
-        ctx.telemetry.gauge_set(MetricId::SolverResidual, rel);
-        Some(rel)
+        CglsStep::Advanced { residual }
+    }
+
+    /// The relative residual `‖r‖/‖y‖` of the current iterate, at the
+    /// cost of one scalar reduction — what the history needs after the
+    /// last step, whose own reduction came before its update.
+    pub fn residual(&mut self, ctx: &mut ExecContext, reduce: &mut dyn FnMut(&mut [f64])) -> f64 {
+        let mut r_norm2 = [dot(&self.r, &self.r)];
+        reduce(&mut r_norm2);
+        let residual = relative(r_norm2[0], self.y_norm);
+        ctx.telemetry.event("cgls.residual", residual);
+        ctx.telemetry.gauge_set(MetricId::SolverResidual, residual);
+        residual
     }
 
     /// Ends the solve: returns the iteration vectors to `ctx`'s workspace
@@ -259,9 +344,19 @@ impl CglsSolver {
     pub fn finish(self, ctx: &mut ExecContext) -> Vec<f32> {
         ctx.workspace.put(BufferRole::CgResidual, self.r);
         ctx.workspace.put(BufferRole::CgNormal, self.s);
+        ctx.workspace.put(BufferRole::CgProjectedNormal, self.t);
         ctx.workspace.put(BufferRole::CgDirection, self.p);
         ctx.workspace.put(BufferRole::CgProjected, self.q);
         self.x
+    }
+}
+
+/// `‖r‖/‖y‖` for a reduced `‖r‖²` (0 for a zero measurement).
+fn relative(r_norm2: f64, y_norm: f64) -> f64 {
+    if y_norm > 0.0 {
+        r_norm2.sqrt() / y_norm
+    } else {
+        0.0
     }
 }
 
@@ -412,8 +507,9 @@ mod tests {
     #[test]
     fn reducer_is_used_for_inner_products() {
         // A reducer that doubles everything must not change the solution
-        // (alpha and beta are ratios of reduced quantities). One group at
-        // set-up, then two per iteration.
+        // (alpha and beta are ratios of reduced quantities). One group per
+        // iteration and none at set-up; the step that meets the tolerance
+        // makes the last.
         let op = diagonal(10);
         let x_true: Vec<f32> = (0..10).map(|i| i as f32).collect();
         let mut y = vec![0.0f32; 10];
@@ -435,7 +531,8 @@ mod tests {
                 }
             },
         );
-        assert_eq!(calls, 1 + 2 * report.iterations);
+        assert!(report.converged);
+        assert_eq!(calls, report.iterations + 1);
         for (a, b) in report.x.iter().zip(&x_true) {
             assert!((a - b).abs() < 1e-3);
         }
@@ -487,9 +584,10 @@ mod tests {
         }
     }
 
-    /// `inner` with a NaN written into its output on iteration `at`'s
-    /// forward apply, or on its backprojection — the transpose also runs
-    /// once at set-up.
+    /// `inner` with a NaN written into its output on the `at`-th call of
+    /// the poisoned direction: iteration `at`'s forward apply, or
+    /// iteration `at − 1`'s backprojection — the transpose also runs once
+    /// at set-up.
     struct NanAt<'a> {
         inner: &'a dyn LinearOperator,
         forward: bool,
@@ -503,8 +601,7 @@ mod tests {
             if forward != self.forward {
                 return false;
             }
-            let call = self.calls.fetch_add(1, Ordering::Relaxed) + 1;
-            call == self.at + usize::from(!forward)
+            self.calls.fetch_add(1, Ordering::Relaxed) + 1 == self.at
         }
     }
 
@@ -531,9 +628,11 @@ mod tests {
 
     #[test]
     fn a_non_finite_scalar_stops_the_solve_on_the_last_finite_iterate() {
-        // A NaN in iteration 3's forward apply makes δ NaN, one in its
-        // backprojection γ: either way the solve stops after two recorded
-        // iterations, unconverged, with a finite iterate and history.
+        // A NaN in iteration 3's forward apply makes its ‖t‖², so δ, NaN;
+        // one in iteration 2's backprojection makes the `s` iteration 3
+        // starts from, so its γ, NaN: either way the solve stops after two
+        // recorded iterations, unconverged, with a finite iterate and
+        // history.
         let op = diagonal(10);
         let x_true: Vec<f32> = (0..10).map(|i| i as f32 - 4.5).collect();
         let mut y = vec![0.0f32; 10];
@@ -551,6 +650,157 @@ mod tests {
             assert!(report.x.iter().all(|v| v.is_finite()), "forward={forward}");
             assert!(report.residual_history.iter().all(|r| r.is_finite()));
         }
+    }
+
+    /// The classic CGLS body — two reduction rounds per iteration,
+    /// `[(q,q) (+ (p,p))]` then `[(s,s), (r,r)]` — kept as the oracle
+    /// the one-round form is checked against.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    fn classic_cgls(op: &dyn LinearOperator, y: &[f32], config: &CglsConfig) -> CglsReport {
+        let ctx = &mut ExecContext::serial();
+        let (n, m) = (op.cols(), op.rows());
+        let mut x = vec![0.0f32; n];
+        let mut r = y.to_vec();
+        let mut s = vec![0.0f32; n];
+        op.apply_transpose(&r, &mut s, ctx);
+        let mut p = s.clone();
+        let mut q = vec![0.0f32; m];
+        let (mut gamma, y_norm) = (dot(&s, &s), dot(y, y).sqrt());
+        let lambda = config.damping;
+        let mut history = vec![1.0];
+        let mut converged = false;
+        for _ in 0..config.max_iters {
+            if !(gamma > 0.0) {
+                converged = gamma <= 0.0;
+                break;
+            }
+            op.apply(&p, &mut q, ctx);
+            let delta = dot(&q, &q) + lambda * lambda * dot(&p, &p);
+            if !(delta > 0.0) {
+                break;
+            }
+            let alpha = gamma / delta;
+            axpy(alpha as f32, &p, &mut x);
+            axpy(-(alpha as f32), &q, &mut r);
+            op.apply_transpose(&r, &mut s, ctx);
+            let l2 = (lambda * lambda) as f32;
+            for (si, xi) in s.iter_mut().zip(&x) {
+                *si -= l2 * xi;
+            }
+            let gamma_new = dot(&s, &s);
+            if !gamma_new.is_finite() {
+                break;
+            }
+            let beta = (gamma_new / gamma) as f32;
+            gamma = gamma_new;
+            for (pi, &si) in p.iter_mut().zip(&s) {
+                *pi = si + beta * *pi;
+            }
+            let rel = dot(&r, &r).sqrt() / y_norm;
+            history.push(rel);
+            if config.tolerance > 0.0 && rel <= config.tolerance {
+                converged = true;
+                break;
+            }
+        }
+        CglsReport {
+            x,
+            iterations: history.len() - 1,
+            time_history: vec![0.0; history.len()],
+            residual_history: history,
+            converged,
+        }
+    }
+
+    /// The largest relative gap between two residual histories.
+    fn history_gap(a: &[f64], b: &[f64]) -> f64 {
+        assert_eq!(a.len(), b.len());
+        a.iter()
+            .zip(b)
+            .map(|(u, v)| (u - v).abs() / v.abs())
+            .fold(0.0, f64::max)
+    }
+
+    /// A 16×16 scan of a smooth phantom: the projections and the packed
+    /// operator at `precision`.
+    fn fig13_problem(precision: xct_fp16::Precision) -> (crate::PrecisionOperator, Vec<f32>) {
+        let scan = ScanGeometry::uniform(ImageGrid::square(16, 1.0), 16);
+        let sm = SystemMatrix::build(&scan);
+        let x_true: Vec<f32> = (0..sm.num_voxels())
+            .map(|i| ((i * 31 + 7) % 89) as f32 / 89.0)
+            .collect();
+        let mut y = vec![0.0f32; sm.num_rays()];
+        sm.project(&x_true, &mut y);
+        let csr = Csr::from_system_matrix(&sm);
+        let op = crate::PrecisionOperator::new(&csr, precision, 1, 64, 48 * 1024);
+        (op, y)
+    }
+
+    #[test]
+    fn one_round_and_classic_cgls_agree_in_every_precision() {
+        // Fig 13 in miniature: on the same operator, in all four
+        // precisions, the one-reduction form reaches the tolerance on the
+        // same iteration as the classic body and their residual histories
+        // agree within the stated gap (measured: 9e-8, 6e-7, 4e-3, 5e-3).
+        use xct_fp16::Precision;
+        for (precision, gap) in [
+            (Precision::Double, 1e-6),
+            (Precision::Single, 1e-5),
+            (Precision::Mixed, 1e-2),
+            (Precision::Half, 1e-2),
+        ] {
+            let (op, y) = fig13_problem(precision);
+            let config = CglsConfig {
+                max_iters: 60,
+                tolerance: 2e-2,
+                damping: 0.0,
+            };
+            let ctx = &mut ExecContext::serial().with_precision(precision);
+            let one_round = cgls_in(&op, &y, &config, ctx, &mut |_| {});
+            let classic = classic_cgls(&op, &y, &config);
+            assert!(one_round.converged && classic.converged, "{precision}");
+            assert_eq!(one_round.iterations, classic.iterations, "{precision}");
+            let got = history_gap(&one_round.residual_history, &classic.residual_history);
+            assert!(
+                got <= gap,
+                "{precision}: histories differ by {got:e} > {gap:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn damped_recurrence_carries_the_lambda_squared_term() {
+        // δ = μ − β²δ₋₁ with μ = ‖t‖² + λ²γ: the damped one-round solve
+        // follows the classic oracle to f32 rounding (≈ 4e-5 here), while
+        // dropping the λ² term leaves it as far from the oracle as the
+        // undamped solve is (≈ 0.6).
+        let (op, y) = fig13_problem(xct_fp16::Precision::Double);
+        let config = CglsConfig {
+            max_iters: 12,
+            tolerance: 0.0,
+            damping: 1.5,
+        };
+        let one_round = cgls(&op, &y, &config);
+        let classic = classic_cgls(&op, &y, &config);
+        let undamped = classic_cgls(
+            &op,
+            &y,
+            &CglsConfig {
+                damping: 0.0,
+                ..config
+            },
+        );
+        let gap = history_gap(&one_round.residual_history, &classic.residual_history);
+        assert!(gap <= 1e-4, "damped histories differ by {gap:e}");
+        let x_gap = one_round
+            .x
+            .iter()
+            .zip(&classic.x)
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0f32, f32::max);
+        assert!(x_gap <= 1e-4, "damped iterates differ by {x_gap:e}");
+        let apart = history_gap(&undamped.residual_history, &classic.residual_history);
+        assert!(apart > 0.1, "λ = 1.5 must change the solve ({apart:e})");
     }
 
     #[test]

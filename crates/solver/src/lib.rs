@@ -46,7 +46,7 @@ mod precision_op;
 mod sirt;
 mod tv;
 
-pub use cgls::{cgls, cgls_in, CglsConfig, CglsReport, CglsSolver};
+pub use cgls::{cgls, cgls_in, CglsConfig, CglsReport, CglsSolver, CglsStep};
 pub use operator::{CsrOperator, LinearOperator, SystemMatrixOperator};
 pub use precision_op::PrecisionOperator;
 pub use sirt::{sirt_in, SirtConfig};

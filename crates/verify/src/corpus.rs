@@ -43,7 +43,8 @@
 //! their level lists (a witness naming the rank and the missing level,
 //! not a panic), [`per_slice_local_level`] an iteration in which one rank
 //! runs a local level per slice while its peers move the whole batch at
-//! once, and
+//! once, [`stale_maxima_collective`] one in which a rank still runs the
+//! retired forward-maxima allreduce its peers dropped, and
 //! [`single_sweep_gather`] is a *timing* bug — a gather whose root polls
 //! each source once without retrying — that passes every static check
 //! and the baseline schedule, and is caught only by chaos schedules
@@ -576,6 +577,29 @@ pub fn per_slice_local_level() -> CommProgram {
     program
 }
 
+/// The rank that still lowers the retired forward-maxima collective in
+/// [`stale_maxima_collective`].
+pub const STALE_MAXIMA_RANK: usize = 1;
+
+/// Protocol mutation: one iteration on 1×1×2 at two fused slices in which
+/// rank [`STALE_MAXIMA_RANK`] still opens its forward apply with the
+/// per-slice maxima allreduce its peers no longer run — the lowering from
+/// before every sender carried its own §III-C1 scale in the message
+/// header. Its collective sends linger and its receives starve:
+/// `UnconsumedSend` and `UnmatchedRecv` at that rank on the retired
+/// site's tag.
+pub fn stale_maxima_collective() -> CommProgram {
+    let (_, _, topo, plans) = small_compiled_on(Topology::new(1, 1, 2));
+    let schedule: Vec<_> = exchange_schedule(2, true).collect();
+    let steps = AllreduceSteps::build_all(&topo);
+    let mut program = CommProgram::operator_of(&plans, &steps, &schedule);
+    // The retired site's base tag, which no peer lowers any more.
+    let stale = CommProgram::collective_of(&steps, 0x7000, 1);
+    let rank = STALE_MAXIMA_RANK;
+    program.ops[rank].splice(0..0, stale.ops[rank].iter().copied());
+    program
+}
+
 /// Lifetime mutation: the two-slice overlap pipeline with slice 0's
 /// accumulator read *before* its posted irecvs are drained —
 /// `PendingWriteRead` (acc, slice 0).
@@ -674,6 +698,13 @@ pub const MUST_REJECT: &[MustReject] = {
                 v.rank == 0 && matches!(v.kind,
                     UnconsumedSend { tag, .. } | UnmatchedRecv { tag, .. } if tag == socket)
             },
+        },
+        MustReject {
+            name: "stale-maxima-collective",
+            report: || stale_maxima_collective().check(),
+            expected: |v| v.rank == STALE_MAXIMA_RANK && matches!(v.kind,
+                UnconsumedSend { tag, .. } | UnmatchedRecv { tag, .. }
+                    if tag & 0xffff_ffff == 0x7000),
         },
         MustReject {
             name: "misrouted-direct",

@@ -60,20 +60,20 @@ impl CommProgram {
     }
 
     /// The skeleton of one solver iteration of the distributed operator
-    /// running `schedule` in both directions, payloads erased — what
-    /// `RankOperator` executes, call for call:
+    /// running `schedule` in both directions, payloads erased — what one
+    /// CGLS step executes, call for call:
     ///
-    /// * forward apply: the maxima collective; each local level once for
-    ///   the whole batch, on its base tag (sends, then receives in plan
-    ///   order); then per `Post(f)` the global sends of slice `f` under
-    ///   its salt, per `Drain(f)` the global receives;
-    /// * the inner-product collective;
-    /// * transpose apply: the maximum collective, then per `Post(f)` the
-    ///   global scatter sends, per `Drain(f)` its receives; then each
-    ///   local fan-out level once for the whole batch;
-    /// * the inner-product collective again, on the same tag (safe under
-    ///   per-key FIFO matching only if the first round is fully
-    ///   consumed).
+    /// * forward apply (`t = A·s`): each local level once for the whole
+    ///   batch, on its base tag (sends, then receives in plan order);
+    ///   then per `Post(f)` the global sends of slice `f` under its salt,
+    ///   per `Drain(f)` the global receives;
+    /// * the iteration's one collective, the inner products;
+    /// * transpose apply (`s = Aᵀ·r`): per `Post(f)` the global scatter
+    ///   sends, per `Drain(f)` its receives; then each local fan-out
+    ///   level once for the whole batch.
+    ///
+    /// The applies make no collective: every sender's §III-C1 scale
+    /// travels in its message header.
     pub fn operator_of(
         plans: &CompiledPlans,
         steps: &[AllreduceSteps],
@@ -83,41 +83,26 @@ impl CommProgram {
             .map(|p| {
                 let rp = plans.rank(p);
                 let mut ops = Vec::new();
-                let collective = |ops: &mut Vec<CommOp>, site: Collective| {
-                    ops.extend(steps[p].steps().iter().map(|s| step_op(s, site.tag)));
-                };
                 let batch = |ops: &mut Vec<CommOp>, levels: &[LevelProgram]| {
                     for level in levels {
                         push_sends(ops, level, 0);
                         push_recvs(ops, level, 0);
                     }
                 };
-                collective(&mut ops, Collective::FORWARD_MAXIMA);
+                let per_slice = |ops: &mut Vec<CommOp>, level: &LevelProgram| {
+                    for op in schedule {
+                        match *op {
+                            ExchangeOp::Post(f) => push_sends(ops, level, slice_salt(f)),
+                            ExchangeOp::Drain(f) => push_recvs(ops, level, slice_salt(f)),
+                        }
+                    }
+                };
                 batch(&mut ops, rp.local_levels());
-                for op in schedule {
-                    match *op {
-                        ExchangeOp::Post(f) => {
-                            push_sends(&mut ops, rp.global_level(), slice_salt(f));
-                        }
-                        ExchangeOp::Drain(f) => {
-                            push_recvs(&mut ops, rp.global_level(), slice_salt(f));
-                        }
-                    }
-                }
-                collective(&mut ops, Collective::INNER_PRODUCTS);
-                collective(&mut ops, Collective::TRANSPOSE_MAXIMUM);
-                for op in schedule {
-                    match *op {
-                        ExchangeOp::Post(f) => {
-                            push_sends(&mut ops, rp.scatter_global_level(), slice_salt(f));
-                        }
-                        ExchangeOp::Drain(f) => {
-                            push_recvs(&mut ops, rp.scatter_global_level(), slice_salt(f));
-                        }
-                    }
-                }
+                per_slice(&mut ops, rp.global_level());
+                let tag = Collective::INNER_PRODUCTS.tag;
+                ops.extend(steps[p].steps().iter().map(|s| step_op(s, tag)));
+                per_slice(&mut ops, rp.scatter_global_level());
                 batch(&mut ops, rp.scatter_local_levels());
-                collective(&mut ops, Collective::INNER_PRODUCTS);
                 ops
             })
             .collect();
@@ -337,7 +322,7 @@ mod tests {
             let topo = Topology::new(n, s, g);
             let steps = AllreduceSteps::build_all(&topo);
             for rounds in [1, 3] {
-                let tag = Collective::FORWARD_MAXIMA.tag;
+                let tag = Collective::INNER_PRODUCTS.tag;
                 let program = CommProgram::collective_of(&steps, tag, rounds);
                 assert_eq!(program.num_ranks(), topo.size());
                 let report = program.check();

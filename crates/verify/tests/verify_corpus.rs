@@ -17,8 +17,8 @@ use xct_verify::corpus::{
     duplicate_designee_compiled, duplicated_compiled, gen_case, gen_case_on, misrouted_compiled,
     oob_gather_compiled, oob_keep_compiled, oob_recv_compiled, oob_restrict_compiled,
     over_budget_plan, per_slice_local_level, ragged_levels_compiled, single_sweep_gather,
-    small_compiled_fixture, unfolded_collective, unheld_compiled, unsorted_transfer,
-    CompiledArtifact, MUST_REJECT,
+    small_compiled_fixture, stale_maxima_collective, unfolded_collective, unheld_compiled,
+    unsorted_transfer, CompiledArtifact, MUST_REJECT, STALE_MAXIMA_RANK,
 };
 use xct_verify::deadlock::{CommOp, CommProgram};
 use xct_verify::{explore, verify_all_hierarchical, verify_compiled, VerifyReport, ViolationKind};
@@ -273,6 +273,26 @@ fn compiled_must_reject_rows_are_rejected_by_the_entry_point() {
             );
         }
     }
+}
+
+// ---- Deadlock: a retired collective still lowered on one rank ----
+
+#[test]
+fn stale_maxima_collective_on_one_rank_is_unmatched_at_that_rank_alone() {
+    // Rank 1 runs the maxima allreduce nobody else does: every witness
+    // names rank 1 on the retired site's tags (a round or reply salt on
+    // its base), with at least one of each kind.
+    let report = stale_maxima_collective().check();
+    let (mut unconsumed, mut unmatched) = (0, 0);
+    for v in &report.violations {
+        assert_eq!(v.rank, STALE_MAXIMA_RANK, "{report}");
+        match v.kind {
+            ViolationKind::UnconsumedSend { tag, .. } if tag & 0xffff == 0x7000 => unconsumed += 1,
+            ViolationKind::UnmatchedRecv { tag, .. } if tag & 0xffff == 0x7000 => unmatched += 1,
+            _ => panic!("unexpected witness: {report}"),
+        }
+    }
+    assert!(unconsumed > 0 && unmatched > 0, "{report}");
 }
 
 // ---- Deadlock: a local level lowered per slice on one rank ----

@@ -1464,7 +1464,7 @@ mod tests {
         // Both layers' sweeps are present in the transcript.
         assert!(out.contains("testdata/unsafe_outside.rs"), "{out}");
         let rows = xct_verify::corpus::MUST_REJECT;
-        assert_eq!(rows.len(), 17, "static artifacts in the must-reject table");
+        assert_eq!(rows.len(), 18, "static artifacts in the must-reject table");
         for row in rows {
             assert!(
                 out.contains(&format!("corpus/{}: rejected", row.name)),

@@ -31,7 +31,7 @@ use xct_core::distributed::{reconstruct_distributed, DistributedConfig, Distribu
 use xct_core::{ReconOptions, Reconstructor};
 use xct_fp16::{Precision, F16};
 use xct_geometry::{ImageGrid, ScanGeometry, SystemMatrix};
-use xct_solver::{CglsSolver, ExecContext, Phase, PrecisionOperator, Telemetry};
+use xct_solver::{CglsConfig, CglsSolver, ExecContext, Phase, PrecisionOperator, Telemetry};
 use xct_spmm::Csr;
 use xct_telemetry::{MetricId, ProfileSnapshot};
 
@@ -77,7 +77,7 @@ fn steady_state_cgls_steps_do_not_allocate() {
     // The default context carries a *disabled* telemetry handle — the
     // instrumented solver loop must stay allocation-free through it.
     assert!(!ctx.telemetry.is_enabled());
-    let mut solver = CglsSolver::new(&op, &y, 0.0, &mut ctx, &mut |_| {});
+    let mut solver = CglsSolver::new(&op, &y, &CglsConfig::default(), &mut ctx);
     // Warm-up: the first steps grow the workspace to its steady-state
     // footprint (quantization staging, kernel accumulators).
     for _ in 0..2 {
@@ -223,7 +223,7 @@ fn enabled_telemetry_leaves_workspace_steady_state_alone() {
     let mut ctx = ExecContext::serial()
         .with_precision(Precision::Mixed)
         .with_telemetry(telemetry.clone());
-    let mut solver = CglsSolver::new(&op, &y, 0.0, &mut ctx, &mut |_| {});
+    let mut solver = CglsSolver::new(&op, &y, &CglsConfig::default(), &mut ctx);
     for _ in 0..2 {
         solver.step(&op, &mut ctx, &mut |_| {});
     }
@@ -360,7 +360,6 @@ fn steady_state_compiled_exchange_does_not_allocate() {
         let vals: Vec<f32> = (0..FUSING * rp.in_len())
             .map(|i| (comm.rank() + 1) as f32 * 0.125 + i as f32 * 0.01)
             .collect();
-        let (factors, undos) = ([4.0f32; FUSING], [0.25f32; FUSING]);
         let mut owned = vec![0.0f32; FUSING * rp.owned_len()];
         let mut back = vec![0.0f32; FUSING * rp.in_len()];
 
@@ -375,9 +374,9 @@ fn steady_state_compiled_exchange_does_not_allocate() {
                 comm.barrier(0xA110).unwrap();
                 let before = allocations();
                 for _ in 0..5 {
-                    rp.reduce::<F16>(comm, scratch, &vals, &factors, &undos, owned)
+                    rp.reduce::<F16>(comm, scratch, &vals, FUSING, owned)
                         .unwrap();
-                    rp.scatter::<F16>(comm, scratch, owned, FUSING, 4.0, 0.25, back)
+                    rp.scatter::<F16>(comm, scratch, owned, FUSING, back)
                         .unwrap();
                 }
                 comm.barrier(0xA110).unwrap();

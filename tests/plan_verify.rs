@@ -140,3 +140,12 @@ fn direct_corruptions_map_to_distinct_witnesses() {
 fn per_slice_local_level_yields_unmatched_witness() {
     assert_rejected(&["per-slice-local-level"]);
 }
+
+/// A rank that still runs the forward-maxima allreduce its peers retired
+/// (every sender now carries its own §III-C1 scale in the message
+/// header) sends collective messages nobody receives and waits for
+/// replies nobody sends; the deadlock pass names that rank.
+#[test]
+fn stale_maxima_collective_yields_unmatched_witness() {
+    assert_rejected(&["stale-maxima-collective"]);
+}
