@@ -112,7 +112,7 @@ fn main() {
             .collect();
         let mut owned = vec![0.0f32; rp.owned_len()];
         let mut scratch = ExchangeScratch::new();
-        rp.reduce::<f32>(comm, &mut scratch, &vals, 1, &mut owned)
+        rp.reduce::<f32>(comm, &mut scratch, &vals, 1, false, &mut owned)
             .expect("exchange");
         comm.comm_stats()
     });

@@ -28,8 +28,7 @@
 //! value is a pure function of `(topology, op, inputs)` — the fixed tree
 //! the tests replay serially. A one-node topology degenerates to
 //! gather-at-leader-then-broadcast, which is what a communicator that
-//! was never told its topology runs ([`Communicator::allreduce_sum`] /
-//! [`Communicator::allreduce_max`]).
+//! was never told its topology runs ([`Communicator::allreduce_sum`]).
 //!
 //! The step list is public data so `xct-verify` derives its tag claims
 //! and deadlock programs from the very steps the runtime executes.
@@ -38,28 +37,6 @@ use crate::metrics::TrafficClass;
 use crate::runtime::{CommError, Communicator, REPLY_TAG_SALT};
 use crate::topology::Topology;
 use xct_telemetry::Phase;
-
-/// The element-wise combining operation of an allreduce.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReduceOp {
-    /// Sum (CG inner products).
-    Sum,
-    /// Maximum (the max-norms the §III-C1 normalization factors are
-    /// derived from — every rank must scale by the *same* factor or
-    /// quantized partial sums combine incoherently).
-    Max,
-}
-
-impl ReduceOp {
-    /// Combines two operands; `lo` comes from the lower-ranked
-    /// participant (the canonical order).
-    pub fn combine(self, lo: f64, hi: f64) -> f64 {
-        match self {
-            ReduceOp::Sum => lo + hi,
-            ReduceOp::Max => lo.max(hi),
-        }
-    }
-}
 
 /// Which leg of the collective a step belongs to; decides its wire tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -189,17 +166,16 @@ impl AllreduceSteps {
 }
 
 impl Communicator {
-    /// Element-wise allreduce of `vals` across all ranks, executing this
+    /// Element-wise sum of `vals` across all ranks, executing this
     /// rank's `steps` (every rank must pass the program built for the
-    /// same topology, the same `tag`, `op` and length). On return every
-    /// rank holds bit-identical results. Wire buffers come from and
+    /// same topology, the same `tag` and length). On return every rank
+    /// holds bit-identical results. Wire buffers come from and
     /// return to the pool, so the steady state allocates nothing.
     // xct-hot
     pub fn allreduce(
         &self,
         steps: &AllreduceSteps,
         tag: u64,
-        op: ReduceOp,
         vals: &mut [f64],
     ) -> Result<(), CommError> {
         let _class = self.meter().scope_class(TrafficClass::Control);
@@ -222,8 +198,8 @@ impl Communicator {
                 let got = f64::from_le_bytes(le);
                 *v = match step.kind {
                     StepKind::RecvAssign => got,
-                    _ if step.peer < self.rank() => op.combine(got, *v),
-                    _ => op.combine(*v, got),
+                    _ if step.peer < self.rank() => got + *v,
+                    _ => *v + got,
                 };
             }
             self.recycle(bytes);
@@ -235,15 +211,7 @@ impl Communicator {
     /// program.
     pub fn allreduce_sum(&self, tag: u64, value: f64) -> Result<f64, CommError> {
         let mut one = [value];
-        self.allreduce(self.flat_steps(), tag, ReduceOp::Sum, &mut one)?;
-        Ok(one[0])
-    }
-
-    /// Max-allreduce of one f64 on the communicator's own (one-node)
-    /// program.
-    pub fn allreduce_max(&self, tag: u64, value: f64) -> Result<f64, CommError> {
-        let mut one = [value];
-        self.allreduce(self.flat_steps(), tag, ReduceOp::Max, &mut one)?;
+        self.allreduce(self.flat_steps(), tag, &mut one)?;
         Ok(one[0])
     }
 }
@@ -251,16 +219,16 @@ impl Communicator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::{run_ranks, run_ranks_with, ChaosSchedule, RankOptions};
+    use crate::runtime::{run_ranks_with, ChaosSchedule, RankOptions};
 
     /// The fixed reduction tree replayed serially: what every rank of
-    /// `topo` must hold after an allreduce of `inputs[rank]` under `op`.
+    /// `topo` must hold after an allreduce of `inputs[rank]`.
     /// Shares no code with the step builder — it walks groups, not steps —
     /// so the tests check one against the other.
-    fn reference_allreduce(topo: &Topology, op: ReduceOp, inputs: &[Vec<f64>]) -> Vec<f64> {
+    fn reference_allreduce(topo: &Topology, inputs: &[Vec<f64>]) -> Vec<f64> {
         let fold = |acc: &mut Vec<f64>, other: &[f64]| {
             for (a, &b) in acc.iter_mut().zip(other) {
-                *a = op.combine(*a, b);
+                *a += b;
             }
         };
         let mut nodes: Vec<Vec<f64>> = topo
@@ -324,20 +292,15 @@ mod tests {
             .collect()
     }
 
-    fn run_allreduce(
-        topo: &Topology,
-        op: ReduceOp,
-        len: usize,
-        chaos: Option<ChaosSchedule>,
-    ) -> Vec<Vec<f64>> {
+    fn run_allreduce(topo: &Topology, len: usize, chaos: Option<ChaosSchedule>) -> Vec<Vec<f64>> {
         let body = |comm: &Communicator| {
             let steps = AllreduceSteps::build(topo, comm.rank());
             let mut vals = input(comm.rank(), len);
             // Twice on one tag: per-key FIFO must keep rounds apart.
-            comm.allreduce(&steps, 0x7000, op, &mut vals).unwrap();
+            comm.allreduce(&steps, 0x7000, &mut vals).unwrap();
             let first = vals.clone();
             let mut again = input(comm.rank(), len);
-            comm.allreduce(&steps, 0x7000, op, &mut again).unwrap();
+            comm.allreduce(&steps, 0x7000, &mut again).unwrap();
             assert_eq!(first, again, "back-to-back collectives diverged");
             vals
         };
@@ -352,49 +315,20 @@ mod tests {
     fn every_rank_gets_the_fixed_tree_result_bit_for_bit() {
         for &(n, s, g) in &TOPOLOGIES {
             let topo = Topology::new(n, s, g);
-            for op in [ReduceOp::Sum, ReduceOp::Max] {
-                for len in 1..=16 {
-                    let inputs: Vec<Vec<f64>> = (0..topo.size()).map(|r| input(r, len)).collect();
-                    let expect = reference_allreduce(&topo, op, &inputs);
-                    let got = run_allreduce(&topo, op, len, None);
-                    for (rank, vals) in got.iter().enumerate() {
-                        let same = vals
-                            .iter()
-                            .zip(&expect)
-                            .all(|(a, b)| a.to_bits() == b.to_bits());
-                        assert!(
-                            same,
-                            "{n}x{s}x{g} {op:?} len {len} rank {rank}: {vals:?} vs {expect:?}"
-                        );
-                    }
+            for len in 1..=16 {
+                let inputs: Vec<Vec<f64>> = (0..topo.size()).map(|r| input(r, len)).collect();
+                let expect = reference_allreduce(&topo, &inputs);
+                let got = run_allreduce(&topo, len, None);
+                for (rank, vals) in got.iter().enumerate() {
+                    let same = vals
+                        .iter()
+                        .zip(&expect)
+                        .all(|(a, b)| a.to_bits() == b.to_bits());
+                    assert!(
+                        same,
+                        "{n}x{s}x{g} len {len} rank {rank}: {vals:?} vs {expect:?}"
+                    );
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn vector_max_equals_the_scalar_collectives_it_replaces() {
-        // The forward apply used to agree on one normalization maximum
-        // per fused slice with one scalar collective each; the vector
-        // collective must deliver exactly those values, element by
-        // element, on every topology.
-        for &(n, s, g) in &TOPOLOGIES {
-            let topo = Topology::new(n, s, g);
-            let slices = 8;
-            let got = run_ranks(topo.size(), |comm| {
-                let steps = AllreduceSteps::build(&topo, comm.rank());
-                let local: Vec<f64> = input(comm.rank(), slices).iter().map(|v| v.abs()).collect();
-                let mut fused = local.clone();
-                comm.allreduce(&steps, 0x7000, ReduceOp::Max, &mut fused)
-                    .unwrap();
-                let scalars: Vec<f64> = local
-                    .iter()
-                    .map(|&v| comm.allreduce_max(0x7100, v).unwrap())
-                    .collect();
-                (fused, scalars)
-            });
-            for (fused, scalars) in &got {
-                assert_eq!(fused, scalars, "{n}x{s}x{g}");
             }
         }
     }
@@ -403,15 +337,13 @@ mod tests {
     fn chaos_schedules_leave_results_unchanged() {
         for &(n, s, g) in &[(2, 2, 2), (3, 2, 2), (5, 1, 1)] {
             let topo = Topology::new(n, s, g);
-            for op in [ReduceOp::Sum, ReduceOp::Max] {
-                let calm = run_allreduce(&topo, op, 5, None);
-                for seed in 0..3u64 {
-                    let jitter = run_allreduce(&topo, op, 5, Some(ChaosSchedule::jitter(seed)));
-                    assert_eq!(jitter, calm, "{n}x{s}x{g} {op:?} jitter seed {seed}");
-                    let one = ChaosSchedule::delay_one(seed, topo.size());
-                    let delayed = run_allreduce(&topo, op, 5, Some(one));
-                    assert_eq!(delayed, calm, "{n}x{s}x{g} {op:?} delay-one seed {seed}");
-                }
+            let calm = run_allreduce(&topo, 5, None);
+            for seed in 0..3u64 {
+                let jitter = run_allreduce(&topo, 5, Some(ChaosSchedule::jitter(seed)));
+                assert_eq!(jitter, calm, "{n}x{s}x{g} jitter seed {seed}");
+                let one = ChaosSchedule::delay_one(seed, topo.size());
+                let delayed = run_allreduce(&topo, 5, Some(one));
+                assert_eq!(delayed, calm, "{n}x{s}x{g} delay-one seed {seed}");
             }
         }
     }

@@ -12,13 +12,26 @@
 //! buffers ([`ExchangeScratch`]). Each program carries its
 //! [`ExchangeLevel`], which gives its tag, traffic class and span.
 //!
+//! **One level step.** [`RankPlan::reduce`] and [`RankPlan::scatter`]
+//! are the executor's entry points, and every level of both directions —
+//! socket, node and global, and their three scatter twins — runs through
+//! the same `post` / `drain` pair. `post` sends one message per peer,
+//! headed by its slices' undos on a scaled wire, then posts the receives;
+//! `drain` waits for them in plan order and forms the level one slice at
+//! a time in a one-slice `f64` accumulator: seeded with the local carries
+//! times the slice's own undo, each payload times its sender's undo
+//! landed in plan order (accumulated when reducing, assigned when
+//! scattering), and the slice handed on. The input of every level is the
+//! *held batch* — every slice's values at storage width, beside their
+//! undos: the caller's batch quantized into it first, each level's output
+//! rounded into it for the next, and the footprint restricted out of the
+//! last scatter level's.
+//!
 //! **One rendezvous per local level per apply.** The socket and node
-//! levels of both directions run once for the whole fused minibatch
-//! ([`RankPlan::reduce_local`], [`RankPlan::scatter_local`]): one message
-//! per peer carrying every slice, slice-major, on the level's base tag;
-//! then, with every message in, the level is formed one slice at a time
-//! in a one-slice `f64` accumulator and held at storage width for the
-//! next. Only the global levels run per slice, under the slice's salt.
+//! levels run once for the whole fused minibatch — posted and drained at
+//! once, one message per peer carrying every slice, slice-major, on the
+//! level's base tag. Only the global levels run per slice, under the
+//! slice's salt.
 //!
 //! Direct exchange is the hierarchy of one-GPU nodes: a plan built on
 //! `Topology::new(ranks, 1, 1)` has singleton socket and node groups.
@@ -36,8 +49,8 @@
 //! level seeds its `f64` accumulator with its own carries times its own
 //! undo, adds each payload times its sender's undo in plan order, and
 //! holds its output rounded under the scale of that output's own
-//! max-norm, its undo beside it; the global finish and the last scatter
-//! level round their output the same way. No rank waits on another's
+//! max-norm, its undo beside it; the forward global level rounds the
+//! owned totals the same way. No rank waits on another's
 //! maximum, and a slice far smaller than its neighbours, or than another
 //! rank's partial, keeps its precision. Full-width wires carry no header
 //! and every scale on them is 1.
@@ -50,29 +63,26 @@
 //! identical order, per element; batching changes what travels in one
 //! message, not what is added.
 //!
-//! The split [`RankPlan::global_begin`] / [`RankPlan::global_finish`]
-//! (and the scatter twins) is what makes the paper's §III-E overlap
-//! executable: `begin` posts one slice's global sends and irecvs and
-//! queues the exchange in the scratch; the *next* slices' posts run while
-//! those messages are on the wire; `finish` completes the oldest queued
-//! exchange — any number may be in flight, drained in posting order.
-//! Telemetry spans close inside the call that opened them
-//! (`ReduceGlobal`/`HaloExchange` around the posting and the completion
-//! work, `CommWait` around every blocking wait — a local level's
-//! receives as much as a global drain), so in-flight exchanges never
-//! chain spans under each other; the overlap shows in the timestamps
-//! instead.
+//! Splitting the step is what makes the paper's §III-E overlap
+//! executable: a global level posts slice `f` at `Post(f)` of
+//! [`exchange_schedule`] and drains it at `Drain(f)`; under `overlap`
+//! every slice's exchange is on the wire before the first drain, each
+//! pending in its own slot of the scratch. Telemetry spans close inside
+//! the call that opened them (the level's [`ExchangeLevel::span`] around
+//! each post and each drain, `CommWait` around every blocking wait), so
+//! in-flight exchanges never chain spans under each other; the overlap
+//! shows in the timestamps instead.
 
 // Row and position ids in this module are `u32` by the `Ownership`
 // contract (`num_rows` fits `u32`); enumerate-index casts back into that
 // space are lossless by construction.
 #![allow(clippy::cast_possible_truncation)]
 use crate::plan::{DirectPlan, HierarchicalPlan, Ownership, ReductionStep};
-use crate::protocol::{slice_salt, ExchangeLevel};
+use crate::protocol::{exchange_schedule, slice_salt, ExchangeLevel, ExchangeOp};
 use crate::runtime::{CommError, Communicator, RecvRequest};
 use crate::topology::Topology;
 use crate::wire::{header_bytes, message_slice, slice_scale, write_header, HeldScalar, Wire};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use xct_fp16::{max_abs, max_abs_f64, StorageScalar};
 use xct_telemetry::Phase;
 
@@ -448,11 +458,11 @@ impl CompiledPlans {
 /// warm-up apply every buffer has reached steady capacity and execution
 /// allocates nothing (asserted in `tests/alloc_free.rs`).
 ///
-/// A local level runs once per apply over the whole fused batch, so
-/// between two levels the scratch holds every slice's values — at storage
+/// Between two levels the scratch holds every slice's values — at storage
 /// width ([`Wire::Held`]), where they are exact after the level's
-/// rounding — beside each slice's undo, while the level itself is formed
-/// one slice at a time in a one-slice `f64` accumulator.
+/// rounding — beside each slice's undo; that held batch is the only input
+/// a level reads. A level is formed one slice at a time in a one-slice
+/// `f64` accumulator.
 #[derive(Debug, Default)]
 pub struct ExchangeScratch {
     /// The held batch of `f32`-held storage, slice-major: the current
@@ -464,25 +474,8 @@ pub struct ExchangeScratch {
     /// being formed (`[1]`): a held value times its slice's undo is the
     /// value it stands for.
     undos: [Vec<f32>; 2],
-    /// The per-slice factors the first forward level quantizes the
-    /// kernel's partials with.
-    factors: Vec<f32>,
-    /// `(slices, per-slice length)` of the batch `reduce_local` left for
-    /// the global posts.
-    held: (usize, usize),
-    /// One slice of the level being formed.
-    acc: Vec<f64>,
-    /// The level's received payloads, in plan order.
-    payloads: Vec<Vec<u8>>,
-    /// Accumulator buffers for in-flight exchanges (one per fused slice
-    /// live at once under overlap).
-    acc_pool: Vec<Vec<f64>>,
-    /// Request vectors for in-flight exchanges.
-    req_pool: Vec<Vec<RecvRequest>>,
-    /// Posted global reductions, oldest first.
-    globals: VecDeque<GlobalInFlight>,
-    /// Posted global scatters, oldest first.
-    scatters: VecDeque<ScatterInFlight>,
+    /// The buffers of the level step.
+    step: Step,
 }
 
 impl ExchangeScratch {
@@ -490,59 +483,251 @@ impl ExchangeScratch {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Quantizes `vals`, `slices` slices of `len` values, into the held
+    /// batch that `first` reads, under `first`'s span and the whole
+    /// batch's profile context: each slice as `S(value · factor)` under
+    /// the §III-C1 scale of its own max-norm, its undo beside it.
+    fn hold<S: Wire>(
+        &mut self,
+        comm: &Communicator,
+        first: &LevelProgram,
+        vals: &[f32],
+        slices: usize,
+        len: usize,
+    ) {
+        assert_eq!(vals.len(), slices * len, "batch length mismatch");
+        // Whole-batch work: every slice's cost.
+        comm.telemetry().profile_slices_set(0, slices as u32);
+        let _span = comm.telemetry().span(first.level.span());
+        let [cur, _] = S::Held::batch(&mut self.narrow, &mut self.wide);
+        let undos = &mut self.undos[0];
+        cur.clear();
+        undos.clear();
+        for slice in (0..slices).map(|f| &vals[f * len..(f + 1) * len]) {
+            let (factor, undo) = slice_scale::<S>(|| f64::from(max_abs(slice)));
+            let quantized = |&v: &f32| S::Held::from_f64(S::from_f32(v * factor).to_f64());
+            cur.extend(slice.iter().map(quantized));
+            undos.push(undo);
+        }
+    }
+
+    /// Runs `level` over the held batch of `len`-long slices and holds
+    /// its output in its place, each slice rounded under the scale of its
+    /// own max-norm.
+    fn advance<S: Wire>(
+        &mut self,
+        comm: &Communicator,
+        level: &LevelProgram,
+        len: usize,
+        overlap: bool,
+    ) -> Result<(), CommError> {
+        let ExchangeScratch {
+            narrow,
+            wide,
+            undos: [undo_cur, undo_nxt],
+            step,
+        } = self;
+        let [cur, nxt] = S::Held::batch(narrow, wide);
+        let (slices, out_len) = (undo_cur.len(), level.out_len);
+        // Every slice of the output is emitted whole: nothing to reset.
+        nxt.resize(slices * out_len, S::Held::zero());
+        undo_nxt.resize(slices, 1.0);
+        let input = Batch {
+            vals: cur,
+            len,
+            undos: undo_cur,
+        };
+        step.run::<S>(comm, level, input, overlap, |f, vals| {
+            undo_nxt[f] = round_scaled::<S>(vals, &mut nxt[f * out_len..(f + 1) * out_len]);
+        })?;
+        std::mem::swap(cur, nxt);
+        std::mem::swap(undo_cur, undo_nxt);
+        Ok(())
+    }
 }
 
-/// A zeroed accumulator of `len` out of `pool`.
-fn take_acc(pool: &mut Vec<Vec<f64>>, len: usize) -> Vec<f64> {
-    let mut acc = pool.pop().unwrap_or_default();
-    acc.clear();
-    acc.resize(len, 0.0);
-    acc
+/// A held batch as a level reads it: `undos.len()` slices of `len`
+/// values each, slice-major, each slice's undo beside it.
+#[derive(Clone, Copy)]
+struct Batch<'a, H> {
+    vals: &'a [H],
+    len: usize,
+    undos: &'a [f32],
 }
 
-/// A global reduction in flight: sends posted, receives pending.
-#[derive(Debug)]
-struct GlobalInFlight {
+impl<'a, H: Copy> Batch<'a, H> {
+    /// The values of slice `f`.
+    fn values(self, f: usize) -> &'a [H] {
+        &self.vals[f * self.len..(f + 1) * self.len]
+    }
+
+    /// Slice `f` alone, as a batch of one.
+    fn slice(self, f: usize) -> Self {
+        Batch {
+            vals: self.values(f),
+            len: self.len,
+            undos: &self.undos[f..=f],
+        }
+    }
+}
+
+/// The buffers of the one level step: the one-slice accumulator, the
+/// received payloads of the level being drained, and the receives of
+/// every exchange in flight.
+#[derive(Debug, Default)]
+struct Step {
+    /// One slice of the level being formed.
     acc: Vec<f64>,
-    reqs: Vec<RecvRequest>,
+    /// The drained level's received payloads, in plan order.
+    payloads: Vec<Vec<u8>>,
+    /// The posted receives of each exchange in flight, by the fused
+    /// slice a global level carries (a local level, drained as soon as
+    /// it is posted, uses the first).
+    pending: Vec<Vec<RecvRequest>>,
 }
 
-/// A global scatter in flight (transpose direction), analogous to
-/// [`GlobalInFlight`]; its values land in slot `slice` of the held batch.
-#[derive(Debug)]
-struct ScatterInFlight {
-    out1: Vec<f64>,
-    reqs: Vec<RecvRequest>,
-    slice: usize,
-}
-
-/// Sends every transfer of `level` under `tag`: one message per peer
-/// carrying one slice per entry of `undos` — the header of the slices'
-/// undos ([`Wire::SCALED`] wires only), then the transfer's positions
-/// slice-major, each value read as `value(slice, position)` (already a
-/// storage value of its slice's scale) and encoded at storage width
-/// through the communicator's buffer pool.
-fn run_sends<S: Wire>(
-    comm: &Communicator,
-    level: &LevelProgram,
-    undos: &[f32],
-    tag: u64,
-    value: impl Fn(usize, u32) -> f64,
-) -> Result<(), CommError> {
-    let _class = comm.meter().scope_class(level.level.class());
-    let slices = undos.len();
-    for t in &level.sends {
-        let bytes = header_bytes::<S>(slices) + slices * t.idx.len() * S::BYTES;
-        let mut buf = comm.pooled_buf(bytes);
-        write_header::<S>(undos, &mut buf);
-        for f in 0..slices {
-            for &i in &t.idx {
-                S::from_f64(value(f, i)).write_to(&mut buf);
+impl Step {
+    /// Runs `level` over `input`: a local level is posted and drained at
+    /// once, on its base tag, carrying the whole batch; a global level
+    /// posts slice `f` under its [`slice_salt`] at `Post(f)` of
+    /// [`exchange_schedule`] and drains it at `Drain(f)`, so under
+    /// `overlap` every slice is on the wire before the first drain.
+    fn run<S: Wire>(
+        &mut self,
+        comm: &Communicator,
+        level: &LevelProgram,
+        input: Batch<'_, S::Held>,
+        overlap: bool,
+        mut emit: impl FnMut(usize, &[f64]),
+    ) -> Result<(), CommError> {
+        let tag = level.level.tag();
+        let slices = input.undos.len();
+        let per_slice = level.level.per_slice();
+        let slots = if per_slice { slices } else { 1 };
+        if self.pending.len() < slots {
+            self.pending.resize_with(slots, Vec::new);
+        }
+        if !per_slice {
+            self.post::<S>(comm, level, tag, 0, input)?;
+            return self.drain::<S>(comm, level, 0, input, emit);
+        }
+        let telemetry = comm.telemetry();
+        for op in exchange_schedule(slices, overlap) {
+            match op {
+                ExchangeOp::Post(f) => {
+                    telemetry.profile_slice_set(f as u32);
+                    let tag = tag ^ slice_salt(f);
+                    self.post::<S>(comm, level, tag, f, input.slice(f))?;
+                }
+                ExchangeOp::Drain(f) => {
+                    telemetry.profile_slice_set(f as u32);
+                    let one = |_: usize, vals: &[f64]| emit(f, vals);
+                    self.drain::<S>(comm, level, f, input.slice(f), one)?;
+                }
             }
         }
-        comm.send(t.peer, tag, buf)?;
+        // Whole-batch work again: every slice's cost.
+        telemetry.profile_slices_set(0, slices as u32);
+        Ok(())
     }
-    Ok(())
+
+    /// Posts one exchange of `level` under `tag`: one message per peer
+    /// carrying every slice of `input` — the header of the slices' undos
+    /// ([`Wire::SCALED`] wires only), then the transfer's positions
+    /// slice-major, encoded at storage width through the communicator's
+    /// buffer pool — then the receives, into pending slot `slot`.
+    fn post<S: Wire>(
+        &mut self,
+        comm: &Communicator,
+        level: &LevelProgram,
+        tag: u64,
+        slot: usize,
+        input: Batch<'_, S::Held>,
+    ) -> Result<(), CommError> {
+        let _span = comm.telemetry().span(level.level.span());
+        let slices = input.undos.len();
+        {
+            let _class = comm.meter().scope_class(level.level.class());
+            for t in &level.sends {
+                let bytes = header_bytes::<S>(slices) + slices * t.idx.len() * S::BYTES;
+                let mut buf = comm.pooled_buf(bytes);
+                write_header::<S>(input.undos, &mut buf);
+                for f in 0..slices {
+                    let vals = input.values(f);
+                    for &i in &t.idx {
+                        S::from_f64(vals[i as usize].to_f64()).write_to(&mut buf);
+                    }
+                }
+                comm.send(t.peer, tag, buf)?;
+            }
+        }
+        let reqs = &mut self.pending[slot];
+        for t in &level.recvs {
+            reqs.push(comm.irecv(t.peer, tag)?);
+        }
+        Ok(())
+    }
+
+    /// Completes the exchange posted into `slot`: waits for its receives
+    /// in plan order (the blocking part, under its own `CommWait` span),
+    /// then forms the level one slice at a time in the accumulator —
+    /// seeded with the local carries of `input` times the slice's own
+    /// undo, each payload times its sender's undo landed in plan order
+    /// (accumulated on the [`ExchangeLevel::REDUCE`] levels, assigned on
+    /// the [`ExchangeLevel::SCATTER`] ones) — and hands it to
+    /// `emit(slice, acc)` unrounded.
+    // xct-hot
+    fn drain<S: Wire>(
+        &mut self,
+        comm: &Communicator,
+        level: &LevelProgram,
+        slot: usize,
+        input: Batch<'_, S::Held>,
+        mut emit: impl FnMut(usize, &[f64]),
+    ) -> Result<(), CommError> {
+        let _span = comm.telemetry().span(level.level.span());
+        let Step {
+            acc,
+            payloads,
+            pending,
+        } = self;
+        payloads.clear();
+        {
+            // Blocked time, not exchange work: under overlap this is
+            // pipeline stall, and charging it to the level's span would
+            // misattribute the wait. Each message's length is checked
+            // where its slices are read (`message_slice`).
+            let _wait = comm.telemetry().span(Phase::CommWait);
+            for (req, t) in pending[slot].drain(..).zip(&level.recvs) {
+                debug_assert_eq!(req.src(), t.peer);
+                payloads.push(req.wait(comm)?);
+            }
+        }
+        let land = if ExchangeLevel::REDUCE.contains(&level.level) {
+            accumulate_payload::<S>
+        } else {
+            assign_payload::<S>
+        };
+        let slices = input.undos.len();
+        for (f, &undo) in input.undos.iter().enumerate() {
+            acc.clear();
+            acc.resize(level.out_len, 0.0);
+            let (vals, own) = (input.values(f), f64::from(undo));
+            for &(s, d) in &level.keeps {
+                acc[d as usize] = vals[s as usize].to_f64() * own;
+            }
+            for (t, bytes) in level.recvs.iter().zip(payloads.iter()) {
+                let (undo, payload) = message_slice::<S>(bytes, slices, t.idx.len(), f);
+                land(payload, &t.idx, undo, acc);
+            }
+            emit(f, acc);
+        }
+        for bytes in payloads.drain(..) {
+            comm.recycle(bytes);
+        }
+        Ok(())
+    }
 }
 
 /// Decodes one slice's `payload` at storage width, widens each value by
@@ -575,65 +760,6 @@ fn round_scaled<S: Wire>(vals: &[f64], out: &mut [S::Held]) -> f32 {
         *o = S::Held::from_f64(S::from_f64(v * factor).to_f64());
     }
     undo
-}
-
-/// One slice's input to a level out of the held batch `cur` of
-/// `len`-long slices.
-fn held_input<H: HeldScalar>(cur: &[H], len: usize) -> impl Fn(usize, u32) -> f64 + '_ {
-    move |f, i| cur[f * len + i as usize].to_f64()
-}
-
-/// Runs one blocking local level over the batch of `undos.len()` fused
-/// slices: one message per peer, slice-major, under the level's base tag;
-/// then every peer's message is received (the blocking part, under its
-/// own `CommWait` span) and the level is formed one slice at a time in
-/// `acc` — seeded with the local carries of `input(slice, position)`
-/// widened by the slice's own undo, each payload widened by its sender's
-/// undo and landed in plan order (`land`: accumulate when reducing,
-/// assign when scattering) — and handed to `emit(slice, acc)` unrounded.
-#[allow(clippy::too_many_arguments)]
-fn run_level<S: Wire>(
-    comm: &Communicator,
-    level: &LevelProgram,
-    input: impl Fn(usize, u32) -> f64,
-    undos: &[f32],
-    acc: &mut Vec<f64>,
-    payloads: &mut Vec<Vec<u8>>,
-    land: fn(&[u8], &[u32], f32, &mut [f64]),
-    mut emit: impl FnMut(usize, &[f64]),
-) -> Result<(), CommError> {
-    let _span = level.level.span().map(|p| comm.telemetry().span(p));
-    let tag = level.level.tag();
-    let slices = undos.len();
-    run_sends::<S>(comm, level, undos, tag, &input)?;
-    payloads.clear();
-    {
-        // Blocked time, not exchange work: the rendezvous gets the wait
-        // phase, as the global drains' does.
-        let _wait = comm.telemetry().span(Phase::CommWait);
-        // Each message's length is checked where its slices are read
-        // (`message_slice`).
-        for t in &level.recvs {
-            payloads.push(comm.recv(t.peer, tag)?);
-        }
-    }
-    for (f, &undo) in undos.iter().enumerate() {
-        acc.clear();
-        acc.resize(level.out_len, 0.0);
-        let own = f64::from(undo);
-        for &(s, d) in &level.keeps {
-            acc[d as usize] = input(f, s) * own;
-        }
-        for (t, bytes) in level.recvs.iter().zip(payloads.iter()) {
-            let (undo, payload) = message_slice::<S>(bytes, slices, t.idx.len(), f);
-            land(payload, &t.idx, undo, acc);
-        }
-        emit(f, acc);
-    }
-    for bytes in payloads.drain(..) {
-        comm.recycle(bytes);
-    }
-    Ok(())
 }
 
 impl RankPlan {
@@ -697,365 +823,90 @@ impl RankPlan {
         &self.restrict
     }
 
-    /// Runs the *local* forward levels (socket, node) blocking, once for
-    /// the whole fused batch: `partial` holds `slices` slices of footprint
-    /// partials, slice-major (the fused kernel's output); slice `f` is
-    /// quantized to storage precision under the §III-C1 scale of this
-    /// rank's own partial for it and reduced within socket then node
-    /// groups. Every slice's post-node values stay in `scratch`, beside
-    /// their undos, for [`global_begin`] / [`global_finish`].
-    ///
-    /// [`global_begin`]: RankPlan::global_begin
-    /// [`global_finish`]: RankPlan::global_finish
-    pub fn reduce_local<S: Wire>(
-        &self,
-        comm: &Communicator,
-        scratch: &mut ExchangeScratch,
-        partial: &[f32],
-        slices: usize,
-    ) -> Result<(), CommError> {
-        let in_len = self.in_len;
-        assert_eq!(partial.len(), slices * in_len, "footprint length mismatch");
-        let ExchangeScratch {
-            narrow,
-            wide,
-            undos,
-            factors,
-            held,
-            acc,
-            payloads,
-            ..
-        } = scratch;
-        let [cur, nxt] = S::Held::batch(narrow, wide);
-        let [undo_cur, undo_nxt] = undos;
-        factors.clear();
-        undo_cur.clear();
-        for f in 0..slices {
-            let slice = &partial[f * in_len..(f + 1) * in_len];
-            let (factor, undo) = slice_scale::<S>(|| f64::from(max_abs(slice)));
-            factors.push(factor);
-            undo_cur.push(undo);
-        }
-        // The first level reads the kernel's partial directly.
-        let factors = &factors[..];
-        let quantized =
-            |f: usize, i: u32| S::from_f32(partial[f * in_len + i as usize] * factors[f]).to_f64();
-        let mut len = in_len;
-        for (k, level) in self.levels.iter().enumerate() {
-            let out_len = level.out_len;
-            nxt.clear();
-            nxt.resize(slices * out_len, S::Held::zero());
-            undo_nxt.clear();
-            undo_nxt.resize(slices, 1.0);
-            let emit = |f: usize, vals: &[f64]| {
-                undo_nxt[f] = round_scaled::<S>(vals, &mut nxt[f * out_len..(f + 1) * out_len]);
-            };
-            let land = accumulate_payload::<S>;
-            if k == 0 {
-                run_level::<S>(comm, level, quantized, undo_cur, acc, payloads, land, emit)?;
-            } else {
-                let input = held_input(&cur[..], len);
-                run_level::<S>(comm, level, input, undo_cur, acc, payloads, land, emit)?;
-            }
-            std::mem::swap(cur, nxt);
-            std::mem::swap(undo_cur, undo_nxt);
-            len = out_len;
-        }
-        if self.levels.is_empty() {
-            cur.clear();
-            for f in 0..slices {
-                cur.extend((0..in_len as u32).map(|i| S::Held::from_f64(quantized(f, i))));
-            }
-        }
-        *held = (slices, len);
-        Ok(())
-    }
-
-    /// Posts fused slice `slice`'s global exchange out of the batch
-    /// [`reduce_local`] left in `scratch`: sends the slice's post-node
-    /// partials, headed by their undo, to their owners under its
-    /// [`slice_salt`], posts irecvs for incoming contributions, and queues
-    /// the exchange. Local work — including other slices' `global_begin`s
-    /// — may run freely until the matching [`global_finish`]; that is the
-    /// §III-E overlap window.
-    ///
-    /// [`reduce_local`]: RankPlan::reduce_local
-    /// [`global_finish`]: RankPlan::global_finish
-    pub fn global_begin<S: Wire>(
-        &self,
-        comm: &Communicator,
-        scratch: &mut ExchangeScratch,
-        slice: usize,
-    ) -> Result<(), CommError> {
-        let _span = comm.telemetry().span(Phase::ReduceGlobal);
-        let (slices, len) = scratch.held;
-        assert!(
-            slice < slices,
-            "slice {slice} is not in the batch of {slices}"
-        );
-        let level = &self.global;
-        let tag = level.level.tag() ^ slice_salt(slice);
-        let undo = scratch.undos[0][slice];
-        let [cur, _] = S::Held::batch(&mut scratch.narrow, &mut scratch.wide);
-        let cur = &cur[slice * len..(slice + 1) * len];
-        run_sends::<S>(comm, level, &[undo], tag, |_, i| cur[i as usize].to_f64())?;
-        let mut acc = take_acc(&mut scratch.acc_pool, level.out_len);
-        let own = f64::from(undo);
-        for &(s, d) in &level.keeps {
-            acc[d as usize] = cur[s as usize].to_f64() * own;
-        }
-        let mut reqs = scratch.req_pool.pop().unwrap_or_default();
-        for t in &level.recvs {
-            reqs.push(comm.irecv(t.peer, tag)?);
-        }
-        scratch.globals.push_back(GlobalInFlight { acc, reqs });
-        Ok(())
-    }
-
-    /// Completes the oldest posted global exchange: waits on the irecvs
-    /// in plan order, widens each contribution by its sender's undo and
-    /// accumulates in f64, rounds to storage precision under the scale of
-    /// the total's own max-norm, and writes the widened totals into `out`
-    /// (one value per owned row).
-    // xct-hot
-    pub fn global_finish<S: Wire>(
-        &self,
-        comm: &Communicator,
-        scratch: &mut ExchangeScratch,
-        out: &mut [f32],
-    ) -> Result<(), CommError> {
-        let _span = comm.telemetry().span(Phase::ReduceGlobal);
-        let GlobalInFlight { mut acc, mut reqs } =
-            scratch.globals.pop_front().ok_or(CommError::NotPosted)?;
-        assert_eq!(out.len(), self.global.out_len, "owned length mismatch");
-        {
-            // The blocking drain gets its own phase: under overlap this
-            // is pipeline stall time, not exchange work, and charging it
-            // to the enclosing span would misattribute the wait.
-            let _wait = comm.telemetry().span(Phase::CommWait);
-            for (req, t) in reqs.drain(..).zip(&self.global.recvs) {
-                debug_assert_eq!(req.src(), t.peer);
-                let bytes = req.wait(comm)?;
-                let (undo, payload) = message_slice::<S>(&bytes, 1, t.idx.len(), 0);
-                accumulate_payload::<S>(payload, &t.idx, undo, &mut acc);
-                comm.recycle(bytes);
-            }
-        }
-        let (factor, undo) = slice_scale::<S>(|| max_abs_f64(&acc));
-        let factor = f64::from(factor);
-        for (o, &v) in out.iter_mut().zip(acc.iter()) {
-            *o = S::from_f64(v * factor).to_f32() * undo;
-        }
-        acc.clear();
-        scratch.acc_pool.push(acc);
-        scratch.req_pool.push(reqs);
-        Ok(())
-    }
-
-    /// Blocking convenience: the full forward reduction of a batch —
-    /// `partial` is `slices` slices of footprint partials, `out` as many
-    /// slices of owned totals.
+    /// The forward reduction of a batch: `partial` holds `slices` slices
+    /// of footprint partials, slice-major (the fused kernel's output),
+    /// `out` receives as many slices of owned totals. Slice `f` is
+    /// quantized under the §III-C1 scale of this rank's own partial for
+    /// it and reduced within socket then node groups, the whole batch at
+    /// once; then each slice's global exchange to its owners runs in
+    /// [`exchange_schedule`]`(slices, overlap)` order, and each total is
+    /// rounded under the scale of its own max-norm.
     pub fn reduce<S: Wire>(
         &self,
         comm: &Communicator,
         scratch: &mut ExchangeScratch,
         partial: &[f32],
         slices: usize,
+        overlap: bool,
         out: &mut [f32],
     ) -> Result<(), CommError> {
         let owned = self.owned_len;
         assert_eq!(out.len(), slices * owned, "owned length mismatch");
-        self.reduce_local::<S>(comm, scratch, partial, slices)?;
-        for f in 0..slices {
-            self.global_begin::<S>(comm, scratch, f)?;
-            self.global_finish::<S>(comm, scratch, &mut out[f * owned..(f + 1) * owned])?;
+        let first = self.levels.first().unwrap_or(&self.global);
+        scratch.hold::<S>(comm, first, partial, slices, self.in_len);
+        let mut len = self.in_len;
+        for level in &self.levels {
+            scratch.advance::<S>(comm, level, len, overlap)?;
+            len = level.out_len;
         }
-        Ok(())
-    }
-
-    /// Posts fused slice `slice`'s global scatter (transpose direction):
-    /// quantizes its owned totals under the §III-C1 scale of their own
-    /// max-norm, sends each peer the rows it contributed partials for,
-    /// headed by the undo, under the slice's [`slice_salt`], seeds the
-    /// local carries, posts irecvs for rows owned elsewhere, and queues
-    /// the scatter in `scratch`. Local work — and further
-    /// `scatter_begin`s — may run until the matching [`scatter_finish`].
-    ///
-    /// [`scatter_finish`]: RankPlan::scatter_finish
-    pub fn scatter_begin<S: Wire>(
-        &self,
-        comm: &Communicator,
-        scratch: &mut ExchangeScratch,
-        slice: usize,
-        owned: &[f32],
-    ) -> Result<(), CommError> {
-        assert_eq!(owned.len(), self.owned_len, "owned length mismatch");
-        let _span = comm.telemetry().span(Phase::HaloExchange);
-        let level = &self.scatter_global;
-        let tag = level.level.tag() ^ slice_salt(slice);
-        let (factor, undo) = slice_scale::<S>(|| f64::from(max_abs(owned)));
-        let quantized = |i: u32| S::from_f32(owned[i as usize] * factor).to_f64();
-        run_sends::<S>(comm, level, &[undo], tag, |_, i| quantized(i))?;
-        let mut out1 = take_acc(&mut scratch.acc_pool, level.out_len);
-        let own = f64::from(undo);
-        for &(s, d) in &level.keeps {
-            out1[d as usize] = quantized(s) * own;
-        }
-        let mut reqs = scratch.req_pool.pop().unwrap_or_default();
-        for t in &level.recvs {
-            reqs.push(comm.irecv(t.peer, tag)?);
-        }
-        scratch
-            .scatters
-            .push_back(ScatterInFlight { out1, reqs, slice });
-        Ok(())
-    }
-
-    /// Completes the oldest posted scatter: waits on its global irecvs,
-    /// widens each by its sender's undo, rounds the slice to storage
-    /// precision under the scale of its own max-norm and holds it, with
-    /// its undo, in `scratch` for [`scatter_local`].
-    ///
-    /// [`scatter_local`]: RankPlan::scatter_local
-    // xct-hot
-    pub fn scatter_finish<S: Wire>(
-        &self,
-        comm: &Communicator,
-        scratch: &mut ExchangeScratch,
-    ) -> Result<(), CommError> {
-        let _span = comm.telemetry().span(Phase::HaloExchange);
-        let ScatterInFlight {
-            mut out1,
-            mut reqs,
-            slice,
-        } = scratch.scatters.pop_front().ok_or(CommError::NotPosted)?;
-        {
-            // As in `global_finish`: waiting on posted irecvs is stall
-            // time and reports under its own `comm.wait` phase.
-            let _wait = comm.telemetry().span(Phase::CommWait);
-            for (req, t) in reqs.drain(..).zip(&self.scatter_global.recvs) {
-                debug_assert_eq!(req.src(), t.peer);
-                let bytes = req.wait(comm)?;
-                let (undo, payload) = message_slice::<S>(&bytes, 1, t.idx.len(), 0);
-                assign_payload::<S>(payload, &t.idx, undo, &mut out1);
-                comm.recycle(bytes);
-            }
-        }
-        let len = self.scatter_global.out_len;
         let [cur, _] = S::Held::batch(&mut scratch.narrow, &mut scratch.wide);
-        if cur.len() < (slice + 1) * len {
-            cur.resize((slice + 1) * len, S::Held::zero());
-        }
-        let undos = &mut scratch.undos[0];
-        if undos.len() <= slice {
-            undos.resize(slice + 1, 1.0);
-        }
-        undos[slice] = round_scaled::<S>(&out1, &mut cur[slice * len..(slice + 1) * len]);
-        out1.clear();
-        scratch.acc_pool.push(out1);
-        scratch.req_pool.push(reqs);
-        Ok(())
-    }
-
-    /// Runs the scatter fan-out (the reversed node and socket levels,
-    /// blocking — these are the fast local links) once for the `slices`
-    /// slices [`scatter_finish`] held, restricts each to the footprint and
-    /// writes the widened values into `out`, slice-major. The last level
-    /// rounds each slice under the scale of its own output.
-    ///
-    /// [`scatter_finish`]: RankPlan::scatter_finish
-    pub fn scatter_local<S: Wire>(
-        &self,
-        comm: &Communicator,
-        scratch: &mut ExchangeScratch,
-        slices: usize,
-        out: &mut [f32],
-    ) -> Result<(), CommError> {
-        let in_len = self.in_len;
-        assert_eq!(out.len(), slices * in_len, "footprint length mismatch");
-        assert!(
-            scratch.scatters.is_empty(),
-            "scatter posted but not finished"
-        );
-        let _span = comm.telemetry().span(Phase::HaloExchange);
-        let ExchangeScratch {
-            narrow,
-            wide,
+        let undos = &scratch.undos[0];
+        let input = Batch {
+            vals: cur,
+            len,
             undos,
-            acc,
-            payloads,
-            ..
-        } = scratch;
-        let [cur, nxt] = S::Held::batch(narrow, wide);
-        let [undo_cur, undo_nxt] = undos;
-        let mut len = self.scatter_global.out_len;
-        assert!(
-            cur.len() >= slices * len && undo_cur.len() >= slices,
-            "scatter batch not held"
-        );
-        let restrict = &self.restrict;
-        let Some((last, fan_out)) = self.scatter_levels.split_last() else {
-            for f in 0..slices {
-                let (vals, undo) = (&cur[f * len..(f + 1) * len], undo_cur[f]);
-                for (o, &i) in out[f * in_len..(f + 1) * in_len].iter_mut().zip(restrict) {
-                    *o = S::from_f64(vals[i as usize].to_f64()).to_f32() * undo;
+        };
+        scratch
+            .step
+            .run::<S>(comm, &self.global, input, overlap, |f, vals| {
+                let (factor, undo) = slice_scale::<S>(|| max_abs_f64(vals));
+                let factor = f64::from(factor);
+                for (o, &v) in out[f * owned..(f + 1) * owned].iter_mut().zip(vals) {
+                    *o = S::from_f64(v * factor).to_f32() * undo;
                 }
-            }
-            return Ok(());
-        };
-        let land = assign_payload::<S>;
-        for level in fan_out {
-            let out_len = level.out_len;
-            nxt.clear();
-            nxt.resize(slices * out_len, S::Held::zero());
-            undo_nxt.clear();
-            undo_nxt.resize(slices, 1.0);
-            let emit = |f: usize, vals: &[f64]| {
-                undo_nxt[f] = round_scaled::<S>(vals, &mut nxt[f * out_len..(f + 1) * out_len]);
-            };
-            let input = held_input(&cur[..], len);
-            let undos = &undo_cur[..slices];
-            run_level::<S>(comm, level, input, undos, acc, payloads, land, emit)?;
-            std::mem::swap(cur, nxt);
-            std::mem::swap(undo_cur, undo_nxt);
-            len = out_len;
-        }
-        // The last level restricts each slice straight into the footprint.
-        let emit = |f: usize, vals: &[f64]| {
-            let (factor, undo) = slice_scale::<S>(|| max_abs_f64(vals));
-            let factor = f64::from(factor);
-            for (o, &i) in out[f * in_len..(f + 1) * in_len].iter_mut().zip(restrict) {
-                *o = S::from_f64(vals[i as usize] * factor).to_f32() * undo;
-            }
-        };
-        let input = held_input(&cur[..], len);
-        let undos = &undo_cur[..slices];
-        run_level::<S>(comm, last, input, undos, acc, payloads, land, emit)
+            })
     }
 
-    /// Blocking convenience: the full transpose scatter of a batch —
-    /// `owned` is `slices` slices of owned totals, `out` as many slices of
-    /// footprint values.
+    /// The transpose scatter of a batch: `owned` holds `slices` slices of
+    /// owned totals, `out` receives as many slices of footprint values.
+    /// Each owner quantizes slice `f` under the scale of its own max-norm
+    /// and scatters it in [`exchange_schedule`]`(slices, overlap)` order;
+    /// the node and socket fan-out then run once for the whole batch,
+    /// each level rounding each slice under the scale of its own output,
+    /// and the footprint is restricted out of the last.
     pub fn scatter<S: Wire>(
         &self,
         comm: &Communicator,
         scratch: &mut ExchangeScratch,
         owned: &[f32],
         slices: usize,
+        overlap: bool,
         out: &mut [f32],
     ) -> Result<(), CommError> {
-        assert_eq!(
-            owned.len(),
-            slices * self.owned_len,
-            "owned length mismatch"
-        );
-        let len = self.owned_len;
-        for f in 0..slices {
-            let owned = &owned[f * len..(f + 1) * len];
-            self.scatter_begin::<S>(comm, scratch, f, owned)?;
-            self.scatter_finish::<S>(comm, scratch)?;
+        let in_len = self.in_len;
+        assert_eq!(out.len(), slices * in_len, "footprint length mismatch");
+        scratch.hold::<S>(comm, &self.scatter_global, owned, slices, self.owned_len);
+        let mut len = self.owned_len;
+        for level in [&self.scatter_global]
+            .into_iter()
+            .chain(&self.scatter_levels)
+        {
+            scratch.advance::<S>(comm, level, len, overlap)?;
+            len = level.out_len;
         }
-        self.scatter_local::<S>(comm, scratch, slices, out)
+        let last = self.scatter_levels.last().unwrap_or(&self.scatter_global);
+        let _span = comm.telemetry().span(last.level.span());
+        let [cur, _] = S::Held::batch(&mut scratch.narrow, &mut scratch.wide);
+        for (f, &undo) in scratch.undos[0].iter().enumerate() {
+            let vals = &cur[f * len..(f + 1) * len];
+            for (o, &i) in out[f * in_len..(f + 1) * in_len]
+                .iter_mut()
+                .zip(&self.restrict)
+            {
+                *o = vals[i as usize].to_f32() * undo;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -1142,10 +993,10 @@ mod tests {
                 .collect();
             let mut scratch = ExchangeScratch::new();
             let mut owned = vec![0.0f32; fusing * rp.owned_len()];
-            rp.reduce::<S>(comm, &mut scratch, &part, fusing, &mut owned)
+            rp.reduce::<S>(comm, &mut scratch, &part, fusing, false, &mut owned)
                 .unwrap();
             let mut back = vec![0.0f32; fusing * rp.in_len()];
-            rp.scatter::<S>(comm, &mut scratch, &totals, fusing, &mut back)
+            rp.scatter::<S>(comm, &mut scratch, &totals, fusing, false, &mut back)
                 .unwrap();
             let msgs = comm.comm_stats().class_msgs;
             let local = msgs[TrafficClass::Socket as usize] + msgs[TrafficClass::Node as usize];
@@ -1237,10 +1088,10 @@ mod tests {
             let vals: Vec<f32> = fp.per_rank[me].iter().map(|&r| partial(me, r)).collect();
             let mut scratch = ExchangeScratch::new();
             let mut owned = vec![0.0f32; rp.owned_len()];
-            rp.reduce::<S>(comm, &mut scratch, &vals, 1, &mut owned)
+            rp.reduce::<S>(comm, &mut scratch, &vals, 1, false, &mut owned)
                 .unwrap();
             let mut back = vec![0.0f32; rp.in_len()];
-            rp.scatter::<S>(comm, &mut scratch, &owned, 1, &mut back)
+            rp.scatter::<S>(comm, &mut scratch, &owned, 1, false, &mut back)
                 .unwrap();
             (owned, back)
         });
@@ -1266,7 +1117,7 @@ mod tests {
             let vals: Vec<f32> = fp.per_rank[me].iter().map(|&r| partial(me, r)).collect();
             let mut scratch = ExchangeScratch::new();
             let mut out = vec![0.0f32; rp.owned_len()];
-            rp.reduce::<F16>(comm, &mut scratch, &vals, 1, &mut out)
+            rp.reduce::<F16>(comm, &mut scratch, &vals, 1, false, &mut out)
                 .unwrap();
             out
         });
@@ -1340,7 +1191,7 @@ mod tests {
             let vals: Vec<f32> = fp.per_rank[me].iter().map(|&r| value(me, r)).collect();
             let mut scratch = ExchangeScratch::new();
             let mut out = vec![0.0f32; rp.owned_len()];
-            rp.reduce::<F16>(comm, &mut scratch, &vals, 1, &mut out)
+            rp.reduce::<F16>(comm, &mut scratch, &vals, 1, false, &mut out)
                 .unwrap();
             out
         });
@@ -1380,7 +1231,7 @@ mod tests {
                 .collect();
             let mut scratch = ExchangeScratch::new();
             let mut back = vec![0.0f32; 2 * rp.in_len()];
-            rp.scatter::<F16>(comm, &mut scratch, &totals, 2, &mut back)
+            rp.scatter::<F16>(comm, &mut scratch, &totals, 2, false, &mut back)
                 .unwrap();
             back
         });
@@ -1411,7 +1262,7 @@ mod tests {
                 let vals: Vec<f32> = (0..3 * rp.in_len()).map(|i| 1.0 + i as f32).collect();
                 let mut scratch = ExchangeScratch::new();
                 let mut out = vec![0.0f32; 3 * rp.owned_len()];
-                rp.reduce::<S>(comm, &mut scratch, &vals, 3, &mut out)
+                rp.reduce::<S>(comm, &mut scratch, &vals, 3, false, &mut out)
                     .unwrap();
                 comm.comm_stats()
             });
@@ -1440,43 +1291,61 @@ mod tests {
         assert_eq!(half, single / 2 + header);
     }
 
-    #[test]
-    fn overlapped_begin_finish_matches_blocking_across_slices() {
-        // Every slice's global exchange in flight at once (the §III-E
-        // post-all/drain-all shape) must produce the same owned totals as
-        // the blocking post, drain, post, drain … of `reduce`.
-        let (fp, own, topo) = fixture();
+    /// A batch of `fusing` slices reduced and scattered with both global
+    /// schedules: the owned totals and the scattered footprint values of
+    /// every rank, bit for bit.
+    fn both_schedules_agree<S: Wire>(topo: Topology, fusing: usize) {
+        let (fp, own) = fixture_on(topo);
         let compiled = CompiledPlans::build_hierarchical(&fp, &own, &topo);
-        let (compiled, fp) = (&compiled, &fp);
+        let (compiled, fp, own) = (&compiled, &fp, &own);
         let run = |overlap: bool| {
-            run_ranks(8, move |comm| {
+            run_ranks(topo.size(), move |comm| {
                 let me = comm.rank();
                 let rp = compiled.rank(me);
-                let mut scratch = ExchangeScratch::new();
-                let part: Vec<f32> = (0..3)
-                    .flat_map(|s| {
+                let part: Vec<f32> = (0..fusing)
+                    .flat_map(|f| {
                         fp.per_rank[me]
                             .iter()
-                            .map(move |&r| partial(me, r) + s as f32 * 0.25)
+                            .map(move |&r| partial(me, r) * 4f32.powi(f as i32 - 3))
                     })
                     .collect();
-                let mut out = vec![0.0f32; 3 * rp.owned_len()];
-                if overlap {
-                    rp.reduce_local::<F16>(comm, &mut scratch, &part, 3)
-                        .unwrap();
-                    for s in 0..3 {
-                        rp.global_begin::<F16>(comm, &mut scratch, s).unwrap();
-                    }
-                    for out in out.chunks_mut(rp.owned_len()) {
-                        rp.global_finish::<F16>(comm, &mut scratch, out).unwrap();
-                    }
-                } else {
-                    rp.reduce::<F16>(comm, &mut scratch, &part, 3, &mut out)
-                        .unwrap();
-                }
-                out
+                let totals: Vec<f32> = (0..fusing)
+                    .flat_map(|f| {
+                        own.rows_of(me)
+                            .into_iter()
+                            .map(move |r| 0.5 + r as f32 * 0.03125 + f as f32)
+                    })
+                    .collect();
+                let mut scratch = ExchangeScratch::new();
+                let mut owned = vec![0.0f32; fusing * rp.owned_len()];
+                rp.reduce::<S>(comm, &mut scratch, &part, fusing, overlap, &mut owned)
+                    .unwrap();
+                let mut back = vec![0.0f32; fusing * rp.in_len()];
+                rp.scatter::<S>(comm, &mut scratch, &totals, fusing, overlap, &mut back)
+                    .unwrap();
+                (bits(&owned), bits(&back))
             })
         };
-        assert_eq!(run(true), run(false), "overlap must not change results");
+        assert_eq!(
+            run(true),
+            run(false),
+            "{topo} fusing {fusing} {}: overlap must not change results",
+            S::NAME
+        );
+    }
+
+    #[test]
+    fn overlapped_and_synchronous_schedules_are_bit_identical() {
+        // Every slice's global exchange in flight at once (the §III-E
+        // post-all/drain-all shape) against post, drain, post, drain …,
+        // in both directions, on the machines of the reference test.
+        for topo in [(1, 1, 2), (1, 2, 2), (2, 2, 2), (3, 1, 4)] {
+            let topo = Topology::new(topo.0, topo.1, topo.2);
+            for fusing in [1, 3, 8] {
+                both_schedules_agree::<f64>(topo, fusing);
+                both_schedules_agree::<f32>(topo, fusing);
+                both_schedules_agree::<F16>(topo, fusing);
+            }
+        }
     }
 }

@@ -42,7 +42,7 @@ mod runtime;
 mod topology;
 mod wire;
 
-pub use collective::{AllreduceSteps, CollectiveStep, Leg, ReduceOp, StepKind};
+pub use collective::{AllreduceSteps, CollectiveStep, Leg, StepKind};
 pub use metrics::{
     ClassScope, CommMeter, CommReport, RankCommStats, TrafficClass, TRAFFIC_CLASSES,
 };

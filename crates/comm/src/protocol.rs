@@ -99,15 +99,17 @@ impl ExchangeLevel {
         }
     }
 
-    /// The span the executor opens around one run of the level: the
-    /// two forward local levels have their own; the global levels run
-    /// inside the spans their `*_begin` / `*_finish` call opens, the
-    /// scatter fan-out inside `scatter_local`'s.
-    pub const fn span(self) -> Option<Phase> {
+    /// The span the executor's level step opens around each post and
+    /// each drain of the level: every forward level has its own phase,
+    /// and the three scatter levels share the halo exchange's.
+    pub const fn span(self) -> Phase {
         match self {
-            ExchangeLevel::Socket => Some(Phase::ReduceSocket),
-            ExchangeLevel::Node => Some(Phase::ReduceNode),
-            _ => None,
+            ExchangeLevel::Socket => Phase::ReduceSocket,
+            ExchangeLevel::Node => Phase::ReduceNode,
+            ExchangeLevel::Global => Phase::ReduceGlobal,
+            ExchangeLevel::ScatterGlobal
+            | ExchangeLevel::ScatterNode
+            | ExchangeLevel::ScatterSocket => Phase::HaloExchange,
         }
     }
 

@@ -32,7 +32,7 @@ fn reduce_row_ids<S: Wire>(comm: &Communicator, compiled: &CompiledPlans, fp: &F
     let rp = compiled.rank(comm.rank());
     let vals: Vec<f32> = fp.per_rank[comm.rank()].iter().map(|&r| r as f32).collect();
     let mut out = vec![0.0f32; rp.owned_len()];
-    rp.reduce::<S>(comm, &mut ExchangeScratch::new(), &vals, 1, &mut out)
+    rp.reduce::<S>(comm, &mut ExchangeScratch::new(), &vals, 1, false, &mut out)
         .unwrap();
 }
 
@@ -140,11 +140,12 @@ fn traced_ranks_record_per_level_spans_on_their_own_tracks() {
     });
     let snap = tele.snapshot();
     for rank in 0..8u32 {
-        // The global exchange is split: posting and completion each
-        // carry their own span.
+        // Every level runs through one step: its post and its drain
+        // each carry the level's span, and quantizing the partial into
+        // the held batch carries the first level's.
         for (phase, spans) in [
-            (Phase::ReduceSocket, 1),
-            (Phase::ReduceNode, 1),
+            (Phase::ReduceSocket, 3),
+            (Phase::ReduceNode, 2),
             (Phase::ReduceGlobal, 2),
         ] {
             assert_eq!(

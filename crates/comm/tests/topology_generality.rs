@@ -43,7 +43,7 @@ fn check_topology(topo: Topology) {
                 .map(|&r| (p as f32 + 1.0) + r as f32 * 0.01)
                 .collect();
             let mut out = vec![0.0f32; rp.owned_len()];
-            rp.reduce::<f32>(comm, &mut ExchangeScratch::new(), &vals, 1, &mut out)
+            rp.reduce::<f32>(comm, &mut ExchangeScratch::new(), &vals, 1, false, &mut out)
                 .unwrap();
             out
         })

@@ -21,17 +21,17 @@
 //!
 //! With [`DistributedConfig::overlap`] a rank posts every fused slice's
 //! global exchange before draining any, in slice order (paper §III-E,
-//! Figs 11–12; [`exchange_schedule`]), so all slices share one wire
-//! latency. Results are bit-identical to the synchronous schedule — the
-//! same floating-point operations run in the same order; only the
-//! waiting moves.
+//! Figs 11–12; [`xct_comm::protocol::exchange_schedule`]), so all
+//! slices share one wire latency. Results are bit-identical to the
+//! synchronous schedule — the same floating-point operations run in the
+//! same order; only the waiting moves.
 
 use crate::decompose::{packing_orders, SliceDecomposition};
 use std::sync::{Arc, Mutex, PoisonError};
-use xct_comm::protocol::{exchange_schedule, Collective, ExchangeOp};
+use xct_comm::protocol::Collective;
 use xct_comm::{
     run_ranks_with, AllreduceSteps, Communicator, CompiledPlans, ExchangeScratch, HierarchicalPlan,
-    RankCommStats, RankOptions, ReduceOp, Topology, Wire, WireModel,
+    RankCommStats, RankOptions, RankPlan, Topology, Wire, WireModel,
 };
 use xct_exec::{BufferRole, ExecContext, ExecCounters, Telemetry};
 use xct_fp16::{Precision, F16};
@@ -167,19 +167,16 @@ pub struct DistributedResult {
 struct RankOperator<'a> {
     comm: &'a Communicator,
     cfg: &'a DistributedConfig,
-    plans: &'a CompiledPlans,
+    /// This rank's compiled exchange: footprint partials in, owned rays
+    /// out.
+    exchange: &'a RankPlan,
+    /// This rank's restriction: owned voxels in, footprint partials out.
     local: &'a PrecisionOperator,
-    /// Slices fused in this run (the slab length).
-    fusing: usize,
-    /// Reusable exchange buffers and the queue of in-flight exchanges; a
+    /// Reusable exchange buffers and the in-flight exchanges; a
     /// (never-contended) `Mutex` because `LinearOperator` takes `&self`
     /// and requires `Sync`, while the exchange needs scratch mutably.
     /// Each rank thread owns its operator, so the lock is always free.
     scratch: Mutex<ExchangeScratch>,
-    rank: usize,
-    footprint_len: usize,
-    owned_rays_len: usize,
-    owned_vox_len: usize,
 }
 
 impl<'a> RankOperator<'a> {
@@ -190,104 +187,71 @@ impl<'a> RankOperator<'a> {
         setup: &'a DistributedSetup,
         local: &'a PrecisionOperator,
     ) -> Self {
-        let rank = comm.rank();
-        let decomp = &setup.decomp;
         RankOperator {
             comm,
             cfg: &setup.cfg,
-            plans: &setup.compiled,
+            exchange: setup.compiled.rank(comm.rank()),
             local,
-            fusing: local.fusing(),
             scratch: Mutex::new(ExchangeScratch::new()),
-            rank,
-            footprint_len: decomp.local_ops[rank].rows.len(),
-            owned_rays_len: decomp.owned_rays[rank].len(),
-            owned_vox_len: decomp.owned_voxels[rank].len(),
         }
     }
 
     /// Forward apply at wire precision `S`: one fused SpMM over the whole
-    /// minibatch, the socket/node reduction of the whole batch at once —
-    /// each slice quantized with the scale of this rank's own partial —
-    /// then per slice the global exchange to ray owners, posted and
-    /// drained in [`exchange_schedule`] order. No collective.
+    /// minibatch, then its reduction to the ray owners
+    /// ([`xct_comm::RankPlan::reduce`]: the socket/node levels of the
+    /// whole batch at once — each slice quantized with the scale of this
+    /// rank's own partial — then per slice the global exchange in
+    /// [`xct_comm::protocol::exchange_schedule`] order). No collective.
     fn apply_as<S: Wire>(&self, x: &[f32], y: &mut [f32], ctx: &mut ExecContext) {
-        let rp = self.plans.rank(self.rank);
-        let telemetry = self.comm.telemetry();
-        let fusing = self.fusing;
-        let (fp, rays) = (self.footprint_len, self.owned_rays_len);
-        let mut partial = ctx.workspace.take::<f32>(BufferRole::Forward, fp * fusing);
+        let fusing = self.local.fusing();
+        let mut partial = ctx
+            .workspace
+            .take::<f32>(BufferRole::Forward, self.local.rows());
         // The fused launch and the local levels work all slices at once:
         // their cost is split evenly over the batch.
-        telemetry.profile_slices_set(0, fusing as u32);
+        self.comm.telemetry().profile_slices_set(0, fusing as u32);
         self.local.apply(x, &mut partial, ctx);
-        {
-            // xct-allow(no-panic): lock poisoning means this rank's thread already panicked; propagate
-            let mut scratch = self.scratch.lock().expect("scratch mutex");
-            rp.reduce_local::<S>(self.comm, &mut scratch, &partial, fusing)
-                // xct-allow(no-panic): comm ops execute a verified plan; a wire fault mid-iteration is unrecoverable
-                .expect("local reduction");
-            for op in exchange_schedule(fusing, self.cfg.overlap) {
-                match op {
-                    ExchangeOp::Post(f) => {
-                        telemetry.profile_slice_set(f as u32);
-                        rp.global_begin::<S>(self.comm, &mut scratch, f)
-                            // xct-allow(no-panic): comm ops execute a verified plan; a wire fault mid-iteration is unrecoverable
-                            .expect("global exchange post");
-                    }
-                    ExchangeOp::Drain(f) => {
-                        telemetry.profile_slice_set(f as u32);
-                        let ys = &mut y[f * rays..(f + 1) * rays];
-                        rp.global_finish::<S>(self.comm, &mut scratch, ys)
-                            // xct-allow(no-panic): comm ops execute a verified plan; a wire fault mid-iteration is unrecoverable
-                            .expect("global exchange finish");
-                    }
-                }
-            }
-        }
-        // Whole-batch work until the next apply (the solver's collective)
-        // is every slice's cost again.
-        telemetry.profile_slices_set(0, fusing as u32);
+        // xct-allow(no-panic): lock poisoning means this rank's thread already panicked; propagate
+        let mut scratch = self.scratch.lock().expect("scratch mutex");
+        self.exchange
+            .reduce::<S>(
+                self.comm,
+                &mut scratch,
+                &partial,
+                fusing,
+                self.cfg.overlap,
+                y,
+            )
+            // xct-allow(no-panic): comm ops execute a verified plan; a wire fault mid-iteration is unrecoverable
+            .expect("forward exchange");
         ctx.workspace.put(BufferRole::Forward, partial);
     }
 
-    /// Transpose apply at wire precision `S`: per slice the global
-    /// scatter from owners — each owner scaling the slice by its own
-    /// max-norm — posted and drained in [`exchange_schedule`] order, then
-    /// the node/socket fan-out of the whole batch at once and one fused
+    /// Transpose apply at wire precision `S`: the scatter of the owned
+    /// values back over the footprint ([`xct_comm::RankPlan::scatter`]:
+    /// per slice the global scatter from the owners — each scaling the
+    /// slice by its own max-norm — in
+    /// [`xct_comm::protocol::exchange_schedule`] order, then the
+    /// node/socket fan-out of the whole batch at once), then one fused
     /// transposed SpMM over the whole minibatch. No collective.
     fn apply_transpose_as<S: Wire>(&self, y: &[f32], x: &mut [f32], ctx: &mut ExecContext) {
-        let rp = self.plans.rank(self.rank);
-        let telemetry = self.comm.telemetry();
-        let fusing = self.fusing;
-        let (fp, rays) = (self.footprint_len, self.owned_rays_len);
         let mut footprint = ctx
             .workspace
-            .take::<f32>(BufferRole::Footprint, fp * fusing);
+            .take::<f32>(BufferRole::Footprint, self.local.rows());
         {
             // xct-allow(no-panic): lock poisoning means this rank's thread already panicked; propagate
             let mut scratch = self.scratch.lock().expect("scratch mutex");
-            for op in exchange_schedule(fusing, self.cfg.overlap) {
-                match op {
-                    ExchangeOp::Post(f) => {
-                        telemetry.profile_slice_set(f as u32);
-                        let owned = &y[f * rays..(f + 1) * rays];
-                        rp.scatter_begin::<S>(self.comm, &mut scratch, f, owned)
-                            // xct-allow(no-panic): comm ops execute a verified plan; a wire fault mid-iteration is unrecoverable
-                            .expect("scatter post");
-                    }
-                    ExchangeOp::Drain(f) => {
-                        telemetry.profile_slice_set(f as u32);
-                        rp.scatter_finish::<S>(self.comm, &mut scratch)
-                            // xct-allow(no-panic): comm ops execute a verified plan; a wire fault mid-iteration is unrecoverable
-                            .expect("scatter finish");
-                    }
-                }
-            }
-            telemetry.profile_slices_set(0, fusing as u32);
-            rp.scatter_local::<S>(self.comm, &mut scratch, fusing, &mut footprint)
+            self.exchange
+                .scatter::<S>(
+                    self.comm,
+                    &mut scratch,
+                    y,
+                    self.local.fusing(),
+                    self.cfg.overlap,
+                    &mut footprint,
+                )
                 // xct-allow(no-panic): comm ops execute a verified plan; a wire fault mid-iteration is unrecoverable
-                .expect("scatter fan-out");
+                .expect("transpose exchange");
         }
         self.local.apply_transpose(&footprint, x, ctx);
         ctx.workspace.put(BufferRole::Footprint, footprint);
@@ -296,11 +260,11 @@ impl<'a> RankOperator<'a> {
 
 impl LinearOperator for RankOperator<'_> {
     fn rows(&self) -> usize {
-        self.owned_rays_len * self.fusing
+        self.exchange.owned_len() * self.local.fusing()
     }
 
     fn cols(&self) -> usize {
-        self.owned_vox_len * self.fusing
+        self.local.cols()
     }
 
     fn apply(&self, x: &[f32], y: &mut [f32], ctx: &mut ExecContext) {
@@ -324,7 +288,7 @@ impl LinearOperator for RankOperator<'_> {
 /// `products` over every rank, on the run's topology.
 fn inner_products(comm: &Communicator, steps: &AllreduceSteps, products: &mut [f64]) {
     let tag = Collective::INNER_PRODUCTS.tag;
-    comm.allreduce(steps, tag, ReduceOp::Sum, products)
+    comm.allreduce(steps, tag, products)
         // xct-allow(no-panic): comm ops execute a verified plan; a wire fault mid-iteration is unrecoverable
         .expect("allreduce");
 }

@@ -273,14 +273,20 @@ pub struct SliceReader {
     input: BufReader<File>,
     path: String,
     read: usize,
+    /// File bytes past the header and the batches read so far.
+    left: u64,
     hash: Fnv1a,
 }
 
 impl SliceReader {
-    /// Opens a file and validates the header.
+    /// Opens a file and validates the header, including that the
+    /// payload it claims, `slices × slice_len` scalars, has a byte count
+    /// that fits both `u64` and `usize`.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, IoError> {
         let path = path.as_ref();
-        let mut input = BufReader::new(File::open(path)?);
+        let file = File::open(path)?;
+        let file_len = file.metadata()?.len();
+        let mut input = BufReader::new(file);
         let mut header = [0u8; HEADER_LEN];
         input
             .read_exact(&mut header)
@@ -296,9 +302,22 @@ impl SliceReader {
         let kind = FileKind::from_tag(header[8])?;
         let precision = precision_from_tag(header[9])?;
         // xct-allow(no-panic): infallible — header slices have fixed lengths
-        let slices = u64::from_le_bytes(header[10..18].try_into().expect("8 bytes")) as usize;
+        let slices = u64::from_le_bytes(header[10..18].try_into().expect("8 bytes"));
         // xct-allow(no-panic): infallible — header slices have fixed lengths
-        let slice_len = u64::from_le_bytes(header[18..26].try_into().expect("8 bytes")) as usize;
+        let slice_len = u64::from_le_bytes(header[18..26].try_into().expect("8 bytes"));
+        let width = precision.storage_bytes() as u64;
+        let fits = slices
+            .checked_mul(slice_len)
+            .and_then(|n| n.checked_mul(width))
+            .is_some_and(|n| usize::try_from(n).is_ok());
+        let (true, Ok(slices), Ok(slice_len)) =
+            (fits, usize::try_from(slices), usize::try_from(slice_len))
+        else {
+            return Err(IoError::Format(format!(
+                "header claims {slices} slices × slice_len {slice_len} scalars of {width} \
+                 bytes: the payload's byte count does not fit u64 and usize"
+            )));
+        };
         Ok(SliceReader {
             meta: SliceFile {
                 kind,
@@ -309,6 +328,7 @@ impl SliceReader {
             input,
             path: path.display().to_string(),
             read: 0,
+            left: file_len.saturating_sub(HEADER_LEN as u64),
             hash: Fnv1a::new(),
         })
     }
@@ -331,14 +351,24 @@ impl SliceReader {
 
     /// Reads up to `max_slices` slices (an I/O batch, §III-A2). Returns
     /// `None` when the file is exhausted; call
-    /// [`verify_checksum`](Self::verify_checksum) afterwards.
+    /// [`verify_checksum`](Self::verify_checksum) afterwards. A batch the
+    /// file is too short to hold is a [`IoError::ShortRead`] before
+    /// anything is allocated.
     pub fn read_batch(&mut self, max_slices: usize) -> Result<Option<Vec<f32>>, IoError> {
         assert!(max_slices > 0, "batch size must be nonzero");
         let take = max_slices.min(self.remaining());
         if take == 0 {
             return Ok(None);
         }
+        // Fits: `open` checked the whole payload's byte count.
         let bytes = take * self.meta.slice_len * self.meta.precision.storage_bytes();
+        if self.left < bytes as u64 {
+            return Err(IoError::ShortRead {
+                path: self.path.clone(),
+                expected: bytes as u64,
+                actual: self.left,
+            });
+        }
         let mut buf = vec![0u8; bytes];
         let mut got = 0;
         while got < bytes {
@@ -357,6 +387,7 @@ impl SliceReader {
         }
         self.hash.update(&buf);
         self.read += take;
+        self.left -= bytes as u64;
         Ok(Some(decode_scalars(&buf, self.meta.precision)))
     }
 
@@ -553,6 +584,54 @@ mod tests {
                 assert!(msg.contains(&expected.to_string()), "{msg}");
                 assert!(msg.contains(&actual.to_string()), "{msg}");
             }
+            other => panic!("expected ShortRead, got {other:?}"),
+        }
+    }
+
+    /// A header-only file of `slices × slice_len` scalars at
+    /// `precision`, followed by `payload` bytes.
+    fn hostile_header(
+        name: &str,
+        precision: Precision,
+        slices: u64,
+        slice_len: u64,
+        payload: usize,
+    ) -> std::path::PathBuf {
+        let path = tmp(name);
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
+        bytes.push(FileKind::Sinogram.tag());
+        bytes.push(precision.storage_bytes() as u8);
+        bytes.extend_from_slice(&slices.to_le_bytes());
+        bytes.extend_from_slice(&slice_len.to_le_bytes());
+        bytes.resize(HEADER_LEN + payload, 0);
+        std::fs::write(&path, bytes).unwrap();
+        path
+    }
+
+    #[test]
+    fn a_header_whose_payload_overflows_is_refused_at_open() {
+        // 1 × 2⁶³ half-precision scalars: 2⁶⁴ bytes.
+        let path = hostile_header("overflow.xctd", Precision::Half, 1, 1 << 63, 0);
+        match SliceReader::open(&path) {
+            Err(IoError::Format(m)) => {
+                assert!(m.contains("slices") && m.contains("slice_len"), "{m}");
+                assert!(m.contains(&(1u64 << 63).to_string()), "{m}");
+            }
+            other => panic!("expected Format, got {:?}", other.map(|r| r.meta())),
+        }
+    }
+
+    #[test]
+    fn a_batch_longer_than_the_file_is_a_short_read_without_allocating_it() {
+        // 34 bytes claiming 1 × 2⁴⁰ single-precision scalars (4 TiB).
+        let path = hostile_header("huge.xctd", Precision::Single, 1, 1 << 40, 8);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 34);
+        let mut r = SliceReader::open(&path).unwrap();
+        match r.read_batch(1) {
+            Err(IoError::ShortRead {
+                expected, actual, ..
+            }) => assert_eq!((expected, actual), (1 << 42, 8)),
             other => panic!("expected ShortRead, got {other:?}"),
         }
     }

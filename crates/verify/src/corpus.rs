@@ -601,16 +601,19 @@ pub fn stale_maxima_collective() -> CommProgram {
 }
 
 /// Lifetime mutation: the two-slice overlap pipeline with slice 0's
-/// accumulator read *before* its posted irecvs are drained —
+/// received payloads read *before* its posted irecvs are waited for —
 /// `PendingWriteRead` (acc, slice 0).
 pub fn read_before_finish_schedule() -> Vec<ScratchOp> {
     let mut ops = scratch_ops(exchange_schedule(2, true), 3);
-    let wait = ops
-        .iter()
-        .position(|op| matches!(op, ScratchOp::WaitWrites { slice: 0 }))
-        // xct-allow(no-panic): corpus fixture — draining slice 0 always emits WaitWrites(0)
-        .expect("schedule finishes slice 0");
-    ops.swap(wait, wait + 1);
+    let (read, wait) = (
+        ScratchOp::ReadAcc { slice: 0 },
+        ScratchOp::WaitWrites { slice: 0 },
+    );
+    let at = |ops: &[ScratchOp], op| ops.iter().position(|o| *o == op);
+    if let (Some(r), Some(w)) = (at(&ops, read), at(&ops, wait)) {
+        ops.remove(r);
+        ops.insert(w, read);
+    }
     ops
 }
 

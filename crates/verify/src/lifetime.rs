@@ -1,25 +1,27 @@
 //! Scratch-buffer lifetime and aliasing analysis for the overlap
 //! pipeline.
 //!
-//! The split `global_begin`/`global_finish` (and the scatter twins) on
-//! [`xct_comm::RankPlan`] exists so a slice's global exchange drains
-//! while the next slice computes. That overlap is exactly where a
-//! lifetime bug hides: the in-flight handle owns an accumulator region
+//! The executor's level step ([`xct_comm::RankPlan::reduce`] and
+//! [`xct_comm::RankPlan::scatter`]) posts a global level's slice at
+//! `Post(f)` and drains it at `Drain(f)`, so a slice's global exchange
+//! is on the wire while the next slices are posted. That overlap is
+//! exactly where a lifetime bug hides: the pending exchange owns a region
 //! with *posted but undelivered* irecv writes, and any read of that
-//! region before the matching `finish` observes partially-delivered
-//! data. This module abstracts the executor's scratch usage into a small
-//! op language ([`ScratchOp`]), expands the exchange schedule the
-//! operator runs ([`xct_comm::protocol::exchange_schedule`], either
-//! setting of `overlap`) into it ([`scratch_ops`]), and checks any
-//! sequence — real or mutated — for the two lifetime properties:
+//! region before the matching drain has waited observes
+//! partially-delivered data. This module abstracts the executor's
+//! scratch usage into a small op language ([`ScratchOp`]), expands the
+//! exchange schedule the operator runs
+//! ([`xct_comm::protocol::exchange_schedule`], either setting of
+//! `overlap`) into it ([`scratch_ops`]), and checks any sequence — real
+//! or mutated — for the two lifetime properties:
 //!
-//! * **no pending-write read** — a region acquired by `begin` is not
+//! * **no pending-write read** — a region acquired by a post is not
 //!   read until its posted writes are waited
 //!   ([`ViolationKind::PendingWriteRead`]);
-//! * **no overwrite of a live region** — `cur`, the batch the local
+//! * **no overwrite of a live region** — `cur`, the held batch the local
 //!   levels leave behind once per apply, is not refilled while one of its
-//!   slices has yet to be gathered by its `begin`, and an accumulator is
-//!   not re-acquired while still in flight.
+//!   slices has yet to be read by its drain, and a pending region is not
+//!   re-acquired while still in flight.
 //!
 //! The analysis is a linear scan with fixed-size state (at most
 //! [`MAX_TRACKED_SLICES`] concurrently tracked slices — the real
@@ -39,43 +41,45 @@ pub const MAX_TRACKED_SLICES: usize = 64;
 /// in program order for a single rank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScratchOp {
-    /// `reduce_local` rewrites `cur` with the post-node partials of the
-    /// whole batch, fused slices `0..slices` — once per apply.
+    /// `reduce` quantizes the kernel's partials into `cur` and the local
+    /// levels rewrite it with the post-node partials of the whole batch,
+    /// fused slices `0..slices` — once per apply.
     FillCur {
         /// How many slices now occupy `cur`.
         slices: usize,
     },
-    /// `global_begin` gathers slice `slice` of `cur` into send payloads
-    /// and carries — the last read of that slice.
+    /// The drain of slice `slice` seeds its accumulator with the carries
+    /// out of `cur` (its post gathered the sends from it before) — the
+    /// last read of that slice.
     ReadCur {
         /// The slice being posted.
         slice: usize,
     },
-    /// `global_begin` takes an accumulator region for the slice.
+    /// The post takes the pending-exchange region of the slice.
     AcquireAcc {
         /// The slice owning the region.
         slice: usize,
     },
-    /// `global_begin` posts `count` irecvs targeting the accumulator —
-    /// writes that remain pending until [`ScratchOp::WaitWrites`].
+    /// The post posts `count` irecvs into the region — writes that
+    /// remain pending until [`ScratchOp::WaitWrites`].
     PostWrites {
         /// The slice owning the region.
         slice: usize,
         /// Number of posted in-flight writes.
         count: usize,
     },
-    /// `global_finish` drains the posted irecvs (the `CommWait` span).
+    /// The drain waits for the posted irecvs (the `CommWait` span).
     WaitWrites {
         /// The slice being finished.
         slice: usize,
     },
-    /// `global_finish` reads the accumulator to produce the owned
+    /// The drain lands the received payloads to produce the owned
     /// totals.
     ReadAcc {
         /// The slice being finished.
         slice: usize,
     },
-    /// `global_finish` returns the region to the pool.
+    /// The drain returns the region to the pool.
     ReleaseAcc {
         /// The slice releasing its region.
         slice: usize,
@@ -85,8 +89,8 @@ pub enum ScratchOp {
 /// The scratch operations one rank performs when it runs `schedule`
 /// with `writes_per_slice` posted irecvs per global exchange: first the
 /// local reduction of the whole batch into `cur`, then per `Post(f)` the
-/// gather of slice `f`, the acquire and the post, per `Drain(f)` the
-/// wait, the read and the release. The corpus mutates the result to seed
+/// acquire and the post, per `Drain(f)` the wait, the seed out of slice
+/// `f` of `cur`, the read and the release. The corpus mutates the result to seed
 /// lifetime bugs.
 pub fn scratch_ops(
     schedule: impl IntoIterator<Item = ExchangeOp>,
@@ -105,7 +109,6 @@ pub fn scratch_ops(
     for op in schedule {
         match op {
             ExchangeOp::Post(slice) => ops.extend([
-                ScratchOp::ReadCur { slice },
                 ScratchOp::AcquireAcc { slice },
                 ScratchOp::PostWrites {
                     slice,
@@ -114,6 +117,7 @@ pub fn scratch_ops(
             ]),
             ExchangeOp::Drain(slice) => ops.extend([
                 ScratchOp::WaitWrites { slice },
+                ScratchOp::ReadCur { slice },
                 ScratchOp::ReadAcc { slice },
                 ScratchOp::ReleaseAcc { slice },
             ]),
@@ -254,14 +258,16 @@ mod tests {
 
     #[test]
     fn read_before_wait_is_a_pending_write_read() {
-        // Mutate the 2-slice schedule: finish reads the accumulator
-        // before draining the posted irecvs.
+        // Mutate the 2-slice schedule: the drain reads the received
+        // payloads before waiting for the posted irecvs.
         let mut ops = scratch_ops(exchange_schedule(2, true), 3);
         let wait = ops
             .iter()
-            .position(|op| matches!(op, ScratchOp::WaitWrites { slice: 0 }))
+            .position(|op| *op == ScratchOp::WaitWrites { slice: 0 })
             .unwrap();
-        ops.swap(wait, wait + 1); // ReadAcc(0) now precedes WaitWrites(0)
+        let read = ops.remove(wait + 2); // after the seed out of `cur`
+        assert_eq!(read, ScratchOp::ReadAcc { slice: 0 });
+        ops.insert(wait, read); // ReadAcc(0) now precedes WaitWrites(0)
         let report = verify_scratch_lifetime(0, &ops);
         assert!(report.violations.iter().any(|v| matches!(
             v.kind,
@@ -288,7 +294,7 @@ mod tests {
     #[test]
     fn refilling_the_batch_before_every_slice_is_flagged() {
         // The per-slice lowering: the local levels refill `cur` before
-        // each slice's begin, overwriting slices 1 and 2 ungathered.
+        // each slice's seed, overwriting slices 1 and 2 unread.
         let mut ops = Vec::new();
         for op in scratch_ops(exchange_schedule(3, false), 3) {
             if matches!(op, ScratchOp::ReadCur { .. }) {

@@ -368,15 +368,18 @@ fn steady_state_compiled_exchange_does_not_allocate() {
         // from the 8 rank threads lands between the two counter reads.
         // Blocks must match the measured regime exactly: without barriers
         // ranks drift, and drifting deepens mailbox queues beyond what
-        // barrier-separated rounds ever exercise.
+        // barrier-separated rounds ever exercise. Rounds alternate the
+        // synchronous and the overlapped schedule, so both must reach the
+        // steady state (the wired workload runs overlapped).
         let run_block =
             |scratch: &mut ExchangeScratch, owned: &mut [f32], back: &mut [f32]| -> u64 {
                 comm.barrier(0xA110).unwrap();
                 let before = allocations();
-                for _ in 0..5 {
-                    rp.reduce::<F16>(comm, scratch, &vals, FUSING, owned)
+                for round in 0..5 {
+                    let overlap = round % 2 == 1;
+                    rp.reduce::<F16>(comm, scratch, &vals, FUSING, overlap, owned)
                         .unwrap();
-                    rp.scatter::<F16>(comm, scratch, owned, FUSING, back)
+                    rp.scatter::<F16>(comm, scratch, owned, FUSING, overlap, back)
                         .unwrap();
                 }
                 comm.barrier(0xA110).unwrap();
@@ -399,8 +402,9 @@ fn steady_state_compiled_exchange_does_not_allocate() {
                 run_block(&mut scratch, &mut owned, &mut back) != 0,
             ));
             // Collective verdict so every rank runs the same number of
-            // blocks (a per-rank decision would desynchronize barriers).
-            if comm.allreduce_max(0xA120, dirty).unwrap() == 0.0 {
+            // blocks (a per-rank decision would desynchronize barriers):
+            // a sum of 0 means every rank is clean.
+            if comm.allreduce_sum(0xA120, dirty).unwrap() == 0.0 {
                 stable += 1;
             } else {
                 stable = 0;
