@@ -12,20 +12,29 @@
 //! buffers ([`ExchangeScratch`]). Each program carries its
 //! [`ExchangeLevel`], which gives its tag, traffic class and span.
 //!
+//! **The scatter is the reduction transposed (§III-D1).** Each forward
+//! level is compiled once, and its scatter twin is its transpose: the
+//! twin sends what the level received, receives what it sent, runs its
+//! carries backwards, and outputs the level's input. A [`RankPlan`] is
+//! the two program lists, [`RankPlan::forward`] (footprint → owned) and
+//! [`RankPlan::transpose`] (owned → footprint); the last transpose
+//! level's output is the footprint itself, so no restriction exists.
+//!
 //! **One level step.** [`RankPlan::reduce`] and [`RankPlan::scatter`]
-//! are the executor's entry points, and every level of both directions —
-//! socket, node and global, and their three scatter twins — runs through
-//! the same `post` / `drain` pair. `post` sends one message per peer,
+//! are the executor's entry points — one body, run over one list or the
+//! other — and every level of both directions — socket, node and global,
+//! and their three scatter twins — runs through the same `post` /
+//! `drain` pair. `post` sends one message per peer,
 //! headed by its slices' undos on a scaled wire, then posts the receives;
 //! `drain` waits for them in plan order and forms the level one slice at
 //! a time in a one-slice `f64` accumulator: seeded with the local carries
 //! times the slice's own undo, each payload times its sender's undo
 //! landed in plan order (accumulated when reducing, assigned when
-//! scattering), and the slice handed on. The input of every level is the
-//! *held batch* — every slice's values at storage width, beside their
-//! undos: the caller's batch quantized into it first, each level's output
-//! rounded into it for the next, and the footprint restricted out of the
-//! last scatter level's.
+//! scattering), and the slice rounded for the next level. The input of
+//! every level is the *held batch* — every slice's values at storage
+//! width, beside their undos: the caller's batch quantized into it first,
+//! each level's output rounded into it for the next, and the last
+//! level's widened into the caller's buffer.
 //!
 //! **One rendezvous per local level per apply.** The socket and node
 //! levels run once for the whole fused minibatch — posted and drained at
@@ -49,8 +58,7 @@
 //! level seeds its `f64` accumulator with its own carries times its own
 //! undo, adds each payload times its sender's undo in plan order, and
 //! holds its output rounded under the scale of that output's own
-//! max-norm, its undo beside it; the forward global level rounds the
-//! owned totals the same way. No rank waits on another's
+//! max-norm, its undo beside it. No rank waits on another's
 //! maximum, and a slice far smaller than its neighbours, or than another
 //! rank's partial, keeps its precision. Full-width wires carry no header
 //! and every scale on them is 1.
@@ -77,7 +85,7 @@
 // contract (`num_rows` fits `u32`); enumerate-index casts back into that
 // space are lossless by construction.
 #![allow(clippy::cast_possible_truncation)]
-use crate::plan::{DirectPlan, HierarchicalPlan, Ownership, ReductionStep};
+use crate::plan::{HierarchicalPlan, Ownership};
 use crate::protocol::{exchange_schedule, slice_salt, ExchangeLevel, ExchangeOp};
 use crate::runtime::{CommError, Communicator, RecvRequest};
 use crate::topology::Topology;
@@ -189,26 +197,32 @@ impl LevelProgram {
     pub fn recvs(&self) -> &[Transfer] {
         &self.recvs
     }
+
+    /// This forward level transposed, run as `twin` (§III-D1: the
+    /// backprojection exchange is a transpose of the projection's): what
+    /// it received it sends back, what it sent it receives, its carries
+    /// run backwards, and its output is this level's `in_len`-long input.
+    fn transposed(&self, twin: ExchangeLevel, in_len: usize) -> Self {
+        let keeps = self.keeps.iter().map(|&(s, d)| (d, s)).collect();
+        let (sends, recvs) = (self.recvs.clone(), self.sends.clone());
+        LevelProgram::from_parts(twin, in_len, sends, keeps, recvs)
+    }
 }
 
 /// Everything one rank needs to run the exchange without consulting the
-/// plan row tables again.
+/// plan row tables again: the forward level programs and their
+/// transposes. Each list's buffer lengths chain from its input to the
+/// other's: footprint → … → owned forward, owned → … → footprint back.
 #[derive(Debug, Clone)]
 pub struct RankPlan {
     /// Footprint length (reduce input / scatter output).
     in_len: usize,
     /// Owned-row count (reduce output / scatter input).
     owned_len: usize,
-    /// Forward local levels that move data (socket, node, in order).
-    levels: Vec<LevelProgram>,
-    /// Forward global exchange to owners.
-    global: LevelProgram,
-    /// Scatter global stage (owners → node designees).
-    scatter_global: LevelProgram,
-    /// Scatter fan-out levels that move data (node, socket, in order).
-    scatter_levels: Vec<LevelProgram>,
-    /// Footprint positions in the final scatter buffer.
-    restrict: Vec<u32>,
+    /// Forward levels that move data (socket, node, global, in order).
+    forward: Vec<LevelProgram>,
+    /// Their transposes, in execution order (global, node, socket).
+    transpose: Vec<LevelProgram>,
 }
 
 /// Per-rank compiled plans for one decomposition.
@@ -232,23 +246,24 @@ fn gather_idx(rows: &[u32], pos: &HashMap<u32, u32>) -> Vec<u32> {
         .collect()
 }
 
-/// Compiles one forward reduction level for `me`: input rows `cur_rows`,
-/// output rows `step.post.per_rank[me]`.
-fn compile_reduce_level(
+/// Compiles one forward level for `me`: input rows `cur_rows`, output
+/// rows `out_rows`, routed by the level's `sends` table (a reduction
+/// step's designee routing, or the global level's owner routing).
+fn compile_level(
     level: ExchangeLevel,
     me: usize,
-    step: &ReductionStep,
+    sends: &[Vec<(usize, Vec<u32>)>],
     cur_rows: &[u32],
+    out_rows: &[u32],
 ) -> LevelProgram {
     let cur_pos = positions(cur_rows);
-    let out_rows = &step.post.per_rank[me];
     let out_pos = positions(out_rows);
-    let sends = step.sends[me]
+    let my_sends = sends[me]
         .iter()
         .map(|(dst, rows)| Transfer::new(*dst, gather_idx(rows, &cur_pos)))
         .collect();
-    // Rows designated to me that I already hold carry over locally; the
-    // rest of the output starts at zero.
+    // Output rows I already hold carry over locally; the rest of the
+    // output starts at zero.
     let keeps = out_rows
         .iter()
         .enumerate()
@@ -256,135 +271,29 @@ fn compile_reduce_level(
         .collect();
     // Source-ascending, matching the reference receive loop.
     let mut recvs = Vec::new();
-    for (src, sends) in step.sends.iter().enumerate() {
-        for (dst, rows) in sends {
+    for (src, routed) in sends.iter().enumerate() {
+        for (dst, rows) in routed {
             if *dst == me {
                 recvs.push(Transfer::new(src, gather_idx(rows, &out_pos)));
             }
         }
     }
-    LevelProgram::from_parts(level, out_rows.len(), sends, keeps, recvs)
-}
-
-/// Compiles the forward global exchange: input rows `cur_rows`, output =
-/// the rows `me` owns.
-fn compile_global(
-    me: usize,
-    plan: &DirectPlan,
-    ownership: &Ownership,
-    cur_rows: &[u32],
-    owned_rows: &[u32],
-) -> LevelProgram {
-    let cur_pos = positions(cur_rows);
-    let owned_pos = positions(owned_rows);
-    let sends = plan.sends[me]
-        .iter()
-        .map(|(dst, rows)| Transfer::new(*dst, gather_idx(rows, &cur_pos)))
-        .collect();
-    let keeps = cur_rows
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| ownership.owner[**r as usize] as usize == me)
-        .map(|(s, r)| (s as u32, owned_pos[r]))
-        .collect();
-    let mut recvs = Vec::new();
-    for (src, sends) in plan.sends.iter().enumerate() {
-        for (dst, rows) in sends {
-            if *dst == me {
-                recvs.push(Transfer::new(src, gather_idx(rows, &owned_pos)));
-            }
-        }
-    }
-    LevelProgram::from_parts(ExchangeLevel::Global, owned_rows.len(), sends, keeps, recvs)
-}
-
-/// Compiles the global scatter stage (forward global reversed): input =
-/// owned rows, output rows `out_rows` (the post-node footprint).
-fn compile_scatter_global(
-    me: usize,
-    plan: &DirectPlan,
-    ownership: &Ownership,
-    owned_rows: &[u32],
-    out_rows: &[u32],
-) -> LevelProgram {
-    let owned_pos = positions(owned_rows);
-    let out_pos = positions(out_rows);
-    // Reversed roles: rows peers sent me in the forward direction, I now
-    // return to them — gathered from my owned totals, source-ascending.
-    let mut sends = Vec::new();
-    for (src, peer_sends) in plan.sends.iter().enumerate() {
-        for (dst, rows) in peer_sends {
-            if *dst == me {
-                sends.push(Transfer::new(src, gather_idx(rows, &owned_pos)));
-            }
-        }
-    }
-    let keeps = out_rows
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| ownership.owner[**r as usize] as usize == me)
-        .map(|(d, r)| (owned_pos[r], d as u32))
-        .collect();
-    // What I sent away forward now comes back from the owners,
-    // destination-ascending like the reference receive loop.
-    let recvs = plan.sends[me]
-        .iter()
-        .map(|(dst, rows)| Transfer::new(*dst, gather_idx(rows, &out_pos)))
-        .collect();
-    let level = ExchangeLevel::ScatterGlobal;
-    LevelProgram::from_parts(level, out_rows.len(), sends, keeps, recvs)
-}
-
-/// Compiles one reversed reduction level (scatter fan-out): input rows
-/// `cur_rows`, output = `post[me] ∪ sends[me].rows` (disjoint union —
-/// rows kept as designee plus rows whose contributors await them back).
-fn compile_scatter_level(
-    level: ExchangeLevel,
-    me: usize,
-    step: &ReductionStep,
-    cur_rows: &[u32],
-) -> (LevelProgram, Vec<u32>) {
-    let cur_pos = positions(cur_rows);
-    let mut out_rows: Vec<u32> = step.post.per_rank[me].clone();
-    for (_, rows) in &step.sends[me] {
-        out_rows.extend_from_slice(rows);
-    }
-    out_rows.sort_unstable();
-    out_rows.dedup();
-    let out_pos = positions(&out_rows);
-    let mut sends = Vec::new();
-    for (src, peer_sends) in step.sends.iter().enumerate() {
-        for (dst, rows) in peer_sends {
-            if *dst == me {
-                sends.push(Transfer::new(src, gather_idx(rows, &cur_pos)));
-            }
-        }
-    }
-    let keeps = step.post.per_rank[me]
-        .iter()
-        .filter_map(|r| cur_pos.get(r).map(|&s| (s, out_pos[r])))
-        .collect();
-    let recvs = step.sends[me]
-        .iter()
-        .map(|(dst, rows)| Transfer::new(*dst, gather_idx(rows, &out_pos)))
-        .collect();
-    let program = LevelProgram::from_parts(level, out_rows.len(), sends, keeps, recvs);
-    (program, out_rows)
+    LevelProgram::from_parts(level, out_rows.len(), my_sends, keeps, recvs)
 }
 
 impl CompiledPlans {
-    /// Compiles a three-level hierarchical plan for every rank, leaving
-    /// out each local level (and its scatter twin) on which no rank
-    /// sends: every row of such a level has one holder, its designee, so
-    /// the level's output rows are its input rows and the next level
-    /// reads them unchanged. The global level is always compiled; it
-    /// assembles the owned output.
+    /// Compiles a three-level hierarchical plan for every rank: each
+    /// forward level once, and its scatter twin as its transpose. A local
+    /// level (and its twin) on which no rank sends is left out: every row
+    /// of such a level has one holder, its designee, so the level's output
+    /// rows are its input rows and the next level reads them unchanged.
+    /// The global level is always compiled; it assembles the owned output.
     pub fn compile_hierarchical(
         footprints: &crate::plan::Footprints,
         ownership: &Ownership,
         plan: &HierarchicalPlan,
     ) -> Self {
-        use ExchangeLevel::{Node, ScatterNode, ScatterSocket, Socket};
+        use ExchangeLevel::{Global, Node, ScatterGlobal, ScatterNode, ScatterSocket, Socket};
         // (forward level, scatter twin, step) of the local levels, in
         // forward order; `None` where no rank sends.
         let local = [
@@ -396,32 +305,21 @@ impl CompiledPlans {
             .map(|me| {
                 let fp = &footprints.per_rank[me];
                 let owned = ownership.rows_of(me);
-                let mut levels = Vec::new();
+                let levels = (local.iter().flatten())
+                    .map(|&(level, twin, step)| {
+                        (level, twin, &step.sends, &step.post.per_rank[me][..])
+                    })
+                    .chain([(Global, ScatterGlobal, &plan.global.sends, &owned[..])]);
+                let (mut forward, mut transpose) = (Vec::new(), Vec::new());
                 let mut rows: &[u32] = fp;
-                for &(level, _, step) in local.iter().flatten() {
-                    levels.push(compile_reduce_level(level, me, step, rows));
-                    rows = &step.post.per_rank[me];
+                for (level, twin, sends, out_rows) in levels {
+                    let program = compile_level(level, me, sends, rows, out_rows);
+                    transpose.push(program.transposed(twin, rows.len()));
+                    forward.push(program);
+                    rows = out_rows;
                 }
-                let global = compile_global(me, &plan.global, ownership, rows, &owned);
-                let scatter_global =
-                    compile_scatter_global(me, &plan.global, ownership, &owned, rows);
-                let mut scatter_levels = Vec::new();
-                let mut fanned_out;
-                for &(_, level, step) in local.iter().rev().flatten() {
-                    let (program, out_rows) = compile_scatter_level(level, me, step, rows);
-                    scatter_levels.push(program);
-                    fanned_out = out_rows;
-                    rows = &fanned_out;
-                }
-                RankPlan {
-                    in_len: fp.len(),
-                    owned_len: owned.len(),
-                    levels,
-                    global,
-                    scatter_global,
-                    scatter_levels,
-                    restrict: gather_idx(fp, &positions(rows)),
-                }
+                transpose.reverse();
+                RankPlan::from_parts(fp.len(), owned.len(), forward, transpose)
             })
             .collect();
         CompiledPlans { per_rank }
@@ -485,21 +383,13 @@ impl ExchangeScratch {
     }
 
     /// Quantizes `vals`, `slices` slices of `len` values, into the held
-    /// batch that `first` reads, under `first`'s span and the whole
-    /// batch's profile context: each slice as `S(value · factor)` under
-    /// the §III-C1 scale of its own max-norm, its undo beside it.
-    fn hold<S: Wire>(
-        &mut self,
-        comm: &Communicator,
-        first: &LevelProgram,
-        vals: &[f32],
-        slices: usize,
-        len: usize,
-    ) {
+    /// batch under the whole batch's profile context: each slice as
+    /// `S(value · factor)` under the §III-C1 scale of its own max-norm,
+    /// its undo beside it.
+    fn hold<S: Wire>(&mut self, comm: &Communicator, vals: &[f32], slices: usize, len: usize) {
         assert_eq!(vals.len(), slices * len, "batch length mismatch");
         // Whole-batch work: every slice's cost.
         comm.telemetry().profile_slices_set(0, slices as u32);
-        let _span = comm.telemetry().span(first.level.span());
         let [cur, _] = S::Held::batch(&mut self.narrow, &mut self.wide);
         let undos = &mut self.undos[0];
         cur.clear();
@@ -529,21 +419,30 @@ impl ExchangeScratch {
             step,
         } = self;
         let [cur, nxt] = S::Held::batch(narrow, wide);
-        let (slices, out_len) = (undo_cur.len(), level.out_len);
-        // Every slice of the output is emitted whole: nothing to reset.
-        nxt.resize(slices * out_len, S::Held::zero());
-        undo_nxt.resize(slices, 1.0);
+        // Every slice of the output is formed whole: nothing to reset.
+        nxt.resize(undo_cur.len() * level.out_len, S::Held::zero());
+        undo_nxt.resize(undo_cur.len(), 1.0);
         let input = Batch {
             vals: cur,
             len,
             undos: undo_cur,
         };
-        step.run::<S>(comm, level, input, overlap, |f, vals| {
-            undo_nxt[f] = round_scaled::<S>(vals, &mut nxt[f * out_len..(f + 1) * out_len]);
-        })?;
+        step.run::<S>(comm, level, input, overlap, nxt, undo_nxt)?;
         std::mem::swap(cur, nxt);
         std::mem::swap(undo_cur, undo_nxt);
         Ok(())
+    }
+
+    /// Widens the held batch of `len`-long slices into `out`: each held
+    /// value times its slice's undo.
+    fn widen<S: Wire>(&mut self, out: &mut [f32], len: usize) {
+        let [cur, _] = S::Held::batch(&mut self.narrow, &mut self.wide);
+        for (f, &undo) in self.undos[0].iter().enumerate() {
+            let range = f * len..(f + 1) * len;
+            for (o, v) in out[range.clone()].iter_mut().zip(&cur[range]) {
+                *o = v.to_f32() * undo;
+            }
+        }
     }
 }
 
@@ -588,10 +487,11 @@ struct Step {
 }
 
 impl Step {
-    /// Runs `level` over `input`: a local level is posted and drained at
-    /// once, on its base tag, carrying the whole batch; a global level
-    /// posts slice `f` under its [`slice_salt`] at `Post(f)` of
-    /// [`exchange_schedule`] and drains it at `Drain(f)`, so under
+    /// Runs `level` over `input` into `out` and its `undos`, which hold
+    /// as many slices of `level.out_len` values: a local level is posted
+    /// and drained at once, on its base tag, carrying the whole batch; a
+    /// global level posts slice `f` under its [`slice_salt`] at `Post(f)`
+    /// of [`exchange_schedule`] and drains it at `Drain(f)`, so under
     /// `overlap` every slice is on the wire before the first drain.
     fn run<S: Wire>(
         &mut self,
@@ -599,7 +499,8 @@ impl Step {
         level: &LevelProgram,
         input: Batch<'_, S::Held>,
         overlap: bool,
-        mut emit: impl FnMut(usize, &[f64]),
+        out: &mut [S::Held],
+        undos: &mut [f32],
     ) -> Result<(), CommError> {
         let tag = level.level.tag();
         let slices = input.undos.len();
@@ -610,9 +511,10 @@ impl Step {
         }
         if !per_slice {
             self.post::<S>(comm, level, tag, 0, input)?;
-            return self.drain::<S>(comm, level, 0, input, emit);
+            return self.drain::<S>(comm, level, 0, input, out, undos);
         }
         let telemetry = comm.telemetry();
+        let len = level.out_len;
         for op in exchange_schedule(slices, overlap) {
             match op {
                 ExchangeOp::Post(f) => {
@@ -622,8 +524,9 @@ impl Step {
                 }
                 ExchangeOp::Drain(f) => {
                     telemetry.profile_slice_set(f as u32);
-                    let one = |_: usize, vals: &[f64]| emit(f, vals);
-                    self.drain::<S>(comm, level, f, input.slice(f), one)?;
+                    let out = &mut out[f * len..(f + 1) * len];
+                    let undos = &mut undos[f..=f];
+                    self.drain::<S>(comm, level, f, input.slice(f), out, undos)?;
                 }
             }
         }
@@ -675,8 +578,8 @@ impl Step {
     /// seeded with the local carries of `input` times the slice's own
     /// undo, each payload times its sender's undo landed in plan order
     /// (accumulated on the [`ExchangeLevel::REDUCE`] levels, assigned on
-    /// the [`ExchangeLevel::SCATTER`] ones) — and hands it to
-    /// `emit(slice, acc)` unrounded.
+    /// the [`ExchangeLevel::SCATTER`] ones) — and rounds it into its
+    /// slice of `out`, its undo into `undos`.
     // xct-hot
     fn drain<S: Wire>(
         &mut self,
@@ -684,7 +587,8 @@ impl Step {
         level: &LevelProgram,
         slot: usize,
         input: Batch<'_, S::Held>,
-        mut emit: impl FnMut(usize, &[f64]),
+        out: &mut [S::Held],
+        undos: &mut [f32],
     ) -> Result<(), CommError> {
         let _span = comm.telemetry().span(level.level.span());
         let Step {
@@ -721,7 +625,8 @@ impl Step {
                 let (undo, payload) = message_slice::<S>(bytes, slices, t.idx.len(), f);
                 land(payload, &t.idx, undo, acc);
             }
-            emit(f, acc);
+            let len = level.out_len;
+            undos[f] = round_scaled::<S>(acc, &mut out[f * len..(f + 1) * len]);
         }
         for bytes in payloads.drain(..) {
             comm.recycle(bytes);
@@ -764,24 +669,20 @@ fn round_scaled<S: Wire>(vals: &[f64], out: &mut [S::Held]) -> f32 {
 
 impl RankPlan {
     /// Assembles a rank plan from raw level programs — the corpus
-    /// counterpart of [`LevelProgram::from_parts`].
+    /// counterpart of [`LevelProgram::from_parts`]. Nothing ties
+    /// `transpose` to `forward` here: the verifier proves each list on
+    /// its own.
     pub fn from_parts(
         in_len: usize,
         owned_len: usize,
-        levels: Vec<LevelProgram>,
-        global: LevelProgram,
-        scatter_global: LevelProgram,
-        scatter_levels: Vec<LevelProgram>,
-        restrict: Vec<u32>,
+        forward: Vec<LevelProgram>,
+        transpose: Vec<LevelProgram>,
     ) -> Self {
         RankPlan {
             in_len,
             owned_len,
-            levels,
-            global,
-            scatter_global,
-            scatter_levels,
-            restrict,
+            forward,
+            transpose,
         }
     }
 
@@ -795,32 +696,17 @@ impl RankPlan {
         self.owned_len
     }
 
-    /// Forward local levels that move data (socket, node), in execution
-    /// order; empty for a flat plan. Read-only view for the static
-    /// verifier.
-    pub fn local_levels(&self) -> &[LevelProgram] {
-        &self.levels
+    /// The forward levels that move data (socket, node, global), in
+    /// execution order: footprint in, owned rows out. Read-only view for
+    /// the static verifier.
+    pub fn forward(&self) -> &[LevelProgram] {
+        &self.forward
     }
 
-    /// The forward global exchange program.
-    pub fn global_level(&self) -> &LevelProgram {
-        &self.global
-    }
-
-    /// The scatter global-stage program (transpose direction).
-    pub fn scatter_global_level(&self) -> &LevelProgram {
-        &self.scatter_global
-    }
-
-    /// Scatter fan-out levels that move data (node, socket), in
-    /// execution order; empty for a flat plan.
-    pub fn scatter_local_levels(&self) -> &[LevelProgram] {
-        &self.scatter_levels
-    }
-
-    /// Footprint positions in the final scatter buffer.
-    pub fn restrict_idx(&self) -> &[u32] {
-        &self.restrict
+    /// The forward levels transposed (global, node, socket), in execution
+    /// order: owned rows in, footprint out.
+    pub fn transpose(&self) -> &[LevelProgram] {
+        &self.transpose
     }
 
     /// The forward reduction of a batch: `partial` holds `slices` slices
@@ -840,31 +726,8 @@ impl RankPlan {
         overlap: bool,
         out: &mut [f32],
     ) -> Result<(), CommError> {
-        let owned = self.owned_len;
-        assert_eq!(out.len(), slices * owned, "owned length mismatch");
-        let first = self.levels.first().unwrap_or(&self.global);
-        scratch.hold::<S>(comm, first, partial, slices, self.in_len);
-        let mut len = self.in_len;
-        for level in &self.levels {
-            scratch.advance::<S>(comm, level, len, overlap)?;
-            len = level.out_len;
-        }
-        let [cur, _] = S::Held::batch(&mut scratch.narrow, &mut scratch.wide);
-        let undos = &scratch.undos[0];
-        let input = Batch {
-            vals: cur,
-            len,
-            undos,
-        };
-        scratch
-            .step
-            .run::<S>(comm, &self.global, input, overlap, |f, vals| {
-                let (factor, undo) = slice_scale::<S>(|| max_abs_f64(vals));
-                let factor = f64::from(factor);
-                for (o, &v) in out[f * owned..(f + 1) * owned].iter_mut().zip(vals) {
-                    *o = S::from_f64(v * factor).to_f32() * undo;
-                }
-            })
+        let levels = (&self.forward[..], self.in_len);
+        Self::exchange::<S>(comm, scratch, levels, partial, slices, overlap, out)
     }
 
     /// The transpose scatter of a batch: `owned` holds `slices` slices of
@@ -872,8 +735,7 @@ impl RankPlan {
     /// Each owner quantizes slice `f` under the scale of its own max-norm
     /// and scatters it in [`exchange_schedule`]`(slices, overlap)` order;
     /// the node and socket fan-out then run once for the whole batch,
-    /// each level rounding each slice under the scale of its own output,
-    /// and the footprint is restricted out of the last.
+    /// each level rounding each slice under the scale of its own output.
     pub fn scatter<S: Wire>(
         &self,
         comm: &Communicator,
@@ -883,29 +745,38 @@ impl RankPlan {
         overlap: bool,
         out: &mut [f32],
     ) -> Result<(), CommError> {
-        let in_len = self.in_len;
-        assert_eq!(out.len(), slices * in_len, "footprint length mismatch");
-        scratch.hold::<S>(comm, &self.scatter_global, owned, slices, self.owned_len);
-        let mut len = self.owned_len;
-        for level in [&self.scatter_global]
-            .into_iter()
-            .chain(&self.scatter_levels)
+        let levels = (&self.transpose[..], self.owned_len);
+        Self::exchange::<S>(comm, scratch, levels, owned, slices, overlap, out)
+    }
+
+    /// The one body of both directions: holds `input` — `slices` slices
+    /// of the `len` values `levels` start from — under the first level's
+    /// span, advances the held batch through every level, and widens it
+    /// into `out` under the last level's span.
+    fn exchange<S: Wire>(
+        comm: &Communicator,
+        scratch: &mut ExchangeScratch,
+        (levels, mut len): (&[LevelProgram], usize),
+        input: &[f32],
+        slices: usize,
+        overlap: bool,
+        out: &mut [f32],
+    ) -> Result<(), CommError> {
+        let out_len = levels.last().map_or(len, |level| level.out_len);
+        assert_eq!(out.len(), slices * out_len, "output length mismatch");
+        let span = |level: Option<&LevelProgram>| {
+            level.map(|level| comm.telemetry().span(level.level.span()))
+        };
         {
+            let _span = span(levels.first());
+            scratch.hold::<S>(comm, input, slices, len);
+        }
+        for level in levels {
             scratch.advance::<S>(comm, level, len, overlap)?;
             len = level.out_len;
         }
-        let last = self.scatter_levels.last().unwrap_or(&self.scatter_global);
-        let _span = comm.telemetry().span(last.level.span());
-        let [cur, _] = S::Held::batch(&mut scratch.narrow, &mut scratch.wide);
-        for (f, &undo) in scratch.undos[0].iter().enumerate() {
-            let vals = &cur[f * len..(f + 1) * len];
-            for (o, &i) in out[f * in_len..(f + 1) * in_len]
-                .iter_mut()
-                .zip(&self.restrict)
-            {
-                *o = vals[i as usize].to_f32() * undo;
-            }
-        }
+        let _span = span(levels.last());
+        scratch.widen::<S>(out, len);
         Ok(())
     }
 }
@@ -917,7 +788,7 @@ mod tests {
         execute_direct, execute_hierarchical, scatter_direct, scatter_hierarchical, PartialData,
     };
     use crate::metrics::TrafficClass;
-    use crate::plan::Footprints;
+    use crate::plan::{DirectPlan, Footprints};
     use crate::runtime::run_ranks;
     use xct_fp16::{F16, HALF_RELATIVE_EPS};
 
@@ -1031,11 +902,8 @@ mod tests {
 
     /// The levels `rp` runs, forward then scatter.
     fn levels_of(rp: &RankPlan) -> Vec<ExchangeLevel> {
-        let forward = rp.local_levels().iter().chain([rp.global_level()]);
-        let scatter = [rp.scatter_global_level()]
-            .into_iter()
-            .chain(rp.scatter_local_levels());
-        forward.chain(scatter).map(LevelProgram::level).collect()
+        let levels = rp.forward().iter().chain(rp.transpose());
+        levels.map(LevelProgram::level).collect()
     }
 
     #[test]
@@ -1084,7 +952,10 @@ mod tests {
         let fast = run_ranks(8, |comm| {
             let me = comm.rank();
             let rp = compiled.rank(me);
-            assert!(rp.local_levels().is_empty() && rp.scatter_local_levels().is_empty());
+            assert_eq!(
+                levels_of(rp),
+                [ExchangeLevel::Global, ExchangeLevel::ScatterGlobal]
+            );
             let vals: Vec<f32> = fp.per_rank[me].iter().map(|&r| partial(me, r)).collect();
             let mut scratch = ExchangeScratch::new();
             let mut owned = vec![0.0f32; rp.owned_len()];
@@ -1279,10 +1150,8 @@ mod tests {
         // Local levels carry all three slices per message, global ones one.
         let local_msgs: u64 = (0..8)
             .map(|p| {
-                compiled
-                    .rank(p)
-                    .local_levels()
-                    .iter()
+                (compiled.rank(p).forward().iter())
+                    .filter(|l| !l.level().per_slice())
                     .map(|l| l.sends().len() as u64)
                     .sum::<u64>()
             })
@@ -1345,6 +1214,65 @@ mod tests {
                 both_schedules_agree::<f64>(topo, fusing);
                 both_schedules_agree::<f32>(topo, fusing);
                 both_schedules_agree::<F16>(topo, fusing);
+            }
+        }
+    }
+
+    /// The relative gap between ⟨reduce(p), y⟩ and ⟨p, scatter(y)⟩ summed
+    /// over every rank, for `fusing` slices of positive pseudo-random
+    /// footprint partials `p` and owned values `y`. Both lie on a 2⁻¹⁰
+    /// grid, so every sum a level forms is exact in the `f32` output and
+    /// the gap on a full-width wire is routing, not rounding.
+    fn adjoint_gap<S: Wire>(topo: Topology, fusing: usize, overlap: bool) -> f64 {
+        let (fp, own) = fixture_on(topo);
+        let compiled = CompiledPlans::build_hierarchical(&fp, &own, &topo);
+        let (compiled, fp, own) = (&compiled, &fp, &own);
+        let value = |salt: usize, r: u32, f: usize| {
+            let h = ((salt as u64) << 40 ^ u64::from(r) << 8 ^ f as u64)
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            ((h >> 40) % 1024 + 1) as f32 / 1024.0
+        };
+        let dot = |a: &[f32], b: &[f32]| -> f64 {
+            a.iter()
+                .zip(b)
+                .map(|(&a, &b)| f64::from(a) * f64::from(b))
+                .sum()
+        };
+        let dots = run_ranks(topo.size(), move |comm| {
+            let me = comm.rank();
+            let rp = compiled.rank(me);
+            let (rows, mine) = (&fp.per_rank[me], own.rows_of(me));
+            let p: Vec<f32> = (0..fusing)
+                .flat_map(|f| rows.iter().map(move |&r| value(me + 1, r, f)))
+                .collect();
+            let y: Vec<f32> = (0..fusing)
+                .flat_map(|f| mine.iter().map(move |&r| value(0, r, f)))
+                .collect();
+            let mut scratch = ExchangeScratch::new();
+            let mut reduced = vec![0.0f32; y.len()];
+            rp.reduce::<S>(comm, &mut scratch, &p, fusing, overlap, &mut reduced)
+                .unwrap();
+            let mut scattered = vec![0.0f32; p.len()];
+            rp.scatter::<S>(comm, &mut scratch, &y, fusing, overlap, &mut scattered)
+                .unwrap();
+            (dot(&reduced, &y), dot(&p, &scattered))
+        });
+        let (lhs, rhs) = (dots.iter()).fold((0.0, 0.0), |(l, r), &(a, b)| (l + a, r + b));
+        (lhs - rhs).abs() / lhs
+    }
+
+    #[test]
+    fn the_scatter_is_the_adjoint_of_the_reduce() {
+        // ⟨reduce(p), y⟩ = ⟨p, scatter(y)⟩ through the executor, on the
+        // machines of the schedule test, both schedules.
+        for topo in [(1, 1, 2), (1, 2, 2), (2, 2, 2), (3, 1, 4)] {
+            let topo = Topology::new(topo.0, topo.1, topo.2);
+            for (fusing, overlap) in [(1, false), (1, true), (3, false), (3, true)] {
+                let case = format!("{topo} fusing {fusing} overlap {overlap}");
+                let gap = adjoint_gap::<f64>(topo, fusing, overlap);
+                assert!(gap <= 1e-12, "{case} f64: {gap:e}");
+                let gap = adjoint_gap::<f32>(topo, fusing, overlap);
+                assert!(gap <= 1e-5, "{case} f32: {gap:e}");
             }
         }
     }

@@ -51,7 +51,7 @@ pub use runtime::{
     run_ranks, run_ranks_with, ChaosMode, ChaosSchedule, CommError, Communicator, RankOptions,
     RecvRequest, WireModel, REPLY_TAG_SALT,
 };
-pub use topology::{CommLevel, Topology};
+pub use topology::Topology;
 pub use wire::{HeldScalar, Wire, UNDO_BYTES};
 
 mod compiled;

@@ -1,26 +1,13 @@
 //! Fat-node machine topology: rank ↔ (node, socket, gpu).
 
-/// The interconnect level a pair of ranks communicates over.
+/// A machine of `nodes × sockets_per_node × gpus_per_socket` ranks, with
+/// ranks assigned contiguously (gpu fastest, then socket, then node) —
+/// matching the adjacent-subdomains-in-one-node placement of Fig 3(b).
 ///
 /// On Summit (paper §IV-A1): sockets connect 3 GPUs with NVLink
 /// (50 GB/s/link), the two sockets of a node share a 64 GB/s X-bus, and
 /// nodes talk over InfiniBand. Effective measured bandwidth ratios are
 /// ~100 : 15 : 1 (Table IV discussion).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum CommLevel {
-    /// Same GPU (no communication).
-    Local,
-    /// Same socket: dense NVLink.
-    Socket,
-    /// Same node, different socket: X-bus.
-    Node,
-    /// Different nodes: InfiniBand.
-    Global,
-}
-
-/// A machine of `nodes × sockets_per_node × gpus_per_socket` ranks, with
-/// ranks assigned contiguously (gpu fastest, then socket, then node) —
-/// matching the adjacent-subdomains-in-one-node placement of Fig 3(b).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Topology {
     /// Number of nodes.
@@ -81,19 +68,6 @@ impl Topology {
             within / self.gpus_per_socket,
             within % self.gpus_per_socket,
         )
-    }
-
-    /// The interconnect level between two ranks.
-    pub fn level(&self, a: usize, b: usize) -> CommLevel {
-        if a == b {
-            CommLevel::Local
-        } else if self.socket_of(a) == self.socket_of(b) {
-            CommLevel::Socket
-        } else if self.node_of(a) == self.node_of(b) {
-            CommLevel::Node
-        } else {
-            CommLevel::Global
-        }
     }
 
     /// Ranks grouped by socket, each group sorted ascending.
@@ -173,16 +147,6 @@ mod tests {
     }
 
     #[test]
-    fn levels_reflect_hierarchy() {
-        let t = Topology::summit(2);
-        assert_eq!(t.level(0, 0), CommLevel::Local);
-        assert_eq!(t.level(0, 2), CommLevel::Socket);
-        assert_eq!(t.level(0, 3), CommLevel::Node);
-        assert_eq!(t.level(0, 6), CommLevel::Global);
-        assert_eq!(t.level(7, 6), CommLevel::Socket);
-    }
-
-    #[test]
     fn groups_partition_ranks() {
         let t = Topology::new(3, 2, 4);
         let sockets = t.socket_groups();
@@ -192,16 +156,6 @@ mod tests {
         let nodes = t.node_groups();
         assert_eq!(nodes.len(), 3);
         assert_eq!(nodes[1], (8..16).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn level_is_symmetric() {
-        let t = Topology::summit(3);
-        for a in 0..t.size() {
-            for b in 0..t.size() {
-                assert_eq!(t.level(a, b), t.level(b, a));
-            }
-        }
     }
 
     #[test]

@@ -141,12 +141,13 @@ fn traced_ranks_record_per_level_spans_on_their_own_tracks() {
     let snap = tele.snapshot();
     for rank in 0..8u32 {
         // Every level runs through one step: its post and its drain
-        // each carry the level's span, and quantizing the partial into
-        // the held batch carries the first level's.
+        // each carry the level's span, quantizing the partial into the
+        // held batch carries the first level's, and widening the held
+        // totals into the output the last level's.
         for (phase, spans) in [
             (Phase::ReduceSocket, 3),
             (Phase::ReduceNode, 2),
-            (Phase::ReduceGlobal, 2),
+            (Phase::ReduceGlobal, 3),
         ] {
             assert_eq!(
                 snap.spans

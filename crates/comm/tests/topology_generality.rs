@@ -117,8 +117,9 @@ fn one_gpu_per_node_degenerates_to_direct() {
 /// The local levels rank `p` of `compiled` runs, forward then scatter.
 fn local_levels(compiled: &CompiledPlans, p: usize) -> Vec<ExchangeLevel> {
     let rp = compiled.rank(p);
-    let levels = rp.local_levels().iter().chain(rp.scatter_local_levels());
-    levels.map(|l| l.level()).collect()
+    let levels = rp.forward().iter().chain(rp.transpose());
+    let local = levels.filter(|l| !l.level().per_slice());
+    local.map(|l| l.level()).collect()
 }
 
 #[test]

@@ -133,12 +133,6 @@ impl ScanGeometry {
     pub fn num_rays(&self) -> usize {
         self.angles.len() * self.detector.channels
     }
-
-    /// Sinogram-row index of (angle `a`, channel `c`), angle-major.
-    pub fn ray_index(&self, a: usize, c: usize) -> usize {
-        debug_assert!(a < self.angles.len() && c < self.detector.channels);
-        a * self.detector.channels + c
-    }
 }
 
 #[cfg(test)]
@@ -181,7 +175,6 @@ mod tests {
         assert_eq!(scan.angles[0], 0.0);
         assert!(scan.angles[7] < std::f64::consts::PI);
         assert_eq!(scan.num_rays(), 8 * 16);
-        assert_eq!(scan.ray_index(1, 3), 19);
     }
 
     #[test]

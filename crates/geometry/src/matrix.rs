@@ -101,28 +101,6 @@ impl SystemMatrix {
             }
         }
     }
-
-    /// Largest intersection length in the matrix (used to choose the
-    /// voxel-size normalization that keeps lengths in half-precision
-    /// range, §III-C1).
-    pub fn max_length(&self) -> f32 {
-        self.rows
-            .iter()
-            .flatten()
-            .map(|h| h.length)
-            .fold(0.0, f32::max)
-    }
-
-    /// Scales every stored length by `factor` — the "artificially
-    /// increasing the voxel size" normalization of §III-C1.
-    pub fn scale_lengths(&mut self, factor: f32) {
-        assert!(factor.is_finite() && factor > 0.0, "invalid scale {factor}");
-        for row in &mut self.rows {
-            for h in row {
-                h.length *= factor;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -216,22 +194,6 @@ mod tests {
         let a16 = SystemMatrix::build(&ScanGeometry::uniform(ImageGrid::square(16, 0.5), 4));
         let ratio = a16.nnz() as f64 / a8.nnz() as f64;
         assert!((3.0..5.0).contains(&ratio), "nnz ratio {ratio} not ~4");
-    }
-
-    #[test]
-    fn scale_lengths_scales_projection() {
-        let scan = small_scan();
-        let mut a = SystemMatrix::build(&scan);
-        let x = vec![1.0f32; a.num_voxels()];
-        let mut y1 = vec![0.0f32; a.num_rays()];
-        a.project(&x, &mut y1);
-        a.scale_lengths(2.0);
-        let mut y2 = vec![0.0f32; a.num_rays()];
-        a.project(&x, &mut y2);
-        for (v1, v2) in y1.iter().zip(&y2) {
-            assert!((v2 - 2.0 * v1).abs() < 1e-4);
-        }
-        assert!(a.max_length() <= 2.0 * std::f32::consts::SQRT_2 + 1e-6);
     }
 
     #[test]

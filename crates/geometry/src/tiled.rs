@@ -130,18 +130,6 @@ impl TiledScan {
             .map(|(&v, &w)| if w > 0.0 { (v / w) as f32 } else { 0.0 })
             .collect()
     }
-
-    /// True when every full-detector channel is covered by some tile.
-    pub fn covers_detector(&self) -> bool {
-        let mut covered = vec![false; self.full_channels];
-        for t in &self.tiles {
-            let end = (t.start + t.channels).min(self.full_channels);
-            for flag in &mut covered[t.start..end] {
-                *flag = true;
-            }
-        }
-        covered.iter().all(|&c| c)
-    }
 }
 
 #[cfg(test)]
@@ -159,7 +147,6 @@ mod tests {
         let scan = full_scan();
         let tiled = TiledScan::split(&scan, 3, 6);
         assert_eq!(tiled.tiles().len(), 3);
-        assert!(tiled.covers_detector());
         // Tiles: width = (48 + 2·6)/3 = 20, starts 0, 14, 28.
         assert_eq!(
             tiled.tiles()[0],

@@ -45,32 +45,6 @@ pub struct Subdomain {
     pub cells: usize,
 }
 
-impl Subdomain {
-    /// Bounding box `(min_x, min_y, max_x, max_y)` in *cell* coordinates,
-    /// inclusive. `None` when the subdomain holds no tiles.
-    pub fn cell_bbox(
-        &self,
-        tile_size: usize,
-        domain: Domain2D,
-    ) -> Option<(usize, usize, usize, usize)> {
-        let first = self.tiles.first()?;
-        let mut bbox = (first.tx * tile_size, first.ty * tile_size, 0usize, 0usize);
-        bbox.2 = bbox.0;
-        bbox.3 = bbox.1;
-        for t in &self.tiles {
-            let x0 = t.tx * tile_size;
-            let y0 = t.ty * tile_size;
-            let x1 = ((t.tx + 1) * tile_size).min(domain.width) - 1;
-            let y1 = ((t.ty + 1) * tile_size).min(domain.height) - 1;
-            bbox.0 = bbox.0.min(x0);
-            bbox.1 = bbox.1.min(y0);
-            bbox.2 = bbox.2.max(x1);
-            bbox.3 = bbox.3.max(y1);
-        }
-        Some(bbox)
-    }
-}
-
 /// Hilbert-ordered tiling of a 2D domain, partitionable at process and
 /// thread-block granularity.
 ///
@@ -86,8 +60,6 @@ pub struct TileDecomposition {
     tiles_y: usize,
     /// Tiles in curve order.
     order: Vec<TileCoord>,
-    /// `tile_rank[ty * tiles_x + tx]` = position of the tile in `order`.
-    tile_rank: Vec<usize>,
 }
 
 impl TileDecomposition {
@@ -101,17 +73,12 @@ impl TileDecomposition {
             .into_iter()
             .map(|(tx, ty)| TileCoord { tx, ty })
             .collect();
-        let mut tile_rank = vec![0usize; tiles_x * tiles_y];
-        for (rank, t) in order.iter().enumerate() {
-            tile_rank[t.ty * tiles_x + t.tx] = rank;
-        }
         TileDecomposition {
             domain,
             tile_size,
             tiles_x,
             tiles_y,
             order,
-            tile_rank,
         }
     }
 
@@ -282,14 +249,6 @@ impl TileDecomposition {
         subdomains
     }
 
-    /// The curve rank of the tile containing cell `(x, y)`.
-    pub fn tile_rank_of_cell(&self, x: usize, y: usize) -> usize {
-        debug_assert!(x < self.domain.width && y < self.domain.height);
-        let tx = x / self.tile_size;
-        let ty = y / self.tile_size;
-        self.tile_rank[ty * self.tiles_x + tx]
-    }
-
     /// Builds a dense cell → partition-id map for `parts` partitions.
     pub fn cell_owner_map(&self, parts: usize) -> Vec<usize> {
         Self::owner_map_of(self, self.partition(parts))
@@ -391,10 +350,14 @@ mod tests {
     fn partition_subdomains_are_connected_runs() {
         // Contiguous runs of the Hilbert order stay spatially compact:
         // bounding-box area should be within a small factor of cell count.
+        // 16-cell tiles divide the domain, so no tile is clipped.
         let d = decomp(256, 256, 16);
         for s in d.partition(16) {
-            let bbox = s.cell_bbox(16, d.domain()).unwrap();
-            let area = (bbox.2 - bbox.0 + 1) * (bbox.3 - bbox.1 + 1);
+            let span = |at: fn(&TileCoord) -> usize| {
+                let (lo, hi) = (s.tiles.iter().map(at).min(), s.tiles.iter().map(at).max());
+                16 * (hi.unwrap() - lo.unwrap() + 1)
+            };
+            let area = span(|t| t.tx) * span(|t| t.ty);
             assert!(
                 area <= s.cells * 4,
                 "partition {} sprawls: bbox area {area} vs {} cells",

@@ -349,6 +349,31 @@ impl SliceReader {
         self.meta.slices - self.read
     }
 
+    /// Checks that the file holds every unread slice its header claims —
+    /// a [`IoError::ShortRead`] with both byte counts otherwise — without
+    /// reading or allocating anything.
+    pub fn check_length(&self) -> Result<(), IoError> {
+        self.holds(self.bytes_of(self.remaining()))
+    }
+
+    /// The payload bytes of `slices` slices. Fits: `open` checked the
+    /// whole payload's byte count.
+    fn bytes_of(&self, slices: usize) -> usize {
+        slices * self.meta.slice_len * self.meta.precision.storage_bytes()
+    }
+
+    /// A [`IoError::ShortRead`] unless `bytes` are left in the file.
+    fn holds(&self, bytes: usize) -> Result<(), IoError> {
+        if self.left < bytes as u64 {
+            return Err(IoError::ShortRead {
+                path: self.path.clone(),
+                expected: bytes as u64,
+                actual: self.left,
+            });
+        }
+        Ok(())
+    }
+
     /// Reads up to `max_slices` slices (an I/O batch, §III-A2). Returns
     /// `None` when the file is exhausted; call
     /// [`verify_checksum`](Self::verify_checksum) afterwards. A batch the
@@ -360,15 +385,8 @@ impl SliceReader {
         if take == 0 {
             return Ok(None);
         }
-        // Fits: `open` checked the whole payload's byte count.
-        let bytes = take * self.meta.slice_len * self.meta.precision.storage_bytes();
-        if self.left < bytes as u64 {
-            return Err(IoError::ShortRead {
-                path: self.path.clone(),
-                expected: bytes as u64,
-                actual: self.left,
-            });
-        }
+        let bytes = self.bytes_of(take);
+        self.holds(bytes)?;
         let mut buf = vec![0u8; bytes];
         let mut got = 0;
         while got < bytes {

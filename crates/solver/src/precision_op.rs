@@ -4,7 +4,7 @@
 use crate::operator::LinearOperator;
 use xct_exec::{BufferRole, ExecContext, Phase};
 use xct_fp16::{max_abs, AdaptiveNormalizer, Precision, StorageScalar, F16};
-use xct_spmm::{spmm_with, Csr, KernelMetrics, Order, PackedMatrix};
+use xct_spmm::{spmm_with, Csr, Order, PackedMatrix};
 
 /// `A` and `Aᵀ` packed for the buffered SpMM at a chosen precision, with
 /// the adaptive (de)normalization of §III-C1 around every half-precision
@@ -158,15 +158,6 @@ impl PrecisionOperator {
     /// Slices fused per kernel call.
     pub fn fusing(&self) -> usize {
         self.fusing
-    }
-
-    /// Memory-traffic account of one forward apply.
-    pub fn forward_metrics(&self) -> KernelMetrics {
-        match &self.inner {
-            Inner::Double { a, .. } => a.kernel_metrics(),
-            Inner::Single { a, .. } => a.kernel_metrics(),
-            Inner::HalfFamily { a, .. } => a.kernel_metrics(),
-        }
     }
 
     /// Stage counts `(forward, transpose)` for sync-overhead modeling.

@@ -218,28 +218,6 @@ impl<S: StorageScalar> Csr<S> {
         }
     }
 
-    /// Restricts to a subset of rows (in the given order) — the slice of
-    /// the operator a single process owns after decomposition.
-    pub fn select_rows(&self, rows: &[u32]) -> Csr<S> {
-        let mut rowptr = Vec::with_capacity(rows.len() + 1);
-        let mut colidx = Vec::new();
-        let mut values = Vec::new();
-        rowptr.push(0);
-        for &r in rows {
-            let (cols, vals) = self.row(r as usize);
-            colidx.extend_from_slice(cols);
-            values.extend_from_slice(vals);
-            rowptr.push(colidx.len());
-        }
-        Csr {
-            num_rows: rows.len(),
-            num_cols: self.num_cols,
-            rowptr,
-            colidx,
-            values,
-        }
-    }
-
     /// Unfused sparse matrix–vector product `y = A·x` with compute type
     /// `C` (the baseline of Fig 9a at fusing factor 1).
     pub fn spmv<C: ComputeScalar>(&self, x: &[S], y: &mut [S]) {
@@ -443,17 +421,6 @@ mod tests {
     #[should_panic(expected = "column order length")]
     fn permute_rejects_an_order_of_another_length() {
         toy().permute(&Order::identity(2), &Order::identity(2));
-    }
-
-    #[test]
-    fn select_rows_slices_operator() {
-        let a = toy();
-        let s = a.select_rows(&[1]);
-        assert_eq!(s.num_rows(), 1);
-        assert_eq!(s.nnz(), 1);
-        let mut y = [0.0f32];
-        s.spmv::<f32>(&[0.0, 4.0, 0.0], &mut y);
-        assert_eq!(y[0], 12.0);
     }
 
     #[test]

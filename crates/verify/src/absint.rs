@@ -6,13 +6,14 @@
 //! abstracted to the interval `[min, max]` of its entries, and the
 //! interval is checked against the declared length of the buffer the
 //! table addresses — sends gather from the level's *input* buffer,
-//! keeps read the input and write the output, recv landings and the
-//! final restriction write the *output*. Buffer lengths are not assumed:
-//! they are chained through the pipeline exactly as execution chains
-//! them (`in_len → level.out_len → … → owned_len` forward, reversed for
-//! the scatter), so a program whose levels disagree about buffer sizes
-//! is caught as a chain break even when every table is internally
-//! consistent.
+//! keeps read the input and write the output, recv landings write the
+//! *output*. Buffer lengths are not assumed: they are chained through
+//! both pipelines exactly as execution chains them (`in_len →
+//! level.out_len → … → owned_len` forward, `owned_len → … → in_len` down
+//! the transpose list, whose last level's output *is* the footprint —
+//! there is no restriction to read it through), so a program whose
+//! levels disagree about buffer sizes is caught as a chain break even
+//! when every table is internally consistent.
 //!
 //! The abstraction is sound and complete for this property: an access
 //! set is in bounds iff its maximum is, so `[min, max] ⊆ [0, len)`
@@ -105,61 +106,40 @@ fn check_level(
 }
 
 /// Proves every index of one rank's programs in bounds, chaining buffer
-/// lengths through both pipelines in execution order.
+/// lengths through both pipelines in execution order: footprint → owned
+/// forward, owned → footprint transposed.
 fn check_rank(rank: usize, rp: &RankPlan, report: &mut VerifyReport) {
-    // Forward: footprint → local levels → global → owned.
-    let mut len = rp.in_len();
-    for level in rp.local_levels().iter().chain([rp.global_level()]) {
+    let (fp, owned) = (rp.in_len(), rp.owned_len());
+    check_chain(rank, rp.forward(), fp, (owned, "owned"), report);
+    check_chain(rank, rp.transpose(), owned, (fp, "footprint"), report);
+}
+
+/// Checks one pipeline's levels from an input of `len` positions, and
+/// that the last level's output is the `end`-long buffer `name` — a
+/// pipeline that ends short or long is reported at its last level.
+fn check_chain(
+    rank: usize,
+    levels: &[LevelProgram],
+    mut len: usize,
+    (end, name): (usize, &str),
+    report: &mut VerifyReport,
+) {
+    for level in levels {
         len = check_level(rank, level, len, report);
     }
-    if len != rp.owned_len() {
+    if len != end {
         report.push(
             rank,
-            Some(rp.global_level().level()),
+            levels.last().map(LevelProgram::level),
             ViolationKind::Malformed {
-                detail: format!(
-                    "forward pipeline ends with buffer length {len}, owned length is {}",
-                    rp.owned_len()
-                ),
-            },
-        );
-    }
-    // Scatter: owned → global stage → fan-out levels → restriction, which
-    // reads the last level's output.
-    let mut len = rp.owned_len();
-    let mut last = rp.scatter_global_level().level();
-    for level in [rp.scatter_global_level()]
-        .into_iter()
-        .chain(rp.scatter_local_levels())
-    {
-        len = check_level(rank, level, len, report);
-        last = level.level();
-    }
-    check_table(
-        rank,
-        last,
-        AccessKind::Restrict,
-        rp.restrict_idx(),
-        len,
-        report,
-    );
-    if rp.restrict_idx().len() != rp.in_len() {
-        report.push(
-            rank,
-            Some(last),
-            ViolationKind::Malformed {
-                detail: format!(
-                    "restriction covers {} positions for footprint length {}",
-                    rp.restrict_idx().len(),
-                    rp.in_len()
-                ),
+                detail: format!("pipeline ends with buffer length {len}, {name} length is {end}"),
             },
         );
     }
 }
 
-/// Interval-domain bounds proof for every Transfer table, keep pair, and
-/// restriction index of `plans`, on both pipelines of every rank.
+/// Interval-domain bounds proof for every Transfer table and keep pair of
+/// `plans`, on both pipelines of every rank.
 pub fn verify_bounds(plans: &CompiledPlans) -> VerifyReport {
     let mut report = VerifyReport::new();
     for rank in 0..plans.num_ranks() {

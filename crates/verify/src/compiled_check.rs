@@ -9,7 +9,9 @@
 //!
 //! * **conservation** — after the global level, the owner of row `r`
 //!   holds exactly one token `(q, r)` for every rank `q` whose footprint
-//!   contains `r`; keeps + recvs partition the owned set;
+//!   contains `r`; keeps + recvs partition the owned set; and after the
+//!   last transpose level, output position `k` of every rank holds its
+//!   footprint row `k`;
 //! * **no mixing** — a position never accumulates tokens of two
 //!   different rows (summing unrelated partials);
 //! * **non-aliasing** — within a level, no two writes land on the same
@@ -23,7 +25,10 @@
 //! This is the one prover of routing and conservation; index bounds are
 //! [`crate::absint`]'s, which runs first, so the simulation never checks
 //! an index. Levels are matched across ranks by the [`ExchangeLevel`]
-//! each program carries, never by position.
+//! each program carries, never by position. The compiler builds each
+//! transpose level from its forward twin, but the two lists are still
+//! proved independently: [`RankPlan::from_parts`] accepts a transpose
+//! list that is not the forward one transposed.
 
 // Witness positions/offsets are indices into u32-sized buffers; casting
 // the enumerate index back to `u32` is lossless by construction.
@@ -34,22 +39,6 @@ use std::collections::HashMap;
 use xct_comm::protocol::ExchangeLevel;
 use xct_comm::{CompiledPlans, Footprints, LevelProgram, Ownership, RankPlan};
 
-/// A rank's forward programs, in execution order.
-fn reduce_levels(rp: &RankPlan) -> Vec<&LevelProgram> {
-    rp.local_levels()
-        .iter()
-        .chain([rp.global_level()])
-        .collect()
-}
-
-/// A rank's transpose (scatter) programs, in execution order.
-fn scatter_levels(rp: &RankPlan) -> Vec<&LevelProgram> {
-    [rp.scatter_global_level()]
-        .into_iter()
-        .chain(rp.scatter_local_levels())
-        .collect()
-}
-
 /// One pipeline's programs grouped by level: for every level of
 /// `pipeline` that some rank runs, in pipeline order, every rank's
 /// program for it, indexed by rank. A rank whose level list differs —
@@ -58,13 +47,13 @@ fn scatter_levels(rp: &RankPlan) -> Vec<&LevelProgram> {
 fn by_level<'a>(
     plans: &'a CompiledPlans,
     pipeline: &[ExchangeLevel],
-    programs: fn(&RankPlan) -> Vec<&LevelProgram>,
+    programs: fn(&RankPlan) -> &[LevelProgram],
     report: &mut VerifyReport,
 ) -> Option<Vec<(ExchangeLevel, Vec<&'a LevelProgram>)>> {
-    let per_rank: Vec<Vec<&LevelProgram>> = (0..plans.num_ranks())
+    let per_rank: Vec<&[LevelProgram]> = (0..plans.num_ranks())
         .map(|p| programs(plans.rank(p)))
         .collect();
-    let runs = |ls: &[&LevelProgram], level| ls.iter().any(|l| l.level() == level);
+    let runs = |ls: &[LevelProgram], level| ls.iter().any(|l| l.level() == level);
     let levels: Vec<ExchangeLevel> = (pipeline.iter().copied())
         .filter(|&level| per_rank.iter().any(|ls| runs(ls, level)))
         .collect();
@@ -84,7 +73,7 @@ fn by_level<'a>(
         report.push(p, level, ViolationKind::Malformed { detail });
     }
     (report.violations.len() == before).then(|| {
-        let stage = |i: usize| per_rank.iter().map(|ls| ls[i]).collect();
+        let stage = |i: usize| per_rank.iter().map(|ls| &ls[i]).collect();
         levels
             .iter()
             .enumerate()
@@ -192,8 +181,18 @@ pub fn verify_compiled(
     plans: &CompiledPlans,
 ) -> VerifyReport {
     let mut report = VerifyReport::new();
-    let reduce = by_level(plans, &ExchangeLevel::REDUCE, reduce_levels, &mut report);
-    let scatter = by_level(plans, &ExchangeLevel::SCATTER, scatter_levels, &mut report);
+    let reduce = by_level(
+        plans,
+        &ExchangeLevel::REDUCE,
+        RankPlan::forward,
+        &mut report,
+    );
+    let scatter = by_level(
+        plans,
+        &ExchangeLevel::SCATTER,
+        RankPlan::transpose,
+        &mut report,
+    );
     let (Some(reduce), Some(scatter)) = (reduce, scatter) else {
         return report;
     };
@@ -208,14 +207,15 @@ pub fn verify_compiled(
     check_seeds(footprints, &owned, plans, &mut report);
     if report.ok() {
         reduce_tokens(footprints, &owned, reduce, &mut report);
-        scatter_tokens(footprints, ownership, &owned, plans, scatter, &mut report);
+        scatter_tokens(footprints, ownership, &owned, scatter, &mut report);
     }
     report
 }
 
 /// Checks that every rank's buffers have the lengths of the geometry the
 /// tokens are seeded from: the footprint fills the forward input and the
-/// restriction, the owned rows the forward output and the scatter input.
+/// transpose output, the owned rows the forward output and the transpose
+/// input.
 fn check_seeds(
     footprints: &Footprints,
     owned: &[Vec<u32>],
@@ -224,7 +224,8 @@ fn check_seeds(
 ) {
     for (p, rows) in owned.iter().enumerate() {
         let rp = plans.rank(p);
-        let (fp, global) = (footprints.per_rank[p].len(), rp.global_level().level());
+        let fp = footprints.per_rank[p].len();
+        let global = rp.forward().last().map(LevelProgram::level);
         if rp.in_len() != fp {
             let detail = format!(
                 "footprint buffer holds {} positions for {fp} rows",
@@ -238,7 +239,7 @@ fn check_seeds(
                 rp.owned_len(),
                 rows.len()
             );
-            report.push(p, Some(global), ViolationKind::Malformed { detail });
+            report.push(p, global, ViolationKind::Malformed { detail });
         }
     }
 }
@@ -358,7 +359,6 @@ fn scatter_tokens(
     footprints: &Footprints,
     ownership: &Ownership,
     owned: &[Vec<u32>],
-    plans: &CompiledPlans,
     table: Vec<(ExchangeLevel, Vec<&LevelProgram>)>,
     report: &mut VerifyReport,
 ) {
@@ -369,7 +369,7 @@ fn scatter_tokens(
         .iter()
         .map(|rows| rows.iter().copied().map(Some).collect())
         .collect();
-    // The level whose output the restriction reads.
+    // The level whose output is the footprint.
     let last = table.last().map(|&(level, _)| level);
     for (name, levels) in table {
         let matches = match_level(&levels, name, report);
@@ -437,11 +437,10 @@ fn scatter_tokens(
             return;
         }
     }
-    // Restriction: each footprint row must come back as itself.
+    // Output position `k` of the last level must hold footprint row `k`.
     for (p, held) in cur.iter().enumerate() {
-        let restrict = plans.rank(p).restrict_idx();
-        for (&pos, &row) in restrict.iter().zip(&footprints.per_rank[p]) {
-            match held[pos as usize] {
+        for (pos, (&row, &got)) in footprints.per_rank[p].iter().zip(held).enumerate() {
+            match got {
                 None => report.push(
                     p,
                     last,
@@ -455,7 +454,7 @@ fn scatter_tokens(
                     p,
                     last,
                     ViolationKind::MixedRows {
-                        position: pos,
+                        position: pos as u32,
                         rows: (row, got),
                     },
                 ),

@@ -366,11 +366,16 @@ pub fn small_compiled_fixture() -> CompiledArtifact {
 struct RankParts {
     in_len: usize,
     owned_len: usize,
-    levels: Vec<LevelProgram>,
-    global: LevelProgram,
-    scatter_global: LevelProgram,
-    scatter_levels: Vec<LevelProgram>,
-    restrict: Vec<u32>,
+    forward: Vec<LevelProgram>,
+    transpose: Vec<LevelProgram>,
+}
+
+impl RankParts {
+    /// The forward global level: the last of the forward list.
+    fn global(&mut self) -> &mut LevelProgram {
+        let last = self.forward.len() - 1;
+        &mut self.forward[last]
+    }
 }
 
 /// `artifact` with rank `rank`'s program passed through `mutate`.
@@ -386,11 +391,8 @@ fn mutate_rank(
             let mut parts = RankParts {
                 in_len: rp.in_len(),
                 owned_len: rp.owned_len(),
-                levels: rp.local_levels().to_vec(),
-                global: rp.global_level().clone(),
-                scatter_global: rp.scatter_global_level().clone(),
-                scatter_levels: rp.scatter_local_levels().to_vec(),
-                restrict: rp.restrict_idx().to_vec(),
+                forward: rp.forward().to_vec(),
+                transpose: rp.transpose().to_vec(),
             };
             if p == rank {
                 // xct-allow(no-panic): corpus helper — the rank index is visited exactly once
@@ -399,11 +401,8 @@ fn mutate_rank(
             RankPlan::from_parts(
                 parts.in_len,
                 parts.owned_len,
-                parts.levels,
-                parts.global,
-                parts.scatter_global,
-                parts.scatter_levels,
-                parts.restrict,
+                parts.forward,
+                parts.transpose,
             )
         })
         .collect();
@@ -429,7 +428,7 @@ fn edit_level(level: &mut LevelProgram, edit: impl FnOnce(&mut LevelTables)) {
 /// 3-element footprint buffer — `IndexOutOfBounds` (send gather, 40, 3).
 pub fn oob_gather_compiled() -> CompiledArtifact {
     mutate_rank(small_compiled_fixture(), 0, |r| {
-        edit_level(&mut r.global, |t| t.1[0].idx = vec![40]);
+        edit_level(r.global(), |t| t.1[0].idx = vec![40]);
     })
 }
 
@@ -438,7 +437,7 @@ pub fn oob_gather_compiled() -> CompiledArtifact {
 /// (recv landing, 9, 2).
 pub fn oob_recv_compiled() -> CompiledArtifact {
     mutate_rank(small_compiled_fixture(), 0, |r| {
-        edit_level(&mut r.global, |t| t.3[0].idx = vec![9]);
+        edit_level(r.global(), |t| t.3[0].idx = vec![9]);
     })
 }
 
@@ -446,15 +445,19 @@ pub fn oob_recv_compiled() -> CompiledArtifact {
 /// 2-element buffer — `IndexOutOfBounds` (keep destination, 30, 2).
 pub fn oob_keep_compiled() -> CompiledArtifact {
     mutate_rank(small_compiled_fixture(), 0, |r| {
-        edit_level(&mut r.global, |t| t.2[1].1 = 30);
+        edit_level(r.global(), |t| t.2[1].1 = 30);
     })
 }
 
-/// Bounds mutation: rank 0's footprint restriction reads position 77 of
-/// the 3-element final scatter buffer — `IndexOutOfBounds`
-/// (restriction, 77, 3).
-pub fn oob_restrict_compiled() -> CompiledArtifact {
-    mutate_rank(small_compiled_fixture(), 0, |r| r.restrict[2] = 77)
+/// Bounds mutation: rank 0's last transpose level (the global scatter of
+/// the flat plan) outputs 2 positions where its footprint has 3 — the
+/// transpose list ends short of the footprint: `Malformed` at rank 0 on
+/// that level.
+pub fn short_transpose_compiled() -> CompiledArtifact {
+    mutate_rank(small_compiled_fixture(), 0, |r| {
+        let last = r.transpose.len() - 1;
+        edit_level(&mut r.transpose[last], |t| t.0 -= 1);
+    })
 }
 
 /// Routing mutation: rank 0 addresses its partial of row 2 to itself
@@ -462,7 +465,7 @@ pub fn oob_restrict_compiled() -> CompiledArtifact {
 /// `UnconsumedSend` to rank 0 at rank 0.
 pub fn misrouted_compiled() -> CompiledArtifact {
     mutate_rank(small_compiled_fixture(), 0, |r| {
-        edit_level(&mut r.global, |t| t.1[0].peer = 0);
+        edit_level(r.global(), |t| t.1[0].peer = 0);
     })
 }
 
@@ -472,9 +475,9 @@ pub fn misrouted_compiled() -> CompiledArtifact {
 /// rank 1.
 pub fn dropped_compiled() -> CompiledArtifact {
     let dropped = mutate_rank(small_compiled_fixture(), 0, |r| {
-        edit_level(&mut r.global, |t| t.1.clear());
+        edit_level(r.global(), |t| t.1.clear());
     });
-    mutate_rank(dropped, 1, |r| edit_level(&mut r.global, |t| t.3.clear()))
+    mutate_rank(dropped, 1, |r| edit_level(r.global(), |t| t.3.clear()))
 }
 
 /// Routing mutation: rank 0 sends its partial of row 2 twice and rank 1
@@ -483,7 +486,7 @@ pub fn dropped_compiled() -> CompiledArtifact {
 /// `Transfer::new` refuses, so the tables are written as literals.
 pub fn duplicated_compiled() -> CompiledArtifact {
     let sent = mutate_rank(small_compiled_fixture(), 0, |r| {
-        edit_level(&mut r.global, |t| {
+        edit_level(r.global(), |t| {
             t.1 = vec![Transfer {
                 peer: 1,
                 idx: vec![2, 2],
@@ -491,7 +494,7 @@ pub fn duplicated_compiled() -> CompiledArtifact {
         });
     });
     mutate_rank(sent, 1, |r| {
-        edit_level(&mut r.global, |t| {
+        edit_level(r.global(), |t| {
             t.3 = vec![Transfer {
                 peer: 0,
                 idx: vec![0, 0],
@@ -506,7 +509,7 @@ pub fn duplicated_compiled() -> CompiledArtifact {
 /// rows: (3, 0) }` at rank 1.
 pub fn unheld_compiled() -> CompiledArtifact {
     let sent = mutate_rank(small_compiled_fixture(), 0, |r| {
-        edit_level(&mut r.global, |t| {
+        edit_level(r.global(), |t| {
             t.1 = vec![Transfer {
                 peer: 1,
                 idx: vec![2, 0],
@@ -514,7 +517,7 @@ pub fn unheld_compiled() -> CompiledArtifact {
         });
     });
     mutate_rank(sent, 1, |r| {
-        edit_level(&mut r.global, |t| t.3[0].idx = vec![0, 1]);
+        edit_level(r.global(), |t| t.3[0].idx = vec![0, 1]);
     })
 }
 
@@ -526,14 +529,14 @@ pub fn unheld_compiled() -> CompiledArtifact {
 /// delivered: 2 }` at rank 1.
 pub fn duplicate_designee_compiled() -> CompiledArtifact {
     let kept = mutate_rank(small_compiled_on(Topology::new(1, 1, 2)), 0, |r| {
-        edit_level(&mut r.levels[0], |t| {
+        edit_level(&mut r.forward[0], |t| {
             t.0 += 1;
             t.2.push((2, 2));
         });
-        edit_level(&mut r.global, |t| t.1 = vec![Transfer::new(1, vec![2])]);
+        edit_level(r.global(), |t| t.1 = vec![Transfer::new(1, vec![2])]);
     });
     mutate_rank(kept, 1, |r| {
-        edit_level(&mut r.global, |t| t.3 = vec![Transfer::new(0, vec![0])]);
+        edit_level(r.global(), |t| t.3 = vec![Transfer::new(0, vec![0])]);
     })
 }
 
@@ -547,7 +550,7 @@ pub fn ragged_levels_compiled() -> CompiledArtifact {
     let own = Ownership::new((0..8).map(|r| r / 2).collect(), 4);
     let compiled = CompiledPlans::build_hierarchical(&fp, &own, &topo);
     mutate_rank((fp, own, topo, compiled), 1, |r| {
-        r.levels.retain(|l| l.level() != ExchangeLevel::Node);
+        r.forward.retain(|l| l.level() != ExchangeLevel::Node);
     })
 }
 
@@ -653,7 +656,7 @@ fn compiled_report((fp, own, _, compiled): CompiledArtifact) -> VerifyReport {
 /// it and the witness it must give.
 #[rustfmt::skip] // a table: one artifact per row group, patterns on one line
 pub const MUST_REJECT: &[MustReject] = {
-    use AccessKind::{KeepDst, RecvLanding, Restrict, SendGather};
+    use AccessKind::{KeepDst, RecvLanding, SendGather};
     use ViolationKind::*;
     &[
         MustReject {
@@ -763,10 +766,11 @@ pub const MUST_REJECT: &[MustReject] = {
                 IndexOutOfBounds { access: KeepDst, index: 30, len: 2 }),
         },
         MustReject {
-            name: "oob-restriction",
-            report: || crate::verify_bounds(&oob_restrict_compiled().3),
-            expected: |v| matches!(v.kind,
-                IndexOutOfBounds { access: Restrict, index: 77, len: 3 }),
+            name: "short-transpose",
+            report: || crate::verify_bounds(&short_transpose_compiled().3),
+            expected: |v| v.rank == 0 && v.level == Some(ExchangeLevel::ScatterGlobal)
+                && matches!(&v.kind, Malformed { detail }
+                    if detail.contains("ends with buffer length 2, footprint length is 3")),
         },
         MustReject {
             name: "ragged-levels",

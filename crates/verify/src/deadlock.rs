@@ -63,14 +63,16 @@ impl CommProgram {
     /// running `schedule` in both directions, payloads erased — what one
     /// CGLS step executes, call for call:
     ///
-    /// * forward apply (`t = A·s`): each local level once for the whole
-    ///   batch, on its base tag (sends, then receives in plan order);
-    ///   then per `Post(f)` the global sends of slice `f` under its salt,
-    ///   per `Drain(f)` the global receives;
+    /// * forward apply (`t = A·s`): the forward list in order, each
+    ///   level lowered as the executor runs it — a local level once for
+    ///   the whole batch, on its base tag (sends, then receives in plan
+    ///   order); a global level
+    ///   ([`ExchangeLevel::per_slice`](xct_comm::protocol::ExchangeLevel::per_slice))
+    ///   per `Post(f)` with the sends of slice `f` under its salt, per
+    ///   `Drain(f)` with the receives;
     /// * the iteration's one collective, the inner products;
-    /// * transpose apply (`s = Aᵀ·r`): per `Post(f)` the global scatter
-    ///   sends, per `Drain(f)` its receives; then each local fan-out
-    ///   level once for the whole batch.
+    /// * transpose apply (`s = Aᵀ·r`): the transpose list, lowered the
+    ///   same way.
     ///
     /// The applies make no collective: every sender's §III-C1 scale
     /// travels in its message header.
@@ -83,13 +85,14 @@ impl CommProgram {
             .map(|p| {
                 let rp = plans.rank(p);
                 let mut ops = Vec::new();
-                let batch = |ops: &mut Vec<CommOp>, levels: &[LevelProgram]| {
-                    for level in levels {
+                // A local level once for the whole batch, on its base
+                // tag; a global level per slice, in schedule order.
+                let lower = |ops: &mut Vec<CommOp>, level: &LevelProgram| {
+                    if !level.level().per_slice() {
                         push_sends(ops, level, 0);
                         push_recvs(ops, level, 0);
+                        return;
                     }
-                };
-                let per_slice = |ops: &mut Vec<CommOp>, level: &LevelProgram| {
                     for op in schedule {
                         match *op {
                             ExchangeOp::Post(f) => push_sends(ops, level, slice_salt(f)),
@@ -97,12 +100,14 @@ impl CommProgram {
                         }
                     }
                 };
-                batch(&mut ops, rp.local_levels());
-                per_slice(&mut ops, rp.global_level());
+                for level in rp.forward() {
+                    lower(&mut ops, level);
+                }
                 let tag = Collective::INNER_PRODUCTS.tag;
                 ops.extend(steps[p].steps().iter().map(|s| step_op(s, tag)));
-                per_slice(&mut ops, rp.scatter_global_level());
-                batch(&mut ops, rp.scatter_local_levels());
+                for level in rp.transpose() {
+                    lower(&mut ops, level);
+                }
                 ops
             })
             .collect();

@@ -50,8 +50,6 @@ pub enum AccessKind {
     KeepDst,
     /// A recv transfer's landing position in the output buffer.
     RecvLanding,
-    /// A restriction index into the final scatter buffer.
-    Restrict,
 }
 
 impl fmt::Display for AccessKind {
@@ -61,7 +59,6 @@ impl fmt::Display for AccessKind {
             AccessKind::KeepSrc => "keep source",
             AccessKind::KeepDst => "keep destination",
             AccessKind::RecvLanding => "recv landing",
-            AccessKind::Restrict => "restriction",
         };
         f.write_str(name)
     }

@@ -28,8 +28,8 @@
 //! * **Abstract interpretation** ([`absint`], [`lifetime`]) interprets
 //!   the compiled index programs over abstract domains instead of
 //!   executing them: interval bounds proofs for every Transfer table
-//!   access, and scratch-region lifetime tracking across the split
-//!   `begin`/`finish` overlap windows (no read of a region with pending
+//!   access, and scratch-region lifetime tracking across the post/drain
+//!   overlap windows (no read of a region with pending
 //!   in-flight writes; DESIGN.md §3i).
 //! * **Schedule exploration** ([`mod@explore`]) runs real rank bodies under
 //!   seeded chaos schedules (jitter + delay-one-message), making timing

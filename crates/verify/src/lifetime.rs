@@ -228,14 +228,17 @@ pub fn verify_scratch_lifetime(rank: usize, ops: &[ScratchOp]) -> VerifyReport {
 }
 
 /// Verifies the scratch usage of every rank of `plans` running
-/// `schedule`; a rank posts one irecv per recv transfer of its global
-/// level.
+/// `schedule` on each level it runs per slice, in both lists; such a
+/// level posts one irecv per recv transfer.
 pub fn verify_lifetimes(plans: &xct_comm::CompiledPlans, schedule: &[ExchangeOp]) -> VerifyReport {
     let mut report = VerifyReport::new();
     for rank in 0..plans.num_ranks() {
-        let writes = plans.rank(rank).global_level().recvs().len();
-        let ops = scratch_ops(schedule.iter().copied(), writes);
-        report.merge(verify_scratch_lifetime(rank, &ops));
+        let rp = plans.rank(rank);
+        let levels = rp.forward().iter().chain(rp.transpose());
+        for level in levels.filter(|l| l.level().per_slice()) {
+            let ops = scratch_ops(schedule.iter().copied(), level.recvs().len());
+            report.merge(verify_scratch_lifetime(rank, &ops));
+        }
     }
     report
 }

@@ -197,13 +197,7 @@ pub fn claims_for_compiled(plans: &CompiledPlans, topo: &Topology) -> TagClaimSe
     let mut set = TagClaimSet::new();
     for p in 0..plans.num_ranks() {
         let rp = plans.rank(p);
-        let globals = [rp.global_level(), rp.scatter_global_level()];
-        for program in rp
-            .local_levels()
-            .iter()
-            .chain(globals)
-            .chain(rp.scatter_local_levels())
-        {
+        for program in rp.forward().iter().chain(rp.transpose()) {
             set.claim_level(p, program);
         }
     }

@@ -15,8 +15,8 @@ use xct_comm::{
 use xct_verify::corpus::{
     aliased_reply_exchange, barrier_program, buggy_allreduce_claims, dropped_compiled,
     duplicate_designee_compiled, duplicated_compiled, gen_case, gen_case_on, misrouted_compiled,
-    oob_gather_compiled, oob_keep_compiled, oob_recv_compiled, oob_restrict_compiled,
-    over_budget_plan, per_slice_local_level, ragged_levels_compiled, single_sweep_gather,
+    oob_gather_compiled, oob_keep_compiled, oob_recv_compiled, over_budget_plan,
+    per_slice_local_level, ragged_levels_compiled, short_transpose_compiled, single_sweep_gather,
     small_compiled_fixture, stale_maxima_collective, unfolded_collective, unheld_compiled,
     unsorted_transfer, CompiledArtifact, MUST_REJECT, STALE_MAXIMA_RANK,
 };
@@ -247,7 +247,7 @@ fn compiled_must_reject_rows_are_rejected_by_the_entry_point() {
         ("oob-gather", oob_gather_compiled),
         ("oob-recv-landing", oob_recv_compiled),
         ("oob-keep-destination", oob_keep_compiled),
-        ("oob-restriction", oob_restrict_compiled),
+        ("short-transpose", short_transpose_compiled),
         ("misrouted-direct", misrouted_compiled),
         ("dropped-direct", dropped_compiled),
         ("duplicated-direct", duplicated_compiled),
@@ -695,18 +695,17 @@ fn oob_keep_destination_is_rejected() {
 }
 
 #[test]
-fn oob_restriction_is_rejected() {
-    let report = xct_verify::verify_bounds(&oob_restrict_compiled().3);
+fn short_transpose_chain_is_rejected() {
+    let report = xct_verify::verify_bounds(&short_transpose_compiled().3);
     assert!(
-        report.violations.iter().any(|v| matches!(
-            v.kind,
-            xct_verify::ViolationKind::IndexOutOfBounds {
-                access: xct_verify::AccessKind::Restrict,
-                index: 77,
-                len: 3
-            }
-        )),
-        "expected restriction OOB (77, len 3), got: {report}"
+        report.violations.iter().any(|v| v.rank == 0
+            && v.level == Some(ExchangeLevel::ScatterGlobal)
+            && matches!(
+                &v.kind,
+                xct_verify::ViolationKind::Malformed { detail }
+                    if detail == "pipeline ends with buffer length 2, footprint length is 3"
+            )),
+        "expected the transpose chain to end short at rank 0's global scatter, got: {report}"
     );
 }
 

@@ -650,6 +650,9 @@ fn open_sinogram(path: &str) -> Result<(SliceReader, usize, usize), CliError> {
     if meta.kind != FileKind::Sinogram {
         return Err(CliError(format!("{path} is not a sinogram file")));
     }
+    // The geometry below comes from the header alone: a file shorter
+    // than its header claims is refused before anything is traced.
+    reader.check_length()?;
     // Infer (angles, channels): our simulate writes square matched
     // detectors, so slice_len = angles × channels with channels = n.
     // The geometry is recoverable when slice_len is a perfect square per
@@ -1540,6 +1543,36 @@ mod tests {
         .unwrap();
         let out = run_cmd(&["fbp", "--in", &sino, "--out", &vol, "--filter", "hann"]).unwrap();
         assert!(out.contains("FBP-reconstructed 2 slices"), "{out}");
+    }
+
+    #[test]
+    fn a_sinogram_shorter_than_its_header_is_refused_before_tracing() {
+        // A real one-slice header patched to claim 1 × 2³² single
+        // scalars (a 65 536² geometry), cut to 34 bytes: the header and
+        // 8 payload bytes.
+        let (path, out) = (tmp("short_sino.xctd"), tmp("short_rec.xctd"));
+        let meta = SliceFile {
+            kind: FileKind::Sinogram,
+            precision: Precision::Single,
+            slices: 1,
+            slice_len: 4,
+        };
+        let mut w = SliceWriter::create(&path, meta).unwrap();
+        w.write_slice(&[1.0; 4]).unwrap();
+        w.finish().unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[18..26].copy_from_slice(&(1u64 << 32).to_le_bytes());
+        bytes.truncate(34);
+        std::fs::write(&path, bytes).unwrap();
+        let _ = std::fs::remove_file(&out);
+        let err = run_cmd(&["reconstruct", "--in", &path, "--out", &out]).unwrap_err();
+        let short = xct_io::IoError::ShortRead {
+            path: path.clone(),
+            expected: 4 << 32,
+            actual: 8,
+        };
+        assert_eq!(err.0, short.to_string());
+        assert!(!Path::new(&out).exists(), "{out} was created");
     }
 
     #[test]
