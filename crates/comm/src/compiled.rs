@@ -63,13 +63,22 @@
 //! rank's partial, keeps its precision. Full-width wires carry no header
 //! and every scale on them is 1.
 //!
+//! **Runs, not values.** The level step converts whole runs through the
+//! wire's run operations ([`Wire::hold_into`], [`Wire::encode_gather`],
+//! [`Wire::land`], [`Wire::round_into`]): each slice of the caller's
+//! batch is quantized at once, each transfer gathered and encoded at
+//! once, each payload slice decoded and landed at once, each level's
+//! output slice rounded at once — through the F16C conversions on a half
+//! wire, byte copies on a single one.
+//!
 //! Numerical contract: results are **bit-identical** to the reference
 //! executor run slice by slice. Both quantize with the same scales, seed
 //! each level's accumulator the same way, add received contributions in
 //! the same (source-ascending) plan order in f64, and round to the
 //! storage scalar once per level — identical floating-point operations in
-//! identical order, per element; batching changes what travels in one
-//! message, not what is added.
+//! identical order, per element, run in bulk here and one value at a time
+//! there; batching changes what travels in one message, not what is
+//! added.
 //!
 //! Splitting the step is what makes the paper's §III-E overlap
 //! executable: a global level posts slice `f` at `Post(f)` of
@@ -384,8 +393,8 @@ impl ExchangeScratch {
 
     /// Quantizes `vals`, `slices` slices of `len` values, into the held
     /// batch under the whole batch's profile context: each slice as
-    /// `S(value · factor)` under the §III-C1 scale of its own max-norm,
-    /// its undo beside it.
+    /// `S(value · factor)` under the §III-C1 scale of its own max-norm
+    /// ([`Wire::hold_into`]), its undo beside it.
     fn hold<S: Wire>(&mut self, comm: &Communicator, vals: &[f32], slices: usize, len: usize) {
         assert_eq!(vals.len(), slices * len, "batch length mismatch");
         // Whole-batch work: every slice's cost.
@@ -393,11 +402,15 @@ impl ExchangeScratch {
         let [cur, _] = S::Held::batch(&mut self.narrow, &mut self.wide);
         let undos = &mut self.undos[0];
         cur.clear();
+        cur.resize(vals.len(), S::Held::zero());
         undos.clear();
-        for slice in (0..slices).map(|f| &vals[f * len..(f + 1) * len]) {
+        for f in 0..slices {
+            let (slice, held) = (
+                &vals[f * len..(f + 1) * len],
+                &mut cur[f * len..(f + 1) * len],
+            );
             let (factor, undo) = slice_scale::<S>(|| f64::from(max_abs(slice)));
-            let quantized = |&v: &f32| S::Held::from_f64(S::from_f32(v * factor).to_f64());
-            cur.extend(slice.iter().map(quantized));
+            S::hold_into(slice, factor, held);
             undos.push(undo);
         }
     }
@@ -538,8 +551,9 @@ impl Step {
     /// Posts one exchange of `level` under `tag`: one message per peer
     /// carrying every slice of `input` — the header of the slices' undos
     /// ([`Wire::SCALED`] wires only), then the transfer's positions
-    /// slice-major, encoded at storage width through the communicator's
-    /// buffer pool — then the receives, into pending slot `slot`.
+    /// slice-major, gathered and encoded at storage width a run at a time
+    /// ([`Wire::encode_gather`]) into the communicator's buffer pool —
+    /// then the receives, into pending slot `slot`.
     fn post<S: Wire>(
         &mut self,
         comm: &Communicator,
@@ -557,10 +571,7 @@ impl Step {
                 let mut buf = comm.pooled_buf(bytes);
                 write_header::<S>(input.undos, &mut buf);
                 for f in 0..slices {
-                    let vals = input.values(f);
-                    for &i in &t.idx {
-                        S::from_f64(vals[i as usize].to_f64()).write_to(&mut buf);
-                    }
+                    S::encode_gather(input.values(f), &t.idx, &mut buf);
                 }
                 comm.send(t.peer, tag, buf)?;
             }
@@ -576,10 +587,11 @@ impl Step {
     /// in plan order (the blocking part, under its own `CommWait` span),
     /// then forms the level one slice at a time in the accumulator —
     /// seeded with the local carries of `input` times the slice's own
-    /// undo, each payload times its sender's undo landed in plan order
-    /// (accumulated on the [`ExchangeLevel::REDUCE`] levels, assigned on
-    /// the [`ExchangeLevel::SCATTER`] ones) — and rounds it into its
-    /// slice of `out`, its undo into `undos`.
+    /// undo, each payload slice times its sender's undo landed in plan
+    /// order by [`Wire::land`] (accumulated on the
+    /// [`ExchangeLevel::REDUCE`] levels, assigned on the
+    /// [`ExchangeLevel::SCATTER`] ones) — and rounds it into its slice of
+    /// `out`, its undo into `undos`.
     // xct-hot
     fn drain<S: Wire>(
         &mut self,
@@ -608,11 +620,7 @@ impl Step {
                 payloads.push(req.wait(comm)?);
             }
         }
-        let land = if ExchangeLevel::REDUCE.contains(&level.level) {
-            accumulate_payload::<S>
-        } else {
-            assign_payload::<S>
-        };
+        let add = ExchangeLevel::REDUCE.contains(&level.level);
         let slices = input.undos.len();
         for (f, &undo) in input.undos.iter().enumerate() {
             acc.clear();
@@ -623,7 +631,7 @@ impl Step {
             }
             for (t, bytes) in level.recvs.iter().zip(payloads.iter()) {
                 let (undo, payload) = message_slice::<S>(bytes, slices, t.idx.len(), f);
-                land(payload, &t.idx, undo, acc);
+                S::land(payload, &t.idx, undo, add, acc);
             }
             let len = level.out_len;
             undos[f] = round_scaled::<S>(acc, &mut out[f * len..(f + 1) * len]);
@@ -635,35 +643,15 @@ impl Step {
     }
 }
 
-/// Decodes one slice's `payload` at storage width, widens each value by
-/// its sender's `undo` and **accumulates** into `out` at the transfer's
-/// positions (reduce semantics), without allocating.
-fn accumulate_payload<S: Wire>(payload: &[u8], idx: &[u32], undo: f32, out: &mut [f64]) {
-    let undo = f64::from(undo);
-    for (k, &i) in idx.iter().enumerate() {
-        out[i as usize] += S::read_from(&payload[k * S::BYTES..]).to_f64() * undo;
-    }
-}
-
-/// Decodes, widens and **assigns** into `out` (scatter semantics).
-fn assign_payload<S: Wire>(payload: &[u8], idx: &[u32], undo: f32, out: &mut [f64]) {
-    let undo = f64::from(undo);
-    for (k, &i) in idx.iter().enumerate() {
-        out[i as usize] = S::read_from(&payload[k * S::BYTES..]).to_f64() * undo;
-    }
-}
-
 /// Rounds one slice of a level's output to storage precision — once per
 /// level, as the reference executor materializes its per-level data —
 /// under the scale of the slice's own max-norm, holds it at storage width
 /// and returns its undo. One pass over `vals` for the max-norm, one to
-/// round; on a full-width wire the scale is 1 and the first is skipped.
+/// round ([`Wire::round_into`]); on a full-width wire the scale is 1 and
+/// the first is skipped.
 fn round_scaled<S: Wire>(vals: &[f64], out: &mut [S::Held]) -> f32 {
     let (factor, undo) = slice_scale::<S>(|| max_abs_f64(vals));
-    let factor = f64::from(factor);
-    for (o, &v) in out.iter_mut().zip(vals) {
-        *o = S::Held::from_f64(S::from_f64(v * factor).to_f64());
-    }
+    S::round_into(vals, f64::from(factor), out);
     undo
 }
 

@@ -812,42 +812,50 @@ mod tests {
     fn a_non_finite_scalar_on_one_rank_stops_every_rank_on_a_finite_iterate() {
         // Rank 0's projection turns NaN on iteration 3. ‖t‖², and with it
         // δ, is allreduced, so every rank sees the NaN and stops there: two recorded
-        // iterations, unconverged, a finite iterate and history on all.
+        // iterations, unconverged, a finite iterate and history on all —
+        // on every wire width, so the NaN also crosses the half wire's
+        // bulk conversions.
         let scan = ScanGeometry::uniform(ImageGrid::square(12, 1.0), 12);
         let (_, _, y) = phantom_sinogram(&scan, 1);
-        let cfg = DistributedConfig {
-            topology: Topology::new(1, 2, 2),
-            precision: Precision::Single,
-            ..Default::default()
-        };
-        let setup = DistributedSetup::build(&scan, &cfg);
-        let operators = setup.operators((cfg.precision, 1, cfg.block_size, cfg.shared_bytes));
-        let (setup, y) = (&setup, &y);
-        let solve = CglsConfig {
-            max_iters: 8,
-            tolerance: 0.0,
-            damping: 0.0,
-        };
-        let reports = run_ranks(cfg.topology.size(), |comm| {
-            let steps = AllreduceSteps::build(&cfg.topology, comm.rank());
-            let op = NanAt {
-                inner: RankOperator::new(comm, setup, &operators[comm.rank()]),
-                poisoned: comm.rank() == 0,
-                at: 3,
-                applies: Default::default(),
+        for precision in [Precision::Single, Precision::Mixed, Precision::Double] {
+            let cfg = DistributedConfig {
+                topology: Topology::new(1, 2, 2),
+                precision,
+                ..Default::default()
             };
-            let rays = setup.scan.num_rays();
-            let y_local = setup.decomp.restrict_sinogram(y, rays, 1, comm.rank());
-            let mut ctx = ExecContext::serial();
-            cgls_in(&op, &y_local, &solve, &mut ctx, &mut |products| {
-                inner_products(comm, &steps, products);
-            })
-        });
-        for (rank, report) in reports.iter().enumerate() {
-            assert_eq!(report.iterations, 2, "rank {rank}");
-            assert!(!report.converged, "rank {rank}");
-            assert!(report.x.iter().all(|v| v.is_finite()), "rank {rank}");
-            assert!(report.residual_history.iter().all(|r| r.is_finite()));
+            let setup = DistributedSetup::build(&scan, &cfg);
+            let operators = setup.operators((cfg.precision, 1, cfg.block_size, cfg.shared_bytes));
+            let (setup, y) = (&setup, &y);
+            let solve = CglsConfig {
+                max_iters: 8,
+                tolerance: 0.0,
+                damping: 0.0,
+            };
+            let reports = run_ranks(cfg.topology.size(), |comm| {
+                let steps = AllreduceSteps::build(&cfg.topology, comm.rank());
+                let op = NanAt {
+                    inner: RankOperator::new(comm, setup, &operators[comm.rank()]),
+                    poisoned: comm.rank() == 0,
+                    at: 3,
+                    applies: Default::default(),
+                };
+                let rays = setup.scan.num_rays();
+                let y_local = setup.decomp.restrict_sinogram(y, rays, 1, comm.rank());
+                let mut ctx = ExecContext::serial();
+                cgls_in(&op, &y_local, &solve, &mut ctx, &mut |products| {
+                    inner_products(comm, &steps, products);
+                })
+            });
+            for (rank, report) in reports.iter().enumerate() {
+                let case = format!("{precision:?} rank {rank}");
+                assert_eq!(report.iterations, 2, "{case}");
+                assert!(!report.converged, "{case}");
+                assert!(report.x.iter().all(|v| v.is_finite()), "{case}");
+                assert!(
+                    report.residual_history.iter().all(|r| r.is_finite()),
+                    "{case}"
+                );
+            }
         }
     }
 

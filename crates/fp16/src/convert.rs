@@ -1,5 +1,5 @@
 //! Bulk half↔single conversion: the one place the workspace turns a run
-//! of `F16` into `f32` or back.
+//! of `F16` into `f32` or back, or a run of `f64` into `F16`.
 //!
 //! On x86-64 with F16C (and AVX, which F16C's 256-bit forms need)
 //! detected at run time, eight values convert per `vcvtph2ps` /
@@ -31,6 +31,9 @@
 //! The scaled forms multiply in `f32` before narrowing / after widening
 //! (`vmulps` and the scalar `*` round identically), which is what
 //! [`AdaptiveNormalizer`](crate::AdaptiveNormalizer) needs.
+//! [`narrow_f64_scaled_into`] multiplies in `f64` and rounds once, as
+//! [`F16::from_f64`] does: through the `f32` narrowing where the product
+//! is exact in `f32`, in software where it is not.
 //!
 //! This file is the crate's only `unsafe`: calling a
 //! `#[target_feature]` function after `is_x86_feature_detected!` proved
@@ -80,6 +83,42 @@ pub fn narrow_into(src: &[f32], dst: &mut [F16]) {
 /// Panics on length mismatch.
 pub fn narrow_scaled_into(src: &[f32], scale: f32, dst: &mut [F16]) {
     narrow::<true>(src, scale, dst);
+}
+
+/// `dst[i] = F16::from_f64(src[i] * scale)`: one rounding from `f64`.
+///
+/// A product whose `f32` image is exact narrows through
+/// [`narrow_into`]'s instructions: rounding the exact value to half is
+/// the one rounding. Every other product — NaN, beyond `f32`'s range, or
+/// with bits below `f32`'s precision — rounds in software, since going
+/// through `f32` would round it twice.
+///
+/// # Panics
+/// Panics on length mismatch.
+// The `f32` image is only used where it is exact; the rest re-round.
+#[allow(clippy::cast_possible_truncation)]
+pub fn narrow_f64_scaled_into(src: &[f64], scale: f64, dst: &mut [F16]) {
+    assert_eq!(src.len(), dst.len(), "narrow length mismatch");
+    const RUN: usize = 256;
+    let mut single = [0.0f32; RUN];
+    for (src, dst) in src.chunks(RUN).zip(dst.chunks_mut(RUN)) {
+        let single = &mut single[..src.len()];
+        let mut exact = true;
+        for (s, &x) in single.iter_mut().zip(src) {
+            let p = x * scale;
+            *s = p as f32;
+            exact &= f64::from(*s) == p;
+        }
+        narrow_into(single, dst);
+        if !exact {
+            for (d, &x) in dst.iter_mut().zip(src) {
+                let p = x * scale;
+                if f64::from(p as f32) != p {
+                    *d = F16::from_f64(p);
+                }
+            }
+        }
+    }
 }
 
 fn widen<const SCALED: bool>(src: &[F16], scale: f32, dst: &mut [f32]) {
@@ -310,6 +349,64 @@ mod tests {
                 assert_eq!(wide, want, "widen scaled {offset}+{len}");
             }
         }
+    }
+
+    /// `narrow_f64_scaled_into(src, scale)` against `F16::from_f64` of
+    /// every product, at every scale of `scales`.
+    fn assert_f64_narrowing_is_from_f64(src: &[f64], scales: &[f64]) {
+        let mut got = vec![F16::ZERO; src.len()];
+        for &scale in scales {
+            narrow_f64_scaled_into(src, scale, &mut got);
+            for (&x, g) in src.iter().zip(&got) {
+                let want = F16::from_f64(x * scale);
+                assert_eq!(g.to_bits(), want.to_bits(), "{x:e} × {scale}");
+            }
+        }
+    }
+
+    /// The double-rounding traps: for every pair of adjacent positive
+    /// halves `a < b` (subnormal, normal, and 65504 → ∞, whose midpoint is
+    /// the 65520 overflow edge), the midpoint `m` is exact in `f32`, and
+    /// `m·(1 ± 2⁻³⁰)` narrows to `m` in `f32` — so rounding through `f32`
+    /// is a tie, resolved to even, where one rounding from `f64` goes to
+    /// the nearer neighbour. Both signs, the midpoints themselves, the
+    /// subnormal/normal boundary, ±0, ±∞ and NaNs, each under scales that
+    /// are powers of two; then a strided sample of `f64` patterns.
+    #[test]
+    fn narrowing_from_f64_is_one_rounding() {
+        let mut src = Vec::new();
+        for bits in 0..0x7c00u16 {
+            let a = F16::from_bits(bits).to_f64();
+            let b = if bits == 0x7bff {
+                65536.0
+            } else {
+                F16::from_bits(bits + 1).to_f64()
+            };
+            let m = (a + b) / 2.0;
+            assert_eq!(f64::from(m as f32), m, "midpoint {m:e} exact in f32");
+            for x in [m * (1.0 - 2f64.powi(-30)), m, m * (1.0 + 2f64.powi(-30))] {
+                assert_eq!(x as f32, m as f32, "{x:e} is a trap");
+                src.extend([x, -x]);
+            }
+        }
+        let boundary = 2f64.powi(-14);
+        src.extend([boundary, boundary * (1.0 - 2f64.powi(-40)), -boundary]);
+        src.extend([0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN]);
+        src.extend([-f64::NAN, f64::from_bits(0x7ff0_0000_0000_0001)]);
+        src.extend([65520.0, 65_519.999_999_999, 1e300, f64::MIN_POSITIVE]);
+        // Lengths that end mid-run and mid-chunk of the 8-wide body.
+        src.truncate(src.len() / 8 * 8 - 3);
+        assert_f64_narrowing_is_from_f64(&src, &[1.0]);
+        let down: Vec<f64> = src.iter().map(|x| x * 4.0).collect();
+        assert_f64_narrowing_is_from_f64(&down, &[0.25]);
+        let up: Vec<f64> = src.iter().map(|x| x / 1024.0).collect();
+        assert_f64_narrowing_is_from_f64(&up, &[1024.0]);
+
+        let stride = (u64::MAX / (1 << 20)) | 1;
+        let sample: Vec<f64> = (0..1u64 << 20)
+            .map(|k| f64::from_bits(k.wrapping_mul(stride)))
+            .collect();
+        assert_f64_narrowing_is_from_f64(&sample, &[1.0, 0.5, 2f64.powi(40), 2f64.powi(-40)]);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
-use xct_fp16::{Precision, F16};
+use xct_fp16::{Precision, StorageScalar, F16};
 
 const MAGIC: [u8; 4] = *b"XCTD";
 const VERSION: u32 = 1;
@@ -168,31 +168,56 @@ fn precision_from_tag(tag: u8) -> Result<Precision, IoError> {
     }
 }
 
-fn encode_scalar(v: f32, precision: Precision, out: &mut Vec<u8>) {
+/// Appends `slice` at `precision`'s storage width in one pass: halves
+/// through the bulk narrowing, singles and doubles as byte copies.
+fn encode_slice(slice: &[f32], precision: Precision, out: &mut Vec<u8>) {
+    let start = out.len();
+    out.resize(start + slice.len() * precision.storage_bytes(), 0);
+    let bytes = &mut out[start..];
     match precision.storage_bytes() {
-        2 => out.extend_from_slice(&F16::from_f32(v).to_bits().to_le_bytes()),
-        4 => out.extend_from_slice(&v.to_le_bytes()),
-        _ => out.extend_from_slice(&f64::from(v).to_le_bytes()),
+        2 => {
+            let mut halves = vec![F16::ZERO; slice.len()];
+            F16::narrow_into(slice, &mut halves);
+            for (b, h) in bytes.as_chunks_mut().0.iter_mut().zip(&halves) {
+                *b = h.to_bits().to_le_bytes();
+            }
+        }
+        4 => {
+            for (b, v) in bytes.as_chunks_mut().0.iter_mut().zip(slice) {
+                *b = v.to_le_bytes();
+            }
+        }
+        _ => {
+            for (b, &v) in bytes.as_chunks_mut().0.iter_mut().zip(slice) {
+                *b = f64::from(v).to_le_bytes();
+            }
+        }
     }
 }
 
+/// Decodes a payload at `precision`'s storage width in one pass: halves
+/// through the bulk widening, singles and doubles as byte copies.
 fn decode_scalars(bytes: &[u8], precision: Precision) -> Vec<f32> {
+    let mut out = vec![0.0f32; bytes.len() / precision.storage_bytes()];
     match precision.storage_bytes() {
-        2 => bytes
-            .chunks_exact(2)
-            .map(|c| F16::from_bits(u16::from_le_bytes([c[0], c[1]])).to_f32())
-            .collect(),
-        4 => bytes
-            .chunks_exact(4)
-            // xct-allow(no-panic): infallible — chunks_exact(4) yields 4-byte chunks
-            .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect(),
-        _ => bytes
-            .chunks_exact(8)
-            // xct-allow(no-panic): infallible — chunks_exact(8) yields 8-byte chunks
-            .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")) as f32)
-            .collect(),
+        2 => {
+            let halves: Vec<F16> = (bytes.as_chunks().0.iter())
+                .map(|&b| F16::from_bits(u16::from_le_bytes(b)))
+                .collect();
+            F16::widen_into(&halves, &mut out);
+        }
+        4 => {
+            for (o, &b) in out.iter_mut().zip(bytes.as_chunks().0) {
+                *o = f32::from_le_bytes(b);
+            }
+        }
+        _ => {
+            for (o, &b) in out.iter_mut().zip(bytes.as_chunks().0) {
+                *o = f64::from_le_bytes(b) as f32;
+            }
+        }
     }
+    out
 }
 
 /// Sequential slice writer.
@@ -241,10 +266,8 @@ impl SliceWriter {
                 self.meta.slices
             )));
         }
-        let mut buf = Vec::with_capacity(slice.len() * self.meta.precision.storage_bytes());
-        for &v in slice {
-            encode_scalar(v, self.meta.precision, &mut buf);
-        }
+        let mut buf = Vec::new();
+        encode_slice(slice, self.meta.precision, &mut buf);
         self.hash.update(&buf);
         self.out.write_all(&buf)?;
         self.written += 1;
@@ -451,6 +474,58 @@ mod tests {
 
     fn sample_slice(s: usize) -> Vec<f32> {
         (0..64).map(|i| (s * 64 + i) as f32 * 0.25).collect()
+    }
+
+    #[test]
+    fn a_half_file_of_edge_values_is_the_elementwise_encoding() {
+        // ±0, subnormal halves, 65504, the 65520 overflow edge, ±∞ and
+        // NaN, between ordinary values, over a length with a tail past
+        // the 8-wide conversion body.
+        let edges = [
+            0.0f32,
+            -0.0,
+            5.960_464_5e-8,
+            -2.980_232_2e-8,
+            6.097_555e-5,
+            65504.0,
+            65520.0,
+            -65519.996,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        let slice: Vec<f32> = (0..37)
+            .map(|i| edges.get(i / 3).copied().unwrap_or(i as f32 * -0.37))
+            .collect();
+        let meta = SliceFile {
+            kind: FileKind::Volume,
+            precision: Precision::Half,
+            slices: 1,
+            slice_len: slice.len(),
+        };
+        let path = tmp("half_edges.xctd");
+        let mut w = SliceWriter::create(&path, meta).unwrap();
+        w.write_slice(&slice).unwrap();
+        w.finish().unwrap();
+
+        let halves: Vec<F16> = slice.iter().map(|&v| F16::from_f32(v)).collect();
+        let payload: Vec<u8> = (halves.iter())
+            .flat_map(|h| h.to_bits().to_le_bytes())
+            .collect();
+        let mut hash = Fnv1a::new();
+        hash.update(&payload);
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(&bytes[HEADER_LEN..bytes.len() - 8], &payload[..]);
+        assert_eq!(bytes[bytes.len() - 8..], hash.finish().to_le_bytes());
+
+        let mut r = SliceReader::open(&path).unwrap();
+        let back = r.read_batch(1).unwrap().unwrap();
+        let widened: Vec<u32> = halves.iter().map(|h| h.to_f32().to_bits()).collect();
+        assert_eq!(
+            back.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            widened
+        );
+        r.verify_checksum().unwrap();
     }
 
     #[test]
