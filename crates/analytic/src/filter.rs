@@ -56,7 +56,7 @@ pub fn apply_filter(row: &[f32], spacing: f64, kind: FilterKind) -> Vec<f32> {
         .collect();
     fft(&mut data);
     for (j, z) in data.iter_mut().enumerate() {
-        // Normalized frequency of bin j (0..0.5 then mirrored).
+        // The normalized frequency of bin j (0..0.5 then mirrored).
         let nu = (j.min(padded - j)) as f64 / padded as f64;
         // Physical frequency response: |f| = nu / spacing.
         *z = z.scale(kind.response(nu) / spacing);

@@ -119,11 +119,6 @@ pub fn rule(header: &str) -> String {
     "-".repeat(header.len())
 }
 
-/// The four precisions in the order the paper's tables sweep them.
-pub fn table_precisions() -> [Precision; 3] {
-    [Precision::Double, Precision::Single, Precision::Mixed]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

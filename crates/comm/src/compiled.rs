@@ -51,25 +51,28 @@
 //! doubling) — so omitting it changes no finite output bit. The flat plan
 //! therefore compiles to the global exchange alone.
 //!
-//! **Per-sender scales (§III-C1).** On a half-width wire
-//! ([`Wire::SCALED`]) every sender quantizes each slice with the
-//! power-of-two scale of its own data, and the slice's undo travels in
-//! the message header — one `f32` per slice, ahead of the payload. A
-//! level seeds its `f64` accumulator with its own carries times its own
-//! undo, adds each payload times its sender's undo in plan order, and
-//! holds its output rounded under the scale of that output's own
-//! max-norm, its undo beside it. No rank waits on another's
-//! maximum, and a slice far smaller than its neighbours, or than another
-//! rank's partial, keeps its precision. Full-width wires carry no header
-//! and every scale on them is 1.
+//! **Per-sender scales (§III-C1).** On a half-width wire every sender
+//! quantizes each slice with the power-of-two scale of its own data, and
+//! the slice's undo travels in the message header — one `f32` per slice,
+//! ahead of the payload. A level seeds its `f64` accumulator with its
+//! own carries times its own undo, adds each payload times its sender's
+//! undo in plan order, and holds its output rounded under the scale of
+//! that output's own max-norm, its undo beside it. No rank waits on
+//! another's maximum, and a slice far smaller than its neighbours, or
+//! than another rank's partial, keeps its precision. Full-width wires
+//! carry no header and every scale on them is 1.
 //!
-//! **Runs, not values.** The level step converts whole runs through the
-//! wire's run operations ([`Wire::hold_into`], [`Wire::encode_gather`],
-//! [`Wire::land`], [`Wire::round_into`]): each slice of the caller's
-//! batch is quantized at once, each transfer gathered and encoded at
-//! once, each payload slice decoded and landed at once, each level's
-//! output slice rounded at once — through the F16C conversions on a half
-//! wire, byte copies on a single one.
+//! **Runs, not values.** The held batch is in the storage type `S`
+//! itself ([`ExchangeScratch<S>`]), so a level step converts only where
+//! the width changes, and whole runs at a time through
+//! [`StorageScalar`]: each slice of the caller's batch quantized at once
+//! ([`StorageScalar::narrow_scaled_into`]), each level's output slice
+//! rounded at once ([`StorageScalar::narrow_f64_scaled_into`]), the last
+//! level's widened at once ([`StorageScalar::widen_scaled_into`]) —
+//! through the F16C conversions on a half wire. Each transfer is
+//! gathered straight to bytes (`encode_gather`: a held value is already
+//! in `S`), and the carries and payloads widen into the accumulator
+//! through the wire module's `seed` and `land`.
 //!
 //! Numerical contract: results are **bit-identical** to the reference
 //! executor run slice by slice. Both quantize with the same scales, seed
@@ -98,7 +101,9 @@ use crate::plan::{HierarchicalPlan, Ownership};
 use crate::protocol::{exchange_schedule, slice_salt, ExchangeLevel, ExchangeOp};
 use crate::runtime::{CommError, Communicator, RecvRequest};
 use crate::topology::Topology;
-use crate::wire::{header_bytes, message_slice, slice_scale, write_header, HeldScalar, Wire};
+use crate::wire::{
+    encode_gather, header_bytes, land, message_slice, seed, slice_scale, write_header,
+};
 use std::collections::HashMap;
 use xct_fp16::{max_abs, max_abs_f64, StorageScalar};
 use xct_telemetry::Phase;
@@ -365,18 +370,15 @@ impl CompiledPlans {
 /// warm-up apply every buffer has reached steady capacity and execution
 /// allocates nothing (asserted in `tests/alloc_free.rs`).
 ///
-/// Between two levels the scratch holds every slice's values — at storage
-/// width ([`Wire::Held`]), where they are exact after the level's
-/// rounding — beside each slice's undo; that held batch is the only input
-/// a level reads. A level is formed one slice at a time in a one-slice
-/// `f64` accumulator.
-#[derive(Debug, Default)]
-pub struct ExchangeScratch {
-    /// The held batch of `f32`-held storage, slice-major: the current
-    /// level's input (`[0]`) and the output being formed (`[1]`).
-    narrow: [Vec<f32>; 2],
-    /// The held batch of `f64` storage.
-    wide: [Vec<f64>; 2],
+/// Between two levels the scratch holds every slice's values in the
+/// storage type `S` — each level rounds its output to `S` once — beside
+/// each slice's undo; that held batch is the only input a level reads. A
+/// level is formed one slice at a time in a one-slice `f64` accumulator.
+#[derive(Debug)]
+pub struct ExchangeScratch<S> {
+    /// The held batch, slice-major: the current level's input (`[0]`)
+    /// and the output being formed (`[1]`).
+    held: [Vec<S>; 2],
     /// One undo per slice of the held batch (`[0]`) and of the output
     /// being formed (`[1]`): a held value times its slice's undo is the
     /// value it stands for.
@@ -385,7 +387,17 @@ pub struct ExchangeScratch {
     step: Step,
 }
 
-impl ExchangeScratch {
+impl<S> Default for ExchangeScratch<S> {
+    fn default() -> Self {
+        ExchangeScratch {
+            held: [Vec::new(), Vec::new()],
+            undos: Default::default(),
+            step: Step::default(),
+        }
+    }
+}
+
+impl<S: StorageScalar> ExchangeScratch<S> {
     /// Fresh scratch (buffers grow to steady size during warm-up).
     pub fn new() -> Self {
         Self::default()
@@ -394,15 +406,14 @@ impl ExchangeScratch {
     /// Quantizes `vals`, `slices` slices of `len` values, into the held
     /// batch under the whole batch's profile context: each slice as
     /// `S(value · factor)` under the §III-C1 scale of its own max-norm
-    /// ([`Wire::hold_into`]), its undo beside it.
-    fn hold<S: Wire>(&mut self, comm: &Communicator, vals: &[f32], slices: usize, len: usize) {
+    /// ([`StorageScalar::narrow_scaled_into`]), its undo beside it.
+    fn hold(&mut self, comm: &Communicator, vals: &[f32], slices: usize, len: usize) {
         assert_eq!(vals.len(), slices * len, "batch length mismatch");
         // Whole-batch work: every slice's cost.
         comm.telemetry().profile_slices_set(0, slices as u32);
-        let [cur, _] = S::Held::batch(&mut self.narrow, &mut self.wide);
-        let undos = &mut self.undos[0];
+        let (cur, undos) = (&mut self.held[0], &mut self.undos[0]);
         cur.clear();
-        cur.resize(vals.len(), S::Held::zero());
+        cur.resize(vals.len(), S::zero());
         undos.clear();
         for f in 0..slices {
             let (slice, held) = (
@@ -410,7 +421,7 @@ impl ExchangeScratch {
                 &mut cur[f * len..(f + 1) * len],
             );
             let (factor, undo) = slice_scale::<S>(|| f64::from(max_abs(slice)));
-            S::hold_into(slice, factor, held);
+            S::narrow_scaled_into(slice, factor, held);
             undos.push(undo);
         }
     }
@@ -418,7 +429,7 @@ impl ExchangeScratch {
     /// Runs `level` over the held batch of `len`-long slices and holds
     /// its output in its place, each slice rounded under the scale of its
     /// own max-norm.
-    fn advance<S: Wire>(
+    fn advance(
         &mut self,
         comm: &Communicator,
         level: &LevelProgram,
@@ -426,14 +437,12 @@ impl ExchangeScratch {
         overlap: bool,
     ) -> Result<(), CommError> {
         let ExchangeScratch {
-            narrow,
-            wide,
+            held: [cur, nxt],
             undos: [undo_cur, undo_nxt],
             step,
         } = self;
-        let [cur, nxt] = S::Held::batch(narrow, wide);
         // Every slice of the output is formed whole: nothing to reset.
-        nxt.resize(undo_cur.len() * level.out_len, S::Held::zero());
+        nxt.resize(undo_cur.len() * level.out_len, S::zero());
         undo_nxt.resize(undo_cur.len(), 1.0);
         let input = Batch {
             vals: cur,
@@ -448,13 +457,10 @@ impl ExchangeScratch {
 
     /// Widens the held batch of `len`-long slices into `out`: each held
     /// value times its slice's undo.
-    fn widen<S: Wire>(&mut self, out: &mut [f32], len: usize) {
-        let [cur, _] = S::Held::batch(&mut self.narrow, &mut self.wide);
+    fn widen(&self, out: &mut [f32], len: usize) {
         for (f, &undo) in self.undos[0].iter().enumerate() {
             let range = f * len..(f + 1) * len;
-            for (o, v) in out[range.clone()].iter_mut().zip(&cur[range]) {
-                *o = v.to_f32() * undo;
-            }
+            S::widen_scaled_into(&self.held[0][range.clone()], undo, &mut out[range]);
         }
     }
 }
@@ -484,13 +490,15 @@ impl<'a, H: Copy> Batch<'a, H> {
     }
 }
 
-/// The buffers of the one level step: the one-slice accumulator, the
-/// received payloads of the level being drained, and the receives of
-/// every exchange in flight.
+/// The buffers of the one level step: the one-slice accumulator (and, on
+/// a half-width wire, one input slice widened), the received payloads of
+/// the level being drained, and the receives of every exchange in flight.
 #[derive(Debug, Default)]
 struct Step {
     /// One slice of the level being formed.
     acc: Vec<f64>,
+    /// One input slice of a half-width wire, widened for its carries.
+    wide: Vec<f32>,
     /// The drained level's received payloads, in plan order.
     payloads: Vec<Vec<u8>>,
     /// The posted receives of each exchange in flight, by the fused
@@ -506,13 +514,13 @@ impl Step {
     /// global level posts slice `f` under its [`slice_salt`] at `Post(f)`
     /// of [`exchange_schedule`] and drains it at `Drain(f)`, so under
     /// `overlap` every slice is on the wire before the first drain.
-    fn run<S: Wire>(
+    fn run<S: StorageScalar>(
         &mut self,
         comm: &Communicator,
         level: &LevelProgram,
-        input: Batch<'_, S::Held>,
+        input: Batch<'_, S>,
         overlap: bool,
-        out: &mut [S::Held],
+        out: &mut [S],
         undos: &mut [f32],
     ) -> Result<(), CommError> {
         let tag = level.level.tag();
@@ -550,17 +558,16 @@ impl Step {
 
     /// Posts one exchange of `level` under `tag`: one message per peer
     /// carrying every slice of `input` — the header of the slices' undos
-    /// ([`Wire::SCALED`] wires only), then the transfer's positions
-    /// slice-major, gathered and encoded at storage width a run at a time
-    /// ([`Wire::encode_gather`]) into the communicator's buffer pool —
-    /// then the receives, into pending slot `slot`.
-    fn post<S: Wire>(
+    /// (half-width wires only), then the transfer's positions slice-major,
+    /// gathered as their bytes into the communicator's buffer pool — then
+    /// the receives, into pending slot `slot`.
+    fn post<S: StorageScalar>(
         &mut self,
         comm: &Communicator,
         level: &LevelProgram,
         tag: u64,
         slot: usize,
-        input: Batch<'_, S::Held>,
+        input: Batch<'_, S>,
     ) -> Result<(), CommError> {
         let _span = comm.telemetry().span(level.level.span());
         let slices = input.undos.len();
@@ -571,7 +578,7 @@ impl Step {
                 let mut buf = comm.pooled_buf(bytes);
                 write_header::<S>(input.undos, &mut buf);
                 for f in 0..slices {
-                    S::encode_gather(input.values(f), &t.idx, &mut buf);
+                    encode_gather(input.values(f), &t.idx, &mut buf);
                 }
                 comm.send(t.peer, tag, buf)?;
             }
@@ -588,23 +595,23 @@ impl Step {
     /// then forms the level one slice at a time in the accumulator —
     /// seeded with the local carries of `input` times the slice's own
     /// undo, each payload slice times its sender's undo landed in plan
-    /// order by [`Wire::land`] (accumulated on the
-    /// [`ExchangeLevel::REDUCE`] levels, assigned on the
-    /// [`ExchangeLevel::SCATTER`] ones) — and rounds it into its slice of
-    /// `out`, its undo into `undos`.
+    /// order (accumulated on the [`ExchangeLevel::REDUCE`] levels,
+    /// assigned on the [`ExchangeLevel::SCATTER`] ones) — and rounds it
+    /// into its slice of `out`, its undo into `undos`.
     // xct-hot
-    fn drain<S: Wire>(
+    fn drain<S: StorageScalar>(
         &mut self,
         comm: &Communicator,
         level: &LevelProgram,
         slot: usize,
-        input: Batch<'_, S::Held>,
-        out: &mut [S::Held],
+        input: Batch<'_, S>,
+        out: &mut [S],
         undos: &mut [f32],
     ) -> Result<(), CommError> {
         let _span = comm.telemetry().span(level.level.span());
         let Step {
             acc,
+            wide,
             payloads,
             pending,
         } = self;
@@ -625,13 +632,10 @@ impl Step {
         for (f, &undo) in input.undos.iter().enumerate() {
             acc.clear();
             acc.resize(level.out_len, 0.0);
-            let (vals, own) = (input.values(f), f64::from(undo));
-            for &(s, d) in &level.keeps {
-                acc[d as usize] = vals[s as usize].to_f64() * own;
-            }
+            seed(input.values(f), &level.keeps, f64::from(undo), wide, acc);
             for (t, bytes) in level.recvs.iter().zip(payloads.iter()) {
                 let (undo, payload) = message_slice::<S>(bytes, slices, t.idx.len(), f);
-                S::land(payload, &t.idx, undo, add, acc);
+                land::<S>(payload, &t.idx, undo, add, acc);
             }
             let len = level.out_len;
             undos[f] = round_scaled::<S>(acc, &mut out[f * len..(f + 1) * len]);
@@ -645,13 +649,13 @@ impl Step {
 
 /// Rounds one slice of a level's output to storage precision — once per
 /// level, as the reference executor materializes its per-level data —
-/// under the scale of the slice's own max-norm, holds it at storage width
-/// and returns its undo. One pass over `vals` for the max-norm, one to
-/// round ([`Wire::round_into`]); on a full-width wire the scale is 1 and
-/// the first is skipped.
-fn round_scaled<S: Wire>(vals: &[f64], out: &mut [S::Held]) -> f32 {
+/// under the scale of the slice's own max-norm, holds it in `out` and
+/// returns its undo. One pass over `vals` for the max-norm, one to round
+/// ([`StorageScalar::narrow_f64_scaled_into`]); on a full-width wire the
+/// scale is 1 and the first is skipped.
+fn round_scaled<S: StorageScalar>(vals: &[f64], out: &mut [S]) -> f32 {
     let (factor, undo) = slice_scale::<S>(|| max_abs_f64(vals));
-    S::round_into(vals, f64::from(factor), out);
+    S::narrow_f64_scaled_into(vals, f64::from(factor), out);
     undo
 }
 
@@ -705,17 +709,17 @@ impl RankPlan {
     /// once; then each slice's global exchange to its owners runs in
     /// [`exchange_schedule`]`(slices, overlap)` order, and each total is
     /// rounded under the scale of its own max-norm.
-    pub fn reduce<S: Wire>(
+    pub fn reduce<S: StorageScalar>(
         &self,
         comm: &Communicator,
-        scratch: &mut ExchangeScratch,
+        scratch: &mut ExchangeScratch<S>,
         partial: &[f32],
         slices: usize,
         overlap: bool,
         out: &mut [f32],
     ) -> Result<(), CommError> {
         let levels = (&self.forward[..], self.in_len);
-        Self::exchange::<S>(comm, scratch, levels, partial, slices, overlap, out)
+        Self::exchange(comm, scratch, levels, partial, slices, overlap, out)
     }
 
     /// The transpose scatter of a batch: `owned` holds `slices` slices of
@@ -724,26 +728,26 @@ impl RankPlan {
     /// and scatters it in [`exchange_schedule`]`(slices, overlap)` order;
     /// the node and socket fan-out then run once for the whole batch,
     /// each level rounding each slice under the scale of its own output.
-    pub fn scatter<S: Wire>(
+    pub fn scatter<S: StorageScalar>(
         &self,
         comm: &Communicator,
-        scratch: &mut ExchangeScratch,
+        scratch: &mut ExchangeScratch<S>,
         owned: &[f32],
         slices: usize,
         overlap: bool,
         out: &mut [f32],
     ) -> Result<(), CommError> {
         let levels = (&self.transpose[..], self.owned_len);
-        Self::exchange::<S>(comm, scratch, levels, owned, slices, overlap, out)
+        Self::exchange(comm, scratch, levels, owned, slices, overlap, out)
     }
 
     /// The one body of both directions: holds `input` — `slices` slices
     /// of the `len` values `levels` start from — under the first level's
     /// span, advances the held batch through every level, and widens it
     /// into `out` under the last level's span.
-    fn exchange<S: Wire>(
+    fn exchange<S: StorageScalar>(
         comm: &Communicator,
-        scratch: &mut ExchangeScratch,
+        scratch: &mut ExchangeScratch<S>,
         (levels, mut len): (&[LevelProgram], usize),
         input: &[f32],
         slices: usize,
@@ -757,14 +761,14 @@ impl RankPlan {
         };
         {
             let _span = span(levels.first());
-            scratch.hold::<S>(comm, input, slices, len);
+            scratch.hold(comm, input, slices, len);
         }
         for level in levels {
-            scratch.advance::<S>(comm, level, len, overlap)?;
+            scratch.advance(comm, level, len, overlap)?;
             len = level.out_len;
         }
         let _span = span(levels.last());
-        scratch.widen::<S>(out, len);
+        scratch.widen(out, len);
         Ok(())
     }
 }
@@ -816,7 +820,7 @@ mod tests {
     /// slice of a different magnitude, so on a half-width wire every
     /// sender's scale differs per slice. Returns each rank's socket- and
     /// node-class message count for the one batch.
-    fn batch_matches_reference<S: Wire>(topo: Topology, fusing: usize) -> Vec<u64> {
+    fn batch_matches_reference<S: StorageScalar>(topo: Topology, fusing: usize) -> Vec<u64> {
         let (fp, own) = fixture_on(topo);
         let plan = HierarchicalPlan::build(&fp, &own, &topo);
         let compiled = CompiledPlans::compile_hierarchical(&fp, &own, &plan);
@@ -922,7 +926,7 @@ mod tests {
     /// The flat plan (one GPU per node) against the direct reference:
     /// no local level on any rank, and owned totals and scattered
     /// footprint values equal bit for bit.
-    fn flat_matches_direct_reference<S: Wire>() {
+    fn flat_matches_direct_reference<S: StorageScalar>() {
         let (fp, own, _) = fixture();
         let flat = HierarchicalPlan::build(&fp, &own, &Topology::new(8, 1, 1));
         let compiled = CompiledPlans::compile_hierarchical(&fp, &own, &flat);
@@ -1007,10 +1011,10 @@ mod tests {
         // 256-way growth.
         let sum = 300.0 * 256.0;
         let acc = [sum, -sum * 0.5, 1.0, 0.0];
-        let mut held = [0.0f32; 4];
-        let undo = round_scaled::<F16>(&acc, &mut held);
+        let mut held = [F16::ZERO; 4];
+        let undo = round_scaled(&acc, &mut held);
         for (&h, &want) in held.iter().zip(&acc) {
-            let widened = h * undo;
+            let widened = h.to_f32() * undo;
             assert!(widened.is_finite(), "{want} -> {widened}");
             if want != 0.0 {
                 assert!(
@@ -1115,7 +1119,7 @@ mod tests {
         // and a half-width one adds one undo per slice per message.
         let (fp, own, topo) = fixture();
         let compiled = CompiledPlans::build_hierarchical(&fp, &own, &topo);
-        fn traffic<S: Wire>(compiled: &CompiledPlans, fp: &Footprints) -> (u64, u64) {
+        fn traffic<S: StorageScalar>(compiled: &CompiledPlans, fp: &Footprints) -> (u64, u64) {
             let stats = run_ranks(8, |comm| {
                 let rp = compiled.rank(comm.rank());
                 let vals: Vec<f32> = (0..3 * rp.in_len()).map(|i| 1.0 + i as f32).collect();
@@ -1151,7 +1155,7 @@ mod tests {
     /// A batch of `fusing` slices reduced and scattered with both global
     /// schedules: the owned totals and the scattered footprint values of
     /// every rank, bit for bit.
-    fn both_schedules_agree<S: Wire>(topo: Topology, fusing: usize) {
+    fn both_schedules_agree<S: StorageScalar>(topo: Topology, fusing: usize) {
         let (fp, own) = fixture_on(topo);
         let compiled = CompiledPlans::build_hierarchical(&fp, &own, &topo);
         let (compiled, fp, own) = (&compiled, &fp, &own);
@@ -1211,7 +1215,7 @@ mod tests {
     /// footprint partials `p` and owned values `y`. Both lie on a 2⁻¹⁰
     /// grid, so every sum a level forms is exact in the `f32` output and
     /// the gap on a full-width wire is routing, not rounding.
-    fn adjoint_gap<S: Wire>(topo: Topology, fusing: usize, overlap: bool) -> f64 {
+    fn adjoint_gap<S: StorageScalar>(topo: Topology, fusing: usize, overlap: bool) -> f64 {
         let (fp, own) = fixture_on(topo);
         let compiled = CompiledPlans::build_hierarchical(&fp, &own, &topo);
         let (compiled, fp, own) = (&compiled, &fp, &own);

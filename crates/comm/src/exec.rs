@@ -21,9 +21,9 @@
 use crate::metrics::TrafficClass;
 use crate::plan::{DirectPlan, HierarchicalPlan, Ownership, ReductionStep};
 use crate::runtime::{CommError, Communicator};
-use crate::wire::{message_slice, slice_scale, write_header, Wire};
+use crate::wire::{append, decode, message_slice, slice_scale, write_header};
 use std::collections::HashMap;
-use xct_fp16::{max_abs, max_abs_f64};
+use xct_fp16::{max_abs, max_abs_f64, StorageScalar};
 use xct_telemetry::Phase;
 
 /// Sorted rows with one value each — a rank's partial (or reduced) data,
@@ -40,7 +40,7 @@ pub struct PartialData<S> {
     pub undo: f32,
 }
 
-impl<S: Wire> PartialData<S> {
+impl<S: StorageScalar> PartialData<S> {
     /// Creates unscaled partial data; rows must be strictly ascending
     /// (sorted, no duplicates) and match `vals` in length.
     ///
@@ -113,7 +113,7 @@ impl<S: Wire> PartialData<S> {
     ) -> Result<(), CommError> {
         let mut bytes = Vec::new();
         write_header::<S>(&[self.undo], &mut bytes);
-        bytes.extend(S::encode_slice(&self.gather(rows)));
+        append(&self.gather(rows), &mut bytes);
         comm.send(dst, tag, bytes)
     }
 
@@ -136,7 +136,7 @@ impl<S: Wire> PartialData<S> {
 
 /// Receives one message of [`PartialData::send_rows`]: its values, each
 /// widened by the sender's undo. `len` is the row count the plan expects.
-fn recv_widened<S: Wire>(
+fn recv_widened<S: StorageScalar>(
     comm: &Communicator,
     src: usize,
     tag: u64,
@@ -145,7 +145,7 @@ fn recv_widened<S: Wire>(
     let bytes = comm.recv(src, tag)?;
     let (undo, payload) = message_slice::<S>(&bytes, 1, len, 0);
     let undo = f64::from(undo);
-    Ok(S::decode_slice(payload)
+    Ok(decode::<S>(payload)
         .into_iter()
         .map(|v| v.to_f64() * undo)
         .collect())
@@ -159,7 +159,7 @@ const TAG_SCATTER: u64 = 0x800;
 
 /// Runs one reduce level: sends my rows designated elsewhere, receives and
 /// sums rows designated to me. Returns my post-level data.
-fn reduce_step<S: Wire>(
+fn reduce_step<S: StorageScalar>(
     comm: &Communicator,
     step: &ReductionStep,
     mine: &PartialData<S>,
@@ -199,7 +199,7 @@ fn reduce_step<S: Wire>(
 /// Direct exchange (Fig 6a): every rank ships partials straight to owners
 /// and reduces what it receives for its own rows. Returns the totals for
 /// the rows this rank owns.
-pub fn execute_direct<S: Wire>(
+pub fn execute_direct<S: StorageScalar>(
     comm: &Communicator,
     plan: &DirectPlan,
     ownership: &Ownership,
@@ -241,7 +241,7 @@ pub fn execute_direct<S: Wire>(
 
 /// The full three-level exchange (Fig 6b–d): socket reduction, node
 /// reduction, global exchange. Returns the totals for owned rows.
-pub fn execute_hierarchical<S: Wire>(
+pub fn execute_hierarchical<S: StorageScalar>(
     comm: &Communicator,
     plan: &HierarchicalPlan,
     ownership: &Ownership,
@@ -294,7 +294,7 @@ pub fn execute_hierarchical<S: Wire>(
 /// values to every rank whose footprint contains them, using the same
 /// direct plan with roles reversed. `owned` holds my rows' totals;
 /// `footprint` lists the rows I need. Returns my footprint filled in.
-pub fn scatter_direct<S: Wire>(
+pub fn scatter_direct<S: StorageScalar>(
     comm: &Communicator,
     plan: &DirectPlan,
     ownership: &Ownership,
@@ -332,7 +332,7 @@ pub fn scatter_direct<S: Wire>(
 
 /// One reversed reduce level: designees return row values to the ranks
 /// that contributed partials, restoring the pre-step footprint.
-fn scatter_step<S: Wire>(
+fn scatter_step<S: StorageScalar>(
     comm: &Communicator,
     step: &ReductionStep,
     mine: &PartialData<S>,
@@ -371,7 +371,7 @@ fn scatter_step<S: Wire>(
 /// sockets — restoring every rank's original footprint. Per-level wire
 /// volumes are identical to the forward reduction, which is why the
 /// paper reports one set of Table IV volumes for both directions.
-pub fn scatter_hierarchical<S: Wire>(
+pub fn scatter_hierarchical<S: StorageScalar>(
     comm: &Communicator,
     plan: &HierarchicalPlan,
     ownership: &Ownership,

@@ -52,7 +52,7 @@ pub use runtime::{
     RecvRequest, WireModel, REPLY_TAG_SALT,
 };
 pub use topology::Topology;
-pub use wire::{HeldScalar, Wire, UNDO_BYTES};
+pub use wire::UNDO_BYTES;
 
 mod compiled;
 /// The row-table executor `compiled`'s bit-identity tests compare against.

@@ -29,7 +29,8 @@ use std::time::{Duration, Instant};
 use crate::collective::AllreduceSteps;
 use crate::metrics::{CommMeter, RankCommStats, TrafficClass};
 use crate::topology::Topology;
-use crate::wire::Wire;
+use crate::wire::{append, decode};
+use xct_fp16::StorageScalar;
 use xct_telemetry::{MetricId, Phase, Telemetry};
 
 /// Tag bit reserved for internal reply traffic (allreduce responses).
@@ -441,11 +442,14 @@ impl Communicator {
     /// Sends a typed slice (encoded at the storage-scalar width, so half
     /// precision literally moves half the bytes of single). The wire
     /// buffer comes from the pool.
-    pub fn send_vals<S: Wire>(&self, dst: usize, tag: u64, vals: &[S]) -> Result<(), CommError> {
+    pub fn send_vals<S: StorageScalar>(
+        &self,
+        dst: usize,
+        tag: u64,
+        vals: &[S],
+    ) -> Result<(), CommError> {
         let mut buf = self.pooled_buf(vals.len() * S::BYTES);
-        for &v in vals {
-            v.write_to(&mut buf);
-        }
+        append(vals, &mut buf);
         self.send(dst, tag, buf)
     }
 
@@ -577,9 +581,9 @@ impl Communicator {
     }
 
     /// Typed receive. The wire buffer is recycled into the pool.
-    pub fn recv_vals<S: Wire>(&self, src: usize, tag: u64) -> Result<Vec<S>, CommError> {
+    pub fn recv_vals<S: StorageScalar>(&self, src: usize, tag: u64) -> Result<Vec<S>, CommError> {
         let bytes = self.recv(src, tag)?;
-        let vals = S::decode_slice(&bytes);
+        let vals = decode(&bytes);
         self.recycle(bytes);
         Ok(vals)
     }
@@ -1034,7 +1038,7 @@ mod tests {
                 comm.recv_vals::<f32>(0, 22).unwrap(); // tag 21 already queued
                 let req = comm.irecv(0, 21).unwrap();
                 assert!(req.done.is_some(), "message already arrived");
-                f32::decode_slice(&req.wait(comm).unwrap())[0]
+                decode::<f32>(&req.wait(comm).unwrap())[0]
             }
         });
         assert_eq!(results[1], 9.0);

@@ -1,263 +1,132 @@
-//! Byte-exact encoding of storage scalars for the message-passing layer.
+//! The exchange's message layout and its level-step helpers.
+//!
+//! Every value crosses the (simulated) wire as its storage scalar's
+//! little-endian bytes ([`StorageScalar::encode_run`]), so communication
+//! volume per element equals `BYTES` of the storage type — precisely how
+//! half-precision communication halves the volumes of Table IV relative
+//! to single.
+//!
+//! A half-width wire travels *scaled* (§III-C1): every slice is
+//! quantized with the power-of-two scale of its sender's own data, and
+//! each message starts with one `f32` undo per slice it carries
+//! ([`UNDO_BYTES`] each). Full-width wires carry no header and every
+//! scale on them is 1. Which one a wire is follows from its width alone.
+//!
+//! A level step gathers and encodes each transfer ([`encode_gather`]),
+//! seeds its accumulator with the local carries ([`seed`]) and lands each
+//! payload ([`land`]). On a full-width wire each is one fused pass per
+//! value; on a half-width wire the carries and payloads first widen in
+//! bulk through [`StorageScalar::widen_into`] (F16C where the CPU has
+//! it), bit for bit the elementwise expression.
 
-use xct_fp16::{convert, AdaptiveNormalizer, StorageScalar, F16};
+use xct_fp16::{scale_for, StorageScalar};
 
-/// A storage scalar that can cross the (simulated) wire losslessly.
-///
-/// Communication volume per element equals `BYTES` of the storage type —
-/// this is precisely how half-precision communication halves the volumes
-/// of Table IV relative to single.
-///
-/// An exchange level moves runs, not values: it holds, encodes, lands
-/// and rounds whole slices through the four run operations
-/// ([`hold_into`](Self::hold_into), [`encode_gather`](Self::encode_gather),
-/// [`land`](Self::land), [`round_into`](Self::round_into)). Each default
-/// is the elementwise expression that defines the operation; `f32`
-/// encodes and lands by byte copies, and `F16` runs all four through the
-/// bulk [`convert`] paths, bit for bit (`f64` keeps the defaults).
-pub trait Wire: StorageScalar {
-    /// Whether values travel scaled (§III-C1): a half-width wire
-    /// quantizes every slice with the power-of-two scale of its sender's
-    /// own data, and each message starts with one `f32` undo per slice it
-    /// carries ([`UNDO_BYTES`] each). Full-width wires carry no header and
-    /// every scale on them is 1.
-    const SCALED: bool;
-
-    /// The native float a batch of these values is held in between two
-    /// exchange levels ([`HeldScalar`]).
-    type Held: HeldScalar;
-
-    /// Appends the little-endian encoding of `self`.
-    fn write_to(self, out: &mut Vec<u8>);
-    /// Decodes from the start of `bytes`; caller guarantees enough bytes.
-    fn read_from(bytes: &[u8]) -> Self;
-
-    /// Quantizes one slice into the held batch:
-    /// `dst[i] = Held(S(src[i] · factor))`, the product in `f32`.
-    ///
-    /// # Panics
-    /// Panics on length mismatch.
-    fn hold_into(src: &[f32], factor: f32, dst: &mut [Self::Held]) {
-        assert_eq!(src.len(), dst.len(), "hold length mismatch");
-        for (d, &v) in dst.iter_mut().zip(src) {
-            *d = Self::Held::from_f64(Self::from_f32(v * factor).to_f64());
-        }
-    }
-
-    /// Appends the encoding of `S(vals[i])` for each `i` of `idx`, in
-    /// order: one transfer's share of one held slice.
-    fn encode_gather(vals: &[Self::Held], idx: &[u32], out: &mut Vec<u8>) {
-        for &i in idx {
-            Self::from_f64(vals[i as usize].to_f64()).write_to(out);
-        }
-    }
-
-    /// Lands one slice's payload in the accumulator in plan order:
-    /// `acc[idx[k]] += value_k · undo` when `add` (a reduction),
-    /// `acc[idx[k]] = value_k · undo` otherwise (a scatter).
-    ///
-    /// # Panics
-    /// Panics when `payload` holds fewer than `idx.len()` values.
-    fn land(payload: &[u8], idx: &[u32], undo: f32, add: bool, acc: &mut [f64]) {
-        let values = (0..idx.len()).map(|k| Self::read_from(&payload[k * Self::BYTES..]).to_f64());
-        land_values(values, idx, undo, add, acc);
-    }
-
-    /// Rounds one slice of a level's output into the held batch:
-    /// `dst[i] = Held(S(src[i] · factor))`, the product in `f64` and one
-    /// rounding to `S`.
-    ///
-    /// # Panics
-    /// Panics on length mismatch.
-    fn round_into(src: &[f64], factor: f64, dst: &mut [Self::Held]) {
-        assert_eq!(src.len(), dst.len(), "round length mismatch");
-        for (d, &v) in dst.iter_mut().zip(src) {
-            *d = Self::Held::from_f64(Self::from_f64(v * factor).to_f64());
-        }
-    }
-
-    /// Encodes a slice.
-    fn encode_slice(vals: &[Self]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(vals.len() * Self::BYTES);
-        for &v in vals {
-            v.write_to(&mut out);
-        }
-        out
-    }
-
-    /// Decodes a full buffer into values.
-    ///
-    /// # Panics
-    /// Panics when the buffer is not a multiple of the element size.
-    fn decode_slice(bytes: &[u8]) -> Vec<Self> {
-        assert!(
-            bytes.len().is_multiple_of(Self::BYTES),
-            "buffer of {} bytes is not a multiple of {}-byte {}",
-            bytes.len(),
-            Self::BYTES,
-            Self::NAME
-        );
-        bytes
-            .chunks_exact(Self::BYTES)
-            .map(Self::read_from)
-            .collect()
-    }
+/// Whether values of `S` travel scaled: a half-width wire, `F16`.
+pub(crate) const fn scaled<S: StorageScalar>() -> bool {
+    S::BYTES < 4
 }
 
-/// A native float that holds every value of a storage type exactly. Each
-/// exchange level rounds its output to storage precision once, so the
-/// values it hands the next level are exact in the storage type and can
-/// be held at that width without loss: `f32` for `f32` and `F16`, `f64`
-/// only for `f64`.
-pub trait HeldScalar: StorageScalar {
-    /// This width's pair of buffers, out of one pair per width.
-    fn batch<'a>(
-        narrow: &'a mut [Vec<f32>; 2],
-        wide: &'a mut [Vec<f64>; 2],
-    ) -> &'a mut [Vec<Self>; 2];
-}
-
-impl HeldScalar for f32 {
-    fn batch<'a>(narrow: &'a mut [Vec<f32>; 2], _: &'a mut [Vec<f64>; 2]) -> &'a mut [Vec<f32>; 2] {
-        narrow
-    }
-}
-
-impl HeldScalar for f64 {
-    fn batch<'a>(_: &'a mut [Vec<f32>; 2], wide: &'a mut [Vec<f64>; 2]) -> &'a mut [Vec<f64>; 2] {
-        wide
-    }
-}
-
-impl Wire for f64 {
-    const SCALED: bool = false;
-    type Held = f64;
-
-    fn write_to(self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-    fn read_from(bytes: &[u8]) -> Self {
-        // xct-allow(no-panic): infallible — the slice taken is exactly 8 bytes
-        f64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"))
-    }
-}
-
-impl Wire for f32 {
-    const SCALED: bool = false;
-    type Held = f32;
-
-    fn write_to(self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-    fn read_from(bytes: &[u8]) -> Self {
-        // xct-allow(no-panic): infallible — the slice taken is exactly 4 bytes
-        f32::from_le_bytes(bytes[..4].try_into().expect("4 bytes"))
-    }
-
-    // `hold_into` and `round_into` keep their defaults: on `f32` they are
-    // one multiply and one rounding per value, vectorized as they stand.
-    fn encode_gather(vals: &[f32], idx: &[u32], out: &mut Vec<u8>) {
-        for (bytes, &i) in extend_words::<4>(out, idx.len()).iter_mut().zip(idx) {
-            *bytes = vals[i as usize].to_le_bytes();
-        }
-    }
-    fn land(payload: &[u8], idx: &[u32], undo: f32, add: bool, acc: &mut [f64]) {
-        let values = payload_words::<4>(payload, idx.len());
-        let values = values.iter().map(|&b| f64::from(f32::from_le_bytes(b)));
-        land_values(values, idx, undo, add, acc);
-    }
-}
-
-impl Wire for F16 {
-    const SCALED: bool = true;
-    type Held = f32;
-
-    fn write_to(self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_bits().to_le_bytes());
-    }
-    fn read_from(bytes: &[u8]) -> Self {
-        // xct-allow(no-panic): infallible — the slice taken is exactly 2 bytes
-        F16::from_bits(u16::from_le_bytes(bytes[..2].try_into().expect("2 bytes")))
-    }
-
-    fn hold_into(src: &[f32], factor: f32, dst: &mut [f32]) {
-        held_halves(src, dst, |s, h| convert::narrow_scaled_into(s, factor, h));
-    }
-    fn encode_gather(vals: &[f32], idx: &[u32], out: &mut Vec<u8>) {
-        let (mut single, mut halves) = ([0.0f32; RUN], [F16::ZERO; RUN]);
-        for idx in idx.chunks(RUN) {
-            let (single, halves) = (&mut single[..idx.len()], &mut halves[..idx.len()]);
-            for (s, &i) in single.iter_mut().zip(idx) {
-                *s = vals[i as usize];
-            }
-            convert::narrow_into(single, halves);
-            for (bytes, h) in extend_words::<2>(out, idx.len()).iter_mut().zip(&*halves) {
-                *bytes = h.to_bits().to_le_bytes();
-            }
-        }
-    }
-    fn land(payload: &[u8], idx: &[u32], undo: f32, add: bool, acc: &mut [f64]) {
-        let values = payload_words::<2>(payload, idx.len());
-        let (mut halves, mut single) = ([F16::ZERO; RUN], [0.0f32; RUN]);
-        for (values, idx) in values.chunks(RUN).zip(idx.chunks(RUN)) {
-            let (halves, single) = (&mut halves[..idx.len()], &mut single[..idx.len()]);
-            for (h, &b) in halves.iter_mut().zip(values) {
-                *h = F16::from_bits(u16::from_le_bytes(b));
-            }
-            convert::widen_into(halves, single);
-            land_values(single.iter().map(|&v| f64::from(v)), idx, undo, add, acc);
-        }
-    }
-    fn round_into(src: &[f64], factor: f64, dst: &mut [f32]) {
-        held_halves(src, dst, |s, h| {
-            convert::narrow_f64_scaled_into(s, factor, h)
-        });
-    }
-}
-
-/// Values per stack-held run of the `F16` run operations.
+/// Values per stack-held run of a half-width landing.
 const RUN: usize = 256;
 
-/// Narrows `src` to halves with `narrow` a run at a time and holds them
-/// widened, exactly, in `dst`: `F16`'s hold and round.
+/// Appends the bytes of `vals`.
+pub(crate) fn append<S: StorageScalar>(vals: &[S], out: &mut Vec<u8>) {
+    let start = out.len();
+    out.resize(start + vals.len() * S::BYTES, 0);
+    S::encode_run(vals, &mut out[start..]);
+}
+
+/// Decodes a whole buffer of values.
 ///
 /// # Panics
-/// Panics on length mismatch.
-fn held_halves<T>(src: &[T], dst: &mut [f32], narrow: impl Fn(&[T], &mut [F16])) {
-    assert_eq!(src.len(), dst.len(), "held run length mismatch");
-    let mut halves = [F16::ZERO; RUN];
-    for (src, dst) in src.chunks(RUN).zip(dst.chunks_mut(RUN)) {
-        let halves = &mut halves[..src.len()];
-        narrow(src, halves);
-        convert::widen_into(halves, dst);
+/// Panics when the buffer is not a multiple of the element size.
+pub(crate) fn decode<S: StorageScalar>(bytes: &[u8]) -> Vec<S> {
+    assert!(
+        bytes.len().is_multiple_of(S::BYTES),
+        "buffer of {} bytes is not a multiple of {}-byte {}",
+        bytes.len(),
+        S::BYTES,
+        S::NAME
+    );
+    let mut vals = vec![S::zero(); bytes.len() / S::BYTES];
+    S::decode_run(bytes, &mut vals);
+    vals
+}
+
+/// Appends the bytes of `vals[i]` for each `i` of `idx`, in order: one
+/// transfer's share of one held slice.
+pub(crate) fn encode_gather<S: StorageScalar>(vals: &[S], idx: &[u32], out: &mut Vec<u8>) {
+    let start = out.len();
+    out.resize(start + idx.len() * S::BYTES, 0);
+    for (bytes, &i) in out[start..].chunks_exact_mut(S::BYTES).zip(idx) {
+        vals[i as usize].to_le(bytes);
     }
 }
 
-/// Grows `out` by `n` words of `W` bytes and returns them to be written.
-fn extend_words<const W: usize>(out: &mut Vec<u8>, n: usize) -> &mut [[u8; W]] {
-    let start = out.len();
-    out.resize(start + n * W, 0);
-    out[start..].as_chunks_mut::<W>().0
+/// Seeds one slice's accumulator with the level's local carries:
+/// `acc[d] = vals[s] · own` for each `(s, d)` of `keeps`. A half-width
+/// slice is widened whole into `wide` first (`f32` holds every value of
+/// a narrower float, so `f64::from` of a widened value is its `to_f64`).
+pub(crate) fn seed<S: StorageScalar>(
+    vals: &[S],
+    keeps: &[(u32, u32)],
+    own: f64,
+    wide: &mut Vec<f32>,
+    acc: &mut [f64],
+) {
+    if !scaled::<S>() {
+        for &(s, d) in keeps {
+            acc[d as usize] = vals[s as usize].to_f64() * own;
+        }
+        return;
+    }
+    wide.resize(vals.len(), 0.0);
+    S::widen_into(vals, wide);
+    for &(s, d) in keeps {
+        acc[d as usize] = f64::from(wide[s as usize]) * own;
+    }
 }
 
-/// The first `n` words of `W` bytes of `payload`.
+/// Lands one slice's payload in the accumulator in plan order:
+/// `acc[idx[k]] += value_k · undo` when `add` (a reduction),
+/// `acc[idx[k]] = value_k · undo` otherwise (a scatter). A half-width
+/// payload is decoded and widened a stack-held run at a time.
 ///
 /// # Panics
-/// Panics when `payload` is shorter than `n` words.
-fn payload_words<const W: usize>(payload: &[u8], n: usize) -> &[[u8; W]] {
-    payload[..n * W].as_chunks::<W>().0
-}
-
-/// `acc[idx[k]] (+)= value_k · undo` in `f64`, in order: the landing
-/// every [`Wire::land`] performs once its values are decoded.
-fn land_values(
-    values: impl Iterator<Item = f64>,
+/// Panics when `payload` holds fewer than `idx.len()` values.
+pub(crate) fn land<S: StorageScalar>(
+    payload: &[u8],
     idx: &[u32],
     undo: f32,
     add: bool,
     acc: &mut [f64],
 ) {
+    let payload = &payload[..idx.len() * S::BYTES];
     let undo = f64::from(undo);
+    if !scaled::<S>() {
+        let values = payload
+            .chunks_exact(S::BYTES)
+            .map(|b| S::from_le(b).to_f64());
+        return land_values(values, idx, undo, add, acc);
+    }
+    let (mut run, mut wide) = ([S::zero(); RUN], [0.0f32; RUN]);
+    for (bytes, idx) in payload.chunks(RUN * S::BYTES).zip(idx.chunks(RUN)) {
+        let (run, wide) = (&mut run[..idx.len()], &mut wide[..idx.len()]);
+        S::decode_run(bytes, run);
+        S::widen_into(run, wide);
+        land_values(wide.iter().map(|&v| f64::from(v)), idx, undo, add, acc);
+    }
+}
+
+/// `acc[idx[k]] (+)= value_k · undo` in `f64`, in order: the landing
+/// every [`land`] performs once its values are decoded.
+fn land_values(
+    values: impl Iterator<Item = f64>,
+    idx: &[u32],
+    undo: f64,
+    add: bool,
+    acc: &mut [f64],
+) {
     let pairs = values.zip(idx);
     if add {
         pairs.for_each(|(v, &i)| acc[i as usize] += v * undo);
@@ -276,8 +145,8 @@ pub const UNDO_BYTES: usize = 4;
 /// finite slice always gets a scale that keeps it finite.
 // The narrowing of a finite max-norm to `f32` is the clamp documented above.
 #[allow(clippy::cast_possible_truncation)]
-pub(crate) fn slice_scale<S: Wire>(max: impl FnOnce() -> f64) -> (f32, f32) {
-    if !S::SCALED {
+pub(crate) fn slice_scale<S: StorageScalar>(max: impl FnOnce() -> f64) -> (f32, f32) {
+    if !scaled::<S>() {
         return (1.0, 1.0);
     }
     let max = max();
@@ -286,13 +155,13 @@ pub(crate) fn slice_scale<S: Wire>(max: impl FnOnce() -> f64) -> (f32, f32) {
     } else {
         f32::INFINITY
     };
-    let factor = AdaptiveNormalizer::default().factor_for(max);
+    let factor = scale_for(max);
     (factor, 1.0 / factor)
 }
 
 /// Header bytes of a message carrying `slices` slices on wire `S`.
-pub(crate) const fn header_bytes<S: Wire>(slices: usize) -> usize {
-    if S::SCALED {
+pub(crate) const fn header_bytes<S: StorageScalar>(slices: usize) -> usize {
+    if scaled::<S>() {
         slices * UNDO_BYTES
     } else {
         0
@@ -301,11 +170,9 @@ pub(crate) const fn header_bytes<S: Wire>(slices: usize) -> usize {
 
 /// Appends the header of a message whose slices have `undos` (nothing on
 /// a full-width wire).
-pub(crate) fn write_header<S: Wire>(undos: &[f32], out: &mut Vec<u8>) {
-    if S::SCALED {
-        for undo in undos {
-            out.extend_from_slice(&undo.to_le_bytes());
-        }
+pub(crate) fn write_header<S: StorageScalar>(undos: &[f32], out: &mut Vec<u8>) {
+    if scaled::<S>() {
+        append(undos, out);
     }
 }
 
@@ -315,7 +182,7 @@ pub(crate) fn write_header<S: Wire>(undos: &[f32], out: &mut Vec<u8>) {
 /// # Panics
 /// Panics when the message is not exactly a header and `slices × len`
 /// values.
-pub(crate) fn message_slice<S: Wire>(
+pub(crate) fn message_slice<S: StorageScalar>(
     bytes: &[u8],
     slices: usize,
     len: usize,
@@ -324,10 +191,8 @@ pub(crate) fn message_slice<S: Wire>(
     let head = header_bytes::<S>(slices);
     let width = len * S::BYTES;
     assert_eq!(bytes.len(), head + slices * width, "payload/plan mismatch");
-    let undo = if S::SCALED {
-        let at = f * UNDO_BYTES;
-        // xct-allow(no-panic): infallible — the header holds `slices` undos, checked above
-        f32::from_le_bytes(bytes[at..at + UNDO_BYTES].try_into().expect("4 bytes"))
+    let undo = if scaled::<S>() {
+        f32::from_le(&bytes[f * UNDO_BYTES..][..UNDO_BYTES])
     } else {
         1.0
     };
@@ -337,15 +202,20 @@ pub(crate) fn message_slice<S: Wire>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xct_fp16::F16;
 
     #[test]
     fn roundtrip_all_types() {
+        fn roundtrip<S: StorageScalar>(vals: &[S]) -> Vec<S> {
+            let mut bytes = vec![7u8];
+            append(vals, &mut bytes);
+            decode(&bytes[1..])
+        }
         let f64s = [0.0f64, -1.5, f64::MAX, 1e-300];
-        let back = f64::decode_slice(&f64::encode_slice(&f64s));
-        assert_eq!(back, f64s);
+        assert_eq!(roundtrip(&f64s), f64s);
 
         let f32s = [0.5f32, -0.0, f32::MIN_POSITIVE];
-        assert_eq!(f32::decode_slice(&f32::encode_slice(&f32s)), f32s);
+        assert_eq!(roundtrip(&f32s), f32s);
 
         let h = [
             F16::ONE,
@@ -353,25 +223,32 @@ mod tests {
             F16::MIN_POSITIVE_SUBNORMAL,
             -F16::EPSILON,
         ];
-        let back = F16::decode_slice(&F16::encode_slice(&h));
         assert_eq!(
-            back.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            roundtrip(&h)
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>(),
             h.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         );
     }
 
     #[test]
     fn encoded_size_is_storage_bytes() {
-        assert_eq!(F16::encode_slice(&[F16::ONE; 10]).len(), 20);
-        assert_eq!(f32::encode_slice(&[1.0; 10]).len(), 40);
-        assert_eq!(f64::encode_slice(&[1.0; 10]).len(), 80);
+        fn size<S: StorageScalar>(v: S) -> usize {
+            let mut out = Vec::new();
+            append(&[v; 10], &mut out);
+            out.len()
+        }
+        assert_eq!(size(F16::ONE), 20);
+        assert_eq!(size(1.0f32), 40);
+        assert_eq!(size(1.0f64), 80);
     }
 
     #[test]
     fn only_half_width_messages_carry_a_scale_header() {
         let mut msg = Vec::new();
         write_header::<F16>(&[0.5, 0.25], &mut msg);
-        msg.extend(F16::encode_slice(&[F16::ONE; 6]));
+        append(&[F16::ONE; 6], &mut msg);
         assert_eq!(msg.len(), header_bytes::<F16>(2) + 12);
         let (undo, payload) = message_slice::<F16>(&msg, 2, 3, 1);
         assert_eq!((undo, payload.len()), (0.25, 6));
@@ -388,28 +265,21 @@ mod tests {
     #[test]
     #[should_panic(expected = "not a multiple")]
     fn ragged_buffer_rejected() {
-        f32::decode_slice(&[0u8; 6]);
+        decode::<f32>(&[0u8; 6]);
     }
 
-    /// `len` values cycling through the edges of every width — ±0, the
-    /// smallest half subnormal and the ties around it, the half
-    /// subnormal/normal boundary, 65504 and the 65520 overflow edge, a
-    /// half-precision double-rounding trap, the `f32` edges, ±∞, NaN —
+    /// `len` values of `S` cycling through the edges of every width — ±0,
+    /// the smallest half subnormal, 65504, the `f32` edges, ±∞, NaN —
     /// between ordinary values.
     #[allow(clippy::cast_possible_truncation)]
-    fn edge_run(len: usize) -> Vec<f64> {
-        let tiny = 2f64.powi(-24);
+    fn edge_run<S: StorageScalar>(len: usize) -> Vec<S> {
         let edges = [
             0.0,
             -0.0,
-            tiny,
-            tiny / 2.0,
-            -1.5 * tiny,
+            2f64.powi(-24),
+            -1.5 * 2f64.powi(-24),
             2f64.powi(-14),
             65504.0,
-            65520.0,
-            -65519.999,
-            (1.0 + 2f64.powi(-11)) * (1.0 + 2f64.powi(-30)),
             3e38,
             1e300,
             f64::INFINITY,
@@ -425,72 +295,57 @@ mod tests {
                     ordinary(k)
                 }
             })
+            .map(S::from_f64)
             .collect()
     }
 
-    /// Every run operation of `S` against its elementwise expression:
-    /// held values and encodings byte for byte, accumulators bit for bit,
-    /// at lengths around the 8-wide body and the run size, under scaled
-    /// factors.
+    /// Every level-step helper of `S` against its elementwise expression:
+    /// encodings byte for byte, accumulators bit for bit, at lengths
+    /// around the 8-wide body and the run size, under scaled undos.
     #[allow(clippy::cast_possible_truncation)]
-    fn run_ops_are_elementwise<S: Wire>()
-    where
-        S::Held: Wire,
-    {
-        let held = |v: f64| S::Held::from_f64(S::from_f64(v).to_f64());
-        let held_bytes = S::Held::encode_slice;
-        for len in [0, 1, 7, 8, 9, 257] {
-            let run = edge_run(len);
-            let single: Vec<f32> = run.iter().map(|&v| v as f32).collect();
-            for factor in [1.0f32, 0.25, 2f32.powi(-12), 2f32.powi(14)] {
-                let mut got = vec![S::Held::zero(); len];
-                S::hold_into(&single, factor, &mut got);
-                let want: Vec<S::Held> = (single.iter())
-                    .map(|&v| S::Held::from_f64(S::from_f32(v * factor).to_f64()))
-                    .collect();
-                assert_eq!(
-                    held_bytes(&got),
-                    held_bytes(&want),
-                    "{} hold {len}",
-                    S::NAME
-                );
-
-                let factor = f64::from(factor);
-                S::round_into(&run, factor, &mut got);
-                let want: Vec<S::Held> = run.iter().map(|&v| held(v * factor)).collect();
-                assert_eq!(
-                    held_bytes(&got),
-                    held_bytes(&want),
-                    "{} round {len}",
-                    S::NAME
-                );
-            }
-
+    fn run_ops_are_elementwise<S: StorageScalar>() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for len in [0, 1, 7, 8, 9, 257, 600] {
             // A buffer of 2·len + 3 held values; every len-long ascending
             // gather of it, as a transfer's positions are.
-            let vals: Vec<S::Held> = edge_run(2 * len + 3).into_iter().map(held).collect();
+            let vals: Vec<S> = edge_run(2 * len + 3);
             let idx: Vec<u32> = (0..len).map(|k| (2 * k + k % 3) as u32).collect();
             let mut got = vec![7u8];
-            S::encode_gather(&vals, &idx, &mut got);
+            encode_gather(&vals, &idx, &mut got);
             let mut want = vec![7u8];
             for &i in &idx {
-                S::from_f64(vals[i as usize].to_f64()).write_to(&mut want);
+                append(&[vals[i as usize]], &mut want);
             }
             assert_eq!(got, want, "{} encode {len}", S::NAME);
 
             let payload = &got[1..];
+            let fresh = || {
+                (0..vals.len())
+                    .map(|k| k as f64 * 0.75)
+                    .collect::<Vec<f64>>()
+            };
             for (add, undo) in [(true, 0.5f32), (false, 1024.0)] {
-                let mut got: Vec<f64> = (0..vals.len()).map(|k| k as f64 * 0.75).collect();
-                let mut want = got.clone();
-                S::land(payload, &idx, undo, add, &mut got);
+                let (mut got, mut want) = (fresh(), fresh());
+                land::<S>(payload, &idx, undo, add, &mut got);
                 for (k, &i) in idx.iter().enumerate() {
-                    let v = S::read_from(&payload[k * S::BYTES..]).to_f64() * f64::from(undo);
+                    let v = S::from_le(&payload[k * S::BYTES..][..S::BYTES]).to_f64();
                     let a = &mut want[i as usize];
-                    *a = if add { *a + v } else { v };
+                    *a = if add {
+                        *a + v * f64::from(undo)
+                    } else {
+                        v * f64::from(undo)
+                    };
                 }
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&got), bits(&want), "{} land {add} {len}", S::NAME);
             }
+
+            let keeps: Vec<(u32, u32)> = idx.iter().map(|&i| (i, i / 2)).collect();
+            let (mut got, mut want) = (fresh(), fresh());
+            seed(&vals, &keeps, 0.125, &mut Vec::new(), &mut got);
+            for &(s, d) in &keeps {
+                want[d as usize] = vals[s as usize].to_f64() * 0.125;
+            }
+            assert_eq!(bits(&got), bits(&want), "{} seed {len}", S::NAME);
         }
     }
 

@@ -4,10 +4,10 @@
 use std::time::Duration;
 use xct_comm::{
     run_ranks, run_ranks_with, CommReport, Communicator, CompiledPlans, ExchangeScratch,
-    Footprints, HierarchicalPlan, Ownership, RankOptions, Topology, TrafficClass, Wire, WireModel,
+    Footprints, HierarchicalPlan, Ownership, RankOptions, Topology, TrafficClass, WireModel,
     UNDO_BYTES,
 };
-use xct_fp16::F16;
+use xct_fp16::{StorageScalar, F16};
 use xct_telemetry::{MetricId, Phase, Telemetry};
 
 /// Shared fixture: 8 ranks on a 2-node × 2-socket × 2-GPU topology,
@@ -28,7 +28,11 @@ fn fixture() -> (Footprints, Ownership, Topology) {
 
 /// One blocking hierarchical reduction of `row id` partials at storage
 /// scalar `S` on this rank.
-fn reduce_row_ids<S: Wire>(comm: &Communicator, compiled: &CompiledPlans, fp: &Footprints) {
+fn reduce_row_ids<S: StorageScalar>(
+    comm: &Communicator,
+    compiled: &CompiledPlans,
+    fp: &Footprints,
+) {
     let rp = compiled.rank(comm.rank());
     let vals: Vec<f32> = fp.per_rank[comm.rank()].iter().map(|&r| r as f32).collect();
     let mut out = vec![0.0f32; rp.owned_len()];

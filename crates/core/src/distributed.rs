@@ -31,10 +31,10 @@ use std::sync::{Arc, Mutex, PoisonError};
 use xct_comm::protocol::Collective;
 use xct_comm::{
     run_ranks_with, AllreduceSteps, Communicator, CompiledPlans, ExchangeScratch, HierarchicalPlan,
-    RankCommStats, RankOptions, RankPlan, Topology, Wire, WireModel,
+    RankCommStats, RankOptions, RankPlan, Topology, WireModel,
 };
 use xct_exec::{BufferRole, ExecContext, ExecCounters, Telemetry};
-use xct_fp16::{Precision, F16};
+use xct_fp16::{Precision, StorageScalar, F16};
 use xct_geometry::{ScanGeometry, SystemMatrix};
 use xct_hilbert::{CurveKind, Domain2D, TileDecomposition};
 use xct_plan::{KernelShape, ReconPlan};
@@ -163,8 +163,9 @@ pub struct DistributedResult {
 /// One rank's distributed operator for one run: the set-up's packed
 /// restriction of the matrix at this run's fusing factor — one fused
 /// kernel launch per apply and direction — plus compiled plan-driven
-/// exchanges: one per local level and apply, one global per fused slice.
-struct RankOperator<'a> {
+/// exchanges at wire precision `S`: one per local level and apply, one
+/// global per fused slice.
+struct RankOperator<'a, S> {
     comm: &'a Communicator,
     cfg: &'a DistributedConfig,
     /// This rank's compiled exchange: footprint partials in, owned rays
@@ -176,33 +177,52 @@ struct RankOperator<'a> {
     /// (never-contended) `Mutex` because `LinearOperator` takes `&self`
     /// and requires `Sync`, while the exchange needs scratch mutably.
     /// Each rank thread owns its operator, so the lock is always free.
-    scratch: Mutex<ExchangeScratch>,
+    scratch: Mutex<ExchangeScratch<S>>,
 }
 
-impl<'a> RankOperator<'a> {
-    /// `local` is this rank's operator out of `setup`, packed at the
-    /// run's fusing factor.
-    fn new(
+/// This rank's operator for one run, `local` being its operator out of
+/// `setup` packed at the run's fusing factor: the one place the run's
+/// precision picks the storage type its exchange holds and sends.
+fn rank_operator<'a>(
+    comm: &'a Communicator,
+    setup: &'a DistributedSetup,
+    local: &'a PrecisionOperator,
+) -> Box<dyn LinearOperator + 'a> {
+    fn at<'a, S: StorageScalar>(
         comm: &'a Communicator,
         setup: &'a DistributedSetup,
         local: &'a PrecisionOperator,
-    ) -> Self {
-        RankOperator {
+    ) -> Box<dyn LinearOperator + 'a> {
+        Box::new(RankOperator::<S> {
             comm,
             cfg: &setup.cfg,
             exchange: setup.compiled.rank(comm.rank()),
             local,
             scratch: Mutex::new(ExchangeScratch::new()),
-        }
+        })
+    }
+    match setup.cfg.precision {
+        Precision::Double => at::<f64>(comm, setup, local),
+        Precision::Single => at::<f32>(comm, setup, local),
+        Precision::Half | Precision::Mixed => at::<F16>(comm, setup, local),
+    }
+}
+
+impl<S: StorageScalar> LinearOperator for RankOperator<'_, S> {
+    fn rows(&self) -> usize {
+        self.exchange.owned_len() * self.local.fusing()
     }
 
-    /// Forward apply at wire precision `S`: one fused SpMM over the whole
-    /// minibatch, then its reduction to the ray owners
-    /// ([`xct_comm::RankPlan::reduce`]: the socket/node levels of the
-    /// whole batch at once — each slice quantized with the scale of this
-    /// rank's own partial — then per slice the global exchange in
+    fn cols(&self) -> usize {
+        self.local.cols()
+    }
+
+    /// One fused SpMM over the whole minibatch, then its reduction to the
+    /// ray owners ([`xct_comm::RankPlan::reduce`]: the socket/node levels
+    /// of the whole batch at once — each slice quantized with the scale of
+    /// this rank's own partial — then per slice the global exchange in
     /// [`xct_comm::protocol::exchange_schedule`] order). No collective.
-    fn apply_as<S: Wire>(&self, x: &[f32], y: &mut [f32], ctx: &mut ExecContext) {
+    fn apply(&self, x: &[f32], y: &mut [f32], ctx: &mut ExecContext) {
         let fusing = self.local.fusing();
         let mut partial = ctx
             .workspace
@@ -214,7 +234,7 @@ impl<'a> RankOperator<'a> {
         // xct-allow(no-panic): lock poisoning means this rank's thread already panicked; propagate
         let mut scratch = self.scratch.lock().expect("scratch mutex");
         self.exchange
-            .reduce::<S>(
+            .reduce(
                 self.comm,
                 &mut scratch,
                 &partial,
@@ -227,14 +247,13 @@ impl<'a> RankOperator<'a> {
         ctx.workspace.put(BufferRole::Forward, partial);
     }
 
-    /// Transpose apply at wire precision `S`: the scatter of the owned
-    /// values back over the footprint ([`xct_comm::RankPlan::scatter`]:
-    /// per slice the global scatter from the owners — each scaling the
-    /// slice by its own max-norm — in
+    /// The scatter of the owned values back over the footprint
+    /// ([`xct_comm::RankPlan::scatter`]: per slice the global scatter from
+    /// the owners — each scaling the slice by its own max-norm — in
     /// [`xct_comm::protocol::exchange_schedule`] order, then the
     /// node/socket fan-out of the whole batch at once), then one fused
     /// transposed SpMM over the whole minibatch. No collective.
-    fn apply_transpose_as<S: Wire>(&self, y: &[f32], x: &mut [f32], ctx: &mut ExecContext) {
+    fn apply_transpose(&self, y: &[f32], x: &mut [f32], ctx: &mut ExecContext) {
         let mut footprint = ctx
             .workspace
             .take::<f32>(BufferRole::Footprint, self.local.rows());
@@ -242,7 +261,7 @@ impl<'a> RankOperator<'a> {
             // xct-allow(no-panic): lock poisoning means this rank's thread already panicked; propagate
             let mut scratch = self.scratch.lock().expect("scratch mutex");
             self.exchange
-                .scatter::<S>(
+                .scatter(
                     self.comm,
                     &mut scratch,
                     y,
@@ -255,32 +274,6 @@ impl<'a> RankOperator<'a> {
         }
         self.local.apply_transpose(&footprint, x, ctx);
         ctx.workspace.put(BufferRole::Footprint, footprint);
-    }
-}
-
-impl LinearOperator for RankOperator<'_> {
-    fn rows(&self) -> usize {
-        self.exchange.owned_len() * self.local.fusing()
-    }
-
-    fn cols(&self) -> usize {
-        self.local.cols()
-    }
-
-    fn apply(&self, x: &[f32], y: &mut [f32], ctx: &mut ExecContext) {
-        match self.cfg.precision {
-            Precision::Double => self.apply_as::<f64>(x, y, ctx),
-            Precision::Single => self.apply_as::<f32>(x, y, ctx),
-            Precision::Half | Precision::Mixed => self.apply_as::<F16>(x, y, ctx),
-        }
-    }
-
-    fn apply_transpose(&self, y: &[f32], x: &mut [f32], ctx: &mut ExecContext) {
-        match self.cfg.precision {
-            Precision::Double => self.apply_transpose_as::<f64>(y, x, ctx),
-            Precision::Single => self.apply_transpose_as::<f32>(y, x, ctx),
-            Precision::Half | Precision::Mixed => self.apply_transpose_as::<F16>(y, x, ctx),
-        }
     }
 }
 
@@ -497,7 +490,7 @@ impl DistributedSetup {
             ..RankOptions::default()
         };
         let outputs = run_ranks_with(decomp.ranks, &world, |comm| {
-            let rank_op = RankOperator::new(comm, self, &operators[comm.rank()]);
+            let rank_op = rank_operator(comm, self, &operators[comm.rank()]);
             let steps = AllreduceSteps::build(&cfg.topology, comm.rank());
             let y_local = decomp.restrict_sinogram(sinogram, num_rays, fusing, comm.rank());
             // One context per rank — each simulated GPU owns its workspace.
@@ -506,7 +499,7 @@ impl DistributedSetup {
             let mut ctx = ExecContext::serial()
                 .with_precision(cfg.precision)
                 .with_telemetry(comm.telemetry().clone());
-            let report = cgls_in(&rank_op, &y_local, &solve, &mut ctx, &mut |products| {
+            let report = cgls_in(&*rank_op, &y_local, &solve, &mut ctx, &mut |products| {
                 inner_products(comm, &steps, products);
             });
             (
@@ -742,7 +735,7 @@ mod tests {
                 .collect();
             let outputs = run_ranks(ranks, |comm| {
                 let rank = comm.rank();
-                let rank_op = RankOperator::new(comm, setup, &operators[rank]);
+                let rank_op = rank_operator(comm, setup, &operators[rank]);
                 let mut ctx = ExecContext::serial();
                 let x_local: Vec<f32> = decomp.owned_voxels[rank]
                     .iter()
@@ -781,7 +774,7 @@ mod tests {
     /// A rank's operator whose forward output gets a NaN on iteration
     /// `at`'s apply when `poisoned`.
     struct NanAt<'a> {
-        inner: RankOperator<'a>,
+        inner: Box<dyn LinearOperator + 'a>,
         poisoned: bool,
         at: usize,
         applies: std::sync::atomic::AtomicUsize,
@@ -834,7 +827,7 @@ mod tests {
             let reports = run_ranks(cfg.topology.size(), |comm| {
                 let steps = AllreduceSteps::build(&cfg.topology, comm.rank());
                 let op = NanAt {
-                    inner: RankOperator::new(comm, setup, &operators[comm.rank()]),
+                    inner: rank_operator(comm, setup, &operators[comm.rank()]),
                     poisoned: comm.rank() == 0,
                     at: 3,
                     applies: Default::default(),
@@ -879,7 +872,7 @@ mod tests {
         let setup = &setup;
         for (voxel, ray) in [(f32::MIN_POSITIVE, 1e-40), (3e38, f32::MIN_POSITIVE)] {
             let outputs = run_ranks(cfg.topology.size(), |comm| {
-                let rank_op = RankOperator::new(comm, setup, &operators[comm.rank()]);
+                let rank_op = rank_operator(comm, setup, &operators[comm.rank()]);
                 let mut ctx = ExecContext::serial();
                 let mut ax = vec![0.0f32; rank_op.rows()];
                 rank_op.apply(&vec![voxel; rank_op.cols()], &mut ax, &mut ctx);

@@ -47,12 +47,6 @@ pub enum BufferRole {
     Gradient,
     /// Distributed partial-footprint values.
     Footprint,
-    /// Wire payload staging.
-    Wire,
-    /// Secondary wire buffer (row indices, headers).
-    WireAux,
-    /// Anything else; disambiguate with the tag.
-    Scratch(u16),
 }
 
 /// Buffers of one scalar type, keyed by role. Linear scan — pools hold a
@@ -234,17 +228,17 @@ mod tests {
     #[test]
     fn double_take_of_one_role_yields_two_buffers() {
         let mut ws = Workspace::new();
-        let a: Vec<u8> = ws.take(BufferRole::Wire, 16);
-        let b: Vec<u8> = ws.take(BufferRole::Wire, 16);
+        let a: Vec<u8> = ws.take(BufferRole::Footprint, 16);
+        let b: Vec<u8> = ws.take(BufferRole::Footprint, 16);
         assert_eq!(ws.alloc_events(), 2);
-        ws.put(BufferRole::Wire, a);
-        ws.put(BufferRole::Wire, b);
+        ws.put(BufferRole::Footprint, a);
+        ws.put(BufferRole::Footprint, b);
         // Steady state: both recycled.
-        let a: Vec<u8> = ws.take(BufferRole::Wire, 16);
-        let b: Vec<u8> = ws.take(BufferRole::Wire, 16);
+        let a: Vec<u8> = ws.take(BufferRole::Footprint, 16);
+        let b: Vec<u8> = ws.take(BufferRole::Footprint, 16);
         assert_eq!(ws.alloc_events(), 2);
-        ws.put(BufferRole::Wire, a);
-        ws.put(BufferRole::Wire, b);
+        ws.put(BufferRole::Footprint, a);
+        ws.put(BufferRole::Footprint, b);
     }
 
     #[test]

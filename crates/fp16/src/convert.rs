@@ -29,8 +29,8 @@
 //!   depends on the path.
 //!
 //! The scaled forms multiply in `f32` before narrowing / after widening
-//! (`vmulps` and the scalar `*` round identically), which is what
-//! [`AdaptiveNormalizer`](crate::AdaptiveNormalizer) needs.
+//! (`vmulps` and the scalar `*` round identically), which is what the
+//! §III-C1 scales ([`scale_for`](crate::scale_for)) need.
 //! [`narrow_f64_scaled_into`] multiplies in `f64` and rounds once, as
 //! [`F16::from_f64`] does: through the `f32` narrowing where the product
 //! is exact in `f32`, in software where it is not.

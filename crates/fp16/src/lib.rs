@@ -11,12 +11,14 @@
 //!   through: eight values per `vcvtph2ps`/`vcvtps2ph` where the CPU
 //!   reports F16C at run time, the software conversions (same bits)
 //!   everywhere else,
-//! * [`StorageScalar`] — the abstraction the SpMM kernels are generic over,
-//!   so the same kernel code runs in double, single, or half storage,
+//! * [`StorageScalar`] — the abstraction the SpMM kernels, the exchange
+//!   and the slice files are generic over, so the same code runs in
+//!   double, single, or half storage: the one codec of a run's bytes and
+//!   of its width changes, plain or scaled,
 //! * [`Precision`] — the four precision modes evaluated in the paper
 //!   (double, single, half, mixed),
-//! * [`AdaptiveNormalizer`] — per-iteration max-norm renormalization that
-//!   prevents half-precision overflow while minimizing underflow (§III-C1).
+//! * [`scale_for`] — the per-iteration max-norm scale that prevents
+//!   half-precision overflow while minimizing underflow (§III-C1).
 
 // The workspace-wide rule is `forbid(unsafe_code)`. `convert.rs` is the
 // sanctioned exception, *only* on x86-64, where the F16C conversion
@@ -34,6 +36,6 @@ mod precision;
 mod storage;
 
 pub use f16::F16;
-pub use normalize::{max_abs, max_abs_f64, AdaptiveNormalizer, Normalized, HALF_RELATIVE_EPS};
+pub use normalize::{max_abs, max_abs_f64, scale_for, HALF_RELATIVE_EPS, HEADROOM_TARGET};
 pub use precision::Precision;
 pub use storage::StorageScalar;

@@ -1,7 +1,7 @@
 //! Property-based tests for the software half-precision type.
 
 use proptest::prelude::*;
-use xct_fp16::{max_abs, AdaptiveNormalizer, F16};
+use xct_fp16::{max_abs, scale_for, StorageScalar, F16};
 
 proptest! {
     /// f32 -> f16 -> f32 stays within half an f16 ulp for in-range values.
@@ -66,9 +66,11 @@ proptest! {
     fn normalization_roundtrip(scale in -20i32..20, v in prop::collection::vec(-1.0f32..1.0, 1..64)) {
         let s = 2.0f32.powi(scale);
         let data: Vec<f32> = v.iter().map(|x| x * s).collect();
-        let norm = AdaptiveNormalizer::default();
-        let n = norm.normalize(&data);
-        let back = norm.denormalize(&n);
+        let factor = scale_for(max_abs(&data));
+        let mut q = vec![F16::ZERO; data.len()];
+        F16::narrow_scaled_into(&data, factor, &mut q);
+        let mut back = vec![0.0f32; data.len()];
+        F16::widen_scaled_into(&q, 1.0 / factor, &mut back);
         let m = max_abs(&data);
         for (orig, rec) in data.iter().zip(&back) {
             // Error is relative to the vector max-norm (the normalization
@@ -94,14 +96,13 @@ proptest! {
             .enumerate()
             .map(|(i, &e)| 2.0f32.powi(e) * (1.0 + i as f32 * 0.013) * if i % 3 == 0 { -1.0 } else { 1.0 })
             .collect();
-        let norm = AdaptiveNormalizer::default();
-        let shared = norm.factor_for(max_abs(&data));
+        let shared = scale_for(max_abs(&data));
         let mut bounds: Vec<usize> = cuts.iter().map(|&c| c % data.len()).collect();
         bounds.extend([0, data.len()]);
         bounds.sort_unstable();
         for part in bounds.windows(2).map(|w| &data[w[0]..w[1]]) {
             if max_abs(part) >= f32::MIN_POSITIVE {
-                let own = norm.factor_for(max_abs(part));
+                let own = scale_for(max_abs(part));
                 prop_assert!(own >= shared, "own {own:e} < shared {shared:e}");
             }
         }

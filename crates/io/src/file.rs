@@ -168,56 +168,42 @@ fn precision_from_tag(tag: u8) -> Result<Precision, IoError> {
     }
 }
 
-/// Appends `slice` at `precision`'s storage width in one pass: halves
-/// through the bulk narrowing, singles and doubles as byte copies.
-fn encode_slice(slice: &[f32], precision: Precision, out: &mut Vec<u8>) {
-    let start = out.len();
-    out.resize(start + slice.len() * precision.storage_bytes(), 0);
-    let bytes = &mut out[start..];
-    match precision.storage_bytes() {
-        2 => {
-            let mut halves = vec![F16::ZERO; slice.len()];
-            F16::narrow_into(slice, &mut halves);
-            for (b, h) in bytes.as_chunks_mut().0.iter_mut().zip(&halves) {
-                *b = h.to_bits().to_le_bytes();
-            }
-        }
-        4 => {
-            for (b, v) in bytes.as_chunks_mut().0.iter_mut().zip(slice) {
-                *b = v.to_le_bytes();
-            }
-        }
-        _ => {
-            for (b, &v) in bytes.as_chunks_mut().0.iter_mut().zip(slice) {
-                *b = f64::from(v).to_le_bytes();
-            }
-        }
+/// Values per stack-held run of the payload codec.
+const RUN: usize = 256;
+
+/// Writes `slice` rounded to `S` as its bytes into `out`, a stack-held
+/// run at a time.
+fn encode_as<S: StorageScalar>(slice: &[f32], out: &mut [u8]) {
+    let mut run = [S::zero(); RUN];
+    for (src, bytes) in slice.chunks(RUN).zip(out.chunks_mut(RUN * S::BYTES)) {
+        let run = &mut run[..src.len()];
+        S::narrow_into(src, run);
+        S::encode_run(run, bytes);
     }
 }
 
-/// Decodes a payload at `precision`'s storage width in one pass: halves
-/// through the bulk widening, singles and doubles as byte copies.
-fn decode_scalars(bytes: &[u8], precision: Precision) -> Vec<f32> {
-    let mut out = vec![0.0f32; bytes.len() / precision.storage_bytes()];
-    match precision.storage_bytes() {
-        2 => {
-            let halves: Vec<F16> = (bytes.as_chunks().0.iter())
-                .map(|&b| F16::from_bits(u16::from_le_bytes(b)))
-                .collect();
-            F16::widen_into(&halves, &mut out);
-        }
-        4 => {
-            for (o, &b) in out.iter_mut().zip(bytes.as_chunks().0) {
-                *o = f32::from_le_bytes(b);
-            }
-        }
-        _ => {
-            for (o, &b) in out.iter_mut().zip(bytes.as_chunks().0) {
-                *o = f64::from_le_bytes(b) as f32;
-            }
-        }
+/// Reads the values of `S` whose bytes `bytes` holds, widened into `out`,
+/// a stack-held run at a time.
+fn decode_as<S: StorageScalar>(bytes: &[u8], out: &mut [f32]) {
+    let mut run = [S::zero(); RUN];
+    for (bytes, dst) in bytes.chunks(RUN * S::BYTES).zip(out.chunks_mut(RUN)) {
+        let run = &mut run[..dst.len()];
+        S::decode_run(bytes, run);
+        S::widen_into(run, dst);
     }
-    out
+}
+
+/// A payload's `(encode, decode)` at one storage scalar.
+type Codec = (fn(&[f32], &mut [u8]), fn(&[u8], &mut [f32]));
+
+/// The codec of `precision`'s storage scalar: the one place a file's
+/// precision picks its storage type.
+fn codec(precision: Precision) -> Codec {
+    match precision {
+        Precision::Double => (encode_as::<f64>, decode_as::<f64>),
+        Precision::Single => (encode_as::<f32>, decode_as::<f32>),
+        Precision::Half | Precision::Mixed => (encode_as::<F16>, decode_as::<F16>),
+    }
 }
 
 /// Sequential slice writer.
@@ -226,6 +212,9 @@ pub struct SliceWriter {
     out: BufWriter<File>,
     written: usize,
     hash: Fnv1a,
+    /// One slice's payload, encoded by `encode`.
+    buf: Vec<u8>,
+    encode: fn(&[f32], &mut [u8]),
 }
 
 impl SliceWriter {
@@ -243,6 +232,8 @@ impl SliceWriter {
             out,
             written: 0,
             hash: Fnv1a::new(),
+            buf: vec![0; meta.slice_len * meta.precision.storage_bytes()],
+            encode: codec(meta.precision).0,
         })
     }
 
@@ -251,7 +242,8 @@ impl SliceWriter {
         self.meta
     }
 
-    /// Appends one slice (quantized to the file's storage precision).
+    /// Appends one slice (quantized to the file's storage precision),
+    /// encoded into the writer's own buffer: no allocation.
     pub fn write_slice(&mut self, slice: &[f32]) -> Result<(), IoError> {
         if slice.len() != self.meta.slice_len {
             return Err(IoError::Shape(format!(
@@ -266,10 +258,9 @@ impl SliceWriter {
                 self.meta.slices
             )));
         }
-        let mut buf = Vec::new();
-        encode_slice(slice, self.meta.precision, &mut buf);
-        self.hash.update(&buf);
-        self.out.write_all(&buf)?;
+        (self.encode)(slice, &mut self.buf);
+        self.hash.update(&self.buf);
+        self.out.write_all(&self.buf)?;
         self.written += 1;
         Ok(())
     }
@@ -429,7 +420,9 @@ impl SliceReader {
         self.hash.update(&buf);
         self.read += take;
         self.left -= bytes as u64;
-        Ok(Some(decode_scalars(&buf, self.meta.precision)))
+        let mut out = vec![0.0f32; take * self.meta.slice_len];
+        codec(self.meta.precision).1(&buf, &mut out);
+        Ok(Some(out))
     }
 
     /// After consuming every slice, checks the trailer checksum.

@@ -32,7 +32,7 @@ impl Image2D {
         &mut self.data[z * self.nx + x]
     }
 
-    /// Normalized coordinates of a voxel center, each in `(-1, 1)`.
+    /// The normalized coordinates of a voxel center, each in `(-1, 1)`.
     pub fn norm_coords(&self, x: usize, z: usize) -> (f64, f64) {
         (
             (x as f64 + 0.5) / self.nx as f64 * 2.0 - 1.0,

@@ -3,7 +3,7 @@
 
 use crate::operator::LinearOperator;
 use xct_exec::{BufferRole, ExecContext, Phase};
-use xct_fp16::{max_abs, AdaptiveNormalizer, Precision, StorageScalar, F16};
+use xct_fp16::{max_abs, scale_for, Precision, StorageScalar, F16};
 use xct_spmm::{spmm_with, Csr, Order, PackedMatrix};
 
 /// `A` and `Aᵀ` packed for the buffered SpMM at a chosen precision, with
@@ -29,7 +29,6 @@ pub struct PrecisionOperator {
     rows_total: usize,
     cols_total: usize,
     matrix_scale: f32,
-    normalizer: AdaptiveNormalizer,
     adaptive: bool,
     inner: Inner,
 }
@@ -136,7 +135,6 @@ impl PrecisionOperator {
             rows_total: csr.num_rows() * fusing,
             cols_total: csr.num_cols() * fusing,
             matrix_scale,
-            normalizer: AdaptiveNormalizer::default(),
             adaptive: true,
             inner,
         }
@@ -224,11 +222,11 @@ impl PrecisionOperator {
         let factor = {
             let _convert = ctx.telemetry.span(Phase::PrecisionConvert);
             let factor = if self.adaptive {
-                self.normalizer.factor_for(max_abs(input))
+                scale_for(max_abs(input))
             } else {
                 1.0
             };
-            self.normalizer.quantize_into(input, factor, &mut xq);
+            F16::narrow_scaled_into(input, factor, &mut xq);
             factor
         };
         let mut yq = ctx
@@ -242,8 +240,8 @@ impl PrecisionOperator {
         // Undo both the dynamic factor and the static matrix scale.
         {
             let _convert = ctx.telemetry.span(Phase::PrecisionConvert);
-            let undo = factor * self.matrix_scale;
-            self.normalizer.denormalize_into(&yq, undo, output);
+            let applied = factor * self.matrix_scale;
+            F16::widen_scaled_into(&yq, 1.0 / applied, output);
         }
         ctx.workspace.put(BufferRole::QuantIn, xq);
         ctx.workspace.put(BufferRole::QuantOut, yq);

@@ -382,17 +382,6 @@ impl<S: StorageScalar> PackedMatrix<S> {
         self.padded_nnz
     }
 
-    /// Useful-work fraction: real nonzeros per stored (padded) element.
-    /// One component of the kernel-efficiency constant the machine model
-    /// calibrates (≈0.4 overall on V100).
-    pub fn padding_efficiency(&self) -> f64 {
-        if self.padded_nnz == 0 {
-            1.0
-        } else {
-            self.nnz as f64 / self.padded_nnz as f64
-        }
-    }
-
     /// Total number of stages across all blocks (Fig 5 reports 3–4 per
     /// block for a 256×256×50 minibatch); more stages mean more
     /// synchronization overhead (§III-B4).
@@ -809,7 +798,7 @@ mod tests {
             [[vec![1; 8]], [vec![3, 0, 0, 0, 0, 0, 0, 0]]]
         );
         assert_eq!(natural.padded_nnz(), 32 + 12);
-        assert!((natural.padding_efficiency() - 37.0 / 44.0).abs() < 1e-12);
+        assert!((natural.kernel_metrics().flop_efficiency() - 37.0 / 44.0).abs() < 1e-12);
         assert!((natural.average_reuse() - 37.0 / 6.0).abs() < 1e-12);
         assert_eq!(natural.kernel_metrics().bytes_read, bytes(6, 2, 44));
 
@@ -836,7 +825,7 @@ mod tests {
         assert_eq!(ordered.blocks()[0].rows[..3], [32, 33, 0]);
         assert_eq!(ordered.blocks()[1].rows, [30, 31]);
         assert_eq!(ordered.padded_nnz(), 12 + 32 + 4);
-        assert!((ordered.padding_efficiency() - 37.0 / 48.0).abs() < 1e-12);
+        assert!((ordered.kernel_metrics().flop_efficiency() - 37.0 / 48.0).abs() < 1e-12);
         assert!((ordered.average_reuse() - 37.0 / 8.0).abs() < 1e-12);
         let (m, n) = (ordered.kernel_metrics(), natural.kernel_metrics());
         assert_eq!(m.bytes_read, bytes(8, 3, 48));
@@ -932,10 +921,6 @@ mod tests {
             2 * packed.padded_nnz() as u64 * fusing as u64
         );
         assert!(m.padded_flops >= m.flops, "padding can only add FMAs");
-        assert!(
-            (m.flop_efficiency() - packed.padding_efficiency()).abs() < 1e-12,
-            "flop efficiency must equal element-count padding efficiency"
-        );
         assert_eq!(m.bytes_written, (90 * fusing * 4) as u64);
     }
 
@@ -949,14 +934,14 @@ mod tests {
             Csr::from_triplets(64, 4, t)
         };
         let p = PackedMatrix::pack(&uniform, 64, 4096, 1);
-        assert!((p.padding_efficiency() - 1.0).abs() < 1e-12);
+        assert!((p.kernel_metrics().flop_efficiency() - 1.0).abs() < 1e-12);
 
         let skewed: Csr<f32> = {
             let t = (0..16u32).map(|c| (0u32, c, 1.0f32));
             Csr::from_triplets(32, 16, t)
         };
         let p = PackedMatrix::pack(&skewed, 32, 4096, 1);
-        assert!((p.padding_efficiency() - 1.0 / 4.0).abs() < 1e-12);
+        assert!((p.kernel_metrics().flop_efficiency() - 1.0 / 4.0).abs() < 1e-12);
         assert_eq!(p.padded_nnz(), 16 * LANE_GROUP);
     }
 

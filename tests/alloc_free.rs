@@ -12,6 +12,8 @@
 //! - a disabled [`Telemetry`] handle performs zero allocations per
 //!   span/event (the zero-overhead rule of DESIGN.md §3b), while an enabled
 //!   one records spans without disturbing the workspace's steady state;
+//! - a warm `SliceWriter::write_slice` allocates nothing at half or
+//!   single width;
 //! - a `Reconstructor::reconstruct_in` call after the first allocates its
 //!   result and nothing else — the packed operator is kept, not rebuilt —
 //!   and so does a one-rank `DistributedSetup::run`, the same solve;
@@ -31,6 +33,7 @@ use xct_core::distributed::{reconstruct_distributed, DistributedConfig, Distribu
 use xct_core::{ReconOptions, Reconstructor};
 use xct_fp16::{Precision, F16};
 use xct_geometry::{ImageGrid, ScanGeometry, SystemMatrix};
+use xct_io::{FileKind, SliceFile, SliceWriter};
 use xct_solver::{CglsConfig, CglsSolver, ExecContext, Phase, PrecisionOperator, Telemetry};
 use xct_spmm::Csr;
 use xct_telemetry::{MetricId, ProfileSnapshot};
@@ -187,6 +190,38 @@ fn repeated_one_rank_run_allocates_only_its_result() {
         first >= 10 * second,
         "only the first run packs: {first} allocations against {second}"
     );
+}
+
+#[test]
+fn warm_slice_writer_does_not_allocate() {
+    let _guard = serial();
+    // The writer encodes each slice into the buffer it owns, through the
+    // storage codec's stack-held runs: after the first slice, writing
+    // one touches no heap at half or single width.
+    let slice: Vec<f32> = (0..1000).map(|i| (i as f32 - 500.0) * 0.37).collect();
+    for precision in [Precision::Half, Precision::Single] {
+        let path = std::env::temp_dir().join(format!(
+            "petaxct_alloc_free_writer_{}_{}.xctd",
+            precision.label(),
+            std::process::id()
+        ));
+        let meta = SliceFile {
+            kind: FileKind::Volume,
+            precision,
+            slices: 5,
+            slice_len: slice.len(),
+        };
+        let mut writer = SliceWriter::create(&path, meta).unwrap();
+        writer.write_slice(&slice).unwrap();
+        let before = allocations();
+        for _ in 1..5 {
+            writer.write_slice(&slice).unwrap();
+        }
+        let during = allocations() - before;
+        writer.finish().unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(during, 0, "{precision}: a warm write_slice allocated");
+    }
 }
 
 #[test]
@@ -372,7 +407,7 @@ fn steady_state_compiled_exchange_does_not_allocate() {
         // synchronous and the overlapped schedule, so both must reach the
         // steady state (the wired workload runs overlapped).
         let run_block =
-            |scratch: &mut ExchangeScratch, owned: &mut [f32], back: &mut [f32]| -> u64 {
+            |scratch: &mut ExchangeScratch<F16>, owned: &mut [f32], back: &mut [f32]| -> u64 {
                 comm.barrier(0xA110).unwrap();
                 let before = allocations();
                 for round in 0..5 {
