@@ -12,6 +12,10 @@
 //!   `PrecisionOperator` (mixed, fusing 8, default block and staging
 //!   size — the `xctbench` `serial_fused` shape at n = 128; n = 64 in
 //!   quick mode), whose allocation count is exact;
+//! * `setup_1x2x2`        — the set-up layer through the program's own
+//!   calls: `DistributedSetup::build` on 1×2×2 (Siddon trace,
+//!   decomposition, plans) plus the first packing of every rank's
+//!   operator, the first `run` minus a warm one, on `pack`'s geometry;
 //! * `dist_sync`          — 4 ranks (1×2×2), hierarchical, no overlap;
 //! * `dist_overlap`       — same topology with compute/comm overlap;
 //! * `wired_2x2x2_sync`   — 8 ranks across 2 simulated nodes with a
@@ -39,7 +43,7 @@ use count_alloc::{allocations, CountingAllocator};
 use xct_bench::perf::{compare, BenchReport, ScenarioResult, BENCH_SCHEMA};
 use xct_comm::{Topology, TrafficClass, WireModel};
 use xct_core::decompose::packing_orders;
-use xct_core::distributed::{reconstruct_distributed, DistributedConfig};
+use xct_core::distributed::{reconstruct_distributed, DistributedConfig, DistributedSetup};
 use xct_core::reconstruct_planned;
 use xct_fp16::Precision;
 use xct_geometry::{ImageGrid, ScanGeometry, SystemMatrix};
@@ -233,6 +237,44 @@ fn pack_scenario(p: &SuiteParams) -> ScenarioResult {
     )
 }
 
+/// The set-up layer through the program's own calls, on `pack`'s
+/// geometry (n = 64 in quick mode, 128 otherwise — the suite's mini
+/// geometry is below every fan-out threshold) and topology 1×2×2:
+/// `DistributedSetup::build` — Siddon trace, decomposition with its
+/// restricted operators, plans — plus the first packing of the four
+/// ranks' operators, which the first `run` performs and memoizes. The
+/// packing is the first `run` minus a warm one under the same key; with
+/// zero iterations both runs are otherwise only the ranks' start-up.
+/// Wall and allocations are the record: `build` plus that difference.
+fn setup_scenario(p: &SuiteParams) -> ScenarioResult {
+    let n = if p.quick { 64 } else { 128 };
+    let scan = ScanGeometry::uniform(ImageGrid::square(n, 1.0), n);
+    let sinogram = vec![0.5f32; scan.num_rays() * p.fusing];
+    let cfg = DistributedConfig {
+        topology: Topology::new(1, 2, 2),
+        precision: Precision::Mixed,
+        iterations: 0,
+        ..Default::default()
+    };
+    let mut ctx = ExecContext::serial();
+    let (before, start) = (allocations(), Instant::now());
+    let setup = DistributedSetup::build(&scan, &cfg);
+    let first = setup.run(&sinogram, p.fusing, &mut ctx);
+    let (cold, cold_allocs) = (start.elapsed(), allocations() - before);
+    let (before, start) = (allocations(), Instant::now());
+    let warm = setup.run(&sinogram, p.fusing, &mut ctx);
+    let (warm_wall, warm_allocs) = (start.elapsed(), allocations() - before);
+    std::hint::black_box((first, warm));
+    finish(
+        "setup_1x2x2",
+        cold.saturating_sub(warm_wall),
+        cold_allocs.saturating_sub(warm_allocs),
+        xct_exec::ExecCounters::default(),
+        &[],
+        &Telemetry::disabled(),
+    )
+}
+
 fn distributed_scenario(
     name: &str,
     p: &SuiteParams,
@@ -409,6 +451,8 @@ fn run_suite(p: &SuiteParams) -> BenchReport {
     }
     eprintln!("running pack ...");
     scenarios.push(best_of(p.reps, || pack_scenario(p)));
+    eprintln!("running setup_1x2x2 ...");
+    scenarios.push(best_of(p.reps, || setup_scenario(p)));
     for (name, topology, overlap, wired) in [
         ("dist_sync", Topology::new(1, 2, 2), false, false),
         ("dist_overlap", Topology::new(1, 2, 2), true, false),

@@ -10,6 +10,7 @@
 //! these for subdomains 12–14).
 
 use xct_comm::{Footprints, Ownership};
+use xct_exec::Executor;
 use xct_geometry::{RayHit, ScanGeometry, SystemMatrix};
 use xct_hilbert::{CurveKind, Domain2D, TileDecomposition};
 use xct_spmm::{Csr, Order};
@@ -70,10 +71,21 @@ impl LocalOperator {
 /// matrix's rows through one dense global → local column table. A lone
 /// rank's footprint is every ray, empty ones included, so its operator
 /// is the whole matrix row for row: the serial operator.
+///
+/// One counting sweep over the nonzeros sizes every operator, which is
+/// then allocated here, on the calling thread. The fill is fanned out
+/// over runs of ranks on `executor`, at least `min_hits` nonzeros a
+/// part ([`MIN_HITS_PER_PART`] in production): each part sweeps the
+/// rays once, routes the hits its ranks own into their open rows, and
+/// closes a ray's rows when the ray ends. A part writes only its own
+/// ranks' operators and scratch, all allocated at their final size, so
+/// the result is the sequential fill's and no worker allocates.
 fn restrict(
     sm: &SystemMatrix,
     voxel_owner: &[u32],
     owned_voxels: &[Vec<u32>],
+    executor: &Executor,
+    min_hits: usize,
 ) -> Vec<LocalOperator> {
     let mut local_col = vec![0u32; voxel_owner.len()];
     for cols in owned_voxels {
@@ -81,28 +93,70 @@ fn restrict(
             local_col[v as usize] = i as u32;
         }
     }
-    let (mut row, lone) = (Vec::new(), owned_voxels.len() == 1);
-    (0..owned_voxels.len() as u32)
-        .map(|p| {
-            let hits = |ray: u32| {
-                let owned = move |h: &&RayHit| voxel_owner[h.voxel as usize] == p;
-                sm.row(ray as usize).iter().filter(owned)
-            };
-            let rows: Vec<u32> = (0..sm.num_rays() as u32)
-                .filter(|&ray| lone || hits(ray).next().is_some())
-                .collect();
-            let cols = owned_voxels[p as usize].clone();
-            let nnz = rows.iter().map(|&ray| hits(ray).count()).sum();
-            let mut csr = Csr::with_capacity(rows.len(), cols.len(), nnz);
-            for &ray in &rows {
-                row.clear();
-                row.extend(hits(ray).map(|h| (local_col[h.voxel as usize], h.length)));
-                csr.push_row(&mut row);
+    let (ranks, lone) = (owned_voxels.len(), owned_voxels.len() == 1);
+    let owner = |h: &RayHit| voxel_owner[h.voxel as usize] as usize;
+
+    // Count pass: `last[p]` is the last ray that reached rank `p`.
+    let (mut rows, mut nnz, mut last) = (vec![0; ranks], vec![0; ranks], vec![u32::MAX; ranks]);
+    let mut widest = 0;
+    for ray in 0..sm.num_rays() as u32 {
+        let hits = sm.row(ray as usize);
+        widest = widest.max(hits.len());
+        for h in hits {
+            let p = owner(h);
+            nnz[p] += 1;
+            if last[p] != ray {
+                last[p] = ray;
+                rows[p] += 1;
             }
-            LocalOperator { rows, cols, csr }
+        }
+    }
+    if lone {
+        rows[0] = sm.num_rays();
+    }
+
+    // One run of ranks per part, each rank with its operator and the
+    // open row that collects its part of the current ray.
+    let parts = executor.partitions(ranks.min(sm.nnz() / min_hits.max(1)));
+    let per_part = ranks.div_ceil(parts);
+    let mut runs: Vec<(usize, Vec<LocalOperator>, Vec<_>)> = owned_voxels
+        .chunks(per_part)
+        .enumerate()
+        .map(|(run, owned)| {
+            let first = run * per_part;
+            let ops = owned.iter().zip(first..).map(|(cols, p)| LocalOperator {
+                rows: Vec::with_capacity(rows[p]),
+                cols: cols.clone(),
+                csr: Csr::with_capacity(rows[p], cols.len(), nnz[p]),
+            });
+            let open = owned.iter().map(|_| Vec::with_capacity(widest));
+            (first, ops.collect(), open.collect())
         })
-        .collect()
+        .collect();
+    executor.for_each_part(runs.iter_mut(), |(first, ops, open)| {
+        let mine = *first..*first + ops.len();
+        for ray in 0..sm.num_rays() as u32 {
+            for h in sm.row(ray as usize) {
+                let p = owner(h);
+                if mine.contains(&p) {
+                    open[p - *first].push((local_col[h.voxel as usize], h.length));
+                }
+            }
+            for (op, row) in ops.iter_mut().zip(open.iter_mut()) {
+                if lone || !row.is_empty() {
+                    op.rows.push(ray);
+                    op.csr.push_row(row);
+                    row.clear();
+                }
+            }
+        }
+    });
+    runs.into_iter().flat_map(|(_, ops, _)| ops).collect()
 }
+
+/// Fewest nonzeros worth a part of [`restrict`]'s fill: a sweep of this
+/// many hits takes about a millisecond, far more than a spawn.
+const MIN_HITS_PER_PART: usize = 1 << 16;
 
 /// The complete decomposition of one slice among `ranks` data processes.
 #[derive(Debug, Clone)]
@@ -182,7 +236,13 @@ impl SliceDecomposition {
             owned_rays[o as usize].push(r as u32);
         }
 
-        let local_ops = restrict(sm, &voxel_owner, &owned_voxels);
+        let local_ops = restrict(
+            sm,
+            &voxel_owner,
+            &owned_voxels,
+            &Executor::parallel(),
+            MIN_HITS_PER_PART,
+        );
         SliceDecomposition {
             ranks,
             voxel_owner,
@@ -475,6 +535,84 @@ mod tests {
                     );
                     assert_same_operator(op, want, &what);
                     assert_eq!(d.footprints.per_rank[p], want.rows, "{what}: footprint");
+                }
+            }
+        }
+    }
+
+    /// The restriction as it was before it counted: per rank, one scan
+    /// of every ray for the footprint, one to count nonzeros, one to
+    /// fill — three scans of the matrix per rank.
+    fn three_scan_restrict(
+        sm: &SystemMatrix,
+        voxel_owner: &[u32],
+        owned_voxels: &[Vec<u32>],
+    ) -> Vec<LocalOperator> {
+        let mut local_col = vec![0u32; voxel_owner.len()];
+        for cols in owned_voxels {
+            for (i, &v) in cols.iter().enumerate() {
+                local_col[v as usize] = i as u32;
+            }
+        }
+        let (mut row, lone) = (Vec::new(), owned_voxels.len() == 1);
+        (0..owned_voxels.len() as u32)
+            .map(|p| {
+                let hits = |ray: u32| {
+                    let owned = move |h: &&RayHit| voxel_owner[h.voxel as usize] == p;
+                    sm.row(ray as usize).iter().filter(owned)
+                };
+                let rows: Vec<u32> = (0..sm.num_rays() as u32)
+                    .filter(|&ray| lone || hits(ray).next().is_some())
+                    .collect();
+                let cols = owned_voxels[p as usize].clone();
+                let nnz = rows.iter().map(|&ray| hits(ray).count()).sum();
+                let mut csr = Csr::with_capacity(rows.len(), cols.len(), nnz);
+                for &ray in &rows {
+                    row.clear();
+                    row.extend(hits(ray).map(|h| (local_col[h.voxel as usize], h.length)));
+                    csr.push_row(&mut row);
+                }
+                LocalOperator { rows, cols, csr }
+            })
+            .collect()
+    }
+
+    /// The one-pass restriction equals the three-scan one on 1 to 8
+    /// ranks, uniform and weighted, filled on one to three parts, on a
+    /// detector wider than the grid — so a lone rank keeps rays that hit
+    /// nothing and several ranks drop them.
+    #[test]
+    fn one_pass_restriction_is_the_three_scan_one() {
+        let mut scan = ScanGeometry::uniform(ImageGrid::square(20, 1.0), 14);
+        scan.detector.channels = 26;
+        let sm = SystemMatrix::build(&scan);
+        assert!((0..sm.num_rays()).any(|r| sm.row(r).is_empty()));
+        let weights: Vec<u64> = (0..25).map(|t| 1 + (t * 7 % 5) as u64 * 40).collect();
+        for ranks in 1..=8 {
+            for tile_weights in [None, Some(weights.as_slice())] {
+                let d = SliceDecomposition::build_weighted(
+                    &sm,
+                    &scan,
+                    ranks,
+                    4,
+                    CurveKind::Hilbert,
+                    tile_weights,
+                );
+                let reference = three_scan_restrict(&sm, &d.voxel_owner, &d.owned_voxels);
+                for threads in 1..=3 {
+                    let executor = Executor::threads(threads);
+                    let ops = restrict(&sm, &d.voxel_owner, &d.owned_voxels, &executor, 1);
+                    assert_eq!(ops.len(), reference.len());
+                    for (p, (op, want)) in ops.iter().zip(&reference).enumerate() {
+                        let what = format!(
+                            "{ranks} ranks on {threads} threads, weighted {}, rank {p}",
+                            tile_weights.is_some()
+                        );
+                        assert_same_operator(op, want, &what);
+                    }
+                }
+                if ranks == 1 {
+                    assert_eq!(d.local_ops[0].rows.len(), sm.num_rays());
                 }
             }
         }

@@ -334,8 +334,10 @@ pub struct DistributedSetup {
 }
 
 impl DistributedSetup {
-    /// Traces the Siddon matrix of `scan`, decomposes it among the ranks
-    /// of `cfg.topology` (weighted by `cfg.tile_weights` when present),
+    /// Traces the Siddon matrix of `scan` (by angle, on every core:
+    /// [`SystemMatrix::build`]), decomposes it among the ranks of
+    /// `cfg.topology` (weighted by `cfg.tile_weights` when present; each
+    /// rank's operator restricted in one counting pass over the matrix),
     /// plans and compiles the partial-data exchange, and verifies the
     /// compiled plan. `cfg.fusing` is not read: [`DistributedSetup::run`]
     /// takes each batch's length.
@@ -409,10 +411,18 @@ impl DistributedSetup {
 
     /// Every rank's operator packed for `key` under the scan's Hilbert
     /// orders at the key's block size ([`packing_orders`]), ordered by
-    /// rank. Packed on the calling thread — allocated on short-lived rank
-    /// threads they would pin per-thread malloc arenas (EXPERIMENTS.md)
-    /// — unless the previous call used the same key; the old entry is
-    /// dropped first, so at most one packing is resident.
+    /// rank, unless the previous call used the same key; the old entry
+    /// is dropped first, so at most one packing is resident.
+    ///
+    /// Ranks are packed one after the other, each across every core:
+    /// [`PrecisionOperator::ordered`] narrows the values in bulk, takes
+    /// `Aᵀ` from the typed matrix and fans the blocks of each matrix out
+    /// on [`xct_exec::Executor::parallel`] into arrays allocated on this
+    /// thread. Rank threads have not started yet, so the cores are free;
+    /// packing whole ranks on threads of their own instead kept every
+    /// rank's transients alive at once in worker malloc arenas and
+    /// raised peak RSS by a third to a half (DESIGN.md, "Set-up on every
+    /// core").
     pub(crate) fn operators(&self, key: PackKey) -> Arc<[PrecisionOperator]> {
         // A panic while packing leaves `None` behind — a valid entry — so
         // a poisoned lock is recovered, not propagated.
@@ -547,6 +557,76 @@ mod tests {
     use xct_comm::run_ranks;
     use xct_geometry::ImageGrid;
     use xct_solver::{cgls, SystemMatrixOperator};
+
+    /// `(topology, precision, fusing, shared bytes, digest)`: the packed
+    /// layouts of every rank's `A` and `Aᵀ`, recorded before the set-up
+    /// was threaded. The last two rows stage into a buffer small enough
+    /// to cut blocks into several stages.
+    type GoldenLayout = ((usize, usize, usize), Precision, usize, usize, u64);
+    const GOLDEN_LAYOUTS: [GoldenLayout; 20] = [
+        ((1, 1, 1), Precision::Double, 1, 0, 0x8da3a202c6c8b23b),
+        ((1, 1, 1), Precision::Double, 4, 0, 0x14efda36157c0fd5),
+        ((1, 1, 1), Precision::Double, 8, 0, 0x49bb42bff0693481),
+        ((1, 1, 1), Precision::Single, 1, 0, 0x0dbb14d2f9e852c7),
+        ((1, 1, 1), Precision::Single, 4, 0, 0x379cd673282034b9),
+        ((1, 1, 1), Precision::Single, 8, 0, 0x9177bc5209808939),
+        ((1, 1, 1), Precision::Mixed, 1, 0, 0x0e52cff9ff893d9f),
+        ((1, 1, 1), Precision::Mixed, 4, 0, 0xe31746bd9aebd199),
+        ((1, 1, 1), Precision::Mixed, 8, 0, 0xf9f7df9042854a39),
+        ((1, 2, 2), Precision::Double, 1, 0, 0x67e1dcf6243af8d7),
+        ((1, 2, 2), Precision::Double, 4, 0, 0xc18aaa9937303637),
+        ((1, 2, 2), Precision::Double, 8, 0, 0xdbca0d4cee78f273),
+        ((1, 2, 2), Precision::Single, 1, 0, 0xc54fd0ba131e4eeb),
+        ((1, 2, 2), Precision::Single, 4, 0, 0xf0f7846e425fe4a3),
+        ((1, 2, 2), Precision::Single, 8, 0, 0x0e56d7c5c5b9a9c3),
+        ((1, 2, 2), Precision::Mixed, 1, 0, 0xead18861d831a563),
+        ((1, 2, 2), Precision::Mixed, 4, 0, 0xd16de506ca70075b),
+        ((1, 2, 2), Precision::Mixed, 8, 0, 0xb7bdc25114c4f133),
+        ((1, 1, 1), Precision::Mixed, 4, 1024, 0xb7677b9dbd7918c8),
+        ((1, 2, 2), Precision::Double, 4, 2048, 0xf8a6e8a243f0c990),
+    ];
+
+    /// Every packed byte the set-up produces — rows, stage maps, group
+    /// ends, and the bits of every round index and length, of `A` and
+    /// `Aᵀ` on every rank — is the recorded one, for f64, f32 and `F16`
+    /// storage (Mixed and Half share `F16`), one rank and 1×2×2, fusing 1,
+    /// 4 and 8, and multi-stage blocks.
+    #[test]
+    fn packed_layouts_are_the_recorded_ones() {
+        let scan = ScanGeometry::uniform(ImageGrid::square(32, 1.0), 28);
+        let mut wrong = Vec::new();
+        for ((nodes, sockets, gpus), precision, fusing, shared, want) in GOLDEN_LAYOUTS {
+            let cfg = DistributedConfig {
+                topology: Topology::new(nodes, sockets, gpus),
+                precision,
+                ..Default::default()
+            };
+            let bytes = if shared == 0 {
+                cfg.shared_bytes
+            } else {
+                shared
+            };
+            let setup = DistributedSetup::build(&scan, &cfg);
+            let operators = setup.operators((precision, fusing, cfg.block_size, bytes));
+            let mut digest = 0xcbf2_9ce4_8422_2325u64;
+            for op in operators.iter() {
+                let (a, at) = op.layout_digests();
+                for d in [a, at] {
+                    digest = (digest ^ d).wrapping_mul(0x0100_0000_01b3);
+                }
+                if bytes < cfg.shared_bytes {
+                    let blocks = (op.rows() / fusing).div_ceil(cfg.block_size);
+                    assert!(op.stage_counts().0 > blocks, "blocks are cut into stages");
+                }
+            }
+            if digest != want {
+                wrong.push(format!(
+                    "(({nodes}, {sockets}, {gpus}), Precision::{precision:?}, {fusing}, {shared}, {digest:#018x})"
+                ));
+            }
+        }
+        assert!(wrong.is_empty(), "layouts moved:\n{}", wrong.join("\n"));
+    }
 
     fn phantom_sinogram(scan: &ScanGeometry, fusing: usize) -> (SystemMatrix, Vec<f32>, Vec<f32>) {
         let sm = SystemMatrix::build(scan);

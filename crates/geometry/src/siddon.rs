@@ -29,13 +29,56 @@ const EPS: f64 = 1e-12;
 /// point `offset · (−sin θ, cos θ)` — the parallel-beam geometry of paper
 /// Fig 2 where all rays of a view share one direction.
 pub fn trace_ray(grid: &ImageGrid, theta: f64, offset: f64) -> Vec<RayHit> {
-    let (dx, dz) = (theta.cos(), theta.sin());
-    let (px, pz) = (-theta.sin() * offset, theta.cos() * offset);
-    trace_ray_dir(grid, px, pz, dx, dz)
+    let mut hits = Vec::new();
+    Tracer::new(grid).trace(theta, offset, &mut hits);
+    hits
 }
 
-/// Siddon trace for an arbitrary unit-direction ray through `(px, pz)`.
-pub(crate) fn trace_ray_dir(grid: &ImageGrid, px: f64, pz: f64, dx: f64, dz: f64) -> Vec<RayHit> {
+/// Siddon's algorithm over one grid with its working storage: the
+/// crossing parameters of each axis and their merge, sized once for the
+/// longest possible ray, so tracing ray after ray allocates nothing.
+pub(crate) struct Tracer<'g> {
+    grid: &'g ImageGrid,
+    xs: Vec<f64>,
+    zs: Vec<f64>,
+    breaks: Vec<f64>,
+}
+
+impl<'g> Tracer<'g> {
+    /// Most hits one ray through `grid` can have: a ray crosses at most
+    /// `nx − 1 + nz − 1` interior lines, which cut it into at most
+    /// `nx + nz − 1` segments.
+    pub(crate) fn max_hits(grid: &ImageGrid) -> usize {
+        grid.nx + grid.nz - 1
+    }
+
+    pub(crate) fn new(grid: &'g ImageGrid) -> Self {
+        Tracer {
+            grid,
+            xs: Vec::with_capacity(grid.nx),
+            zs: Vec::with_capacity(grid.nz),
+            breaks: Vec::with_capacity(grid.nx + grid.nz),
+        }
+    }
+
+    /// Appends the hits of the ray at `theta` and `offset` (see
+    /// [`trace_ray`]) to `hits`, in order along the ray.
+    pub(crate) fn trace(&mut self, theta: f64, offset: f64, hits: &mut Vec<RayHit>) {
+        let (dx, dz) = (theta.cos(), theta.sin());
+        let (px, pz) = (-theta.sin() * offset, theta.cos() * offset);
+        trace_ray_dir(self, (px, pz), (dx, dz), hits);
+    }
+}
+
+/// Siddon trace for an arbitrary unit-direction ray through `(px, pz)`,
+/// appended to `hits`.
+fn trace_ray_dir(
+    tracer: &mut Tracer,
+    (px, pz): (f64, f64),
+    (dx, dz): (f64, f64),
+    hits: &mut Vec<RayHit>,
+) {
+    let grid = tracer.grid;
     let h = grid.voxel_size;
     let x0 = grid.x_min();
     let z0 = grid.z_min();
@@ -50,7 +93,7 @@ pub(crate) fn trace_ray_dir(grid: &ImageGrid, px: f64, pz: f64, dx: f64, dz: f64
             // Half-open convention: a ray exactly on the upper boundary is
             // outside (measure-zero case; avoids double-counting edges).
             if p < lo || p >= hi {
-                return Vec::new(); // parallel to slab and outside it
+                return; // parallel to slab and outside it
             }
         } else {
             let (mut a, mut b) = ((lo - p) / d, (hi - p) / d);
@@ -62,16 +105,19 @@ pub(crate) fn trace_ray_dir(grid: &ImageGrid, px: f64, pz: f64, dx: f64, dz: f64
         }
     }
     if s_max - s_min <= EPS {
-        return Vec::new();
+        return;
     }
 
     // Crossing parameters with vertical (x = const) grid lines, ascending.
-    let xs = axis_crossings(px, dx, x0, h, grid.nx, s_min, s_max);
+    let xs = &mut tracer.xs;
+    axis_crossings(px, dx, x0, h, grid.nx, s_min, s_max, xs);
     // Crossing parameters with horizontal (z = const) grid lines, ascending.
-    let zs = axis_crossings(pz, dz, z0, h, grid.nz, s_min, s_max);
+    let zs = &mut tracer.zs;
+    axis_crossings(pz, dz, z0, h, grid.nz, s_min, s_max, zs);
 
     // Merge the two ascending crossing lists together with entry and exit.
-    let mut breaks = Vec::with_capacity(xs.len() + zs.len() + 2);
+    let breaks = &mut tracer.breaks;
+    breaks.clear();
     breaks.push(s_min);
     let (mut i, mut j) = (0, 0);
     while i < xs.len() || j < zs.len() {
@@ -108,7 +154,6 @@ pub(crate) fn trace_ray_dir(grid: &ImageGrid, px: f64, pz: f64, dx: f64, dz: f64
 
     // Each consecutive pair lies inside exactly one voxel; identify it by
     // the segment midpoint.
-    let mut hits = Vec::with_capacity(breaks.len().saturating_sub(1));
     for w in breaks.windows(2) {
         let (sa, sb) = (w[0], w[1]);
         let len = sb - sa;
@@ -128,11 +173,11 @@ pub(crate) fn trace_ray_dir(grid: &ImageGrid, px: f64, pz: f64, dx: f64, dz: f64
             length: len as f32,
         });
     }
-    hits
 }
 
-/// Ascending crossing parameters of the ray with the interior grid lines
-/// of one axis, clipped to `(s_min, s_max)`.
+/// Replaces `out` with the ascending crossing parameters of the ray with
+/// the interior grid lines of one axis, clipped to `(s_min, s_max)`.
+#[allow(clippy::too_many_arguments)]
 fn axis_crossings(
     p: f64,
     d: f64,
@@ -141,11 +186,12 @@ fn axis_crossings(
     n: usize,
     s_min: f64,
     s_max: f64,
-) -> Vec<f64> {
+    out: &mut Vec<f64>,
+) {
+    out.clear();
     if d.abs() < EPS {
-        return Vec::new();
+        return;
     }
-    let mut out = Vec::new();
     // Interior lines are at origin + i*h for i in 1..n.
     // Solve for the i-range whose crossing parameter lies in (s_min, s_max).
     let coord_at = |s: f64| p + s * d;
@@ -158,7 +204,7 @@ fn axis_crossings(
     let i_lo = (((c_lo - origin) / h).ceil().max(1.0)) as usize;
     let i_hi = (((c_hi - origin) / h).floor().min((n - 1) as f64 + 0.0)) as usize;
     if i_lo > i_hi {
-        return out;
+        return;
     }
     out.reserve(i_hi - i_lo + 1);
     if d > 0.0 {
@@ -172,7 +218,6 @@ fn axis_crossings(
     }
     // Clip strictly inside the traversal interval.
     out.retain(|&s| s > s_min + EPS && s < s_max - EPS);
-    out
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! normalization, behind the [`LinearOperator`] interface.
 
 use crate::operator::LinearOperator;
-use xct_exec::{BufferRole, ExecContext, Phase};
+use xct_exec::{BufferRole, ExecContext, Executor, Phase};
 use xct_fp16::{max_abs, scale_for, Precision, StorageScalar, F16};
 use xct_spmm::{spmm_with, Csr, Order, PackedMatrix};
 
@@ -80,6 +80,13 @@ impl PrecisionOperator {
     /// orders shape the layout only — `apply` and `apply_transpose` take
     /// and return vectors in `csr`'s own numbering
     /// (see [`PackedMatrix::pack_ordered`]).
+    ///
+    /// `csr` is sorted and duplicate-free already, so re-typing it is a
+    /// bulk narrowing of its values under the matrix scale — no
+    /// triplets, no per-row sort, no copy of its indices — and `Aᵀ` is
+    /// the transpose of the typed matrix; both are packed block-parallel
+    /// on [`Executor::parallel`] ([`PackedMatrix::pack_pair`]), with the
+    /// same bytes as a sequential packing.
     pub fn ordered(
         csr: &Csr<f32>,
         (rows, cols): (&Order, &Order),
@@ -95,38 +102,48 @@ impl PrecisionOperator {
         } else {
             1.0
         };
-        let at = csr.transpose();
-
-        // `csr` is sorted and duplicate-free already, so re-typing it is
-        // a map over its values — no triplets, no per-row sort.
-        fn repack<S: StorageScalar>(
-            c: &Csr<f32>,
-            (rows, cols): (&Order, &Order),
-            scale: f32,
-            block: usize,
-            shared: usize,
-            fusing: usize,
-        ) -> PackedMatrix<S> {
-            let scaled = c.map_values(|v| S::from_f32(v * scale));
-            PackedMatrix::pack_ordered(&scaled, rows, cols, block, shared, fusing)
-        }
-        // The transpose's rows are `csr`'s columns and vice versa.
-        let (fwd, bwd) = ((rows, cols), (cols, rows));
-
+        let (orders, executor) = ((rows, cols), Executor::parallel());
         let inner = match precision {
-            Precision::Double => Inner::Double {
-                a: repack::<f64>(csr, fwd, matrix_scale, block_size, shared_bytes, fusing),
-                at: repack::<f64>(&at, bwd, matrix_scale, block_size, shared_bytes, fusing),
-            },
-            Precision::Single => Inner::Single {
-                a: repack::<f32>(csr, fwd, matrix_scale, block_size, shared_bytes, fusing),
-                at: repack::<f32>(&at, bwd, matrix_scale, block_size, shared_bytes, fusing),
-            },
-            Precision::Half | Precision::Mixed => Inner::HalfFamily {
-                a: repack::<F16>(csr, fwd, matrix_scale, block_size, shared_bytes, fusing),
-                at: repack::<F16>(&at, bwd, matrix_scale, block_size, shared_bytes, fusing),
-                half_compute: precision == Precision::Half,
-            },
+            Precision::Double => {
+                let (a, at) = PackedMatrix::pack_pair(
+                    csr,
+                    matrix_scale,
+                    orders,
+                    block_size,
+                    shared_bytes,
+                    fusing,
+                    &executor,
+                );
+                Inner::Double { a, at }
+            }
+            Precision::Single => {
+                let (a, at) = PackedMatrix::pack_pair(
+                    csr,
+                    matrix_scale,
+                    orders,
+                    block_size,
+                    shared_bytes,
+                    fusing,
+                    &executor,
+                );
+                Inner::Single { a, at }
+            }
+            Precision::Half | Precision::Mixed => {
+                let (a, at) = PackedMatrix::pack_pair(
+                    csr,
+                    matrix_scale,
+                    orders,
+                    block_size,
+                    shared_bytes,
+                    fusing,
+                    &executor,
+                );
+                Inner::HalfFamily {
+                    a,
+                    at,
+                    half_compute: precision == Precision::Half,
+                }
+            }
         };
 
         PrecisionOperator {
@@ -164,6 +181,16 @@ impl PrecisionOperator {
             Inner::Double { a, at } => (a.total_stages(), at.total_stages()),
             Inner::Single { a, at } => (a.total_stages(), at.total_stages()),
             Inner::HalfFamily { a, at, .. } => (a.total_stages(), at.total_stages()),
+        }
+    }
+
+    /// [`PackedMatrix::layout_digest`] of `(A, Aᵀ)`: equal digests, equal
+    /// packed bytes.
+    pub fn layout_digests(&self) -> (u64, u64) {
+        match &self.inner {
+            Inner::Double { a, at } => (a.layout_digest(), at.layout_digest()),
+            Inner::Single { a, at } => (a.layout_digest(), at.layout_digest()),
+            Inner::HalfFamily { a, at, .. } => (a.layout_digest(), at.layout_digest()),
         }
     }
 

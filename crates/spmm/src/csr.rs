@@ -93,9 +93,10 @@ impl<S: StorageScalar> Csr<S> {
         self.rowptr.push(self.colidx.len());
     }
 
-    /// The same sparsity pattern with every value mapped through `f` —
-    /// how a precision mode re-types (and rescales) the memoized `f32`
-    /// operator without re-sorting it.
+    /// The same sparsity pattern with every value mapped through `f`,
+    /// indices copied. The precision modes re-type without the copy
+    /// ([`PackedMatrix::pack_pair`](crate::PackedMatrix::pack_pair)); the
+    /// tests re-type through this.
     pub fn map_values<T: StorageScalar>(&self, f: impl Fn(S) -> T) -> Csr<T> {
         Csr {
             num_rows: self.num_rows,
@@ -128,7 +129,7 @@ impl<S: StorageScalar> Csr<S> {
 
     /// Column indices and values of one row.
     pub fn row(&self, r: usize) -> (&[u32], &[S]) {
-        let range = self.rowptr[r]..self.rowptr[r + 1];
+        let range = self.span(r);
         (&self.colidx[range.clone()], &self.values[range])
     }
 
@@ -145,6 +146,15 @@ impl<S: StorageScalar> Csr<S> {
     /// The transpose (used for backprojection: `Aᵀ` is itself a CSR
     /// operator over sinogram inputs).
     pub fn transpose(&self) -> Csr<S> {
+        self.transpose_with(&self.values)
+    }
+
+    /// The transpose of this pattern carrying `values` (one per stored
+    /// entry, row by row) in place of the matrix's own: transposing only
+    /// moves values, so a re-typed matrix is transposed without a
+    /// re-typed copy of its indices.
+    pub(crate) fn transpose_with<T: StorageScalar>(&self, values: &[T]) -> Csr<T> {
+        assert_eq!(values.len(), self.nnz(), "one value per stored entry");
         let mut counts = vec![0usize; self.num_cols];
         for &c in &self.colidx {
             counts[c as usize] += 1;
@@ -155,15 +165,16 @@ impl<S: StorageScalar> Csr<S> {
             rowptr.push(rowptr[c] + counts[c]);
         }
         let mut colidx = vec![0u32; self.nnz()];
-        let mut values = vec![S::zero(); self.nnz()];
-        let mut cursor = rowptr.clone();
+        let mut moved = vec![T::zero(); self.nnz()];
+        // `counts` becomes each transposed row's fill cursor.
+        counts.copy_from_slice(&rowptr[..self.num_cols]);
         for r in 0..self.num_rows {
-            let (cols, vals) = self.row(r);
-            for (&c, &v) in cols.iter().zip(vals) {
-                let at = cursor[c as usize];
-                colidx[at] = r as u32;
-                values[at] = v;
-                cursor[c as usize] += 1;
+            let span = self.span(r);
+            for (&c, &v) in self.colidx[span.clone()].iter().zip(&values[span]) {
+                let at = &mut counts[c as usize];
+                colidx[*at] = r as u32;
+                moved[*at] = v;
+                *at += 1;
             }
         }
         Csr {
@@ -171,8 +182,24 @@ impl<S: StorageScalar> Csr<S> {
             num_cols: self.num_rows,
             rowptr,
             colidx,
-            values,
+            values: moved,
         }
+    }
+
+    /// Where row `r`'s entries sit in the column and value arrays.
+    pub(crate) fn span(&self, r: usize) -> std::ops::Range<usize> {
+        self.rowptr[r]..self.rowptr[r + 1]
+    }
+
+    /// Column indices of every stored entry, row by row.
+    pub(crate) fn colidx(&self) -> &[u32] {
+        &self.colidx
+    }
+
+    /// Where each row starts in the column and value arrays, and where
+    /// the last one ends.
+    pub(crate) fn rowptr(&self) -> &[usize] {
+        &self.rowptr
     }
 
     /// Renumbers the matrix by an order pair: row `r` of the result is

@@ -57,6 +57,7 @@
 use crate::csr::Csr;
 use crate::metrics::KernelMetrics;
 use crate::order::Order;
+use xct_exec::Executor;
 use xct_fp16::StorageScalar;
 
 /// Threads per warp, as on NVIDIA hardware: the unit `block_size` is a
@@ -175,6 +176,9 @@ impl<S: StorageScalar> PackedMatrix<S> {
     /// block cut into several stages visits a row's columns stage by
     /// stage.
     ///
+    /// Blocks are packed in parallel on [`Executor::parallel`] (see
+    /// [`pack_pair`](Self::pack_pair)); the layout does not depend on it.
+    ///
     /// # Panics
     /// Panics when `block_size` is not a multiple of [`WARP_SIZE`], when
     /// the shared buffer cannot hold even one slot per slice, or when an
@@ -189,154 +193,60 @@ impl<S: StorageScalar> PackedMatrix<S> {
         shared_bytes: usize,
         fusing: usize,
     ) -> Self {
-        assert!(
-            block_size > 0 && block_size.is_multiple_of(WARP_SIZE),
-            "block size {block_size} must be a positive multiple of {WARP_SIZE}"
+        let shape = Shape::new::<S>(csr, (rows, cols), block_size, shared_bytes, fusing);
+        let [packed] = pack_together(
+            [Packing::new(shape, csr, csr.values())],
+            &Executor::parallel(),
+            MIN_BLOCKS_PER_PART,
         );
-        assert!(fusing > 0, "fusing factor must be nonzero");
-        assert_eq!(rows.len(), csr.num_rows(), "row order length");
-        assert_eq!(cols.len(), csr.num_cols(), "column order length");
-        // Shared memory holds `fusing` copies of every staged slot.
-        let slots = shared_bytes / (fusing * S::BYTES);
-        assert!(
-            slots > 0,
-            "shared buffer of {shared_bytes} B cannot stage fusing={fusing} slices of {}",
-            S::NAME
+        packed
+    }
+
+    /// `A` and `Aᵀ` of `csr` re-typed to `S` under `scale`: what
+    /// [`pack_ordered`](Self::pack_ordered) makes of `csr` with every
+    /// value `S::from_f32(v · scale)`, under `(rows, cols)`, and of its
+    /// transpose under `(cols, rows)` — bit for bit. The values are
+    /// narrowed once, in bulk ([`StorageScalar::narrow_scaled_into`]), `A`
+    /// is packed from `csr`'s own indices, and `Aᵀ` is the transpose of
+    /// the typed values (transposing only moves them, so transpose-then-
+    /// type equals type-then-transpose); no index array is copied for the
+    /// re-type.
+    ///
+    /// The two matrices are packed together on `executor`, in two
+    /// passes over contiguous runs of blocks, every part taking one run
+    /// of each: a shape pass sorts each block's rows and finds its staged
+    /// columns and round counts, then — with every block's arrays
+    /// allocated here, on the calling thread, at their final size — a
+    /// fill pass writes each run's blocks. A worker touches only its own
+    /// runs and the O(columns) scratch it is handed, and allocates
+    /// nothing (long-lived buffers allocated on short-lived threads pin
+    /// their malloc arenas: DESIGN.md, "Set-up on every core").
+    ///
+    /// # Panics
+    /// As [`pack_ordered`](Self::pack_ordered).
+    pub fn pack_pair(
+        csr: &Csr<f32>,
+        scale: f32,
+        (rows, cols): (&Order, &Order),
+        block_size: usize,
+        shared_bytes: usize,
+        fusing: usize,
+        executor: &Executor,
+    ) -> (Self, Self) {
+        let mut values = vec![S::zero(); csr.nnz()];
+        S::narrow_scaled_into(csr.values(), scale, &mut values);
+        let at = csr.transpose_with(&values);
+        let forward = Shape::new::<S>(csr, (rows, cols), block_size, shared_bytes, fusing);
+        let backward = Shape::new::<S>(&at, (cols, rows), block_size, shared_bytes, fusing);
+        let [a, packed_at] = pack_together(
+            [
+                Packing::new(forward, csr, &values),
+                Packing::new(backward, &at, at.values()),
+            ],
+            executor,
+            MIN_BLOCKS_PER_PART,
         );
-        let slots_per_stage = slots.min(u16::MAX as usize);
-
-        let padding = PackedRound {
-            ind: [0; LANE_GROUP],
-            len: [S::zero(); LANE_GROUP],
-        };
-        // Scratch shared by every block. `seen_in[c]` is the last block
-        // that touched column `c`, and `position[c]` that column's place
-        // among the block's distinct columns — valid for exactly the
-        // columns the current block stamped, so neither is ever cleared.
-        // `ranks` and `counts` are refilled per block.
-        let mut seen_in = vec![u32::MAX; csr.num_cols()];
-        let mut position = vec![0u32; csr.num_cols()];
-        let mut ranks: Vec<u32> = Vec::new();
-        let mut counts: Vec<u32> = Vec::new();
-        let (col_rank, col_at) = (cols.rank(), cols.indices());
-        let row_rank = rows.rank();
-        let row_len = |r: u32| csr.row(r as usize).0.len();
-
-        let mut blocks = Vec::with_capacity(csr.num_rows().div_ceil(block_size));
-        let mut padded_nnz = 0usize;
-        for (b, run) in rows.indices().chunks(block_size).enumerate() {
-            // Longest row first; the place in the row order breaks ties,
-            // which makes the unstable sort's result the stable one.
-            let mut block_rows = run.to_vec();
-            block_rows
-                .sort_unstable_by_key(|&r| (std::cmp::Reverse(row_len(r)), row_rank[r as usize]));
-
-            // Distinct columns touched by this block, in column order;
-            // stage and slot of a column follow from its place in that
-            // list: place / capacity, place % capacity + 1.
-            ranks.clear();
-            for &r in &block_rows {
-                for &c in csr.row(r as usize).0 {
-                    let seen = &mut seen_in[c as usize];
-                    if *seen != b as u32 {
-                        *seen = b as u32;
-                        ranks.push(col_rank[c as usize]);
-                    }
-                }
-            }
-            ranks.sort_unstable();
-            for (i, &k) in ranks.iter().enumerate() {
-                position[col_at[k as usize] as usize] = i as u32;
-            }
-            // A block of empty rows still gets one (empty) stage so the
-            // executor writes its zeros.
-            let num_stages = ranks.len().div_ceil(slots_per_stage).max(1);
-
-            // Counting pass: nonzeros per (stage, thread); with a single
-            // stage that is the row length the sort already read. A
-            // group's rounds are its longest lane, and the running total
-            // of rounds is where each group's elements go.
-            counts.clear();
-            counts.resize(num_stages * block_size, 0);
-            if num_stages == 1 {
-                for (n, &r) in counts.iter_mut().zip(&block_rows) {
-                    *n = row_len(r) as u32;
-                }
-            } else {
-                for (t, &r) in block_rows.iter().enumerate() {
-                    for &c in csr.row(r as usize).0 {
-                        let stage = position[c as usize] as usize / slots_per_stage;
-                        counts[stage * block_size + t] += 1;
-                    }
-                }
-            }
-            let mut stages: Vec<PackedStage<S>> = (0..num_stages)
-                .map(|stage| {
-                    let mut total = 0u32;
-                    let ends: Vec<u32> = counts[stage * block_size..][..block_size]
-                        .chunks_exact(LANE_GROUP)
-                        .map(|lanes| {
-                            total += lanes.iter().copied().max().unwrap_or(0);
-                            total
-                        })
-                        .collect();
-                    PackedStage {
-                        map: ranks
-                            .chunks(slots_per_stage)
-                            .nth(stage)
-                            .unwrap_or_default()
-                            .iter()
-                            .map(|&k| col_at[k as usize])
-                            .collect(),
-                        ends,
-                        rounds: vec![padding; total as usize],
-                    }
-                })
-                .collect();
-            padded_nnz += stages
-                .iter()
-                .map(PackedStage::stored_elements)
-                .sum::<usize>();
-
-            // Fill pass: a thread's count becomes the place of its next
-            // element — its group's first round, then round by round — so
-            // a lane's elements keep their row order.
-            for (stage, counts) in stages.iter().zip(counts.chunks_exact_mut(block_size)) {
-                let mut start = 0;
-                for (lanes, &end) in counts.chunks_exact_mut(LANE_GROUP).zip(&stage.ends) {
-                    lanes.fill(start);
-                    start = end;
-                }
-            }
-            for (t, &r) in block_rows.iter().enumerate() {
-                let (rcols, rvals) = csr.row(r as usize);
-                let lane = t % LANE_GROUP;
-                for (&c, &v) in rcols.iter().zip(rvals) {
-                    let place = position[c as usize] as usize;
-                    let (stage, slot) = (place / slots_per_stage, place % slots_per_stage);
-                    let n = &mut counts[stage * block_size + t];
-                    let round = &mut stages[stage].rounds[*n as usize];
-                    round.ind[lane] = (slot + 1) as u16;
-                    round.len[lane] = v;
-                    *n += 1;
-                }
-            }
-            blocks.push(PackedBlock {
-                rows: block_rows,
-                stages,
-            });
-        }
-
-        PackedMatrix {
-            num_rows: csr.num_rows(),
-            num_cols: csr.num_cols(),
-            block_size,
-            fusing,
-            slots_per_stage,
-            blocks,
-            nnz: csr.nnz(),
-            padded_nnz,
-        }
+        (a, packed_at)
     }
 
     /// Rows.
@@ -416,6 +326,44 @@ impl<S: StorageScalar> PackedMatrix<S> {
         }
     }
 
+    /// A fingerprint of every stored byte (64-bit FNV-1a): the shape,
+    /// then per block its rows and per stage its map, its group ends and
+    /// every round — the four indices, then the four lengths in `S`'s
+    /// little-endian encoding. Two packings with equal digests are, up
+    /// to a hash collision, the same layout; the golden-layout tests pin
+    /// the packer with it.
+    pub fn layout_digest(&self) -> u64 {
+        let mut hash = Fnv::default();
+        for n in [
+            self.num_rows,
+            self.num_cols,
+            self.block_size,
+            self.fusing,
+            self.slots_per_stage,
+            self.nnz,
+            self.padded_nnz,
+        ] {
+            hash.write(&(n as u64).to_le_bytes());
+        }
+        let mut lengths = [0u8; LANE_GROUP * 8];
+        let lengths = &mut lengths[..LANE_GROUP * S::BYTES];
+        for block in &self.blocks {
+            hash.words(&block.rows);
+            for stage in &block.stages {
+                hash.words(&stage.map);
+                hash.words(&stage.ends);
+                for round in &stage.rounds {
+                    for ind in round.ind {
+                        hash.write(&ind.to_le_bytes());
+                    }
+                    S::encode_run(&round.len, lengths);
+                    hash.write(lengths);
+                }
+            }
+        }
+        hash.0
+    }
+
     /// The memory-traffic/flop account of one fused SpMM with this
     /// matrix, assuming perfect shared-memory reuse (gathers hit DRAM
     /// once per staged slot, the arrays the layout stores — elements,
@@ -443,6 +391,499 @@ impl<S: StorageScalar> PackedMatrix<S> {
             padded_flops: 2 * self.padded_nnz as u64 * self.fusing as u64,
             bytes_read,
             bytes_written: (self.num_rows * self.fusing * S::BYTES) as u64,
+        }
+    }
+}
+
+/// Fewest blocks one part of a packing pass takes: a block is tens of
+/// microseconds of work, so a part is a few hundred — more than a spawn
+/// costs. Smaller matrices pack on the calling thread.
+const MIN_BLOCKS_PER_PART: usize = 16;
+
+/// What a packing is cut to, checked against the matrix it packs:
+/// block size, slots per stage, fusing, and the `(row, column)` orders.
+struct Shape<'o> {
+    block_size: usize,
+    slots: usize,
+    fusing: usize,
+    rows: &'o Order,
+    cols: &'o Order,
+}
+
+impl<'o> Shape<'o> {
+    fn new<S: StorageScalar>(
+        csr: &Csr<impl StorageScalar>,
+        (rows, cols): (&'o Order, &'o Order),
+        block_size: usize,
+        shared_bytes: usize,
+        fusing: usize,
+    ) -> Self {
+        assert!(
+            block_size > 0 && block_size.is_multiple_of(WARP_SIZE),
+            "block size {block_size} must be a positive multiple of {WARP_SIZE}"
+        );
+        assert!(fusing > 0, "fusing factor must be nonzero");
+        assert_eq!(rows.len(), csr.num_rows(), "row order length");
+        assert_eq!(cols.len(), csr.num_cols(), "column order length");
+        // Shared memory holds `fusing` copies of every staged slot.
+        let slots = shared_bytes / (fusing * S::BYTES);
+        assert!(
+            slots > 0,
+            "shared buffer of {shared_bytes} B cannot stage fusing={fusing} slices of {}",
+            S::NAME
+        );
+        Shape {
+            block_size,
+            slots: slots.min(u16::MAX as usize),
+            fusing,
+            rows,
+            cols,
+        }
+    }
+}
+
+/// One worker's scratch, allocated by the caller and reused by every
+/// block of the worker's runs in both passes. `staged` has one bit per
+/// column-order rank, set while a block collects its distinct columns
+/// and cleared as they are read back in order. `cells` starts with one
+/// place per column — column `c`'s place among the block's distinct
+/// columns, valid for exactly the columns of the current block, so
+/// never cleared — followed by one count or cursor per (stage, thread)
+/// of the block. A worker moves its scratch onto its own stack for the
+/// pass: the headers of neighbouring parts' scratch share cache lines.
+/// Every part's scratch is a slice of two allocations the caller makes.
+#[derive(Default)]
+struct Scratch<'s> {
+    staged: &'s mut [u64],
+    cells: &'s mut [u32],
+    columns: usize,
+}
+
+impl Scratch<'_> {
+    /// `(place per column, counts)`.
+    fn split(&mut self) -> (&mut [u32], &mut [u32]) {
+        self.cells.split_at_mut(self.columns)
+    }
+}
+
+/// The matrix a packing reads: its shape, and its rows with the values
+/// packed in place of its own.
+struct Source<'a, S> {
+    shape: Shape<'a>,
+    rowptr: &'a [usize],
+    colidx: &'a [u32],
+    values: &'a [S],
+}
+
+/// One matrix being packed: its source and the flat arrays its shape
+/// pass fills, each block's share at the block's offsets.
+struct Packing<'a, S> {
+    source: Source<'a, S>,
+    /// Per block and one past the last: where its nonzeros start if laid
+    /// end to end (its distinct columns are at most that many), and
+    /// where its group ends start if every block had the most stages its
+    /// nonzeros allow.
+    bounds: Vec<(usize, usize)>,
+    /// The most stages any block can have.
+    most: usize,
+    /// The row order, each block's run sorted in place.
+    sorted: Vec<u32>,
+    /// Per block, how many distinct columns it stages.
+    distinct: Vec<u32>,
+    /// Per block, its distinct columns' ranks in the column order,
+    /// ascending.
+    ranks: Vec<u32>,
+    /// Per block, its stages' group ends.
+    ends: Vec<u32>,
+}
+
+/// One part's share of one matrix: a run of blocks, its first block's
+/// index, and the run's slices of the shape pass's flat arrays.
+struct Run<'p, 'a, S> {
+    source: &'p Source<'a, S>,
+    bounds: &'p [(usize, usize)],
+    first: usize,
+    sorted: &'p mut [u32],
+    distinct: &'p mut [u32],
+    ranks: &'p mut [u32],
+    ends: &'p mut [u32],
+}
+
+/// Packs every matrix of `packings` together on `executor`: each part
+/// of a pass takes one contiguous run of blocks of every matrix, with
+/// at least `min_blocks` blocks a part in all. Between the two passes
+/// the calling thread allocates every block's arrays at their final
+/// size; see [`PackedMatrix::pack_pair`].
+fn pack_together<S: StorageScalar, const N: usize>(
+    mut packings: [Packing<'_, S>; N],
+    executor: &Executor,
+    min_blocks: usize,
+) -> [PackedMatrix<S>; N] {
+    let blocks = packings.iter().map(|p| p.distinct.len()).sum::<usize>();
+    let parts = executor.partitions(blocks / min_blocks.max(1));
+    let columns = packings
+        .iter()
+        .map(|p| p.source.shape.cols.len())
+        .max()
+        .unwrap_or(0);
+    let counts = packings
+        .iter()
+        .map(|p| p.most * p.source.shape.block_size)
+        .max()
+        .unwrap_or(0);
+    let words = columns.div_ceil(64);
+    let mut bits = vec![0; parts * words];
+    let mut places = vec![0; parts * (columns + counts)];
+    let (mut bits_left, mut places_left) = (bits.as_mut_slice(), places.as_mut_slice());
+    let mut scratch: Vec<Scratch> = (0..parts)
+        .map(|_| {
+            let staged;
+            (staged, bits_left) = std::mem::take(&mut bits_left).split_at_mut(words);
+            let cells;
+            (cells, places_left) = std::mem::take(&mut places_left).split_at_mut(columns + counts);
+            Scratch {
+                staged,
+                cells,
+                columns,
+            }
+        })
+        .collect();
+
+    // Shape pass.
+    {
+        let mut runs = packings.each_mut().map(|p| p.runs(parts));
+        let work = (0..parts).map(|_| runs.each_mut().map(Iterator::next));
+        executor.for_each_part(work.zip(&mut scratch), |(runs, scratch)| {
+            let mut mine = std::mem::take(scratch);
+            for run in runs.into_iter().flatten() {
+                run.shape(&mut mine);
+            }
+            *scratch = mine;
+        });
+    }
+
+    // Every block's arrays, allocated here.
+    let mut blocks = packings.each_ref().map(Packing::allocate);
+
+    // Fill pass.
+    let mut runs = zip_map(packings.each_ref(), blocks.each_mut(), |p, (blocks, _)| {
+        let per = blocks.len().div_ceil(parts).max(1);
+        let runs = blocks.chunks_mut(per).map(move |run| (&p.source, run));
+        runs.chain(std::iter::repeat_with(|| (&p.source, &mut [][..])))
+    });
+    let work = (0..parts).map(|_| runs.each_mut().map(Iterator::next));
+    executor.for_each_part(work.zip(&mut scratch), |(runs, scratch)| {
+        let mut mine = std::mem::take(scratch);
+        for (source, blocks) in runs.into_iter().flatten() {
+            for block in blocks {
+                source.fill_block(block, &mut mine);
+            }
+        }
+    });
+
+    zip_map(packings, blocks, |p, (blocks, padded_nnz)| {
+        let shape = &p.source.shape;
+        PackedMatrix {
+            num_rows: shape.rows.len(),
+            num_cols: shape.cols.len(),
+            block_size: shape.block_size,
+            fusing: shape.fusing,
+            slots_per_stage: shape.slots,
+            blocks,
+            nnz: p.source.colidx.len(),
+            padded_nnz,
+        }
+    })
+}
+
+/// `f` over the pairs of `a` and `b`, in order.
+fn zip_map<T, U, V, const N: usize>(a: [T; N], b: [U; N], mut f: impl FnMut(T, U) -> V) -> [V; N] {
+    let mut b = b.into_iter();
+    // xct-allow(no-panic): infallible — both arrays hold N elements
+    a.map(|t| f(t, b.next().unwrap()))
+}
+
+impl<'a, S: StorageScalar> Packing<'a, S> {
+    /// Sizes the shape pass's arrays for `pattern`'s rows under `shape`.
+    fn new<T: StorageScalar>(shape: Shape<'a>, pattern: &'a Csr<T>, values: &'a [S]) -> Self {
+        let (block_size, slots) = (shape.block_size, shape.slots);
+        let num_blocks = pattern.num_rows().div_ceil(block_size);
+        let mut bounds = Vec::with_capacity(num_blocks + 1);
+        let (mut nnz, mut stages, mut most) = (0, 0, 0);
+        for run in shape.rows.indices().chunks(block_size) {
+            bounds.push((nnz, stages));
+            let block_nnz: usize = run.iter().map(|&r| pattern.span(r as usize).len()).sum();
+            let bound = block_nnz.div_ceil(slots).max(1);
+            (nnz, stages, most) = (nnz + block_nnz, stages + bound, most.max(bound));
+        }
+        bounds.push((nnz, stages));
+        Packing {
+            sorted: shape.rows.indices().to_vec(),
+            distinct: vec![0; num_blocks],
+            ranks: vec![0; nnz],
+            ends: vec![0; stages * (block_size / LANE_GROUP)],
+            source: Source {
+                shape,
+                rowptr: pattern.rowptr(),
+                colidx: pattern.colidx(),
+                values,
+            },
+            bounds,
+            most,
+        }
+    }
+
+    /// The blocks cut into `parts` contiguous runs, the last ones empty
+    /// when there are fewer blocks than parts.
+    fn runs(&mut self, parts: usize) -> impl Iterator<Item = Run<'_, 'a, S>> {
+        let Packing {
+            source,
+            bounds,
+            sorted,
+            distinct,
+            ranks,
+            ends,
+            ..
+        } = self;
+        let (source, bounds): (&Source<'a, S>, &[(usize, usize)]) = (source, bounds);
+        let (num_blocks, block_size) = (distinct.len(), source.shape.block_size);
+        let groups = block_size / LANE_GROUP;
+        let per = num_blocks.div_ceil(parts).max(1);
+        let (mut sorted, mut distinct) = (sorted.as_mut_slice(), distinct.as_mut_slice());
+        let (mut ranks, mut ends) = (ranks.as_mut_slice(), ends.as_mut_slice());
+        (0..parts).map(move |k| {
+            let (first, last) = ((k * per).min(num_blocks), ((k + 1) * per).min(num_blocks));
+            let ((nnz, stages), (nnz_end, stages_end)) = (bounds[first], bounds[last]);
+            let rows = (last * block_size).min(source.shape.rows.len()) - first * block_size;
+            let run;
+            (run, sorted) = std::mem::take(&mut sorted).split_at_mut(rows);
+            let counted;
+            (counted, distinct) = std::mem::take(&mut distinct).split_at_mut(last - first);
+            let staged;
+            (staged, ranks) = std::mem::take(&mut ranks).split_at_mut(nnz_end - nnz);
+            let stage_ends;
+            (stage_ends, ends) =
+                std::mem::take(&mut ends).split_at_mut((stages_end - stages) * groups);
+            Run {
+                source,
+                bounds,
+                first,
+                sorted: run,
+                distinct: counted,
+                ranks: staged,
+                ends: stage_ends,
+            }
+        })
+    }
+
+    /// Every block with its rows, maps and group ends in place and its
+    /// rounds allocated, and the padded size they add up to.
+    fn allocate(&self) -> (Vec<PackedBlock<S>>, usize) {
+        let shape = &self.source.shape;
+        let (slots, groups) = (shape.slots, shape.block_size / LANE_GROUP);
+        let col_at = shape.cols.indices();
+        let mut padded_nnz = 0usize;
+        let blocks = self
+            .sorted
+            .chunks(shape.block_size)
+            .enumerate()
+            .map(|(b, rows)| {
+                let (nnz, stages) = self.bounds[b];
+                let staged = &self.ranks[nnz..][..self.distinct[b] as usize];
+                let num_stages = staged.len().div_ceil(slots).max(1);
+                let ends = &self.ends[stages * groups..][..num_stages * groups];
+                let stages = ends.chunks_exact(groups).enumerate().map(|(stage, ends)| {
+                    let total = ends.last().copied().unwrap_or(0) as usize;
+                    padded_nnz += total * LANE_GROUP;
+                    let map = staged.chunks(slots).nth(stage).unwrap_or_default();
+                    PackedStage {
+                        map: map.iter().map(|&k| col_at[k as usize]).collect(),
+                        ends: ends.to_vec(),
+                        // Padded by the fill pass, on its worker.
+                        rounds: Vec::with_capacity(total),
+                    }
+                });
+                PackedBlock {
+                    rows: rows.to_vec(),
+                    stages: stages.collect(),
+                }
+            })
+            .collect();
+        (blocks, padded_nnz)
+    }
+}
+
+impl<S: StorageScalar> Run<'_, '_, S> {
+    /// The shape of every block of the run, into the run's slices.
+    fn shape(self, scratch: &mut Scratch) {
+        let block_size = self.source.shape.block_size;
+        let (base_nnz, base_stages) = self.bounds[self.first];
+        let groups = block_size / LANE_GROUP;
+        let blocks = self.sorted.chunks_mut(block_size).zip(self.distinct);
+        for (b, (rows, distinct)) in (self.first..).zip(blocks) {
+            let ((nnz, stages), (nnz_end, _)) = (self.bounds[b], self.bounds[b + 1]);
+            let ranks = &mut self.ranks[nnz - base_nnz..nnz_end - base_nnz];
+            let ends = &mut self.ends[(stages - base_stages) * groups..];
+            *distinct = self.source.shape_block(rows, ranks, ends, scratch);
+        }
+    }
+}
+
+impl<S: StorageScalar> Source<'_, S> {
+    /// The columns of row `r`.
+    fn row(&self, r: u32) -> &[u32] {
+        let r = r as usize;
+        &self.colidx[self.rowptr[r]..self.rowptr[r + 1]]
+    }
+
+    /// A block's shape: sorts its `rows` longest first (the place in
+    /// the row order breaks ties, which makes the unstable sort's result
+    /// the stable one), writes the column-order ranks of its distinct
+    /// columns ascending to the front of `ranks` and every stage's group
+    /// ends to the front of `ends`; returns how many distinct columns it
+    /// stages. Stage and slot of a column follow from its place in that
+    /// list: place / capacity, place % capacity + 1.
+    fn shape_block(
+        &self,
+        rows: &mut [u32],
+        ranks: &mut [u32],
+        ends: &mut [u32],
+        scratch: &mut Scratch,
+    ) -> u32 {
+        let shape = &self.shape;
+        let (block_size, slots) = (shape.block_size, shape.slots);
+        let (col_rank, col_at) = (shape.cols.rank(), shape.cols.indices());
+        let row_rank = shape.rows.rank();
+        rows.sort_unstable_by_key(|&r| {
+            (std::cmp::Reverse(self.row(r).len()), row_rank[r as usize])
+        });
+
+        // The distinct columns' ranks, ascending: a bit per rank, read
+        // back word by word over the words the block touched — a pass
+        // over a bitmap where sorting would cost a log factor.
+        let staged = &mut scratch.staged;
+        let (mut low, mut high) = (staged.len(), 0);
+        for &r in rows.iter() {
+            for &c in self.row(r) {
+                let k = col_rank[c as usize] as usize;
+                staged[k / 64] |= 1 << (k % 64);
+                (low, high) = (low.min(k / 64), high.max(k / 64 + 1));
+            }
+        }
+        let mut distinct = 0;
+        for (w, word) in staged[low.min(high)..high].iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                ranks[distinct] = ((low + w) * 64) as u32 + bits.trailing_zeros();
+                distinct += 1;
+                bits &= bits - 1;
+            }
+        }
+        let (position, counts) = scratch.split();
+        for (place, &k) in ranks[..distinct].iter().enumerate() {
+            position[col_at[k as usize] as usize] = place as u32;
+        }
+        // A block of empty rows still gets one (empty) stage so the
+        // executor writes its zeros.
+        let num_stages = distinct.div_ceil(slots).max(1);
+
+        // Nonzeros per (stage, thread); with a single stage that is the
+        // row length the sort already read. A group's rounds are its
+        // longest lane, and the running total of rounds is where each
+        // group's elements go.
+        let counts = &mut counts[..num_stages * block_size];
+        counts.fill(0);
+        if num_stages == 1 {
+            for (n, &r) in counts.iter_mut().zip(rows.iter()) {
+                *n = self.row(r).len() as u32;
+            }
+        } else {
+            for (t, &r) in rows.iter().enumerate() {
+                for &c in self.row(r) {
+                    let stage = position[c as usize] as usize / slots;
+                    counts[stage * block_size + t] += 1;
+                }
+            }
+        }
+        let groups = block_size / LANE_GROUP;
+        let stages = counts
+            .chunks_exact(block_size)
+            .zip(ends.chunks_exact_mut(groups));
+        for (counts, ends) in stages {
+            let mut total = 0u32;
+            for (lanes, end) in counts.chunks_exact(LANE_GROUP).zip(ends) {
+                total += lanes.iter().copied().max().unwrap_or(0);
+                *end = total;
+            }
+        }
+        distinct as u32
+    }
+
+    /// Writes every element of `block`, whose rows, maps and group ends
+    /// are in place and whose rounds are allocated: the rounds are
+    /// padded, then a thread's count becomes the place of its next
+    /// element — its group's first round, then round by round — so a
+    /// lane's elements keep their row order.
+    fn fill_block(&self, block: &mut PackedBlock<S>, scratch: &mut Scratch) {
+        let (block_size, slots) = (self.shape.block_size, self.shape.slots);
+        let (position, counts) = scratch.split();
+        let PackedBlock { rows, stages } = block;
+        let padding = PackedRound {
+            ind: [0; LANE_GROUP],
+            len: [S::zero(); LANE_GROUP],
+        };
+        let cursors = stages.iter_mut().zip(counts.chunks_exact_mut(block_size));
+        for (stage, (staged, cursors)) in cursors.enumerate() {
+            for (i, &c) in staged.map.iter().enumerate() {
+                position[c as usize] = (stage * slots + i) as u32;
+            }
+            let mut start = 0;
+            for (lanes, &end) in cursors.chunks_exact_mut(LANE_GROUP).zip(&staged.ends) {
+                lanes.fill(start);
+                start = end;
+            }
+            // Within the capacity allocated for it: every group's rounds.
+            staged.rounds.resize(start as usize, padding);
+        }
+        for (t, &r) in rows.iter().enumerate() {
+            let span = self.rowptr[r as usize]..self.rowptr[r as usize + 1];
+            let lane = t % LANE_GROUP;
+            for (&c, &v) in self.colidx[span.clone()].iter().zip(&self.values[span]) {
+                let place = position[c as usize] as usize;
+                let (stage, slot) = (place / slots, place % slots);
+                let n = &mut counts[stage * block_size + t];
+                let round = &mut stages[stage].rounds[*n as usize];
+                round.ind[lane] = (slot + 1) as u16;
+                round.len[lane] = v;
+                *n += 1;
+            }
+        }
+    }
+}
+
+/// 64-bit FNV-1a, the hash of [`PackedMatrix::layout_digest`]: fixed by
+/// its definition, so a recorded digest stays valid across toolchains.
+struct Fnv(u64);
+
+impl Default for Fnv {
+    fn default() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    /// A run behind its length, so runs that concatenate to the same
+    /// bytes still hash apart.
+    fn words(&mut self, words: &[u32]) {
+        self.write(&(words.len() as u64).to_le_bytes());
+        for w in words {
+            self.write(&w.to_le_bytes());
         }
     }
 }
@@ -623,62 +1064,10 @@ mod tests {
         blocks
     }
 
-    /// The precision modes' pack — the sorted `f32` operator re-typed and
-    /// rescaled by `map_values`, then the counting packer — against the
-    /// route it replaced, scaled triplets through `from_triplets`, laid
-    /// out by lane lists: block for block the same row lists, maps,
-    /// per-group rounds, element bits and padded size, for every storage
-    /// type, under the identity orders and under scrambled ones, on a
-    /// ragged multi-stage matrix with 64 empty rows (one whole block of
-    /// the identity order) whose groups have unequal round counts.
-    #[test]
-    fn direct_scaled_pack_equals_the_triplet_route_structurally() {
-        fn check<S: StorageScalar>(csr: &Csr<f32>, scale: f32, rows: &Order, cols: &Order) {
-            let (block_size, slots, fusing) = (64, 24, 3);
-            let direct = PackedMatrix::<S>::pack_ordered(
-                &csr.map_values(|v| S::from_f32(v * scale)),
-                rows,
-                cols,
-                block_size,
-                slots * fusing * S::BYTES,
-                fusing,
-            );
-            let scaled = csr.triplets().map(|(r, c, v)| (r, c, v * scale));
-            let typed = Csr::<S>::from_triplets(csr.num_rows(), csr.num_cols(), scaled);
-            let expected = lane_list_layout(&typed, rows, cols, block_size, slots);
-
-            assert_eq!(direct.slots_per_stage(), slots);
-            assert_eq!(direct.blocks().len(), expected.len(), "{}", S::NAME);
-            let (mut padded, mut unequal) = (0, false);
-            for (b, (block, (want_rows, want))) in direct.blocks().iter().zip(&expected).enumerate()
-            {
-                assert_eq!(&block.rows, want_rows, "{} block {b}", S::NAME);
-                assert_eq!(block.stages.len(), want.len(), "{} block {b}", S::NAME);
-                for (stage, (map, groups)) in block.stages.iter().zip(want) {
-                    assert_eq!(&stage.map, map, "{} block {b}", S::NAME);
-                    assert_eq!(stage.groups().count(), groups.len());
-                    for (group, rounds) in stage.groups().zip(groups) {
-                        let got: Vec<RoundLayout> = group
-                            .iter()
-                            .map(|r| {
-                                std::array::from_fn(|l| (r.ind[l], r.len[l].to_f64().to_bits()))
-                            })
-                            .collect();
-                        assert_eq!(&got, rounds, "{} block {b}", S::NAME);
-                        padded += rounds.len() * LANE_GROUP;
-                    }
-                    let lens: Vec<usize> = stage.groups().map(<[_]>::len).collect();
-                    unequal |= lens.iter().any(|&n| n != lens[0]);
-                }
-            }
-            assert_eq!(direct.padded_nnz(), padded);
-            assert_eq!(direct.nnz(), csr.nnz());
-            assert!(direct.total_stages() > direct.blocks().len(), "multi-stage");
-            assert!(unequal, "groups of unequal round counts");
-        }
-
-        // 168 rows = blocks of 64, 64 (all rows empty) and 40 (ragged:
-        // ten full groups, six empty ones); 0–6 nonzeros per row.
+    /// 168 rows × 300 columns in blocks of 64: 64, 64 (all rows empty)
+    /// and 40 (ragged: ten full groups, six empty ones); 0–6 nonzeros per
+    /// row.
+    fn ragged_csr() -> Csr<f32> {
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
         let mut next = move || {
             state = state
@@ -693,7 +1082,84 @@ mod tests {
                 triplets.push((r as u32, (next() % 300) as u32, v));
             }
         }
-        let csr = Csr::<f32>::from_triplets(168, 300, triplets.into_iter());
+        Csr::<f32>::from_triplets(168, 300, triplets.into_iter())
+    }
+
+    /// The precision modes' pack — `pack_pair`: the sorted `f32` operator
+    /// narrowed in bulk under a scale, `A` packed from its own indices,
+    /// `Aᵀ` from the transposed typed values — against the route it
+    /// replaced, scaled triplets through `from_triplets` (and their
+    /// transpose), laid out by lane lists: block for block the same row
+    /// lists, maps, per-group rounds, element bits and padded size, for
+    /// every storage type, under the identity orders and under scrambled
+    /// ones, on a ragged multi-stage matrix with 64 empty rows (one whole
+    /// block of the identity order) whose groups have unequal round
+    /// counts.
+    #[test]
+    fn direct_scaled_pack_equals_the_triplet_route_structurally() {
+        fn check<S: StorageScalar>(csr: &Csr<f32>, scale: f32, rows: &Order, cols: &Order) {
+            let (block_size, slots, fusing) = (64, 24, 3);
+            let (a, at) = PackedMatrix::<S>::pack_pair(
+                csr,
+                scale,
+                (rows, cols),
+                block_size,
+                slots * fusing * S::BYTES,
+                fusing,
+                &Executor::Serial,
+            );
+            let scaled = csr.triplets().map(|(r, c, v)| (r, c, v * scale));
+            let typed = Csr::<S>::from_triplets(csr.num_rows(), csr.num_cols(), scaled);
+            // Every typed value widens to `f32` exactly, so the
+            // transposed triplets rebuild it exactly.
+            let transposed = typed.triplets().map(|(r, c, v)| (c, r, v));
+            let typed_t = Csr::<S>::from_triplets(csr.num_cols(), csr.num_rows(), transposed);
+            for (direct, expected, what) in [
+                (
+                    &a,
+                    lane_list_layout(&typed, rows, cols, block_size, slots),
+                    "A",
+                ),
+                (
+                    &at,
+                    lane_list_layout(&typed_t, cols, rows, block_size, slots),
+                    "At",
+                ),
+            ] {
+                assert_eq!(direct.slots_per_stage(), slots);
+                assert_eq!(direct.blocks().len(), expected.len(), "{} {what}", S::NAME);
+                let (mut padded, mut unequal) = (0, false);
+                for (b, (block, (want_rows, want))) in
+                    direct.blocks().iter().zip(&expected).enumerate()
+                {
+                    let at = format!("{} {what} block {b}", S::NAME);
+                    assert_eq!(&block.rows, want_rows, "{at}");
+                    assert_eq!(block.stages.len(), want.len(), "{at}");
+                    for (stage, (map, groups)) in block.stages.iter().zip(want) {
+                        assert_eq!(&stage.map, map, "{at}");
+                        assert_eq!(stage.groups().count(), groups.len());
+                        for (group, rounds) in stage.groups().zip(groups) {
+                            let got: Vec<RoundLayout> = group
+                                .iter()
+                                .map(|r| {
+                                    std::array::from_fn(|l| (r.ind[l], r.len[l].to_f64().to_bits()))
+                                })
+                                .collect();
+                            assert_eq!(&got, rounds, "{at}");
+                            padded += rounds.len() * LANE_GROUP;
+                        }
+                        let lens: Vec<usize> = stage.groups().map(<[_]>::len).collect();
+                        unequal |= lens.iter().any(|&n| n != lens[0]);
+                    }
+                }
+                assert_eq!(direct.padded_nnz(), padded);
+                assert_eq!(direct.nnz(), csr.nnz());
+                assert!(direct.total_stages() > direct.blocks().len(), "multi-stage");
+                assert!(unequal, "groups of unequal round counts");
+            }
+        }
+
+        let csr = ragged_csr();
         for (rows, cols) in [
             (Order::identity(168), Order::identity(300)),
             (strided_order(168, 47), strided_order(300, 71)),
@@ -702,6 +1168,63 @@ mod tests {
             check::<f32>(&csr, 1.0, &rows, &cols);
             check::<F16>(&csr, 1.0 / 1.0005, &rows, &cols);
         }
+    }
+
+    /// Both packing passes fan out over runs of blocks, each part taking
+    /// a run of every matrix packed together. However the blocks are
+    /// cut — one to three parts, down to one block a run, a matrix alone
+    /// or `A` with `Aᵀ` — the bytes are the sequential packing's, single-
+    /// and multi-stage, and `pack_pair` is `pack_ordered` of the re-typed
+    /// matrix and of its transpose.
+    #[test]
+    fn fanned_out_packing_is_the_sequential_one() {
+        fn check<S: StorageScalar>(csr: &Csr<f32>, scale: f32) {
+            let (rows, cols) = (strided_order(168, 47), strided_order(300, 71));
+            let typed = csr.map_values(|v| S::from_f32(v * scale));
+            let typed_t = typed.transpose();
+            for shared in [1 << 16, 24 * 3 * S::BYTES] {
+                let want = (
+                    PackedMatrix::pack_ordered(&typed, &rows, &cols, 64, shared, 3),
+                    PackedMatrix::pack_ordered(&typed_t, &cols, &rows, 64, shared, 3),
+                );
+                let want = (want.0.layout_digest(), want.1.layout_digest());
+                for parts in 1..=3 {
+                    let executor = Executor::threads(parts);
+                    let (a, at) = PackedMatrix::<S>::pack_pair(
+                        csr,
+                        scale,
+                        (&rows, &cols),
+                        64,
+                        shared,
+                        3,
+                        &executor,
+                    );
+                    assert_eq!((a.layout_digest(), at.layout_digest()), want, "{}", S::NAME);
+                    let forward = || Shape::new::<S>(&typed, (&rows, &cols), 64, shared, 3);
+                    let backward = Shape::new::<S>(&typed_t, (&cols, &rows), 64, shared, 3);
+                    let [a, at] = pack_together(
+                        [
+                            Packing::new(forward(), &typed, typed.values()),
+                            Packing::new(backward, &typed_t, typed_t.values()),
+                        ],
+                        &executor,
+                        1,
+                    );
+                    let what = format!("{} on {parts} parts", S::NAME);
+                    assert_eq!((a.layout_digest(), at.layout_digest()), want, "{what}");
+                    let [alone] = pack_together(
+                        [Packing::new(forward(), &typed, typed.values())],
+                        &executor,
+                        1,
+                    );
+                    assert_eq!(alone.layout_digest(), want.0, "{what}, alone");
+                }
+            }
+        }
+        let csr = ragged_csr();
+        check::<f64>(&csr, 1.0);
+        check::<f32>(&csr, 1.0);
+        check::<F16>(&csr, 1.0 / 1.0005);
     }
 
     /// `pack` is `pack_ordered` under the identity orders, and says so in
