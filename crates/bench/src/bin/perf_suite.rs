@@ -44,7 +44,7 @@ use xct_bench::perf::{compare, BenchReport, ScenarioResult, BENCH_SCHEMA};
 use xct_comm::{Topology, TrafficClass, WireModel};
 use xct_core::decompose::packing_orders;
 use xct_core::distributed::{reconstruct_distributed, DistributedConfig, DistributedSetup};
-use xct_core::reconstruct_planned;
+use xct_core::{reconstruct_planned, ReconOptions};
 use xct_fp16::Precision;
 use xct_geometry::{ImageGrid, ScanGeometry, SystemMatrix};
 use xct_io::{FileKind, SliceFile, SliceReader, SliceWriter};
@@ -256,13 +256,17 @@ fn setup_scenario(p: &SuiteParams) -> ScenarioResult {
         iterations: 0,
         ..Default::default()
     };
+    let request = ReconOptions {
+        fusing: p.fusing,
+        ..cfg.request()
+    };
     let mut ctx = ExecContext::serial();
     let (before, start) = (allocations(), Instant::now());
     let setup = DistributedSetup::build(&scan, &cfg);
-    let first = setup.run(&sinogram, p.fusing, &mut ctx);
+    let first = setup.run(&sinogram, &request, &mut ctx);
     let (cold, cold_allocs) = (start.elapsed(), allocations() - before);
     let (before, start) = (allocations(), Instant::now());
-    let warm = setup.run(&sinogram, p.fusing, &mut ctx);
+    let warm = setup.run(&sinogram, &request, &mut ctx);
     let (warm_wall, warm_allocs) = (start.elapsed(), allocations() - before);
     std::hint::black_box((first, warm));
     finish(

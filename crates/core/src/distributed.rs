@@ -15,9 +15,13 @@
 //! slice with the scale of its own data and the undo rides in the
 //! message header (§III-C1), so neither apply makes a collective. What
 //! an iteration *waits on* is one small collective — CGLS's inner
-//! products, a hierarchical allreduce on the run's [`Topology`]
-//! ([`xct_comm::AllreduceSteps`]) — plus one exchange latency per
-//! direction.
+//! products or SIRT's residual norm, a hierarchical allreduce on the
+//! run's [`Topology`] ([`xct_comm::AllreduceSteps`]) — plus one exchange
+//! latency per direction.
+//!
+//! [`DistributedSetup::run`] is where every reconstruction — one rank or
+//! many, in memory or streamed — chooses its solver from the call's
+//! [`ReconOptions`].
 //!
 //! With [`DistributedConfig::overlap`] a rank posts every fused slice's
 //! global exchange before draining any, in slice order (paper §III-E,
@@ -27,6 +31,7 @@
 //! same order; only the waiting moves.
 
 use crate::decompose::{packing_orders, SliceDecomposition};
+use crate::recon::{Algorithm, ReconOptions};
 use std::sync::{Arc, Mutex, PoisonError};
 use xct_comm::protocol::Collective;
 use xct_comm::{
@@ -38,7 +43,9 @@ use xct_fp16::{Precision, StorageScalar, F16};
 use xct_geometry::{ScanGeometry, SystemMatrix};
 use xct_hilbert::{CurveKind, Domain2D, TileDecomposition};
 use xct_plan::{KernelShape, ReconPlan};
-use xct_solver::{cgls_in, CglsConfig, LinearOperator, PrecisionOperator};
+use xct_solver::{
+    cgls_in, sirt_in, CglsConfig, CglsReport, LinearOperator, PrecisionOperator, SirtConfig,
+};
 
 /// Distributed run configuration.
 #[derive(Debug, Clone)]
@@ -60,13 +67,15 @@ pub struct DistributedConfig {
     /// bit-identical to the synchronous (post, drain, post, drain …)
     /// schedule.
     pub overlap: bool,
+    /// The iterative algorithm (default: undamped CGLS).
+    pub algorithm: Algorithm,
     /// Optional simulated wire time for inter-node messages. The
     /// in-process transport is a memcpy, so without this, overlap has no
     /// wire time to hide; with it, comm-bound behavior (and overlap's
     /// wall-clock gain) is measurable. `None` (default) delivers
     /// instantly. Purely a scheduling delay — results are unaffected.
     pub wire: Option<WireModel>,
-    /// CG iterations.
+    /// Solver iterations.
     pub iterations: usize,
     /// Hilbert tile size for both domain decompositions.
     pub tile: usize,
@@ -99,6 +108,7 @@ impl Default for DistributedConfig {
             fusing: 1,
             hierarchical: true,
             overlap: false,
+            algorithm: Algorithm::default(),
             wire: None,
             iterations: 30,
             tile: 4,
@@ -118,8 +128,8 @@ impl DistributedConfig {
     /// tile weights (`petaxct profile` → `--weights-from`, which also
     /// fix the decomposition's tile size to the one they were measured
     /// at) when it carries them; the runtime knobs a plan does not own —
-    /// wire model, iterations, telemetry, plan verification — come from
-    /// `base`.
+    /// algorithm, wire model, iterations, telemetry, plan verification —
+    /// come from `base`.
     pub fn from_plan(plan: &ReconPlan, base: &DistributedConfig) -> Self {
         let mut cfg = DistributedConfig {
             topology: plan.topology,
@@ -138,6 +148,19 @@ impl DistributedConfig {
             cfg.tile_weights = Some(tw.clone());
         }
         cfg
+    }
+
+    /// The per-call request [`DistributedSetup::run`] solves by:
+    /// algorithm, precision, fusing, iterations and kernel shape.
+    pub fn request(&self) -> ReconOptions {
+        ReconOptions {
+            algorithm: self.algorithm,
+            precision: self.precision,
+            fusing: self.fusing,
+            iterations: self.iterations,
+            block_size: self.block_size,
+            shared_bytes: self.shared_bytes,
+        }
     }
 }
 
@@ -181,7 +204,7 @@ struct RankOperator<'a, S> {
 }
 
 /// This rank's operator for one run, `local` being its operator out of
-/// `setup` packed at the run's fusing factor: the one place the run's
+/// `setup` packed for the run's request: the one place the request's
 /// precision picks the storage type its exchange holds and sends.
 fn rank_operator<'a>(
     comm: &'a Communicator,
@@ -201,7 +224,7 @@ fn rank_operator<'a>(
             scratch: Mutex::new(ExchangeScratch::new()),
         })
     }
-    match setup.cfg.precision {
+    match local.precision() {
         Precision::Double => at::<f64>(comm, setup, local),
         Precision::Single => at::<f32>(comm, setup, local),
         Precision::Half | Precision::Mixed => at::<F16>(comm, setup, local),
@@ -277,8 +300,9 @@ impl<S: StorageScalar> LinearOperator for RankOperator<'_, S> {
     }
 }
 
-/// CGLS's one collective per iteration: the element-wise sum of
-/// `products` over every rank, on the run's topology.
+/// A solver's one collective per iteration (CGLS's inner products,
+/// SIRT's residual norm): the element-wise sum of `products` over every
+/// rank, on the run's topology.
 fn inner_products(comm: &Communicator, steps: &AllreduceSteps, products: &mut [f64]) {
     let tag = Collective::INNER_PRODUCTS.tag;
     comm.allreduce(steps, tag, products)
@@ -311,7 +335,8 @@ fn record_rebalance_decision(
 }
 
 /// What a packed operator depends on besides the geometry:
-/// `(precision, fusing, block_size, shared_bytes)`.
+/// `(precision, fusing, block_size, shared_bytes)`, a request's
+/// [`ReconOptions::pack_key`].
 pub(crate) type PackKey = (Precision, usize, usize, usize);
 
 /// Everything a reconstruction computes from the geometry and the
@@ -339,8 +364,9 @@ impl DistributedSetup {
     /// `cfg.topology` (weighted by `cfg.tile_weights` when present; each
     /// rank's operator restricted in one counting pass over the matrix),
     /// plans and compiles the partial-data exchange, and verifies the
-    /// compiled plan. `cfg.fusing` is not read: [`DistributedSetup::run`]
-    /// takes each batch's length.
+    /// compiled plan. What [`DistributedConfig::request`] holds —
+    /// algorithm, precision, fusing, iterations, kernel shape — is not
+    /// read: [`DistributedSetup::run`] takes it per call.
     ///
     /// # Panics
     /// Panics when the weights' tile size contradicts `cfg.tile`, or
@@ -453,37 +479,75 @@ impl DistributedSetup {
         operators
     }
 
-    /// Reconstructs one batch of `fusing` slices that share the
-    /// set-up's geometry. `sinogram` is slice-major
+    /// Reconstructs one batch of `opts.fusing` slices that share the
+    /// set-up's geometry with `opts.algorithm`, on the operator packed
+    /// for `opts` ([`ReconOptions::pack_key`]). `sinogram` is slice-major
     /// (`fusing × num_rays`). Returns the assembled volume and the run's
     /// counters (`ctx`'s are left as they were). Batches are
     /// independent: nothing but the memoized structures carries over.
     ///
-    /// One rank solves in `ctx` on the calling thread — no rank thread,
-    /// exchange, wire quantization or collective, so the result is the
-    /// serial solve's bit for bit — with launches fanned out over `ctx`'s
-    /// executor. More ranks run a thread each in a serial context of its
-    /// own, recording on a fork of `ctx.telemetry`.
-    pub fn run(&self, sinogram: &[f32], fusing: usize, ctx: &mut ExecContext) -> DistributedResult {
-        let num_rays = self.scan.num_rays();
+    /// This is the one place a reconstruction chooses its solver; every
+    /// entry point — [`crate::Reconstructor::reconstruct_in`],
+    /// [`reconstruct_distributed`], [`crate::reconstruct_planned`] —
+    /// reaches it. One rank solves in `ctx` on the calling thread — no
+    /// rank thread, exchange, wire quantization or collective, so the
+    /// result is the serial solve's bit for bit — with launches fanned
+    /// out over `ctx`'s executor. More ranks run a thread each in a
+    /// serial context of its own, recording on a fork of
+    /// `ctx.telemetry`, and sum the solver's inner products over the
+    /// ranks.
+    pub fn run(
+        &self,
+        sinogram: &[f32],
+        opts: &ReconOptions,
+        ctx: &mut ExecContext,
+    ) -> DistributedResult {
+        let (num_rays, fusing) = (self.scan.num_rays(), opts.fusing);
         assert_eq!(
             sinogram.len(),
             num_rays * fusing,
-            "sinogram length mismatch"
+            "sinogram length mismatch: {} vs {num_rays}×{fusing}",
+            sinogram.len()
         );
-        let cfg = &self.cfg;
-        let operators = self.operators((cfg.precision, fusing, cfg.block_size, cfg.shared_bytes));
-        let solve = CglsConfig {
-            max_iters: cfg.iterations,
-            tolerance: 0.0,
-            damping: 0.0,
+        let operators = self.operators(opts.pack_key());
+        let solve = |op: &dyn LinearOperator,
+                     y: &[f32],
+                     ctx: &mut ExecContext,
+                     reduce: &mut dyn FnMut(&mut [f64])|
+         -> CglsReport {
+            let max_iters = opts.iterations;
+            match opts.algorithm {
+                Algorithm::Cgls { damping } => cgls_in(
+                    op,
+                    y,
+                    &CglsConfig {
+                        max_iters,
+                        tolerance: 0.0,
+                        damping,
+                    },
+                    ctx,
+                    reduce,
+                ),
+                Algorithm::Sirt => sirt_in(
+                    op,
+                    y,
+                    &SirtConfig {
+                        max_iters,
+                        relaxation: 1.0,
+                        nonneg: true,
+                        tolerance: 0.0,
+                    },
+                    ctx,
+                    reduce,
+                ),
+            }
         };
         if let [serial] = &*operators {
             // The lone rank owns every ray and voxel in ascending order,
             // so its local vectors are the global ones.
             let outer = std::mem::take(&mut ctx.counters);
-            ctx.precision = cfg.precision;
-            let report = cgls_in(serial, sinogram, &solve, ctx, &mut |_| {});
+            ctx.precision = opts.precision;
+            let report = solve(serial, sinogram, ctx, &mut |_| {});
             let counters = std::mem::replace(&mut ctx.counters, outer);
             return DistributedResult {
                 x: report.x,
@@ -493,7 +557,7 @@ impl DistributedSetup {
                 counters,
             };
         }
-        let decomp = &self.decomp;
+        let (cfg, decomp) = (&self.cfg, &self.decomp);
         let world = RankOptions {
             telemetry: ctx.telemetry.clone(),
             wire: cfg.wire,
@@ -507,9 +571,9 @@ impl DistributedSetup {
             // The rank's telemetry handle is the communicator's fork, so
             // solver spans and exchange spans nest on one per-rank track.
             let mut ctx = ExecContext::serial()
-                .with_precision(cfg.precision)
+                .with_precision(opts.precision)
                 .with_telemetry(comm.telemetry().clone());
-            let report = cgls_in(&*rank_op, &y_local, &solve, &mut ctx, &mut |products| {
+            let report = solve(&*rank_op, &y_local, &mut ctx, &mut |products| {
                 inner_products(comm, &steps, products);
             });
             (
@@ -539,16 +603,16 @@ impl DistributedSetup {
 
 /// Runs a complete distributed reconstruction of `cfg.fusing` slices
 /// that share the geometry `scan`: [`DistributedSetup::build`] followed
-/// by one [`DistributedSetup::run`] in a serial context recording on
-/// `cfg.telemetry`. `sinogram` is slice-major (`fusing × num_rays`).
-/// Returns the assembled volume.
+/// by one [`DistributedSetup::run`] of [`DistributedConfig::request`] in
+/// a serial context recording on `cfg.telemetry`. `sinogram` is
+/// slice-major (`fusing × num_rays`). Returns the assembled volume.
 pub fn reconstruct_distributed(
     scan: &ScanGeometry,
     sinogram: &[f32],
     cfg: &DistributedConfig,
 ) -> DistributedResult {
     let mut ctx = ExecContext::serial().with_telemetry(cfg.telemetry.clone());
-    DistributedSetup::build(scan, cfg).run(sinogram, cfg.fusing, &mut ctx)
+    DistributedSetup::build(scan, cfg).run(sinogram, &cfg.request(), &mut ctx)
 }
 
 #[cfg(test)]
@@ -557,6 +621,18 @@ mod tests {
     use xct_comm::run_ranks;
     use xct_geometry::ImageGrid;
     use xct_solver::{cgls, SystemMatrixOperator};
+
+    /// The relative error of `x` against `reference` and the largest
+    /// gap between their residual histories, which must be as long.
+    fn gaps(x: &[f32], history: &[f64], reference: &CglsReport) -> (f64, f64) {
+        assert_eq!(history.len(), reference.residual_history.len());
+        let worst = history
+            .iter()
+            .zip(&reference.residual_history)
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0, f64::max);
+        (rel_err(x, &reference.x), worst)
+    }
 
     /// `(topology, precision, fusing, shared bytes, digest)`: the packed
     /// layouts of every rank's `A` and `Aᵀ`, recorded before the set-up
@@ -702,6 +778,48 @@ mod tests {
         }
     }
 
+    /// SIRT and damped CGLS run on ranks like undamped CGLS: on 1×2×2 in
+    /// single precision each lands within the single-process solve's
+    /// bounds above.
+    #[test]
+    fn sirt_and_damped_cgls_match_the_single_process_reference() {
+        let scan = ScanGeometry::uniform(ImageGrid::square(16, 1.0), 16);
+        let (sm, _x_true, y) = phantom_sinogram(&scan, 1);
+        let op = SystemMatrixOperator::new(&sm);
+        let iterations = 12;
+        let sirt = SirtConfig {
+            max_iters: iterations,
+            relaxation: 1.0,
+            nonneg: true,
+            tolerance: 0.0,
+        };
+        let damped = CglsConfig {
+            max_iters: iterations,
+            tolerance: 0.0,
+            damping: 0.5,
+        };
+        let serial = &mut ExecContext::serial();
+        for (algorithm, reference) in [
+            (
+                Algorithm::Sirt,
+                sirt_in(&op, &y, &sirt, serial, &mut |_| {}),
+            ),
+            (Algorithm::Cgls { damping: 0.5 }, cgls(&op, &y, &damped)),
+        ] {
+            let cfg = DistributedConfig {
+                topology: Topology::new(1, 2, 2),
+                precision: Precision::Single,
+                algorithm,
+                iterations,
+                ..Default::default()
+            };
+            let dist = reconstruct_distributed(&scan, &y, &cfg);
+            let (err, history) = gaps(&dist.x, &dist.residual_history, &reference);
+            assert!(err < 5e-3, "{algorithm:?}: error {err}");
+            assert!(history < 1e-3, "{algorithm:?}: history gap {history}");
+        }
+    }
+
     #[test]
     fn hierarchical_equals_direct_distributed() {
         let scan = ScanGeometry::uniform(ImageGrid::square(12, 1.0), 12);
@@ -753,6 +871,28 @@ mod tests {
         let hist = &dist.residual_history;
         assert!(
             hist.last().unwrap() < &0.1,
+            "final residual {}",
+            hist.last().unwrap()
+        );
+    }
+
+    #[test]
+    fn mixed_precision_distributed_sirt_converges() {
+        let scan = ScanGeometry::uniform(ImageGrid::square(16, 1.0), 20);
+        let (_, x_true, y) = phantom_sinogram(&scan, 1);
+        let cfg = DistributedConfig {
+            topology: Topology::new(2, 2, 2),
+            precision: Precision::Mixed,
+            algorithm: Algorithm::Sirt,
+            iterations: 40,
+            ..Default::default()
+        };
+        let dist = reconstruct_distributed(&scan, &y, &cfg);
+        let err = rel_err(&dist.x, &x_true);
+        assert!(err < 0.1, "mixed distributed SIRT error {err}");
+        let hist = &dist.residual_history;
+        assert!(
+            hist.last().unwrap() < &0.05,
             "final residual {}",
             hist.last().unwrap()
         );

@@ -19,7 +19,9 @@
 //!   per-component costs joined with causal slack, per-tile costs
 //!   derived from the operator's nonzero distribution, and the
 //!   model-vs-measured drift table,
-//! * [`Reconstructor`] — the single-call public API used by the examples.
+//! * [`Reconstructor`] — the single-call public API used by the examples,
+//!   a 1×1×1 [`distributed::DistributedSetup`] whose `run` is where every
+//!   entry point chooses its solver.
 //!
 //! # Execution contexts
 //!
@@ -51,6 +53,4 @@ pub use drift::{build_profile_report, model_shares, ProfileInputs};
 pub use partition::{Partitioning, TableIComplexity};
 pub use recon::{Algorithm, ReconOptions, Reconstructor};
 pub use stream::{reconstruct_planned, PlannedOutcome, PlannedStats};
-pub use volume::{
-    reconstruct_volume_in, stream_slabs, PipelineError, SlabTotals, StreamOutcome, VolumeStats,
-};
+pub use volume::{stream_slabs, PipelineError, SlabTotals, StreamOutcome};

@@ -1,50 +1,47 @@
 //! The single-call public API: memoize the operator once, reconstruct
-//! many (batches of) slices, through a 1×1×1 [`DistributedSetup`].
-
-use std::sync::Arc;
+//! many (batches of) slices, through a 1×1×1 [`DistributedSetup`], whose
+//! [`DistributedSetup::run`] chooses the solver from [`ReconOptions`].
 
 use xct_comm::Topology;
 use xct_exec::ExecContext;
 use xct_fp16::Precision;
 use xct_geometry::{ScanGeometry, SystemMatrix};
 use xct_plan::KernelShape;
-use xct_solver::{
-    cgls_in, sirt_in, tv_reconstruct_in, CglsConfig, CglsReport, PrecisionOperator, SirtConfig,
-    TvConfig,
-};
 
-use crate::distributed::{DistributedConfig, DistributedSetup};
+use crate::distributed::{DistributedConfig, DistributedSetup, PackKey};
 
 /// Which iterative algorithm drives the reconstruction.
 ///
-/// CGLS is the paper's solver; SIRT and TV are the standard companions
-/// (constraints and regularization — the `C` and `R(x)` of Eq. 1). All
-/// three run on the same precision-policy operator, so the optimized
-/// kernels and adaptive normalization apply regardless of algorithm.
+/// CGLS is the paper's solver; SIRT is the standard companion that
+/// admits the constraint `C` of Eq. 1. Both run on the same operator on
+/// every topology — the optimized kernels, adaptive normalization and
+/// the hierarchical exchange apply whatever the algorithm.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Algorithm {
-    /// Conjugate gradient on the normal equations (the paper's choice).
-    Cgls,
-    /// SIRT with optional nonnegativity projection.
-    Sirt {
-        /// Relaxation λ ∈ (0, 2).
-        relaxation: f32,
-        /// Project onto `x ≥ 0` each iteration.
-        nonneg: bool,
+    /// Conjugate gradient on the normal equations (the paper's choice),
+    /// minimizing `‖y − Ax‖² + λ²‖x‖²`.
+    Cgls {
+        /// Tikhonov damping λ (the `R(x)` hook of Eq. 1; 0 is plain
+        /// least squares).
+        damping: f64,
     },
-    /// Total-variation-regularized gradient descent (fusing must be 1).
-    Tv {
-        /// Regularization weight.
-        lambda: f32,
-        /// TV smoothing parameter.
-        epsilon: f32,
-    },
+    /// SIRT with relaxation 1, projected onto `x ≥ 0` every iteration.
+    Sirt,
 }
 
-/// Reconstruction options.
+impl Default for Algorithm {
+    /// Undamped CGLS.
+    fn default() -> Self {
+        Algorithm::Cgls { damping: 0.0 }
+    }
+}
+
+/// Reconstruction options: the per-call request [`DistributedSetup::run`]
+/// solves by.
 #[derive(Debug, Clone, Copy)]
 pub struct ReconOptions {
-    /// The iterative algorithm (default: CGLS, the paper's solver).
+    /// The iterative algorithm (default: undamped CGLS, the paper's
+    /// solver).
     pub algorithm: Algorithm,
     /// Precision mode (default: mixed — the paper's recommendation).
     pub precision: Precision,
@@ -53,10 +50,6 @@ pub struct ReconOptions {
     /// Solver iterations (paper: 24 CG iterations for noisy data, 30 for
     /// benchmarks).
     pub iterations: usize,
-    /// Tikhonov damping λ.
-    pub damping: f64,
-    /// Early-stop tolerance on the relative residual (0 disables).
-    pub tolerance: f64,
     /// Threads per simulated GPU block.
     pub block_size: usize,
     /// Staging-buffer bytes per block (96 KB on V100).
@@ -66,15 +59,25 @@ pub struct ReconOptions {
 impl Default for ReconOptions {
     fn default() -> Self {
         ReconOptions {
-            algorithm: Algorithm::Cgls,
+            algorithm: Algorithm::default(),
             precision: Precision::Mixed,
             fusing: 1,
             iterations: 24,
-            damping: 0.0,
-            tolerance: 0.0,
             block_size: KernelShape::DEFAULT.block_size,
             shared_bytes: KernelShape::DEFAULT.shared_bytes,
         }
+    }
+}
+
+impl ReconOptions {
+    /// The key the set-up packs the operator under for this request.
+    pub(crate) fn pack_key(&self) -> PackKey {
+        (
+            self.precision,
+            self.fusing,
+            self.block_size,
+            self.shared_bytes,
+        )
     }
 }
 
@@ -103,9 +106,15 @@ pub struct Reconstructor {
 pub struct ReconResult {
     /// The volume, slice-major (`fusing × num_voxels`).
     pub x: Vec<f32>,
-    /// Solver diagnostics (residual/time histories). Its own `x` is
-    /// empty: the volume is moved into [`ReconResult::x`], not copied.
-    pub report: CglsReport,
+    /// Solver diagnostics.
+    pub report: ReconReport,
+}
+
+/// What a reconstruction reports besides its volume.
+pub struct ReconReport {
+    /// Relative residual `‖y − Ax‖/‖y‖` after each iteration
+    /// (`residual_history[0]` is the initial 1.0).
+    pub residual_history: Vec<f64>,
 }
 
 impl Reconstructor {
@@ -119,17 +128,6 @@ impl Reconstructor {
         };
         let setup = DistributedSetup::from_matrix(&matrix, scan, &one_rank);
         Reconstructor { matrix, setup }
-    }
-
-    /// The one rank's operator packed for `opts`, out of the set-up's
-    /// cache.
-    fn operators(&self, opts: &ReconOptions) -> Arc<[PrecisionOperator]> {
-        self.setup.operators((
-            opts.precision,
-            opts.fusing,
-            opts.block_size,
-            opts.shared_bytes,
-        ))
     }
 
     /// The scan geometry.
@@ -167,78 +165,31 @@ impl Reconstructor {
     }
 
     /// Reconstructs `opts.fusing` slices from their sinograms
-    /// (slice-major, `fusing × num_rays`) with `opts.algorithm`, inside
-    /// a caller-owned [`ExecContext`] — repeated batches reuse the
-    /// context's warm workspace, and its telemetry handle (if enabled)
-    /// records solver and kernel phases. The context's precision is
-    /// aligned with `opts.precision` for the duration of the call. The
-    /// operator is packed by the first call with a given `(precision,
-    /// fusing, block_size, shared_bytes)` and reused by the calls that
-    /// follow with the same four.
+    /// (slice-major, `fusing × num_rays`) with `opts.algorithm` — the
+    /// one-rank [`DistributedSetup::run`] of `opts` — inside a
+    /// caller-owned [`ExecContext`]: repeated batches reuse the context's
+    /// warm workspace, its telemetry handle (if enabled) records solver
+    /// and kernel phases, and the solve's counters are added to its
+    /// counters. The context's precision is aligned with
+    /// `opts.precision`. The operator is packed by the first call with a
+    /// given `(precision, fusing, block_size, shared_bytes)` and reused by
+    /// the calls that follow with the same four.
     ///
     /// # Panics
-    /// Panics on shape mismatches, or when TV is requested with
-    /// `fusing > 1` (TV couples voxels within one slice grid).
+    /// Panics on shape mismatches.
     pub fn reconstruct_in(
         &self,
         sinogram: &[f32],
         opts: &ReconOptions,
         ctx: &mut ExecContext,
     ) -> ReconResult {
-        assert_eq!(
-            sinogram.len(),
-            self.num_rays() * opts.fusing,
-            "sinogram length mismatch: {} vs {}×{}",
-            sinogram.len(),
-            self.num_rays(),
-            opts.fusing
-        );
-        let operators = self.operators(opts);
-        let op = &operators[0];
-        ctx.precision = opts.precision;
-        let mut report = match opts.algorithm {
-            Algorithm::Cgls => cgls_in(
-                op,
-                sinogram,
-                &CglsConfig {
-                    max_iters: opts.iterations,
-                    tolerance: opts.tolerance,
-                    damping: opts.damping,
-                },
-                ctx,
-                &mut |_| {},
-            ),
-            Algorithm::Sirt { relaxation, nonneg } => sirt_in(
-                op,
-                sinogram,
-                &SirtConfig {
-                    max_iters: opts.iterations,
-                    relaxation,
-                    nonneg,
-                    tolerance: opts.tolerance,
-                },
-                ctx,
-            ),
-            Algorithm::Tv { lambda, epsilon } => {
-                assert_eq!(opts.fusing, 1, "TV reconstruction requires fusing = 1");
-                tv_reconstruct_in(
-                    op,
-                    sinogram,
-                    self.scan().grid.nx,
-                    self.scan().grid.nz,
-                    &TvConfig {
-                        iterations: opts.iterations,
-                        lambda,
-                        epsilon,
-                        nonneg: true,
-                    },
-                    ctx,
-                )
-            }
-        };
+        let result = self.setup.run(sinogram, opts, ctx);
+        ctx.counters.merge(&result.counters);
         ReconResult {
-            x: std::mem::take(&mut report.x),
-            report,
+            x: result.x,
+            report: ReconReport {
+                residual_history: result.residual_history,
+            },
         }
     }
 }
@@ -247,9 +198,17 @@ impl Reconstructor {
 mod tests {
     use super::*;
     use crate::decompose::packing_orders;
+    use std::sync::Arc;
     use xct_geometry::ImageGrid;
     use xct_phantom::shepp_logan;
+    use xct_solver::{cgls_in, sirt_in, CglsConfig, PrecisionOperator, SirtConfig};
     use xct_spmm::Csr;
+
+    /// The one rank's operator packed for `opts`, out of the set-up's
+    /// cache.
+    fn packed(recon: &Reconstructor, opts: &ReconOptions) -> Arc<[PrecisionOperator]> {
+        recon.setup.operators(opts.pack_key())
+    }
 
     #[test]
     fn reconstructs_shepp_logan() {
@@ -328,19 +287,18 @@ mod tests {
             ..Default::default()
         };
         let first = recon.reconstruct(&sino1, &mixed1);
-        let packed_by_first = recon.operators(&mixed1);
+        let packed_by_first = packed(&recon, &mixed1);
         let second = recon.reconstruct(&sino1, &mixed1);
-        assert!(Arc::ptr_eq(&packed_by_first, &recon.operators(&mixed1)));
+        assert!(Arc::ptr_eq(&packed_by_first, &packed(&recon, &mixed1)));
         assert_eq!(bits(&first.x), bits(&second.x));
         assert_eq!(bits(&first.x), fresh(&sino1, &mixed1));
-        assert!(first.report.x.is_empty(), "the volume is moved, not copied");
 
         let mixed2 = ReconOptions {
             fusing: 2,
             ..mixed1
         };
         let fused = recon.reconstruct(&sino2, &mixed2);
-        let packed_fused = recon.operators(&mixed2);
+        let packed_fused = packed(&recon, &mixed2);
         assert_eq!(packed_fused[0].fusing(), 2);
         assert_eq!(bits(&fused.x), fresh(&sino2, &mixed2));
 
@@ -349,14 +307,14 @@ mod tests {
             ..mixed2
         };
         let single = recon.reconstruct(&sino2, &single2);
-        assert_eq!(recon.operators(&single2)[0].precision(), Precision::Single);
-        assert!(!Arc::ptr_eq(&packed_fused, &recon.operators(&mixed2)));
+        assert_eq!(packed(&recon, &single2)[0].precision(), Precision::Single);
+        assert!(!Arc::ptr_eq(&packed_fused, &packed(&recon, &mixed2)));
         assert_eq!(bits(&single.x), fresh(&sino2, &single2));
         assert_ne!(bits(&single.x), bits(&fused.x));
 
         // Back to the first key: packed again, same bits as before.
         let again = recon.reconstruct(&sino1, &mixed1);
-        assert!(!Arc::ptr_eq(&packed_by_first, &recon.operators(&mixed1)));
+        assert!(!Arc::ptr_eq(&packed_by_first, &packed(&recon, &mixed1)));
         assert_eq!(bits(&again.x), bits(&first.x));
     }
 
@@ -376,13 +334,12 @@ mod tests {
         for (shared_bytes, single_stage) in [(96 * 1024, true), (512, false)] {
             let opts = ReconOptions {
                 precision: Precision::Single,
-                iterations: 60,
-                tolerance: 0.02,
+                iterations: 12,
                 shared_bytes,
                 ..Default::default()
             };
             let ordered = recon.reconstruct(&sino, &opts);
-            let (fwd, bwd) = recon.operators(&opts)[0].stage_counts();
+            let (fwd, bwd) = packed(&recon, &opts)[0].stage_counts();
             let blocks = recon.num_rays().div_ceil(64) + recon.num_voxels().div_ceil(64);
             assert_eq!(fwd + bwd == blocks, single_stage);
 
@@ -390,7 +347,7 @@ mod tests {
             let identity = PrecisionOperator::new(&csr, Precision::Single, 1, 64, shared_bytes);
             let config = CglsConfig {
                 max_iters: opts.iterations,
-                tolerance: opts.tolerance,
+                tolerance: 0.0,
                 damping: 0.0,
             };
             let natural = cgls_in(
@@ -401,12 +358,10 @@ mod tests {
                 &mut |_| {},
             );
 
-            let iterations = ordered.report.residual_history.len();
-            assert!(
-                iterations < 60,
-                "the tolerance, not the cap, ends the solve"
+            assert_eq!(
+                ordered.report.residual_history.len(),
+                natural.residual_history.len()
             );
-            assert_eq!(iterations, natural.residual_history.len());
             if single_stage {
                 let bits = |x: &[f32]| -> Vec<u32> { x.iter().map(|v| v.to_bits()).collect() };
                 assert_eq!(bits(&ordered.x), bits(&natural.x));
@@ -435,11 +390,11 @@ mod tests {
     /// `DistributedSetup::run`, `Reconstructor::reconstruct_in` and the
     /// serial layout as packed before the set-up held it (the full CSR
     /// under the scan's Hilbert orders through
-    /// `PrecisionOperator::ordered`, solved by `cgls_in`) agree bit for
-    /// bit — volume and residual history — in every precision, fused or
-    /// not, whatever executor runs the launches, on a matched detector
-    /// and on one wider than the grid, whose rays that hit nothing carry
-    /// data here. SIRT and TV through the façade match the oracle too.
+    /// `PrecisionOperator::ordered`, solved by `cgls_in` or `sirt_in`)
+    /// agree bit for bit — volume and residual history — for CGLS,
+    /// damped CGLS and SIRT, in every precision, fused or not, whatever
+    /// executor runs the launches, on a matched detector and on one wider
+    /// than the grid, whose rays that hit nothing carry data here.
     #[test]
     fn one_rank_set_up_reconstructor_and_serial_oracle_agree_bit_for_bit() {
         use crate::distributed::{DistributedConfig, DistributedSetup};
@@ -461,6 +416,13 @@ mod tests {
             let shape = KernelShape::DEFAULT;
             let (rays, voxels) = packing_orders(&scan, shape.block_size);
             let phantom = shepp_logan(n);
+            let setup = DistributedSetup::build(
+                &scan,
+                &DistributedConfig {
+                    topology: Topology::new(1, 1, 1),
+                    ..Default::default()
+                },
+            );
             for fusing in [1, 3] {
                 let mut sino = vec![0.0f32; sm.num_rays() * fusing];
                 for (f, slice) in sino.chunks_mut(sm.num_rays()).enumerate() {
@@ -472,7 +434,6 @@ mod tests {
                     }
                 }
                 for precision in Precision::ALL {
-                    let what = format!("{precision}, fusing {fusing}, misses {misses}");
                     let oracle = PrecisionOperator::ordered(
                         &csr,
                         (&rays, &voxels),
@@ -481,97 +442,61 @@ mod tests {
                         shape.block_size,
                         shape.shared_bytes,
                     );
-                    let config = CglsConfig {
-                        max_iters: iterations,
-                        tolerance: 0.0,
-                        damping: 0.0,
+                    let cgls = |damping| {
+                        let config = CglsConfig {
+                            max_iters: iterations,
+                            tolerance: 0.0,
+                            damping,
+                        };
+                        cgls_in(
+                            &oracle,
+                            &sino,
+                            &config,
+                            &mut ExecContext::serial(),
+                            &mut |_| {},
+                        )
                     };
-                    let want = cgls_in(
-                        &oracle,
-                        &sino,
-                        &config,
-                        &mut ExecContext::serial(),
-                        &mut |_| {},
-                    );
-                    let opts = ReconOptions {
-                        precision,
-                        fusing,
-                        iterations,
-                        ..Default::default()
-                    };
-                    let facade = recon.reconstruct_in(&sino, &opts, &mut ExecContext::serial());
-                    let setup = DistributedSetup::build(
-                        &scan,
-                        &DistributedConfig {
-                            topology: Topology::new(1, 1, 1),
-                            precision,
-                            iterations,
-                            ..Default::default()
-                        },
-                    );
-                    let run = setup.run(
-                        &sino,
-                        fusing,
-                        &mut ExecContext::with_executor(Executor::threads(2)),
-                    );
-                    assert_eq!(bits32(&facade.x), bits32(&want.x), "façade x, {what}");
-                    assert_eq!(bits32(&run.x), bits32(&want.x), "run x, {what}");
-                    let history = bits64(&want.residual_history);
-                    assert_eq!(bits64(&facade.report.residual_history), history, "{what}");
-                    assert_eq!(bits64(&run.residual_history), history, "{what}");
-
                     let sirt = SirtConfig {
                         max_iters: iterations,
                         relaxation: 1.0,
                         nonneg: true,
                         tolerance: 0.0,
                     };
-                    let want = sirt_in(&oracle, &sino, &sirt, &mut ExecContext::serial());
-                    let facade = recon.reconstruct_in(
-                        &sino,
-                        &ReconOptions {
-                            algorithm: Algorithm::Sirt {
-                                relaxation: sirt.relaxation,
-                                nonneg: sirt.nonneg,
-                            },
-                            ..opts
-                        },
-                        &mut ExecContext::serial(),
-                    );
-                    assert_eq!(bits32(&facade.x), bits32(&want.x), "SIRT x, {what}");
-                    assert_eq!(
-                        bits64(&facade.report.residual_history),
-                        bits64(&want.residual_history),
-                        "SIRT history, {what}"
-                    );
-
-                    if fusing == 1 {
-                        let tv = TvConfig {
+                    let solves = [
+                        (Algorithm::Cgls { damping: 0.0 }, cgls(0.0)),
+                        (Algorithm::Cgls { damping: 0.5 }, cgls(0.5)),
+                        (
+                            Algorithm::Sirt,
+                            sirt_in(
+                                &oracle,
+                                &sino,
+                                &sirt,
+                                &mut ExecContext::serial(),
+                                &mut |_| {},
+                            ),
+                        ),
+                    ];
+                    for (algorithm, want) in solves {
+                        let what =
+                            format!("{algorithm:?}, {precision}, fusing {fusing}, misses {misses}");
+                        let opts = ReconOptions {
+                            algorithm,
+                            precision,
+                            fusing,
                             iterations,
-                            lambda: 0.1,
-                            epsilon: 0.005,
-                            nonneg: true,
+                            ..Default::default()
                         };
-                        let want = tv_reconstruct_in(
-                            &oracle,
+                        let facade = recon.reconstruct_in(&sino, &opts, &mut ExecContext::serial());
+                        let run = setup.run(
                             &sino,
-                            n,
-                            n,
-                            &tv,
-                            &mut ExecContext::serial(),
+                            &opts,
+                            &mut ExecContext::with_executor(Executor::threads(2)),
                         );
-                        let facade = recon.reconstruct_in(
-                            &sino,
-                            &ReconOptions {
-                                algorithm: Algorithm::Tv {
-                                    lambda: tv.lambda,
-                                    epsilon: tv.epsilon,
-                                },
-                                ..opts
-                            },
-                            &mut ExecContext::serial(),
-                        );
-                        assert_eq!(bits32(&facade.x), bits32(&want.x), "TV x, {what}");
+                        assert_eq!(bits32(&facade.x), bits32(&want.x), "façade x, {what}");
+                        assert_eq!(bits32(&run.x), bits32(&want.x), "run x, {what}");
+                        let history = bits64(&want.residual_history);
+                        assert_eq!(bits64(&facade.report.residual_history), history, "{what}");
+                        assert_eq!(bits64(&run.residual_history), history, "{what}");
                     }
                 }
             }
@@ -620,43 +545,7 @@ mod tests {
             let den: f64 = truth.iter().map(|&v| f64::from(v).powi(2)).sum();
             (num / den).sqrt()
         };
-        assert!(err_of(Algorithm::Cgls, 40) < 0.15);
-        assert!(
-            err_of(
-                Algorithm::Sirt {
-                    relaxation: 1.0,
-                    nonneg: true
-                },
-                150
-            ) < 0.25
-        );
-        assert!(
-            err_of(
-                Algorithm::Tv {
-                    lambda: 0.5,
-                    epsilon: 0.01
-                },
-                300
-            ) < 0.25
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "TV reconstruction requires fusing = 1")]
-    fn tv_rejects_fused_batches() {
-        let scan = ScanGeometry::uniform(ImageGrid::square(8, 1.0), 8);
-        let recon = Reconstructor::new(scan);
-        let y = vec![0.0f32; recon.num_rays() * 2];
-        recon.reconstruct(
-            &y,
-            &ReconOptions {
-                algorithm: Algorithm::Tv {
-                    lambda: 1.0,
-                    epsilon: 0.01,
-                },
-                fusing: 2,
-                ..Default::default()
-            },
-        );
+        assert!(err_of(Algorithm::default(), 40) < 0.15);
+        assert!(err_of(Algorithm::Sirt, 150) < 0.25);
     }
 }

@@ -1,5 +1,6 @@
-//! Plan-driven, optionally out-of-core distributed reconstruction:
-//! execute a [`ReconPlan`] slab by slab through the one slab loop
+//! Plan-driven, optionally out-of-core reconstruction — the one
+//! file-to-volume entry point, on any topology down to 1×1×1: execute a
+//! [`ReconPlan`] slab by slab through the one slab loop
 //! ([`crate::volume`]), paging non-resident slabs through `xct-io` while
 //! resident compute runs.
 //!
@@ -11,9 +12,11 @@
 //! pipeline a fresh [`crate::distributed::reconstruct_distributed`]
 //! call at that slab's length would, so a streamed run is bit-identical
 //! to an unconstrained run batched at the plan's fusing factor — and on
-//! 1×1×1 to the serial [`crate::Reconstructor`] path.
+//! 1×1×1 to [`crate::Reconstructor`] — with whichever algorithm the
+//! request names.
 
 use crate::distributed::{DistributedConfig, DistributedSetup};
+use crate::recon::ReconOptions;
 use crate::volume::{check, stream_slabs, PipelineError, StreamOutcome};
 use xct_comm::RankCommStats;
 use xct_exec::{ExecContext, ExecCounters, MetricId};
@@ -42,13 +45,15 @@ pub struct PlannedStats {
 pub type PlannedOutcome = StreamOutcome<PlannedStats>;
 
 /// Executes `plan` against `scan`: reads each slab's sinogram from
-/// `reader`, reconstructs it on the plan's simulated topology, and
-/// writes its tomogram slices to `writer` in order.
+/// `reader`, reconstructs it on the plan's simulated topology — one
+/// [`DistributedSetup::run`] per slab, of the configuration's
+/// [`DistributedConfig::request`] at the slab's length — and writes its
+/// tomogram slices to `writer` in order.
 ///
 /// The next slab's read and the previous slab's write run on background
 /// threads while the current slab computes. Runtime knobs the plan does
-/// not own — wire model, iteration count, telemetry, plan verification —
-/// come from `base`; the rest from the plan
+/// not own — algorithm, wire model, iteration count, telemetry, plan
+/// verification — come from `base`; the rest from the plan
 /// ([`DistributedConfig::from_plan`]).
 pub fn reconstruct_planned(
     scan: &ScanGeometry,
@@ -83,6 +88,7 @@ pub fn reconstruct_planned(
     }
 
     let setup = DistributedSetup::build(scan, &cfg);
+    let request = cfg.request();
     // A lone rank's launches fan out across cores, as the serial path's do.
     let mut ctx = ExecContext::parallel().with_telemetry(telemetry.clone());
     let mut comm_stats: Vec<RankCommStats> = Vec::new();
@@ -96,7 +102,11 @@ pub fn reconstruct_planned(
         cfg.iterations,
         &telemetry,
         |data, len| {
-            let result = setup.run(data, len, &mut ctx);
+            let slab = ReconOptions {
+                fusing: len,
+                ..request
+            };
+            let result = setup.run(data, &slab, &mut ctx);
             counters.merge(&result.counters);
             for rank_stats in &result.comm_stats {
                 match comm_stats.iter_mut().find(|m| m.rank == rank_stats.rank) {

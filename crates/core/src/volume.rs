@@ -7,29 +7,15 @@
 //! thread and slab `k-1`'s volume writes back on another (the paper
 //! overlaps I/O with compute the same way it overlaps communication,
 //! §III-E). Memory stays bounded regardless of volume size. Its callers
-//! differ only in what solves a slab: the memoized serial
-//! [`Reconstructor`] here ([`reconstruct_volume_in`], where the I/O
-//! batch *is* the fused minibatch — one trip through the packed matrix
-//! reconstructs the whole batch), the multi-rank pipeline in
-//! [`crate::stream`], or a direct method (the CLI's `fbp`).
+//! differ only in what solves a slab: the plan-driven pipeline in
+//! [`crate::stream`] (a [`crate::distributed::DistributedSetup`] on any
+//! topology, where each slab *is* the fused minibatch — one trip through
+//! the packed matrix reconstructs the whole slab) or a direct method
+//! (the CLI's `fbp`).
 
-use crate::recon::{ReconOptions, Reconstructor};
-use xct_exec::{ExecContext, MetricId, Phase, Telemetry};
+use xct_exec::{MetricId, Phase, Telemetry};
 use xct_geometry::ScanGeometry;
 use xct_io::{DeferredWriter, IoError, PrefetchReader, SliceReader, SliceWriter};
-
-/// Outcome of a volume reconstruction.
-#[derive(Debug, Clone)]
-pub struct VolumeStats {
-    /// Slices reconstructed.
-    pub slices: usize,
-    /// I/O batches processed.
-    pub batches: usize,
-    /// Worst final relative residual across batches.
-    pub worst_residual: f64,
-    /// Total CG iterations performed.
-    pub total_iterations: usize,
-}
 
 /// Volume-pipeline failure.
 #[derive(Debug)]
@@ -182,63 +168,11 @@ pub fn stream_slabs(
     })
 }
 
-/// Streams `reader`'s sinogram slices through `recon` in I/O batches of
-/// `io_batch` slices (the last one possibly shorter), writing tomogram
-/// slices to `writer` in order. Every batch is one
-/// [`Reconstructor::reconstruct_in`] call fused over the whole batch
-/// with `opts.algorithm`, reusing `ctx`'s warm workspace; when its
-/// telemetry handle is enabled the read/solve/write pipeline is recorded
-/// as spans ([`Phase::Io`] around file traffic, solver phases inside the
-/// reconstruction).
-///
-/// `writer` must be created for the same slice count and
-/// `recon.num_voxels()` scalars per slice; the caller finishes the
-/// returned writer (so a trailer checksum is written).
-pub fn reconstruct_volume_in(
-    recon: &Reconstructor,
-    reader: SliceReader,
-    writer: SliceWriter,
-    opts: &ReconOptions,
-    io_batch: usize,
-    ctx: &mut ExecContext,
-) -> Result<StreamOutcome<VolumeStats>, PipelineError> {
-    let slices = reader.meta().slices;
-    let io_batch = io_batch.max(1);
-    let slab_lens: Vec<usize> = (0..slices)
-        .step_by(io_batch)
-        .map(|start| io_batch.min(slices - start))
-        .collect();
-    let telemetry = ctx.telemetry.clone();
-    let mut total_iterations = 0;
-    let outcome = stream_slabs(
-        recon.scan(),
-        reader,
-        writer,
-        &slab_lens,
-        opts.iterations,
-        &telemetry,
-        |data, fusing| {
-            let result = recon.reconstruct_in(data, &ReconOptions { fusing, ..*opts }, ctx);
-            total_iterations += result.report.iterations;
-            let residual = *result.report.residual_history.last().unwrap_or(&1.0);
-            (result.x, residual)
-        },
-    )?;
-    Ok(StreamOutcome {
-        stats: VolumeStats {
-            slices: outcome.stats.slices,
-            batches: outcome.stats.slabs,
-            worst_residual: outcome.stats.worst_residual,
-            total_iterations,
-        },
-        reader: outcome.reader,
-        writer: outcome.writer,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recon::{ReconOptions, Reconstructor};
+    use xct_exec::ExecContext;
     use xct_fp16::Precision;
     use xct_geometry::ImageGrid;
     use xct_io::{FileKind, SliceFile};
@@ -272,6 +206,19 @@ mod tests {
         truths
     }
 
+    fn volume_writer(path: &std::path::Path, slices: usize, slice_len: usize) -> SliceWriter {
+        SliceWriter::create(
+            path,
+            SliceFile {
+                kind: FileKind::Volume,
+                precision: Precision::Single,
+                slices,
+                slice_len,
+            },
+        )
+        .unwrap()
+    }
+
     #[test]
     fn streams_and_reconstructs_whole_volume() {
         let n = 24;
@@ -281,28 +228,24 @@ mod tests {
         let vol_path = tmp("vol_out.xctd");
         let truths = build_dataset(&recon, slices, &sino_path);
 
-        let reader = SliceReader::open(&sino_path).unwrap();
-        let writer = SliceWriter::create(
-            &vol_path,
-            SliceFile {
-                kind: FileKind::Volume,
-                precision: Precision::Single,
-                slices,
-                slice_len: recon.num_voxels(),
+        let opts = ReconOptions {
+            precision: Precision::Mixed,
+            iterations: 25,
+            ..Default::default()
+        };
+        let mut ctx = ExecContext::parallel();
+        let outcome = stream_slabs(
+            recon.scan(),
+            SliceReader::open(&sino_path).unwrap(),
+            volume_writer(&vol_path, slices, recon.num_voxels()),
+            &[4, 4, 2],
+            opts.iterations,
+            &Telemetry::disabled(),
+            |data, fusing| {
+                let result = recon.reconstruct_in(data, &ReconOptions { fusing, ..opts }, &mut ctx);
+                let residual = *result.report.residual_history.last().unwrap_or(&1.0);
+                (result.x, residual)
             },
-        )
-        .unwrap();
-        let outcome = reconstruct_volume_in(
-            &recon,
-            reader,
-            writer,
-            &ReconOptions {
-                precision: Precision::Mixed,
-                iterations: 25,
-                ..Default::default()
-            },
-            4,
-            &mut ExecContext::parallel(),
         )
         .unwrap();
         outcome.reader.verify_checksum().unwrap();
@@ -310,7 +253,7 @@ mod tests {
         let stats = outcome.stats;
 
         assert_eq!(stats.slices, slices);
-        assert_eq!(stats.batches, 3); // 4 + 4 + 2
+        assert_eq!(stats.slabs, 3);
         assert!(stats.worst_residual < 0.05, "{}", stats.worst_residual);
 
         // Read back and compare to the phantoms.
@@ -332,7 +275,7 @@ mod tests {
 
     #[test]
     fn geometry_mismatch_is_reported() {
-        let recon = Reconstructor::new(ScanGeometry::uniform(ImageGrid::square(16, 1.0), 16));
+        let scan = ScanGeometry::uniform(ImageGrid::square(16, 1.0), 16);
         let path = tmp("mismatch.xctd");
         let meta = SliceFile {
             kind: FileKind::Sinogram,
@@ -344,24 +287,15 @@ mod tests {
         w.write_slice(&vec![0.0; 99]).unwrap();
         w.finish().unwrap();
         let reader = SliceReader::open(&path).unwrap();
-        let vol_path = tmp("mismatch_out.xctd");
-        let writer = SliceWriter::create(
-            &vol_path,
-            SliceFile {
-                kind: FileKind::Volume,
-                precision: Precision::Single,
-                slices: 1,
-                slice_len: 256,
-            },
-        )
-        .unwrap();
-        match reconstruct_volume_in(
-            &recon,
+        let writer = volume_writer(&tmp("mismatch_out.xctd"), 1, 256);
+        match stream_slabs(
+            &scan,
             reader,
             writer,
-            &ReconOptions::default(),
-            2,
-            &mut ExecContext::parallel(),
+            &[1],
+            1,
+            &Telemetry::disabled(),
+            |_, _| unreachable!("a mismatched file is refused before any slab solves"),
         ) {
             Err(PipelineError::Geometry(m)) => assert!(m.contains("99")),
             other => panic!(

@@ -43,8 +43,6 @@ pub enum BufferRole {
     Forward,
     /// Per-iteration update/backprojection buffer.
     Update,
-    /// Regularizer gradient buffer.
-    Gradient,
     /// Distributed partial-footprint values.
     Footprint,
 }

@@ -14,8 +14,8 @@
 //! * [`cgls_in`] — damped CGLS with residual history and a pluggable
 //!   inner-product reducer (the distributed reconstructor in `xct-core`
 //!   injects an allreduce there), a loop over the one iteration body
-//!   [`CglsSolver::step`]; [`sirt_in`] and [`tv_reconstruct_in`] are the
-//!   constrained and regularized companions,
+//!   [`CglsSolver::step`]; [`sirt_in`] is the constrained companion,
+//!   with the same reducer for its residual norms,
 //! * [`PrecisionOperator`] — wraps the fused buffered SpMM kernels with
 //!   adaptive normalization for any [`Precision`](xct_fp16::Precision).
 //!
@@ -27,8 +27,8 @@
 //! [`BufferRole`](xct_exec::BufferRole)), parallel kernel launches go
 //! through its [`Executor`](xct_exec::Executor), and data movement is
 //! metered in its [`ExecCounters`](xct_exec::ExecCounters). Each
-//! algorithm has one entry point — [`cgls_in`], [`sirt_in`],
-//! [`tv_reconstruct_in`] — borrowing a caller-owned context so that
+//! algorithm has one entry point — [`cgls_in`], [`sirt_in`] — borrowing
+//! a caller-owned context so that
 //! repeated solves — and every iteration after the first — reuse warm
 //! buffers and allocate nothing; a one-off caller passes
 //! `&mut ExecContext::serial()`. [`cgls`] does exactly that with the
@@ -44,13 +44,11 @@ mod cgls;
 mod operator;
 mod precision_op;
 mod sirt;
-mod tv;
 
 pub use cgls::{cgls, cgls_in, CglsConfig, CglsReport, CglsSolver, CglsStep};
 pub use operator::{CsrOperator, LinearOperator, SystemMatrixOperator};
 pub use precision_op::PrecisionOperator;
 pub use sirt::{sirt_in, SirtConfig};
-pub use tv::{tv_reconstruct_in, tv_value, TvConfig};
 pub use xct_exec::{
     BufferRole, ExecContext, ExecCounters, Executor, Phase, SpanGuard, Telemetry, Workspace,
 };

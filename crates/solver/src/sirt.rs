@@ -41,11 +41,21 @@ impl Default for SirtConfig {
 /// Runs SIRT inside a caller-owned [`ExecContext`]; all probe and
 /// iteration vectors come from the context's workspace. Returns the same
 /// report shape as CGLS for comparability.
+///
+/// `reduce` is applied, in place, to the squared norms the residual
+/// history needs, as in [`crate::cgls_in`]: `[‖y‖²]` once at set-up and
+/// `[‖y − Ax‖²]` once per iteration, between the forward and the
+/// transpose apply — `1 + N` calls for `N` iterations. A distributed
+/// caller passes an element-wise allreduce-sum; the row and column sums
+/// need none, because its operator's probes already return global
+/// sums. The norms feed the history (and the tolerance) only, never the
+/// iterate. A single process passes `&mut |_| {}`.
 pub fn sirt_in(
     op: &dyn LinearOperator,
     y: &[f32],
     config: &SirtConfig,
     ctx: &mut ExecContext,
+    reduce: &mut dyn FnMut(&mut [f64]),
 ) -> CglsReport {
     assert_eq!(y.len(), op.rows(), "measurement length mismatch");
     assert!(
@@ -78,7 +88,9 @@ pub fn sirt_in(
         *v = inv(*v);
     }
 
-    let y_norm = y.iter().map(|&v| f64::from(v).powi(2)).sum::<f64>().sqrt();
+    let mut y_norm2 = [y.iter().map(|&v| f64::from(v).powi(2)).sum::<f64>()];
+    reduce(&mut y_norm2);
+    let y_norm = y_norm2[0].sqrt();
     let mut x = vec![0.0f32; n];
     let mut ax = ctx.workspace.take::<f32>(BufferRole::Forward, m);
     let mut residual = ctx.workspace.take::<f32>(BufferRole::CgResidual, m);
@@ -94,12 +106,13 @@ pub fn sirt_in(
     for _ in 0..config.max_iters {
         let _iter_span = ctx.telemetry.span(Phase::SolverIteration);
         op.apply(&x, &mut ax, ctx);
-        let mut res_norm = 0.0f64;
+        let mut res_norm2 = [0.0f64];
         for ((res, &yi), (&axi, &ri)) in residual.iter_mut().zip(y).zip(ax.iter().zip(&r_inv)) {
             let raw = yi - axi;
-            res_norm += f64::from(raw).powi(2);
+            res_norm2[0] += f64::from(raw).powi(2);
             *res = raw * ri;
         }
+        reduce(&mut res_norm2);
         op.apply_transpose(&residual, &mut update, ctx);
         for ((xi, &ui), &ci) in x.iter_mut().zip(&update).zip(&c_inv) {
             *xi += config.relaxation * ci * ui;
@@ -109,7 +122,7 @@ pub fn sirt_in(
         }
         iterations += 1;
         let rel = if y_norm > 0.0 {
-            res_norm.sqrt() / y_norm
+            res_norm2[0].sqrt() / y_norm
         } else {
             0.0
         };
@@ -147,7 +160,7 @@ mod tests {
     use xct_geometry::{ImageGrid, ScanGeometry, SystemMatrix};
 
     fn sirt(op: &dyn LinearOperator, y: &[f32], config: &SirtConfig) -> CglsReport {
-        sirt_in(op, y, config, &mut ExecContext::serial())
+        sirt_in(op, y, config, &mut ExecContext::serial(), &mut |_| {})
     }
 
     fn disk_setup(n: usize, angles: usize) -> (SystemMatrix, Vec<f32>, Vec<f32>) {
@@ -313,10 +326,51 @@ mod tests {
             max_iters: 5,
             ..Default::default()
         };
-        sirt_in(&op, &y, &config, &mut ctx);
+        sirt_in(&op, &y, &config, &mut ctx, &mut |_| {});
         let warm = ctx.workspace.alloc_events();
-        sirt_in(&op, &y, &config, &mut ctx);
+        sirt_in(&op, &y, &config, &mut ctx, &mut |_| {});
         assert_eq!(ctx.workspace.alloc_events(), warm);
+    }
+
+    #[test]
+    fn a_doubling_reducer_leaves_the_iterate_alone() {
+        // Doubling every reduced entry doubles ‖y‖² and every ‖y − Ax‖²
+        // alike: the iterate never reads them, and the history is their
+        // ratio.
+        let (sm, _, y) = disk_setup(12, 16);
+        let op = SystemMatrixOperator::new(&sm);
+        let config = SirtConfig {
+            max_iters: 7,
+            nonneg: true,
+            ..Default::default()
+        };
+        let plain = sirt(&op, &y, &config);
+        let doubled = sirt_in(&op, &y, &config, &mut ExecContext::serial(), &mut |vals| {
+            for v in vals {
+                *v *= 2.0;
+            }
+        });
+        let bits = |x: &[f32]| -> Vec<u32> { x.iter().map(|v| v.to_bits()).collect() };
+        assert_eq!(bits(&doubled.x), bits(&plain.x));
+        assert_eq!(doubled.residual_history.len(), plain.residual_history.len());
+        for (a, b) in doubled.residual_history.iter().zip(&plain.residual_history) {
+            assert!((a - b).abs() <= 1e-12 * b.abs(), "{a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn the_reducer_sees_one_norm_at_set_up_and_one_per_iteration() {
+        let (sm, _, y) = disk_setup(12, 16);
+        let op = SystemMatrixOperator::new(&sm);
+        let config = SirtConfig {
+            max_iters: 5,
+            ..Default::default()
+        };
+        let mut lengths = Vec::new();
+        sirt_in(&op, &y, &config, &mut ExecContext::serial(), &mut |vals| {
+            lengths.push(vals.len())
+        });
+        assert_eq!(lengths, vec![1; 1 + config.max_iters]);
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub enum Phase {
     /// closes. Kept separate from the exchange phases so pipeline stall
     /// time never inflates the enclosing compute span's self time.
     CommWait,
-    /// One solver iteration (CGLS/SIRT/TV outer step).
+    /// One solver iteration (CGLS/SIRT outer step).
     SolverIteration,
     /// Solver bookkeeping outside the iteration loop: probes, initial
     /// residuals, workspace priming.

@@ -9,13 +9,10 @@
 //! ```
 
 use petaxct::analytic::{filtered_backprojection, FilterKind};
-use petaxct::core::{ReconOptions, Reconstructor};
+use petaxct::core::{Algorithm, ReconOptions, Reconstructor};
 use petaxct::fp16::Precision;
 use petaxct::geometry::{ImageGrid, ScanGeometry};
 use petaxct::phantom::{add_poisson_noise, chip_like, snr_db, Image2D};
-use petaxct::solver::{
-    sirt_in, tv_reconstruct_in, ExecContext, SirtConfig, SystemMatrixOperator, TvConfig,
-};
 
 fn relative_error(x: &[f32], truth: &Image2D) -> f64 {
     let num: f64 = x
@@ -104,10 +101,9 @@ fn main() {
     );
 
     // (d) Method shoot-out on the same noisy data: the analytical
-    // baseline, plain CG, SIRT with nonnegativity, and TV-regularized
-    // reconstruction (the R(x) of Eq. 1).
+    // baseline, plain CG, and SIRT with nonnegativity (the constraint C
+    // of Eq. 1), both iterative methods through the same reconstructor.
     println!("\nmethod shoot-out on the noisy chip:");
-    let op = SystemMatrixOperator::new(recon.system_matrix());
     let fbp = filtered_backprojection(recon.scan(), &noisy, FilterKind::RamLak);
     println!(
         "  {:<22} image error {:.5}",
@@ -127,37 +123,18 @@ fn main() {
         "CGLS (24 it, mixed)",
         relative_error(&cg.x, &chip)
     );
-    let s = sirt_in(
-        &op,
+    let s = recon.reconstruct(
         &noisy,
-        &SirtConfig {
-            max_iters: 100,
-            nonneg: true,
+        &ReconOptions {
+            algorithm: Algorithm::Sirt,
+            precision: Precision::Mixed,
+            iterations: 100,
             ..Default::default()
         },
-        &mut ExecContext::serial(),
     );
     println!(
         "  {:<22} image error {:.5}",
-        "SIRT+nonneg (100 it)",
+        "SIRT (100 it, mixed)",
         relative_error(&s.x, &chip)
-    );
-    let tv = tv_reconstruct_in(
-        &op,
-        &noisy,
-        n,
-        n,
-        &TvConfig {
-            iterations: 300,
-            lambda: 0.05,
-            epsilon: 0.005,
-            nonneg: true,
-        },
-        &mut ExecContext::serial(),
-    );
-    println!(
-        "  {:<22} image error {:.5}",
-        "TV (lambda=0.05)",
-        relative_error(&tv.x, &chip)
     );
 }

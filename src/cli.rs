@@ -16,10 +16,10 @@ use xct_comm::{CommReport, CompiledPlans, HierarchicalPlan, Topology, WireModel}
 use xct_core::distributed::{reconstruct_distributed, DistributedConfig};
 use xct_core::model::{ModelExperiment, OptLevel};
 use xct_core::{
-    build_profile_report, reconstruct_planned, reconstruct_volume_in, stream_slabs, Algorithm,
-    ProfileInputs, ReconOptions, Reconstructor,
+    build_profile_report, reconstruct_planned, stream_slabs, Algorithm, ProfileInputs,
+    Reconstructor,
 };
-use xct_exec::{ExecContext, ExecCounters};
+use xct_exec::ExecCounters;
 use xct_fp16::Precision;
 use xct_geometry::{ImageGrid, ScanGeometry, SystemMatrix};
 use xct_hilbert::{CurveKind, Domain2D, Subdomain, TileDecomposition};
@@ -423,23 +423,23 @@ const COMMANDS: &[Command] = &[
         flags: "\
 --in FILE --out FILE
 [--precision double|single|half|mixed] [--iterations 24]
-[--batch 8] [--damping 0] [--solver cgls|sirt|tv]
+[--batch 8] [--solver cgls|sirt]
+[--damping 0]             CGLS's Tikhonov weight (SIRT does
+                          not damp)
 [--tune-from FILE]        use the best kernel shape from a
                           petaxct-tune-v1 artifact (block
                           size, staging bytes; its fusing
                           is the default --batch)
 [--topology NxSxG]        simulate N nodes x S sockets x G GPUs
-                          (distributed CGLS, undamped)
+                          (default 1x1x1: one process)
 [--memory-budget BYTES]   per-rank device-memory budget: the
                           planner picks the largest slice batch
                           that fits (paper Sec. III-A3) and
                           streams slabs through I/O when the
                           stack no longer fits at once
-                          (implies --topology 1x1x1)
 [--stream]                force out-of-core execution: split
                           the stack into at least two slabs
                           and page them through I/O
-                          (implies --topology 1x1x1)
 [--overlap]               post every fused slice's global exchange
                           before draining any (one wire latency)
 [--verify-plans]          statically verify the communication
@@ -481,10 +481,7 @@ const COMMANDS: &[Command] = &[
                           instead of uniform cell counts
                           (offline rebalance; plan_fits
                           still gates the weighted plan)",
-        about: "\
---overlap, --verify-plans, --wire, --profile-out and --weights-from
-are read by distributed runs only (--topology, --memory-budget or
---stream), and those solve with CGLS",
+        about: "",
         run: reconstruct,
     },
     Command {
@@ -691,17 +688,6 @@ fn reconstruct(flags: &Flags) -> Result<String, CliError> {
     }
 }
 
-/// `reconstruct` flags that select its distributed arm.
-const SELECTS_DISTRIBUTED: [&str; 3] = ["topology", "memory-budget", "stream"];
-/// `reconstruct` flags only its distributed arm reads.
-const NEEDS_DISTRIBUTED: [&str; 5] = [
-    "overlap",
-    "wire",
-    "verify-plans",
-    "weights-from",
-    "profile-out",
-];
-
 fn reconstruct_inner(
     flags: &Flags,
     telemetry: &Telemetry,
@@ -730,46 +716,23 @@ fn reconstruct_inner(
         })
         .transpose()?;
     let stream = flags.switch("stream");
-    let mut topology = flags.get("topology").map(parse_topology).transpose()?;
-    if topology.is_none() && (budget.is_some() || stream) {
-        // A budgeted or forced-streaming run is a planned run; default
-        // to the smallest simulated machine.
-        topology = Some(Topology::new(1, 1, 1));
-    }
-
+    // Every run is a planned run; one process is the smallest simulated
+    // machine.
+    let topology = flags
+        .get("topology")
+        .map(parse_topology)
+        .transpose()?
+        .unwrap_or(Topology::new(1, 1, 1));
     let solver = flags.get("solver").unwrap_or("cgls").to_owned();
     let algorithm = match solver.as_str() {
-        "cgls" => Algorithm::Cgls,
-        "sirt" => Algorithm::Sirt {
-            relaxation: 1.0,
-            nonneg: true,
-        },
-        "tv" => Algorithm::Tv {
-            lambda: 0.1,
-            epsilon: 0.005,
-        },
+        "cgls" => Algorithm::Cgls { damping },
+        "sirt" => Algorithm::Sirt,
         other => {
             return Err(CliError(format!(
-                "unknown solver {other:?}; expected cgls|sirt|tv"
+                "unknown solver {other:?}; expected cgls|sirt"
             )))
         }
     };
-    // Each arm reads its own flags; one the chosen arm would drop is an
-    // error, not a run that quietly ignored it.
-    let (dropped, needs) = match (algorithm, &topology) {
-        (Algorithm::Cgls, Some(_)) => (vec!["damping"], "is read by serial runs only"),
-        (Algorithm::Cgls, None) => (
-            NEEDS_DISTRIBUTED.to_vec(),
-            "needs a distributed run: add --topology NxSxG (or --memory-budget / --stream)",
-        ),
-        _ => (
-            [&SELECTS_DISTRIBUTED[..], &NEEDS_DISTRIBUTED].concat(),
-            "needs --solver cgls: distributed runs solve with CGLS",
-        ),
-    };
-    if let Some(flag) = dropped.iter().find(|flag| flags.get(flag).is_some()) {
-        return Err(CliError(format!("--{flag} {needs}")));
-    }
     let (reader, angles, n) = open_sinogram(&input)?;
     let slices = reader.meta().slices;
     let scan = scan_for(n, angles);
@@ -785,142 +748,102 @@ fn reconstruct_inner(
     // The whole command runs under one root span so the breakdown's
     // coverage is measured against a well-defined wall time.
     let total_span = telemetry.span(Phase::Total);
-    match (algorithm, &topology) {
-        (Algorithm::Cgls, Some(topology)) => {
-            // Distributed mode: plan first (the paper's §III-A3 rule
-            // against the optional memory budget), statically verify the
-            // plan, then execute it slab by slab — every slab runs the
-            // full multi-rank pipeline, and non-resident slabs page
-            // through I/O on background threads.
-            let overlap = flags.switch("overlap");
-            let wire = flags
-                .get("wire")
-                .map(|spec| parse_wire(spec, topology))
-                .transpose()?;
-            let verify_plans = flags.switch("verify-plans");
-            let mut max_fusing = batch.max(1);
-            if stream && slices > 1 {
-                // Force out-of-core execution: at least two slabs, so
-                // every slab pages through xct-io.
-                max_fusing = max_fusing.min(slices.div_ceil(2));
-            }
-            let planner = Planner {
-                precision,
-                hierarchical: true,
-                overlap,
-                max_fusing,
-                kernel: tuned.as_ref().map(|t| t.shape()),
-            };
-            let mut plan = planner
-                .plan(VolumeDims { n, slices }, angles, budget, *topology)
-                .map_err(|e| CliError(format!("{e}")))?;
-            // Measured tile weights (petaxct profile → --weights-from)
-            // ride on the plan so plan_fits gates them like every other
-            // promise before the decomposition re-runs with them.
-            let weights = flags
-                .get("weights-from")
-                .map(load_profile_weights)
-                .transpose()?;
-            if let Some(w) = weights {
-                plan = plan.with_tile_weights(w);
-            }
-            check_fits(&plan)?;
-            let profile_out = flags.get("profile-out").map(str::to_owned);
-            let base = DistributedConfig {
-                iterations,
-                wire,
-                telemetry: telemetry.clone(),
-                verify_plans,
-                ..Default::default()
-            };
-            let outcome = reconstruct_planned(&scan, &plan, reader, writer, &base)?;
-            let stats = outcome.stats;
-            outcome.reader.verify_checksum()?;
-            outcome.writer.finish()?;
-            let comm_report = CommReport::new(stats.comm_stats.clone());
-            let plan_note = match plan.budget_bytes {
-                Some(b) => format!(
-                    "\nplan: fusing {}, {} slabs, peak {} B/rank within budget {b} B",
-                    plan.fusing,
-                    plan.slabs.len(),
-                    plan.per_rank_bytes()
-                ),
-                None => String::new(),
-            };
-            let text = format!(
-                "reconstructed {} slices in {} batches on {} simulated ranks ({} precision, {} iters/batch{}{}{}{}{}); worst residual {:.5}; volume in {out}{plan_note}",
-                stats.slices, stats.slabs, topology.size(), precision, iterations,
-                if overlap { ", comm overlapped" } else { "" },
-                if base.wire.is_some() { ", wired" } else { "" },
-                if verify_plans { ", plans verified" } else { "" },
-                if stats.streamed { ", streamed" } else { "" },
-                if plan.tile_weights.is_some() { ", rebalanced" } else { "" },
-                stats.worst_residual
-            );
-            drop(total_span);
-            let profile_note = match &profile_out {
-                Some(path) => {
-                    // Attribute per-tile costs at the tile size the
-                    // executor decomposed at.
-                    let tile = DistributedConfig::from_plan(&plan, &base).tile;
-                    let report = build_profile_artifact(
-                        &scan, &plan, *topology, precision, iterations, tile, telemetry,
-                    );
-                    write_file(path, &report.to_json().to_string())?;
-                    format!(
-                        "\nprofile: max rank slack {} ns, max/mean tile cost {:.2}; wrote {path}",
-                        report.skew.max_rank_slack_ns,
-                        report.skew.max_over_mean(),
-                    )
-                }
-                None => String::new(),
-            };
-            Ok(text
-                + &profile_note
-                + &tel_args.emit(
-                    telemetry,
-                    "reconstruct",
-                    &stats.counters,
-                    Some(&comm_report),
-                )?)
-        }
-        // Serial mode (and every SIRT/TV run): memoize the operator
-        // once, then stream I/O batches through it.
-        _ => {
-            let recon = Reconstructor::new(scan);
-            let mut opts = ReconOptions {
-                algorithm,
-                precision,
-                iterations,
-                damping,
-                ..Default::default()
-            };
-            if let Some(t) = &tuned {
-                opts.block_size = t.block_size;
-                opts.shared_bytes = t.shared_bytes;
-            }
-            // TV couples voxels within a slice grid: process per slice.
-            let per_call = if solver == "tv" { 1 } else { batch };
-            let mut ctx = ExecContext::parallel().with_telemetry(telemetry.clone());
-            let outcome = reconstruct_volume_in(&recon, reader, writer, &opts, per_call, &mut ctx)?;
-            outcome.reader.verify_checksum()?;
-            outcome.writer.finish()?;
-            let stats = outcome.stats;
-            let text = if solver == "cgls" {
-                format!(
-                    "reconstructed {} slices in {} batches ({} precision, {} iters/batch); worst residual {:.5}; volume in {out}",
-                    stats.slices, stats.batches, precision, iterations, stats.worst_residual
-                )
-            } else {
-                format!(
-                    "reconstructed {} slices with {solver} ({precision} precision); volume in {out}",
-                    stats.slices
-                )
-            };
-            drop(total_span);
-            Ok(text + &tel_args.emit(telemetry, "reconstruct", &ctx.counters, None)?)
-        }
+    // Plan first (the paper's §III-A3 rule against the optional memory
+    // budget), statically verify the plan, then execute it slab by slab —
+    // every slab runs the full pipeline on the simulated ranks, and
+    // non-resident slabs page through I/O on background threads.
+    let overlap = flags.switch("overlap");
+    let wire = flags
+        .get("wire")
+        .map(|spec| parse_wire(spec, &topology))
+        .transpose()?;
+    let verify_plans = flags.switch("verify-plans");
+    let mut max_fusing = batch.max(1);
+    if stream && slices > 1 {
+        // Force out-of-core execution: at least two slabs, so every slab
+        // pages through xct-io.
+        max_fusing = max_fusing.min(slices.div_ceil(2));
     }
+    let planner = Planner {
+        precision,
+        hierarchical: true,
+        overlap,
+        max_fusing,
+        kernel: tuned.as_ref().map(|t| t.shape()),
+    };
+    let mut plan = planner
+        .plan(VolumeDims { n, slices }, angles, budget, topology)
+        .map_err(|e| CliError(format!("{e}")))?;
+    // Measured tile weights (petaxct profile → --weights-from) ride on
+    // the plan so plan_fits gates them like every other promise before
+    // the decomposition re-runs with them.
+    let weights = flags
+        .get("weights-from")
+        .map(load_profile_weights)
+        .transpose()?;
+    if let Some(w) = weights {
+        plan = plan.with_tile_weights(w);
+    }
+    check_fits(&plan)?;
+    let profile_out = flags.get("profile-out").map(str::to_owned);
+    let base = DistributedConfig {
+        algorithm,
+        iterations,
+        wire,
+        telemetry: telemetry.clone(),
+        verify_plans,
+        ..Default::default()
+    };
+    let outcome = reconstruct_planned(&scan, &plan, reader, writer, &base)?;
+    let stats = outcome.stats;
+    outcome.reader.verify_checksum()?;
+    outcome.writer.finish()?;
+    let comm_report = CommReport::new(stats.comm_stats.clone());
+    let plan_note = match plan.budget_bytes {
+        Some(b) => format!(
+            "\nplan: fusing {}, {} slabs, peak {} B/rank within budget {b} B",
+            plan.fusing,
+            plan.slabs.len(),
+            plan.per_rank_bytes()
+        ),
+        None => String::new(),
+    };
+    let text = format!(
+        "reconstructed {} slices in {} batches on {} simulated ranks ({solver}, {} precision, {} iters/batch{}{}{}{}{}); worst residual {:.5}; volume in {out}{plan_note}",
+        stats.slices, stats.slabs, topology.size(), precision, iterations,
+        if overlap { ", comm overlapped" } else { "" },
+        if base.wire.is_some() { ", wired" } else { "" },
+        if verify_plans { ", plans verified" } else { "" },
+        if stats.streamed { ", streamed" } else { "" },
+        if plan.tile_weights.is_some() { ", rebalanced" } else { "" },
+        stats.worst_residual
+    );
+    drop(total_span);
+    let profile_note = match &profile_out {
+        Some(path) => {
+            // Attribute per-tile costs at the tile size the executor
+            // decomposed at.
+            let tile = DistributedConfig::from_plan(&plan, &base).tile;
+            let report = build_profile_artifact(
+                &scan, &plan, topology, precision, iterations, tile, telemetry,
+            );
+            write_file(path, &report.to_json().to_string())?;
+            format!(
+                "\nprofile: max rank slack {} ns, max/mean tile cost {:.2}; wrote {path}",
+                report.skew.max_rank_slack_ns,
+                report.skew.max_over_mean(),
+            )
+        }
+        None => String::new(),
+    };
+    Ok(text
+        + &profile_note
+        + &tel_args.emit(
+            telemetry,
+            "reconstruct",
+            &stats.counters,
+            Some(&comm_report),
+        )?)
 }
 
 /// Loads a `petaxct-tune-v1` artifact and returns its winning point.
@@ -1628,47 +1551,35 @@ mod tests {
     }
 
     #[test]
-    fn a_flag_the_chosen_reconstruct_arm_would_drop_is_refused() {
+    fn every_reconstruct_flag_is_read_whatever_the_solver_and_topology() {
+        // One arm reads every flag: a distributed flag without a topology
+        // (the default 1x1x1), SIRT with any of them and damping on ranks
+        // all get as far as the file, and fail as a run without them
+        // does. TV is no solver.
         let base = ["reconstruct", "--in", "/nonexistent", "--out", "/tmp/y"];
-        let refused = |extra: &[&str]| run_cmd(&[&base[..], extra].concat()).unwrap_err().0;
-        // Serial CGLS: everything only the distributed arm reads.
-        for flag in NEEDS_DISTRIBUTED {
-            let err = refused(&[&format!("--{flag}")]);
-            assert!(
-                err.contains(&format!("--{flag}")) && err.contains("--topology"),
-                "{err}"
-            );
+        let error = |extra: &[&str]| run_cmd(&[&base[..], extra].concat()).unwrap_err().0;
+        let missing = error(&[]);
+        for extra in [
+            &["--overlap", "--wire", "--verify-plans"][..],
+            &["--profile-out", "/tmp/p.json"][..],
+            &["--weights-from", "/tmp/w.json"][..],
+            &[
+                "--solver",
+                "sirt",
+                "--topology",
+                "1x2x2",
+                "--overlap",
+                "--wire",
+            ][..],
+            &["--solver", "sirt", "--memory-budget", "1000000"][..],
+            &["--solver", "sirt", "--stream", "--verify-plans"][..],
+            &["--topology", "1x2x2", "--damping", "0.1"][..],
+            &["--damping", "0.1", "--solver", "sirt"][..],
+        ] {
+            assert_eq!(error(extra), missing, "{extra:?}");
         }
-        // SIRT / TV have no distributed arm.
-        for solver in ["sirt", "tv"] {
-            for extra in [
-                &["--topology", "1x2x2"][..],
-                &["--memory-budget", "1000000"][..],
-                &["--stream"][..],
-                &["--topology", "1x2x2", "--overlap", "--wire"][..],
-                &["--verify-plans"][..],
-            ] {
-                let err = refused(&[&["--solver", solver][..], extra].concat());
-                assert!(
-                    err.contains(extra[0]) && err.contains("--solver cgls"),
-                    "{solver} {extra:?}: {err}"
-                );
-            }
-        }
-        // Distributed CGLS does not damp.
-        let err = refused(&["--topology", "1x2x2", "--damping", "0.1"]);
-        assert!(err.contains("--damping") && err.contains("serial"), "{err}");
-        // The same flags on the arm that reads them get as far as the file.
-        let err = refused(&[
-            "--topology",
-            "1x2x2",
-            "--overlap",
-            "--wire",
-            "--verify-plans",
-        ]);
-        assert!(!err.contains("--overlap"), "{err}");
-        let err = refused(&["--damping", "0.1", "--solver", "sirt"]);
-        assert!(!err.contains("--damping"), "{err}");
+        let err = error(&["--solver", "tv"]);
+        assert!(err.contains("unknown solver \"tv\""), "{err}");
     }
 
     #[test]
@@ -1806,7 +1717,7 @@ mod tests {
     }
 
     #[test]
-    fn sirt_and_tv_solvers_via_cli() {
+    fn sirt_and_damped_cgls_via_cli_on_every_topology() {
         let sino = tmp("cli_solver_sino.xctd");
         run_cmd(&[
             "simulate",
@@ -1822,32 +1733,50 @@ mod tests {
             "2",
         ])
         .unwrap();
-        for solver in ["sirt", "tv"] {
-            let vol = tmp(&format!("cli_solver_{solver}.xctd"));
-            let out = run_cmd(&[
+        for (extra, label, ranks) in [
+            (&["--solver", "sirt"][..], "sirt", 1),
+            (&["--solver", "sirt", "--topology", "1x2x2"][..], "sirt", 4),
+            (&["--damping", "0.1", "--topology", "1x2x2"][..], "cgls", 4),
+        ] {
+            let vol = tmp(&format!("cli_solver_{label}_{ranks}.xctd"));
+            let _ = std::fs::remove_file(&vol);
+            let args = [
+                &[
+                    "reconstruct",
+                    "--in",
+                    &sino,
+                    "--out",
+                    &vol,
+                    "--iterations",
+                    "30",
+                ][..],
+                extra,
+            ]
+            .concat();
+            let out = run_cmd(&args).unwrap();
+            assert!(
+                out.contains(&format!("on {ranks} simulated ranks ({label},")),
+                "{extra:?}: {out}"
+            );
+            let mut volume = SliceReader::open(&vol).unwrap();
+            assert_eq!(volume.meta().slices, 2, "{extra:?}");
+            volume.read_batch(2).unwrap().unwrap();
+            volume.verify_checksum().unwrap();
+        }
+        for solver in ["magic", "tv"] {
+            let err = run_cmd(&[
                 "reconstruct",
                 "--in",
                 &sino,
                 "--out",
-                &vol,
+                "/tmp/x",
                 "--solver",
                 solver,
-                "--iterations",
-                "30",
             ])
-            .unwrap();
-            assert!(out.contains(&format!("with {solver}")), "{out}");
+            .unwrap_err()
+            .0;
+            assert!(err.contains("unknown solver"), "{solver}: {err}");
         }
-        assert!(run_cmd(&[
-            "reconstruct",
-            "--in",
-            &sino,
-            "--out",
-            "/tmp/x",
-            "--solver",
-            "magic"
-        ])
-        .is_err());
     }
 
     #[test]

@@ -135,7 +135,8 @@ fn repeated_reconstruct_in_allocates_only_its_result() {
         allocations() - before
     };
     let (first, second, third) = (call(), call(), call());
-    // Measured: 140, 3, 3 (the volume, the residual and time histories).
+    // Measured: 157, 4, 4 (the volume, the residual and time histories,
+    // the one rank's traffic record: this is the one-rank `run`).
     assert!(
         second <= 8,
         "a call on a packed operator allocated {second} times"
@@ -167,20 +168,24 @@ fn repeated_one_rank_run_allocates_only_its_result() {
         &scan,
         &DistributedConfig {
             topology: Topology::new(1, 1, 1),
-            iterations: 6,
             ..Default::default()
         },
     );
+    let opts = ReconOptions {
+        fusing,
+        iterations: 6,
+        ..Default::default()
+    };
     let mut ctx = ExecContext::serial();
     let mut call = || {
         let before = allocations();
-        let result = setup.run(&sinogram, fusing, &mut ctx);
+        let result = setup.run(&sinogram, &opts, &mut ctx);
         assert_eq!(result.x.len(), sm.num_voxels() * fusing);
         allocations() - before
     };
     let (first, second, third) = (call(), call(), call());
-    // Measured: 168, 4, 4 (reconstruct_in's three plus the one rank's
-    // traffic record).
+    // Measured: 157, 4, 4 (the volume, the residual and time histories,
+    // the one rank's traffic record).
     assert!(
         second <= 8,
         "a run on a packed operator allocated {second} times"
