@@ -130,10 +130,11 @@ impl Role {
 /// §3h/§3i; widening it is a reviewed change to this file.
 pub const SANCTIONED_UNSAFE: &[&str] = &[
     // The SIMD boundary (DESIGN.md §3h): the call into the
-    // runtime-detected AVX2/FMA/F16C kernel and its vector loads and
-    // stores through array references, behind a scalar-identical
-    // contract. Compiled on x86-64 only, where its crate root lifts the
-    // forbid.
+    // runtime-detected AVX2/FMA/F16C kernel, its vector loads and
+    // stores through array references, and the round walk's unchecked
+    // slot reads under the stage bound asserted once per stage, behind
+    // a scalar-identical contract. Compiled on x86-64 only, where its
+    // crate root lifts the forbid.
     "crates/spmm/src/simd.rs",
     // The bulk half↔single conversions (DESIGN.md §3h): `vcvtph2ps` /
     // `vcvtps2ph` behind runtime F16C detection, eight values per

@@ -182,7 +182,10 @@ impl CglsStep {
 /// classic form; the set-up (`r = y`, `s = Aᵀy`) reduces nothing. The
 /// reduction also yields `‖r‖` of the iterate the step starts from, so
 /// the residual history costs no extra round except after the last
-/// iteration ([`residual`](Self::residual)).
+/// iteration ([`residual`](Self::residual)). The three local products
+/// are formed in one pass over `s`, `t` and `r`, three independent
+/// `f64` sums each kept in index order — the bits of three separate dot
+/// products, without their three serial add chains.
 ///
 /// The Krylov state (`r`, `s`, `p`, `q`) and the work vector `t` are
 /// taken from the [`ExecContext`]'s workspace and go back in
@@ -265,7 +268,7 @@ impl CglsSolver {
         // t = A·s
         op.apply(s, t, ctx);
         // The iteration's one round: γ, ‖t‖² and ‖r‖² are independent.
-        let mut products = [dot(s, s), dot(t, t), dot(r, r)];
+        let mut products = squared_norms(s, t, r);
         reduce(&mut products);
         let [gamma, t_norm2, r_norm2] = products;
         if self.previous.is_none() {
@@ -366,6 +369,35 @@ fn dot(a: &[f32], b: &[f32]) -> f64 {
         .zip(b)
         .map(|(&p, &q)| f64::from(p) * f64::from(q))
         .sum()
+}
+
+/// `[(s,s), (t,t), (r,r)]` in one pass over the three vectors — three
+/// independent `f64` chains interleaved, where three [`dot`]s would run
+/// one add-latency-bound chain after another — over their common prefix
+/// and then each tail (`s` is `n` long, `t` and `r` are `m`). Every sum
+/// still adds its terms in index order from `-0.0`, as `Iterator::sum`
+/// does, so each is bit for bit its [`dot`].
+fn squared_norms(s: &[f32], t: &[f32], r: &[f32]) -> [f64; 3] {
+    debug_assert_eq!(t.len(), r.len(), "t and r are both m long");
+    let square = |v: f32| f64::from(v) * f64::from(v);
+    let common = s.len().min(t.len());
+    let (mut ss, mut tt, mut rr) = (-0.0f64, -0.0f64, -0.0f64);
+    let (s, s_tail) = s.split_at(common);
+    let (t, t_tail) = t.split_at(common);
+    let (r, r_tail) = r.split_at(common);
+    for ((&si, &ti), &ri) in s.iter().zip(t).zip(r) {
+        ss += square(si);
+        tt += square(ti);
+        rr += square(ri);
+    }
+    for &si in s_tail {
+        ss += square(si);
+    }
+    for (&ti, &ri) in t_tail.iter().zip(r_tail) {
+        tt += square(ti);
+        rr += square(ri);
+    }
+    [ss, tt, rr]
 }
 
 /// `y += alpha * x`.
@@ -801,6 +833,71 @@ mod tests {
         assert!(x_gap <= 1e-4, "damped iterates differ by {x_gap:e}");
         let apart = history_gap(&undamped.residual_history, &classic.residual_history);
         assert!(apart > 0.1, "λ = 1.5 must change the solve ({apart:e})");
+    }
+
+    /// Deterministic values in `[-1, 1)` with a few exact zeros and
+    /// negative zeros among them.
+    fn values(len: usize, seed: u32) -> Vec<f32> {
+        (0..len as u32)
+            .map(|i| match (i * 7 + seed) % 23 {
+                0 => 0.0,
+                1 => -0.0,
+                k => (k as f32 - 11.5) / 11.5 * (1.0 + (i % 5) as f32 / 3.0),
+            })
+            .collect()
+    }
+
+    /// The one pass forms each product bit for bit as its own `dot`,
+    /// whichever of `s` (`n` long) and `t`, `r` (`m` long) is longer.
+    #[test]
+    fn one_pass_products_are_three_dots() {
+        for (n, m) in [(37, 100), (100, 37), (64, 64), (0, 5), (5, 0)] {
+            let (s, t, r) = (values(n, 1), values(m, 2), values(m, 3));
+            let bits = |v: [f64; 3]| v.map(f64::to_bits);
+            assert_eq!(
+                bits(squared_norms(&s, &t, &r)),
+                bits([dot(&s, &s), dot(&t, &t), dot(&r, &r)]),
+                "n = {n}, m = {m}"
+            );
+        }
+    }
+
+    /// 64-bit FNV-1a over the bits of a solve's residual history and
+    /// iterate.
+    fn report_digest(report: &CglsReport) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let history = report.residual_history.iter().map(|v| v.to_bits());
+        let x = report.x.iter().map(|v| u64::from(v.to_bits()));
+        for word in history.chain(x) {
+            for byte in word.to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        hash
+    }
+
+    /// A damped solve on an operator with more rays than voxels, and an
+    /// undamped one on an operator with fewer, bit for bit as recorded
+    /// before the iteration formed its three products in one pass.
+    #[test]
+    fn non_square_solves_are_the_recorded_ones() {
+        let mut digests = Vec::new();
+        for (n, angles, damping) in [(12, 20, 0.5), (16, 6, 0.0)] {
+            let scan = ScanGeometry::uniform(ImageGrid::square(n, 1.0), angles);
+            let sm = SystemMatrix::build(&scan);
+            let op = SystemMatrixOperator::new(&sm);
+            assert_ne!(op.rows() > op.cols(), damping == 0.0);
+            let x_true = values(op.cols(), 5);
+            let mut y = vec![0.0f32; op.rows()];
+            op.apply(&x_true, &mut y, &mut ExecContext::serial());
+            let config = CglsConfig {
+                max_iters: 9,
+                tolerance: 0.0,
+                damping,
+            };
+            digests.push(report_digest(&cgls(&op, &y, &config)));
+        }
+        assert_eq!(digests, [8643335791780420810, 15988791500704429730]);
     }
 
     #[test]

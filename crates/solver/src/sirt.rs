@@ -42,14 +42,22 @@ impl Default for SirtConfig {
 /// iteration vectors come from the context's workspace. Returns the same
 /// report shape as CGLS for comparability.
 ///
+/// `history[k]` is the relative residual `‖y − A·x‖/‖y‖` of the iterate
+/// after `k` updates, and the last entry is the returned iterate's. Each
+/// iteration measures the iterate it starts from with the forward apply
+/// its update needs anyway, so only the iterate the last update leaves
+/// costs one more forward apply, after the loop — none when the
+/// tolerance stops the solve, which returns the iterate it measured.
+///
 /// `reduce` is applied, in place, to the squared norms the residual
-/// history needs, as in [`crate::cgls_in`]: `[‖y‖²]` once at set-up and
+/// history needs, as in [`crate::cgls_in`]: `[‖y‖²]` once at set-up,
 /// `[‖y − Ax‖²]` once per iteration, between the forward and the
-/// transpose apply — `1 + N` calls for `N` iterations. A distributed
-/// caller passes an element-wise allreduce-sum; the row and column sums
-/// need none, because its operator's probes already return global
-/// sums. The norms feed the history (and the tolerance) only, never the
-/// iterate. A single process passes `&mut |_| {}`.
+/// transpose apply, and once more for the last iterate — `2 + N` calls
+/// for `N` iterations that run to the cap. A distributed caller passes
+/// an element-wise allreduce-sum; the row and column sums need none,
+/// because its operator's probes already return global sums. The norms
+/// feed the history (and the tolerance) only, never the iterate. A
+/// single process passes `&mut |_| {}`.
 pub fn sirt_in(
     op: &dyn LinearOperator,
     y: &[f32],
@@ -100,12 +108,12 @@ pub fn sirt_in(
     let mut times = Vec::with_capacity(config.max_iters + 1);
     times.push(t0.elapsed().as_secs_f64());
     let mut converged = false;
-    let mut iterations = 0;
     drop(setup_span);
 
-    for _ in 0..config.max_iters {
-        let _iter_span = ctx.telemetry.span(Phase::SolverIteration);
-        op.apply(&x, &mut ax, ctx);
+    // `‖y − A·x‖/‖y‖` of the current `x`, leaving `R·(y − A·x)` in
+    // `residual`: one forward apply and one reduction.
+    let mut measure = |x: &[f32], residual: &mut [f32], ctx: &mut ExecContext| {
+        op.apply(x, &mut ax, ctx);
         let mut res_norm2 = [0.0f64];
         for ((res, &yi), (&axi, &ri)) in residual.iter_mut().zip(y).zip(ax.iter().zip(&r_inv)) {
             let raw = yi - axi;
@@ -113,6 +121,29 @@ pub fn sirt_in(
             *res = raw * ri;
         }
         reduce(&mut res_norm2);
+        if y_norm > 0.0 {
+            res_norm2[0].sqrt() / y_norm
+        } else {
+            0.0
+        }
+    };
+    let record = |history: &mut Vec<f64>, rel: f64, ctx: &mut ExecContext| {
+        history.push(rel);
+        ctx.telemetry.event("sirt.residual", rel);
+        ctx.telemetry.gauge_set(MetricId::SolverResidual, rel);
+    };
+    for iteration in 0..config.max_iters {
+        let _iter_span = ctx.telemetry.span(Phase::SolverIteration);
+        // The iterate after `iteration` updates; the zero iterate's
+        // entry is the initial 1.0.
+        let rel = measure(&x, &mut residual, ctx);
+        if iteration > 0 {
+            record(&mut history, rel, ctx);
+            if config.tolerance > 0.0 && rel <= config.tolerance {
+                converged = true;
+                break;
+            }
+        }
         op.apply_transpose(&residual, &mut update, ctx);
         for ((xi, &ui), &ci) in x.iter_mut().zip(&update).zip(&c_inv) {
             *xi += config.relaxation * ci * ui;
@@ -120,22 +151,16 @@ pub fn sirt_in(
                 *xi = 0.0;
             }
         }
-        iterations += 1;
-        let rel = if y_norm > 0.0 {
-            res_norm2[0].sqrt() / y_norm
-        } else {
-            0.0
-        };
-        history.push(rel);
         times.push(t0.elapsed().as_secs_f64());
-        ctx.telemetry.event("sirt.residual", rel);
         ctx.telemetry.metric_inc(MetricId::SolverIterations);
-        ctx.telemetry.gauge_set(MetricId::SolverResidual, rel);
-        if config.tolerance > 0.0 && rel <= config.tolerance {
-            converged = true;
-            break;
-        }
     }
+    // The last update's iterate, unless the tolerance stop returned one
+    // already measured.
+    if history.len() < times.len() {
+        let rel = measure(&x, &mut residual, ctx);
+        record(&mut history, rel, ctx);
+    }
+    let iterations = times.len() - 1;
 
     ctx.workspace.put(BufferRole::RowScale, r_inv);
     ctx.workspace.put(BufferRole::ColScale, c_inv);
@@ -370,7 +395,58 @@ mod tests {
         sirt_in(&op, &y, &config, &mut ExecContext::serial(), &mut |vals| {
             lengths.push(vals.len())
         });
-        assert_eq!(lengths, vec![1; 1 + config.max_iters]);
+        assert_eq!(lengths, vec![1; 2 + config.max_iters]);
+    }
+
+    /// `‖y − A·x‖/‖y‖` of `x`, computed apart from the solver.
+    fn relative_residual(sm: &SystemMatrix, y: &[f32], x: &[f32]) -> f64 {
+        let mut ax = vec![0.0f32; y.len()];
+        sm.project(x, &mut ax);
+        let norm2 = |v: &mut dyn Iterator<Item = f32>| v.map(|e| f64::from(e).powi(2)).sum::<f64>();
+        let misfit = norm2(&mut y.iter().zip(&ax).map(|(&yi, &ai)| yi - ai));
+        (misfit / norm2(&mut y.iter().copied())).sqrt()
+    }
+
+    /// `history[k]` is the iterate after `k` updates: the first update
+    /// already lowers it, and the last entry is the returned iterate's,
+    /// whether the solve runs to the cap or stops on the tolerance.
+    #[test]
+    fn the_history_ends_on_the_returned_iterate() {
+        let (sm, _, y) = disk_setup(64, 64);
+        let op = SystemMatrixOperator::new(&sm);
+        let capped = sirt(
+            &op,
+            &y,
+            &SirtConfig {
+                max_iters: 6,
+                ..Default::default()
+            },
+        );
+        let history = &capped.residual_history;
+        assert_eq!((capped.iterations, history.len()), (6, 7));
+        assert_eq!(history[0], 1.0);
+        assert!(history[1] < 1.0, "history[1] = {}", history[1]);
+        let last = history[6];
+        let oracle = relative_residual(&sm, &y, &capped.x);
+        assert!((last - oracle).abs() <= 1e-6 * oracle, "{last} vs {oracle}");
+
+        // A tolerance between `history[2]` and `history[3]` stops on the
+        // iterate after three updates and returns it.
+        let tolerance = (history[2] + history[3]) / 2.0;
+        let stopped = sirt(
+            &op,
+            &y,
+            &SirtConfig {
+                max_iters: 6,
+                tolerance,
+                ..Default::default()
+            },
+        );
+        assert!(stopped.converged);
+        assert_eq!(stopped.iterations, 3);
+        assert_eq!(stopped.residual_history, history[..4]);
+        let oracle = relative_residual(&sm, &y, &stopped.x);
+        assert!((history[3] - oracle).abs() <= 1e-6 * oracle);
     }
 
     #[test]

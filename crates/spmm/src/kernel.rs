@@ -4,7 +4,7 @@
 //! warp) as the unit elements are stored and walked in — see `packed.rs`:
 //!
 //! ```text
-//! for each thread block (executor partition):   // blockIdx.x
+//! for each thread block (claimed by a worker):  // blockIdx.x
 //!   acc[thread][FFACTOR] = 0                    // line 10
 //!   for each stage:                             // lines 12–13
 //!     shared[0] = 0                             // the zero slot
@@ -23,9 +23,10 @@
 //! Storage scalar `S` and compute scalar `C` are independent, giving the
 //! double/single/half/mixed modes of §III-C.
 //!
-//! One launch skeleton ([`launch`]) partitions the blocks over the
-//! executor and runs one of two block bodies, chosen per launch from
-//! what the platform reports — there is no build-time switch:
+//! One launch skeleton ([`launch`]) hands the blocks to the executor's
+//! workers in claimed runs and runs one of two block bodies, chosen per
+//! launch from what the platform reports — there is no build-time
+//! switch:
 //!
 //! * on x86-64 with AVX2+FMA+F16C detected at run time and `C == f32`
 //!   (the single and mixed modes), [`spmm_with`] runs the f32x8 body of
@@ -50,6 +51,7 @@
 use crate::compute::ComputeScalar;
 use crate::metrics::KernelMetrics;
 use crate::packed::{PackedBlock, PackedMatrix, LANE_GROUP};
+use std::sync::{Mutex, PoisonError};
 use xct_exec::{BufferRole, ExecContext, WorkspaceScalar};
 use xct_fp16::StorageScalar;
 
@@ -57,9 +59,9 @@ use xct_fp16::StorageScalar;
 ///
 /// `x` and `y` are slice-major: `x[f*num_cols + c]`, `y[f*num_rows + r]`
 /// for `f` in `0..fusing`, matching Listing 1. Scratch buffers are taken
-/// from `ctx.workspace` (allocation-free once warm), blocks are
-/// distributed according to `ctx.executor`, and the launch's traffic is
-/// added to `ctx.counters`. Returns the per-launch memory-traffic
+/// from `ctx.workspace` (allocation-free once warm), `ctx.executor`'s
+/// workers claim the blocks in runs, and the launch's traffic is added
+/// to `ctx.counters`. Returns the per-launch memory-traffic
 /// account. Results are bit-identical across executors and across the
 /// two block bodies: every block's FMA order is fixed and the scatter
 /// into `y` is sequential.
@@ -164,13 +166,21 @@ pub fn simd_available() -> bool {
     false
 }
 
-/// The one launch skeleton (shapes already checked): partitions `a`'s
-/// blocks over the context's executor, runs
-/// `body(block, acc, staged, out)` on each with per-worker scratch,
-/// scatters the block outputs into `y`, and meters the launch. `T` is the
-/// element type of the body's staging buffer (the shared-memory
-/// stand-in): compute precision for the f32x8 body, storage precision
-/// for the reference.
+/// Blocks a worker claims from a launch's queue at a time: enough that
+/// the lock is taken a few dozen times a launch, few enough that the
+/// last claims even out the workers' finishing times.
+const CLAIM: usize = 8;
+
+/// The one launch skeleton (shapes already checked): runs
+/// `body(block, acc, staged, out)` on every block of `a` with per-worker
+/// scratch, scatters the block outputs into `y`, and meters the launch.
+/// The executor's workers claim the blocks in runs of [`CLAIM`] from one
+/// shared queue until it is empty, so a worker whose blocks ran fast
+/// takes more of them; each block writes its own output slot, and the
+/// scatter afterwards is sequential, so which worker ran a block changes
+/// no bit. `T` is the element type of the body's staging buffer (the
+/// shared-memory stand-in): compute precision for the f32x8 body,
+/// storage precision for the reference.
 fn launch<S, C, T>(
     a: &PackedMatrix<S>,
     y: &mut [S],
@@ -189,33 +199,35 @@ where
     // stride fits any block.
     let acc_stride = a.block_size() * fusing;
     let staged_stride = (a.slots_per_stage() + 1) * fusing;
-    let parts = ctx.executor.partitions(blocks.len());
+    let workers = ctx.executor.partitions(blocks.len().div_ceil(CLAIM));
 
     // One acc/staging lane per worker (reused across its blocks), one out
     // slot per block (consumed by the sequential scatter afterwards,
     // because the slice-major layout interleaves block outputs).
     let mut acc: Vec<C> = ctx
         .workspace
-        .take_uninit(BufferRole::KernelAcc, parts * acc_stride);
+        .take_uninit(BufferRole::KernelAcc, workers * acc_stride);
     let mut staged: Vec<T> = ctx
         .workspace
-        .take_uninit(BufferRole::KernelShared, parts * staged_stride);
+        .take_uninit(BufferRole::KernelShared, workers * staged_stride);
     let mut out: Vec<S> = ctx
         .workspace
         .take_uninit(BufferRole::KernelOut, blocks.len() * acc_stride);
 
-    let per_part = blocks.len().div_ceil(parts).max(1);
-    let work = blocks
-        .chunks(per_part)
-        .zip(out.chunks_mut(per_part * acc_stride))
-        .zip(acc.chunks_mut(acc_stride))
+    let queue = Mutex::new(blocks.chunks(CLAIM).zip(out.chunks_mut(CLAIM * acc_stride)));
+    let lanes = acc
+        .chunks_mut(acc_stride)
         .zip(staged.chunks_mut(staged_stride));
-    ctx.executor
-        .for_each_part(work, |(((blocks, outs), acc), staged)| {
-            for (block, out) in blocks.iter().zip(outs.chunks_mut(acc_stride)) {
-                body(block, acc, staged, out);
-            }
-        });
+    ctx.executor.for_each_part(lanes, |(acc, staged)| loop {
+        // Only `next` runs under the lock, so even a poisoned queue is
+        // whole; a worker's panic reaches the caller when the executor
+        // joins its scope.
+        let claim = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+        let Some((blocks, outs)) = claim else { break };
+        for (block, out) in blocks.iter().zip(outs.chunks_mut(acc_stride)) {
+            body(block, acc, staged, out);
+        }
+    });
 
     // Sequential scatter of thread-major block outputs into the
     // slice-major `y`, each to the row its block lists for that thread:
@@ -492,6 +504,55 @@ mod tests {
         assert_eq!(eligible::<f32>(), simd_available());
         assert!(!eligible::<f64>(), "f64 never takes the f32x8 path");
         assert!(!eligible::<F16>(), "half never takes the f32x8 path");
+    }
+
+    /// Workers claim blocks in runs of [`CLAIM`]: on 13 blocks (two runs,
+    /// the second ragged) every thread count — one worker draining the
+    /// queue, more workers than runs — gives the serial reference's bits,
+    /// at each register chunking of the fusing axis and in both storage
+    /// widths the f32x8 body reads.
+    #[test]
+    fn claimed_blocks_match_the_reference_on_every_thread_count() {
+        for fusing in [1usize, 3, 4, 8, 16] {
+            let csr32 = ragged_csr(400, 150, |r| (r * 5 + fusing) % 11, fusing as u64);
+            let csr16 = csr32.map_values(F16::from_f32);
+            let xf = random_x(150 * fusing, fusing as u64 + 7);
+            let x16: Vec<F16> = xf.iter().map(|&v| F16::from_f32(v)).collect();
+            let single = PackedMatrix::pack(&csr32, 32, 1 << 16, fusing);
+            let half = PackedMatrix::pack(&csr16, 32, 1 << 15, fusing);
+            assert_eq!(single.blocks().len() % CLAIM, 5);
+            let mut want32 = vec![0.0f32; 400 * fusing];
+            spmm_reference_serial::<f32, f32>(&single, &xf, &mut want32);
+            let mut want16 = vec![F16::ZERO; 400 * fusing];
+            spmm_reference_serial::<F16, f32>(&half, &x16, &mut want16);
+            for threads in [1, 2, 3, 7] {
+                let mut ctx = ExecContext::with_executor(Executor::threads(threads));
+                let mut y32 = vec![0.0f32; 400 * fusing];
+                spmm_with::<f32, f32>(&single, &xf, &mut y32, &mut ctx);
+                assert_eq!(bits(&y32), bits(&want32), "f32, fusing {fusing}, {threads}");
+                let mut y16 = vec![F16::ZERO; 400 * fusing];
+                spmm_with::<F16, f32>(&half, &x16, &mut y16, &mut ctx);
+                assert_eq!(bits(&y16), bits(&want16), "F16, fusing {fusing}, {threads}");
+            }
+        }
+    }
+
+    /// A stage whose map is cut after packing stages fewer slots than its
+    /// rounds index: the f32x8 body refuses it before walking a round,
+    /// instead of reading past the plane. (Only that body walks
+    /// unchecked, so this needs a CPU it runs on.)
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    #[should_panic(expected = "stage packed for")]
+    fn a_map_cut_after_packing_trips_the_stage_bound() {
+        let csr = random_csr(64, 40, 6, 3);
+        let mut packed = PackedMatrix::pack(&csr, 64, 1 << 12, 8);
+        let map = &mut packed.blocks_mut()[0].stages[0].map;
+        assert!(map.len() > 2);
+        map.truncate(map.len() / 2);
+        let x = random_x(40 * 8, 5);
+        let mut y = vec![0.0f32; 64 * 8];
+        spmm_buffered_serial::<f32, f32>(&packed, &x, &mut y);
     }
 
     #[test]

@@ -101,6 +101,15 @@ pub struct PackedStage<S> {
     ends: Vec<u32>,
     /// Every group's rounds, group after group.
     rounds: Vec<PackedRound<S>>,
+    /// One past the largest slot any round's `ind` may hold: the map's
+    /// length at packing, plus the zero slot. The packer writes only
+    /// `slot + 1` for `slot < map.len()` (and 0 for padding), and
+    /// `rounds` is private, so every stored index is below it; the f32x8
+    /// body checks it against its stage buffer once per stage, and its
+    /// unchecked slot reads rest on that: nothing outside this module may
+    /// write `rounds` or `slots`. Not part of the layout: neither hashed
+    /// nor counted as stored bytes.
+    slots: u32,
 }
 
 impl<S> PackedStage<S> {
@@ -114,6 +123,13 @@ impl<S> PackedStage<S> {
             start = end as usize;
             group
         })
+    }
+
+    /// The stage-buffer slots every round's `ind` is below, fixed when
+    /// the stage was packed: its map's length then, plus the zero slot.
+    /// Cutting `map` afterwards does not lower it.
+    pub fn packed_slots(&self) -> usize {
+        self.slots as usize
     }
 
     /// Stored elements, padding included: `LANE_GROUP` per round.
@@ -278,6 +294,12 @@ impl<S: StorageScalar> PackedMatrix<S> {
     /// The thread blocks.
     pub fn blocks(&self) -> &[PackedBlock<S>] {
         &self.blocks
+    }
+
+    /// The thread blocks, open to the tests that damage a layout.
+    #[cfg(test)]
+    pub(crate) fn blocks_mut(&mut self) -> &mut [PackedBlock<S>] {
+        &mut self.blocks
     }
 
     /// Real (unpadded) nonzeros.
@@ -701,6 +723,9 @@ impl<'a, S: StorageScalar> Packing<'a, S> {
                         ends: ends.to_vec(),
                         // Padded by the fill pass, on its worker.
                         rounds: Vec::with_capacity(total),
+                        // The fill pass writes `ind = slot + 1`, `slot <
+                        // map.len()`; `slots` ≤ `u16::MAX`, so this fits.
+                        slots: map.len() as u32 + 1,
                     }
                 });
                 PackedBlock {

@@ -4,17 +4,26 @@
 //! This is the one corner of the crate where unsafe code is allowed (the
 //! crate-wide `forbid(unsafe_code)` relaxes to
 //! `deny(unsafe_op_in_unsafe_fn)` on x86-64, the only arch this module
-//! exists on — see `lib.rs`). The unsafe surface is two things, each
+//! exists on — see `lib.rs`). The unsafe surface is three things, each
 //! with a SAFETY argument at the site:
 //!
 //! 1. calling the `#[target_feature(enable = "avx2", "fma", "f16c")]`
 //!    kernel, justified by `is_x86_feature_detected!` at dispatch;
 //! 2. the `loadu`/`storeu` intrinsics, each through the pointer of an
 //!    array reference of exactly the vector's width: a `&[f32; 8]` /
-//!    `&[f32; 4]` element of an `as_chunks` view (one bounds check, by
-//!    the chunk index) or a slice just cut by a checked `[..8]`/`[..4]`.
+//!    `&[f32; 4]` element of a stage plane's `as_chunks` view or a slice
+//!    just cut by a checked `[..8]`/`[..4]`;
+//! 3. the round walk's unchecked read of that plane element,
+//!    `plane.get_unchecked(ind)`. Every stored `ind` is below the
+//!    stage's [`packed_slots`](crate::PackedStage::packed_slots), which
+//!    the packer fixes from the map it fills the rounds against and
+//!    nothing after packing can lower; the block body asserts
+//!    `packed_slots ≤ plane length` once per stage before it walks any
+//!    round, and the group walks are `unsafe fn`s whose contract is that
+//!    bound. A `debug_assert!` re-checks each index, so the debug test
+//!    suite checks every index it packs.
 //!
-//! Everything else — the walk over the packed layout, the index
+//! Everything else — the gather through `map` (checked), the index
 //! arithmetic, every intrinsic that takes no pointer — is safe code
 //! inside the `#[target_feature]` functions. `kernel::spmm_with` calls
 //! this body with concrete `f32` buffers once [`eligible`] has shown the
@@ -142,8 +151,9 @@ pub(crate) fn run_block<S: StorageScalar>(
 /// * **Chunk-plane staging** — the launch has already widened the input
 ///   into one plane per register chunk of the fusing axis, so the gather
 ///   through `buffmap` copies one `[f32; W]` per slot and chunk into the
-///   stage buffer's plane, and an element's operand is `plane[ind]`: one
-///   bounds check, no per-element address arithmetic. Widening is what
+///   stage buffer's plane, and an element's operand is `plane[ind]`, read
+///   unchecked under the stage bound asserted once per stage (see the
+///   module doc), with no per-element address arithmetic. Widening is what
 ///   `f32::load` does and it is deterministic, so the staged values are
 ///   the very ones the reference loads at each FMA. Slot 0 of every plane
 ///   is zeroed: the slot padding elements read.
@@ -185,6 +195,13 @@ fn run_block_f32<S: StorageScalar>(
                 _ => gather::<1>(from, to, &stage.map),
             }
         }
+        // Every plane just gathered holds `slots` elements; every `ind`
+        // of this stage's rounds is below `packed_slots`.
+        assert!(
+            stage.packed_slots() <= slots,
+            "stage packed for {} slots, its map stages {slots}",
+            stage.packed_slots()
+        );
         // Group rounds (lines 22–29).
         for (rounds, acc) in stage
             .groups()
@@ -192,10 +209,15 @@ fn run_block_f32<S: StorageScalar>(
         {
             for (f0, width) in chunks(fusing) {
                 let plane = &staged[slots * f0..][..slots * width];
-                match width {
-                    8 => group_x8(acc, f0, fusing, plane.as_chunks().0, rounds),
-                    4 => group_x4(acc, f0, fusing, plane.as_chunks().0, rounds),
-                    _ => group_x1(acc, f0, fusing, plane, rounds),
+                // SAFETY: each plane is `slots` elements long — `[f32; W]`
+                // chunks of a `slots * W` slice — and the assert above put
+                // every `ind` of `rounds` below `packed_slots() <= slots`.
+                unsafe {
+                    match width {
+                        8 => group_x8(acc, f0, fusing, plane.as_chunks().0, rounds),
+                        4 => group_x4(acc, f0, fusing, plane.as_chunks().0, rounds),
+                        _ => group_x1(acc, f0, fusing, plane, rounds),
+                    }
                 }
             }
         }
@@ -240,9 +262,13 @@ fn widen_lengths<S: StorageScalar>(len: &[S; LANE_GROUP]) -> [f32; LANE_GROUP] {
 /// round over them, and stores them once. Each accumulator receives its
 /// lane's elements in ascending round order and nothing else, so its
 /// chain is the reference's — only independent accumulators are grouped.
+///
+/// # Safety
+/// Every `ind` of `rounds` must be below `plane.len()`: the stage bound
+/// [`run_block_f32`] asserts once per stage.
 #[inline]
 #[target_feature(enable = "avx2", enable = "fma", enable = "f16c")]
-fn group_x8<S: StorageScalar>(
+unsafe fn group_x8<S: StorageScalar>(
     acc: &mut [f32],
     f0: usize,
     fusing: usize,
@@ -258,10 +284,13 @@ fn group_x8<S: StorageScalar>(
     for round in rounds {
         let len = widen_lengths(&round.len);
         for l in 0..LANE_GROUP {
-            let xs: &[f32; 8] = &plane[round.ind[l] as usize];
-            // SAFETY: `xs` is a reference to an `[f32; 8]`: thirty-two
+            let ind = round.ind[l] as usize;
+            debug_assert!(ind < plane.len(), "slot {ind} of {}", plane.len());
+            // SAFETY: `ind < plane.len()` by this function's contract,
+            // which `run_block_f32`'s per-stage assert `packed_slots() <=
+            // slots` establishes; the element is an `[f32; 8]`: thirty-two
             // readable bytes under an unaligned load.
-            let xs = unsafe { _mm256_loadu_ps(xs.as_ptr()) };
+            let xs = unsafe { _mm256_loadu_ps(plane.get_unchecked(ind).as_ptr()) };
             a[l] = _mm256_fmadd_ps(xs, _mm256_set1_ps(len[l]), a[l]);
         }
     }
@@ -272,9 +301,12 @@ fn group_x8<S: StorageScalar>(
 }
 
 /// [`group_x8`] for a 4-wide chunk.
+///
+/// # Safety
+/// As [`group_x8`]: every `ind` of `rounds` below `plane.len()`.
 #[inline]
 #[target_feature(enable = "avx2", enable = "fma", enable = "f16c")]
-fn group_x4<S: StorageScalar>(
+unsafe fn group_x4<S: StorageScalar>(
     acc: &mut [f32],
     f0: usize,
     fusing: usize,
@@ -290,10 +322,13 @@ fn group_x4<S: StorageScalar>(
     for round in rounds {
         let len = widen_lengths(&round.len);
         for l in 0..LANE_GROUP {
-            let xs: &[f32; 4] = &plane[round.ind[l] as usize];
-            // SAFETY: `xs` is a reference to an `[f32; 4]`: sixteen
+            let ind = round.ind[l] as usize;
+            debug_assert!(ind < plane.len(), "slot {ind} of {}", plane.len());
+            // SAFETY: `ind < plane.len()` by this function's contract,
+            // which `run_block_f32`'s per-stage assert `packed_slots() <=
+            // slots` establishes; the element is an `[f32; 4]`: sixteen
             // readable bytes under an unaligned load.
-            let xs = unsafe { _mm_loadu_ps(xs.as_ptr()) };
+            let xs = unsafe { _mm_loadu_ps(plane.get_unchecked(ind).as_ptr()) };
             a[l] = _mm_fmadd_ps(xs, _mm_set1_ps(len[l]), a[l]);
         }
     }
@@ -304,9 +339,12 @@ fn group_x4<S: StorageScalar>(
 }
 
 /// [`group_x8`] for a single slice (`f32::mul_add` is the scalar FMA).
+///
+/// # Safety
+/// As [`group_x8`]: every `ind` of `rounds` below `plane.len()`.
 #[inline]
 #[target_feature(enable = "avx2", enable = "fma", enable = "f16c")]
-fn group_x1<S: StorageScalar>(
+unsafe fn group_x1<S: StorageScalar>(
     acc: &mut [f32],
     f0: usize,
     fusing: usize,
@@ -317,7 +355,13 @@ fn group_x1<S: StorageScalar>(
     for round in rounds {
         let len = widen_lengths(&round.len);
         for l in 0..LANE_GROUP {
-            a[l] = plane[round.ind[l] as usize].mul_add(len[l], a[l]);
+            let ind = round.ind[l] as usize;
+            debug_assert!(ind < plane.len(), "slot {ind} of {}", plane.len());
+            // SAFETY: `ind < plane.len()` by this function's contract,
+            // which `run_block_f32`'s per-stage assert `packed_slots() <=
+            // slots` establishes.
+            let xs = unsafe { *plane.get_unchecked(ind) };
+            a[l] = xs.mul_add(len[l], a[l]);
         }
     }
     for (l, a) in a.iter().enumerate() {

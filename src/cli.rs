@@ -424,8 +424,8 @@ const COMMANDS: &[Command] = &[
 --in FILE --out FILE
 [--precision double|single|half|mixed] [--iterations 24]
 [--batch 8] [--solver cgls|sirt]
-[--damping 0]             CGLS's Tikhonov weight (SIRT does
-                          not damp)
+[--damping 0]             CGLS's Tikhonov weight (refused
+                          with sirt, which does not damp)
 [--tune-from FILE]        use the best kernel shape from a
                           petaxct-tune-v1 artifact (block
                           size, staging bytes; its fusing
@@ -726,6 +726,11 @@ fn reconstruct_inner(
     let solver = flags.get("solver").unwrap_or("cgls").to_owned();
     let algorithm = match solver.as_str() {
         "cgls" => Algorithm::Cgls { damping },
+        "sirt" if flags.get("damping").is_some() => {
+            return Err(CliError(
+                "--damping is CGLS's weight; --solver sirt does not damp".into(),
+            ))
+        }
         "sirt" => Algorithm::Sirt,
         other => {
             return Err(CliError(format!(
@@ -1574,12 +1579,32 @@ mod tests {
             &["--solver", "sirt", "--memory-budget", "1000000"][..],
             &["--solver", "sirt", "--stream", "--verify-plans"][..],
             &["--topology", "1x2x2", "--damping", "0.1"][..],
-            &["--damping", "0.1", "--solver", "sirt"][..],
         ] {
             assert_eq!(error(extra), missing, "{extra:?}");
         }
         let err = error(&["--solver", "tv"]);
         assert!(err.contains("unknown solver \"tv\""), "{err}");
+    }
+
+    #[test]
+    fn sirt_refuses_a_damping_it_would_not_apply() {
+        // Whatever its value, and before the input is opened: SIRT would
+        // drop the flag silently.
+        for value in ["0.1", "0"] {
+            let args = [
+                "reconstruct",
+                "--in",
+                "/nonexistent",
+                "--out",
+                "/tmp/y",
+                "--damping",
+                value,
+                "--solver",
+                "sirt",
+            ];
+            let err = run_cmd(&args).unwrap_err().0;
+            assert!(err.contains("--damping") && err.contains("sirt"), "{err}");
+        }
     }
 
     #[test]
