@@ -405,7 +405,7 @@ fn streamed_scenario(p: &SuiteParams, sino: &std::path::Path) -> ScenarioResult 
 }
 
 /// The Layer-2 analyzer's allocation guard: after setup (plans built,
-/// schedule materialized), reaching a
+/// rank 0's solve folded into scratch ops), reaching a
 /// clean verdict from every abstract-interpretation pass must perform
 /// **zero** heap allocations — the passes run inside `--verify-plans`
 /// on the reconstruction path, so an allocating verdict would bill
@@ -418,7 +418,8 @@ fn analysis_verdict_allocs() -> u64 {
     let plan = xct_comm::HierarchicalPlan::build(&case.footprints, &case.ownership, &case.topology);
     let plans =
         xct_comm::CompiledPlans::compile_hierarchical(&case.footprints, &case.ownership, &plan);
-    let ops = xct_verify::scratch_ops(xct_comm::protocol::exchange_schedule(3, true), 4);
+    let rank = plans.rank(0);
+    let ops = xct_verify::scratch_ops(rank, 3, xct_comm::protocol::solve(rank, 3, true, 2));
 
     // Warm-up outside the count (first-use lazy init, if any).
     assert!(xct_verify::verify_bounds(&plans).ok());

@@ -20,27 +20,25 @@
 //! [`RankPlan::transpose`] (owned → footprint); the last transpose
 //! level's output is the footprint itself, so no restriction exists.
 //!
-//! **One level step.** [`RankPlan::reduce`] and [`RankPlan::scatter`]
-//! are the executor's entry points — one body, run over one list or the
-//! other — and every level of both directions — socket, node and global,
-//! and their three scatter twins — runs through the same `post` /
-//! `drain` pair. `post` sends one message per peer,
-//! headed by its slices' undos on a scaled wire, then posts the receives;
-//! `drain` waits for them in plan order and forms the level one slice at
-//! a time in a one-slice `f64` accumulator: seeded with the local carries
-//! times the slice's own undo, each payload times its sender's undo
-//! landed in plan order (accumulated when reducing, assigned when
-//! scattering), and the slice rounded for the next level. The input of
-//! every level is the *held batch* — every slice's values at storage
-//! width, beside their undos: the caller's batch quantized into it first,
-//! each level's output rounded into it for the next, and the last
-//! level's widened into the caller's buffer.
-//!
-//! **One rendezvous per local level per apply.** The socket and node
-//! levels run once for the whole fused minibatch — posted and drained at
-//! once, one message per peer carrying every slice, slice-major, on the
-//! level's base tag. Only the global levels run per slice, under the
-//! slice's salt.
+//! **One program.** [`RankPlan::reduce`] and [`RankPlan::scatter`] are
+//! the executor's entry points: each runs the op list of
+//! [`protocol::apply`] — the list `xct-verify` proves — with one dispatch
+//! per op, and every level of both directions posts and drains through
+//! the same pair. `post` sends one message per peer, headed by its
+//! slices' undos on a scaled wire, then posts the receives; `drain`
+//! waits for them in plan order and forms the level one slice at a time
+//! in a one-slice `f64` accumulator — seeded with the local carries times
+//! the slice's own undo, each payload times its sender's undo landed in
+//! plan order (accumulated when reducing, assigned when scattering) —
+//! and rounds the slice for the next level. Every level reads the *held
+//! batch*, every slice at storage width beside its undo: the caller's
+//! batch quantized into it (`Hold`), then each level's output
+//! (`Advance`), the last widened into the caller's buffer (`Widen`). The
+//! socket and node levels move the whole fused minibatch in one
+//! rendezvous on their base tag; a global level posts each slice under
+//! its salt, and under `overlap` every slice is on the wire before the
+//! first drain (the paper's §III-E overlap), each pending in its own
+//! slot.
 //!
 //! Direct exchange is the hierarchy of one-GPU nodes: a plan built on
 //! `Topology::new(ranks, 1, 1)` has singleton socket and node groups.
@@ -83,22 +81,17 @@
 //! there; batching changes what travels in one message, not what is
 //! added.
 //!
-//! Splitting the step is what makes the paper's §III-E overlap
-//! executable: a global level posts slice `f` at `Post(f)` of
-//! [`exchange_schedule`] and drains it at `Drain(f)`; under `overlap`
-//! every slice's exchange is on the wire before the first drain, each
-//! pending in its own slot of the scratch. Telemetry spans close inside
-//! the call that opened them (the level's [`ExchangeLevel::span`] around
-//! each post and each drain, `CommWait` around every blocking wait), so
-//! in-flight exchanges never chain spans under each other; the overlap
-//! shows in the timestamps instead.
+//! Telemetry spans close inside the call that opened them (the level's
+//! [`ExchangeLevel::span`] around each post and each drain, `CommWait`
+//! around every blocking wait), so in-flight exchanges never chain spans
+//! under each other; the overlap shows in the timestamps instead.
 
 // Row and position ids in this module are `u32` by the `Ownership`
 // contract (`num_rows` fits `u32`); enumerate-index casts back into that
 // space are lossless by construction.
 #![allow(clippy::cast_possible_truncation)]
 use crate::plan::{HierarchicalPlan, Ownership};
-use crate::protocol::{exchange_schedule, slice_salt, ExchangeLevel, ExchangeOp};
+use crate::protocol::{self, Apply, ExchangeLevel, Op};
 use crate::runtime::{CommError, Communicator, RecvRequest};
 use crate::topology::Topology;
 use crate::wire::{
@@ -383,8 +376,16 @@ pub struct ExchangeScratch<S> {
     /// being formed (`[1]`): a held value times its slice's undo is the
     /// value it stands for.
     undos: [Vec<f32>; 2],
-    /// The buffers of the level step.
-    step: Step,
+    /// One slice of the level being formed.
+    acc: Vec<f64>,
+    /// One input slice of a half-width wire, widened for its carries.
+    wide: Vec<f32>,
+    /// The drained level's received payloads, in plan order.
+    payloads: Vec<Vec<u8>>,
+    /// The posted receives of each exchange in flight, by the fused
+    /// slice a global level carries (a local level's batch uses the
+    /// first).
+    pending: Vec<Vec<RecvRequest>>,
 }
 
 impl<S> Default for ExchangeScratch<S> {
@@ -392,7 +393,10 @@ impl<S> Default for ExchangeScratch<S> {
         ExchangeScratch {
             held: [Vec::new(), Vec::new()],
             undos: Default::default(),
-            step: Step::default(),
+            acc: Vec::new(),
+            wide: Vec::new(),
+            payloads: Vec::new(),
+            pending: Vec::new(),
         }
     }
 }
@@ -426,33 +430,132 @@ impl<S: StorageScalar> ExchangeScratch<S> {
         }
     }
 
-    /// Runs `level` over the held batch of `len`-long slices and holds
-    /// its output in its place, each slice rounded under the scale of its
-    /// own max-norm.
-    fn advance(
+    /// Posts `level`'s exchange of `slice` (`None`: the whole batch) out
+    /// of the held batch of `len`-long slices: one message per peer
+    /// carrying every slice it moves — the header of the slices' undos
+    /// (half-width wires only), then the transfer's positions slice-major,
+    /// gathered as their bytes into the communicator's buffer pool — then
+    /// the receives, into the slice's pending slot.
+    fn post(
         &mut self,
         comm: &Communicator,
         level: &LevelProgram,
+        slice: Option<usize>,
         len: usize,
-        overlap: bool,
+    ) -> Result<(), CommError> {
+        let batch = Batch {
+            vals: &self.held[0],
+            len,
+            undos: &self.undos[0],
+        };
+        let (slot, input) = match slice {
+            Some(f) => (f, batch.slice(f)),
+            None => (0, batch),
+        };
+        comm.telemetry()
+            .profile_slices_set(slot as u32, input.undos.len() as u32);
+        let _span = comm.telemetry().span(level.level.span());
+        let (tag, slices) = (level.level.wire_tag(slice), input.undos.len());
+        {
+            let _class = comm.meter().scope_class(level.level.class());
+            for t in &level.sends {
+                let bytes = header_bytes::<S>(slices) + slices * t.idx.len() * S::BYTES;
+                let mut buf = comm.pooled_buf(bytes);
+                write_header::<S>(input.undos, &mut buf);
+                for f in 0..slices {
+                    encode_gather(input.values(f), &t.idx, &mut buf);
+                }
+                comm.send(t.peer, tag, buf)?;
+            }
+        }
+        if self.pending.len() <= slot {
+            self.pending.resize_with(slot + 1, Vec::new);
+        }
+        for t in &level.recvs {
+            self.pending[slot].push(comm.irecv(t.peer, tag)?);
+        }
+        Ok(())
+    }
+
+    /// Completes the exchange posted for `slice`: waits for its receives
+    /// in plan order (the blocking part, under its own `CommWait` span),
+    /// then forms each slice it moves in the accumulator — seeded with the
+    /// local carries of the held slice times its own undo, each payload
+    /// slice times its sender's undo landed in plan order (accumulated on
+    /// the [`ExchangeLevel::REDUCE`] levels, assigned on the
+    /// [`ExchangeLevel::SCATTER`] ones) — and rounds it into its slice of
+    /// the output being formed, its undo beside it.
+    // xct-hot
+    fn drain(
+        &mut self,
+        comm: &Communicator,
+        level: &LevelProgram,
+        slice: Option<usize>,
+        len: usize,
     ) -> Result<(), CommError> {
         let ExchangeScratch {
             held: [cur, nxt],
             undos: [undo_cur, undo_nxt],
-            step,
+            acc,
+            wide,
+            payloads,
+            pending,
         } = self;
         // Every slice of the output is formed whole: nothing to reset.
-        nxt.resize(undo_cur.len() * level.out_len, S::zero());
+        let out_len = level.out_len;
+        nxt.resize(undo_cur.len() * out_len, S::zero());
         undo_nxt.resize(undo_cur.len(), 1.0);
-        let input = Batch {
+        let batch = Batch {
             vals: cur,
             len,
             undos: undo_cur,
         };
-        step.run::<S>(comm, level, input, overlap, nxt, undo_nxt)?;
-        std::mem::swap(cur, nxt);
-        std::mem::swap(undo_cur, undo_nxt);
+        let (slot, input) = match slice {
+            Some(f) => (f, batch.slice(f)),
+            None => (0, batch),
+        };
+        comm.telemetry()
+            .profile_slices_set(slot as u32, input.undos.len() as u32);
+        let _span = comm.telemetry().span(level.level.span());
+        payloads.clear();
+        {
+            // Blocked time, not exchange work: under overlap this is
+            // pipeline stall, and charging it to the level's span would
+            // misattribute the wait. Each message's length is checked
+            // where its slices are read (`message_slice`).
+            let _wait = comm.telemetry().span(Phase::CommWait);
+            for (req, t) in pending[slot].drain(..).zip(&level.recvs) {
+                debug_assert_eq!(req.src(), t.peer);
+                payloads.push(req.wait(comm)?);
+            }
+        }
+        let add = ExchangeLevel::REDUCE.contains(&level.level);
+        let slices = input.undos.len();
+        for (f, &undo) in input.undos.iter().enumerate() {
+            acc.clear();
+            acc.resize(out_len, 0.0);
+            seed(input.values(f), &level.keeps, f64::from(undo), wide, acc);
+            for (t, bytes) in level.recvs.iter().zip(payloads.iter()) {
+                let (undo, payload) = message_slice::<S>(bytes, slices, t.idx.len(), f);
+                land::<S>(payload, &t.idx, undo, add, acc);
+            }
+            // The output slice: a slice's slot is its index.
+            let g = slot + f;
+            undo_nxt[g] = round_scaled::<S>(acc, &mut nxt[g * out_len..(g + 1) * out_len]);
+        }
+        for bytes in payloads.drain(..) {
+            comm.recycle(bytes);
+        }
         Ok(())
+    }
+
+    /// The held batch takes the output the level's drains formed.
+    fn advance(&mut self, comm: &Communicator) {
+        // Whole-batch work again: every slice's cost.
+        let slices = self.undos[0].len();
+        comm.telemetry().profile_slices_set(0, slices as u32);
+        self.held.swap(0, 1);
+        self.undos.swap(0, 1);
     }
 
     /// Widens the held batch of `len`-long slices into `out`: each held
@@ -487,163 +590,6 @@ impl<'a, H: Copy> Batch<'a, H> {
             len: self.len,
             undos: &self.undos[f..=f],
         }
-    }
-}
-
-/// The buffers of the one level step: the one-slice accumulator (and, on
-/// a half-width wire, one input slice widened), the received payloads of
-/// the level being drained, and the receives of every exchange in flight.
-#[derive(Debug, Default)]
-struct Step {
-    /// One slice of the level being formed.
-    acc: Vec<f64>,
-    /// One input slice of a half-width wire, widened for its carries.
-    wide: Vec<f32>,
-    /// The drained level's received payloads, in plan order.
-    payloads: Vec<Vec<u8>>,
-    /// The posted receives of each exchange in flight, by the fused
-    /// slice a global level carries (a local level, drained as soon as
-    /// it is posted, uses the first).
-    pending: Vec<Vec<RecvRequest>>,
-}
-
-impl Step {
-    /// Runs `level` over `input` into `out` and its `undos`, which hold
-    /// as many slices of `level.out_len` values: a local level is posted
-    /// and drained at once, on its base tag, carrying the whole batch; a
-    /// global level posts slice `f` under its [`slice_salt`] at `Post(f)`
-    /// of [`exchange_schedule`] and drains it at `Drain(f)`, so under
-    /// `overlap` every slice is on the wire before the first drain.
-    fn run<S: StorageScalar>(
-        &mut self,
-        comm: &Communicator,
-        level: &LevelProgram,
-        input: Batch<'_, S>,
-        overlap: bool,
-        out: &mut [S],
-        undos: &mut [f32],
-    ) -> Result<(), CommError> {
-        let tag = level.level.tag();
-        let slices = input.undos.len();
-        let per_slice = level.level.per_slice();
-        let slots = if per_slice { slices } else { 1 };
-        if self.pending.len() < slots {
-            self.pending.resize_with(slots, Vec::new);
-        }
-        if !per_slice {
-            self.post::<S>(comm, level, tag, 0, input)?;
-            return self.drain::<S>(comm, level, 0, input, out, undos);
-        }
-        let telemetry = comm.telemetry();
-        let len = level.out_len;
-        for op in exchange_schedule(slices, overlap) {
-            match op {
-                ExchangeOp::Post(f) => {
-                    telemetry.profile_slice_set(f as u32);
-                    let tag = tag ^ slice_salt(f);
-                    self.post::<S>(comm, level, tag, f, input.slice(f))?;
-                }
-                ExchangeOp::Drain(f) => {
-                    telemetry.profile_slice_set(f as u32);
-                    let out = &mut out[f * len..(f + 1) * len];
-                    let undos = &mut undos[f..=f];
-                    self.drain::<S>(comm, level, f, input.slice(f), out, undos)?;
-                }
-            }
-        }
-        // Whole-batch work again: every slice's cost.
-        telemetry.profile_slices_set(0, slices as u32);
-        Ok(())
-    }
-
-    /// Posts one exchange of `level` under `tag`: one message per peer
-    /// carrying every slice of `input` — the header of the slices' undos
-    /// (half-width wires only), then the transfer's positions slice-major,
-    /// gathered as their bytes into the communicator's buffer pool — then
-    /// the receives, into pending slot `slot`.
-    fn post<S: StorageScalar>(
-        &mut self,
-        comm: &Communicator,
-        level: &LevelProgram,
-        tag: u64,
-        slot: usize,
-        input: Batch<'_, S>,
-    ) -> Result<(), CommError> {
-        let _span = comm.telemetry().span(level.level.span());
-        let slices = input.undos.len();
-        {
-            let _class = comm.meter().scope_class(level.level.class());
-            for t in &level.sends {
-                let bytes = header_bytes::<S>(slices) + slices * t.idx.len() * S::BYTES;
-                let mut buf = comm.pooled_buf(bytes);
-                write_header::<S>(input.undos, &mut buf);
-                for f in 0..slices {
-                    encode_gather(input.values(f), &t.idx, &mut buf);
-                }
-                comm.send(t.peer, tag, buf)?;
-            }
-        }
-        let reqs = &mut self.pending[slot];
-        for t in &level.recvs {
-            reqs.push(comm.irecv(t.peer, tag)?);
-        }
-        Ok(())
-    }
-
-    /// Completes the exchange posted into `slot`: waits for its receives
-    /// in plan order (the blocking part, under its own `CommWait` span),
-    /// then forms the level one slice at a time in the accumulator —
-    /// seeded with the local carries of `input` times the slice's own
-    /// undo, each payload slice times its sender's undo landed in plan
-    /// order (accumulated on the [`ExchangeLevel::REDUCE`] levels,
-    /// assigned on the [`ExchangeLevel::SCATTER`] ones) — and rounds it
-    /// into its slice of `out`, its undo into `undos`.
-    // xct-hot
-    fn drain<S: StorageScalar>(
-        &mut self,
-        comm: &Communicator,
-        level: &LevelProgram,
-        slot: usize,
-        input: Batch<'_, S>,
-        out: &mut [S],
-        undos: &mut [f32],
-    ) -> Result<(), CommError> {
-        let _span = comm.telemetry().span(level.level.span());
-        let Step {
-            acc,
-            wide,
-            payloads,
-            pending,
-        } = self;
-        payloads.clear();
-        {
-            // Blocked time, not exchange work: under overlap this is
-            // pipeline stall, and charging it to the level's span would
-            // misattribute the wait. Each message's length is checked
-            // where its slices are read (`message_slice`).
-            let _wait = comm.telemetry().span(Phase::CommWait);
-            for (req, t) in pending[slot].drain(..).zip(&level.recvs) {
-                debug_assert_eq!(req.src(), t.peer);
-                payloads.push(req.wait(comm)?);
-            }
-        }
-        let add = ExchangeLevel::REDUCE.contains(&level.level);
-        let slices = input.undos.len();
-        for (f, &undo) in input.undos.iter().enumerate() {
-            acc.clear();
-            acc.resize(level.out_len, 0.0);
-            seed(input.values(f), &level.keeps, f64::from(undo), wide, acc);
-            for (t, bytes) in level.recvs.iter().zip(payloads.iter()) {
-                let (undo, payload) = message_slice::<S>(bytes, slices, t.idx.len(), f);
-                land::<S>(payload, &t.idx, undo, add, acc);
-            }
-            let len = level.out_len;
-            undos[f] = round_scaled::<S>(acc, &mut out[f * len..(f + 1) * len]);
-        }
-        for bytes in payloads.drain(..) {
-            comm.recycle(bytes);
-        }
-        Ok(())
     }
 }
 
@@ -701,14 +647,21 @@ impl RankPlan {
         &self.transpose
     }
 
+    /// The level program of `level` in this rank's lists.
+    pub fn level(&self, level: ExchangeLevel) -> Option<&LevelProgram> {
+        let mut programs = self.forward.iter().chain(&self.transpose);
+        programs.find(|program| program.level == level)
+    }
+
     /// The forward reduction of a batch: `partial` holds `slices` slices
     /// of footprint partials, slice-major (the fused kernel's output),
-    /// `out` receives as many slices of owned totals. Slice `f` is
-    /// quantized under the §III-C1 scale of this rank's own partial for
-    /// it and reduced within socket then node groups, the whole batch at
-    /// once; then each slice's global exchange to its owners runs in
-    /// [`exchange_schedule`]`(slices, overlap)` order, and each total is
-    /// rounded under the scale of its own max-norm.
+    /// `out` receives as many slices of owned totals: the
+    /// [`Apply::Forward`] ops run. Slice `f` is quantized under the
+    /// §III-C1 scale of this rank's own partial for it and reduced within
+    /// socket then node groups, the whole batch at once; then each
+    /// slice's global exchange to its owners runs in the order `overlap`
+    /// selects, and each total is rounded under the scale of its own
+    /// max-norm.
     pub fn reduce<S: StorageScalar>(
         &self,
         comm: &Communicator,
@@ -718,16 +671,17 @@ impl RankPlan {
         overlap: bool,
         out: &mut [f32],
     ) -> Result<(), CommError> {
-        let levels = (&self.forward[..], self.in_len);
-        Self::exchange(comm, scratch, levels, partial, slices, overlap, out)
+        let run = (Apply::Forward, slices, overlap);
+        self.exchange(comm, scratch, run, partial, out)
     }
 
     /// The transpose scatter of a batch: `owned` holds `slices` slices of
-    /// owned totals, `out` receives as many slices of footprint values.
-    /// Each owner quantizes slice `f` under the scale of its own max-norm
-    /// and scatters it in [`exchange_schedule`]`(slices, overlap)` order;
-    /// the node and socket fan-out then run once for the whole batch,
-    /// each level rounding each slice under the scale of its own output.
+    /// owned totals, `out` receives as many slices of footprint values:
+    /// the [`Apply::Transpose`] ops run. Each owner quantizes slice `f`
+    /// under the scale of its own max-norm and scatters it in the order
+    /// `overlap` selects; the node and socket fan-out then run once for
+    /// the whole batch, each level rounding each slice under the scale of
+    /// its own output.
     pub fn scatter<S: StorageScalar>(
         &self,
         comm: &Communicator,
@@ -737,38 +691,63 @@ impl RankPlan {
         overlap: bool,
         out: &mut [f32],
     ) -> Result<(), CommError> {
-        let levels = (&self.transpose[..], self.owned_len);
-        Self::exchange(comm, scratch, levels, owned, slices, overlap, out)
+        let run = (Apply::Transpose, slices, overlap);
+        self.exchange(comm, scratch, run, owned, out)
     }
 
-    /// The one body of both directions: holds `input` — `slices` slices
-    /// of the `len` values `levels` start from — under the first level's
-    /// span, advances the held batch through every level, and widens it
-    /// into `out` under the last level's span.
+    /// The one body of both directions: runs the apply's ops over
+    /// `input`, `slices` slices of the values its levels start from,
+    /// one dispatch per op — the batch held under the first level's
+    /// span, each level posted, drained and advanced past, the result
+    /// widened into `out` under the last level's span.
     fn exchange<S: StorageScalar>(
+        &self,
         comm: &Communicator,
         scratch: &mut ExchangeScratch<S>,
-        (levels, mut len): (&[LevelProgram], usize),
+        (apply, slices, overlap): (Apply, usize, bool),
         input: &[f32],
-        slices: usize,
-        overlap: bool,
         out: &mut [f32],
     ) -> Result<(), CommError> {
+        let (levels, mut len) = match apply {
+            Apply::Forward => (&self.forward[..], self.in_len),
+            Apply::Transpose => (&self.transpose[..], self.owned_len),
+        };
         let out_len = levels.last().map_or(len, |level| level.out_len);
         assert_eq!(out.len(), slices * out_len, "output length mismatch");
         let span = |level: Option<&LevelProgram>| {
             level.map(|level| comm.telemetry().span(level.level.span()))
         };
-        {
-            let _span = span(levels.first());
-            scratch.hold(comm, input, slices, len);
+        let program = |level| {
+            // xct-allow(no-panic): infallible — the ops name only this rank's levels
+            self.level(level).expect("a level of this rank")
+        };
+        // The slice length of the output the drained level forms.
+        let mut formed = len;
+        for op in protocol::apply(self, apply, slices, overlap) {
+            match op {
+                // The caller's: the kernel runs before `reduce` and after
+                // `scatter`, the solver's rounds between applies.
+                Op::Launch | Op::Collective(_) => {}
+                Op::Hold => {
+                    let _span = span(levels.first());
+                    scratch.hold(comm, input, slices, len);
+                }
+                Op::Post { level, slice } => scratch.post(comm, program(level), slice, len)?,
+                Op::Drain { level, slice } => {
+                    let program = program(level);
+                    formed = program.out_len;
+                    scratch.drain(comm, program, slice, len)?;
+                }
+                Op::Advance => {
+                    scratch.advance(comm);
+                    len = formed;
+                }
+                Op::Widen => {
+                    let _span = span(levels.last());
+                    scratch.widen(out, len);
+                }
+            }
         }
-        for level in levels {
-            scratch.advance(comm, level, len, overlap)?;
-            len = level.out_len;
-        }
-        let _span = span(levels.last());
-        scratch.widen(out, len);
         Ok(())
     }
 }

@@ -19,16 +19,13 @@
 //! 63, which only the collectives' down leg sets. DESIGN.md §3c draws
 //! the table.
 //!
-//! **Schedule**: the rank's kernel runs once per apply over the whole
-//! minibatch, and so do the local socket/node levels of both directions —
-//! one message per peer carrying every slice, on the level's base tag.
-//! What remains per slice is the global exchange: [`ExchangeOp::Post`]
-//! — the nonblocking post of the slice's global exchange — and
-//! [`ExchangeOp::Drain`] — completing it. [`exchange_schedule`] is the
-//! order of the two, for both settings of `overlap`; the forward local
-//! levels run before the first post, the transpose ones after the last
-//! drain.
+//! **The program**: [`apply`] and [`solve`] list, per rank, the [`Op`]s
+//! a run executes, in order: one apply, and the solver's skeleton of
+//! applies and collective rounds. The executor (`RankPlan::reduce` /
+//! `RankPlan::scatter`) runs the apply segments; `xct-verify`'s
+//! deadlock, lifetime and tag passes are folds over the same lists.
 
+use crate::compiled::RankPlan;
 use crate::metrics::TrafficClass;
 use crate::runtime::REPLY_TAG_SALT;
 use std::fmt;
@@ -84,10 +81,20 @@ impl ExchangeLevel {
 
     /// Whether the level runs once per fused slice, each slice under its
     /// own [`slice_salt`] (the two global levels, whose exchanges
-    /// [`exchange_schedule`] posts and drains), or once per apply over
-    /// the whole batch on its base tag (the socket and node levels).
+    /// [`apply`] orders by `overlap`), or once per apply over the whole
+    /// batch on its base tag (the socket and node levels).
     pub const fn per_slice(self) -> bool {
         matches!(self, ExchangeLevel::Global | ExchangeLevel::ScatterGlobal)
+    }
+
+    /// The tag a [`Op::Post`] / [`Op::Drain`] of `slice` travels under:
+    /// the base tag for the whole batch (`None`), XORed with the slice's
+    /// [`slice_salt`] otherwise.
+    pub const fn wire_tag(self, slice: Option<usize>) -> u64 {
+        match slice {
+            Some(f) => self.tag() ^ slice_salt(f),
+            None => self.tag(),
+        }
     }
 
     /// The traffic class the level's sends are charged to.
@@ -166,7 +173,9 @@ pub struct Collective {
 }
 
 impl Collective {
-    /// CGLS's inner products: `[(s,s), (t,t), (r,r)]` once per iteration.
+    /// The solver's one round per iteration: CGLS's inner products
+    /// `[(s,s), (t,t), (r,r)]`, SIRT's residual norm, and either
+    /// solver's measure of its last iterate (and SIRT's `‖y‖²`).
     pub const INNER_PRODUCTS: Collective = Collective::at(0x9000, "cg inner products allreduce");
 
     /// Every call site, in the order an iteration reaches them.
@@ -177,43 +186,125 @@ impl Collective {
     }
 }
 
-/// One step of the exchange schedule, for fused slice `f`.
+/// Which apply of the operator an op list segment runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExchangeOp {
-    /// Post slice `f`'s global exchange.
-    Post(usize),
-    /// Complete slice `f`'s global exchange.
-    Drain(usize),
+pub enum Apply {
+    /// `A·x`: the kernel, then the forward levels (footprint → owned).
+    Forward,
+    /// `Aᵀ·y`: the transpose levels (owned → footprint), then the kernel.
+    Transpose,
 }
 
-/// The order in which a rank posts and drains the global exchanges of
-/// `n` fused slices.
+/// One step of a rank's program, in the order it runs. A global level's
+/// `Post` / `Drain` carry the fused slice they move under its
+/// [`slice_salt`]; a local level's carry `None`, the whole batch on the
+/// level's base tag ([`ExchangeLevel::wire_tag`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Op {
+    /// The rank's fused kernel over the whole batch.
+    Launch,
+    /// Quantize the caller's batch into the held batch.
+    Hold,
+    /// Send the level's messages out of the held batch and post its
+    /// receives into the slice's pending slot.
+    Post {
+        /// The exchange.
+        level: ExchangeLevel,
+        /// The fused slice, or `None` for the whole batch.
+        slice: Option<usize>,
+    },
+    /// Wait for the slot's receives and form the slice's output.
+    Drain {
+        /// The exchange.
+        level: ExchangeLevel,
+        /// The fused slice, or `None` for the whole batch.
+        slice: Option<usize>,
+    },
+    /// The held batch takes the level's output.
+    Advance,
+    /// Widen the held batch into the caller's buffer.
+    Widen,
+    /// One allreduce of the solver.
+    Collective(Collective),
+}
+
+/// The ops of one apply of `rank` at `slices` fused slices, over its
+/// forward or transpose level list: the kernel before the levels
+/// ([`Apply::Forward`]) or after them ([`Apply::Transpose`]), the batch
+/// held before the first level and widened after the last. Each level is
+/// posted, drained and advanced past: a local level is one `Post` /
+/// `Drain` pair for the whole batch; a global level
+/// ([`ExchangeLevel::per_slice`]) one pair per slice, in the order
+/// `overlap` selects:
 ///
-/// * Synchronous (`overlap = false`): `Post(0) Drain(0) Post(1) Drain(1)
+/// * synchronous (`overlap = false`): `Post(0) Drain(0) Post(1) Drain(1)
 ///   …` — one exchange in flight at a time; every slice pays its own wire
 ///   latency. This is the bit-identity oracle.
-/// * Overlapped (`overlap = true`): `Post(0) … Post(n−1) Drain(0) …
+/// * overlapped (`overlap = true`): `Post(0) … Post(n−1) Drain(0) …
 ///   Drain(n−1)` — every slice's exchange is on the wire while the later
 ///   slices are posted, and the drains find most messages already
 ///   delivered: one latency per apply instead of `n`.
 ///
-/// Both orders run the same `Post(f)` before the same `Drain(f)` for
-/// every `f`, and the slices are data-independent (distinct tag salts,
-/// distinct accumulators, distinct output ranges), so the overlapped
-/// schedule is bit-identical to the synchronous one — only the waiting
-/// moves.
-pub fn exchange_schedule(n: usize, overlap: bool) -> impl Iterator<Item = ExchangeOp> {
-    (0..2 * n).map(move |i| match (overlap, i < n) {
-        (true, true) => ExchangeOp::Post(i),
-        (true, false) => ExchangeOp::Drain(i - n),
-        (false, _) if i % 2 == 0 => ExchangeOp::Post(i / 2),
-        (false, _) => ExchangeOp::Drain(i / 2),
-    })
+/// Both orders post every slice before draining it, and the slices are
+/// data-independent (distinct tag salts, pending slots and output
+/// ranges), so the overlapped order is bit-identical to the synchronous
+/// one — only the waiting moves. The iterator allocates nothing.
+pub fn apply(
+    rank: &RankPlan,
+    apply: Apply,
+    slices: usize,
+    overlap: bool,
+) -> impl Iterator<Item = Op> + Clone + '_ {
+    let (forward, levels) = match apply {
+        Apply::Forward => (true, rank.forward()),
+        Apply::Transpose => (false, rank.transpose()),
+    };
+    let exchanges = levels.iter().flat_map(move |program| {
+        let (level, per_slice) = (program.level(), program.level().per_slice());
+        let pair = move |f| {
+            let slice = per_slice.then_some(f);
+            [Op::Post { level, slice }, Op::Drain { level, slice }]
+        };
+        // Overlapped: every post, then every drain; synchronous: each
+        // slice's post, then its drain.
+        let n = if per_slice { slices } else { 1 };
+        let order = move |i| match overlap {
+            true => pair(i % n)[i / n],
+            false => pair(i / 2)[i % 2],
+        };
+        (0..2 * n).map(order).chain([Op::Advance])
+    });
+    (forward.then_some(Op::Launch).into_iter())
+        .chain([Op::Hold])
+        .chain(exchanges)
+        .chain([Op::Widen])
+        .chain((!forward).then_some(Op::Launch))
+}
+
+/// The program of one solve of `rank` of `iterations` iterations — the
+/// skeleton CGLS and SIRT share: a set-up transpose apply, then per
+/// iteration the forward apply, the [`Collective::INNER_PRODUCTS`] round
+/// and the transpose apply, then the round that measures the last
+/// iterate (none when no iteration ran). SIRT's set-up probes and last
+/// measure add applies and rounds around the same iteration body.
+pub fn solve(
+    rank: &RankPlan,
+    slices: usize,
+    overlap: bool,
+    iterations: usize,
+) -> impl Iterator<Item = Op> + Clone + '_ {
+    let round = Op::Collective(Collective::INNER_PRODUCTS);
+    let forward = apply(rank, Apply::Forward, slices, overlap);
+    let back = apply(rank, Apply::Transpose, slices, overlap);
+    let body = back.clone();
+    back.chain(
+        (0..iterations).flat_map(move |_| forward.clone().chain([round]).chain(body.clone())),
+    )
+    .chain((iterations > 0).then_some(round))
 }
 
 #[cfg(test)]
 mod tests {
-    use super::ExchangeOp::{Drain, Post};
     use super::*;
 
     #[test]
@@ -253,46 +344,138 @@ mod tests {
         );
     }
 
-    #[test]
-    fn synchronous_schedule_is_strictly_per_slice() {
-        let ops: Vec<_> = exchange_schedule(3, false).collect();
-        assert_eq!(
-            ops,
-            vec![Post(0), Drain(0), Post(1), Drain(1), Post(2), Drain(2)]
-        );
+    fn global(slice: usize) -> [Op; 2] {
+        let slice = Some(slice);
+        let level = ExchangeLevel::Global;
+        [Op::Post { level, slice }, Op::Drain { level, slice }]
+    }
+
+    /// A rank whose two lists run `forward` and `transpose`.
+    fn rank(forward: &[ExchangeLevel], transpose: &[ExchangeLevel]) -> RankPlan {
+        let programs = |levels: &[ExchangeLevel]| {
+            let program = |&l| crate::LevelProgram::from_parts(l, 0, vec![], vec![], vec![]);
+            levels.iter().map(program).collect()
+        };
+        RankPlan::from_parts(0, 0, programs(forward), programs(transpose))
     }
 
     #[test]
-    fn overlapped_schedule_posts_all_then_drains_in_slice_order() {
-        let ops: Vec<_> = exchange_schedule(3, true).collect();
-        assert_eq!(
-            ops,
-            vec![Post(0), Post(1), Post(2), Drain(0), Drain(1), Drain(2)]
-        );
+    fn synchronous_apply_is_strictly_per_slice() {
+        let flat = rank(&[ExchangeLevel::Global], &[]);
+        let ops: Vec<_> = apply(&flat, Apply::Forward, 3, false).collect();
+        let ([p0, d0], [p1, d1], [p2, d2]) = (global(0), global(1), global(2));
+        let want: Vec<Op> = [Op::Launch, Op::Hold]
+            .into_iter()
+            .chain([p0, d0, p1, d1, p2, d2])
+            .chain([Op::Advance, Op::Widen])
+            .collect();
+        assert_eq!(ops, want);
     }
 
     #[test]
-    fn both_schedules_post_every_slice_once_before_draining_it() {
-        for n in 0..6 {
+    fn overlapped_apply_posts_all_then_drains_in_slice_order() {
+        let flat = rank(&[], &[ExchangeLevel::Global]);
+        let ops: Vec<_> = apply(&flat, Apply::Transpose, 3, true).collect();
+        let ([p0, d0], [p1, d1], [p2, d2]) = (global(0), global(1), global(2));
+        let want: Vec<Op> = [Op::Hold]
+            .into_iter()
+            .chain([p0, p1, p2, d0, d1, d2])
+            .chain([Op::Advance, Op::Widen, Op::Launch])
+            .collect();
+        assert_eq!(ops, want);
+    }
+
+    #[test]
+    fn a_local_level_is_one_pair_for_the_whole_batch_in_both_orders() {
+        let level = ExchangeLevel::Socket;
+        let socket = rank(&[level], &[]);
+        for overlap in [false, true] {
+            let ops: Vec<_> = apply(&socket, Apply::Forward, 8, overlap).collect();
+            let slice = None;
+            let pair = [Op::Post { level, slice }, Op::Drain { level, slice }];
+            let want: Vec<Op> = [Op::Launch, Op::Hold]
+                .into_iter()
+                .chain(pair)
+                .chain([Op::Advance, Op::Widen])
+                .collect();
+            assert_eq!(ops, want, "overlap={overlap}");
+            assert_eq!(level.wire_tag(slice), level.tag());
+        }
+    }
+
+    #[test]
+    fn both_orders_post_every_slice_once_before_draining_it() {
+        let full = rank(&ExchangeLevel::REDUCE, &ExchangeLevel::SCATTER);
+        for slices in [1, 2, 3, 8] {
             for overlap in [false, true] {
-                let ops: Vec<_> = exchange_schedule(n, overlap).collect();
-                assert_eq!(ops.len(), 2 * n);
-                let mut in_flight = 0usize;
-                let mut deepest = 0usize;
-                for f in 0..n {
-                    let post = ops.iter().position(|&o| o == Post(f)).unwrap();
-                    let drain = ops.iter().position(|&o| o == Drain(f)).unwrap();
-                    assert!(post < drain, "slice {f} drained before it was posted");
-                }
-                for op in &ops {
-                    match op {
-                        Post(_) => in_flight += 1,
-                        Drain(_) => in_flight -= 1,
+                for (dir, levels) in [
+                    (Apply::Forward, ExchangeLevel::REDUCE),
+                    (Apply::Transpose, ExchangeLevel::SCATTER),
+                ] {
+                    let ops: Vec<_> = apply(&full, dir, slices, overlap).collect();
+                    let at = |op: Op| ops.iter().position(|&o| o == op);
+                    for level in levels {
+                        let n = if level.per_slice() { slices } else { 1 };
+                        for f in 0..n {
+                            let slice = level.per_slice().then_some(f);
+                            let post = at(Op::Post { level, slice }).unwrap();
+                            let drain = at(Op::Drain { level, slice }).unwrap();
+                            assert!(
+                                post < drain,
+                                "{level} slice {f} drained before it was posted"
+                            );
+                        }
                     }
-                    deepest = deepest.max(in_flight);
+                    let (mut pending, mut deepest) = (0usize, 0usize);
+                    for op in &ops {
+                        match op {
+                            Op::Post { .. } => pending += 1,
+                            Op::Drain { .. } => pending -= 1,
+                            Op::Advance => {
+                                assert_eq!(pending, 0, "advanced with receives in flight")
+                            }
+                            _ => {}
+                        }
+                        deepest = deepest.max(pending);
+                    }
+                    assert_eq!(pending, 0);
+                    assert_eq!(deepest, if overlap { slices } else { 1 });
+                    let posts = ops.iter().filter(|op| matches!(op, Op::Post { .. }));
+                    assert_eq!(
+                        posts.count(),
+                        2 + slices,
+                        "slices={slices} overlap={overlap}"
+                    );
                 }
-                assert_eq!(in_flight, 0);
-                assert_eq!(deepest, if overlap { n } else { n.min(1) });
+            }
+        }
+    }
+
+    #[test]
+    fn a_solve_is_the_set_up_transpose_then_forward_round_transpose_per_iteration() {
+        let full = rank(&ExchangeLevel::REDUCE, &ExchangeLevel::SCATTER);
+        for iterations in [0, 1, 2, 5] {
+            let ops: Vec<_> = solve(&full, 2, true, iterations).collect();
+            let launches = ops.iter().filter(|&&op| op == Op::Launch).count();
+            let rounds: Vec<_> = ops
+                .iter()
+                .filter(|op| matches!(op, Op::Collective(_)))
+                .collect();
+            assert_eq!(launches, 1 + 2 * iterations);
+            assert_eq!(rounds.len(), iterations + usize::from(iterations > 0));
+            assert!(rounds
+                .iter()
+                .all(|&&op| op == Op::Collective(Collective::INNER_PRODUCTS)));
+            // The solve opens with the set-up transpose apply; each
+            // iteration is forward, round, transpose.
+            let back: Vec<_> = apply(&full, Apply::Transpose, 2, true).collect();
+            let forward: Vec<_> = apply(&full, Apply::Forward, 2, true).collect();
+            assert_eq!(ops[..back.len()], back[..]);
+            if iterations > 0 {
+                let body = &ops[back.len()..];
+                assert_eq!(body[..forward.len()], forward[..]);
+                assert_eq!(body[forward.len()], rounds[0].clone());
+                assert_eq!(body[forward.len() + 1..][..back.len()], back[..]);
             }
         }
     }

@@ -258,6 +258,7 @@ struct ChaosState {
 }
 
 /// One sent-but-unmatched message, filed under its `(src, tag)` key.
+#[derive(Debug)]
 struct Message {
     /// When a [`WireModel`] or chaos schedule is in force: the earliest
     /// instant the receiver may match this message.
@@ -548,6 +549,13 @@ impl Communicator {
     /// Non-blocking receive: returns the next matching message if one has
     /// already arrived, `None` otherwise.
     pub fn try_recv(&self, src: usize, tag: u64) -> Result<Option<Vec<u8>>, CommError> {
+        let taken = self.try_take(src, tag)?;
+        Ok(taken.map(|delivery| self.finish_match(src, delivery, tag)))
+    }
+
+    /// Takes the next matching message out of the mailbox if one has
+    /// already arrived, without recording its match.
+    fn try_take(&self, src: usize, tag: u64) -> Result<Option<Message>, CommError> {
         if src >= self.size() {
             return Err(CommError::RankOutOfRange {
                 rank: src,
@@ -565,7 +573,7 @@ impl Communicator {
             outcome
         };
         Ok(match outcome {
-            MatchOutcome::Ready(delivery) => Some(self.finish_match(src, delivery, tag)),
+            MatchOutcome::Ready(delivery) => Some(delivery),
             MatchOutcome::NotUntil(_) | MatchOutcome::Absent => None,
         })
     }
@@ -574,9 +582,11 @@ impl Communicator {
     /// analog. A message that has already arrived is captured immediately;
     /// otherwise the returned [`RecvRequest`] completes it later via
     /// [`RecvRequest::wait`], letting local work run while the peer's
-    /// send is still in flight.
+    /// send is still in flight. Either way the match is recorded when the
+    /// request is waited, so a rank's match edges follow the order its
+    /// program completes its receives in.
     pub fn irecv(&self, src: usize, tag: u64) -> Result<RecvRequest, CommError> {
-        let done = self.try_recv(src, tag)?;
+        let done = self.try_take(src, tag)?;
         Ok(RecvRequest { src, tag, done })
     }
 
@@ -615,7 +625,7 @@ impl Communicator {
 pub struct RecvRequest {
     src: usize,
     tag: u64,
-    done: Option<Vec<u8>>,
+    done: Option<Message>,
 }
 
 impl RecvRequest {
@@ -624,17 +634,12 @@ impl RecvRequest {
         self.src
     }
 
-    /// The tag this request matches.
-    pub fn tag(&self) -> u64 {
-        self.tag
-    }
-
     /// Blocks until the message arrives and returns its payload
     /// (`MPI_Wait`). Consumes the request.
     // xct-hot
     pub fn wait(mut self, comm: &Communicator) -> Result<Vec<u8>, CommError> {
         match self.done.take() {
-            Some(payload) => Ok(payload),
+            Some(delivery) => Ok(comm.finish_match(self.src, delivery, self.tag)),
             None => comm.recv(self.src, self.tag),
         }
     }

@@ -25,7 +25,7 @@
 //!
 //! With [`DistributedConfig::overlap`] a rank posts every fused slice's
 //! global exchange before draining any, in slice order (paper §III-E,
-//! Figs 11–12; [`xct_comm::protocol::exchange_schedule`]), so all
+//! Figs 11–12; [`xct_comm::protocol::apply`]), so all
 //! slices share one wire latency. Results are bit-identical to the
 //! synchronous schedule — the same floating-point operations run in the
 //! same order; only the waiting moves.
@@ -44,7 +44,8 @@ use xct_geometry::{ScanGeometry, SystemMatrix};
 use xct_hilbert::{CurveKind, Domain2D, TileDecomposition};
 use xct_plan::{KernelShape, ReconPlan};
 use xct_solver::{
-    cgls_in, sirt_in, CglsConfig, CglsReport, LinearOperator, PrecisionOperator, SirtConfig,
+    cgls_in, sirt_in, CglsConfig, CglsReport, LinearOperator, NonFinite, PrecisionOperator,
+    SirtConfig,
 };
 
 /// Distributed run configuration.
@@ -181,6 +182,9 @@ pub struct DistributedResult {
     pub comm_stats: Vec<RankCommStats>,
     /// Execution counters merged across all ranks.
     pub counters: ExecCounters,
+    /// The scalar that ended the solve by not being finite, if one did
+    /// (reduced, so the same on every rank).
+    pub non_finite: Option<NonFinite>,
 }
 
 /// One rank's distributed operator for one run: the set-up's packed
@@ -244,7 +248,7 @@ impl<S: StorageScalar> LinearOperator for RankOperator<'_, S> {
     /// ray owners ([`xct_comm::RankPlan::reduce`]: the socket/node levels
     /// of the whole batch at once — each slice quantized with the scale of
     /// this rank's own partial — then per slice the global exchange in
-    /// [`xct_comm::protocol::exchange_schedule`] order). No collective.
+    /// the order [`xct_comm::protocol::apply`] lists). No collective.
     fn apply(&self, x: &[f32], y: &mut [f32], ctx: &mut ExecContext) {
         let fusing = self.local.fusing();
         let mut partial = ctx
@@ -273,7 +277,7 @@ impl<S: StorageScalar> LinearOperator for RankOperator<'_, S> {
     /// The scatter of the owned values back over the footprint
     /// ([`xct_comm::RankPlan::scatter`]: per slice the global scatter from
     /// the owners — each scaling the slice by its own max-norm — in
-    /// [`xct_comm::protocol::exchange_schedule`] order, then the
+    /// the order [`xct_comm::protocol::apply`] lists, then the
     /// node/socket fan-out of the whole batch at once), then one fused
     /// transposed SpMM over the whole minibatch. No collective.
     fn apply_transpose(&self, y: &[f32], x: &mut [f32], ctx: &mut ExecContext) {
@@ -555,6 +559,7 @@ impl DistributedSetup {
                 comm_elements: self.comm_elements,
                 comm_stats: vec![RankCommStats::default()],
                 counters,
+                non_finite: report.non_finite,
             };
         }
         let (cfg, decomp) = (&self.cfg, &self.decomp);
@@ -576,27 +581,23 @@ impl DistributedSetup {
             let report = solve(&*rank_op, &y_local, &mut ctx, &mut |products| {
                 inner_products(comm, &steps, products);
             });
-            (
-                report.x,
-                report.residual_history,
-                comm.comm_stats(),
-                ctx.counters,
-            )
+            (report, comm.comm_stats(), ctx.counters)
         });
 
-        let pieces: Vec<Vec<f32>> = outputs.iter().map(|(x, _, _, _)| x.clone()).collect();
+        let pieces: Vec<Vec<f32>> = outputs.iter().map(|(r, _, _)| r.x.clone()).collect();
         let x = decomp.assemble_volume(&pieces, self.scan.grid.voxels(), fusing);
-        let comm_stats: Vec<RankCommStats> = outputs.iter().map(|(_, _, s, _)| s.clone()).collect();
+        let comm_stats: Vec<RankCommStats> = outputs.iter().map(|(_, s, _)| s.clone()).collect();
         let mut counters = ExecCounters::default();
-        for (_, _, _, c) in &outputs {
+        for (_, _, c) in &outputs {
             counters.merge(c);
         }
         DistributedResult {
             x,
-            residual_history: outputs[0].1.clone(),
+            residual_history: outputs[0].0.residual_history.clone(),
             comm_elements: self.comm_elements,
             comm_stats,
             counters,
+            non_finite: outputs[0].0.non_finite,
         }
     }
 }
@@ -1024,7 +1025,8 @@ mod tests {
     #[test]
     fn a_non_finite_scalar_on_one_rank_stops_every_rank_on_a_finite_iterate() {
         // Rank 0's projection turns NaN on iteration 3. ‖t‖², and with it
-        // δ, is allreduced, so every rank sees the NaN and stops there: two recorded
+        // δ, is allreduced, so every rank sees the NaN, stops there and
+        // names it (δ in iteration 3): two recorded
         // iterations, unconverged, a finite iterate and history on all —
         // on every wire width, so the NaN also crosses the half wire's
         // bulk conversions.
@@ -1063,6 +1065,11 @@ mod tests {
                 let case = format!("{precision:?} rank {rank}");
                 assert_eq!(report.iterations, 2, "{case}");
                 assert!(!report.converged, "{case}");
+                let fault = NonFinite {
+                    iteration: 3,
+                    what: "delta",
+                };
+                assert_eq!(report.non_finite, Some(fault), "{case}");
                 assert!(report.x.iter().all(|v| v.is_finite()), "{case}");
                 assert!(
                     report.residual_history.iter().all(|r| r.is_finite()),
@@ -1401,6 +1408,64 @@ mod tests {
             .expect("rebalance decision recorded");
         assert_eq!(decision.b, (side * side) as u64);
         assert!(decision.a > 0, "skewed weights must move at least one tile");
+    }
+
+    #[test]
+    fn every_rank_receives_in_the_order_of_the_proved_solve() {
+        // The executor runs the op list the verifier proves: on a traced,
+        // wired 2×2×2 CGLS run each rank's match edges — recorded as its
+        // program completes each receive — are, in order, the receives
+        // of its solve lowered for the iterations that ran, on both
+        // schedules. A reordered executor or a wrong lowering moves one.
+        use xct_verify::{CommOp, CommProgram};
+        let scan = ScanGeometry::uniform(ImageGrid::square(12, 1.0), 12);
+        let fusing = 3;
+        let (_, _, y) = phantom_sinogram(&scan, fusing);
+        for overlap in [false, true] {
+            let telemetry = Telemetry::enabled();
+            let cfg = DistributedConfig {
+                topology: Topology::new(2, 2, 2),
+                precision: Precision::Mixed,
+                fusing,
+                iterations: 3,
+                hierarchical: true,
+                overlap,
+                wire: Some(WireModel {
+                    latency: std::time::Duration::from_micros(100),
+                    bytes_per_sec: f64::INFINITY,
+                    ranks_per_node: 4,
+                }),
+                telemetry: telemetry.clone(),
+                ..Default::default()
+            };
+            let setup = DistributedSetup::build(&scan, &cfg);
+            let mut ctx = ExecContext::serial().with_telemetry(telemetry.clone());
+            let ran = setup
+                .run(&y, &cfg.request(), &mut ctx)
+                .residual_history
+                .len()
+                - 1;
+            assert_eq!(ran, cfg.iterations);
+            let snap = telemetry.snapshot();
+            let steps = AllreduceSteps::build_all(&cfg.topology);
+            let plans = &setup.compiled;
+            let ops_of = |p| xct_comm::protocol::solve(plans.rank(p), fusing, overlap, ran);
+            let program = CommProgram::lower(plans, &steps, ops_of);
+            for (rank, ops) in program.ops.iter().enumerate() {
+                let proved: Vec<(usize, u64)> = (ops.iter())
+                    .filter_map(|op| match *op {
+                        CommOp::Recv { from, tag } => Some((from, tag)),
+                        CommOp::Send { .. } => None,
+                    })
+                    .collect();
+                let traced: Vec<(usize, u64)> = (snap.edges.iter())
+                    .filter(|e| e.dst_track as usize == rank)
+                    .map(|e| (e.src_track as usize, e.tag))
+                    .collect();
+                assert!(!proved.is_empty());
+                assert_eq!(traced, proved, "rank {rank}, overlap {overlap}");
+            }
+        }
     }
 
     #[test]

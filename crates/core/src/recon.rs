@@ -7,6 +7,7 @@ use xct_exec::ExecContext;
 use xct_fp16::Precision;
 use xct_geometry::{ScanGeometry, SystemMatrix};
 use xct_plan::KernelShape;
+use xct_solver::NonFinite;
 
 use crate::distributed::{DistributedConfig, DistributedSetup, PackKey};
 
@@ -115,6 +116,8 @@ pub struct ReconReport {
     /// Relative residual `‖y − Ax‖/‖y‖` after each iteration
     /// (`residual_history[0]` is the initial 1.0).
     pub residual_history: Vec<f64>,
+    /// The scalar that ended the solve by not being finite, if one did.
+    pub non_finite: Option<NonFinite>,
 }
 
 impl Reconstructor {
@@ -189,6 +192,7 @@ impl Reconstructor {
             x: result.x,
             report: ReconReport {
                 residual_history: result.residual_history,
+                non_finite: result.non_finite,
             },
         }
     }

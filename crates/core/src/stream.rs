@@ -114,8 +114,11 @@ pub fn reconstruct_planned(
                     None => comm_stats.push(rank_stats.clone()),
                 }
             }
+            if let Some(fault) = result.non_finite {
+                return Err(fault);
+            }
             let residual = *result.residual_history.last().unwrap_or(&1.0);
-            (result.x, residual)
+            Ok((result.x, residual))
         },
     )?;
     Ok(StreamOutcome {

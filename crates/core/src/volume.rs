@@ -16,6 +16,7 @@
 use xct_exec::{MetricId, Phase, Telemetry};
 use xct_geometry::ScanGeometry;
 use xct_io::{DeferredWriter, IoError, PrefetchReader, SliceReader, SliceWriter};
+use xct_solver::NonFinite;
 
 /// Volume-pipeline failure.
 #[derive(Debug)]
@@ -24,6 +25,13 @@ pub enum PipelineError {
     Io(IoError),
     /// The input file does not match the reconstructor geometry.
     Geometry(String),
+    /// A slab's solve stopped on a scalar that was not finite.
+    NonFinite {
+        /// The slab, from 0.
+        slab: usize,
+        /// Which scalar, in which iteration.
+        fault: NonFinite,
+    },
 }
 
 impl std::fmt::Display for PipelineError {
@@ -31,6 +39,9 @@ impl std::fmt::Display for PipelineError {
         match self {
             PipelineError::Io(e) => write!(f, "pipeline I/O error: {e}"),
             PipelineError::Geometry(m) => write!(f, "geometry mismatch: {m}"),
+            PipelineError::NonFinite { slab, fault } => {
+                write!(f, "slab {slab}: solve stopped, {fault}")
+            }
         }
     }
 }
@@ -90,7 +101,7 @@ pub fn stream_slabs(
     slab_lens: &[usize],
     iterations: usize,
     telemetry: &Telemetry,
-    mut solve: impl FnMut(&[f32], usize) -> (Vec<f32>, f64),
+    mut solve: impl FnMut(&[f32], usize) -> Result<(Vec<f32>, f64), NonFinite>,
 ) -> Result<StreamOutcome<SlabTotals>, PipelineError> {
     let num_rays = scan.angles.len() * scan.detector.channels;
     let num_voxels = scan.grid.nx * scan.grid.nz;
@@ -148,7 +159,8 @@ pub fn stream_slabs(
         if let Some(&next) = slab_lens.get(index + 1) {
             input.prefetch(next);
         }
-        let (x, residual) = solve(&data, len);
+        let (x, residual) =
+            solve(&data, len).map_err(|fault| PipelineError::NonFinite { slab: index, fault })?;
         {
             // Queue the write-back; blocks only on the previous slab's
             // write, so the stall (if any) is what the span measures.
@@ -244,7 +256,7 @@ mod tests {
             |data, fusing| {
                 let result = recon.reconstruct_in(data, &ReconOptions { fusing, ..opts }, &mut ctx);
                 let residual = *result.report.residual_history.last().unwrap_or(&1.0);
-                (result.x, residual)
+                Ok((result.x, residual))
             },
         )
         .unwrap();

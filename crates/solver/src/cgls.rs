@@ -44,6 +44,27 @@ pub struct CglsReport {
     /// Wall-clock seconds per recorded residual (same indexing as
     /// `residual_history`) — the x-axis of Fig 13.
     pub time_history: Vec<f64>,
+    /// The scalar that ended the solve by not being finite, if one did;
+    /// `x` is then the last iterate the solver could measure.
+    pub non_finite: Option<NonFinite>,
+}
+
+/// A scalar a solve needs came out NaN or infinite — an overflow or NaN
+/// anywhere in an apply reaches it — and the solve stopped there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NonFinite {
+    /// The iteration (from 1) that formed the scalar.
+    pub iteration: usize,
+    /// Which scalar: `"gamma"` or `"delta"` (CGLS), `"residual norm"`
+    /// (SIRT).
+    pub what: &'static str,
+}
+
+impl std::fmt::Display for NonFinite {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let NonFinite { iteration, what } = self;
+        write!(f, "{what} is not finite at iteration {iteration}")
+    }
 }
 
 /// Solves `min ‖y − Ax‖² + λ²‖x‖²` with local (single-process) inner
@@ -98,7 +119,7 @@ pub fn cgls_in(
     history.push(1.0f64);
     let mut times = Vec::with_capacity(config.max_iters + 1);
     times.push(t0.elapsed().as_secs_f64());
-    let mut converged = false;
+    let (mut converged, mut non_finite) = (false, None);
 
     for iteration in 0..config.max_iters {
         // Each step reports the residual of the iterate it started from;
@@ -114,6 +135,10 @@ pub fn cgls_in(
                 converged = c;
                 break;
             }
+            CglsStep::NonFinite { fault, .. } => {
+                non_finite = Some(fault);
+                break;
+            }
         }
     }
     // An iterate that no step started from has no residual yet.
@@ -127,6 +152,7 @@ pub fn cgls_in(
         residual_history: history,
         converged,
         time_history: times,
+        non_finite,
     }
 }
 
@@ -142,12 +168,20 @@ pub enum CglsStep {
     /// The solve ends on the iterate the step started from, whose
     /// relative residual is `residual`: it met the tolerance or its
     /// gradient vanished (`converged`), or the direction fell in the null
-    /// space or a scalar was not finite (not `converged`).
+    /// space (not `converged`).
     Stopped {
         /// `‖r‖/‖y‖` of the final iterate.
         residual: f64,
         /// Whether the final iterate solves the problem to tolerance.
         converged: bool,
+    },
+    /// The solve ends on the iterate the step started from because a
+    /// scalar the step needs is not finite.
+    NonFinite {
+        /// `‖r‖/‖y‖` of the final iterate.
+        residual: f64,
+        /// Which scalar, in which iteration.
+        fault: NonFinite,
     },
 }
 
@@ -155,7 +189,9 @@ impl CglsStep {
     /// The relative residual of the iterate the step started from.
     pub fn residual(self) -> f64 {
         match self {
-            CglsStep::Advanced { residual } | CglsStep::Stopped { residual, .. } => residual,
+            CglsStep::Advanced { residual }
+            | CglsStep::Stopped { residual, .. }
+            | CglsStep::NonFinite { residual, .. } => residual,
         }
     }
 }
@@ -200,6 +236,8 @@ pub struct CglsSolver {
     q: Vec<f32>,
     /// The previous step's `γ` and `δ`; `None` before the first step.
     previous: Option<(f64, f64)>,
+    /// Steps that advanced the iterate.
+    iterations: usize,
     /// `‖y‖` (for relative residuals), known from the first step on.
     y_norm: f64,
     lambda: f64,
@@ -237,6 +275,7 @@ impl CglsSolver {
             p: ctx.workspace.take::<f32>(BufferRole::CgDirection, n),
             q: ctx.workspace.take::<f32>(BufferRole::CgProjected, m),
             previous: None,
+            iterations: 0,
             y_norm: 0.0,
             lambda: config.damping,
             tolerance: config.tolerance,
@@ -247,12 +286,12 @@ impl CglsSolver {
     /// final: the gradient has vanished or the residual meets the
     /// tolerance (converged), or the search direction is in the null
     /// space (`δ ≤ 0`, which the recurrence can also reach by
-    /// cancellation) or a scalar it needs is not finite — an overflow or
-    /// NaN anywhere in an apply reaches γ or δ, so the solve stops on the
-    /// last finite iterate instead of running to the cap on NaN.
-    /// Distributed callers stay in step: the scalars are reduced across
-    /// ranks, so every rank sees the same NaN and stops on the same
-    /// iteration.
+    /// cancellation). A γ or δ that is not finite — an overflow or NaN
+    /// anywhere in an apply reaches one — ends the solve too, on the last
+    /// finite iterate instead of running to the cap on NaN, and the step
+    /// says which ([`CglsStep::NonFinite`]). Distributed callers stay in
+    /// step: the scalars are reduced across ranks, so every rank sees the
+    /// same NaN and stops on the same iteration.
     // `!(v > 0.0)` is true for NaN, which `v <= 0.0` is not.
     #[allow(clippy::neg_cmp_op_on_partial_ord)]
     pub fn step(
@@ -283,12 +322,17 @@ impl CglsSolver {
             residual,
             converged,
         };
+        let iteration = self.iterations + 1;
+        let non_finite = |what| CglsStep::NonFinite {
+            residual,
+            fault: NonFinite { iteration, what },
+        };
+        if !gamma.is_finite() {
+            return non_finite("gamma");
+        }
         if !(gamma > 0.0) {
             // A vanished gradient is the exact solution.
-            return stop(gamma <= 0.0);
-        }
-        if !gamma.is_finite() {
-            return stop(false);
+            return stop(true);
         }
         if self.previous.is_some() && self.tolerance > 0.0 && residual <= self.tolerance {
             return stop(true);
@@ -302,6 +346,9 @@ impl CglsSolver {
             }
             None => (0.0, mu),
         };
+        if !delta.is_finite() {
+            return non_finite("delta");
+        }
         if !(delta > 0.0) {
             return stop(false);
         }
@@ -326,6 +373,7 @@ impl CglsSolver {
             }
         }
         self.previous = Some((gamma, delta));
+        self.iterations = iteration;
         ctx.telemetry.metric_inc(MetricId::SolverIterations);
         CglsStep::Advanced { residual }
     }
@@ -659,7 +707,7 @@ mod tests {
     }
 
     #[test]
-    fn a_non_finite_scalar_stops_the_solve_on_the_last_finite_iterate() {
+    fn a_non_finite_scalar_stops_the_solve_on_the_last_finite_iterate_and_is_named() {
         // A NaN in iteration 3's forward apply makes its ‖t‖², so δ, NaN;
         // one in iteration 2's backprojection makes the `s` iteration 3
         // starts from, so its γ, NaN: either way the solve stops after two
@@ -679,6 +727,11 @@ mod tests {
             let report = cgls(&poisoned, &y, &CglsConfig::default());
             assert_eq!(report.iterations, 2, "forward={forward}");
             assert!(!report.converged, "forward={forward}");
+            // The forward NaN reaches δ in iteration 3; the transpose
+            // NaN, the `s` iteration 3 starts from, its γ.
+            let what = if forward { "delta" } else { "gamma" };
+            let fault = NonFinite { iteration: 3, what };
+            assert_eq!(report.non_finite, Some(fault), "forward={forward}");
             assert!(report.x.iter().all(|v| v.is_finite()), "forward={forward}");
             assert!(report.residual_history.iter().all(|r| r.is_finite()));
         }
@@ -741,6 +794,7 @@ mod tests {
             time_history: vec![0.0; history.len()],
             residual_history: history,
             converged,
+            non_finite: None,
         }
     }
 

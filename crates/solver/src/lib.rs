@@ -45,7 +45,7 @@ mod operator;
 mod precision_op;
 mod sirt;
 
-pub use cgls::{cgls, cgls_in, CglsConfig, CglsReport, CglsSolver, CglsStep};
+pub use cgls::{cgls, cgls_in, CglsConfig, CglsReport, CglsSolver, CglsStep, NonFinite};
 pub use operator::{CsrOperator, LinearOperator, SystemMatrixOperator};
 pub use precision_op::PrecisionOperator;
 pub use sirt::{sirt_in, SirtConfig};

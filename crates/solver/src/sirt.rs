@@ -8,7 +8,7 @@
 //! constraints naturally — which CG does not — making it the standard
 //! companion solver in tomography toolkits (TomoPy, ASTRA).
 
-use crate::cgls::CglsReport;
+use crate::cgls::{CglsReport, NonFinite};
 use crate::operator::LinearOperator;
 use std::time::Instant;
 use xct_exec::{BufferRole, ExecContext, MetricId, Phase};
@@ -58,6 +58,12 @@ impl Default for SirtConfig {
 /// because its operator's probes already return global sums. The norms
 /// feed the history (and the tolerance) only, never the iterate. A
 /// single process passes `&mut |_| {}`.
+///
+/// A measure that is not finite — an overflow or NaN in an apply or in
+/// `y` — ends the solve there, recorded as it is and reported as
+/// [`NonFinite`]` { what: "residual norm", .. }` in the iteration whose
+/// forward apply formed it: the measure of the iterate after `k` updates
+/// is iteration `k + 1`'s.
 pub fn sirt_in(
     op: &dyn LinearOperator,
     y: &[f32],
@@ -107,7 +113,7 @@ pub fn sirt_in(
     history.push(1.0f64);
     let mut times = Vec::with_capacity(config.max_iters + 1);
     times.push(t0.elapsed().as_secs_f64());
-    let mut converged = false;
+    let (mut converged, mut non_finite) = (false, None);
     drop(setup_span);
 
     // `‖y − A·x‖/‖y‖` of the current `x`, leaving `R·(y − A·x)` in
@@ -121,11 +127,18 @@ pub fn sirt_in(
             *res = raw * ri;
         }
         reduce(&mut res_norm2);
-        if y_norm > 0.0 {
-            res_norm2[0].sqrt() / y_norm
-        } else {
+        // A zero measurement is solved; a NaN `‖y‖` leaves the measure NaN.
+        if y_norm == 0.0 {
             0.0
+        } else {
+            res_norm2[0].sqrt() / y_norm
         }
+    };
+    // The measure of the iterate after `k` updates is formed by
+    // iteration `k + 1`'s forward apply.
+    let fault = |k: usize| NonFinite {
+        iteration: k + 1,
+        what: "residual norm",
     };
     let record = |history: &mut Vec<f64>, rel: f64, ctx: &mut ExecContext| {
         history.push(rel);
@@ -139,10 +152,14 @@ pub fn sirt_in(
         let rel = measure(&x, &mut residual, ctx);
         if iteration > 0 {
             record(&mut history, rel, ctx);
-            if config.tolerance > 0.0 && rel <= config.tolerance {
-                converged = true;
-                break;
-            }
+        }
+        if !rel.is_finite() {
+            non_finite = Some(fault(iteration));
+            break;
+        }
+        if iteration > 0 && config.tolerance > 0.0 && rel <= config.tolerance {
+            converged = true;
+            break;
         }
         op.apply_transpose(&residual, &mut update, ctx);
         for ((xi, &ui), &ci) in x.iter_mut().zip(&update).zip(&c_inv) {
@@ -159,6 +176,9 @@ pub fn sirt_in(
     if history.len() < times.len() {
         let rel = measure(&x, &mut residual, ctx);
         record(&mut history, rel, ctx);
+        if !rel.is_finite() {
+            non_finite = Some(fault(times.len() - 1));
+        }
     }
     let iterations = times.len() - 1;
 
@@ -174,6 +194,7 @@ pub fn sirt_in(
         iterations,
         converged,
         time_history: times,
+        non_finite,
     }
 }
 
@@ -207,6 +228,26 @@ mod tests {
         let mut y = vec![0.0f32; sm.num_rays()];
         sm.project(&x_true, &mut y);
         (sm, x_true, y)
+    }
+
+    #[test]
+    fn a_non_finite_measure_stops_the_solve_and_is_named() {
+        // A NaN in `y` makes the first measure NaN: no update runs.
+        let (sm, _, mut y) = disk_setup(16, 20);
+        let op = SystemMatrixOperator::new(&sm);
+        let config = SirtConfig {
+            max_iters: 5,
+            ..Default::default()
+        };
+        y[7] = f32::NAN;
+        let report = sirt(&op, &y, &config);
+        let fault = NonFinite {
+            iteration: 1,
+            what: "residual norm",
+        };
+        assert_eq!(report.non_finite, Some(fault));
+        assert_eq!((report.iterations, report.residual_history.len()), (0, 1));
+        assert!(!report.converged);
     }
 
     #[test]

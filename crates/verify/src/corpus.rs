@@ -31,24 +31,16 @@
 //!    `RecvAssign` as `UnmatchedRecv` (on a real run that node would
 //!    block until the receive timeout).
 //!
-//! Beyond the reconstructions, [`misrouted_compiled`] /
-//! [`dropped_compiled`] / [`duplicated_compiled`] / [`unheld_compiled`]
-//! are minimal routing corruptions of a valid compiled direct exchange,
-//! [`duplicate_designee_compiled`] a socket level whose member both sends
-//! and keeps one partial, the four `oob_*` artifacts index tables
-//! reaching outside their buffers,
-//! [`over_budget_plan`] is a reconstruction plan claiming a byte budget
-//! its own footprint exceeds (`plan_fits` must report the exact gap),
-//! [`ragged_levels_compiled`] is a compiled plan whose ranks disagree on
-//! their level lists (a witness naming the rank and the missing level,
-//! not a panic), [`per_slice_local_level`] an iteration in which one rank
-//! runs a local level per slice while its peers move the whole batch at
-//! once, [`stale_maxima_collective`] one in which a rank still runs the
-//! retired forward-maxima allreduce its peers dropped, and
-//! [`single_sweep_gather`] is a *timing* bug — a gather whose root polls
-//! each source once without retrying — that passes every static check
-//! and the baseline schedule, and is caught only by chaos schedules
-//! (demonstrating why the explorer layer exists).
+//! Beyond the reconstructions, the corpus holds corruptions of valid
+//! compiled programs (the `*_compiled` artifacts: routing, bounds and
+//! structure), mutations of the op lists the executor runs
+//! ([`per_slice_local_level`], [`stale_maxima_collective`],
+//! [`round_before_global_drains`]) and of their scratch fold
+//! ([`read_before_finish_schedule`]), a plan over its own byte budget
+//! ([`over_budget_plan`]), and [`single_sweep_gather`], a *timing* bug —
+//! a gather whose root polls each source once without retrying — that
+//! passes every static check and the baseline schedule and is caught
+//! only by chaos schedules (why the explorer layer exists).
 //!
 //! [`MUST_REJECT`] is the one list of every static artifact above with
 //! the pass that must reject it and the witness it must give; the
@@ -68,7 +60,7 @@ use crate::deadlock::{CommOp, CommProgram};
 use crate::diag::{AccessKind, VerifyReport, Violation, ViolationKind};
 use crate::lifetime::{scratch_ops, verify_scratch_lifetime, ScratchOp};
 use crate::tags::TagClaimSet;
-use xct_comm::protocol::{exchange_schedule, Collective, ExchangeLevel};
+use xct_comm::protocol::{self, Apply, Collective, ExchangeLevel, Op};
 use xct_comm::{
     AllreduceSteps, Communicator, CompiledPlans, Footprints, Leg, LevelProgram, Ownership,
     RankPlan, StepKind, Topology, Transfer, REPLY_TAG_SALT,
@@ -554,7 +546,26 @@ pub fn ragged_levels_compiled() -> CompiledArtifact {
     })
 }
 
-/// Schedule mutation: one iteration at three fused slices on one socket
+/// Every rank's one-iteration solve of `plans` at `slices` fused slices
+/// under `overlap`, rank `rank`'s passed through `mutate`, lowered to its
+/// messages on `topo`'s collectives.
+fn mutated_solve(
+    (topo, plans): (Topology, &CompiledPlans),
+    (slices, overlap): (usize, bool),
+    rank: usize,
+    mutate: impl Fn(&mut Vec<Op>),
+) -> CommProgram {
+    let steps = AllreduceSteps::build_all(&topo);
+    CommProgram::lower(plans, &steps, |p| {
+        let mut ops: Vec<Op> = protocol::solve(plans.rank(p), slices, overlap, 1).collect();
+        if p == rank {
+            mutate(&mut ops);
+        }
+        ops
+    })
+}
+
+/// Op list mutation: one iteration at three fused slices on one socket
 /// of two GPUs, where rank 0 runs the forward socket level once per
 /// slice — the lowering from before the local levels moved the whole
 /// batch in one rendezvous — while its peer runs it once per apply. Rank
@@ -564,58 +575,73 @@ pub fn ragged_levels_compiled() -> CompiledArtifact {
 pub fn per_slice_local_level() -> CommProgram {
     const SLICES: usize = 3;
     let (_, _, topo, plans) = small_compiled_on(Topology::new(1, 1, 2));
-    let schedule: Vec<_> = exchange_schedule(SLICES, false).collect();
-    let steps = AllreduceSteps::build_all(&topo);
-    let mut program = CommProgram::operator_of(&plans, &steps, &schedule);
-    let tag = ExchangeLevel::Socket.tag();
-    let ops = &mut program.ops[0];
-    let at = ops
-        .iter()
-        .position(|op| op.tag() == tag)
-        // xct-allow(no-panic): corpus fixture — the 1×1×2 compile has a socket level
-        .expect("socket level lowered");
-    let level: Vec<CommOp> = ops.iter().copied().filter(|op| op.tag() == tag).collect();
-    ops.retain(|op| op.tag() != tag);
-    ops.splice(at..at, (0..SLICES).flat_map(|_| level.iter().copied()));
-    program
+    mutated_solve((topo, &plans), (SLICES, false), 0, |ops| {
+        let (level, slice) = (ExchangeLevel::Socket, None);
+        let pair = [Op::Post { level, slice }, Op::Drain { level, slice }];
+        if let Some(at) = ops.iter().position(|&op| op == pair[0]) {
+            ops.splice(at..at + 2, (0..SLICES).flat_map(|_| pair));
+        }
+    })
 }
 
 /// The rank that still lowers the retired forward-maxima collective in
 /// [`stale_maxima_collective`].
 pub const STALE_MAXIMA_RANK: usize = 1;
 
-/// Protocol mutation: one iteration on 1×1×2 at two fused slices in which
-/// rank [`STALE_MAXIMA_RANK`] still opens its forward apply with the
-/// per-slice maxima allreduce its peers no longer run — the lowering from
-/// before every sender carried its own §III-C1 scale in the message
-/// header. Its collective sends linger and its receives starve:
-/// `UnconsumedSend` and `UnmatchedRecv` at that rank on the retired
-/// site's tag.
+/// Op list mutation: one iteration on 1×1×2 at two fused slices in which
+/// rank [`STALE_MAXIMA_RANK`] still opens its solve with the per-slice
+/// maxima allreduce its peers no longer run — the lowering from before
+/// every sender carried its own §III-C1 scale in the message header. Its
+/// collective sends linger and its receives starve: `UnconsumedSend` and
+/// `UnmatchedRecv` at that rank on the retired site's tag.
 pub fn stale_maxima_collective() -> CommProgram {
     let (_, _, topo, plans) = small_compiled_on(Topology::new(1, 1, 2));
-    let schedule: Vec<_> = exchange_schedule(2, true).collect();
-    let steps = AllreduceSteps::build_all(&topo);
-    let mut program = CommProgram::operator_of(&plans, &steps, &schedule);
     // The retired site's base tag, which no peer lowers any more.
-    let stale = CommProgram::collective_of(&steps, 0x7000, 1);
-    let rank = STALE_MAXIMA_RANK;
-    program.ops[rank].splice(0..0, stale.ops[rank].iter().copied());
-    program
+    let tag = 0x7000;
+    let stale = Op::Collective(Collective {
+        tag,
+        name: "maxima",
+    });
+    mutated_solve((topo, &plans), (2, true), STALE_MAXIMA_RANK, |ops| {
+        ops.insert(0, stale);
+    })
 }
 
-/// Lifetime mutation: the two-slice overlap pipeline with slice 0's
-/// received payloads read *before* its posted irecvs are waited for —
-/// `PendingWriteRead` (acc, slice 0).
+/// Op list mutation: the flat two-rank solve at two fused slices, in
+/// the synchronous order, in which rank 0 runs its first forward apply's
+/// collective round ahead of the global drains. Rank 0 waits in the
+/// allreduce for rank 1, which reaches it only after draining slice 1 —
+/// whose message rank 0 posts after the round: a `DeadlockCycle`
+/// through both ranks.
+pub fn round_before_global_drains() -> CommProgram {
+    let (_, _, topo, plans) = small_compiled_fixture();
+    mutated_solve((topo, &plans), (2, false), 0, |ops| {
+        let (level, slice) = (ExchangeLevel::Global, Some(0));
+        let drain = ops.iter().position(|&op| op == Op::Drain { level, slice });
+        let round = ops.iter().position(|op| matches!(op, Op::Collective(_)));
+        if let (Some(round), Some(drain)) = (round, drain) {
+            let op = ops.remove(round);
+            ops.insert(drain, op);
+        }
+    })
+}
+
+/// Lifetime mutation: rank 0 of a flat four-rank compile, whose global
+/// level receives from three peers, running the two-slice overlapped
+/// forward apply with slice 0's received payloads landed *before* its
+/// posted receives are waited for — `PendingWriteRead` (acc, slice 0,
+/// 3 pending).
 pub fn read_before_finish_schedule() -> Vec<ScratchOp> {
-    let mut ops = scratch_ops(exchange_schedule(2, true), 3);
-    let (read, wait) = (
-        ScratchOp::ReadAcc { slice: 0 },
-        ScratchOp::WaitWrites { slice: 0 },
-    );
+    let fp = Footprints::new(vec![(0..8).collect(); 4]);
+    let own = Ownership::new((0..8).map(|r| r / 2).collect(), 4);
+    let plans = CompiledPlans::build_hierarchical(&fp, &own, &Topology::new(4, 1, 1));
+    let rank = plans.rank(0);
+    let mut ops = scratch_ops(rank, 2, protocol::apply(rank, Apply::Forward, 2, true));
+    let (land, wait) = (ScratchOp::Land(0), ScratchOp::WaitRecvs(0));
     let at = |ops: &[ScratchOp], op| ops.iter().position(|o| *o == op);
-    if let (Some(r), Some(w)) = (at(&ops, read), at(&ops, wait)) {
+    if let (Some(r), Some(w)) = (at(&ops, land), at(&ops, wait)) {
         ops.remove(r);
-        ops.insert(w, read);
+        ops.insert(w, land);
     }
     ops
 }
@@ -704,6 +730,13 @@ pub const MUST_REJECT: &[MustReject] = {
                 v.rank == 0 && matches!(v.kind,
                     UnconsumedSend { tag, .. } | UnmatchedRecv { tag, .. } if tag == socket)
             },
+        },
+        MustReject {
+            name: "round-before-global-drains",
+            report: || round_before_global_drains().check(),
+            expected: |v| matches!(&v.kind,
+                DeadlockCycle { cycle } if cycle.iter().any(|&(r, _)| r == 0)
+                    && cycle.iter().any(|&(r, _)| r == 1)),
         },
         MustReject {
             name: "stale-maxima-collective",

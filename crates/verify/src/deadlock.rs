@@ -2,6 +2,9 @@
 //!
 //! A [`CommProgram`] is each rank's ordered list of send/recv operations
 //! — the communication skeleton of an exchange, with payloads erased.
+//! [`CommProgram::lower`] folds the op lists the executor runs
+//! ([`xct_comm::protocol::Op`]) into it: nothing here restates the
+//! order of kernels, levels and collectives.
 //! Under the runtime's matching rules (buffered non-blocking sends,
 //! blocking receives matched by `(source, tag)` with per-key FIFO), the
 //! `i`-th receive at rank `q` for key `(p, t)` completes exactly when
@@ -15,8 +18,8 @@
 
 use crate::diag::{VerifyReport, ViolationKind};
 use std::collections::HashMap;
-use xct_comm::protocol::{slice_salt, Collective, ExchangeOp};
-use xct_comm::{AllreduceSteps, CollectiveStep, CompiledPlans, LevelProgram, StepKind, Topology};
+use xct_comm::protocol::{Collective, Op};
+use xct_comm::{AllreduceSteps, CollectiveStep, CompiledPlans, StepKind, Topology};
 
 /// One communication operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,15 +40,6 @@ pub enum CommOp {
     },
 }
 
-impl CommOp {
-    /// The operation's tag.
-    pub fn tag(self) -> u64 {
-        match self {
-            CommOp::Send { tag, .. } | CommOp::Recv { tag, .. } => tag,
-        }
-    }
-}
-
 /// Per-rank ordered operation lists.
 #[derive(Debug, Clone, Default)]
 pub struct CommProgram {
@@ -59,54 +53,38 @@ impl CommProgram {
         self.ops.len()
     }
 
-    /// The skeleton of one solver iteration of the distributed operator
-    /// running `schedule` in both directions, payloads erased — what one
-    /// CGLS step executes, call for call:
-    ///
-    /// * forward apply (`t = A·s`): the forward list in order, each
-    ///   level lowered as the executor runs it — a local level once for
-    ///   the whole batch, on its base tag (sends, then receives in plan
-    ///   order); a global level
-    ///   ([`ExchangeLevel::per_slice`](xct_comm::protocol::ExchangeLevel::per_slice))
-    ///   per `Post(f)` with the sends of slice `f` under its salt, per
-    ///   `Drain(f)` with the receives;
-    /// * the iteration's one collective, the inner products;
-    /// * transpose apply (`s = Aᵀ·r`): the transpose list, lowered the
-    ///   same way.
-    ///
-    /// The applies make no collective: every sender's §III-C1 scale
-    /// travels in its message header.
-    pub fn operator_of(
+    /// Lowers the op list of every rank of `steps`, payloads erased: each
+    /// [`Op::Post`] is the level's sends, each [`Op::Drain`] its receives
+    /// in plan order, both under the tag the op travels on
+    /// ([`ExchangeLevel::wire_tag`](xct_comm::protocol::ExchangeLevel::wire_tag)),
+    /// and each [`Op::Collective`] the rank's allreduce step list at the
+    /// site's tag. The other ops move no message.
+    pub fn lower<I: IntoIterator<Item = Op>>(
         plans: &CompiledPlans,
         steps: &[AllreduceSteps],
-        schedule: &[ExchangeOp],
+        ops_of: impl Fn(usize) -> I,
     ) -> Self {
-        let ops = (0..plans.num_ranks())
+        let ops = (0..steps.len())
             .map(|p| {
-                let rp = plans.rank(p);
                 let mut ops = Vec::new();
-                // A local level once for the whole batch, on its base
-                // tag; a global level per slice, in schedule order.
-                let lower = |ops: &mut Vec<CommOp>, level: &LevelProgram| {
-                    if !level.level().per_slice() {
-                        push_sends(ops, level, 0);
-                        push_recvs(ops, level, 0);
-                        return;
-                    }
-                    for op in schedule {
-                        match *op {
-                            ExchangeOp::Post(f) => push_sends(ops, level, slice_salt(f)),
-                            ExchangeOp::Drain(f) => push_recvs(ops, level, slice_salt(f)),
+                for op in ops_of(p) {
+                    let program = |level| plans.rank(p).level(level);
+                    match op {
+                        Op::Post { level, slice } => {
+                            let (tag, sends) = (level.wire_tag(slice), program(level));
+                            let sends = sends.map_or(&[][..], |l| l.sends()).iter();
+                            ops.extend(sends.map(|t| CommOp::Send { to: t.peer, tag }));
                         }
+                        Op::Drain { level, slice } => {
+                            let (tag, recvs) = (level.wire_tag(slice), program(level));
+                            let recvs = recvs.map_or(&[][..], |l| l.recvs()).iter();
+                            ops.extend(recvs.map(|t| CommOp::Recv { from: t.peer, tag }));
+                        }
+                        Op::Collective(site) => {
+                            ops.extend(steps[p].steps().iter().map(|s| step_op(s, site.tag)));
+                        }
+                        Op::Launch | Op::Hold | Op::Advance | Op::Widen => {}
                     }
-                };
-                for level in rp.forward() {
-                    lower(&mut ops, level);
-                }
-                let tag = Collective::INNER_PRODUCTS.tag;
-                ops.extend(steps[p].steps().iter().map(|s| step_op(s, tag)));
-                for level in rp.transpose() {
-                    lower(&mut ops, level);
                 }
                 ops
             })
@@ -119,15 +97,10 @@ impl CommProgram {
     /// erased. More than one round proves that reusing the tag is safe
     /// under per-key FIFO matching.
     pub fn collective_of(steps: &[AllreduceSteps], tag: u64, rounds: usize) -> Self {
-        let ops = steps
-            .iter()
-            .map(|program| {
-                (0..rounds)
-                    .flat_map(|_| program.steps().iter().map(|s| step_op(s, tag)))
-                    .collect()
-            })
-            .collect();
-        CommProgram { ops }
+        let round = Op::Collective(Collective { tag, name: "" });
+        Self::lower(&CompiledPlans::from_ranks(Vec::new()), steps, |_| {
+            vec![round; rounds]
+        })
     }
 
     /// Checks deadlock freedom; violations carry the blocking cycle or
@@ -288,33 +261,14 @@ fn step_op(step: &CollectiveStep, tag: u64) -> CommOp {
     }
 }
 
-/// Appends one level's sends under `salt` (0 for a local level, which
-/// travels on its base tag).
-fn push_sends(ops: &mut Vec<CommOp>, level: &LevelProgram, salt: u64) {
-    ops.extend(level.sends().iter().map(|t| CommOp::Send {
-        to: t.peer,
-        tag: level.level().tag() ^ salt,
-    }));
-}
-
-/// Appends one level's receives under `salt`, in plan (completion)
-/// order.
-fn push_recvs(ops: &mut Vec<CommOp>, level: &LevelProgram, salt: u64) {
-    ops.extend(level.recvs().iter().map(|t| CommOp::Recv {
-        from: t.peer,
-        tag: level.level().tag() ^ salt,
-    }));
-}
-
-/// Verifies deadlock freedom of one iteration of the distributed
-/// operator on `topo` running `schedule`
-/// ([`CommProgram::operator_of`]).
-pub fn verify_deadlock(
+/// Verifies deadlock freedom of every rank of `plans` running the op
+/// list `ops_of(rank)` on `topo`'s collectives.
+pub fn verify_deadlock<I: IntoIterator<Item = Op>>(
     plans: &CompiledPlans,
     topo: &Topology,
-    schedule: &[ExchangeOp],
+    ops_of: impl Fn(usize) -> I,
 ) -> VerifyReport {
-    CommProgram::operator_of(plans, &AllreduceSteps::build_all(topo), schedule).check()
+    CommProgram::lower(plans, &AllreduceSteps::build_all(topo), ops_of).check()
 }
 
 #[cfg(test)]

@@ -28,9 +28,11 @@
 //! * **Abstract interpretation** ([`absint`], [`lifetime`]) interprets
 //!   the compiled index programs over abstract domains instead of
 //!   executing them: interval bounds proofs for every Transfer table
-//!   access, and scratch-region lifetime tracking across the post/drain
-//!   overlap windows (no read of a region with pending
-//!   in-flight writes; DESIGN.md §3i).
+//!   access, and scratch lifetime tracking across the post/drain
+//!   overlap windows (no read of a slot with pending receives;
+//!   DESIGN.md §3i). The lifetime, tag and deadlock passes are folds
+//!   over the op lists the executor runs
+//!   ([`xct_comm::protocol::Op`]).
 //! * **Schedule exploration** ([`mod@explore`]) runs real rank bodies under
 //!   seeded chaos schedules (jitter + delay-one-message), making timing
 //!   bugs that static analysis cannot see — wrong *progress logic*
@@ -68,13 +70,16 @@ pub use plan_check::verify_hierarchical;
 pub use plan_fits::plan_fits;
 pub use tags::{claims_for_compiled, verify_tags, TagClaim, TagClaimSet};
 
-use xct_comm::protocol::{exchange_schedule, ExchangeOp};
-use xct_comm::{CompiledPlans, Footprints, HierarchicalPlan, Ownership, Topology};
+use xct_comm::{protocol, CompiledPlans, Footprints, HierarchicalPlan, Ownership, Topology};
 
-/// Fused-slice depth the lifetime and deadlock passes run the schedule
-/// at: deeper than one or two, so under overlap every slice is posted
-/// while others are still in flight.
+/// Fused-slice depth the lifetime and deadlock passes run the solve at:
+/// deeper than one or two, so under overlap every slice is posted while
+/// others are still in flight.
 const OVERLAP_CHECK_SLICES: usize = 3;
+
+/// Iterations of the solve the lifetime and deadlock passes prove: two,
+/// so the reuse of every tag from one iteration to the next is proved.
+const PROVED_ITERATIONS: usize = 2;
 
 /// Every static check against a hierarchical plan and its compilation,
 /// for a run on `topo`, merged in this order: the plan's groups fit
@@ -82,7 +87,8 @@ const OVERLAP_CHECK_SLICES: usize = 3;
 /// the compiled programs' level structure, index bounds and end-to-end
 /// conservation ([`verify_compiled`]), scratch lifetimes, tag
 /// disjointness, and deadlock freedom — the lifetime and deadlock passes
-/// on the exchange schedule `overlap` selects ([`exchange_schedule`]),
+/// on each rank's solve in the order `overlap` selects
+/// ([`protocol::solve`], the op list the executor runs),
 /// the tag and deadlock passes with `topo`'s collectives. This is the
 /// entry point the distributed pipeline calls in debug builds and under
 /// `--verify-plans`.
@@ -96,9 +102,10 @@ pub fn verify_all_hierarchical(
 ) -> VerifyReport {
     let mut report = verify_hierarchical(footprints, topo, plan);
     report.merge(verify_compiled(footprints, ownership, compiled));
-    let schedule: Vec<ExchangeOp> = exchange_schedule(OVERLAP_CHECK_SLICES, overlap).collect();
-    report.merge(verify_lifetimes(compiled, &schedule));
+    let slices = OVERLAP_CHECK_SLICES;
+    let ops_of = |p| protocol::solve(compiled.rank(p), slices, overlap, PROVED_ITERATIONS);
+    report.merge(verify_lifetimes(compiled, slices, ops_of));
     report.merge(verify_tags(compiled, topo));
-    report.merge(verify_deadlock(compiled, topo, &schedule));
+    report.merge(verify_deadlock(compiled, topo, ops_of));
     report
 }

@@ -1,142 +1,112 @@
-//! Scratch-buffer lifetime and aliasing analysis for the overlap
-//! pipeline.
+//! Scratch-buffer lifetime analysis of the exchange executor.
 //!
-//! The executor's level step ([`xct_comm::RankPlan::reduce`] and
-//! [`xct_comm::RankPlan::scatter`]) posts a global level's slice at
-//! `Post(f)` and drains it at `Drain(f)`, so a slice's global exchange
-//! is on the wire while the next slices are posted. That overlap is
-//! exactly where a lifetime bug hides: the pending exchange owns a region
-//! with *posted but undelivered* irecv writes, and any read of that
-//! region before the matching drain has waited observes
-//! partially-delivered data. This module abstracts the executor's
-//! scratch usage into a small op language ([`ScratchOp`]), expands the
-//! exchange schedule the operator runs
-//! ([`xct_comm::protocol::exchange_schedule`], either setting of
-//! `overlap`) into it ([`scratch_ops`]), and checks any sequence — real
-//! or mutated — for the two lifetime properties:
+//! The executor ([`xct_comm::RankPlan::reduce`] and
+//! [`xct_comm::RankPlan::scatter`]) keeps three kinds of scratch: the
+//! *held batch* every level reads (filled by `Hold`, refilled by each
+//! `Advance` with the level's output), one *pending-receive slot* per
+//! fused slice (filled by a `Post` with receives that stay pending until
+//! its `Drain` waits), and the *one-slice accumulator* a drain forms each
+//! output slice in, seeded from the held batch and landed from the slot.
+//! Under `overlap` every slice's global exchange is on the wire at once,
+//! so that is where a lifetime bug hides: a read of a slot before its
+//! receives are waited observes partially delivered data.
 //!
-//! * **no pending-write read** — a region acquired by a post is not
-//!   read until its posted writes are waited
-//!   ([`ViolationKind::PendingWriteRead`]);
-//! * **no overwrite of a live region** — `cur`, the held batch the local
-//!   levels leave behind once per apply, is not refilled while one of its
-//!   slices has yet to be read by its drain, and a pending region is not
-//!   re-acquired while still in flight.
+//! [`scratch_ops`] folds a rank's op list ([`xct_comm::protocol::Op`],
+//! the list the executor runs) into the small language of
+//! [`ScratchOp`], and [`verify_scratch_lifetime`] checks any sequence —
+//! real or mutated — for the two lifetime properties:
+//!
+//! * **no pending-write read** — the accumulator does not land a slot
+//!   before its receives are waited ([`ViolationKind::PendingWriteRead`]
+//!   on `acc`), and a slot is not re-posted, nor the program ended, while
+//!   its receives are pending (on `slot`);
+//! * **no overwrite of a live batch** — the held batch is not refilled
+//!   while one of its slices has yet to be read by its drain (on `held`).
 //!
 //! The analysis is a linear scan with fixed-size state (at most
-//! [`MAX_TRACKED_SLICES`] concurrently tracked slices — the real
-//! schedule keeps every fused slice of one apply in flight); the clean
-//! verdict allocates nothing.
+//! [`MAX_TRACKED_SLICES`] slices); the clean verdict allocates nothing
+//! beyond the expansion.
 
 use crate::diag::{VerifyReport, ViolationKind};
-use xct_comm::protocol::ExchangeOp;
+use xct_comm::protocol::Op;
+use xct_comm::{CompiledPlans, RankPlan};
 
-/// Most slices the checker tracks concurrently. The overlap schedule
-/// keeps all fused slices of an apply in flight; the bound only caps
-/// *simultaneous* liveness, not schedule length (slice ids wrap through
-/// the table by identity).
+/// Most slices the checker tracks: the overlapped order keeps every
+/// fused slice of an apply in flight, each in its own slot.
 pub const MAX_TRACKED_SLICES: usize = 64;
 
-/// One abstract scratch operation of the overlapped exchange pipeline,
-/// in program order for a single rank.
+/// One abstract scratch operation of the executor, in program order for
+/// a single rank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScratchOp {
-    /// `reduce` quantizes the kernel's partials into `cur` and the local
-    /// levels rewrite it with the post-node partials of the whole batch,
-    /// fused slices `0..slices` — once per apply.
-    FillCur {
-        /// How many slices now occupy `cur`.
-        slices: usize,
-    },
-    /// The drain of slice `slice` seeds its accumulator with the carries
-    /// out of `cur` (its post gathered the sends from it before) — the
-    /// last read of that slice.
-    ReadCur {
-        /// The slice being posted.
-        slice: usize,
-    },
-    /// The post takes the pending-exchange region of the slice.
-    AcquireAcc {
-        /// The slice owning the region.
-        slice: usize,
-    },
-    /// The post posts `count` irecvs into the region — writes that
-    /// remain pending until [`ScratchOp::WaitWrites`].
-    PostWrites {
-        /// The slice owning the region.
-        slice: usize,
-        /// Number of posted in-flight writes.
+    /// The held batch is (re)filled with this many slices: by `Hold`, or
+    /// by `Advance` with the output the level's drains formed.
+    FillHeld(usize),
+    /// A drain seeds the accumulator with the carries out of this slice
+    /// of the held batch (its post gathered the sends from it before), or
+    /// `Widen` reads it out — the last read of that slice.
+    ReadHeld(usize),
+    /// A post puts `count` receives into pending slot `slot` (the fused
+    /// slice a global level carries; 0 for a local level's whole batch) —
+    /// writes that stay pending until [`ScratchOp::WaitRecvs`].
+    PostRecvs {
+        /// The slot.
+        slot: usize,
+        /// Number of posted receives.
         count: usize,
     },
-    /// The drain waits for the posted irecvs (the `CommWait` span).
-    WaitWrites {
-        /// The slice being finished.
-        slice: usize,
-    },
-    /// The drain lands the received payloads to produce the owned
-    /// totals.
-    ReadAcc {
-        /// The slice being finished.
-        slice: usize,
-    },
-    /// The drain returns the region to the pool.
-    ReleaseAcc {
-        /// The slice releasing its region.
-        slice: usize,
-    },
+    /// A drain waits for this slot's receives (the `CommWait` span).
+    WaitRecvs(usize),
+    /// A drain lands this slot's payloads in the one-slice accumulator.
+    Land(usize),
 }
 
-/// The scratch operations one rank performs when it runs `schedule`
-/// with `writes_per_slice` posted irecvs per global exchange: first the
-/// local reduction of the whole batch into `cur`, then per `Post(f)` the
-/// acquire and the post, per `Drain(f)` the wait, the seed out of slice
-/// `f` of `cur`, the read and the release. The corpus mutates the result to seed
-/// lifetime bugs.
+/// The scratch operations `rank` performs running `ops` at `slices`
+/// fused slices: `Hold` and `Advance` fill the held batch, `Widen`
+/// reads every slice of it, a `Post` fills its slot with the level's
+/// receives, and a `Drain` waits for them, then per slice it forms reads
+/// the held slice and lands the slot. The corpus mutates the result to
+/// seed lifetime bugs.
 pub fn scratch_ops(
-    schedule: impl IntoIterator<Item = ExchangeOp>,
-    writes_per_slice: usize,
+    rank: &RankPlan,
+    slices: usize,
+    ops: impl IntoIterator<Item = Op>,
 ) -> Vec<ScratchOp> {
-    let schedule: Vec<ExchangeOp> = schedule.into_iter().collect();
-    let slices = schedule
-        .iter()
-        .filter_map(|op| match op {
-            ExchangeOp::Post(f) => Some(f + 1),
-            ExchangeOp::Drain(_) => None,
-        })
-        .max()
-        .unwrap_or(0);
-    let mut ops = vec![ScratchOp::FillCur { slices }];
-    for op in schedule {
+    let mut scratch = Vec::new();
+    for op in ops {
         match op {
-            ExchangeOp::Post(slice) => ops.extend([
-                ScratchOp::AcquireAcc { slice },
-                ScratchOp::PostWrites {
-                    slice,
-                    count: writes_per_slice,
-                },
-            ]),
-            ExchangeOp::Drain(slice) => ops.extend([
-                ScratchOp::WaitWrites { slice },
-                ScratchOp::ReadCur { slice },
-                ScratchOp::ReadAcc { slice },
-                ScratchOp::ReleaseAcc { slice },
-            ]),
+            Op::Hold | Op::Advance => scratch.push(ScratchOp::FillHeld(slices)),
+            Op::Widen => scratch.extend((0..slices).map(ScratchOp::ReadHeld)),
+            Op::Post { level, slice } => {
+                let count = rank.level(level).map_or(0, |l| l.recvs().len());
+                let slot = slice.unwrap_or(0);
+                scratch.push(ScratchOp::PostRecvs { slot, count });
+            }
+            Op::Drain { slice, .. } => {
+                let slot = slice.unwrap_or(0);
+                scratch.push(ScratchOp::WaitRecvs(slot));
+                let formed = slice.map_or(0..slices, |f| f..f + 1);
+                for slice in formed {
+                    scratch.extend([ScratchOp::ReadHeld(slice), ScratchOp::Land(slot)]);
+                }
+            }
+            Op::Launch | Op::Collective(_) => {}
         }
     }
-    ops
+    scratch
 }
 
-/// Checks an op sequence for pending-write reads and live-region
+/// Checks an op sequence for pending-write reads and live-batch
 /// overwrites. `rank` only labels the witnesses.
 pub fn verify_scratch_lifetime(rank: usize, ops: &[ScratchOp]) -> VerifyReport {
     let mut report = VerifyReport::new();
-    // Fixed-size state: which slice's acc region is live and how many of
-    // its posted writes are still pending.
-    let mut live = [false; MAX_TRACKED_SLICES];
+    // Fixed-size state: which slot has receives posted and not yet
+    // waited, and how many.
+    let mut posted = [false; MAX_TRACKED_SLICES];
     let mut pending = [0usize; MAX_TRACKED_SLICES];
-    // `cur` holds a batch — its slice count and the mask of slices no
-    // begin has gathered yet — or nothing yet.
-    let mut cur: Option<(usize, u64)> = None;
+    // The held batch — its slice count and the mask of slices not read
+    // since it was filled — or nothing yet.
+    let mut held: Option<(usize, u64)> = None;
     let malformed = |report: &mut VerifyReport, detail: String| {
         report.push(rank, None, ViolationKind::Malformed { detail });
     };
@@ -149,96 +119,84 @@ pub fn verify_scratch_lifetime(rank: usize, ops: &[ScratchOp]) -> VerifyReport {
         report.push(rank, None, kind);
     };
     for op in ops {
-        let (ScratchOp::FillCur { slices: slice }
-        | ScratchOp::ReadCur { slice }
-        | ScratchOp::AcquireAcc { slice }
-        | ScratchOp::PostWrites { slice, .. }
-        | ScratchOp::WaitWrites { slice }
-        | ScratchOp::ReadAcc { slice }
-        | ScratchOp::ReleaseAcc { slice }) = *op;
+        let (ScratchOp::FillHeld(id)
+        | ScratchOp::ReadHeld(id)
+        | ScratchOp::PostRecvs { slot: id, .. }
+        | ScratchOp::WaitRecvs(id)
+        | ScratchOp::Land(id)) = *op;
         // How many slices the op spans: a fill's count, or one id's.
-        let spans = slice + usize::from(!matches!(op, ScratchOp::FillCur { .. }));
+        let spans = id + usize::from(!matches!(op, ScratchOp::FillHeld(_)));
         if spans > MAX_TRACKED_SLICES {
             let bound = MAX_TRACKED_SLICES;
             malformed(
                 &mut report,
-                format!("slice id {slice} exceeds tracked bound {bound}"),
+                format!("slice id {id} exceeds tracked bound {bound}"),
             );
             continue;
         }
         match *op {
-            ScratchOp::FillCur { slices } => {
-                if let Some((_, unread)) = cur.filter(|&(_, unread)| unread != 0) {
-                    // Overwriting values some slice's begin never
-                    // gathered: its exchange would send the next batch.
+            ScratchOp::FillHeld(slices) => {
+                if let Some((_, unread)) = held.filter(|&(_, unread)| unread != 0) {
+                    // Overwriting values some slice's drain never read:
+                    // its output would be formed from the next batch.
                     let first = unread.trailing_zeros() as usize;
-                    pending_read(&mut report, "cur", first, unread.count_ones() as usize);
+                    pending_read(&mut report, "held", first, unread.count_ones() as usize);
                 }
-                cur = Some((slices, (0..slices).fold(0, |all, f| all | 1 << f)));
+                held = Some((slices, (0..slices).fold(0, |all, f| all | 1 << f)));
             }
-            ScratchOp::ReadCur { .. } => match cur {
-                Some((held, unread)) if slice < held => cur = Some((held, unread & !(1 << slice))),
+            ScratchOp::ReadHeld(slice) => match held {
+                Some((n, unread)) if slice < n => held = Some((n, unread & !(1 << slice))),
                 other => malformed(
                     &mut report,
-                    format!("begin of slice {slice} reads cur holding {other:?}"),
+                    format!("slice {slice} read from a held batch of {other:?}"),
                 ),
             },
-            ScratchOp::AcquireAcc { .. } => {
-                if live[slice] {
-                    pending_read(&mut report, "acc", slice, pending[slice]);
+            ScratchOp::PostRecvs { slot, count } => {
+                if posted[slot] && pending[slot] > 0 {
+                    // Re-posting over receives still in flight.
+                    pending_read(&mut report, "slot", slot, pending[slot]);
                 }
-                live[slice] = true;
-                pending[slice] = 0;
+                posted[slot] = true;
+                pending[slot] = count;
             }
-            ScratchOp::PostWrites { count, .. } => {
-                if !live[slice] {
+            ScratchOp::WaitRecvs(slot) => {
+                if !posted[slot] {
                     malformed(
                         &mut report,
-                        format!("writes posted into unacquired acc of slice {slice}"),
+                        format!("finish of slice {slot}, whose exchange is not posted"),
                     );
                 }
-                pending[slice] += count;
+                posted[slot] = false;
+                pending[slot] = 0;
             }
-            ScratchOp::WaitWrites { .. } => {
-                if !live[slice] {
-                    malformed(
-                        &mut report,
-                        format!("finish of slice {slice}, whose exchange is not posted"),
-                    );
-                }
-                pending[slice] = 0;
-            }
-            ScratchOp::ReadAcc { .. } | ScratchOp::ReleaseAcc { .. } => {
-                if pending[slice] > 0 {
-                    pending_read(&mut report, "acc", slice, pending[slice]);
-                }
-                if matches!(op, ScratchOp::ReleaseAcc { .. }) {
-                    live[slice] = false;
+            ScratchOp::Land(slot) => {
+                if pending[slot] > 0 {
+                    pending_read(&mut report, "acc", slot, pending[slot]);
                 }
             }
         }
     }
-    // Anything still in flight at pipeline end was never finished.
-    for (slice, &l) in live.iter().enumerate() {
-        if l && pending[slice] > 0 {
-            pending_read(&mut report, "acc", slice, pending[slice]);
+    // Anything still in flight at the end of the program was never
+    // waited.
+    for (slot, &count) in pending.iter().enumerate() {
+        if posted[slot] && count > 0 {
+            pending_read(&mut report, "slot", slot, count);
         }
     }
     report
 }
 
-/// Verifies the scratch usage of every rank of `plans` running
-/// `schedule` on each level it runs per slice, in both lists; such a
-/// level posts one irecv per recv transfer.
-pub fn verify_lifetimes(plans: &xct_comm::CompiledPlans, schedule: &[ExchangeOp]) -> VerifyReport {
+/// Verifies the scratch usage of every rank of `plans` running the op
+/// list `ops_of(rank)` at `slices` fused slices.
+pub fn verify_lifetimes<I: IntoIterator<Item = Op>>(
+    plans: &CompiledPlans,
+    slices: usize,
+    ops_of: impl Fn(usize) -> I,
+) -> VerifyReport {
     let mut report = VerifyReport::new();
     for rank in 0..plans.num_ranks() {
-        let rp = plans.rank(rank);
-        let levels = rp.forward().iter().chain(rp.transpose());
-        for level in levels.filter(|l| l.level().per_slice()) {
-            let ops = scratch_ops(schedule.iter().copied(), level.recvs().len());
-            report.merge(verify_scratch_lifetime(rank, &ops));
-        }
+        let ops = scratch_ops(plans.rank(rank), slices, ops_of(rank));
+        report.merge(verify_scratch_lifetime(rank, &ops));
     }
     report
 }
@@ -246,62 +204,76 @@ pub fn verify_lifetimes(plans: &xct_comm::CompiledPlans, schedule: &[ExchangeOp]
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xct_comm::protocol::exchange_schedule;
+    use crate::corpus::small_compiled_fixture;
+    use xct_comm::protocol::{self, Apply};
+    use xct_comm::Topology;
+
+    /// Rank 0 of the corpus's flat two-rank fixture, whose global level
+    /// receives one message.
+    fn rank0() -> RankPlan {
+        small_compiled_fixture().3.rank(0).clone()
+    }
 
     #[test]
-    fn both_real_schedules_are_clean() {
-        for slices in [1, 2, 3, 8] {
-            for overlap in [false, true] {
-                let ops = scratch_ops(exchange_schedule(slices, overlap), 3);
-                let report = verify_scratch_lifetime(0, &ops);
-                assert!(report.ok(), "slices={slices} overlap={overlap}: {report}");
+    fn the_real_solve_is_clean_in_both_orders() {
+        for topo in [Topology::new(2, 1, 1), Topology::new(1, 1, 2)] {
+            let (fp, own) = (
+                xct_comm::Footprints::new(vec![vec![0, 1, 2], vec![1, 2, 3]]),
+                xct_comm::Ownership::new(vec![0, 0, 1, 1], 2),
+            );
+            let plans = CompiledPlans::build_hierarchical(&fp, &own, &topo);
+            for slices in [1, 2, 3, 8] {
+                for overlap in [false, true] {
+                    let ops_of = |p| protocol::solve(plans.rank(p), slices, overlap, 2);
+                    let report = verify_lifetimes(&plans, slices, ops_of);
+                    assert!(report.ok(), "slices={slices} overlap={overlap}: {report}");
+                }
             }
         }
     }
 
     #[test]
-    fn read_before_wait_is_a_pending_write_read() {
-        // Mutate the 2-slice schedule: the drain reads the received
-        // payloads before waiting for the posted irecvs.
-        let mut ops = scratch_ops(exchange_schedule(2, true), 3);
+    fn landing_before_the_wait_is_a_pending_write_read() {
+        // Mutate the 2-slice overlapped apply: the drain lands the
+        // received payloads before waiting for the posted receives.
+        let rank = rank0();
+        let mut ops = scratch_ops(&rank, 2, protocol::apply(&rank, Apply::Forward, 2, true));
         let wait = ops
             .iter()
-            .position(|op| *op == ScratchOp::WaitWrites { slice: 0 })
+            .position(|op| *op == ScratchOp::WaitRecvs(0))
             .unwrap();
-        let read = ops.remove(wait + 2); // after the seed out of `cur`
-        assert_eq!(read, ScratchOp::ReadAcc { slice: 0 });
-        ops.insert(wait, read); // ReadAcc(0) now precedes WaitWrites(0)
+        let land = ops.remove(wait + 2); // after the seed out of the held slice
+        assert_eq!(land, ScratchOp::Land(0));
+        ops.insert(wait, land);
         let report = verify_scratch_lifetime(0, &ops);
         assert!(report.violations.iter().any(|v| matches!(
             v.kind,
             ViolationKind::PendingWriteRead {
                 buffer: "acc",
                 slice: 0,
-                pending: 3
+                pending: 1
             }
         )));
     }
 
     #[test]
-    fn the_batch_is_filled_once_per_apply() {
-        let ops = scratch_ops(exchange_schedule(3, true), 3);
-        let fills = ops
-            .iter()
-            .filter(|op| matches!(op, ScratchOp::FillCur { .. }));
-        assert_eq!(
-            fills.collect::<Vec<_>>(),
-            [&ScratchOp::FillCur { slices: 3 }]
-        );
+    fn the_batch_is_held_once_and_refilled_once_per_level() {
+        let rank = rank0();
+        let ops = scratch_ops(&rank, 3, protocol::apply(&rank, Apply::Forward, 3, true));
+        let fills = ops.iter().filter(|op| matches!(op, ScratchOp::FillHeld(_)));
+        assert_eq!(fills.count(), 1 + rank.forward().len());
     }
 
     #[test]
     fn refilling_the_batch_before_every_slice_is_flagged() {
-        // The per-slice lowering: the local levels refill `cur` before
-        // each slice's seed, overwriting slices 1 and 2 unread.
+        // The per-slice lowering: the held batch refilled before each
+        // slice's seed, overwriting slices 1 and 2 unread.
+        let rank = rank0();
         let mut ops = Vec::new();
-        for op in scratch_ops(exchange_schedule(3, false), 3) {
-            if matches!(op, ScratchOp::ReadCur { .. }) {
-                ops.push(ScratchOp::FillCur { slices: 3 });
+        let real = scratch_ops(&rank, 3, protocol::apply(&rank, Apply::Forward, 3, false));
+        for op in real {
+            if matches!(op, ScratchOp::ReadHeld(_)) {
+                ops.push(ScratchOp::FillHeld(3));
             }
             ops.push(op);
         }
@@ -309,7 +281,7 @@ mod tests {
         assert!(report.violations.iter().any(|v| matches!(
             v.kind,
             ViolationKind::PendingWriteRead {
-                buffer: "cur",
+                buffer: "held",
                 slice: 1,
                 pending: 2
             }
@@ -319,16 +291,14 @@ mod tests {
     #[test]
     fn unfinished_pipeline_is_flagged() {
         let ops = [
-            ScratchOp::FillCur { slices: 1 },
-            ScratchOp::ReadCur { slice: 0 },
-            ScratchOp::AcquireAcc { slice: 0 },
-            ScratchOp::PostWrites { slice: 0, count: 2 },
+            ScratchOp::FillHeld(1),
+            ScratchOp::PostRecvs { slot: 0, count: 2 },
         ];
         let report = verify_scratch_lifetime(0, &ops);
         assert!(report.violations.iter().any(|v| matches!(
             v.kind,
             ViolationKind::PendingWriteRead {
-                buffer: "acc",
+                buffer: "slot",
                 slice: 0,
                 pending: 2
             }

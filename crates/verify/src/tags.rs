@@ -23,12 +23,12 @@
 //! do, and the check stays one lookup per claim. The collectives
 //! interleave with all of it; their claims are the runtime's own
 //! [`AllreduceSteps`] — up, butterfly rounds, and the down leg in the
-//! reply namespace. [`claims_for_compiled`] builds the corresponding
-//! claim set.
+//! reply namespace. [`claims_for_compiled`] folds the claim set from
+//! the `Post` ops of the op lists the executor runs.
 
 use crate::diag::{VerifyReport, ViolationKind};
 use std::collections::HashMap;
-use xct_comm::protocol::{Collective, SLICE_SALT_SHIFT};
+use xct_comm::protocol::{self, Apply, Collective, Op, SLICE_SALT_SHIFT};
 use xct_comm::{
     AllreduceSteps, CompiledPlans, Leg, LevelProgram, StepKind, Topology, REPLY_TAG_SALT,
 };
@@ -99,14 +99,14 @@ impl TagClaimSet {
         self.push(src, dst, tag, exchange, true, false);
     }
 
-    /// Records every message rank `src` sends on one compiled level,
-    /// under the level's name: a global level's sends claim the
-    /// slice-salt family of its base tag, for every fused slice at once;
-    /// a local level's, which carry the whole batch, the base tag itself.
-    pub fn claim_level(&mut self, src: usize, program: &LevelProgram) {
+    /// Records every message rank `src` sends at one [`Op::Post`] of
+    /// `program`'s level, under the level's name: a post of one fused
+    /// slice claims the slice-salt family of the level's base tag — every
+    /// slice at once — and a post of the whole batch the base tag itself.
+    pub fn claim_post(&mut self, src: usize, program: &LevelProgram, slice: Option<usize>) {
         let level = program.level();
         for t in program.sends() {
-            let salted = level.per_slice();
+            let salted = slice.is_some();
             self.push(src, t.peer, level.tag(), level.name(), false, salted);
         }
     }
@@ -189,16 +189,25 @@ impl TagClaimSet {
     }
 }
 
-/// Builds the concurrent claim set for `plans` run on `topo`: every
-/// level program of every rank for the whole slice-salt family, plus the
-/// operator's collectives ([`Collective::ALL`]) on the topology's step
-/// list.
+/// Builds the concurrent claim set for `plans` run on `topo`: the
+/// sends of every [`Op::Post`] of every rank's two applies — at one fused
+/// slice, since a slice's claim stands for its whole salt family — plus
+/// the operator's collectives ([`Collective::ALL`]) on the topology's
+/// step list.
 pub fn claims_for_compiled(plans: &CompiledPlans, topo: &Topology) -> TagClaimSet {
     let mut set = TagClaimSet::new();
     for p in 0..plans.num_ranks() {
         let rp = plans.rank(p);
-        for program in rp.forward().iter().chain(rp.transpose()) {
-            set.claim_level(p, program);
+        let applies = [Apply::Forward, Apply::Transpose];
+        for op in applies
+            .into_iter()
+            .flat_map(|a| protocol::apply(rp, a, 1, false))
+        {
+            if let Op::Post { level, slice } = op {
+                if let Some(program) = rp.level(level) {
+                    set.claim_post(p, program, slice);
+                }
+            }
         }
     }
     // Control traffic that may interleave with the exchanges.
@@ -243,7 +252,7 @@ mod tests {
     }
 
     #[test]
-    fn global_levels_claim_salt_families_and_local_levels_their_base_tag() {
+    fn slice_posts_claim_salt_families_and_batch_posts_their_base_tag() {
         use xct_comm::protocol::ExchangeLevel::{Global, ScatterGlobal, Socket};
         let sending = |level| {
             LevelProgram::from_parts(
@@ -263,7 +272,7 @@ mod tests {
         // Distinct levels claim distinct tags.
         let mut set = TagClaimSet::new();
         for level in [Global, ScatterGlobal, Socket] {
-            set.claim_level(0, &sending(level));
+            set.claim_post(0, &sending(level), level.per_slice().then_some(0));
         }
         set.check().assert_ok("distinct levels");
 
@@ -278,7 +287,7 @@ mod tests {
         // A local level carries the whole batch on its base tag: that is
         // what it claims, and no salted tag.
         let mut local = TagClaimSet::new();
-        local.claim_level(0, &sending(Socket));
+        local.claim_post(0, &sending(Socket), None);
         local.claim(0, 1, Socket.tag() ^ slice_salt(5), "slice-5 message");
         local
             .check()

@@ -8,7 +8,7 @@
 #![forbid(unsafe_code)]
 
 use std::time::Duration;
-use xct_comm::protocol::{exchange_schedule, slice_salt, ExchangeLevel, ExchangeOp};
+use xct_comm::protocol::{self, slice_salt, Apply, ExchangeLevel, Op};
 use xct_comm::{
     Communicator, CompiledPlans, Footprints, HierarchicalPlan, Ownership, PlanError, Topology,
 };
@@ -525,15 +525,28 @@ fn every_must_reject_row_is_rejected_with_its_witness() {
 }
 
 #[test]
-fn draining_a_slice_before_posting_it_is_rejected_by_both_schedule_passes() {
-    // A mutated schedule goes through the same expansion as the two the
-    // operator runs, and both passes that take the schedule reject it.
-    use ExchangeOp::{Drain, Post};
+fn draining_a_slice_before_posting_it_is_rejected_by_both_op_list_passes() {
+    // A mutated op list goes through the same folds as the lists the
+    // executor runs, and both passes that take the list reject it: every
+    // rank's forward global level drains slice 1 before posting it.
     let (_, _, _, compiled) = small_compiled_fixture();
-    let topo = Topology::new(1, 1, 2);
-    let mutated = [Post(0), Drain(1), Drain(0), Post(1)];
+    let topo = Topology::new(2, 1, 1);
+    let global = |slice| (ExchangeLevel::Global, Some(slice));
+    let mutated = |p: usize| {
+        let ops = protocol::apply(compiled.rank(p), Apply::Forward, 2, true);
+        ops.map(|op| match op {
+            Op::Post { level, slice } if (level, slice) == global(1) => Op::Drain { level, slice },
+            Op::Drain { level, slice } if (level, slice) == global(1) => Op::Post { level, slice },
+            op => op,
+        })
+        .collect::<Vec<_>>()
+    };
+    assert!(mutated(0).contains(&Op::Drain {
+        level: ExchangeLevel::Global,
+        slice: Some(1)
+    }));
 
-    let lifetimes = xct_verify::verify_lifetimes(&compiled, &mutated);
+    let lifetimes = xct_verify::verify_lifetimes(&compiled, 2, mutated);
     assert!(
         lifetimes.violations.iter().any(|v| matches!(
             &v.kind,
@@ -542,12 +555,12 @@ fn draining_a_slice_before_posting_it_is_rejected_by_both_schedule_passes() {
         "{lifetimes}"
     );
     // Slice 1's exchange, posted after its drain, is never finished:
-    // each rank's one global irecv stays pending.
+    // each rank's one global receive stays pending in its slot.
     assert!(
         lifetimes.violations.iter().any(|v| matches!(
             v.kind,
             ViolationKind::PendingWriteRead {
-                buffer: "acc",
+                buffer: "slot",
                 slice: 1,
                 pending: 1
             }
@@ -557,7 +570,7 @@ fn draining_a_slice_before_posting_it_is_rejected_by_both_schedule_passes() {
 
     // Both ranks wait for slice 1's global message before either has
     // sent it.
-    let deadlock = xct_verify::verify_deadlock(&compiled, &topo, &mutated);
+    let deadlock = xct_verify::verify_deadlock(&compiled, &topo, mutated);
     let cycle = deadlock
         .violations
         .iter()
@@ -569,9 +582,9 @@ fn draining_a_slice_before_posting_it_is_rejected_by_both_schedule_passes() {
     assert!(cycle.iter().any(|&(r, _)| r == 0) && cycle.iter().any(|&(r, _)| r == 1));
 
     for overlap in [false, true] {
-        let real: Vec<_> = exchange_schedule(2, overlap).collect();
-        xct_verify::verify_lifetimes(&compiled, &real).assert_ok("real schedule lifetimes");
-        xct_verify::verify_deadlock(&compiled, &topo, &real).assert_ok("real schedule deadlock");
+        let real = |p| protocol::solve(compiled.rank(p), 2, overlap, 2);
+        xct_verify::verify_lifetimes(&compiled, 2, real).assert_ok("real solve lifetimes");
+        xct_verify::verify_deadlock(&compiled, &topo, real).assert_ok("real solve deadlock");
     }
 }
 

@@ -1207,7 +1207,7 @@ fn fbp(flags: &Flags) -> Result<String, CliError> {
         &vec![1; slices],
         0,
         &Telemetry::disabled(),
-        |sinogram, _| (filtered_backprojection(&scan, sinogram, filter), 0.0),
+        |sinogram, _| Ok((filtered_backprojection(&scan, sinogram, filter), 0.0)),
     )?;
     outcome.reader.verify_checksum()?;
     outcome.writer.finish()?;
@@ -1395,7 +1395,7 @@ mod tests {
         // Both layers' sweeps are present in the transcript.
         assert!(out.contains("testdata/unsafe_outside.rs"), "{out}");
         let rows = xct_verify::corpus::MUST_REJECT;
-        assert_eq!(rows.len(), 18, "static artifacts in the must-reject table");
+        assert_eq!(rows.len(), 19, "static artifacts in the must-reject table");
         for row in rows {
             assert!(
                 out.contains(&format!("corpus/{}: rejected", row.name)),
@@ -1501,6 +1501,51 @@ mod tests {
         };
         assert_eq!(err.0, short.to_string());
         assert!(!Path::new(&out).exists(), "{out} was created");
+    }
+
+    #[test]
+    fn a_non_finite_sinogram_fails_naming_the_slab_and_the_iteration() {
+        // Two slices reconstructed one per slab; the second holds a NaN,
+        // so its backprojection, and with it the first γ, is NaN.
+        let (path, out) = (tmp("nan_sino.xctd"), tmp("nan_rec.xctd"));
+        let n = 16;
+        let meta = SliceFile {
+            kind: FileKind::Sinogram,
+            precision: Precision::Single,
+            slices: 2,
+            slice_len: n * n,
+        };
+        let mut w = SliceWriter::create(&path, meta).unwrap();
+        let mut slice = vec![1.0f32; n * n];
+        w.write_slice(&slice).unwrap();
+        slice[n * n / 2] = f32::NAN;
+        w.write_slice(&slice).unwrap();
+        w.finish().unwrap();
+        for solver in ["cgls", "sirt"] {
+            let args = [
+                "reconstruct",
+                "--in",
+                &path,
+                "--out",
+                &out,
+                "--batch",
+                "1",
+                "--iterations",
+                "4",
+                "--precision",
+                "single",
+                "--solver",
+                solver,
+            ];
+            let err = run_cmd(&args).unwrap_err();
+            let what = if solver == "cgls" {
+                "gamma"
+            } else {
+                "residual norm"
+            };
+            let want = format!("slab 1: solve stopped, {what} is not finite at iteration 1");
+            assert_eq!(err.0, want, "{solver}");
+        }
     }
 
     #[test]
