@@ -408,13 +408,11 @@ impl<S: StorageScalar> ExchangeScratch<S> {
     }
 
     /// Quantizes `vals`, `slices` slices of `len` values, into the held
-    /// batch under the whole batch's profile context: each slice as
-    /// `S(value · factor)` under the §III-C1 scale of its own max-norm
-    /// ([`StorageScalar::narrow_scaled_into`]), its undo beside it.
-    fn hold(&mut self, comm: &Communicator, vals: &[f32], slices: usize, len: usize) {
+    /// batch: each slice as `S(value · factor)` under the §III-C1 scale
+    /// of its own max-norm ([`StorageScalar::narrow_scaled_into`]), its
+    /// undo beside it.
+    fn hold(&mut self, vals: &[f32], slices: usize, len: usize) {
         assert_eq!(vals.len(), slices * len, "batch length mismatch");
-        // Whole-batch work: every slice's cost.
-        comm.telemetry().profile_slices_set(0, slices as u32);
         let (cur, undos) = (&mut self.held[0], &mut self.undos[0]);
         cur.clear();
         cur.resize(vals.len(), S::zero());
@@ -452,8 +450,6 @@ impl<S: StorageScalar> ExchangeScratch<S> {
             Some(f) => (f, batch.slice(f)),
             None => (0, batch),
         };
-        comm.telemetry()
-            .profile_slices_set(slot as u32, input.undos.len() as u32);
         let _span = comm.telemetry().span(level.level.span());
         let (tag, slices) = (level.level.wire_tag(slice), input.undos.len());
         {
@@ -514,8 +510,6 @@ impl<S: StorageScalar> ExchangeScratch<S> {
             Some(f) => (f, batch.slice(f)),
             None => (0, batch),
         };
-        comm.telemetry()
-            .profile_slices_set(slot as u32, input.undos.len() as u32);
         let _span = comm.telemetry().span(level.level.span());
         payloads.clear();
         {
@@ -550,10 +544,7 @@ impl<S: StorageScalar> ExchangeScratch<S> {
     }
 
     /// The held batch takes the output the level's drains formed.
-    fn advance(&mut self, comm: &Communicator) {
-        // Whole-batch work again: every slice's cost.
-        let slices = self.undos[0].len();
-        comm.telemetry().profile_slices_set(0, slices as u32);
+    fn advance(&mut self) {
         self.held.swap(0, 1);
         self.undos.swap(0, 1);
     }
@@ -730,7 +721,7 @@ impl RankPlan {
                 Op::Launch | Op::Collective(_) => {}
                 Op::Hold => {
                     let _span = span(levels.first());
-                    scratch.hold(comm, input, slices, len);
+                    scratch.hold(input, slices, len);
                 }
                 Op::Post { level, slice } => scratch.post(comm, program(level), slice, len)?,
                 Op::Drain { level, slice } => {
@@ -739,7 +730,7 @@ impl RankPlan {
                     scratch.drain(comm, program, slice, len)?;
                 }
                 Op::Advance => {
-                    scratch.advance(comm);
+                    scratch.advance();
                     len = formed;
                 }
                 Op::Widen => {

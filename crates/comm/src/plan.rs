@@ -14,7 +14,6 @@
 #![allow(clippy::cast_possible_truncation)]
 use crate::topology::Topology;
 use std::collections::HashMap;
-use std::ops::Range;
 
 /// Structured error for malformed plan-construction inputs.
 ///
@@ -33,25 +32,6 @@ pub enum PlanError {
         owner: u32,
         /// World size.
         num_ranks: usize,
-    },
-    /// Two ownership ranges cover a common row.
-    OverlappingRanges {
-        /// Earlier range (by start), half-open `[start, end)`.
-        first: (u32, u32),
-        /// The range overlapping it.
-        second: (u32, u32),
-    },
-    /// An ownership range reaches past the row space.
-    RangeOutOfBounds {
-        /// The offending range, half-open.
-        range: (u32, u32),
-        /// Number of global rows.
-        num_rows: usize,
-    },
-    /// A row is covered by no ownership range.
-    UncoveredRow {
-        /// The first uncovered row.
-        row: u32,
     },
     /// A transfer's position table is not strictly ascending (duplicate
     /// or out-of-order index).
@@ -76,19 +56,6 @@ impl std::fmt::Display for PlanError {
                 f,
                 "owner out of range: row {row} owned by rank {owner} (world size {num_ranks})"
             ),
-            PlanError::OverlappingRanges { first, second } => write!(
-                f,
-                "ownership ranges overlap: [{}, {}) and [{}, {})",
-                first.0, first.1, second.0, second.1
-            ),
-            PlanError::RangeOutOfBounds { range, num_rows } => write!(
-                f,
-                "ownership range [{}, {}) exceeds row space of {num_rows}",
-                range.0, range.1
-            ),
-            PlanError::UncoveredRow { row } => {
-                write!(f, "row {row} is covered by no ownership range")
-            }
             PlanError::UnsortedIndices {
                 position,
                 prev,
@@ -161,59 +128,6 @@ impl Ownership {
                     num_ranks,
                 });
             }
-        }
-        Ok(Ownership { owner })
-    }
-
-    /// Builds ownership from contiguous `(rows, rank)` ranges. The ranges
-    /// must partition `0..num_rows`: overlapping or duplicate ranges, a
-    /// range past the row space, gaps, and out-of-range ranks are all
-    /// rejected with a structured error naming the witness.
-    pub fn from_ranges(
-        ranges: &[(Range<u32>, u32)],
-        num_rows: usize,
-        num_ranks: usize,
-    ) -> Result<Self, PlanError> {
-        let mut sorted: Vec<&(Range<u32>, u32)> = ranges.iter().collect();
-        sorted.sort_by_key(|(r, _)| (r.start, r.end));
-        let mut next_row = 0u32;
-        let mut last: (u32, u32) = (0, 0);
-        let mut owner = vec![0u32; num_rows];
-        for (range, rank) in sorted {
-            if range.is_empty() {
-                continue;
-            }
-            if (range.end as usize) > num_rows {
-                return Err(PlanError::RangeOutOfBounds {
-                    range: (range.start, range.end),
-                    num_rows,
-                });
-            }
-            if (*rank as usize) >= num_ranks {
-                return Err(PlanError::OwnerOutOfRange {
-                    row: range.start,
-                    owner: *rank,
-                    num_ranks,
-                });
-            }
-            if range.start < next_row {
-                // Overlaps the previous non-empty range in start order.
-                return Err(PlanError::OverlappingRanges {
-                    first: last,
-                    second: (range.start, range.end),
-                });
-            }
-            if range.start > next_row {
-                return Err(PlanError::UncoveredRow { row: next_row });
-            }
-            for row in range.clone() {
-                owner[row as usize] = *rank;
-            }
-            next_row = range.end;
-            last = (range.start, range.end);
-        }
-        if (next_row as usize) < num_rows {
-            return Err(PlanError::UncoveredRow { row: next_row });
         }
         Ok(Ownership { owner })
     }
@@ -550,49 +464,6 @@ mod tests {
                 row: 2,
                 owner: 9,
                 num_ranks: 4
-            }
-        );
-    }
-
-    #[test]
-    fn ownership_from_ranges_partitions() {
-        let own = Ownership::from_ranges(&[(4..8, 0), (0..4, 1)], 8, 2).unwrap();
-        assert_eq!(own.rows_of(1), vec![0, 1, 2, 3]);
-        assert_eq!(own.rows_of(0), vec![4, 5, 6, 7]);
-    }
-
-    #[test]
-    fn overlapping_ranges_rejected_with_witness() {
-        let err = Ownership::from_ranges(&[(0..5, 0), (3..8, 1)], 8, 2).unwrap_err();
-        assert_eq!(
-            err,
-            PlanError::OverlappingRanges {
-                first: (0, 5),
-                second: (3, 8)
-            }
-        );
-    }
-
-    #[test]
-    fn duplicate_range_rejected() {
-        let err = Ownership::from_ranges(&[(0..4, 0), (0..4, 1), (4..8, 1)], 8, 2).unwrap_err();
-        assert!(matches!(err, PlanError::OverlappingRanges { .. }));
-    }
-
-    #[test]
-    fn ownership_gap_rejected() {
-        let err = Ownership::from_ranges(&[(0..3, 0), (5..8, 1)], 8, 2).unwrap_err();
-        assert_eq!(err, PlanError::UncoveredRow { row: 3 });
-    }
-
-    #[test]
-    fn range_past_row_space_rejected() {
-        let err = Ownership::from_ranges(&[(0..9, 0)], 8, 1).unwrap_err();
-        assert_eq!(
-            err,
-            PlanError::RangeOutOfBounds {
-                range: (0, 9),
-                num_rows: 8
             }
         );
     }

@@ -207,7 +207,11 @@ fn wired_irecv_then_wait_parks_and_records_the_wire_edge() {
     let sender = metrics.track(0).expect("rank 0 recorded metrics");
     assert_eq!(sender.counter(MetricId::CommSendBytes), 8);
     assert_eq!(receiver.counter(MetricId::CommRecvBytes), 8);
-    assert_eq!(metrics.inflight_bytes(), 0, "all messages matched");
+    assert_eq!(
+        metrics.counter_total(MetricId::CommSendBytes),
+        metrics.counter_total(MetricId::CommRecvBytes),
+        "all messages matched"
+    );
 }
 
 /// A blocking `recv` that arrives late parks on the condvar; the park

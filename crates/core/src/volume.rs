@@ -146,7 +146,6 @@ pub fn stream_slabs(
     // xct-hot
     for (index, &len) in slab_lens.iter().enumerate() {
         telemetry.gauge_set(MetricId::StreamSlabCurrent, index as f64);
-        telemetry.profile_slab_set(index as u32);
         let data = {
             let _io = telemetry.span(Phase::Io);
             input.next(len)?

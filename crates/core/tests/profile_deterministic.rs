@@ -1,6 +1,6 @@
 //! Deterministic profiler fixture: a scripted 1x2x2 "run" driven by a
-//! [`ManualClock`] — four rank tracks, two streamed slabs, two fused
-//! slices — with every span duration chosen so each profile cell, each
+//! [`ManualClock`] — four rank tracks, each running two slabs of two
+//! slices — with every span duration chosen so each per-rank cost, each
 //! drift row, and every derived per-tile cost is an exact arithmetic
 //! consequence of the script. No tolerances anywhere: the profiler adds
 //! scripted integers, and the artifact builder's tile spread is floor
@@ -14,7 +14,7 @@ use xct_fp16::Precision;
 use xct_geometry::{ImageGrid, ScanGeometry, SystemMatrix};
 use xct_hilbert::{CurveKind, Domain2D, TileDecomposition};
 use xct_telemetry::{
-    CostComponent, ManualClock, Phase, ProfileSnapshot, Telemetry, ALL_COMPONENTS,
+    Breakdown, CostComponent, ManualClock, Phase, ProfileSnapshot, Telemetry, ALL_COMPONENTS,
 };
 
 /// Records one root span of exactly `dur` nanoseconds on `tele`'s
@@ -41,7 +41,7 @@ fn rank_spmm_total(rank: u64) -> u64 {
 }
 
 #[test]
-fn nested_spans_attribute_exact_self_time_per_slice() {
+fn nested_spans_attribute_exact_self_time() {
     let clock = ManualClock::new();
     let tele = Telemetry::with_clock(Arc::new(clock.clone()));
     // SpMM span [0, 1000] with a comm-wait child [200, 500]: the parent
@@ -54,19 +54,20 @@ fn nested_spans_attribute_exact_self_time_per_slice() {
     drop(wait);
     clock.set(1000);
     drop(spmm);
-    // A second fused slice gets its own cells.
-    tele.profile_slice_set(1);
     let mut t = 1000;
     span_for(&tele, &clock, &mut t, Phase::PrecisionConvert, 100);
     let snap = ProfileSnapshot::from_snapshot(&tele.snapshot());
-    assert_eq!(snap.get(0, 0, 0, CostComponent::SpmmCompute), 700);
-    assert_eq!(snap.get(0, 0, 0, CostComponent::CommWait), 300);
-    assert_eq!(snap.get(0, 0, 1, CostComponent::GatherConvert), 100);
+    assert_eq!(snap.track_component_ns(0, CostComponent::SpmmCompute), 700);
+    assert_eq!(snap.track_component_ns(0, CostComponent::CommWait), 300);
+    assert_eq!(
+        snap.track_component_ns(0, CostComponent::GatherConvert),
+        100
+    );
     assert_eq!(snap.total_ns(), 1100);
 }
 
 #[test]
-fn scripted_1x2x2_run_yields_exact_cells_drift_and_tile_costs() {
+fn scripted_1x2x2_run_yields_exact_costs_drift_and_tile_costs() {
     let clock = ManualClock::new();
     let tele = Telemetry::with_clock(Arc::new(clock.clone()));
     let topology = Topology::new(1, 2, 2);
@@ -76,13 +77,10 @@ fn scripted_1x2x2_run_yields_exact_cells_drift_and_tile_costs() {
     // its causal busy time is the plain sum of scripted durations.
     let mut cursor = vec![0u64; ranks];
 
-    // Streamed slabs run one at a time; the slab context is
-    // collector-global, exactly as `stream.rs` drives it.
+    // Streamed slabs run one at a time, every rank in each.
     for slab in 0..2u64 {
-        tele.profile_slab_set(slab as u32);
         for (r, fork) in forks.iter().enumerate() {
             for slice in 0..2u64 {
-                fork.profile_slice_set(slice as u32);
                 span_for(
                     fork,
                     &clock,
@@ -93,9 +91,7 @@ fn scripted_1x2x2_run_yields_exact_cells_drift_and_tile_costs() {
             }
         }
     }
-    // One scripted span per remaining component, per rank, all charged
-    // to (slab 0, slice 0).
-    tele.profile_slab_set(0);
+    // One scripted span per remaining component, per rank.
     let singles = [
         (Phase::PrecisionConvert, 100u64),
         (Phase::ReduceSocket, 30),
@@ -105,7 +101,6 @@ fn scripted_1x2x2_run_yields_exact_cells_drift_and_tile_costs() {
         (Phase::Io, 70),
     ];
     for (r, fork) in forks.iter().enumerate() {
-        fork.profile_slice_set(0);
         for (phase, dur) in singles {
             span_for(fork, &clock, &mut cursor[r], phase, dur);
         }
@@ -117,20 +112,20 @@ fn scripted_1x2x2_run_yields_exact_cells_drift_and_tile_costs() {
     clock.set(sent + 100);
     forks[0].edge(3, 1, 64, sent, 100);
 
-    // --- exact profile cells -------------------------------------
+    // --- exact per-rank profile ---------------------------------
     let snapshot = tele.snapshot();
     let profile = ProfileSnapshot::from_snapshot(&snapshot);
-    for r in 0..ranks as u64 {
-        for slab in 0..2 {
-            for slice in 0..2 {
-                assert_eq!(
-                    profile.get(r as usize, slab, slice, CostComponent::SpmmCompute),
-                    spmm_ns(r, slab as u64, slice as u64),
-                    "cell ({r}, {slab}, {slice})"
-                );
-            }
-        }
+    for r in 0..ranks {
+        assert_eq!(
+            profile.track_component_ns(r, CostComponent::SpmmCompute),
+            rank_spmm_total(r as u64),
+            "rank {r}"
+        );
     }
+    assert_eq!(
+        Breakdown::from_snapshot(&snapshot).render_table(),
+        BREAKDOWN
+    );
 
     // --- exact artifact ------------------------------------------
     let scan = ScanGeometry::uniform(ImageGrid::square(16, 1.0), 12);
@@ -144,6 +139,9 @@ fn scripted_1x2x2_run_yields_exact_cells_drift_and_tile_costs() {
         snapshot: &snapshot,
         model: None,
     });
+
+    // The whole artifact, byte for byte.
+    assert_eq!(report.to_json().to_string(), REPORT_JSON);
 
     // Drift table: measured totals are the scripted sums; without a
     // model estimate every predicted share is zero, so the drift IS the
@@ -228,3 +226,30 @@ fn scripted_1x2x2_run_yields_exact_cells_drift_and_tile_costs() {
     // genuinely nonuniform tile table.
     assert!(report.skew.max_over_mean() > 1.0);
 }
+
+/// The scripted run's phase breakdown.
+const BREAKDOWN: &str = "\
+phase                    count        total         self   % wall\n\
+spmm.forward                16    40.880 µs    40.880 µs   246.7%\n\
+precision.convert            4       400 ns       400 ns     2.4%\n\
+io                           4       280 ns       280 ns     1.7%\n\
+comm.wait                    4       240 ns       240 ns     1.4%\n\
+comm.reduce.global           4       200 ns       200 ns     1.2%\n\
+comm.reduce.node             4       160 ns       160 ns     1.0%\n\
+comm.reduce.socket           4       120 ns       120 ns     0.7%\n\
+wall  16.570 µs · instrumented coverage 255.2%\n\
+";
+
+/// The scripted run's `petaxct-profile-v1` document.
+const REPORT_JSON: &str = concat!(
+    "{\"schema\":\"petaxct-profile-v1\",\"precision\":\"single\",\"n\":16,\"slices\":2,\"angles\":12,\"topology\":\"1x2x2\",\"tile_size\":4,\"tiles_x\":4,\"tiles_y\":4,\"tile_costs_ns\":[900,1106,4253,3460,1106,1106,4253,4253,2155,2155,3204,3204,1753,2155,3204,2606],\"ranks\":[{\"rank\":0,\"busy_ns\":4570,\"on_path_ns\":0,\"slack_ns\":12100,\"wire_ns\":100,\"components\":{\"spmm.compute\":4220,\"gather.convert\":100,\"reduce.socket\":30,\"reduce.node\":40,\"reduce.global\":50,\"comm.wait\":60,\"io.stall\":70}},",
+    "{\"rank\":1,\"busy_ns\":8570,\"on_path_ns\":0,\"slack_ns\":8100,\"wire_ns\":0,\"components\":{\"spmm.compute\":8220,\"gather.convert\":100,\"reduce.socket\":30,\"reduce.node\":40,\"reduce.global\":50,\"comm.wait\":60,\"io.stall\":70}},",
+    "{\"rank\":2,\"busy_ns\":12570,\"on_path_ns\":0,\"slack_ns\":4100,\"wire_ns\":0,\"components\":{\"spmm.compute\":12220,\"gather.convert\":100,\"reduce.socket\":30,\"reduce.node\":40,\"reduce.global\":50,\"comm.wait\":60,\"io.stall\":70}},",
+    "{\"rank\":3,\"busy_ns\":16570,\"on_path_ns\":16570,\"slack_ns\":0,\"wire_ns\":0,\"components\":{\"spmm.compute\":16220,\"gather.convert\":100,\"reduce.socket\":30,\"reduce.node\":40,\"reduce.global\":50,\"comm.wait\":60,\"io.stall\":70}}],\"drift\":[{\"component\":\"spmm.compute\",\"measured_ns\":40880,\"measured_share\":0.9668874172185431,\"predicted_share\":0,\"drift\":0.9668874172185431},",
+    "{\"component\":\"gather.convert\",\"measured_ns\":400,\"measured_share\":0.00946073793755913,\"predicted_share\":0,\"drift\":0.00946073793755913},",
+    "{\"component\":\"reduce.socket\",\"measured_ns\":120,\"measured_share\":0.002838221381267739,\"predicted_share\":0,\"drift\":0.002838221381267739},",
+    "{\"component\":\"reduce.node\",\"measured_ns\":160,\"measured_share\":0.003784295175023652,\"predicted_share\":0,\"drift\":0.003784295175023652},",
+    "{\"component\":\"reduce.global\",\"measured_ns\":200,\"measured_share\":0.004730368968779565,\"predicted_share\":0,\"drift\":0.004730368968779565},",
+    "{\"component\":\"comm.wait\",\"measured_ns\":240,\"measured_share\":0.005676442762535478,\"predicted_share\":0,\"drift\":0.005676442762535478},",
+    "{\"component\":\"io.stall\",\"measured_ns\":280,\"measured_share\":0.006622516556291391,\"predicted_share\":0,\"drift\":0.006622516556291391}],\"skew\":{\"max_tile_ns\":4253,\"mean_tile_ns\":2554.5625,\"max_over_mean\":1.664864335869645,\"critical_path_ns\":16670,\"max_rank_slack_ns\":12100,\"zero_slack_ranks\":[3]}}",
+);

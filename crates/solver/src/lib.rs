@@ -21,13 +21,11 @@
 //!
 //! # Execution contexts
 //!
-//! Every operator apply and solver loop threads an
-//! [`ExecContext`](xct_exec::ExecContext): scratch buffers come from its
-//! [`Workspace`](xct_exec::Workspace) (keyed by
-//! [`BufferRole`](xct_exec::BufferRole)), parallel kernel launches go
-//! through its [`Executor`](xct_exec::Executor), and data movement is
-//! metered in its [`ExecCounters`](xct_exec::ExecCounters). Each
-//! algorithm has one entry point — [`cgls_in`], [`sirt_in`] — borrowing
+//! Every operator apply and solver loop threads an [`ExecContext`]:
+//! scratch buffers come from its [`Workspace`] (keyed by
+//! [`BufferRole`]), parallel kernel launches go through its
+//! [`Executor`], and data movement is metered in its [`ExecCounters`].
+//! Each algorithm has one entry point — [`cgls_in`], [`sirt_in`] — borrowing
 //! a caller-owned context so that
 //! repeated solves — and every iteration after the first — reuse warm
 //! buffers and allocate nothing; a one-off caller passes

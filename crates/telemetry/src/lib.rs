@@ -10,13 +10,13 @@
 //!   disabled handle (the default) is a no-op: one `None` check, no
 //!   locking, no allocation. An enabled handle records into its *track*
 //!   (one per rank), which owns everything that rank records behind one
-//!   lock no other rank takes; a recording call reads the clock once and
-//!   takes that lock once. A track keeps three stores, with three
-//!   retention policies:
-//!   - the **log** — every span (RAII-timed, stamped at close with the
-//!     slab and fused-slice range it closed under), scalar event and
-//!     send→recv match edge ([`EdgeRecord`]); unbounded; copied out,
-//!     interleaved across tracks in recording order, as a
+//!   lock no other rank takes; a recording call reads the clock once,
+//!   takes that lock once and touches no other shared state. A track
+//!   keeps three stores, with three retention policies:
+//!   - the **log** — every span (RAII-timed), scalar event and
+//!     send→recv match edge ([`EdgeRecord`]), in the order the track
+//!     recorded them; unbounded; copied out, the tracks merged by
+//!     timestamp (ties to the track registered first), as a
 //!     [`TelemetrySnapshot`];
 //!   - the **metric slab** — aggregates only: the [`MetricId`]
 //!     counters and gauges as relaxed atomics, the wait histograms as
@@ -36,10 +36,10 @@
 //!   JSON report), [`PhaseHistograms`] (log2 duration buckets per
 //!   phase), [`CausalAnalysis`] (the happens-before DAG of spans and
 //!   match edges, its critical path and per-rank slack),
-//!   [`ProfileSnapshot`] (self time per [`CostComponent`] keyed by
-//!   track, streamed slab and fused slice — the `petaxct-profile-v1`
-//!   drift/skew artifact's input), and [`chrome_trace`] (a Chrome
-//!   `trace_event` file loadable in `about://tracing` / Perfetto).
+//!   [`ProfileSnapshot`] (self time per [`CostComponent`] and track —
+//!   the `petaxct-profile-v1` drift/skew artifact's input), and
+//!   [`chrome_trace`] (a Chrome `trace_event` file loadable in
+//!   `about://tracing` / Perfetto).
 //! * [`Phase`] — the stable phase taxonomy (SpMM forward/transpose,
 //!   precision conversion, socket/node/global reduction, halo exchange,
 //!   solver iterations/bookkeeping, I/O).

@@ -370,13 +370,6 @@ impl MetricsSnapshot {
     pub fn counter_max(&self, id: MetricId) -> u64 {
         self.tracks.iter().map(|t| t.counter(id)).max().unwrap_or(0)
     }
-
-    /// Payload bytes sent but not yet matched anywhere, derived from the
-    /// send/recv counters (per-peer totals live in `xct-comm`'s meter).
-    pub fn inflight_bytes(&self) -> u64 {
-        self.counter_total(MetricId::CommSendBytes)
-            .saturating_sub(self.counter_total(MetricId::CommRecvBytes))
-    }
 }
 
 #[cfg(test)]
@@ -442,19 +435,5 @@ mod tests {
         assert_eq!(snap.tracks[0].track, 1);
         assert_eq!(snap.counter_total(MetricId::CommSendMsgs), 5);
         assert_eq!(snap.counter_max(MetricId::SolverIterations), 1);
-    }
-
-    #[test]
-    fn inflight_bytes_derives_from_send_minus_recv() {
-        let sender = TrackMetrics::new();
-        sender.add(MetricId::CommSendBytes, 100);
-        let receiver = TrackMetrics::new();
-        receiver.add(MetricId::CommRecvBytes, 60);
-        let none = TrackHistograms::default();
-        let snap = MetricsSnapshot::assemble(
-            0,
-            vec![sender.snapshot(0, &none), receiver.snapshot(1, &none)],
-        );
-        assert_eq!(snap.inflight_bytes(), 40);
     }
 }

@@ -2,11 +2,9 @@
 //!
 //! The profile attributes span *self time* (duration minus enclosed
 //! child spans) to a fixed [`CostComponent`] taxonomy, keyed by
-//! `(track, slab, fused-slice)`. Nothing is recorded for it beyond the
-//! spans themselves: every span is stamped at close with the slab and
-//! fused-slice range it closed under, and
-//! [`ProfileSnapshot::from_snapshot`] folds
-//! [`TelemetrySnapshot::self_times`] into the cells afterwards.
+//! `(track, component)`. Nothing is recorded for it beyond the spans
+//! themselves: [`ProfileSnapshot::from_snapshot`] folds
+//! [`TelemetrySnapshot::self_times`] into one row per track afterwards.
 //!
 //! Per-*tile* costs are deliberately **not** timed here: timing
 //! individual Hilbert tiles inside the SpMM would change the summation
@@ -14,7 +12,7 @@
 //! (`xct-core`) spreads a rank's measured SpMM nanoseconds over its
 //! tiles proportionally to per-tile nonzeros — see DESIGN.md §3j.
 
-use crate::{Phase, SpanRecord, TelemetrySnapshot};
+use crate::{Phase, TelemetrySnapshot};
 
 /// The cost components the profiler attributes self time to.
 ///
@@ -105,99 +103,53 @@ impl std::fmt::Display for CostComponent {
     }
 }
 
-/// Per-`(track, slab, slice, component)` self time of one snapshot.
+/// Per-`(track, component)` self time of one snapshot.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ProfileSnapshot {
-    /// Track extent: one past the highest track that charged anything.
-    pub tracks: usize,
-    /// Slab extent.
-    pub slabs: usize,
-    /// Fused-slice extent.
-    pub slices: usize,
-    /// Flat `[track][slab][slice][component]` nanoseconds; length is
-    /// `tracks * slabs * slices * COMPONENT_COUNT`.
-    pub cells: Vec<u64>,
+    /// Nanoseconds per component, one row per track up to the highest
+    /// track that charged anything.
+    pub tracks: Vec<[u64; COMPONENT_COUNT]>,
 }
 
 impl ProfileSnapshot {
     /// Folds the self time of every span whose phase maps to a
-    /// [`CostComponent`] into the cell of the context the span closed
-    /// under. A span that closed under a range of fused slices (one
-    /// kernel launch working all of them) is split evenly over them —
-    /// floor division, the remainder charged to the first — so the cells
-    /// still sum to the exact self time. Extents are the smallest that
-    /// hold every charged key.
+    /// [`CostComponent`] into its track's row.
     pub fn from_snapshot(snap: &TelemetrySnapshot) -> ProfileSnapshot {
-        let charged: Vec<(&SpanRecord, CostComponent, u64)> = snap
-            .spans
-            .iter()
-            .zip(snap.self_times())
-            .filter_map(|(span, ns)| Some((span, CostComponent::from_phase(span.phase)?, ns)))
-            .collect();
-        let slices_of = |span: &SpanRecord| {
-            let first = span.first_slice as usize;
-            first..first + span.slices.max(1) as usize
-        };
         let mut profile = ProfileSnapshot::default();
-        for (span, _, _) in &charged {
-            profile.tracks = profile.tracks.max(span.track as usize + 1);
-            profile.slabs = profile.slabs.max(span.slab as usize + 1);
-            profile.slices = profile.slices.max(slices_of(span).end);
-        }
-        profile.cells = vec![0; profile.tracks * profile.slabs * profile.slices * COMPONENT_COUNT];
-        for (span, component, self_ns) in charged {
-            let count = slices_of(span).len() as u64;
-            let mut remainder = self_ns % count;
-            for slice in slices_of(span) {
-                let index =
-                    profile.index(span.track as usize, span.slab as usize, slice, component);
-                profile.cells[index] += self_ns / count + std::mem::take(&mut remainder);
+        for (span, self_ns) in snap.spans.iter().zip(snap.self_times()) {
+            let Some(component) = CostComponent::from_phase(span.phase) else {
+                continue;
+            };
+            let track = span.track as usize;
+            if profile.tracks.len() <= track {
+                profile.tracks.resize(track + 1, [0; COMPONENT_COUNT]);
             }
+            profile.tracks[track][component.index()] += self_ns;
         }
         profile
     }
 
-    fn index(&self, track: usize, slab: usize, slice: usize, component: CostComponent) -> usize {
-        ((track * self.slabs + slab) * self.slices + slice) * COMPONENT_COUNT + component.index()
-    }
-
-    /// The nanoseconds charged to one `(track, slab, slice, component)`
-    /// cell, or 0 when the key is out of range.
-    pub fn get(&self, track: usize, slab: usize, slice: usize, component: CostComponent) -> u64 {
-        if track >= self.tracks || slab >= self.slabs || slice >= self.slices {
-            return 0;
-        }
-        let index = self.index(track, slab, slice, component);
-        self.cells.get(index).copied().unwrap_or(0)
-    }
-
-    /// Total nanoseconds charged to `component` on `track`, summed over
-    /// every slab and slice.
+    /// Nanoseconds charged to `component` on `track` (0 for a track
+    /// that charged nothing).
     pub fn track_component_ns(&self, track: usize, component: CostComponent) -> u64 {
-        let mut total = 0u64;
-        for slab in 0..self.slabs {
-            for slice in 0..self.slices {
-                total += self.get(track, slab, slice, component);
-            }
-        }
-        total
+        self.tracks
+            .get(track)
+            .map_or(0, |row| row[component.index()])
     }
 
-    /// Total nanoseconds charged to `component` across all keys.
+    /// Total nanoseconds charged to `component` across all tracks.
     pub fn component_ns(&self, component: CostComponent) -> u64 {
-        (0..self.tracks)
-            .map(|t| self.track_component_ns(t, component))
-            .sum()
+        self.tracks.iter().map(|row| row[component.index()]).sum()
     }
 
-    /// Sum over every cell: the total attributed time.
+    /// Sum over every track and component: the total attributed time.
     pub fn total_ns(&self) -> u64 {
-        self.cells.iter().sum()
+        self.tracks.iter().flatten().sum()
     }
 
     /// Whether any cost at all was recorded.
     pub fn is_empty(&self) -> bool {
-        self.cells.iter().all(|&c| c == 0)
+        self.total_ns() == 0
     }
 }
 

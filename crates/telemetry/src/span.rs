@@ -5,15 +5,17 @@
 //! which case it records into its *track*: one log per handle (per rank,
 //! in distributed runs) behind one lock that only that rank's thread
 //! takes while the run is going. Every recording call reads the clock
-//! once and takes that lock once; everything derived is a fold over the
-//! [`TelemetrySnapshot`], not a second record.
+//! once and takes that lock once, and touches no other shared state;
+//! everything derived is a fold over the [`TelemetrySnapshot`], not a
+//! second record.
 
 use crate::flight::{flight_json, FlightEvent, FlightKind, FlightRing};
 use crate::metrics::{
     MetricId, MetricsSnapshot, TrackHistograms, TrackMetrics, TrackMetricsSnapshot,
 };
 use crate::{Clock, MonotonicClock, Phase};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::{Arc, Mutex};
 
 /// Sentinel end time for a span that has not been closed yet.
@@ -33,29 +35,12 @@ pub struct SpanRecord {
     /// Index into the snapshot's span list of the enclosing span on the
     /// same track, if any.
     pub parent: Option<usize>,
-    /// Streamed slab the span closed under
-    /// ([`Telemetry::profile_slab_set`]).
-    pub slab: u32,
-    /// First fused slice the span closed under
-    /// ([`Telemetry::profile_slices_set`]).
-    pub first_slice: u32,
-    /// Number of fused slices the span closed under (at least 1).
-    pub slices: u32,
 }
 
 impl SpanRecord {
     /// Span duration in nanoseconds.
     pub fn duration_ns(&self) -> u64 {
         self.end_ns.saturating_sub(self.start_ns)
-    }
-
-    /// Closes the span at `end_ns` under the given slab and packed
-    /// (`first << 32 | count`) slice context.
-    fn close(&mut self, end_ns: u64, slab: u32, slice_ctx: u64) {
-        self.end_ns = end_ns.max(self.start_ns);
-        self.slab = slab;
-        self.first_slice = (slice_ctx >> 32) as u32;
-        self.slices = slice_ctx as u32;
     }
 }
 
@@ -97,14 +82,13 @@ pub struct EdgeRecord {
     pub wire_ns: u64,
 }
 
-/// What one track records, all of it behind the track's one lock. Log
-/// entries carry the collector-wide sequence number they were stamped
-/// with, so a snapshot can interleave the tracks back into recording
-/// order; `parent` links inside `spans` are indices into this log.
+/// What one track records, all of it behind the track's one lock, in
+/// the order the track recorded it; `parent` links inside `spans` are
+/// indices into this log.
 struct TrackLog {
-    spans: Vec<(u64, SpanRecord)>,
-    events: Vec<(u64, EventRecord)>,
-    edges: Vec<(u64, EdgeRecord)>,
+    spans: Vec<SpanRecord>,
+    events: Vec<EventRecord>,
+    edges: Vec<EdgeRecord>,
     /// Log indices of the currently-open spans, innermost last.
     stack: Vec<usize>,
     hists: TrackHistograms,
@@ -117,31 +101,17 @@ struct Track {
     id: u32,
     /// Counters and gauges: relaxed atomics, updated without the lock.
     metrics: TrackMetrics,
-    /// Current fused-slice range, packed `first << 32 | count` so both
-    /// halves change together. Per track because pipelined ranks work
-    /// different slices at once.
-    slice_ctx: AtomicU64,
     log: Mutex<TrackLog>,
 }
 
 struct Collector {
     clock: Arc<dyn Clock>,
-    /// Stamped on every span open, event and edge: the order
-    /// [`Telemetry::snapshot`] lists the tracks' records in.
-    seq: AtomicU64,
-    /// Current streamed-slab index. Collector-global: the streaming loop
-    /// runs one slab at a time and re-forks rank handles per slab.
-    slab_ctx: AtomicU32,
     /// One entry per handle created via `with_clock`/`fork`, in creation
     /// order. Only touched at fork and snapshot time.
     tracks: Mutex<Vec<Arc<Track>>>,
 }
 
 impl Collector {
-    fn next_seq(&self) -> u64 {
-        self.seq.fetch_add(1, Ordering::Relaxed)
-    }
-
     /// Visits every track's log in registration order, one lock at a
     /// time.
     fn for_each_log(&self, mut visit: impl FnMut(&Track, &TrackLog)) {
@@ -184,10 +154,25 @@ fn locked<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap()
 }
 
-/// Strips the sequence stamps off merged log entries, in stamp order.
-fn in_order<T>(mut entries: Vec<(u64, T)>) -> Vec<T> {
-    entries.sort_by_key(|&(seq, _)| seq);
-    entries.into_iter().map(|(_, record)| record).collect()
+/// Merges per-track record lists into one by `time`, each record
+/// tagged with the index of the list it came from. Ties go to the
+/// earlier list (the track registered first), and each list keeps its
+/// own order even where its times run backwards (a rewound
+/// [`crate::ManualClock`]): the merge only ever compares list heads.
+fn merge_by_time<T>(lists: Vec<Vec<T>>, time: impl Fn(&T) -> u64) -> Vec<(usize, T)> {
+    let mut lists: Vec<VecDeque<T>> = lists.into_iter().map(VecDeque::from).collect();
+    let mut heads: BinaryHeap<_> = (lists.iter().enumerate())
+        .filter_map(|(list, records)| Some(Reverse((time(records.front()?), list))))
+        .collect();
+    let mut merged = Vec::with_capacity(lists.iter().map(VecDeque::len).sum());
+    while let Some(Reverse((_, list))) = heads.pop() {
+        let records = &mut lists[list];
+        merged.extend(records.pop_front().map(|record| (list, record)));
+        if let Some(next) = records.front() {
+            heads.push(Reverse((time(next), list)));
+        }
+    }
+    merged
 }
 
 impl TrackHandle {
@@ -198,7 +183,6 @@ impl TrackHandle {
         let track = Arc::new(Track {
             id,
             metrics: TrackMetrics::new(),
-            slice_ctx: AtomicU64::new(1),
             log: Mutex::new(TrackLog {
                 spans: Vec::new(),
                 events: Vec::new(),
@@ -228,17 +212,18 @@ impl TrackHandle {
 /// A copy of everything recorded so far.
 ///
 /// Each track's log is copied under its own lock and the copies are
-/// interleaved by the collector-wide sequence stamp, so the lists read
-/// in recording order across tracks. Open spans are closed at snapshot
-/// time (at the current clock and profile context), so `end_ns` is
-/// always valid.
+/// merged by timestamp: ties go to the track registered first, and each
+/// track's records keep the order the track recorded them in. Open
+/// spans are closed at snapshot time (at the current clock), so
+/// `end_ns` is always valid.
 #[derive(Clone, Debug, Default)]
 pub struct TelemetrySnapshot {
-    /// All spans, in the order they were opened.
+    /// All spans, merged by `start_ns`; each track's in opening order.
     pub spans: Vec<SpanRecord>,
-    /// All events, in the order they were recorded.
+    /// All events, merged by `at_ns`; each track's in recording order.
     pub events: Vec<EventRecord>,
-    /// All send→recv match edges, in the order they were matched.
+    /// All send→recv match edges, merged by `matched_ns`; each track's
+    /// in matching order.
     pub edges: Vec<EdgeRecord>,
 }
 
@@ -294,8 +279,6 @@ impl Telemetry {
     pub fn with_clock(clock: Arc<dyn Clock>) -> Self {
         let collector = Arc::new(Collector {
             clock,
-            seq: AtomicU64::new(0),
-            slab_ctx: AtomicU32::new(0),
             tracks: Mutex::new(Vec::new()),
         });
         Telemetry {
@@ -341,11 +324,8 @@ impl Telemetry {
                 start_ns,
                 end_ns: OPEN,
                 parent: log.stack.last().copied(),
-                slab: 0,
-                first_slice: 0,
-                slices: 1,
             };
-            log.spans.push((handle.collector.next_seq(), record));
+            log.spans.push(record);
             log.stack.push(index);
             log.flight
                 .push(start_ns, FlightKind::SpanBegin, phase.as_str(), 0, 0);
@@ -384,7 +364,7 @@ impl Telemetry {
                 matched_ns,
                 wire_ns,
             };
-            log.edges.push((handle.collector.next_seq(), record));
+            log.edges.push(record);
             let src = u64::from(src_track);
             log.flight
                 .push(matched_ns, FlightKind::Match, "comm.match", src, bytes);
@@ -401,7 +381,7 @@ impl Telemetry {
                 track: handle.track.id,
                 at_ns,
             };
-            log.events.push((handle.collector.next_seq(), record));
+            log.events.push(record);
             log.flight
                 .push(at_ns, FlightKind::Event, name, value.to_bits(), 0);
         });
@@ -440,31 +420,6 @@ impl Telemetry {
     pub fn flight_point(&self, code: &'static str, a: u64, b: u64) {
         let Some(handle) = &self.inner else { return };
         handle.flight_push(FlightKind::Point, code, a, b);
-    }
-
-    /// Sets the collector-global streamed-slab context: spans closing
-    /// from now on are stamped with it ([`SpanRecord::slab`]). A relaxed
-    /// atomic store; no-op when disabled.
-    pub fn profile_slab_set(&self, slab: u32) {
-        let Some(handle) = &self.inner else { return };
-        handle.collector.slab_ctx.store(slab, Ordering::Relaxed);
-    }
-
-    /// Sets this track's fused-slice context to the single slice
-    /// `slice`. A relaxed atomic store; no-op when disabled.
-    pub fn profile_slice_set(&self, slice: u32) {
-        self.profile_slices_set(slice, 1);
-    }
-
-    /// Sets this track's context to the `count` fused slices starting at
-    /// `first`: a span closing under it (one fused kernel launch working
-    /// all of them) is stamped with the range, and
-    /// [`crate::ProfileSnapshot`] splits its self time evenly over those
-    /// slices.
-    pub fn profile_slices_set(&self, first: u32, count: u32) {
-        let Some(handle) = &self.inner else { return };
-        let packed = u64::from(first) << 32 | u64::from(count.max(1));
-        handle.track.slice_ctx.store(packed, Ordering::Relaxed);
     }
 
     /// A point-in-time copy of every track's touched metrics (empty
@@ -507,41 +462,36 @@ impl Telemetry {
         };
         let collector = &handle.collector;
         let now = collector.clock.now_ns();
-        let slab = collector.slab_ctx.load(Ordering::Relaxed);
-        // (stamp, position in the concatenated logs, record); `parent`
-        // is rebased from log index to concatenated position here and
-        // to snapshot index once the interleaving is known.
-        let mut spans: Vec<(u64, usize, SpanRecord)> = Vec::new();
-        let (mut events, mut edges) = (Vec::new(), Vec::new());
-        collector.for_each_log(|track, log| {
-            let base = spans.len();
-            for (at, (seq, span)) in log.spans.iter().enumerate() {
-                let mut span = span.clone();
-                if span.end_ns == OPEN {
-                    span.close(now, slab, track.slice_ctx.load(Ordering::Relaxed));
-                }
-                span.parent = span.parent.map(|p| base + p);
-                spans.push((*seq, base + at, span));
+        let (mut spans, mut events, mut edges) = (Vec::new(), Vec::new(), Vec::new());
+        collector.for_each_log(|_, log| {
+            let mut track_spans = log.spans.clone();
+            for span in track_spans.iter_mut().filter(|s| s.end_ns == OPEN) {
+                span.end_ns = now.max(span.start_ns);
             }
-            events.extend(log.events.iter().cloned());
-            edges.extend(log.edges.iter().cloned());
+            spans.push(track_spans);
+            events.push(log.events.clone());
+            edges.push(log.edges.clone());
         });
-        spans.sort_by_key(|&(seq, _, _)| seq);
-        let mut index_of = vec![0usize; spans.len()];
-        for (index, &(_, position, _)) in spans.iter().enumerate() {
-            index_of[position] = index;
-        }
-        let spans = spans
+        // A span's parent opened before it on the same track, so it is
+        // already placed when the span is: `placed[track][i]` is the
+        // snapshot index of that track's `i`-th span.
+        let mut placed = vec![Vec::new(); spans.len()];
+        let spans = merge_by_time(spans, |s| s.start_ns)
             .into_iter()
-            .map(|(_, _, mut span)| {
-                span.parent = span.parent.map(|p| index_of[p]);
+            .enumerate()
+            .map(|(index, (track, mut span))| {
+                let track = &mut placed[track];
+                span.parent = span.parent.map(|p| track[p]);
+                track.push(index);
                 span
             })
             .collect();
+        let events = merge_by_time(events, |e| e.at_ns);
+        let edges = merge_by_time(edges, |e| e.matched_ns);
         TelemetrySnapshot {
             spans,
-            events: in_order(events),
-            edges: in_order(edges),
+            events: events.into_iter().map(|(_, event)| event).collect(),
+            edges: edges.into_iter().map(|(_, edge)| edge).collect(),
         }
     }
 }
@@ -564,14 +514,10 @@ impl Drop for SpanGuard {
             if let Some(pos) = log.stack.iter().rposition(|&i| i == index) {
                 log.stack.remove(pos);
             }
-            let Some((_, span)) = log.spans.get_mut(index) else {
+            let Some(span) = log.spans.get_mut(index) else {
                 return;
             };
-            span.close(
-                end_ns,
-                handle.collector.slab_ctx.load(Ordering::Relaxed),
-                handle.track.slice_ctx.load(Ordering::Relaxed),
-            );
+            span.end_ns = end_ns.max(span.start_ns);
             let (phase, duration_ns) = (span.phase, span.duration_ns());
             // comm.wait spans feed the live histogram metric as they
             // close, so the sampler sees the wait distribution mid-run
@@ -725,7 +671,6 @@ mod tests {
         let clock = ManualClock::new();
         let tele = Telemetry::with_clock(Arc::new(clock.clone()));
         let rank = tele.fork(1);
-        rank.profile_slice_set(1);
         {
             // solver.iteration is orchestration (unattributed); the
             // nested spmm.forward gets 40ns of self time, and the
@@ -738,55 +683,22 @@ mod tests {
             }
             clock.advance(10);
         }
-        tele.profile_slab_set(1);
         {
             let _w = rank.span(Phase::CommWait);
             clock.advance(7);
         }
         let snap = ProfileSnapshot::from_snapshot(&tele.snapshot());
-        assert_eq!(snap.get(1, 0, 1, CostComponent::SpmmCompute), 40);
-        assert_eq!(snap.get(1, 1, 1, CostComponent::CommWait), 7);
-        assert_eq!(snap.total_ns(), 47);
-        // Extents are inferred; keys outside them read as zero.
-        assert_eq!((snap.tracks, snap.slabs, snap.slices), (2, 2, 2));
-        assert_eq!(snap.get(9, 0, 0, CostComponent::SpmmCompute), 0);
+        assert_eq!(snap.track_component_ns(1, CostComponent::SpmmCompute), 40);
         assert_eq!(snap.track_component_ns(1, CostComponent::CommWait), 7);
+        assert_eq!(snap.component_ns(CostComponent::CommWait), 7);
+        assert_eq!(snap.total_ns(), 47);
+        // One row per track up to the highest that charged anything;
+        // tracks past it read as zero.
+        assert_eq!(snap.tracks.len(), 2);
+        assert_eq!(snap.track_component_ns(0, CostComponent::SpmmCompute), 0);
+        assert_eq!(snap.track_component_ns(9, CostComponent::SpmmCompute), 0);
         // Disabled handles have nothing to profile.
         assert!(ProfileSnapshot::from_snapshot(&Telemetry::disabled().snapshot()).is_empty());
-    }
-
-    #[test]
-    fn fused_slice_range_splits_self_time_with_remainder_on_the_first() {
-        let clock = ManualClock::new();
-        let tele = Telemetry::with_clock(Arc::new(clock.clone()));
-        // One fused launch over slices 1..=4 with a 100 ns child: self
-        // time 1003 = 4 x 250 + 3, the remainder lands on slice 1.
-        tele.profile_slices_set(1, 4);
-        {
-            let _launch = tele.span(Phase::SpmmForward);
-            clock.advance(500);
-            {
-                let _convert = tele.span(Phase::PrecisionConvert);
-                clock.advance(100);
-            }
-            clock.advance(503);
-        }
-        let snap = ProfileSnapshot::from_snapshot(&tele.snapshot());
-        assert_eq!(snap.get(0, 0, 0, CostComponent::SpmmCompute), 0);
-        assert_eq!(snap.get(0, 0, 1, CostComponent::SpmmCompute), 253);
-        for slice in 2..5 {
-            assert_eq!(snap.get(0, 0, slice, CostComponent::SpmmCompute), 250);
-        }
-        assert_eq!(snap.component_ns(CostComponent::SpmmCompute), 1003);
-        assert_eq!(snap.component_ns(CostComponent::GatherConvert), 100);
-        // Back to a single slice: the whole self time goes to it.
-        tele.profile_slice_set(0);
-        {
-            let _wait = tele.span(Phase::CommWait);
-            clock.advance(7);
-        }
-        let snap = ProfileSnapshot::from_snapshot(&tele.snapshot());
-        assert_eq!(snap.get(0, 0, 0, CostComponent::CommWait), 7);
     }
 
     #[test]
@@ -804,24 +716,25 @@ mod tests {
         }
         let snap = ProfileSnapshot::from_snapshot(&tele.snapshot());
         // 3 (inner) + 7 (outer self) = total 10, not 13.
-        assert_eq!(snap.get(0, 0, 0, CostComponent::ReduceGlobal), 10);
+        assert_eq!(snap.track_component_ns(0, CostComponent::ReduceGlobal), 10);
     }
 
     #[test]
-    fn snapshot_interleaves_tracks_in_recording_order_under_clock_ties() {
-        // A ManualClock that never advances: only the sequence stamp can
-        // order the tracks' records.
+    fn snapshot_merges_tracks_by_time_with_ties_to_the_first_registered() {
+        // A ManualClock that never advances: every record ties, so the
+        // tracks come out whole, in registration order, each in the
+        // order it recorded — however the calls interleaved.
         let tele = Telemetry::with_clock(Arc::new(ManualClock::new()));
         let (a, b) = (tele.fork(1), tele.fork(2));
-        let _root = tele.span(Phase::Total);
-        let _a0 = a.span(Phase::SolverIteration);
         let _b0 = b.span(Phase::SolverIteration);
+        let _a0 = a.span(Phase::SolverIteration);
         b.event("tick", 2.0);
-        let _a1 = a.span(Phase::SpmmForward);
+        let _b1 = b.span(Phase::ReduceSocket);
         a.event("tick", 1.0);
         b.edge(1, 7, 8, 0, 0);
         a.edge(2, 7, 8, 0, 0);
-        let _b1 = b.span(Phase::ReduceSocket);
+        let _a1 = a.span(Phase::SpmmForward);
+        let _root = tele.span(Phase::Total);
         let snap = tele.snapshot();
         let opened: Vec<(u32, Phase, Option<usize>)> = snap
             .spans
@@ -833,15 +746,42 @@ mod tests {
             vec![
                 (0, Phase::Total, None),
                 (1, Phase::SolverIteration, None),
-                (2, Phase::SolverIteration, None),
                 (1, Phase::SpmmForward, Some(1)),
-                (2, Phase::ReduceSocket, Some(2)),
+                (2, Phase::SolverIteration, None),
+                (2, Phase::ReduceSocket, Some(3)),
             ]
         );
         let ticks: Vec<u32> = snap.events.iter().map(|e| e.track).collect();
-        assert_eq!(ticks, vec![2, 1]);
+        assert_eq!(ticks, vec![1, 2]);
         let matched: Vec<u32> = snap.edges.iter().map(|e| e.dst_track).collect();
-        assert_eq!(matched, vec![2, 1]);
+        assert_eq!(matched, vec![1, 2]);
+    }
+
+    #[test]
+    fn snapshot_keeps_each_tracks_order_under_a_rewound_clock() {
+        let clock = ManualClock::new();
+        let tele = Telemetry::with_clock(Arc::new(clock.clone()));
+        let (a, b) = (tele.fork(1), tele.fork(2));
+        clock.set(10);
+        let _a0 = a.span(Phase::SolverIteration);
+        a.event("tick", 10.0);
+        clock.set(5);
+        let _a1 = a.span(Phase::SpmmForward);
+        a.event("tick", 5.0);
+        clock.set(7);
+        let _b0 = b.span(Phase::ReduceSocket);
+        b.event("tick", 7.0);
+        let snap = tele.snapshot();
+        // Earliest head first; track 1 keeps its 10-then-5 order, and
+        // its rewound child still points at its own parent.
+        let opened: Vec<(u32, u64, Option<usize>)> = snap
+            .spans
+            .iter()
+            .map(|s| (s.track, s.start_ns, s.parent))
+            .collect();
+        assert_eq!(opened, vec![(2, 7, None), (1, 10, None), (1, 5, Some(1))]);
+        let ticks: Vec<f64> = snap.events.iter().map(|e| e.value).collect();
+        assert_eq!(ticks, vec![7.0, 10.0, 5.0]);
     }
 
     #[test]

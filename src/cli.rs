@@ -561,7 +561,7 @@ both layers instead",
 ];
 
 /// The usage text: every command's flag lines and paragraph, as
-/// written in [`COMMANDS`], under its name.
+/// written in the command table, under its name.
 pub fn usage() -> String {
     let mut out = String::from(
         "petaxct — iterative X-ray CT reconstruction (PetaXCT reproduction)\n\nUSAGE:\n",
