@@ -320,6 +320,33 @@ fn disabled_metrics_and_flight_recorder_record_nothing_and_do_not_allocate() {
 }
 
 #[test]
+fn disabled_profile_context_calls_do_not_allocate() {
+    let _guard = serial();
+
+    // The cost profile's only context is the span's own track. Forking a
+    // disabled handle onto a per-rank track, reading its id and opening
+    // spans on profiled phases must be no-ops on the heap; and with no
+    // span closed on either handle the profile has nothing to attribute.
+    let disabled = Telemetry::disabled();
+    let enabled = Telemetry::enabled();
+    let forks: Vec<Telemetry> = (1..=4).map(|track| enabled.fork(track)).collect();
+    let before = allocations();
+    for i in 0..1000u32 {
+        let rank = disabled.fork(i % 4 + 1);
+        assert_eq!(rank.track(), 0);
+        let _span = rank.span(Phase::SpmmForward);
+        assert_eq!(forks[(i % 4) as usize].track(), i % 4 + 1);
+    }
+    assert_eq!(
+        allocations() - before,
+        0,
+        "profile context calls must not touch the heap"
+    );
+    assert!(ProfileSnapshot::from_snapshot(&disabled.snapshot()).is_empty());
+    assert!(ProfileSnapshot::from_snapshot(&enabled.snapshot()).is_empty());
+}
+
+#[test]
 fn enabled_metrics_are_allocation_free_after_handle_creation() {
     let _guard = serial();
 
