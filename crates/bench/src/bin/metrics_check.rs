@@ -1,14 +1,17 @@
 //! CI validator for the telemetry artifacts: checks that a
 //! `--metrics-out` JSON file round-trips as `petaxct-metrics-v1` (with
 //! its Prometheus sibling following the text exposition line format),
-//! or that a `petaxct profile` artifact round-trips as
-//! `petaxct-profile-v1` with a coherent rank/tile grammar.
+//! that a `petaxct profile` artifact round-trips as
+//! `petaxct-profile-v1` with a coherent rank/tile grammar, or that a
+//! flight dump (`--flightrec-out`, the chaos explorer's post-mortems)
+//! is a well-formed `petaxct-flightrec-v1` document.
 //!
 //! Usage: `metrics_check FILE.json [FILE.prom]`. The schema tag in the
-//! JSON selects the validator; profile artifacts have no Prometheus
-//! sibling, so the second argument is ignored for them. The Prometheus
-//! path defaults to `FILE.json.prom`, matching what the CLI writes.
-//! Exits nonzero with a diagnostic on the first malformed construct.
+//! JSON selects the validator; profile artifacts and flight dumps have
+//! no Prometheus sibling, so the second argument is ignored for them.
+//! The Prometheus path defaults to `FILE.json.prom`, matching what the
+//! CLI writes. Exits nonzero with a diagnostic on the first malformed
+//! construct.
 
 #![forbid(unsafe_code)]
 
@@ -20,19 +23,56 @@ fn fail(msg: &str) -> ! {
     std::process::exit(1);
 }
 
-/// `petaxct-metrics-v1` structural checks: schema tag, monotone sample
-/// times, and per-track counter/gauge/histogram sections. Returns the
-/// total number of metric values seen (CI asserts it is non-trivial).
-fn check_json(text: &str) -> usize {
+/// Parses `text` and checks that re-serializing and re-parsing it is
+/// stable.
+fn parse_round_trip(text: &str) -> Json {
     let doc = match Json::parse(text) {
         Ok(doc) => doc,
         Err(e) => fail(&format!("JSON does not parse: {e}")),
     };
-    // Round-trip: re-serializing and re-parsing must be stable.
     let reparsed = Json::parse(&doc.to_string()).ok();
     if reparsed.as_ref().map(Json::to_string) != Some(doc.to_string()) {
         fail("JSON does not round-trip through serialize/parse");
     }
+    doc
+}
+
+/// One metrics sample — its time and per-track counter/gauge/histogram
+/// sections — as both `petaxct-metrics-v1` and a flight dump's
+/// `metrics` carry it. `what` names the sample in diagnostics. Returns
+/// the sample's time and the number of metric values in it.
+fn check_sample(what: &str, sample: &Json) -> (u64, usize) {
+    let in_sample = |e: String| -> ! { fail(&format!("{what}: {e}")) };
+    let at = sample.u64_at("at_ns").unwrap_or_else(|e| in_sample(e));
+    let mut values = 0usize;
+    for track in sample.array_at("tracks").unwrap_or_else(|e| in_sample(e)) {
+        track.u64_at("track").unwrap_or_else(|e| in_sample(e));
+        for section in ["counters", "gauges"] {
+            match track.get(section) {
+                Some(Json::Obj(pairs)) => values += pairs.len(),
+                _ => fail(&format!("{what}: missing {section} object")),
+            }
+        }
+        let hists = track
+            .array_at("histograms")
+            .unwrap_or_else(|e| in_sample(e));
+        for h in hists {
+            for field in ["metric", "count", "sum_ns", "buckets"] {
+                if h.get(field).is_none() {
+                    fail(&format!("{what}: histogram missing {field}"));
+                }
+            }
+            values += 1;
+        }
+    }
+    (at, values)
+}
+
+/// `petaxct-metrics-v1` structural checks: schema tag, monotone sample
+/// times, and per-track counter/gauge/histogram sections. Returns the
+/// total number of metric values seen (CI asserts it is non-trivial).
+fn check_json(text: &str) -> usize {
+    let doc = parse_round_trip(text);
     doc.expect_schema("petaxct-metrics-v1")
         .unwrap_or_else(|e| fail(&e));
     let samples = doc.array_at("samples").unwrap_or_else(|e| fail(&e));
@@ -42,34 +82,46 @@ fn check_json(text: &str) -> usize {
     let mut last_at = 0;
     let mut values = 0usize;
     for (i, sample) in samples.iter().enumerate() {
-        let in_sample = |e: String| -> ! { fail(&format!("sample {i}: {e}")) };
-        let at = sample.u64_at("at_ns").unwrap_or_else(|e| in_sample(e));
+        let (at, seen) = check_sample(&format!("sample {i}"), sample);
         if at < last_at {
             fail(&format!("sample {i} at_ns {at} < previous {last_at}"));
         }
         last_at = at;
-        for track in sample.array_at("tracks").unwrap_or_else(|e| in_sample(e)) {
-            track.u64_at("track").unwrap_or_else(|e| in_sample(e));
-            for section in ["counters", "gauges"] {
-                match track.get(section) {
-                    Some(Json::Obj(pairs)) => values += pairs.len(),
-                    _ => fail(&format!("sample {i}: missing {section} object")),
-                }
-            }
-            let hists = track
-                .array_at("histograms")
-                .unwrap_or_else(|e| in_sample(e));
-            for h in hists {
-                for field in ["metric", "count", "sum_ns", "buckets"] {
-                    if h.get(field).is_none() {
-                        fail(&format!("sample {i}: histogram missing {field}"));
-                    }
-                }
-                values += 1;
-            }
-        }
+        values += seen;
     }
     values
+}
+
+/// `petaxct-flightrec-v1` checks: a reason string, an integer
+/// `dropped`, records in non-decreasing `at_ns` whose kinds are
+/// `span_begin`, `span_end`, `event` or `match`, and a `metrics` sample
+/// checked like a `petaxct-metrics-v1` one. Returns the number of
+/// records.
+fn check_flightrec(text: &str) -> usize {
+    let doc = parse_round_trip(text);
+    doc.expect_schema("petaxct-flightrec-v1")
+        .unwrap_or_else(|e| fail(&e));
+    doc.str_at("reason").unwrap_or_else(|e| fail(&e));
+    doc.u64_at("dropped").unwrap_or_else(|e| fail(&e));
+    let events = doc.array_at("events").unwrap_or_else(|e| fail(&e));
+    let mut last_at = 0;
+    for (i, event) in events.iter().enumerate() {
+        let in_event = |e: String| -> ! { fail(&format!("event {i}: {e}")) };
+        let at = event.u64_at("at_ns").unwrap_or_else(|e| in_event(e));
+        if at < last_at {
+            fail(&format!("event {i} at_ns {at} < previous {last_at}"));
+        }
+        last_at = at;
+        let kind = event.str_at("kind").unwrap_or_else(|e| in_event(e));
+        if !matches!(kind, "span_begin" | "span_end" | "event" | "match") {
+            fail(&format!("event {i}: unknown kind {kind:?}"));
+        }
+    }
+    let metrics = doc
+        .get("metrics")
+        .unwrap_or_else(|| fail("missing metrics sample"));
+    check_sample("metrics", metrics);
+    events.len()
 }
 
 /// A Prometheus exposition sample line: `name{labels} value` with a
@@ -245,6 +297,11 @@ fn main() {
     if schema.as_deref() == Some("petaxct-profile-v1") {
         let tiles = check_profile(&json_text);
         println!("metrics_check: {json_path} ok (petaxct-profile-v1, {tiles} tiles)");
+        return;
+    }
+    if schema.as_deref() == Some("petaxct-flightrec-v1") {
+        let records = check_flightrec(&json_text);
+        println!("metrics_check: {json_path} ok (petaxct-flightrec-v1, {records} records)");
         return;
     }
     let values = check_json(&json_text);

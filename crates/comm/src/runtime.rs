@@ -539,8 +539,8 @@ impl Communicator {
 
     /// Publishes this rank's mailbox depth (unmatched messages) as a
     /// gauge. Called at receive attempts with the mailbox lock held; the
-    /// gauge store is a relaxed atomic, and the flight ring it also
-    /// touches is a leaf lock, so no lock-order cycle is possible.
+    /// gauge store is one relaxed atomic and takes no telemetry lock,
+    /// so no lock order is involved.
     fn note_mailbox_depth(&self, depth: usize) {
         self.telemetry
             .gauge_set(MetricId::CommMailboxDepth, depth as f64);

@@ -311,11 +311,12 @@ fn inner_products(comm: &Communicator, steps: &AllreduceSteps, products: &mut [f
         .expect("allreduce");
 }
 
-/// Flight-records what a measured-weight rebalance actually changed:
-/// how many Hilbert tiles moved to a different rank compared to the
-/// uniform (cell-count) partition, out of how many total. A post-mortem
-/// flight dump then shows whether a `--weights-from` run repartitioned
-/// at all and how aggressively.
+/// Records what a measured-weight rebalance actually changed, as two
+/// events: how many Hilbert tiles moved to a different rank compared to
+/// the uniform (cell-count) partition (`rebalance.tiles_moved`), out of
+/// how many total (`rebalance.tiles_total`). A post-mortem flight dump
+/// then shows whether a `--weights-from` run repartitioned at all and
+/// how aggressively.
 fn record_rebalance_decision(
     scan: &ScanGeometry,
     ranks: usize,
@@ -331,8 +332,12 @@ fn record_rebalance_decision(
         CurveKind::Hilbert,
     );
     let moved = tomo.rehomed_tiles(ranks, weights);
-    cfg.telemetry
-        .flight_point("rebalance.decision", moved as u64, tomo.num_tiles() as u64);
+    #[allow(clippy::cast_precision_loss)] // tile counts are far below 2^52
+    {
+        cfg.telemetry.event("rebalance.tiles_moved", moved as f64);
+        cfg.telemetry
+            .event("rebalance.tiles_total", tomo.num_tiles() as f64);
+    }
 }
 
 /// What a packed operator depends on besides the geometry:
@@ -1339,7 +1344,6 @@ mod tests {
     #[test]
     fn weighted_run_rebalances_and_flight_records_the_decision() {
         use xct_exec::Telemetry;
-        use xct_telemetry::FlightKind;
         let scan = ScanGeometry::uniform(ImageGrid::square(16, 1.0), 20);
         let (sm, x_true, y) = phantom_sinogram(&scan, 1);
         // A sharply skewed weight table: the first curve-order tiles are
@@ -1366,15 +1370,16 @@ mod tests {
         let _ = sm;
         let err = rel_err(&dist.x, &x_true);
         assert!(err < 0.15, "weighted reconstruction error {err}");
-        // The flight recorder kept the rebalance decision: some tiles
-        // moved, out of the full 4x4 grid.
-        let decision = telemetry
-            .flight_snapshot()
-            .into_iter()
-            .find(|e| e.kind == FlightKind::Point && e.code == "rebalance.decision")
-            .expect("rebalance decision recorded");
-        assert_eq!(decision.b, (side * side) as u64);
-        assert!(decision.a > 0, "skewed weights must move at least one tile");
+        // The log kept the rebalance decision: some tiles moved, out of
+        // the full 4x4 grid.
+        let events = telemetry.snapshot().events;
+        let decision = |name| {
+            let event = events.iter().find(|e| e.name == name);
+            event.expect("rebalance decision recorded").value
+        };
+        assert_eq!(decision("rebalance.tiles_total"), (side * side) as f64);
+        let moved = decision("rebalance.tiles_moved");
+        assert!(moved > 0.0, "skewed weights must move at least one tile");
     }
 
     #[test]

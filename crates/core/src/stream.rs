@@ -247,6 +247,62 @@ mod tests {
     }
 
     #[test]
+    fn metrics_of_every_slabs_rank_tracks_are_kept() {
+        // Each slab's run forks a fresh track per rank, so a streamed run
+        // registers every rank id once per slab: the metric snapshot must
+        // add up the wait histograms of all of them and keep the last
+        // slab's gauges.
+        use xct_exec::Telemetry;
+        use xct_telemetry::Phase;
+        let (n, slices) = (16, 6);
+        let scan = ScanGeometry::uniform(ImageGrid::square(n, 1.0), 16);
+        let sino = tmp("reregistered_in.xctd");
+        write_sinograms(&scan, slices, &sino);
+        let planner = Planner {
+            precision: Precision::Single,
+            max_fusing: slices,
+            ..Default::default()
+        };
+        let dims = VolumeDims { n, slices };
+        let topo = xct_comm::Topology::new(1, 2, 2);
+        let probe = planner.plan(dims, 16, None, topo).unwrap();
+        let budget = probe.matrix_bytes_per_rank() + 2 * probe.slice_bytes_per_rank();
+        let plan = planner.plan(dims, 16, Some(budget), topo).unwrap();
+        assert_eq!(plan.slabs.len(), 3);
+        let telemetry = Telemetry::enabled();
+        let base = DistributedConfig {
+            iterations: 5,
+            telemetry: telemetry.clone(),
+            ..Default::default()
+        };
+        let out = tmp("reregistered_out.xctd");
+        let outcome = reconstruct_planned(
+            &scan,
+            &plan,
+            SliceReader::open(&sino).unwrap(),
+            volume_writer(&out, slices, n * n),
+            &base,
+        )
+        .unwrap();
+        assert_eq!(outcome.stats.slabs, 3);
+        let (log, metrics) = (telemetry.snapshot(), telemetry.metrics_snapshot());
+        for rank in 0..4u32 {
+            let track = metrics.track(rank).expect("every rank recorded");
+            let waits = (log.spans.iter())
+                .filter(|s| s.track == rank && s.phase == Phase::CommWait)
+                .count() as u64;
+            let hist = track.histogram(MetricId::CommWaitNs).expect("waits");
+            assert_eq!(hist.count(), waits, "rank {rank}");
+            let last = (log.events.iter())
+                .rfind(|e| e.track == rank && e.name == "cgls.residual")
+                .expect("every rank records its residuals")
+                .value;
+            let gauge = track.gauge(MetricId::SolverResidual);
+            assert_eq!(gauge, Some(last), "rank {rank}");
+        }
+    }
+
+    #[test]
     fn plan_file_mismatch_is_reported() {
         let n = 12;
         let scan = ScanGeometry::uniform(ImageGrid::square(n, 1.0), 12);
@@ -280,11 +336,10 @@ mod tests {
 
     #[test]
     fn set_up_is_built_once_for_all_slabs() {
-        // The rebalance decision is flight-recorded where the weighted
+        // The rebalance decision is recorded where the weighted
         // decomposition is built; a three-slab run that rebuilt its
         // set-up per slab would record it three times.
         use xct_exec::Telemetry;
-        use xct_telemetry::FlightKind;
         let n = 16;
         let slices = 5;
         let scan = ScanGeometry::uniform(ImageGrid::square(n, 1.0), 16);
@@ -324,10 +379,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(outcome.stats.slabs, 3);
-        let decisions = telemetry
-            .flight_snapshot()
-            .into_iter()
-            .filter(|e| e.kind == FlightKind::Point && e.code == "rebalance.decision")
+        let decisions = (telemetry.snapshot().events.iter())
+            .filter(|e| e.name == "rebalance.tiles_moved")
             .count();
         assert_eq!(decisions, 1, "set-up must be built once per planned run");
     }

@@ -1,179 +1,101 @@
-//! The flight recorder: a fixed-capacity per-track ring of recent
-//! spans, events, and metric updates, dumped as `petaxct-flightrec-v1`
-//! JSON when a run dies.
+//! The flight recorder: a view of each track's log, dumped as
+//! `petaxct-flightrec-v1` JSON when a run dies.
 //!
 //! Post-hoc telemetry needs the run to finish; the flight recorder
-//! exists for runs that do not. Every enabled track keeps the last
-//! [`FLIGHT_CAPACITY`] records in a preallocated ring — recording is a
-//! short uncontended lock plus a fixed-size store, never an allocation —
-//! and a panic hook or error path can serialize the merged rings into a
-//! post-mortem that shows what each rank was doing in its final
-//! moments. Disabled telemetry records nothing and dumps nothing.
+//! exists for runs that do not. It keeps no store of its own: a dump
+//! takes each track's last [`FLIGHT_CAPACITY`] log records under that
+//! track's lock, merges the tracks by time and adds the metric slabs as
+//! they stand, so a panic hook or error path can show what each rank
+//! was doing in its final moments. Disabled telemetry records nothing
+//! and dumps nothing.
 
-use crate::{Json, Telemetry};
+use crate::{EdgeRecord, EventRecord, Json, SpanRecord, Telemetry};
 use std::path::PathBuf;
 
-/// Records retained per track. Sized so a dump spans several solver
-/// iterations of comm/solver activity per rank while the whole recorder
-/// stays a few tens of kilobytes per track.
+/// Records a dump keeps per track. Sized so a dump spans several solver
+/// iterations of comm/solver activity per rank.
 pub const FLIGHT_CAPACITY: usize = 256;
 
-/// What a flight record describes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum FlightKind {
+/// One log record as the flight dump lists it: a span counts twice,
+/// once where it opened and once where it closed.
+#[derive(Clone, Copy)]
+pub(crate) enum Recent<'a> {
     /// A span opened; `code` is the phase name.
-    SpanBegin,
+    SpanBegin(&'a SpanRecord),
+    /// A scalar event; `code` is the event name.
+    Event(&'a EventRecord),
+    /// A send→recv match; `a` is the sender's track, `b` the payload
+    /// bytes.
+    Match(&'a EdgeRecord),
     /// A span closed; `code` is the phase name, `a` its duration in ns.
-    SpanEnd,
-    /// A scalar event; `code` is the event name, `a` the value's f64
-    /// bits.
-    Event,
-    /// A gauge write; `code` is the metric name, `a` the value's f64
-    /// bits.
-    Gauge,
-    /// A counter increment; `code` is the metric name, `a` the delta.
-    Counter,
-    /// A send→recv match observed by the receiver; `a` is the sender's
-    /// track, `b` the payload bytes.
-    Match,
-    /// A free-form marker from an instrumentation site; `a`/`b` are
-    /// site-defined.
-    Point,
+    SpanEnd(&'a SpanRecord),
 }
 
-impl FlightKind {
-    /// Stable name used in the dump schema.
-    pub fn as_str(self) -> &'static str {
+impl Recent<'_> {
+    /// When the record happened.
+    pub(crate) fn at_ns(self) -> u64 {
         match self {
-            FlightKind::SpanBegin => "span_begin",
-            FlightKind::SpanEnd => "span_end",
-            FlightKind::Event => "event",
-            FlightKind::Gauge => "gauge",
-            FlightKind::Counter => "counter",
-            FlightKind::Match => "match",
-            FlightKind::Point => "point",
-        }
-    }
-}
-
-/// One fixed-size flight record. `&'static str` codes keep recording
-/// allocation-free; the interpretation of `a`/`b` depends on `kind`.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct FlightEvent {
-    /// Collector clock time of the record.
-    pub at_ns: u64,
-    /// Track (rank) that recorded it.
-    pub track: u32,
-    /// Record type.
-    pub kind: FlightKind,
-    /// Phase, metric, or site name.
-    pub code: &'static str,
-    /// First payload word (see [`FlightKind`]).
-    pub a: u64,
-    /// Second payload word.
-    pub b: u64,
-}
-
-/// One track's preallocated overwrite-oldest ring of [`FlightEvent`]s.
-#[derive(Debug)]
-pub(crate) struct FlightRing {
-    track: u32,
-    buf: Vec<FlightEvent>,
-    /// Next slot to overwrite once the ring is full.
-    next: usize,
-    /// Records ever pushed (so dumps can report how many were dropped).
-    total: u64,
-}
-
-impl FlightRing {
-    pub(crate) fn new(track: u32) -> Self {
-        FlightRing {
-            track,
-            buf: Vec::with_capacity(FLIGHT_CAPACITY),
-            next: 0,
-            total: 0,
+            Recent::SpanBegin(span) => span.start_ns,
+            Recent::Event(event) => event.at_ns,
+            Recent::Match(edge) => edge.matched_ns,
+            Recent::SpanEnd(span) => span.end_ns,
         }
     }
 
-    /// Pushes a record, overwriting the oldest once full. Never
-    /// allocates: capacity is reserved up front.
-    pub(crate) fn push(
-        &mut self,
-        at_ns: u64,
-        kind: FlightKind,
-        code: &'static str,
-        a: u64,
-        b: u64,
-    ) {
-        let event = FlightEvent {
-            at_ns,
-            track: self.track,
-            kind,
-            code,
-            a,
-            b,
+    /// The dump's record: time, track, kind and code, then the event's
+    /// `value` or the two payload words `a` and `b`.
+    pub(crate) fn to_json(self) -> Json {
+        let words = |a: u64, b: u64| vec![("a", Json::from(a)), ("b", Json::from(b))];
+        let (track, kind, code, payload) = match self {
+            Recent::SpanBegin(span) => (span.track, "span_begin", span.phase.as_str(), words(0, 0)),
+            Recent::Event(event) => (
+                event.track,
+                "event",
+                event.name,
+                vec![("value", Json::from(event.value))],
+            ),
+            Recent::Match(edge) => (
+                edge.dst_track,
+                "match",
+                "comm.match",
+                words(u64::from(edge.src_track), edge.bytes),
+            ),
+            Recent::SpanEnd(span) => (
+                span.track,
+                "span_end",
+                span.phase.as_str(),
+                words(span.duration_ns(), 0),
+            ),
         };
-        if self.buf.len() < FLIGHT_CAPACITY {
-            self.buf.push(event);
-        } else {
-            self.buf[self.next] = event;
-            self.next = (self.next + 1) % FLIGHT_CAPACITY;
-        }
-        self.total += 1;
-    }
-
-    /// Records ever pushed, including overwritten ones.
-    pub(crate) fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Retained records, oldest first.
-    pub(crate) fn events(&self) -> Vec<FlightEvent> {
-        let mut out = Vec::with_capacity(self.buf.len());
-        out.extend_from_slice(&self.buf[self.next..]);
-        out.extend_from_slice(&self.buf[..self.next]);
-        out
+        let mut fields = vec![
+            ("at_ns", Json::from(self.at_ns())),
+            ("track", Json::from(u64::from(track))),
+            ("kind", Json::from(kind)),
+            ("code", Json::from(code)),
+        ];
+        fields.extend(payload);
+        Json::object(fields)
     }
 }
 
-/// Serializes merged flight events into the `petaxct-flightrec-v1`
-/// document. `dropped` is the number of records lost to ring overwrite
-/// across all tracks, so readers know whether the window is complete.
-/// Gauge and event records carry an f64 as raw bits in `a`; the dump
-/// decodes them to a `value` field so JSON numbers stay exact.
-pub fn flight_json(reason: &str, at_ns: u64, dropped: u64, events: &[FlightEvent]) -> Json {
+/// The `petaxct-flightrec-v1` document. `dropped` is the number of log
+/// records older than the window, so readers know whether it is the
+/// whole run; `metrics` is the metric slabs at dump time, one
+/// `petaxct-metrics-v1` sample.
+pub(crate) fn flight_json(
+    reason: &str,
+    at_ns: u64,
+    dropped: u64,
+    events: Vec<Json>,
+    metrics: Json,
+) -> Json {
     Json::object(vec![
         ("schema", Json::from("petaxct-flightrec-v1")),
         ("reason", Json::from(reason)),
         ("dumped_at_ns", Json::from(at_ns)),
         ("dropped", Json::from(dropped)),
-        (
-            "events",
-            Json::Arr(
-                events
-                    .iter()
-                    .map(|e| {
-                        let mut fields = vec![
-                            ("at_ns", Json::from(e.at_ns)),
-                            ("track", Json::from(u64::from(e.track))),
-                            ("kind", Json::from(e.kind.as_str())),
-                            ("code", Json::from(e.code)),
-                        ];
-                        match e.kind {
-                            FlightKind::Gauge | FlightKind::Event => {
-                                fields.push(("value", Json::from(f64::from_bits(e.a))));
-                            }
-                            _ => {
-                                fields.push(("a", Json::from(e.a)));
-                                fields.push(("b", Json::from(e.b)));
-                            }
-                        }
-                        Json::object(fields)
-                    })
-                    .collect(),
-            ),
-        ),
+        ("events", Json::Arr(events)),
+        ("metrics", metrics),
     ])
 }
 
@@ -197,58 +119,108 @@ pub fn install_flight_panic_hook(telemetry: &Telemetry, path: PathBuf) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sampler::sample_json;
+    use crate::{Clock, ManualClock, MetricId, Phase, SpanGuard};
+    use std::sync::Arc;
 
-    fn ev(at_ns: u64) -> FlightEvent {
-        FlightEvent {
-            at_ns,
-            track: 0,
-            kind: FlightKind::Point,
-            code: "test",
-            a: at_ns,
-            b: 0,
+    /// The scripted run whose flight dump is pinned: two tracks on a
+    /// `ManualClock`, every timestamp distinct within its track, track 0
+    /// past the window, one span left open on track 1, events and match
+    /// edges, and no metric calls.
+    fn scripted_run() -> (Telemetry, SpanGuard) {
+        let clock = ManualClock::new();
+        let tele = Telemetry::with_clock(Arc::new(clock.clone()));
+        let peer = tele.fork(1);
+        for i in 0..60u64 {
+            let sent_ns = clock.now_ns();
+            let iteration = tele.span(Phase::SolverIteration);
+            clock.advance(3);
+            // Every fifth iteration the peer opens, matches and closes at
+            // the instants track 0 does: cross-track ties.
+            let wait = tele.span(Phase::CommWait);
+            let reduce = (i % 5 == 0).then(|| peer.span(Phase::ReduceSocket));
+            clock.advance(2);
+            tele.edge(1, i, 32 * (i + 1), sent_ns, 0);
+            if reduce.is_some() {
+                peer.edge(0, i, 64, sent_ns, 10);
+            }
+            clock.advance(4);
+            drop(wait);
+            drop(reduce);
+            clock.advance(1);
+            #[allow(clippy::cast_precision_loss)]
+            tele.event("cgls.residual", 1.0 / (i + 1) as f64);
+            clock.advance(1);
+            drop(iteration);
+            clock.advance(7);
         }
+        let open = peer.span(Phase::Io);
+        clock.advance(2);
+        peer.event("io.queued", 2.0);
+        clock.advance(5);
+        (tele, open)
+    }
+
+    fn dump(tele: &Telemetry) -> Json {
+        let text = tele.flight_dump_json("scripted").expect("enabled");
+        Json::parse(&text).expect("a dump is JSON")
     }
 
     #[test]
-    fn ring_overwrites_oldest_and_counts_total() {
-        let mut ring = FlightRing::new(0);
-        let n = FLIGHT_CAPACITY as u64 + 10;
-        for i in 0..n {
-            ring.push(i, FlightKind::Point, "test", i, 0);
+    fn dump_of_a_scripted_run_reproduces_the_ring_it_replaced() {
+        // The fixture is the dump this script produced when each track
+        // kept a separate 256-record ring for the flight recorder; the
+        // view of the log lists the same records.
+        let pinned = include_str!("../tests/data/flightrec_scripted_run.json");
+        let pinned = Json::parse(pinned).expect("fixture is JSON");
+        let (tele, _open) = scripted_run();
+        let doc = dump(&tele);
+        for field in ["schema", "reason", "dumped_at_ns", "dropped", "events"] {
+            assert_eq!(doc.get(field), pinned.get(field), "{field}");
         }
-        assert_eq!(ring.total(), n);
-        let events = ring.events();
-        assert_eq!(events.len(), FLIGHT_CAPACITY);
-        assert_eq!(events.first().unwrap().at_ns, 10, "oldest 10 overwritten");
-        assert_eq!(events.last().unwrap().at_ns, n - 1);
-        // Strictly ordered: the rotation restored push order.
-        assert!(events.windows(2).all(|w| w[0].at_ns < w[1].at_ns));
+        // Track 0 recorded 360 records, track 1 38: the window holds
+        // the last 256 of each, merged by time.
+        assert_eq!(doc.u64_at("dropped"), Ok(360 - FLIGHT_CAPACITY as u64));
+        let events = doc.array_at("events").expect("events");
+        assert_eq!(events.len(), FLIGHT_CAPACITY + 38);
+        assert_eq!(
+            doc.get("metrics"),
+            Some(&sample_json(&tele.metrics_snapshot()))
+        );
     }
 
     #[test]
-    fn dump_schema_round_trips() {
-        let events = [ev(1), ev(2)];
-        let json = flight_json("test reason", 99, 0, &events);
-        let text = json.to_string();
-        let parsed = Json::parse(&text).expect("valid JSON");
+    fn a_tracks_records_at_one_instant_open_then_happen_then_close() {
+        // A clock that never advances: every record on the track ties.
+        let tele = Telemetry::with_clock(Arc::new(ManualClock::new()));
+        let outer = tele.span(Phase::SolverIteration);
+        {
+            let _inner = tele.span(Phase::CommWait);
+            tele.edge(1, 0, 8, 0, 0);
+            tele.event("tick", 1.0);
+        }
+        drop(outer);
+        let _open = tele.span(Phase::Io);
+        tele.metric_add(MetricId::CommSendMsgs, 3);
+        let doc = dump(&tele);
+        let listed: Vec<(&str, &str)> = (doc.array_at("events").expect("events").iter())
+            .map(|e| (e.str_at("kind").unwrap(), e.str_at("code").unwrap()))
+            .collect();
         assert_eq!(
-            parsed.get("schema").and_then(Json::as_str),
-            Some("petaxct-flightrec-v1")
+            listed,
+            [
+                ("span_begin", "solver.iteration"),
+                ("span_begin", "comm.wait"),
+                ("span_begin", "io"),
+                ("event", "tick"),
+                ("match", "comm.match"),
+                ("span_end", "comm.wait"),
+                ("span_end", "solver.iteration"),
+            ]
         );
-        assert_eq!(
-            parsed.get("reason").and_then(Json::as_str),
-            Some("test reason")
-        );
-        assert_eq!(
-            parsed.get("dumped_at_ns").and_then(Json::as_f64),
-            Some(99.0)
-        );
-        let arr = parsed
-            .get("events")
-            .and_then(Json::as_array)
-            .expect("events");
-        assert_eq!(arr.len(), 2);
-        assert_eq!(arr[0].get("kind").and_then(Json::as_str), Some("point"));
-        assert_eq!(arr[1].get("at_ns").and_then(Json::as_f64), Some(2.0));
+        // Metric updates are no records: they show in the slabs.
+        assert_eq!(doc.u64_at("dropped"), Ok(0));
+        let metrics = doc.get("metrics").expect("metrics");
+        assert_eq!(metrics, &sample_json(&tele.metrics_snapshot()));
     }
 }

@@ -60,6 +60,17 @@ impl DurationHistogram {
         self.sum_ns = self.sum_ns.saturating_add(ns);
     }
 
+    /// Adds every duration `other` recorded, bucket by bucket.
+    pub(crate) fn merge(&mut self, other: &DurationHistogram) {
+        for (count, more) in self.counts.iter_mut().zip(&other.counts) {
+            *count += more;
+        }
+        self.count += other.count;
+        self.min_ns = self.min_ns.min(other.min_ns);
+        self.max_ns = self.max_ns.max(other.max_ns);
+        self.sum_ns = self.sum_ns.saturating_add(other.sum_ns);
+    }
+
     /// Number of recorded durations.
     pub fn count(&self) -> u64 {
         self.count

@@ -12,24 +12,20 @@
 //!   (one per rank), which owns everything that rank records behind one
 //!   lock no other rank takes; a recording call reads the clock once,
 //!   takes that lock once and touches no other shared state. A track
-//!   keeps three stores, with three retention policies:
+//!   keeps two stores, with two retention policies:
 //!   - the **log** — every span (RAII-timed), scalar event and
 //!     send→recv match edge ([`EdgeRecord`]), in the order the track
 //!     recorded them; unbounded; copied out, the tracks merged by
 //!     timestamp (ties to the track registered first), as a
 //!     [`TelemetrySnapshot`];
 //!   - the **metric slab** — aggregates only: the [`MetricId`]
-//!     counters and gauges as relaxed atomics, the wait histograms as
-//!     plain [`DurationHistogram`]s under the track lock (a sampled
-//!     histogram's count, sum and buckets always agree); copied by
-//!     [`Sampler`] into [`MetricsSnapshot`] time series and exported as
-//!     `petaxct-metrics-v1` JSON ([`metrics_series_json`]), Prometheus
-//!     text ([`prometheus_text`]), CSV ([`metrics_csv`]), or the human
-//!     [`render_progress`] line;
-//!   - the **flight ring** — the last [`FLIGHT_CAPACITY`] records
-//!     ([`FlightEvent`]), preallocated; [`Telemetry::flight_dump_json`]
-//!     and [`install_flight_panic_hook`] turn them into a
-//!     `petaxct-flightrec-v1` post-mortem when a run dies.
+//!     counters and gauges as relaxed atomics updated without the lock,
+//!     the wait histograms as plain [`DurationHistogram`]s under the
+//!     track lock (a sampled histogram's count, sum and buckets always
+//!     agree); copied by [`Sampler`] into [`MetricsSnapshot`] time
+//!     series and exported as `petaxct-metrics-v1` JSON
+//!     ([`metrics_series_json`]), Prometheus text ([`prometheus_text`]),
+//!     CSV ([`metrics_csv`]), or the human [`render_progress`] line.
 //! * Views — every analysis is a fold over the [`TelemetrySnapshot`],
 //!   never a second record: [`TelemetrySnapshot::self_times`] (computed
 //!   in one place), [`Breakdown`] (the Fig. 10-style per-phase table and
@@ -39,7 +35,11 @@
 //!   [`ProfileSnapshot`] (self time per [`CostComponent`] and track —
 //!   the `petaxct-profile-v1` drift/skew artifact's input), and
 //!   [`chrome_trace`] (a Chrome `trace_event` file loadable in
-//!   `about://tracing` / Perfetto).
+//!   `about://tracing` / Perfetto). The flight recorder is a view of the
+//!   log too: [`Telemetry::flight_dump_json`] and
+//!   [`install_flight_panic_hook`] write each track's last
+//!   [`FLIGHT_CAPACITY`] records and the metric slabs as a
+//!   `petaxct-flightrec-v1` post-mortem when a run dies.
 //! * [`Phase`] — the stable phase taxonomy (SpMM forward/transpose,
 //!   precision conversion, socket/node/global reduction, halo exchange,
 //!   solver iterations/bookkeeping, I/O).
@@ -68,9 +68,7 @@ mod span;
 
 pub use causal::{CausalAnalysis, PathStep, RankPath};
 pub use clock::{Clock, ManualClock, MonotonicClock};
-pub use flight::{
-    flight_json, install_flight_panic_hook, FlightEvent, FlightKind, FLIGHT_CAPACITY,
-};
+pub use flight::{install_flight_panic_hook, FLIGHT_CAPACITY};
 pub use histogram::{DurationHistogram, PhaseHistograms};
 pub use json::Json;
 pub use metrics::{MetricId, MetricKind, MetricsSnapshot, TrackMetricsSnapshot, ALL_METRICS};

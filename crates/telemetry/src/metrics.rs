@@ -172,12 +172,6 @@ impl MetricId {
         }
     }
 
-    /// Whether the flight recorder logs individual updates of this
-    /// metric. The park counter ticks far too often to ring-log.
-    pub(crate) fn flight_worthy(self) -> bool {
-        self != MetricId::CommWaitParks
-    }
-
     fn scalar_index(self) -> Option<usize> {
         let index = self as usize;
         (index < SCALAR_COUNT).then_some(index)
@@ -300,26 +294,32 @@ impl TrackMetricsSnapshot {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 
-    fn merge(&mut self, other: TrackMetricsSnapshot) {
-        for (id, v) in other.counters {
-            match self.counters.iter_mut().find(|(i, _)| *i == id) {
-                Some((_, have)) => *have += v,
-                None => self.counters.push((id, v)),
-            }
-        }
-        for (id, v) in other.gauges {
-            // Same-track gauges from distinct handles: last registration
-            // wins; in practice each track forks one handle.
-            if !self.gauges.iter().any(|(i, _)| *i == id) {
-                self.gauges.push((id, v));
-            }
-        }
-        for (id, h) in other.histograms {
-            if !self.histograms.iter().any(|(i, _)| *i == id) {
-                self.histograms.push((id, h));
-            }
+    /// Folds a later registration of the same track id into this one
+    /// (a streamed run forks each rank's track once per slab): counters
+    /// add, histograms add bucket by bucket, and the later gauge wins.
+    fn merge(&mut self, later: TrackMetricsSnapshot) {
+        merge_by_id(&mut self.counters, later.counters, |have, v| *have += v);
+        merge_by_id(&mut self.gauges, later.gauges, |have, v| *have = v);
+        merge_by_id(&mut self.histograms, later.histograms, |have, h| {
+            have.merge(&h);
+        });
+    }
+}
+
+/// Folds `later`'s values into `have`'s by metric id, keeping `have` in
+/// taxonomy order.
+fn merge_by_id<T>(
+    have: &mut Vec<(MetricId, T)>,
+    later: Vec<(MetricId, T)>,
+    fold: impl Fn(&mut T, T),
+) {
+    for (id, value) in later {
+        match have.iter_mut().find(|(i, _)| *i == id) {
+            Some((_, slot)) => fold(slot, value),
+            None => have.push((id, value)),
         }
     }
+    have.sort_by_key(|&(id, _)| id as usize);
 }
 
 /// A point-in-time copy of every track's touched metrics.
@@ -414,19 +414,28 @@ mod tests {
 
     #[test]
     fn assemble_merges_same_track_slabs_and_sorts() {
+        // Track 1 registers twice: counters and histograms add, and the
+        // later registration's gauge wins.
         let a = TrackMetrics::new();
         a.add(MetricId::CommSendMsgs, 2);
+        a.gauge_set(MetricId::SolverResidual, 0.5);
+        a.gauge_set(MetricId::CommMailboxDepth, 2.0);
         let b = TrackMetrics::new();
         b.add(MetricId::CommSendMsgs, 3);
+        b.gauge_set(MetricId::SolverResidual, 0.25);
         let c = TrackMetrics::new();
         c.add(MetricId::SolverIterations, 1);
         let none = TrackHistograms::default();
+        let (mut a_waits, mut b_waits) = (none.clone(), none.clone());
+        a_waits.observe_ns(MetricId::CommWaitNs, 3);
+        b_waits.observe_ns(MetricId::CommWaitNs, 3);
+        b_waits.observe_ns(MetricId::CommWaitNs, 1000);
         let snap = MetricsSnapshot::assemble(
             77,
             vec![
                 c.snapshot(5, &none),
-                a.snapshot(1, &none),
-                b.snapshot(1, &none),
+                a.snapshot(1, &a_waits),
+                b.snapshot(1, &b_waits),
                 TrackMetrics::new().snapshot(9, &none),
             ],
         );
@@ -435,5 +444,17 @@ mod tests {
         assert_eq!(snap.tracks[0].track, 1);
         assert_eq!(snap.counter_total(MetricId::CommSendMsgs), 5);
         assert_eq!(snap.counter_max(MetricId::SolverIterations), 1);
+        let track = &snap.tracks[0];
+        assert_eq!(
+            track.gauges,
+            [
+                (MetricId::CommMailboxDepth, 2.0),
+                (MetricId::SolverResidual, 0.25)
+            ]
+        );
+        let hist = track.histogram(MetricId::CommWaitNs).expect("recorded");
+        assert_eq!((hist.count(), hist.sum_ns()), (3, 1006));
+        assert_eq!((hist.min_ns(), hist.max_ns()), (3, 1000));
+        assert_eq!(hist.buckets(), vec![(2, 4, 2), (512, 1024, 1)]);
     }
 }

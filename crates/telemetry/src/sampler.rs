@@ -79,7 +79,9 @@ pub fn metrics_series_json(samples: &[MetricsSnapshot]) -> Json {
     ])
 }
 
-fn sample_json(snap: &MetricsSnapshot) -> Json {
+/// One sample of the `petaxct-metrics-v1` series (also the flight
+/// dump's `metrics`).
+pub(crate) fn sample_json(snap: &MetricsSnapshot) -> Json {
     Json::object(vec![
         ("at_ns", Json::from(snap.at_ns)),
         (

@@ -1,4 +1,4 @@
-//! The one recording path (see the crate docs for the three stores).
+//! The one recording path (see the crate docs for the two stores).
 //!
 //! A [`Telemetry`] handle is either *disabled* (the default — every call
 //! is a branch on `None`, no locking, no allocation) or *enabled*, in
@@ -9,11 +9,12 @@
 //! everything derived is a fold over the [`TelemetrySnapshot`], not a
 //! second record.
 
-use crate::flight::{flight_json, FlightEvent, FlightKind, FlightRing};
+use crate::flight::{flight_json, Recent};
 use crate::metrics::{
     MetricId, MetricsSnapshot, TrackHistograms, TrackMetrics, TrackMetricsSnapshot,
 };
-use crate::{Clock, MonotonicClock, Phase};
+use crate::sampler::sample_json;
+use crate::{Clock, Json, MonotonicClock, Phase, FLIGHT_CAPACITY};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -91,8 +92,41 @@ struct TrackLog {
     edges: Vec<EdgeRecord>,
     /// Log indices of the currently-open spans, innermost last.
     stack: Vec<usize>,
+    /// Log indices of the closed spans, in the order they closed.
+    closed: Vec<usize>,
     hists: TrackHistograms,
-    flight: FlightRing,
+}
+
+impl TrackLog {
+    /// Records in the log; a closed span counts twice, as it opened and
+    /// as it closed.
+    fn len(&self) -> usize {
+        self.spans.len() + self.events.len() + self.edges.len() + self.closed.len()
+    }
+
+    /// The last [`FLIGHT_CAPACITY`] records, oldest first, each with
+    /// its time and encoded for the flight dump. Each kind of record is
+    /// kept in the order the track recorded it, and the kinds are merged
+    /// by time; at one instant a track lists the spans it opened, then
+    /// its events, then its match edges, then the spans it closed. Only
+    /// the window's records are encoded.
+    fn recent(&self) -> Vec<(u64, Json)> {
+        fn tail<T>(records: &[T]) -> &[T] {
+            &records[records.len().saturating_sub(FLIGHT_CAPACITY)..]
+        }
+        let closed = tail(&self.closed).iter().filter_map(|&i| self.spans.get(i));
+        let kinds = vec![
+            tail(&self.spans).iter().map(Recent::SpanBegin).collect(),
+            tail(&self.events).iter().map(Recent::Event).collect(),
+            tail(&self.edges).iter().map(Recent::Match).collect(),
+            closed.map(Recent::SpanEnd).collect(),
+        ];
+        let merged = merge_by_time(kinds, |record| record.at_ns());
+        let older = merged.len().saturating_sub(FLIGHT_CAPACITY);
+        (merged.into_iter().skip(older))
+            .map(|(_, record)| (record.at_ns(), record.to_json()))
+            .collect()
+    }
 }
 
 /// One handle's storage, shared between the handle (which records) and
@@ -118,18 +152,6 @@ impl Collector {
         for track in locked(&self.tracks).iter() {
             visit(track, &locked(&track.log));
         }
-    }
-
-    /// Every track's retained flight records merged in time order, and
-    /// how many were ever pushed.
-    fn flight(&self) -> (Vec<FlightEvent>, u64) {
-        let (mut events, mut total) = (Vec::new(), 0);
-        self.for_each_log(|_, log| {
-            events.extend(log.flight.events());
-            total += log.flight.total();
-        });
-        events.sort_by_key(|e| e.at_ns);
-        (events, total)
     }
 }
 
@@ -177,8 +199,7 @@ fn merge_by_time<T>(lists: Vec<Vec<T>>, time: impl Fn(&T) -> u64) -> Vec<(usize,
 
 impl TrackHandle {
     /// Creates a handle for track `id` and registers its storage with
-    /// the collector. Runs at enable/fork time only; the flight ring is
-    /// preallocated here.
+    /// the collector. Runs at enable/fork time only.
     fn register(collector: Arc<Collector>, id: u32) -> TrackHandle {
         let track = Arc::new(Track {
             id,
@@ -188,8 +209,8 @@ impl TrackHandle {
                 events: Vec::new(),
                 edges: Vec::new(),
                 stack: Vec::new(),
+                closed: Vec::new(),
                 hists: TrackHistograms::default(),
-                flight: FlightRing::new(id),
             }),
         });
         locked(&collector.tracks).push(Arc::clone(&track));
@@ -201,11 +222,6 @@ impl TrackHandle {
     fn record<R>(&self, write: impl FnOnce(&mut TrackLog, u64) -> R) -> R {
         let now_ns = self.collector.clock.now_ns();
         write(&mut locked(&self.track.log), now_ns)
-    }
-
-    /// Records one flight-only entry (no log storage).
-    fn flight_push(&self, kind: FlightKind, code: &'static str, a: u64, b: u64) {
-        self.record(|log, at_ns| log.flight.push(at_ns, kind, code, a, b));
     }
 }
 
@@ -327,8 +343,6 @@ impl Telemetry {
             };
             log.spans.push(record);
             log.stack.push(index);
-            log.flight
-                .push(start_ns, FlightKind::SpanBegin, phase.as_str(), 0, 0);
             index
         });
         SpanGuard {
@@ -365,9 +379,6 @@ impl Telemetry {
                 wire_ns,
             };
             log.edges.push(record);
-            let src = u64::from(src_track);
-            log.flight
-                .push(matched_ns, FlightKind::Match, "comm.match", src, bytes);
         });
     }
 
@@ -382,20 +393,14 @@ impl Telemetry {
                 at_ns,
             };
             log.events.push(record);
-            log.flight
-                .push(at_ns, FlightKind::Event, name, value.to_bits(), 0);
         });
     }
 
     /// Adds `delta` to a counter on this track. One `None` check when
-    /// disabled; a relaxed atomic add (plus, for coarse-grained
-    /// counters, a flight record) when enabled.
+    /// disabled; one relaxed atomic add, and no lock, when enabled.
     pub fn metric_add(&self, id: MetricId, delta: u64) {
         let Some(handle) = &self.inner else { return };
         handle.track.metrics.add(id, delta);
-        if id.flight_worthy() {
-            handle.flight_push(FlightKind::Counter, id.as_str(), delta, 0);
-        }
     }
 
     /// Adds 1 to a counter on this track.
@@ -403,23 +408,17 @@ impl Telemetry {
         self.metric_add(id, 1);
     }
 
-    /// Sets a gauge on this track.
+    /// Sets a gauge on this track: one relaxed atomic store, and no
+    /// lock, when enabled.
     pub fn gauge_set(&self, id: MetricId, value: f64) {
         let Some(handle) = &self.inner else { return };
         handle.track.metrics.gauge_set(id, value);
-        handle.flight_push(FlightKind::Gauge, id.as_str(), value.to_bits(), 0);
     }
 
     /// Records a duration into a histogram metric on this track.
     pub fn observe_ns(&self, id: MetricId, ns: u64) {
         let Some(handle) = &self.inner else { return };
         locked(&handle.track.log).hists.observe_ns(id, ns);
-    }
-
-    /// Records a free-form flight-recorder marker (no metric storage).
-    pub fn flight_point(&self, code: &'static str, a: u64, b: u64) {
-        let Some(handle) = &self.inner else { return };
-        handle.flight_push(FlightKind::Point, code, a, b);
     }
 
     /// A point-in-time copy of every track's touched metrics (empty
@@ -436,22 +435,24 @@ impl Telemetry {
         MetricsSnapshot::assemble(at_ns, slabs)
     }
 
-    /// The retained flight records of every track, merged and ordered
-    /// by time (empty when disabled).
-    pub fn flight_snapshot(&self) -> Vec<FlightEvent> {
-        self.inner
-            .as_ref()
-            .map_or_else(Vec::new, |h| h.collector.flight().0)
-    }
-
     /// Serializes the flight recorder into a `petaxct-flightrec-v1`
-    /// post-mortem document, or `None` when disabled.
+    /// post-mortem document, or `None` when disabled: each track's last
+    /// [`FLIGHT_CAPACITY`] log records, copied under that track's lock
+    /// and merged by time (ties to the track registered first), and the
+    /// metric slabs as they stand.
     pub fn flight_dump_json(&self, reason: &str) -> Option<String> {
         let handle = self.inner.as_ref()?;
         let at_ns = handle.collector.clock.now_ns();
-        let (events, total) = handle.collector.flight();
-        let dropped = total - events.len() as u64;
-        Some(flight_json(reason, at_ns, dropped, &events).to_string())
+        let (mut windows, mut dropped) = (Vec::new(), 0);
+        handle.collector.for_each_log(|_, log| {
+            let window = log.recent();
+            dropped += log.len() - window.len();
+            windows.push(window);
+        });
+        let events = merge_by_time(windows, |&(at_ns, _)| at_ns);
+        let events = events.into_iter().map(|(_, (_, json))| json).collect();
+        let metrics = sample_json(&self.metrics_snapshot());
+        Some(flight_json(reason, at_ns, dropped as u64, events, metrics).to_string())
     }
 
     /// Copies out everything recorded so far, closing still-open spans at
@@ -518,15 +519,14 @@ impl Drop for SpanGuard {
                 return;
             };
             span.end_ns = end_ns.max(span.start_ns);
-            let (phase, duration_ns) = (span.phase, span.duration_ns());
             // comm.wait spans feed the live histogram metric as they
             // close, so the sampler sees the wait distribution mid-run
             // instead of only in the post-hoc span analysis.
-            if phase == Phase::CommWait {
-                log.hists.observe_ns(MetricId::CommWaitNs, duration_ns);
+            if span.phase == Phase::CommWait {
+                log.hists
+                    .observe_ns(MetricId::CommWaitNs, span.duration_ns());
             }
-            log.flight
-                .push(end_ns, FlightKind::SpanEnd, phase.as_str(), duration_ns, 0);
+            log.closed.push(index);
         });
     }
 }

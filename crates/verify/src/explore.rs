@@ -31,9 +31,9 @@ pub struct SeedOutcome {
     pub failure: Option<String>,
     /// A `petaxct-flightrec-v1` post-mortem of the failure: the failing
     /// chaos schedule re-run (deterministically, from its seed) with the
-    /// flight recorder armed, capturing every rank's last spans, events,
-    /// and metric deltas. `None` for passing schedules and for baseline
-    /// (chaos-free) failures.
+    /// flight recorder armed, capturing every rank's last spans, events
+    /// and matches, and its metrics as they stood. `None` for passing
+    /// schedules and for baseline (chaos-free) failures.
     pub flight_dump: Option<String>,
 }
 

@@ -428,7 +428,7 @@ fn single_sweep_gather_passes_baseline_fails_under_chaos() {
         .get("events")
         .and_then(xct_telemetry::Json::as_array)
         .expect("dump carries events");
-    assert!(!events.is_empty(), "flight ring must hold the last moments");
+    assert!(!events.is_empty(), "flight dump must hold the last moments");
     // Passing schedules carry no dump.
     assert!(report.outcomes[0].flight_dump.is_none());
 }

@@ -424,8 +424,9 @@ const COMMANDS: &[Command] = &[
 --in FILE --out FILE
 [--precision double|single|half|mixed] [--iterations 24]
 [--batch 8] [--solver cgls|sirt]
-[--damping 0]             CGLS's Tikhonov weight (refused
-                          with sirt, which does not damp)
+[--damping 0]             CGLS's Tikhonov weight, finite
+                          and >= 0 (refused with sirt,
+                          which does not damp)
 [--tune-from FILE]        use the best kernel shape from a
                           petaxct-tune-v1 artifact (block
                           size, staging bytes; its fusing
@@ -467,9 +468,9 @@ const COMMANDS: &[Command] = &[
                           residual, %, ETA)
 [--flightrec-out FILE]    arm the flight recorder: on panic
                           or error, dump the last moments of
-                          every rank (spans, events, metric
-                          deltas) as petaxct-flightrec-v1
-                          JSON to FILE
+                          every rank (spans, events, matches,
+                          and the metrics as they stand) as
+                          petaxct-flightrec-v1 JSON to FILE
 [--profile-out FILE]      record telemetry and write the
                           measured per-rank/
                           per-tile costs, model-drift table,
@@ -708,6 +709,13 @@ fn reconstruct_inner(
     let default_batch = tuned.as_ref().map_or(8, |t| t.fusing.max(1));
     let batch: usize = flags.parse_or("batch", default_batch)?;
     let damping: f64 = flags.parse_or("damping", 0.0)?;
+    // CGLS weighs the penalty by λ², so a negative λ would run as |λ|
+    // and an overflowing one would stop the first iteration.
+    if !(damping >= 0.0 && (damping * damping).is_finite()) {
+        return Err(CliError(format!(
+            "--damping must be a finite weight >= 0 whose square is finite, got {damping}"
+        )));
+    }
     let budget: Option<u64> = flags
         .get("memory-budget")
         .map(|v| {
@@ -875,8 +883,7 @@ fn load_profile_weights(path: &str) -> Result<TileWeights, CliError> {
 
 /// Joins a run's telemetry snapshot (the cost profile and the critical
 /// path are both views of it) with the analytic model's prediction for
-/// the same plan into the `petaxct-profile-v1` report, and
-/// flight-records the snapshot moment.
+/// the same plan into the `petaxct-profile-v1` report.
 fn build_profile_artifact(
     scan: &ScanGeometry,
     plan: &xct_plan::ReconPlan,
@@ -892,7 +899,7 @@ fn build_profile_artifact(
     // make the comparison meaningful across scales.
     let machine = MachineSpec::summit(topology.nodes.max(1));
     let est = ModelExperiment::from_plan(plan, machine, OptLevel::full(), iterations).run();
-    let report = build_profile_report(&ProfileInputs {
+    build_profile_report(&ProfileInputs {
         scan,
         slices: plan.dims.slices,
         topology,
@@ -901,13 +908,7 @@ fn build_profile_artifact(
         tile_weights: plan.tile_weights.as_ref().map(|tw| tw.weights.as_slice()),
         snapshot: &snapshot,
         model: Some(&est),
-    });
-    telemetry.flight_point(
-        "profile.snapshot",
-        report.skew.max_rank_slack_ns,
-        report.skew.critical_path_ns,
-    );
-    report
+    })
 }
 
 /// Plan-level rebalance preview: the per-rank sums of the artifact's
@@ -1546,6 +1547,71 @@ mod tests {
             let want = format!("slab 1: solve stopped, {what} is not finite at iteration 1");
             assert_eq!(err.0, want, "{solver}");
         }
+
+        // On four ranks the run stops the same way, and its flight dump
+        // shows every rank.
+        let dump = tmp("nan_flightrec.json");
+        let _ = std::fs::remove_file(&dump);
+        let args = [
+            "reconstruct",
+            "--in",
+            &path,
+            "--out",
+            &out,
+            "--batch",
+            "1",
+            "--iterations",
+            "4",
+            "--precision",
+            "single",
+            "--topology",
+            "1x2x2",
+            "--flightrec-out",
+            &dump,
+        ];
+        let err = run_cmd(&args).unwrap_err().0;
+        assert_eq!(
+            err,
+            "slab 1: solve stopped, gamma is not finite at iteration 1"
+        );
+        let doc = Json::parse(&std::fs::read_to_string(&dump).unwrap()).unwrap();
+        assert_eq!(doc.str_at("reason"), Ok(err.as_str()));
+        let events = doc.array_at("events").unwrap();
+        for track in 0..4 {
+            let closes = events
+                .iter()
+                .filter(|e| e.u64_at("track") == Ok(track) && e.str_at("kind") == Ok("span_end"));
+            assert!(closes.count() > 0, "track {track} closed no span");
+        }
+        // Each rank's send counter is what its communicator metered, over
+        // both slabs: a replay of the two solves counts the messages.
+        let plan = Planner {
+            precision: Precision::Single,
+            hierarchical: true,
+            max_fusing: 1,
+            ..Default::default()
+        }
+        .plan(VolumeDims { n, slices: 2 }, n, None, Topology::new(1, 2, 2))
+        .unwrap();
+        let base = DistributedConfig {
+            iterations: 4,
+            ..Default::default()
+        };
+        let cfg = DistributedConfig::from_plan(&plan, &base);
+        let mut reader = SliceReader::open(&path).unwrap();
+        let mut metered = [0u64; 4];
+        while let Some(slice) = reader.read_batch(1).unwrap() {
+            let result = reconstruct_distributed(&scan_for(n, n), &slice, &cfg);
+            for stats in &result.comm_stats {
+                metered[stats.rank] += stats.total_msgs();
+            }
+        }
+        let tracks = doc.get("metrics").unwrap().array_at("tracks").unwrap();
+        for (rank, &msgs) in metered.iter().enumerate() {
+            let track = tracks.iter().find(|t| t.usize_at("track") == Ok(rank));
+            let counters = track.and_then(|t| t.get("counters")).unwrap();
+            assert_eq!(counters.u64_at("comm.send.msgs"), Ok(msgs), "rank {rank}");
+        }
     }
 
     #[test]
@@ -1649,6 +1715,45 @@ mod tests {
             ];
             let err = run_cmd(&args).unwrap_err().0;
             assert!(err.contains("--damping") && err.contains("sirt"), "{err}");
+        }
+    }
+
+    #[test]
+    fn damping_that_is_no_finite_weight_is_refused_while_parsing() {
+        // Refused before the input is opened or the output created:
+        // the input does not exist, and no output appears.
+        let out = tmp("damping_refused.xctd");
+        let _ = std::fs::remove_file(&out);
+        for value in ["nan", "inf", "-inf", "1e308", "-1", "-1e-300"] {
+            let args = [
+                "reconstruct",
+                "--in",
+                "/nonexistent",
+                "--out",
+                &out,
+                "--damping",
+                value,
+            ];
+            let err = run_cmd(&args).unwrap_err().0;
+            assert!(
+                err.starts_with("--damping must be a finite weight"),
+                "{value}: {err}"
+            );
+            assert!(!Path::new(&out).exists(), "{value}: {out} was created");
+        }
+        // Zero and a weight whose square is finite get as far as the file.
+        for value in ["0", "-0", "1e150"] {
+            let args = [
+                "reconstruct",
+                "--in",
+                "/nonexistent",
+                "--out",
+                &out,
+                "--damping",
+                value,
+            ];
+            let err = run_cmd(&args).unwrap_err().0;
+            assert!(!err.contains("--damping"), "{value}: {err}");
         }
     }
 
@@ -2295,10 +2400,10 @@ mod tests {
 
     #[test]
     fn rebalance_preview_counts_the_tiles_the_run_moves() {
-        // The profile loop's preview and the set-up's flight record count
-        // one quantity: on a skewed table they must agree, and be nonzero.
+        // The profile loop's preview and the set-up's recorded decision
+        // count one quantity: on a skewed table they must agree, and be
+        // nonzero.
         use xct_core::distributed::DistributedSetup;
-        use xct_telemetry::FlightKind;
         let scan = ScanGeometry::uniform(ImageGrid::square(16, 1.0), 16);
         let mut weights = vec![10u64; 16];
         weights[..2].fill(1_000);
@@ -2314,13 +2419,11 @@ mod tests {
             ..Default::default()
         };
         DistributedSetup::build(&scan, &cfg);
-        let moved = telemetry
-            .flight_snapshot()
-            .into_iter()
-            .find(|e| e.kind == FlightKind::Point && e.code == "rebalance.decision")
+        let moved = (telemetry.snapshot().events.into_iter())
+            .find(|e| e.name == "rebalance.tiles_moved")
             .expect("rebalance decision recorded")
-            .a;
-        assert!(moved > 0);
+            .value;
+        assert!(moved > 0.0);
         let preview = rebalance_preview(&scan, 4, 4, &weights);
         assert!(
             preview.contains(&format!("({moved} tiles re-homed)")),

@@ -292,8 +292,8 @@ fn disabled_metrics_and_flight_recorder_record_nothing_and_do_not_allocate() {
     let _guard = serial();
 
     // Every metric primitive — counter add/inc, gauge set, histogram
-    // observe, flight point — must be a single None-check when the
-    // handle is disabled: no heap traffic and nothing recorded.
+    // observe — must be a single None-check when the handle is
+    // disabled: no heap traffic, nothing recorded and nothing to dump.
     let telemetry = Telemetry::disabled();
     let before = allocations();
     for i in 0..1000u64 {
@@ -301,7 +301,6 @@ fn disabled_metrics_and_flight_recorder_record_nothing_and_do_not_allocate() {
         telemetry.metric_inc(MetricId::SolverIterations);
         telemetry.gauge_set(MetricId::SolverResidual, i as f64 * 1e-3);
         telemetry.observe_ns(MetricId::CommWaitNs, i);
-        telemetry.flight_point("alloc.probe", i, 0);
     }
     assert_eq!(
         allocations() - before,
@@ -313,8 +312,8 @@ fn disabled_metrics_and_flight_recorder_record_nothing_and_do_not_allocate() {
         "disabled registry must record nothing"
     );
     assert!(
-        telemetry.flight_snapshot().is_empty(),
-        "disabled flight recorder must record nothing"
+        telemetry.snapshot().events.is_empty(),
+        "disabled log must record nothing"
     );
     assert!(telemetry.flight_dump_json("probe").is_none());
 }
@@ -351,19 +350,16 @@ fn enabled_metrics_are_allocation_free_after_handle_creation() {
     let _guard = serial();
 
     // Enabled is the always-on production mode: the per-track atomic
-    // slab and the fixed-capacity flight ring are allocated when the
-    // handle registers, after which every recording path — including
-    // flight-ring pushes past capacity (overwrite-oldest) — is heap-free.
+    // slab and the wait histograms are allocated when the handle
+    // registers, after which every metric call is heap-free: counters
+    // and gauges are atomics, and none of them writes a log record.
     let telemetry = Telemetry::enabled();
-    // Warm-up: first touches allocate nothing (slabs preallocate), but
-    // run a full ring's worth to prove the wraparound path too.
     let before = allocations();
     for i in 0..1000u64 {
         telemetry.metric_add(MetricId::CommSendBytes, i);
         telemetry.metric_inc(MetricId::SolverIterations);
         telemetry.gauge_set(MetricId::SolverResidual, i as f64 * 1e-3);
         telemetry.observe_ns(MetricId::CommWaitNs, i);
-        telemetry.flight_point("alloc.probe", i, 0);
     }
     assert_eq!(
         allocations() - before,
@@ -372,6 +368,8 @@ fn enabled_metrics_are_allocation_free_after_handle_creation() {
     );
     let snap = telemetry.metrics_snapshot();
     assert_eq!(snap.counter_total(MetricId::SolverIterations), 1000);
+    let log = telemetry.snapshot();
+    assert!(log.spans.is_empty() && log.events.is_empty() && log.edges.is_empty());
 }
 
 #[test]
