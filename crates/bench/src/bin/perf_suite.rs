@@ -1,8 +1,8 @@
-//! Continuous-benchmark suite: pinned reconstruct scenarios measured
-//! under a counting allocator, written as a `petaxct-bench-v1` JSON
-//! artifact at the path `--out` names.
+//! Counter ledger: pinned reconstruct scenarios, each run once and
+//! untraced under a counting allocator, written as a `petaxct-bench-v2`
+//! JSON artifact of exact counts at the path `--out` names.
 //!
-//! Scenarios (fixed problem sizes, so runs are comparable):
+//! Scenarios (one pinned size each; changing one invalidates the ledger):
 //!
 //! * `serial`             — single-process CGLS on the mini operator;
 //! * `spmm_serial_f32` / `spmm_reference_f32` — the kernel layer: one
@@ -10,29 +10,30 @@
 //!   through the forced reference body;
 //! * `pack`               — the packing layer: Siddon matrix → CSR →
 //!   `PrecisionOperator` (mixed, fusing 8, default block and staging
-//!   size — the `xctbench` `serial_fused` shape at n = 128; n = 64 in
-//!   quick mode), whose allocation count is exact;
+//!   size, n = 64);
 //! * `setup_1x2x2`        — the set-up layer through the program's own
 //!   calls: `DistributedSetup::build` on 1×2×2 (Siddon trace,
 //!   decomposition, plans) plus the first packing of every rank's
 //!   operator, the first `run` minus a warm one, on `pack`'s geometry;
 //! * `dist_sync`          — 4 ranks (1×2×2), hierarchical, no overlap;
+//! * `dist_sync_traced`   — `dist_sync` with telemetry on, so its
+//!   allocations less `dist_sync`'s are what tracing allocates;
 //! * `dist_overlap`       — same topology with compute/comm overlap;
-//! * `wired_2x2x2_sync`   — 8 ranks across 2 simulated nodes with a
-//!   latency/bandwidth [`WireModel`] on inter-node messages;
-//! * `wired_2x2x2_overlap` — the wired run with overlap, whose critical
-//!   path must come out shorter than the synchronous one;
+//! * `wired_2x2x2_sync` / `wired_2x2x2_overlap` — 8 ranks across 2
+//!   simulated nodes with a latency/bandwidth [`WireModel`] on
+//!   inter-node messages, without and with overlap;
 //! * `streamed_1x2x2`     — a memory budget that admits only half the
 //!   stack per slab, so the planner emits ≥2 slabs and the run pages
 //!   them through `xct-io` (the sinogram file is written outside the
-//!   timed region).
+//!   counted region).
 //!
 //! Flags: `--out PATH` (required; the ledger copy of a run lives in
-//! `crates/bench/baselines/`), `--quick` (CI-sized problem), `--check
-//! BASELINE` (exit 1 on any metric regressing past `--threshold` percent,
-//! default 20). With AVX2+FMA detected the suite also fails when the
-//! production SpMM kernel is under [`VECTORIZATION_FLOOR`]× the scalar
-//! reference's flops rate.
+//! `crates/bench/baselines/`) and `--check BASELINE` (exit 1 on any
+//! column that differs from the baseline, or a scenario on one side
+//! only). Wall time is not recorded: the end-to-end wall is `xctbench`'s.
+//! With AVX2+FMA detected the suite also fails when the production SpMM
+//! kernel is under [`VECTORIZATION_FLOOR`]× the scalar reference's flops
+//! rate, timed best-of-5 outside the artifact.
 
 #![forbid(unsafe_code)]
 
@@ -41,17 +42,18 @@ use std::time::{Duration, Instant};
 
 use count_alloc::{allocations, CountingAllocator};
 use xct_bench::perf::{compare, BenchReport, ScenarioResult, BENCH_SCHEMA};
-use xct_comm::{Topology, TrafficClass, WireModel};
+use xct_comm::{RankCommStats, Topology, TrafficClass, WireModel};
 use xct_core::decompose::packing_orders;
 use xct_core::distributed::{reconstruct_distributed, DistributedConfig, DistributedSetup};
 use xct_core::{reconstruct_planned, ReconOptions};
+use xct_exec::ExecCounters;
 use xct_fp16::Precision;
 use xct_geometry::{ImageGrid, ScanGeometry, SystemMatrix};
 use xct_io::{FileKind, SliceFile, SliceReader, SliceWriter};
 use xct_plan::{KernelShape, Planner, VolumeDims};
 use xct_solver::{CglsConfig, CglsSolver, ExecContext, PrecisionOperator};
 use xct_spmm::{simd_available, spmm_reference_with, spmm_with, Csr, PackedMatrix};
-use xct_telemetry::{Breakdown, CausalAnalysis, Telemetry};
+use xct_telemetry::Telemetry;
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
@@ -60,127 +62,101 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 const BLOCK: usize = KernelShape::DEFAULT.block_size;
 const SHARED: usize = KernelShape::DEFAULT.shared_bytes;
 
-/// Problem sizes pinned per mode; changing them invalidates baselines.
-struct SuiteParams {
-    quick: bool,
-    n: usize,
-    angles: usize,
-    fusing: usize,
-    iterations: usize,
-    wire_latency: Duration,
-    /// Runs per scenario; the minimum-wall run is reported, which damps
-    /// scheduler noise enough for a relative regression gate.
-    reps: usize,
+/// The pinned problem: the mini operator's side and angle count, the
+/// fused slices per apply and the CGLS iterations of the solving
+/// scenarios.
+const N: usize = 16;
+const ANGLES: usize = 16;
+const FUSING: usize = 2;
+const ITERATIONS: usize = 3;
+/// The packing and set-up layers' side (the mini geometry is below every
+/// fan-out threshold).
+const PACK_N: usize = 64;
+/// Launches per kernel scenario run.
+const LAUNCHES: usize = 300;
+/// Inter-node latency of the wired scenarios.
+const WIRE_LATENCY: Duration = Duration::from_micros(300);
+/// Workers the set-up fans out over (`Executor::parallel`, one per
+/// available core). Each scoped worker allocates a few times, so `pack`'s
+/// and `setup_1x2x2`'s counts hold for this many alone: the suite refuses
+/// to run beside any other count (`taskset -c 0,1` pins a larger host).
+const WORKERS: usize = 2;
+
+fn mini_scan() -> ScanGeometry {
+    ScanGeometry::uniform(ImageGrid::square(N, 1.0), ANGLES)
 }
 
-impl SuiteParams {
-    fn new(quick: bool) -> SuiteParams {
-        if quick {
-            SuiteParams {
-                quick,
-                n: 16,
-                angles: 16,
-                fusing: 2,
-                iterations: 3,
-                wire_latency: Duration::from_micros(300),
-                reps: 5,
-            }
-        } else {
-            SuiteParams {
-                quick,
-                n: 24,
-                angles: 24,
-                fusing: 4,
-                iterations: 6,
-                wire_latency: Duration::from_micros(600),
-                reps: 3,
-            }
-        }
+fn sinogram(sm: &SystemMatrix) -> Vec<f32> {
+    let mut x_true = vec![0.0f32; sm.num_voxels() * FUSING];
+    for (i, v) in x_true.iter_mut().enumerate() {
+        *v = ((i % 11) as f32) * 0.1;
     }
-
-    fn sinogram(&self, sm: &SystemMatrix) -> Vec<f32> {
-        let mut x_true = vec![0.0f32; sm.num_voxels() * self.fusing];
-        for (i, v) in x_true.iter_mut().enumerate() {
-            *v = ((i % 11) as f32) * 0.1;
-        }
-        let mut y = vec![0.0f32; sm.num_rays() * self.fusing];
-        for f in 0..self.fusing {
-            sm.project(
-                &x_true[f * sm.num_voxels()..(f + 1) * sm.num_voxels()],
-                &mut y[f * sm.num_rays()..(f + 1) * sm.num_rays()],
-            );
-        }
-        y
+    let mut y = vec![0.0f32; sm.num_rays() * FUSING];
+    for f in 0..FUSING {
+        sm.project(
+            &x_true[f * sm.num_voxels()..(f + 1) * sm.num_voxels()],
+            &mut y[f * sm.num_rays()..(f + 1) * sm.num_rays()],
+        );
     }
+    y
 }
 
-/// Finalizes one scenario's record from its traced run.
+/// One scenario's record: its allocations, the kernels' counters and the
+/// ranks' traffic summed per class.
 fn finish(
     name: &str,
-    wall: Duration,
-    allocs: u64,
-    counters: xct_exec::ExecCounters,
-    comm_stats: &[xct_comm::RankCommStats],
-    telemetry: &Telemetry,
+    allocations: u64,
+    counters: &ExecCounters,
+    comm_stats: &[RankCommStats],
 ) -> ScenarioResult {
-    let snap = telemetry.snapshot();
-    let causal = CausalAnalysis::from_snapshot(&snap);
-    let breakdown = Breakdown::from_snapshot(&snap);
-    let mut comm_bytes: Vec<(String, u64)> = Vec::new();
-    for class in TrafficClass::ALL {
-        let total: u64 = comm_stats.iter().map(|s| s.class_bytes_of(class)).sum();
-        comm_bytes.push((class.as_str().to_string(), total));
-    }
+    let per_class = |of: fn(&RankCommStats, usize) -> u64| {
+        (TrafficClass::ALL.iter())
+            .map(|&class| {
+                let total = comm_stats.iter().map(|s| of(s, class as usize)).sum();
+                (class.as_str().to_string(), total)
+            })
+            .collect()
+    };
     ScenarioResult {
         name: name.to_string(),
-        wall_ns: u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX),
-        critical_path_ns: causal.critical_path_ns,
-        allocations: allocs,
+        allocations,
         flops: counters.flops,
         padded_flops: counters.padded_flops,
         kernel_launches: counters.kernel_launches,
-        phase_self_ns: breakdown
-            .stats
-            .iter()
-            .map(|s| (s.phase.as_str().to_string(), s.self_ns))
-            .collect(),
-        comm_bytes,
+        kernel_bytes: counters.bytes(),
+        comm_bytes: per_class(|s, c| s.class_bytes[c]),
+        comm_msgs: per_class(|s, c| s.class_msgs[c]),
     }
 }
 
-fn serial_scenario(p: &SuiteParams) -> ScenarioResult {
-    let scan = ScanGeometry::uniform(ImageGrid::square(p.n, 1.0), p.angles);
+fn serial_scenario() -> ScenarioResult {
+    let scan = mini_scan();
     let sm = SystemMatrix::build(&scan);
     let csr = Csr::from_system_matrix(&sm);
     let (rays, voxels) = packing_orders(&scan, BLOCK);
     let orders = (&rays, &voxels);
-    let op = PrecisionOperator::ordered(&csr, orders, Precision::Single, p.fusing, BLOCK, SHARED);
-    let y = p.sinogram(&sm);
+    let op = PrecisionOperator::ordered(&csr, orders, Precision::Single, FUSING, BLOCK, SHARED);
+    let y = sinogram(&sm);
 
-    let telemetry = Telemetry::enabled();
-    let mut ctx = ExecContext::serial()
-        .with_precision(Precision::Single)
-        .with_telemetry(telemetry.clone());
+    let mut ctx = ExecContext::serial().with_precision(Precision::Single);
     let before = allocations();
-    let start = Instant::now();
     let mut solver = CglsSolver::new(&op, &y, &CglsConfig::default(), &mut ctx);
-    for _ in 0..p.iterations {
+    for _ in 0..ITERATIONS {
         solver.step(&op, &mut ctx, &mut |_| {});
     }
-    let wall = start.elapsed();
-    let allocs = allocations() - before;
-    finish("serial", wall, allocs, ctx.counters, &[], &telemetry)
+    finish("serial", allocations() - before, &ctx.counters, &[])
 }
 
-/// The SpMM microbenchmarks behind the vectorization gate: one packed
+/// The SpMM microbenchmarks behind the vectorization floor: one packed
 /// f32 matrix at fusing 8 driven through the production kernel
 /// (`spmm_serial_f32` — the f32x8 body where the CPU has AVX2+FMA) and
 /// through the forced scalar reference body (`spmm_reference_f32`). Both
 /// issue identical effective flops by construction, so the flops-rate
 /// ratio is exactly the kernel speedup (1.0 by construction where the
-/// production kernel *is* the reference body).
-fn spmm_kernel_scenario(name: &str, p: &SuiteParams, reference: bool) -> ScenarioResult {
-    let scan = ScanGeometry::uniform(ImageGrid::square(p.n, 1.0), p.angles);
+/// production kernel *is* the reference body). Returns the counted run's
+/// record and the best wall time of five more.
+fn spmm_kernel_scenario(name: &str, reference: bool) -> (ScenarioResult, Duration) {
+    let scan = mini_scan();
     let sm = SystemMatrix::build(&scan);
     let csr = Csr::from_system_matrix(&sm);
     let fusing = 8;
@@ -191,65 +167,59 @@ fn spmm_kernel_scenario(name: &str, p: &SuiteParams, reference: bool) -> Scenari
         *v = ((i % 13) as f32) * 0.125 - 0.5;
     }
     let mut y = vec![0.0f32; csr.num_rows() * fusing];
-    let launches = if p.quick { 300 } else { 1200 };
-
-    let telemetry = Telemetry::enabled();
-    let mut ctx = ExecContext::serial().with_telemetry(telemetry.clone());
-    let before = allocations();
-    let start = Instant::now();
-    for _ in 0..launches {
-        if reference {
-            spmm_reference_with::<f32, f32>(&packed, &x, &mut y, &mut ctx);
-        } else {
-            spmm_with::<f32, f32>(&packed, &x, &mut y, &mut ctx);
+    let mut launch_all = |ctx: &mut ExecContext| {
+        for _ in 0..LAUNCHES {
+            if reference {
+                spmm_reference_with::<f32, f32>(&packed, &x, &mut y, ctx);
+            } else {
+                spmm_with::<f32, f32>(&packed, &x, &mut y, ctx);
+            }
         }
-    }
-    let wall = start.elapsed();
-    let allocs = allocations() - before;
-    finish(name, wall, allocs, ctx.counters, &[], &telemetry)
+    };
+
+    let mut ctx = ExecContext::serial();
+    let before = allocations();
+    launch_all(&mut ctx);
+    let record = finish(name, allocations() - before, &ctx.counters, &[]);
+    let wall = (0..5)
+        .map(|_| {
+            let start = Instant::now();
+            launch_all(&mut ctx);
+            start.elapsed()
+        })
+        .min()
+        .unwrap_or_default();
+    (record, wall)
 }
 
 /// The packing layer alone: from the memoized Siddon matrix to the
 /// operator `Reconstructor` keeps — `Csr::from_system_matrix`, the
 /// Hilbert orders of both planes, then `PrecisionOperator::ordered`
 /// (transpose, re-type and scale, pack both directions under the
-/// orders). No kernel runs, so flops and launches are zero; wall and
-/// the allocation count are the record.
-fn pack_scenario(p: &SuiteParams) -> ScenarioResult {
-    let n = if p.quick { 64 } else { 128 };
-    let scan = ScanGeometry::uniform(ImageGrid::square(n, 1.0), n);
+/// orders). No kernel runs, so the allocation count is the record.
+fn pack_scenario() -> ScenarioResult {
+    let scan = ScanGeometry::uniform(ImageGrid::square(PACK_N, 1.0), PACK_N);
     let sm = SystemMatrix::build(&scan);
     let before = allocations();
-    let start = Instant::now();
     let csr = Csr::from_system_matrix(&sm);
     let (rays, voxels) = packing_orders(&scan, BLOCK);
     let op = PrecisionOperator::ordered(&csr, (&rays, &voxels), Precision::Mixed, 8, BLOCK, SHARED);
-    let wall = start.elapsed();
     let allocs = allocations() - before;
     std::hint::black_box(&op);
-    finish(
-        "pack",
-        wall,
-        allocs,
-        xct_exec::ExecCounters::default(),
-        &[],
-        &Telemetry::disabled(),
-    )
+    finish("pack", allocs, &ExecCounters::default(), &[])
 }
 
 /// The set-up layer through the program's own calls, on `pack`'s
-/// geometry (n = 64 in quick mode, 128 otherwise — the suite's mini
-/// geometry is below every fan-out threshold) and topology 1×2×2:
-/// `DistributedSetup::build` — Siddon trace, decomposition with its
-/// restricted operators, plans — plus the first packing of the four
-/// ranks' operators, which the first `run` performs and memoizes. The
-/// packing is the first `run` minus a warm one under the same key; with
-/// zero iterations both runs are otherwise only the ranks' start-up.
-/// Wall and allocations are the record: `build` plus that difference.
-fn setup_scenario(p: &SuiteParams) -> ScenarioResult {
-    let n = if p.quick { 64 } else { 128 };
-    let scan = ScanGeometry::uniform(ImageGrid::square(n, 1.0), n);
-    let sinogram = vec![0.5f32; scan.num_rays() * p.fusing];
+/// geometry and topology 1×2×2: `DistributedSetup::build` — Siddon
+/// trace, decomposition with its restricted operators, plans — plus the
+/// first packing of the four ranks' operators, which the first `run`
+/// performs and memoizes. The packing is the first `run` minus a warm
+/// one under the same key; with zero iterations both runs are otherwise
+/// only the ranks' start-up. The allocations of `build` plus that
+/// difference are the record.
+fn setup_scenario() -> ScenarioResult {
+    let scan = ScanGeometry::uniform(ImageGrid::square(PACK_N, 1.0), PACK_N);
+    let sinogram = vec![0.5f32; scan.num_rays() * FUSING];
     let cfg = DistributedConfig {
         topology: Topology::new(1, 2, 2),
         precision: Precision::Mixed,
@@ -257,76 +227,62 @@ fn setup_scenario(p: &SuiteParams) -> ScenarioResult {
         ..Default::default()
     };
     let request = ReconOptions {
-        fusing: p.fusing,
+        fusing: FUSING,
         ..cfg.request()
     };
     let mut ctx = ExecContext::serial();
-    let (before, start) = (allocations(), Instant::now());
+    let before = allocations();
     let setup = DistributedSetup::build(&scan, &cfg);
     let first = setup.run(&sinogram, &request, &mut ctx);
-    let (cold, cold_allocs) = (start.elapsed(), allocations() - before);
-    let (before, start) = (allocations(), Instant::now());
+    let cold = allocations() - before;
+    let before = allocations();
     let warm = setup.run(&sinogram, &request, &mut ctx);
-    let (warm_wall, warm_allocs) = (start.elapsed(), allocations() - before);
+    let warm_allocs = allocations() - before;
     std::hint::black_box((first, warm));
-    finish(
-        "setup_1x2x2",
-        cold.saturating_sub(warm_wall),
-        cold_allocs.saturating_sub(warm_allocs),
-        xct_exec::ExecCounters::default(),
-        &[],
-        &Telemetry::disabled(),
-    )
+    let allocs = cold.saturating_sub(warm_allocs);
+    finish("setup_1x2x2", allocs, &ExecCounters::default(), &[])
 }
 
 fn distributed_scenario(
     name: &str,
-    p: &SuiteParams,
     topology: Topology,
     overlap: bool,
     wired: bool,
+    traced: bool,
 ) -> ScenarioResult {
-    let scan = ScanGeometry::uniform(ImageGrid::square(p.n, 1.0), p.angles);
+    let scan = mini_scan();
     let sm = SystemMatrix::build(&scan);
-    let y = p.sinogram(&sm);
+    let y = sinogram(&sm);
     let wire = wired.then(|| WireModel {
-        latency: p.wire_latency,
+        latency: WIRE_LATENCY,
         bytes_per_sec: 50e6,
         ranks_per_node: topology.gpus_per_node(),
     });
-
-    let telemetry = Telemetry::enabled();
     let cfg = DistributedConfig {
         topology,
         precision: Precision::Single,
-        fusing: p.fusing,
+        fusing: FUSING,
         hierarchical: true,
         overlap,
         wire,
-        iterations: p.iterations,
-        telemetry: telemetry.clone(),
+        iterations: ITERATIONS,
+        telemetry: if traced {
+            Telemetry::enabled()
+        } else {
+            Telemetry::disabled()
+        },
         ..Default::default()
     };
     let before = allocations();
-    let start = Instant::now();
     let result = reconstruct_distributed(&scan, &y, &cfg);
-    let wall = start.elapsed();
     let allocs = allocations() - before;
-    finish(
-        name,
-        wall,
-        allocs,
-        result.counters,
-        &result.comm_stats,
-        &telemetry,
-    )
+    finish(name, allocs, &result.counters, &result.comm_stats)
 }
 
 /// Writes `slices` projected sinogram slices to `path` — the streaming
-/// scenario's input, produced outside the timed region.
-fn write_streaming_input(p: &SuiteParams, slices: usize, path: &std::path::Path) {
-    let scan = ScanGeometry::uniform(ImageGrid::square(p.n, 1.0), p.angles);
-    let sm = SystemMatrix::build(&scan);
+/// scenario's input, produced outside the counted region.
+fn write_streaming_input(slices: usize, path: &std::path::Path) {
+    let sm = SystemMatrix::build(&mini_scan());
     let meta = SliceFile {
         kind: FileKind::Sinogram,
         precision: Precision::Single,
@@ -346,12 +302,14 @@ fn write_streaming_input(p: &SuiteParams, slices: usize, path: &std::path::Path)
     w.finish().expect("finish streaming sinogram");
 }
 
-/// The out-of-core scenario: a per-rank budget admitting only `fusing`
-/// of the stack's `2·fusing` slices, so the planner emits two streamed
+/// The out-of-core scenario: a per-rank budget admitting only `FUSING`
+/// of the stack's `2·FUSING` slices, so the planner emits two streamed
 /// slabs that page through `xct-io` while the multi-rank pipeline runs.
-fn streamed_scenario(p: &SuiteParams, sino: &std::path::Path) -> ScenarioResult {
-    let scan = ScanGeometry::uniform(ImageGrid::square(p.n, 1.0), p.angles);
-    let slices = p.fusing * 2;
+fn streamed_scenario() -> ScenarioResult {
+    let scan = mini_scan();
+    let slices = FUSING * 2;
+    let sino = std::env::temp_dir().join("petaxct_perf_streamed_sino.xctd");
+    write_streaming_input(slices, &sino);
     let topology = Topology::new(1, 2, 2);
     let planner = Planner {
         precision: Precision::Single,
@@ -360,55 +318,44 @@ fn streamed_scenario(p: &SuiteParams, sino: &std::path::Path) -> ScenarioResult 
         max_fusing: slices,
         kernel: None,
     };
-    let dims = VolumeDims { n: p.n, slices };
+    let dims = VolumeDims { n: N, slices };
     let probe = planner
-        .plan(dims, p.angles, None, topology)
+        .plan(dims, ANGLES, None, topology)
         .expect("probe plan");
-    let budget = probe.matrix_bytes_per_rank() + p.fusing as u64 * probe.slice_bytes_per_rank();
+    let budget = probe.matrix_bytes_per_rank() + FUSING as u64 * probe.slice_bytes_per_rank();
     let plan = planner
-        .plan(dims, p.angles, Some(budget), topology)
+        .plan(dims, ANGLES, Some(budget), topology)
         .expect("streamed plan");
     assert!(plan.streaming(), "budget must force streaming");
 
-    let telemetry = Telemetry::enabled();
     let base = DistributedConfig {
-        iterations: p.iterations,
-        telemetry: telemetry.clone(),
+        iterations: ITERATIONS,
         ..Default::default()
     };
     let out = std::env::temp_dir().join("petaxct_perf_streamed_vol.xctd");
-    let reader = SliceReader::open(sino).expect("open streaming sinogram");
+    let reader = SliceReader::open(&sino).expect("open streaming sinogram");
     let writer = SliceWriter::create(
         &out,
         SliceFile {
             kind: FileKind::Volume,
             precision: Precision::Single,
             slices,
-            slice_len: p.n * p.n,
+            slice_len: N * N,
         },
     )
     .expect("create streaming volume");
     let before = allocations();
-    let start = Instant::now();
     let outcome = reconstruct_planned(&scan, &plan, reader, writer, &base).expect("streamed run");
-    let wall = start.elapsed();
     let allocs = allocations() - before;
     let stats = outcome.stats;
-    finish(
-        "streamed_1x2x2",
-        wall,
-        allocs,
-        stats.counters,
-        &stats.comm_stats,
-        &telemetry,
-    )
+    finish("streamed_1x2x2", allocs, &stats.counters, &stats.comm_stats)
 }
 
 /// The Layer-2 analyzer's allocation guard: after setup (plans built,
-/// rank 0's solve folded into scratch ops), reaching a
-/// clean verdict from every abstract-interpretation pass must perform
-/// **zero** heap allocations — the passes run inside `--verify-plans`
-/// on the reconstruction path, so an allocating verdict would bill
+/// rank 0's solve folded into scratch ops), reaching a clean verdict
+/// from the bounds and scratch-lifetime passes must perform **zero**
+/// heap allocations — the passes run inside `--verify-plans` on the
+/// reconstruction path, so an allocating verdict would bill
 /// verification against the solver's allocation budget. Returns the
 /// allocation count over the verdict region.
 fn analysis_verdict_allocs() -> u64 {
@@ -433,111 +380,60 @@ fn analysis_verdict_allocs() -> u64 {
     allocs
 }
 
-/// Best-of-`reps`: keeps the run with the smallest wall time (and with
-/// it, that run's critical path / allocation figures).
-fn best_of(reps: usize, mut run: impl FnMut() -> ScenarioResult) -> ScenarioResult {
-    let mut best = run();
-    for _ in 1..reps {
-        let next = run();
-        if next.wall_ns < best.wall_ns {
-            best = next;
-        }
-    }
-    best
-}
-
-fn run_suite(p: &SuiteParams) -> BenchReport {
+/// Runs every scenario once, in ledger order. Also returns the
+/// production kernel's flops rate over the reference body's, from their
+/// best-of-5 walls.
+fn run_suite() -> (BenchReport, f64) {
     let mut scenarios = Vec::new();
     eprintln!("running serial ...");
-    scenarios.push(best_of(p.reps, || serial_scenario(p)));
-    for (name, reference) in [("spmm_serial_f32", false), ("spmm_reference_f32", true)] {
+    scenarios.push(serial_scenario());
+    let mut kernel_rate = |name: &str, reference| {
         eprintln!("running {name} ...");
-        scenarios.push(best_of(p.reps, || spmm_kernel_scenario(name, p, reference)));
-    }
+        let (record, wall) = spmm_kernel_scenario(name, reference);
+        let rate = record.flops as f64 / wall.as_secs_f64();
+        scenarios.push(record);
+        rate
+    };
+    let speedup = kernel_rate("spmm_serial_f32", false) / kernel_rate("spmm_reference_f32", true);
     eprintln!("running pack ...");
-    scenarios.push(best_of(p.reps, || pack_scenario(p)));
+    scenarios.push(pack_scenario());
     eprintln!("running setup_1x2x2 ...");
-    scenarios.push(best_of(p.reps, || setup_scenario(p)));
-    for (name, topology, overlap, wired) in [
-        ("dist_sync", Topology::new(1, 2, 2), false, false),
-        ("dist_overlap", Topology::new(1, 2, 2), true, false),
-        ("wired_2x2x2_sync", Topology::new(2, 2, 2), false, true),
-        ("wired_2x2x2_overlap", Topology::new(2, 2, 2), true, true),
+    scenarios.push(setup_scenario());
+    let (node, two_nodes) = (Topology::new(1, 2, 2), Topology::new(2, 2, 2));
+    for (name, topology, overlap, wired, traced) in [
+        ("dist_sync", node, false, false, false),
+        ("dist_sync_traced", node, false, false, true),
+        ("dist_overlap", node, true, false, false),
+        ("wired_2x2x2_sync", two_nodes, false, true, false),
+        ("wired_2x2x2_overlap", two_nodes, true, true, false),
     ] {
         eprintln!("running {name} ...");
-        scenarios.push(best_of(p.reps, || {
-            distributed_scenario(name, p, topology, overlap, wired)
-        }));
+        scenarios.push(distributed_scenario(name, topology, overlap, wired, traced));
     }
     eprintln!("running streamed_1x2x2 ...");
-    let sino = std::env::temp_dir().join("petaxct_perf_streamed_sino.xctd");
-    write_streaming_input(p, p.fusing * 2, &sino);
-    scenarios.push(best_of(p.reps, || streamed_scenario(p, &sino)));
-    BenchReport {
-        quick: p.quick,
-        scenarios,
-    }
-}
-
-/// Flops-rate ratio of the production SpMM kernel over the retained
-/// scalar reference (`> 1.0` means the f32x8 body won).
-fn spmm_speedup(report: &BenchReport) -> Option<f64> {
-    let rate = |name: &str| {
-        report
-            .scenarios
-            .iter()
-            .find(|s| s.name == name)
-            .filter(|s| s.wall_ns > 0)
-            .map(|s| s.flops as f64 / (s.wall_ns as f64 * 1e-9))
-    };
-    match (rate("spmm_serial_f32"), rate("spmm_reference_f32")) {
-        (Some(fast), Some(base)) if base > 0.0 => Some(fast / base),
-        _ => None,
-    }
+    scenarios.push(streamed_scenario());
+    (BenchReport { scenarios }, speedup)
 }
 
 fn print_summary(report: &BenchReport) {
-    println!(
-        "PERF SUITE ({BENCH_SCHEMA}, {} mode)",
-        if report.quick { "quick" } else { "full" }
-    );
+    println!("PERF SUITE ({BENCH_SCHEMA})");
     let header = format!(
-        "{:<22} {:>12} {:>14} {:>12} {:>14} {:>10}",
-        "scenario", "wall ms", "crit path ms", "allocs", "flops", "launches"
+        "{:<22} {:>8} {:>12} {:>9} {:>12} {:>11} {:>7}",
+        "scenario", "allocs", "flops", "launches", "kernel B", "comm B", "msgs"
     );
     println!("{header}");
     println!("{}", "-".repeat(header.len()));
     for s in &report.scenarios {
+        let total = |classes: &[(String, u64)]| classes.iter().map(|(_, v)| v).sum::<u64>();
         println!(
-            "{:<22} {:>12.2} {:>14.2} {:>12} {:>14} {:>10}",
+            "{:<22} {:>8} {:>12} {:>9} {:>12} {:>11} {:>7}",
             s.name,
-            s.wall_ns as f64 / 1e6,
-            s.critical_path_ns as f64 / 1e6,
             s.allocations,
             s.flops,
-            s.kernel_launches
-        );
-    }
-    let cp = |name: &str| {
-        report
-            .scenarios
-            .iter()
-            .find(|s| s.name == name)
-            .map(|s| s.critical_path_ns)
-    };
-    if let (Some(sync), Some(over)) = (cp("wired_2x2x2_sync"), cp("wired_2x2x2_overlap")) {
-        if sync > 0 {
-            println!(
-                "wired critical path: overlap/sync = {:.2} (lower is better)",
-                over as f64 / sync as f64
-            );
-        }
-    }
-    if let Some(speedup) = spmm_speedup(report) {
-        println!(
-            "spmm flops rate: kernel/reference = {:.2}x (simd {})",
-            speedup,
-            if simd_available() { "on" } else { "off" }
+            s.kernel_launches,
+            s.kernel_bytes,
+            total(&s.comm_bytes),
+            total(&s.comm_msgs)
         );
     }
 }
@@ -553,25 +449,16 @@ fn print_summary(report: &BenchReport) {
 /// slowest reading of the new body clears it by half.
 const VECTORIZATION_FLOOR: f64 = 7.5;
 
-const USAGE: &str = "usage: perf_suite --out PATH [--quick] [--check BASELINE] [--threshold PCT]";
+const USAGE: &str = "usage: perf_suite --out PATH [--check BASELINE]";
 
 fn main() -> ExitCode {
-    let mut quick = false;
     let mut out: Option<String> = None;
     let mut check: Option<String> = None;
-    let mut threshold = 20.0f64;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--quick" => quick = true,
             "--out" => out = args.next(),
             "--check" => check = args.next(),
-            "--threshold" => {
-                threshold = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--threshold needs a number")
-            }
             other => {
                 eprintln!("unknown flag {other}; {USAGE}");
                 return ExitCode::FAILURE;
@@ -583,9 +470,17 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
 
+    let workers = std::thread::available_parallelism().map_or(1, usize::from);
+    if workers != WORKERS {
+        eprintln!(
+            "the ledger is counted on {WORKERS} workers and this process has {workers}; \
+             run it under `taskset -c 0,1`"
+        );
+        return ExitCode::FAILURE;
+    }
+
     // Analyzer allocation guard: a clean Layer-2 verdict (bounds,
-    // scratch lifetime, transfer safety) must allocate nothing after
-    // setup.
+    // scratch lifetime) must allocate nothing after setup.
     let verdict_allocs = analysis_verdict_allocs();
     if verdict_allocs > 0 {
         eprintln!(
@@ -596,27 +491,22 @@ fn main() -> ExitCode {
     }
     println!("analysis allocation guard: clean Layer-2 verdict allocation-free");
 
-    let report = run_suite(&SuiteParams::new(quick));
+    let (report, speedup) = run_suite();
     print_summary(&report);
-
+    let simd = simd_available();
+    println!(
+        "spmm flops rate: kernel/reference = {speedup:.2}x (simd {})",
+        if simd { "on" } else { "off" }
+    );
     // The vectorization floor: where the f32x8 body is what runs, the
     // production kernel must beat the scalar reference by the floor in
     // effective flops rate, or the suite fails outright.
-    if simd_available() {
-        match spmm_speedup(&report) {
-            Some(speedup) if speedup < VECTORIZATION_FLOOR => {
-                eprintln!(
-                    "spmm vectorization floor: {speedup:.2}x < {VECTORIZATION_FLOOR:.2}x \
-                     required (spmm_serial_f32 vs spmm_reference_f32)"
-                );
-                return ExitCode::FAILURE;
-            }
-            Some(_) => {}
-            None => {
-                eprintln!("spmm vectorization floor: kernel scenarios missing from the report");
-                return ExitCode::FAILURE;
-            }
-        }
+    if simd && (speedup.is_nan() || speedup < VECTORIZATION_FLOOR) {
+        eprintln!(
+            "spmm vectorization floor: {speedup:.2}x < {VECTORIZATION_FLOOR:.2}x \
+             required (spmm_serial_f32 vs spmm_reference_f32)"
+        );
+        return ExitCode::FAILURE;
     }
 
     let text = report.to_json().to_string();
@@ -626,39 +516,32 @@ fn main() -> ExitCode {
     }
     println!("wrote {out}");
 
-    if let Some(baseline_path) = check {
-        let baseline = match std::fs::read_to_string(&baseline_path) {
-            Ok(t) => match BenchReport::parse(&t) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("cannot parse baseline {baseline_path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            Err(e) => {
-                eprintln!("cannot read baseline {baseline_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match compare(&report, &baseline, threshold) {
-            Ok(regressions) if regressions.is_empty() => {
-                println!("check: no regressions past {threshold}% against {baseline_path}");
-            }
-            Ok(regressions) => {
-                eprintln!(
-                    "check: {} regression(s) past {threshold}%:",
-                    regressions.len()
-                );
-                for r in &regressions {
-                    eprintln!("  {r}");
-                }
-                return ExitCode::FAILURE;
-            }
-            Err(e) => {
-                eprintln!("check: {e}");
-                return ExitCode::FAILURE;
-            }
+    let Some(baseline_path) = check else {
+        return ExitCode::SUCCESS;
+    };
+    let baseline = match std::fs::read_to_string(&baseline_path) {
+        Ok(t) => BenchReport::parse(&t)
+            .map_err(|e| format!("cannot parse baseline {baseline_path}: {e}")),
+        Err(e) => Err(format!("cannot read baseline {baseline_path}: {e}")),
+    };
+    let baseline = match baseline {
+        Ok(b) => b,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
         }
+    };
+    let differences = compare(&report, &baseline);
+    if differences.is_empty() {
+        println!("check: every count equals {baseline_path}");
+        return ExitCode::SUCCESS;
     }
-    ExitCode::SUCCESS
+    eprintln!(
+        "check: {} difference(s) from {baseline_path}:",
+        differences.len()
+    );
+    for d in &differences {
+        eprintln!("  {d}");
+    }
+    ExitCode::FAILURE
 }

@@ -1,48 +1,67 @@
-//! Continuous-benchmark report format and regression gate.
+//! Counter-ledger report format and its exact gate.
 //!
 //! [`crate::perf`] defines the schema behind the `BENCH_*.json` artifacts
 //! written by the `perf_suite` binary: a versioned, flat document holding
-//! one [`ScenarioResult`] per pinned reconstruction scenario (wall time,
-//! per-phase self time, communication volume per traffic class,
-//! critical-path length, heap allocations, counter totals). CI runs the
-//! suite on every push, uploads the artifact, and gates merges with
-//! [`compare`]: any metric that regresses past a relative threshold
-//! against the committed baseline fails the job.
+//! one [`ScenarioResult`] per pinned reconstruction scenario, made only of
+//! counts that repeat exactly from run to run (heap allocations, kernel
+//! flops, launches and bytes, communication bytes and messages per
+//! traffic class). CI runs the suite on every push, uploads the artifact,
+//! and gates merges with [`compare`]: any column that differs from the
+//! committed baseline, in either direction, fails the job, and so does a
+//! scenario present on one side only. Wall time is not a column; the
+//! end-to-end wall is `xctbench`'s.
 
 /// Schema tag stamped into every report; [`BenchReport::from_json`]
 /// rejects documents carrying any other value.
-pub const BENCH_SCHEMA: &str = "petaxct-bench-v1";
+pub const BENCH_SCHEMA: &str = "petaxct-bench-v2";
 
 use xct_telemetry::Json;
 
-/// Measurements for one pinned scenario.
+/// Counts for one pinned scenario.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ScenarioResult {
     /// Stable scenario name (e.g. `"wired_2x2x2_overlap"`).
     pub name: String,
-    /// End-to-end wall time of the reconstruction call.
-    pub wall_ns: u64,
-    /// Longest weighted span+wire chain from the causal DAG (0 when the
-    /// scenario is untraced).
-    pub critical_path_ns: u64,
     /// Heap allocations during the call (global counting allocator).
     pub allocations: u64,
     /// Effective floating-point operations reported by the execution
-    /// counters (real nonzeros only — ELL padding FMAs excluded, so
-    /// flops rates are honest).
+    /// counters (real nonzeros only — ELL padding FMAs excluded).
     pub flops: u64,
     /// Issued floating-point operations including padding FMAs
     /// (`>= flops`); the gap is the packing waste.
     pub padded_flops: u64,
     /// Kernel launches reported by the execution counters.
     pub kernel_launches: u64,
-    /// Self time per telemetry phase, `(phase label, ns)`.
-    pub phase_self_ns: Vec<(String, u64)>,
+    /// Bytes the kernels read and wrote (`ExecCounters::bytes`).
+    pub kernel_bytes: u64,
     /// Payload bytes per traffic class, `(class name, bytes)`.
     pub comm_bytes: Vec<(String, u64)>,
+    /// Messages per traffic class, `(class name, messages)`.
+    pub comm_msgs: Vec<(String, u64)>,
 }
 
 impl ScenarioResult {
+    /// Every column as `(name, count)`, per-class ones as
+    /// `comm_bytes.<class>` / `comm_msgs.<class>`.
+    fn columns(&self) -> Vec<(String, u64)> {
+        let mut columns: Vec<(String, u64)> = [
+            ("allocations", self.allocations),
+            ("flops", self.flops),
+            ("padded_flops", self.padded_flops),
+            ("kernel_launches", self.kernel_launches),
+            ("kernel_bytes", self.kernel_bytes),
+        ]
+        .map(|(k, v)| (k.to_string(), v))
+        .into();
+        for (prefix, classes) in [
+            ("comm_bytes", &self.comm_bytes),
+            ("comm_msgs", &self.comm_msgs),
+        ] {
+            columns.extend(classes.iter().map(|(c, v)| (format!("{prefix}.{c}"), *v)));
+        }
+        columns
+    }
+
     fn to_json(&self) -> Json {
         let pairs = |items: &[(String, u64)]| {
             Json::object(
@@ -54,14 +73,13 @@ impl ScenarioResult {
         };
         Json::object(vec![
             ("name", Json::from(self.name.as_str())),
-            ("wall_ns", Json::from(self.wall_ns)),
-            ("critical_path_ns", Json::from(self.critical_path_ns)),
             ("allocations", Json::from(self.allocations)),
             ("flops", Json::from(self.flops)),
             ("padded_flops", Json::from(self.padded_flops)),
             ("kernel_launches", Json::from(self.kernel_launches)),
-            ("phase_self_ns", pairs(&self.phase_self_ns)),
+            ("kernel_bytes", Json::from(self.kernel_bytes)),
             ("comm_bytes", pairs(&self.comm_bytes)),
+            ("comm_msgs", pairs(&self.comm_msgs)),
         ])
     }
 
@@ -80,34 +98,29 @@ impl ScenarioResult {
         };
         Ok(ScenarioResult {
             name: json.str_at("name")?.to_string(),
-            wall_ns: json.u64_at("wall_ns")?,
-            critical_path_ns: json.u64_at("critical_path_ns")?,
             allocations: json.u64_at("allocations")?,
             flops: json.u64_at("flops")?,
             padded_flops: json.u64_at("padded_flops")?,
             kernel_launches: json.u64_at("kernel_launches")?,
-            phase_self_ns: pairs("phase_self_ns")?,
+            kernel_bytes: json.u64_at("kernel_bytes")?,
             comm_bytes: pairs("comm_bytes")?,
+            comm_msgs: pairs("comm_msgs")?,
         })
     }
 }
 
-/// One run of the whole suite: schema + mode + scenario list.
+/// One run of the whole suite: schema + scenario list.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BenchReport {
-    /// True when produced under `--quick` (smaller problem, CI mode).
-    /// Quick and full reports are never comparable.
-    pub quick: bool,
     /// Results in execution order.
     pub scenarios: Vec<ScenarioResult>,
 }
 
 impl BenchReport {
-    /// Serializes to the `petaxct-bench-v1` JSON document.
+    /// Serializes to the `petaxct-bench-v2` JSON document.
     pub fn to_json(&self) -> Json {
         Json::object(vec![
             ("schema", Json::from(BENCH_SCHEMA)),
-            ("quick", Json::from(self.quick)),
             (
                 "scenarios",
                 Json::from(
@@ -123,13 +136,12 @@ impl BenchReport {
     /// Decodes a parsed document, validating the schema tag.
     pub fn from_json(json: &Json) -> Result<BenchReport, String> {
         json.expect_schema(BENCH_SCHEMA)?;
-        let quick = matches!(json.get("quick"), Some(Json::Bool(true)));
         let scenarios = json
             .array_at("scenarios")?
             .iter()
             .map(ScenarioResult::from_json)
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(BenchReport { quick, scenarios })
+        Ok(BenchReport { scenarios })
     }
 
     /// Parses report text (convenience over [`Json::parse`] +
@@ -137,168 +149,197 @@ impl BenchReport {
     pub fn parse(text: &str) -> Result<BenchReport, String> {
         BenchReport::from_json(&Json::parse(text)?)
     }
+
+    fn scenario(&self, name: &str) -> Option<&ScenarioResult> {
+        self.scenarios.iter().find(|s| s.name == name)
+    }
 }
 
-/// One metric that got worse than the baseline by more than the
-/// threshold.
+/// What [`compare`] found differing between a run and its baseline.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Regression {
-    /// Scenario the metric belongs to.
-    pub scenario: String,
-    /// Metric name (`wall_ns`, `allocations`, `comm_bytes.global`, ...).
-    pub metric: String,
-    /// Baseline value.
-    pub baseline: u64,
-    /// Current (regressed) value.
-    pub current: u64,
+pub enum Difference {
+    /// A scenario present in one report only.
+    Scenario {
+        /// The scenario.
+        name: String,
+        /// True when the baseline has it and the run does not.
+        in_baseline: bool,
+    },
+    /// A column whose counts differ; a side without the column reads
+    /// `None`.
+    Column {
+        /// Scenario the column belongs to.
+        scenario: String,
+        /// Column name (`allocations`, `comm_bytes.global`, ...).
+        column: String,
+        /// Baseline count.
+        baseline: Option<u64>,
+        /// This run's count.
+        current: Option<u64>,
+    },
 }
 
-impl std::fmt::Display for Regression {
+impl std::fmt::Display for Difference {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let pct = (self.current as f64 / self.baseline as f64 - 1.0) * 100.0;
-        write!(
-            f,
-            "{}/{}: {} -> {} (+{:.1}%)",
-            self.scenario, self.metric, self.baseline, self.current, pct
-        )
+        let count = |v: &Option<u64>| v.map_or("absent".to_string(), |v| v.to_string());
+        match self {
+            Difference::Scenario { name, in_baseline } => {
+                let side = if *in_baseline { "baseline" } else { "run" };
+                write!(f, "{name}: only in the {side}")
+            }
+            Difference::Column {
+                scenario,
+                column,
+                baseline,
+                current,
+            } => write!(
+                f,
+                "{scenario}/{column}: {} -> {}",
+                count(baseline),
+                count(current)
+            ),
+        }
     }
 }
 
-/// Compares `current` against `baseline`, returning every metric whose
-/// current value exceeds `baseline * (1 + threshold_pct/100)`.
-///
-/// Scenarios present on only one side are skipped (the suite may grow);
-/// zero baselines are skipped (no meaningful relative change). Errors if
-/// the reports were produced in different modes (`quick` vs full) —
-/// their numbers are not comparable.
-pub fn compare(
-    current: &BenchReport,
-    baseline: &BenchReport,
-    threshold_pct: f64,
-) -> Result<Vec<Regression>, String> {
-    if current.quick != baseline.quick {
-        return Err(format!(
-            "cannot compare a quick={} run against a quick={} baseline",
-            current.quick, baseline.quick
-        ));
-    }
-    let limit = 1.0 + threshold_pct / 100.0;
-    let mut regressions = Vec::new();
-    let mut gate = |scenario: &str, metric: &str, base: u64, cur: u64| {
-        if base > 0 && (cur as f64) > (base as f64) * limit {
-            regressions.push(Regression {
-                scenario: scenario.to_string(),
-                metric: metric.to_string(),
-                baseline: base,
-                current: cur,
-            });
-        }
+/// Every difference between `current` and `baseline`: each scenario on
+/// one side only, and each column of a shared scenario whose count is
+/// not the baseline's, in either direction. Empty means the run matches
+/// the ledger exactly.
+pub fn compare(current: &BenchReport, baseline: &BenchReport) -> Vec<Difference> {
+    let unmatched = |side: &BenchReport, other: &BenchReport, in_baseline: bool| {
+        (side.scenarios.iter())
+            .filter(|s| other.scenario(&s.name).is_none())
+            .map(|s| Difference::Scenario {
+                name: s.name.clone(),
+                in_baseline,
+            })
+            .collect::<Vec<_>>()
     };
+    let mut differences = unmatched(baseline, current, true);
+    differences.extend(unmatched(current, baseline, false));
     for cur in &current.scenarios {
-        let Some(base) = baseline.scenarios.iter().find(|s| s.name == cur.name) else {
+        let Some(base) = baseline.scenario(&cur.name) else {
             continue;
         };
-        gate(&cur.name, "wall_ns", base.wall_ns, cur.wall_ns);
-        gate(
-            &cur.name,
-            "critical_path_ns",
-            base.critical_path_ns,
-            cur.critical_path_ns,
+        let (cur_columns, base_columns) = (cur.columns(), base.columns());
+        let find = |columns: &[(String, u64)], name: &str| {
+            columns.iter().find(|(c, _)| c == name).map(|(_, v)| *v)
+        };
+        let names = (base_columns.iter().map(|(c, _)| c)).chain(
+            (cur_columns.iter().map(|(c, _)| c)).filter(|c| find(&base_columns, c).is_none()),
         );
-        gate(&cur.name, "allocations", base.allocations, cur.allocations);
-        gate(&cur.name, "flops", base.flops, cur.flops);
-        gate(
-            &cur.name,
-            "padded_flops",
-            base.padded_flops,
-            cur.padded_flops,
-        );
-        for (class, bytes) in &cur.comm_bytes {
-            if let Some((_, b)) = base.comm_bytes.iter().find(|(c, _)| c == class) {
-                gate(&cur.name, &format!("comm_bytes.{class}"), *b, *bytes);
+        for column in names {
+            let (baseline, current) = (find(&base_columns, column), find(&cur_columns, column));
+            if baseline != current {
+                differences.push(Difference::Column {
+                    scenario: cur.name.clone(),
+                    column: column.clone(),
+                    baseline,
+                    current,
+                });
             }
         }
     }
-    Ok(regressions)
+    differences
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn scenario(name: &str, wall_ns: u64) -> ScenarioResult {
+    fn scenario(name: &str) -> ScenarioResult {
         ScenarioResult {
             name: name.to_string(),
-            wall_ns,
-            critical_path_ns: wall_ns / 2,
             allocations: 100,
             flops: 1_000_000,
             padded_flops: 1_250_000,
             kernel_launches: 42,
-            phase_self_ns: vec![("SpmmForward".to_string(), wall_ns / 3)],
+            kernel_bytes: 4_000_000,
             comm_bytes: vec![("global".to_string(), 4096), ("socket".to_string(), 0)],
+            comm_msgs: vec![("global".to_string(), 16), ("socket".to_string(), 0)],
+        }
+    }
+
+    fn report(names: &[&str]) -> BenchReport {
+        BenchReport {
+            scenarios: names.iter().map(|n| scenario(n)).collect(),
         }
     }
 
     #[test]
     fn report_round_trips_through_json() {
-        let report = BenchReport {
-            quick: true,
-            scenarios: vec![scenario("serial", 1_000_000), scenario("wired", 9_999_999)],
-        };
+        let report = report(&["serial", "wired"]);
         let text = report.to_json().to_string();
         assert!(text.contains(BENCH_SCHEMA));
-        let back = BenchReport::parse(&text).unwrap();
-        assert_eq!(back, report);
+        assert_eq!(BenchReport::parse(&text).unwrap(), report);
     }
 
     #[test]
-    fn check_rejects_an_artificially_slowed_run() {
-        let baseline = BenchReport {
-            quick: true,
-            scenarios: vec![scenario("serial", 100)],
-        };
-        let mut slowed = baseline.clone();
-        slowed.scenarios[0].wall_ns = 200;
-        slowed.scenarios[0].comm_bytes[0].1 = 10_000;
-        let regressions = compare(&slowed, &baseline, 20.0).unwrap();
-        let metrics: Vec<&str> = regressions.iter().map(|r| r.metric.as_str()).collect();
-        assert!(metrics.contains(&"wall_ns"));
-        assert!(metrics.contains(&"comm_bytes.global"));
-        // Zero baselines never trip the relative gate.
-        assert!(!metrics.contains(&"comm_bytes.socket"));
-        let shown = regressions[0].to_string();
-        assert!(shown.contains("serial/"), "{shown}");
-        assert!(
-            shown.contains("+100.0%") || shown.contains("100.0%"),
-            "{shown}"
+    fn a_grown_count_is_a_difference() {
+        let baseline = report(&["serial"]);
+        let mut grown = baseline.clone();
+        grown.scenarios[0].allocations = 101;
+        grown.scenarios[0].comm_msgs[0].1 = 17;
+        let differences = compare(&grown, &baseline);
+        let shown: Vec<String> = differences.iter().map(Difference::to_string).collect();
+        assert_eq!(
+            shown,
+            [
+                "serial/allocations: 100 -> 101",
+                "serial/comm_msgs.global: 16 -> 17"
+            ]
+        );
+        assert!(compare(&baseline, &baseline).is_empty());
+    }
+
+    #[test]
+    fn a_lowered_count_is_a_difference() {
+        let baseline = report(&["serial"]);
+        let mut lowered = baseline.clone();
+        lowered.scenarios[0].kernel_bytes -= 1;
+        assert_eq!(
+            compare(&lowered, &baseline),
+            [Difference::Column {
+                scenario: "serial".to_string(),
+                column: "kernel_bytes".to_string(),
+                baseline: Some(4_000_000),
+                current: Some(3_999_999),
+            }]
         );
     }
 
     #[test]
-    fn changes_within_the_threshold_pass() {
-        let baseline = BenchReport {
-            quick: false,
-            scenarios: vec![scenario("serial", 100)],
+    fn a_scenario_missing_on_either_side_is_a_difference() {
+        let (both, one) = (report(&["serial", "setup_1x2x2"]), report(&["serial"]));
+        let missing = |in_baseline| {
+            vec![Difference::Scenario {
+                name: "setup_1x2x2".to_string(),
+                in_baseline,
+            }]
         };
-        let mut wobble = baseline.clone();
-        wobble.scenarios[0].wall_ns = 115;
-        assert!(compare(&wobble, &baseline, 20.0).unwrap().is_empty());
-        // New scenarios absent from the baseline are not gated.
-        wobble.scenarios.push(scenario("brand_new", 1));
-        assert!(compare(&wobble, &baseline, 20.0).unwrap().is_empty());
+        assert_eq!(compare(&one, &both), missing(true));
+        assert_eq!(compare(&both, &one), missing(false));
+        assert_eq!(
+            compare(&one, &both)[0].to_string(),
+            "setup_1x2x2: only in the baseline"
+        );
+        // A traffic class on one side only is a column difference.
+        let mut extra = one.clone();
+        extra.scenarios[0].comm_bytes.push(("node".to_string(), 0));
+        assert_eq!(
+            compare(&extra, &one)[0].to_string(),
+            "serial/comm_bytes.node: absent -> 0"
+        );
     }
 
     #[test]
-    fn quick_and_full_reports_never_compare() {
-        let quick = BenchReport {
-            quick: true,
-            scenarios: vec![],
-        };
-        let full = BenchReport {
-            quick: false,
-            scenarios: vec![],
-        };
-        assert!(compare(&quick, &full, 20.0).is_err());
+    fn a_v1_document_is_refused_naming_the_schema() {
+        let v1 = report(&["serial"])
+            .to_json()
+            .to_string()
+            .replace(BENCH_SCHEMA, "petaxct-bench-v1");
+        let err = BenchReport::parse(&v1).unwrap_err();
+        assert!(err.contains("petaxct-bench-v1"), "{err}");
     }
 }

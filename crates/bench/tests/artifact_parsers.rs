@@ -1,6 +1,6 @@
 //! Hostile-input tests for the artifact parsers: `petaxct-profile-v1`
 //! ([`ProfileReport::parse`]), `petaxct-tune-v1` ([`TuneReport::parse`]),
-//! `petaxct-bench-v1` ([`BenchReport::parse`]) and the [`Json::parse`]
+//! `petaxct-bench-v2` ([`BenchReport::parse`]) and the [`Json::parse`]
 //! they share. A must-reject table pins the documents each parser has to
 //! refuse (with the field named), and a seeded mutation test — truncate,
 //! flip a byte, replace a number token — asserts that whatever the bytes
@@ -27,10 +27,9 @@ const PROFILE: &str = r#"{"schema":"petaxct-profile-v1","precision":"mixed","n":
 const TUNE: &str = r#"{"schema":"petaxct-tune-v1","precision":"half","n":64,"angles":48,"points":[
 {"block_size":32,"shared_bytes":4096,"fusing":4,"wall_ns":120000,"flops":9000000},
 {"block_size":64,"shared_bytes":8192,"fusing":8,"wall_ns":90000,"flops":9000000}]}"#;
-const BENCH: &str = r#"{"schema":"petaxct-bench-v1","quick":true,"scenarios":[{"name":"dist_sync",
-"wall_ns":1600000,"critical_path_ns":1200000,"allocations":4271,"flops":123456789,
-"padded_flops":130000000,"kernel_launches":488,"phase_self_ns":{"spmm.forward":700000},
-"comm_bytes":{"socket":1303936}}]}"#;
+const BENCH: &str = r#"{"schema":"petaxct-bench-v2","scenarios":[{"name":"dist_sync",
+"allocations":4271,"flops":123456789,"padded_flops":130000000,"kernel_launches":488,
+"kernel_bytes":303472,"comm_bytes":{"socket":1303936},"comm_msgs":{"node":108}}]}"#;
 
 /// Applies each `from => to => names` row of `table` to `doc` (the
 /// pattern must be present, so a stale row cannot pass by leaving the
@@ -115,17 +114,19 @@ fn tune_parser_rejects_hostile_artifacts() {
 #[test]
 fn bench_parser_rejects_hostile_artifacts() {
     let table = r#"
-        "wall_ns":1600000 => "wall_ns":-1600000 => wall_ns
         "allocations":4271 => "allocations":4271.5 => allocations
         "flops":123456789 => "flops":1e300 => flops
+        "padded_flops":130000000 => "padded_flops":-1 => padded_flops
         "kernel_launches":488 => "kernel_launches":"488" => kernel_launches
-        "spmm.forward":700000 => "spmm.forward":-1 => spmm.forward
+        "kernel_bytes": => "kernel_byte": => kernel_bytes
         "socket":1303936 => "socket":0.25 => socket
         "comm_bytes": => "comm_byte": => comm_bytes
+        "node":108 => "node":-108 => node
+        "comm_msgs": => "comm_msg": => comm_msgs
         "name":"dist_sync" => "name":7 => name
-        "critical_path_ns": => "critical_path": => critical_path_ns
         "scenarios": => "scenario": => scenarios
-        petaxct-bench-v1 => petaxct-bench-v0 => petaxct-bench-v0
+        # The wall-time schema is history: its documents are refused.
+        petaxct-bench-v2 => petaxct-bench-v1 => petaxct-bench-v1
         "schema": => "scheme": => schema
     "#;
     must_reject(BenchReport::parse, BENCH, table);

@@ -52,5 +52,5 @@ pub mod volume;
 pub use drift::{build_profile_report, model_shares, ProfileInputs};
 pub use partition::{Partitioning, TableIComplexity};
 pub use recon::{Algorithm, ReconOptions, Reconstructor};
-pub use stream::{reconstruct_planned, PlannedOutcome, PlannedStats};
+pub use stream::{reconstruct_planned, PlannedError, PlannedOutcome, PlannedStats};
 pub use volume::{stream_slabs, PipelineError, SlabTotals, StreamOutcome};

@@ -44,6 +44,39 @@ pub struct PlannedStats {
 /// [`reconstruct_planned`]'s result.
 pub type PlannedOutcome = StreamOutcome<PlannedStats>;
 
+/// A [`reconstruct_planned`] run that stopped: the error, with the
+/// per-rank traffic and execution counters merged over every slab that
+/// ran, the stopped one included (empty when no slab ran). Displays as
+/// the error alone.
+#[derive(Debug)]
+pub struct PlannedError {
+    /// What stopped the run.
+    pub error: PipelineError,
+    /// Measured per-rank communication traffic merged across the slabs
+    /// that ran.
+    pub comm_stats: Vec<RankCommStats>,
+    /// Execution counters merged across ranks and the slabs that ran.
+    pub counters: ExecCounters,
+}
+
+impl std::fmt::Display for PlannedError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.error.fmt(f)
+    }
+}
+
+impl std::error::Error for PlannedError {}
+
+impl From<PipelineError> for PlannedError {
+    fn from(error: PipelineError) -> Self {
+        PlannedError {
+            error,
+            comm_stats: Vec::new(),
+            counters: ExecCounters::default(),
+        }
+    }
+}
+
 /// Executes `plan` against `scan`: reads each slab's sinogram from
 /// `reader`, reconstructs it on the plan's simulated topology — one
 /// [`DistributedSetup::run`] per slab, of the configuration's
@@ -55,13 +88,16 @@ pub type PlannedOutcome = StreamOutcome<PlannedStats>;
 /// not own — algorithm, wire model, iteration count, telemetry, plan
 /// verification — come from `base`; the rest from the plan
 /// ([`DistributedConfig::from_plan`]).
+///
+/// A slab whose solve stops ends the run with [`PipelineError::NonFinite`],
+/// returned with the traffic and counters of the slabs that ran.
 pub fn reconstruct_planned(
     scan: &ScanGeometry,
     plan: &ReconPlan,
     reader: SliceReader,
     writer: SliceWriter,
     base: &DistributedConfig,
-) -> Result<PlannedOutcome, PipelineError> {
+) -> Result<PlannedOutcome, PlannedError> {
     check(plan.dims.n == scan.detector.channels, || {
         format!(
             "plan made for n = {}, scan has {} channels",
@@ -120,19 +156,26 @@ pub fn reconstruct_planned(
             let residual = *result.residual_history.last().unwrap_or(&1.0);
             Ok((result.x, residual))
         },
-    )?;
-    Ok(StreamOutcome {
-        stats: PlannedStats {
-            slices: outcome.stats.slices,
-            slabs: outcome.stats.slabs,
-            streamed: plan.streaming(),
-            worst_residual: outcome.stats.worst_residual,
+    );
+    match outcome {
+        Ok(outcome) => Ok(StreamOutcome {
+            stats: PlannedStats {
+                slices: outcome.stats.slices,
+                slabs: outcome.stats.slabs,
+                streamed: plan.streaming(),
+                worst_residual: outcome.stats.worst_residual,
+                comm_stats,
+                counters,
+            },
+            reader: outcome.reader,
+            writer: outcome.writer,
+        }),
+        Err(error) => Err(PlannedError {
+            error,
             comm_stats,
             counters,
-        },
-        reader: outcome.reader,
-        writer: outcome.writer,
-    })
+        }),
+    }
 }
 
 #[cfg(test)]
@@ -303,6 +346,78 @@ mod tests {
     }
 
     #[test]
+    fn a_stopped_run_returns_the_traffic_of_every_slab_that_ran() {
+        // Two slabs of one slice on 1×2×2; the second slice holds a NaN,
+        // so slab 1's first γ is not finite. The error carries what every
+        // rank sent over both slabs, as the rank's own track counted it.
+        use xct_exec::Telemetry;
+        let n = 16;
+        let scan = ScanGeometry::uniform(ImageGrid::square(n, 1.0), 16);
+        let sm = xct_geometry::SystemMatrix::build(&scan);
+        let sino = tmp("stopped_in.xctd");
+        let meta = SliceFile {
+            kind: FileKind::Sinogram,
+            precision: Precision::Single,
+            slices: 2,
+            slice_len: sm.num_rays(),
+        };
+        let mut w = SliceWriter::create(&sino, meta).unwrap();
+        let mut slice = vec![1.0f32; sm.num_rays()];
+        w.write_slice(&slice).unwrap();
+        slice[sm.num_rays() / 2] = f32::NAN;
+        w.write_slice(&slice).unwrap();
+        w.finish().unwrap();
+        let planner = Planner {
+            precision: Precision::Single,
+            max_fusing: 1,
+            ..Default::default()
+        };
+        let plan = planner
+            .plan(
+                VolumeDims { n, slices: 2 },
+                16,
+                None,
+                xct_comm::Topology::new(1, 2, 2),
+            )
+            .unwrap();
+        assert_eq!(plan.slabs.len(), 2);
+        let telemetry = Telemetry::enabled();
+        let base = DistributedConfig {
+            iterations: 4,
+            telemetry: telemetry.clone(),
+            ..Default::default()
+        };
+        let Err(stopped) = reconstruct_planned(
+            &scan,
+            &plan,
+            SliceReader::open(&sino).unwrap(),
+            volume_writer(&tmp("stopped_out.xctd"), 2, n * n),
+            &base,
+        ) else {
+            panic!("a NaN slab must stop the run");
+        };
+        assert!(matches!(
+            stopped.error,
+            PipelineError::NonFinite { slab: 1, .. }
+        ));
+        assert_eq!(
+            stopped.to_string(),
+            "slab 1: solve stopped, gamma is not finite at iteration 1"
+        );
+        assert!(stopped.counters.kernel_launches > 0);
+        let metrics = telemetry.metrics_snapshot();
+        assert_eq!(stopped.comm_stats.len(), 4);
+        for stats in &stopped.comm_stats {
+            let track = metrics
+                .track(stats.rank as u32)
+                .expect("every rank recorded");
+            let sent = track.counter(MetricId::CommSendMsgs);
+            assert!(sent > 0, "rank {}", stats.rank);
+            assert_eq!(stats.total_msgs(), sent, "rank {}", stats.rank);
+        }
+    }
+
+    #[test]
     fn plan_file_mismatch_is_reported() {
         let n = 12;
         let scan = ScanGeometry::uniform(ImageGrid::square(n, 1.0), 12);
@@ -328,7 +443,10 @@ mod tests {
             volume_writer(&out, 5, n * n),
             &DistributedConfig::default(),
         ) {
-            Err(PipelineError::Geometry(m)) => assert!(m.contains("5 slices"), "{m}"),
+            Err(PlannedError {
+                error: PipelineError::Geometry(m),
+                ..
+            }) => assert!(m.contains("5 slices"), "{m}"),
             Err(other) => panic!("expected geometry error, got {other:?}"),
             Ok(_) => panic!("mismatched plan must not run"),
         }

@@ -807,7 +807,7 @@ fn reconstruct_inner(
         verify_plans,
         ..Default::default()
     };
-    let outcome = reconstruct_planned(&scan, &plan, reader, writer, &base)?;
+    let outcome = reconstruct_planned(&scan, &plan, reader, writer, &base).map_err(|e| e.error)?;
     let stats = outcome.stats;
     outcome.reader.verify_checksum()?;
     outcome.writer.finish()?;
