@@ -27,6 +27,8 @@ pub enum Rule {
     NoPanic,
     /// `Instant::now` / `SystemTime` outside the telemetry Clock impl.
     WallClock,
+    /// The machine's core count read outside the executor crate.
+    MachineWidth,
     /// Allocating call inside an `// xct-hot` region.
     HotAlloc,
     /// Crate root missing its `forbid(unsafe_code)` /
@@ -44,6 +46,7 @@ impl Rule {
             Rule::SafetyComment => "safety-comment",
             Rule::NoPanic => "no-panic",
             Rule::WallClock => "wall-clock",
+            Rule::MachineWidth => "machine-width",
             Rule::HotAlloc => "hot-alloc",
             Rule::CrateRootHeader => "crate-root-header",
             Rule::AllowJustification => "allow-justification",
@@ -57,6 +60,7 @@ impl Rule {
             "safety-comment" => Some(Rule::SafetyComment),
             "no-panic" => Some(Rule::NoPanic),
             "wall-clock" => Some(Rule::WallClock),
+            "machine-width" => Some(Rule::MachineWidth),
             "hot-alloc" => Some(Rule::HotAlloc),
             "crate-root-header" => Some(Rule::CrateRootHeader),
             // allow-justification is not itself opt-out-able: an allow
@@ -152,6 +156,11 @@ pub const SANCTIONED_UNSAFE: &[&str] = &[
 /// production impl (everything else takes a `&dyn Clock`).
 pub const SANCTIONED_WALL_CLOCK: &[&str] = &["crates/telemetry/src/clock.rs"];
 
+/// The only source tree allowed to read the machine's core count: the
+/// executor crate, whose `Executor::parallel` the process edge calls.
+/// Everything below it takes the `Executor` its caller picked.
+pub const SANCTIONED_MACHINE_WIDTH: &str = "crates/exec/src/";
+
 /// Idents that allocate when called as `recv.method(...)` in hot code.
 const HOT_ALLOC_METHODS: &[&str] = &["collect", "to_vec", "to_owned", "to_string"];
 
@@ -202,6 +211,7 @@ pub fn check_file(rel_path: &str, source: &str, role: Role, out: &mut Vec<LintVi
 
     let unsafe_sanctioned = SANCTIONED_UNSAFE.contains(&rel_path);
     let clock_sanctioned = SANCTIONED_WALL_CLOCK.contains(&rel_path);
+    let width_sanctioned = rel_path.starts_with(SANCTIONED_MACHINE_WIDTH);
 
     for (i, tok) in toks.iter().enumerate() {
         let Some(id) = tok.ident() else { continue };
@@ -273,6 +283,20 @@ pub fn check_file(rel_path: &str, source: &str, role: Role, out: &mut Vec<LintVi
                     tok.line,
                     Rule::WallClock,
                     "`SystemTime` outside telemetry's Clock impl — take a `&dyn Clock`".into(),
+                );
+            }
+            "Executor" | "ExecContext" | "available_parallelism"
+                if ctx.lints_library_rules(role, i)
+                    && !width_sanctioned
+                    && (id == "available_parallelism"
+                        || path_seg_after(&toks, i) == Some("parallel")) =>
+            {
+                ctx.emit(
+                    out,
+                    tok.line,
+                    Rule::MachineWidth,
+                    "the machine's core count read below the process edge — take the caller's `Executor`"
+                        .into(),
                 );
             }
             _ => {}
@@ -777,6 +801,26 @@ mod tests {
             rules(&lint("crates/foo/src/l.rs", sys, Role::Lib)),
             vec![Rule::WallClock]
         );
+    }
+
+    #[test]
+    fn machine_width_reads_are_flagged_outside_the_executor_crate() {
+        let src = "pub fn f() -> Executor { Executor::parallel() }\n";
+        let lib = "crates/foo/src/l.rs";
+        assert_eq!(rules(&lint(lib, src, Role::Lib)), vec![Rule::MachineWidth]);
+        assert!(lint("crates/exec/src/executor.rs", src, Role::Lib).is_empty());
+        assert!(lint("crates/foo/src/bin/b.rs", src, Role::Bin).is_empty());
+        let ctx = "pub fn f() { g(&mut ExecContext::parallel()) }\n";
+        assert_eq!(rules(&lint(lib, ctx, Role::Lib)), vec![Rule::MachineWidth]);
+        let std =
+            "pub fn f() -> usize { std::thread::available_parallelism().map_or(1, usize::from) }\n";
+        assert_eq!(rules(&lint(lib, std, Role::Lib)), vec![Rule::MachineWidth]);
+        // Taking the caller's executor, or naming another constructor, is
+        // no read; neither is a test module.
+        let handed = "pub fn f(e: &Executor) -> Executor { *e }\npub fn g() -> Executor { Executor::threads(2) }\n";
+        assert!(lint(lib, handed, Role::Lib).is_empty());
+        let test = "#[cfg(test)]\nmod tests {\n    fn t() { Executor::parallel(); }\n}\n";
+        assert!(lint(lib, test, Role::Lib).is_empty());
     }
 
     #[test]

@@ -31,6 +31,11 @@ pub const CORPUS: &[(&str, &str, Rule)] = &[
         "crates/solver/src/evil.rs",
         Rule::WallClock,
     ),
+    (
+        "machine_width.rs",
+        "crates/geometry/src/evil.rs",
+        Rule::MachineWidth,
+    ),
     ("hot_alloc.rs", "crates/spmm/src/evil.rs", Rule::HotAlloc),
     (
         "missing_header.rs",

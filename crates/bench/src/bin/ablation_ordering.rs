@@ -7,6 +7,7 @@
 
 use xct_comm::{DirectPlan, HierarchicalPlan, Topology};
 use xct_core::decompose::SliceDecomposition;
+use xct_exec::Executor;
 use xct_fp16::F16;
 use xct_geometry::{ImageGrid, ScanGeometry, SystemMatrix};
 use xct_hilbert::{CurveKind, Domain2D, TileDecomposition};
@@ -47,7 +48,9 @@ fn main() {
         // wide, `angles` high), voxels left as they are.
         let sinogram = TileDecomposition::new(Domain2D::new(n, angles), 8, kind);
         let rays = Order::new(sinogram.cell_order());
-        let packed = PackedMatrix::pack_ordered(&csr, &rays, &voxels, 128, 96 * 1024, 16);
+        let executor = Executor::parallel();
+        let packed =
+            PackedMatrix::pack_ordered(&csr, &rays, &voxels, 128, 96 * 1024, 16, &executor);
 
         println!(
             "{:<10} {:>16} {:>16} {:>16} {:>12.2}",

@@ -6,6 +6,7 @@
 
 use xct_bench::hilbert_ordered_operator;
 use xct_cluster::{kernel_time, GpuSpec};
+use xct_exec::Executor;
 use xct_fp16::Precision;
 use xct_phantom::{add_poisson_noise, chip_like};
 use xct_solver::{cgls, CglsConfig, PrecisionOperator};
@@ -34,9 +35,11 @@ fn main() {
     };
 
     let mut final_residuals = Vec::new();
+    let executor = Executor::parallel();
     for precision in Precision::ALL {
         let orders = (&op.rays, &op.voxels);
-        let packed = PrecisionOperator::ordered(&op.csr, orders, precision, 1, 64, 96 * 1024);
+        let packed =
+            PrecisionOperator::ordered(&op.csr, orders, precision, 1, 64, 96 * 1024, &executor);
         let report = cgls(
             &packed,
             &y,

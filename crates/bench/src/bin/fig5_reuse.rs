@@ -10,6 +10,7 @@
 //! from the 96 KB shared-memory budget shared by the fused slices.
 
 use xct_bench::hilbert_ordered_operator;
+use xct_exec::Executor;
 use xct_fp16::F16;
 use xct_spmm::PackedMatrix;
 
@@ -27,7 +28,9 @@ fn measure(n: usize, angles: usize, block: usize, fusing: usize) -> Measured {
     // Transpose (backprojection): input domain is the sinogram, so the
     // orders swap roles.
     let at = op.csr.map_values(F16::from_f32).transpose();
-    let pat = PackedMatrix::pack_ordered(&at, &op.voxels, &op.rays, block, shared, fusing);
+    let executor = Executor::parallel();
+    let pat =
+        PackedMatrix::pack_ordered(&at, &op.voxels, &op.rays, block, shared, fusing, &executor);
     Measured {
         proj_reuse: pa.average_reuse(),
         bproj_reuse: pat.average_reuse(),

@@ -10,7 +10,7 @@
 
 use xct_bench::hilbert_ordered_operator;
 use xct_cluster::{kernel_time, roofline_point, GpuSpec};
-use xct_exec::{ExecContext, ExecCounters};
+use xct_exec::{ExecContext, ExecCounters, Executor};
 use xct_fp16::Precision;
 use xct_solver::{LinearOperator, PrecisionOperator};
 use xct_spmm::Csr;
@@ -144,9 +144,10 @@ fn main() {
     println!("Measured counters (one A / A^T pass at fusing 16):");
     let fusing = 16;
     let mut total = ExecCounters::default();
+    let executor = Executor::parallel();
     for p in Precision::ALL {
         let orders = (&op.rays, &op.voxels);
-        let op = PrecisionOperator::ordered(csr, orders, p, fusing, 128, 96 * 1024);
+        let op = PrecisionOperator::ordered(csr, orders, p, fusing, 128, 96 * 1024, &executor);
         let mut ctx = ExecContext::serial().with_precision(p);
         let x = vec![0.5f32; op.cols()];
         let mut y = vec![0.0f32; op.rows()];

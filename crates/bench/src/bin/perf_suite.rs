@@ -37,6 +37,7 @@
 
 #![forbid(unsafe_code)]
 
+use std::num::NonZeroUsize;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
@@ -46,7 +47,7 @@ use xct_comm::{RankCommStats, Topology, TrafficClass, WireModel};
 use xct_core::decompose::packing_orders;
 use xct_core::distributed::{reconstruct_distributed, DistributedConfig, DistributedSetup};
 use xct_core::{reconstruct_planned, ReconOptions};
-use xct_exec::ExecCounters;
+use xct_exec::{ExecCounters, Executor};
 use xct_fp16::Precision;
 use xct_geometry::{ImageGrid, ScanGeometry, SystemMatrix};
 use xct_io::{FileKind, SliceFile, SliceReader, SliceWriter};
@@ -76,11 +77,9 @@ const PACK_N: usize = 64;
 const LAUNCHES: usize = 300;
 /// Inter-node latency of the wired scenarios.
 const WIRE_LATENCY: Duration = Duration::from_micros(300);
-/// Workers the set-up fans out over (`Executor::parallel`, one per
-/// available core). Each scoped worker allocates a few times, so `pack`'s
-/// and `setup_1x2x2`'s counts hold for this many alone: the suite refuses
-/// to run beside any other count (`taskset -c 0,1` pins a larger host).
-const WORKERS: usize = 2;
+/// Workers the suite hands the set-up, whatever the host's core count:
+/// each scoped worker allocates, so `pack` and `setup_1x2x2` count these.
+const WORKERS: Executor = Executor::Threads(NonZeroUsize::new(2).unwrap());
 
 fn mini_scan() -> ScanGeometry {
     ScanGeometry::uniform(ImageGrid::square(N, 1.0), ANGLES)
@@ -134,11 +133,11 @@ fn serial_scenario() -> ScenarioResult {
     let sm = SystemMatrix::build(&scan);
     let csr = Csr::from_system_matrix(&sm);
     let (rays, voxels) = packing_orders(&scan, BLOCK);
-    let orders = (&rays, &voxels);
-    let op = PrecisionOperator::ordered(&csr, orders, Precision::Single, FUSING, BLOCK, SHARED);
+    let (orders, precision) = ((&rays, &voxels), Precision::Single);
+    let op = PrecisionOperator::ordered(&csr, orders, precision, FUSING, BLOCK, SHARED, &WORKERS);
     let y = sinogram(&sm);
 
-    let mut ctx = ExecContext::serial().with_precision(Precision::Single);
+    let mut ctx = ExecContext::serial().with_precision(precision);
     let before = allocations();
     let mut solver = CglsSolver::new(&op, &y, &CglsConfig::default(), &mut ctx);
     for _ in 0..ITERATIONS {
@@ -161,7 +160,7 @@ fn spmm_kernel_scenario(name: &str, reference: bool) -> (ScenarioResult, Duratio
     let csr = Csr::from_system_matrix(&sm);
     let fusing = 8;
     let (rays, voxels) = packing_orders(&scan, BLOCK);
-    let packed = PackedMatrix::pack_ordered(&csr, &rays, &voxels, BLOCK, SHARED, fusing);
+    let packed = PackedMatrix::pack_ordered(&csr, &rays, &voxels, BLOCK, SHARED, fusing, &WORKERS);
     let mut x = vec![0.0f32; csr.num_cols() * fusing];
     for (i, v) in x.iter_mut().enumerate() {
         *v = ((i % 13) as f32) * 0.125 - 0.5;
@@ -203,7 +202,8 @@ fn pack_scenario() -> ScenarioResult {
     let before = allocations();
     let csr = Csr::from_system_matrix(&sm);
     let (rays, voxels) = packing_orders(&scan, BLOCK);
-    let op = PrecisionOperator::ordered(&csr, (&rays, &voxels), Precision::Mixed, 8, BLOCK, SHARED);
+    let (orders, precision) = ((&rays, &voxels), Precision::Mixed);
+    let op = PrecisionOperator::ordered(&csr, orders, precision, 8, BLOCK, SHARED, &WORKERS);
     let allocs = allocations() - before;
     std::hint::black_box(&op);
     finish("pack", allocs, &ExecCounters::default(), &[])
@@ -232,7 +232,7 @@ fn setup_scenario() -> ScenarioResult {
     };
     let mut ctx = ExecContext::serial();
     let before = allocations();
-    let setup = DistributedSetup::build(&scan, &cfg);
+    let setup = DistributedSetup::build(&scan, &cfg, WORKERS);
     let first = setup.run(&sinogram, &request, &mut ctx);
     let cold = allocations() - before;
     let before = allocations();
@@ -308,7 +308,10 @@ fn write_streaming_input(slices: usize, path: &std::path::Path) {
 fn streamed_scenario() -> ScenarioResult {
     let scan = mini_scan();
     let slices = FUSING * 2;
-    let sino = std::env::temp_dir().join("petaxct_perf_streamed_sino.xctd");
+    // Named per process, so that runs side by side read their own input.
+    let stem = std::env::temp_dir().join(format!("petaxct_perf_{}", std::process::id()));
+    let sino = stem.with_extension("sino.xctd");
+    let out = stem.with_extension("vol.xctd");
     write_streaming_input(slices, &sino);
     let topology = Topology::new(1, 2, 2);
     let planner = Planner {
@@ -332,7 +335,6 @@ fn streamed_scenario() -> ScenarioResult {
         iterations: ITERATIONS,
         ..Default::default()
     };
-    let out = std::env::temp_dir().join("petaxct_perf_streamed_vol.xctd");
     let reader = SliceReader::open(&sino).expect("open streaming sinogram");
     let writer = SliceWriter::create(
         &out,
@@ -348,6 +350,9 @@ fn streamed_scenario() -> ScenarioResult {
     let outcome = reconstruct_planned(&scan, &plan, reader, writer, &base).expect("streamed run");
     let allocs = allocations() - before;
     let stats = outcome.stats;
+    for path in [sino, out] {
+        std::fs::remove_file(&path).expect("remove streaming file");
+    }
     finish("streamed_1x2x2", allocs, &stats.counters, &stats.comm_stats)
 }
 
@@ -469,15 +474,6 @@ fn main() -> ExitCode {
         eprintln!("--out PATH is required; {USAGE}");
         return ExitCode::FAILURE;
     };
-
-    let workers = std::thread::available_parallelism().map_or(1, usize::from);
-    if workers != WORKERS {
-        eprintln!(
-            "the ledger is counted on {WORKERS} workers and this process has {workers}; \
-             run it under `taskset -c 0,1`"
-        );
-        return ExitCode::FAILURE;
-    }
 
     // Analyzer allocation guard: a clean Layer-2 verdict (bounds,
     // scratch lifetime) must allocate nothing after setup.

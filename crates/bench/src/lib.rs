@@ -13,6 +13,7 @@ pub mod perf;
 pub mod tune;
 
 use xct_core::decompose::packing_orders;
+use xct_exec::Executor;
 use xct_fp16::{Precision, StorageScalar, F16};
 use xct_geometry::{ImageGrid, ScanGeometry, SystemMatrix};
 use xct_spmm::{Csr, KernelMetrics, Order, PackedMatrix};
@@ -57,7 +58,8 @@ pub fn hilbert_ordered_operator(n: usize, angles: usize, block_size: usize) -> O
 }
 
 impl OrderedOperator {
-    /// The forward operator re-typed to `S` and packed under the orders.
+    /// The forward operator re-typed to `S` and packed under the orders,
+    /// on the calling thread.
     pub fn pack<S: StorageScalar>(
         &self,
         block_size: usize,
@@ -65,8 +67,8 @@ impl OrderedOperator {
         fusing: usize,
     ) -> PackedMatrix<S> {
         let typed = self.csr.map_values(S::from_f32);
-        let (rays, voxels) = (&self.rays, &self.voxels);
-        PackedMatrix::pack_ordered(&typed, rays, voxels, block_size, shared_bytes, fusing)
+        let (rows, cols, serial) = (&self.rays, &self.voxels, &Executor::Serial);
+        PackedMatrix::pack_ordered(&typed, rows, cols, block_size, shared_bytes, fusing, serial)
     }
 
     /// Traffic account and total stage count of [`pack`](Self::pack) at

@@ -11,6 +11,7 @@ use std::time::Instant;
 
 use crate::mini_operator;
 use xct_core::decompose::packing_orders;
+use xct_exec::Executor;
 use xct_fp16::Precision;
 use xct_plan::{KernelShape, TunePoint, TuneReport};
 use xct_solver::{CglsConfig, CglsSolver, ExecContext, PrecisionOperator};
@@ -134,6 +135,7 @@ pub fn run_tune(
                         &mut y[f * sm.num_rays()..(f + 1) * sm.num_rays()],
                     );
                 }
+                // Packed on the calling thread, like the solves it times.
                 let op = PrecisionOperator::ordered(
                     &csr,
                     (&rays, &voxels),
@@ -141,6 +143,7 @@ pub fn run_tune(
                     fusing,
                     block_size,
                     shared_bytes,
+                    &Executor::Serial,
                 );
                 let mut best_wall = u64::MAX;
                 let mut flops = 0u64;

@@ -191,10 +191,8 @@ impl SliceDecomposition {
         Self::build_weighted(sm, scan, ranks, tile, kind, None)
     }
 
-    /// [`SliceDecomposition::build`] with optional measured per-tile
-    /// cost weights (row-major over the tomogram tile grid). Weights
-    /// reshape the *tomogram* partition only — sinogram (ray) ownership
-    /// stays uniform, since the measured skew keys on voxel tiles.
+    /// [`build_on`](Self::build_on) the machine's width
+    /// ([`Executor::parallel`]).
     pub fn build_weighted(
         sm: &SystemMatrix,
         scan: &ScanGeometry,
@@ -202,6 +200,25 @@ impl SliceDecomposition {
         tile: usize,
         kind: CurveKind,
         tile_weights: Option<&[u64]>,
+    ) -> Self {
+        // xct-allow(machine-width): a convenience for callers with no executor of their own; xctbench times this signature
+        let executor = Executor::parallel();
+        Self::build_on(sm, scan, ranks, tile, kind, tile_weights, &executor)
+    }
+
+    /// [`SliceDecomposition::build`] with optional measured per-tile
+    /// cost weights (row-major over the tomogram tile grid), each rank's
+    /// operator restricted on `executor`'s workers. Weights reshape the
+    /// *tomogram* partition only — sinogram (ray) ownership stays
+    /// uniform, since the measured skew keys on voxel tiles.
+    pub fn build_on(
+        sm: &SystemMatrix,
+        scan: &ScanGeometry,
+        ranks: usize,
+        tile: usize,
+        kind: CurveKind,
+        tile_weights: Option<&[u64]>,
+        executor: &Executor,
     ) -> Self {
         assert!(ranks > 0, "need at least one rank");
         let grid = scan.grid;
@@ -236,13 +253,7 @@ impl SliceDecomposition {
             owned_rays[o as usize].push(r as u32);
         }
 
-        let local_ops = restrict(
-            sm,
-            &voxel_owner,
-            &owned_voxels,
-            &Executor::parallel(),
-            MIN_HITS_PER_PART,
-        );
+        let local_ops = restrict(sm, &voxel_owner, &owned_voxels, executor, MIN_HITS_PER_PART);
         SliceDecomposition {
             ranks,
             voxel_owner,

@@ -38,7 +38,7 @@ use xct_comm::{
     run_ranks_with, AllreduceSteps, Communicator, CompiledPlans, ExchangeScratch, HierarchicalPlan,
     RankCommStats, RankOptions, RankPlan, Topology, WireModel,
 };
-use xct_exec::{BufferRole, ExecContext, ExecCounters, Telemetry};
+use xct_exec::{BufferRole, ExecContext, ExecCounters, Executor, Telemetry};
 use xct_fp16::{Precision, StorageScalar, F16};
 use xct_geometry::{ScanGeometry, SystemMatrix};
 use xct_hilbert::{CurveKind, Domain2D, TileDecomposition};
@@ -359,18 +359,24 @@ pub struct DistributedSetup {
     decomp: SliceDecomposition,
     compiled: CompiledPlans,
     comm_elements: (u64, u64, u64),
+    /// The workers the set-up fans out over, the caller's: the trace,
+    /// the restriction and every packing.
+    executor: Executor,
     /// Every rank's operator, packed for one key and replaced when a call
     /// asks for another: the tree's one packed-operator cache.
     packed: Mutex<Option<(PackKey, Arc<[PrecisionOperator]>)>>,
 }
 
 impl DistributedSetup {
-    /// Traces the Siddon matrix of `scan` (by angle, on every core:
-    /// [`SystemMatrix::build`]), decomposes it among the ranks of
+    /// Traces the Siddon matrix of `scan` (by angle:
+    /// [`SystemMatrix::build_on`]), decomposes it among the ranks of
     /// `cfg.topology` (weighted by `cfg.tile_weights` when present; each
     /// rank's operator restricted in one counting pass over the matrix),
     /// plans and compiles the partial-data exchange, and verifies the
-    /// compiled plan. What [`DistributedConfig::request`] holds —
+    /// compiled plan. The trace, the restriction and every packing that
+    /// [`run`](Self::run) does later fan out over `executor`, which the
+    /// set-up keeps: the caller picks the width once, and no layer below
+    /// reads the machine's. What [`DistributedConfig::request`] holds —
     /// algorithm, precision, fusing, iterations, kernel shape — is not
     /// read: [`DistributedSetup::run`] takes it per call.
     ///
@@ -378,8 +384,9 @@ impl DistributedSetup {
     /// Panics when the weights' tile size contradicts `cfg.tile`, or
     /// with the full diagnostic listing when plan verification finds a
     /// violation.
-    pub fn build(scan: &ScanGeometry, cfg: &DistributedConfig) -> Self {
-        Self::from_matrix(&SystemMatrix::build(scan), scan.clone(), cfg)
+    pub fn build(scan: &ScanGeometry, cfg: &DistributedConfig, executor: Executor) -> Self {
+        let sm = SystemMatrix::build_on(scan, &executor);
+        Self::from_matrix(&sm, scan.clone(), cfg, executor)
     }
 
     /// [`build`](Self::build) on `sm`, `scan`'s Siddon matrix traced already.
@@ -387,6 +394,7 @@ impl DistributedSetup {
         sm: &SystemMatrix,
         scan: ScanGeometry,
         cfg: &DistributedConfig,
+        executor: Executor,
     ) -> Self {
         let ranks = cfg.topology.size();
         if let Some(tw) = &cfg.tile_weights {
@@ -397,13 +405,14 @@ impl DistributedSetup {
             );
             record_rebalance_decision(&scan, ranks, cfg, &tw.weights);
         }
-        let decomp = SliceDecomposition::build_weighted(
+        let decomp = SliceDecomposition::build_on(
             sm,
             &scan,
             ranks,
             cfg.tile,
             CurveKind::Hilbert,
             cfg.tile_weights.as_ref().map(|tw| tw.weights.as_slice()),
+            &executor,
         );
         let ownership = decomp.ray_ownership();
         // Direct exchange is the hierarchy of one-GPU nodes: both local
@@ -437,6 +446,7 @@ impl DistributedSetup {
             decomp,
             compiled,
             comm_elements: plan.level_elements(),
+            executor,
             packed: Mutex::new(None),
         }
     }
@@ -446,15 +456,15 @@ impl DistributedSetup {
     /// rank, unless the previous call used the same key; the old entry
     /// is dropped first, so at most one packing is resident.
     ///
-    /// Ranks are packed one after the other, each across every core:
-    /// [`PrecisionOperator::ordered`] narrows the values in bulk, takes
-    /// `Aᵀ` from the typed matrix and fans the blocks of each matrix out
-    /// on [`xct_exec::Executor::parallel`] into arrays allocated on this
-    /// thread. Rank threads have not started yet, so the cores are free;
-    /// packing whole ranks on threads of their own instead kept every
-    /// rank's transients alive at once in worker malloc arenas and
-    /// raised peak RSS by a third to a half (DESIGN.md, "Set-up on every
-    /// core").
+    /// Ranks are packed one after the other, each across the set-up's
+    /// workers: [`PrecisionOperator::ordered`] narrows the values in
+    /// bulk, takes `Aᵀ` from the typed matrix and fans the blocks of each
+    /// matrix out on the executor [`build`](Self::build) was given, into
+    /// arrays allocated on this thread. Rank threads have not started
+    /// yet, so the workers are free; packing whole ranks on threads of
+    /// their own instead kept every rank's transients alive at once in
+    /// worker malloc arenas and raised peak RSS by a third to a half
+    /// (DESIGN.md, "Set-up on the caller's workers").
     pub(crate) fn operators(&self, key: PackKey) -> Arc<[PrecisionOperator]> {
         // A panic while packing leaves `None` behind — a valid entry — so
         // a poisoned lock is recovered, not propagated.
@@ -478,6 +488,7 @@ impl DistributedSetup {
                     fusing,
                     block_size,
                     shared_bytes,
+                    &self.executor,
                 )
             })
             .collect();
@@ -605,9 +616,10 @@ impl DistributedSetup {
 }
 
 /// Runs a complete distributed reconstruction of `cfg.fusing` slices
-/// that share the geometry `scan`: [`DistributedSetup::build`] followed
-/// by one [`DistributedSetup::run`] of [`DistributedConfig::request`] in
-/// a serial context recording on `cfg.telemetry`. `sinogram` is
+/// that share the geometry `scan`: [`DistributedSetup::build`] at the
+/// machine's width ([`Executor::parallel`]) followed by one
+/// [`DistributedSetup::run`] of [`DistributedConfig::request`] in a
+/// serial context recording on `cfg.telemetry`. `sinogram` is
 /// slice-major (`fusing × num_rays`). Returns the assembled volume.
 pub fn reconstruct_distributed(
     scan: &ScanGeometry,
@@ -615,7 +627,9 @@ pub fn reconstruct_distributed(
     cfg: &DistributedConfig,
 ) -> DistributedResult {
     let mut ctx = ExecContext::serial().with_telemetry(cfg.telemetry.clone());
-    DistributedSetup::build(scan, cfg).run(sinogram, &cfg.request(), &mut ctx)
+    // xct-allow(machine-width): a one-call entry point with no executor of its own; xctbench times this signature
+    let setup = DistributedSetup::build(scan, cfg, Executor::parallel());
+    setup.run(sinogram, &cfg.request(), &mut ctx)
 }
 
 #[cfg(test)]
@@ -685,7 +699,7 @@ mod tests {
             } else {
                 shared
             };
-            let setup = DistributedSetup::build(&scan, &cfg);
+            let setup = DistributedSetup::build(&scan, &cfg, Executor::parallel());
             let operators = setup.operators((precision, fusing, cfg.block_size, bytes));
             let mut digest = 0xcbf2_9ce4_8422_2325u64;
             for op in operators.iter() {
@@ -705,6 +719,45 @@ mod tests {
             }
         }
         assert!(wrong.is_empty(), "layouts moved:\n{}", wrong.join("\n"));
+    }
+
+    /// The set-up's width changes its time, not its results: 1×1×1 and
+    /// 1×2×2 set-ups built on the calling thread and on three workers —
+    /// at n = 64, past the fan-out thresholds of the trace, the
+    /// restriction and the packing — pack every rank's `A` and `Aᵀ` to
+    /// the same bytes, and run to the same volume and residual history,
+    /// bit for bit.
+    #[test]
+    fn the_set_up_width_changes_no_layout_and_no_result() {
+        let scan = ScanGeometry::uniform(ImageGrid::square(64, 1.0), 64);
+        let fusing = 2;
+        let (_, _, y) = phantom_sinogram(&scan, fusing);
+        for topology in [Topology::new(1, 1, 1), Topology::new(1, 2, 2)] {
+            let cfg = DistributedConfig {
+                topology,
+                precision: Precision::Mixed,
+                fusing,
+                iterations: 3,
+                ..Default::default()
+            };
+            let request = cfg.request();
+            let outcome = |executor| {
+                let setup = DistributedSetup::build(&scan, &cfg, executor);
+                let result = setup.run(&y, &request, &mut ExecContext::serial());
+                let operators = setup.operators(request.pack_key());
+                let digests: Vec<_> = operators.iter().map(|op| op.layout_digests()).collect();
+                let x: Vec<u32> = result.x.iter().map(|v| v.to_bits()).collect();
+                let history: Vec<u64> = result
+                    .residual_history
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+                (digests, x, history)
+            };
+            let serial = outcome(Executor::Serial);
+            assert_eq!(serial.0.len(), topology.size());
+            assert_eq!(serial, outcome(Executor::threads(3)), "{topology:?}");
+        }
     }
 
     fn phantom_sinogram(scan: &ScanGeometry, fusing: usize) -> (SystemMatrix, Vec<f32>, Vec<f32>) {
@@ -947,7 +1000,7 @@ mod tests {
                 ..Default::default()
             };
             let ranks = cfg.topology.size();
-            let setup = DistributedSetup::build(&scan, &cfg);
+            let setup = DistributedSetup::build(&scan, &cfg, Executor::parallel());
             let operators = setup.operators((precision, 1, cfg.block_size, cfg.shared_bytes));
             let (setup, decomp) = (&setup, &setup.decomp);
             let x_global: Vec<f32> = (0..sm.num_voxels())
@@ -1040,7 +1093,7 @@ mod tests {
                 precision,
                 ..Default::default()
             };
-            let setup = DistributedSetup::build(&scan, &cfg);
+            let setup = DistributedSetup::build(&scan, &cfg, Executor::parallel());
             let operators = setup.operators((cfg.precision, 1, cfg.block_size, cfg.shared_bytes));
             let (setup, y) = (&setup, &y);
             let solve = CglsConfig {
@@ -1096,7 +1149,7 @@ mod tests {
             precision: Precision::Mixed,
             ..Default::default()
         };
-        let setup = DistributedSetup::build(&scan, &cfg);
+        let setup = DistributedSetup::build(&scan, &cfg, Executor::parallel());
         let operators = setup.operators((cfg.precision, 1, cfg.block_size, cfg.shared_bytes));
         let setup = &setup;
         for (voxel, ray) in [(f32::MIN_POSITIVE, 1e-40), (3e38, f32::MIN_POSITIVE)] {
@@ -1410,7 +1463,7 @@ mod tests {
                 telemetry: telemetry.clone(),
                 ..Default::default()
             };
-            let setup = DistributedSetup::build(&scan, &cfg);
+            let setup = DistributedSetup::build(&scan, &cfg, Executor::parallel());
             let mut ctx = ExecContext::serial().with_telemetry(telemetry.clone());
             let ran = setup
                 .run(&y, &cfg.request(), &mut ctx)

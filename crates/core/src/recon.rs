@@ -3,7 +3,7 @@
 //! [`DistributedSetup::run`] chooses the solver from [`ReconOptions`].
 
 use xct_comm::Topology;
-use xct_exec::ExecContext;
+use xct_exec::{ExecContext, Executor};
 use xct_fp16::Precision;
 use xct_geometry::{ScanGeometry, SystemMatrix};
 use xct_plan::KernelShape;
@@ -122,14 +122,17 @@ pub struct ReconReport {
 
 impl Reconstructor {
     /// Traces and memoizes the system matrix for `scan` (§II-B: done
-    /// once, reused every iteration and every slice).
+    /// once, reused every iteration and every slice), set up and packed
+    /// at the machine's width ([`Executor::parallel`]).
     pub fn new(scan: ScanGeometry) -> Self {
-        let matrix = SystemMatrix::build(&scan);
+        // xct-allow(machine-width): a one-call entry point with no executor of its own; xctbench times this signature
+        let executor = Executor::parallel();
+        let matrix = SystemMatrix::build_on(&scan, &executor);
         let one_rank = DistributedConfig {
             topology: Topology::new(1, 1, 1),
             ..DistributedConfig::default()
         };
-        let setup = DistributedSetup::from_matrix(&matrix, scan, &one_rank);
+        let setup = DistributedSetup::from_matrix(&matrix, scan, &one_rank, executor);
         Reconstructor { matrix, setup }
     }
 
@@ -164,6 +167,7 @@ impl Reconstructor {
     /// [`Reconstructor::reconstruct_in`] inside a fresh parallel
     /// [`ExecContext`] (kernel launches fan out across cores).
     pub fn reconstruct(&self, sinogram: &[f32], opts: &ReconOptions) -> ReconResult {
+        // xct-allow(machine-width): the one-call convenience over reconstruct_in, which takes the caller's context
         self.reconstruct_in(sinogram, opts, &mut ExecContext::parallel())
     }
 
@@ -426,6 +430,7 @@ mod tests {
                     topology: Topology::new(1, 1, 1),
                     ..Default::default()
                 },
+                Executor::parallel(),
             );
             for fusing in [1, 3] {
                 let mut sino = vec![0.0f32; sm.num_rays() * fusing];
@@ -445,6 +450,7 @@ mod tests {
                         fusing,
                         shape.block_size,
                         shape.shared_bytes,
+                        &Executor::Serial,
                     );
                     let cgls = |damping| {
                         let config = CglsConfig {

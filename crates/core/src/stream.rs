@@ -123,10 +123,11 @@ pub fn reconstruct_planned(
         telemetry.gauge_set(MetricId::PlanUsedBytes, plan.per_rank_bytes() as f64);
     }
 
-    let setup = DistributedSetup::build(scan, &cfg);
-    let request = cfg.request();
-    // A lone rank's launches fan out across cores, as the serial path's do.
+    // The set-up fans out over the context's workers, as a lone rank's launches do.
+    // xct-allow(machine-width): a one-call entry point with no executor of its own; xctbench times this signature
     let mut ctx = ExecContext::parallel().with_telemetry(telemetry.clone());
+    let setup = DistributedSetup::build(scan, &cfg, ctx.executor);
+    let request = cfg.request();
     let mut comm_stats: Vec<RankCommStats> = Vec::new();
     let mut counters = ExecCounters::default();
     let slab_lens: Vec<usize> = plan.slabs.iter().map(|slab| slab.len).collect();

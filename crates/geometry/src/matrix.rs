@@ -11,7 +11,7 @@ use crate::grid::ScanGeometry;
 use crate::siddon::{RayHit, Tracer};
 use xct_exec::Executor;
 
-/// Fewest rays one part of [`SystemMatrix::build`] traces a round —
+/// Fewest rays one part of [`SystemMatrix::build_on`] traces a round —
 /// about a millisecond of Siddon, which a spawn's tens of microseconds
 /// cannot eat.
 const MIN_RAYS_PER_PART: usize = 512;
@@ -38,9 +38,16 @@ pub struct SystemMatrix {
 }
 
 impl SystemMatrix {
+    /// [`build_on`](Self::build_on) the machine's width
+    /// ([`Executor::parallel`]).
+    pub fn build(scan: &ScanGeometry) -> Self {
+        // xct-allow(machine-width): a convenience for callers with no executor of their own; xctbench times this signature
+        Self::build_on(scan, &Executor::parallel())
+    }
+
     /// Traces every ray of `scan` and memoizes the result, by angle on
-    /// every core ([`Executor::parallel`]), in rounds: each round cuts
-    /// the next run of angles into one contiguous run per part of
+    /// `executor`'s workers, in rounds: each round cuts the next run of
+    /// angles into one contiguous run per part of
     /// [`Executor::for_each_part`], each part traces its views into
     /// scratch arrays — one per view, reused round after round, with one
     /// tracer's crossing lists reused from ray to ray — and the calling
@@ -48,19 +55,19 @@ impl SystemMatrix {
     /// Every buffer is allocated on the calling thread — a view's scratch
     /// at the most hits its rays can have, so a worker never grows one —
     /// and views are stored in angle order, so the matrix is the
-    /// sequential trace's whatever the core count. A part traces at least
-    /// 512 rays a round, so small scans stay on the calling thread.
+    /// sequential trace's whatever the worker count. A part traces at
+    /// least 512 rays a round, so small scans stay on the calling thread.
     ///
     /// Copying views out costs a memcpy of the matrix; tracing straight
     /// into bounded per-view arrays and shrinking them left the
     /// allocator's heap fragmented, and one scratch array per part was
     /// large enough to be mapped fresh on every build: both raised peak
     /// RSS (EXPERIMENTS.md, "Set-up on every core").
-    pub fn build(scan: &ScanGeometry) -> Self {
-        Self::build_in_parts(scan, &Executor::parallel(), MIN_RAYS_PER_PART)
+    pub fn build_on(scan: &ScanGeometry, executor: &Executor) -> Self {
+        Self::build_in_parts(scan, executor, MIN_RAYS_PER_PART)
     }
 
-    /// [`build`](Self::build) on `executor`, with parts of at least
+    /// [`build_on`](Self::build_on) with parts of at least
     /// `min_rays` rays a round (rounded up to whole angles).
     pub(crate) fn build_in_parts(
         scan: &ScanGeometry,

@@ -50,8 +50,9 @@ enum Inner {
 }
 
 impl PrecisionOperator {
-    /// [`ordered`](Self::ordered) under the identity orders: blocks are
-    /// runs of consecutive rows, stages cut columns in ascending index.
+    /// [`ordered`](Self::ordered) under the identity orders — blocks are
+    /// runs of consecutive rows, stages cut columns in ascending index —
+    /// at the machine's width ([`Executor::parallel`]).
     pub fn new(
         csr: &Csr<f32>,
         precision: Precision,
@@ -68,6 +69,8 @@ impl PrecisionOperator {
             fusing,
             block_size,
             shared_bytes,
+            // xct-allow(machine-width): a convenience for callers with no executor of their own; xctbench times this signature
+            &Executor::parallel(),
         )
     }
 
@@ -85,8 +88,8 @@ impl PrecisionOperator {
     /// bulk narrowing of its values under the matrix scale — no
     /// triplets, no per-row sort, no copy of its indices — and `Aᵀ` is
     /// the transpose of the typed matrix; both are packed block-parallel
-    /// on [`Executor::parallel`] ([`PackedMatrix::pack_pair`]), with the
-    /// same bytes as a sequential packing.
+    /// on `executor` ([`PackedMatrix::pack_pair`]), with the same bytes
+    /// as a sequential packing.
     pub fn ordered(
         csr: &Csr<f32>,
         (rows, cols): (&Order, &Order),
@@ -94,6 +97,7 @@ impl PrecisionOperator {
         fusing: usize,
         block_size: usize,
         shared_bytes: usize,
+        executor: &Executor,
     ) -> Self {
         let max_len = csr.values().iter().fold(0.0f32, |m, v| m.max(v.abs()));
         // Static matrix normalization: largest length → 1.0.
@@ -102,7 +106,7 @@ impl PrecisionOperator {
         } else {
             1.0
         };
-        let (orders, executor) = ((rows, cols), Executor::parallel());
+        let orders = (rows, cols);
         let inner = match precision {
             Precision::Double => {
                 let (a, at) = PackedMatrix::pack_pair(
@@ -112,7 +116,7 @@ impl PrecisionOperator {
                     block_size,
                     shared_bytes,
                     fusing,
-                    &executor,
+                    executor,
                 );
                 Inner::Double { a, at }
             }
@@ -124,7 +128,7 @@ impl PrecisionOperator {
                     block_size,
                     shared_bytes,
                     fusing,
-                    &executor,
+                    executor,
                 );
                 Inner::Single { a, at }
             }
@@ -136,7 +140,7 @@ impl PrecisionOperator {
                     block_size,
                     shared_bytes,
                     fusing,
-                    &executor,
+                    executor,
                 );
                 Inner::HalfFamily {
                     a,

@@ -96,31 +96,6 @@ where
     spmm_reference_with::<S, C>(a, x, y, ctx)
 }
 
-/// Runs the fused SpMM with blocks in parallel.
-///
-/// Convenience wrapper over [`spmm_with`] that builds a fresh parallel
-/// [`ExecContext`] per call — the allocating baseline. Hot loops should
-/// hold a context and call [`spmm_with`] instead.
-pub fn spmm_buffered<S, C>(a: &PackedMatrix<S>, x: &[S], y: &mut [S]) -> KernelMetrics
-where
-    S: StorageScalar + WorkspaceScalar,
-    C: ComputeScalar + WorkspaceScalar,
-{
-    let mut ctx = ExecContext::parallel();
-    spmm_with::<S, C>(a, x, y, &mut ctx)
-}
-
-/// Single-threaded variant of [`spmm_buffered`] — bit-identical results,
-/// used where deterministic single-core timing is wanted.
-pub fn spmm_buffered_serial<S, C>(a: &PackedMatrix<S>, x: &[S], y: &mut [S]) -> KernelMetrics
-where
-    S: StorageScalar + WorkspaceScalar,
-    C: ComputeScalar + WorkspaceScalar,
-{
-    let mut ctx = ExecContext::serial();
-    spmm_with::<S, C>(a, x, y, &mut ctx)
-}
-
 /// [`spmm_with`] with the scalar reference body forced: the direct
 /// transcription of Listing 1 (per-element `t >= rows` branch, f-major
 /// shared buffer, storage-precision staging with conversion at every
@@ -142,16 +117,6 @@ where
     launch::<S, C, S>(a, y, ctx, |block, acc, shared, out| {
         run_block_into_reference::<S, C>(block, buffsize, num_cols, x, fusing, acc, shared, out);
     })
-}
-
-/// Serial reference convenience over a throwaway context.
-pub fn spmm_reference_serial<S, C>(a: &PackedMatrix<S>, x: &[S], y: &mut [S]) -> KernelMetrics
-where
-    S: StorageScalar + WorkspaceScalar,
-    C: ComputeScalar + WorkspaceScalar,
-{
-    let mut ctx = ExecContext::serial();
-    spmm_reference_with::<S, C>(a, x, y, &mut ctx)
 }
 
 /// Whether [`spmm_with`] takes the `core::arch` f32x8 body for
@@ -393,7 +358,7 @@ mod tests {
             let mut y_ref = vec![0.0f32; 150 * fusing];
             csr.spmm::<f32>(&x, &mut y_ref, fusing);
             let mut y = vec![0.0f32; 150 * fusing];
-            spmm_buffered::<f32, f32>(&packed, &x, &mut y);
+            spmm_with::<f32, f32>(&packed, &x, &mut y, &mut ExecContext::serial());
             for (i, (a, b)) in y.iter().zip(&y_ref).enumerate() {
                 // Same FMAs in a possibly different order within a row:
                 // CSR iterates columns ascending; packed iterates stages
@@ -418,7 +383,7 @@ mod tests {
         C: ComputeScalar + WorkspaceScalar,
     {
         let mut y_ref = vec![S::zero(); packed.num_rows() * packed.fusing()];
-        spmm_reference_serial::<S, C>(packed, x, &mut y_ref);
+        spmm_reference_with::<S, C>(packed, x, &mut y_ref, &mut ExecContext::serial());
         for executor in [Executor::Serial, Executor::threads(3)] {
             let mut ctx = ExecContext::with_executor(executor);
             let mut y = vec![S::zero(); y_ref.len()];
@@ -522,9 +487,9 @@ mod tests {
             let half = PackedMatrix::pack(&csr16, 32, 1 << 15, fusing);
             assert_eq!(single.blocks().len() % CLAIM, 5);
             let mut want32 = vec![0.0f32; 400 * fusing];
-            spmm_reference_serial::<f32, f32>(&single, &xf, &mut want32);
+            spmm_reference_with::<f32, f32>(&single, &xf, &mut want32, &mut ExecContext::serial());
             let mut want16 = vec![F16::ZERO; 400 * fusing];
-            spmm_reference_serial::<F16, f32>(&half, &x16, &mut want16);
+            spmm_reference_with::<F16, f32>(&half, &x16, &mut want16, &mut ExecContext::serial());
             for threads in [1, 2, 3, 7] {
                 let mut ctx = ExecContext::with_executor(Executor::threads(threads));
                 let mut y32 = vec![0.0f32; 400 * fusing];
@@ -552,7 +517,7 @@ mod tests {
         map.truncate(map.len() / 2);
         let x = random_x(40 * 8, 5);
         let mut y = vec![0.0f32; 64 * 8];
-        spmm_buffered_serial::<f32, f32>(&packed, &x, &mut y);
+        spmm_with::<f32, f32>(&packed, &x, &mut y, &mut ExecContext::serial());
     }
 
     #[test]
@@ -562,8 +527,9 @@ mod tests {
         let x = random_x(120 * 3, 5);
         let mut y_par = vec![0.0f32; 200 * 3];
         let mut y_ser = vec![0.0f32; 200 * 3];
-        spmm_buffered::<f32, f32>(&packed, &x, &mut y_par);
-        spmm_buffered_serial::<f32, f32>(&packed, &x, &mut y_ser);
+        let mut ctx = ExecContext::with_executor(Executor::threads(2));
+        spmm_with::<f32, f32>(&packed, &x, &mut y_par, &mut ctx);
+        spmm_with::<f32, f32>(&packed, &x, &mut y_ser, &mut ExecContext::serial());
         assert_eq!(
             y_par.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             y_ser.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
@@ -576,7 +542,7 @@ mod tests {
         let packed = PackedMatrix::pack(&csr, 32, 1024, 2);
         let x = random_x(140 * 2, 41);
         let mut y_ref = vec![0.0f32; 310 * 2];
-        spmm_buffered_serial::<f32, f32>(&packed, &x, &mut y_ref);
+        spmm_with::<f32, f32>(&packed, &x, &mut y_ref, &mut ExecContext::serial());
         for threads in [2, 3, 5, 64] {
             let mut ctx = ExecContext::with_executor(Executor::threads(threads));
             let mut y = vec![0.0f32; 310 * 2];
@@ -668,7 +634,7 @@ mod tests {
         let xf = random_x(80 * fusing, 9);
         let x16: Vec<F16> = xf.iter().map(|&v| F16::from_f32(v)).collect();
         let mut y16 = vec![F16::ZERO; 100 * fusing];
-        spmm_buffered::<F16, f32>(&packed, &x16, &mut y16);
+        spmm_with::<F16, f32>(&packed, &x16, &mut y16, &mut ExecContext::serial());
         let mut y_ref = vec![0.0f32; 100 * fusing];
         csr32.spmm::<f32>(&xf, &mut y_ref, fusing);
         for (h, r) in y16.iter().zip(&y_ref) {
@@ -690,7 +656,7 @@ mod tests {
         let xf = random_x(40, 21);
         let x64: Vec<f64> = xf.iter().map(|&v| f64::from(v)).collect();
         let mut y64 = vec![0.0f64; 60];
-        spmm_buffered::<f64, f64>(&packed, &x64, &mut y64);
+        spmm_with::<f64, f64>(&packed, &x64, &mut y64, &mut ExecContext::serial());
         let mut y_ref = vec![0.0f32; 60];
         csr32.spmv::<f64>(&xf, &mut y_ref);
         for (a, b) in y64.iter().zip(&y_ref) {
@@ -707,9 +673,9 @@ mod tests {
         let packed = PackedMatrix::pack(&csr, 32, 4096, 1);
         let x = vec![F16::ONE; 64];
         let mut y_half = vec![F16::ZERO; 1];
-        spmm_buffered::<F16, F16>(&packed, &x, &mut y_half);
+        spmm_with::<F16, F16>(&packed, &x, &mut y_half, &mut ExecContext::serial());
         let mut y_mixed = vec![F16::ZERO; 1];
-        spmm_buffered::<F16, f32>(&packed, &x, &mut y_mixed);
+        spmm_with::<F16, f32>(&packed, &x, &mut y_mixed, &mut ExecContext::serial());
         let exact = 0.64f32;
         let err_half = (y_half[0].to_f32() - exact).abs();
         let err_mixed = (y_mixed[0].to_f32() - exact).abs();
@@ -728,8 +694,8 @@ mod tests {
         assert!(many_stage.total_stages() > one_stage.total_stages());
         let mut y1 = vec![0.0f32; 64];
         let mut y2 = vec![0.0f32; 64];
-        spmm_buffered::<f32, f32>(&one_stage, &x, &mut y1);
-        spmm_buffered::<f32, f32>(&many_stage, &x, &mut y2);
+        spmm_with::<f32, f32>(&one_stage, &x, &mut y1, &mut ExecContext::serial());
+        spmm_with::<f32, f32>(&many_stage, &x, &mut y2, &mut ExecContext::serial());
         for (a, b) in y1.iter().zip(&y2) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -758,9 +724,9 @@ mod tests {
         let mut y_ref = vec![0.0f32; 3];
         csr.spmv::<f32>(&x, &mut y_ref);
         let mut y = vec![9.0f32; 3];
-        spmm_buffered_serial::<f32, f32>(&packed, &x, &mut y);
+        spmm_with::<f32, f32>(&packed, &x, &mut y, &mut ExecContext::serial());
         assert_eq!(y, y_ref);
-        spmm_reference_serial::<f32, f32>(&packed, &x, &mut y);
+        spmm_reference_with::<f32, f32>(&packed, &x, &mut y, &mut ExecContext::serial());
         assert_eq!(y, y_ref);
     }
 
@@ -770,7 +736,7 @@ mod tests {
         let packed = PackedMatrix::pack(&csr, 32, 1024, 2);
         let x = vec![1.0f32; 20];
         let mut y = vec![9.0f32; 80];
-        spmm_buffered::<f32, f32>(&packed, &x, &mut y);
+        spmm_with::<f32, f32>(&packed, &x, &mut y, &mut ExecContext::serial());
         assert!(y.iter().all(|&v| v == 0.0));
     }
 
@@ -780,6 +746,6 @@ mod tests {
         let csr = random_csr(10, 10, 2, 1);
         let packed = PackedMatrix::pack(&csr, 32, 1024, 2);
         let mut y = vec![0.0f32; 20];
-        spmm_buffered::<f32, f32>(&packed, &[0.0; 10], &mut y);
+        spmm_with::<f32, f32>(&packed, &[0.0; 10], &mut y, &mut ExecContext::serial());
     }
 }

@@ -31,8 +31,8 @@
 //! and every data movement the GPU would perform is metered in
 //! [`KernelMetrics`] / accumulated in [`xct_exec::ExecCounters`], which
 //! is what the roofline analysis (Fig 9b) and machine model consume.
-//! [`spmm_with`] is the workspace-backed entry point; the `spmm_buffered`
-//! wrappers build a throwaway context per call. One launch skeleton runs
+//! [`spmm_with`] is the entry point, launched on the workers of the
+//! caller's [`xct_exec::ExecContext`]. One launch skeleton runs
 //! one of two bit-identical block bodies, picked per launch with no
 //! build-time switch: an AVX2+FMA+F16C f32x8 body when the CPU reports
 //! all three and the compute type is f32 ([`simd_available`]), else the scalar
@@ -63,10 +63,7 @@ mod simd;
 
 pub use compute::ComputeScalar;
 pub use csr::Csr;
-pub use kernel::{
-    simd_available, spmm_buffered, spmm_buffered_serial, spmm_reference_serial,
-    spmm_reference_with, spmm_with,
-};
+pub use kernel::{simd_available, spmm_reference_with, spmm_with};
 pub use metrics::KernelMetrics;
 pub use order::Order;
 pub use packed::{

@@ -164,13 +164,24 @@ pub struct PackedMatrix<S> {
 }
 
 impl<S: StorageScalar> PackedMatrix<S> {
-    /// [`pack_ordered`](Self::pack_ordered) under the identity orders:
+    /// [`pack_ordered`](Self::pack_ordered) under the identity orders —
     /// block `b` owns rows `b·block_size..`, stages cut a block's columns
-    /// in ascending index.
+    /// in ascending index — at the machine's width
+    /// ([`Executor::parallel`]).
     pub fn pack(csr: &Csr<S>, block_size: usize, shared_bytes: usize, fusing: usize) -> Self {
         let rows = Order::identity(csr.num_rows());
         let cols = Order::identity(csr.num_cols());
-        Self::pack_ordered(csr, &rows, &cols, block_size, shared_bytes, fusing)
+        // xct-allow(machine-width): a convenience for callers with no executor of their own; xctbench times this signature
+        let executor = Executor::parallel();
+        Self::pack_ordered(
+            csr,
+            &rows,
+            &cols,
+            block_size,
+            shared_bytes,
+            fusing,
+            &executor,
+        )
     }
 
     /// Packs a CSR matrix for execution with `fusing` slices per
@@ -192,7 +203,7 @@ impl<S: StorageScalar> PackedMatrix<S> {
     /// block cut into several stages visits a row's columns stage by
     /// stage.
     ///
-    /// Blocks are packed in parallel on [`Executor::parallel`] (see
+    /// Blocks are packed in parallel on `executor` (see
     /// [`pack_pair`](Self::pack_pair)); the layout does not depend on it.
     ///
     /// # Panics
@@ -208,11 +219,12 @@ impl<S: StorageScalar> PackedMatrix<S> {
         block_size: usize,
         shared_bytes: usize,
         fusing: usize,
+        executor: &Executor,
     ) -> Self {
         let shape = Shape::new::<S>(csr, (rows, cols), block_size, shared_bytes, fusing);
         let [packed] = pack_together(
             [Packing::new(shape, csr, csr.values())],
-            &Executor::parallel(),
+            executor,
             MIN_BLOCKS_PER_PART,
         );
         packed
@@ -236,7 +248,7 @@ impl<S: StorageScalar> PackedMatrix<S> {
     /// fill pass writes each run's blocks. A worker touches only its own
     /// runs and the O(columns) scratch it is handed, and allocates
     /// nothing (long-lived buffers allocated on short-lived threads pin
-    /// their malloc arenas: DESIGN.md, "Set-up on every core").
+    /// their malloc arenas: DESIGN.md, "Set-up on the caller's workers").
     ///
     /// # Panics
     /// As [`pack_ordered`](Self::pack_ordered).
@@ -965,6 +977,7 @@ mod tests {
             64,
             512,
             2,
+            &Executor::Serial,
         );
         assert!(scrambled.total_stages() > scrambled.blocks().len());
         for packed in [natural, scrambled] {
@@ -1207,10 +1220,11 @@ mod tests {
             let (rows, cols) = (strided_order(168, 47), strided_order(300, 71));
             let typed = csr.map_values(|v| S::from_f32(v * scale));
             let typed_t = typed.transpose();
+            let serial = Executor::Serial;
             for shared in [1 << 16, 24 * 3 * S::BYTES] {
                 let want = (
-                    PackedMatrix::pack_ordered(&typed, &rows, &cols, 64, shared, 3),
-                    PackedMatrix::pack_ordered(&typed_t, &cols, &rows, 64, shared, 3),
+                    PackedMatrix::pack_ordered(&typed, &rows, &cols, 64, shared, 3, &serial),
+                    PackedMatrix::pack_ordered(&typed_t, &cols, &rows, 64, shared, 3, &serial),
                 );
                 let want = (want.0.layout_digest(), want.1.layout_digest());
                 for parts in 1..=3 {
@@ -1282,7 +1296,8 @@ mod tests {
     #[should_panic(expected = "row order length")]
     fn short_row_order_rejected() {
         let csr = random_csr(10, 10, 2, 1);
-        PackedMatrix::pack_ordered(&csr, &Order::identity(9), &Order::identity(10), 32, 1024, 1);
+        let (rows, cols) = (Order::identity(9), Order::identity(10));
+        PackedMatrix::pack_ordered(&csr, &rows, &cols, 32, 1024, 1, &Executor::Serial);
     }
 
     #[test]
@@ -1296,6 +1311,7 @@ mod tests {
             32,
             1024,
             1,
+            &Executor::Serial,
         );
     }
 
@@ -1358,7 +1374,9 @@ mod tests {
         // stages [1, 0], one round in its first group (4).
         let rows = Order::new([32, 33].into_iter().chain(0..32).collect());
         let cols = Order::new((0..6).rev().collect());
-        let ordered = PackedMatrix::pack_ordered(&csr, &rows, &cols, 32, 4 * fusing * 4, fusing);
+        let shared = 4 * fusing * 4;
+        let ordered =
+            PackedMatrix::pack_ordered(&csr, &rows, &cols, 32, shared, fusing, &Executor::Serial);
         assert_eq!(
             maps(&ordered),
             [vec![vec![5, 4, 3, 2], vec![1, 0]], vec![vec![1, 0]]]

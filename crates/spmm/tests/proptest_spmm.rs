@@ -7,9 +7,7 @@ use xct_exec::{ExecContext, Executor, WorkspaceScalar};
 use xct_fp16::{StorageScalar, F16};
 use xct_geometry::{ImageGrid, ScanGeometry, SystemMatrix};
 use xct_hilbert::{CurveKind, Domain2D, TileDecomposition};
-use xct_spmm::{
-    spmm_buffered, spmm_reference_with, spmm_with, ComputeScalar, Csr, Order, PackedMatrix,
-};
+use xct_spmm::{spmm_reference_with, spmm_with, ComputeScalar, Csr, Order, PackedMatrix};
 
 fn csr_strategy() -> impl Strategy<Value = (usize, usize, Vec<(u32, u32, f32)>)> {
     (2usize..120, 2usize..150).prop_flat_map(|(rows, cols)| {
@@ -75,7 +73,8 @@ where
     };
 
     // Both block bodies read the same row list and map: bit-identical.
-    let ordered = PackedMatrix::pack_ordered(&csr, rows, cols, 64, shared, fusing);
+    let ordered =
+        PackedMatrix::pack_ordered(&csr, rows, cols, 64, shared, fusing, &Executor::Serial);
     if slots.is_none() {
         prop_assert_eq!(ordered.total_stages(), ordered.blocks().len());
     }
@@ -185,7 +184,7 @@ proptest! {
         let mut y_ref = vec![0.0f32; rows * fusing];
         csr.spmm::<f32>(&x, &mut y_ref, fusing);
         let mut y = vec![0.0f32; rows * fusing];
-        spmm_buffered::<f32, f32>(&packed, &x, &mut y);
+        spmm_with::<f32, f32>(&packed, &x, &mut y, &mut ExecContext::serial());
         for (a, b) in y.iter().zip(&y_ref) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -208,6 +207,7 @@ proptest! {
         let col_order = shuffled_order(cols, order_seed.rotate_left(29) ^ 0x51ed);
         let packed = PackedMatrix::pack_ordered(
             &csr, &row_order, &col_order, 32 << block_pow, cols * fusing * 4, fusing,
+            &Executor::Serial,
         );
         prop_assert_eq!(packed.total_stages(), packed.blocks().len());
         let x: Vec<f32> = (0..cols * fusing)
@@ -216,7 +216,7 @@ proptest! {
         let mut y_ref = vec![0.0f32; rows * fusing];
         csr.spmm::<f32>(&x, &mut y_ref, fusing);
         let mut y = vec![0.0f32; rows * fusing];
-        spmm_buffered::<f32, f32>(&packed, &x, &mut y);
+        spmm_with::<f32, f32>(&packed, &x, &mut y, &mut ExecContext::serial());
         prop_assert_eq!(bits(&y), bits(&y_ref));
     }
 
@@ -235,7 +235,7 @@ proptest! {
         let mut y_ref = vec![0.0f32; rows];
         csr.spmv::<f32>(&x, &mut y_ref);
         let mut y = vec![0.0f32; rows];
-        spmm_buffered::<f32, f32>(&packed, &x, &mut y);
+        spmm_with::<f32, f32>(&packed, &x, &mut y, &mut ExecContext::serial());
         for (a, b) in y.iter().zip(&y_ref) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -272,7 +272,7 @@ proptest! {
         csr.spmm::<f32>(&x, &mut y_ref, fusing);
         let mut y = vec![0.0f32; rows * fusing];
         let mut y_scalar = vec![0.0f32; rows * fusing];
-        spmm_buffered::<f32, f32>(&packed, &x, &mut y);
+        spmm_with::<f32, f32>(&packed, &x, &mut y, &mut ExecContext::serial());
         spmm_reference_with::<f32, f32>(&packed, &x, &mut y_scalar, &mut ExecContext::serial());
         for (i, want) in y_ref.iter().enumerate() {
             for (body, got) in [("f32x8", y[i]), ("reference", y_scalar[i])] {
@@ -313,7 +313,7 @@ fn padding_turns_a_negative_zero_positive_and_nothing_else() {
     );
     let packed = PackedMatrix::pack(&csr, 32, 1024, 1);
     let mut y = [9.0f32; 3];
-    spmm_buffered::<f32, f32>(&packed, &x, &mut y);
+    spmm_with::<f32, f32>(&packed, &x, &mut y, &mut ExecContext::serial());
     assert_eq!(y.map(f32::to_bits), [3.0f32, 0.0, 0.0].map(f32::to_bits));
     let mut y = [9.0f32; 3];
     spmm_reference_with::<f32, f32>(&packed, &x, &mut y, &mut ExecContext::serial());
@@ -346,7 +346,7 @@ fn mixed_precision_projection_of_real_operator() {
     let packed = PackedMatrix::pack(&csr16, 64, 96 * 1024, fusing);
     let x16: Vec<F16> = x.iter().map(|&v| F16::from_f32(v)).collect();
     let mut y16 = vec![F16::ZERO; sm.num_rays() * fusing];
-    spmm_buffered::<F16, f32>(&packed, &x16, &mut y16);
+    spmm_with::<F16, f32>(&packed, &x16, &mut y16, &mut ExecContext::serial());
 
     let mut max_rel = 0.0f32;
     for (h, r) in y16.iter().zip(&y_ref) {
@@ -378,7 +378,8 @@ fn fig5_style_reuse_is_substantial_for_real_operator() {
     let voxels = Order::identity(sm.num_voxels());
 
     let packed_raw = PackedMatrix::pack(&csr, 128, 96 * 1024, 16);
-    let packed_hil = PackedMatrix::pack_ordered(&csr, &rays, &voxels, 128, 96 * 1024, 16);
+    let packed_hil =
+        PackedMatrix::pack_ordered(&csr, &rays, &voxels, 128, 96 * 1024, 16, &Executor::Serial);
     assert!(
         packed_hil.average_reuse() > 4.0,
         "reuse {} too small",

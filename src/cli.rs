@@ -2418,7 +2418,7 @@ mod tests {
             telemetry: telemetry.clone(),
             ..Default::default()
         };
-        DistributedSetup::build(&scan, &cfg);
+        DistributedSetup::build(&scan, &cfg, xct_exec::Executor::Serial);
         let moved = (telemetry.snapshot().events.into_iter())
             .find(|e| e.name == "rebalance.tiles_moved")
             .expect("rebalance decision recorded")

@@ -11,6 +11,7 @@
 
 use proptest::prelude::*;
 use xct_core::decompose::packing_orders;
+use xct_exec::Executor;
 use xct_fp16::Precision;
 use xct_geometry::{ImageGrid, ScanGeometry, SystemMatrix};
 use xct_solver::{
@@ -78,7 +79,8 @@ fn assert_precision_operators_adjoint(p: Precision, fusing: usize, x: &[f32], y:
         ("hilbert", &hilbert, 96 * 1024),
         ("hilbert, multi-stage", &hilbert, 64 * fusing),
     ] {
-        let op = PrecisionOperator::ordered(&csr, (rays, voxels), p, fusing, 64, shared);
+        let serial = &Executor::Serial;
+        let op = PrecisionOperator::ordered(&csr, (rays, voxels), p, fusing, 64, shared, serial);
         if shared < 1024 {
             let (fwd, bwd) = op.stage_counts();
             assert!(fwd > csr.num_rows().div_ceil(64) && bwd > csr.num_cols().div_ceil(64));

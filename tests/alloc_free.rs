@@ -31,6 +31,7 @@ use count_alloc::{allocations, CountingAllocator};
 use xct_comm::{run_ranks, CompiledPlans, ExchangeScratch, Footprints, Ownership, Topology};
 use xct_core::distributed::{reconstruct_distributed, DistributedConfig, DistributedSetup};
 use xct_core::{ReconOptions, Reconstructor};
+use xct_exec::Executor;
 use xct_fp16::{Precision, F16};
 use xct_geometry::{ImageGrid, ScanGeometry, SystemMatrix};
 use xct_io::{FileKind, SliceFile, SliceWriter};
@@ -170,6 +171,7 @@ fn repeated_one_rank_run_allocates_only_its_result() {
             topology: Topology::new(1, 1, 1),
             ..Default::default()
         },
+        Executor::Serial,
     );
     let opts = ReconOptions {
         fusing,
