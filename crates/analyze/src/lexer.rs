@@ -6,13 +6,13 @@
 //! for the keyword. The lexer therefore classifies exactly what the
 //! lint rules consume: identifiers, punctuation, comments (text
 //! retained — `SAFETY:` justifications and `xct-allow`/`xct-hot`
-//! markers live there), and opaque literals. Everything carries its
-//! 1-based source line so violations are clickable.
+//! markers live there), and literals (source text retained, so a rule
+//! can match a tag like `0x1400` or a name like `"scatter-global"`).
+//! Everything carries its 1-based source line so violations are
+//! clickable.
 //!
 //! Deliberate simplifications, safe for linting purposes:
 //!
-//! * numeric literals come out as `Other` tokens (their text is never
-//!   inspected);
 //! * the `'a` lifetime vs `'a'` char-literal ambiguity is resolved by
 //!   one character of lookahead past the quoted item, which is exactly
 //!   the rule rustc uses for this prefix;
@@ -38,10 +38,10 @@ pub enum TokKind {
     LineComment(String),
     /// `/* … */` comment (nested), text including delimiters.
     BlockComment(String),
-    /// String, raw-string, byte-string, or char literal (contents
-    /// opaque to the linter).
-    Literal,
-    /// Anything else (numbers, lifetimes, shebang residue).
+    /// String, raw-string, byte-string, char or numeric literal, with
+    /// its source text (quotes, prefixes and suffixes included).
+    Literal(String),
+    /// Anything else (lifetimes).
     Other,
 }
 
@@ -108,24 +108,31 @@ impl Lexer {
         self.toks.push(Tok { kind, line });
     }
 
+    /// Pushes the literal spanning `start..` the cursor.
+    fn literal(&mut self, start: usize, line: usize) {
+        let text = self.chars[start..self.pos].iter().collect();
+        self.push(TokKind::Literal(text), line);
+    }
+
     fn run(mut self) -> Vec<Tok> {
         while let Some(c) = self.peek(0) {
             let line = self.line;
+            let start = self.pos;
             match c {
                 c if c.is_whitespace() => {
                     self.bump();
                 }
                 '/' if self.peek(1) == Some('/') => self.line_comment(line),
                 '/' if self.peek(1) == Some('*') => self.block_comment(line),
-                '"' => self.string_literal(line),
+                '"' => self.string_literal(start, line),
                 'b' if self.peek(1) == Some('"') => {
                     self.bump();
-                    self.string_literal(line);
+                    self.string_literal(start, line);
                 }
-                'r' | 'b' if self.raw_string_ahead() => self.raw_string(line),
-                '\'' => self.quote(line),
+                'r' | 'b' if self.raw_string_ahead() => self.raw_string(start, line),
+                '\'' => self.quote(start, line),
                 c if c == '_' || c.is_alphabetic() => self.ident(line),
-                c if c.is_ascii_digit() => self.number(line),
+                c if c.is_ascii_digit() => self.number(start, line),
                 c => {
                     self.bump();
                     self.push(TokKind::Punct(c), line);
@@ -172,7 +179,7 @@ impl Lexer {
         self.push(TokKind::BlockComment(text), line);
     }
 
-    fn string_literal(&mut self, line: usize) {
+    fn string_literal(&mut self, start: usize, line: usize) {
         self.bump(); // opening quote
         while let Some(c) = self.bump() {
             match c {
@@ -183,7 +190,7 @@ impl Lexer {
                 _ => {}
             }
         }
-        self.push(TokKind::Literal, line);
+        self.literal(start, line);
     }
 
     /// True when the cursor sits on `r`/`br` followed by `#…"` or `"`.
@@ -204,7 +211,7 @@ impl Lexer {
         }
     }
 
-    fn raw_string(&mut self, line: usize) {
+    fn raw_string(&mut self, start: usize, line: usize) {
         if self.peek(0) == Some('b') {
             self.bump();
         }
@@ -228,12 +235,12 @@ impl Lexer {
                 break;
             }
         }
-        self.push(TokKind::Literal, line);
+        self.literal(start, line);
     }
 
     /// `'` starts either a char literal or a lifetime. A lifetime is a
     /// quote followed by an identifier *not* closed by another quote.
-    fn quote(&mut self, line: usize) {
+    fn quote(&mut self, start: usize, line: usize) {
         self.bump(); // the quote
         match self.peek(0) {
             Some('\\') => {
@@ -245,7 +252,7 @@ impl Lexer {
                         break;
                     }
                 }
-                self.push(TokKind::Literal, line);
+                self.literal(start, line);
             }
             Some(c) if c == '_' || c.is_alphanumeric() => {
                 // Could be 'a' (char) or 'a / 'static (lifetime): a char
@@ -253,7 +260,7 @@ impl Lexer {
                 if self.peek(1) == Some('\'') {
                     self.bump();
                     self.bump();
-                    self.push(TokKind::Literal, line);
+                    self.literal(start, line);
                 } else {
                     while let Some(c) = self.peek(0) {
                         if c == '_' || c.is_alphanumeric() {
@@ -271,7 +278,7 @@ impl Lexer {
                 if self.peek(0) == Some('\'') {
                     self.bump();
                 }
-                self.push(TokKind::Literal, line);
+                self.literal(start, line);
             }
             None => self.push(TokKind::Other, line),
         }
@@ -290,7 +297,7 @@ impl Lexer {
         self.push(TokKind::Ident(text), line);
     }
 
-    fn number(&mut self, line: usize) {
+    fn number(&mut self, start: usize, line: usize) {
         // Consume the maximal run of number-ish characters; suffixes
         // like `u32` and separators like `_` ride along. `1.0` stops at
         // the dot only for range patterns (`0..n`) — lookahead keeps a
@@ -307,7 +314,7 @@ impl Lexer {
                 break;
             }
         }
-        self.push(TokKind::Other, line);
+        self.literal(start, line);
     }
 }
 
@@ -374,9 +381,24 @@ mod tests {
     }
 
     #[test]
-    fn numbers_lex_as_other() {
-        let toks = lex("let x = 1.5e3_f64 + 0x1f; y()");
+    fn literals_keep_their_source_text() {
+        let toks = lex("let x = 1.5e3_f64 + 0x1f; y(\"scatter-node\", 'a')");
         assert!(toks.iter().any(|t| t.ident() == Some("y")));
         assert!(!toks.iter().any(|t| t.ident() == Some("e3_f64")));
+        let literals: Vec<&TokKind> = toks
+            .iter()
+            .filter(|t| matches!(t.kind, TokKind::Literal(_)))
+            .map(|t| &t.kind)
+            .collect();
+        let text = |s: &str| TokKind::Literal(s.to_owned());
+        assert_eq!(
+            literals,
+            [
+                &text("1.5e3_f64"),
+                &text("0x1f"),
+                &text("\"scatter-node\""),
+                &text("'a'")
+            ]
+        );
     }
 }

@@ -4,7 +4,10 @@
 //! the workspace and enforces the project rules DESIGN.md states in
 //! prose: the single `unsafe` boundary, `SAFETY:` justifications,
 //! panic-free library code, injectable clocks, allocation-free hot
-//! regions, and crate-root unsafe headers. Findings are structured
+//! regions, crate-root unsafe headers, and the "one of each" rules —
+//! one wire protocol, one exchange vocabulary and op-list builder, one
+//! storage codec, one fan-out, one solve dispatch, no retired name.
+//! Most are rows of one table, [`lint::ROWS`]. Findings are structured
 //! [`lint::LintViolation`] witnesses (file/line/rule/excerpt), never
 //! booleans — the same diagnostic contract as `xct-verify`.
 //!
@@ -19,5 +22,5 @@ pub mod lint;
 pub mod selftest;
 pub mod workspace;
 
-pub use lint::{LintViolation, Role, Rule, SANCTIONED_UNSAFE, SANCTIONED_WALL_CLOCK};
+pub use lint::{LintViolation, Role, Rule, SANCTIONED_UNSAFE};
 pub use workspace::{analyze_workspace, classify, WalkError};

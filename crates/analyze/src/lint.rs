@@ -5,13 +5,20 @@
 //! line, rule, source excerpt — in the same spirit as `xct-verify`'s
 //! `Violation`: the analyzer never answers with a bare boolean.
 //!
+//! Every rule that confines a construct is a row of one table,
+//! [`ROWS`]: token patterns, the files the row checks, the files where
+//! the patterns may appear, and whether test code counts. Comments
+//! never count. The rules that need more than a pattern keep their own
+//! code: `unsafe-boundary` with its `safety-comment`,
+//! `crate-root-header`, and `allow-justification` for the opt-outs.
+//!
 //! Opt-outs are explicit and audited: a `// xct-allow(rule-name):
 //! justification` comment on the offending line or the line directly
 //! above silences exactly that rule for exactly that line, and an
 //! allow with a missing/empty justification or an unknown rule name is
 //! itself a violation ([`Rule::AllowJustification`]).
 
-use crate::lexer::{lex, Tok};
+use crate::lexer::{lex, Tok, TokKind};
 use std::collections::HashSet;
 use std::fmt;
 
@@ -19,18 +26,12 @@ use std::fmt;
 /// `xct-allow(...)` opt-outs, CLI output, and DESIGN.md §3i.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rule {
+    /// A row of [`ROWS`].
+    Row(&'static Row),
     /// `unsafe` outside the sanctioned modules ([`SANCTIONED_UNSAFE`]).
     UnsafeBoundary,
     /// Sanctioned `unsafe` without a `SAFETY:` / `# Safety` comment.
     SafetyComment,
-    /// `unwrap`/`expect`/`panic!`-family in library code.
-    NoPanic,
-    /// `Instant::now` / `SystemTime` outside the telemetry Clock impl.
-    WallClock,
-    /// The machine's core count read outside the executor crate.
-    MachineWidth,
-    /// Allocating call inside an `// xct-hot` region.
-    HotAlloc,
     /// Crate root missing its `forbid(unsafe_code)` /
     /// `deny(unsafe_op_in_unsafe_fn)` header.
     CrateRootHeader,
@@ -42,31 +43,27 @@ impl Rule {
     /// Stable kebab-case rule name.
     pub fn name(self) -> &'static str {
         match self {
+            Rule::Row(row) => row.name,
             Rule::UnsafeBoundary => "unsafe-boundary",
             Rule::SafetyComment => "safety-comment",
-            Rule::NoPanic => "no-panic",
-            Rule::WallClock => "wall-clock",
-            Rule::MachineWidth => "machine-width",
-            Rule::HotAlloc => "hot-alloc",
             Rule::CrateRootHeader => "crate-root-header",
             Rule::AllowJustification => "allow-justification",
         }
     }
 
     /// Parses a kebab-case rule name (for `xct-allow(...)`).
+    /// `allow-justification` is not itself opt-out-able: an allow that
+    /// excuses broken allows would be unauditable.
     pub fn parse(name: &str) -> Option<Rule> {
-        match name {
-            "unsafe-boundary" => Some(Rule::UnsafeBoundary),
-            "safety-comment" => Some(Rule::SafetyComment),
-            "no-panic" => Some(Rule::NoPanic),
-            "wall-clock" => Some(Rule::WallClock),
-            "machine-width" => Some(Rule::MachineWidth),
-            "hot-alloc" => Some(Rule::HotAlloc),
-            "crate-root-header" => Some(Rule::CrateRootHeader),
-            // allow-justification is not itself opt-out-able: an allow
-            // that excuses broken allows would be unauditable.
-            _ => None,
-        }
+        let bespoke = [
+            Rule::UnsafeBoundary,
+            Rule::SafetyComment,
+            Rule::CrateRootHeader,
+        ];
+        ROWS.iter()
+            .map(Rule::Row)
+            .chain(bespoke)
+            .find(|r| r.name() == name)
     }
 }
 
@@ -75,6 +72,186 @@ impl fmt::Display for Rule {
         f.write_str(self.name())
     }
 }
+
+/// One confinement rule: code matching one of `patterns` may appear
+/// only in the files under `except`. The row checks the files under
+/// `within` (every file when empty), in the code its `scope` names.
+///
+/// A pattern is words separated by single spaces, each matching one
+/// token:
+/// * `…` — any run of tokens short of a `;`;
+/// * `{}` — a `{ … }` group built as a value, not matched as a pattern
+///   (not followed by `=`, `=>`, `|` or `if`, nor closing a
+///   `matches!(…)`);
+/// * a word of punctuation — that punctuation, one token per character
+///   (`::`, `=>`);
+/// * a word starting with a digit or `"` — a literal with that text;
+/// * any other word — an identifier with that text.
+///
+/// Text matches one of its `|`-separated alternatives, each exact or
+/// with a `*` standing for any prefix or suffix (`*` alone: any text).
+/// A pattern of one identifier word also fires on a literal holding it
+/// as a word, as a text search would.
+#[derive(PartialEq, Eq, Hash)]
+pub struct Row {
+    /// Stable kebab-case name.
+    pub name: &'static str,
+    /// Token patterns; any one fires the row.
+    pub patterns: &'static [&'static str],
+    /// Path prefixes the row checks; empty checks every file.
+    pub within: &'static [&'static str],
+    /// Path prefixes where the patterns may appear.
+    pub except: &'static [&'static str],
+    /// Which code counts.
+    pub scope: Scope,
+    /// What a finding means.
+    pub detail: &'static str,
+}
+
+impl fmt::Debug for Row {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name)
+    }
+}
+
+/// Which code a [`Row`] checks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Scope {
+    /// `Lib`-role files, outside `#[cfg(test)]` modules.
+    Library,
+    /// Every role but `Test`, outside `#[cfg(test)]` modules.
+    Shipped,
+    /// Every role, inside `// xct-hot` regions and outside
+    /// `#[cfg(test)]` modules.
+    Hot,
+    /// Every token, test code included.
+    All,
+}
+
+/// The one definition of the wire protocol and the exchange levels.
+const PROTOCOL: &str = "crates/comm/src/protocol.rs";
+
+/// The confinement rules (DESIGN.md §3i has one line per row, naming
+/// the decision it guards).
+#[rustfmt::skip]
+pub const ROWS: &[Row] = &[
+    Row {
+        name: "no-panic", scope: Scope::Library, within: &[], except: &[],
+        patterns: &[". unwrap|expect", "panic|unreachable|todo|unimplemented !"],
+        detail: "a panic in library code — return a typed error",
+    },
+    Row {
+        name: "wall-clock", scope: Scope::Library, within: &[],
+        except: &["crates/telemetry/src/clock.rs"],
+        patterns: &["Instant :: now", "SystemTime :: *"],
+        detail: "a wall clock read outside telemetry's Clock impl — take a `&dyn Clock`",
+    },
+    Row {
+        name: "machine-width", scope: Scope::Library, within: &[],
+        except: &["crates/exec/src/", "crates/analyze/src/lint.rs"],
+        patterns: &["Executor|ExecContext :: parallel", "available_parallelism"],
+        detail: "the machine's core count read below the process edge — take the caller's `Executor`",
+    },
+    Row {
+        name: "hot-alloc", scope: Scope::Hot, within: &[], except: &[],
+        patterns: &[
+            ". collect|to_vec|to_owned|to_string",
+            "format|vec !",
+            "Vec|VecDeque|String|Box|HashMap|HashSet|BTreeMap :: new|with_capacity|from",
+            "Vec|VecDeque|String|Box|HashMap|HashSet|BTreeMap :: < … > :: new|with_capacity|from",
+        ],
+        detail: "an allocation inside an `xct-hot` region — steady state allocates nothing",
+    },
+    Row {
+        name: "wire-protocol", scope: Scope::All, within: &["crates/", "src/"], except: &[PROTOCOL],
+        patterns: &[
+            "<< 44*",
+            "const|static *SHIFT* : u32 = 44",
+            "const|static * : … = … 0x7000|0x7100|0x9000",
+            "=> 0x7000|0x7100|0x9000",
+            "*tag : 0x7000|0x7100|0x9000",
+            "( 0x7000|0x7100|0x9000 , \"*",
+        ],
+        detail: "the slice-salt shift or a collective tag defined outside xct-comm's protocol module",
+    },
+    Row {
+        name: "exchange-vocabulary", scope: Scope::All, within: &["crates/", "src/", "tests/"],
+        except: &[PROTOCOL],
+        patterns: &[
+            "0x1100|0x1200|0x1300|0x1400|0x1500|0x1600|0x1700",
+            "\"scatter-global\"|\"scatter-node\"|\"scatter-socket\"",
+            "ExchangeLevel :: * => \"*",
+        ],
+        detail: "an exchange level's tag or name outside xct-comm's protocol module",
+    },
+    Row {
+        name: "bulk-conversion", scope: Scope::All, within: &["crates/comm/src/compiled.rs"],
+        except: &[],
+        patterns: &[
+            "S :: from_f64*|from_f32*|read_from*",
+            "*Held :: from_f64*",
+            ". write_to (",
+            "*accumulate_payload*|*assign_payload*",
+        ],
+        detail: "the exchange converts value by value — move whole runs through `StorageScalar`",
+    },
+    Row {
+        name: "storage-codec", scope: Scope::All, within: &["crates/comm/src/"], except: &[],
+        patterns: &["*to_bits ( ) . to_le_bytes*", "*from_bits ( u16 :: from_le_bytes*"],
+        detail: "the F16 byte layout spelled out in the exchange — `StorageScalar` is the one codec",
+    },
+    Row {
+        name: "one-fan-out", scope: Scope::All, within: &["crates/", "src/"],
+        except: &[
+            "crates/exec/src/executor.rs",
+            "crates/comm/src/runtime.rs",
+            "crates/io/src/stream.rs",
+            "src/cli.rs",
+        ],
+        patterns: &["*thread :: scope*|spawn*|Builder*"],
+        detail: "a thread started outside the executor, the rank runtime, the slab prefetcher and the CLI",
+    },
+    Row {
+        name: "solve-dispatch", scope: Scope::Shipped, within: &["crates/core/src/", "src/"],
+        except: &["crates/core/src/distributed.rs"],
+        patterns: &["*cgls_in|*sirt_in ("],
+        detail: "a solver called outside `DistributedSetup::run`",
+    },
+    Row {
+        name: "exchange-program", scope: Scope::Shipped, within: &["crates/", "src/"],
+        except: &[PROTOCOL, "crates/verify/src/corpus.rs"],
+        patterns: &["Post|Drain {}"],
+        detail: "an exchange op built outside `protocol::apply` / `protocol::solve`",
+    },
+    Row {
+        name: "retired-name", scope: Scope::All, within: &[],
+        except: &["crates/analyze/src/lint.rs"],
+        patterns: &[
+            // A second plan flavour or a positional level namer.
+            "compile_direct|verify_all_direct|reduce_level_name|scatter_names",
+            // The per-apply maxima collective.
+            "*FORWARD_MAXIMA*|*TRANSPOSE_MAXIMUM*",
+            "fn normalization",
+            // A second routing prover.
+            "verify_direct|verify_reduce_step|UnheldRow|Misrouted|from_sends",
+            // A split exchange executor or a non-sum collective.
+            "reduce_local|global_begin|global_finish|scatter_begin|scatter_finish|scatter_local",
+            "NotPosted|GlobalInFlight|ScatterInFlight|ReduceOp|allreduce_max",
+            // A scatter derived apart from its forward level.
+            "compile_scatter_global|compile_scatter_level|compile_global|restrict_idx",
+            "scatter_global_level|scatter_local_levels|CommLevel",
+            // A second storage codec.
+            "HeldScalar|AdaptiveNormalizer|Normalized|held_halves|decode_scalars",
+            "trait Wire",
+            // A second solve path.
+            "*tv_reconstruct_in*|*TvConfig*|*reconstruct_volume_in*",
+            "*Algorithm :: Tv*",
+            // The schedule iterator `protocol::apply` replaced.
+            "exchange_schedule",
+        ],
+        detail: "a retired name is back",
+    },
+];
 
 /// One lint finding, with enough witness data to act on it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -102,31 +279,16 @@ impl fmt::Display for LintViolation {
     }
 }
 
-/// How a file participates in the build — determines which rules apply.
+/// How a file participates in the build — decides which rows check it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Role {
-    /// Library code: all rules apply.
+    /// Library code: a crate's `src/`, outside `src/bin/` and `main.rs`.
     Lib,
-    /// Integration tests (`tests/`): panics and wall clocks allowed.
+    /// Integration tests (`tests/`).
     Test,
-    /// Benchmarks (`benches/`): panics and wall clocks allowed.
-    Bench,
-    /// Examples: panics and wall clocks allowed.
-    Example,
-    /// Binaries (`src/bin/`, `src/main.rs`): panics/clocks allowed.
-    Bin,
-    /// Offline dependency shims (`shims/`): panics/clocks allowed —
-    /// they mirror external crates' APIs, not project conventions.
-    Shim,
-    /// `build.rs`: panics and wall clocks allowed.
-    BuildScript,
-}
-
-impl Role {
-    /// Do the `no-panic` / `wall-clock` rules apply to this role?
-    pub fn holds_library_invariants(self) -> bool {
-        matches!(self, Role::Lib)
-    }
+    /// Binaries, examples, benchmarks, build scripts and the offline
+    /// dependency shims (which mirror external crates' APIs).
+    Other,
 }
 
 /// The only modules allowed to contain `unsafe`, workspace-relative.
@@ -152,39 +314,6 @@ pub const SANCTIONED_UNSAFE: &[&str] = &[
     "shims/count-alloc/src/lib.rs",
 ];
 
-/// The only module allowed to read wall clocks: the injectable Clock's
-/// production impl (everything else takes a `&dyn Clock`).
-pub const SANCTIONED_WALL_CLOCK: &[&str] = &["crates/telemetry/src/clock.rs"];
-
-/// The only source tree allowed to read the machine's core count: the
-/// executor crate, whose `Executor::parallel` the process edge calls.
-/// Everything below it takes the `Executor` its caller picked.
-pub const SANCTIONED_MACHINE_WIDTH: &str = "crates/exec/src/";
-
-/// Idents that allocate when called as `recv.method(...)` in hot code.
-const HOT_ALLOC_METHODS: &[&str] = &["collect", "to_vec", "to_owned", "to_string"];
-
-/// Macros that allocate (`name!(...)`) in hot code.
-const HOT_ALLOC_MACROS: &[&str] = &["format", "vec"];
-
-/// `Type::ctor` pairs that allocate in hot code. (`Vec::new` itself is
-/// a zero-alloc constructor, but it exists to be grown — a fresh
-/// container in a hot region is a design smell the rule rejects.)
-const HOT_ALLOC_CTORS: &[(&str, &str)] = &[
-    ("Vec", "new"),
-    ("Vec", "with_capacity"),
-    ("Box", "new"),
-    ("String", "new"),
-    ("String", "from"),
-    ("String", "with_capacity"),
-    ("HashMap", "new"),
-    ("HashMap", "with_capacity"),
-    ("BTreeMap", "new"),
-    ("HashSet", "new"),
-    ("VecDeque", "new"),
-    ("VecDeque", "with_capacity"),
-];
-
 /// Is `rel_path` a crate root that must carry the unsafe headers?
 pub fn is_crate_root(rel_path: &str) -> bool {
     rel_path == "src/lib.rs"
@@ -194,158 +323,210 @@ pub fn is_crate_root(rel_path: &str) -> bool {
 
 /// Lints one file. Findings are appended to `out`.
 pub fn check_file(rel_path: &str, source: &str, role: Role, out: &mut Vec<LintViolation>) {
-    let toks = lex(source);
+    // Comments match no rule: they leave the token stream here, each
+    // with the position it held, for the markers that open regions.
+    let mut code = Vec::new();
+    let mut comments = Vec::new();
+    for tok in lex(source) {
+        match tok.comment() {
+            Some(_) => comments.push((code.len(), tok)),
+            None => code.push(tok),
+        }
+    }
     let lines: Vec<&str> = source.lines().collect();
+    let hot_markers = comments.iter().filter(|(_, t)| {
+        t.comment()
+            .is_some_and(|c| marker_text(c).starts_with("xct-hot"))
+    });
     let ctx = FileCtx {
         rel_path,
         lines: &lines,
-        allows: collect_allows(rel_path, &toks, &lines, out),
-        test_region: attr_regions(&toks, is_cfg_test_attr),
-        hot_region: comment_regions(&toks, "xct-hot"),
-        impl_justified: justified_unsafe_impl_regions(&toks, &lines),
+        allows: collect_allows(rel_path, &comments, &lines, out),
+        test_region: attr_regions(&code, is_cfg_test_attr),
+        hot_region: TokenRegions(
+            hot_markers
+                .filter_map(|&(at, _)| block_after(&code, at))
+                .collect(),
+        ),
+        impl_justified: justified_unsafe_impl_regions(&code, &lines),
     };
 
     if is_crate_root(rel_path) {
-        check_crate_root_header(&toks, &ctx, out);
+        check_crate_root_header(&code, &ctx, out);
+    }
+    for row in ROWS {
+        check_row(row, &code, role, &ctx, out);
     }
 
     let unsafe_sanctioned = SANCTIONED_UNSAFE.contains(&rel_path);
-    let clock_sanctioned = SANCTIONED_WALL_CLOCK.contains(&rel_path);
-    let width_sanctioned = rel_path.starts_with(SANCTIONED_MACHINE_WIDTH);
-
-    for (i, tok) in toks.iter().enumerate() {
-        let Some(id) = tok.ident() else { continue };
-        match id {
-            "unsafe" => {
-                if !unsafe_sanctioned {
-                    ctx.emit(
-                        out,
-                        tok.line,
-                        Rule::UnsafeBoundary,
-                        format!(
-                            "`unsafe` outside the sanctioned modules ({})",
-                            SANCTIONED_UNSAFE.join(", ")
-                        ),
-                    );
-                } else if !ctx.impl_justified.contains(i) && !safety_comment_above(&lines, tok.line)
-                {
-                    ctx.emit(
-                        out,
-                        tok.line,
-                        Rule::SafetyComment,
-                        "sanctioned `unsafe` without a `SAFETY:` justification".into(),
-                    );
-                }
-            }
-            "unwrap" | "expect"
-                if ctx.lints_library_rules(role, i)
-                    && prev_meaningful(&toks, i).is_some_and(|t| t.is_punct('.')) =>
-            {
-                ctx.emit(
-                    out,
-                    tok.line,
-                    Rule::NoPanic,
-                    format!("`.{id}()` in library code — return a typed error"),
-                );
-            }
-            "panic" | "unreachable" | "todo" | "unimplemented"
-                if ctx.lints_library_rules(role, i)
-                    && next_meaningful(&toks, i).is_some_and(|t| t.is_punct('!')) =>
-            {
-                ctx.emit(
-                    out,
-                    tok.line,
-                    Rule::NoPanic,
-                    format!("`{id}!` in library code — return a typed error"),
-                );
-            }
-            "Instant"
-                if ctx.lints_library_rules(role, i)
-                    && !clock_sanctioned
-                    && path_seg_after(&toks, i) == Some("now") =>
-            {
-                ctx.emit(
-                    out,
-                    tok.line,
-                    Rule::WallClock,
-                    "`Instant::now()` outside telemetry's Clock impl — take a `&dyn Clock`".into(),
-                );
-            }
-            // Only path uses (`SystemTime::now`, `::UNIX_EPOCH`, …) are
-            // clock reads; type positions just carry a value.
-            "SystemTime"
-                if ctx.lints_library_rules(role, i)
-                    && !clock_sanctioned
-                    && path_seg_after(&toks, i).is_some() =>
-            {
-                ctx.emit(
-                    out,
-                    tok.line,
-                    Rule::WallClock,
-                    "`SystemTime` outside telemetry's Clock impl — take a `&dyn Clock`".into(),
-                );
-            }
-            "Executor" | "ExecContext" | "available_parallelism"
-                if ctx.lints_library_rules(role, i)
-                    && !width_sanctioned
-                    && (id == "available_parallelism"
-                        || path_seg_after(&toks, i) == Some("parallel")) =>
-            {
-                ctx.emit(
-                    out,
-                    tok.line,
-                    Rule::MachineWidth,
-                    "the machine's core count read below the process edge — take the caller's `Executor`"
-                        .into(),
-                );
-            }
-            _ => {}
+    for (i, tok) in code.iter().enumerate() {
+        if tok.ident() != Some("unsafe") {
+            continue;
         }
-
-        // hot-alloc applies in hot regions regardless of role (hot
-        // markers only appear in lib code today, but a hot bench inner
-        // loop would deserve the same scrutiny).
-        if ctx.hot_region.contains(i) && !ctx.test_region.contains(i) {
-            check_hot_alloc(&toks, i, id, &ctx, out);
+        if !unsafe_sanctioned {
+            ctx.emit(
+                out,
+                tok.line,
+                Rule::UnsafeBoundary,
+                format!(
+                    "`unsafe` outside the sanctioned modules ({})",
+                    SANCTIONED_UNSAFE.join(", ")
+                ),
+            );
+        } else if !ctx.impl_justified.contains(i) && !safety_comment_above(&lines, tok.line) {
+            ctx.emit(
+                out,
+                tok.line,
+                Rule::SafetyComment,
+                "sanctioned `unsafe` without a `SAFETY:` justification".into(),
+            );
         }
     }
 }
 
-fn check_hot_alloc(
-    toks: &[Tok],
-    i: usize,
-    id: &str,
+/// Emits `row` once on every line where one of its patterns matches,
+/// if the row checks this file in this role.
+fn check_row(
+    row: &'static Row,
+    code: &[Tok],
+    role: Role,
     ctx: &FileCtx<'_>,
     out: &mut Vec<LintViolation>,
 ) {
-    let line = toks[i].line;
-    if HOT_ALLOC_METHODS.contains(&id) && prev_meaningful(toks, i).is_some_and(|t| t.is_punct('.'))
-    {
-        ctx.emit(
-            out,
-            line,
-            Rule::HotAlloc,
-            format!("allocating call `.{id}()` inside an `xct-hot` region"),
-        );
-    } else if HOT_ALLOC_MACROS.contains(&id)
-        && next_meaningful(toks, i).is_some_and(|t| t.is_punct('!'))
-    {
-        ctx.emit(
-            out,
-            line,
-            Rule::HotAlloc,
-            format!("allocating macro `{id}!` inside an `xct-hot` region"),
-        );
-    } else if let Some(ctor) = path_seg_after(toks, i) {
-        if HOT_ALLOC_CTORS.iter().any(|&(ty, c)| ty == id && c == ctor) {
-            ctx.emit(
-                out,
-                line,
-                Rule::HotAlloc,
-                format!("allocating constructor `{id}::{ctor}` inside an `xct-hot` region"),
-            );
+    let under = |prefixes: &[&str]| prefixes.iter().any(|p| ctx.rel_path.starts_with(p));
+    let role_counts = match row.scope {
+        Scope::Library => role == Role::Lib,
+        Scope::Shipped => role != Role::Test,
+        Scope::Hot | Scope::All => true,
+    };
+    if !role_counts || under(row.except) || !(row.within.is_empty() || under(row.within)) {
+        return;
+    }
+    let counts = |i| match row.scope {
+        Scope::All => true,
+        Scope::Hot => ctx.hot_region.contains(i) && !ctx.test_region.contains(i),
+        Scope::Library | Scope::Shipped => !ctx.test_region.contains(i),
+    };
+    let patterns: Vec<Vec<&str>> = row.patterns.iter().map(|p| words(p)).collect();
+    let mut flagged_line = 0;
+    for (i, tok) in code.iter().enumerate() {
+        if tok.line == flagged_line || !counts(i) {
+            continue;
+        }
+        let hit = patterns
+            .iter()
+            .any(|words| match (words.as_slice(), &tok.kind) {
+                ([word], TokKind::Literal(text)) if is_ident_word(word) => text
+                    .split(|c: char| c != '_' && !c.is_alphanumeric())
+                    .any(|w| glob(word, w)),
+                _ => matches_at(code, i, words),
+            });
+        if hit {
+            flagged_line = tok.line;
+            ctx.emit(out, tok.line, Rule::Row(row), row.detail.into());
         }
     }
+}
+
+/// A pattern's words, each punctuation word split into its characters.
+fn words(pattern: &str) -> Vec<&str> {
+    let mut out = Vec::new();
+    for word in pattern.split(' ') {
+        if matches!(word, "…" | "{}")
+            || word.starts_with(|c: char| c == '_' || c == '*' || c == '"' || c.is_alphanumeric())
+        {
+            out.push(word);
+        } else {
+            out.extend((0..word.len()).map(|k| &word[k..k + 1]));
+        }
+    }
+    out
+}
+
+fn is_ident_word(word: &str) -> bool {
+    word.starts_with(|c: char| c == '_' || c == '*' || c.is_alphabetic())
+}
+
+/// Do `words` match the tokens from `code[i]` on?
+fn matches_at(code: &[Tok], i: usize, words: &[&str]) -> bool {
+    let Some((&word, rest)) = words.split_first() else {
+        return true;
+    };
+    let Some(tok) = code.get(i) else {
+        return false;
+    };
+    match (word, &tok.kind) {
+        ("…", _) => {
+            let stop = code[i..].iter().position(|t| t.is_punct(';'));
+            (i..=stop.map_or(code.len(), |k| i + k)).any(|j| matches_at(code, j, rest))
+        }
+        ("{}", TokKind::Punct('{')) => match block_after(code, i) {
+            Some((_, end)) if !is_pattern(code, end) => matches_at(code, end, rest),
+            _ => false,
+        },
+        (_, TokKind::Ident(text)) if is_ident_word(word) => {
+            glob(word, text) && matches_at(code, i + 1, rest)
+        }
+        (_, TokKind::Literal(text)) if !is_ident_word(word) => {
+            glob(word, text) && matches_at(code, i + 1, rest)
+        }
+        (_, TokKind::Punct(c)) if !is_ident_word(word) && word.starts_with(*c) => {
+            matches_at(code, i + 1, rest)
+        }
+        _ => false,
+    }
+}
+
+/// Does `text` match one of the `|`-separated alternatives of `pattern`?
+fn glob(pattern: &str, text: &str) -> bool {
+    pattern.split('|').any(|alt| {
+        let (head, core) = alt.strip_prefix('*').map_or((false, alt), |c| (true, c));
+        let (tail, core) = core.strip_suffix('*').map_or((false, core), |c| (true, c));
+        match (head, tail) {
+            (true, true) => text.contains(core),
+            (true, false) => text.ends_with(core),
+            (false, true) => text.starts_with(core),
+            (false, false) => text == core,
+        }
+    })
+}
+
+/// Is the `{ … }` group that closed before `code[end]` matched as a
+/// pattern — an arm, a `let`, an alternative, a guard or a
+/// `matches!(…)` — rather than built? Closing brackets of the patterns
+/// around it are skipped.
+fn is_pattern(code: &[Tok], mut end: usize) -> bool {
+    while let Some(t) = code.get(end).filter(|t| t.is_punct(')') || t.is_punct(']')) {
+        if t.is_punct(')') && opens_matches(code, end) {
+            return true;
+        }
+        end += 1;
+    }
+    let next = |k: usize| code.get(end + k);
+    match next(0) {
+        Some(t) if t.is_punct('=') => !next(1).is_some_and(|n| n.is_punct('=')),
+        Some(t) if t.is_punct('|') => !next(1).is_some_and(|n| n.is_punct('|')),
+        Some(t) => t.ident() == Some("if"),
+        None => false,
+    }
+}
+
+/// Is the `(` that `code[close]` closes the one of a `matches!(`?
+fn opens_matches(code: &[Tok], close: usize) -> bool {
+    let mut depth = 0usize;
+    for j in (0..close).rev() {
+        if code[j].is_punct(')') {
+            depth += 1;
+        } else if code[j].is_punct('(') {
+            if depth == 0 {
+                return j >= 2
+                    && code[j - 1].is_punct('!')
+                    && code[j - 2].ident() == Some("matches");
+            }
+            depth -= 1;
+        }
+    }
+    false
 }
 
 /// Per-file context shared by the rule checks.
@@ -360,11 +541,6 @@ struct FileCtx<'a> {
 }
 
 impl FileCtx<'_> {
-    /// Do the library-only rules apply at token `i`?
-    fn lints_library_rules(&self, role: Role, i: usize) -> bool {
-        role.holds_library_invariants() && !self.test_region.contains(i)
-    }
-
     /// Records a violation unless an allow comment on the same line or
     /// the line above excuses it.
     fn emit(&self, out: &mut Vec<LintViolation>, line: usize, rule: Rule, detail: String) {
@@ -413,42 +589,6 @@ fn block_after(toks: &[Tok], from: usize) -> Option<(usize, usize)> {
         }
     }
     Some((open, toks.len()))
-}
-
-fn prev_meaningful(toks: &[Tok], i: usize) -> Option<&Tok> {
-    toks[..i].iter().rev().find(|t| t.comment().is_none())
-}
-
-fn next_meaningful(toks: &[Tok], i: usize) -> Option<&Tok> {
-    toks[i + 1..].iter().find(|t| t.comment().is_none())
-}
-
-/// If token `i` is followed by `::seg` (possibly through a turbofish,
-/// as in `Vec::<u8>::new`), returns `seg`.
-fn path_seg_after(toks: &[Tok], i: usize) -> Option<&str> {
-    let mut rest = toks[i + 1..].iter().filter(|t| t.comment().is_none());
-    if !rest.next()?.is_punct(':') || !rest.next()?.is_punct(':') {
-        return None;
-    }
-    let mut t = rest.next()?;
-    if t.is_punct('<') {
-        let mut depth = 1usize;
-        for t2 in rest.by_ref() {
-            if t2.is_punct('<') {
-                depth += 1;
-            } else if t2.is_punct('>') {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-        }
-        if !rest.next()?.is_punct(':') || !rest.next()?.is_punct(':') {
-            return None;
-        }
-        t = rest.next()?;
-    }
-    t.ident()
 }
 
 /// Is the attribute token run (between `[` and `]`) a `cfg(test)`-like
@@ -502,32 +642,17 @@ fn marker_text(comment: &str) -> &str {
     comment.trim_start_matches(['/', '*', '!', ' ', '\t'])
 }
 
-/// Regions `{ … }` introduced by a comment starting with `marker`.
-fn comment_regions(toks: &[Tok], marker: &str) -> TokenRegions {
-    let mut regions = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        if t.comment()
-            .is_some_and(|c| marker_text(c).starts_with(marker))
-        {
-            if let Some(r) = block_after(toks, i + 1) {
-                regions.push(r);
-            }
-        }
-    }
-    TokenRegions(regions)
-}
-
 /// Token ranges of `unsafe impl … { … }` blocks whose `unsafe` carries
 /// a SAFETY justification: `unsafe fn` signatures *inside* such an impl
 /// (e.g. `GlobalAlloc::alloc`) inherit the impl-level justification.
-fn justified_unsafe_impl_regions(toks: &[Tok], lines: &[&str]) -> TokenRegions {
+fn justified_unsafe_impl_regions(code: &[Tok], lines: &[&str]) -> TokenRegions {
     let mut regions = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
+    for (i, t) in code.iter().enumerate() {
         if t.ident() == Some("unsafe")
-            && next_meaningful(toks, i).and_then(Tok::ident) == Some("impl")
+            && code.get(i + 1).and_then(Tok::ident) == Some("impl")
             && safety_comment_above(lines, t.line)
         {
-            if let Some(r) = block_after(toks, i) {
+            if let Some(r) = block_after(code, i) {
                 regions.push(r);
             }
         }
@@ -561,12 +686,12 @@ fn safety_comment_above(lines: &[&str], line: usize) -> bool {
 /// set keyed by `(line, rule)`, malformed ones are violations.
 fn collect_allows(
     rel_path: &str,
-    toks: &[Tok],
+    comments: &[(usize, Tok)],
     lines: &[&str],
     out: &mut Vec<LintViolation>,
 ) -> HashSet<(usize, Rule)> {
     let mut allows = HashSet::new();
-    for t in toks {
+    for (_, t) in comments {
         let Some(text) = t.comment().map(marker_text) else {
             continue;
         };
@@ -633,18 +758,18 @@ fn push_allow_violation(
 /// arch whose intrinsics need it) in their inner attributes. A forbid
 /// that hangs on a cargo feature is rejected: a build option must not
 /// decide whether unsafe code is allowed.
-fn check_crate_root_header(toks: &[Tok], ctx: &FileCtx<'_>, out: &mut Vec<LintViolation>) {
-    let idents: Vec<&str> = toks.iter().filter_map(Tok::ident).collect();
+fn check_crate_root_header(code: &[Tok], ctx: &FileCtx<'_>, out: &mut Vec<LintViolation>) {
+    let idents: Vec<&str> = code.iter().filter_map(Tok::ident).collect();
     let has = |a: &str, b: &str| idents.contains(&a) && idents.contains(&b);
     let forbids = has("forbid", "unsafe_code");
     let denies = has("deny", "unsafe_op_in_unsafe_fn");
     // The idents between the forbid and the `#` opening its attribute
     // are its `cfg_attr` predicate, if it has one.
-    let feature_gated = toks
+    let feature_gated = code
         .iter()
         .position(|t| t.ident() == Some("forbid"))
         .and_then(|at| {
-            toks[..at]
+            code[..at]
                 .iter()
                 .rev()
                 .take_while(|t| !t.is_punct('#'))
@@ -681,8 +806,8 @@ mod tests {
         out
     }
 
-    fn rules(v: &[LintViolation]) -> Vec<Rule> {
-        v.iter().map(|x| x.rule).collect()
+    fn rules(v: &[LintViolation]) -> Vec<&'static str> {
+        v.iter().map(|x| x.rule.name()).collect()
     }
 
     #[test]
@@ -692,7 +817,7 @@ mod tests {
             "pub fn f() {\n    unsafe { g() }\n}\n",
             Role::Lib,
         );
-        assert_eq!(rules(&v), vec![Rule::UnsafeBoundary]);
+        assert_eq!(rules(&v), vec!["unsafe-boundary"]);
         assert_eq!(v[0].line, 2);
         assert_eq!(v[0].excerpt, "unsafe { g() }");
     }
@@ -704,14 +829,14 @@ mod tests {
             "#[test]\nfn t() { unsafe { g() } }\n",
             Role::Test,
         );
-        assert_eq!(rules(&v), vec![Rule::UnsafeBoundary]);
+        assert_eq!(rules(&v), vec!["unsafe-boundary"]);
     }
 
     #[test]
     fn sanctioned_unsafe_needs_safety_comment() {
         let path = "crates/spmm/src/simd.rs";
         let bad = lint(path, "pub fn f() { unsafe { g() } }\n", Role::Lib);
-        assert_eq!(rules(&bad), vec![Rule::SafetyComment]);
+        assert_eq!(rules(&bad), vec!["safety-comment"]);
         let good = lint(
             path,
             "pub fn f() {\n    // SAFETY: g upholds its contract here\n    unsafe { g() }\n}\n",
@@ -730,7 +855,7 @@ mod tests {
     #[test]
     fn unsafe_fns_inside_justified_unsafe_impl_inherit() {
         let src = "#![deny(unsafe_op_in_unsafe_fn)]\n// SAFETY: counting wrapper delegates to System.\nunsafe impl GlobalAlloc for A {\n    unsafe fn alloc(&self, l: Layout) -> *mut u8 { todo() }\n}\n";
-        let v = lint("shims/count-alloc/src/lib.rs", src, Role::Shim);
+        let v = lint("shims/count-alloc/src/lib.rs", src, Role::Other);
         assert!(v.is_empty(), "{v:?}");
     }
 
@@ -739,10 +864,10 @@ mod tests {
         let src = "pub fn f(x: Option<u8>) -> u8 { x.unwrap() }\n";
         assert_eq!(
             rules(&lint("crates/foo/src/l.rs", src, Role::Lib)),
-            vec![Rule::NoPanic]
+            vec!["no-panic"]
         );
-        assert!(lint("crates/foo/src/bin/b.rs", src, Role::Bin).is_empty());
-        assert!(lint("shims/p/src/util.rs", src, Role::Shim).is_empty());
+        assert!(lint("crates/foo/src/bin/b.rs", src, Role::Other).is_empty());
+        assert!(lint("shims/p/src/util.rs", src, Role::Other).is_empty());
     }
 
     #[test]
@@ -756,14 +881,14 @@ mod tests {
     fn cfg_not_test_region_stays_linted() {
         let src = "#[cfg(not(test))]\nmod real {\n    pub fn f() { panic!(\"x\") }\n}\n";
         let v = lint("crates/foo/src/l.rs", src, Role::Lib);
-        assert_eq!(rules(&v), vec![Rule::NoPanic]);
+        assert_eq!(rules(&v), vec!["no-panic"]);
     }
 
     #[test]
     fn panic_family_macros_are_flagged_only_with_bang() {
         let src = "#[should_panic]\nfn a() {}\npub fn b() { unreachable!() }\n";
         let v = lint("crates/foo/src/l.rs", src, Role::Lib);
-        assert_eq!(rules(&v), vec![Rule::NoPanic]);
+        assert_eq!(rules(&v), vec!["no-panic"]);
         assert_eq!(v[0].line, 3);
     }
 
@@ -779,10 +904,10 @@ mod tests {
     fn allow_without_reason_or_unknown_rule_is_a_violation() {
         let empty = "// xct-allow(no-panic):\npub fn f(x: Option<u8>) -> u8 { x.unwrap() }\n";
         let v = lint("crates/foo/src/l.rs", empty, Role::Lib);
-        assert_eq!(rules(&v), vec![Rule::AllowJustification, Rule::NoPanic]);
+        assert_eq!(rules(&v), vec!["allow-justification", "no-panic"]);
         let unknown = "// xct-allow(nonsense): because\npub fn f() {}\n";
         let v = lint("crates/foo/src/l.rs", unknown, Role::Lib);
-        assert_eq!(rules(&v), vec![Rule::AllowJustification]);
+        assert_eq!(rules(&v), vec!["allow-justification"]);
     }
 
     #[test]
@@ -790,7 +915,7 @@ mod tests {
         let src = "pub fn f() -> Instant { Instant::now() }\n";
         assert_eq!(
             rules(&lint("crates/foo/src/l.rs", src, Role::Lib)),
-            vec![Rule::WallClock]
+            vec!["wall-clock"]
         );
         assert!(lint("crates/telemetry/src/clock.rs", src, Role::Lib).is_empty());
         // The bare import/type position is fine; only ::now is a read.
@@ -799,7 +924,7 @@ mod tests {
         let sys = "pub fn f() -> SystemTime { SystemTime::now() }\n";
         assert_eq!(
             rules(&lint("crates/foo/src/l.rs", sys, Role::Lib)),
-            vec![Rule::WallClock]
+            vec!["wall-clock"]
         );
     }
 
@@ -807,14 +932,14 @@ mod tests {
     fn machine_width_reads_are_flagged_outside_the_executor_crate() {
         let src = "pub fn f() -> Executor { Executor::parallel() }\n";
         let lib = "crates/foo/src/l.rs";
-        assert_eq!(rules(&lint(lib, src, Role::Lib)), vec![Rule::MachineWidth]);
+        assert_eq!(rules(&lint(lib, src, Role::Lib)), vec!["machine-width"]);
         assert!(lint("crates/exec/src/executor.rs", src, Role::Lib).is_empty());
-        assert!(lint("crates/foo/src/bin/b.rs", src, Role::Bin).is_empty());
+        assert!(lint("crates/foo/src/bin/b.rs", src, Role::Other).is_empty());
         let ctx = "pub fn f() { g(&mut ExecContext::parallel()) }\n";
-        assert_eq!(rules(&lint(lib, ctx, Role::Lib)), vec![Rule::MachineWidth]);
+        assert_eq!(rules(&lint(lib, ctx, Role::Lib)), vec!["machine-width"]);
         let std =
             "pub fn f() -> usize { std::thread::available_parallelism().map_or(1, usize::from) }\n";
-        assert_eq!(rules(&lint(lib, std, Role::Lib)), vec![Rule::MachineWidth]);
+        assert_eq!(rules(&lint(lib, std, Role::Lib)), vec!["machine-width"]);
         // Taking the caller's executor, or naming another constructor, is
         // no read; neither is a test module.
         let handed = "pub fn f(e: &Executor) -> Executor { *e }\npub fn g() -> Executor { Executor::threads(2) }\n";
@@ -827,7 +952,7 @@ mod tests {
     fn hot_region_rejects_allocations_and_ends_at_brace() {
         let src = "pub fn f(xs: &[u32]) -> u32 {\n    // xct-hot\n    {\n        let v: Vec<u32> = xs.iter().copied().collect();\n        v[0]\n    }\n}\npub fn cold(xs: &[u32]) -> Vec<u32> { xs.to_vec() }\n";
         let v = lint("crates/foo/src/l.rs", src, Role::Lib);
-        assert_eq!(rules(&v), vec![Rule::HotAlloc]);
+        assert_eq!(rules(&v), vec!["hot-alloc"]);
         assert_eq!(v[0].line, 4);
     }
 
@@ -836,7 +961,7 @@ mod tests {
         let src = "// xct-hot\npub fn f() {\n    let a = vec![1];\n    let b = format!(\"x\");\n    let c = Vec::<u8>::new();\n    let d = Box::new(1);\n}\n";
         let v = lint("crates/foo/src/l.rs", src, Role::Lib);
         assert_eq!(v.len(), 4, "{v:?}");
-        assert!(v.iter().all(|x| x.rule == Rule::HotAlloc));
+        assert!(v.iter().all(|x| x.rule.name() == "hot-alloc"));
     }
 
     #[test]
@@ -849,7 +974,7 @@ mod tests {
     #[test]
     fn crate_root_header_rule() {
         let v = lint("crates/foo/src/lib.rs", "pub fn f() {}\n", Role::Lib);
-        assert_eq!(rules(&v), vec![Rule::CrateRootHeader]);
+        assert_eq!(rules(&v), vec!["crate-root-header"]);
         let ok = "#![forbid(unsafe_code)]\npub fn f() {}\n";
         assert!(lint("crates/foo/src/lib.rs", ok, Role::Lib).is_empty());
         let gated = "#![cfg_attr(not(target_arch = \"x86_64\"), forbid(unsafe_code))]\n#![deny(unsafe_op_in_unsafe_fn)]\npub fn f() {}\n";
@@ -857,7 +982,7 @@ mod tests {
         // A build option must not decide whether unsafe is allowed.
         let by_feature = gated.replace("target_arch = \"x86_64\"", "feature = \"simd\"");
         let v = lint("crates/spmm/src/lib.rs", &by_feature, Role::Lib);
-        assert_eq!(rules(&v), vec![Rule::CrateRootHeader]);
+        assert_eq!(rules(&v), vec!["crate-root-header"]);
         // Non-roots are not checked.
         assert!(lint("crates/foo/src/util.rs", "pub fn f() {}\n", Role::Lib).is_empty());
     }
@@ -875,5 +1000,103 @@ mod tests {
         let src = "/// Use an `// xct-hot` marker, or `// xct-allow(rule-name): reason`.\npub fn f() { let v = vec![1]; drop(v); }\n";
         let v = lint("crates/foo/src/l.rs", src, Role::Lib);
         assert!(v.is_empty(), "{v:?}");
+    }
+
+    #[test]
+    fn every_row_has_a_unique_name_and_its_own_allow() {
+        for (k, row) in ROWS.iter().enumerate() {
+            assert!(ROWS[..k].iter().all(|r| r.name != row.name), "{row:?}");
+            assert_eq!(Rule::parse(row.name), Some(Rule::Row(row)));
+        }
+        let src = "pub fn f(x: Option<u8>) -> u8 {\n    // xct-allow(wall-clock): wrong row\n    x.unwrap()\n}\n";
+        assert_eq!(
+            rules(&lint("crates/foo/src/l.rs", src, Role::Lib)),
+            vec!["no-panic"]
+        );
+    }
+
+    #[test]
+    fn patterns_match_punctuation_gaps_and_literal_text() {
+        let lib = "crates/foo/src/l.rs";
+        for hit in [
+            "pub fn f(x: u64) -> u64 { x << 44 }\n",
+            "pub const SALT_SHIFT: u32 = 44;\n",
+            "pub const T: (u16, u8) = (3, 0x7100 as u8);\n",
+            "pub fn f(c: u8) -> u16 { match c { 0 => 0x9000, _ => 1 } }\n",
+            "pub const ROW: (u32, &str) = (0x7000, \"inner\");\n",
+        ] {
+            assert_eq!(
+                rules(&lint(lib, hit, Role::Lib)),
+                vec!["wire-protocol"],
+                "{hit}"
+            );
+        }
+        // Uses are not definitions; comments and the owner never count.
+        for clean in [
+            "pub fn f() { claims(4, 0x7000) }\n",
+            "pub const SHIFT: u32 = 45;\n",
+            "// x << 44\npub fn f() {}\n",
+        ] {
+            assert!(lint(lib, clean, Role::Lib).is_empty(), "{clean}");
+        }
+        assert!(lint(PROTOCOL, "pub fn f(x: u64) -> u64 { x << 44 }\n", Role::Lib).is_empty());
+        let name = "pub fn f() -> &'static str { \"scatter-node\" }\n";
+        assert_eq!(
+            rules(&lint("tests/t.rs", name, Role::Test)),
+            vec!["exchange-vocabulary"]
+        );
+    }
+
+    #[test]
+    fn a_built_op_is_flagged_and_a_matched_one_is_not() {
+        let lib = "crates/foo/src/l.rs";
+        let built = "pub fn f(o: &mut Vec<Op>) { o.push(Op::Post { level, slice: None }); }\n";
+        assert_eq!(
+            rules(&lint(lib, built, Role::Lib)),
+            vec!["exchange-program"]
+        );
+        for folded in [
+            "pub fn f(op: Op) { match op { Op::Post { level, .. } | Op::Drain { level, .. } => g(level), _ => {} } }\n",
+            "pub fn f(op: Op) { if let Some(Op::Post { level, .. }) = op { g(level) } }\n",
+            "pub fn f(op: Op) -> bool { matches!(op, Op::Drain { slice: None, .. }) }\n",
+            "pub fn f(op: Op) { match op { Op::Drain { slice, .. } if slice.is_some() => {} _ => {} } }\n",
+        ] {
+            assert!(lint(lib, folded, Role::Lib).is_empty(), "{folded}");
+        }
+        // Integration tests and test modules may build ops.
+        assert!(lint("crates/foo/tests/t.rs", built, Role::Test).is_empty());
+    }
+
+    #[test]
+    fn a_single_name_pattern_also_fires_inside_a_literal() {
+        let lib = "crates/foo/src/l.rs";
+        let text = "pub fn f() -> usize { count(\"std::thread::available_parallelism\") }\n";
+        assert_eq!(rules(&lint(lib, text, Role::Lib)), vec!["machine-width"]);
+        let name = "pub fn f() -> &'static str { \"calls exchange_schedule here\" }\n";
+        assert_eq!(rules(&lint(lib, name, Role::Lib)), vec!["retired-name"]);
+    }
+
+    #[test]
+    fn rows_check_only_the_files_and_code_they_name() {
+        // `bulk-conversion` checks the executor alone; `solve-dispatch`
+        // exempts test modules but not binaries.
+        let per_value = "pub fn f<S: StorageScalar>(x: f64) -> S { S::from_f64(x) }\n";
+        let exec = "crates/comm/src/compiled.rs";
+        assert_eq!(
+            rules(&lint(exec, per_value, Role::Lib)),
+            vec!["bulk-conversion"]
+        );
+        assert!(lint("crates/comm/src/wire.rs", per_value, Role::Lib).is_empty());
+        let solve = "fn main() { cgls_in(a, b) }\n";
+        assert_eq!(
+            rules(&lint("src/main.rs", solve, Role::Other)),
+            vec!["solve-dispatch"]
+        );
+        let tested = "#[cfg(test)]\nmod tests {\n    fn t() { sirt_in(a, b) }\n}\n";
+        assert!(lint("crates/core/src/recon.rs", tested, Role::Lib).is_empty());
+        // `one-fan-out` counts test modules too.
+        let thread = "#[cfg(test)]\nmod tests {\n    fn t() { std::thread::spawn(f); }\n}\n";
+        let v = lint("crates/foo/src/l.rs", thread, Role::Lib);
+        assert_eq!(rules(&v), vec!["one-fan-out"]);
     }
 }

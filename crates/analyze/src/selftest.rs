@@ -3,49 +3,77 @@
 //!
 //! This is the analyzer analyzing its own corpus — the proof that each
 //! lint actually fires. `petaxct analyze --self-test` and the
-//! `lints.rs` integration test both drive [`sweep`], so the corpus
+//! workspace's `tests/lints.rs` both drive [`sweep`], so the corpus
 //! table has one home.
 
-use crate::lint::{check_file, Rule};
+use crate::lint::check_file;
 use crate::workspace::classify;
 use std::path::Path;
 
-/// The corpus: (testdata file, impersonated workspace path, rule that
-/// must fire). Each artifact is narrowly broken — it must trip its own
-/// rule and no other.
-pub const CORPUS: &[(&str, &str, Rule)] = &[
+/// The corpus: (testdata file, impersonated workspace path, name of
+/// the rule that must fire). Each artifact is narrowly broken — it must
+/// trip its own rule and no other.
+pub const CORPUS: &[(&str, &str, &str)] = &[
     (
         "unsafe_outside.rs",
         "crates/comm/src/evil.rs",
-        Rule::UnsafeBoundary,
+        "unsafe-boundary",
     ),
     (
         "unsafe_no_safety.rs",
         "crates/spmm/src/simd.rs",
-        Rule::SafetyComment,
+        "safety-comment",
     ),
-    ("unwrap_in_lib.rs", "crates/io/src/evil.rs", Rule::NoPanic),
-    ("panic_in_lib.rs", "crates/core/src/evil.rs", Rule::NoPanic),
-    (
-        "wall_clock.rs",
-        "crates/solver/src/evil.rs",
-        Rule::WallClock,
-    ),
+    ("unwrap_in_lib.rs", "crates/io/src/evil.rs", "no-panic"),
+    ("panic_in_lib.rs", "crates/core/src/evil.rs", "no-panic"),
+    ("wall_clock.rs", "crates/solver/src/evil.rs", "wall-clock"),
     (
         "machine_width.rs",
         "crates/geometry/src/evil.rs",
-        Rule::MachineWidth,
+        "machine-width",
     ),
-    ("hot_alloc.rs", "crates/spmm/src/evil.rs", Rule::HotAlloc),
+    (
+        "wire_protocol.rs",
+        "crates/core/src/evil.rs",
+        "wire-protocol",
+    ),
+    (
+        "exchange_vocabulary.rs",
+        "tests/evil.rs",
+        "exchange-vocabulary",
+    ),
+    (
+        "bulk_conversion.rs",
+        "crates/comm/src/compiled.rs",
+        "bulk-conversion",
+    ),
+    (
+        "storage_codec.rs",
+        "crates/comm/src/evil.rs",
+        "storage-codec",
+    ),
+    ("one_fan_out.rs", "crates/spmm/src/evil.rs", "one-fan-out"),
+    (
+        "solve_dispatch.rs",
+        "crates/core/src/evil.rs",
+        "solve-dispatch",
+    ),
+    (
+        "exchange_program.rs",
+        "crates/verify/src/lifetime.rs",
+        "exchange-program",
+    ),
+    ("retired_name.rs", "examples/evil.rs", "retired-name"),
+    ("hot_alloc.rs", "crates/spmm/src/evil.rs", "hot-alloc"),
     (
         "missing_header.rs",
         "crates/evil/src/lib.rs",
-        Rule::CrateRootHeader,
+        "crate-root-header",
     ),
     (
         "allow_no_reason.rs",
         "crates/comm/src/evil2.rs",
-        Rule::AllowJustification,
+        "allow-justification",
     ),
 ];
 
@@ -68,13 +96,16 @@ pub fn sweep(testdata_dir: &Path) -> Result<Vec<String>, Vec<String>> {
         };
         let mut violations = Vec::new();
         check_file(fake_path, &source, classify(fake_path), &mut violations);
-        let hit = violations.iter().find(|v| v.rule == rule);
+        let hit = violations.iter().find(|v| v.rule.name() == rule);
         match hit {
             None => failed.push(format!(
                 "testdata/{file}: expected {rule} to fire, got {violations:?}"
             )),
-            Some(_) if violations.iter().any(|o| o.rule != rule) => failed.push(format!(
+            Some(_) if violations.iter().any(|o| o.rule.name() != rule) => failed.push(format!(
                 "testdata/{file}: tripped rules besides {rule}: {violations:?}"
+            )),
+            Some(v) if v.excerpt.is_empty() => failed.push(format!(
+                "testdata/{file}: {rule} fired without the offending source: {v:?}"
             )),
             Some(v) => passed.push(format!(
                 "testdata/{file}: rejected by {rule} at line {}",

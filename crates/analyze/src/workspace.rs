@@ -36,18 +36,19 @@ pub fn classify(rel_path: &str) -> Role {
             .skip(1) // a *directory* segment, not the file name
             .any(|s| s == seg)
     };
-    if rel_path.starts_with("shims/") {
-        Role::Shim
-    } else if rel_path.ends_with("build.rs") && !rel_path.contains("/src/") {
-        Role::BuildScript
+    let entry_point = has_seg("benches")
+        || has_seg("examples")
+        || has_seg("bin")
+        || rel_path.ends_with("src/main.rs")
+        || rel_path == "main.rs";
+    if rel_path.starts_with("shims/")
+        || rel_path.ends_with("build.rs") && !rel_path.contains("/src/")
+    {
+        Role::Other
     } else if has_seg("tests") {
         Role::Test
-    } else if has_seg("benches") {
-        Role::Bench
-    } else if has_seg("examples") {
-        Role::Example
-    } else if has_seg("bin") || rel_path.ends_with("src/main.rs") || rel_path == "main.rs" {
-        Role::Bin
+    } else if entry_point {
+        Role::Other
     } else {
         Role::Lib
     }
@@ -68,20 +69,9 @@ pub fn analyze_workspace(root: &Path) -> Result<Vec<LintViolation>, WalkError> {
             path: path.clone(),
             message: e.to_string(),
         })?;
-        out.push_violations(rel, &source);
+        check_file(rel, &source, classify(rel), &mut out);
     }
     Ok(out)
-}
-
-/// Small extension so the walk loop reads naturally.
-trait PushViolations {
-    fn push_violations(&mut self, rel: &str, source: &str);
-}
-
-impl PushViolations for Vec<LintViolation> {
-    fn push_violations(&mut self, rel: &str, source: &str) {
-        check_file(rel, source, classify(rel), self);
-    }
 }
 
 fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<String>) -> Result<(), WalkError> {
@@ -120,17 +110,17 @@ mod tests {
         assert_eq!(classify("crates/comm/src/runtime.rs"), Role::Lib);
         assert_eq!(classify("src/cli.rs"), Role::Lib);
         assert_eq!(classify("src/lib.rs"), Role::Lib);
-        assert_eq!(classify("src/main.rs"), Role::Bin);
-        assert_eq!(classify("crates/bench/src/bin/perf_suite.rs"), Role::Bin);
+        assert_eq!(classify("src/main.rs"), Role::Other);
+        assert_eq!(classify("crates/bench/src/bin/perf_suite.rs"), Role::Other);
         assert_eq!(classify("tests/alloc_free.rs"), Role::Test);
         assert_eq!(classify("crates/io/tests/proptest_io.rs"), Role::Test);
         assert_eq!(
             classify("crates/bench/benches/spmm_kernels.rs"),
-            Role::Bench
+            Role::Other
         );
-        assert_eq!(classify("examples/quickstart.rs"), Role::Example);
-        assert_eq!(classify("shims/proptest/src/lib.rs"), Role::Shim);
-        assert_eq!(classify("build.rs"), Role::BuildScript);
+        assert_eq!(classify("examples/quickstart.rs"), Role::Other);
+        assert_eq!(classify("shims/proptest/src/lib.rs"), Role::Other);
+        assert_eq!(classify("build.rs"), Role::Other);
         // A file merely *named* tests.rs in src stays Lib.
         assert_eq!(classify("crates/foo/src/tests.rs"), Role::Lib);
     }

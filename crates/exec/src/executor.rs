@@ -1,6 +1,7 @@
 //! Parallel-execution policy.
 
 use std::num::NonZeroUsize;
+use std::sync::OnceLock;
 
 /// How kernels distribute their thread blocks over CPU threads.
 ///
@@ -25,9 +26,15 @@ pub enum Executor {
 }
 
 impl Executor {
-    /// A threaded executor sized to the machine.
+    /// A threaded executor sized to the machine. The width is read once
+    /// per process, at the first call (the read allocates: on Linux it
+    /// parses the cgroup CPU quota), and every later call reuses it.
     pub fn parallel() -> Self {
-        Executor::Threads(std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN))
+        static WIDTH: OnceLock<NonZeroUsize> = OnceLock::new();
+        Executor::Threads(
+            *WIDTH
+                .get_or_init(|| std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN)),
+        )
     }
 
     /// A threaded executor with an explicit thread count (minimum 1).

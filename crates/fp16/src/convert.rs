@@ -313,6 +313,7 @@ mod tests {
     #[test]
     #[ignore = "exhaustive: run in release (CI step)"]
     fn narrowing_agrees_on_all_f32_bit_patterns() {
+        // xct-allow(one-fan-out): a test splitting the exhaustive sweep over two threads
         std::thread::scope(|scope| {
             for half in 0..2u32 {
                 scope.spawn(move || assert_narrowing_agrees(half << 31, 1, 1 << 31));

@@ -51,6 +51,7 @@ impl F16 {
     /// Smallest positive subnormal value: 2⁻²⁴ ≈ 5.9605e-8.
     pub const MIN_POSITIVE_SUBNORMAL: F16 = F16(0x0001);
     /// Machine epsilon: 2⁻¹⁰.
+    // xct-allow(exchange-vocabulary): a half-precision bit pattern, not a level tag
     pub const EPSILON: F16 = F16(0x1400);
     /// Positive infinity.
     pub const INFINITY: F16 = F16(0x7c00);

@@ -793,6 +793,7 @@ mod tests {
         let tele = Telemetry::with_clock(Arc::new(clock.clone()));
         let rank = tele.fork(1);
         const WAITS: u64 = 20_000;
+        // xct-allow(one-fan-out): a test racing a sampler against a recorder
         std::thread::scope(|scope| {
             let recorder = scope.spawn(move || {
                 for i in 0..WAITS {
@@ -824,6 +825,7 @@ mod tests {
     #[test]
     fn concurrent_rank_tracks_do_not_corrupt_each_other() {
         let tele = Telemetry::enabled();
+        // xct-allow(one-fan-out): a test recording on four rank tracks at once
         std::thread::scope(|scope| {
             for rank in 0..4u32 {
                 let fork = tele.fork(rank);

@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use xct_analytic::{filtered_backprojection, FilterKind};
 use xct_bench::tune::{run_tune, TuneParams};
 use xct_cluster::MachineSpec;
-use xct_comm::{CommReport, CompiledPlans, HierarchicalPlan, Topology, WireModel};
+use xct_comm::{CommReport, CompiledPlans, HierarchicalPlan, RankOptions, Topology, WireModel};
 use xct_core::distributed::{reconstruct_distributed, DistributedConfig};
 use xct_core::model::{ModelExperiment, OptLevel};
 use xct_core::{
@@ -87,10 +87,10 @@ struct Flags {
 }
 
 impl Flags {
-    /// Parses `--key value` pairs; rejects stray positionals and flags
-    /// `command` does not declare. A flag followed by another flag (or
-    /// by nothing) is a boolean switch and reads as `"true"` — e.g.
-    /// `--telemetry-summary`.
+    /// Parses `--key value` pairs; rejects stray positionals, flags
+    /// `command` does not declare and flags given twice. A flag followed
+    /// by another flag (or by nothing) is a boolean switch and reads as
+    /// `"true"` — e.g. `--telemetry-summary`.
     fn parse(command: &'static Command, args: &[String]) -> Result<Flags, CliError> {
         let mut pairs = Vec::new();
         let mut it = args.iter().peekable();
@@ -103,6 +103,9 @@ impl Flags {
                     "unknown flag --{key} for `petaxct {}`; see `petaxct help`",
                     command.name
                 )));
+            }
+            if pairs.iter().any(|(k, _)| k == key) {
+                return Err(CliError(format!("--{key} is given twice")));
             }
             let value = match it.peek() {
                 // xct-allow(no-panic): infallible — the peek above proved the next argument exists
@@ -141,6 +144,14 @@ impl Flags {
             Some(v) => v
                 .parse()
                 .map_err(|_| CliError(format!("invalid value for --{key}: {v:?}"))),
+        }
+    }
+
+    /// [`Self::parse_or`] for a size that must be at least 1.
+    fn size_or(&self, key: &str, default: usize) -> Result<usize, CliError> {
+        match self.parse_or(key, default)? {
+            0 => Err(CliError(format!("--{key} must be at least 1"))),
+            v => Ok(v),
         }
     }
 }
@@ -396,8 +407,24 @@ fn parse_wire(spec: &str, topology: &Topology) -> Result<WireModel, CliError> {
             }
         }
     };
+    // A latency past the ranks' receive timeout fails every inter-node
+    // receive, and below 1 B/s one message outlasts any run.
+    let timeout = RankOptions::default().timeout;
+    let latency = Duration::try_from_secs_f64(lat_us * 1e-6)
+        .ok()
+        .filter(|l| *l < timeout)
+        .ok_or_else(|| {
+            CliError(format!(
+                "invalid --wire {spec:?}: the latency must be below the {timeout:?} receive timeout"
+            ))
+        })?;
+    if mbps > 0.0 && mbps * 1e6 < 1.0 {
+        return Err(CliError(format!(
+            "invalid --wire {spec:?}: the bandwidth must be at least 1 B/s, or 0 for unlimited"
+        )));
+    }
     Ok(WireModel {
-        latency: Duration::from_secs_f64(lat_us * 1e-6),
+        latency,
         bytes_per_sec: if mbps > 0.0 {
             mbps * 1e6
         } else {
@@ -608,10 +635,15 @@ fn phantom_slice(kind: &str, n: usize, seed: u64) -> Result<Image2D, CliError> {
 fn simulate(flags: &Flags) -> Result<String, CliError> {
     let kind = flags.required("phantom")?.to_owned();
     let out = flags.required("out")?.to_owned();
-    let n: usize = flags.parse_or("n", 64)?;
-    let angles: usize = flags.parse_or("angles", 64)?;
+    let n = flags.size_or("n", 64)?;
+    let angles = flags.size_or("angles", 64)?;
     let slices: usize = flags.parse_or("slices", 8)?;
     let flux: f64 = flags.parse_or("flux", 0.0)?;
+    if !(flux.is_finite() && flux >= 0.0) {
+        return Err(CliError(format!(
+            "--flux must be a finite photon count, 0 for no noise; got {flux}"
+        )));
+    }
     let seed: u64 = flags.parse_or("seed", 1)?;
     let precision: Precision = flags
         .get("precision")
@@ -962,8 +994,8 @@ fn check_fits(plan: &xct_plan::ReconPlan) -> Result<(), CliError> {
 /// itself repartitions by a previous profile's measured tile costs, so
 /// two invocations close the rebalance loop end to end.
 fn profile(flags: &Flags) -> Result<String, CliError> {
-    let n: usize = flags.parse_or("n", 24)?;
-    let angles: usize = flags.parse_or("angles", 24)?;
+    let n = flags.size_or("n", 24)?;
+    let angles = flags.size_or("angles", 24)?;
     let slices: usize = flags.parse_or("slices", 2)?;
     let iterations: usize = flags.parse_or("iterations", 4)?;
     let seed: u64 = flags.parse_or("seed", 1)?;
@@ -2052,6 +2084,107 @@ mod tests {
         assert_eq!(model.ranks_per_node, 6);
         let pure_latency = parse_wire("250x0", &Topology::new(2, 1, 1)).unwrap();
         assert_eq!(pure_latency.bytes_per_sec, f64::INFINITY);
+    }
+
+    /// Reconstructs a 1-slice 8x8 sinogram on 1x1x2 over `--wire spec`.
+    fn reconstruct_over_wire(name: &str, spec: &str) -> Result<String, CliError> {
+        let sino = tmp(&format!("cli_{name}_sino.xctd"));
+        let vol = tmp(&format!("cli_{name}_vol.xctd"));
+        run_cmd(&[
+            "simulate",
+            "--phantom",
+            "shepp",
+            "--out",
+            &sino,
+            "--n",
+            "8",
+            "--angles",
+            "8",
+            "--slices",
+            "1",
+        ])
+        .unwrap();
+        run_cmd(&[
+            "reconstruct",
+            "--in",
+            &sino,
+            "--out",
+            &vol,
+            "--topology",
+            "1x1x2",
+            "--wire",
+            spec,
+            "--iterations",
+            "1",
+        ])
+    }
+
+    #[test]
+    fn a_wire_latency_no_duration_holds_is_refused_naming_the_flag() {
+        let err = reconstruct_over_wire("wire_latency", "1e300x50").unwrap_err();
+        assert!(
+            err.0.contains("--wire") && err.0.contains("latency"),
+            "{err}"
+        );
+        assert!(parse_wire("3e7x50", &Topology::new(1, 1, 2)).is_err());
+    }
+
+    #[test]
+    fn a_wire_bandwidth_below_one_byte_per_second_is_refused_naming_the_flag() {
+        let err = reconstruct_over_wire("wire_bandwidth", "600x1e-300").unwrap_err();
+        assert!(err.0.contains("--wire") && err.0.contains("1 B/s"), "{err}");
+        // 0 is unlimited, 1 B/s the slowest wire.
+        reconstruct_over_wire("wire_unlimited", "600x0").unwrap();
+        assert!(parse_wire("600x1e-6", &Topology::new(1, 1, 2)).is_ok());
+    }
+
+    #[test]
+    fn simulate_refuses_an_empty_grid_or_scan_naming_the_flag() {
+        let out = tmp("cli_empty_sino.xctd");
+        for flag in ["--n", "--angles"] {
+            let err =
+                run_cmd(&["simulate", "--phantom", "shepp", "--out", &out, flag, "0"]).unwrap_err();
+            assert!(
+                err.0.contains(flag) && err.0.contains("at least 1"),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn simulate_refuses_a_flux_that_is_no_photon_count() {
+        let out = tmp("cli_flux_sino.xctd");
+        for flux in ["inf", "NaN", "-5"] {
+            let err = run_cmd(&[
+                "simulate",
+                "--phantom",
+                "shepp",
+                "--out",
+                &out,
+                "--flux",
+                flux,
+            ])
+            .unwrap_err();
+            assert!(err.0.contains("--flux"), "{flux}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_flag_given_twice_is_refused() {
+        let out = tmp("cli_twice_sino.xctd");
+        let err = run_cmd(&[
+            "simulate",
+            "--phantom",
+            "shepp",
+            "--out",
+            &out,
+            "--n",
+            "8",
+            "--n",
+            "16",
+        ])
+        .unwrap_err();
+        assert_eq!(err.0, "--n is given twice");
     }
 
     #[test]

@@ -321,6 +321,22 @@ fn disabled_metrics_and_flight_recorder_record_nothing_and_do_not_allocate() {
 }
 
 #[test]
+fn the_machine_width_is_read_once_per_process() {
+    let _guard = serial();
+    // The first call reads the host, which may allocate; every later
+    // call reuses the width it read.
+    let first = Executor::parallel();
+    let before = allocations();
+    let again = Executor::parallel();
+    assert_eq!(
+        allocations() - before,
+        0,
+        "a second width read must not touch the heap"
+    );
+    assert_eq!(again, first);
+}
+
+#[test]
 fn disabled_profile_context_calls_do_not_allocate() {
     let _guard = serial();
 
