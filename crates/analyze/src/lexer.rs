@@ -382,7 +382,7 @@ mod tests {
 
     #[test]
     fn literals_keep_their_source_text() {
-        let toks = lex("let x = 1.5e3_f64 + 0x1f; y(\"scatter-node\", 'a')");
+        let toks = lex("let x = 1.5e3_f64 + 0x1f; y(\"inner\", 'a')");
         assert!(toks.iter().any(|t| t.ident() == Some("y")));
         assert!(!toks.iter().any(|t| t.ident() == Some("e3_f64")));
         let literals: Vec<&TokKind> = toks
@@ -396,7 +396,7 @@ mod tests {
             [
                 &text("1.5e3_f64"),
                 &text("0x1f"),
-                &text("\"scatter-node\""),
+                &text("\"inner\""),
                 &text("'a'")
             ]
         );

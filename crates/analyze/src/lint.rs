@@ -90,8 +90,10 @@ impl fmt::Display for Rule {
 ///
 /// Text matches one of its `|`-separated alternatives, each exact or
 /// with a `*` standing for any prefix or suffix (`*` alone: any text).
-/// A pattern of one identifier word also fires on a literal holding it
-/// as a word, as a text search would.
+/// A pattern also fires inside a string literal, on the literal's text
+/// lexed as code, and a word that matches a literal also matches a word
+/// of a string literal's text (`= … 0x7000` fires on `= "0x7000"`), as
+/// a text search would.
 #[derive(PartialEq, Eq, Hash)]
 pub struct Row {
     /// Stable kebab-case name.
@@ -131,6 +133,9 @@ pub enum Scope {
 /// The one definition of the wire protocol and the exchange levels.
 const PROTOCOL: &str = "crates/comm/src/protocol.rs";
 
+/// This file, which spells every row's patterns out as strings.
+const TABLE: &str = "crates/analyze/src/lint.rs";
+
 /// The confinement rules (DESIGN.md §3i has one line per row, naming
 /// the decision it guards).
 #[rustfmt::skip]
@@ -148,7 +153,7 @@ pub const ROWS: &[Row] = &[
     },
     Row {
         name: "machine-width", scope: Scope::Library, within: &[],
-        except: &["crates/exec/src/", "crates/analyze/src/lint.rs"],
+        except: &["crates/exec/src/"],
         patterns: &["Executor|ExecContext :: parallel", "available_parallelism"],
         detail: "the machine's core count read below the process edge — take the caller's `Executor`",
     },
@@ -224,8 +229,7 @@ pub const ROWS: &[Row] = &[
         detail: "an exchange op built outside `protocol::apply` / `protocol::solve`",
     },
     Row {
-        name: "retired-name", scope: Scope::All, within: &[],
-        except: &["crates/analyze/src/lint.rs"],
+        name: "retired-name", scope: Scope::All, within: &[], except: &[],
         patterns: &[
             // A second plan flavour or a positional level namer.
             "compile_direct|verify_all_direct|reduce_level_name|scatter_names",
@@ -267,6 +271,20 @@ pub struct LintViolation {
     /// Human-readable explanation of what was matched and why it is
     /// disallowed here.
     pub detail: String,
+}
+
+impl LintViolation {
+    /// A finding of `rule` on 1-based `line` of `file`, whose text is `lines`.
+    fn at(file: &str, lines: &[&str], line: usize, rule: Rule, detail: String) -> Self {
+        let excerpt = lines.get(line.saturating_sub(1)).map_or("", |l| l.trim());
+        LintViolation {
+            file: file.to_owned(),
+            line,
+            rule,
+            excerpt: excerpt.to_owned(),
+            detail,
+        }
+    }
 }
 
 impl fmt::Display for LintViolation {
@@ -324,12 +342,14 @@ pub fn is_crate_root(rel_path: &str) -> bool {
 /// Lints one file. Findings are appended to `out`.
 pub fn check_file(rel_path: &str, source: &str, role: Role, out: &mut Vec<LintViolation>) {
     // Comments match no rule: they leave the token stream here, each
-    // with the position it held, for the markers that open regions.
+    // with the position it held, for the markers that open regions. The
+    // table's own pattern strings leave it too.
     let mut code = Vec::new();
     let mut comments = Vec::new();
     for tok in lex(source) {
         match tok.comment() {
             Some(_) => comments.push((code.len(), tok)),
+            None if rel_path == TABLE && string_text(&tok).is_some_and(|t| is_row_pattern(&t)) => {}
             None => code.push(tok),
         }
     }
@@ -413,14 +433,10 @@ fn check_row(
         if tok.line == flagged_line || !counts(i) {
             continue;
         }
-        let hit = patterns
-            .iter()
-            .any(|words| match (words.as_slice(), &tok.kind) {
-                ([word], TokKind::Literal(text)) if is_ident_word(word) => text
-                    .split(|c: char| c != '_' && !c.is_alphanumeric())
-                    .any(|w| glob(word, w)),
-                _ => matches_at(code, i, words),
-            });
+        let inner = string_text(tok).map_or_else(Vec::new, |text| lex(&text));
+        let hit = patterns.iter().any(|words| {
+            matches_at(code, i, words) || (0..inner.len()).any(|j| matches_at(&inner, j, words))
+        });
         if hit {
             flagged_line = tok.line;
             ctx.emit(out, tok.line, Rule::Row(row), row.detail.into());
@@ -441,6 +457,22 @@ fn words(pattern: &str) -> Vec<&str> {
         }
     }
     out
+}
+
+/// The text between a string literal's quotes, escaped quotes
+/// unescaped; `None` for other tokens.
+fn string_text(tok: &Tok) -> Option<String> {
+    let TokKind::Literal(text) = &tok.kind else {
+        return None;
+    };
+    let open = text.find('"').filter(|_| !text.starts_with('\''))?;
+    let close = text.rfind('"').filter(|&c| c > open)?;
+    Some(text[open + 1..close].replace("\\\"", "\""))
+}
+
+/// Is `text` one of the patterns of [`ROWS`]?
+fn is_row_pattern(text: &str) -> bool {
+    ROWS.iter().any(|row| row.patterns.contains(&text))
 }
 
 fn is_ident_word(word: &str) -> bool {
@@ -468,7 +500,14 @@ fn matches_at(code: &[Tok], i: usize, words: &[&str]) -> bool {
             glob(word, text) && matches_at(code, i + 1, rest)
         }
         (_, TokKind::Literal(text)) if !is_ident_word(word) => {
-            glob(word, text) && matches_at(code, i + 1, rest)
+            let in_string = || {
+                !word.starts_with('"')
+                    && string_text(tok).is_some_and(|s| {
+                        s.split(|c: char| c != '_' && !c.is_alphanumeric())
+                            .any(|w| glob(word, w))
+                    })
+            };
+            (glob(word, text) || in_string()) && matches_at(code, i + 1, rest)
         }
         (_, TokKind::Punct(c)) if !is_ident_word(word) && word.starts_with(*c) => {
             matches_at(code, i + 1, rest)
@@ -544,22 +583,16 @@ impl FileCtx<'_> {
     /// Records a violation unless an allow comment on the same line or
     /// the line above excuses it.
     fn emit(&self, out: &mut Vec<LintViolation>, line: usize, rule: Rule, detail: String) {
-        let allowed = self.allows.contains(&(line, rule))
-            || (line > 1 && self.allows.contains(&(line - 1, rule)));
-        if allowed {
-            return;
+        let allowed = |l| self.allows.contains(&(l, rule));
+        if !allowed(line) && !allowed(line.saturating_sub(1)) {
+            out.push(LintViolation::at(
+                self.rel_path,
+                self.lines,
+                line,
+                rule,
+                detail,
+            ));
         }
-        let excerpt = self
-            .lines
-            .get(line.saturating_sub(1))
-            .map_or(String::new(), |l| l.trim().to_owned());
-        out.push(LintViolation {
-            file: self.rel_path.to_owned(),
-            line,
-            rule,
-            excerpt,
-            detail,
-        });
     }
 }
 
@@ -692,36 +725,22 @@ fn collect_allows(
 ) -> HashSet<(usize, Rule)> {
     let mut allows = HashSet::new();
     for (_, t) in comments {
-        let Some(text) = t.comment().map(marker_text) else {
+        let Some(rest) = t
+            .comment()
+            .and_then(|c| marker_text(c).strip_prefix("xct-allow"))
+        else {
             continue;
         };
-        let Some(rest) = text.strip_prefix("xct-allow") else {
-            continue;
-        };
-        let parsed = parse_allow(rest);
-        match parsed {
+        let detail = match parse_allow(rest) {
             Some((rule, reason)) if !reason.trim().is_empty() => {
                 allows.insert((t.line, rule));
+                continue;
             }
-            Some((rule, _)) => {
-                push_allow_violation(
-                    out,
-                    rel_path,
-                    lines,
-                    t.line,
-                    format!("`xct-allow({rule})` has an empty justification"),
-                );
-            }
-            None => {
-                push_allow_violation(
-                    out,
-                    rel_path,
-                    lines,
-                    t.line,
-                    "malformed `xct-allow` — expected `xct-allow(rule-name): justification`".into(),
-                );
-            }
-        }
+            Some((rule, _)) => format!("`xct-allow({rule})` has an empty justification"),
+            None => "malformed `xct-allow` — expected `xct-allow(rule-name): justification`".into(),
+        };
+        let rule = Rule::AllowJustification;
+        out.push(LintViolation::at(rel_path, lines, t.line, rule, detail));
     }
     allows
 }
@@ -733,24 +752,6 @@ fn parse_allow(rest: &str) -> Option<(Rule, &str)> {
     let rule = Rule::parse(rest[..close].trim())?;
     let after = rest[close + 1..].strip_prefix(':')?;
     Some((rule, after))
-}
-
-fn push_allow_violation(
-    out: &mut Vec<LintViolation>,
-    rel_path: &str,
-    lines: &[&str],
-    line: usize,
-    detail: String,
-) {
-    out.push(LintViolation {
-        file: rel_path.to_owned(),
-        line,
-        rule: Rule::AllowJustification,
-        excerpt: lines
-            .get(line.saturating_sub(1))
-            .map_or(String::new(), |l| l.trim().to_owned()),
-        detail,
-    });
 }
 
 /// Crate roots must keep `forbid(unsafe_code)` (or, for the SIMD crate,
@@ -799,6 +800,7 @@ fn check_crate_root_header(code: &[Tok], ctx: &FileCtx<'_>, out: &mut Vec<LintVi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workspace::classify;
 
     fn lint(path: &str, src: &str, role: Role) -> Vec<LintViolation> {
         let mut out = Vec::new();
@@ -1019,11 +1021,11 @@ mod tests {
     fn patterns_match_punctuation_gaps_and_literal_text() {
         let lib = "crates/foo/src/l.rs";
         for hit in [
-            "pub fn f(x: u64) -> u64 { x << 44 }\n",
-            "pub const SALT_SHIFT: u32 = 44;\n",
-            "pub const T: (u16, u8) = (3, 0x7100 as u8);\n",
-            "pub fn f(c: u8) -> u16 { match c { 0 => 0x9000, _ => 1 } }\n",
-            "pub const ROW: (u32, &str) = (0x7000, \"inner\");\n",
+            "pub fn f(x: u64) -> u64 { x << 44 }\n", // xct-allow(wire-protocol): a case the row must flag
+            "pub const SALT_SHIFT: u32 = 44;\n", // xct-allow(wire-protocol): a case the row must flag
+            "pub const T: (u16, u8) = (3, 0x7100 as u8);\n", // xct-allow(wire-protocol): a case the row must flag
+            "pub fn f(c: u8) -> u16 { match c { 0 => 0x9000, _ => 1 } }\n", // xct-allow(wire-protocol): a case the row must flag
+            "pub const ROW: (u32, &str) = (0x7000, \"inner\");\n", // xct-allow(wire-protocol): a case the row must flag
         ] {
             assert_eq!(
                 rules(&lint(lib, hit, Role::Lib)),
@@ -1039,7 +1041,9 @@ mod tests {
         ] {
             assert!(lint(lib, clean, Role::Lib).is_empty(), "{clean}");
         }
+        // xct-allow(wire-protocol): a case the row must flag
         assert!(lint(PROTOCOL, "pub fn f(x: u64) -> u64 { x << 44 }\n", Role::Lib).is_empty());
+        // xct-allow(exchange-vocabulary): a case the row must flag
         let name = "pub fn f() -> &'static str { \"scatter-node\" }\n";
         assert_eq!(
             rules(&lint("tests/t.rs", name, Role::Test)),
@@ -1074,6 +1078,57 @@ mod tests {
         assert_eq!(rules(&lint(lib, text, Role::Lib)), vec!["machine-width"]);
         let name = "pub fn f() -> &'static str { \"calls exchange_schedule here\" }\n";
         assert_eq!(rules(&lint(lib, name, Role::Lib)), vec!["retired-name"]);
+        // xct-allow(exchange-vocabulary): a case the row must flag
+        let tag = "#[test]\nfn t() { assert_eq!(name(5), \"tag 0x1500\"); }\n";
+        assert_eq!(
+            rules(&lint("tests/t.rs", tag, Role::Test)),
+            vec!["exchange-vocabulary"]
+        );
+        // xct-allow(wire-protocol): a case the row must flag
+        let defined = "pub const T: &str = \"0x7000\";\n";
+        assert_eq!(rules(&lint(lib, defined, Role::Lib)), vec!["wire-protocol"]);
+    }
+
+    #[test]
+    fn a_multi_word_pattern_also_fires_inside_a_string_literal() {
+        for (path, text, row) in [
+            (
+                "crates/foo/src/l.rs",
+                "run(\"std::thread::spawn\")",
+                "one-fan-out",
+            ),
+            (
+                "crates/comm/src/l.rs",
+                "run(\"x.to_bits().to_le_bytes()\")",
+                "storage-codec",
+            ),
+            ("tests/t.rs", "run(\"Algorithm::Tv\")", "retired-name"),
+            ("tests/t.rs", "run(\"pub trait Wire {}\")", "retired-name"),
+        ] {
+            let src = format!("pub fn f() {{ {text}; }}\n");
+            assert_eq!(rules(&lint(path, &src, classify(path))), vec![row], "{src}");
+        }
+    }
+
+    #[test]
+    fn the_table_file_is_checked_apart_from_its_pattern_strings() {
+        let read =
+            "pub fn f() -> usize { std::thread::available_parallelism().map_or(1, usize::from) }\n";
+        assert_eq!(rules(&lint(TABLE, read, Role::Lib)), vec!["machine-width"]);
+        // xct-allow(retired-name): a case the row must flag
+        let retired = "pub fn f() { exchange_schedule(); }\n";
+        assert_eq!(
+            rules(&lint(TABLE, retired, Role::Lib)),
+            vec!["retired-name"]
+        );
+        // A string that is one of the rows' patterns is the table there,
+        // and a use anywhere else.
+        let spelled = "pub const P: &str = \"exchange_schedule\";\n";
+        assert!(lint(TABLE, spelled, Role::Lib).is_empty());
+        assert_eq!(
+            rules(&lint("crates/foo/src/l.rs", spelled, Role::Lib)),
+            vec!["retired-name"]
+        );
     }
 
     #[test]
@@ -1095,6 +1150,7 @@ mod tests {
         let tested = "#[cfg(test)]\nmod tests {\n    fn t() { sirt_in(a, b) }\n}\n";
         assert!(lint("crates/core/src/recon.rs", tested, Role::Lib).is_empty());
         // `one-fan-out` counts test modules too.
+        // xct-allow(one-fan-out): a case the row must flag
         let thread = "#[cfg(test)]\nmod tests {\n    fn t() { std::thread::spawn(f); }\n}\n";
         let v = lint("crates/foo/src/l.rs", thread, Role::Lib);
         assert_eq!(rules(&v), vec!["one-fan-out"]);

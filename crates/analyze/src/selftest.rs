@@ -104,6 +104,9 @@ pub fn sweep(testdata_dir: &Path) -> Result<Vec<String>, Vec<String>> {
             Some(_) if violations.iter().any(|o| o.rule.name() != rule) => failed.push(format!(
                 "testdata/{file}: tripped rules besides {rule}: {violations:?}"
             )),
+            Some(v) if v.file != fake_path || v.line == 0 => failed.push(format!(
+                "testdata/{file}: {rule} fired without naming {fake_path} and a line: {v:?}"
+            )),
             Some(v) if v.excerpt.is_empty() => failed.push(format!(
                 "testdata/{file}: {rule} fired without the offending source: {v:?}"
             )),
