@@ -252,6 +252,8 @@ pub const ROWS: &[Row] = &[
             "*Algorithm :: Tv*",
             // The schedule iterator `protocol::apply` replaced.
             "exchange_schedule",
+            // The per-view run artifacts the run document replaced.
+            "petaxct - telemetry|profile|flightrec - v1",
         ],
         detail: "a retired name is back",
     },
@@ -1108,6 +1110,20 @@ mod tests {
             let src = format!("pub fn f() {{ {text}; }}\n");
             assert_eq!(rules(&lint(path, &src, classify(path))), vec![row], "{src}");
         }
+    }
+
+    #[test]
+    fn each_retired_name_of_the_fixture_is_flagged_on_its_line() {
+        let fixture = include_str!("../testdata/retired_name.rs");
+        let flagged: Vec<usize> = (lint("examples/evil.rs", fixture, Role::Lib).iter())
+            .map(|v| v.line)
+            .collect();
+        let code = (fixture.lines().enumerate())
+            .filter(|(_, l)| !l.trim_start().starts_with("//"))
+            .filter(|(_, l)| l.contains("petaxct") || l.contains("exchange_schedule"))
+            .map(|(i, _)| i + 1);
+        assert_eq!(flagged, code.collect::<Vec<_>>());
+        assert_eq!(flagged.len(), 4);
     }
 
     #[test]

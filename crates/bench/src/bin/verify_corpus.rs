@@ -3,14 +3,14 @@
 //! (`xct_verify::corpus::MUST_REJECT`: every static artifact rejected
 //! with the witness the table lists), and the schedule explorer on fixed
 //! seeds (the timing bug must be caught and be seed-reproducible; its
-//! flight dump goes to `FLIGHTREC_OUT`). Exits nonzero on any miss;
-//! designed to finish well under a minute.
+//! post-mortem run document goes to `RUN_REPORT_OUT`). Exits nonzero on
+//! any miss; designed to finish well under a minute.
 
 #![forbid(unsafe_code)]
 
 use std::time::{Duration, Instant};
 use xct_comm::{CompiledPlans, HierarchicalPlan, Topology};
-use xct_telemetry::Json;
+use xct_plan::RunDocument;
 use xct_verify::corpus::{aliased_reply_exchange, gen_case, single_sweep_gather, MUST_REJECT};
 use xct_verify::{explore, verify_all_hierarchical};
 
@@ -89,32 +89,28 @@ fn main() {
     if let Some(fail) = caught {
         println!("       reproduce with: {}", fail.label);
         // Every failing chaos schedule must yield a post-mortem: the
-        // seed re-runs deterministically with the flight recorder armed.
+        // seed re-runs deterministically, traced.
         check(
-            "failing schedule produced a flight dump",
+            "failing schedule produced a post-mortem",
             fail.flight_dump.is_some(),
             &mut failures,
         );
         if let Some(dump) = &fail.flight_dump {
-            let schema_ok = Json::parse(dump)
-                .ok()
-                .and_then(|d| d.get("schema").and_then(Json::as_str).map(str::to_owned))
-                .is_some_and(|s| s == "petaxct-flightrec-v1");
             check(
-                "flight dump parses as petaxct-flightrec-v1",
-                schema_ok,
+                "the post-mortem reads as a run document",
+                RunDocument::parse(dump).is_ok(),
                 &mut failures,
             );
-            let out = std::env::var("FLIGHTREC_OUT")
-                .unwrap_or_else(|_| "target/flightrec_corpus.json".to_owned());
+            let out = std::env::var("RUN_REPORT_OUT")
+                .unwrap_or_else(|_| "target/explore_report.json".to_owned());
             if let Some(parent) = std::path::Path::new(&out).parent() {
                 let _ = std::fs::create_dir_all(parent);
             }
             match std::fs::write(&out, dump) {
-                Ok(()) => println!("       flight dump written to {out}"),
+                Ok(()) => println!("       post-mortem written to {out}"),
                 Err(e) => {
-                    println!("  FAIL writing flight dump to {out}: {e}");
-                    failures.push(format!("flight dump write: {e}"));
+                    println!("  FAIL writing the post-mortem to {out}: {e}");
+                    failures.push(format!("post-mortem write: {e}"));
                 }
             }
         }

@@ -1,29 +1,42 @@
-//! Hostile-input tests for the artifact parsers: `petaxct-profile-v1`
-//! ([`ProfileReport::parse`]), `petaxct-tune-v1` ([`TuneReport::parse`]),
-//! `petaxct-bench-v2` ([`BenchReport::parse`]) and the [`Json::parse`]
-//! they share. A must-reject table pins the documents each parser has to
-//! refuse (with the field named), and a seeded mutation test — truncate,
-//! flip a byte, replace a number token — asserts that whatever the bytes
-//! are, parsing returns `Ok` or `Err` and never panics.
+//! Hostile-input tests for the artifact parsers: the run document
+//! ([`RunDocument::parse`]), the metrics series
+//! ([`metrics_series_from_json`]), `petaxct-tune-v1`
+//! ([`TuneReport::parse`]), `petaxct-bench-v2` ([`BenchReport::parse`])
+//! and the [`Json::parse`] they share. A must-reject table pins the
+//! documents each parser has to refuse (with the field named), and a
+//! seeded mutation test — truncate, flip a byte, replace a number token —
+//! asserts that whatever the bytes are, parsing returns `Ok` or `Err` and
+//! never panics.
 
 use proptest::prelude::*;
 use xct_bench::perf::BenchReport;
-use xct_plan::{ProfileReport, TuneReport};
-use xct_telemetry::Json;
+use xct_plan::{ProfileReport, RunDocument, TuneReport};
+use xct_telemetry::{
+    chrome_trace, metrics_series_from_json, metrics_series_json, Breakdown, CausalAnalysis, Json,
+    MetricsSnapshot, PhaseHistograms, COMPONENT_COUNT,
+};
 
 /// One committed document per schema, as the writers emit them (modulo
 /// line breaks).
-const PROFILE: &str = r#"{"schema":"petaxct-profile-v1","precision":"mixed","n":8,"slices":2,
-"angles":24,"topology":"1x2x2","tile_size":4,"tiles_x":2,"tiles_y":2,"tile_costs_ns":[0,100,200,300],
-"ranks":[{"rank":0,"busy_ns":1000,"on_path_ns":300,"slack_ns":700,"wire_ns":50,"components":
-{"spmm.compute":400,"gather.convert":100,"reduce.socket":100,"reduce.node":100,"reduce.global":100,
-"comm.wait":150,"io.stall":50}},{"rank":1,"busy_ns":800,"on_path_ns":300,"slack_ns":500,"wire_ns":0,
-"components":{"spmm.compute":300,"gather.convert":100,"reduce.socket":100,"reduce.node":100,
-"reduce.global":100,"comm.wait":100,"io.stall":0}}],"drift":[{"component":"spmm.compute",
-"measured_ns":700,"measured_share":0.4375,"predicted_share":0.125,"drift":0.3125},
-{"component":"comm.wait","measured_ns":250,"measured_share":0.15625,"predicted_share":0.5,
-"drift":-0.34375}],"skew":{"max_tile_ns":300,"mean_tile_ns":150,"max_over_mean":2,
-"critical_path_ns":1300,"max_rank_slack_ns":700,"zero_slack_ranks":[0]}}"#;
+const RUN: &str = r#"{"schema":"petaxct-run-v1","header":{"command":"reconstruct","topology":"1x1x2",
+"precision":"mixed","iterations":4,"plan":{"n":8,"slices":2,"angles":24,"fusing":2,"slabs":1,
+"batch":1,"data":2},"options":{"in":"sino.xctd","report":"run.json"}},"reason":null,
+"counters":{"flops":1000,"padded_flops":1200,"bytes_read":64,"bytes_written":32,"kernel_launches":2},
+"comm":[{"rank":0,"bytes_to":[0,64],"msgs_to":[0,1],"class_bytes":[64,0,0,0,0],"class_msgs":[1,0,0,0,0]},
+{"rank":1,"bytes_to":[64,0],"msgs_to":[1,0],"class_bytes":[64,0,0,0,0],"class_msgs":[1,0,0,0,0]}],
+"metrics":{"at_ns":90,"tracks":[{"track":0,"counters":{"comm.send.msgs":1},"gauges":{"solver.residual":0.25},
+"histograms":[{"metric":"comm.wait.ns","count":1,"min_ns":5,"max_ns":5,"sum_ns":5,"buckets":[{"lo_ns":4,
+"hi_ns":8,"count":1}]}]},{"track":1,"counters":{"comm.send.msgs":1},"gauges":{},"histograms":[]}]},
+"dropped":0,"log":{"spans":[{"track":0,"phase":"solver.iteration","start_ns":10,"end_ns":30,"parent":null},
+{"track":0,"phase":"comm.wait","start_ns":12,"end_ns":17,"parent":0},{"track":1,"phase":"bench.warmup",
+"start_ns":15,"end_ns":80,"parent":null}],"events":[{"track":0,"name":"cgls.residual","value":0.25,
+"at_ns":29}],"edges":[{"src":1,"dst":0,"tag":"0x55","bytes":64,"sent_ns":11,"matched_ns":17,"wire_ns":0}]},
+"tiles":{"tile_size":4,"costs_ns":[0,100,200,300]}}"#;
+const METRICS: &str = r#"{"schema":"petaxct-metrics-v1","samples":[{"at_ns":100,"tracks":[{"track":0,
+"counters":{"comm.send.msgs":3},"gauges":{"solver.residual":0.5},"histograms":[{"metric":"comm.wait.ns",
+"count":2,"min_ns":3,"max_ns":1000,"sum_ns":1003,"buckets":[{"lo_ns":2,"hi_ns":4,"count":1},{"lo_ns":512,
+"hi_ns":1024,"count":1}]}]}]},{"at_ns":300,"tracks":[{"track":0,"counters":{"comm.send.msgs":5},
+"gauges":{},"histograms":[]},{"track":1,"counters":{"solver.iterations":2},"gauges":{},"histograms":[]}]}]}"#;
 const TUNE: &str = r#"{"schema":"petaxct-tune-v1","precision":"half","n":64,"angles":48,"points":[
 {"block_size":32,"shared_bytes":4096,"fusing":4,"wall_ns":120000,"flops":9000000},
 {"block_size":64,"shared_bytes":8192,"fusing":8,"wall_ns":90000,"flops":9000000}]}"#;
@@ -55,43 +68,77 @@ fn must_reject<T: std::fmt::Debug>(
     }
 }
 
+/// The metrics series reader over text.
+fn parse_series(text: &str) -> Result<Vec<MetricsSnapshot>, String> {
+    metrics_series_from_json(&Json::parse(text)?)
+}
+
 #[test]
-fn profile_parser_rejects_hostile_artifacts() {
+fn run_document_reader_rejects_hostile_documents() {
     let table = r#"
         # A zero factor used to reach Topology::new's assert.
-        "1x2x2" => "0x2x2" => 0x2x2
-        "1x2x2" => "1x2" => 1x2
-        "1x2x2" => "-1x2x2" => -1x2x2
-        "topology":"1x2x2" => "topology":4 => topology
-        # Negative, fractional and huge counts used to saturate.
-        "tiles_x":2 => "tiles_x":-1 => tiles_x
+        "1x1x2" => "0x1x2" => 0x1x2
+        "1x1x2" => "1x2" => 1x2
+        "topology":"1x1x2" => "topology":4 => topology
+        # Negative, fractional and huge counts.
         "n":8 => "n":2.5 => "n"
         "slices":2 => "slices":1e300 => slices
         "angles":24 => "angles":9007199254740994 => angles
         "tile_size":4 => "tile_size":"4" => tile_size
-        "busy_ns":1000 => "busy_ns":-7 => busy_ns
-        "comm.wait":150 => "comm.wait":0.5 => comm.wait
-        "measured_ns":700 => "measured_ns":1e999 => bad number
-        "max_tile_ns":300 => "max_tile_ns":-0.5 => max_tile_ns
-        "zero_slack_ranks":[0] => "zero_slack_ranks":[-1] => zero-slack
-        "rank":1, => "rank":4294967296, => rank
-        [0,100, => [-100,100, => tile cost
-        # Tile table vs grid, including a product that overflows.
-        "tiles_y":2 => "tiles_y":3 => 4 entries
-        [0,100, => [100, => 3 entries
-        "tiles_x":2,"tiles_y":2 => "tiles_x":9007199254740992,"tiles_y":9007199254740992 => 4 entries
-        # Schema tag, missing keys, unknown names, rank order.
-        petaxct-profile-v1 => petaxct-profile-v2 => petaxct-profile-v2
-        "schema": => "scheme": => schema
-        "mixed" => "quad" => precision
-        "tile_size": => "tile": => tile_size
-        "skew": => "skewed": => skew
-        "wire_ns": => "wire": => wire_ns
-        "io.stall":50 => "io.stalled":50 => io.stall
-        "component":"comm.wait" => "component":"comm.nap" => comm.nap
+        "flops":1000 => "flops":-7 => flops
+        "start_ns":10 => "start_ns":0.5 => start_ns
+        "dropped":0 => "dropped":-1 => dropped
+        # The tile table against the plan's tile grid.
+        [0,100,200,300] => [0,100,200] => 3 entries
+        "n":8 => "n":12 => 4 entries
+        # Ranks and tracks out of order.
         "rank":0, => "rank":1, => out of order
+        "track":0,"counters" => "track":2,"counters" => out of order
+        # A log whose spans do not nest or end before they start.
+        "parent":0 => "parent":1 => parent
+        "end_ns":30 => "end_ns":5 => end_ns
+        "tag":"0x55" => "tag":"55" => tag
+        "value":0.25 => "value":"x" => value
+        # Per-rank tables against the traffic classes.
+        "class_bytes":[64,0,0,0,0] => "class_bytes":[64,0,0,0] => class_bytes
+        "bytes_to":[0,64] => "bytes_to":[0] => bytes_to
+        # Histograms whose buckets are no log2 buckets or do not sum.
+        "lo_ns":4 => "lo_ns":3 => lower bound
+        "count":1,"min_ns" => "count":2,"min_ns" => count
+        # Schema tag, missing keys, unknown names.
+        petaxct-run-v1 => petaxct-run-v2 => petaxct-run-v2
+        "schema": => "scheme": => schema
+        "header": => "headers": => header
+        "tiles": => "tile": => tiles
+        "reason":null => "reason":7 => reason
+        "mixed" => "quad" => precision
+        "comm.send.msgs":1 => "comm.sent.msgs":1 => comm.sent.msgs
+        "metric":"comm.wait.ns" => "metric":"comm.wait" => comm.wait
     "#;
-    must_reject(ProfileReport::parse, PROFILE, table);
+    must_reject(RunDocument::parse, RUN, table);
+    // The fixture has a profile, so the mutation test reaches that view.
+    let doc = RunDocument::parse(RUN).expect("the fixture reads");
+    assert!(ProfileReport::from_document(&doc, [0.0; COMPONENT_COUNT]).is_ok());
+}
+
+#[test]
+fn metrics_series_reader_rejects_hostile_series() {
+    let table = r#"
+        "at_ns":100 => "at_ns":-100 => at_ns
+        "at_ns":300 => "at_ns":50 => after
+        "comm.send.msgs":3 => "comm.send.msgs":-3 => comm.send.msgs
+        "solver.residual":0.5 => "solver.residual":"x" => solver.residual
+        # A gauge among the counters, a counter as a histogram.
+        "comm.send.msgs":3 => "solver.residual":3 => no such metric
+        "metric":"comm.wait.ns" => "metric":"comm.send.msgs" => no such metric
+        "track":1 => "track":0 => out of order
+        "count":2 => "count":3 => sum of the buckets
+        "lo_ns":2 => "lo_ns":3 => lower bound
+        petaxct-metrics-v1 => petaxct-metrics-v2 => petaxct-metrics-v2
+        "schema": => "scheme": => schema
+        "samples": => "sample": => samples
+    "#;
+    must_reject(parse_series, METRICS, table);
 }
 
 #[test]
@@ -104,7 +151,7 @@ fn tune_parser_rejects_hostile_artifacts() {
         "wall_ns":120000 => "wall_ns":-1 => wall_ns
         "flops": => "flop": => flops
         "points": => "pints": => points
-        petaxct-tune-v1 => petaxct-profile-v1 => petaxct-profile-v1
+        petaxct-tune-v1 => petaxct-tune-v0 => petaxct-tune-v0
         "schema": => "scheme": => schema
         "half" => "quarter" => precision
     "#;
@@ -180,10 +227,20 @@ proptest! {
 
     #[test]
     fn mutated_artifacts_never_panic(kind in 0u8..3, at in 0usize..1 << 20, pick in 0usize..1 << 10) {
-        survives(ProfileReport::parse, |r| r.to_json().to_string(), &mutate(PROFILE, kind, at, pick));
+        let run = mutate(RUN, kind, at, pick);
+        survives(RunDocument::parse, |r| r.to_json().to_string(), &run);
+        // Whatever the reader accepts, the views read without panicking.
+        if let Ok(doc) = RunDocument::parse(&run) {
+            Breakdown::from_snapshot(&doc.log).render_table();
+            CausalAnalysis::from_snapshot(&doc.log).render_table();
+            PhaseHistograms::from_snapshot(&doc.log).render_table();
+            chrome_trace(&doc.log);
+            let _ = ProfileReport::from_document(&doc, [0.0; COMPONENT_COUNT]).map(|p| p.render_text());
+        }
+        survives(parse_series, |s| metrics_series_json(s).to_string(), &mutate(METRICS, kind, at, pick));
         survives(TuneReport::parse, |r| r.to_json().to_string(), &mutate(TUNE, kind, at, pick));
         survives(BenchReport::parse, |r| r.to_json().to_string(), &mutate(BENCH, kind, at, pick));
-        for doc in [PROFILE, TUNE, BENCH] {
+        for doc in [RUN, METRICS, TUNE, BENCH] {
             survives(Json::parse, Json::to_string, &mutate(doc, kind, at, pick));
         }
     }

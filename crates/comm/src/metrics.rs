@@ -12,8 +12,6 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use xct_telemetry::Json;
-
 /// Which stage of the communication schedule bytes belong to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TrafficClass {
@@ -279,43 +277,6 @@ impl CommReport {
         }
         out
     }
-
-    /// The report as a JSON fragment: per-rank matrices plus per-level
-    /// volumes.
-    pub fn to_json(&self) -> Json {
-        let level_bytes = self.level_bytes();
-        Json::object(vec![
-            ("ranks", Json::from(self.ranks())),
-            (
-                "byte_matrix",
-                Json::from(
-                    self.byte_matrix()
-                        .into_iter()
-                        .map(|row| Json::from(row.into_iter().map(Json::from).collect::<Vec<_>>()))
-                        .collect::<Vec<_>>(),
-                ),
-            ),
-            (
-                "message_matrix",
-                Json::from(
-                    self.message_matrix()
-                        .into_iter()
-                        .map(|row| Json::from(row.into_iter().map(Json::from).collect::<Vec<_>>()))
-                        .collect::<Vec<_>>(),
-                ),
-            ),
-            (
-                "level_bytes",
-                Json::object(
-                    TrafficClass::ALL
-                        .iter()
-                        .map(|c| (c.as_str(), Json::from(level_bytes[*c as usize])))
-                        .collect::<Vec<_>>(),
-                ),
-            ),
-            ("total_bytes", Json::from(self.total_bytes())),
-        ])
-    }
 }
 
 #[cfg(test)]
@@ -371,10 +332,6 @@ mod tests {
         assert_eq!(levels[TrafficClass::Socket as usize], 20);
         assert_eq!(levels[TrafficClass::Global as usize], 10);
         assert_eq!(report.total_bytes(), 30);
-        let json = report.to_json().to_string();
-        let back = Json::parse(&json).unwrap();
-        assert_eq!(back.get("ranks").unwrap().as_f64(), Some(2.0));
-        assert!(back.get("level_bytes").unwrap().get("socket").is_some());
     }
 
     #[test]

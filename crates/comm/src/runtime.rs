@@ -106,18 +106,41 @@ pub struct WireModel {
 }
 
 impl WireModel {
+    /// Whether ranks with receive timeout `timeout` can run on this wire:
+    /// a `latency` at or past the timeout fails every inter-node
+    /// receive, and a `bytes_per_sec` below 1 B/s (other than 0 or
+    /// infinity, both unlimited) makes one message outlast any run. The
+    /// error names the field.
+    pub fn check(&self, timeout: Duration) -> Result<(), String> {
+        if self.latency >= timeout {
+            return Err(format!(
+                "the wire latency {:?} must be below the {timeout:?} receive timeout",
+                self.latency
+            ));
+        }
+        let bandwidth = self.bytes_per_sec;
+        if !(bandwidth == 0.0 || bandwidth >= 1.0) {
+            return Err(format!(
+                "the wire bytes_per_sec {bandwidth:e} must be at least 1 B/s, or 0 for unlimited"
+            ));
+        }
+        Ok(())
+    }
+
     /// Simulated time on the wire for a message of `len` bytes from
-    /// `src` to `dst` — `latency + len / bytes_per_sec` — or `None` for
-    /// undelayed (intra-node) delivery. This is both the matchability
-    /// delay the runtime enforces and the wire weight stamped onto the
-    /// causal match edge ([`xct_telemetry::EdgeRecord`]).
+    /// `src` to `dst` — `latency + len / bytes_per_sec`, saturating at
+    /// [`Duration::MAX`] — or `None` for undelayed (intra-node)
+    /// delivery. This is both the matchability delay the runtime
+    /// enforces and the wire weight stamped onto the causal match edge
+    /// ([`xct_telemetry::EdgeRecord`]).
     pub fn wire_time(&self, src: usize, dst: usize, len: usize) -> Option<Duration> {
         if self.ranks_per_node > 0 && src / self.ranks_per_node == dst / self.ranks_per_node {
             return None;
         }
         let mut wire = self.latency;
         if self.bytes_per_sec.is_finite() && self.bytes_per_sec > 0.0 {
-            wire += Duration::from_secs_f64(len as f64 / self.bytes_per_sec);
+            let transfer = Duration::try_from_secs_f64(len as f64 / self.bytes_per_sec);
+            wire = wire.saturating_add(transfer.unwrap_or(Duration::MAX));
         }
         Some(wire)
     }
@@ -710,6 +733,10 @@ pub fn run_ranks_with<T: Send>(
     body: impl Fn(&Communicator) -> T + Sync,
 ) -> Vec<T> {
     assert!(n > 0, "need at least one rank");
+    if let Some(Err(e)) = opts.wire.map(|w| w.check(opts.timeout)) {
+        // xct-allow(no-panic): a wire no rank can run on is the caller's error, refused once before any rank starts
+        panic!("{e}");
+    }
     let telemetry = &opts.telemetry;
     let mailboxes: Arc<Vec<Mailbox>> = Arc::new((0..n).map(|_| Mailbox::default()).collect());
     let comms: Vec<Communicator> = (0..n)
@@ -801,12 +828,13 @@ mod tests {
     #[test]
     fn wire_model_leaves_intra_node_messages_alone() {
         // Same world, but both ranks share a node: payloads must flow
-        // untouched and `try_recv` must see them without a wire wait.
+        // untouched, without the wire's (valid, 20 s) latency.
         let wire = WireModel {
-            latency: Duration::from_secs(3600),
+            latency: Duration::from_secs(20),
             bytes_per_sec: f64::INFINITY,
             ranks_per_node: 2,
         };
+        let started = Instant::now();
         let results = run_ranks_with(2, &wired(wire, &Telemetry::disabled()), |comm| {
             let peer = 1 - comm.rank();
             comm.send_vals::<f32>(peer, 9, &[comm.rank() as f32])
@@ -814,6 +842,7 @@ mod tests {
             comm.recv_vals::<f32>(peer, 9).unwrap()[0]
         });
         assert_eq!(results, vec![1.0, 0.0]);
+        assert!(started.elapsed() < Duration::from_secs(10), "a wire wait");
     }
 
     #[test]
@@ -854,7 +883,7 @@ mod tests {
     #[test]
     fn intra_node_edges_carry_zero_wire_cost() {
         let wire = WireModel {
-            latency: Duration::from_secs(3600),
+            latency: Duration::from_secs(20),
             bytes_per_sec: f64::INFINITY,
             ranks_per_node: 2, // both ranks share a node
         };

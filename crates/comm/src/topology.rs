@@ -86,7 +86,7 @@ impl Topology {
 }
 
 /// The one text form of a topology: `NxSxG` (nodes × sockets/node ×
-/// GPUs/socket), as `--topology` takes it and `petaxct-profile-v1`
+/// GPUs/socket), as `--topology` takes it and a run document's header
 /// stores it.
 impl std::fmt::Display for Topology {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

@@ -314,9 +314,9 @@ fn inner_products(comm: &Communicator, steps: &AllreduceSteps, products: &mut [f
 /// Records what a measured-weight rebalance actually changed, as two
 /// events: how many Hilbert tiles moved to a different rank compared to
 /// the uniform (cell-count) partition (`rebalance.tiles_moved`), out of
-/// how many total (`rebalance.tiles_total`). A post-mortem flight dump
+/// how many total (`rebalance.tiles_total`). The run document's log
 /// then shows whether a `--weights-from` run repartitioned at all and
-/// how aggressively.
+/// how aggressively, in a post-mortem too.
 fn record_rebalance_decision(
     scan: &ScanGeometry,
     ranks: usize,

@@ -1,8 +1,7 @@
-//! Builds the `petaxct-profile-v1` artifact: joins the telemetry cost
-//! profile's measured per-component self times with the causal layer's
-//! critical-path attribution, derives per-tile costs from the operator's
-//! nonzero distribution, and scores the measured run against the
-//! Tables III–IV analytic model (model-drift attribution).
+//! The two parts of a run document's profile that need more than the
+//! log: the per-tile costs the writer derives from the operator, and
+//! the analytic model's predicted shares the reader scores the measured
+//! run against (model-drift attribution).
 //!
 //! Per-tile costs are *derived*, not timed: timing individual tiles
 //! would change the kernel's loop structure (and with it the
@@ -11,44 +10,15 @@
 //! self time is spread over its tiles proportionally to the per-tile
 //! operator nonzeros — the same quantity the SpMM's work scales with.
 
-use crate::model::ModelEstimate;
+use crate::model::{ModelEstimate, ModelExperiment};
 use xct_comm::Topology;
-use xct_fp16::Precision;
 use xct_geometry::{ScanGeometry, SystemMatrix};
 use xct_hilbert::{CurveKind, Domain2D, TileDecomposition};
-use xct_plan::{ComponentDrift, ProfileReport, RankCost, SkewReport};
-use xct_telemetry::{
-    CausalAnalysis, CostComponent, ProfileSnapshot, TelemetrySnapshot, ALL_COMPONENTS,
-    COMPONENT_COUNT,
-};
-
-/// Everything a profiled run leaves behind, gathered for the artifact
-/// builder.
-pub struct ProfileInputs<'a> {
-    /// Geometry the run reconstructed.
-    pub scan: &'a ScanGeometry,
-    /// Slices in the profiled stack.
-    pub slices: usize,
-    /// Rank topology the run executed on.
-    pub topology: Topology,
-    /// Precision mode of the run.
-    pub precision: Precision,
-    /// Hilbert tile size of the run's decomposition.
-    pub tile: usize,
-    /// Tile weights the run partitioned with (`None` = uniform); the
-    /// derived per-tile costs must attribute to the ownership that
-    /// actually executed.
-    pub tile_weights: Option<&'a [u64]>,
-    /// The full span/event/edge snapshot: the cost profile and the
-    /// causal analysis are both derived from it.
-    pub snapshot: &'a TelemetrySnapshot,
-    /// Analytic-model estimate for the same problem, when available;
-    /// without it the drift table's predicted shares are zero.
-    pub model: Option<&'a ModelEstimate>,
-}
+use xct_plan::{ProfileReport, RunDocument, TileWeights};
+use xct_telemetry::{CostComponent, ProfileSnapshot, TelemetrySnapshot, COMPONENT_COUNT};
 
 /// The model's predicted per-component share of total predicted time,
-/// in [`ALL_COMPONENTS`] order.
+/// in [`xct_telemetry::ALL_COMPONENTS`] order.
 ///
 /// Mapping from the model's activity breakdown: `kernel` is SpMM
 /// compute, `memcpy` is the staging gather/convert, `socket_comm` maps
@@ -122,110 +92,44 @@ fn derive_tile_costs(
     costs
 }
 
-/// Builds the full [`ProfileReport`] from a profiled run's leavings.
-pub fn build_profile_report(inputs: &ProfileInputs) -> ProfileReport {
-    let scan = inputs.scan;
-    let ranks = inputs.topology.size();
-    let causal = CausalAnalysis::from_snapshot(inputs.snapshot);
-    let profile = ProfileSnapshot::from_snapshot(inputs.snapshot);
-
-    // Per-rank wire time: simulated wire nanoseconds of messages this
-    // rank received (matched), summed from the causal edges.
-    let mut wire_by_rank = vec![0u64; ranks];
-    for e in &inputs.snapshot.edges {
-        if let Some(w) = wire_by_rank.get_mut(e.dst_track as usize) {
-            *w = w.saturating_add(e.wire_ns);
-        }
-    }
-
-    let mut rank_costs = Vec::with_capacity(ranks);
-    for (rank, &wire_ns) in wire_by_rank.iter().enumerate() {
-        let components = ALL_COMPONENTS.map(|c| profile.track_component_ns(rank, c));
-        let path = causal.per_rank.iter().find(|r| r.track as usize == rank);
-        rank_costs.push(RankCost {
-            rank: rank as u32,
-            busy_ns: path.map_or(0, |r| r.busy_ns),
-            on_path_ns: path.map_or(0, |r| r.on_path_ns),
-            slack_ns: path.map_or(0, |r| r.slack_ns),
-            wire_ns,
-            components,
-        });
-    }
-
-    // Derived per-tile costs over the same ownership the run executed.
+/// The per-tile costs a run document stores: each rank's SpMM self
+/// time in `log` spread over its tiles of `tile` cells by operator
+/// nonzeros, under the ownership the run executed (`tile_weights`, or
+/// uniform), row-major over the tile grid.
+pub fn tile_costs(
+    scan: &ScanGeometry,
+    topology: Topology,
+    tile: usize,
+    tile_weights: Option<&[u64]>,
+    log: &TelemetrySnapshot,
+) -> TileWeights {
+    let profile = ProfileSnapshot::from_snapshot(log);
     let sm = SystemMatrix::build(scan);
     let tomo = TileDecomposition::new(
         Domain2D::new(scan.grid.nx, scan.grid.nz),
-        inputs.tile,
+        tile,
         CurveKind::Hilbert,
     );
-    let (tiles_x, tiles_y) = tomo.tile_grid();
-    let nnz = tile_nnz(&sm, scan, inputs.tile);
-    let tile_costs_ns = derive_tile_costs(&tomo, ranks, inputs.tile_weights, &nnz, |rank| {
-        rank_costs[rank].component_ns(CostComponent::SpmmCompute)
+    let nnz = tile_nnz(&sm, scan, tile);
+    let weights = derive_tile_costs(&tomo, topology.size(), tile_weights, &nnz, |rank| {
+        profile.track_component_ns(rank, CostComponent::SpmmCompute)
     });
-
-    // Model-vs-measured drift, in shares of the respective totals.
-    let predicted = inputs.model.map(model_shares).unwrap_or_default();
-    let measured_total = profile.total_ns();
-    let drift = ALL_COMPONENTS
-        .iter()
-        .map(|&component| {
-            let measured_ns = profile.component_ns(component);
-            let measured_share = if measured_total == 0 {
-                0.0
-            } else {
-                measured_ns as f64 / measured_total as f64
-            };
-            ComponentDrift {
-                component,
-                measured_ns,
-                measured_share,
-                predicted_share: predicted[component.index()],
-            }
-        })
-        .collect();
-
-    let max_tile_ns = tile_costs_ns.iter().copied().max().unwrap_or(0);
-    let mean_tile_ns = if tile_costs_ns.is_empty() {
-        0.0
-    } else {
-        tile_costs_ns.iter().sum::<u64>() as f64 / tile_costs_ns.len() as f64
-    };
-    let mut zero_slack_ranks: Vec<u32> = causal
-        .per_rank
-        .iter()
-        .filter(|r| r.slack_ns == 0)
-        .map(|r| r.track)
-        .collect();
-    zero_slack_ranks.sort_unstable();
-    let skew = SkewReport {
-        max_tile_ns,
-        mean_tile_ns,
-        critical_path_ns: causal.critical_path_ns,
-        max_rank_slack_ns: causal
-            .per_rank
-            .iter()
-            .map(|r| r.slack_ns)
-            .max()
-            .unwrap_or(0),
-        zero_slack_ranks,
-    };
-
-    ProfileReport {
-        precision: inputs.precision,
-        n: scan.detector.channels,
-        slices: inputs.slices,
-        angles: scan.angles.len(),
-        topology: inputs.topology,
-        tile_size: inputs.tile,
-        tiles_x,
-        tiles_y,
-        tile_costs_ns,
-        ranks: rank_costs,
-        drift,
-        skew,
+    TileWeights {
+        tile_size: tile,
+        weights,
     }
+}
+
+/// The profile view of `doc`, scored against the analytic model of the
+/// run its header describes ([`ModelExperiment::from_header`]), or
+/// against zero shares when the header names no plan.
+pub fn profile_view(doc: &RunDocument) -> Result<ProfileReport, String> {
+    let model = ModelExperiment::from_header(&doc.header).map(|m| m.run());
+    let predicted = model
+        .as_ref()
+        .map(model_shares)
+        .unwrap_or([0.0; COMPONENT_COUNT]);
+    ProfileReport::from_document(doc, predicted)
 }
 
 #[cfg(test)]
@@ -267,12 +171,15 @@ mod tests {
 
     #[test]
     fn model_shares_sum_to_one_and_map_every_component() {
-        use crate::model::{ModelExperiment, OptLevel};
+        use crate::model::ModelExperiment;
         use xct_cluster::MachineSpec;
         use xct_plan::Planner;
         let machine = MachineSpec::summit(2);
         let plan = Planner::default().plan_machine(512, 64, 512, &machine, 16);
-        let est = ModelExperiment::from_plan(&plan, machine, OptLevel::full(), 10).run();
+        let mut header = xct_plan::RunHeader::default();
+        header.planned(&plan, 10);
+        assert_eq!(header.topology.map(|t| t.nodes), Some(machine.nodes));
+        let est = ModelExperiment::from_header(&header).unwrap().run();
         let shares = model_shares(&est);
         let total: f64 = shares.iter().sum();
         assert!((total - 1.0).abs() < 1e-9, "shares sum to {total}");

@@ -15,10 +15,10 @@
 //! * [`model`] — the paper-scale estimator: Table I complexity + measured
 //!   kernel/communication shapes mapped through the machine model, for
 //!   the Summit-sized experiments (Tables III–IV, Figs 10–12),
-//! * [`drift`] — the `petaxct-profile-v1` artifact builder: measured
-//!   per-component costs joined with causal slack, per-tile costs
-//!   derived from the operator's nonzero distribution, and the
-//!   model-vs-measured drift table,
+//! * [`drift`] — what a run document's profile needs beyond the log:
+//!   per-tile costs derived from the operator's nonzero distribution
+//!   (written) and the model's predicted shares the drift table scores
+//!   the measured run against (read),
 //! * [`Reconstructor`] — the single-call public API used by the examples,
 //!   a 1×1×1 [`distributed::DistributedSetup`] whose `run` is where every
 //!   entry point chooses its solver.
@@ -49,7 +49,7 @@ mod recon;
 pub mod stream;
 pub mod volume;
 
-pub use drift::{build_profile_report, model_shares, ProfileInputs};
+pub use drift::{model_shares, profile_view, tile_costs};
 pub use partition::{Partitioning, TableIComplexity};
 pub use recon::{Algorithm, ReconOptions, Reconstructor};
 pub use stream::{reconstruct_planned, PlannedError, PlannedOutcome, PlannedStats};

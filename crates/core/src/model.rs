@@ -12,6 +12,7 @@
 use crate::partition::Partitioning;
 use xct_cluster::{simulate_pipeline, MachineSpec, MinibatchWork, PipelineMode, TimeBreakdown};
 use xct_fp16::Precision;
+use xct_plan::RunHeader;
 
 /// Which optimizations are enabled (the three row groups of Table III).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,30 +130,27 @@ impl ModelExperiment {
     /// 4,096 nodes sustains the paper's 65.4 PFLOPS kernel rate.
     pub const KERNEL_EFFICIENCY: f64 = 0.40;
 
-    /// Builds the experiment from a machine-granularity plan (see
-    /// `xct_plan::Planner::plan_machine`): dataset shape, batch × data
-    /// split, precision, and fusing come from the plan; `opt`,
-    /// `iterations`, and the paper's Table IV ratios with a 7% imbalance
-    /// default complete it (override fields afterwards as needed).
-    pub fn from_plan(
-        plan: &xct_plan::ReconPlan,
-        machine: MachineSpec,
-        opt: OptLevel,
-        iterations: usize,
-    ) -> Self {
-        ModelExperiment {
-            projections: plan.angles,
-            rows: plan.dims.slices,
-            channels: plan.dims.n,
-            machine,
-            partitioning: plan.partitioning,
-            precision: plan.precision,
-            opt,
-            fusing: plan.fusing,
-            iterations,
+    /// The experiment a run document's header describes — its problem,
+    /// plan shape (the batch × data split and fusing of a planner's
+    /// plan), precision and iterations — on the smallest Summit machine
+    /// carrying its node count, fully optimized, with the paper's
+    /// Table IV ratios and a 7% imbalance (override fields afterwards as
+    /// needed); `None` when the header lacks any of these.
+    pub fn from_header(header: &RunHeader) -> Option<Self> {
+        let shape = header.plan?;
+        Some(ModelExperiment {
+            projections: shape.angles,
+            rows: shape.slices,
+            channels: shape.n,
+            machine: MachineSpec::summit(header.topology?.nodes.max(1)),
+            partitioning: shape.partitioning,
+            precision: header.precision?,
+            opt: OptLevel::full(),
+            fusing: shape.fusing,
+            iterations: header.iterations?,
             ratios: HierarchyRatios::paper(),
             imbalance: 0.07,
-        }
+        })
     }
 
     /// Effective nonzeros per slice: ≈0.55·K·N² (see

@@ -3,18 +3,22 @@
 //! slices — with every span duration chosen so each per-rank cost, each
 //! drift row, and every derived per-tile cost is an exact arithmetic
 //! consequence of the script. No tolerances anywhere: the profiler adds
-//! scripted integers, and the artifact builder's tile spread is floor
-//! division over the operator's nonzero counts.
+//! scripted integers, and the document writer's tile spread is floor
+//! division over the operator's nonzero counts. The run document is
+//! written, read back and pinned byte for byte; every view is computed
+//! from the decoded document.
 
 use std::sync::Arc;
 
 use xct_comm::Topology;
-use xct_core::{build_profile_report, ProfileInputs};
+use xct_core::{profile_view, tile_costs};
 use xct_fp16::Precision;
 use xct_geometry::{ImageGrid, ScanGeometry, SystemMatrix};
 use xct_hilbert::{CurveKind, Domain2D, TileDecomposition};
+use xct_plan::{Partitioning, PlanShape, RunDocument, RunHeader};
 use xct_telemetry::{
-    Breakdown, CostComponent, ManualClock, Phase, ProfileSnapshot, Telemetry, ALL_COMPONENTS,
+    chrome_trace, Breakdown, CausalAnalysis, CostComponent, ManualClock, Phase, PhaseHistograms,
+    ProfileSnapshot, Telemetry, ALL_COMPONENTS,
 };
 
 /// Records one root span of exactly `dur` nanoseconds on `tele`'s
@@ -127,21 +131,49 @@ fn scripted_1x2x2_run_yields_exact_costs_drift_and_tile_costs() {
         BREAKDOWN
     );
 
-    // --- exact artifact ------------------------------------------
+    // --- the run document, written and read back -------------------
     let scan = ScanGeometry::uniform(ImageGrid::square(16, 1.0), 12);
-    let report = build_profile_report(&ProfileInputs {
-        scan: &scan,
-        slices: 2,
-        topology,
-        precision: Precision::Single,
-        tile: 4,
-        tile_weights: None,
-        snapshot: &snapshot,
-        model: None,
-    });
+    // No iteration count, so no model: every predicted share is zero.
+    let header = RunHeader {
+        topology: Some(topology),
+        precision: Some(Precision::Single),
+        plan: Some(PlanShape {
+            n: 16,
+            slices: 2,
+            angles: 12,
+            fusing: 2,
+            slabs: 2,
+            partitioning: Partitioning { batch: 1, data: 4 },
+        }),
+        ..RunHeader::new("scripted", Vec::new())
+    };
+    let mut doc = RunDocument::capture(header, &tele, None);
+    doc.tiles = Some(tile_costs(&scan, topology, 4, None, &doc.log));
+    let doc = RunDocument::parse(&doc.to_json().to_string()).expect("the document reads back");
+    assert_eq!(doc.log, snapshot);
+    assert_eq!(
+        doc.to_json().to_string(),
+        include_str!("data/profile_run.json").trim_end()
+    );
 
-    // The whole artifact, byte for byte.
-    assert_eq!(report.to_json().to_string(), REPORT_JSON);
+    // The views of the decoded document are what the retired
+    // per-view writers printed for this script.
+    let report = profile_view(&doc).expect("the document has a profile");
+    assert_eq!(report.render_text(), PROFILE_TEXT);
+    let log = &doc.log;
+    assert_eq!(
+        CausalAnalysis::from_snapshot(log).render_table(),
+        CRITICAL_PATH
+    );
+    assert_eq!(
+        PhaseHistograms::from_snapshot(log).render_table(),
+        HISTOGRAMS
+    );
+    let trace = chrome_trace(log);
+    let fnv = trace.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    });
+    assert_eq!((trace.len(), fnv), (4200, 0x8bfe_0947_4395_e90a));
 
     // Drift table: measured totals are the scripted sums; without a
     // model estimate every predicted share is zero, so the drift IS the
@@ -217,7 +249,8 @@ fn scripted_1x2x2_run_yields_exact_costs_drift_and_tile_costs() {
                 / u128::from(rank_nnz)) as u64;
         }
     }
-    assert_eq!(report.tile_costs_ns, expect);
+    assert_eq!(report.tiles.weights, expect);
+    assert_eq!(report.tiles.weights, PINNED_TILE_COSTS);
     assert_eq!(
         report.skew.max_tile_ns,
         expect.iter().copied().max().unwrap()
@@ -240,16 +273,64 @@ comm.reduce.socket           4       120 ns       120 ns     0.7%\n\
 wall  16.570 µs · instrumented coverage 255.2%\n\
 ";
 
-/// The scripted run's `petaxct-profile-v1` document.
-const REPORT_JSON: &str = concat!(
-    "{\"schema\":\"petaxct-profile-v1\",\"precision\":\"single\",\"n\":16,\"slices\":2,\"angles\":12,\"topology\":\"1x2x2\",\"tile_size\":4,\"tiles_x\":4,\"tiles_y\":4,\"tile_costs_ns\":[900,1106,4253,3460,1106,1106,4253,4253,2155,2155,3204,3204,1753,2155,3204,2606],\"ranks\":[{\"rank\":0,\"busy_ns\":4570,\"on_path_ns\":0,\"slack_ns\":12100,\"wire_ns\":100,\"components\":{\"spmm.compute\":4220,\"gather.convert\":100,\"reduce.socket\":30,\"reduce.node\":40,\"reduce.global\":50,\"comm.wait\":60,\"io.stall\":70}},",
-    "{\"rank\":1,\"busy_ns\":8570,\"on_path_ns\":0,\"slack_ns\":8100,\"wire_ns\":0,\"components\":{\"spmm.compute\":8220,\"gather.convert\":100,\"reduce.socket\":30,\"reduce.node\":40,\"reduce.global\":50,\"comm.wait\":60,\"io.stall\":70}},",
-    "{\"rank\":2,\"busy_ns\":12570,\"on_path_ns\":0,\"slack_ns\":4100,\"wire_ns\":0,\"components\":{\"spmm.compute\":12220,\"gather.convert\":100,\"reduce.socket\":30,\"reduce.node\":40,\"reduce.global\":50,\"comm.wait\":60,\"io.stall\":70}},",
-    "{\"rank\":3,\"busy_ns\":16570,\"on_path_ns\":16570,\"slack_ns\":0,\"wire_ns\":0,\"components\":{\"spmm.compute\":16220,\"gather.convert\":100,\"reduce.socket\":30,\"reduce.node\":40,\"reduce.global\":50,\"comm.wait\":60,\"io.stall\":70}}],\"drift\":[{\"component\":\"spmm.compute\",\"measured_ns\":40880,\"measured_share\":0.9668874172185431,\"predicted_share\":0,\"drift\":0.9668874172185431},",
-    "{\"component\":\"gather.convert\",\"measured_ns\":400,\"measured_share\":0.00946073793755913,\"predicted_share\":0,\"drift\":0.00946073793755913},",
-    "{\"component\":\"reduce.socket\",\"measured_ns\":120,\"measured_share\":0.002838221381267739,\"predicted_share\":0,\"drift\":0.002838221381267739},",
-    "{\"component\":\"reduce.node\",\"measured_ns\":160,\"measured_share\":0.003784295175023652,\"predicted_share\":0,\"drift\":0.003784295175023652},",
-    "{\"component\":\"reduce.global\",\"measured_ns\":200,\"measured_share\":0.004730368968779565,\"predicted_share\":0,\"drift\":0.004730368968779565},",
-    "{\"component\":\"comm.wait\",\"measured_ns\":240,\"measured_share\":0.005676442762535478,\"predicted_share\":0,\"drift\":0.005676442762535478},",
-    "{\"component\":\"io.stall\",\"measured_ns\":280,\"measured_share\":0.006622516556291391,\"predicted_share\":0,\"drift\":0.006622516556291391}],\"skew\":{\"max_tile_ns\":4253,\"mean_tile_ns\":2554.5625,\"max_over_mean\":1.664864335869645,\"critical_path_ns\":16670,\"max_rank_slack_ns\":12100,\"zero_slack_ranks\":[3]}}",
-);
+/// The scripted run's derived tile costs.
+const PINNED_TILE_COSTS: [u64; 16] = [
+    900, 1106, 4253, 3460, 1106, 1106, 4253, 4253, 2155, 2155, 3204, 3204, 1753, 2155, 3204, 2606,
+];
+
+/// The scripted run's drift and skew tables, as `petaxct profile`
+/// printed them before the run document.
+const PROFILE_TEXT: &str = "\
+profile: n=16 slices=2 angles=12 topology=1x2x2 precision=single tiles=4x4 (tile 4)
+
+component              measured      meas%     model%    drift
+spmm.compute            40880ns      96.7%       0.0%   +96.7%
+gather.convert            400ns       0.9%       0.0%    +0.9%
+reduce.socket             120ns       0.3%       0.0%    +0.3%
+reduce.node               160ns       0.4%       0.0%    +0.4%
+reduce.global             200ns       0.5%       0.0%    +0.5%
+comm.wait                 240ns       0.6%       0.0%    +0.6%
+io.stall                  280ns       0.7%       0.0%    +0.7%
+
+skew: max tile 4253ns, mean tile 2555ns (max/mean 1.66)
+critical path 16670ns, max rank slack 12100ns, zero-slack ranks [3]
+
+rank           busy      on-path        slack         wire
+0            4570ns          0ns      12100ns        100ns
+1            8570ns          0ns       8100ns          0ns
+2           12570ns          0ns       4100ns          0ns
+3           16570ns      16570ns          0ns          0ns
+";
+
+/// The scripted run's critical-path table.
+const CRITICAL_PATH: &str = "\
+critical path 16.670 µs · wire on path 100 ns · 1 step(s)
+rank         busy    on path      slack  % path
+0        4.570 µs       0 ns  12.100 µs    0.0%
+1        8.570 µs       0 ns   8.100 µs    0.0%
+2       12.570 µs       0 ns   4.100 µs    0.0%
+3       16.570 µs  16.570 µs       0 ns   99.4% *
+(* = zero slack: the rank bounds end-to-end time)
+";
+
+/// The scripted run's duration histograms.
+const HISTOGRAMS: &str = "\
+phase duration histograms (log2 buckets)
+spmm.forward           n=16     min 1.000 µs · max 4.110 µs
+  [    512 ns,   1.024 µs)      2 ########
+  [  1.024 µs,   2.048 µs)      4 ################
+  [  2.048 µs,   4.096 µs)      8 ################################
+  [  4.096 µs,   8.192 µs)      2 ########
+precision.convert      n=4      min 100 ns · max 100 ns
+  [     64 ns,     128 ns)      4 ################################
+io                     n=4      min 70 ns · max 70 ns
+  [     64 ns,     128 ns)      4 ################################
+comm.wait              n=4      min 60 ns · max 60 ns
+  [     32 ns,      64 ns)      4 ################################
+comm.reduce.global     n=4      min 50 ns · max 50 ns
+  [     32 ns,      64 ns)      4 ################################
+comm.reduce.node       n=4      min 40 ns · max 40 ns
+  [     32 ns,      64 ns)      4 ################################
+comm.reduce.socket     n=4      min 30 ns · max 30 ns
+  [     16 ns,      32 ns)      4 ################################
+";

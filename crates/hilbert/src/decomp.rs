@@ -157,7 +157,7 @@ impl TileDecomposition {
     /// Splits the curve-ordered tiles into `parts` contiguous subdomains
     /// balanced by *measured weights* instead of cell counts (the
     /// offline-rebalance path: weights are per-tile nanoseconds from a
-    /// `petaxct-profile-v1` artifact).
+    /// run document).
     ///
     /// `weights` is indexed row-major by tile-grid position
     /// (`ty * tiles_x + tx`) and must cover the whole grid. Exactly the

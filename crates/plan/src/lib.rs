@@ -23,10 +23,12 @@
 
 pub mod partition;
 pub mod profile;
+pub mod run;
 pub mod tune;
 
 pub use partition::{Partitioning, TableIComplexity};
-pub use profile::{ComponentDrift, ProfileReport, RankCost, SkewReport, PROFILE_SCHEMA};
+pub use profile::{ComponentDrift, ProfileReport, RankCost, SkewReport};
+pub use run::{install_panic_hook, PlanShape, RunDocument, RunHeader, RUN_SCHEMA};
 pub use tune::{KernelShape, TunePoint, TuneReport, TUNE_SCHEMA};
 
 use xct_cluster::MachineSpec;
@@ -71,8 +73,8 @@ pub struct SlabPlan {
     pub residency: Residency,
 }
 
-/// Measured per-tile cost weights for the x–z Hilbert decomposition,
-/// extracted from a `petaxct-profile-v1` artifact (`--weights-from`).
+/// Measured per-tile cost weights for the x–z Hilbert decomposition:
+/// a run document's tile costs (`--weights-from`).
 ///
 /// `weights[ty * tiles_x + tx]` is the measured cost (nanoseconds) of
 /// the tile at grid position `(tx, ty)`, row-major over the
@@ -134,8 +136,8 @@ pub struct ReconPlan {
     /// Tuned kernel tile shape (from a `petaxct-tune-v1` artifact via
     /// `--tune-from`); `None` leaves the executor's defaults in place.
     pub kernel: Option<KernelShape>,
-    /// Measured per-tile cost weights (from a `petaxct-profile-v1`
-    /// artifact via `--weights-from`); `None` keeps the uniform
+    /// Measured per-tile cost weights (a run document's tile costs, via
+    /// `--weights-from`); `None` keeps the uniform
     /// cell-count Hilbert partition.
     pub tile_weights: Option<TileWeights>,
 }

@@ -1,24 +1,22 @@
-//! `petaxct-profile-v1` — measured cost profiles as data.
+//! The cost profile: a view of a run document.
 //!
-//! `petaxct profile` (and `reconstruct --profile-out`) runs a
-//! reconstruction with telemetry on and writes what it measured as a
-//! versioned JSON artifact: per-rank component
-//! costs joined with the causal layer's slack, per-tile costs derived
-//! from the rank SpMM time and the operator's nonzero distribution, a
-//! model-vs-measured drift table, and a skew summary. The planner
-//! closes the rebalance loop by consuming the artifact via
-//! `--weights-from`: [`ProfileReport::tile_weights`] turns the per-tile
-//! costs into the [`TileWeights`] the Hilbert partition re-runs with.
+//! [`ProfileReport::from_document`] joins the log's per-component self
+//! times ([`ProfileSnapshot`]) with the causal layer's critical-path
+//! attribution and the wire time of each rank's received messages,
+//! scores the measured shares against a model's predicted ones (the
+//! drift table), and summarises how unevenly the document's tile costs
+//! and the ranks' slack are spread (the skew). The planner closes the
+//! rebalance loop with the same document: `--weights-from` reads its
+//! tile costs as the [`TileWeights`] the Hilbert partition re-runs
+//! with.
 
+use crate::run::{PlanShape, RunDocument};
 use crate::TileWeights;
 use xct_comm::Topology;
 use xct_fp16::Precision;
-use xct_telemetry::{CostComponent, Json, ALL_COMPONENTS, COMPONENT_COUNT};
-
-/// Schema tag stamped into every profile artifact;
-/// [`ProfileReport::from_json`] rejects documents carrying any other
-/// value.
-pub const PROFILE_SCHEMA: &str = "petaxct-profile-v1";
+use xct_telemetry::{
+    CausalAnalysis, CostComponent, ProfileSnapshot, ALL_COMPONENTS, COMPONENT_COUNT,
+};
 
 /// One rank's measured costs: the profiler's per-component self times
 /// joined with the causal layer's critical-path attribution and the
@@ -45,39 +43,6 @@ impl RankCost {
     /// The nanoseconds this rank charged to `component`.
     pub fn component_ns(&self, component: CostComponent) -> u64 {
         self.components[component.index()]
-    }
-
-    fn to_json(&self) -> Json {
-        let components = ALL_COMPONENTS
-            .iter()
-            .map(|c| (c.as_str(), Json::from(self.components[c.index()])))
-            .collect();
-        Json::object(vec![
-            ("rank", Json::from(u64::from(self.rank))),
-            ("busy_ns", Json::from(self.busy_ns)),
-            ("on_path_ns", Json::from(self.on_path_ns)),
-            ("slack_ns", Json::from(self.slack_ns)),
-            ("wire_ns", Json::from(self.wire_ns)),
-            ("components", Json::object(components)),
-        ])
-    }
-
-    fn from_json(json: &Json) -> Result<RankCost, String> {
-        let table = json
-            .get("components")
-            .ok_or("rank entry has no \"components\" object")?;
-        let mut components = [0u64; COMPONENT_COUNT];
-        for c in ALL_COMPONENTS {
-            components[c.index()] = table.u64_at(c.as_str())?;
-        }
-        Ok(RankCost {
-            rank: u32::try_from(json.u64_at("rank")?).map_err(|_| "rank out of range")?,
-            busy_ns: json.u64_at("busy_ns")?,
-            on_path_ns: json.u64_at("on_path_ns")?,
-            slack_ns: json.u64_at("slack_ns")?,
-            wire_ns: json.u64_at("wire_ns")?,
-            components,
-        })
     }
 }
 
@@ -107,27 +72,6 @@ impl ComponentDrift {
     pub fn drift(&self) -> f64 {
         self.measured_share - self.predicted_share
     }
-
-    fn to_json(self) -> Json {
-        Json::object(vec![
-            ("component", Json::from(self.component.as_str())),
-            ("measured_ns", Json::from(self.measured_ns)),
-            ("measured_share", Json::from(self.measured_share)),
-            ("predicted_share", Json::from(self.predicted_share)),
-            ("drift", Json::from(self.drift())),
-        ])
-    }
-
-    fn from_json(json: &Json) -> Result<ComponentDrift, String> {
-        let name = json.str_at("component")?;
-        Ok(ComponentDrift {
-            component: CostComponent::parse(name)
-                .ok_or_else(|| format!("unknown cost component {name:?}"))?,
-            measured_ns: json.u64_at("measured_ns")?,
-            measured_share: json.f64_at("measured_share")?,
-            predicted_share: json.f64_at("predicted_share")?,
-        })
-    }
 }
 
 /// The skew summary: how unevenly cost is spread over tiles and ranks.
@@ -156,70 +100,20 @@ impl SkewReport {
             self.max_tile_ns as f64 / self.mean_tile_ns
         }
     }
-
-    fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("max_tile_ns", Json::from(self.max_tile_ns)),
-            ("mean_tile_ns", Json::from(self.mean_tile_ns)),
-            ("max_over_mean", Json::from(self.max_over_mean())),
-            ("critical_path_ns", Json::from(self.critical_path_ns)),
-            ("max_rank_slack_ns", Json::from(self.max_rank_slack_ns)),
-            (
-                "zero_slack_ranks",
-                Json::from(
-                    self.zero_slack_ranks
-                        .iter()
-                        .map(|&r| Json::from(u64::from(r)))
-                        .collect::<Vec<_>>(),
-                ),
-            ),
-        ])
-    }
-
-    fn from_json(json: &Json) -> Result<SkewReport, String> {
-        let zero_slack_ranks = json
-            .array_at("zero_slack_ranks")?
-            .iter()
-            .map(|v| {
-                v.as_u64()
-                    .and_then(|r| u32::try_from(r).ok())
-                    .ok_or("zero-slack rank is not a rank id")
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(SkewReport {
-            max_tile_ns: json.u64_at("max_tile_ns")?,
-            mean_tile_ns: json.f64_at("mean_tile_ns")?,
-            critical_path_ns: json.u64_at("critical_path_ns")?,
-            max_rank_slack_ns: json.u64_at("max_rank_slack_ns")?,
-            zero_slack_ranks,
-        })
-    }
 }
 
-/// One full measured cost profile: the problem it profiled, per-tile
-/// and per-rank costs, the drift table, and the skew summary.
+/// One measured cost profile: the problem it profiled, per-rank costs,
+/// the drift table and the skew summary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileReport {
     /// Precision mode the profiled run used.
     pub precision: Precision,
-    /// Grid side of the profiled problem.
-    pub n: usize,
-    /// Slices in the profiled stack.
-    pub slices: usize,
-    /// Projection angles per slice.
-    pub angles: usize,
+    /// The profiled problem and plan.
+    pub plan: PlanShape,
     /// Rank topology the run executed on.
     pub topology: Topology,
-    /// Side length of the Hilbert tiles the per-tile costs key on.
-    pub tile_size: usize,
-    /// Tile-grid width (`ceil(n / tile_size)`).
-    pub tiles_x: usize,
-    /// Tile-grid height.
-    pub tiles_y: usize,
-    /// Derived per-tile cost, nanoseconds, row-major over the tile
-    /// grid: the owning rank's measured SpMM self time spread over its
-    /// tiles proportionally to per-tile operator nonzeros.
-    pub tile_costs_ns: Vec<u64>,
+    /// The document's derived per-tile costs.
+    pub tiles: TileWeights,
     /// Per-rank measured costs, ascending by rank.
     pub ranks: Vec<RankCost>,
     /// Model-vs-measured drift rows, in [`ALL_COMPONENTS`] order.
@@ -229,106 +123,102 @@ pub struct ProfileReport {
 }
 
 impl ProfileReport {
-    /// The per-tile weights the planner re-partitions with
-    /// (`--weights-from`).
-    pub fn tile_weights(&self) -> TileWeights {
-        TileWeights {
-            tile_size: self.tile_size,
-            weights: self.tile_costs_ns.clone(),
+    /// The profile of `doc`'s run, scored against a model's `predicted`
+    /// share per component (zeros without a model). The document must
+    /// name its topology, precision and plan, carry tile costs of a
+    /// nonzero tile size, and hold a track for each of its ranks.
+    pub fn from_document(
+        doc: &RunDocument,
+        predicted: [f64; COMPONENT_COUNT],
+    ) -> Result<ProfileReport, String> {
+        let h = &doc.header;
+        let missing = |what: &str| format!("the run document names no {what}");
+        let topology = h.topology.ok_or_else(|| missing("topology"))?;
+        let tiles = doc.tiles.clone().filter(|t| t.tile_size > 0);
+        let tiles = tiles.ok_or_else(|| missing("tile costs of a nonzero tile size"))?;
+        let precision = h.precision.ok_or_else(|| missing("precision"))?;
+        let plan = h.plan.ok_or_else(|| missing("plan"))?;
+        // Every rank of a run records on its own track; the check also
+        // keeps a document's topology from sizing the rank table alone.
+        let ranks = topology.size();
+        let tracks = (doc.log.spans.iter()).map(|s| s.track as usize + 1).max();
+        if ranks > tracks.unwrap_or(0) {
+            return Err(format!("{ranks} ranks, but the log holds fewer tracks"));
         }
-    }
+        let causal = CausalAnalysis::from_snapshot(&doc.log);
+        let profile = ProfileSnapshot::from_snapshot(&doc.log);
 
-    /// Serializes to the `petaxct-profile-v1` JSON document.
-    pub fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("schema", Json::from(PROFILE_SCHEMA)),
-            ("precision", Json::from(self.precision.label())),
-            ("n", Json::from(self.n as u64)),
-            ("slices", Json::from(self.slices as u64)),
-            ("angles", Json::from(self.angles as u64)),
-            ("topology", Json::from(self.topology.to_string())),
-            ("tile_size", Json::from(self.tile_size as u64)),
-            ("tiles_x", Json::from(self.tiles_x as u64)),
-            ("tiles_y", Json::from(self.tiles_y as u64)),
-            (
-                "tile_costs_ns",
-                Json::from(
-                    self.tile_costs_ns
-                        .iter()
-                        .map(|&ns| Json::from(ns))
-                        .collect::<Vec<_>>(),
-                ),
-            ),
-            (
-                "ranks",
-                Json::from(self.ranks.iter().map(RankCost::to_json).collect::<Vec<_>>()),
-            ),
-            (
-                "drift",
-                Json::from(self.drift.iter().map(|d| d.to_json()).collect::<Vec<_>>()),
-            ),
-            ("skew", self.skew.to_json()),
-        ])
-    }
-
-    /// Decodes a parsed document, validating the schema tag, the tile
-    /// table length against the declared grid, and rank ordering.
-    pub fn from_json(json: &Json) -> Result<ProfileReport, String> {
-        json.expect_schema(PROFILE_SCHEMA)?;
-        let tile_costs_ns = json
-            .array_at("tile_costs_ns")?
-            .iter()
-            .map(|v| v.as_u64().ok_or("tile cost is not a nanosecond count"))
-            .collect::<Result<Vec<_>, _>>()?;
-        let ranks = json
-            .array_at("ranks")?
-            .iter()
-            .map(RankCost::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        if let Some(w) = ranks.windows(2).find(|w| w[0].rank >= w[1].rank) {
-            return Err(format!(
-                "rank entries out of order: {} then {}",
-                w[0].rank, w[1].rank
-            ));
+        // Per-rank wire time: simulated wire nanoseconds of messages this
+        // rank received (matched), summed from the causal edges.
+        let mut wire_by_rank = vec![0u64; ranks];
+        for e in &doc.log.edges {
+            if let Some(w) = wire_by_rank.get_mut(e.dst_track as usize) {
+                *w = w.saturating_add(e.wire_ns);
+            }
         }
-        let drift = json
-            .array_at("drift")?
-            .iter()
-            .map(ComponentDrift::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let skew = SkewReport::from_json(json.get("skew").ok_or("missing field \"skew\"")?)?;
-        let report = ProfileReport {
-            precision: json
-                .str_at("precision")?
-                .parse()
-                .map_err(|e| format!("bad precision: {e}"))?,
-            n: json.usize_at("n")?,
-            slices: json.usize_at("slices")?,
-            angles: json.usize_at("angles")?,
-            topology: json.str_at("topology")?.parse()?,
-            tile_size: json.usize_at("tile_size")?,
-            tiles_x: json.usize_at("tiles_x")?,
-            tiles_y: json.usize_at("tiles_y")?,
-            tile_costs_ns,
-            ranks,
+        let rank_costs = (wire_by_rank.iter().enumerate())
+            .map(|(rank, &wire_ns)| {
+                let path = causal.per_rank.iter().find(|r| r.track as usize == rank);
+                RankCost {
+                    rank: rank as u32,
+                    busy_ns: path.map_or(0, |r| r.busy_ns),
+                    on_path_ns: path.map_or(0, |r| r.on_path_ns),
+                    slack_ns: path.map_or(0, |r| r.slack_ns),
+                    wire_ns,
+                    components: ALL_COMPONENTS.map(|c| profile.track_component_ns(rank, c)),
+                }
+            })
+            .collect();
+
+        // Model-vs-measured drift, in shares of the respective totals.
+        let measured_total = profile.total_ns();
+        let drift = (ALL_COMPONENTS.iter())
+            .map(|&component| {
+                let measured_ns = profile.component_ns(component);
+                ComponentDrift {
+                    component,
+                    measured_ns,
+                    measured_share: if measured_total == 0 {
+                        0.0
+                    } else {
+                        measured_ns as f64 / measured_total as f64
+                    },
+                    predicted_share: predicted[component.index()],
+                }
+            })
+            .collect();
+
+        let costs = &tiles.weights;
+        let mut zero_slack_ranks: Vec<u32> = (causal.per_rank.iter())
+            .filter(|r| r.slack_ns == 0)
+            .map(|r| r.track)
+            .collect();
+        zero_slack_ranks.sort_unstable();
+        let skew = SkewReport {
+            max_tile_ns: costs.iter().copied().max().unwrap_or(0),
+            mean_tile_ns: if costs.is_empty() {
+                0.0
+            } else {
+                costs.iter().sum::<u64>() as f64 / costs.len() as f64
+            },
+            critical_path_ns: causal.critical_path_ns,
+            max_rank_slack_ns: causal
+                .per_rank
+                .iter()
+                .map(|r| r.slack_ns)
+                .max()
+                .unwrap_or(0),
+            zero_slack_ranks,
+        };
+        Ok(ProfileReport {
+            precision,
+            plan,
+            topology,
+            tiles,
+            ranks: rank_costs,
             drift,
             skew,
-        };
-        if report.tiles_x.checked_mul(report.tiles_y) != Some(report.tile_costs_ns.len()) {
-            return Err(format!(
-                "tile cost table has {} entries, grid is {}x{}",
-                report.tile_costs_ns.len(),
-                report.tiles_x,
-                report.tiles_y
-            ));
-        }
-        Ok(report)
-    }
-
-    /// Parses artifact text (convenience over [`Json::parse`] +
-    /// [`ProfileReport::from_json`]).
-    pub fn parse(text: &str) -> Result<ProfileReport, String> {
-        ProfileReport::from_json(&Json::parse(text)?)
+        })
     }
 
     /// Renders the drift and skew tables as fixed-width text (the
@@ -336,17 +226,16 @@ impl ProfileReport {
     pub fn render_text(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
+        let side = self.plan.n.div_ceil(self.tiles.tile_size);
         let _ = writeln!(
             out,
-            "profile: n={} slices={} angles={} topology={} precision={} tiles={}x{} (tile {})",
-            self.n,
-            self.slices,
-            self.angles,
+            "profile: n={} slices={} angles={} topology={} precision={} tiles={side}x{side} (tile {})",
+            self.plan.n,
+            self.plan.slices,
+            self.plan.angles,
             self.topology,
             self.precision.label(),
-            self.tiles_x,
-            self.tiles_y,
-            self.tile_size,
+            self.tiles.tile_size,
         );
         let _ = writeln!(
             out,
@@ -399,14 +288,19 @@ mod tests {
     fn report() -> ProfileReport {
         ProfileReport {
             precision: Precision::Single,
-            n: 16,
-            slices: 2,
-            angles: 16,
+            plan: PlanShape {
+                n: 16,
+                slices: 2,
+                angles: 16,
+                fusing: 2,
+                slabs: 1,
+                partitioning: crate::Partitioning { batch: 1, data: 4 },
+            },
             topology: Topology::new(1, 2, 2),
-            tile_size: 4,
-            tiles_x: 4,
-            tiles_y: 4,
-            tile_costs_ns: (0..16u64).map(|i| i * 100).collect(),
+            tiles: TileWeights {
+                tile_size: 4,
+                weights: (0..16u64).map(|i| i * 100).collect(),
+            },
             ranks: vec![
                 RankCost {
                     rank: 0,
@@ -445,21 +339,36 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip_is_identity() {
-        let r = report();
-        let text = r.to_json().to_string();
-        let back = ProfileReport::parse(&text).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn weights_extraction_matches_the_tile_table() {
-        let r = report();
-        let w = r.tile_weights();
-        assert_eq!(w.tile_size, 4);
-        assert_eq!(w.weights, r.tile_costs_ns);
-        assert_eq!(w.expected_len(16), 16);
-        assert_eq!(w.grid_side(16), 4);
+    fn a_document_is_profiled_only_with_what_the_view_needs() {
+        let view = |doc: &RunDocument| ProfileReport::from_document(doc, [0.0; COMPONENT_COUNT]);
+        let mut doc = RunDocument::default();
+        assert!(view(&doc).unwrap_err().contains("topology"));
+        doc.header.topology = Some(Topology::new(1, 2, 2));
+        doc.tiles = Some(TileWeights {
+            tile_size: 0,
+            weights: Vec::new(),
+        });
+        assert!(view(&doc).unwrap_err().contains("nonzero tile size"));
+        doc.tiles = report().tiles.into();
+        assert!(view(&doc).unwrap_err().contains("precision"));
+        doc.header.precision = Some(Precision::Single);
+        doc.header.plan = Some(report().plan);
+        assert!(view(&doc).unwrap_err().contains("4 ranks"));
+        doc.log.spans = (0..4)
+            .map(|track| xct_telemetry::SpanRecord {
+                phase: xct_telemetry::Phase::SpmmForward,
+                track,
+                start_ns: 0,
+                end_ns: 10,
+                parent: None,
+            })
+            .collect();
+        let profile = view(&doc).unwrap();
+        assert_eq!(profile.ranks.len(), 4);
+        assert_eq!(profile.skew.max_tile_ns, 1_500);
+        assert!(profile
+            .render_text()
+            .starts_with("profile: n=16 slices=2 angles=16"));
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! analysis attributes wall time to whichever phase held the rank —
 //! while the wire edges bound how early a receive *could* have matched.
 
-use crate::{fmt_ns, EdgeRecord, Json, TelemetrySnapshot};
+use crate::{fmt_ns, EdgeRecord, TelemetrySnapshot};
 
 /// One node of the segment DAG: a slice of one track's timeline.
 #[derive(Clone, Debug)]
@@ -389,48 +389,6 @@ impl CausalAnalysis {
         out.push_str("(* = zero slack: the rank bounds end-to-end time)\n");
         out
     }
-
-    /// JSON fragment embedded in the `petaxct-telemetry-v1` report and
-    /// in `BENCH_*.json` benchmark artifacts.
-    pub fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("critical_path_ns", Json::from(self.critical_path_ns)),
-            ("wire_on_path_ns", Json::from(self.wire_on_path_ns)),
-            (
-                "per_rank",
-                Json::Arr(
-                    self.per_rank
-                        .iter()
-                        .map(|r| {
-                            Json::object(vec![
-                                ("rank", Json::from(u64::from(r.track))),
-                                ("busy_ns", Json::from(r.busy_ns)),
-                                ("on_path_ns", Json::from(r.on_path_ns)),
-                                ("slack_ns", Json::from(r.slack_ns)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "steps",
-                Json::Arr(
-                    self.steps
-                        .iter()
-                        .map(|s| {
-                            Json::object(vec![
-                                ("rank", Json::from(u64::from(s.track))),
-                                ("start_ns", Json::from(s.start_ns)),
-                                ("end_ns", Json::from(s.end_ns)),
-                                ("busy_ns", Json::from(s.busy_ns)),
-                                ("wire_in_ns", Json::from(s.wire_in_ns)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
 }
 
 #[cfg(test)]
@@ -591,28 +549,13 @@ mod tests {
     }
 
     #[test]
-    fn table_and_json_carry_the_key_fields() {
+    fn table_carries_the_key_fields() {
         let causal = CausalAnalysis::from_snapshot(&three_rank_fixture());
         let table = causal.render_table();
         assert!(table.contains("critical path"), "{table}");
         assert!(table.contains("slack"), "{table}");
         assert!(table.contains('*'), "straggler marker missing: {table}");
-        let json = causal.to_json();
-        assert_eq!(
-            json.get("critical_path_ns").and_then(Json::as_f64),
-            Some(250.0)
-        );
-        assert_eq!(
-            json.get("per_rank")
-                .and_then(Json::as_array)
-                .map(<[Json]>::len),
-            Some(3)
-        );
-        assert_eq!(
-            json.get("steps")
-                .and_then(Json::as_array)
-                .map(<[Json]>::len),
-            Some(2)
-        );
+        assert!(table.starts_with("critical path 250 ns"), "{table}");
+        assert_eq!((causal.per_rank.len(), causal.steps.len()), (3, 2));
     }
 }

@@ -95,11 +95,9 @@ impl DurationHistogram {
         self.sum_ns
     }
 
-    /// The one JSON form of a histogram — count, extremes, sum and the
-    /// non-empty buckets — led by a `label: name` field saying what was
-    /// measured (`"phase"` in the telemetry report, `"metric"` in the
-    /// metrics series).
-    pub(crate) fn to_json(&self, label: &str, name: &str) -> Json {
+    /// The one JSON form of a histogram: the metric it measures, count,
+    /// extremes, sum and the non-empty buckets.
+    pub(crate) fn to_json(&self, metric: &str) -> Json {
         let bucket = |(lo, hi, count): (u64, u64, u64)| {
             Json::object(vec![
                 ("lo_ns", Json::from(lo)),
@@ -108,7 +106,7 @@ impl DurationHistogram {
             ])
         };
         Json::object(vec![
-            (label, Json::from(name)),
+            ("metric", Json::from(metric)),
             ("count", Json::from(self.count())),
             ("min_ns", Json::from(self.min_ns())),
             ("max_ns", Json::from(self.max_ns())),
@@ -118,6 +116,39 @@ impl DurationHistogram {
                 Json::Arr(self.buckets().into_iter().map(bucket).collect()),
             ),
         ])
+    }
+
+    /// Decodes [`DurationHistogram::to_json`]'s form (the metric name is
+    /// the caller's). A bucket is named by its lower bound, 0 or a power
+    /// of two; the bucket counts must sum to the count.
+    pub(crate) fn from_json(json: &Json) -> Result<DurationHistogram, String> {
+        let mut hist = DurationHistogram::new();
+        for bucket in json.array_at("buckets")? {
+            // Bounds pass 2^53, so they are read as numbers, not counts.
+            let lo = bucket.f64_at("lo_ns")?;
+            let slot = match lo.log2() {
+                _ if lo == 0.0 => Some(0),
+                e if e.fract() == 0.0 && (0.0..64.0).contains(&e) => Some(e as usize + 1),
+                _ => None,
+            };
+            let slot = slot.ok_or_else(|| format!("bucket lower bound {lo} is not 0 or 2^k"))?;
+            hist.counts[slot] = bucket.u64_at("count")?;
+        }
+        hist.count = json.u64_at("count")?;
+        if hist
+            .counts
+            .iter()
+            .try_fold(0u64, |sum, &c| sum.checked_add(c))
+            != Some(hist.count)
+        {
+            return Err("field \"count\" is not the sum of the buckets".to_owned());
+        }
+        hist.max_ns = json.u64_at("max_ns")?;
+        hist.sum_ns = json.u64_at("sum_ns")?;
+        if hist.count > 0 {
+            hist.min_ns = json.u64_at("min_ns")?;
+        }
+        Ok(hist)
     }
 
     /// Non-empty buckets as `(lo_ns, hi_ns, count)` ranges, low first.
@@ -191,16 +222,6 @@ impl PhaseHistograms {
         }
         out
     }
-
-    /// JSON fragment for the telemetry report and benchmark artifacts.
-    pub fn to_json(&self) -> Json {
-        let phases = self.phases.iter();
-        Json::Arr(
-            phases
-                .map(|(p, h)| h.to_json("phase", p.as_str()))
-                .collect(),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -264,9 +285,5 @@ mod tests {
         let table = hists.render_table();
         assert!(table.contains("spmm.forward"), "{table}");
         assert!(table.contains('#'), "{table}");
-        let json = hists.to_json();
-        let arr = json.as_array().expect("array");
-        assert_eq!(arr.len(), 2);
-        assert_eq!(arr[0].get("count").and_then(Json::as_f64), Some(3.0));
     }
 }

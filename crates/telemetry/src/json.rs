@@ -1,8 +1,8 @@
 //! A minimal JSON value: builder, serializer, and parser.
 //!
-//! The container has no serde, so the report sinks build [`Json`] values
-//! by hand and the integration tests parse emitted files back with
-//! [`Json::parse`] to validate schemas. Only what the telemetry reports
+//! The workspace has no serde, so the artifact codecs build [`Json`]
+//! values by hand and read them back with [`Json::parse`] and the typed
+//! `*_at` accessors. Only what the telemetry reports
 //! need is implemented; numbers are `f64` (integral values are printed
 //! without a fractional part).
 
@@ -250,7 +250,7 @@ fn write_escaped(s: &str, out: &mut String) {
 
 /// Deepest array/object nesting [`Json::parse`] accepts. The parser
 /// recurses once per level and its input is external bytes; every
-/// `petaxct-*-v1` schema nests under ten deep.
+/// `petaxct-*` schema nests under ten deep.
 const MAX_NESTING: usize = 128;
 
 struct Parser<'a> {
@@ -451,7 +451,7 @@ mod tests {
     #[test]
     fn round_trips_a_report_shaped_document() {
         let doc = Json::object(vec![
-            ("schema", Json::from("petaxct-telemetry-v1")),
+            ("schema", Json::from("petaxct-run-v1")),
             ("wall_seconds", Json::from(1.5)),
             (
                 "phases",
@@ -467,10 +467,7 @@ mod tests {
         let text = doc.to_string();
         let back = Json::parse(&text).expect("round trip parses");
         assert_eq!(back, doc);
-        assert_eq!(
-            back.get("schema").unwrap().as_str(),
-            Some("petaxct-telemetry-v1")
-        );
+        assert_eq!(back.get("schema").unwrap().as_str(), Some("petaxct-run-v1"));
         assert_eq!(back.get("wall_seconds").unwrap().as_f64(), Some(1.5));
         let phases = back.get("phases").unwrap().as_array().unwrap();
         assert_eq!(phases[0].get("count").unwrap().as_f64(), Some(12.0));

@@ -24,22 +24,22 @@
 //!     track lock (a sampled histogram's count, sum and buckets always
 //!     agree); copied by [`Sampler`] into [`MetricsSnapshot`] time
 //!     series and exported as `petaxct-metrics-v1` JSON
-//!     ([`metrics_series_json`]), Prometheus text ([`prometheus_text`]),
-//!     CSV ([`metrics_csv`]), or the human [`render_progress`] line.
+//!     ([`metrics_series_json`], read back by
+//!     [`metrics_series_from_json`]), Prometheus text
+//!     ([`prometheus_text`]), CSV ([`metrics_csv`]), or the human
+//!     [`render_progress`] line.
 //! * Views — every analysis is a fold over the [`TelemetrySnapshot`],
 //!   never a second record: [`TelemetrySnapshot::self_times`] (computed
-//!   in one place), [`Breakdown`] (the Fig. 10-style per-phase table and
-//!   JSON report), [`PhaseHistograms`] (log2 duration buckets per
-//!   phase), [`CausalAnalysis`] (the happens-before DAG of spans and
-//!   match edges, its critical path and per-rank slack),
-//!   [`ProfileSnapshot`] (self time per [`CostComponent`] and track —
-//!   the `petaxct-profile-v1` drift/skew artifact's input), and
-//!   [`chrome_trace`] (a Chrome `trace_event` file loadable in
-//!   `about://tracing` / Perfetto). The flight recorder is a view of the
-//!   log too: [`Telemetry::flight_dump_json`] and
-//!   [`install_flight_panic_hook`] write each track's last
-//!   [`FLIGHT_CAPACITY`] records and the metric slabs as a
-//!   `petaxct-flightrec-v1` post-mortem when a run dies.
+//!   in one place), [`Breakdown`] (the Fig. 10-style per-phase table),
+//!   [`PhaseHistograms`] (log2 duration buckets per phase),
+//!   [`CausalAnalysis`] (the happens-before DAG of spans and match
+//!   edges, its critical path and per-rank slack), [`ProfileSnapshot`]
+//!   (self time per [`CostComponent`] and track, the drift table's
+//!   input), and [`chrome_trace`] (a Chrome `trace_event` file loadable
+//!   in `about://tracing` / Perfetto).
+//! * The JSON codec of the log and the metric slabs a run document
+//!   (`xct_plan::RunDocument`) carries; [`Telemetry::log`] copies all of
+//!   the log, or each track's last [`FLIGHT_CAPACITY`] records.
 //! * [`Phase`] — the stable phase taxonomy (SpMM forward/transpose,
 //!   precision conversion, socket/node/global reduction, halo exchange,
 //!   solver iterations/bookkeeping, I/O).
@@ -48,15 +48,14 @@
 //!   span-duration tests are exact rather than sleep-based.
 //! * [`Json`] — a tiny dependency-free JSON value (builder, parser, and
 //!   the typed `*_at` field accessors the artifact decoders read
-//!   through) used by the report sinks and by tests that validate report
-//!   schemas.
+//!   through).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod causal;
 mod clock;
-mod flight;
+mod codec;
 mod histogram;
 mod json;
 mod metrics;
@@ -68,12 +67,16 @@ mod span;
 
 pub use causal::{CausalAnalysis, PathStep, RankPath};
 pub use clock::{Clock, ManualClock, MonotonicClock};
-pub use flight::{install_flight_panic_hook, FLIGHT_CAPACITY};
 pub use histogram::{DurationHistogram, PhaseHistograms};
 pub use json::Json;
 pub use metrics::{MetricId, MetricKind, MetricsSnapshot, TrackMetricsSnapshot, ALL_METRICS};
 pub use phase::Phase;
 pub use profile::{CostComponent, ProfileSnapshot, ALL_COMPONENTS, COMPONENT_COUNT};
 pub use report::{chrome_trace, fmt_ns, Breakdown, PhaseStat};
-pub use sampler::{metrics_csv, metrics_series_json, prometheus_text, render_progress, Sampler};
-pub use span::{EdgeRecord, EventRecord, SpanGuard, SpanRecord, Telemetry, TelemetrySnapshot};
+pub use sampler::{
+    metrics_csv, metrics_series_from_json, metrics_series_json, prometheus_text, render_progress,
+    Sampler,
+};
+pub use span::{
+    EdgeRecord, EventRecord, SpanGuard, SpanRecord, Telemetry, TelemetrySnapshot, FLIGHT_CAPACITY,
+};

@@ -160,6 +160,11 @@ impl MetricId {
         }
     }
 
+    /// The metric with this dotted name, if any.
+    pub fn parse(name: &str) -> Option<MetricId> {
+        ALL_METRICS.into_iter().find(|id| id.as_str() == name)
+    }
+
     /// What this metric measures.
     pub fn kind(self) -> MetricKind {
         let index = self as usize;
@@ -256,7 +261,7 @@ impl TrackMetrics {
 }
 
 /// One track's touched metrics at snapshot time.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TrackMetricsSnapshot {
     /// Track (rank) id.
     pub track: u32,
@@ -323,7 +328,7 @@ fn merge_by_id<T>(
 }
 
 /// A point-in-time copy of every track's touched metrics.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// Collector clock time the snapshot was taken at.
     pub at_ns: u64,

@@ -1,9 +1,10 @@
 //! The stable phase taxonomy.
 //!
 //! Every span is labelled with a [`Phase`]; the names returned by
-//! [`Phase::as_str`] are a public contract — they appear in the JSON
-//! report, the Chrome trace, and the `--telemetry-summary` table, and the
-//! integration tests key on them. Add variants rather than renaming.
+//! [`Phase::as_str`] are a public contract — they appear in the run
+//! document, the Chrome trace and the breakdown table, and the
+//! integration tests key on them; [`Phase::parse`] reads them back. Add
+//! variants rather than renaming.
 
 /// Where time goes in a reconstruction, at the granularity of the paper's
 /// Fig. 10 breakdown.
@@ -68,6 +69,33 @@ impl Phase {
     }
 }
 
+impl Phase {
+    /// Every phase but [`Phase::Custom`].
+    const NAMED: [Phase; 13] = [
+        Phase::SpmmForward,
+        Phase::SpmmTranspose,
+        Phase::PrecisionConvert,
+        Phase::ReduceSocket,
+        Phase::ReduceNode,
+        Phase::ReduceGlobal,
+        Phase::HaloExchange,
+        Phase::Allreduce,
+        Phase::CommWait,
+        Phase::SolverIteration,
+        Phase::SolverSetup,
+        Phase::Io,
+        Phase::Total,
+    ];
+
+    /// The phase [`Phase::as_str`] names `name`: one of the taxonomy,
+    /// or a [`Phase::Custom`] one.
+    pub fn parse(name: &str) -> Phase {
+        (Phase::NAMED.into_iter())
+            .find(|p| p.as_str() == name)
+            .unwrap_or_else(|| Phase::Custom(crate::codec::intern(name)))
+    }
+}
+
 impl std::fmt::Display for Phase {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
@@ -80,21 +108,11 @@ mod tests {
 
     #[test]
     fn names_are_stable_and_distinct() {
-        let all = [
-            Phase::SpmmForward,
-            Phase::SpmmTranspose,
-            Phase::PrecisionConvert,
-            Phase::ReduceSocket,
-            Phase::ReduceNode,
-            Phase::ReduceGlobal,
-            Phase::HaloExchange,
-            Phase::Allreduce,
-            Phase::CommWait,
-            Phase::SolverIteration,
-            Phase::SolverSetup,
-            Phase::Io,
-            Phase::Total,
-        ];
+        let all = Phase::NAMED;
+        for phase in all {
+            assert_eq!(Phase::parse(phase.as_str()), phase);
+        }
+        assert_eq!(Phase::parse("bench.warmup"), Phase::Custom("bench.warmup"));
         let mut names: Vec<&str> = all.iter().map(|p| p.as_str()).collect();
         names.sort_unstable();
         names.dedup();

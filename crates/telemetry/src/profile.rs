@@ -8,7 +8,7 @@
 //!
 //! Per-*tile* costs are deliberately **not** timed here: timing
 //! individual Hilbert tiles inside the SpMM would change the summation
-//! order and break bit-identity. Instead the artifact builder
+//! order and break bit-identity. Instead the run document's writer
 //! (`xct-core`) spreads a rank's measured SpMM nanoseconds over its
 //! tiles proportionally to per-tile nonzeros — see DESIGN.md §3j.
 
@@ -16,9 +16,8 @@ use crate::{Phase, TelemetrySnapshot};
 
 /// The cost components the profiler attributes self time to.
 ///
-/// The dotted names returned by [`CostComponent::as_str`] are part of
-/// the `petaxct-profile-v1` schema contract; add variants rather than
-/// renaming.
+/// The dotted names returned by [`CostComponent::as_str`] label the
+/// drift table's rows; add variants rather than renaming.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CostComponent {
     /// Forward/transpose SpMM kernel self time.
@@ -53,7 +52,7 @@ pub const ALL_COMPONENTS: [CostComponent; COMPONENT_COUNT] = [
 pub const COMPONENT_COUNT: usize = 7;
 
 impl CostComponent {
-    /// The stable dotted name used in the `petaxct-profile-v1` artifact.
+    /// The stable dotted name the drift table prints.
     pub fn as_str(self) -> &'static str {
         match self {
             CostComponent::SpmmCompute => "spmm.compute",
@@ -69,11 +68,6 @@ impl CostComponent {
     /// This component's index in [`ALL_COMPONENTS`] (the storage slot).
     pub fn index(self) -> usize {
         self as usize
-    }
-
-    /// Parses a dotted component name back into a component.
-    pub fn parse(name: &str) -> Option<CostComponent> {
-        ALL_COMPONENTS.iter().copied().find(|c| c.as_str() == name)
     }
 
     /// Maps a span phase to the component its self time is charged to.
@@ -161,13 +155,11 @@ mod tests {
     fn component_names_and_indices_are_a_dense_bijection() {
         for (i, c) in ALL_COMPONENTS.iter().enumerate() {
             assert_eq!(c.index(), i);
-            assert_eq!(CostComponent::parse(c.as_str()), Some(*c));
         }
         let mut names: Vec<&str> = ALL_COMPONENTS.iter().map(|c| c.as_str()).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), COMPONENT_COUNT);
-        assert_eq!(CostComponent::parse("no.such.component"), None);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Sinks: the Fig. 10-style phase breakdown table, the JSON report
-//! fragment, and the Chrome `trace_event` exporter.
+//! Views: the Fig. 10-style phase breakdown table and the Chrome
+//! `trace_event` exporter.
 
 use crate::{EventRecord, Json, Phase, TelemetrySnapshot};
 
@@ -114,31 +114,6 @@ impl Breakdown {
             100.0 * self.coverage()
         ));
         out
-    }
-
-    /// The breakdown as a JSON fragment (embedded in the full report).
-    pub fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("wall_seconds", Json::from(self.wall_ns as f64 * 1e-9)),
-            ("covered_seconds", Json::from(self.covered_ns as f64 * 1e-9)),
-            ("coverage", Json::from(self.coverage())),
-            (
-                "phases",
-                Json::from(
-                    self.stats
-                        .iter()
-                        .map(|stat| {
-                            Json::object(vec![
-                                ("phase", Json::from(stat.phase.as_str())),
-                                ("count", Json::from(stat.count)),
-                                ("total_seconds", Json::from(stat.total_ns as f64 * 1e-9)),
-                                ("self_seconds", Json::from(stat.self_ns as f64 * 1e-9)),
-                            ])
-                        })
-                        .collect::<Vec<_>>(),
-                ),
-            ),
-        ])
     }
 }
 
@@ -336,21 +311,6 @@ mod tests {
             "wall",
         ] {
             assert!(table.contains(needle), "missing {needle} in:\n{table}");
-        }
-    }
-
-    #[test]
-    fn json_fragment_has_the_schema_fields() {
-        let snap = sample();
-        let json = Breakdown::from_snapshot(&snap).to_json();
-        let back = Json::parse(&json.to_string()).unwrap();
-        assert!(back.get("wall_seconds").unwrap().as_f64().unwrap() > 0.0);
-        let phases = back.get("phases").unwrap().as_array().unwrap();
-        assert!(!phases.is_empty());
-        for phase in phases {
-            assert!(phase.get("phase").unwrap().as_str().is_some());
-            assert!(phase.get("count").unwrap().as_f64().is_some());
-            assert!(phase.get("self_seconds").unwrap().as_f64().is_some());
         }
     }
 

@@ -68,63 +68,35 @@ impl Sampler {
     }
 }
 
-/// Serializes a sample series as the `petaxct-metrics-v1` document.
+/// Schema tag of the live metrics series.
+const METRICS_SCHEMA: &str = "petaxct-metrics-v1";
+
+/// Serializes a sample series as the `petaxct-metrics-v1` document: one
+/// [`MetricsSnapshot::to_json`] per sample.
 pub fn metrics_series_json(samples: &[MetricsSnapshot]) -> Json {
     Json::object(vec![
-        ("schema", Json::from("petaxct-metrics-v1")),
+        ("schema", Json::from(METRICS_SCHEMA)),
         (
             "samples",
-            Json::Arr(samples.iter().map(sample_json).collect()),
+            Json::Arr(samples.iter().map(MetricsSnapshot::to_json).collect()),
         ),
     ])
 }
 
-/// One sample of the `petaxct-metrics-v1` series (also the flight
-/// dump's `metrics`).
-pub(crate) fn sample_json(snap: &MetricsSnapshot) -> Json {
-    Json::object(vec![
-        ("at_ns", Json::from(snap.at_ns)),
-        (
-            "tracks",
-            Json::Arr(
-                snap.tracks
-                    .iter()
-                    .map(|t| {
-                        Json::object(vec![
-                            ("track", Json::from(u64::from(t.track))),
-                            (
-                                "counters",
-                                Json::object(
-                                    t.counters
-                                        .iter()
-                                        .map(|&(id, v)| (id.as_str(), Json::from(v)))
-                                        .collect(),
-                                ),
-                            ),
-                            (
-                                "gauges",
-                                Json::object(
-                                    t.gauges
-                                        .iter()
-                                        .map(|&(id, v)| (id.as_str(), Json::from(v)))
-                                        .collect(),
-                                ),
-                            ),
-                            (
-                                "histograms",
-                                Json::Arr(
-                                    t.histograms
-                                        .iter()
-                                        .map(|(id, h)| h.to_json("metric", id.as_str()))
-                                        .collect(),
-                                ),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+/// Reads a `petaxct-metrics-v1` document back: a non-empty series whose
+/// samples do not go back in time.
+pub fn metrics_series_from_json(json: &Json) -> Result<Vec<MetricsSnapshot>, String> {
+    json.expect_schema(METRICS_SCHEMA)?;
+    let samples = (json.array_at("samples")?.iter().enumerate())
+        .map(|(i, s)| MetricsSnapshot::from_json(s).map_err(|e| format!("samples[{i}]: {e}")))
+        .collect::<Result<Vec<_>, _>>()?;
+    if samples.is_empty() {
+        return Err("field \"samples\" is empty".to_owned());
+    }
+    if let Some(w) = samples.windows(2).find(|w| w[1].at_ns < w[0].at_ns) {
+        return Err(format!("sample at_ns {} after {}", w[1].at_ns, w[0].at_ns));
+    }
+    Ok(samples)
 }
 
 /// Dotted metric name → Prometheus metric name.
@@ -331,6 +303,15 @@ mod tests {
             hists[0].get("metric").and_then(Json::as_str),
             Some("comm.wait.ns")
         );
+        // The reader gives the series back, field by field.
+        assert_eq!(
+            metrics_series_from_json(&parsed).as_deref(),
+            Ok(sampler.samples())
+        );
+        let empty = Json::parse(r#"{"schema":"petaxct-metrics-v1","samples":[]}"#).unwrap();
+        assert!(metrics_series_from_json(&empty)
+            .unwrap_err()
+            .contains("samples"));
     }
 
     #[test]

@@ -9,18 +9,21 @@
 //! everything derived is a fold over the [`TelemetrySnapshot`], not a
 //! second record.
 
-use crate::flight::{flight_json, Recent};
 use crate::metrics::{
     MetricId, MetricsSnapshot, TrackHistograms, TrackMetrics, TrackMetricsSnapshot,
 };
-use crate::sampler::sample_json;
-use crate::{Clock, Json, MonotonicClock, Phase, FLIGHT_CAPACITY};
+use crate::{Clock, MonotonicClock, Phase};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::{Arc, Mutex};
 
 /// Sentinel end time for a span that has not been closed yet.
 const OPEN: u64 = u64::MAX;
+
+/// Records a [`Telemetry::log`] window keeps per track. Sized so a
+/// post-mortem spans several solver iterations of comm/solver activity
+/// per rank.
+pub const FLIGHT_CAPACITY: usize = 256;
 
 /// One timed span, closed by the time it appears in a snapshot.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -104,29 +107,59 @@ impl TrackLog {
         self.spans.len() + self.events.len() + self.edges.len() + self.closed.len()
     }
 
-    /// The last [`FLIGHT_CAPACITY`] records, oldest first, each with
-    /// its time and encoded for the flight dump. Each kind of record is
-    /// kept in the order the track recorded it, and the kinds are merged
-    /// by time; at one instant a track lists the spans it opened, then
-    /// its events, then its match edges, then the spans it closed. Only
-    /// the window's records are encoded.
-    fn recent(&self) -> Vec<(u64, Json)> {
-        fn tail<T>(records: &[T]) -> &[T] {
-            &records[records.len().saturating_sub(FLIGHT_CAPACITY)..]
-        }
-        let closed = tail(&self.closed).iter().filter_map(|&i| self.spans.get(i));
-        let kinds = vec![
-            tail(&self.spans).iter().map(Recent::SpanBegin).collect(),
-            tail(&self.events).iter().map(Recent::Event).collect(),
-            tail(&self.edges).iter().map(Recent::Match).collect(),
-            closed.map(Recent::SpanEnd).collect(),
+    /// The track's last [`FLIGHT_CAPACITY`] records. Each kind of record
+    /// is kept in the order the track recorded it, and the kinds are
+    /// merged by time; at one instant a track lists the spans it opened,
+    /// then its events, then its match edges, then the spans it closed.
+    fn window(&self) -> Window {
+        let tail = |len: usize| len.saturating_sub(FLIGHT_CAPACITY)..len;
+        let closed = &self.closed[tail(self.closed.len())];
+        let kinds: Vec<Vec<(u64, u8, usize)>> = vec![
+            tail(self.spans.len())
+                .map(|i| (self.spans[i].start_ns, 0, i))
+                .collect(),
+            tail(self.events.len())
+                .map(|i| (self.events[i].at_ns, 1, i))
+                .collect(),
+            tail(self.edges.len())
+                .map(|i| (self.edges[i].matched_ns, 2, i))
+                .collect(),
+            closed
+                .iter()
+                .map(|&i| (self.spans[i].end_ns, 3, i))
+                .collect(),
         ];
-        let merged = merge_by_time(kinds, |record| record.at_ns());
+        let merged = merge_by_time(kinds, |&(at_ns, _, _)| at_ns);
         let older = merged.len().saturating_sub(FLIGHT_CAPACITY);
-        (merged.into_iter().skip(older))
-            .map(|(_, record)| (record.at_ns(), record.to_json()))
-            .collect()
+        let mut window = Window {
+            spans: Vec::new(),
+            events: self.events.len(),
+            edges: self.edges.len(),
+            dropped: older + self.len() - merged.len(),
+        };
+        for (_, (_, kind, i)) in merged.into_iter().skip(older) {
+            match kind {
+                1 => window.events = window.events.min(i),
+                2 => window.edges = window.edges.min(i),
+                _ => window.spans.push(i),
+            }
+        }
+        window.spans.sort_unstable();
+        window.spans.dedup();
+        window
     }
+}
+
+/// What a copy of one track's log keeps.
+struct Window {
+    /// Log indices of the spans that opened or closed in it, ascending.
+    spans: Vec<usize>,
+    /// The first event kept; every later one is kept too.
+    events: usize,
+    /// The first match edge kept; every later one is kept too.
+    edges: usize,
+    /// Records left out.
+    dropped: usize,
 }
 
 /// One handle's storage, shared between the handle (which records) and
@@ -232,7 +265,7 @@ impl TrackHandle {
 /// track's records keep the order the track recorded them in. Open
 /// spans are closed at snapshot time (at the current clock), so
 /// `end_ns` is always valid.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TelemetrySnapshot {
     /// All spans, merged by `start_ns`; each track's in opening order.
     pub spans: Vec<SpanRecord>,
@@ -435,43 +468,45 @@ impl Telemetry {
         MetricsSnapshot::assemble(at_ns, slabs)
     }
 
-    /// Serializes the flight recorder into a `petaxct-flightrec-v1`
-    /// post-mortem document, or `None` when disabled: each track's last
-    /// [`FLIGHT_CAPACITY`] log records, copied under that track's lock
-    /// and merged by time (ties to the track registered first), and the
-    /// metric slabs as they stand.
-    pub fn flight_dump_json(&self, reason: &str) -> Option<String> {
-        let handle = self.inner.as_ref()?;
-        let at_ns = handle.collector.clock.now_ns();
-        let (mut windows, mut dropped) = (Vec::new(), 0);
-        handle.collector.for_each_log(|_, log| {
-            let window = log.recent();
-            dropped += log.len() - window.len();
-            windows.push(window);
-        });
-        let events = merge_by_time(windows, |&(at_ns, _)| at_ns);
-        let events = events.into_iter().map(|(_, (_, json))| json).collect();
-        let metrics = sample_json(&self.metrics_snapshot());
-        Some(flight_json(reason, at_ns, dropped as u64, events, metrics).to_string())
-    }
-
     /// Copies out everything recorded so far, closing still-open spans at
     /// the current time. Returns an empty snapshot when disabled.
     pub fn snapshot(&self) -> TelemetrySnapshot {
+        self.log(false).0
+    }
+
+    /// A copy of the log as [`Telemetry::snapshot`] makes it, of all of
+    /// it (`window` false) or of each track's last [`FLIGHT_CAPACITY`]
+    /// records, a span counting once where it opened and once where it
+    /// closed (`window` true). Also returns how many records the copy
+    /// left out. In a window, a span whose parent fell out has none.
+    pub fn log(&self, window: bool) -> (TelemetrySnapshot, u64) {
         let Some(handle) = &self.inner else {
-            return TelemetrySnapshot::default();
+            return (TelemetrySnapshot::default(), 0);
         };
         let collector = &handle.collector;
         let now = collector.clock.now_ns();
-        let (mut spans, mut events, mut edges) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut spans, mut events, mut edges, mut dropped) =
+            (Vec::new(), Vec::new(), Vec::new(), 0);
         collector.for_each_log(|_, log| {
-            let mut track_spans = log.spans.clone();
+            let kept = window.then(|| log.window());
+            let mut track_spans: Vec<SpanRecord> = match &kept {
+                None => log.spans.clone(),
+                // `kept.spans` ascends, so a kept parent is found by search.
+                Some(kept) => (kept.spans.iter().map(|&i| &log.spans[i]))
+                    .map(|span| SpanRecord {
+                        parent: span.parent.and_then(|p| kept.spans.binary_search(&p).ok()),
+                        ..span.clone()
+                    })
+                    .collect(),
+            };
             for span in track_spans.iter_mut().filter(|s| s.end_ns == OPEN) {
                 span.end_ns = now.max(span.start_ns);
             }
+            let (from_event, from_edge) = kept.as_ref().map_or((0, 0), |k| (k.events, k.edges));
             spans.push(track_spans);
-            events.push(log.events.clone());
-            edges.push(log.edges.clone());
+            events.push(log.events[from_event..].to_vec());
+            edges.push(log.edges[from_edge..].to_vec());
+            dropped += kept.map_or(0, |k| k.dropped as u64);
         });
         // A span's parent opened before it on the same track, so it is
         // already placed when the span is: `placed[track][i]` is the
@@ -489,11 +524,12 @@ impl Telemetry {
             .collect();
         let events = merge_by_time(events, |e| e.at_ns);
         let edges = merge_by_time(edges, |e| e.matched_ns);
-        TelemetrySnapshot {
+        let snapshot = TelemetrySnapshot {
             spans,
             events: events.into_iter().map(|(_, event)| event).collect(),
             edges: edges.into_iter().map(|(_, edge)| edge).collect(),
-        }
+        };
+        (snapshot, dropped)
     }
 }
 
@@ -640,6 +676,28 @@ mod tests {
         assert_eq!(off.now_ns(), None);
         off.edge(0, 7, 64, 0, 0);
         assert!(off.snapshot().edges.is_empty());
+    }
+
+    #[test]
+    fn a_window_keeps_the_last_records_opening_then_happening_then_closing() {
+        // A clock that never advances: every record on the track ties,
+        // so they list as the span's open, the events, the edge, and the
+        // span's close.
+        let tele = Telemetry::with_clock(Arc::new(ManualClock::new()));
+        let outer = tele.span(Phase::SolverIteration);
+        for _ in 0..FLIGHT_CAPACITY {
+            tele.event("tick", 1.0);
+        }
+        tele.edge(1, 0, 8, 0, 0);
+        drop(outer);
+        // 259 records: the open and the first two events fall out.
+        let (window, dropped) = tele.log(true);
+        assert_eq!(dropped, 3);
+        assert_eq!(window.events.len(), FLIGHT_CAPACITY - 2);
+        assert_eq!(window.edges.len(), 1);
+        // The span closed inside the window, so it is kept.
+        assert_eq!(window.spans.len(), 1);
+        assert_eq!(tele.log(false), (tele.snapshot(), 0));
     }
 
     #[test]

@@ -16,6 +16,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 use xct_comm::{run_ranks_with, ChaosSchedule, Communicator, RankOptions};
+use xct_plan::{RunDocument, RunHeader};
 use xct_telemetry::Telemetry;
 
 /// The outcome of one schedule.
@@ -29,9 +30,9 @@ pub struct SeedOutcome {
     /// `None` when the run completed and the oracle accepted its
     /// outputs; otherwise the oracle's complaint or the panic payload.
     pub failure: Option<String>,
-    /// A `petaxct-flightrec-v1` post-mortem of the failure: the failing
-    /// chaos schedule re-run (deterministically, from its seed) with the
-    /// flight recorder armed, capturing every rank's last spans, events
+    /// A post-mortem run document (`xct_plan::RunDocument`) of the
+    /// failure: the failing chaos schedule re-run (deterministically,
+    /// from its seed) traced, keeping every rank's last spans, events
     /// and matches, and its metrics as they stood. `None` for passing
     /// schedules and for baseline (chaos-free) failures.
     pub flight_dump: Option<String>,
@@ -86,14 +87,16 @@ where
         }
     };
     // Chaos schedules are pure functions of their seed, so a failing one
-    // can be re-run traced to capture a post-mortem flight dump of the
-    // exact same interleaving.
+    // can be re-run traced to capture a post-mortem of the exact same
+    // interleaving.
     let flight_dump = match (&failure, chaos) {
         (Some(reason), Some(_)) => {
             opts.telemetry = Telemetry::enabled();
             let _ = catch_unwind(AssertUnwindSafe(|| run_ranks_with(n, &opts, body)));
-            opts.telemetry
-                .flight_dump_json(&format!("{label}: {reason}"))
+            let header = RunHeader::new("explore", vec![("schedule".to_owned(), label.to_owned())]);
+            let reason = Some(format!("{label}: {reason}"));
+            let doc = RunDocument::capture(header, &opts.telemetry, reason);
+            Some(doc.to_json().to_string())
         }
         _ => None,
     };

@@ -407,28 +407,19 @@ fn single_sweep_gather_passes_baseline_fails_under_chaos() {
     );
 
     // Every failing chaos schedule carries a post-mortem: the seed
-    // re-ran with the flight recorder armed, and the dump names the
-    // schedule so the post-mortem is reproducible from the label alone.
+    // re-ran traced, and the run document names the schedule so the
+    // post-mortem is reproducible from the label alone.
     let dump = fail
         .flight_dump
         .as_ref()
-        .expect("failing chaos schedule must produce a flight dump");
-    let doc = xct_telemetry::Json::parse(dump).expect("flight dump is valid JSON");
-    assert_eq!(
-        doc.get("schema").and_then(xct_telemetry::Json::as_str),
-        Some("petaxct-flightrec-v1")
-    );
+        .expect("failing chaos schedule must produce a post-mortem");
+    let doc = xct_plan::RunDocument::parse(dump).expect("the post-mortem is a run document");
     assert!(
-        doc.get("reason")
-            .and_then(xct_telemetry::Json::as_str)
-            .is_some_and(|r| r.contains(&fail.label)),
-        "dump reason must name the failing schedule"
+        doc.reason.as_ref().is_some_and(|r| r.contains(&fail.label)),
+        "the reason must name the failing schedule"
     );
-    let events = doc
-        .get("events")
-        .and_then(xct_telemetry::Json::as_array)
-        .expect("dump carries events");
-    assert!(!events.is_empty(), "flight dump must hold the last moments");
+    let records = doc.log.spans.len() + doc.log.events.len() + doc.log.edges.len();
+    assert!(records > 0, "the post-mortem must hold the last moments");
     // Passing schedules carry no dump.
     assert!(report.outcomes[0].flight_dump.is_none());
 }

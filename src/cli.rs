@@ -6,7 +6,7 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use xct_analytic::{filtered_backprojection, FilterKind};
@@ -14,21 +14,22 @@ use xct_bench::tune::{run_tune, TuneParams};
 use xct_cluster::MachineSpec;
 use xct_comm::{CommReport, CompiledPlans, HierarchicalPlan, RankOptions, Topology, WireModel};
 use xct_core::distributed::{reconstruct_distributed, DistributedConfig};
-use xct_core::model::{ModelExperiment, OptLevel};
+use xct_core::model::ModelExperiment;
 use xct_core::{
-    build_profile_report, reconstruct_planned, stream_slabs, Algorithm, ProfileInputs,
-    Reconstructor,
+    profile_view, reconstruct_planned, stream_slabs, tile_costs, Algorithm, Reconstructor,
 };
-use xct_exec::ExecCounters;
 use xct_fp16::Precision;
 use xct_geometry::{ImageGrid, ScanGeometry, SystemMatrix};
 use xct_hilbert::{CurveKind, Domain2D, Subdomain, TileDecomposition};
 use xct_io::{FileKind, SliceFile, SliceReader, SliceWriter};
 use xct_phantom::{add_poisson_noise, DatasetSpec, Image2D};
-use xct_plan::{Planner, ProfileReport, TileWeights, TunePoint, TuneReport, VolumeDims};
+use xct_plan::{
+    install_panic_hook, Planner, RunDocument, RunHeader, TileWeights, TunePoint, TuneReport,
+    VolumeDims,
+};
 use xct_telemetry::{
-    chrome_trace, install_flight_panic_hook, metrics_csv, metrics_series_json, prometheus_text,
-    render_progress, Breakdown, CausalAnalysis, Json, Phase, PhaseHistograms, Sampler, Telemetry,
+    chrome_trace, metrics_csv, metrics_series_json, prometheus_text, render_progress, Breakdown,
+    CausalAnalysis, Phase, PhaseHistograms, Sampler, Telemetry, FLIGHT_CAPACITY,
 };
 use xct_verify::plan_fits;
 
@@ -90,7 +91,7 @@ impl Flags {
     /// Parses `--key value` pairs; rejects stray positionals, flags
     /// `command` does not declare and flags given twice. A flag followed
     /// by another flag (or by nothing) is a boolean switch and reads as
-    /// `"true"` — e.g. `--telemetry-summary`.
+    /// `"true"` — e.g. `--overlap`.
     fn parse(command: &'static Command, args: &[String]) -> Result<Flags, CliError> {
         let mut pairs = Vec::new();
         let mut it = args.iter().peekable();
@@ -156,146 +157,56 @@ impl Flags {
     }
 }
 
-/// The `--telemetry-*`/`--trace` sink selection shared by commands.
-struct TelemetryArgs {
-    json: Option<String>,
-    trace: Option<String>,
-    summary: bool,
-    critical_path: bool,
-}
-
-impl TelemetryArgs {
-    fn from_flags(flags: &Flags) -> TelemetryArgs {
-        TelemetryArgs {
-            json: flags.get("telemetry-json").map(str::to_owned),
-            trace: flags.get("trace").map(str::to_owned),
-            summary: flags.switch("telemetry-summary"),
-            critical_path: flags.switch("critical-path"),
-        }
-    }
-
-    /// Any sink requested → collection must be on.
-    fn wanted(&self) -> bool {
-        self.summary || self.critical_path || self.json.is_some() || self.trace.is_some()
-    }
-
-    /// Drains `telemetry` into the requested sinks. Returns text to
-    /// append to the command's output (the summary table and/or notes
-    /// about written files).
-    fn emit(
-        &self,
-        telemetry: &Telemetry,
-        command: &str,
-        counters: &ExecCounters,
-        comm: Option<&CommReport>,
-    ) -> Result<String, CliError> {
-        if !self.wanted() {
-            return Ok(String::new());
-        }
-        let snap = telemetry.snapshot();
-        let breakdown = Breakdown::from_snapshot(&snap);
-        let causal = self.critical_path.then(|| {
-            (
-                CausalAnalysis::from_snapshot(&snap),
-                PhaseHistograms::from_snapshot(&snap),
-            )
-        });
-        let mut extra = String::new();
-        if self.summary {
-            extra.push_str("\n\n");
-            extra.push_str(&breakdown.render_table());
-            extra.push_str(&format!("\ncounters: {counters}"));
-            if let Some(report) = comm {
-                extra.push('\n');
-                extra.push_str(&report.render_matrix());
-            }
-        }
-        if let Some((analysis, histograms)) = &causal {
-            extra.push_str("\n\n");
-            extra.push_str(&analysis.render_table());
-            extra.push('\n');
-            extra.push_str(&histograms.render_table());
-        }
-        if let Some(path) = &self.json {
-            let mut fields = vec![
-                ("schema".to_owned(), Json::from("petaxct-telemetry-v1")),
-                ("command".to_owned(), Json::from(command)),
-                ("breakdown".to_owned(), breakdown.to_json()),
-                (
-                    "counters".to_owned(),
-                    Json::object(vec![
-                        ("flops", Json::from(counters.flops)),
-                        ("bytes_read", Json::from(counters.bytes_read)),
-                        ("bytes_written", Json::from(counters.bytes_written)),
-                        ("kernel_launches", Json::from(counters.kernel_launches)),
-                    ]),
-                ),
-            ];
-            if let Some(report) = comm {
-                fields.push(("comm".to_owned(), report.to_json()));
-            }
-            if let Some((analysis, histograms)) = &causal {
-                fields.push(("causal".to_owned(), analysis.to_json()));
-                fields.push(("phase_histograms".to_owned(), histograms.to_json()));
-            }
-            write_file(path, &Json::Obj(fields).to_string())?;
-            extra.push_str(&format!("\ntelemetry report written to {path}"));
-        }
-        if let Some(path) = &self.trace {
-            write_file(path, &chrome_trace(&snap))?;
-            extra.push_str(&format!("\ntrace written to {path}"));
-        }
-        Ok(extra)
-    }
-}
-
 fn write_file(path: &str, contents: &str) -> Result<(), CliError> {
     std::fs::write(path, contents).map_err(|e| CliError(format!("writing {path}: {e}")))
 }
 
-/// The `--metrics-*`/`--progress`/`--flightrec-out` observability
-/// selection: time-series sampling of the always-on metrics registry,
-/// the one-line human progress report, and the post-mortem flight
-/// recorder.
+/// The `--metrics-*`/`--progress`/`--report` observability selection:
+/// time-series sampling of the always-on metrics registry, the one-line
+/// human progress report, and the run document.
 struct MetricsArgs {
     out: Option<String>,
     interval_ms: u64,
     progress: bool,
-    flightrec: Option<String>,
+    report: Option<String>,
 }
 
 impl MetricsArgs {
     fn from_flags(flags: &Flags) -> Result<MetricsArgs, CliError> {
         Ok(MetricsArgs {
             out: flags.get("metrics-out").map(str::to_owned),
-            interval_ms: flags.parse_or("metrics-interval", 200u64)?.max(1),
+            interval_ms: flags.size_or("metrics-interval", 200)? as u64,
             progress: flags.switch("progress"),
-            flightrec: flags.get("flightrec-out").map(str::to_owned),
+            report: flags.get("report").map(str::to_owned),
         })
     }
 
     /// Any observability sink requested → collection must be on.
     fn wanted(&self) -> bool {
-        self.out.is_some() || self.progress || self.flightrec.is_some()
+        self.out.is_some() || self.progress || self.report.is_some()
     }
 }
 
-/// A live metrics session: a background thread samples the registry on
-/// the configured interval (and repaints the progress line), the flight
-/// panic hook is armed, and [`finish`](MetricsSession::finish) writes
-/// the requested exporter files.
+/// A live observability session: a background thread samples the
+/// registry on the configured interval (and repaints the progress
+/// line), a panic hook stands ready to write the run document, and
+/// [`finish`](MetricsSession::finish) writes the metrics series.
 struct MetricsSession {
     telemetry: Telemetry,
     args: MetricsArgs,
+    /// What the run document will say of the run, filled in as the run
+    /// learns it.
+    header: Arc<Mutex<RunHeader>>,
     stop: Arc<AtomicBool>,
     thread: Option<std::thread::JoinHandle<Sampler>>,
     started: Instant,
 }
 
 impl MetricsSession {
-    fn start(telemetry: &Telemetry, args: MetricsArgs) -> MetricsSession {
-        if let Some(path) = &args.flightrec {
-            install_flight_panic_hook(telemetry, PathBuf::from(path));
+    fn start(telemetry: &Telemetry, args: MetricsArgs, header: RunHeader) -> MetricsSession {
+        let header = Arc::new(Mutex::new(header));
+        if let Some(path) = &args.report {
+            install_panic_hook(Arc::clone(&header), telemetry, PathBuf::from(path));
         }
         let stop = Arc::new(AtomicBool::new(false));
         // xct-allow(wall-clock): CLI progress display reports real elapsed wall time, independent of telemetry
@@ -326,20 +237,39 @@ impl MetricsSession {
         MetricsSession {
             telemetry: telemetry.clone(),
             args,
+            header,
             stop,
             thread,
             started,
         }
     }
 
-    /// Dumps the flight recorder to the configured path; called on
+    /// The run document as it stands: all of the log, or for a run that
+    /// stopped on `reason`, each track's last records. `None` unless
+    /// `--report` asked for one.
+    fn document(&self, reason: Option<String>) -> Option<RunDocument> {
+        self.args.report.as_ref()?;
+        let header = lock_header(&self.header).clone();
+        Some(RunDocument::capture(header, &self.telemetry, reason))
+    }
+
+    /// Writes `doc` to the `--report` path; returns the note for the
+    /// command output.
+    fn write(&self, doc: &RunDocument) -> Result<String, CliError> {
+        let Some(path) = &self.args.report else {
+            return Ok(String::new());
+        };
+        write_file(path, &doc.to_json().to_string())?;
+        Ok(format!(
+            "\nrun report written to {path}; read it with `petaxct report --in {path}`"
+        ))
+    }
+
+    /// Writes the document of a run that stopped on `reason`; called on
     /// error exits so post-mortems survive even without a panic.
-    fn dump_flight(&self, reason: &str) {
-        if let (Some(path), Some(dump)) = (
-            &self.args.flightrec,
-            self.telemetry.flight_dump_json(reason),
-        ) {
-            let _ = std::fs::write(path, dump);
+    fn fail(&self, reason: &str) {
+        if let Some(doc) = self.document(Some(reason.to_owned())) {
+            let _ = self.write(&doc);
         }
     }
 
@@ -377,6 +307,14 @@ impl MetricsSession {
     }
 }
 
+/// Locks the session's header. Poisoning means a panic while the header
+/// was being filled in; what was written of it still stands.
+fn lock_header(header: &Mutex<RunHeader>) -> std::sync::MutexGuard<'_, RunHeader> {
+    header
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// Parses `--topology NxSxG` (nodes × sockets/node × GPUs/socket).
 fn parse_topology(spec: &str) -> Result<Topology, CliError> {
     spec.parse()
@@ -407,31 +345,19 @@ fn parse_wire(spec: &str, topology: &Topology) -> Result<WireModel, CliError> {
             }
         }
     };
-    // A latency past the ranks' receive timeout fails every inter-node
-    // receive, and below 1 B/s one message outlasts any run.
-    let timeout = RankOptions::default().timeout;
-    let latency = Duration::try_from_secs_f64(lat_us * 1e-6)
-        .ok()
-        .filter(|l| *l < timeout)
-        .ok_or_else(|| {
-            CliError(format!(
-                "invalid --wire {spec:?}: the latency must be below the {timeout:?} receive timeout"
-            ))
-        })?;
-    if mbps > 0.0 && mbps * 1e6 < 1.0 {
-        return Err(CliError(format!(
-            "invalid --wire {spec:?}: the bandwidth must be at least 1 B/s, or 0 for unlimited"
-        )));
-    }
-    Ok(WireModel {
-        latency,
+    let wire = WireModel {
+        // Past `Duration`'s range is past any timeout: the check refuses it.
+        latency: Duration::try_from_secs_f64(lat_us * 1e-6).unwrap_or(Duration::MAX),
         bytes_per_sec: if mbps > 0.0 {
             mbps * 1e6
         } else {
             f64::INFINITY
         },
         ranks_per_node: topology.gpus_per_node(),
-    })
+    };
+    wire.check(RankOptions::default().timeout)
+        .map_err(|e| CliError(format!("invalid --wire {spec:?}: {e}")))?;
+    Ok(wire)
 }
 
 /// Every subcommand with the flags it reads.
@@ -476,12 +402,13 @@ const COMMANDS: &[Command] = &[
 [--wire [LAT_USxMBPS]]    simulate inter-node wire time
                           (latency µs x bandwidth MB/s;
                           bare --wire means 600x50)
-[--telemetry-summary]     print a per-phase breakdown table
-[--critical-path]         print the cross-rank critical-path,
-                          per-rank slack, and per-phase
-                          duration histograms
-[--telemetry-json FILE]   write a machine-readable report
-[--trace FILE]            write a Chrome/Perfetto trace
+[--report FILE]           write the run document (petaxct-run-v1)
+                          to FILE: header, counters, comm
+                          totals, each rank's metrics and log,
+                          and the derived per-tile costs; on
+                          panic or error, the last moments of
+                          every rank instead. Read it with
+                          `petaxct report`
 [--metrics-out FILE]      sample the metrics registry on an
                           interval and write the series as
                           petaxct-metrics-v1 JSON to FILE,
@@ -493,20 +420,10 @@ const COMMANDS: &[Command] = &[
 [--progress]              repaint a one-line progress report
                           on stderr (slab, iteration,
                           residual, %, ETA)
-[--flightrec-out FILE]    arm the flight recorder: on panic
-                          or error, dump the last moments of
-                          every rank (spans, events, matches,
-                          and the metrics as they stand) as
-                          petaxct-flightrec-v1 JSON to FILE
-[--profile-out FILE]      record telemetry and write the
-                          measured per-rank/
-                          per-tile costs, model-drift table,
-                          and skew report as a
-                          petaxct-profile-v1 artifact
 [--weights-from FILE]     re-run the x-z Hilbert partition
                           with the measured per-tile costs
-                          of a petaxct-profile-v1 artifact
-                          instead of uniform cell counts
+                          of a run document instead of
+                          uniform cell counts
                           (offline rebalance; plan_fits
                           still gates the weighted plan)",
         about: "",
@@ -557,7 +474,7 @@ artifact for --tune-from",
 [--n 24] [--angles 24] [--slices 2] [--iterations 4]
 [--precision single] [--topology 1x2x2] [--tile 4]
 [--phantom shale] [--seed 1] [--overlap]
-[--wire [LAT_USxMBPS]] [--out PROFILE.json] [--json]
+[--wire [LAT_USxMBPS]] [--out PROFILE.json]
 [--weights-from FILE]",
         about: "\
 profile a synthetic distributed reconstruction with the
@@ -565,10 +482,19 @@ hierarchical cost profiler: per-rank component costs
 (SpMM, gather/convert, socket/node/global reduction,
 comm-wait, I/O stall) joined with critical-path slack,
 per-tile derived costs, and the model-vs-measured drift
-table, written as a petaxct-profile-v1 artifact for
---weights-from; --json prints the artifact instead of
-the drift/skew tables",
+table; writes the run document for --weights-from",
         run: profile,
+    },
+    Command {
+        name: "report",
+        flags: "--in FILE [--trace FILE]",
+        about: "\
+print the views of a run document (reconstruct --report,
+profile --out): the phase breakdown, counters and comm
+matrix, the critical path and duration histograms, and
+the drift/skew tables; --trace also writes the log as a
+Chrome/Perfetto trace",
+        run: report,
     },
     Command {
         name: "analyze",
@@ -637,7 +563,7 @@ fn simulate(flags: &Flags) -> Result<String, CliError> {
     let out = flags.required("out")?.to_owned();
     let n = flags.size_or("n", 64)?;
     let angles = flags.size_or("angles", 64)?;
-    let slices: usize = flags.parse_or("slices", 8)?;
+    let slices = flags.size_or("slices", 8)?;
     let flux: f64 = flags.parse_or("flux", 0.0)?;
     if !(flux.is_finite() && flux >= 0.0) {
         return Err(CliError(format!(
@@ -698,24 +624,23 @@ fn open_sinogram(path: &str) -> Result<(SliceReader, usize, usize), CliError> {
 }
 
 fn reconstruct(flags: &Flags) -> Result<String, CliError> {
-    let tel_args = TelemetryArgs::from_flags(flags);
     let metrics_args = MetricsArgs::from_flags(flags)?;
-    // Any sink — telemetry report, live metrics, or the cost profile —
-    // turns collection on.
-    let telemetry =
-        if tel_args.wanted() || metrics_args.wanted() || flags.get("profile-out").is_some() {
-            Telemetry::enabled()
-        } else {
-            Telemetry::disabled()
-        };
-    let metrics = MetricsSession::start(&telemetry, metrics_args);
-    match reconstruct_inner(flags, &telemetry, &tel_args) {
-        Ok(text) => Ok(text + &metrics.finish()?),
+    // Any sink — the run document or the live metrics — turns
+    // collection on.
+    let telemetry = if metrics_args.wanted() {
+        Telemetry::enabled()
+    } else {
+        Telemetry::disabled()
+    };
+    let header = RunHeader::new("reconstruct", flags.pairs.clone());
+    let session = MetricsSession::start(&telemetry, metrics_args, header);
+    match reconstruct_inner(flags, &telemetry, &session) {
+        Ok(text) => Ok(text + &session.finish()?),
         Err(e) => {
-            // A failed run still gets its post-mortem flight dump and
+            // A failed run still gets its post-mortem run document and
             // whatever metrics series accumulated before the error.
-            metrics.dump_flight(&e.0);
-            let _ = metrics.finish();
+            session.fail(&e.0);
+            let _ = session.finish();
             Err(e)
         }
     }
@@ -724,7 +649,7 @@ fn reconstruct(flags: &Flags) -> Result<String, CliError> {
 fn reconstruct_inner(
     flags: &Flags,
     telemetry: &Telemetry,
-    tel_args: &TelemetryArgs,
+    session: &MetricsSession,
 ) -> Result<String, CliError> {
     let input = flags.required("in")?.to_owned();
     let out = flags.required("out")?.to_owned();
@@ -739,7 +664,7 @@ fn reconstruct_inner(
     // --batch is not given explicitly.
     let tuned = flags.get("tune-from").map(load_tuned_point).transpose()?;
     let default_batch = tuned.as_ref().map_or(8, |t| t.fusing.max(1));
-    let batch: usize = flags.parse_or("batch", default_batch)?;
+    let batch = flags.size_or("batch", default_batch)?;
     let damping: f64 = flags.parse_or("damping", 0.0)?;
     // CGLS weighs the penalty by λ², so a negative λ would run as |λ|
     // and an overflowing one would stop the first iteration.
@@ -803,7 +728,7 @@ fn reconstruct_inner(
         .map(|spec| parse_wire(spec, &topology))
         .transpose()?;
     let verify_plans = flags.switch("verify-plans");
-    let mut max_fusing = batch.max(1);
+    let mut max_fusing = batch;
     if stream && slices > 1 {
         // Force out-of-core execution: at least two slabs, so every slab
         // pages through xct-io.
@@ -830,7 +755,7 @@ fn reconstruct_inner(
         plan = plan.with_tile_weights(w);
     }
     check_fits(&plan)?;
-    let profile_out = flags.get("profile-out").map(str::to_owned);
+    lock_header(&session.header).planned(&plan, iterations);
     let base = DistributedConfig {
         algorithm,
         iterations,
@@ -843,7 +768,6 @@ fn reconstruct_inner(
     let stats = outcome.stats;
     outcome.reader.verify_checksum()?;
     outcome.writer.finish()?;
-    let comm_report = CommReport::new(stats.comm_stats.clone());
     let plan_note = match plan.budget_bytes {
         Some(b) => format!(
             "\nplan: fusing {}, {} slabs, peak {} B/rank within budget {b} B",
@@ -864,31 +788,20 @@ fn reconstruct_inner(
         stats.worst_residual
     );
     drop(total_span);
-    let profile_note = match &profile_out {
-        Some(path) => {
+    let report_note = match session.document(None) {
+        Some(mut doc) => {
             // Attribute per-tile costs at the tile size the executor
             // decomposed at.
             let tile = DistributedConfig::from_plan(&plan, &base).tile;
-            let report = build_profile_artifact(
-                &scan, &plan, topology, precision, iterations, tile, telemetry,
-            );
-            write_file(path, &report.to_json().to_string())?;
-            format!(
-                "\nprofile: max rank slack {} ns, max/mean tile cost {:.2}; wrote {path}",
-                report.skew.max_rank_slack_ns,
-                report.skew.max_over_mean(),
-            )
+            let weights = plan.tile_weights.as_ref().map(|tw| tw.weights.as_slice());
+            doc.tiles = Some(tile_costs(&scan, topology, tile, weights, &doc.log));
+            doc.counters = stats.counters;
+            doc.comm = CommReport::new(stats.comm_stats).per_rank;
+            session.write(&doc)?
         }
         None => String::new(),
     };
-    Ok(text
-        + &profile_note
-        + &tel_args.emit(
-            telemetry,
-            "reconstruct",
-            &stats.counters,
-            Some(&comm_report),
-        )?)
+    Ok(text + &report_note)
 }
 
 /// Loads a `petaxct-tune-v1` artifact and returns its winning point.
@@ -903,50 +816,24 @@ fn load_tuned_point(path: &str) -> Result<TunePoint, CliError> {
         .ok_or_else(|| CliError(format!("tune file {path} has an empty sweep")))
 }
 
-/// Loads a `petaxct-profile-v1` artifact and returns its measured
-/// per-tile weights (`--weights-from`).
-fn load_profile_weights(path: &str) -> Result<TileWeights, CliError> {
+/// Reads a run document.
+fn read_run_document(path: &str) -> Result<RunDocument, CliError> {
     let text = std::fs::read_to_string(path)
-        .map_err(|e| CliError(format!("cannot read profile file {path}: {e}")))?;
-    let report = ProfileReport::parse(&text)
-        .map_err(|e| CliError(format!("cannot parse profile file {path}: {e}")))?;
-    Ok(report.tile_weights())
+        .map_err(|e| CliError(format!("cannot read run document {path}: {e}")))?;
+    RunDocument::parse(&text)
+        .map_err(|e| CliError(format!("cannot parse run document {path}: {e}")))
 }
 
-/// Joins a run's telemetry snapshot (the cost profile and the critical
-/// path are both views of it) with the analytic model's prediction for
-/// the same plan into the `petaxct-profile-v1` report.
-fn build_profile_artifact(
-    scan: &ScanGeometry,
-    plan: &xct_plan::ReconPlan,
-    topology: Topology,
-    precision: Precision,
-    iterations: usize,
-    tile: usize,
-    telemetry: &Telemetry,
-) -> ProfileReport {
-    let snapshot = telemetry.snapshot();
-    // Score the measured run against the analytic model at the smallest
-    // machine carrying the run's node count; shares (not magnitudes)
-    // make the comparison meaningful across scales.
-    let machine = MachineSpec::summit(topology.nodes.max(1));
-    let est = ModelExperiment::from_plan(plan, machine, OptLevel::full(), iterations).run();
-    build_profile_report(&ProfileInputs {
-        scan,
-        slices: plan.dims.slices,
-        topology,
-        precision,
-        tile,
-        tile_weights: plan.tile_weights.as_ref().map(|tw| tw.weights.as_slice()),
-        snapshot: &snapshot,
-        model: Some(&est),
-    })
+/// The measured per-tile weights of a run document (`--weights-from`).
+fn load_profile_weights(path: &str) -> Result<TileWeights, CliError> {
+    (read_run_document(path)?.tiles)
+        .ok_or_else(|| CliError(format!("run document {path} has no tile costs")))
 }
 
-/// Plan-level rebalance preview: the per-rank sums of the artifact's
+/// Plan-level rebalance preview: the per-rank sums of a run document's
 /// measured tile costs under the executed uniform ownership versus a
 /// re-partition weighted by those same costs. Deterministic given the
-/// artifact — this is exactly the imbalance `--weights-from` removes,
+/// document — this is exactly the imbalance `--weights-from` removes,
 /// independent of run-to-run timing noise.
 fn rebalance_preview(scan: &ScanGeometry, tile: usize, ranks: usize, costs: &[u64]) -> String {
     let tomo = TileDecomposition::new(
@@ -989,10 +876,10 @@ fn check_fits(plan: &xct_plan::ReconPlan) -> Result<(), CliError> {
 }
 
 /// `petaxct profile` — run a synthetic distributed reconstruction with
-/// telemetry on and emit the `petaxct-profile-v1` artifact
-/// plus the human drift/skew tables. With `--weights-from` the run
-/// itself repartitions by a previous profile's measured tile costs, so
-/// two invocations close the rebalance loop end to end.
+/// telemetry on, write its run document and print the drift/skew
+/// tables. With `--weights-from` the run itself repartitions by a
+/// previous document's measured tile costs, so two invocations close
+/// the rebalance loop end to end.
 fn profile(flags: &Flags) -> Result<String, CliError> {
     let n = flags.size_or("n", 24)?;
     let angles = flags.size_or("angles", 24)?;
@@ -1020,7 +907,7 @@ fn profile(flags: &Flags) -> Result<String, CliError> {
         .get("weights-from")
         .map(load_profile_weights)
         .transpose()?;
-    let mut tile: usize = flags.parse_or("tile", 4)?;
+    let mut tile = flags.size_or("tile", 4)?;
     if let Some(w) = &weights {
         if flags.get("tile").is_none() {
             tile = w.tile_size;
@@ -1070,21 +957,79 @@ fn profile(flags: &Flags) -> Result<String, CliError> {
         ..Default::default()
     };
     let result = reconstruct_distributed(&scan, &sino, &DistributedConfig::from_plan(&plan, &base));
-    let report = build_profile_artifact(
-        &scan, &plan, topology, precision, iterations, tile, &telemetry,
-    );
-    let json_text = report.to_json().to_string();
-    write_file(&out, &json_text)?;
-    if flags.switch("json") {
-        return Ok(json_text);
-    }
+    let mut header = RunHeader::new("profile", flags.pairs.clone());
+    header.planned(&plan, iterations);
+    let mut doc = RunDocument::capture(header, &telemetry, None);
+    let weights = plan.tile_weights.as_ref().map(|tw| tw.weights.as_slice());
+    doc.tiles = Some(tile_costs(&scan, topology, tile, weights, &doc.log));
+    doc.counters = result.counters;
+    doc.comm = CommReport::new(result.comm_stats).per_rank;
+    write_file(&out, &doc.to_json().to_string())?;
+    let report = profile_view(&doc).map_err(CliError)?;
     let residual = result.residual_history.last().copied().unwrap_or(1.0);
-    let preview = rebalance_preview(&scan, tile, topology.size(), &report.tile_costs_ns);
+    let preview = rebalance_preview(&scan, tile, topology.size(), &report.tiles.weights);
     Ok(format!(
         "{}\n{preview}\nfinal residual {residual:.5}\nwrote {out}; close the loop with \
          `petaxct reconstruct --weights-from {out}` or `petaxct profile --weights-from {out}`",
         report.render_text().trim_end(),
     ))
+}
+
+/// `petaxct report` — the views of a run document, computed from the
+/// decoded document: the phase breakdown with the counters and the comm
+/// matrix, the critical path with the duration histograms, the
+/// drift/skew tables with the rebalance preview, and the log as a
+/// Chrome trace.
+fn report(flags: &Flags) -> Result<String, CliError> {
+    let path = flags.required("in")?;
+    let doc = read_run_document(path)?;
+    let h = &doc.header;
+    let mut out = format!("run document {path}: petaxct {}", h.command);
+    if let Some(topology) = h.topology {
+        out.push_str(&format!(" on {topology}"));
+    }
+    if let Some(precision) = h.precision {
+        out.push_str(&format!(", {precision} precision"));
+    }
+    if let Some(iterations) = h.iterations {
+        out.push_str(&format!(", {iterations} iterations"));
+    }
+    if let Some(reason) = &doc.reason {
+        out.push_str(&format!(
+            "\nstopped: {reason}\n(the log keeps each rank's last {FLIGHT_CAPACITY} records; {} older ones dropped)",
+            doc.dropped
+        ));
+    }
+    out.push_str("\n\n");
+    out.push_str(&Breakdown::from_snapshot(&doc.log).render_table());
+    out.push_str(&format!("\ncounters: {}", doc.counters));
+    if !doc.comm.is_empty() {
+        out.push('\n');
+        out.push_str(&CommReport::new(doc.comm.clone()).render_matrix());
+    }
+    out.push_str("\n\n");
+    out.push_str(&CausalAnalysis::from_snapshot(&doc.log).render_table());
+    out.push('\n');
+    out.push_str(&PhaseHistograms::from_snapshot(&doc.log).render_table());
+    // A document without a topology, tile costs or problem (a run
+    // refused while planning) has no profile.
+    if let Ok(profile) = profile_view(&doc) {
+        let scan = scan_for(profile.plan.n, profile.plan.angles);
+        let (tiles, ranks) = (&profile.tiles, profile.topology.size());
+        out.push('\n');
+        out.push_str(&profile.render_text());
+        out.push_str(&rebalance_preview(
+            &scan,
+            tiles.tile_size,
+            ranks,
+            &tiles.weights,
+        ));
+    }
+    if let Some(trace) = flags.get("trace") {
+        write_file(trace, &chrome_trace(&doc.log))?;
+        out.push_str(&format!("\ntrace written to {trace}"));
+    }
+    Ok(out)
 }
 
 /// Parses a comma-separated list flag (`--blocks 32,64,128`).
@@ -1163,7 +1108,7 @@ fn tune(flags: &Flags) -> Result<String, CliError> {
 
 fn model(flags: &Flags) -> Result<String, CliError> {
     let dataset = flags.required("dataset")?;
-    let nodes: usize = flags.parse_or("nodes", 128)?;
+    let nodes = flags.size_or("nodes", 128)?;
     let iterations: usize = flags.parse_or("iterations", 30)?;
     let precision: Precision = flags
         .get("precision")
@@ -1189,7 +1134,11 @@ fn model(flags: &Flags) -> Result<String, CliError> {
     }
     .plan_machine(spec.projections, spec.rows, spec.channels, &machine, 16);
     let partitioning = plan.partitioning;
-    let est = ModelExperiment::from_plan(&plan, machine, OptLevel::full(), iterations).run();
+    let mut header = RunHeader::default();
+    header.planned(&plan, iterations);
+    let est = ModelExperiment::from_header(&header)
+        .ok_or_else(|| CliError("the plan names no model".into()))?
+        .run();
     Ok(format!(
         "{} on {} Summit nodes ({} GPUs), {} precision, {} CG iterations:\n\
          partitioning {}x({}x6) (batch x data nodes)\n\
@@ -1392,6 +1341,7 @@ fn analyze_self_test(root: &Path) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xct_telemetry::{Json, MetricId};
 
     fn tmp(name: &str) -> String {
         let dir = std::env::temp_dir().join("xct_cli_tests");
@@ -1580,9 +1530,9 @@ mod tests {
             assert_eq!(err.0, want, "{solver}");
         }
 
-        // On four ranks the run stops the same way, and its flight dump
+        // On four ranks the run stops the same way, and its run document
         // shows every rank.
-        let dump = tmp("nan_flightrec.json");
+        let dump = tmp("nan_run.json");
         let _ = std::fs::remove_file(&dump);
         let args = [
             "reconstruct",
@@ -1598,7 +1548,7 @@ mod tests {
             "single",
             "--topology",
             "1x2x2",
-            "--flightrec-out",
+            "--report",
             &dump,
         ];
         let err = run_cmd(&args).unwrap_err().0;
@@ -1606,14 +1556,12 @@ mod tests {
             err,
             "slab 1: solve stopped, gamma is not finite at iteration 1"
         );
-        let doc = Json::parse(&std::fs::read_to_string(&dump).unwrap()).unwrap();
-        assert_eq!(doc.str_at("reason"), Ok(err.as_str()));
-        let events = doc.array_at("events").unwrap();
+        let doc = RunDocument::parse(&std::fs::read_to_string(&dump).unwrap()).unwrap();
+        assert_eq!(doc.reason.as_deref(), Some(err.as_str()));
+        assert_eq!(doc.header.topology, Some(Topology::new(1, 2, 2)));
         for track in 0..4 {
-            let closes = events
-                .iter()
-                .filter(|e| e.u64_at("track") == Ok(track) && e.str_at("kind") == Ok("span_end"));
-            assert!(closes.count() > 0, "track {track} closed no span");
+            let spans = doc.log.spans.iter().filter(|s| s.track == track);
+            assert!(spans.count() > 0, "track {track} recorded no span");
         }
         // Each rank's send counter is what its communicator metered, over
         // both slabs: a replay of the two solves counts the messages.
@@ -1638,11 +1586,9 @@ mod tests {
                 metered[stats.rank] += stats.total_msgs();
             }
         }
-        let tracks = doc.get("metrics").unwrap().array_at("tracks").unwrap();
         for (rank, &msgs) in metered.iter().enumerate() {
-            let track = tracks.iter().find(|t| t.usize_at("track") == Ok(rank));
-            let counters = track.and_then(|t| t.get("counters")).unwrap();
-            assert_eq!(counters.u64_at("comm.send.msgs"), Ok(msgs), "rank {rank}");
+            let track = doc.metrics.track(rank as u32).unwrap();
+            assert_eq!(track.counter(MetricId::CommSendMsgs), msgs, "rank {rank}");
         }
     }
 
@@ -1709,7 +1655,7 @@ mod tests {
         let missing = error(&[]);
         for extra in [
             &["--overlap", "--wire", "--verify-plans"][..],
-            &["--profile-out", "/tmp/p.json"][..],
+            &["--report", "/tmp/p.json"][..],
             &["--weights-from", "/tmp/w.json"][..],
             &[
                 "--solver",
@@ -1852,10 +1798,11 @@ mod tests {
         let run_opts = "--topology 1x2x2 --iterations 3";
         let out = run(format!("profile {problem} {run_opts} --out {artifact}")).unwrap();
         assert!(out.contains("spmm.compute") && out.contains("max rank slack"));
-        // The artifact is a view of the run's spans: every rank charged
-        // SpMM time, and the drift table sums the per-rank tables.
+        // The profile is a view of the run document's spans: every rank
+        // charged SpMM time, and the drift table sums the per-rank tables.
         let text = std::fs::read_to_string(&artifact).unwrap();
-        let report = ProfileReport::parse(&text).unwrap();
+        let doc = RunDocument::parse(&text).unwrap();
+        let report = profile_view(&doc).unwrap();
         assert_eq!(report.ranks.len(), 4);
         assert!(report.ranks.iter().all(|r| r.components[0] > 0), "{text}");
         for row in &report.drift {
@@ -1863,6 +1810,9 @@ mod tests {
             let by_rank: u64 = ranks.map(|r| r.component_ns(row.component)).sum();
             assert_eq!(row.measured_ns, by_rank, "{}", row.component);
         }
+        // `petaxct report` prints the tables `profile` printed.
+        let shown = run(format!("report --in {artifact}")).unwrap();
+        assert!(shown.contains(report.render_text().trim_end()), "{shown}");
         let reconstruct = |weights: &str| {
             run(format!(
                 "reconstruct --in {sino} --out {vol} {run_opts} --weights-from {weights}"
@@ -1871,14 +1821,14 @@ mod tests {
         assert!(reconstruct(&artifact).unwrap().contains("rebalanced"));
         for (from, to, names) in [
             (r#""topology":"1x2x2""#, r#""topology":"0x2x2""#, "0x2x2"),
-            (r#""tiles_x":4"#, r#""tiles_x":-1"#, "tiles_x"),
+            (r#""tile_size":4"#, r#""tile_size":-1"#, "tile_size"),
             (r#""n":16"#, r#""n":2.5"#, r#""n""#),
         ] {
             assert!(text.contains(from), "{text}");
             std::fs::write(&hostile, text.replacen(from, to, 1)).unwrap();
             let err = reconstruct(&hostile).unwrap_err().0;
             assert!(
-                err.contains("cannot parse profile file") && err.contains(names),
+                err.contains("cannot parse run document") && err.contains(names),
                 "{err}"
             );
         }
@@ -1990,6 +1940,7 @@ mod tests {
     fn distributed_reconstruction_with_overlap_and_summary() {
         let sino = tmp("cli_overlap_sino.xctd");
         let vol = tmp("cli_overlap_vol.xctd");
+        let doc = tmp("cli_overlap_run.json");
         run_cmd(&[
             "simulate",
             "--phantom",
@@ -2015,12 +1966,18 @@ mod tests {
             "--overlap",
             "--iterations",
             "8",
-            "--telemetry-summary",
+            "--report",
+            &doc,
         ])
         .unwrap();
         assert!(out.contains("on 4 simulated ranks"), "{out}");
         assert!(out.contains("comm overlapped"), "{out}");
-        // The per-phase breakdown table must make it to stdout.
+        assert!(
+            out.contains(&format!("run report written to {doc}")),
+            "{out}"
+        );
+        // The per-phase breakdown table is a view of the document.
+        let out = run_cmd(&["report", "--in", &doc]).unwrap();
         assert!(out.contains("% wall"), "{out}");
         assert!(out.contains("reduce.global"), "{out}");
         assert!(out.contains("spmm.forward"), "{out}");
@@ -2030,6 +1987,7 @@ mod tests {
     fn wired_reconstruct_prints_the_critical_path_table() {
         let sino = tmp("cli_cp_sino.xctd");
         let vol = tmp("cli_cp_vol.xctd");
+        let doc = tmp("cli_cp_run.json");
         run_cmd(&[
             "simulate",
             "--phantom",
@@ -2057,12 +2015,14 @@ mod tests {
             "2",
             "--wire",
             "200x50",
-            "--critical-path",
+            "--report",
+            &doc,
         ])
         .unwrap();
         assert!(out.contains("wired"), "{out}");
         // The per-rank critical-path/slack table and the per-phase
-        // histograms must make it to stdout.
+        // histograms are views of the document.
+        let out = run_cmd(&["report", "--in", &doc]).unwrap();
         assert!(out.contains("critical path"), "{out}");
         assert!(out.contains("slack"), "{out}");
         assert!(out.contains("zero slack"), "{out}");
@@ -2148,6 +2108,28 @@ mod tests {
                 err.0.contains(flag) && err.0.contains("at least 1"),
                 "{err}"
             );
+        }
+    }
+
+    #[test]
+    fn a_zero_size_is_refused_naming_the_flag() {
+        // Each used to be read as 1, to panic in the decomposition or
+        // the topology, or to write a sinogram file no reader accepts.
+        let reconstruct = ["reconstruct", "--in", "/nonexistent", "--out", "/tmp/y"];
+        for (args, flag) in [
+            (&[&reconstruct[..], &["--batch", "0"]].concat(), "--batch"),
+            (
+                &[&reconstruct[..], &["--metrics-interval", "0"]].concat(),
+                "--metrics-interval",
+            ),
+            (&vec!["profile", "--tile", "0"], "--tile"),
+            (
+                &vec!["model", "--dataset", "shale", "--nodes", "0"],
+                "--nodes",
+            ),
+        ] {
+            let err = run_cmd(args).unwrap_err().0;
+            assert_eq!(err, format!("{flag} must be at least 1"));
         }
     }
 
@@ -2444,7 +2426,7 @@ mod tests {
     #[test]
     fn failed_run_dumps_the_flight_recorder() {
         let sino = tmp("cli_flight_sino.xctd");
-        let dump = tmp("cli_flight_dump.json");
+        let dump = tmp("cli_flight_run.json");
         let _ = std::fs::remove_file(&dump);
         run_cmd(&[
             "simulate",
@@ -2471,21 +2453,25 @@ mod tests {
             "1x2x2",
             "--memory-budget",
             "16",
-            "--flightrec-out",
+            "--report",
             &dump,
         ])
         .unwrap_err();
         assert!(err.0.contains("too small"), "{err}");
-        let doc = Json::parse(&std::fs::read_to_string(&dump).unwrap()).unwrap();
-        assert_eq!(
-            doc.get("schema").and_then(Json::as_str),
-            Some("petaxct-flightrec-v1")
-        );
+        // Refused while planning: the header has the options, no plan.
+        let doc = RunDocument::parse(&std::fs::read_to_string(&dump).unwrap()).unwrap();
+        assert!(doc.reason.unwrap().contains("too small"));
+        assert_eq!(doc.header.command, "reconstruct");
         assert!(doc
-            .get("reason")
-            .and_then(Json::as_str)
-            .unwrap()
-            .contains("too small"));
+            .header
+            .options
+            .contains(&("memory-budget".to_owned(), "16".to_owned())));
+        assert_eq!((doc.header.plan, doc.tiles), (None, None));
+        let out = run_cmd(&["report", "--in", &dump]).unwrap();
+        assert!(
+            out.contains("stopped: ") && out.contains("too small"),
+            "{out}"
+        );
     }
 
     #[test]

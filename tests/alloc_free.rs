@@ -35,9 +35,10 @@ use xct_exec::Executor;
 use xct_fp16::{Precision, F16};
 use xct_geometry::{ImageGrid, ScanGeometry, SystemMatrix};
 use xct_io::{FileKind, SliceFile, SliceWriter};
+use xct_plan::{RunDocument, RunHeader};
 use xct_solver::{CglsConfig, CglsSolver, ExecContext, Phase, PrecisionOperator, Telemetry};
 use xct_spmm::Csr;
-use xct_telemetry::{MetricId, ProfileSnapshot};
+use xct_telemetry::{MetricId, ProfileSnapshot, TelemetrySnapshot};
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
@@ -317,7 +318,13 @@ fn disabled_metrics_and_flight_recorder_record_nothing_and_do_not_allocate() {
         telemetry.snapshot().events.is_empty(),
         "disabled log must record nothing"
     );
-    assert!(telemetry.flight_dump_json("probe").is_none());
+    // A post-mortem of a disabled handle holds nothing either.
+    let post_mortem = RunDocument::capture(RunHeader::default(), &telemetry, Some("probe".into()));
+    assert_eq!(post_mortem.log, TelemetrySnapshot::default());
+    assert_eq!(
+        (post_mortem.dropped, post_mortem.metrics.tracks.len()),
+        (0, 0)
+    );
 }
 
 #[test]

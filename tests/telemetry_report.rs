@@ -1,11 +1,13 @@
-//! End-to-end validation of the telemetry sinks: drive the CLI on a tiny
-//! phantom with `--telemetry-json` / `--trace` / `--telemetry-summary`
-//! and check the emitted artifacts — the JSON report schema, the phase
-//! breakdown's coverage, the per-rank communication matrices in
-//! distributed mode, and the Chrome `trace_event` file's structure.
+//! End-to-end validation of the run document: drive the CLI on a tiny
+//! phantom with `reconstruct --report` and `petaxct report --trace`, and
+//! check the views — the phase breakdown's coverage, the counters, the
+//! per-rank communication matrices in distributed mode, and the Chrome
+//! `trace_event` file's structure — computed from the decoded document.
 
 use petaxct::cli::run;
-use xct_telemetry::Json;
+use xct_comm::{CommReport, TrafficClass};
+use xct_plan::RunDocument;
+use xct_telemetry::{Breakdown, Json};
 
 fn tmp(name: &str) -> String {
     let dir = std::env::temp_dir().join("xct_telemetry_report_tests");
@@ -42,7 +44,7 @@ fn cli_emits_breakdown_json_and_trace() {
     let trace_path = tmp("report_trace.json");
     simulate(&sino);
 
-    let out = run_cmd(&[
+    run_cmd(&[
         "reconstruct",
         "--in",
         &sino,
@@ -50,67 +52,46 @@ fn cli_emits_breakdown_json_and_trace() {
         &vol,
         "--iterations",
         "6",
-        "--telemetry-summary",
-        "--telemetry-json",
+        "--report",
         &json_path,
-        "--trace",
-        &trace_path,
     ]);
+    let out = run_cmd(&["report", "--in", &json_path, "--trace", &trace_path]);
     // The summary table reaches the user, with the headline columns.
     assert!(out.contains("phase"), "{out}");
     assert!(out.contains("% wall"), "{out}");
     assert!(out.contains("solver.iteration"), "{out}");
     assert!(out.contains("instrumented coverage"), "{out}");
+    assert!(
+        out.contains(&format!("trace written to {trace_path}")),
+        "{out}"
+    );
 
-    // The JSON report parses and matches the published schema.
+    // The document decodes, and its breakdown is the one printed.
     let text = std::fs::read_to_string(&json_path).expect("report written");
-    let report = Json::parse(&text).expect("report parses");
-    assert_eq!(
-        report.get("schema").and_then(Json::as_str),
-        Some("petaxct-telemetry-v1")
-    );
-    assert_eq!(
-        report.get("command").and_then(Json::as_str),
-        Some("reconstruct")
-    );
-    let breakdown = report.get("breakdown").expect("breakdown present");
-    let wall = breakdown
-        .get("wall_seconds")
-        .and_then(Json::as_f64)
-        .expect("wall_seconds");
+    let doc = RunDocument::parse(&text).expect("report parses");
+    assert_eq!(doc.header.command, "reconstruct");
+    let breakdown = Breakdown::from_snapshot(&doc.log);
+    assert!(out.contains(&breakdown.render_table()), "{out}");
+    let wall = breakdown.wall_ns as f64;
     assert!(wall > 0.0);
     // Single-track run under a root `total` span: the instrumented spans
     // must cover at least 95% of the wall time.
-    let coverage = breakdown
-        .get("coverage")
-        .and_then(Json::as_f64)
-        .expect("coverage");
+    let coverage = breakdown.coverage();
     assert!(coverage >= 0.95, "coverage {coverage}");
     // Per-phase self times partition the covered time: their sum must
     // itself account for >= 95% of the wall.
-    let phases = breakdown
-        .get("phases")
-        .and_then(Json::as_array)
-        .expect("phases");
-    assert!(!phases.is_empty());
-    let self_sum: f64 = phases
-        .iter()
-        .map(|p| p.get("self_seconds").and_then(Json::as_f64).unwrap_or(0.0))
-        .sum();
+    assert!(!breakdown.stats.is_empty());
+    let self_sum: u64 = breakdown.stats.iter().map(|p| p.self_ns).sum();
     assert!(
-        self_sum >= 0.95 * wall,
+        self_sum as f64 >= 0.95 * wall,
         "phase self times {self_sum} vs wall {wall}"
     );
-    let names: Vec<&str> = phases
-        .iter()
-        .filter_map(|p| p.get("phase").and_then(Json::as_str))
-        .collect();
+    let names: Vec<&str> = breakdown.stats.iter().map(|p| p.phase.as_str()).collect();
     for expected in ["total", "solver.iteration", "spmm.forward", "io"] {
         assert!(names.contains(&expected), "missing phase {expected}");
     }
     // Counters rode along.
-    let counters = report.get("counters").expect("counters present");
-    assert!(counters.get("kernel_launches").and_then(Json::as_f64) > Some(0.0));
+    assert!(doc.counters.kernel_launches > 0);
 
     // The trace file is valid JSON in Chrome trace_event shape.
     let trace_text = std::fs::read_to_string(&trace_path).expect("trace written");
@@ -175,51 +156,42 @@ fn distributed_cli_reports_comm_matrices() {
         "single",
         "--topology",
         "1x2x2",
-        "--telemetry-summary",
-        "--telemetry-json",
+        "--report",
         &json_path,
     ]);
     assert!(out.contains("4 simulated ranks"), "{out}");
-    assert!(out.contains("src\\dst"), "comm matrix in summary: {out}");
+    let shown = run_cmd(&["report", "--in", &json_path]);
+    assert!(
+        shown.contains("src\\dst"),
+        "comm matrix in the report: {shown}"
+    );
 
     let text = std::fs::read_to_string(&json_path).expect("report written");
-    let report = Json::parse(&text).expect("report parses");
-    let comm = report.get("comm").expect("comm section present");
-    let matrix = comm
-        .get("byte_matrix")
-        .and_then(Json::as_array)
-        .expect("byte matrix");
+    let doc = RunDocument::parse(&text).expect("report parses");
+    let comm = CommReport::new(doc.comm);
+    let matrix = comm.byte_matrix();
     assert_eq!(matrix.len(), 4, "one row per rank");
-    let mut off_diagonal = 0.0f64;
+    let mut off_diagonal = 0;
     for (src, row) in matrix.iter().enumerate() {
-        let row = row.as_array().expect("matrix row");
         assert_eq!(row.len(), 4);
-        for (dst, cell) in row.iter().enumerate() {
-            let v = cell.as_f64().expect("byte count");
+        for (dst, &bytes) in row.iter().enumerate() {
             if src == dst {
-                assert_eq!(v, 0.0, "no self-traffic on the diagonal");
+                assert_eq!(bytes, 0, "no self-traffic on the diagonal");
             } else {
-                off_diagonal += v;
+                off_diagonal += bytes;
             }
         }
     }
-    assert!(off_diagonal > 0.0, "ranks must have exchanged bytes");
-    let levels = comm.get("level_bytes").expect("level bytes");
+    assert!(off_diagonal > 0, "ranks must have exchanged bytes");
     // 1-node topology: socket and node reductions carry traffic, the
     // global (internode) level has nowhere to send.
-    assert!(levels.get("socket").and_then(Json::as_f64) > Some(0.0));
-    assert!(levels.get("node").and_then(Json::as_f64) > Some(0.0));
-    assert_eq!(levels.get("global").and_then(Json::as_f64), Some(0.0));
+    let levels = comm.level_bytes();
+    assert!(levels[TrafficClass::Socket as usize] > 0);
+    assert!(levels[TrafficClass::Node as usize] > 0);
+    assert_eq!(levels[TrafficClass::Global as usize], 0);
     // Phases from every layer appear in the breakdown.
-    let phases = report
-        .get("breakdown")
-        .and_then(|b| b.get("phases"))
-        .and_then(Json::as_array)
-        .expect("phases");
-    let names: Vec<&str> = phases
-        .iter()
-        .filter_map(|p| p.get("phase").and_then(Json::as_str))
-        .collect();
+    let breakdown = Breakdown::from_snapshot(&doc.log);
+    let names: Vec<&str> = breakdown.stats.iter().map(|p| p.phase.as_str()).collect();
     for expected in [
         "total",
         "solver.iteration",
@@ -247,6 +219,6 @@ fn telemetry_flags_off_means_no_artifacts_mentioned() {
         "4",
     ]);
     assert!(!out.contains("% wall"), "{out}");
-    assert!(!out.contains("telemetry report written"), "{out}");
+    assert!(!out.contains("report written"), "{out}");
     assert!(!out.contains("trace written"), "{out}");
 }
