@@ -161,6 +161,7 @@ fn scripted_1x2x2_run_yields_exact_costs_drift_and_tile_costs() {
     let report = profile_view(&doc).expect("the document has a profile");
     assert_eq!(report.render_text(), PROFILE_TEXT);
     let log = &doc.log;
+    assert_eq!(Breakdown::from_snapshot(log).render_table(), BREAKDOWN);
     assert_eq!(
         CausalAnalysis::from_snapshot(log).render_table(),
         CRITICAL_PATH
@@ -258,6 +259,11 @@ fn scripted_1x2x2_run_yields_exact_costs_drift_and_tile_costs() {
     // The scripted skew (rank 3 is 4x rank 0) must show up as a
     // genuinely nonuniform tile table.
     assert!(report.skew.max_over_mean() > 1.0);
+    // The values the profile JSON pinned before the run document.
+    assert_eq!(report.skew.mean_tile_ns, 2554.5625);
+    assert_eq!(report.skew.max_over_mean(), 1.664864335869645);
+    let on_path: Vec<u64> = report.ranks.iter().map(|r| r.on_path_ns).collect();
+    assert_eq!(on_path, [0, 0, 0, 16570]);
 }
 
 /// The scripted run's phase breakdown.

@@ -2518,6 +2518,23 @@ mod tests {
     }
 
     #[test]
+    fn the_rebalance_preview_of_the_scripted_profile_is_unchanged() {
+        // The tile costs `crates/core/tests/profile_deterministic.rs`
+        // pins, previewed as `petaxct profile` printed them before the
+        // run document.
+        let costs = [
+            900, 1106, 4253, 3460, 1106, 1106, 4253, 4253, 2155, 2155, 3204, 3204, 1753, 2155,
+            3204, 2606,
+        ];
+        assert_eq!(
+            rebalance_preview(&scan_for(16, 12), 4, 4, &costs),
+            "rebalance preview (measured tile costs, 4 ranks, ideal 10219ns/rank):\n  \
+             uniform ownership:  max rank 16219ns, slack 6000ns\n  \
+             weighted ownership: max rank 11966ns, slack 1747ns (7 tiles re-homed)"
+        );
+    }
+
+    #[test]
     fn rebalance_preview_counts_the_tiles_the_run_moves() {
         // The profile loop's preview and the set-up's recorded decision
         // count one quantity: on a skewed table they must agree, and be
