@@ -244,33 +244,25 @@ impl MetricsSession {
         }
     }
 
-    /// The run document as it stands: all of the log, or for a run that
-    /// stopped on `reason`, each track's last records. `None` unless
-    /// `--report` asked for one.
-    fn document(&self, reason: Option<String>) -> Option<RunDocument> {
-        self.args.report.as_ref()?;
-        let header = lock_header(&self.header).clone();
-        Some(RunDocument::capture(header, &self.telemetry, reason))
-    }
-
-    /// Writes `doc` to the `--report` path; returns the note for the
-    /// command output.
-    fn write(&self, doc: &RunDocument) -> Result<String, CliError> {
+    /// Writes the run document as it stands — all of the log, or for a
+    /// run that stopped on `reason`, each track's last records — once
+    /// `add` has added what the run knows besides; returns the note for
+    /// the command output. Nothing without `--report`.
+    fn write_document(
+        &self,
+        reason: Option<String>,
+        add: impl FnOnce(&mut RunDocument),
+    ) -> Result<String, CliError> {
         let Some(path) = &self.args.report else {
             return Ok(String::new());
         };
+        let header = lock_header(&self.header).clone();
+        let mut doc = RunDocument::capture(header, &self.telemetry, reason);
+        add(&mut doc);
         write_file(path, &doc.to_json().to_string())?;
         Ok(format!(
             "\nrun report written to {path}; read it with `petaxct report --in {path}`"
         ))
-    }
-
-    /// Writes the document of a run that stopped on `reason`; called on
-    /// error exits so post-mortems survive even without a panic.
-    fn fail(&self, reason: &str) {
-        if let Some(doc) = self.document(Some(reason.to_owned())) {
-            let _ = self.write(&doc);
-        }
     }
 
     /// Stops sampling, takes a final forced sample, and writes the
@@ -639,7 +631,7 @@ fn reconstruct(flags: &Flags) -> Result<String, CliError> {
         Err(e) => {
             // A failed run still gets its post-mortem run document and
             // whatever metrics series accumulated before the error.
-            session.fail(&e.0);
+            let _ = session.write_document(Some(e.0.clone()), |_| {});
             let _ = session.finish();
             Err(e)
         }
@@ -788,19 +780,15 @@ fn reconstruct_inner(
         stats.worst_residual
     );
     drop(total_span);
-    let report_note = match session.document(None) {
-        Some(mut doc) => {
-            // Attribute per-tile costs at the tile size the executor
-            // decomposed at.
-            let tile = DistributedConfig::from_plan(&plan, &base).tile;
-            let weights = plan.tile_weights.as_ref().map(|tw| tw.weights.as_slice());
-            doc.tiles = Some(tile_costs(&scan, topology, tile, weights, &doc.log));
-            doc.counters = stats.counters;
-            doc.comm = CommReport::new(stats.comm_stats).per_rank;
-            session.write(&doc)?
-        }
-        None => String::new(),
-    };
+    let report_note = session.write_document(None, |doc| {
+        // Attribute per-tile costs at the tile size the executor
+        // decomposed at.
+        let tile = DistributedConfig::from_plan(&plan, &base).tile;
+        let weights = plan.tile_weights.as_ref().map(|tw| tw.weights.as_slice());
+        doc.tiles = Some(tile_costs(&scan, topology, tile, weights, &doc.log));
+        doc.counters = stats.counters;
+        doc.comm = CommReport::new(stats.comm_stats).per_rank;
+    })?;
     Ok(text + &report_note)
 }
 
@@ -984,16 +972,13 @@ fn report(flags: &Flags) -> Result<String, CliError> {
     let path = flags.required("in")?;
     let doc = read_run_document(path)?;
     let h = &doc.header;
-    let mut out = format!("run document {path}: petaxct {}", h.command);
-    if let Some(topology) = h.topology {
-        out.push_str(&format!(" on {topology}"));
-    }
-    if let Some(precision) = h.precision {
-        out.push_str(&format!(", {precision} precision"));
-    }
-    if let Some(iterations) = h.iterations {
-        out.push_str(&format!(", {iterations} iterations"));
-    }
+    let known = [
+        h.topology.map(|t| format!(" on {t}")),
+        h.precision.map(|p| format!(", {p} precision")),
+        h.iterations.map(|i| format!(", {i} iterations")),
+    ];
+    let known: String = known.into_iter().flatten().collect();
+    let mut out = format!("run document {path}: petaxct {}{known}", h.command);
     if let Some(reason) = &doc.reason {
         out.push_str(&format!(
             "\nstopped: {reason}\n(the log keeps each rank's last {FLIGHT_CAPACITY} records; {} older ones dropped)",
