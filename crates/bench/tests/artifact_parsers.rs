@@ -10,6 +10,7 @@
 
 use proptest::prelude::*;
 use xct_bench::perf::BenchReport;
+use xct_core::profile_view;
 use xct_plan::{ProfileReport, RunDocument, TuneReport};
 use xct_telemetry::{
     chrome_trace, metrics_series_from_json, metrics_series_json, Breakdown, CausalAnalysis, Json,
@@ -84,6 +85,10 @@ fn run_document_reader_rejects_hostile_documents() {
         "n":8 => "n":2.5 => "n"
         "slices":2 => "slices":1e300 => slices
         "angles":24 => "angles":9007199254740994 => angles
+        # A plan has at least one of each.
+        "angles":24 => "angles":0 => zero count
+        "fusing":2 => "fusing":0 => zero count
+        "data":2 => "data":0 => zero count
         "tile_size":4 => "tile_size":"4" => tile_size
         "flops":1000 => "flops":-7 => flops
         "start_ns":10 => "start_ns":0.5 => start_ns
@@ -235,7 +240,7 @@ proptest! {
             CausalAnalysis::from_snapshot(&doc.log).render_table();
             PhaseHistograms::from_snapshot(&doc.log).render_table();
             chrome_trace(&doc.log);
-            let _ = ProfileReport::from_document(&doc, [0.0; COMPONENT_COUNT]).map(|p| p.render_text());
+            let _ = profile_view(&doc).map(|p| p.render_text());
         }
         survives(parse_series, |s| metrics_series_json(s).to_string(), &mutate(METRICS, kind, at, pick));
         survives(TuneReport::parse, |r| r.to_json().to_string(), &mutate(TUNE, kind, at, pick));

@@ -120,11 +120,25 @@ pub fn tile_costs(
     }
 }
 
+/// Passes and minibatches the model may walk for a document: it takes
+/// one step for each, and a document is external input.
+const MODEL_STEPS: usize = 1 << 24;
+
 /// The profile view of `doc`, scored against the analytic model of the
 /// run its header describes ([`ModelExperiment::from_header`]), or
 /// against zero shares when the header names no plan.
 pub fn profile_view(doc: &RunDocument) -> Result<ProfileReport, String> {
-    let model = ModelExperiment::from_header(&doc.header).map(|m| m.run());
+    let model = ModelExperiment::from_header(&doc.header);
+    if let Some(m) = model.as_ref().filter(|m| {
+        let minibatches = m.rows.div_ceil(m.partitioning.batch.max(1)) / m.fusing.max(1);
+        m.iterations.max(minibatches) > MODEL_STEPS
+    }) {
+        return Err(format!(
+            "{} iterations over {} slices are past the {MODEL_STEPS} steps the model walks",
+            m.iterations, m.rows
+        ));
+    }
+    let model = model.map(|m| m.run());
     let predicted = model
         .as_ref()
         .map(model_shares)
@@ -185,5 +199,30 @@ mod tests {
         assert!((total - 1.0).abs() < 1e-9, "shares sum to {total}");
         assert!(shares[CostComponent::SpmmCompute.index()] > 0.0);
         assert!(shares[CostComponent::IoStall.index()] > 0.0);
+    }
+
+    #[test]
+    fn a_header_asking_the_model_for_more_steps_than_a_run_takes_is_refused() {
+        use xct_plan::{Partitioning, PlanShape, RunHeader};
+        let plan = PlanShape {
+            n: 8,
+            slices: 2,
+            angles: 8,
+            fusing: 2,
+            slabs: 1,
+            partitioning: Partitioning { batch: 1, data: 1 },
+        };
+        let doc = RunDocument {
+            header: RunHeader {
+                topology: Some(Topology::new(1, 1, 1)),
+                precision: Some(xct_fp16::Precision::Single),
+                iterations: Some(1 << 30),
+                plan: Some(plan),
+                ..RunHeader::default()
+            },
+            ..RunDocument::default()
+        };
+        let err = profile_view(&doc).unwrap_err();
+        assert!(err.contains("steps the model walks"), "{err}");
     }
 }

@@ -207,9 +207,9 @@ impl RunDocument {
     }
 
     /// The one reader. Besides each field's shape it checks the schema
-    /// tag, the topology's factors, ranks in ascending order, each
-    /// rank's tables against the class count, and the tile table's
-    /// length against the plan's tile grid.
+    /// tag, the topology's factors, the plan's counts (none zero), ranks
+    /// in ascending order, each rank's tables against the class count,
+    /// and the tile table's length against the plan's tile grid.
     pub fn from_json(json: &Json) -> Result<RunDocument, String> {
         json.expect_schema(RUN_SCHEMA)?;
         let h = field(json, "header")?;
@@ -281,6 +281,12 @@ impl RunDocument {
                 "comm ranks out of order: {} then {}",
                 w[0].rank, w[1].rank
             ));
+        }
+        if let Some(p) = header.plan {
+            let counts = [p.n, p.slices, p.angles, p.fusing, p.slabs];
+            if counts.contains(&0) || p.partitioning.total() == 0 {
+                return Err("field \"plan\" holds a zero count".to_owned());
+            }
         }
         let tiles = nullable(json, "tiles", |v| {
             let t = field(v, "tiles")?;
