@@ -1,15 +1,11 @@
-//! CI validator for a run's artifacts, through the library readers:
-//! a `--metrics-out` series (`petaxct-metrics-v1`, read by
-//! [`metrics_series_from_json`]) whose Prometheus sibling is the
-//! library's rendering of the series' last sample, or a run document
-//! (`petaxct-run-v1`: `reconstruct --report`, `profile --out`, the
-//! chaos explorer's post-mortems; read by [`RunDocument::parse`]).
+//! CI validator for a run's artifacts, through the library readers: a
+//! `--metrics-out` series ([`metrics_series_from_json`]) whose
+//! Prometheus sibling must be the library's rendering of its last
+//! sample, or a run document ([`RunDocument::parse`]).
 //!
-//! Usage: `metrics_check FILE.json [FILE.prom]`. The schema tag in the
-//! JSON selects the reader; a run document has no Prometheus sibling,
-//! so the second argument is ignored for it. The Prometheus path
-//! defaults to `FILE.json.prom`, matching what the CLI writes. Exits
-//! nonzero with a diagnostic on the first malformed construct.
+//! Usage: `metrics_check FILE.json [FILE.prom]`; the schema tag selects
+//! the reader, and the Prometheus path defaults to `FILE.json.prom`, as
+//! the CLI writes it. Exits nonzero with a diagnostic on the first fault.
 
 #![forbid(unsafe_code)]
 

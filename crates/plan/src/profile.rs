@@ -1,14 +1,9 @@
-//! The cost profile: a view of a run document.
-//!
+//! The cost profile, a view of a run document:
 //! [`ProfileReport::from_document`] joins the log's per-component self
 //! times ([`ProfileSnapshot`]) with the causal layer's critical-path
-//! attribution and the wire time of each rank's received messages,
-//! scores the measured shares against a model's predicted ones (the
-//! drift table), and summarises how unevenly the document's tile costs
-//! and the ranks' slack are spread (the skew). The planner closes the
-//! rebalance loop with the same document: `--weights-from` reads its
-//! tile costs as the [`TileWeights`] the Hilbert partition re-runs
-//! with.
+//! attribution and each rank's received wire time, scores the measured
+//! shares against a model's (the drift table), and summarises how
+//! unevenly tile costs and rank slack are spread (the skew).
 
 use crate::run::{PlanShape, RunDocument};
 use crate::TileWeights;

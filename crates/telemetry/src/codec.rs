@@ -1,12 +1,8 @@
-//! The JSON codec of what a run document carries from this crate: the
-//! log ([`TelemetrySnapshot`]) and one metric sample
-//! ([`MetricsSnapshot`], also one sample of the `petaxct-metrics-v1`
-//! series). Each type has one encoder and one decoder, and decoding what
-//! was encoded gives the value back field by field.
-//!
-//! Decoders read external bytes: a missing field, a value of the wrong
-//! shape, a span whose parent does not open before it and metric tracks
-//! out of order are an `Err` naming the field, never a panic.
+//! One JSON encoder and one decoder each for the log
+//! ([`TelemetrySnapshot`]) and a metric sample ([`MetricsSnapshot`]):
+//! what a run document carries from this crate. Decoding what was
+//! encoded gives the value back field by field; decoding hostile bytes
+//! is an `Err` naming the field, never a panic.
 
 use crate::metrics::MetricKind;
 use crate::{
