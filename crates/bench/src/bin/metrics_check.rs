@@ -1,16 +1,17 @@
-//! CI validator for a run's artifacts, through the library readers: a
-//! `--metrics-out` series ([`metrics_series_from_json`]) whose
-//! Prometheus sibling must be the library's rendering of its last
-//! sample, or a run document ([`RunDocument::parse`]).
+//! CI validator for a `--metrics-out` series, through the library
+//! reader ([`metrics_series_from_json`]): the series survives its
+//! writer, and its Prometheus sibling is the library's rendering of its
+//! last sample (whose exposition format `xct-telemetry`'s
+//! `prometheus_text_follows_the_exposition_format` checks line by line
+//! over every metric). A run document is checked by `petaxct report
+//! --in FILE`, which reads it through `RunDocument::parse`.
 //!
-//! Usage: `metrics_check FILE.json [FILE.prom]`; the schema tag selects
-//! the reader, and the Prometheus path defaults to `FILE.json.prom`, as
-//! the CLI writes it. Exits nonzero with a diagnostic on the first fault.
+//! Usage: `metrics_check FILE.json [FILE.prom]`; the Prometheus path
+//! defaults to `FILE.json.prom`, as the CLI writes it. Exits nonzero
+//! with a diagnostic on the first fault.
 
 #![forbid(unsafe_code)]
 
-use xct_core::profile_view;
-use xct_plan::{RunDocument, RUN_SCHEMA};
 use xct_telemetry::{metrics_series_from_json, metrics_series_json, prometheus_text, Json};
 
 fn fail(msg: &str) -> ! {
@@ -38,36 +39,6 @@ fn check_series(doc: &Json, prom: &str) -> usize {
         .sum()
 }
 
-/// A run document: what the reader accepts, re-written and read again,
-/// writes the same text, and a finished run with tile costs has a
-/// profile. Returns a summary line.
-fn check_run(text: &str) -> String {
-    let doc = RunDocument::parse(text).unwrap_or_else(|e| fail(&format!("run document: {e}")));
-    let written = doc.to_json().to_string();
-    if RunDocument::parse(&written).map(|d| d.to_json().to_string()) != Ok(written) {
-        fail("the run document does not survive its writer");
-    }
-    if doc.tiles.is_some() && doc.reason.is_none() {
-        profile_view(&doc).unwrap_or_else(|e| fail(&format!("no profile: {e}")));
-    }
-    let log = &doc.log;
-    let mut line = format!(
-        "{RUN_SCHEMA} of `petaxct {}`, {} spans, {} events, {} edges, {} tiles",
-        doc.header.command,
-        log.spans.len(),
-        log.events.len(),
-        log.edges.len(),
-        doc.tiles.as_ref().map_or(0, |t| t.weights.len())
-    );
-    if let Some(reason) = &doc.reason {
-        line.push_str(&format!(
-            "; stopped: {reason} ({} records dropped)",
-            doc.dropped
-        ));
-    }
-    line
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let json_path = args
@@ -81,10 +52,6 @@ fn main() {
         .unwrap_or_else(|e| fail(&format!("reading {json_path}: {e}")));
     let doc =
         Json::parse(&json_text).unwrap_or_else(|e| fail(&format!("JSON does not parse: {e}")));
-    if doc.get("schema").and_then(Json::as_str) == Some(RUN_SCHEMA) {
-        println!("metrics_check: {json_path} ok ({})", check_run(&json_text));
-        return;
-    }
     let prom_text = std::fs::read_to_string(&prom_path)
         .unwrap_or_else(|e| fail(&format!("reading {prom_path}: {e}")));
     let values = check_series(&doc, &prom_text);

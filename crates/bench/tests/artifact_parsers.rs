@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 use xct_bench::perf::BenchReport;
-use xct_core::profile_view;
+use xct_core::{profile_view, rebalance_preview};
 use xct_plan::{ProfileReport, RunDocument, TuneReport};
 use xct_telemetry::{
     chrome_trace, metrics_series_from_json, metrics_series_json, Breakdown, CausalAnalysis, Json,
@@ -89,6 +89,8 @@ fn run_document_reader_rejects_hostile_documents() {
         "angles":24 => "angles":0 => zero count
         "fusing":2 => "fusing":0 => zero count
         "data":2 => "data":0 => zero count
+        # A plane whose n² cells no count holds.
+        "n":8 => "n":134217728 => n² voxels
         "tile_size":4 => "tile_size":"4" => tile_size
         "flops":1000 => "flops":-7 => flops
         "start_ns":10 => "start_ns":0.5 => start_ns
@@ -124,6 +126,29 @@ fn run_document_reader_rejects_hostile_documents() {
     // The fixture has a profile, so the mutation test reaches that view.
     let doc = RunDocument::parse(RUN).expect("the fixture reads");
     assert!(ProfileReport::from_document(&doc, [0.0; COMPONENT_COUNT]).is_ok());
+}
+
+#[test]
+fn a_tile_table_summing_past_u64_reads_and_renders() {
+    // 48² tiles of one cell at 2^53 ns, the largest count the reader
+    // takes: their sum is past u64::MAX, and no view may wrap or panic.
+    let cost = 1u64 << 53;
+    let costs = vec![cost.to_string(); 48 * 48].join(",");
+    let run = RUN.replacen(r#""n":8"#, r#""n":48"#, 1).replacen(
+        r#""tile_size":4,"costs_ns":[0,100,200,300]"#,
+        &format!(r#""tile_size":1,"costs_ns":[{costs}]"#),
+        1,
+    );
+    let doc = RunDocument::parse(&run).expect("the document reads");
+    let profile = profile_view(&doc).expect("the document has a profile");
+    assert_eq!(profile.skew.mean_tile_ns, cost as f64);
+    profile.render_text();
+    let ideal = u128::from(cost) * 48 * 48 / 2;
+    let preview = rebalance_preview(&profile);
+    assert!(
+        preview.contains(&format!("ideal {ideal}ns/rank")),
+        "{preview}"
+    );
 }
 
 #[test]
@@ -240,7 +265,7 @@ proptest! {
             CausalAnalysis::from_snapshot(&doc.log).render_table();
             PhaseHistograms::from_snapshot(&doc.log).render_table();
             chrome_trace(&doc.log);
-            let _ = profile_view(&doc).map(|p| p.render_text());
+            let _ = profile_view(&doc).map(|p| p.render_text() + &rebalance_preview(&p));
         }
         survives(parse_series, |s| metrics_series_json(s).to_string(), &mutate(METRICS, kind, at, pick));
         survives(TuneReport::parse, |r| r.to_json().to_string(), &mutate(TUNE, kind, at, pick));

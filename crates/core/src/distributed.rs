@@ -451,6 +451,24 @@ impl DistributedSetup {
         }
     }
 
+    /// The traced operator's nonzeros per tile of `cfg.tile` cells
+    /// ([`crate::drift::tile_nnz`]), counted off the ranks' restricted
+    /// operators, which hold each nonzero once: what a run document's
+    /// tile costs are spread by, with no second trace.
+    pub fn tile_nnz(&self) -> Vec<u64> {
+        let per_col = (self.decomp.local_ops.iter()).flat_map(|op| {
+            // Per local column first: one increment per nonzero.
+            let mut per_col = vec![0u64; op.cols.len()];
+            for r in 0..op.csr.num_rows() {
+                for &c in op.csr.row(r).0 {
+                    per_col[c as usize] += 1;
+                }
+            }
+            op.cols.iter().copied().zip(per_col)
+        });
+        crate::drift::tile_nnz(&self.scan, self.cfg.tile, per_col)
+    }
+
     /// Every rank's operator packed for `key` under the scan's Hilbert
     /// orders at the key's block size ([`packing_orders`]), ordered by
     /// rank, unless the previous call used the same key; the old entry

@@ -12,8 +12,8 @@
 
 use crate::model::{ModelEstimate, ModelExperiment};
 use xct_comm::Topology;
-use xct_geometry::{ScanGeometry, SystemMatrix};
-use xct_hilbert::{CurveKind, Domain2D, TileDecomposition};
+use xct_geometry::ScanGeometry;
+use xct_hilbert::{CurveKind, Domain2D, Subdomain, TileDecomposition};
 use xct_plan::{ProfileReport, RunDocument, TileWeights};
 use xct_telemetry::{CostComponent, ProfileSnapshot, TelemetrySnapshot, COMPONENT_COUNT};
 
@@ -45,17 +45,22 @@ pub fn model_shares(estimate: &ModelEstimate) -> [f64; COMPONENT_COUNT] {
     shares
 }
 
-/// Per-tile nonzero counts of `sm`, row-major over the
-/// `ceil(n / tile) ×  ceil(n / tile)` tomogram tile grid.
-fn tile_nnz(sm: &SystemMatrix, scan: &ScanGeometry, tile: usize) -> Vec<u64> {
+/// Per-tile nonzero counts of an operator with `count` nonzeros in
+/// each `(voxel, count)` of `columns` (global voxel ids), row-major over
+/// the `ceil(n / tile) × ceil(n / tile)` tomogram tile grid of `scan`.
+pub fn tile_nnz(
+    scan: &ScanGeometry,
+    tile: usize,
+    columns: impl Iterator<Item = (u32, u64)>,
+) -> Vec<u64> {
     let nx = scan.grid.nx;
     let tiles_x = nx.div_ceil(tile);
     let tiles_y = scan.grid.nz.div_ceil(tile);
     let mut nnz = vec![0u64; tiles_x * tiles_y];
-    for (_, col, _) in sm.triplets() {
-        let x = col as usize % nx;
-        let z = col as usize / nx;
-        nnz[(z / tile) * tiles_x + x / tile] += 1;
+    for (voxel, count) in columns {
+        let x = voxel as usize % nx;
+        let z = voxel as usize / nx;
+        nnz[(z / tile) * tiles_x + x / tile] += count;
     }
     nnz
 }
@@ -93,25 +98,25 @@ fn derive_tile_costs(
 }
 
 /// The per-tile costs a run document stores: each rank's SpMM self
-/// time in `log` spread over its tiles of `tile` cells by operator
-/// nonzeros, under the ownership the run executed (`tile_weights`, or
-/// uniform), row-major over the tile grid.
+/// time in `log` spread over its tiles of `tile` cells by the operator's
+/// per-tile nonzeros `nnz` ([`tile_nnz`]; a run's own set-up counts them,
+/// [`crate::PlannedStats::tile_nnz`]), under the ownership the run
+/// executed (`tile_weights`, or uniform), row-major over the tile grid.
 pub fn tile_costs(
     scan: &ScanGeometry,
     topology: Topology,
     tile: usize,
     tile_weights: Option<&[u64]>,
+    nnz: &[u64],
     log: &TelemetrySnapshot,
 ) -> TileWeights {
     let profile = ProfileSnapshot::from_snapshot(log);
-    let sm = SystemMatrix::build(scan);
     let tomo = TileDecomposition::new(
         Domain2D::new(scan.grid.nx, scan.grid.nz),
         tile,
         CurveKind::Hilbert,
     );
-    let nnz = tile_nnz(&sm, scan, tile);
-    let weights = derive_tile_costs(&tomo, topology.size(), tile_weights, &nnz, |rank| {
+    let weights = derive_tile_costs(&tomo, topology.size(), tile_weights, nnz, |rank| {
         profile.track_component_ns(rank, CostComponent::SpmmCompute)
     });
     TileWeights {
@@ -146,16 +151,59 @@ pub fn profile_view(doc: &RunDocument) -> Result<ProfileReport, String> {
     ProfileReport::from_document(doc, predicted)
 }
 
+/// The rebalance preview of a profile: the largest per-rank sum of its
+/// measured tile costs under the uniform ownership versus a
+/// re-partition weighted by those same costs. Deterministic given the
+/// document — exactly the imbalance `--weights-from` removes,
+/// independent of run-to-run timing noise. Sums are taken in `u128`: a
+/// document's costs are external input, each up to 2^53.
+pub fn rebalance_preview(profile: &ProfileReport) -> String {
+    let (n, costs) = (profile.plan.n, profile.tiles.weights.as_slice());
+    let ranks = profile.topology.size();
+    let tomo = TileDecomposition::new(
+        Domain2D::new(n, n),
+        profile.tiles.tile_size,
+        CurveKind::Hilbert,
+    );
+    let (tiles_x, _) = tomo.tile_grid();
+    let rank_max = |subs: &[Subdomain]| -> u128 {
+        (subs.iter())
+            .map(|sd| {
+                (sd.tiles.iter())
+                    .map(|t| u128::from(costs[t.ty * tiles_x + t.tx]))
+                    .sum::<u128>()
+            })
+            .max()
+            .unwrap_or(0)
+    };
+    let moved = tomo.rehomed_tiles(ranks, costs);
+    let uniform = rank_max(&tomo.partition(ranks));
+    let weighted = rank_max(&tomo.partition_weighted(ranks, costs));
+    let total: u128 = costs.iter().copied().map(u128::from).sum();
+    let ideal = total.div_ceil(ranks.max(1) as u128);
+    format!(
+        "rebalance preview (measured tile costs, {ranks} ranks, ideal {ideal}ns/rank):\n  \
+         uniform ownership:  max rank {uniform}ns, slack {}ns\n  \
+         weighted ownership: max rank {weighted}ns, slack {}ns ({moved} tiles re-homed)",
+        uniform.saturating_sub(ideal),
+        weighted.saturating_sub(ideal),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xct_geometry::ImageGrid;
+    use xct_geometry::{ImageGrid, SystemMatrix};
+
+    fn matrix_nnz(sm: &SystemMatrix, scan: &ScanGeometry, tile: usize) -> Vec<u64> {
+        tile_nnz(scan, tile, sm.triplets().map(|(_, col, _)| (col, 1)))
+    }
 
     #[test]
     fn tile_nnz_covers_every_nonzero_exactly_once() {
         let scan = ScanGeometry::uniform(ImageGrid::square(16, 1.0), 12);
         let sm = SystemMatrix::build(&scan);
-        let nnz = tile_nnz(&sm, &scan, 4);
+        let nnz = matrix_nnz(&sm, &scan, 4);
         assert_eq!(nnz.len(), 16);
         assert_eq!(nnz.iter().sum::<u64>(), sm.triplets().count() as u64);
         // Central tiles see more rays than corners for a centered scan.
@@ -167,7 +215,7 @@ mod tests {
         let scan = ScanGeometry::uniform(ImageGrid::square(16, 1.0), 12);
         let sm = SystemMatrix::build(&scan);
         let tomo = TileDecomposition::new(Domain2D::new(16, 16), 4, CurveKind::Hilbert);
-        let nnz = tile_nnz(&sm, &scan, 4);
+        let nnz = matrix_nnz(&sm, &scan, 4);
         let spmm = [10_000u64, 20_000, 30_000, 40_000];
         let costs = derive_tile_costs(&tomo, 4, None, &nnz, |r| spmm[r]);
         assert_eq!(costs.len(), 16);
@@ -179,6 +227,26 @@ mod tests {
                 rank_total <= budget && budget - rank_total <= sd.tiles.len() as u64,
                 "rank {} spread {rank_total} of {budget}",
                 sd.id
+            );
+        }
+    }
+
+    #[test]
+    fn the_set_up_counts_the_traced_operators_nonzeros_per_tile() {
+        use crate::distributed::{DistributedConfig, DistributedSetup};
+        let scan = ScanGeometry::uniform(ImageGrid::square(16, 1.0), 12);
+        let sm = SystemMatrix::build(&scan);
+        for (ranks, tile) in [(1, 4), (4, 4), (4, 3)] {
+            let cfg = DistributedConfig {
+                topology: Topology::new(1, 1, ranks),
+                tile,
+                ..Default::default()
+            };
+            let setup = DistributedSetup::build(&scan, &cfg, xct_exec::Executor::Serial);
+            assert_eq!(
+                setup.tile_nnz(),
+                matrix_nnz(&sm, &scan, tile),
+                "{ranks} ranks, tile {tile}"
             );
         }
     }

@@ -49,7 +49,7 @@ mod recon;
 pub mod stream;
 pub mod volume;
 
-pub use drift::{model_shares, profile_view, tile_costs};
+pub use drift::{model_shares, profile_view, rebalance_preview, tile_costs, tile_nnz};
 pub use partition::{Partitioning, TableIComplexity};
 pub use recon::{Algorithm, ReconOptions, Reconstructor};
 pub use stream::{reconstruct_planned, PlannedError, PlannedOutcome, PlannedStats};

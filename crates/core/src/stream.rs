@@ -39,6 +39,10 @@ pub struct PlannedStats {
     pub comm_stats: Vec<RankCommStats>,
     /// Execution counters merged across ranks and slabs.
     pub counters: ExecCounters,
+    /// The operator's nonzeros per tile ([`DistributedSetup::tile_nnz`])
+    /// when the run records telemetry, which the tile costs of its run
+    /// document are derived from; empty otherwise.
+    pub tile_nnz: Vec<u64>,
 }
 
 /// [`reconstruct_planned`]'s result.
@@ -127,6 +131,11 @@ pub fn reconstruct_planned(
     // xct-allow(machine-width): a one-call entry point with no executor of its own; xctbench times this signature
     let mut ctx = ExecContext::parallel().with_telemetry(telemetry.clone());
     let setup = DistributedSetup::build(scan, &cfg, ctx.executor);
+    let tile_nnz = if telemetry.is_enabled() {
+        setup.tile_nnz()
+    } else {
+        Vec::new()
+    };
     let request = cfg.request();
     let mut comm_stats: Vec<RankCommStats> = Vec::new();
     let mut counters = ExecCounters::default();
@@ -167,6 +176,7 @@ pub fn reconstruct_planned(
                 worst_residual: outcome.stats.worst_residual,
                 comm_stats,
                 counters,
+                tile_nnz,
             },
             reader: outcome.reader,
             writer: outcome.writer,

@@ -11,7 +11,9 @@
 use std::sync::Arc;
 
 use xct_comm::Topology;
+use xct_core::distributed::{DistributedConfig, DistributedSetup};
 use xct_core::{profile_view, tile_costs};
+use xct_exec::Executor;
 use xct_fp16::Precision;
 use xct_geometry::{ImageGrid, ScanGeometry, SystemMatrix};
 use xct_hilbert::{CurveKind, Domain2D, TileDecomposition};
@@ -148,7 +150,14 @@ fn scripted_1x2x2_run_yields_exact_costs_drift_and_tile_costs() {
         ..RunHeader::new("scripted", Vec::new())
     };
     let mut doc = RunDocument::capture(header, &tele, None);
-    doc.tiles = Some(tile_costs(&scan, topology, 4, None, &doc.log));
+    // The nonzeros come off a run's set-up, as `reconstruct` counts them.
+    let cfg = DistributedConfig {
+        topology,
+        tile: 4,
+        ..Default::default()
+    };
+    let nnz = DistributedSetup::build(&scan, &cfg, Executor::Serial).tile_nnz();
+    doc.tiles = Some(tile_costs(&scan, topology, 4, None, &nnz, &doc.log));
     let doc = RunDocument::parse(&doc.to_json().to_string()).expect("the document reads back");
     assert_eq!(doc.log, snapshot);
     assert_eq!(

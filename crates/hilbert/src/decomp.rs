@@ -176,12 +176,11 @@ impl TileDecomposition {
             self.tiles_x,
             self.tiles_y
         );
-        let total: u64 = self
+        if self
             .order
             .iter()
-            .map(|&t| weights[t.ty * self.tiles_x + t.tx])
-            .sum();
-        if total == 0 {
+            .all(|&t| weights[t.ty * self.tiles_x + t.tx] == 0)
+        {
             return self.partition(parts);
         }
         self.partition_with(parts, |t| weights[t.ty * self.tiles_x + t.tx])
@@ -205,22 +204,22 @@ impl TileDecomposition {
     /// The prefix-target walk shared by the uniform and weighted
     /// partitions: greedy contiguous runs along the curve order, cut at
     /// ideal cumulative-weight boundaries with an overshoot/undershoot
-    /// tie-break. Targets are computed in `u128` so nanosecond-scale
-    /// weight totals cannot overflow the `total * (id + 1)` product.
+    /// tie-break. Weights are summed in `u128`, so no table of `u64`
+    /// weights (measured nanoseconds, read from a document) overflows the
+    /// totals or the `total * (id + 1)` targets.
     fn partition_with(&self, parts: usize, weight_of: impl Fn(TileCoord) -> u64) -> Vec<Subdomain> {
         assert!(parts > 0, "cannot partition into zero parts");
-        let total_weight: u64 = self.order.iter().map(|&t| weight_of(t)).sum();
+        let weight_of = |t| u128::from(weight_of(t));
+        let total_weight: u128 = self.order.iter().map(|&t| weight_of(t)).sum();
         let mut subdomains: Vec<Subdomain> = Vec::with_capacity(parts);
         let mut iter = self.order.iter().copied().peekable();
-        let mut weight_used = 0u64;
+        let mut weight_used = 0u128;
         for id in 0..parts {
             // Ideal prefix boundary for partitions 0..=id.
-            let target = (u128::from(total_weight) * (id as u128 + 1)).div_ceil(parts as u128);
-            // xct-allow(no-panic): target <= total_weight, which fits u64
-            let target = u64::try_from(target).unwrap();
+            let target = (total_weight * (id as u128 + 1)).div_ceil(parts as u128);
             let mut tiles = Vec::new();
             let mut cells = 0usize;
-            let mut weight = 0u64;
+            let mut weight = 0u128;
             while let Some(&t) = iter.peek() {
                 let tw = weight_of(t);
                 // Take the tile if we have not reached the boundary, or if
@@ -446,6 +445,17 @@ mod tests {
             "hot part holds {} tiles",
             hot_part.tiles.len()
         );
+    }
+
+    #[test]
+    fn weights_summing_past_u64_partition_evenly() {
+        // 48² tiles at 2^53 each: the total is past u64::MAX.
+        let d = decomp(48, 48, 1);
+        let weights = vec![1u64 << 53; d.num_tiles()];
+        let subs = d.partition_weighted(2, &weights);
+        assert_eq!(subs[0].tiles.len(), 48 * 48 / 2);
+        assert_eq!(subs[1].tiles.len(), 48 * 48 / 2);
+        assert_eq!(d.rehomed_tiles(2, &weights), 0);
     }
 
     #[test]

@@ -194,7 +194,9 @@ impl ProfileReport {
             mean_tile_ns: if costs.is_empty() {
                 0.0
             } else {
-                costs.iter().sum::<u64>() as f64 / costs.len() as f64
+                // A document's costs are external input, each up to
+                // 2^53: summed in u128, they cannot wrap.
+                costs.iter().copied().map(u128::from).sum::<u128>() as f64 / costs.len() as f64
             },
             critical_path_ns: causal.critical_path_ns,
             max_rank_slack_ns: causal

@@ -287,6 +287,14 @@ impl RunDocument {
             if counts.contains(&0) || p.partitioning.total() == 0 {
                 return Err("field \"plan\" holds a zero count".to_owned());
             }
+            // A slice's n² voxels are a count like any other: the views
+            // tile the n × n plane and sum its cells.
+            if p.n.checked_mul(p.n).is_none_or(|v| v > 1 << 53) {
+                return Err(format!(
+                    "field \"plan\": n = {} has n² voxels past 2^53",
+                    p.n
+                ));
+            }
         }
         let tiles = nullable(json, "tiles", |v| {
             let t = field(v, "tiles")?;

@@ -233,6 +233,7 @@ pub fn render_progress(snap: &MetricsSnapshot, elapsed_ns: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::MetricKind;
     use crate::{ManualClock, Telemetry};
     use std::sync::Arc;
 
@@ -332,6 +333,97 @@ mod tests {
         // Cumulative bucket counts: the le="1024" bucket includes the
         // 3 ns recording from the le="4" bucket.
         assert!(text.contains("petaxct_comm_wait_ns_bucket{track=\"0\",le=\"1024\"} 2"));
+    }
+
+    /// Checks `text` line by line against the Prometheus text exposition
+    /// format: `# HELP name text` and `# TYPE name kind` comments (kind a
+    /// counter, gauge or histogram, each metric typed once, before its
+    /// samples) and `name{k="v",...} value` samples of `petaxct_` metric
+    /// names, a histogram's series suffixed `_bucket` (with an `le`
+    /// label), `_sum` or `_count`. Returns the metrics typed.
+    fn check_exposition(text: &str) -> Vec<(String, String)> {
+        let mut typed: Vec<(String, String)> = Vec::new();
+        let valid_name = |name: &str| {
+            name.starts_with("petaxct_")
+                && name
+                    .chars()
+                    .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
+        };
+        let mut samples = 0;
+        for (i, line) in text.lines().enumerate() {
+            let at = format!("line {}: {line:?}", i + 1);
+            if let Some(comment) = line.strip_prefix("# ") {
+                let parts: Vec<&str> = comment.splitn(3, ' ').collect();
+                let [tag, name, rest] = parts[..] else {
+                    panic!("{at}: malformed comment");
+                };
+                assert!(valid_name(name), "{at}: metric name");
+                match tag {
+                    "HELP" => assert!(!rest.is_empty(), "{at}: empty help"),
+                    "TYPE" => {
+                        assert!(matches!(rest, "counter" | "gauge" | "histogram"), "{at}");
+                        assert!(typed.iter().all(|(n, _)| n != name), "{at}: typed twice");
+                        typed.push((name.to_owned(), rest.to_owned()));
+                    }
+                    _ => panic!("{at}: unknown comment"),
+                }
+                continue;
+            }
+            let (series, value) = line.rsplit_once(' ').unwrap_or_else(|| panic!("{at}"));
+            assert!(value.parse::<f64>().is_ok(), "{at}: value");
+            let (name, labels) = series.split_once('{').unwrap_or_else(|| panic!("{at}"));
+            let labels = labels.strip_suffix('}').unwrap_or_else(|| panic!("{at}"));
+            let keys: Vec<&str> = (labels.split(','))
+                .map(|label| {
+                    let (k, v) = label.split_once('=').unwrap_or_else(|| panic!("{at}"));
+                    let quoted = v.len() >= 2 && v.starts_with('"') && v.ends_with('"');
+                    assert!(!k.is_empty() && quoted, "{at}: label {label:?}");
+                    k
+                })
+                .collect();
+            // The longest typed name the series extends.
+            let (kind, base) = (typed.iter())
+                .filter_map(|(n, kind)| name.strip_prefix(n.as_str()).map(|rest| (kind, rest)))
+                .min_by_key(|(_, rest)| rest.len())
+                .unwrap_or_else(|| panic!("{at}: sample before its TYPE"));
+            match (kind.as_str(), base) {
+                ("histogram", "_bucket") => assert!(keys.contains(&"le"), "{at}: no le"),
+                ("histogram", "_sum" | "_count") | ("counter" | "gauge", "") => {}
+                _ => panic!("{at}: series {name} of a {kind}"),
+            }
+            samples += 1;
+        }
+        assert!(samples > 0, "no sample lines");
+        typed
+    }
+
+    #[test]
+    fn prometheus_text_follows_the_exposition_format() {
+        // Every metric on two tracks, histograms with several buckets.
+        let tele = Telemetry::enabled();
+        for track in [tele.fork(0), tele.fork(3)] {
+            for id in crate::ALL_METRICS {
+                match id.kind() {
+                    MetricKind::Counter => track.metric_add(id, 7),
+                    MetricKind::Gauge => track.gauge_set(id, -0.25),
+                    MetricKind::Histogram => {
+                        for ns in [3, 900, 1 << 40] {
+                            track.observe_ns(id, ns);
+                        }
+                    }
+                }
+            }
+        }
+        let typed = check_exposition(&prometheus_text(&tele.metrics_snapshot()));
+        assert_eq!(typed.len(), crate::ALL_METRICS.len());
+        for id in crate::ALL_METRICS {
+            let kind = match id.kind() {
+                MetricKind::Counter => "counter",
+                MetricKind::Gauge => "gauge",
+                MetricKind::Histogram => "histogram",
+            };
+            assert!(typed.contains(&(prom_name(id), kind.to_owned())), "{id:?}");
+        }
     }
 
     #[test]

@@ -16,11 +16,11 @@ use xct_comm::{CommReport, CompiledPlans, HierarchicalPlan, RankOptions, Topolog
 use xct_core::distributed::{reconstruct_distributed, DistributedConfig};
 use xct_core::model::ModelExperiment;
 use xct_core::{
-    profile_view, reconstruct_planned, stream_slabs, tile_costs, Algorithm, Reconstructor,
+    profile_view, rebalance_preview, reconstruct_planned, stream_slabs, tile_costs, tile_nnz,
+    Algorithm, Reconstructor,
 };
 use xct_fp16::Precision;
 use xct_geometry::{ImageGrid, ScanGeometry, SystemMatrix};
-use xct_hilbert::{CurveKind, Domain2D, Subdomain, TileDecomposition};
 use xct_io::{FileKind, SliceFile, SliceReader, SliceWriter};
 use xct_phantom::{add_poisson_noise, DatasetSpec, Image2D};
 use xct_plan::{
@@ -785,7 +785,8 @@ fn reconstruct_inner(
         // decomposed at.
         let tile = DistributedConfig::from_plan(&plan, &base).tile;
         let weights = plan.tile_weights.as_ref().map(|tw| tw.weights.as_slice());
-        doc.tiles = Some(tile_costs(&scan, topology, tile, weights, &doc.log));
+        let nnz = &stats.tile_nnz;
+        doc.tiles = Some(tile_costs(&scan, topology, tile, weights, nnz, &doc.log));
         doc.counters = stats.counters;
         doc.comm = CommReport::new(stats.comm_stats).per_rank;
     })?;
@@ -816,43 +817,6 @@ fn read_run_document(path: &str) -> Result<RunDocument, CliError> {
 fn load_profile_weights(path: &str) -> Result<TileWeights, CliError> {
     (read_run_document(path)?.tiles)
         .ok_or_else(|| CliError(format!("run document {path} has no tile costs")))
-}
-
-/// Plan-level rebalance preview: the per-rank sums of a run document's
-/// measured tile costs under the executed uniform ownership versus a
-/// re-partition weighted by those same costs. Deterministic given the
-/// document — this is exactly the imbalance `--weights-from` removes,
-/// independent of run-to-run timing noise.
-fn rebalance_preview(scan: &ScanGeometry, tile: usize, ranks: usize, costs: &[u64]) -> String {
-    let tomo = TileDecomposition::new(
-        Domain2D::new(scan.grid.nx, scan.grid.nz),
-        tile,
-        CurveKind::Hilbert,
-    );
-    let (tiles_x, _) = tomo.tile_grid();
-    let rank_max = |subs: &[Subdomain]| -> u64 {
-        subs.iter()
-            .map(|sd| {
-                sd.tiles
-                    .iter()
-                    .map(|t| costs[t.ty * tiles_x + t.tx])
-                    .sum::<u64>()
-            })
-            .max()
-            .unwrap_or(0)
-    };
-    let moved = tomo.rehomed_tiles(ranks, costs);
-    let uniform = rank_max(&tomo.partition(ranks));
-    let weighted = rank_max(&tomo.partition_weighted(ranks, costs));
-    let total: u64 = costs.iter().sum();
-    let ideal = total.div_ceil(ranks.max(1) as u64);
-    format!(
-        "rebalance preview (measured tile costs, {ranks} ranks, ideal {ideal}ns/rank):\n  \
-         uniform ownership:  max rank {uniform}ns, slack {}ns\n  \
-         weighted ownership: max rank {weighted}ns, slack {}ns ({moved} tiles re-homed)",
-        uniform.saturating_sub(ideal),
-        weighted.saturating_sub(ideal),
-    )
 }
 
 /// Refuses a plan `plan_fits` rejects, naming its witnesses.
@@ -949,13 +913,14 @@ fn profile(flags: &Flags) -> Result<String, CliError> {
     header.planned(&plan, iterations);
     let mut doc = RunDocument::capture(header, &telemetry, None);
     let weights = plan.tile_weights.as_ref().map(|tw| tw.weights.as_slice());
-    doc.tiles = Some(tile_costs(&scan, topology, tile, weights, &doc.log));
+    let nnz = tile_nnz(&scan, tile, sm.triplets().map(|(_, col, _)| (col, 1)));
+    doc.tiles = Some(tile_costs(&scan, topology, tile, weights, &nnz, &doc.log));
     doc.counters = result.counters;
     doc.comm = CommReport::new(result.comm_stats).per_rank;
     write_file(&out, &doc.to_json().to_string())?;
     let report = profile_view(&doc).map_err(CliError)?;
     let residual = result.residual_history.last().copied().unwrap_or(1.0);
-    let preview = rebalance_preview(&scan, tile, topology.size(), &report.tiles.weights);
+    let preview = rebalance_preview(&report);
     Ok(format!(
         "{}\n{preview}\nfinal residual {residual:.5}\nwrote {out}; close the loop with \
          `petaxct reconstruct --weights-from {out}` or `petaxct profile --weights-from {out}`",
@@ -996,19 +961,16 @@ fn report(flags: &Flags) -> Result<String, CliError> {
     out.push_str(&CausalAnalysis::from_snapshot(&doc.log).render_table());
     out.push('\n');
     out.push_str(&PhaseHistograms::from_snapshot(&doc.log).render_table());
-    // A document without a topology, tile costs or problem (a run
-    // refused while planning) has no profile.
-    if let Ok(profile) = profile_view(&doc) {
-        let scan = scan_for(profile.plan.n, profile.plan.angles);
-        let (tiles, ranks) = (&profile.tiles, profile.topology.size());
-        out.push('\n');
-        out.push_str(&profile.render_text());
-        out.push_str(&rebalance_preview(
-            &scan,
-            tiles.tile_size,
-            ranks,
-            &tiles.weights,
-        ));
+    // A document without tile costs (a run refused while planning, or
+    // stopped) has no profile; one with them says why it has none.
+    match profile_view(&doc) {
+        Ok(profile) => {
+            out.push('\n');
+            out.push_str(&profile.render_text());
+            out.push_str(&rebalance_preview(&profile));
+        }
+        Err(e) if doc.tiles.is_some() => out.push_str(&format!("\nno profile: {e}")),
+        Err(_) => {}
     }
     if let Some(trace) = flags.get("trace") {
         write_file(trace, &chrome_trace(&doc.log))?;
@@ -2502,21 +2464,33 @@ mod tests {
         assert_ne!(read(&clean), read(&noisy));
     }
 
+    /// The scripted 1x2x2 profile run's document, as
+    /// `crates/core/tests/profile_deterministic.rs` writes and pins it.
+    const PROFILE_RUN: &str = include_str!("../crates/core/tests/data/profile_run.json");
+
     #[test]
     fn the_rebalance_preview_of_the_scripted_profile_is_unchanged() {
-        // The tile costs `crates/core/tests/profile_deterministic.rs`
-        // pins, previewed as `petaxct profile` printed them before the
-        // run document.
-        let costs = [
-            900, 1106, 4253, 3460, 1106, 1106, 4253, 4253, 2155, 2155, 3204, 3204, 1753, 2155,
-            3204, 2606,
-        ];
-        assert_eq!(
-            rebalance_preview(&scan_for(16, 12), 4, 4, &costs),
-            "rebalance preview (measured tile costs, 4 ranks, ideal 10219ns/rank):\n  \
+        // Its tile costs previewed as `petaxct profile` printed them
+        // before the run document.
+        let doc = tmp("cli_profile_run.json");
+        std::fs::write(&doc, PROFILE_RUN).unwrap();
+        let out = run_cmd(&["report", "--in", &doc]).unwrap();
+        let preview = "rebalance preview (measured tile costs, 4 ranks, ideal 10219ns/rank):\n  \
              uniform ownership:  max rank 16219ns, slack 6000ns\n  \
-             weighted ownership: max rank 11966ns, slack 1747ns (7 tiles re-homed)"
-        );
+             weighted ownership: max rank 11966ns, slack 1747ns (7 tiles re-homed)";
+        assert!(out.ends_with(preview), "{out}");
+    }
+
+    #[test]
+    fn a_report_says_why_a_document_with_tile_costs_has_no_profile() {
+        // Past the steps the model walks: the view is refused.
+        let mut doc = RunDocument::parse(PROFILE_RUN).unwrap();
+        doc.header.iterations = Some(1 << 30);
+        let path = tmp("cli_no_profile.json");
+        std::fs::write(&path, doc.to_json().to_string()).unwrap();
+        let out = run_cmd(&["report", "--in", &path]).unwrap();
+        assert!(out.contains("\nno profile: "), "{out}");
+        assert!(!out.contains("rebalance preview"), "{out}");
     }
 
     #[test]
@@ -2528,14 +2502,15 @@ mod tests {
         let scan = ScanGeometry::uniform(ImageGrid::square(16, 1.0), 16);
         let mut weights = vec![10u64; 16];
         weights[..2].fill(1_000);
+        let tiles = TileWeights {
+            tile_size: 4,
+            weights,
+        };
         let telemetry = Telemetry::enabled();
         let cfg = DistributedConfig {
             topology: Topology::new(1, 2, 2),
             tile: 4,
-            tile_weights: Some(TileWeights {
-                tile_size: 4,
-                weights: weights.clone(),
-            }),
+            tile_weights: Some(tiles.clone()),
             telemetry: telemetry.clone(),
             ..Default::default()
         };
@@ -2545,7 +2520,10 @@ mod tests {
             .expect("rebalance decision recorded")
             .value;
         assert!(moved > 0.0);
-        let preview = rebalance_preview(&scan, 4, 4, &weights);
+        // The scripted document is a 16² grid in 4-cell tiles on 1x2x2.
+        let mut doc = RunDocument::parse(PROFILE_RUN).unwrap();
+        doc.tiles = Some(tiles);
+        let preview = rebalance_preview(&profile_view(&doc).unwrap());
         assert!(
             preview.contains(&format!("({moved} tiles re-homed)")),
             "{preview}"
